@@ -129,7 +129,6 @@ def connected_daelite(
     host: Optional[str] = None,
     label: str = "bench",
     kernel_mode: Optional[str] = None,
-    **net_kwargs,
 ):
     """A daelite network with one live connection; returns
     (network, connection, handle)."""
@@ -148,7 +147,6 @@ def connected_daelite(
         params,
         host_ni=host or src,
         kernel_mode=kernel_mode,
-        **net_kwargs,
     )
     handle = network.configure(connection)
     return network, connection, handle

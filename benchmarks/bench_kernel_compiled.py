@@ -74,12 +74,7 @@ def build_workload(mode):
         )
         for i, (src, dst) in enumerate(FLOW_PAIRS)
     ]
-    # vector_shards pinned to one fixed configuration so the published
-    # ratios do not drift with a REPRO_VECTOR_SHARDS override; sharded
-    # curves (which also replay) live in bench_scalability.py.
-    net = DaeliteNetwork(
-        mesh, params, host_ni="NI00", kernel_mode=mode, vector_shards=1
-    )
+    net = DaeliteNetwork(mesh, params, host_ni="NI00", kernel_mode=mode)
     handles = [net.configure(conn) for conn in allocated]
     for handle in handles:
         net.run_until_configured(handle)

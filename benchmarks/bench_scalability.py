@@ -280,19 +280,12 @@ HUGE_FABRIC_SIZE = (64, 15)
 EPOCH_BUDGET = 256
 
 
-def run_steady_corner_flow(
-    side, config_word_bits, mode, run_cycles=None, vector_shards=2
-):
+def run_steady_corner_flow(side, config_word_bits, mode, run_cycles=None):
     """One corner-to-corner CBR flow on a side x side mesh in a
     periodic steady state; returns ``(elapsed, net, run_cycles,
     window)`` where ``window`` holds the measured window's replay
-    telemetry deltas.
-
-    Sharded by default: epoch replay composes with sharding, and the
-    published curve asserts exactly that (`replay_coverage` > 0 under
-    ``vector_shards=2``); pass ``vector_shards=1`` for the unsharded
-    reference.  ``run_cycles=None`` applies the adaptive budget of
-    ``EPOCH_BUDGET`` steady epochs.
+    telemetry deltas.  ``run_cycles=None`` applies the adaptive budget
+    of ``EPOCH_BUDGET`` steady epochs.
     """
     params = daelite_parameters(
         slot_table_size=16, config_word_bits=config_word_bits
@@ -300,12 +293,7 @@ def run_steady_corner_flow(
     mesh = build_mesh(side, side)
     dst = ni_name(side - 1, side - 1)
     net, _, handle = connected_daelite(
-        mesh,
-        params,
-        "NI00",
-        dst,
-        kernel_mode=mode,
-        vector_shards=vector_shards,
+        mesh, params, "NI00", dst, kernel_mode=mode
     )
     # Stay under the credit-window limit of the long path: ~8 credits
     # per round trip of ~7 cycles/hop, so the sustainable period grows
@@ -367,7 +355,6 @@ def _measure_curve_row(side, bits):
             window["replayed_cycles"] / run_cycles, 4
         ),
         "regimes_detected": window["regimes_detected"],
-        "vector_shards": 2,
     }
 
 
@@ -418,9 +405,8 @@ def test_vector_throughput_curve_to_32x32(benchmark):
     32x32 must stay within ~20x of the 8x8 point (per-cycle work grows
     with fabric size only through the stepped boundary cycles and the
     materialized word volume, not the register count), where a
-    per-register scalar engine degrades far faster.  Every row runs
-    **sharded** (``vector_shards=2``) and must still replay — the
-    sharded-replay composition is part of the published claim.
+    per-register scalar engine degrades far faster.  Every row must
+    replay — replay coverage is part of the published claim.
     """
 
     def sweep():

@@ -59,17 +59,9 @@ class DaeliteNetwork:
         strict: bool = False,
         tracer: Optional[Tracer] = None,
         kernel_mode: Optional[str] = None,
-        vector_shards: Optional[int] = None,
-        vector_workers: Optional[int] = None,
     ) -> None:
         self.topology = topology
         self.tracer = tracer or NULL_TRACER
-        #: Vector-engine sharding knobs (see repro.sim.vector): number
-        #: of register tiles, and how many forked worker processes to
-        #: spread them over (0 = all tiles in-process).  ``None`` defers
-        #: to the REPRO_VECTOR_SHARDS / REPRO_VECTOR_WORKERS env vars.
-        self.vector_shards = vector_shards
-        self.vector_workers = vector_workers
         self.params = params or daelite_parameters()
         topology.validate(
             max_elements=self.params.max_network_elements, max_arity=7

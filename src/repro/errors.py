@@ -88,14 +88,6 @@ class StatsIntegrityError(SimulationError):
     delivery) — the collector state is left untouched when raised."""
 
 
-class DataRaceError(SimulationError):
-    """The vector kernel's runtime race detector observed conflicting
-    same-cycle accesses to one state column (two writers, or a read
-    overlapping an unordered write).  Only raised when the detector is
-    armed via ``REPRO_VECTOR_RACE_CHECK``; a clean sharded lowering —
-    one staticcheck's RS rules prove — never trips it."""
-
-
 class TrafficError(ReproError):
     """A traffic generator or sink was misused."""
 

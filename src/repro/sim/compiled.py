@@ -84,7 +84,7 @@ MAX_REPLAY_PERIOD = 1 << 16
 #: structural schedule image, so the recompile forced by every use-case
 #: switch is a dict lookup when a regime returns.  ``0`` disables the
 #: cache; malformed values refuse compilation with a typed
-#: ``unsupported_params`` (the PR-8 shard-knob contract).
+#: ``unsupported_params``.
 LOWER_CACHE_ENV = "REPRO_LOWER_CACHE"
 #: Default lowering-cache capacity (covers realistic use-case rosters;
 #: one entry per distinct programmed schedule).
@@ -197,8 +197,7 @@ def lower_network(network: Any) -> Any:
     preferences and every eligibility gate apply) and the result — an
     engine exposing :meth:`CompiledEngine.lowered_artifacts`, or a
     typed :class:`~repro.sim.kernel.CompileRefusal` — is returned
-    without being installed on the kernel.  Vector engines returned
-    here hold shard resources; ``close()`` them when done.
+    without being installed on the kernel.
     """
     provider = network.kernel.compile_provider
     if provider is None:
@@ -279,10 +278,9 @@ def _schedule_image(network: Any) -> tuple:
 def _lower_cache_capacity(network: Any) -> Any:
     """Resolve the lowering-cache capacity knob (attribute, then env).
 
-    Mirrors the vector shard-knob contract: malformed values never
-    escape as exceptions — every parse failure becomes a typed
-    ``unsupported_params`` refusal so the degradation chain engages and
-    ``kernel_stats()`` records the reason.
+    Malformed values never escape as exceptions — every parse failure
+    becomes a typed ``unsupported_params`` refusal so the degradation
+    chain engages and ``kernel_stats()`` records the reason.
     """
     try:
         value = getattr(network, "lower_cache", None)
@@ -1293,7 +1291,7 @@ class CompiledEngine:
         """The non-register signature parts: channel queues, credits and
         flags, generator phases, sink phases and sequence checkpoints.
         Shared by the compiled signature and the vector engine's
-        tile-combined signature."""
+        dense-state signature."""
         chans: List[tuple] = []
         for ni in self.nis_list:
             for channel in sorted(ni.source_channels):

@@ -32,17 +32,6 @@ matrix instead of a Python loop over a sparse phit dict:
   in-flight words with one masked vector update (parity recomputed via
   an xor fold), and reuses the parent's counter scaling and queue
   shifting verbatim.
-* **Sharding** — ``REPRO_VECTOR_SHARDS``/``REPRO_VECTOR_WORKERS`` (or
-  the network's ``vector_shards``/``vector_workers`` attributes) split
-  the register space into contiguous tiles along the slot-table phase
-  boundary.  Pairs whose source and destination fall in one tile run in
-  that tile's tab; everything that crosses a cut — plus all arrivals
-  and injection records — runs in a per-phase *parent* tab whose
-  sources are gathered **before** the tiles clear and scattered after,
-  which is a pure reordering of writes to disjoint columns and hence
-  bit-exact.  With workers, tiles execute in forked processes over a
-  ``multiprocessing.shared_memory`` backing buffer and only the
-  boundary columns (the parent tab) touch the coordinating process.
 
 Anything the dense encoding cannot represent bit-exactly (payloads or
 sequences outside the int64 budget, pre-stamped ``injected_at``,
@@ -59,13 +48,9 @@ from __future__ import annotations
 import operator
 import os
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-try:  # numpy is a hard dependency of the repo, but vector mode degrades
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from .compiled import (
     _EV_EJECT,
@@ -81,24 +66,10 @@ from .compiled import (
     CompiledEngine,
     compile_network,
 )
-from ..errors import DataRaceError
 from .flit import Phit, Word
 from .kernel import CompileRefusal
 from .stats import FAULT_DETECTED
 
-#: Environment variable: number of register tiles for sharded execution.
-VECTOR_SHARDS_ENV = "REPRO_VECTOR_SHARDS"
-#: Environment variable: worker processes executing the tiles (0 = the
-#: tiles run serially in-process; capped at the shard count).
-VECTOR_WORKERS_ENV = "REPRO_VECTOR_WORKERS"
-#: Environment variable: arm the TSan-style runtime race detector.  Any
-#: value other than empty/0/false/no/off enables write-set shadow
-#: tracking on every clear/scatter/gather of the data plane; a
-#: conflicting same-cycle access raises
-#: :class:`~repro.errors.DataRaceError`.  Detection forces the tiles
-#: in-process (workers=0) — results stay bit-identical either way, the
-#: worker pool being a pure reordering of the same disjoint writes.
-VECTOR_RACE_CHECK_ENV = "REPRO_VECTOR_RACE_CHECK"
 #: Environment variable: capacity (regimes) of the per-network
 #: piecewise-periodic regime cache.  Each entry holds one steady
 #: regime's ``(signature, per-epoch deltas, rebased event template)``
@@ -106,7 +77,7 @@ VECTOR_RACE_CHECK_ENV = "REPRO_VECTOR_RACE_CHECK"
 #: switch back into a previously observed regime replays at the *first*
 #: period boundary instead of re-probing two full epochs.  ``0``
 #: disables the cache; malformed values refuse compilation with a typed
-#: ``unsupported_params`` (the PR-8 shard-knob contract).
+#: ``unsupported_params``.
 REGIME_CACHE_ENV = "REPRO_REGIME_CACHE"
 #: Default regime-cache capacity (one entry per distinct steady regime;
 #: use-case campaigns rarely cycle through more than a handful).
@@ -119,10 +90,6 @@ _PLANES = 6
 #: Payloads/sequences/credits must stay strictly below this so every
 #: arithmetic shift the replay applies fits in int64 without overflow.
 _VALUE_LIMIT = 1 << 62
-
-# Worker pipe protocol (anything >= 0 is a wheel phase to execute).
-_MSG_EXIT = -1
-_MSG_FLUSH = -2
 
 
 def _parity64(v: Any) -> Any:
@@ -203,187 +170,6 @@ class _PhaseTab:
         self.empty = not (srcs or asrc or clear)
 
 
-@dataclass(frozen=True)
-class PhaseTabView:
-    """Read-only view of one lowered phase tab (introspection API).
-
-    ``owner`` is ``"combined"`` (the unsharded tab), ``"parent"`` (the
-    boundary tab that runs after every tile) or ``"tile:<k>"``.  All
-    index tuples are register column ids.  ``sources[i]`` feeds
-    ``scatter[i]`` — the movement pairs; ``inject_positions`` are
-    positions *into that pair list* whose movement records an
-    injection; ``arrival_sources`` are gathered but delivered to
-    channel queues instead of scattered; ``clear`` is every column this
-    tab zeroes before scattering.
-    """
-
-    owner: str
-    phase: int
-    sources: Tuple[int, ...]
-    arrival_sources: Tuple[int, ...]
-    scatter: Tuple[int, ...]
-    clear: Tuple[int, ...]
-    inject_positions: Tuple[int, ...]
-
-    @property
-    def gather(self) -> Tuple[int, ...]:
-        """Every column this tab reads, in gather order."""
-        return self.sources + self.arrival_sources
-
-    @property
-    def writes(self) -> Tuple[int, ...]:
-        """Every column this tab writes (clears, then scatters)."""
-        return self.clear + self.scatter
-
-    @property
-    def pairs(self) -> Tuple[Tuple[int, int], ...]:
-        """The movement pairs ``(source, destination)``."""
-        return tuple(zip(self.sources, self.scatter))
-
-
-@dataclass(frozen=True)
-class PhaseRound:
-    """One wheel phase's execution units under the shard plan.
-
-    ``tiles``/``parent`` are empty/None when the engine is unsharded;
-    ``combined`` is always the reference unsharded tab, which the
-    sharded units must decompose exactly (staticcheck's RS002).
-    """
-
-    phase: int
-    combined: PhaseTabView
-    tiles: Tuple[PhaseTabView, ...]
-    parent: Optional[PhaseTabView]
-
-
-@dataclass(frozen=True)
-class VectorArtifacts:
-    """The numpy lowering's compile products for the shard race prover.
-
-    A substrate is provable by staticcheck's RS rules iff it exposes
-    this view: the contiguous register ``tile_bounds`` (``[lo, hi)``
-    per tile), and per wheel phase the concurrent tile tabs plus the
-    ordered parent tab, each as a :class:`PhaseTabView`.
-    """
-
-    wheel: int
-    n_registers: int
-    register_names: Tuple[str, ...]
-    shards: int
-    workers: int
-    tile_bounds: Tuple[Tuple[int, int], ...]
-    rounds: Tuple[PhaseRound, ...]
-
-
-def _tab_view(tab: "_PhaseTab", phase: int, owner: str) -> PhaseTabView:
-    """Snapshot a :class:`_PhaseTab`'s index arrays as plain tuples."""
-    gather = tuple(tab.gsrc.tolist())
-    n_mv = tab.n_mv
-    return PhaseTabView(
-        owner=owner,
-        phase=phase,
-        sources=gather[:n_mv],
-        arrival_sources=gather[n_mv:],
-        scatter=tuple(tab.dsts.tolist()),
-        clear=tuple(tab.clear.tolist()),
-        inject_positions=tuple(tab.ipos.tolist()),
-    )
-
-
-class _RaceShadow:
-    """TSan-style shadow state for the runtime race detector.
-
-    Tracks, per state column, the last cycle it was consumed (cleared)
-    and produced (scattered) and by which execution unit (``PARENT`` =
-    the unsharded tab or the parent tab, which runs strictly after
-    every tile; tiles are ``0..shards-1`` and logically concurrent).
-    The legal same-cycle access pattern — the one staticcheck's RS
-    rules prove — is: every gather precedes any conflicting unit's
-    writes, each column is cleared at most once and produced at most
-    once, and only the parent may produce a column a tile cleared
-    (their execution order is fixed).  Anything else raises
-    :class:`~repro.errors.DataRaceError`.  The NI injection staging
-    writes at the end of each cycle are excluded by construction:
-    stage columns are only ever driven by the injection path itself.
-    """
-
-    PARENT = -1
-
-    def __init__(self, n_regs: int) -> None:
-        self.consumed = np.full(n_regs, -1, dtype=np.int64)
-        self.consumer = np.zeros(n_regs, dtype=np.int64)
-        self.produced = np.full(n_regs, -1, dtype=np.int64)
-        self.producer = np.zeros(n_regs, dtype=np.int64)
-
-    def _blame(self, cols: Any, bad: Any, cycle: int, unit: int) -> str:
-        col = int(cols[bad][0])
-        other = (
-            int(self.consumer[col])
-            if int(self.consumed[col]) == cycle
-            else int(self.producer[col])
-        )
-        who = "parent" if unit == self.PARENT else f"tile {unit}"
-        them = "parent" if other == self.PARENT else f"tile {other}"
-        return f"column {col} in cycle {cycle} ({who} vs {them})"
-
-    def note_gather(self, cols: Any, cycle: int, unit: int) -> None:
-        if not cols.size:
-            return
-        conflict = (
-            (self.consumed.take(cols) == cycle)
-            & (self.consumer.take(cols) != unit)
-        ) | (
-            (self.produced.take(cols) == cycle)
-            & (self.producer.take(cols) != unit)
-        )
-        if conflict.any():
-            raise DataRaceError(
-                "vector race: gather overlaps an unordered write of "
-                + self._blame(cols, conflict, cycle, unit)
-            )
-
-    def note_clear(self, cols: Any, cycle: int, unit: int) -> None:
-        if not cols.size:
-            return
-        dup = self.consumed.take(cols) == cycle
-        if dup.any():
-            raise DataRaceError(
-                "vector race: duplicate clear of "
-                + self._blame(cols, dup, cycle, unit)
-            )
-        late = self.produced.take(cols) == cycle
-        if late.any():
-            raise DataRaceError(
-                "vector race: clear of a freshly produced "
-                + self._blame(cols, late, cycle, unit)
-            )
-        self.consumed[cols] = cycle
-        self.consumer[cols] = unit
-
-    def note_scatter(self, cols: Any, cycle: int, unit: int) -> None:
-        if not cols.size:
-            return
-        dup = self.produced.take(cols) == cycle
-        if dup.any():
-            raise DataRaceError(
-                "vector race: double drive of "
-                + self._blame(cols, dup, cycle, unit)
-            )
-        if unit != self.PARENT:
-            # A tile producing a column any other unit cleared this
-            # cycle is unordered; the parent is ordered after tiles.
-            foreign = (self.consumed.take(cols) == cycle) & (
-                self.consumer.take(cols) != unit
-            )
-            if foreign.any():
-                raise DataRaceError(
-                    "vector race: unordered produce-after-clear of "
-                    + self._blame(cols, foreign, cycle, unit)
-                )
-        self.produced[cols] = cycle
-        self.producer[cols] = unit
-
-
 def compile_vector_network(network: Any, token: int) -> Any:
     """Lower ``network`` into a :class:`VectorEngine` (or refuse, typed).
 
@@ -392,67 +178,19 @@ def compile_vector_network(network: Any, token: int) -> Any:
     finalization; a refusal at either stage is returned for the provider
     to note before degrading to the compiled interpreter.
     """
-    if np is None:
-        return CompileRefusal(
-            CompileRefusal.UNSUPPORTED_PARAMS,
-            "numpy is not importable; vector mode needs it",
-        )
     result = compile_network(network, token, engine_cls=VectorEngine)
     if isinstance(result, CompileRefusal):
         return result
     refusal = result.finalize_vector()
     if refusal is not None:
-        result.close()
         return refusal
     return result
-
-
-def _race_check_enabled(network: Any) -> bool:
-    """Resolve the race-detector knob (attribute, then environment)."""
-    flag = getattr(network, "vector_race_check", None)
-    if flag is not None:
-        return bool(flag)
-    raw = os.environ.get(VECTOR_RACE_CHECK_ENV, "").strip().lower()
-    return raw not in ("", "0", "false", "no", "off")
-
-
-def _shard_config(network: Any, n_regs: int) -> Any:
-    """Resolve (shards, workers) from network attributes / environment.
-
-    Malformed values never escape this function as exceptions: every
-    parse failure — a non-numeric string, a float (which ``int()``
-    would silently truncate, or overflow on for infinities), any
-    non-index type — becomes a typed ``unsupported_params`` refusal so
-    the degradation chain engages and ``kernel_stats()`` records the
-    reason in *all* paths, attribute- and environment-sourced alike.
-    """
-
-    def knob(attr: str, env: str, default: int) -> int:
-        value = getattr(network, attr, None)
-        if value is None:
-            raw = os.environ.get(env, "").strip()
-            if not raw:
-                return default
-            return int(raw)
-        return operator.index(value)
-
-    try:
-        shards = knob("vector_shards", VECTOR_SHARDS_ENV, 1)
-        workers = knob("vector_workers", VECTOR_WORKERS_ENV, 0)
-    except (TypeError, ValueError, OverflowError) as exc:
-        return CompileRefusal(
-            CompileRefusal.UNSUPPORTED_PARAMS,
-            f"invalid vector shard/worker setting: {exc}",
-        )
-    shards = max(1, min(shards, max(1, n_regs)))
-    workers = max(0, min(workers, shards))
-    return shards, workers
 
 
 def _regime_cache_capacity(network: Any) -> Any:
     """Resolve the regime-cache capacity knob (attribute, then env).
 
-    Same contract as :func:`_shard_config`: malformed values become a
+    Same contract as the lowering-cache knob: malformed values become a
     typed ``unsupported_params`` refusal, never an escaping exception.
     """
     try:
@@ -496,21 +234,6 @@ class VectorEngine(CompiledEngine):
                         f"trace generator {gen.name!r} payload "
                         f"{payload!r} is outside the vector int64 range",
                     )
-        config = _shard_config(self.network, len(self.regs))
-        if isinstance(config, CompileRefusal):
-            return config
-        shards, workers = config
-        self._race: Optional[_RaceShadow] = None
-        if _race_check_enabled(self.network):
-            # Tile tabs are compile-time fixed, so the serial tile
-            # order observes the same access pattern the worker pool
-            # would execute; forcing the tiles in-process keeps the
-            # detector's shadow coherent and the results bit-identical.
-            workers = 0
-            self._race = _RaceShadow(len(self.regs))
-        self._shards = shards
-        self._workers = workers
-
         self._conn_ids: Dict[str, int] = {}
         self._conn_names: List[str] = []
         self._intern("")  # id 0 <=> "no word" in a zeroed column
@@ -526,49 +249,10 @@ class VectorEngine(CompiledEngine):
         self._scratch_lw = np.zeros(len(self._links), dtype=np.int64)
         self._scratch_fw = np.zeros(len(self._routers), dtype=np.int64)
 
-        n_regs = len(self.regs)
-        self._shm: Any = None
-        self._closed = False
-        if workers > 0:
-            from multiprocessing import shared_memory
-
-            self._shm = shared_memory.SharedMemory(
-                create=True, size=max(8, _PLANES * n_regs * 8)
-            )
-            self._state = np.ndarray(
-                (_PLANES, n_regs), dtype=np.int64, buffer=self._shm.buf
-            )
-            self._state[:] = 0
-        else:
-            self._state = np.zeros((_PLANES, n_regs), dtype=np.int64)
-
+        self._state = np.zeros((_PLANES, len(self.regs)), dtype=np.int64)
         self._tabs = [
             self._lower_phase(phase) for phase in range(self.wheel)
         ]
-        # Sharded execution replays too: all injection records and
-        # arrivals are parent-owned by construction (tile tabs carry
-        # neither), so the per-epoch event capture is complete, and the
-        # boundary probe's counter flush is one worker round-trip per
-        # steady period — amortized to nothing once replay engages.
-        # Signatures are computed per tile plus the parent/environment
-        # parts and combined (see _signature_tiled), and the replay
-        # arithmetic runs on the shared dense state while the workers
-        # sit between phase messages.
-        if shards > 1:
-            self._plan: Optional[_ShardPlan] = _ShardPlan(
-                self, self._tabs, shards, workers
-            )
-            self._all_tabs = self._plan.all_tabs
-        else:
-            self._plan = None
-            self._all_tabs = self._tabs
-        self._tile_bounds = tuple(
-            (
-                (t * n_regs + shards - 1) // shards,
-                ((t + 1) * n_regs + shards - 1) // shards,
-            )
-            for t in range(shards)
-        )
         capacity = _regime_cache_capacity(self.network)
         if isinstance(capacity, CompileRefusal):
             return capacity
@@ -687,78 +371,6 @@ class VectorEngine(CompiledEngine):
             srcs, dsts, lpos, lidx, fpos, fidx, ipos, asrc, ameta, clear
         )
 
-    # -- introspection -----------------------------------------------------------
-
-    def vector_artifacts(self) -> VectorArtifacts:
-        """Export the numpy lowering in the stable introspection form.
-
-        The shard race prover (``repro.staticcheck --prove``) consumes
-        this instead of the private ``_PhaseTab``/``_ShardPlan``
-        encoding; the shape is documented on :class:`VectorArtifacts`.
-        """
-        n_regs = len(self.regs)
-        shards = self._shards
-        bounds = self._tile_bounds
-        rounds: List[PhaseRound] = []
-        plan = self._plan
-        for phase in range(self.wheel):
-            combined = _tab_view(self._tabs[phase], phase, "combined")
-            if plan is None:
-                rounds.append(PhaseRound(phase, combined, (), None))
-            else:
-                tiles = tuple(
-                    _tab_view(
-                        plan.tile_tabs[t][phase], phase, f"tile:{t}"
-                    )
-                    for t in range(shards)
-                )
-                parent = _tab_view(
-                    plan.parent_tabs[phase], phase, "parent"
-                )
-                rounds.append(
-                    PhaseRound(phase, combined, tiles, parent)
-                )
-        return VectorArtifacts(
-            wheel=self.wheel,
-            n_registers=n_regs,
-            register_names=tuple(reg.name for reg in self.regs),
-            shards=shards,
-            workers=self._workers,
-            tile_bounds=bounds,
-            rounds=tuple(rounds),
-        )
-
-    # -- lifecycle ---------------------------------------------------------------
-
-    def decompile(self) -> None:
-        """Release the shard pool / shared memory (state is already
-        materialized at every :meth:`run_to` exit, like the parent)."""
-        self.close()
-
-    def close(self) -> None:
-        """Idempotently shut down workers and the shared-memory block."""
-        if getattr(self, "_closed", True):
-            return
-        self._closed = True
-        plan = getattr(self, "_plan", None)
-        if plan is not None:
-            plan.shutdown()
-        shm = getattr(self, "_shm", None)
-        if shm is not None:
-            self._state = np.zeros((_PLANES, 0), dtype=np.int64)
-            self._shm = None
-            try:
-                shm.close()
-                shm.unlink()
-            except FileNotFoundError:  # pragma: no cover
-                pass
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        try:
-            self.close()
-        except Exception:
-            pass
-
     # -- state import / export ---------------------------------------------------
 
     @staticmethod
@@ -867,20 +479,12 @@ class VectorEngine(CompiledEngine):
         vals: Any,
         cycle: int,
         events: Optional[List[tuple]],
-        unit: int = _RaceShadow.PARENT,
     ) -> None:
         """Counters, clear, scatter, records and arrivals of one tab.
 
         ``vals`` is the (copied) gather of ``tab.gsrc`` taken *before*
-        any column owned by this phase was cleared.  ``unit`` labels
-        the executing shard unit for the race detector (gathers are
-        noted at the actual gather sites, since the parent's happens
-        strictly earlier than its apply).
+        any column owned by this phase was cleared.
         """
-        race = self._race
-        if race is not None:
-            race.note_clear(tab.clear, cycle, unit)
-            race.note_scatter(tab.dsts, cycle, unit)
         state = self._state
         n_mv = tab.n_mv
         mv = vals[:, :n_mv]
@@ -969,7 +573,7 @@ class VectorEngine(CompiledEngine):
         lp[:] = 0
         lw[:] = 0
         fw[:] = 0
-        for tab in self._all_tabs:
+        for tab in self._tabs:
             if tab.lidx.size:
                 np.add.at(lp, tab.lidx, tab.acc_p)
                 np.add.at(lw, tab.lidx, tab.acc_w)
@@ -978,8 +582,6 @@ class VectorEngine(CompiledEngine):
             if tab.fidx.size:
                 np.add.at(fw, tab.fidx, tab.acc_f)
                 tab.acc_f[:] = 0
-        if self._plan is not None:
-            self._plan.merge_worker_counters(lp, lw, fw)
         links = self._links
         for i in np.nonzero(lp)[0].tolist():
             links[i].phits_carried += int(lp[i])
@@ -989,20 +591,18 @@ class VectorEngine(CompiledEngine):
         for i in np.nonzero(fw)[0].tolist():
             routers[i].forwarded_words += int(fw[i])
 
-    # -- tiled signatures and the piecewise-periodic regime cache ----------------
+    # -- dense signatures and the piecewise-periodic regime cache -----------------
 
-    def _signature_tiled(self, cycle: int) -> tuple:
-        """Shift-invariant signature computed per shard tile.
+    def _signature_dense(self, cycle: int) -> tuple:
+        """Shift-invariant signature read off the dense state matrix.
 
-        Each tile contributes one ordered part built from its occupied
-        dense-state columns (ascending register id).  Tiles partition
-        the register space into contiguous ascending ranges, so the
-        concatenation over tiles equals the unsharded engine's sorted
-        flat register part entry for entry — the combination step is
-        free, and a 1-shard engine produces the identical value.  Words
-        are identified by connection *name* (never the engine-local
-        interned id), which keeps signatures comparable across engine
-        incarnations — the property the regime cache keys on.
+        The register part lists the occupied columns in ascending
+        register id — entry for entry the sorted flat part
+        :meth:`CompiledEngine._signature` builds from the sparse phit
+        dict.  Words are identified by connection *name* (never the
+        engine-local interned id), which keeps signatures comparable
+        across engine incarnations — the property the regime cache
+        keys on.
         """
         base = self._sig_anchors()
         rel = self._sig_rel(base)
@@ -1020,37 +620,32 @@ class VectorEngine(CompiledEngine):
                 anchored[cid] = True
         state = self._state
         occ = (state[_VAL] != 0) | (state[_CRED] != 0)
-        tile_parts: List[tuple] = []
-        for lo, hi in self._tile_bounds:
-            entries: List[tuple] = []
-            for off in np.nonzero(occ[lo:hi])[0].tolist():
-                rid = lo + off
-                col = state[:, rid]
-                word_part: Optional[tuple] = None
-                if col[_VAL]:
-                    cid = int(col[_CID])
-                    if anchored[cid]:
-                        word_part = (
-                            names[cid],
-                            int(col[_SEQ]) - seq_anchor[cid],
-                            (int(col[_PAY]) - pay_anchor[cid])
-                            & _PAYLOAD_MASK,
-                            None,
-                            True,
-                        )
-                    else:
-                        par = int(col[_PAR])
-                        word_part = (
-                            names[cid],
-                            int(col[_SEQ]),
-                            int(col[_PAY]),
-                            None if par == 0 else par - 1,
-                            False,
-                        )
-                credits = int(col[_CRED]) or None
-                entries.append((rid, word_part, credits))
-            tile_parts.append(tuple(entries))
-        return (tuple(tile_parts),) + self._sig_env(cycle, base, rel)
+        entries: List[tuple] = []
+        for rid in np.nonzero(occ)[0].tolist():
+            col = state[:, rid]
+            word_part: Optional[tuple] = None
+            if col[_VAL]:
+                cid = int(col[_CID])
+                if anchored[cid]:
+                    word_part = (
+                        names[cid],
+                        int(col[_SEQ]) - seq_anchor[cid],
+                        (int(col[_PAY]) - pay_anchor[cid]) & _PAYLOAD_MASK,
+                        None,
+                        True,
+                    )
+                else:
+                    par = int(col[_PAR])
+                    word_part = (
+                        names[cid],
+                        int(col[_SEQ]),
+                        int(col[_PAY]),
+                        None if par == 0 else par - 1,
+                        False,
+                    )
+            credits = int(col[_CRED]) or None
+            entries.append((rid, word_part, credits))
+        return (tuple(entries),) + self._sig_env(cycle, base, rel)
 
     def _regime_store(
         self,
@@ -1236,7 +831,6 @@ class VectorEngine(CompiledEngine):
 
         state = self._state
         tabs = self._tabs
-        plan = self._plan
         wheel = self.wheel
         credit_cap = self.credit_cap
         gens = self.gens
@@ -1322,7 +916,7 @@ class VectorEngine(CompiledEngine):
                         prev_snap = None
                     else:
                         self._flush_counters()
-                        sig = self._signature_tiled(cycle)
+                        sig = self._signature_dense(cycle)
                         snap = self._snapshot(cycle)
                         replay: Any = None
                         if prev_sig is not None and sig == prev_sig:
@@ -1384,21 +978,11 @@ class VectorEngine(CompiledEngine):
                     next_boundary = cycle + period
 
                 phase = cycle % wheel
-                if plan is None:
-                    tab = tabs[phase]
-                    if not tab.empty:
-                        if self._race is not None:
-                            self._race.note_gather(
-                                tab.gsrc, cycle, _RaceShadow.PARENT
-                            )
-                        self._apply_tab(
-                            tab,
-                            state.take(tab.gsrc, axis=1),
-                            cycle,
-                            events,
-                        )
-                else:
-                    plan.advance(phase, cycle, events)
+                tab = tabs[phase]
+                if not tab.empty:
+                    self._apply_tab(
+                        tab, state.take(tab.gsrc, axis=1), cycle, events
+                    )
 
                 for source, stage_rid, dest in inj_res[phase]:
                     word = (
@@ -1730,292 +1314,3 @@ class VectorEngine(CompiledEngine):
         state[_SEQ][mask] += shift
         # The parent's shifted() stamps parity unconditionally.
         state[_PAR][mask] = _parity64(pay) + 1
-
-
-class _ShardPlan:
-    """Tile decomposition of the per-phase tabs along the phase cut.
-
-    Registers split into ``shards`` contiguous tiles
-    (``tile(rid) = rid * shards // len(regs)``).  A movement pair whose
-    source and destination live in one tile — and which needs no global
-    bookkeeping (injection records stay with the parent) — executes in
-    that tile's tab; boundary-crossing pairs, arrivals and injection
-    records form the per-phase *parent* tab.  The TDM schedule fixes at
-    compile time exactly which registers cross a cut in each phase, so
-    the exchange set is compiled once per configuration.
-
-    Ordering argument for bit-exactness: the parent gathers its sources
-    before any tile clears, each column is cleared exactly once (by its
-    owning tile), and every scatter destination is written by exactly
-    one pair (parent or tile) — so serial, worker-parallel and
-    unsharded execution perform the same reads and the same disjoint
-    writes, merely reordered.
-    """
-
-    def __init__(
-        self,
-        engine: VectorEngine,
-        tabs: List[_PhaseTab],
-        shards: int,
-        workers: int,
-    ) -> None:
-        self.engine = engine
-        self.shards = shards
-        self.workers = workers
-        n_regs = len(engine.regs)
-
-        def tile_of(rid: int) -> int:
-            return rid * shards // n_regs
-
-        self.parent_tabs: List[_PhaseTab] = []
-        self.tile_tabs: List[List[_PhaseTab]] = [
-            [] for _ in range(shards)
-        ]
-        for tab in tabs:
-            n_mv = tab.n_mv
-            srcs = tab.gsrc[:n_mv].tolist()
-            asrc = tab.gsrc[n_mv:].tolist()
-            dsts = tab.dsts.tolist()
-            ipos_set = set(tab.ipos.tolist())
-            lmap = dict(zip(tab.lpos.tolist(), tab.lidx.tolist()))
-            fmap: Dict[int, List[int]] = {}
-            for pos, ridx in zip(
-                tab.fpos.tolist(), tab.fidx.tolist()
-            ):
-                fmap.setdefault(pos, []).append(ridx)
-            groups: List[dict] = [
-                {
-                    "srcs": [],
-                    "dsts": [],
-                    "lpos": [],
-                    "lidx": [],
-                    "fpos": [],
-                    "fidx": [],
-                    "ipos": [],
-                    "clear": [],
-                }
-                for _ in range(shards + 1)
-            ]
-            parent = groups[shards]
-            for pos in range(n_mv):
-                src, dst = srcs[pos], dsts[pos]
-                tile = tile_of(src)
-                local = tile == tile_of(dst) and pos not in ipos_set
-                group = groups[tile] if local else parent
-                new_pos = len(group["srcs"])
-                if pos in lmap:
-                    group["lpos"].append(new_pos)
-                    group["lidx"].append(lmap[pos])
-                for ridx in fmap.get(pos, ()):
-                    group["fpos"].append(new_pos)
-                    group["fidx"].append(ridx)
-                if pos in ipos_set:
-                    group["ipos"].append(new_pos)
-                group["srcs"].append(src)
-                group["dsts"].append(dst)
-            # Every occupied column is cleared by its owning tile — the
-            # parent tab clears nothing, so tiles never race it.
-            for rid in tab.clear.tolist():
-                groups[tile_of(rid)]["clear"].append(rid)
-            for tile in range(shards):
-                group = groups[tile]
-                self.tile_tabs[tile].append(
-                    _PhaseTab(
-                        group["srcs"],
-                        group["dsts"],
-                        group["lpos"],
-                        group["lidx"],
-                        group["fpos"],
-                        group["fidx"],
-                        group["ipos"],
-                        [],
-                        [],
-                        group["clear"],
-                    )
-                )
-            self.parent_tabs.append(
-                _PhaseTab(
-                    parent["srcs"],
-                    parent["dsts"],
-                    parent["lpos"],
-                    parent["lidx"],
-                    parent["fpos"],
-                    parent["fidx"],
-                    parent["ipos"],
-                    asrc,
-                    list(tab.ameta),
-                    [],
-                )
-            )
-
-        self.all_tabs = self.parent_tabs + [
-            tab for tile in self.tile_tabs for tab in tile
-        ]
-        # Worker w owns tiles w, w+W, w+2W, ...; per phase it executes
-        # all of its tiles' tabs on the shared state.
-        self.worker_tabs: List[List[List[_PhaseTab]]] = []
-        for w in range(workers):
-            owned = list(range(w, shards, workers))
-            self.worker_tabs.append(
-                [
-                    [self.tile_tabs[t][phase] for t in owned]
-                    for phase in range(len(tabs))
-                ]
-            )
-        self._procs: Optional[list] = None
-        self._conns: list = []
-
-    # -- worker pool -------------------------------------------------------------
-
-    def _ensure_pool(self) -> None:
-        if self._procs is not None or not self.workers:
-            return
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        shm_name = self.engine._shm.name
-        shape = self.engine._state.shape
-        self._procs = []
-        self._conns = []
-        for w in range(self.workers):
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(
-                target=_tile_worker_main,
-                args=(child_conn, shm_name, shape, self.worker_tabs[w]),
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            self._procs.append(proc)
-            self._conns.append(parent_conn)
-
-    def advance(
-        self,
-        phase: int,
-        cycle: int,
-        events: Optional[List[tuple]],
-    ) -> None:
-        engine = self.engine
-        race = engine._race
-        ptab = self.parent_tabs[phase]
-        # Gather the boundary/arrival/inject columns BEFORE any tile
-        # clears — all reads see the pre-phase state.
-        if race is not None:
-            race.note_gather(ptab.gsrc, cycle, _RaceShadow.PARENT)
-        pvals = engine._state[:, ptab.gsrc]
-        if self.workers:
-            self._ensure_pool()
-            assert self._procs is not None
-            for conn in self._conns:
-                conn.send(phase)
-            for conn in self._conns:
-                conn.recv()
-        else:
-            for tile in range(self.shards):
-                tab = self.tile_tabs[tile][phase]
-                if not tab.empty:
-                    if race is not None:
-                        race.note_gather(tab.gsrc, cycle, tile)
-                    engine._apply_tab(
-                        tab,
-                        engine._state[:, tab.gsrc],
-                        cycle,
-                        events,
-                        unit=tile,
-                    )
-        engine._apply_tab(
-            ptab, pvals, cycle, events, unit=_RaceShadow.PARENT
-        )
-
-    def merge_worker_counters(
-        self, lp: Any, lw: Any, fw: Any
-    ) -> None:
-        """Pull and fold the workers' accumulated counters."""
-        if self._procs is None:
-            return
-        for w, conn in enumerate(self._conns):
-            conn.send(_MSG_FLUSH)
-            payload = conn.recv()
-            flat = [
-                tab
-                for phase_tabs in self.worker_tabs[w]
-                for tab in phase_tabs
-            ]
-            for tab, (acc_p, acc_w, acc_f) in zip(flat, payload):
-                if tab.lidx.size:
-                    np.add.at(lp, tab.lidx, acc_p)
-                    np.add.at(lw, tab.lidx, acc_w)
-                if tab.fidx.size:
-                    np.add.at(fw, tab.fidx, acc_f)
-
-    def shutdown(self) -> None:
-        if self._procs is None:
-            return
-        for conn in self._conns:
-            try:
-                conn.send(_MSG_EXIT)
-            except (BrokenPipeError, OSError):
-                pass
-        for proc in self._procs:
-            proc.join(timeout=2)
-            if proc.is_alive():  # pragma: no cover - hung worker
-                proc.terminate()
-        for conn in self._conns:
-            conn.close()
-        self._procs = None
-        self._conns = []
-
-
-def _tile_worker_main(
-    conn: Any,
-    shm_name: str,
-    shape: Tuple[int, int],
-    phase_tabs: List[List[_PhaseTab]],
-) -> None:
-    """Worker loop: execute owned tile tabs on the shared state."""
-    from multiprocessing import shared_memory
-
-    shm = shared_memory.SharedMemory(name=shm_name)
-    try:
-        state = np.ndarray(shape, dtype=np.int64, buffer=shm.buf)
-        while True:
-            msg = conn.recv()
-            if msg == _MSG_EXIT:
-                break
-            if msg == _MSG_FLUSH:
-                out = []
-                for tabs in phase_tabs:
-                    for tab in tabs:
-                        out.append(
-                            (
-                                tab.acc_p.copy(),
-                                tab.acc_w.copy(),
-                                tab.acc_f.copy(),
-                            )
-                        )
-                        tab.acc_p[:] = 0
-                        tab.acc_w[:] = 0
-                        tab.acc_f[:] = 0
-                conn.send(out)
-                continue
-            for tab in phase_tabs[msg]:
-                if tab.empty:
-                    continue
-                vals = state[:, tab.gsrc]
-                mv = vals[:, : tab.n_mv]
-                wocc = mv[_VAL] != 0
-                occ = wocc | (mv[_CRED] != 0)
-                if tab.lpos.size:
-                    tab.acc_p += occ[tab.lpos]
-                    tab.acc_w += wocc[tab.lpos]
-                if tab.fpos.size:
-                    tab.acc_f += wocc[tab.fpos]
-                if tab.clear.size:
-                    state[:, tab.clear] = 0
-                if tab.n_mv:
-                    state[:, tab.dsts] = mv
-            conn.send(0)
-    except (EOFError, KeyboardInterrupt):  # pragma: no cover
-        pass
-    finally:
-        shm.close()

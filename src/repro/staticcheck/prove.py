@@ -1,22 +1,19 @@
 """``--prove``: build representative networks and prove them clean.
 
-The OP rules (:mod:`repro.staticcheck.optable`) and RS rules
-(:mod:`repro.staticcheck.races`) verify *live compile products* — the
-:class:`~repro.sim.compiled.LoweredArtifacts` and
-:class:`~repro.sim.vector.VectorArtifacts` introspection forms the
-engines publish.  This module supplies the driver: it builds a
-representative matrix of networks (daelite meshes at 3x3 / 8x8 / 16x16
-with 1 / 2 / 4 vector shards, plus aelite meshes whose data plane
-*refuses* to lower), lowers each through the public
+The OP rules (:mod:`repro.staticcheck.optable`) verify *live compile
+products* — the :class:`~repro.sim.compiled.LoweredArtifacts`
+introspection form the engines publish.  This module supplies the
+driver: it builds a representative matrix of networks (daelite meshes
+at 3x3 / 8x8 / 16x16, plus aelite meshes whose data plane *refuses* to
+lower), lowers each through the public
 :func:`~repro.sim.compiled.lower_network` entry point, and runs every
 prover over the result.
 
 An empty finding list is a proof for the exact ``(substrate, mesh,
-schedule, shards)`` configurations shipped: each reachable register has
-one writer and one consumer per wheel phase, the claimed occupancy is
-the reachable set, concurrent shard tiles write disjoint column sets
-under the gather/tiles/parent order, and everything unlowerable refuses
-with a typed, declared :class:`~repro.sim.kernel.CompileRefusal`.
+schedule)`` configurations shipped: each reachable register has one
+writer and one consumer per wheel phase, the claimed occupancy is the
+reachable set, and everything unlowerable refuses with a typed,
+declared :class:`~repro.sim.kernel.CompileRefusal`.
 
 Run it as ``python -m repro.staticcheck --prove``; third substrates
 get the same treatment by handing their configured network to
@@ -36,10 +33,6 @@ from .optable import (
     verify_op_tables,
     verify_refusal,
 )
-from .races import verify_shard_plan
-
-#: Shard counts every daelite prove size is checked under.
-PROVE_SHARDS: Tuple[int, ...] = (1, 2, 4)
 
 #: (mesh side, slot_table_size, config_word_bits or None) — the widths
 #: mirror the benchmark fabrics: the config word must address
@@ -65,10 +58,8 @@ def prove_network(network: Any, origin: str = ARTIFACTS_FILE) -> List[Finding]:
 
     A typed refusal from a declared kind is a *clean* outcome — that is
     the completeness contract (OP004).  A successful lowering is
-    checked for op-table soundness (OP001–OP003), component-roster
-    completeness (OP004) and, when the engine publishes a shard plan,
-    race freedom (RS001–RS003).  The temporary engine is closed before
-    returning.
+    checked for op-table soundness (OP001–OP003) and component-roster
+    completeness (OP004).
     """
     from ..sim.compiled import lower_network
     from ..sim.kernel import CompileRefusal
@@ -76,21 +67,8 @@ def prove_network(network: Any, origin: str = ARTIFACTS_FILE) -> List[Finding]:
     outcome = lower_network(network)
     if isinstance(outcome, CompileRefusal):
         return sort_findings(verify_refusal(outcome, origin))
-    findings: List[Finding] = []
-    try:
-        findings.extend(
-            verify_op_tables(outcome.lowered_artifacts(), origin)
-        )
-        findings.extend(verify_components(network, origin))
-        vector_artifacts = getattr(outcome, "vector_artifacts", None)
-        if vector_artifacts is not None:
-            findings.extend(
-                verify_shard_plan(vector_artifacts(), origin)
-            )
-    finally:
-        close = getattr(outcome, "close", None)
-        if close is not None:
-            close()
+    findings = verify_op_tables(outcome.lowered_artifacts(), origin)
+    findings.extend(verify_components(network, origin))
     return sort_findings(findings)
 
 
@@ -98,7 +76,6 @@ def build_daelite_case(
     side: int,
     slot_table_size: int = 16,
     config_word_bits: Optional[int] = None,
-    shards: int = 1,
 ) -> Any:
     """A configured ``side`` x ``side`` daelite mesh in vector mode.
 
@@ -134,13 +111,7 @@ def build_daelite_case(
         )
         for index, (src, dst) in enumerate(flows)
     ]
-    network = DaeliteNetwork(
-        mesh,
-        params,
-        kernel_mode=VECTOR_MODE,
-        vector_shards=shards,
-        vector_workers=0,
-    )
+    network = DaeliteNetwork(mesh, params, kernel_mode=VECTOR_MODE)
     hops = 2 * (side - 1)
     for index, connection in enumerate(connections):
         handle = network.configure(connection)
@@ -185,20 +156,18 @@ def default_prove_cases(
     for side, slot_table_size, config_word_bits in PROVE_SIZES:
         if wanted is not None and side not in wanted:
             continue
-        for shards in PROVE_SHARDS:
-            cases.append(
-                ProveCase(
-                    label=f"daelite-{side}x{side}-shards{shards}",
-                    side=side,
-                    build=partial(
-                        build_daelite_case,
-                        side,
-                        slot_table_size=slot_table_size,
-                        config_word_bits=config_word_bits,
-                        shards=shards,
-                    ),
-                )
+        cases.append(
+            ProveCase(
+                label=f"daelite-{side}x{side}",
+                side=side,
+                build=partial(
+                    build_daelite_case,
+                    side,
+                    slot_table_size=slot_table_size,
+                    config_word_bits=config_word_bits,
+                ),
             )
+        )
         cases.append(
             ProveCase(
                 label=f"aelite-{side}x{side}",

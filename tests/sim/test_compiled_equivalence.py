@@ -180,10 +180,10 @@ def make_sink(index, spec, receive, stats):
     )
 
 
-def build_daelite(scenario: Scenario, mode: str, **net_kwargs):
+def build_daelite(scenario: Scenario, mode: str):
     params = daelite_parameters(slot_table_size=8)
     mesh, allocated = allocate(scenario, params)
-    net = DaeliteNetwork(mesh, params, kernel_mode=mode, **net_kwargs)
+    net = DaeliteNetwork(mesh, params, kernel_mode=mode)
     handles = [net.configure(connection) for connection in allocated]
     for handle in handles:
         net.run_until_configured(handle)

@@ -11,6 +11,7 @@ catching order-of-magnitude regressions.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import time
 from typing import Optional
 
@@ -94,11 +95,7 @@ def _steady_state_cps(mode: str, run_cycles: int) -> float:
             "perf", "NI00", dst, forward_slots=2, reverse_slots=1
         )
     )
-    # Unsharded on purpose (mirrors the explicit kernel_mode above):
-    # the ordering gate measures one fixed configuration, independent
-    # of a REPRO_VECTOR_SHARDS override in the environment (sharding
-    # now replays too, but tiny 4x4 tiles only add dispatch overhead).
-    net = DaeliteNetwork(mesh, params, kernel_mode=mode, vector_shards=1)
+    net = DaeliteNetwork(mesh, params, kernel_mode=mode)
     handle = net.configure(connection)
     net.run_until_configured(handle)
     gen = CbrGenerator(
@@ -115,6 +112,9 @@ def _steady_state_cps(mode: str, run_cycles: int) -> float:
     net.kernel.add(gen)
     net.kernel.add(sink)
     net.run(500)  # settle into the periodic steady state
+    # The replayed window lasts a few milliseconds; one full collection
+    # of the garbage earlier tests left behind would outweigh it.
+    gc.collect()
     started = time.perf_counter()
     net.run(run_cycles)
     elapsed = time.perf_counter() - started
@@ -128,112 +128,36 @@ def test_kernel_mode_throughput_ordering():
     throughput, with conservative floors.  Ratios of cycles/s taken on
     the same machine in the same process are stable where absolute
     wall-clock is not — this cannot flake on a slow runner the way a
-    time bound would."""
-    naive_cps = max(_steady_state_cps(NAIVE_MODE, 2_000) for _ in range(2))
-    activity_cps = max(
-        _steady_state_cps(ACTIVITY_MODE, 8_000) for _ in range(2)
-    )
-    compiled_cps = max(
-        _steady_state_cps(COMPILED_MODE, 8_000) for _ in range(2)
-    )
+    time bound would.  The sides are measured round-robin (the two
+    sides of each ratio back to back, every round) and compared
+    best-of, so a host-speed regime change lands on both sides of a
+    ratio instead of on one."""
     # The vector engine's costs are mostly fixed per run, so its edge
     # over the compiled interpreter needs a longer window to show; the
     # 1.5x floor here is the smoke gate, the headline >=5x number is
     # pinned by benchmarks/bench_kernel_compiled.py.
-    vector_cps = max(
-        _steady_state_cps(VECTOR_MODE, 40_000) for _ in range(2)
-    )
-    compiled_long_cps = max(
-        _steady_state_cps(COMPILED_MODE, 40_000) for _ in range(2)
-    )
-    assert activity_cps >= 1.5 * naive_cps, (
+    sides = {
+        "naive": (NAIVE_MODE, 2_000),
+        "activity": (ACTIVITY_MODE, 8_000),
+        "compiled": (COMPILED_MODE, 8_000),
+        "vector": (VECTOR_MODE, 40_000),
+        "compiled_long": (COMPILED_MODE, 40_000),
+    }
+    best = dict.fromkeys(sides, 0.0)
+    for _ in range(3):
+        for name, (mode, run_cycles) in sides.items():
+            best[name] = max(best[name], _steady_state_cps(mode, run_cycles))
+    assert best["activity"] >= 1.5 * best["naive"], (
         f"activity kernel no longer clearly beats naive: "
-        f"{activity_cps:,.0f} vs {naive_cps:,.0f} cycles/s"
+        f"{best['activity']:,.0f} vs {best['naive']:,.0f} cycles/s"
     )
-    assert compiled_cps >= 1.5 * activity_cps, (
+    assert best["compiled"] >= 1.5 * best["activity"], (
         f"compiled kernel no longer clearly beats activity: "
-        f"{compiled_cps:,.0f} vs {activity_cps:,.0f} cycles/s"
+        f"{best['compiled']:,.0f} vs {best['activity']:,.0f} cycles/s"
     )
-    assert vector_cps >= 1.5 * compiled_long_cps, (
+    assert best["vector"] >= 1.5 * best["compiled_long"], (
         f"vector kernel no longer clearly beats compiled: "
-        f"{vector_cps:,.0f} vs {compiled_long_cps:,.0f} cycles/s"
-    )
-
-
-def _steady_cps_16x16(
-    vector_shards: int, run_cycles: int
-) -> tuple[float, DaeliteNetwork]:
-    """Vector-mode cycles/second on a steady 16x16 CBR flow."""
-    params = daelite_parameters(slot_table_size=16, config_word_bits=11)
-    mesh = build_mesh(16, 16)
-    allocator = SlotAllocator(topology=mesh, params=params)
-    dst = ni_name(15, 15)
-    connection = allocator.allocate_connection(
-        ConnectionRequest(
-            "perf", "NI00", dst, forward_slots=2, reverse_slots=1
-        )
-    )
-    net = DaeliteNetwork(
-        mesh, params, kernel_mode=VECTOR_MODE, vector_shards=vector_shards
-    )
-    handle = net.configure(connection)
-    net.run_until_configured(handle)
-    gen = CbrGenerator(
-        "gen",
-        inject=net.ni("NI00").injector(handle.forward.src_channel, "perf"),
-        period=20,
-    )
-    sink = CheckingSink(
-        "sink",
-        receive=net.ni(dst).receiver(handle.forward.dst_channel),
-        words_per_cycle=2,
-        stats=net.stats,
-    )
-    net.kernel.add(gen)
-    net.kernel.add(sink)
-    net.run(2_000)  # settle into the periodic steady state
-    started = time.perf_counter()
-    net.run(run_cycles)
-    elapsed = time.perf_counter() - started
-    assert sink.clean and net.stats.delivered_words("perf") > 0
-    return run_cycles / elapsed, net
-
-
-@pytest.mark.slow
-def test_sharded_replay_beats_unsharded_non_replay_16x16(monkeypatch):
-    """Perf-smoke gate for sharded epoch replay: on a 16x16 steady
-    state, the sharded vector engine (which now reaches the arithmetic
-    fast-forward) must be at least as fast as the unsharded engine with
-    replay withheld.  The non-replay reference is produced honestly —
-    shrinking the probe budget makes the steady period genuinely exceed
-    it, so the engine records a typed ``aperiodic_segment`` refusal and
-    steps every cycle.  Same machine, same process: a ratio cannot
-    flake on a slow runner the way an absolute bound would, and replay
-    wins by well over an order of magnitude, not by rounding."""
-    sharded_cps, sharded_net = _steady_cps_16x16(
-        vector_shards=2, run_cycles=40_000
-    )
-    sharded_stats = sharded_net.kernel.kernel_stats()
-    assert sharded_stats["replayed_epochs"] > 0, (
-        "sharded vector engine never reached epoch replay — the gate "
-        "would be comparing two stepped runs"
-    )
-    with monkeypatch.context() as patched:
-        patched.setattr("repro.sim.compiled.MAX_REPLAY_PERIOD", 1)
-        plain_cps, plain_net = _steady_cps_16x16(
-            vector_shards=1, run_cycles=40_000
-        )
-    plain_stats = plain_net.kernel.kernel_stats()
-    assert plain_stats["replayed_epochs"] == 0
-    assert plain_stats["replay_refusals"].get("aperiodic_segment", 0) > 0
-    assert "aperiodic_segment" not in plain_stats["compile_fallbacks"], (
-        "a replay refusal must not demote the engine — only the "
-        "fast-forward is withheld"
-    )
-    assert sharded_cps >= plain_cps, (
-        f"sharded replay no longer beats unsharded non-replay on the "
-        f"16x16 steady state: {sharded_cps:,.0f} vs "
-        f"{plain_cps:,.0f} cycles/s"
+        f"{best['vector']:,.0f} vs {best['compiled_long']:,.0f} cycles/s"
     )
 
 

@@ -6,15 +6,11 @@ driven through an identical ``step`` chunk sequence with full-state
 comparison at every boundary — registers, per-word lifecycles, latency
 histograms, sink streams and checker state, link/router counters.
 
-On top of the compiled-mode obligations, the vector engine adds two
-degrees of freedom that get their own differential coverage here:
-
-* sharding — registers split into contiguous tiles along slot-table
-  phase boundaries, optionally executed by forked worker processes over
-  shared memory, must be invisible in every observable;
-* the typed downgrade chain vector -> compiled -> activity — a
-  vector-specific refusal must be recorded in kernel telemetry and then
-  served bit-exactly by the compiled interpreter.
+On top of the compiled-mode obligations, the vector engine adds the
+typed downgrade chain vector -> compiled -> activity, which gets its
+own differential coverage here: a vector-specific refusal must be
+recorded in kernel telemetry and then served bit-exactly by the
+compiled interpreter.
 """
 
 from __future__ import annotations
@@ -52,10 +48,8 @@ from .test_compiled_equivalence import (
 pytestmark = pytest.mark.differential
 
 
-def run_chunked_differential(
-    scenario: Scenario, mode: str = VECTOR_MODE, **net_kwargs
-):
-    net_v, gens_v, sinks_v = build_daelite(scenario, mode, **net_kwargs)
+def run_chunked_differential(scenario: Scenario, mode: str = VECTOR_MODE):
+    net_v, gens_v, sinks_v = build_daelite(scenario, mode)
     net_a, gens_a, sinks_a = build_daelite(scenario, ACTIVITY_MODE)
     assert net_v.kernel.cycle == net_a.kernel.cycle
     for chunk in scenario.chunks:
@@ -86,16 +80,10 @@ def test_daelite_vector_kernel_matches_activity(scenario: Scenario):
     assert net_v.kernel.kernel_stats()["compiled_cycles"] > 0
 
 
-@pytest.mark.parametrize("shards", [1, 2, 4])
-def test_vector_epoch_replay_is_bit_exact(shards):
+def test_vector_epoch_replay_is_bit_exact():
     """Thousands of bulk-replayed cycles still match stepped execution
-    in every observable — under every shard count: replay composes
-    with sharding (tile tabs carry no event-producing work, so the
-    recorded epoch template is complete; RS004 proves that invariant
-    statically)."""
-    net_v = run_chunked_differential(
-        steady_scenario(), vector_shards=shards
-    )
+    in every observable."""
+    net_v = run_chunked_differential(steady_scenario())
     kernel_stats = net_v.kernel.kernel_stats()
     assert kernel_stats["compiled_cycles"] > 0
     assert kernel_stats["replayed_epochs"] >= 10, (
@@ -108,12 +96,7 @@ def test_vector_matches_compiled_directly():
     """The two engine-backed modes agree with each other, not just each
     with activity — catches compensating errors."""
     scenario = steady_scenario()
-    # Sharded on purpose: the sharded vector engine must agree with the
-    # *unsharded compiled* interpreter cycle for cycle, including the
-    # replayed spans (both engines reach replay below).
-    net_v, gens_v, sinks_v = build_daelite(
-        scenario, VECTOR_MODE, vector_shards=2
-    )
+    net_v, gens_v, sinks_v = build_daelite(scenario, VECTOR_MODE)
     net_c, gens_c, sinks_c = build_daelite(scenario, COMPILED_MODE)
     for chunk in scenario.chunks:
         net_v.run(chunk)
@@ -128,12 +111,12 @@ def test_vector_matches_compiled_directly():
     assert net_c.kernel.kernel_stats()["replayed_epochs"] > 0
 
 
-# -- sharding ------------------------------------------------------------------
+# -- larger fabrics ------------------------------------------------------------
 
 
-def shard_scenario() -> Scenario:
-    """Three crossing flows on a 3x3 mesh: enough registers for several
-    non-trivial tiles, periodic enough for replay inside the horizon."""
+def crossing_scenario() -> Scenario:
+    """Three crossing flows on a 3x3 mesh: unicast paths that share
+    routers, periodic enough for replay inside the horizon."""
     return Scenario(
         width=3,
         height=3,
@@ -148,45 +131,24 @@ def shard_scenario() -> Scenario:
     )
 
 
-@pytest.mark.parametrize("shards", [2, 5])
-def test_sharded_tiles_match_unsharded(shards):
-    """Tiling the register file must be invisible: every observable of
-    a sharded serial run equals the unsharded one (both equal activity
-    via run_chunked_differential)."""
-    net_sharded = run_chunked_differential(
-        shard_scenario(), vector_shards=shards
-    )
-    assert net_sharded.kernel.kernel_stats()["compiled_cycles"] > 0
-
-
-@pytest.mark.parametrize("shards", [1, 2, 4])
-def test_sharded_replay_matches_activity_3x3(shards):
-    """The multi-flow 3x3 scenario replays under every shard count and
-    stays bit-identical to the activity reference — the tile-combined
-    signature and the parent-captured event template reproduce exactly
-    what the unsharded probe records."""
-    net = run_chunked_differential(shard_scenario(), vector_shards=shards)
+def test_replay_matches_activity_3x3():
+    """The multi-flow 3x3 scenario replays and stays bit-identical to
+    the activity reference."""
+    net = run_chunked_differential(crossing_scenario())
     kernel_stats = net.kernel.kernel_stats()
     assert kernel_stats["compiled_cycles"] > 0
     assert kernel_stats["replayed_epochs"] > 0, (
-        f"sharded replay never engaged (shards={shards}): {kernel_stats}"
+        f"replay never engaged: {kernel_stats}"
     )
 
 
-def test_worker_pool_matches_serial():
-    """Forked shared-memory workers produce the identical run."""
-    net_workers = run_chunked_differential(
-        shard_scenario(), vector_shards=3, vector_workers=2
-    )
-    assert net_workers.kernel.kernel_stats()["compiled_cycles"] > 0
-
-
-def test_sharded_16x16_matches_unsharded():
-    """A 16x16 fabric (512 elements) split into 8 tiles delivers the
-    same word stream and statistics as the unsharded lowering."""
+def test_16x16_matches_compiled():
+    """A 16x16 fabric (512 elements) delivers the same word stream,
+    statistics and landing registers under the vector lowering as under
+    the compiled interpreter, through the same replayed epochs."""
     params = daelite_parameters(slot_table_size=16, config_word_bits=11)
 
-    def build(**net_kwargs):
+    def build(mode):
         mesh = build_mesh(16, 16)
         allocator = SlotAllocator(topology=mesh, params=params)
         connection = allocator.allocate_connection(
@@ -194,9 +156,7 @@ def test_sharded_16x16_matches_unsharded():
                 "far", "NI00", ni_name(15, 15), forward_slots=2
             )
         )
-        net = DaeliteNetwork(
-            mesh, params, kernel_mode=VECTOR_MODE, **net_kwargs
-        )
+        net = DaeliteNetwork(mesh, params, kernel_mode=mode)
         handle = net.configure(connection)
         net.run_until_configured(handle)
         gen = CbrGenerator(
@@ -218,41 +178,19 @@ def test_sharded_16x16_matches_unsharded():
         assert sink.clean
         return net
 
-    plain = build(vector_shards=1)
-    assert plain.kernel.kernel_stats()["replayed_epochs"] > 0
-    for shards in (2, 4, 8):
-        tiled = build(vector_shards=shards)
-        assert stats_snapshot(tiled.stats) == stats_snapshot(plain.stats)
-        assert_same_registers(
-            tiled.kernel, plain.kernel, f"cycle 4000 (shards={shards})"
-        )
-        assert tiled.kernel.kernel_stats()["compiled_cycles"] > 0
-        # Sharded replay reaches the same arithmetic fast-forward as
-        # the unsharded run — same epochs, same landing state.
-        assert (
-            tiled.kernel.kernel_stats()["replayed_epochs"]
-            == plain.kernel.kernel_stats()["replayed_epochs"]
-        )
-    assert plain.stats.delivered_words("far") > 0
+    vector = build(VECTOR_MODE)
+    compiled = build(COMPILED_MODE)
+    assert vector.kernel.kernel_stats()["replayed_epochs"] > 0
+    assert stats_snapshot(vector.stats) == stats_snapshot(compiled.stats)
+    assert_same_registers(vector.kernel, compiled.kernel, "cycle 4000")
+    assert (
+        vector.kernel.kernel_stats()["replayed_epochs"]
+        == compiled.kernel.kernel_stats()["replayed_epochs"]
+    )
+    assert vector.stats.delivered_words("far") > 0
 
 
 # -- typed downgrade chain -----------------------------------------------------
-
-
-def test_invalid_shard_setting_degrades_to_compiled():
-    """A vector-specific refusal (malformed shard knob) is recorded and
-    the run is served bit-exactly by the compiled interpreter."""
-    net_v = run_chunked_differential(
-        steady_scenario(), vector_shards="three"
-    )
-    stats = net_v.kernel.kernel_stats()
-    assert (
-        stats["compile_fallbacks"].get(CompileRefusal.UNSUPPORTED_PARAMS, 0)
-        > 0
-    )
-    # The compiled interpreter picked the run up: full engine coverage.
-    assert stats["compiled_cycles"] > 0
-    assert stats["replayed_epochs"] > 0
 
 
 def test_unencodable_trace_payload_degrades_to_compiled():
@@ -359,9 +297,7 @@ def run_switch_campaign(mode: str):
             ),
         )
     )
-    # The unsharded baseline; test_regime_revisit_campaign covers the
-    # sharded variant of the same piecewise-periodic machinery.
-    net = DaeliteNetwork(mesh, params, kernel_mode=mode, vector_shards=1)
+    net = DaeliteNetwork(mesh, params, kernel_mode=mode)
     checkpoints = []
     gens, sinks = [], []
 
@@ -448,7 +384,7 @@ def test_usecase_switch_campaign_is_bit_exact():
 # -- regime-revisit campaign (piecewise-periodic cache) ------------------------
 
 
-def run_regime_revisit_campaign(mode: str, **net_kwargs):
+def run_regime_revisit_campaign(mode: str):
     """One steady CBR flow rides through three config switches that
     alternate the schedule between two images: base (only "a"
     configured) and extended ("a" + an idle "b").  Each switch bumps
@@ -473,7 +409,7 @@ def run_regime_revisit_campaign(mode: str, **net_kwargs):
             "b", "NI10", "NI01", forward_slots=2, reverse_slots=1
         )
     )
-    net = DaeliteNetwork(mesh, params, kernel_mode=mode, **net_kwargs)
+    net = DaeliteNetwork(mesh, params, kernel_mode=mode)
     handle_a = net.configure(conn_a)
     net.run_until_configured(handle_a)
     gen_a = CbrGenerator(
@@ -524,13 +460,11 @@ def run_regime_revisit_campaign(mode: str, **net_kwargs):
 
 def test_regime_revisit_campaign_replays_from_cache():
     """Three use-case switches, two of them revisiting a prior regime:
-    the sharded vector engine replays in *every* revisited regime,
+    the vector engine replays in *every* revisited regime,
     bit-identical to the activity reference, and the revisits are
     served from the regime cache (immediate replay, no two-epoch
     probe) and the lowering cache (no re-lowering)."""
-    net_v, chk_v, seg_v = run_regime_revisit_campaign(
-        VECTOR_MODE, vector_shards=2
-    )
+    net_v, chk_v, seg_v = run_regime_revisit_campaign(VECTOR_MODE)
     net_a, chk_a, _ = run_regime_revisit_campaign(ACTIVITY_MODE)
     assert len(chk_v) == len(chk_a)
     for index, (snap_v, snap_a) in enumerate(zip(chk_v, chk_a)):
@@ -548,7 +482,7 @@ def test_regime_revisit_campaign_replays_from_cache():
     assert net_v.stats.delivered_words("a") > 0
 
 
-def build_shared_channel_flow(mode: str, **net_kwargs):
+def build_shared_channel_flow(mode: str):
     """Two generators feeding one channel under the same label: the
     per-connection shifts replay depends on are ambiguous."""
     params = daelite_parameters(slot_table_size=8)
@@ -559,7 +493,7 @@ def build_shared_channel_flow(mode: str, **net_kwargs):
             "dup", "NI00", "NI11", forward_slots=2, reverse_slots=1
         )
     )
-    net = DaeliteNetwork(mesh, params, kernel_mode=mode, **net_kwargs)
+    net = DaeliteNetwork(mesh, params, kernel_mode=mode)
     handle = net.configure(conn)
     net.run_until_configured(handle)
     gens = [
@@ -584,20 +518,13 @@ def build_shared_channel_flow(mode: str, **net_kwargs):
     return net, gens, [sink]
 
 
-@pytest.mark.parametrize(
-    "mode,kwargs",
-    [
-        (VECTOR_MODE, {"vector_shards": 2}),
-        (COMPILED_MODE, {}),
-    ],
-    ids=["vector-sharded", "compiled"],
-)
-def test_shared_channel_records_aperiodic_replay_refusal(mode, kwargs):
+@pytest.mark.parametrize("mode", [VECTOR_MODE, COMPILED_MODE])
+def test_shared_channel_records_aperiodic_replay_refusal(mode):
     """A genuinely aperiodic-for-replay segment is a *diagnosis*, not a
     fallback: the engine keeps executing its fast path bit-exactly and
     ``kernel_stats()`` records a typed ``aperiodic_segment`` entry in
     ``replay_refusals`` — never in ``compile_fallbacks``."""
-    net_f, gens_f, sinks_f = build_shared_channel_flow(mode, **kwargs)
+    net_f, gens_f, sinks_f = build_shared_channel_flow(mode)
     net_a, gens_a, sinks_a = build_shared_channel_flow(ACTIVITY_MODE)
     for chunk in (5, 700, 595):
         net_f.run(chunk)

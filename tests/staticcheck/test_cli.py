@@ -72,8 +72,6 @@ def test_list_rules(capsys):
         "SC004",
         "OP001",
         "OP004",
-        "RS001",
-        "RS003",
         "NP001",
         "NP003",
     ):
@@ -101,7 +99,7 @@ def test_default_paths_cover_the_data_plane_modules():
 
 def test_default_audit_is_clean(capsys):
     """src/repro *and* the examples pass with zero suppressions of the
-    new NP/OP/RS rule families."""
+    NP/OP rule families."""
     code = main([])
     captured = capsys.readouterr()
     assert code == 0

@@ -1,14 +1,13 @@
-"""The data-plane provers: planted corpus exactness and live proofs.
+"""The data-plane prover: planted corpus exactness and live proofs.
 
 Three obligations:
 
 * **exactness on the planted corpus** — every hand-crafted artifact in
   ``fixtures/planted_artifacts.py`` yields *exactly* its expected rule
   codes (clean builders included: no false positives);
-* **soundness on live engines** — the shipped daelite lowering (both
-  shard regimes) and the aelite typed refusal prove clean through the
-  public introspection API, and a mutation planted into real artifacts
-  is flagged;
+* **soundness on live engines** — the shipped daelite lowering and the
+  aelite typed refusal prove clean through the public introspection
+  API, and a mutation planted into real artifacts is flagged;
 * **the CLI leg** — ``--prove`` drives the matrix and exits 0 on the
   shipped tree, 2 on malformed size filters.
 """
@@ -28,14 +27,9 @@ from repro.staticcheck import (
     prove_network,
     verify_op_tables,
     verify_refusal,
-    verify_shard_plan,
 )
 
-from .fixtures.planted_artifacts import (
-    OP_CORPUS,
-    REFUSAL_CORPUS,
-    RS_CORPUS,
-)
+from .fixtures.planted_artifacts import OP_CORPUS, REFUSAL_CORPUS
 
 
 def codes(findings):
@@ -66,15 +60,6 @@ def test_refusal_corpus_exact_codes(name, builder):
     assert codes(verify_refusal(refusal)) == expected
 
 
-@pytest.mark.parametrize(
-    "name,builder", RS_CORPUS, ids=[name for name, _ in RS_CORPUS]
-)
-def test_rs_corpus_exact_codes(name, builder):
-    artifact, expected = builder()
-    findings = verify_shard_plan(artifact)
-    assert codes(findings) == expected, [f.render() for f in findings]
-
-
 def test_findings_carry_register_names():
     """Diagnostics name registers, not bare column ids."""
     artifact, _ = dict(OP_CORPUS)["double_drive"]()
@@ -86,7 +71,7 @@ def test_findings_carry_register_names():
 
 
 def test_prove_small_daelite_clean():
-    network = build_daelite_case(3, slot_table_size=8, shards=2)
+    network = build_daelite_case(3, slot_table_size=8)
     assert prove_network(network) == []
 
 
@@ -105,13 +90,10 @@ def test_lower_network_without_provider_refuses_typed():
 
 def test_mutated_live_artifacts_are_flagged():
     """Flipping one real occupancy bit breaks the proof (OP003)."""
-    network = build_daelite_case(3, slot_table_size=8, shards=1)
+    network = build_daelite_case(3, slot_table_size=8)
     engine = lower_network(network)
     assert not isinstance(engine, CompileRefusal)
-    try:
-        artifacts = engine.lowered_artifacts()
-    finally:
-        engine.close()
+    artifacts = engine.lowered_artifacts()
     assert verify_op_tables(artifacts) == []
     occupancy = list(artifacts.occupancy)
     victim = next(
@@ -124,56 +106,17 @@ def test_mutated_live_artifacts_are_flagged():
     assert "OP003" in codes(verify_op_tables(mutated))
 
 
-def test_mutated_live_shard_plan_is_flagged():
-    """Dropping one tile pair from a real plan is caught (RS002)."""
-    network = build_daelite_case(3, slot_table_size=8, shards=2)
-    engine = lower_network(network)
-    assert not isinstance(engine, CompileRefusal)
-    try:
-        artifacts = engine.vector_artifacts()
-    finally:
-        engine.close()
-    assert verify_shard_plan(artifacts) == []
-    rounds = list(artifacts.rounds)
-    victim_index, victim_tile_index = next(
-        (index, tile_index)
-        for index, rnd in enumerate(rounds)
-        for tile_index, tile in enumerate(rnd.tiles)
-        if tile.sources
-    )
-    victim = rounds[victim_index]
-    tiles = list(victim.tiles)
-    tile = tiles[victim_tile_index]
-    tiles[victim_tile_index] = dataclasses.replace(
-        tile,
-        sources=tile.sources[1:],
-        scatter=tile.scatter[1:],
-        clear=tile.clear,
-    )
-    rounds[victim_index] = dataclasses.replace(
-        victim, tiles=tuple(tiles)
-    )
-    mutated = dataclasses.replace(artifacts, rounds=tuple(rounds))
-    assert "RS002" in codes(verify_shard_plan(mutated))
-
-
 def test_vector_network_publishes_artifacts():
     """The introspection API is reachable without private attributes:
-    lower -> lowered_artifacts / vector_artifacts round-trips."""
-    network = build_daelite_case(3, slot_table_size=8, shards=4)
+    a vector-mode network lowers and publishes its op tables."""
+    network = build_daelite_case(3, slot_table_size=8)
     assert network.kernel.mode == VECTOR_MODE
     engine = lower_network(network)
     assert not isinstance(engine, CompileRefusal)
-    try:
-        lowered = engine.lowered_artifacts()
-        vector = engine.vector_artifacts()
-    finally:
-        engine.close()
-    assert lowered.wheel == vector.wheel
-    assert lowered.register_names == vector.register_names
-    assert vector.shards == len(vector.tile_bounds) == 4
-    assert len(vector.rounds) == vector.wheel
-    assert any(rnd.tiles for rnd in vector.rounds)
+    lowered = engine.lowered_artifacts()
+    assert len(lowered.phase_ops) == lowered.wheel
+    assert len(lowered.occupancy) == len(lowered.register_names)
+    assert any(lowered.phase_ops)
 
 
 # -- CLI leg -------------------------------------------------------------------
@@ -182,14 +125,14 @@ def test_vector_network_publishes_artifacts():
 def test_cli_prove_smallest_size_exits_zero(capsys):
     assert main(["--prove", "--prove-size", "3"]) == 0
     err = capsys.readouterr().err
-    assert "daelite-3x3-shards4: proved clean" in err
+    assert "daelite-3x3: proved clean" in err
     assert "aelite-3x3: proved clean" in err
     assert "8x8" not in err
 
 
 def test_cli_prove_accepts_nxn_filter(capsys):
     assert main(["--prove", "--prove-size", "3x3"]) == 0
-    assert "daelite-3x3-shards1" in capsys.readouterr().err
+    assert "daelite-3x3: proved clean" in capsys.readouterr().err
 
 
 def test_cli_prove_rejects_malformed_size(capsys):
