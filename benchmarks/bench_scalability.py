@@ -265,8 +265,7 @@ def test_addressing_envelope_enforced(benchmark):
 VECTOR_CURVE_SIZES = [(8, 9), (16, 11), (32, 13)]
 
 #: The stretch point (8192 elements); published by the slow-marked
-#: nightly leg, not the per-PR bench run (configuration alone takes
-#: tens of seconds on small runners).
+#: nightly leg, not the per-PR bench run.
 HUGE_FABRIC_SIZE = (64, 15)
 
 #: Steady epochs each measured window must contain.  The budget is what
@@ -432,10 +431,11 @@ def test_vector_throughput_curve_to_32x32(benchmark):
 @pytest.mark.slow
 def test_vector_throughput_64x64(benchmark):
     """Nightly stretch point: the 64x64 fabric (8192 elements) joins
-    the published curve.  Configuration dominates (tens of seconds);
-    the measured window itself replays almost entirely, so the point
-    demonstrates that throughput is set by the steady-state compiler,
-    not the register count."""
+    the published curve.  Building and configuring the fabric takes a
+    few seconds (the vector mode delivers config packets to their
+    addressees only); the measured window itself replays almost
+    entirely, so the point demonstrates that throughput is set by the
+    steady-state compiler, not the register count."""
     side, bits = HUGE_FABRIC_SIZE
 
     def sweep():

@@ -8,7 +8,7 @@ and CI output.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import TYPE_CHECKING, Iterable, List, Optional
 
 from ..alloc.spec import (
     AllocatedChannel,
@@ -16,12 +16,15 @@ from ..alloc.spec import (
     AllocatedMulticast,
 )
 from ..alloc.validate import Allocation, schedule_link_loads
-from ..core.network import DaeliteNetwork
 from ..params import NetworkParameters
 from .bounds import (
     guaranteed_bandwidth_words_per_cycle,
     worst_case_latency_cycles,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only; a runtime import
+    # would close the cycle core.network -> core.host -> alloc -> analysis.
+    from ..core.network import DaeliteNetwork
 
 
 def render_router_slot_table(network: DaeliteNetwork, name: str) -> str:

@@ -11,21 +11,72 @@ accepted", giving all elements time to commit their slot-table updates.
 The module is also the termination of the response path, collecting the
 words produced by CHANNEL_READ packets.  Only one request may be active at
 a time; further requests queue inside the module.
+
+Addressed-only delivery
+-----------------------
+
+The forward tree is a pure delay line: an element at depth ``d`` sees
+word ``i`` of a packet started at cycle ``s`` at cycle
+``s + i + 1 + CONFIG_HOP_CYCLES * d`` and the end-of-packet gap — the only
+cycle at which a decoder emits actions — at
+``s + len(words) + 1 + CONFIG_HOP_CYCLES * d``.  Elements the packet does
+not address decode it to no actions.  In the engine kernel modes
+(``compiled``, ``vector``) the module therefore *elides* the tree for a
+response-free packet: at activation it deposits the word tuple in the
+:class:`~repro.core.config_port.ConfigPort` of each element the packet's
+builder recorded as addressed, stamped with that gap cycle, and keeps its
+own ``_busy_until`` / ``finished_at`` timeline in closed form.  The
+element runs its own decoder over the words at the stamped cycle and
+applies the actions as always.  Whatever this cannot represent steps the
+word-level tree exactly as in ``naive`` / ``activity``, with the reason
+counted in ``kernel_stats()["config_elision_refusals"]``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, List, Optional
+from typing import Callable, Deque, Dict, List, Optional
 
-from ..errors import ConfigTimeoutError, ConfigurationError
+from ..errors import (
+    ConfigTimeoutError,
+    ConfigurationError,
+    SimulationError,
+)
 from ..params import NetworkParameters
-from ..sim.kernel import Component
+from ..sim.kernel import (
+    COMPILED_MODE,
+    VECTOR_MODE,
+    CompileRefusal,
+    Component,
+    Kernel,
+)
 from ..sim.link import NarrowLink
 from ..sim.stats import FAULT_DETECTED, StatsCollector
+from ..sim.trace import NULL_TRACER, Tracer
 from ..topology import CONFIG_HOP_CYCLES, ConfigTree
+from .config_port import ConfigPort
 from .config_protocol import ConfigPacket, Opcode
+
+#: Kernel modes in which response-free packets skip the word-level tree.
+_ELIDING_MODES = (COMPILED_MODE, VECTOR_MODE)
+
+# Why an engine mode stepped a packet through the word-level tree anyway
+# (keys of ``kernel_stats()["config_elision_refusals"]``).  The first
+# three are the data plane's reasons too, so they share its vocabulary.
+#: The strict register contract is only exercised by stepping the tree.
+REFUSED_STRICT_REGISTERS = CompileRefusal.STRICT_REGISTERS
+#: An event tracer is attached.
+REFUSED_TRACER_ACTIVE = CompileRefusal.TRACER_ACTIVE
+#: A fault hook sits on a config link: words may be dropped or corrupted
+#: in flight, per element, which no single deposit can express.
+REFUSED_FAULT_HOOKS_ARMED = CompileRefusal.FAULT_HOOKS_ARMED
+#: The packet expects response words, which travel the reverse tree.
+REFUSED_EXPECTS_RESPONSE = "expects_response"
+#: A hand-built packet: no builder recorded whom it addresses.
+REFUSED_NO_ADDRESSEE_RECORD = "no_addressee_record"
+#: The record names an element this network does not have.
+REFUSED_UNKNOWN_ADDRESSEE = "unknown_addressee"
 
 
 @dataclass
@@ -125,6 +176,16 @@ class ConfigModule(Component):
         #: the caller does not specify one (set by the fault injector).
         self.default_timeout_cycles: Optional[int] = None
         self.default_max_retries: int = 0
+        #: Config port of every element by element ID (wired by the
+        #: network builder) — where elided packets are deposited.
+        self.ports: Dict[int, ConfigPort] = {}
+        #: Every narrow link of the tree (the network's ``config_links``);
+        #: a fault hook on any of them keeps packets on the stepped tree.
+        self.config_links: Dict[str, NarrowLink] = {}
+        #: Optional event tracer (set by the network builder).
+        self.tracer: Tracer = NULL_TRACER
+        #: Ports holding a deposit of the active request.
+        self._deposited: List[ConfigPort] = []
 
     # -- host-facing API -------------------------------------------------------
 
@@ -178,6 +239,12 @@ class ConfigModule(Component):
         the end-of-packet gap and committed its updates."""
         return CONFIG_HOP_CYCLES * self.tree.max_depth + 1
 
+    @property
+    def elision_in_flight(self) -> bool:
+        """True while an elided packet's deposits may still be waiting
+        in element ports (nothing is visible on the tree's links)."""
+        return bool(self._deposited)
+
     # -- cycle behaviour ---------------------------------------------------------
 
     def external_inputs(self):
@@ -207,7 +274,7 @@ class ConfigModule(Component):
         ):
             self._active = self._pending.popleft()
             self._active.started_at = cycle
-            self._word_queue.extend(self._active.packet.words)
+            self._start_transmission(self._active, cycle)
         if self._active is None:
             return
         if self._word_queue:
@@ -237,6 +304,74 @@ class ConfigModule(Component):
             return
         if cycle >= self._busy_until and responses_done:
             self._finish(cycle)
+
+    def _start_transmission(
+        self, request: ConfigRequest, cycle: int
+    ) -> None:
+        """Queue the packet's words for the tree, or elide the tree."""
+        kernel = self._kernel
+        assert kernel is not None  # only an attached module is evaluated
+        if kernel.mode in _ELIDING_MODES:
+            refusal = self._elision_refusal(request, kernel)
+            if refusal is None:
+                self._deposit_packet(request, cycle)
+                kernel.config_packets_elided += 1
+                return
+            kernel.config_elision_refusals[refusal] = (
+                kernel.config_elision_refusals.get(refusal, 0) + 1
+            )
+        kernel.config_packets_stepped += 1
+        self._word_queue.extend(request.packet.words)
+
+    def _elision_refusal(
+        self, request: ConfigRequest, kernel: Kernel
+    ) -> Optional[str]:
+        """Why this request must step the word-level tree (``None``:
+        addressed-only delivery represents it exactly)."""
+        if kernel.strict_registers:
+            return REFUSED_STRICT_REGISTERS
+        if self.tracer.enabled:
+            return REFUSED_TRACER_ACTIVE
+        if request.expected_responses:
+            return REFUSED_EXPECTS_RESPONSE
+        addressees = request.packet.addressees
+        if addressees is None:
+            return REFUSED_NO_ADDRESSEE_RECORD
+        if any(element_id not in self.ports for element_id in addressees):
+            return REFUSED_UNKNOWN_ADDRESSEE
+        if any(
+            link.fault_hook is not None
+            for link in self.config_links.values()
+        ):
+            return REFUSED_FAULT_HOOKS_ARMED
+        return None
+
+    def _due_cycle(self, started_at: int, length: int, depth: int) -> int:
+        """Cycle at which an element ``depth`` hops below the root sees
+        the gap ending a ``length``-word packet started at ``started_at``:
+        one cycle on the root link, one per word, one for the gap, and
+        ``CONFIG_HOP_CYCLES`` per tree hop."""
+        return started_at + length + 1 + CONFIG_HOP_CYCLES * depth
+
+    def _deposit_packet(self, request: ConfigRequest, cycle: int) -> None:
+        """Hand the packet to its addressees and keep the module's own
+        timeline as if the last word had left at ``cycle + len - 1``."""
+        words = request.packet.words
+        addressees = request.packet.addressees
+        assert addressees is not None  # _elision_refusal checked
+        for element_id in addressees:
+            port = self.ports[element_id]
+            port.deposit(
+                words, self._due_cycle(cycle, len(words), port.depth)
+            )
+            self._deposited.append(port)
+        self._busy_until = (
+            cycle
+            + len(words)
+            + self.commit_latency
+            + self.params.cooldown_cycles
+        )
+        self._deadline = None
 
     def _timed_out(self, cycle: int) -> bool:
         """Handle a response deadline; True if a retry was scheduled or
@@ -312,6 +447,14 @@ class ConfigModule(Component):
 
     def _finish(self, cycle: int) -> None:
         assert self._active is not None
+        for port in self._deposited:
+            if port.deposit_pending:
+                raise SimulationError(
+                    f"{self.name}: {self._active.packet.description!r} "
+                    f"finished at cycle {cycle} with its deposit at "
+                    f"{port.owner.name} never decoded — lost configuration"
+                )
+        self._deposited.clear()
         self._active.finished_at = cycle
         self._deadline = None
         self.completed.append(self._active)

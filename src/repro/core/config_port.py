@@ -12,12 +12,19 @@ active request at a time is enforced" — if two children (or a child and
 the local element) drive a response in the same cycle, the model raises
 :class:`~repro.errors.SimulationError`, which is exactly the corruption
 real hardware would suffer.
+
+In the engine kernel modes the configuration module may *elide* the
+forward tree for a packet (see :mod:`repro.core.config_network`): rather
+than streaming the words hop by hop it deposits the whole word tuple in
+each addressed port, stamped with the cycle at which that element would
+have seen the end-of-packet gap.  The port then runs the same decoder
+over the same words at that cycle — one decoder, one apply path.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, Optional
+from typing import Callable, Deque, List, Optional, Tuple
 
 from ..errors import ReproError, SimulationError
 from ..sim.kernel import Component, Register
@@ -73,6 +80,13 @@ class ConfigPort:
         #: the decoder resets, and the element resynchronizes on the
         #: next packet header.
         self.fault_monitor: Optional[FaultMonitor] = None
+        #: Tree depth of the owning element (root = 0; wired by the
+        #: network builder).  Scales the due cycle of a deposit.
+        self.depth = 0
+        #: An elided packet in flight to this element: ``(words, due)``.
+        #: At most one, because the module serializes packets and a
+        #: packet names an element at most once.
+        self._deposit: Optional[Tuple[tuple, int]] = None
 
     @property
     def pending(self) -> bool:
@@ -80,6 +94,43 @@ class ConfigPort:
         decoder mid-packet (whose actions fire on the gap cycle, when the
         input link is *idle* — so the owner must stay awake for it)."""
         return bool(self.response_queue) or self.decoder.busy
+
+    @property
+    def deposit_pending(self) -> bool:
+        """Whether an elided packet is still waiting for its due cycle."""
+        return self._deposit is not None
+
+    def deposit(self, words: tuple, due: int) -> None:
+        """Accept an elided packet to decode at cycle ``due``.
+
+        Raises:
+            SimulationError: if an earlier deposit is still waiting —
+                two packets in the tree at once, which the module's
+                cool-down makes impossible.
+        """
+        if self._deposit is not None:
+            raise SimulationError(
+                f"{self.owner.name}: config deposit due at cycle {due} "
+                f"collides with one due at {self._deposit[1]}"
+            )
+        self._deposit = (words, due)
+
+    def discard_deposit(self) -> None:
+        """Drop a waiting deposit (reset: the elided counterpart of
+        clearing words in flight out of the tree's registers)."""
+        self._deposit = None
+
+    def next_evaluation(self, cycle: int) -> Optional[int]:
+        """Earliest cycle ``>= cycle`` the submodule has work that no
+        register announces: now while :attr:`pending`, else the due cycle
+        of a waiting deposit, else never."""
+        # ``pending`` spelled out: the activity kernel asks every
+        # element this on every active cycle.
+        if self.response_queue or self.decoder.busy:
+            return cycle
+        if self._deposit is None:
+            return None
+        return max(cycle, self._deposit[1])
 
     def external_inputs(self) -> List[Register]:
         """Registers of the narrow links this port reads each cycle."""
@@ -125,14 +176,53 @@ class ConfigPort:
         if response is not None and self.resp_out_link is not None:
             self.resp_out_link.send(response)
 
+        if self._deposit is not None and cycle >= self._deposit[1]:
+            return self._decode_deposit(cycle, word)
         try:
             return self.decoder.feed(word)
         except ReproError as error:
-            if self.fault_monitor is None:
-                raise
-            self.fault_monitor(cycle, error)
-            self.decoder.reset()
-            return []
+            return self._recover(cycle, error)
+
+    def _decode_deposit(
+        self, cycle: int, word: Optional[int]
+    ) -> List[Action]:
+        """Run the decoder over a due deposit: every word, then the gap.
+
+        Raises:
+            SimulationError: if the deposit is reached late, or while
+                the word-level tree is also feeding this decoder — either
+                would silently diverge from the stepped tree.
+        """
+        assert self._deposit is not None
+        words, due = self._deposit
+        self._deposit = None
+        if cycle != due or word is not None or self.decoder.busy:
+            raise SimulationError(
+                f"{self.owner.name}: config deposit due at cycle {due} "
+                f"reached at cycle {cycle} with "
+                f"{'a' if word is not None else 'no'} word on the tree "
+                f"and the decoder "
+                f"{'mid-packet' if self.decoder.busy else 'idle'}"
+            )
+        # Word ``index`` reached this element at ``due - len + index``:
+        # an error is reported with that cycle and the decoder resumes
+        # on the next word, as it would on the stepped tree.
+        actions: List[Action] = []
+        for index, item in enumerate((*words, None)):
+            try:
+                actions = self.decoder.feed(item)
+            except ReproError as error:
+                actions = self._recover(cycle - len(words) + index, error)
+        return actions
+
+    def _recover(self, cycle: int, error: ReproError) -> List[Action]:
+        """Report a decoder error to the monitor and resynchronize; with
+        no monitor installed the error propagates."""
+        if self.fault_monitor is None:
+            raise error
+        self.fault_monitor(cycle, error)
+        self.decoder.reset()
+        return []
 
     def apply_guarded(
         self,

@@ -158,13 +158,22 @@ class ConfigPacket:
 
     Attributes:
         opcode: Packet type.
-        words: The 7-bit word stream, header first.
+        words: The configuration word stream, header first.
         description: Human-readable summary for traces and tests.
+        word_bits: Width of one configuration word on the wire (the
+            ``word_bits`` the packet was built with).
+        addressees: IDs of the elements the packet addresses, in packet
+            order — recorded by the ``build_*_packet`` functions, which
+            are the only code that knows without parsing.  ``None`` on a
+            hand-built packet: the configuration module then has no
+            record of whom to deliver to and steps the word-level tree.
     """
 
     opcode: Opcode
     words: tuple
     description: str = ""
+    word_bits: int = 7
+    addressees: Optional[tuple] = field(default=None, compare=False)
 
     def __len__(self) -> int:
         return len(self.words)
@@ -176,9 +185,10 @@ class ConfigPacket:
         data words to the configuration module using normal write
         operations.  These words are then serialized into 7-bit
         configuration words."  (Fig. 6's 11-word packet = 3 host
-        words.)
+        words at the paper's 7 bits; wider configuration words, needed
+        beyond 64 elements, cost proportionally more.)
         """
-        bits = len(self.words) * 7
+        bits = len(self.words) * self.word_bits
         return -(-bits // host_word_bits)
 
 
@@ -196,8 +206,9 @@ def build_path_packet(
     subsequent element implicitly sees the mask rotated one more position.
 
     Raises:
-        ProtocolError: if no hops are given or an element appears twice
-            (the rotation count would become ambiguous).
+        ProtocolError: if no hops are given, an element appears twice
+            (the rotation count would become ambiguous), or a port word
+            does not fit a configuration word.
     """
     if not hops:
         raise ProtocolError("a path packet needs at least one hop")
@@ -207,6 +218,13 @@ def build_path_packet(
             "an element may appear only once per path packet; "
             "use separate packets for further segments"
         )
+    limit = 1 << word_bits
+    for hop in hops:
+        if not 0 <= hop.payload < limit:
+            raise ProtocolError(
+                f"port word {hop.payload:#x} of element {hop.element_id} "
+                f"exceeds {word_bits} bits"
+            )
     opcode = Opcode.PATH_TEARDOWN if teardown else Opcode.PATH_SETUP
     words: List[int] = [header_word(opcode)]
     words.extend(arrival_mask.to_words(word_bits))
@@ -220,6 +238,8 @@ def build_path_packet(
             f"{opcode.name} T={arrival_mask.size} "
             f"slots={sorted(arrival_mask.slots)} hops={ids}"
         ),
+        word_bits=word_bits,
+        addressees=tuple(ids),
     )
 
 
@@ -257,6 +277,8 @@ def build_channel_config_packet(
             f"CHANNEL_CONFIG elem={element_id} {direction.name} "
             f"ch={channel} fields={[(f.name, v) for f, v in fields]}"
         ),
+        word_bits=word_bits,
+        addressees=(element_id,),
     )
 
 
@@ -281,6 +303,8 @@ def build_channel_read_packet(
             f"CHANNEL_READ elem={element_id} {direction.name} "
             f"ch={channel} field={field_id.name}"
         ),
+        word_bits=word_bits,
+        addressees=(element_id,),
     )
 
 
@@ -307,6 +331,8 @@ def build_bus_config_packet(
         opcode=Opcode.BUS_CONFIG,
         words=tuple(words),
         description=f"BUS_CONFIG elem={element_id} {len(payload)} words",
+        word_bits=word_bits,
+        addressees=(element_id,),
     )
 
 

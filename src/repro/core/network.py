@@ -143,6 +143,12 @@ class DaeliteNetwork:
     def _wire_config_tree(self) -> None:
         width = self.params.config_word_bits
         self.config_module.stats = self.stats
+        self.config_module.tracer = self.tracer
+        self.config_module.config_links = self.config_links
+        for name, depth in self.config_tree.depth.items():
+            port = self._config_port_of(name)
+            port.depth = depth
+            self.config_module.ports[port.decoder.element_id] = port
         root_port = self._config_port_of(self.config_tree.root)
         root_fwd = NarrowLink(f"cfg.module->{self.config_tree.root}", width)
         self.kernel.add_register(root_fwd.register)

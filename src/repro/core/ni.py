@@ -243,8 +243,9 @@ class NetworkInterface(Component):
         """Arrivals and pipeline movement are register-driven; the only
         self-scheduled work is the injection decision (queued words or
         credits to return, possible only in granted slots) and the config
-        decoder's gap cycle."""
-        if self.config.pending:
+        submodule's (decoder gap cycle, due cycle of an elided packet)."""
+        config_due = self.config.next_evaluation(cycle)
+        if config_due is not None and config_due <= cycle:
             return cycle
         backlog = any(
             source.has_backlog for source in self.source_channels.values()
@@ -253,8 +254,13 @@ class NetworkInterface(Component):
             dest.has_pending_credits
             for dest in self.dest_channels.values()
         ):
-            return None
-        return self._next_injection_opportunity(cycle)
+            return config_due
+        inject = self._next_injection_opportunity(cycle)
+        if config_due is None or (
+            inject is not None and inject < config_due
+        ):
+            return inject
+        return config_due
 
     def _next_injection_opportunity(self, cycle: int) -> Optional[int]:
         """First cycle >= ``cycle`` whose injection slot is granted to
@@ -402,6 +408,10 @@ class NetworkInterface(Component):
         return granted or None
 
     # -- configuration ----------------------------------------------------------
+
+    def reset(self) -> None:
+        super().reset()
+        self.config.discard_deposit()
 
     def _apply(self, action: Action) -> None:
         self.config_applied += 1

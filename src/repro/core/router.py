@@ -99,9 +99,10 @@ class Router(Component):
 
     def next_evaluation(self, cycle: int) -> Optional[int]:
         """Routers are purely reactive: everything they do is triggered
-        by an incoming (data or config) register, except the decoder's
-        gap-cycle action emission, covered by ``config.pending``."""
-        return cycle if self.config.pending else None
+        by an incoming (data or config) register, except the config
+        submodule's own work — the decoder's gap-cycle action emission
+        and the due cycle of an elided packet."""
+        return self.config.next_evaluation(cycle)
 
     def evaluate(self, cycle: int) -> None:
         slot = self.params.lagged_slot_of_cycle(cycle)
@@ -165,6 +166,10 @@ class Router(Component):
         actions = self.config.evaluate(cycle)
         if actions:
             self.config.apply_guarded(cycle, actions, self._apply)
+
+    def reset(self) -> None:
+        super().reset()
+        self.config.discard_deposit()
 
     def _apply(self, action: Action) -> None:
         self.config_applied += 1

@@ -358,4 +358,5 @@ def _build_padded(mask, hops, teardown, word_bits) -> ConfigPacket:
             f"slots={sorted(mask.slots)} "
             f"hops={[hop.element_id for hop in hops]}"
         ),
+        word_bits=word_bits,
     )

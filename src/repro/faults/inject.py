@@ -123,13 +123,21 @@ class FaultInjector:
 
         Raises:
             FaultInjectionError: if already armed, if a targeted link
-                already carries another hook, or if a scheduled fault
-                lies in the simulator's past.
+                already carries another hook, if a scheduled fault lies
+                in the simulator's past, or if the plan targets config
+                links while an elided packet is in flight.
         """
         if self.armed:
             raise FaultInjectionError("injector is already armed")
         kernel = self.network.kernel
         self._check_future(kernel.cycle)
+        if self._cfg_faults and self.network.config_module.elision_in_flight:
+            raise FaultInjectionError(
+                "a configuration packet is in flight past the config "
+                "links (delivered to its addressees only), so hooks armed "
+                "now would miss words the stepped tree would still carry "
+                "— arm between packets"
+            )
         for edge, specs in sorted(self._data_faults.items()):
             link = self.network.links[edge]
             if link.fault_hook is not None:

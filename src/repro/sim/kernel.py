@@ -18,9 +18,9 @@ so it raises :class:`~repro.errors.SimulationError`.
 Evaluation modes
 ----------------
 
-The kernel supports three modes, selected per instance or through the
+The kernel supports four modes, selected per instance or through the
 ``REPRO_KERNEL_MODE`` environment variable (``activity``, the default,
-``naive``, or ``compiled``):
+``naive``, ``compiled`` or ``vector``):
 
 * ``naive`` — the reference semantics above, literally: every component is
   evaluated and every register latched on every cycle.
@@ -59,6 +59,31 @@ The kernel supports three modes, selected per instance or through the
   are re-materialized bit-exactly at every exit from compiled execution,
   so callbacks, ``run_until`` predicates and external code always
   observe the same state as stepped execution.
+* ``vector`` — the compiled op tables lowered once more to preallocated
+  numpy gather/scatter index arrays (see :mod:`repro.sim.vector`), with
+  the same epoch replay applied in bulk; it degrades vector ->
+  compiled -> activity through the same typed refusals.
+
+Config plane in the engine modes
+--------------------------------
+
+``compiled`` and ``vector`` only ever run the *data* plane; while
+configuration traffic is in flight they defer to the activity kernel.
+What they change about the config plane is how much of the broadcast
+tree that kernel has to step.  The tree is a pure delay line — every
+element sees every word, ``CONFIG_HOP_CYCLES`` per hop later, and only
+the addressed elements act — so in these two modes the configuration
+module hands a response-free packet straight to the elements it
+addresses, stamped with the cycle each would have seen the end-of-packet
+gap, and each runs its own decoder at that cycle (see
+:mod:`repro.core.config_network`).  Apply cycles, element state and
+set-up times are those of the stepped tree; the work is proportional to
+addressed elements instead of tree size.  ``naive`` and ``activity``
+always step the word-level tree, which is also the path for whatever
+the elision cannot represent.  The kernel only keeps the books:
+:attr:`Kernel.config_packets_elided`,
+:attr:`Kernel.config_packets_stepped` and, by refusal kind,
+:attr:`Kernel.config_elision_refusals` — all in :meth:`Kernel.kernel_stats`.
 
 The activity invariant: a component may be skipped in a cycle only if its
 ``evaluate`` would have been a pure no-op, and a register may skip the
@@ -479,6 +504,13 @@ class Kernel:
         #: but a timeline segment was aperiodic so epoch replay was
         #: withheld (see :attr:`CompileRefusal.APERIODIC`).
         self.replay_refusals: Dict[str, int] = {}
+        #: Config packets the configuration module delivered to their
+        #: addressees only (engine modes; see the module docstring).
+        self.config_packets_elided = 0
+        #: Config packets streamed word by word through the whole tree.
+        self.config_packets_stepped = 0
+        #: refusal kind -> packets an engine mode had to step anyway.
+        self.config_elision_refusals: Dict[str, int] = {}
 
     # -- mode ----------------------------------------------------------------
 
@@ -817,6 +849,9 @@ class Kernel:
             "lowering_cache_hits": self.lowering_cache_hits,
             "lowering_cache_misses": self.lowering_cache_misses,
             "replay_refusals": dict(self.replay_refusals),
+            "config_packets_elided": self.config_packets_elided,
+            "config_packets_stepped": self.config_packets_stepped,
+            "config_elision_refusals": dict(self.config_elision_refusals),
             "last_refusal": None if refusal is None else refusal.kind,
             "last_refusal_detail": (
                 None if refusal is None else refusal.detail

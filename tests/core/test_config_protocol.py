@@ -91,6 +91,10 @@ class TestPacketBuilders:
                 ],
             )
 
+    def test_port_word_wider_than_the_config_word_rejected(self):
+        with pytest.raises(ProtocolError, match="exceeds 7 bits"):
+            build_path_packet(SlotMask.of(8, {0}), [PathHop(1, 1 << 7)])
+
     def test_empty_path_rejected(self):
         with pytest.raises(ProtocolError):
             build_path_packet(SlotMask.of(8, {0}), [])
@@ -125,6 +129,30 @@ class TestPacketBuilders:
         assert len(packet.words) == 5
         with pytest.raises(ProtocolError):
             build_bus_config_packet(5, [200])
+
+
+    @pytest.mark.parametrize("word_bits", [7, 9, 10])
+    def test_builders_record_width_and_addressees(self, word_bits):
+        """What the configuration module needs to deliver a packet
+        without parsing it: whom it addresses, in packet order."""
+        path = build_path_packet(
+            SlotMask.of(8, {3}),
+            [PathHop(9, 0), PathHop(4, 0o12), PathHop(2, 1)],
+            word_bits=word_bits,
+        )
+        config = build_channel_config_packet(
+            5, Direction.INJECT, 1, [(ChannelField.FLAGS, 1)], word_bits
+        )
+        read = build_channel_read_packet(
+            6, Direction.ARRIVE, 0, ChannelField.CREDIT, word_bits
+        )
+        bus = build_bus_config_packet(7, [1, 2], word_bits)
+        assert path.addressees == (9, 4, 2)
+        assert config.addressees == (5,)
+        assert read.addressees == (6,)
+        assert bus.addressees == (7,)
+        for packet in (path, config, read, bus):
+            assert packet.word_bits == word_bits
 
 
 def feed_packet(decoder, words):

@@ -135,6 +135,37 @@ class TestHostWordAccounting:
         assert len(packet.words) == 11
         assert packet.host_words() == 3
 
+    @pytest.mark.parametrize(
+        "word_bits, words, host_words",
+        [(7, 11, 3), (9, 10, 3), (10, 10, 4)],
+    )
+    def test_host_words_follow_the_config_word_width(
+        self, word_bits, words, host_words
+    ):
+        """The packet carries the width it was built with: the fabrics'
+        10-bit words fill a fourth host word where 7-bit words (the
+        Fig. 6 pin above) fit in three."""
+        from repro.alloc.spec import AllocatedChannel
+        from repro.core import channel_path_packet
+        from repro.topology import build_mesh
+
+        channel = AllocatedChannel(
+            label="c",
+            path=("NI00", "R00", "R10", "NI10"),
+            slots=frozenset({1, 4}),
+            slot_table_size=8,
+        )
+        packet = channel_path_packet(
+            build_mesh(2, 1),
+            channel,
+            src_channel=0,
+            dst_channel=0,
+            word_bits=word_bits,
+        )
+        assert packet.word_bits == word_bits
+        assert len(packet.words) == words
+        assert packet.host_words() == host_words
+
     def test_host_words_scale_with_width(self, params):
         from repro.alloc.spec import AllocatedChannel
         from repro.core import channel_path_packet

@@ -91,6 +91,9 @@ def test_lower_network_without_provider_refuses_typed():
 def test_mutated_live_artifacts_are_flagged():
     """Flipping one real occupancy bit breaks the proof (OP003)."""
     network = build_daelite_case(3, slot_table_size=8)
+    # The subject is the lowering, which strict kernels refuse by design
+    # (the CI strict-registers step runs this directory too).
+    network.kernel.strict_registers = False
     engine = lower_network(network)
     assert not isinstance(engine, CompileRefusal)
     artifacts = engine.lowered_artifacts()
@@ -111,6 +114,7 @@ def test_vector_network_publishes_artifacts():
     a vector-mode network lowers and publishes its op tables."""
     network = build_daelite_case(3, slot_table_size=8)
     assert network.kernel.mode == VECTOR_MODE
+    network.kernel.strict_registers = False  # as above
     engine = lower_network(network)
     assert not isinstance(engine, CompileRefusal)
     lowered = engine.lowered_artifacts()
