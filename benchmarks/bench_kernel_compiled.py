@@ -1,20 +1,10 @@
-"""Compiled- and vector-kernel throughput on a steady 8x8 workload.
+"""Compiled-engine (``vector`` mode) throughput on a steady 8x8 workload.
 
-Two stacked claims share this workload:
-
-* ISSUE 5 (compiled engine): once the configuration tree is quiet,
-  flattening the data plane into integer-indexed tables and replaying
-  the periodic steady state arithmetically must be >=5x faster than the
-  activity kernel on a *busy* workload — the profile where
-  activity-driven scheduling has nothing left to skip.
-* ISSUE 7 (vector engine): lowering those tables into fused numpy
-  gathers/scatters must be >=5x faster again than the compiled
-  interpreter.  The vector engine's costs are dominated by fixed
-  per-run work (a handful of stepped boundary cycles plus one bulk
-  materialization), so the ratio is measured over a long 100k-cycle
-  steady window with best-of aggregation — median-of-short-windows
-  under-reports an engine whose marginal cost per cycle is near zero
-  and punishes it for scheduler noise on loaded runners.
+ISSUE 5's claim: once the configuration tree is quiet, flattening the
+data plane into integer-indexed tables and replaying the periodic
+steady state arithmetically must be >=5x faster than the activity
+kernel on a *busy* workload — the profile where activity-driven
+scheduling has nothing left to skip.
 
 Results land in ``BENCH_kernel.json``.
 """
@@ -31,7 +21,6 @@ from repro.core import DaeliteNetwork
 from repro.params import daelite_parameters
 from repro.sim.kernel import (
     ACTIVITY_MODE,
-    COMPILED_MODE,
     NAIVE_MODE,
     VECTOR_MODE,
 )
@@ -55,10 +44,6 @@ FLOW_PAIRS = [
 GEN_PERIOD = 20
 
 WARMUP_CYCLES = 2_000
-
-#: Long steady window for the vector-vs-compiled ratio (see module
-#: docstring for why this is longer than the 30k comparison window).
-RATIO_CYCLES = 100_000
 
 
 def build_workload(mode):
@@ -104,7 +89,7 @@ def timed_run(mode, run_cycles):
 
     A pre-window ``gc.collect()`` keeps a generational collection of
     the previous runs' WordRecord piles from landing inside the timed
-    region — at vector speeds a single gen-2 pass is comparable to the
+    region — at replay speeds a single gen-2 pass is comparable to the
     whole measured window.
     """
     net, sinks = build_workload(mode)
@@ -136,94 +121,46 @@ def delivered_profile(net):
 
 
 def test_compiled_kernel_speedup_steady_state():
-    """Compiled mode must beat activity by >=5x and vector mode must
-    beat compiled by >=5x on saturated traffic, all three delivering
-    the bit-identical word stream."""
+    """Vector mode must beat activity by >=5x on saturated traffic,
+    both delivering the bit-identical word stream."""
     window_cycles = 30_000
     naive_cycles = 3_000
     runs = 5
-    ratio_runs = 5
 
-    compiled_walls, compiled_nets = timed_runs(
-        COMPILED_MODE, window_cycles, runs
-    )
+    vector_walls, vector_nets = timed_runs(VECTOR_MODE, window_cycles, runs)
     activity_walls, activity_nets = timed_runs(
         ACTIVITY_MODE, window_cycles, runs
     )
-    vector_walls, vector_nets = timed_runs(VECTOR_MODE, window_cycles, 3)
     naive_walls, _ = timed_runs(NAIVE_MODE, naive_cycles, 3)
 
-    compiled_cps = window_cycles / statistics.median(compiled_walls)
+    vector_cps = window_cycles / statistics.median(vector_walls)
     activity_cps = window_cycles / statistics.median(activity_walls)
-    vector_cps = window_cycles / min(vector_walls)
     naive_cps = naive_cycles / statistics.median(naive_walls)
-    speedup = compiled_cps / activity_cps
-    vs_naive = compiled_cps / naive_cps
+    speedup = vector_cps / activity_cps
+    vs_naive = vector_cps / naive_cps
 
     # Identical cycle horizon => the word streams must match exactly.
     reference = delivered_profile(activity_nets[0])
     assert all(count > 0 for count in reference.values())
-    for net in compiled_nets + activity_nets + vector_nets:
+    for net in vector_nets + activity_nets:
         assert delivered_profile(net) == reference
         assert net.total_dropped_words == 0
 
-    kernel_stats = compiled_nets[0].kernel.kernel_stats()
+    kernel_stats = vector_nets[0].kernel.kernel_stats()
     assert kernel_stats["compiled_cycles"] > 0
     assert kernel_stats["replayed_epochs"] > 0
-    vector_stats = vector_nets[0].kernel.kernel_stats()
-    assert vector_stats["compiled_cycles"] > 0
-    assert vector_stats["replayed_epochs"] > 0
-
-    # Vector-vs-compiled ratio over the long window, best-of paired
-    # runs: both engines replay epochs, so per-run constants (probe,
-    # materialize, boundary stepping) dominate short windows; the long
-    # window exposes the marginal per-cycle cost where the vector data
-    # plane actually wins.  Runs are sampled in compiled/vector pairs
-    # and the minima compared — on a shared 1-CPU runner a co-tenant
-    # burst inflates the vector window (tens of ms absolute) far more
-    # in relative terms than the compiled one, so sampling continues
-    # past the floor of ``ratio_runs`` pairs until the best-of ratio
-    # stabilizes above the gate (or the pair budget is exhausted).
-    max_ratio_runs = 2 * ratio_runs
-    ratio_compiled_walls, ratio_vector_walls = [], []
-    long_reference = None
-    for pair in range(max_ratio_runs):
-        wall, _, sinks = timed_run(COMPILED_MODE, RATIO_CYCLES)
-        assert all(sink.clean for sink in sinks)
-        ratio_compiled_walls.append(wall)
-        wall, net, sinks = timed_run(VECTOR_MODE, RATIO_CYCLES)
-        assert all(sink.clean for sink in sinks)
-        ratio_vector_walls.append(wall)
-        profile = delivered_profile(net)
-        if long_reference is None:
-            long_reference = profile
-            assert all(count > 0 for count in long_reference.values())
-        assert profile == long_reference
-        if (
-            pair + 1 >= ratio_runs
-            and min(ratio_compiled_walls) / min(ratio_vector_walls) >= 5.0
-        ):
-            break
-    compiled_long_cps = RATIO_CYCLES / min(ratio_compiled_walls)
-    vector_long_cps = RATIO_CYCLES / min(ratio_vector_walls)
-    vector_speedup = vector_long_cps / compiled_long_cps
 
     print("\n8x8 MESH steady state (4 CBR flows) — kernel throughput")
     print(f"{'kernel':>9} {'cycles/s':>12}")
-    print(f"{'vector':>9} {vector_long_cps:>12,.0f}")
-    print(f"{'compiled':>9} {compiled_cps:>12,.0f}")
+    print(f"{'vector':>9} {vector_cps:>12,.0f}")
     print(f"{'activity':>9} {activity_cps:>12,.0f}")
     print(f"{'naive':>9} {naive_cps:>12,.0f}")
     print(
-        f"compiled speedup: {speedup:.1f}x vs activity, "
+        f"vector speedup: {speedup:.1f}x vs activity, "
         f"{vs_naive:.1f}x vs naive "
         f"(replayed {kernel_stats['replayed_cycles']} of "
         f"{window_cycles + WARMUP_CYCLES} cycles in "
         f"{kernel_stats['replayed_epochs']} epochs)"
-    )
-    print(
-        f"vector speedup: {vector_speedup:.1f}x vs compiled over "
-        f"{RATIO_CYCLES} cycles, best of {len(ratio_vector_walls)} pairs"
     )
 
     write_bench_json(
@@ -232,28 +169,18 @@ def test_compiled_kernel_speedup_steady_state():
             "workload": "8x8 mesh, 4 cross-mesh CBR flows, T=16",
             "runs": runs,
             "measured_cycles": {
-                "compiled": window_cycles,
-                "activity": window_cycles,
                 "vector": window_cycles,
+                "activity": window_cycles,
                 "naive": naive_cycles,
             },
             "cycles_per_second": {
-                "compiled": round(compiled_cps),
-                "activity": round(activity_cps),
                 "vector": round(vector_cps),
+                "activity": round(activity_cps),
                 "naive": round(naive_cps),
             },
-            "speedup_compiled_vs_activity": round(speedup, 2),
-            "speedup_compiled_vs_naive": round(vs_naive, 2),
-            "vector_vs_compiled": {
-                "measured_cycles": RATIO_CYCLES,
-                "runs": len(ratio_vector_walls),
-                "aggregation": "best-of",
-                "compiled_cycles_per_second": round(compiled_long_cps),
-                "vector_cycles_per_second": round(vector_long_cps),
-                "speedup": round(vector_speedup, 2),
-            },
-            "compiled_telemetry": {
+            "speedup_vector_vs_activity": round(speedup, 2),
+            "speedup_vector_vs_naive": round(vs_naive, 2),
+            "vector_telemetry": {
                 "compiled_cycles": kernel_stats["compiled_cycles"],
                 "replayed_epochs": kernel_stats["replayed_epochs"],
                 "replayed_cycles": kernel_stats["replayed_cycles"],
@@ -265,27 +192,11 @@ def test_compiled_kernel_speedup_steady_state():
                 "regimes_detected": kernel_stats["regimes_detected"],
                 "compile_fallbacks": kernel_stats["compile_fallbacks"],
             },
-            "vector_telemetry": {
-                "compiled_cycles": vector_stats["compiled_cycles"],
-                "replayed_epochs": vector_stats["replayed_epochs"],
-                "replayed_cycles": vector_stats["replayed_cycles"],
-                "replay_coverage": round(
-                    vector_stats["replayed_cycles"]
-                    / vector_stats["compiled_cycles"],
-                    4,
-                ),
-                "regimes_detected": vector_stats["regimes_detected"],
-                "compile_fallbacks": vector_stats["compile_fallbacks"],
-            },
         },
-        kernel_mode=[ACTIVITY_MODE, COMPILED_MODE, NAIVE_MODE, VECTOR_MODE],
+        kernel_mode=[ACTIVITY_MODE, NAIVE_MODE, VECTOR_MODE],
     )
 
     assert speedup >= 5.0, (
-        f"compiled kernel only {speedup:.2f}x faster than activity on "
+        f"vector kernel only {speedup:.2f}x faster than activity on "
         f"the steady-state 8x8 workload — expected >=5x"
-    )
-    assert vector_speedup >= 5.0, (
-        f"vector kernel only {vector_speedup:.2f}x faster than compiled "
-        f"over the {RATIO_CYCLES}-cycle steady window — expected >=5x"
     )

@@ -17,7 +17,7 @@ from repro.analysis import (
 )
 from repro.core import DaeliteNetwork
 from repro.params import daelite_parameters
-from repro.sim.kernel import COMPILED_MODE
+from repro.sim.kernel import VECTOR_MODE
 from repro.staticcheck import verify_network_state
 from repro.topology import build_mesh
 from repro.traffic.generators import CbrGenerator
@@ -89,11 +89,11 @@ def main() -> None:
     assert stats.max_latency <= bound
     assert network.total_dropped_words == 0
 
-    # 6. Same platform in the compiled kernel: flatten the configured
+    # 6. Same platform in the vector kernel: flatten the configured
     #    data plane and replay the periodic steady state arithmetically
-    #    (REPRO_KERNEL_MODE=compiled selects this globally).
+    #    (REPRO_KERNEL_MODE=vector selects this globally).
     fast = DaeliteNetwork(
-        topology, params, host_ni="NI00", kernel_mode=COMPILED_MODE
+        topology, params, host_ni="NI00", kernel_mode=VECTOR_MODE
     )
     fast_handle = fast.configure(connection)
     fast.run_until_configured(fast_handle)
@@ -119,7 +119,7 @@ def main() -> None:
     assert sink.clean
     assert fast.stats.delivered_words("quickstart") == words
     print(
-        f"compiled run : {words} words in order; "
+        f"vector run   : {words} words in order; "
         f"{kstats['compiled_cycles']} cycles compiled, "
         f"{kstats['replayed_cycles']} replayed in "
         f"{kstats['replayed_epochs']} epochs"

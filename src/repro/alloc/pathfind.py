@@ -202,8 +202,12 @@ def path_via_tree(
     if topology.element(dst_ni).kind is not ElementKind.NI:
         raise RoutingError(f"{dst_ni!r} is not an NI")
     try:
+        # The sources go in as given (the tree's insertion order), never
+        # as a set: among equal-cost graft points dijkstra keeps the
+        # first it was handed, and a set of strings iterates in hash
+        # order — the allocated tree would follow PYTHONHASHSEED.
         _, extension = nx.multi_source_dijkstra(
-            topology.graph, set(tree_nodes), dst_ni
+            topology.graph, tree_nodes, dst_ni
         )
     except nx.NetworkXNoPath:
         raise RoutingError(

@@ -20,9 +20,8 @@ word ``i`` of a packet started at cycle ``s`` at cycle
 ``s + i + 1 + CONFIG_HOP_CYCLES * d`` and the end-of-packet gap — the only
 cycle at which a decoder emits actions — at
 ``s + len(words) + 1 + CONFIG_HOP_CYCLES * d``.  Elements the packet does
-not address decode it to no actions.  In the engine kernel modes
-(``compiled``, ``vector``) the module therefore *elides* the tree for a
-response-free packet: at activation it deposits the word tuple in the
+not address decode it to no actions.  In the ``vector`` kernel mode
+the module therefore *elides* the tree for a response-free packet: at activation it deposits the word tuple in the
 :class:`~repro.core.config_port.ConfigPort` of each element the packet's
 builder recorded as addressed, stamped with that gap cycle, and keeps its
 own ``_busy_until`` / ``finished_at`` timeline in closed form.  The
@@ -45,7 +44,6 @@ from ..errors import (
 )
 from ..params import NetworkParameters
 from ..sim.kernel import (
-    COMPILED_MODE,
     VECTOR_MODE,
     CompileRefusal,
     Component,
@@ -58,10 +56,7 @@ from ..topology import CONFIG_HOP_CYCLES, ConfigTree
 from .config_port import ConfigPort
 from .config_protocol import ConfigPacket, Opcode
 
-#: Kernel modes in which response-free packets skip the word-level tree.
-_ELIDING_MODES = (COMPILED_MODE, VECTOR_MODE)
-
-# Why an engine mode stepped a packet through the word-level tree anyway
+# Why vector mode stepped a packet through the word-level tree anyway
 # (keys of ``kernel_stats()["config_elision_refusals"]``).  The first
 # three are the data plane's reasons too, so they share its vocabulary.
 #: The strict register contract is only exercised by stepping the tree.
@@ -311,7 +306,7 @@ class ConfigModule(Component):
         """Queue the packet's words for the tree, or elide the tree."""
         kernel = self._kernel
         assert kernel is not None  # only an attached module is evaluated
-        if kernel.mode in _ELIDING_MODES:
+        if kernel.mode == VECTOR_MODE:
             refusal = self._elision_refusal(request, kernel)
             if refusal is None:
                 self._deposit_packet(request, cycle)

@@ -13,7 +13,7 @@ the local element) drive a response in the same cycle, the model raises
 :class:`~repro.errors.SimulationError`, which is exactly the corruption
 real hardware would suffer.
 
-In the engine kernel modes the configuration module may *elide* the
+In the ``vector`` kernel mode the configuration module may *elide* the
 forward tree for a packet (see :mod:`repro.core.config_network`): rather
 than streaming the words hop by hop it deposits the whole word tuple in
 each addressed port, stamped with the cycle at which that element would

@@ -2,7 +2,7 @@
 
 This package turns the repo's primitives — bitmask slot allocation,
 the admission oracle, online set-up/teardown, fault recovery — into a
-resilient service (DESIGN.md §14):
+resilient service (DESIGN.md §13):
 
 * :class:`ConnectionBroker` — sharded admission with an oracle fast
   path, typed degraded modes, bounded retry, circuit breaking.

@@ -2,8 +2,7 @@
 
 Every operational knob of the connection service can come from three
 places, in priority order: a programmatic argument, an environment
-variable, or the built-in default.  The resolution contract mirrors the
-kernel's cache-capacity knobs (DESIGN.md §15.2):
+variable, or the built-in default.  The resolution contract:
 
 * **Programmatic** values are the caller's code — a bad one is a bug,
   so it raises :class:`~repro.errors.ServiceConfigError` immediately.

@@ -3,7 +3,7 @@
 A lease is the service's contract with one tenant: the connection stays
 configured until ``expires_at`` (in kernel cycles — the simulated clock
 is the only clock), and the tenant may renew it any time before then.
-The state machine (DESIGN.md §14) is strictly forward::
+The state machine (DESIGN.md §13) is strictly forward::
 
     ACTIVE --renew--> ACTIVE          (expires_at extended)
     ACTIVE --expire--> EXPIRED        (deadline passed; swept teardown)

@@ -3,7 +3,6 @@
 from .flit import IDLE_PHIT, Phit, Word
 from .kernel import (
     ACTIVITY_MODE,
-    COMPILED_MODE,
     KERNEL_MODE_ENV,
     NAIVE_MODE,
     VECTOR_MODE,
@@ -21,7 +20,6 @@ __all__ = [
     "Phit",
     "Word",
     "ACTIVITY_MODE",
-    "COMPILED_MODE",
     "KERNEL_MODE_ENV",
     "NAIVE_MODE",
     "VECTOR_MODE",

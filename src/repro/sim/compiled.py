@@ -8,7 +8,7 @@ per-phase integer-indexed move maps and then advances the network in one
 tight loop over a sparse dict of in-flight phits — no component dispatch,
 no ``Register`` objects, no wake-set bookkeeping on the fast path.
 
-Two layers:
+It is the one engine behind ``vector`` mode, in two layers:
 
 * **Compiled stepping** — :meth:`CompiledEngine.run_to` imports the data
   registers into a ``{register-index: Phit}`` dict, applies the move map
@@ -25,8 +25,10 @@ Two layers:
   relative to the per-connection counters), the next ``K`` epochs are
   applied arithmetically: the one recorded epoch's injection / ejection /
   sink events are re-recorded shifted by ``k*P`` cycles and ``k*D``
-  sequence numbers, cumulative counters are scaled by ``K``, and the
-  in-flight words are rewritten.  Re-entry into stepping is bit-exact.
+  sequence numbers — in bulk, by :mod:`repro.sim.replay`, the only
+  numpy in the simulator — cumulative counters are scaled by ``K``, and
+  the in-flight words are rewritten.  Re-entry into stepping is
+  bit-exact.
 
 Soundness of the replay (DESIGN.md §10 gives the full argument): the
 cycle transition function commutes with the per-connection shift —
@@ -37,7 +39,9 @@ implies the next epoch repeats the recorded one shifted, by induction
 for all ``K``; ``K`` is clamped so no finite generator runs past its
 word budget, and any event the signature cannot extrapolate (an armed
 fault hook, config traffic, a not-yet-exhausted trace generator, a
-fault or drop during the probe epoch) disables or defers replay.
+fault or drop during the probe epoch) disables or defers replay.  An
+epoch whose values would leave numpy's int64 range is stepped instead
+of replayed, with a typed ``replay_refusals`` entry.
 
 Whenever the network is *not* compilable — strict-registers, a tracer,
 config traffic in flight, armed fault hooks, an unknown component, a
@@ -48,8 +52,6 @@ transparently falls back to the activity mode for those cycles.
 
 from __future__ import annotations
 
-import operator
-import os
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from math import lcm
@@ -57,7 +59,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..errors import SimulationError
 from .flit import Phit, Word
-from .kernel import VECTOR_MODE, CompileRefusal, Kernel, Register
+from .kernel import CompileRefusal, Kernel, Register
 from .stats import FAULT_DETECTED
 
 # Move-map operation tags (op[0]).
@@ -67,7 +69,8 @@ _OP_INJECT = 2  # NI output register -> NI-router link (records injection)
 _OP_FORWARD = 3  # router input link -> crossbar registers (multicast fans)
 _OP_ARRIVE = 4  # NI input link -> destination channel queue
 
-# Replay event tags.
+# Replay event tags: event[0] of the ``(tag, cycle, connection id,
+# sequence, ...)`` int tuples one epoch is recorded as.
 _EV_INJECT = 0
 _EV_EJECT = 1
 _EV_SINK = 2
@@ -79,16 +82,12 @@ _NEVER = 1 << 62
 #: epochs would dominate any realistic run length.
 MAX_REPLAY_PERIOD = 1 << 16
 
-#: Environment variable: capacity (entries) of the per-network lowering
-#: cache that memoizes the schedule-dependent compile products on the
-#: structural schedule image, so the recompile forced by every use-case
-#: switch is a dict lookup when a regime returns.  ``0`` disables the
-#: cache; malformed values refuse compilation with a typed
-#: ``unsupported_params``.
-LOWER_CACHE_ENV = "REPRO_LOWER_CACHE"
-#: Default lowering-cache capacity (covers realistic use-case rosters;
-#: one entry per distinct programmed schedule).
-LOWER_CACHE_DEFAULT = 16
+#: Capacity (entries) of the per-network lowering cache that memoizes
+#: the schedule-dependent compile products on the structural schedule
+#: image, so the recompile forced by every use-case switch is a dict
+#: lookup when a regime returns (covers realistic use-case rosters; one
+#: entry per distinct programmed schedule).
+LOWER_CACHE_CAPACITY = 16
 
 #: Stable string names of the move-map op tags.  The introspection API
 #: (:meth:`CompiledEngine.lowered_artifacts`) speaks these so external
@@ -123,7 +122,7 @@ class LoweredArtifacts:
     """The compile products that staticcheck's op-table prover consumes.
 
     This is the provability contract for data-plane substrates (see
-    DESIGN.md §13): a substrate is checkable by the OP rules iff it can
+    DESIGN.md §12): a substrate is checkable by the OP rules iff it can
     render its lowering as per-phase op tuples, the injection ``seeds``
     — ``(register, phase)`` pairs driven from outside the table walk —
     and the claimed ``occupancy`` bitmasks (bit ``p`` set iff the
@@ -143,13 +142,6 @@ def install_compile_provider(network: Any) -> None:
     The provider re-checks cheap eligibility on every acquisition and
     reuses the previous engine as long as the schedule token (slot-table
     versions + applied config actions) is unchanged.
-
-    In ``vector`` mode the provider prefers the numpy-lowered engine
-    (:mod:`repro.sim.vector`) and degrades along the typed chain
-    vector -> compiled -> activity: a vector-specific refusal is noted
-    in the kernel telemetry and the compiled interpreter serves the
-    request instead, so vector mode is never slower than compiled mode
-    and never silently wrong.
     """
 
     def provider(
@@ -161,15 +153,6 @@ def install_compile_provider(network: Any) -> None:
         token = _schedule_token(network)
         if previous is not None and previous.token == token:
             return previous
-        if kernel.mode == VECTOR_MODE:
-            from .vector import compile_vector_network
-
-            result = compile_vector_network(network, token)
-            if not isinstance(result, CompileRefusal):
-                return result
-            # Typed downgrade: record why the vector lowering refused,
-            # then serve the request with the compiled interpreter.
-            kernel._note_refusal(result)
         return compile_network(network, token)
 
     network.kernel.compile_provider = provider
@@ -179,7 +162,7 @@ def install_refusing_provider(network: Any, detail: str) -> None:
     """Install a provider that always refuses with a typed reason.
 
     Used by network families whose data plane has no compiled engine yet
-    (aelite's source-routed plane): ``compiled`` mode then runs as a
+    (aelite's source-routed plane): ``vector`` mode then runs as a
     transparent, telemetry-visible fallback to the activity kernel.
     """
 
@@ -193,8 +176,8 @@ def lower_network(network: Any) -> Any:
     """Compile exactly what the kernel's provider would run, offline.
 
     This is the entry point ``python -m repro.staticcheck --prove``
-    uses: the network's installed provider is consulted (so kernel-mode
-    preferences and every eligibility gate apply) and the result — an
+    uses: the network's installed provider is consulted (so every
+    eligibility gate applies) and the result — an
     engine exposing :meth:`CompiledEngine.lowered_artifacts`, or a
     typed :class:`~repro.sim.kernel.CompileRefusal` — is returned
     without being installed on the kernel.
@@ -273,28 +256,6 @@ def _schedule_image(network: Any) -> tuple:
         for name, ni in sorted(network.nis.items())
     )
     return (table, params.words_per_slot, routers, nis)
-
-
-def _lower_cache_capacity(network: Any) -> Any:
-    """Resolve the lowering-cache capacity knob (attribute, then env).
-
-    Malformed values never escape as exceptions — every parse failure
-    becomes a typed ``unsupported_params`` refusal so the degradation
-    chain engages and ``kernel_stats()`` records the reason.
-    """
-    try:
-        value = getattr(network, "lower_cache", None)
-        if value is None:
-            raw = os.environ.get(LOWER_CACHE_ENV, "").strip()
-            if not raw:
-                return LOWER_CACHE_DEFAULT
-            return max(0, int(raw))
-        return max(0, operator.index(value))
-    except (TypeError, ValueError, OverflowError) as exc:
-        return CompileRefusal(
-            CompileRefusal.UNSUPPORTED_PARAMS,
-            f"invalid lowering-cache setting: {exc}",
-        )
 
 
 def _check_eligibility(network: Any) -> Optional[CompileRefusal]:
@@ -628,16 +589,12 @@ def _lower_schedule(network: Any) -> Any:
     return regs, move_map, inj_ops, occupancy
 
 
-def compile_network(
-    network: Any, token: int, engine_cls: Optional[type] = None
-) -> Any:
+def compile_network(network: Any, token: int) -> Any:
     """Flatten the configured data plane into a :class:`CompiledEngine`.
 
     Returns the engine, or a :class:`CompileRefusal` when the programmed
     schedule cannot be proven drop- and collision-free (the stepped
     kernels handle such schedules with their runtime checks instead).
-    ``engine_cls`` lets alternative executors of the same op tables
-    (the vector engine) reuse this entire lowering pipeline.
 
     The schedule-dependent products (:func:`_lower_schedule`) are
     memoized per network on the structural schedule image, so a
@@ -652,31 +609,23 @@ def compile_network(
         return classified
     gens, sinks = classified
 
-    capacity = _lower_cache_capacity(network)
-    if isinstance(capacity, CompileRefusal):
-        return capacity
     image = _schedule_image(network)
     kernel = network.kernel
-    lowered: Any = None
-    cache: Optional[OrderedDict] = None
-    if capacity > 0:
-        cache = getattr(network, "_lowering_cache", None)
-        if cache is None:
-            cache = OrderedDict()
-            network._lowering_cache = cache
-        lowered = cache.get(image)
-        if lowered is not None:
-            cache.move_to_end(image)
-            kernel.lowering_cache_hits += 1
-    if lowered is None:
+    cache = getattr(network, "_lowering_cache", None)
+    if cache is None:
+        cache = OrderedDict()
+        network._lowering_cache = cache
+    lowered = cache.get(image)
+    if lowered is not None:
+        cache.move_to_end(image)
+        kernel.lowering_cache_hits += 1
+    else:
+        # A typed INCONSISTENT_SCHEDULE is as cacheable as a successful
+        # lowering: it is the same pure function of the schedule image.
         lowered = _lower_schedule(network)
-        if cache is not None:
-            # A typed INCONSISTENT_SCHEDULE is as cacheable as a
-            # successful lowering: it is the same pure function of the
-            # schedule image.
-            cache[image] = lowered
-            while len(cache) > capacity:
-                cache.popitem(last=False)
+        cache[image] = lowered
+        while len(cache) > LOWER_CACHE_CAPACITY:
+            cache.popitem(last=False)
         kernel.lowering_cache_misses += 1
     if isinstance(lowered, CompileRefusal):
         return lowered
@@ -687,7 +636,6 @@ def compile_network(
 
     # Steady-state period and replay eligibility.
     period = wheel
-    replay_ok = True
     replay_refusal: Optional[CompileRefusal] = None
     trace_gens = []
     conn_meta: Dict[str, tuple] = {}
@@ -707,7 +655,6 @@ def compile_network(
             # Two generators share a label or a channel: per-connection
             # shifts are ambiguous, so replay stays off (compiled
             # stepping still applies).
-            replay_ok = False
             if replay_refusal is None:
                 replay_refusal = CompileRefusal(
                     CompileRefusal.APERIODIC,
@@ -720,16 +667,13 @@ def compile_network(
         if sink_period:
             period = lcm(period, sink_period)
     if period > MAX_REPLAY_PERIOD:
-        replay_ok = False
         replay_refusal = CompileRefusal(
             CompileRefusal.APERIODIC,
             f"steady-state period {period} exceeds the probe budget "
             f"{MAX_REPLAY_PERIOD}",
         )
 
-    if engine_cls is None:
-        engine_cls = CompiledEngine
-    engine = engine_cls(
+    return CompiledEngine(
         network=network,
         token=token,
         wheel=wheel,
@@ -742,11 +686,9 @@ def compile_network(
         sinks=sinks,
         conn_meta=conn_meta,
         period=period,
-        replay_ok=replay_ok,
+        replay_refusal=replay_refusal,
+        schedule_image=image,
     )
-    engine.schedule_image = image
-    engine.replay_refusal = replay_refusal
-    return engine
 
 
 class CompiledEngine:
@@ -774,7 +716,8 @@ class CompiledEngine:
         sinks: List[tuple],
         conn_meta: Dict[str, tuple],
         period: int,
-        replay_ok: bool,
+        replay_refusal: Optional[CompileRefusal],
+        schedule_image: tuple,
     ) -> None:
         self.network = network
         self.kernel: Kernel = network.kernel
@@ -791,7 +734,11 @@ class CompiledEngine:
         self.sinks = sinks
         self.conn_meta = conn_meta
         self.period = period
-        self.replay_ok = replay_ok
+        #: Typed diagnosis when the current timeline segment is
+        #: genuinely aperiodic (see :attr:`CompileRefusal.APERIODIC`).
+        #: Telemetry only — the engine still executes, it just never
+        #: fast-forwards.
+        self.replay_refusal = replay_refusal
         self.nis_list = list(network.nis.values())
         params = network.params
         self.credit_cap = min(
@@ -825,30 +772,35 @@ class CompiledEngine:
         self.counter_getters = getters
         self.counter_setters = setters
         self._cur: Dict[int, Phit] = {}
-        #: Structural schedule image (set by :func:`compile_network`):
-        #: the content-based key the lowering and regime caches share.
-        self.schedule_image: Any = None
-        #: Typed diagnosis when ``replay_ok`` is off: the current
-        #: timeline segment is genuinely aperiodic (see
-        #: :attr:`CompileRefusal.APERIODIC`).  Telemetry only — the
-        #: engine still executes, it just never fast-forwards.
-        self.replay_refusal: Optional[CompileRefusal] = None
-        self._replay_refusal_noted = False
+        # Imported here so numpy loads with the first engine, not with
+        # the package: the naive and activity kernels never need it.
+        from .replay import EpochReplay, roster_key
+
+        #: Regime templates, the connection-id table the epoch events
+        #: are recorded against, and the numpy bulk materializer.  The
+        #: structural schedule image is the content-based key the
+        #: lowering and regime caches share.
+        self.replay = EpochReplay(
+            network,
+            (schedule_image, roster_key(gens, sinks, period)),
+            period,
+            sinks,
+        )
+        self._refusals_noted: Set[str] = set()
         #: True while epoch replay is engaged in the current steady
         #: regime; a boundary signature mismatch closes the regime, so
         #: ``kernel.regimes_detected`` counts regime *segments*, not
         #: replayed boundaries.
         self._regime_open = False
+        #: Probe carried across run_to calls (see run_to): ``(signature,
+        #: snapshot, events so far, boundary cycle, cycle the run ended)``.
+        self._probe: Optional[tuple] = None
 
-    def _note_aperiodic(self) -> None:
-        """Record the aperiodic-segment diagnosis once per engine."""
-        if (
-            not self.replay_ok
-            and self.replay_refusal is not None
-            and not self._replay_refusal_noted
-        ):
-            self._replay_refusal_noted = True
-            self.kernel._note_replay_refusal(self.replay_refusal)
+    def _note_replay_refusal(self, refusal: CompileRefusal) -> None:
+        """Record why replay is withheld, once per kind per engine."""
+        if refusal.kind not in self._refusals_noted:
+            self._refusals_noted.add(refusal.kind)
+            self.kernel._note_replay_refusal(refusal)
 
     # -- introspection -----------------------------------------------------------
 
@@ -973,16 +925,51 @@ class CompiledEngine:
         refusal = self._import_registers(cycle)
         if refusal is not None:
             return refusal
-        self._note_aperiodic()
+        replay_ok = self.replay_refusal is None
+        if not replay_ok:
+            self._note_replay_refusal(self.replay_refusal)
 
         stats = self.stats
         move_map = self.move_map
-        inj_ops = self.inj_ops
         wheel = self.wheel
         credit_cap = self.credit_cap
-        sinks = self.sinks
         gens = self.gens
         cur = self._cur
+        replay = self.replay
+        intern = replay.intern
+
+        # Resolve loop-invariant channel lookups once per run: the
+        # compiled configuration is frozen for the duration of a run
+        # (config traffic raises a refusal long before this point), so
+        # source/dest channel membership cannot change mid-run.
+        inj_res: List[List[tuple]] = []
+        for ops in self.inj_ops:
+            res = []
+            for ni, channel, stage_rid, collect in ops:
+                source = ni.source_channels.get(channel)
+                if source is None:
+                    continue
+                dest = None
+                if collect and source.paired_arrival is not None:
+                    dest = ni.dest_channels.get(source.paired_arrival)
+                res.append((source, stage_rid, dest))
+            inj_res.append(res)
+        sink_res = [
+            (
+                sink,
+                ni.dest_channels.get(channel),
+                sink_period,
+                checking,
+                sink_index,
+            )
+            for sink_index, (
+                sink,
+                ni,
+                channel,
+                sink_period,
+                checking,
+            ) in enumerate(self.sinks)
+        ]
 
         gen_next: List[int] = []
         gen_due = _NEVER
@@ -994,16 +981,29 @@ class CompiledEngine:
                 gen_due = fire
 
         period = self.period
-        replay_ok = self.replay_ok
         events: Optional[List[tuple]] = [] if replay_ok else None
         prev_sig: Any = None
         prev_snap: Any = None
         next_boundary = (
             cycle + (-cycle) % period if replay_ok else _NEVER
         )
+        # Resume the probe carried over from the previous run: if that
+        # run ended mid-epoch with a boundary signature in hand and we
+        # restart at the exact cycle it stopped, keep its signature and
+        # partial event recording so the very next boundary can already
+        # replay.  Any external mutation in between changes the next
+        # boundary signature and simply fails the comparison.
+        probe, self._probe = self._probe, None
+        if (
+            probe is not None
+            and probe[4] == cycle
+            and probe[3] == next_boundary - period
+        ):
+            prev_sig, prev_snap, events = probe[:3]
         stepped = 0
         replayed_epochs = 0
         replayed_cycles = 0
+        clean_exit = False
 
         try:
             while cycle < end:
@@ -1017,26 +1017,47 @@ class CompiledEngine:
                     else:
                         sig = self._signature(cycle, cur)
                         snap = self._snapshot(cycle)
+                        candidate: Any = None
                         if prev_sig is not None and sig == prev_sig:
-                            epochs = (end - cycle) // period
-                            epochs = min(
-                                epochs,
-                                self._replay_horizon(prev_snap, snap),
-                            )
-                            if epochs >= 1 and self._deltas_clean(
-                                prev_snap, snap
-                            ):
-                                if not self._regime_open:
-                                    self._regime_open = True
-                                    kernel.regimes_detected += 1
-                                self._materialize(
-                                    epochs, prev_snap, snap, events, cur
+                            if self._deltas_clean(prev_snap, snap):
+                                candidate = (prev_snap, events)
+                                replay.store(
+                                    sig,
+                                    prev_snap,
+                                    snap,
+                                    events,
+                                    cycle,
+                                    self._sig_anchors(),
                                 )
+                        else:
+                            if prev_sig is not None:
+                                # The steady rhythm broke: whatever
+                                # replays next opens a new segment.
+                                self._regime_open = False
+                            candidate = replay.load(
+                                sig, snap, cycle, self._sig_anchors()
+                            )
+                        if candidate is not None:
+                            before, epoch_events = candidate
+                            epochs = min(
+                                (end - cycle) // period,
+                                self._replay_horizon(before, snap),
+                            )
+                            if epochs >= 1 and self._replay(
+                                epochs, before, snap, epoch_events, cycle
+                            ):
                                 cycle += epochs * period
                                 replayed_epochs += epochs
                                 replayed_cycles += epochs * period
-                                prev_sig = None
-                                prev_snap = None
+                                # The landing state is the epoch state
+                                # shifted by `epochs` periods, and the
+                                # signature is shift-invariant (that is
+                                # what matching across one period just
+                                # proved), so stay armed: re-snapshot
+                                # here and the next boundary can replay
+                                # again without re-probing a full epoch.
+                                prev_sig = sig
+                                prev_snap = self._snapshot(cycle)
                                 events.clear()
                                 next_boundary = cycle + period
                                 # The clock jumped: re-anchor every
@@ -1051,10 +1072,6 @@ class CompiledEngine:
                                     if fire < gen_due:
                                         gen_due = fire
                                 continue
-                        if prev_sig is not None and sig != prev_sig:
-                            # The steady rhythm broke: close the regime
-                            # so the next replay counts a new segment.
-                            self._regime_open = False
                         prev_sig = sig
                         prev_snap = snap
                     events.clear()
@@ -1089,7 +1106,12 @@ class CompiledEngine:
                             stats.record_injection(word, cycle)
                             if events is not None:
                                 events.append(
-                                    (_EV_INJECT, cycle, word, 0)
+                                    (
+                                        _EV_INJECT,
+                                        cycle,
+                                        intern(word.connection),
+                                        word.sequence,
+                                    )
                                 )
                     elif tag == _OP_FORWARD:
                         dsts = op[1]
@@ -1109,7 +1131,13 @@ class CompiledEngine:
                                 )
                                 if events is not None:
                                     events.append(
-                                        (_EV_EJECT, cycle, word, ni.name)
+                                        (
+                                            _EV_EJECT,
+                                            cycle,
+                                            intern(word.connection),
+                                            word.sequence,
+                                            ni.name,
+                                        )
                                     )
                             else:
                                 ni.dropped_words += 1
@@ -1125,23 +1153,15 @@ class CompiledEngine:
                                 dest, phit.credit_bits
                             )
 
-                for ni, channel, stage_rid, collect in inj_ops[phase]:
-                    source = ni.source_channels.get(channel)
-                    if source is None:
-                        continue
+                for source, stage_rid, dest in inj_res[phase]:
                     word = (
                         source.take_word() if source.can_send() else None
                     )
                     credits = None
-                    if collect:
-                        paired = source.paired_arrival
-                        if paired is not None:
-                            dest = ni.dest_channels.get(paired)
-                            if dest is not None and dest.pending_credits:
-                                credits = (
-                                    dest.take_pending_credits(credit_cap)
-                                    or None
-                                )
+                    if dest is not None and dest.pending_credits:
+                        credits = (
+                            dest.take_pending_credits(credit_cap) or None
+                        )
                     if word is not None or credits:
                         new[stage_rid] = Phit(
                             word=word, credit_bits=credits
@@ -1162,25 +1182,41 @@ class CompiledEngine:
                         if fire < gen_due:
                             gen_due = fire
 
-                for sink_index, meta in enumerate(sinks):
-                    sink, ni, channel, sink_period, checking = meta
+                for sink, dest, sink_period, checking, sink_index in (
+                    sink_res
+                ):
+                    if dest is None or not dest.queue:
+                        continue
                     if cycle < sink.start_cycle:
                         continue
                     if sink_period and cycle % sink_period:
-                        continue
-                    dest = ni.dest_channels.get(channel)
-                    if dest is None or not dest.queue:
                         continue
                     for word in dest.drain(sink.words_per_cycle):
                         self._consume(sink, checking, cycle, word)
                         if events is not None:
                             events.append(
-                                (_EV_SINK, cycle, word, sink_index)
+                                (
+                                    _EV_SINK,
+                                    cycle,
+                                    intern(word.connection),
+                                    word.sequence,
+                                    word.payload,
+                                    sink_index,
+                                )
                             )
 
                 cycle += 1
                 stepped += 1
+            clean_exit = True
         finally:
+            if clean_exit and prev_sig is not None:
+                self._probe = (
+                    prev_sig,
+                    prev_snap,
+                    events,
+                    next_boundary - period,
+                    cycle,
+                )
             self._export_registers()
             kernel.cycle = cycle
             kernel.compiled_cycles += stepped + replayed_cycles
@@ -1280,18 +1316,6 @@ class CompiledEngine:
                 for rid, phit in cur.items()
             )
         )
-        return (regs_part,) + self._sig_env(cycle, base, rel)
-
-    def _sig_env(
-        self,
-        cycle: int,
-        base: Dict[str, Tuple[int, int]],
-        rel: Callable[[Word], tuple],
-    ) -> tuple:
-        """The non-register signature parts: channel queues, credits and
-        flags, generator phases, sink phases and sequence checkpoints.
-        Shared by the compiled signature and the vector engine's
-        dense-state signature."""
         chans: List[tuple] = []
         for ni in self.nis_list:
             for channel in sorted(ni.source_channels):
@@ -1354,7 +1378,7 @@ class CompiledEngine:
             sinks_part.append(
                 (max(0, sink.start_cycle - cycle), last_rel)
             )
-        return (tuple(chans), gens_part, tuple(sinks_part))
+        return (regs_part, tuple(chans), gens_part, tuple(sinks_part))
 
     @staticmethod
     def _gen_phase(gen: Any, cycle: int) -> int:
@@ -1444,74 +1468,50 @@ class CompiledEngine:
                     )
         return horizon
 
-    def _materialize(
+    def _replay(
         self,
         epochs: int,
         before: dict,
         after: dict,
         events: List[tuple],
-        cur: Dict[int, Phit],
-    ) -> None:
-        """Apply ``epochs`` steady epochs arithmetically.
+        cycle: int,
+    ) -> bool:
+        """Apply ``epochs`` steady epochs arithmetically, from ``cycle``.
 
         Re-records the captured epoch's injection/ejection/sink events
         shifted by ``k * period`` cycles and ``k * D[connection]``
-        sequence numbers (k = 1..epochs, chronological within each
-        epoch), scales every cumulative counter, and rewrites in-flight
-        words and queue contents to their post-replay identities.
+        sequence numbers (k = 1..epochs) through the numpy bulk
+        materializer, scales every cumulative counter, and rewrites
+        in-flight words and queue contents to their post-replay
+        identities.  Returns ``False`` — having changed nothing — when
+        a value would leave numpy's int64 range: the caller keeps
+        stepping and the refusal is recorded, typed, once.
         """
-        period = self.period
-        stats = self.stats
         deltas = {
             conn: after["seqs"][conn] - before["seqs"][conn]
             for conn in after["seqs"]
         }
-
-        def shifted(word: Word, offset: int) -> Word:
-            payload = (word.payload + offset) & _PAYLOAD_MASK
-            return Word(
-                payload=payload,
-                connection=word.connection,
-                sequence=word.sequence + offset,
-                injected_at=word.injected_at,
-                parity=bin(payload).count("1") & 1,
+        reason = self.replay.budget_reason(epochs, deltas, events, cycle)
+        if reason is not None:
+            self._note_replay_refusal(
+                CompileRefusal(CompileRefusal.UNSUPPORTED_PARAMS, reason)
             )
-
-        sinks = self.sinks
-        for k in range(1, epochs + 1):
-            cycle_offset = k * period
-            for tag, cycle, word, extra in events:
-                delta = deltas.get(word.connection, 0)
-                moved = shifted(word, k * delta) if delta else word
-                at = cycle + cycle_offset
-                if tag == _EV_INJECT:
-                    stats.record_injection(moved, at)
-                elif tag == _EV_EJECT:
-                    stats.record_ejection(moved, at, destination=extra)
-                else:
-                    sink, _ni, _ch, _p, checking = sinks[extra]
-                    self._consume(sink, checking, at, moved)
-
+            return False
+        if not self._regime_open:
+            self._regime_open = True
+            self.kernel.regimes_detected += 1
+        self.replay.materialize(epochs, deltas, events)
         self._scale_counters(epochs, before, after)
-
-        for rid, phit in list(cur.items()):
-            word = phit.word
-            if word is None:
-                continue
-            delta = deltas.get(word.connection, 0)
-            if delta:
-                cur[rid] = Phit(
-                    word=shifted(word, epochs * delta),
-                    credit_bits=phit.credit_bits,
-                )
+        self._shift_inflight(deltas, epochs)
         self._shift_queues(deltas, epochs)
+        return True
 
     def _scale_counters(
         self, epochs: int, before: dict, after: dict
     ) -> None:
         """Scale every cumulative counter by ``epochs`` steady deltas
         (links, routers, generators, channel endpoints, sequence
-        counters).  Shared by the compiled and vector materializers."""
+        counters)."""
         for setter, old, now in zip(
             self.counter_setters, before["fixed"], after["fixed"]
         ):
@@ -1554,6 +1554,20 @@ class CompiledEngine:
                     )
                 index += 1
 
+    def _shift_inflight(self, deltas: Dict[str, int], epochs: int) -> None:
+        """Rewrite in-flight words to their post-replay identities."""
+        cur = self._cur
+        for rid, phit in list(cur.items()):
+            word = phit.word
+            if word is None:
+                continue
+            delta = deltas.get(word.connection, 0)
+            if delta:
+                cur[rid] = Phit(
+                    word=_shifted(word, epochs * delta),
+                    credit_bits=phit.credit_bits,
+                )
+
     def _shift_queues(
         self, deltas: Dict[str, int], epochs: int
     ) -> None:
@@ -1576,15 +1590,19 @@ class CompiledEngine:
         for word in queue:
             delta = deltas.get(word.connection, 0)
             if delta:
-                offset = epochs * delta
-                payload = (word.payload + offset) & _PAYLOAD_MASK
-                word = Word(
-                    payload=payload,
-                    connection=word.connection,
-                    sequence=word.sequence + offset,
-                    injected_at=word.injected_at,
-                    parity=bin(payload).count("1") & 1,
-                )
+                word = _shifted(word, epochs * delta)
             moved.append(word)
         queue.clear()
         queue.extend(moved)
+
+
+def _shifted(word: Word, offset: int) -> Word:
+    """``word`` advanced ``offset`` positions along its connection."""
+    payload = (word.payload + offset) & _PAYLOAD_MASK
+    return Word(
+        payload=payload,
+        connection=word.connection,
+        sequence=word.sequence + offset,
+        injected_at=word.injected_at,
+        parity=bin(payload).count("1") & 1,
+    )

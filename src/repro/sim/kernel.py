@@ -18,9 +18,9 @@ so it raises :class:`~repro.errors.SimulationError`.
 Evaluation modes
 ----------------
 
-The kernel supports four modes, selected per instance or through the
+The kernel supports three modes, selected per instance or through the
 ``REPRO_KERNEL_MODE`` environment variable (``activity``, the default,
-``naive``, ``compiled`` or ``vector``):
+``naive`` or ``vector``):
 
 * ``naive`` — the reference semantics above, literally: every component is
   evaluated and every register latched on every cycle.
@@ -45,11 +45,13 @@ The kernel supports four modes, selected per instance or through the
     through them — so the jump is sound; the static TDM schedule makes
     the next-work computation O(1) per component.
 
-* ``compiled`` — the configured GS data plane is flattened into integer
+* ``vector`` — the configured GS data plane is flattened into integer
   event schedules (see :mod:`repro.sim.compiled`) and advanced in one
   tight loop with no component dispatch and no :class:`Register` traffic
   on the fast path; exactly periodic steady states are replayed
-  arithmetically, epoch by epoch.  A network opts in by installing a
+  arithmetically, epoch by epoch, with numpy re-recording the epoch's
+  events in bulk (see :mod:`repro.sim.replay` — the bulk replay is what
+  the mode is named for).  A network opts in by installing a
   ``compile_provider`` on the kernel.  Whenever compilation is not
   possible — no provider, config traffic in flight, armed fault hooks,
   strict-registers, a tracer, an unknown component, words mid-flight —
@@ -59,23 +61,19 @@ The kernel supports four modes, selected per instance or through the
   are re-materialized bit-exactly at every exit from compiled execution,
   so callbacks, ``run_until`` predicates and external code always
   observe the same state as stepped execution.
-* ``vector`` — the compiled op tables lowered once more to preallocated
-  numpy gather/scatter index arrays (see :mod:`repro.sim.vector`), with
-  the same epoch replay applied in bulk; it degrades vector ->
-  compiled -> activity through the same typed refusals.
 
-Config plane in the engine modes
---------------------------------
+Config plane in vector mode
+---------------------------
 
-``compiled`` and ``vector`` only ever run the *data* plane; while
-configuration traffic is in flight they defer to the activity kernel.
-What they change about the config plane is how much of the broadcast
-tree that kernel has to step.  The tree is a pure delay line — every
-element sees every word, ``CONFIG_HOP_CYCLES`` per hop later, and only
-the addressed elements act — so in these two modes the configuration
-module hands a response-free packet straight to the elements it
-addresses, stamped with the cycle each would have seen the end-of-packet
-gap, and each runs its own decoder at that cycle (see
+The engine only ever runs the *data* plane; while configuration traffic
+is in flight it defers to the activity kernel.  What ``vector`` mode
+changes about the config plane is how much of the broadcast tree that
+kernel has to step.  The tree is a pure delay line — every element sees
+every word, ``CONFIG_HOP_CYCLES`` per hop later, and only the addressed
+elements act — so in this mode the configuration module hands a
+response-free packet straight to the elements it addresses, stamped
+with the cycle each would have seen the end-of-packet gap, and each
+runs its own decoder at that cycle (see
 :mod:`repro.core.config_network`).  Apply cycles, element state and
 set-up times are those of the stepped tree; the work is proportional to
 addressed elements instead of tree size.  ``naive`` and ``activity``
@@ -136,28 +134,20 @@ STRICT_REGISTERS_ENV = "REPRO_STRICT_REGISTERS"
 ACTIVITY_MODE = "activity"
 #: Reference evaluation: everything, every cycle.
 NAIVE_MODE = "naive"
-#: Flat-schedule compiled evaluation with steady-state epoch replay
-#: (falls back to the activity kernel whenever the network is not
-#: compilable — see :mod:`repro.sim.compiled`).
-COMPILED_MODE = "compiled"
-#: Vectorized numpy data plane: the compiled op tables lowered to
-#: preallocated gather/scatter index arrays, with the same epoch replay
-#: applied in bulk (falls back vector -> compiled -> activity — see
-#: :mod:`repro.sim.vector`).
+#: Flat-schedule compiled evaluation with steady-state epoch replay,
+#: materialized in bulk with numpy (falls back to the activity kernel
+#: whenever the network is not compilable — see
+#: :mod:`repro.sim.compiled` and :mod:`repro.sim.replay`).
 VECTOR_MODE = "vector"
 
-_MODES = (ACTIVITY_MODE, NAIVE_MODE, COMPILED_MODE, VECTOR_MODE)
-
-#: Modes served by the compiled-engine step loop (a provider decides
-#: which engine actually backs them).
-_ENGINE_MODES = (COMPILED_MODE, VECTOR_MODE)
+_MODES = (ACTIVITY_MODE, NAIVE_MODE, VECTOR_MODE)
 
 
 class CompileRefusal:
     """A typed reason why the data plane cannot be compiled right now.
 
     Returned by a kernel's compile provider (and queryable through
-    :meth:`Kernel.kernel_stats`) whenever ``compiled`` mode has to fall
+    :meth:`Kernel.kernel_stats`) whenever ``vector`` mode has to fall
     back to the activity kernel.  ``kind`` is a stable machine-readable
     tag; ``detail`` is free-form diagnostics.
     """
@@ -182,7 +172,9 @@ class CompileRefusal:
     #: Words are mid-flight in pipeline registers; the engine only
     #: starts from a quiescent data plane.
     DATAPATH_BUSY = "datapath_busy"
-    #: Parameters outside the compiled timing model.
+    #: An epoch's values are outside the int64 budget of the numpy bulk
+    #: replay.  Like :attr:`APERIODIC` the engine still *runs*: the
+    #: epoch is stepped instead of replayed.
     UNSUPPORTED_PARAMS = "unsupported_params"
     #: The current timeline segment is genuinely aperiodic — steady-state
     #: epoch replay cannot engage (ambiguous generator labels, a replay
@@ -197,8 +189,8 @@ class CompileRefusal:
     #: The kernel treats these as deferrals — it steps a bounded window
     #: on the activity kernel and re-probes — instead of falling back
     #: for the remainder of the call, so piecewise-periodic workloads
-    #: (use-case switches) re-enter compiled/vector execution and
-    #: re-arm steady-state probing in the *new* regime.
+    #: (use-case switches) re-enter compiled execution and re-arm
+    #: steady-state probing in the *new* regime.
     DEFERRABLE = frozenset((CONFIG_ACTIVE, DATAPATH_BUSY))
 
     def __init__(self, kind: str, detail: str = "") -> None:
@@ -471,7 +463,7 @@ class Kernel:
         self.compile_provider: Optional[
             Callable[["Kernel", Any], Any]
         ] = None
-        #: The live compiled engine, if any (owned by COMPILED_MODE).
+        #: The live compiled engine, if any (owned by VECTOR_MODE).
         self._engine: Any = None
         #: Cycles advanced by the compiled engine's event loop.
         self.compiled_cycles = 0
@@ -501,22 +493,24 @@ class Kernel:
         #: Full compiles that populated the lowering cache.
         self.lowering_cache_misses = 0
         #: refusal kind -> count of *replay* refusals: the engine ran,
-        #: but a timeline segment was aperiodic so epoch replay was
-        #: withheld (see :attr:`CompileRefusal.APERIODIC`).
+        #: but epoch replay was withheld — the timeline segment was
+        #: aperiodic (:attr:`CompileRefusal.APERIODIC`) or an epoch's
+        #: values left numpy's int64 range
+        #: (:attr:`CompileRefusal.UNSUPPORTED_PARAMS`).
         self.replay_refusals: Dict[str, int] = {}
         #: Config packets the configuration module delivered to their
-        #: addressees only (engine modes; see the module docstring).
+        #: addressees only (vector mode; see the module docstring).
         self.config_packets_elided = 0
         #: Config packets streamed word by word through the whole tree.
         self.config_packets_stepped = 0
-        #: refusal kind -> packets an engine mode had to step anyway.
+        #: refusal kind -> packets vector mode had to step anyway.
         self.config_elision_refusals: Dict[str, int] = {}
 
     # -- mode ----------------------------------------------------------------
 
     @property
     def mode(self) -> str:
-        """``"activity"``, ``"naive"``, ``"compiled"`` or ``"vector"``."""
+        """``"activity"``, ``"naive"`` or ``"vector"``."""
         return self._mode
 
     def set_mode(self, mode: str) -> None:
@@ -753,7 +747,7 @@ class Kernel:
         self._wake = wake
         self.cycle = cycle + 1
 
-    # -- compiled-mode engine lifecycle ---------------------------------------
+    # -- compiled-engine lifecycle --------------------------------------------
 
     def _note_refusal(self, refusal: CompileRefusal) -> None:
         self._last_refusal = refusal
@@ -762,7 +756,7 @@ class Kernel:
         )
 
     def _note_replay_refusal(self, refusal: CompileRefusal) -> None:
-        """Record an aperiodic-segment diagnosis (not a fallback).
+        """Record why epoch replay was withheld (not a fallback).
 
         The engine keeps running; only the epoch fast-forward is
         withheld, so this feeds :attr:`replay_refusals` rather than the
@@ -830,7 +824,7 @@ class Kernel:
             self._engine.flush()
 
     def kernel_stats(self) -> Dict[str, Any]:
-        """Instrumentation snapshot, including compiled-mode telemetry."""
+        """Instrumentation snapshot, including compiled-engine telemetry."""
         refusal = self._last_refusal
         return {
             "mode": self._mode,
@@ -943,7 +937,7 @@ class Kernel:
         with self._strict_stepping():
             if self._mode == NAIVE_MODE:
                 self._step_naive(cycles)
-            elif self._mode in _ENGINE_MODES:
+            elif self._mode == VECTOR_MODE:
                 self._step_compiled(cycles)
             else:
                 self._step_activity(cycles)
@@ -1004,7 +998,7 @@ class Kernel:
         start = self.cycle
         limit = start + max_cycles
         # run_until polls arbitrary state between cycles — inherently
-        # stepped execution, so compiled mode defers to the activity
+        # stepped execution, so vector mode defers to the activity
         # kernel here (after materializing any engine state).
         self._retire_engine(decompile=True)
         with self._strict_stepping():

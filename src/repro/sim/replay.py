@@ -1,0 +1,572 @@
+"""Numpy bulk replay of proven-steady epochs (what ``vector`` mode adds).
+
+The engine in :mod:`repro.sim.compiled` steps the flattened schedule
+and, at period boundaries, proves that the network state repeats.  This
+module is everything that happens *after* that proof — it never steps a
+cycle and holds no data-plane state:
+
+* **Event templates** — the engine records one epoch's injection /
+  ejection / sink events as int tuples ``(tag, cycle, connection id,
+  sequence, ...)`` against the connection-name interning table kept
+  here (id 0 is reserved for the empty label).
+* **Bulk materialization** — :meth:`EpochReplay.materialize` re-records
+  a captured epoch ``K`` times with numpy broadcasting (``k``-major,
+  chronological within each epoch) through the stats collector's bulk
+  entry points.
+* **Piecewise-periodic regime cache** — a proven-steady epoch is stored
+  fully rebased (event cycles relative to the epoch start, sequences
+  and payloads relative to the per-connection anchors, counters as
+  per-epoch deltas) in a per-network LRU keyed (schedule image, traffic
+  roster, signature), so re-entering a seen regime replays at the
+  *first* boundary instead of re-probing two epochs.
+* **The int64 guard** — numpy integers wrap where Python integers
+  grow, so :meth:`EpochReplay.budget_reason` vets every value about to
+  be fed to an array (captured sequences and payloads, per-epoch
+  deltas scaled by ``K``, the landing cycle).  It sits here, at the
+  only place numpy is fed, and a failing epoch is simply not replayed:
+  the engine records a typed ``replay_refusals["unsupported_params"]``
+  and keeps stepping with Python integers.
+"""
+
+from __future__ import annotations
+
+# staticcheck: numpy-hot-path -- int64-closed event arrays; see NP rules
+
+from collections import OrderedDict
+from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from .compiled import _EV_EJECT, _EV_INJECT, _EV_SINK, _PAYLOAD_MASK
+
+#: Capacity (regimes) of the per-network regime cache: one entry per
+#: distinct steady regime; use-case campaigns rarely cycle through more
+#: than a handful.
+REGIME_CACHE_CAPACITY = 8
+
+#: Every captured value, and every shift the replay adds to it, must
+#: stay strictly below this in magnitude, so each sum fits in int64.
+_VALUE_LIMIT = 1 << 62
+
+
+def roster_key(
+    gens: Sequence[Any], sinks: Sequence[tuple], period: int
+) -> tuple:
+    """Hashable identity of the traffic roster driving an engine.
+
+    A cached regime is only replayable when the *same* generator and
+    sink structure (types, periods, budgets, endpoints, roster order)
+    surrounds the matching signature: the per-epoch delta vectors and
+    the event template's sink indices are positional in this roster.
+    """
+    gens_key = []
+    for gen in gens:
+        inject = getattr(gen, "inject", None)
+        gens_key.append(
+            (
+                type(gen).__name__,
+                getattr(gen, "period", 0),
+                getattr(gen, "burst_words", 0),
+                getattr(gen, "total_words", None),
+                getattr(gen, "total_bursts", None),
+                None if inject is None else inject.connection,
+                None if inject is None else inject.ni.name,
+                None if inject is None else inject.channel,
+            )
+        )
+    sinks_key = [
+        (
+            type(sink).__name__,
+            ni.name,
+            channel,
+            sink_period,
+            checking,
+            sink.words_per_cycle,
+        )
+        for sink, ni, channel, sink_period, checking in sinks
+    ]
+    return (tuple(gens_key), tuple(sinks_key), period)
+
+
+class EpochReplay:
+    """Regime templates and bulk materialization for one engine.
+
+    ``key`` is the ``(schedule image, roster key)`` prefix of this
+    engine's regime-cache entries.  The cache itself hangs off the
+    network, so it outlives the engines that use-case switches retire;
+    its hit and store counters are kept on the kernel.
+    """
+
+    def __init__(
+        self,
+        network: Any,
+        key: tuple,
+        period: int,
+        sinks: List[tuple],
+    ) -> None:
+        self.stats = network.stats
+        self.kernel = network.kernel
+        self.key = key
+        self.period = period
+        self.sinks = sinks
+        self.conn_ids: Dict[str, int] = {"": 0}  # id 0 <=> "no label"
+        self.conn_names: List[str] = [""]
+        cache = getattr(network, "_regime_cache", None)
+        if cache is None:
+            cache = OrderedDict()
+            network._regime_cache = cache
+        self.cache: OrderedDict = cache
+
+    def intern(self, connection: str) -> int:
+        cid = self.conn_ids.get(connection)
+        if cid is None:
+            cid = len(self.conn_names)
+            self.conn_ids[connection] = cid
+            self.conn_names.append(connection)
+        return cid
+
+    # -- the int64 guard ---------------------------------------------------------
+
+    def budget_reason(
+        self,
+        epochs: int,
+        deltas: Dict[str, int],
+        events: List[tuple],
+        cycle: int,
+    ) -> Optional[str]:
+        """Why replaying ``epochs`` epochs would leave the int64 budget.
+
+        ``None`` when every array :meth:`materialize` is about to build
+        — event sequences and sink payloads, each shifted by up to
+        ``epochs`` per-epoch deltas, and event cycles up to the landing
+        cycle — provably fits: a value and its shift both below
+        ``2**62`` in magnitude sum to less than ``2**63``.
+        """
+        limit = _VALUE_LIMIT
+        if cycle + epochs * self.period >= limit:
+            return (
+                f"landing cycle {cycle + epochs * self.period} is "
+                f"outside the int64 budget"
+            )
+        for conn, delta in deltas.items():
+            if abs(delta) * epochs >= limit:
+                return (
+                    f"{epochs} epochs of sequence delta {delta} on "
+                    f"{conn!r} are outside the int64 budget"
+                )
+        for event in events:
+            if not -limit < event[3] < limit:
+                return (
+                    f"captured sequence {event[3]!r} of "
+                    f"{self.conn_names[event[2]]!r} is outside the "
+                    f"int64 budget"
+                )
+            if event[0] == _EV_SINK and not 0 <= event[4] < limit:
+                return (
+                    f"captured payload {event[4]!r} of "
+                    f"{self.conn_names[event[2]]!r} is outside the "
+                    f"int64 budget"
+                )
+        return None
+
+    # -- the piecewise-periodic regime cache --------------------------------------
+
+    def store(
+        self,
+        sig: tuple,
+        before: dict,
+        after: dict,
+        events: List[tuple],
+        cycle: int,
+        anchors: Dict[str, Tuple[int, int]],
+    ) -> None:
+        """Record one proven-steady epoch as a reusable regime template.
+
+        The template is fully rebased: event cycles relative to the
+        epoch start, sequences/payloads relative to the per-connection
+        ``anchors`` at the closing boundary, counter values as
+        per-epoch deltas.  Loading re-anchors against whatever absolute
+        state the matching boundary presents, so a template recorded
+        before a use-case switch replays bit-exactly after switching
+        back.
+        """
+        cache = self.cache
+        key = self.key + (sig,)
+        if key in cache:
+            cache.move_to_end(key)
+            return
+        names = self.conn_names
+        start = cycle - self.period
+        rebased: List[tuple] = []
+        for event in events:
+            tag = event[0]
+            rcyc = event[1] - start
+            conn = names[event[2]]
+            anchor = anchors.get(conn)
+            anch = anchor is not None
+            if tag == _EV_INJECT:
+                seq = event[3] - anchor[0] if anch else event[3]
+                rebased.append((tag, rcyc, conn, seq, anch))
+            elif tag == _EV_EJECT:
+                seq = event[3] - anchor[0] if anch else event[3]
+                rebased.append((tag, rcyc, conn, seq, anch, event[4]))
+            else:  # _EV_SINK
+                seq = event[3] - anchor[0] if anch else event[3]
+                pay = (
+                    (event[4] - anchor[1]) & _PAYLOAD_MASK
+                    if anch
+                    else event[4]
+                )
+                rebased.append(
+                    (tag, rcyc, conn, seq, pay, anch, event[5])
+                )
+        cache[key] = {
+            "chan_keys": after["chan_keys"],
+            "fixed_delta": [
+                a - b for a, b in zip(after["fixed"], before["fixed"])
+            ],
+            "chan_delta": [
+                a - b
+                for a, b in zip(after["chan_vals"], before["chan_vals"])
+            ],
+            "seq_delta": {
+                conn: after["seqs"][conn] - before["seqs"].get(conn, 0)
+                for conn in after["seqs"]
+            },
+            "gw_delta": [
+                a - b
+                for a, b in zip(after["gen_words"], before["gen_words"])
+            ],
+            "gb_delta": [
+                a - b
+                for a, b in zip(
+                    after["gen_bursts"], before["gen_bursts"]
+                )
+            ],
+            "events": tuple(rebased),
+        }
+        cache.move_to_end(key)
+        while len(cache) > REGIME_CACHE_CAPACITY:
+            cache.popitem(last=False)
+        self.kernel.regime_cache_stores += 1
+
+    def load(
+        self,
+        sig: tuple,
+        snap: dict,
+        cycle: int,
+        anchors: Dict[str, Tuple[int, int]],
+    ) -> Optional[Tuple[dict, List[tuple]]]:
+        """Rehydrate a cached regime template at a matching boundary.
+
+        Returns ``(before, events)`` shaped exactly like a live
+        two-probe capture: ``before`` is the current snapshot minus the
+        stored per-epoch deltas (so the engine's clean-deltas check
+        holds by construction and its horizon and counter scaling apply
+        unchanged), and ``events`` are the template's events
+        re-anchored to the live ``anchors`` and re-timed into the epoch
+        ending at ``cycle``.
+        """
+        cache = self.cache
+        key = self.key + (sig,)
+        entry = cache.get(key)
+        if entry is None or entry["chan_keys"] != snap["chan_keys"]:
+            return None
+        cache.move_to_end(key)
+        intern = self.intern
+        start = cycle - self.period
+        events: List[tuple] = []
+        for ev in entry["events"]:
+            tag = ev[0]
+            cyc = ev[1] + start
+            conn = ev[2]
+            anchor = anchors.get(conn)
+            if tag == _EV_INJECT:
+                seq = ev[3]
+                if ev[4]:
+                    if anchor is None:
+                        return None
+                    seq += anchor[0]
+                events.append((tag, cyc, intern(conn), seq))
+            elif tag == _EV_EJECT:
+                seq = ev[3]
+                if ev[4]:
+                    if anchor is None:
+                        return None
+                    seq += anchor[0]
+                events.append((tag, cyc, intern(conn), seq, ev[5]))
+            else:  # _EV_SINK
+                seq = ev[3]
+                pay = ev[4]
+                if ev[5]:
+                    if anchor is None:
+                        return None
+                    seq += anchor[0]
+                    pay = (pay + anchor[1]) & _PAYLOAD_MASK
+                events.append(
+                    (tag, cyc, intern(conn), seq, pay, ev[6])
+                )
+        before = {
+            "fixed": [
+                now - d
+                for now, d in zip(snap["fixed"], entry["fixed_delta"])
+            ],
+            "chan_keys": snap["chan_keys"],
+            "chan_vals": [
+                now - d
+                for now, d in zip(
+                    snap["chan_vals"], entry["chan_delta"]
+                )
+            ],
+            "seqs": {
+                conn: snap["seqs"][conn]
+                - entry["seq_delta"].get(conn, 0)
+                for conn in snap["seqs"]
+            },
+            "gen_words": [
+                now - d
+                for now, d in zip(snap["gen_words"], entry["gw_delta"])
+            ],
+            "gen_bursts": [
+                now - d
+                for now, d in zip(
+                    snap["gen_bursts"], entry["gb_delta"]
+                )
+            ],
+            "faults": snap["faults"],
+            "dropped": snap["dropped"],
+            "findings": snap["findings"],
+        }
+        self.kernel.regime_cache_hits += 1
+        return before, events
+
+    # -- bulk epoch replay -------------------------------------------------------
+
+    def materialize(
+        self,
+        epochs: int,
+        deltas: Dict[str, int],
+        events: List[tuple],
+    ) -> None:
+        """Re-record ``epochs`` steady epochs with numpy broadcasting.
+
+        ``deltas`` are the per-connection sequence advances of one
+        epoch.  Event streams are re-recorded k-major (all epochs of
+        one connection at once) through the stats collector's bulk
+        entry points; within each per-connection (and per-sink) stream
+        this reproduces exactly the order an epoch-by-epoch walk would
+        produce, and across streams only dict iteration order differs —
+        which no comparable state (per-connection latency lists, keyed
+        records, received streams) can observe.  Injections land before
+        ejections so every replayed ejection finds its record.
+        """
+        period = self.period
+        stats = self.stats
+        names = self.conn_names
+        dvec = np.zeros(len(names), dtype=np.int64)
+        for conn, delta in deltas.items():
+            cid = self.conn_ids.get(conn)
+            if cid is not None:
+                dvec[cid] = delta
+        ks = np.arange(1, epochs + 1, dtype=np.int64)
+        kcyc = ks * period  # per-epoch cycle offsets
+
+        inj_by_cid: Dict[int, List[tuple]] = {}
+        ej_by_cid: Dict[int, List[tuple]] = {}
+        sink_by_idx: Dict[int, List[tuple]] = {}
+        for event in events:
+            tag = event[0]
+            if tag == _EV_INJECT:
+                _t, cyc, cid, seq = event
+                inj_by_cid.setdefault(cid, []).append((cyc, seq))
+            elif tag == _EV_EJECT:
+                _t, cyc, cid, seq, dest = event
+                ej_by_cid.setdefault(cid, []).append((cyc, seq, dest))
+            else:
+                _t, cyc, cid, seq, pay, idx = event
+                sink_by_idx.setdefault(idx, []).append(
+                    (cyc, pay, cid, seq)
+                )
+
+        # Per-cid injection records, kept when the flattened run is one
+        # +1-consecutive stream: (first sequence, [WordRecord, ...]) —
+        # the matching ejections then index this list instead of paying
+        # a records-dict lookup per event.
+        created: Dict[int, tuple] = {}
+        for cid, evs in inj_by_cid.items():
+            delta = int(dvec[cid])
+            cyc = np.asarray([e[0] for e in evs], dtype=np.int64)
+            seq = np.asarray([e[1] for e in evs], dtype=np.int64)
+            all_seq = (
+                (seq[None, :] + (ks * delta)[:, None]).ravel().tolist()
+            )
+            inj_cyc = (cyc[None, :] + kcyc[:, None]).ravel()
+            made = stats.bulk_record_injections(
+                names[cid], all_seq, inj_cyc.tolist()
+            )
+            if (
+                made is not None
+                and bool(np.all(seq[1:] - seq[:-1] == 1))
+                and int(seq[0]) + delta == int(seq[-1]) + 1
+            ):
+                created[cid] = (all_seq[0], made, inj_cyc)
+
+        records = stats._records
+        for cid, evs in ej_by_cid.items():
+            delta = int(dvec[cid])
+            conn = names[cid]
+            dests = {e[2] for e in evs}
+            if len(dests) == 1:
+                cyc = np.asarray([e[0] for e in evs], dtype=np.int64)
+                seq = np.asarray([e[1] for e in evs], dtype=np.int64)
+                # The flattened k-major run is one +1-consecutive stream
+                # iff the base epoch is consecutive and each epoch chains
+                # into the next (first + delta == last + 1); proving it
+                # here lets stats skip its per-event order/gap checks.
+                chained = bool(
+                    np.all(seq[1:] - seq[:-1] == 1)
+                ) and int(seq[0]) + delta == int(seq[-1]) + 1
+                all_seq = (
+                    (seq[None, :] + (ks * delta)[:, None])
+                    .ravel()
+                    .tolist()
+                )
+                ej_cyc = (cyc[None, :] + kcyc[:, None]).ravel()
+                found = None
+                lat_hint = None
+                if chained and cid in created:
+                    # Ejections trail injections by the in-flight words
+                    # at the epoch boundary: those few leading records
+                    # predate this batch and come from the dict, the
+                    # rest are the records just created above.  With
+                    # both cycle streams in hand the latency column is
+                    # one vector subtraction.
+                    first_inj, made, inj_cyc = created[cid]
+                    e0, e1 = all_seq[0], all_seq[-1]
+                    if e1 >= first_inj and e1 - first_inj < len(made):
+                        n_old = max(0, min(first_inj, e1 + 1) - e0)
+                        try:
+                            old = [
+                                records[(conn, s)]
+                                for s in range(e0, e0 + n_old)
+                            ]
+                        except KeyError:
+                            old = None
+                        if old is not None:
+                            lo = max(0, e0 - first_inj)
+                            found = old + made[lo : e1 - first_inj + 1]
+                            lat_hint = [
+                                int(c) - r.injected_at
+                                for r, c in zip(old, ej_cyc[:n_old])
+                            ] + (
+                                ej_cyc[n_old:]
+                                - inj_cyc[lo : e1 - first_inj + 1]
+                            ).tolist()
+                stats.bulk_record_ejections(
+                    conn,
+                    evs[0][2],
+                    all_seq,
+                    ej_cyc.tolist(),
+                    consecutive=chained,
+                    found=found,
+                    deltas=lat_hint,
+                )
+            else:
+                # Multicast: per-destination streams interleave inside
+                # one epoch; keep the exact chronological epoch-by-epoch
+                # order so per-flow checks see the same stream.
+                for k in range(1, epochs + 1):
+                    off_s = k * delta
+                    off_c = k * period
+                    for cyc_e, seq_e, dest in evs:
+                        stats.bulk_record_ejections(
+                            conn,
+                            dest,
+                            (seq_e + off_s,),
+                            (cyc_e + off_c,),
+                        )
+
+        for idx, evs in sink_by_idx.items():
+            sink, _ni, _ch, _p, checking = self.sinks[idx]
+            cyc = np.asarray([e[0] for e in evs], dtype=np.int64)
+            pay = np.asarray([e[1] for e in evs], dtype=np.int64)
+            cids = np.asarray([e[2] for e in evs], dtype=np.intp)
+            de = dvec[cids]
+            all_cyc = (cyc[None, :] + kcyc[:, None]).ravel()
+            shifted = pay[None, :] + ks[:, None] * de[None, :]
+            # Stepped semantics: payloads are wrapped only when shifted.
+            all_pay = np.where(
+                de[None, :] != 0, shifted & _PAYLOAD_MASK, shifted
+            ).ravel()
+            sink.received.extend(
+                zip(all_cyc.tolist(), all_pay.tolist())
+            )
+            if checking:
+                self._replay_checking(sink, evs, dvec, epochs)
+
+    def _replay_checking(
+        self,
+        sink: Any,
+        evs: List[tuple],
+        dvec: Any,
+        epochs: int,
+    ) -> None:
+        """Replay a CheckingSink's sequence bookkeeping.
+
+        Fast path: every connection's epoch stream is consecutive,
+        matches the sink's last-seen counter, and the per-epoch shift
+        equals the stream length — then the whole replay provably
+        produces no findings and only advances ``_last_seq``.  Anything
+        else falls back to the exact scalar walk stepped execution
+        performs (chronological within each epoch, across connections).
+        """
+        names = self.conn_names
+        streams: Dict[int, List[int]] = {}
+        for _cyc, _pay, cid, seq in evs:
+            if cid and seq >= 0:
+                streams.setdefault(cid, []).append(seq)
+        fast = True
+        for cid, seqs in streams.items():
+            delta = int(dvec[cid])
+            first, last = seqs[0], seqs[-1]
+            consecutive = all(
+                b == a + 1 for a, b in zip(seqs, seqs[1:])
+            )
+            if not (
+                consecutive
+                and first + delta == last + 1
+                and sink._last_seq.get(names[cid]) == last
+            ):
+                fast = False
+                break
+        if fast:
+            for cid, seqs in streams.items():
+                delta = int(dvec[cid])
+                sink._last_seq[names[cid]] = (
+                    seqs[-1] + epochs * delta
+                )
+            return
+        period = self.period
+        for k in range(1, epochs + 1):
+            off_c = k * period
+            for cyc, _pay, cid, seq in evs:
+                if not cid or seq < 0:
+                    continue
+                conn = names[cid]
+                sq = seq + k * int(dvec[cid])
+                at = cyc + off_c
+                last = sink._last_seq.get(conn)
+                expected = 0 if last is None else last + 1
+                if sq > expected:
+                    sink._record(
+                        at,
+                        "e2e_gap",
+                        f"{conn}: expected seq {expected}, got {sq}",
+                    )
+                elif sq < expected:
+                    sink._record(
+                        at,
+                        "e2e_out_of_order",
+                        f"{conn}: expected seq {expected}, got {sq}",
+                    )
+                sink._last_seq[conn] = sq

@@ -1,9 +1,9 @@
 """AST lint rules for the numpy hot path (NP rules).
 
-The vector kernel's correctness contract is an *int64-closed* dense
-state matrix: every plane is ``np.int64``, every value stays strictly
-below the ``2**62`` guard (so replay's arithmetic shifts cannot
-overflow), and every in-place update is alias-free.  Those properties
+The bulk epoch replay's correctness contract is *int64-closed* event
+arrays: every array is ``np.int64``, every value stays strictly below
+the ``2**62`` guard (so replay's arithmetic shifts cannot overflow),
+and every in-place update is alias-free.  Those properties
 are easy to break with idiomatic-looking numpy — an implicit-dtype
 constructor silently lands on float64 on some platforms, a true
 division or a float constant upcasts a whole expression, and
@@ -16,9 +16,9 @@ column 0::
     # staticcheck: numpy-hot-path
 
 so ordinary analysis or plotting code is untouched; the marker is the
-module's declaration that it lives under the vector kernel's dtype
-discipline.  ``sim/vector.py`` carries it, and any third substrate
-(ROADMAP's SDM item) should too.
+module's declaration that it lives under the bulk replay's dtype
+discipline.  ``sim/replay.py`` carries it, and any third substrate
+(ROADMAP's SDM item) that feeds numpy should too.
 
 ``NP001`` implicit dtype — a numpy array constructor without an
 explicit ``dtype=`` can upcast out of int64.

@@ -1,9 +1,8 @@
 """Differential proof of addressed-only config delivery.
 
-In the engine kernel modes (``compiled``, ``vector``) the configuration
-module hands a response-free packet straight to the elements it
-addresses instead of streaming it through the whole broadcast tree.  The
-contract: the *config-plane observables* — the ``(cycle, element,
+In the ``vector`` kernel mode the configuration module hands a
+response-free packet straight to the elements it addresses instead of
+streaming it through the whole broadcast tree.  The contract: the *config-plane observables* — the ``(cycle, element,
 action)`` stream at ``_apply``, element state after every packet, every
 request's timeline, set-up times, word delivery cycles at the sinks and
 ``kernel.cycle`` — equal those of the stepped tree.  (Registers of the
@@ -11,10 +10,10 @@ config links are *not* part of it: the elided words never ride them.
 ``naive`` and ``activity`` stay register-exact; ``tests/sim`` holds them
 to that.)
 
-Every scenario here runs on ``activity`` (word-level tree) and on both
-engine modes.  Under ``REPRO_STRICT_REGISTERS=1`` the engine modes must
-refuse the elision with a typed reason and still agree — the file passes
-there by refusal, not by skipping.
+Every scenario here runs on ``activity`` (word-level tree) and on
+``vector``.  Under ``REPRO_STRICT_REGISTERS=1`` vector mode must refuse
+the elision with a typed reason and still agree — the file passes there
+by refusal, not by skipping.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ from repro.faults.spec import ConfigWordDrop, FaultPlan, TransientBitFlip
 from repro.params import daelite_parameters
 from repro.sim.kernel import (
     ACTIVITY_MODE,
-    COMPILED_MODE,
     NAIVE_MODE,
     VECTOR_MODE,
     default_strict_registers,
@@ -70,7 +68,9 @@ from repro.traffic.sinks import CheckingSink
 
 pytestmark = pytest.mark.differential
 
-ENGINE_MODES = (COMPILED_MODE, VECTOR_MODE)
+#: The kernel modes that elide the tree (one today; the parametrized
+#: tests keep their ``[vector]`` ids).
+ENGINE_MODES = (VECTOR_MODE,)
 
 #: The CI strict-registers step runs this file too; there every engine
 #: mode refuses the elision (typed) and must still agree with activity.
@@ -542,8 +542,8 @@ def test_random_op_sequences_match_the_stepped_tree(script):
 
 class TestConfigBurstMidIdleEngineModes:
     """Sibling of ``tests/sim/test_fast_forward.py::TestConfigBurstMidIdle``
-    (activity vs naive, register lockstep).  The engine modes promise
-    less and say so: not the config-link registers, but every apply
+    (activity vs naive, register lockstep).  Vector mode promises
+    less and says so: not the config-link registers, but every apply
     cycle, the element state and ``setup_cycles`` of the naive kernel."""
 
     @pytest.mark.parametrize("mode", ENGINE_MODES)
@@ -584,7 +584,7 @@ class TestConfigBurstMidIdleEngineModes:
 
 
 def engine_net(mode, tracer=None):
-    """A 2x2 network on an engine mode with the strict flag pinned off,
+    """A 2x2 network in vector mode with the strict flag pinned off,
     for tests whose subject is one refusal kind or the deposit itself."""
     net = DaeliteNetwork(
         build_mesh(2, 2),

@@ -11,16 +11,25 @@ chaos campaigns lean on:
   candidate search promises "the answer is identical to the serial
   search".  Checked here for worker counts 1, 2, and 4 on a spec whose
   search space is large enough that the pool actually fans out.
+
+Allocation itself must not follow ``PYTHONHASHSEED`` either: a multicast
+tree with equal-cost graft points is allocated in fresh interpreters
+under two hash seeds and must come out the same.
 """
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from repro.alloc import ConnectionRequest, UseCase
 from repro.alloc.dimension import PlatformSpec, dimension_platform
 from repro.core import DaeliteNetwork
 from repro.faults import random_fault_plan
 from repro.params import daelite_parameters
-from repro.sim.kernel import ACTIVITY_MODE, COMPILED_MODE, NAIVE_MODE
+from repro.sim.kernel import ACTIVITY_MODE, NAIVE_MODE, VECTOR_MODE
 from repro.topology import build_mesh
 
 PLAN_KWARGS = dict(
@@ -57,7 +66,7 @@ class TestFaultPlanDeterminism:
         baseline = random_fault_plan(
             23, _network(ACTIVITY_MODE), **PLAN_KWARGS
         ).describe()
-        for mode in (NAIVE_MODE, COMPILED_MODE):
+        for mode in (NAIVE_MODE, VECTOR_MODE):
             assert (
                 random_fault_plan(
                     23, _network(mode), **PLAN_KWARGS
@@ -132,3 +141,41 @@ class TestDimensioningDeterminism:
         first = dimension_platform(spec, max_workers=2)
         second = dimension_platform(spec, max_workers=2)
         assert first == second
+
+
+ALLOCATE_TREE = """
+from repro.alloc import MulticastRequest, SlotAllocator
+from repro.params import daelite_parameters
+from repro.topology import build_mesh
+
+allocator = SlotAllocator(
+    topology=build_mesh(3, 3),
+    params=daelite_parameters(slot_table_size=16),
+)
+tree = allocator.allocate_multicast(
+    MulticastRequest("video", "NI00", ("NI22", "NI20", "NI02"), slots=4)
+)
+for branch in tree.paths:
+    print(",".join(branch.path))
+print(sorted(tree.slots))
+"""
+
+
+def test_multicast_tree_is_independent_of_the_hash_seed():
+    """NI22 is equally far from the NI20 and the NI02 branch; which one
+    it grafts onto used to follow the iteration order of a string set
+    (seeds 6 and 7 picked the other branch)."""
+    src = Path(__file__).resolve().parent.parent.parent / "src"
+    trees = []
+    for seed in ("0", "6"):
+        result = subprocess.run(
+            [sys.executable, "-c", ALLOCATE_TREE],
+            env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        trees.append(result.stdout)
+    assert trees[0] == trees[1]
+    assert "NI22" in trees[0]

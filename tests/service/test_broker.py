@@ -326,7 +326,7 @@ class TestStats:
         lookups — the telemetry the availability harness watches."""
         config = ServiceConfig(shards=1)
         broker = ConnectionBroker(
-            build_mesh_fleet(1, kernel_mode="compiled"),
+            build_mesh_fleet(1, kernel_mode="vector"),
             config=config,
             seed=1,
         )

@@ -3,7 +3,7 @@
 The contract: a full churn campaign — opens, releases, renewals,
 repairs, sweeps, backoff delays, retry counts — is byte-identical
 across two fresh processes with the same seed, and across the
-``activity`` and ``compiled`` kernels.  Idempotent replay must also
+``activity`` and ``vector`` kernels.  Idempotent replay must also
 survive racing a concurrent teardown.
 """
 
@@ -39,7 +39,7 @@ class TestChurnDeterminism:
         assert run_campaign("activity") == run_campaign("activity")
 
     def test_identical_across_kernel_modes(self):
-        assert run_campaign("activity") == run_campaign("compiled")
+        assert run_campaign("activity") == run_campaign("vector")
 
     def test_different_seed_diverges(self):
         assert run_campaign("activity", seed=7) != run_campaign(
@@ -75,7 +75,7 @@ class TestFaultCampaignDeterminism:
 
     def test_fault_waves_identical_across_kernels(self):
         digest_a, payload_a = self.run_faulted("activity")
-        digest_b, payload_b = self.run_faulted("compiled")
+        digest_b, payload_b = self.run_faulted("vector")
         assert digest_a == digest_b
         assert payload_a == payload_b
 

@@ -1,4 +1,4 @@
-"""Compiled mode refuses / decompiles exactly when it must.
+"""The compiled engine refuses / decompiles exactly when it must.
 
 Every non-compilable situation has a *typed* refusal reason, queryable
 from :meth:`Kernel.kernel_stats`, and always degrades to the activity
@@ -9,16 +9,22 @@ the obstruction clears.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.alloc import ConnectionRequest, SlotAllocator
 from repro.core import DaeliteNetwork
 from repro.core.online import OnlineConnectionManager
+from repro.errors import SimulationError
 from repro.faults import FaultInjector, FaultPlan, TransientBitFlip
 from repro.params import daelite_parameters
+from repro.sim.flit import Phit, Word
 from repro.sim.kernel import (
-    COMPILED_MODE,
+    ACTIVITY_MODE,
+    VECTOR_MODE,
     Component,
     CompileRefusal,
     Kernel,
+    Register,
 )
 from repro.sim.trace import Tracer
 from repro.topology import build_mesh
@@ -26,8 +32,8 @@ from repro.traffic.generators import CbrGenerator, RandomGenerator
 from repro.traffic.sinks import CheckingSink
 
 
-def connected_compiled_net(topology=None, tracer=None):
-    """A compiled-mode 2x2 network with one live, loaded connection."""
+def connected_compiled_net(topology=None, tracer=None, mode=VECTOR_MODE):
+    """A vector-mode 2x2 network with one live, loaded connection."""
     params = daelite_parameters(slot_table_size=8)
     mesh = topology or build_mesh(2, 2)
     allocator = SlotAllocator(topology=mesh, params=params)
@@ -37,7 +43,7 @@ def connected_compiled_net(topology=None, tracer=None):
         )
     )
     net = DaeliteNetwork(
-        mesh, params, kernel_mode=COMPILED_MODE, tracer=tracer
+        mesh, params, kernel_mode=mode, tracer=tracer
     )
     handle = net.configure(connection)
     net.run_until_configured(handle)
@@ -162,7 +168,7 @@ def test_usecase_switch_falls_back_then_recompiles():
     switch = manager.plan_switch("boot", "run")
     assert switch.torn_down == ("a",) and switch.set_up == ("b",)
 
-    net = DaeliteNetwork(mesh, params, kernel_mode=COMPILED_MODE)
+    net = DaeliteNetwork(mesh, params, kernel_mode=VECTOR_MODE)
     handle_a = net.configure(manager.allocation("boot", "a"))
     net.run_until_configured(handle_a)
     gen = CbrGenerator(
@@ -276,10 +282,117 @@ def test_no_provider_refusal():
         def next_evaluation(self, cycle):
             return None
 
-    kernel = Kernel(mode=COMPILED_MODE)
+    kernel = Kernel(mode=VECTOR_MODE)
     kernel.add(Idle("idle"))
     kernel.step(25)
     stats = kernel.kernel_stats()
     assert kernel.cycle == 25
     assert stats["compile_fallbacks"][CompileRefusal.NO_PROVIDER] > 0
     assert stats["last_refusal"] == CompileRefusal.NO_PROVIDER
+
+
+# -- the engine's own safety checks --------------------------------------------
+
+
+def test_off_schedule_phit_defers_as_datapath_busy():
+    """A phit parked where the occupancy walk says none can be is
+    refused at import (typed, deferrable); the activity kernel drains
+    it and the engine re-engages."""
+    net, _, _ = connected_compiled_net()
+    net.run(200)
+    engine = net.kernel._engine
+    phase = net.kernel.cycle % engine.wheel
+    rid = next(
+        rid
+        for rid, mask in enumerate(engine.occupancy)
+        if not (mask >> phase) & 1
+        and engine.regs[rid].name.startswith("link")
+    )
+    engine.regs[rid].q = Phit(credit_bits=1)
+    before = net.kernel.kernel_stats()["compiled_cycles"]
+    net.run(200)
+    stats = net.kernel.kernel_stats()
+    assert stats["compile_deferrals"][CompileRefusal.DATAPATH_BUSY] > 0
+    assert "off the compiled schedule" in stats["last_refusal_detail"]
+    assert stats["compiled_cycles"] > before
+
+
+def test_live_untracked_register_defers_as_config_active():
+    """A register outside the lowered data plane holding a value means
+    something the engine does not model is in flight."""
+    net, _, _ = connected_compiled_net()
+    stray = net.kernel.add_register(Register("stray"))
+    stray.q = 1
+    net.run(200)
+    stats = net.kernel.kernel_stats()
+    assert stats["compile_deferrals"][CompileRefusal.CONFIG_ACTIVE] > 0
+    assert "untracked register 'stray'" in stats["last_refusal_detail"]
+    assert stray.q is None
+    assert stats["compiled_cycles"] > 0
+
+
+def test_phit_without_an_op_raises_instead_of_vanishing():
+    net, _, _ = connected_compiled_net()
+    net.run(200)
+    for ops in net.kernel._engine.move_map:
+        ops.clear()
+    with pytest.raises(SimulationError, match="lost track of a phit"):
+        net.run(200)
+
+
+def test_parity_is_checked_at_arrival_and_taints_the_epoch():
+    """A word corrupted in flight is dropped by the engine's ARRIVE
+    with a ``parity_error`` fault, exactly as the stepped NI drops it,
+    and the epoch it happened in is no replay template
+    (``_deltas_clean``): the statistics stay those of the activity
+    kernel through the replayed epochs that follow."""
+
+    def corrupted_run(mode):
+        net, _, sink = connected_compiled_net(mode=mode)
+        net.run(203)
+        reg = next(
+            reg
+            for reg in net.kernel.all_registers()
+            if isinstance(reg.q, Phit) and reg.q.word is not None
+        )
+        word = reg.q.word
+        reg.q = Phit(
+            word=Word(
+                payload=word.payload ^ 1,
+                connection=word.connection,
+                sequence=word.sequence,
+                parity=word.parity,
+            ),
+            credit_bits=reg.q.credit_bits,
+        )
+        return net, sink
+
+    net, sink = corrupted_run(VECTOR_MODE)
+    engine = net.kernel._engine
+    clean = engine._snapshot(net.kernel.cycle)
+    net.run(40)
+    # The drop itself, then the gap it leaves at the collector and at
+    # the checking sink when the next word arrives.
+    assert net.stats.fault_counts() == {
+        "parity_error": 1,
+        "sequence_gap": 1,
+        "e2e_gap": 1,
+    }
+    assert net.total_dropped_words == 1 and not sink.clean
+    tainted = engine._snapshot(net.kernel.cycle)
+    assert engine._deltas_clean(clean, clean)
+    assert not engine._deltas_clean(clean, tainted)
+
+    reference, _ = corrupted_run(ACTIVITY_MODE)
+    reference.run(2_040)
+    net.run(2_000)
+    stats = net.kernel.kernel_stats()
+    assert stats["compile_fallbacks"] == {}
+    assert stats["replayed_epochs"] > 0
+    assert net.stats.fault_counts() == reference.stats.fault_counts()
+    assert net.stats.delivered_words("flow") == (
+        reference.stats.delivered_words("flow")
+    )
+    assert net.stats.connections["flow"].latencies == (
+        reference.stats.connections["flow"].latencies
+    )

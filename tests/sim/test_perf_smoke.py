@@ -24,7 +24,6 @@ from repro.params import daelite_parameters
 from repro.sim.flit import Phit, Word
 from repro.sim.kernel import (
     ACTIVITY_MODE,
-    COMPILED_MODE,
     NAIVE_MODE,
     VECTOR_MODE,
     Register,
@@ -84,33 +83,47 @@ def test_activity_kernel_cycles_per_second_on_4x4_mesh():
     )
 
 
-def _steady_state_cps(mode: str, run_cycles: int) -> float:
-    """Cycles/second of ``mode`` on a steady CBR flow (4x4 mesh)."""
+#: One steady CBR flow per generator period, corner to corner.
+FLOW_ENDPOINTS = [("NI00", ni_name(3, 3)), (ni_name(3, 0), ni_name(0, 3))]
+
+
+def _steady_state_cps(mode: str, run_cycles: int, periods=(20,)) -> float:
+    """Cycles/second of ``mode`` on steady CBR flows (4x4 mesh), one
+    flow per entry of ``periods``."""
     params = daelite_parameters(slot_table_size=16)
     mesh = build_mesh(4, 4)
     allocator = SlotAllocator(topology=mesh, params=params)
-    dst = ni_name(3, 3)
-    connection = allocator.allocate_connection(
-        ConnectionRequest(
-            "perf", "NI00", dst, forward_slots=2, reverse_slots=1
-        )
-    )
     net = DaeliteNetwork(mesh, params, kernel_mode=mode)
-    handle = net.configure(connection)
-    net.run_until_configured(handle)
-    gen = CbrGenerator(
-        "gen",
-        inject=net.ni("NI00").injector(handle.forward.src_channel, "perf"),
-        period=20,
-    )
-    sink = CheckingSink(
-        "sink",
-        receive=net.ni(dst).receiver(handle.forward.dst_channel),
-        words_per_cycle=2,
-        stats=net.stats,
-    )
-    net.kernel.add(gen)
-    net.kernel.add(sink)
+    sinks = []
+    for index, period in enumerate(periods):
+        src, dst = FLOW_ENDPOINTS[index]
+        label = f"perf{index}"
+        handle = net.configure(
+            allocator.allocate_connection(
+                ConnectionRequest(
+                    label, src, dst, forward_slots=2, reverse_slots=1
+                )
+            )
+        )
+        net.run_until_configured(handle)
+        net.kernel.add(
+            CbrGenerator(
+                f"gen{index}",
+                inject=net.ni(src).injector(
+                    handle.forward.src_channel, label
+                ),
+                period=period,
+            )
+        )
+        sinks.append(
+            CheckingSink(
+                f"sink{index}",
+                receive=net.ni(dst).receiver(handle.forward.dst_channel),
+                words_per_cycle=2,
+                stats=net.stats,
+            )
+        )
+        net.kernel.add(sinks[-1])
     net.run(500)  # settle into the periodic steady state
     # The replayed window lasts a few milliseconds; one full collection
     # of the garbage earlier tests left behind would outweigh it.
@@ -118,46 +131,47 @@ def _steady_state_cps(mode: str, run_cycles: int) -> float:
     started = time.perf_counter()
     net.run(run_cycles)
     elapsed = time.perf_counter() - started
-    assert sink.clean and net.stats.delivered_words("perf") > 0
+    assert all(sink.clean for sink in sinks)
+    assert net.stats.delivered_words("perf0") > 0
     return run_cycles / elapsed
 
 
 @pytest.mark.slow
 def test_kernel_mode_throughput_ordering():
-    """Regression gate: vector >= compiled >= activity >= naive
-    throughput, with conservative floors.  Ratios of cycles/s taken on
-    the same machine in the same process are stable where absolute
-    wall-clock is not — this cannot flake on a slow runner the way a
-    time bound would.  The sides are measured round-robin (the two
-    sides of each ratio back to back, every round) and compared
-    best-of, so a host-speed regime change lands on both sides of a
-    ratio instead of on one."""
-    # The vector engine's costs are mostly fixed per run, so its edge
-    # over the compiled interpreter needs a longer window to show; the
-    # 1.5x floor here is the smoke gate, the headline >=5x number is
-    # pinned by benchmarks/bench_kernel_compiled.py.
+    """Regression gate: engine >= activity >= naive throughput, and
+    bulk replay >= the same engine stepping, with conservative floors.
+    Ratios of cycles/s taken on the same machine in the same process
+    are stable where absolute wall-clock is not — this cannot flake on
+    a slow runner the way a time bound would.  The sides are measured
+    round-robin (the two sides of each ratio back to back, every round)
+    and compared best-of, so a host-speed regime change lands on both
+    sides of a ratio instead of on one."""
+    # The last two sides differ only in generator periods: 40/40 has a
+    # steady period of 80 cycles and replays almost the whole window;
+    # 37/41 has one of 24 272 (= lcm(16, 37, 41)), so its two probe
+    # epochs outlast the window and every cycle is stepped.
     sides = {
-        "naive": (NAIVE_MODE, 2_000),
-        "activity": (ACTIVITY_MODE, 8_000),
-        "compiled": (COMPILED_MODE, 8_000),
-        "vector": (VECTOR_MODE, 40_000),
-        "compiled_long": (COMPILED_MODE, 40_000),
+        "naive": (NAIVE_MODE, 2_000, (20,)),
+        "activity": (ACTIVITY_MODE, 8_000, (20,)),
+        "engine": (VECTOR_MODE, 8_000, (20,)),
+        "replaying": (VECTOR_MODE, 40_000, (40, 40)),
+        "stepping": (VECTOR_MODE, 40_000, (37, 41)),
     }
     best = dict.fromkeys(sides, 0.0)
     for _ in range(3):
-        for name, (mode, run_cycles) in sides.items():
-            best[name] = max(best[name], _steady_state_cps(mode, run_cycles))
+        for name, side in sides.items():
+            best[name] = max(best[name], _steady_state_cps(*side))
     assert best["activity"] >= 1.5 * best["naive"], (
         f"activity kernel no longer clearly beats naive: "
         f"{best['activity']:,.0f} vs {best['naive']:,.0f} cycles/s"
     )
-    assert best["compiled"] >= 1.5 * best["activity"], (
-        f"compiled kernel no longer clearly beats activity: "
-        f"{best['compiled']:,.0f} vs {best['activity']:,.0f} cycles/s"
+    assert best["engine"] >= 1.5 * best["activity"], (
+        f"compiled engine no longer clearly beats activity: "
+        f"{best['engine']:,.0f} vs {best['activity']:,.0f} cycles/s"
     )
-    assert best["vector"] >= 1.5 * best["compiled_long"], (
-        f"vector kernel no longer clearly beats compiled: "
-        f"{best['vector']:,.0f} vs {best['compiled_long']:,.0f} cycles/s"
+    assert best["replaying"] >= 1.5 * best["stepping"], (
+        f"bulk replay no longer clearly beats stepping: "
+        f"{best['replaying']:,.0f} vs {best['stepping']:,.0f} cycles/s"
     )
 
 

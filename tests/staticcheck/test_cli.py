@@ -86,7 +86,7 @@ def test_default_paths_cover_the_data_plane_modules():
     files = iter_source_files(_default_paths())
     for needle in (
         os.path.join("sim", "compiled.py"),
-        os.path.join("sim", "vector.py"),
+        os.path.join("sim", "replay.py"),
         os.path.join("sim", "stats.py"),
         os.path.join("staticcheck", "optable.py"),
     ):

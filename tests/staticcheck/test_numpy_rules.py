@@ -4,8 +4,8 @@ The rules are opt-in: they fire only in files carrying the
 ``# staticcheck: numpy-hot-path`` marker at column 0.  The planted
 fixture must yield every ``PLANT:`` violation (and nothing else); the
 same source without the marker must yield nothing; and the shipped
-vector kernel — which carries the marker — must stay clean, proving
-the rules run over it on every default audit.
+replay module (the vector kernel's numpy) — which carries the marker —
+must stay clean, proving the rules run over it on every default audit.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 
-import repro.sim.vector
+import repro.sim.replay
 from repro.staticcheck import HOT_PATH_MARKER, check_paths
 from repro.staticcheck.registry import FileContext, run_file_rules
 
@@ -72,7 +72,7 @@ def test_indented_marker_is_not_an_opt_in():
 
 
 def test_shipped_vector_kernel_is_marked_and_clean():
-    path = repro.sim.vector.__file__
+    path = repro.sim.replay.__file__
     with open(path) as handle:
         source = handle.read()
     assert any(
