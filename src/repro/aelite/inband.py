@@ -90,6 +90,10 @@ class ConfigSlave:
     # -- MemorySlave-compatible interface --------------------------------------
 
     def write(self, address: int, data: List[int]) -> None:
+        # No ``ni.touch()`` although a granted slot can make a
+        # backlogged NI due earlier: the target shell that calls this
+        # has, in the same evaluate, just drained the request out of
+        # this NI's queue — ``receive`` touched it.
         for offset, value in enumerate(data):
             self._write_word(address + 4 * offset, value)
 

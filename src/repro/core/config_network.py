@@ -221,6 +221,7 @@ class ConfigModule(Component):
             ),
         )
         self._pending.append(request)
+        self.touch()  # an idle module sleeps until something is queued
         return request
 
     @property

@@ -114,6 +114,7 @@ class ConfigPort:
                 f"collides with one due at {self._deposit[1]}"
             )
         self._deposit = (words, due)
+        self.owner.touch()  # nothing on the tree will wake it at ``due``
 
     def discard_deposit(self) -> None:
         """Drop a waiting deposit (reset: the elided counterpart of
@@ -124,9 +125,7 @@ class ConfigPort:
         """Earliest cycle ``>= cycle`` the submodule has work that no
         register announces: now while :attr:`pending`, else the due cycle
         of a waiting deposit, else never."""
-        # ``pending`` spelled out: the activity kernel asks every
-        # element this on every active cycle.
-        if self.response_queue or self.decoder.busy:
+        if self.pending:
             return cycle
         if self._deposit is None:
             return None

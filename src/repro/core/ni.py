@@ -71,7 +71,9 @@ class ChannelInjector:
 class ChannelReceiver:
     """Callable bound to one NI destination channel (see
     :class:`ChannelInjector`); sinks hold one as their ``receive``
-    function."""
+    function.  Unlike a bare callable it can say whether words are
+    waiting and have the NI wake a component when one arrives, which is
+    what lets a sink sleep on an empty queue."""
 
     __slots__ = ("ni", "channel")
 
@@ -81,6 +83,19 @@ class ChannelReceiver:
 
     def __call__(self, max_words: Optional[int] = None) -> List[Word]:
         return self.ni.receive(self.channel, max_words)
+
+    @property
+    def words_waiting(self) -> bool:
+        """Whether the destination queue holds delivered words."""
+        dest = self.ni.dest_channels.get(self.channel)
+        return dest is not None and bool(dest.queue)
+
+    def wake_on_delivery(self, component: Component) -> None:
+        """Have the NI ``touch()`` ``component`` whenever a word lands
+        in this channel's queue."""
+        self.ni.delivery_listeners.setdefault(self.channel, []).append(
+            component
+        )
 
 
 class NetworkInterface(Component):
@@ -134,6 +149,12 @@ class NetworkInterface(Component):
         self.tracer: Tracer = NULL_TRACER
         self.dropped_words = 0
         self._sequence_counters: Dict[int, int] = {}
+        #: Components to wake when a word is delivered, by destination
+        #: channel *index*: the index outlives the ``DestChannel``
+        #: object, so a sink sleeping on an index that
+        #: :meth:`quiesce_channel` recycles wakes for the next
+        #: connection's words too.
+        self.delivery_listeners: Dict[int, List[Component]] = {}
         #: Config actions applied; part of the compiled-engine validity
         #: token (covers channel writes slot-table versions cannot see).
         self.config_applied = 0
@@ -178,6 +199,7 @@ class NetworkInterface(Component):
             parity=bin(payload).count("1") & 1,
         )
         self.source_channel(channel).queue.append(word)
+        self.touch()  # a backlog makes the next granted slot due
         return word
 
     def submit_words(
@@ -199,7 +221,10 @@ class NetworkInterface(Component):
 
         Draining is what generates credits back to the source.
         """
-        return self.dest_channel(channel).drain(max_words)
+        drained = self.dest_channel(channel).drain(max_words)
+        if drained:
+            self.touch()  # pending credits make the paired slot due
+        return drained
 
     def injector(
         self, channel: int, connection: str = ""
@@ -332,6 +357,8 @@ class NetworkInterface(Component):
             return
         if phit.word is not None:
             dest.deliver(phit.word)
+            for listener in self.delivery_listeners.get(channel, ()):
+                listener.touch()
             if self.tracer.enabled:
                 self.tracer.emit(
                     cycle,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Tuple
 
+from ..core.ni import ChannelReceiver
 from ..errors import TrafficError
 from ..sim.flit import Word
 from ..sim.kernel import Component
@@ -21,6 +22,11 @@ ReceiveWords = Callable[[int], List[Word]]
 
 class DrainSink(Component):
     """Drains a destination queue at a fixed rate.
+
+    A sink whose ``receive`` is a
+    :class:`~repro.core.ni.ChannelReceiver` sleeps while its queue is
+    empty and is woken by the NI on delivery; behind any other callable
+    the queue is opaque, so the sink stays on the every-cycle schedule.
 
     Attributes:
         received: (cycle, payload) pairs in delivery order.
@@ -40,6 +46,20 @@ class DrainSink(Component):
         self.words_per_cycle = words_per_cycle
         self.start_cycle = start_cycle
         self.received: List[Tuple[int, int]] = []
+        if isinstance(receive, ChannelReceiver):
+            receive.wake_on_delivery(self)
+
+    def next_evaluation(self, cycle: int) -> Optional[int]:
+        receive = self.receive
+        if not isinstance(receive, ChannelReceiver):
+            return cycle
+        if not receive.words_waiting:
+            return None
+        return self._next_drain(max(cycle, self.start_cycle))
+
+    def _next_drain(self, cycle: int) -> int:
+        """First cycle >= ``cycle`` at which :meth:`evaluate` drains."""
+        return cycle
 
     @property
     def words_received(self) -> int:
@@ -74,6 +94,9 @@ class ThrottledSink(DrainSink):
         if period < 1:
             raise TrafficError("period must be >= 1")
         self.period = period
+
+    def _next_drain(self, cycle: int) -> int:
+        return cycle + -cycle % self.period
 
     def evaluate(self, cycle: int) -> None:
         if cycle % self.period == 0:

@@ -10,8 +10,10 @@ build.  Registers are compared after every edge as well, so a wrongly
 skipped latch cannot hide.
 
 Covered workloads: a fully idle network, a single periodic connection
-(traffic separated by quiescent gaps), and a configuration-tree burst
-fired into the middle of a long idle period.
+(traffic separated by quiescent gaps), a configuration-tree burst
+fired into the middle of a long idle period, and a network with idle
+sinks attached.  The last class pins the scheduler's own work — how
+often it asks ``next_evaluation`` — by exact count.
 """
 
 from __future__ import annotations
@@ -19,11 +21,18 @@ from __future__ import annotations
 import pytest
 
 from repro.alloc import ConnectionRequest, SlotAllocator
-from repro.core import DaeliteNetwork
+from repro.core import DaeliteNetwork, OnlineConnectionManager
 from repro.errors import SimulationError
 from repro.params import daelite_parameters
 from repro.sim.kernel import ACTIVITY_MODE, NAIVE_MODE, Kernel
 from repro.topology import build_mesh
+from repro.traffic import (
+    CbrGenerator,
+    CheckingSink,
+    DrainSink,
+    ThrottledSink,
+    random_traffic_pattern,
+)
 
 
 def build_pair(configure=True):
@@ -205,3 +214,124 @@ class TestKernelPrimitives:
             activity.kernel.all_registers(), naive.kernel.all_registers()
         ):
             assert reg_a.q == reg_n.q
+
+
+class TestIdleSinks:
+    def test_network_with_idle_sinks_fast_forwards(self):
+        """A sink on an NI channel sleeps while its queue is empty, so
+        attaching sinks no longer pins the kernel to every cycle."""
+        activity, naive, connection = build_pair()
+        for net in (activity, naive):
+            receiver = net.ni("NI11").receiver(0)
+            net.kernel.add_all(
+                [
+                    DrainSink("drain", receiver),
+                    ThrottledSink("throttled", receiver, period=7),
+                    CheckingSink("checking", receiver, stats=net.stats),
+                ]
+            )
+        before = activity.kernel.kernel_stats()
+        activity.run(3000)
+        naive.run(3000)
+        after = activity.kernel.kernel_stats()
+        assert after["evaluations"] == before["evaluations"]
+        assert after["active_cycles"] == before["active_cycles"]
+        assert (
+            after["fast_forwarded_cycles"]
+            - before["fast_forwarded_cycles"]
+            == 3000
+        )
+        # ... and a word arriving after the quiet stretch still finds
+        # them: the NI wakes its sinks on delivery.
+        for net in (activity, naive):
+            net.ni("NI00").submit_words(0, [11, 22, 33])
+        lockstep_checking_no_skipped_work(activity, naive, 200)
+        drained = [
+            sorted(
+                payload
+                for sink in net.kernel.components[-3:]
+                for _, payload in sink.received
+            )
+            for net in (activity, naive)
+        ]
+        assert drained[0] == drained[1] == [11, 22, 33]
+
+    def test_sink_behind_a_bare_callable_stays_on_every_cycle(self):
+        """The kernel cannot see into an arbitrary ``receive``."""
+        activity, _, _ = build_pair()
+        ni = activity.ni("NI11")
+        activity.kernel.add(DrainSink("opaque", lambda n: ni.receive(0, n)))
+        before = activity.kernel.evaluations
+        activity.run(500)
+        assert activity.kernel.evaluations - before == 500
+
+
+class TestSchedulerWork:
+    def test_setup_under_load_asks_only_who_can_have_moved(self):
+        """8x8 mesh, eight flows running, four connections opened and
+        closed under that load.  Every ``next_evaluation`` call is owed
+        to an evaluation, a ``touch()``, or one of the full re-asks (a
+        ``step`` / ``run_until`` entry, a callback cycle) — never to a
+        cycle merely having been executed."""
+        params = daelite_parameters(
+            slot_table_size=16, config_word_bits=9
+        )
+        mesh = build_mesh(8, 8)
+        net = DaeliteNetwork(mesh, params, kernel_mode=ACTIVITY_MODE)
+        kernel = net.kernel
+        kernel.strict_registers = False  # its checks ask too
+        stepping_calls = [0]
+        for name in ("step", "run_until"):
+
+            def counted(*args, _inner=getattr(kernel, name), **kwargs):
+                stepping_calls[0] += 1
+                return _inner(*args, **kwargs)
+
+            setattr(kernel, name, counted)
+        manager = OnlineConnectionManager(net)
+        nis = [element.name for element in mesh.nis if element.name != "NI00"]
+        requests = random_traffic_pattern(
+            nis, 12, seed=7, slots_min=1, slots_max=2
+        )
+        for request in requests[:8]:
+            handle = manager.open_connection(request).handle
+            kernel.add(
+                CbrGenerator(
+                    f"gen.{request.label}",
+                    net.ni(request.src_ni).injector(
+                        handle.forward.src_channel, request.label
+                    ),
+                    period=16,
+                )
+            )
+            kernel.add(
+                CheckingSink(
+                    f"sink.{request.label}",
+                    net.ni(request.dst_ni).receiver(
+                        handle.forward.dst_channel
+                    ),
+                    stats=net.stats,
+                )
+            )
+        net.run(500)
+        for request in requests[8:]:
+            manager.open_connection(request)
+            net.run(200)
+            manager.close_connection(request.label)
+        stats = kernel.kernel_stats()
+        delivered = sum(
+            flow.ejected for flow in net.stats.connections.values()
+        )
+        assert delivered > 500  # the load was real
+        callback_cycles = 0  # nothing here uses kernel.at
+        assert stats["schedule_polls"] <= (
+            stats["evaluations"]
+            + stats["touches"]
+            + len(kernel.components) * (callback_cycles + stepping_calls[0])
+        )
+        # Asking everybody on every executed cycle, once, would have
+        # cost this much (and config words do run the whole tree here).
+        assert (
+            stats["schedule_polls"] * 3
+            < stats["active_cycles"] * len(kernel.components)
+        )

@@ -147,3 +147,145 @@ class TestKernel:
         register.drive("x")
         kernel.step(1)
         assert register.q == "x"
+
+
+class Mailbox(Component):
+    """Sleeps until something is in its inbox (state, not a register)."""
+
+    def __init__(self, name="mailbox"):
+        super().__init__(name)
+        self.inbox = []
+        self.opened = []
+
+    def post(self, item):
+        self.inbox.append(item)
+        self.touch()
+
+    def next_evaluation(self, cycle):
+        return cycle if self.inbox else None
+
+    def evaluate(self, cycle):
+        while self.inbox:
+            self.opened.append((cycle, self.inbox.pop(0)))
+
+
+class Poster(Component):
+    """Posts into a mailbox at chosen cycles, from its own evaluate."""
+
+    def __init__(self, name, mailbox, cycles):
+        super().__init__(name)
+        self.mailbox = mailbox
+        self.cycles = sorted(cycles)
+
+    def next_evaluation(self, cycle):
+        later = [at for at in self.cycles if at >= cycle]
+        return later[0] if later else None
+
+    def evaluate(self, cycle):
+        if cycle in self.cycles:
+            self.mailbox.post(cycle)
+
+
+@pytest.mark.parametrize("mode", ["naive", "activity", "vector"])
+class TestCallbackSchedule:
+    def test_same_cycle_callbacks_keep_registration_order(self, mode):
+        kernel = Kernel(mode=mode)
+        seen = []
+        # Registered out of cycle order, and interleaved across cycles.
+        for tag, cycle in enumerate([9, 4, 9, 4, 6, 9, 4]):
+            kernel.at(cycle, lambda now, tag=tag: seen.append((now, tag)))
+        kernel.step(12)
+        assert seen == [
+            (4, 1), (4, 3), (4, 6), (6, 4), (9, 0), (9, 2), (9, 5),
+        ]
+
+    def test_callback_registered_from_a_callback(self, mode):
+        kernel = Kernel(mode=mode)
+        seen = []
+        kernel.at(
+            5, lambda now: kernel.at(now + 300, seen.append)
+        )
+        kernel.step(400)
+        assert seen == [305]
+
+    def test_reset_forgets_scheduled_callbacks(self, mode):
+        kernel = Kernel(mode=mode)
+        seen = []
+        kernel.at(50, seen.append)
+        kernel.reset()
+        kernel.step(100)
+        assert seen == []
+
+
+class TestEventDrivenSchedule:
+    """The activity kernel asks ``next_evaluation`` only when the answer
+    can have moved earlier; ``touch()`` is how a peer says so."""
+
+    def build(self, poster_first, cycles=(10, 200)):
+        # Not strict: its checks ask too, and polls are counted below.
+        kernel = Kernel(mode="activity", strict_registers=False)
+        mailbox = Mailbox()
+        poster = Poster("poster", mailbox, cycles)
+        for component in (
+            (poster, mailbox) if poster_first else (mailbox, poster)
+        ):
+            kernel.add(component)
+        return kernel, mailbox
+
+    def test_touched_later_component_runs_in_the_same_cycle(self):
+        # Naive order: the poster runs first, so the mailbox sees the
+        # item in the very cycle it was posted.
+        kernel, mailbox = self.build(poster_first=True)
+        kernel.step(300)
+        assert mailbox.opened == [(10, 10), (200, 200)]
+
+    def test_touched_earlier_component_runs_next_cycle(self):
+        # Naive order: the mailbox already had its turn.
+        kernel, mailbox = self.build(poster_first=False)
+        kernel.step(300)
+        assert mailbox.opened == [(11, 10), (201, 200)]
+
+    @pytest.mark.parametrize("poster_first", [True, False])
+    def test_matches_naive(self, poster_first):
+        kernel, mailbox = self.build(poster_first)
+        kernel.step(300)
+        reference, expected = self.build(poster_first)
+        reference.set_mode("naive")
+        reference.step(300)
+        assert mailbox.opened == expected.opened
+
+    def test_sleeping_components_cost_no_polls(self):
+        kernel, mailbox = self.build(poster_first=True)
+        sleepers = [Mailbox(f"sleeper{i}") for i in range(50)]
+        kernel.add_all(sleepers)
+        kernel.step(300)
+        stats = kernel.kernel_stats()
+        assert stats["touches"] == 2
+        assert stats["evaluations"] == 4  # two posts, two openings
+        assert stats["active_cycles"] == 2
+        # One full poll on entry, then one per evaluation or touch.
+        assert stats["schedule_polls"] <= len(kernel.components) + 4 + 2
+
+    def test_external_mutation_between_steps_needs_no_touch(self):
+        kernel, mailbox = self.build(poster_first=True, cycles=())
+        kernel.step(100)
+        mailbox.inbox.append("by hand")  # no touch(): step() re-asks
+        kernel.step(100)
+        assert mailbox.opened == [(100, "by hand")]
+
+    def test_callback_mutation_needs_no_touch(self):
+        kernel, mailbox = self.build(poster_first=True, cycles=())
+        kernel.at(40, lambda cycle: mailbox.inbox.append("cb"))
+        kernel.step(100)
+        assert mailbox.opened == [(40, "cb")]
+
+    def test_touch_on_a_free_standing_component_is_ignored(self):
+        Mailbox().post("nobody listens")
+
+    def test_component_attached_from_a_callback(self):
+        kernel, mailbox = self.build(poster_first=True, cycles=())
+        late = Mailbox("late")
+        late.inbox.append("waiting")
+        kernel.at(30, lambda cycle: kernel.add(late))
+        kernel.step(100)
+        assert late.opened == [(30, "waiting")]

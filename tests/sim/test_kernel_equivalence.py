@@ -12,6 +12,17 @@ random traffic through both builds.  Any divergence — a component the
 activity kernel failed to wake, a register it failed to latch, a cycle
 fast-forward skipped that was not actually quiescent — shows up as the
 first differing register, with its name and cycle.
+
+The second half ("live reconfiguration") covers what the first cannot.
+The activity kernel *caches* each component's ``next_evaluation`` and
+re-asks only after the component ran, after a ``touch()``, after a
+``kernel.at`` callback, and on entry to ``step`` / ``run_until``.
+Stepping one cycle per ``run(1)`` and injecting through callbacks — as
+the scenarios above do — re-asks everybody every cycle and would hide a
+missing ``touch()``.  There, generators, sinks and shells (components)
+move the traffic while a connection is opened and closed in single
+``run_until`` calls, and a :class:`RegisterProbe` — itself a component —
+records every register after every edge from inside those calls.
 """
 
 from __future__ import annotations
@@ -23,13 +34,27 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from repro.aelite import AeliteNetwork
+from repro.aelite import AeliteNetwork, InBandConfigurator
 from repro.alloc import ConnectionRequest, SlotAllocator
-from repro.core import DaeliteNetwork
+from repro.core import DaeliteNetwork, OnlineConnectionManager
 from repro.errors import AllocationError
 from repro.params import aelite_parameters, daelite_parameters
-from repro.sim.kernel import ACTIVITY_MODE, NAIVE_MODE
+from repro.shells import (
+    InitiatorShell,
+    MemorySlave,
+    TargetShell,
+    aelite_ports,
+    daelite_ports,
+)
+from repro.sim.kernel import ACTIVITY_MODE, NAIVE_MODE, Component
 from repro.topology import build_mesh, ni_name
+from repro.traffic import (
+    BurstGenerator,
+    CbrGenerator,
+    CheckingSink,
+    DrainSink,
+    ThrottledSink,
+)
 
 pytestmark = pytest.mark.differential
 
@@ -286,3 +311,446 @@ def test_configuration_reaches_same_cycle_in_both_modes():
             net.configure(connection)
         cycles.append(net.kernel.cycle)
     assert cycles[0] == cycles[1]
+
+
+# -- live reconfiguration: components move the traffic ------------------------
+
+
+class RegisterProbe(Component):
+    """Records every register output after every clock edge, from inside
+    the run (see the module docstring).  Declares every register as an
+    input, so it also runs clean under strict-registers."""
+
+    def __init__(self, kernel) -> None:
+        super().__init__("probe")
+        self._watched = kernel.all_registers()
+        self.frames: List[Tuple[int, tuple]] = []
+
+    def external_inputs(self):
+        return self._watched
+
+    def evaluate(self, cycle: int) -> None:
+        self.frames.append(
+            (cycle, tuple(register.q for register in self._watched))
+        )
+
+
+def attach_probe(net) -> RegisterProbe:
+    probe = RegisterProbe(net.kernel)
+    net.kernel.add(probe)
+    return probe
+
+
+def assert_same_frames(probe_activity, probe_naive) -> None:
+    names = [register.name for register in probe_naive._watched]
+    assert names == [r.name for r in probe_activity._watched]
+    for (cycle_a, frame_a), (cycle_n, frame_n) in zip(
+        probe_activity.frames, probe_naive.frames
+    ):
+        assert cycle_a == cycle_n
+        if frame_a != frame_n:
+            index = next(
+                i for i, (a, n) in enumerate(zip(frame_a, frame_n)) if a != n
+            )
+            raise AssertionError(
+                f"cycle {cycle_n}: register {names[index]} diverged — "
+                f"naive={frame_n[index]!r}, activity={frame_a[index]!r}"
+            )
+    assert len(probe_activity.frames) == len(probe_naive.frames)
+
+
+@dataclass(frozen=True)
+class LiveScenario:
+    """Traffic driven by components while a connection comes and goes."""
+
+    width: int
+    height: int
+    #: (src NI, dst NI, forward slots) of the connections carrying
+    #: generator -> sink traffic.
+    flows: Tuple[Tuple[str, str, int], ...]
+    #: ("cbr" | "burst", period, burst words) per flow.
+    generators: Tuple[Tuple[str, int, int], ...]
+    #: ("drain" | "throttled" | "checking", words per drain, period).
+    sinks: Tuple[Tuple[str, int, int], ...]
+    #: (src NI, dst NI) of the shell pair's connection.
+    shell: Tuple[str, str]
+    #: ("w" | "r", word offset, length) transactions, issued up front.
+    transactions: Tuple[Tuple[str, int, int], ...]
+    #: (src NI, dst NI, forward slots) opened and closed under load.
+    transient: Tuple[str, str, int]
+    #: Cycles before the first opening / open / between rounds.
+    lead: int
+    dwell: int
+    gap: int
+    rounds: int
+
+
+def ni_pairs(nis):
+    return st.lists(
+        st.sampled_from(nis), min_size=2, max_size=2, unique=True
+    ).map(tuple)
+
+
+@st.composite
+def live_scenarios(draw, nis=None, dims=((2, 2), (2, 3), (3, 3))):
+    width, height = draw(st.sampled_from(dims))
+    if nis is None:
+        nis = [ni_name(x, y) for x in range(width) for y in range(height)]
+    n_flows = draw(st.integers(1, 2))
+    flows = [
+        (*draw(ni_pairs(nis)), draw(st.integers(1, 2)))
+        for _ in range(n_flows)
+    ]
+    generators = [
+        (
+            draw(st.sampled_from(["cbr", "burst"])),
+            draw(st.integers(3, 40)),
+            draw(st.integers(1, 4)),
+        )
+        for _ in range(n_flows)
+    ]
+    sinks = [
+        (
+            draw(st.sampled_from(["drain", "throttled", "checking"])),
+            draw(st.integers(1, 2)),
+            draw(st.integers(2, 9)),
+        )
+        for _ in range(n_flows)
+    ]
+    transactions = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["w", "r"]),
+                st.integers(0, 12),
+                st.integers(1, 3),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return LiveScenario(
+        width=width,
+        height=height,
+        flows=tuple(flows),
+        generators=tuple(generators),
+        sinks=tuple(sinks),
+        shell=draw(ni_pairs(nis)),
+        transactions=tuple(transactions),
+        transient=(*draw(ni_pairs(nis)), draw(st.integers(1, 2))),
+        lead=draw(st.integers(0, 60)),
+        dwell=draw(st.integers(1, 80)),
+        gap=draw(st.integers(1, 60)),
+        rounds=draw(st.integers(1, 2)),
+    )
+
+
+def live_requests(scenario: LiveScenario):
+    flows = [
+        ConnectionRequest(
+            f"f{index}", src, dst, forward_slots=slots, reverse_slots=1
+        )
+        for index, (src, dst, slots) in enumerate(scenario.flows)
+    ]
+    shell = ConnectionRequest(
+        "shell", *scenario.shell, forward_slots=1, reverse_slots=1
+    )
+    src, dst, slots = scenario.transient
+    transient = ConnectionRequest(
+        "transient", src, dst, forward_slots=slots, reverse_slots=1
+    )
+    return flows, shell, transient
+
+
+def make_live_generator(index, spec, inject):
+    kind, period, burst_words = spec
+    if kind == "cbr":
+        return CbrGenerator(f"gen{index}", inject=inject, period=period)
+    return BurstGenerator(
+        f"gen{index}",
+        inject=inject,
+        burst_words=burst_words,
+        period=max(period, 2 * burst_words),
+    )
+
+
+def make_live_sink(index, spec, receive, stats):
+    kind, words, period = spec
+    if kind == "drain":
+        return DrainSink(f"sink{index}", receive, words_per_cycle=words)
+    if kind == "throttled":
+        return ThrottledSink(
+            f"sink{index}", receive, period=period, words_per_drain=words
+        )
+    return CheckingSink(
+        f"sink{index}", receive, words_per_cycle=words, stats=stats
+    )
+
+
+def issue_transactions(initiator, scenario: LiveScenario):
+    return [
+        initiator.read(4 * offset, length)
+        if kind == "r"
+        else initiator.write(4 * offset, list(range(offset, offset + length)))
+        for kind, offset, length in scenario.transactions
+    ]
+
+
+def live_outcome(net, probe, gens, sinks, memory, results):
+    return {
+        "cycle": net.kernel.cycle,
+        "stats": stats_snapshot(net.stats),
+        "generated": [gen.words_generated for gen in gens],
+        "received": [list(sink.received) for sink in sinks],
+        "findings": [list(getattr(s, "findings", ())) for s in sinks],
+        "memory": (dict(memory._words), memory.writes_served),
+        "reads": [
+            (result.completed_at, tuple(result.data))
+            for result in results
+            if hasattr(result, "completed_at")
+        ],
+        "dropped": net.total_dropped_words,
+        "frames": len(probe.frames),
+    }
+
+
+def run_live_daelite(scenario: LiveScenario, mode: str):
+    params = daelite_parameters(slot_table_size=8)
+    mesh = build_mesh(scenario.width, scenario.height)
+    net = DaeliteNetwork(mesh, params, kernel_mode=mode)
+    manager = OnlineConnectionManager(net)
+    flows, shell, transient = live_requests(scenario)
+    gens, sinks = [], []
+    for index, request in enumerate(flows):
+        handle = manager.open_connection(request).handle
+        gens.append(
+            make_live_generator(
+                index,
+                scenario.generators[index],
+                net.ni(request.src_ni).injector(
+                    handle.forward.src_channel, request.label
+                ),
+            )
+        )
+        sinks.append(
+            make_live_sink(
+                index,
+                scenario.sinks[index],
+                net.ni(request.dst_ni).receiver(handle.forward.dst_channel),
+                net.stats,
+            )
+        )
+    handle = manager.open_connection(shell).handle
+    initiator = InitiatorShell(
+        "initiator",
+        daelite_ports(
+            net.ni(shell.src_ni),
+            inject_channel=handle.forward.src_channel,
+            arrive_channel=handle.reverse.dst_channel,
+            label="req",
+        ),
+    )
+    memory = MemorySlave(base=0, size_bytes=1 << 10)
+    target = TargetShell(
+        "target",
+        daelite_ports(
+            net.ni(shell.dst_ni),
+            inject_channel=handle.reverse.src_channel,
+            arrive_channel=handle.forward.dst_channel,
+            label="resp",
+        ),
+        memory,
+    )
+    net.kernel.add_all([*gens, *sinks, initiator, target])
+    probe = attach_probe(net)
+    results = issue_transactions(initiator, scenario)
+    net.run(scenario.lead)
+    for _ in range(scenario.rounds):
+        manager.open_connection(transient)
+        net.run(scenario.dwell)
+        manager.close_connection(transient.label)
+        net.run(scenario.gap)
+    return probe, live_outcome(net, probe, gens, sinks, memory, results)
+
+
+def live_daelite_allocatable(scenario: LiveScenario) -> bool:
+    params = daelite_parameters(slot_table_size=8)
+    allocator = SlotAllocator(
+        topology=build_mesh(scenario.width, scenario.height), params=params
+    )
+    flows, shell, transient = live_requests(scenario)
+    try:
+        for request in (*flows, shell, transient):
+            allocator.allocate_connection(request)
+    except AllocationError:
+        return False
+    return True
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(scenario=live_scenarios())
+def test_daelite_live_reconfiguration_matches_naive(scenario: LiveScenario):
+    assume(live_daelite_allocatable(scenario))
+    probe_a, outcome_a = run_live_daelite(scenario, ACTIVITY_MODE)
+    probe_n, outcome_n = run_live_daelite(scenario, NAIVE_MODE)
+    assert_same_frames(probe_a, probe_n)
+    assert outcome_a == outcome_n
+
+
+AELITE_REMOTES = ("NI01", "NI10", "NI11")
+
+
+def run_live_aelite(scenario: LiveScenario, mode: str):
+    """In-band configuration: the transient connection is written into
+    the remote NIs by shells, over the NoC, while the flows run."""
+    params = aelite_parameters(slot_table_size=16)
+    mesh = build_mesh(2, 2)
+    allocator = SlotAllocator(topology=mesh, params=params)
+    net = AeliteNetwork(mesh, params, host_ni="NI00", kernel_mode=mode)
+    configurator = InBandConfigurator(net, allocator)
+    flows, shell, transient = live_requests(scenario)
+    gens, sinks = [], []
+    for index, request in enumerate(flows):
+        handle = net.install_connection(
+            allocator.allocate_connection(request)
+        )
+        src, dst = net.ni(request.src_ni), net.ni(request.dst_ni)
+        gens.append(
+            make_live_generator(
+                index,
+                scenario.generators[index],
+                lambda payload, src=src, handle=handle: src.submit(
+                    handle.forward.src_connection, payload
+                ),
+            )
+        )
+        sinks.append(
+            make_live_sink(
+                index,
+                scenario.sinks[index],
+                lambda limit, dst=dst, handle=handle: dst.receive(
+                    handle.forward.dst_queue, limit
+                ),
+                net.stats,
+            )
+        )
+    handle = net.install_connection(allocator.allocate_connection(shell))
+    initiator = InitiatorShell(
+        "initiator",
+        aelite_ports(
+            net.ni(shell.src_ni),
+            source_connection=handle.forward.src_connection,
+            arrive_queue=handle.reverse.dst_queue,
+            label="req",
+        ),
+    )
+    memory = MemorySlave(base=0, size_bytes=1 << 10)
+    target = TargetShell(
+        "target",
+        aelite_ports(
+            net.ni(shell.dst_ni),
+            source_connection=handle.reverse.src_connection,
+            arrive_queue=handle.forward.dst_queue,
+            label="resp",
+        ),
+        memory,
+    )
+    net.kernel.add_all([*gens, *sinks, initiator, target])
+    probe = attach_probe(net)
+    results = issue_transactions(initiator, scenario)
+    net.run(scenario.lead)
+    measured = []
+    for round_index in range(scenario.rounds):
+        connection = allocator.allocate_connection(transient)
+        cycles, endpoints = configurator.setup_connection(connection)
+        net.ni(transient.src_ni).submit_words(
+            endpoints.fwd_src_connection,
+            [round_index, 7],
+            f"transient{round_index}",  # a fresh source index each round
+        )
+        net.run(scenario.dwell)
+        measured.append(
+            (
+                cycles,
+                configurator.teardown_channel(
+                    connection.forward, endpoints.fwd_src_connection
+                ),
+                configurator.teardown_channel(
+                    connection.reverse, endpoints.rev_src_connection
+                ),
+            )
+        )
+        allocator.release_connection(connection)
+        net.run(scenario.gap)
+    outcome = live_outcome(net, probe, gens, sinks, memory, results)
+    outcome["measured"] = measured
+    return probe, outcome
+
+
+@settings(
+    max_examples=15,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(scenario=live_scenarios(nis=AELITE_REMOTES, dims=((2, 2),)))
+def test_aelite_live_reconfiguration_matches_naive(scenario: LiveScenario):
+    try:
+        probe_a, outcome_a = run_live_aelite(scenario, ACTIVITY_MODE)
+    except AllocationError:
+        assume(False)
+    probe_n, outcome_n = run_live_aelite(scenario, NAIVE_MODE)
+    assert_same_frames(probe_a, probe_n)
+    assert outcome_a == outcome_n
+
+
+def run_recycled_index(mode: str):
+    """Service-style churn: a sink keeps sitting on a destination
+    channel *index* while the connection behind it is closed (the index
+    is quiesced and returned to the pool) and another one reuses it."""
+    params = daelite_parameters(slot_table_size=8)
+    net = DaeliteNetwork(build_mesh(2, 2), params, kernel_mode=mode)
+    manager = OnlineConnectionManager(net)
+    first = manager.open_connection(
+        ConnectionRequest("first", "NI00", "NI11", forward_slots=1)
+    ).handle
+    sink = DrainSink(
+        "sink", net.ni("NI11").receiver(first.forward.dst_channel)
+    )
+    gen = CbrGenerator(
+        "gen.first",
+        net.ni("NI00").injector(first.forward.src_channel, "first"),
+        period=9,
+        total_words=6,
+    )
+    net.kernel.add_all([gen, sink])
+    probe = attach_probe(net)
+    net.run(150)  # drained; the sink is asleep on an empty queue
+    manager.close_connection("first")
+    second = manager.open_connection(
+        ConnectionRequest("second", "NI10", "NI11", forward_slots=2)
+    ).handle
+    assert second.forward.dst_channel == first.forward.dst_channel
+    later = CbrGenerator(
+        "gen.second",
+        net.ni("NI10").injector(second.forward.src_channel, "second"),
+        period=5,
+        total_words=8,
+        start_cycle=net.kernel.cycle + 10,
+    )
+    net.kernel.add(later)
+    net.run(200)
+    return probe, (list(sink.received), stats_snapshot(net.stats))
+
+
+def test_sink_on_a_recycled_channel_index_is_not_stranded():
+    probe_a, outcome_a = run_recycled_index(ACTIVITY_MODE)
+    probe_n, outcome_n = run_recycled_index(NAIVE_MODE)
+    received, _ = outcome_n
+    assert [payload for _, payload in received] == [*range(6), *range(8)]
+    assert outcome_a == outcome_n
+    # The probe predates ``gen.second`` (which owns no register), so the
+    # frames still cover every register of both builds.
+    assert_same_frames(probe_a, probe_n)
