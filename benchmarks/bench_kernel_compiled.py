@@ -88,9 +88,9 @@ def timed_run(mode, run_cycles):
     """Wall-clock one measured window; returns (elapsed, net, sinks).
 
     A pre-window ``gc.collect()`` keeps a generational collection of
-    the previous runs' WordRecord piles from landing inside the timed
-    region — at replay speeds a single gen-2 pass is comparable to the
-    whole measured window.
+    the previous runs' sink streams and networks from landing inside
+    the timed region — at replay speeds a single gen-2 pass is
+    comparable to the whole measured window.
     """
     net, sinks = build_workload(mode)
     net.run(WARMUP_CYCLES)

@@ -217,7 +217,7 @@ class AeliteNetwork:
         """Run until all queued words are injected and delivered."""
 
         def idle() -> bool:
-            if self.stats.undelivered():
+            if not self.stats.all_delivered:
                 return False
             return all(
                 not source.queue

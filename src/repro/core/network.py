@@ -258,7 +258,7 @@ class DaeliteNetwork:
         """
 
         def idle() -> bool:
-            if self.stats.undelivered():
+            if not self.stats.all_delivered:
                 return False
             return all(
                 not source.queue

@@ -113,8 +113,6 @@ class CircuitOpenError(ServiceError):
 
 
 class ServiceConfigError(ServiceError):
-    """The service was constructed with a knob that cannot be degraded
-    to a default (a non-positive shard count passed programmatically,
-    a churn mix that sums to zero).  Malformed *environment* knobs
-    never raise — they degrade to defaults with a typed
-    ``unsupported_params`` refusal recorded in the service stats."""
+    """The service was constructed with a malformed knob (a
+    non-positive shard count, a float where cycles are counted, a
+    backoff cap below its base, a churn mix that sums to zero)."""

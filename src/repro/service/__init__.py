@@ -30,33 +30,12 @@ from .broker import (
     build_mesh_fleet,
 )
 from .churn import ChurnEngine, ChurnMix, ChurnRecord
-from .config import (
-    SERVICE_BACKOFF_BASE_ENV,
-    SERVICE_BACKOFF_CAP_ENV,
-    SERVICE_BREAKER_COOLDOWN_ENV,
-    SERVICE_BREAKER_THRESHOLD_ENV,
-    SERVICE_JITTER_ENV,
-    SERVICE_LEASE_ENV,
-    SERVICE_RETRIES_ENV,
-    SERVICE_SHARDS_ENV,
-    SERVICE_TIMEOUT_ENV,
-    ServiceConfig,
-    resolve_service_config,
-)
+from .config import ServiceConfig
 from .leases import Lease, LeaseTable
 from .policy import BackoffPolicy, CircuitBreaker, RetryPolicy
 
 __all__ = [
     "ALL_STATUSES",
-    "SERVICE_BACKOFF_BASE_ENV",
-    "SERVICE_BACKOFF_CAP_ENV",
-    "SERVICE_BREAKER_COOLDOWN_ENV",
-    "SERVICE_BREAKER_THRESHOLD_ENV",
-    "SERVICE_JITTER_ENV",
-    "SERVICE_LEASE_ENV",
-    "SERVICE_RETRIES_ENV",
-    "SERVICE_SHARDS_ENV",
-    "SERVICE_TIMEOUT_ENV",
     "SUCCESS_STATUSES",
     "AvailabilityHarness",
     "AvailabilityReport",
@@ -77,5 +56,4 @@ __all__ = [
     "ServiceStats",
     "TenantRequest",
     "build_mesh_fleet",
-    "resolve_service_config",
 ]

@@ -70,7 +70,6 @@ class AvailabilityReport:
     status_counts: Dict[str, int]
     retries: int
     breaker_opens: int
-    refusals: int
     waves: List[FaultWave] = field(default_factory=list)
     link_failures: List[LinkFailureEvent] = field(default_factory=list)
 
@@ -100,7 +99,6 @@ class AvailabilityReport:
             "status_counts": self.status_counts,
             "retries": self.retries,
             "breaker_opens": self.breaker_opens,
-            "refusals": self.refusals,
             "fault_waves": len(self.waves),
             "link_failures": [
                 {
@@ -311,7 +309,6 @@ class AvailabilityHarness:
                 shard.breaker.stats.opened
                 for shard in self.broker.shards
             ),
-            refusals=len(stats.refusals),
             waves=list(self.waves),
             link_failures=list(self.link_failures),
         )

@@ -45,7 +45,7 @@ from ..errors import (
 from ..params import NetworkParameters, daelite_parameters
 from ..staticcheck import verify_network_state
 from ..topology import build_mesh
-from .config import ServiceConfig, resolve_service_config
+from .config import ServiceConfig
 from .leases import LeaseTable
 from .policy import BackoffPolicy, CircuitBreaker, RetryPolicy
 
@@ -136,7 +136,6 @@ class ServiceStats:
     requests: int = 0
     by_status: Dict[str, int] = field(default_factory=dict)
     retries: int = 0
-    refusals: List[str] = field(default_factory=list)
     per_tenant_requests: Dict[str, int] = field(default_factory=dict)
     per_tenant_ok: Dict[str, int] = field(default_factory=dict)
 
@@ -153,9 +152,6 @@ class ServiceStats:
                 self.per_tenant_ok[outcome.tenant] = (
                     self.per_tenant_ok.get(outcome.tenant, 0) + 1
                 )
-
-    def record_refusal(self, refusal: str) -> None:
-        self.refusals.append(refusal)
 
     @property
     def ok_requests(self) -> int:
@@ -273,15 +269,9 @@ class ConnectionBroker:
     ) -> None:
         if not networks:
             raise ServiceError("broker needs at least one shard network")
-        self.config = (
-            config
-            if config is not None
-            else resolve_service_config(shards=len(networks))
-        )
+        self.config = config if config is not None else ServiceConfig()
         self.seed = seed
         self.stats = ServiceStats()
-        for refusal in self.config.refusals:
-            self.stats.record_refusal(refusal)
         self.shards: List[ServiceShard] = [
             ServiceShard(
                 index,
@@ -317,9 +307,7 @@ class ConnectionBroker:
         kernel_mode: Optional[str] = None,
     ) -> "ConnectionBroker":
         """Build a broker over ``config.shards`` identical meshes."""
-        resolved = (
-            config if config is not None else resolve_service_config()
-        )
+        resolved = config if config is not None else ServiceConfig()
         networks = build_mesh_fleet(
             resolved.shards,
             rows=rows,

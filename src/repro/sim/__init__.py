@@ -12,7 +12,7 @@ from .kernel import (
     default_kernel_mode,
 )
 from .link import Link, NarrowLink
-from .stats import ConnectionStats, StatsCollector, WordRecord
+from .stats import ConnectionStats, StatsCollector
 from .trace import NULL_TRACER, NullTracer, TraceEvent, Tracer
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "NarrowLink",
     "ConnectionStats",
     "StatsCollector",
-    "WordRecord",
     "NULL_TRACER",
     "NullTracer",
     "TraceEvent",

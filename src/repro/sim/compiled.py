@@ -698,7 +698,7 @@ class CompiledEngine:
     direct object references at compile time.  The engine holds **no**
     authoritative state between :meth:`run_to` calls: registers,
     counters and statistics are fully materialized at every exit, so
-    :meth:`flush` and :meth:`decompile` are no-ops and external code
+    the kernel retires an engine by dropping it and external code
     always observes bit-exact stepped-equivalent state.
     """
 
@@ -853,14 +853,6 @@ class CompiledEngine:
             occupancy=tuple(self.occupancy),
         )
 
-    # -- kernel-facing lifecycle ------------------------------------------------
-
-    def flush(self) -> None:
-        """No-op: state is materialized at every :meth:`run_to` exit."""
-
-    def decompile(self) -> None:
-        """No-op: state is materialized at every :meth:`run_to` exit."""
-
     # -- register import / export ----------------------------------------------
 
     def _import_registers(self, cycle: int) -> Optional[CompileRefusal]:
@@ -955,19 +947,13 @@ class CompiledEngine:
                 res.append((source, stage_rid, dest))
             inj_res.append(res)
         sink_res = [
-            (
-                sink,
-                ni.dest_channels.get(channel),
-                sink_period,
-                checking,
-                sink_index,
-            )
+            (sink, ni.dest_channels.get(channel), sink_period, sink_index)
             for sink_index, (
                 sink,
                 ni,
                 channel,
                 sink_period,
-                checking,
+                _checking,
             ) in enumerate(self.sinks)
         ]
 
@@ -1182,9 +1168,7 @@ class CompiledEngine:
                         if fire < gen_due:
                             gen_due = fire
 
-                for sink, dest, sink_period, checking, sink_index in (
-                    sink_res
-                ):
+                for sink, dest, sink_period, sink_index in sink_res:
                     if dest is None or not dest.queue:
                         continue
                     if cycle < sink.start_cycle:
@@ -1192,7 +1176,7 @@ class CompiledEngine:
                     if sink_period and cycle % sink_period:
                         continue
                     for word in dest.drain(sink.words_per_cycle):
-                        self._consume(sink, checking, cycle, word)
+                        sink.consume(cycle, word)
                         if events is not None:
                             events.append(
                                 (
@@ -1224,36 +1208,6 @@ class CompiledEngine:
             kernel.replayed_cycles += replayed_cycles
             kernel._watchers = None
         return None
-
-    # -- sink semantics (replicated from repro.traffic.sinks) --------------------
-
-    def _consume(
-        self, sink: Any, checking: bool, cycle: int, word: Word
-    ) -> None:
-        sink.received.append((cycle, word.payload))
-        if not checking:
-            return
-        if not word.parity_ok:
-            sink._record(cycle, "sink_parity_error", f"{word!r}")
-        if word.sequence >= 0 and word.connection:
-            last = sink._last_seq.get(word.connection)
-            expected = 0 if last is None else last + 1
-            if word.sequence > expected:
-                sink._record(
-                    cycle,
-                    "e2e_gap",
-                    f"{word.connection}: expected seq "
-                    f"{expected}, got {word.sequence}",
-                )
-            elif word.sequence < expected:
-                sink._record(
-                    cycle,
-                    "e2e_out_of_order",
-                    f"{word.connection}: expected seq "
-                    f"{expected}, got {word.sequence}",
-                )
-            sink._last_seq[word.connection] = word.sequence
-        return
 
     # -- steady-state signatures and replay --------------------------------------
 

@@ -617,7 +617,7 @@ class Kernel:
                 f"unknown kernel mode {mode!r}; expected one of {_MODES}"
             )
         if mode != self._mode:
-            self._retire_engine(decompile=True)
+            self._retire_engine()
             self._mode = mode
             self._watchers = None  # rebuild activity state on next step
             self._strict_sets.clear()
@@ -626,7 +626,7 @@ class Kernel:
 
     def add(self, component: Component) -> Component:
         """Register a component (and its registers) with the kernel."""
-        self._retire_engine(decompile=True)
+        self._retire_engine()
         self.components.append(component)
         component._kernel = self
         for register in component.registers:
@@ -642,7 +642,7 @@ class Kernel:
 
     def add_register(self, register: Register) -> Register:
         """Track a free-standing register not owned by any component."""
-        self._retire_engine(decompile=True)
+        self._retire_engine()
         self._extra_registers.append(register)
         register._sink = self._dirty
         self._watchers = None
@@ -651,7 +651,7 @@ class Kernel:
 
     def _adopt_register(self, register: Register) -> None:
         """Hook a register created after its component was added."""
-        self._retire_engine(decompile=True)
+        self._retire_engine()
         register._sink = self._dirty
         self._watchers = None
         self._strict_sets.clear()
@@ -980,34 +980,29 @@ class Kernel:
             self.replay_refusals.get(refusal.kind, 0) + 1
         )
 
-    def _retire_engine(self, decompile: bool = True) -> None:
-        """Drop the compiled engine, optionally materializing its state.
+    def _retire_engine(self) -> None:
+        """Drop the compiled engine.
 
-        ``decompile=True`` writes the engine's in-flight words back into
-        the pipeline registers and flushes all deferred counters, so the
-        stepped kernels (and external observers) resume from bit-exact
-        state.  ``decompile=False`` simply discards it (reset paths,
-        where registers are about to be cleared anyway).
+        The engine materializes registers, counters and statistics at
+        every ``run_to`` exit, so there is nothing to write back: the
+        stepped kernels (and external observers) already see bit-exact
+        state.
         """
-        engine = self._engine
-        if engine is None:
-            return
-        self._engine = None
-        if decompile:
-            engine.decompile()
-        self._watchers = None  # rebuild activity carry/wake from registers
+        if self._engine is not None:
+            self._engine = None
+            self._watchers = None  # rebuild activity carry/wake from registers
 
     def _acquire_engine(self) -> Any:
         """Return a valid compiled engine, or fall back (``None``).
 
         The provider revalidates a previous engine cheaply (config-tree
         quiescence, schedule version token) and recompiles only when the
-        programmed schedule actually changed.  On refusal the old engine
-        is decompiled so the activity fallback sees current state.
+        programmed schedule actually changed.  A refusal that cannot
+        clear by itself drops the old engine.
         """
         provider = self.compile_provider
         if provider is None:
-            self._retire_engine(decompile=True)
+            self._retire_engine()
             self._note_refusal(
                 CompileRefusal(
                     CompileRefusal.NO_PROVIDER,
@@ -1018,24 +1013,14 @@ class Kernel:
         result = provider(self, self._engine)
         if isinstance(result, CompileRefusal):
             if result.kind not in CompileRefusal.DEFERRABLE:
-                self._retire_engine(decompile=True)
+                self._retire_engine()
             # Deferrable refusals keep the engine cached: it holds no
-            # state between runs (decompile is a no-op), and the token
-            # check makes reuse after the obstruction clears cheap.
+            # state between runs, and the token check makes reuse after
+            # the obstruction clears cheap.
             self._note_refusal(result)
             return None
         self._engine = result
         return result
-
-    def flush_compiled(self) -> None:
-        """Materialize compiled-engine state into registers and stats.
-
-        A no-op outside compiled execution.  The engine also flushes at
-        every exit from :meth:`step`, so this is only needed by code
-        inspecting registers *between* engine-internal checkpoints.
-        """
-        if self._engine is not None:
-            self._engine.flush()
 
     def kernel_stats(self) -> Dict[str, Any]:
         """Instrumentation snapshot, including compiled-engine telemetry."""
@@ -1079,8 +1064,9 @@ class Kernel:
         """Advance ``cycles`` cycles, compiled where possible.
 
         Callbacks are barriers: they may mutate arbitrary state, so the
-        engine runs up to the earliest scheduled callback, decompiles,
-        and the callback's cycle executes under the activity kernel;
+        engine runs up to the earliest scheduled callback (leaving
+        registers, counters and statistics materialized) and the
+        callback's cycle executes under the activity kernel;
         eligibility is then re-checked.
 
         Refusals split two ways.  *Transient* kinds
@@ -1130,13 +1116,13 @@ class Kernel:
                             defer_window * 2, self.DEFER_WINDOW_MAX
                         )
                         continue
-                    self._retire_engine(decompile=True)
+                    self._retire_engine()
                     self._step_activity(end - self.cycle)
                     return
                 defer_window = self.DEFER_WINDOW_MIN
             if self.cycle < end:
                 # A callback is due at the current cycle; run it stepped.
-                self._retire_engine(decompile=True)
+                self._retire_engine()
                 self._step_activity(1)
 
     def _defer(self, refusal: CompileRefusal, window: int) -> None:
@@ -1217,7 +1203,7 @@ class Kernel:
         # run_until polls arbitrary state between cycles — inherently
         # stepped execution, so vector mode defers to the activity
         # kernel here (after materializing any engine state).
-        self._retire_engine(decompile=True)
+        self._retire_engine()
         self._stale_all = True  # the caller may have mutated anything
         with self._strict_stepping():
             while not predicate():
@@ -1243,7 +1229,7 @@ class Kernel:
 
     def reset(self) -> None:
         """Reset the clock, all components, and scheduled callbacks."""
-        self._retire_engine(decompile=False)  # registers reset below
+        self._retire_engine()
         self.cycle = 0
         self._callbacks.clear()
         self._callback_cycles.clear()

@@ -11,8 +11,9 @@ cycle and holds no data-plane state:
   here (id 0 is reserved for the empty label).
 * **Bulk materialization** — :meth:`EpochReplay.materialize` re-records
   a captured epoch ``K`` times with numpy broadcasting (``k``-major,
-  chronological within each epoch) through the stats collector's bulk
-  entry points.
+  chronological within each epoch) as consecutive-sequence runs
+  through the stats collector's ``record_injections`` /
+  ``record_ejections``.
 * **Piecewise-periodic regime cache** — a proven-steady epoch is stored
   fully rebased (event cycles relative to the epoch start, sequences
   and payloads relative to the per-connection anchors, counters as
@@ -352,13 +353,14 @@ class EpochReplay:
 
         ``deltas`` are the per-connection sequence advances of one
         epoch.  Event streams are re-recorded k-major (all epochs of
-        one connection at once) through the stats collector's bulk
-        entry points; within each per-connection (and per-sink) stream
-        this reproduces exactly the order an epoch-by-epoch walk would
-        produce, and across streams only dict iteration order differs —
-        which no comparable state (per-connection latency lists, keyed
-        records, received streams) can observe.  Injections land before
-        ejections so every replayed ejection finds its record.
+        one connection at once) as runs through the stats collector's
+        ``record_injections`` / ``record_ejections``; within each
+        per-connection (and per-sink) stream this reproduces exactly
+        the order an epoch-by-epoch walk would produce, and across
+        streams only dict iteration order differs — which no comparable
+        state (per-connection latency lists, the word ledger, received
+        streams) can observe.  Injections land before ejections so
+        every replayed ejection finds its word injected.
         """
         period = self.period
         stats = self.stats
@@ -388,102 +390,28 @@ class EpochReplay:
                     (cyc, pay, cid, seq)
                 )
 
-        # Per-cid injection records, kept when the flattened run is one
-        # +1-consecutive stream: (first sequence, [WordRecord, ...]) —
-        # the matching ejections then index this list instead of paying
-        # a records-dict lookup per event.
-        created: Dict[int, tuple] = {}
         for cid, evs in inj_by_cid.items():
-            delta = int(dvec[cid])
-            cyc = np.asarray([e[0] for e in evs], dtype=np.int64)
-            seq = np.asarray([e[1] for e in evs], dtype=np.int64)
-            all_seq = (
-                (seq[None, :] + (ks * delta)[:, None]).ravel().tolist()
-            )
-            inj_cyc = (cyc[None, :] + kcyc[:, None]).ravel()
-            made = stats.bulk_record_injections(
-                names[cid], all_seq, inj_cyc.tolist()
-            )
-            if (
-                made is not None
-                and bool(np.all(seq[1:] - seq[:-1] == 1))
-                and int(seq[0]) + delta == int(seq[-1]) + 1
-            ):
-                created[cid] = (all_seq[0], made, inj_cyc)
+            for first, cycles in self._runs(evs, int(dvec[cid]), ks):
+                stats.record_injections(names[cid], first, cycles)
 
-        records = stats._records
         for cid, evs in ej_by_cid.items():
             delta = int(dvec[cid])
             conn = names[cid]
-            dests = {e[2] for e in evs}
-            if len(dests) == 1:
-                cyc = np.asarray([e[0] for e in evs], dtype=np.int64)
-                seq = np.asarray([e[1] for e in evs], dtype=np.int64)
-                # The flattened k-major run is one +1-consecutive stream
-                # iff the base epoch is consecutive and each epoch chains
-                # into the next (first + delta == last + 1); proving it
-                # here lets stats skip its per-event order/gap checks.
-                chained = bool(
-                    np.all(seq[1:] - seq[:-1] == 1)
-                ) and int(seq[0]) + delta == int(seq[-1]) + 1
-                all_seq = (
-                    (seq[None, :] + (ks * delta)[:, None])
-                    .ravel()
-                    .tolist()
-                )
-                ej_cyc = (cyc[None, :] + kcyc[:, None]).ravel()
-                found = None
-                lat_hint = None
-                if chained and cid in created:
-                    # Ejections trail injections by the in-flight words
-                    # at the epoch boundary: those few leading records
-                    # predate this batch and come from the dict, the
-                    # rest are the records just created above.  With
-                    # both cycle streams in hand the latency column is
-                    # one vector subtraction.
-                    first_inj, made, inj_cyc = created[cid]
-                    e0, e1 = all_seq[0], all_seq[-1]
-                    if e1 >= first_inj and e1 - first_inj < len(made):
-                        n_old = max(0, min(first_inj, e1 + 1) - e0)
-                        try:
-                            old = [
-                                records[(conn, s)]
-                                for s in range(e0, e0 + n_old)
-                            ]
-                        except KeyError:
-                            old = None
-                        if old is not None:
-                            lo = max(0, e0 - first_inj)
-                            found = old + made[lo : e1 - first_inj + 1]
-                            lat_hint = [
-                                int(c) - r.injected_at
-                                for r, c in zip(old, ej_cyc[:n_old])
-                            ] + (
-                                ej_cyc[n_old:]
-                                - inj_cyc[lo : e1 - first_inj + 1]
-                            ).tolist()
-                stats.bulk_record_ejections(
-                    conn,
-                    evs[0][2],
-                    all_seq,
-                    ej_cyc.tolist(),
-                    consecutive=chained,
-                    found=found,
-                    deltas=lat_hint,
-                )
+            if len({e[2] for e in evs}) == 1:
+                dest = evs[0][2]
+                for first, cycles in self._runs(evs, delta, ks):
+                    stats.record_ejections(conn, dest, first, cycles)
             else:
                 # Multicast: per-destination streams interleave inside
                 # one epoch; keep the exact chronological epoch-by-epoch
-                # order so per-flow checks see the same stream.
+                # order so the connection's latency list interleaves as
+                # stepped execution produces it.
                 for k in range(1, epochs + 1):
                     off_s = k * delta
                     off_c = k * period
                     for cyc_e, seq_e, dest in evs:
-                        stats.bulk_record_ejections(
-                            conn,
-                            dest,
-                            (seq_e + off_s,),
-                            (cyc_e + off_c,),
+                        stats.record_ejections(
+                            conn, dest, seq_e + off_s, (cyc_e + off_c,)
                         )
 
         for idx, evs in sink_by_idx.items():
@@ -504,6 +432,26 @@ class EpochReplay:
             if checking:
                 self._replay_checking(sink, evs, dvec, epochs)
 
+    def _runs(self, evs: List[tuple], delta: int, ks: Any) -> Any:
+        """One stream's epochs, k-major, as ``(first sequence, cycles)``
+        runs: cut wherever the next sequence is not the previous + 1.
+
+        A steady stream that chains across epochs (first + delta ==
+        last + 1) is a single run however many epochs are replayed.
+        """
+        cyc = np.asarray([e[0] for e in evs], dtype=np.int64)
+        seq = np.asarray([e[1] for e in evs], dtype=np.int64)
+        all_seq = (seq[None, :] + (ks * delta)[:, None]).ravel()
+        all_cyc = (cyc[None, :] + (ks * self.period)[:, None]).ravel()
+        cycles = all_cyc.tolist()
+        cuts = np.flatnonzero(all_seq[1:] - all_seq[:-1] != 1) + 1
+        lows = [0, *cuts.tolist()]
+        firsts = all_seq[lows].tolist()
+        for first, low, high in zip(
+            firsts, lows, [*lows[1:], len(cycles)]
+        ):
+            yield first, cycles[low:high]
+
     def _replay_checking(
         self,
         sink: Any,
@@ -517,8 +465,9 @@ class EpochReplay:
         matches the sink's last-seen counter, and the per-epoch shift
         equals the stream length — then the whole replay provably
         produces no findings and only advances ``_last_seq``.  Anything
-        else falls back to the exact scalar walk stepped execution
-        performs (chronological within each epoch, across connections).
+        else walks the sink's own per-word check in the order stepped
+        execution performs it (chronological within each epoch, across
+        connections).
         """
         names = self.conn_names
         streams: Dict[int, List[int]] = {}
@@ -548,25 +497,10 @@ class EpochReplay:
             return
         period = self.period
         for k in range(1, epochs + 1):
-            off_c = k * period
             for cyc, _pay, cid, seq in evs:
-                if not cid or seq < 0:
-                    continue
-                conn = names[cid]
-                sq = seq + k * int(dvec[cid])
-                at = cyc + off_c
-                last = sink._last_seq.get(conn)
-                expected = 0 if last is None else last + 1
-                if sq > expected:
-                    sink._record(
-                        at,
-                        "e2e_gap",
-                        f"{conn}: expected seq {expected}, got {sq}",
+                if cid and seq >= 0:
+                    sink._check_sequence(
+                        cyc + k * period,
+                        names[cid],
+                        seq + k * int(dvec[cid]),
                     )
-                elif sq < expected:
-                    sink._record(
-                        at,
-                        "e2e_out_of_order",
-                        f"{conn}: expected seq {expected}, got {sq}",
-                    )
-                sink._last_seq[conn] = sq

@@ -10,9 +10,10 @@ config-slot loss) claims.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from itertools import repeat
-from typing import Dict, List, Optional, Sequence
+from operator import sub
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import SimulationError, StatsIntegrityError
 from .flit import Word
@@ -22,6 +23,13 @@ from .flit import Word
 FAULT_INJECTED = "inject"
 #: FaultEvent.category for a fault being *observed* by a detector.
 FAULT_DETECTED = "detect"
+
+#: One absent ledger entry; ``_ABSENT * n`` pads ``n`` of them.
+_ABSENT = array("q", (-1,))
+
+
+def _column() -> array[int]:
+    return array("q")
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,30 +69,25 @@ class FaultEvent:
 
 
 @dataclass(slots=True)
-class WordRecord:
-    """Lifecycle of a single word, keyed by (connection, sequence)."""
-
-    connection: str
-    sequence: int
-    injected_at: int
-    ejected_at: Optional[int] = None
-
-    @property
-    def latency(self) -> Optional[int]:
-        """Injection-to-ejection latency in cycles, if delivered."""
-        if self.ejected_at is None:
-            return None
-        return self.ejected_at - self.injected_at
-
-
-@dataclass(slots=True)
 class ConnectionStats:
-    """Aggregated per-connection statistics."""
+    """Aggregated per-connection statistics and the connection's ledger.
+
+    The ledger is two parallel ``array('q')`` columns indexed by
+    ``sequence - first_sequence``: the cycle each word was injected and
+    the cycle of its *first* delivery, ``-1`` meaning absent (kernel
+    time starts at 0).  A contention-free schedule delivers a
+    connection's words densely and in order, so a word costs two
+    integers and no object; a sparse or out-of-order sequence pads or
+    prepends the columns.
+    """
 
     connection: str
     injected: int = 0
     ejected: int = 0
     latencies: List[int] = field(default_factory=list)
+    first_sequence: int = 0
+    injected_at: array[int] = field(default_factory=_column, repr=False)
+    ejected_at: array[int] = field(default_factory=_column, repr=False)
 
     @property
     def in_flight(self) -> int:
@@ -105,6 +108,14 @@ class ConnectionStats:
             return None
         return sum(self.latencies) / len(self.latencies)
 
+    def _words(self) -> Iterator[Tuple[int, int, int]]:
+        """(sequence, injected_at, first ejected_at or -1) per word."""
+        for sequence, (injected, ejected) in enumerate(
+            zip(self.injected_at, self.ejected_at), self.first_sequence
+        ):
+            if injected >= 0:
+                yield sequence, injected, ejected
+
 
 class StatsCollector:
     """Records injection/ejection of every word and checks delivery order.
@@ -117,8 +128,8 @@ class StatsCollector:
 
     def __init__(self) -> None:
         self.connections: Dict[str, ConnectionStats] = {}
-        self._records: Dict[tuple, WordRecord] = {}
         self._last_ejected: Dict[tuple, int] = {}
+        self._undelivered = 0
         #: Injected and detected faults, in recording order.
         self.faults: List[FaultEvent] = []
 
@@ -154,25 +165,19 @@ class StatsCollector:
             counts[event.kind] = counts.get(event.kind, 0) + 1
         return counts
 
+    # -- the word ledger --------------------------------------------------------
+
     def _stats_for(self, connection: str) -> ConnectionStats:
-        if connection not in self.connections:
-            self.connections[connection] = ConnectionStats(connection)
-        return self.connections[connection]
+        stats = self.connections.get(connection)
+        if stats is None:
+            stats = self.connections[connection] = ConnectionStats(
+                connection
+            )
+        return stats
 
     def record_injection(self, word: Word, cycle: int) -> None:
         """Note that ``word`` was driven onto its source link at ``cycle``."""
-        key = (word.connection, word.sequence)
-        if key in self._records:
-            raise StatsIntegrityError(
-                f"word {key} injected twice (cycles "
-                f"{self._records[key].injected_at} and {cycle})"
-            )
-        self._records[key] = WordRecord(
-            connection=word.connection,
-            sequence=word.sequence,
-            injected_at=cycle,
-        )
-        self._stats_for(word.connection).injected += 1
+        self._inject(word.connection, word.sequence, cycle)
 
     def record_ejection(
         self, word: Word, cycle: int, destination: str = ""
@@ -186,214 +191,166 @@ class StatsCollector:
                 so a misdelivered word can never masquerade as (or
                 overwrite) a legitimate record.
         """
-        key = (word.connection, word.sequence)
-        record = self._records.get(key)
-        if record is None:
+        self._eject(word.connection, destination, word.sequence, cycle)
+
+    def _inject(self, connection: str, sequence: int, cycle: int) -> None:
+        stats = self._stats_for(connection)
+        column = stats.injected_at
+        if not column:
+            stats.first_sequence = sequence
+        index = sequence - stats.first_sequence
+        if index < 0:  # before the first word seen so far: prepend
+            pad = _ABSENT * -index
+            column[:0] = pad
+            stats.ejected_at[:0] = pad
+            stats.first_sequence = sequence
+            index = 0
+        elif index >= len(column):  # the next word, or a gap to pad
+            pad = _ABSENT * (index + 1 - len(column))
+            column.extend(pad)
+            stats.ejected_at.extend(pad)
+        elif column[index] >= 0:
+            raise StatsIntegrityError(
+                f"word {(connection, sequence)} injected twice "
+                f"(cycles {column[index]} and {cycle})"
+            )
+        column[index] = cycle
+        stats.injected += 1
+        self._undelivered += 1
+
+    def _eject(
+        self, connection: str, destination: str, sequence: int, cycle: int
+    ) -> None:
+        stats = self.connections.get(connection)
+        injected = -1
+        if stats is not None:
+            index = sequence - stats.first_sequence
+            if 0 <= index < len(stats.injected_at):
+                injected = stats.injected_at[index]
+        if injected < 0:
             known = sorted(self.connections)
             raise StatsIntegrityError(
-                f"word {key} ejected at {destination!r} at cycle {cycle} "
-                f"but was never injected — a misrouted or fabricated "
-                f"word (known connections: {known})"
+                f"word {(connection, sequence)} ejected at "
+                f"{destination!r} at cycle {cycle} but was never "
+                f"injected — a misrouted or fabricated word (known "
+                f"connections: {known})"
             )
-        flow = (word.connection, destination)
+        flow = (connection, destination)
         last = self._last_ejected.get(flow)
-        if last is not None and word.sequence <= last:
+        if last is not None and sequence <= last:
             raise StatsIntegrityError(
-                f"out-of-order delivery on {flow}: sequence {word.sequence} "
+                f"out-of-order delivery on {flow}: sequence {sequence} "
                 f"after {last}"
             )
         # A *gap* (unlike a duplicate or reorder) is how a dropped word
         # manifests at the destination: record it as a detected fault
         # rather than raising, so lossy fault campaigns keep running.
         expected = 0 if last is None else last + 1
-        if word.sequence > expected:
+        if sequence > expected:
             self.record_fault(
                 cycle,
                 FAULT_DETECTED,
                 "sequence_gap",
-                destination or word.connection,
-                f"{word.connection}: expected seq {expected}, "
-                f"got {word.sequence}",
+                destination or connection,
+                f"{connection}: expected seq {expected}, got {sequence}",
             )
-        self._last_ejected[flow] = word.sequence
-        if record.ejected_at is None:
-            record.ejected_at = cycle
-        stats = self._stats_for(word.connection)
+        self._last_ejected[flow] = sequence
+        if stats.ejected_at[index] < 0:
+            stats.ejected_at[index] = cycle
+            self._undelivered -= 1
         stats.ejected += 1
-        stats.latencies.append(cycle - record.injected_at)
+        stats.latencies.append(cycle - injected)
 
-    # -- bulk import (vector-kernel epoch replay) -----------------------------
+    # -- runs (epoch replay) ------------------------------------------------------
 
-    def bulk_record_injections(
-        self,
-        connection: str,
-        sequences: Sequence[int],
-        cycles: Sequence[int],
-    ) -> Optional[List[WordRecord]]:
-        """Record many injections of one connection at once.
+    def record_injections(
+        self, connection: str, first_sequence: int, cycles: Sequence[int]
+    ) -> None:
+        """Record the run ``first_sequence, first_sequence + 1, ...``.
 
-        Semantically identical to calling :meth:`record_injection` for
-        each (sequence, cycle) pair in order, but without constructing a
-        :class:`Word` per event — the bulk entry point the vector
-        kernel's epoch replay uses to materialize thousands of shifted
-        events cheaply.  The duplicate-injection integrity check is
-        preserved.
-
-        Returns the created :class:`WordRecord` objects in event order,
-        so a caller that goes on to record the matching ejections can
-        hand them back (see :meth:`bulk_record_ejections`'s ``found``)
-        instead of paying a dictionary lookup per event.
+        Defined as exactly :meth:`record_injection` for each word of the
+        run at its cycle, in order — same duplicate-injection error,
+        raised after the words before the duplicate were recorded.  A
+        run that continues the connection's column is one slice
+        extension.
         """
-        if not sequences:
-            return []
-        records = self._records
-        if len(sequences) == 1:
-            sequence = sequences[0]
-            key = (connection, sequence)
-            if key in records:
-                raise StatsIntegrityError(
-                    f"word {key} injected twice (cycles "
-                    f"{records[key].injected_at} and {cycles[0]})"
-                )
-            record = WordRecord(connection, sequence, cycles[0])
-            records[key] = record
-            self._stats_for(connection).injected += 1
-            return [record]
-        # C-level iteration end to end: map() drives the constructor,
-        # zip() builds the keys, dict() pairs them — with duplicate
-        # detection reduced to two set-sized comparisons.
-        made = list(
-            map(WordRecord, repeat(connection), sequences, cycles)
-        )
-        fresh = dict(zip(zip(repeat(connection), sequences), made))
-        if len(fresh) == len(sequences) and not (
-            records.keys() & fresh.keys()
-        ):
-            records.update(fresh)
-            self._stats_for(connection).injected += len(sequences)
-            return made
-        # A duplicate somewhere in the batch: replay the per-event walk
-        # to raise the exact record_injection error (with its partial
-        # insertion of the events preceding the duplicate).
-        for sequence, cycle in zip(sequences, cycles):
-            key = (connection, sequence)
-            if key in records:
-                raise StatsIntegrityError(
-                    f"word {key} injected twice (cycles "
-                    f"{records[key].injected_at} and {cycle})"
-                )
-            records[key] = WordRecord(
-                connection=connection,
-                sequence=sequence,
-                injected_at=cycle,
-            )
-        self._stats_for(connection).injected += len(sequences)
-        return None
+        if not cycles:
+            return
+        stats = self._stats_for(connection)
+        column = stats.injected_at
+        if not column:
+            stats.first_sequence = first_sequence
+        if first_sequence - stats.first_sequence == len(column):
+            column.extend(cycles)
+            stats.ejected_at.extend(_ABSENT * len(cycles))
+            stats.injected += len(cycles)
+            self._undelivered += len(cycles)
+            return
+        for sequence, cycle in enumerate(cycles, first_sequence):
+            self._inject(connection, sequence, cycle)
 
-    def bulk_record_ejections(
+    def record_ejections(
         self,
         connection: str,
         destination: str,
-        sequences: Sequence[int],
+        first_sequence: int,
         cycles: Sequence[int],
-        consecutive: bool = False,
-        found: Optional[List[WordRecord]] = None,
-        deltas: Optional[List[int]] = None,
     ) -> None:
-        """Record many ejections of one (connection, destination) stream.
+        """Record deliveries of a run at one destination.
 
-        Equivalent to per-event :meth:`record_ejection` calls in order —
-        same unknown-word and out-of-order integrity errors, same
-        sequence-gap fault events, same latency bookkeeping — batched so
-        epoch replay does not pay per-event ``Word`` construction.
-
-        ``consecutive=True`` is a caller promise that ``sequences`` is a
-        strictly ascending +1 run; when it also starts exactly at the
-        stream's expected next sequence, the per-event order/gap checks
-        are provably redundant and a tighter loop is used.  Any unknown
-        word, or a run that does not start where expected, falls back to
-        the scrupulous per-event walk.
-
-        ``found`` (only honoured with ``consecutive=True``) is the
-        record list for ``sequences``, as returned by
-        :meth:`bulk_record_injections` — a caller promise, aligned
-        one-to-one, that skips the per-event dictionary lookup.
-        ``deltas`` (only honoured together with ``found``) is the
-        precomputed latency list ``cycles[i] - found[i].injected_at``,
-        letting the caller batch the subtraction too.
+        Defined as exactly :meth:`record_ejection` for each word of the
+        run at its cycle, in order — same unknown-word and out-of-order
+        errors, same sequence-gap fault events, same latency order.  A
+        run that starts at the stream's expected next word and covers
+        only injected words no destination has received yet can raise
+        nothing and record no gap, so it is written as one slice.
         """
-        if not sequences:
+        if not cycles:
             return
-        records = self._records
+        stats = self.connections.get(connection)
         flow = (connection, destination)
         last = self._last_ejected.get(flow)
-        stats = self._stats_for(connection)
-        latencies = stats.latencies
-        if consecutive and sequences[0] == (
+        if stats is not None and first_sequence == (
             0 if last is None else last + 1
         ):
-            if found is None or len(found) != len(sequences):
-                try:
-                    found = [
-                        records[(connection, sequence)]
-                        for sequence in sequences
-                    ]
-                except KeyError:
-                    found = None
-            if found is not None:
-                if deltas is not None and len(deltas) == len(
-                    sequences
+            low = first_sequence - stats.first_sequence
+            high = low + len(cycles)
+            if 0 <= low and high <= len(stats.injected_at):
+                injected = stats.injected_at[low:high]
+                if (
+                    min(injected) >= 0
+                    and max(stats.ejected_at[low:high]) < 0
                 ):
-                    for record, cycle in zip(found, cycles):
-                        if record.ejected_at is None:
-                            record.ejected_at = cycle
-                    latencies.extend(deltas)
-                else:
-                    for record, cycle in zip(found, cycles):
-                        if record.ejected_at is None:
-                            record.ejected_at = cycle
-                        latencies.append(cycle - record.injected_at)
-                self._last_ejected[flow] = sequences[-1]
-                stats.ejected += len(sequences)
-                return
-        for sequence, cycle in zip(sequences, cycles):
-            record = records.get((connection, sequence))
-            if record is None:
-                known = sorted(self.connections)
-                raise StatsIntegrityError(
-                    f"word {(connection, sequence)} ejected at "
-                    f"{destination!r} at cycle {cycle} but was never "
-                    f"injected — a misrouted or fabricated word (known "
-                    f"connections: {known})"
-                )
-            if last is not None and sequence <= last:
-                raise StatsIntegrityError(
-                    f"out-of-order delivery on {flow}: sequence "
-                    f"{sequence} after {last}"
-                )
-            expected = 0 if last is None else last + 1
-            if sequence > expected:
-                self.record_fault(
-                    cycle,
-                    FAULT_DETECTED,
-                    "sequence_gap",
-                    destination or connection,
-                    f"{connection}: expected seq {expected}, "
-                    f"got {sequence}",
-                )
-            last = sequence
-            if record.ejected_at is None:
-                record.ejected_at = cycle
-            latencies.append(cycle - record.injected_at)
-        self._last_ejected[flow] = last
-        stats.ejected += len(sequences)
+                    stats.ejected_at[low:high] = array("q", cycles)
+                    stats.latencies.extend(map(sub, cycles, injected))
+                    stats.ejected += len(cycles)
+                    self._undelivered -= len(cycles)
+                    self._last_ejected[flow] = first_sequence + len(cycles) - 1
+                    return
+        for sequence, cycle in enumerate(cycles, first_sequence):
+            self._eject(connection, destination, sequence, cycle)
 
     # -- queries --------------------------------------------------------------
 
+    def word_times(self) -> Dict[tuple, Tuple[int, Optional[int]]]:
+        """``{(connection, sequence): (injected_at, first ejected_at)}``
+        for every recorded word; ``None`` while undelivered."""
+        return {
+            (label, sequence): (injected, None if ejected < 0 else ejected)
+            for label, stats in self.connections.items()
+            for sequence, injected, ejected in stats._words()
+        }
+
     def latency(self, connection: str, sequence: int) -> Optional[int]:
-        """Latency of one specific word, or ``None`` if undelivered."""
-        record = self._records.get((connection, sequence))
-        return record.latency if record else None
+        """First-delivery latency of one word, ``None`` if undelivered."""
+        stats = self.connections.get(connection)
+        if stats is None:
+            return None
+        index = sequence - stats.first_sequence
+        if not 0 <= index < len(stats.ejected_at):
+            return None
+        ejected = stats.ejected_at[index]
+        return None if ejected < 0 else ejected - stats.injected_at[index]
 
     def delivered_words(self, connection: str) -> int:
         """Total delivery events for a connection (per destination)."""
@@ -404,12 +361,18 @@ class StatsCollector:
         stats = self.connections.get(connection)
         return stats.injected if stats else 0
 
+    @property
+    def all_delivered(self) -> bool:
+        """True when every injected word has reached a destination."""
+        return not self._undelivered
+
     def undelivered(self) -> List[tuple]:
         """Keys of words still in flight (should drain to empty)."""
         return [
-            key
-            for key, record in self._records.items()
-            if record.ejected_at is None
+            (label, sequence)
+            for label, stats in self.connections.items()
+            for sequence, _injected, ejected in stats._words()
+            if ejected < 0
         ]
 
     def throughput_words_per_cycle(

@@ -73,7 +73,13 @@ class DrainSink(Component):
         if cycle < self.start_cycle:
             return
         for word in self.receive(self.words_per_cycle):
-            self.received.append((cycle, word.payload))
+            self.consume(cycle, word)
+
+    def consume(self, cycle: int, word: Word) -> None:
+        """Take one drained word.  The compiled engine drains the queue
+        itself and hands each word here, so what a sink does with a
+        word is written once."""
+        self.received.append((cycle, word.payload))
 
 
 class ThrottledSink(DrainSink):
@@ -155,30 +161,24 @@ class CheckingSink(DrainSink):
                 cycle, FAULT_DETECTED, kind, self.name, detail
             )
 
-    def evaluate(self, cycle: int) -> None:
-        if cycle < self.start_cycle:
-            return
-        for word in self.receive(self.words_per_cycle):
-            self.received.append((cycle, word.payload))
-            if not word.parity_ok:
-                self._record(
-                    cycle, "sink_parity_error", f"{word!r}"
-                )
-            if word.sequence >= 0 and word.connection:
-                last = self._last_seq.get(word.connection)
-                expected = 0 if last is None else last + 1
-                if word.sequence > expected:
-                    self._record(
-                        cycle,
-                        "e2e_gap",
-                        f"{word.connection}: expected seq "
-                        f"{expected}, got {word.sequence}",
-                    )
-                elif word.sequence < expected:
-                    self._record(
-                        cycle,
-                        "e2e_out_of_order",
-                        f"{word.connection}: expected seq "
-                        f"{expected}, got {word.sequence}",
-                    )
-                self._last_seq[word.connection] = word.sequence
+    def consume(self, cycle: int, word: Word) -> None:
+        super().consume(cycle, word)
+        if not word.parity_ok:
+            self._record(cycle, "sink_parity_error", f"{word!r}")
+        if word.sequence >= 0 and word.connection:
+            self._check_sequence(cycle, word.connection, word.sequence)
+
+    def _check_sequence(
+        self, cycle: int, connection: str, sequence: int
+    ) -> None:
+        """The per-connection consecutive-sequence check (epoch replay
+        walks it directly when it cannot prove a stream clean)."""
+        last = self._last_seq.get(connection)
+        expected = 0 if last is None else last + 1
+        if sequence != expected:
+            self._record(
+                cycle,
+                "e2e_gap" if sequence > expected else "e2e_out_of_order",
+                f"{connection}: expected seq {expected}, got {sequence}",
+            )
+        self._last_seq[connection] = sequence

@@ -155,10 +155,7 @@ class Probe:
                 (r.submitted_at, r.started_at, r.finished_at, r.responses)
                 for r in net.config_module.completed
             ],
-            "deliveries": {
-                key: (record.injected_at, record.ejected_at)
-                for key, record in net.stats._records.items()
-            },
+            "deliveries": net.stats.word_times(),
             "received": [list(sink.received) for sink in sinks],
             "dropped": net.total_dropped_words,
             "cycle": net.kernel.cycle,

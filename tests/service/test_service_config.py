@@ -1,11 +1,10 @@
-"""Malformed service knobs: the typed degradation regression.
+"""Malformed service knobs raise, typed, at construction.
 
-The service mirror of ``tests/sim/test_shard_config.py``: every
-malformed *environment* knob — word, float, exponent, out-of-range —
-must degrade to the default with a typed ``unsupported_params``
-refusal recorded in the service stats, never an exception and never a
-silently truncated value.  Programmatic knobs are code, so they raise
-:class:`~repro.errors.ServiceConfigError` instead.
+Service knobs are the caller's code: a word, float, out-of-range value
+or a cap below its base raises
+:class:`~repro.errors.ServiceConfigError` from the
+:class:`~repro.service.ServiceConfig` constructor — never a silently
+truncated value.
 """
 
 from __future__ import annotations
@@ -13,107 +12,21 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ServiceConfigError
-from repro.service import (
-    SERVICE_BACKOFF_BASE_ENV,
-    SERVICE_BACKOFF_CAP_ENV,
-    SERVICE_LEASE_ENV,
-    SERVICE_RETRIES_ENV,
-    SERVICE_SHARDS_ENV,
-    SERVICE_TIMEOUT_ENV,
-    ConnectionBroker,
-    ServiceConfig,
-    build_mesh_fleet,
-    resolve_service_config,
-)
-
-
-def assert_degraded_typed(config, env_name, default_attr, default):
-    assert getattr(config, default_attr) == default
-    assert any(
-        "unsupported_params" in refusal and env_name in refusal
-        for refusal in config.refusals
-    )
+from repro.service import ConnectionBroker, ServiceConfig, build_mesh_fleet
 
 
 @pytest.mark.parametrize(
-    "raw",
-    ["three", "2.5", "1e9", "inf", "nan", ""],
-    ids=["word", "float", "exp", "inf", "nan", "empty"],
-)
-def test_malformed_shards_env_degrades_typed(monkeypatch, raw):
-    monkeypatch.setenv(SERVICE_SHARDS_ENV, raw)
-    config = resolve_service_config()
-    assert config.shards == 1
-    if raw.strip():
-        assert_degraded_typed(
-            config, SERVICE_SHARDS_ENV, "shards", 1
-        )
-    else:
-        assert config.refusals == ()
-
-
-@pytest.mark.parametrize(
-    "env,attr,default,raw",
+    "kwargs,error",
     [
-        (SERVICE_SHARDS_ENV, "shards", 1, "0"),
-        (SERVICE_SHARDS_ENV, "shards", 1, "-3"),
-        (SERVICE_SHARDS_ENV, "shards", 1, "65"),
-        (SERVICE_RETRIES_ENV, "max_retries", 3, "17"),
-        (SERVICE_TIMEOUT_ENV, "timeout_cycles", 50_000, "10"),
-        (SERVICE_LEASE_ENV, "lease_cycles", 40_000, "0"),
-    ],
-    ids=[
-        "shards-zero",
-        "shards-negative",
-        "shards-over",
-        "retries-over",
-        "timeout-under",
-        "lease-zero",
-    ],
-)
-def test_out_of_range_env_degrades_typed(
-    monkeypatch, env, attr, default, raw
-):
-    monkeypatch.setenv(env, raw)
-    config = resolve_service_config()
-    assert_degraded_typed(config, env, attr, default)
-
-
-def test_cap_below_base_env_degrades_typed(monkeypatch):
-    monkeypatch.setenv(SERVICE_BACKOFF_BASE_ENV, "1000")
-    monkeypatch.setenv(SERVICE_BACKOFF_CAP_ENV, "10")
-    config = resolve_service_config()
-    assert config.backoff_base_cycles == 1000
-    assert_degraded_typed(
-        config, SERVICE_BACKOFF_CAP_ENV, "backoff_cap_cycles", 4_096
-    )
-
-
-def test_well_formed_environment_is_honoured(monkeypatch):
-    monkeypatch.setenv(SERVICE_SHARDS_ENV, " 2 ")
-    monkeypatch.setenv(SERVICE_RETRIES_ENV, "5")
-    config = resolve_service_config()
-    assert config.shards == 2
-    assert config.max_retries == 5
-    assert config.refusals == ()
-
-
-def test_override_beats_environment(monkeypatch):
-    monkeypatch.setenv(SERVICE_SHARDS_ENV, "4")
-    config = resolve_service_config(shards=2)
-    assert config.shards == 2
-    assert config.refusals == ()
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"shards": 0},
-        {"shards": 2.5},
-        {"shards": "three"},
-        {"max_retries": -1},
-        {"backoff_base_cycles": 100, "backoff_cap_cycles": 10},
-        {"nonexistent_knob": 1},
+        ({"shards": 0}, ServiceConfigError),
+        ({"shards": 2.5}, ServiceConfigError),
+        ({"shards": "three"}, ServiceConfigError),
+        ({"max_retries": -1}, ServiceConfigError),
+        (
+            {"backoff_base_cycles": 100, "backoff_cap_cycles": 10},
+            ServiceConfigError,
+        ),
+        ({"nonexistent_knob": 1}, TypeError),
     ],
     ids=[
         "zero",
@@ -124,9 +37,9 @@ def test_override_beats_environment(monkeypatch):
         "unknown",
     ],
 )
-def test_programmatic_knobs_raise(kwargs):
-    with pytest.raises(ServiceConfigError):
-        resolve_service_config(**kwargs)
+def test_programmatic_knobs_raise(kwargs, error):
+    with pytest.raises(error):
+        ServiceConfig(**kwargs)
 
 
 def test_constructor_validates_directly():
@@ -136,13 +49,7 @@ def test_constructor_validates_directly():
         ServiceConfig(timeout_cycles=2.5)  # type: ignore[arg-type]
 
 
-def test_refusals_land_in_service_stats(monkeypatch):
-    monkeypatch.setenv(SERVICE_SHARDS_ENV, "bogus")
-    config = resolve_service_config()
-    broker = ConnectionBroker(
-        build_mesh_fleet(1), config=config, seed=0
-    )
-    assert any(
-        "unsupported_params" in refusal
-        for refusal in broker.stats.refusals
-    )
+def test_broker_defaults_ignore_the_environment(monkeypatch):
+    monkeypatch.setenv("REPRO_SERVICE_RETRIES", "9")
+    broker = ConnectionBroker(build_mesh_fleet(1), seed=0)
+    assert broker.config == ServiceConfig()

@@ -1,4 +1,4 @@
-"""The compiled engine refuses / decompiles exactly when it must.
+"""The compiled engine refuses / is retired exactly when it must.
 
 Every non-compilable situation has a *typed* refusal reason, queryable
 from :meth:`Kernel.kernel_stats`, and always degrades to the activity

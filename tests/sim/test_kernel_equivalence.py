@@ -169,10 +169,7 @@ def stats_snapshot(stats):
         label: (s.injected, s.ejected, tuple(s.latencies))
         for label, s in stats.connections.items()
     }
-    records = {
-        key: (record.injected_at, record.ejected_at)
-        for key, record in stats._records.items()
-    }
+    records = stats.word_times()
     return connections, records
 
 

@@ -29,7 +29,7 @@ from repro.sim.kernel import (
     Register,
 )
 from repro.sim.link import Link, NarrowLink
-from repro.sim.stats import ConnectionStats, FaultEvent, WordRecord
+from repro.sim.stats import ConnectionStats, FaultEvent
 from repro.sim.trace import TraceEvent
 from repro.topology import build_mesh, ni_name
 from repro.traffic.generators import CbrGenerator
@@ -183,7 +183,6 @@ SLOTTED_INSTANCES = [
     SourceChannel(channel=0),
     DestChannel(channel=0),
     FaultEvent(cycle=0, category="detect", kind="k", site="s"),
-    WordRecord(connection="c", sequence=0, injected_at=0),
     ConnectionStats(connection="c"),
     TraceEvent(cycle=0, component="c", category="k", message="m"),
     Link("l"),

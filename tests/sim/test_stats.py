@@ -1,11 +1,16 @@
-"""Unit tests for the statistics collector's delivery invariants."""
+"""Unit tests for the statistics collector's delivery invariants, and
+the differential that defines its run entry points as the scalar calls
+in order."""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError, StatsIntegrityError
 from repro.sim import StatsCollector, Word
+from repro.sim import stats as stats_module
 
 
 def w(seq, conn="c"):
@@ -115,7 +120,7 @@ class TestIntegrityViolations:
         stats.record_injection(w(0), 0)
         stats.record_ejection(w(0), 6, destination="NI1")
         before = (
-            dict(stats._records),
+            stats.word_times(),
             dict(stats._last_ejected),
             {
                 label: (s.injected, s.ejected, list(s.latencies))
@@ -125,7 +130,7 @@ class TestIntegrityViolations:
         with pytest.raises(StatsIntegrityError):
             stats.record_ejection(w(7), 9, destination="NI1")
         after = (
-            dict(stats._records),
+            stats.word_times(),
             dict(stats._last_ejected),
             {
                 label: (s.injected, s.ejected, list(s.latencies))
@@ -149,3 +154,246 @@ class TestIntegrityViolations:
     def test_integrity_error_is_a_simulation_error(self):
         # Existing except-clauses catching SimulationError keep working.
         assert issubclass(StatsIntegrityError, SimulationError)
+
+
+class TestWordLedger:
+    """The per-connection columns behind ``word_times()``."""
+
+    def test_sparse_and_out_of_order_injections_pad_and_prepend(self):
+        stats = StatsCollector()
+        for seq, cycle in ((5, 50), (8, 80), (3, 30)):
+            stats.record_injection(w(seq), cycle)
+        assert stats.word_times() == {
+            ("c", 3): (30, None),
+            ("c", 5): (50, None),
+            ("c", 8): (80, None),
+        }
+        assert stats.connections["c"].injected == 3
+        # The padded positions are absent, not words.
+        with pytest.raises(StatsIntegrityError, match="never injected"):
+            stats.record_ejection(w(4), 90, destination="d")
+        stats.record_injection(w(4), 40)
+        with pytest.raises(StatsIntegrityError, match="injected twice"):
+            stats.record_injection(w(4), 41)
+
+    def test_word_times_keeps_the_first_delivery(self):
+        stats = StatsCollector()
+        stats.record_injection(w(0), 1)
+        stats.record_ejection(w(0), 7, destination="NI1")
+        stats.record_ejection(w(0), 9, destination="NI2")
+        assert stats.word_times() == {("c", 0): (1, 7)}
+        assert stats.latency("c", 0) == 6
+
+    def test_all_delivered_counts_first_deliveries_only(self):
+        stats = StatsCollector()
+        assert stats.all_delivered
+        stats.record_injections("c", 0, [0, 1])
+        assert not stats.all_delivered
+        stats.record_ejections("c", "NI1", 0, [5, 6])
+        assert stats.all_delivered and stats.undelivered() == []
+        stats.record_ejections("c", "NI2", 0, [7, 8])
+        assert stats.all_delivered
+        stats.record_injection(w(2), 9)
+        assert not stats.all_delivered
+        assert stats.undelivered() == [("c", 2)]
+
+
+# -- runs are the scalar calls, in order ---------------------------------------
+
+CONNECTIONS = ("a", "b")
+DESTINATIONS = ("d1", "d2")
+
+
+def observe(stats):
+    return (
+        stats.word_times(),
+        {label: list(s.latencies) for label, s in stats.connections.items()},
+        {label: (s.injected, s.ejected) for label, s in stats.connections.items()},
+        dict(stats._last_ejected),
+        stats.fault_log(),
+        stats.undelivered(),
+        stats.all_delivered,
+    )
+
+
+def apply_as_run(stats, op):
+    if op[0] == "inject":
+        stats.record_injections(*op[1:])
+    else:
+        stats.record_ejections(*op[1:])
+
+
+def apply_word_by_word(stats, op):
+    tag, conn, *dest, first, cycles = op
+    for seq, cycle in enumerate(cycles, first):
+        if tag == "inject":
+            stats.record_injection(w(seq, conn), cycle)
+        else:
+            stats.record_ejection(w(seq, conn), cycle, *dest)
+
+
+def integrity_error(apply, stats, op):
+    try:
+        apply(stats, op)
+    except StatsIntegrityError as exc:
+        return str(exc)
+    return None
+
+
+def assert_runs_match_scalar_calls(ops):
+    """Drive ``ops`` through the run entry points on one collector and
+    word by word through the scalar ones on another; after every op the
+    two must agree on every observable and on what was raised."""
+    by_run, by_word = StatsCollector(), StatsCollector()
+    for op in ops:
+        assert integrity_error(apply_as_run, by_run, op) == integrity_error(
+            apply_word_by_word, by_word, op
+        ), op
+        assert observe(by_run) == observe(by_word), op
+    return by_run
+
+
+TWEAKS = ("keep",) * 6 + ("drop", "twice", "early", "late")
+
+
+@st.composite
+def run_ops(draw):
+    """A well-formed stream per connection — runs injected densely from
+    a first sequence of 0, 7 or 2**62, each delivered at some of the
+    destinations — with four in ten of the ops then dropped, doubled
+    or moved by one word, which is where gaps, duplicates, unknown words
+    and runs off the expected word come from."""
+    ops = []
+    for conn in CONNECTIONS:
+        first = draw(st.sampled_from((0, 7, 2**62)))
+        for _ in range(draw(st.integers(0, 6))):
+            cycles = draw(
+                st.lists(st.integers(0, 10**6), min_size=1, max_size=4)
+            )
+            dests = draw(st.lists(st.sampled_from(DESTINATIONS), max_size=2))
+            for op in [("inject", conn)] + [
+                ("eject", conn, dest) for dest in dests
+            ]:
+                tweak = draw(st.sampled_from(TWEAKS))
+                copies = {"drop": 0, "twice": 2}.get(tweak, 1)
+                shift = {"early": -1, "late": 1}.get(tweak, 0)
+                ops += [op + (first + shift, cycles)] * copies
+            first += len(cycles)
+    return ops
+
+
+@pytest.mark.differential
+@settings(max_examples=300, deadline=None)
+@given(ops=run_ops())
+def test_runs_match_scalar_calls(ops):
+    assert_runs_match_scalar_calls(ops)
+
+
+HUGE = 2**62
+
+#: One stream per situation the run entry points must get right.
+NAMED_STREAMS = {
+    "dense": [
+        ("inject", "a", 0, [1, 2, 3, 4]),
+        ("eject", "a", "d1", 0, [8, 9]),
+        ("eject", "a", "d1", 2, [10, 11]),
+    ],
+    "nonzero-first-sequence": [
+        ("inject", "a", 7, [1, 2, 3]),
+        ("eject", "a", "d1", 7, [8]),  # gap fault: expected 0
+        ("eject", "a", "d1", 8, [9, 10]),
+    ],
+    "huge-first-sequence": [
+        ("inject", "a", HUGE, [1, 2, 3]),
+        ("eject", "a", "d1", HUGE, [8]),
+        ("eject", "a", "d1", HUGE + 1, [9, 10]),
+    ],
+    "gaps": [
+        ("inject", "a", 0, [1, 2]),
+        ("inject", "a", 4, [5, 6]),
+        ("inject", "a", 2, [3]),
+        ("eject", "a", "d1", 0, [8, 9, 10]),
+        ("eject", "a", "d1", 4, [12, 13]),  # gap fault: 3 was skipped
+    ],
+    "prepend": [
+        ("inject", "a", 5, [50, 60]),
+        ("inject", "a", 2, [20, 30, 40]),
+        ("eject", "a", "d1", 2, [70, 71, 72, 73, 74]),
+    ],
+    "second-multicast-destination": [
+        ("inject", "a", 0, [1, 2, 3]),
+        ("eject", "a", "d1", 0, [8, 9, 10]),
+        ("eject", "a", "d2", 0, [11, 12, 13]),
+    ],
+    "run-not-at-the-expected-word": [
+        ("inject", "a", 0, [1, 2, 3, 4]),
+        ("eject", "a", "d1", 1, [8, 9]),  # gap fault
+        ("eject", "a", "d1", 1, [10]),  # out of order
+        ("eject", "a", "d1", 3, [11]),
+    ],
+    "duplicate-inside-a-run": [
+        ("inject", "a", 2, [1]),
+        ("inject", "a", 0, [5, 6, 7, 8]),  # 0 and 1 land, 2 raises
+        ("inject", "a", 3, [9]),
+    ],
+    "unknown-word-inside-a-run": [
+        ("inject", "a", 0, [1, 2]),
+        ("inject", "a", 3, [4]),
+        ("eject", "a", "d1", 0, [8, 9, 10, 11]),  # 0 and 1 land, 2 raises
+        ("eject", "a", "d1", 3, [12]),
+    ],
+    "unknown-connection": [
+        ("eject", "ghost", "d1", 0, [8]),
+        ("inject", "a", 0, [1]),
+        ("eject", "ghost", "d1", 0, [9]),
+    ],
+    "empty-runs": [
+        ("inject", "a", 0, []),
+        ("eject", "a", "d1", 0, []),
+    ],
+}
+
+
+@pytest.mark.differential
+@pytest.mark.parametrize("name", sorted(NAMED_STREAMS))
+def test_named_streams_match_scalar_calls(name):
+    assert_runs_match_scalar_calls(NAMED_STREAMS[name])
+
+
+def test_the_named_streams_reach_the_slice_paths():
+    """The comparison above is only worth something if the run side took
+    its slice path where one applies: a dense stream ends with every
+    word delivered and no fault, through three calls."""
+    stats = assert_runs_match_scalar_calls(NAMED_STREAMS["dense"])
+    assert stats.all_delivered and not stats.faults
+    assert stats.connections["a"].latencies == [7, 7, 7, 7]
+
+
+class TestPlantedLedgerMutantsAreKilled:
+    """Each slice path is guarded by one condition per way the scalar
+    walk could behave differently; drop one and a named stream diverges.
+    The guards are the ``min`` / ``max`` over the run's column slices,
+    so shadowing that builtin in the module's namespace removes exactly
+    the guard."""
+
+    @staticmethod
+    def survives(name):
+        try:
+            assert_runs_match_scalar_calls(NAMED_STREAMS[name])
+        except AssertionError:
+            return False
+        return True
+
+    def test_skipping_the_all_injected_check(self, monkeypatch):
+        assert self.survives("unknown-word-inside-a-run")
+        monkeypatch.setattr(
+            stats_module, "min", lambda column: 0, raising=False
+        )
+        assert not self.survives("unknown-word-inside-a-run")
+
+    def test_skipping_the_not_yet_delivered_check(self, monkeypatch):
+        assert self.survives("second-multicast-destination")
+        monkeypatch.setattr(
+            stats_module, "max", lambda column: -1, raising=False
+        )
+        assert not self.survives("second-multicast-destination")

@@ -226,10 +226,7 @@ def stats_snapshot(stats):
         label: (s.injected, s.ejected, tuple(s.latencies))
         for label, s in stats.connections.items()
     }
-    records = {
-        key: (record.injected_at, record.ejected_at)
-        for key, record in stats._records.items()
-    }
+    records = stats.word_times()
     faults = tuple(event.format() for event in stats.faults)
     return connections, records, faults
 
