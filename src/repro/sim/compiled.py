@@ -1,22 +1,39 @@
-"""Flat-schedule compiled execution of a configured daelite data plane.
+"""Trajectory-lowered execution of a configured daelite data plane.
 
 The contention-free TDM schedule makes a *configured* data plane fully
 deterministic: which register feeds which register in a given cycle is a
-pure function of the cycle's wheel phase (``cycle mod T*words_per_slot``).
-This module flattens that function, once per (re)configuration, into
-per-phase integer-indexed move maps and then advances the network in one
-tight loop over a sparse dict of in-flight phits — no component dispatch,
-no ``Register`` objects, no wake-set bookkeeping on the fast path.
+pure function of the cycle's wheel phase (``cycle mod T*words_per_slot``),
+and no word ever waits inside the network.  :mod:`repro.sim.lowering`
+flattens that function, once per (re)configuration, into a per-phase op
+table and walks the table from every injection seed — an NI stage
+register in a wheel phase its channel owns — into the seed's
+*trajectory* (the registers a phit launched there holds at each step,
+the step it enters the link, the steps it arrives, the link and router
+counters it bumps on the way).  This module executes trajectories, not
+hops: the engine touches a word when it is injected and when it
+arrives.  The op table stays as the proof artifact the trajectories are
+checked against (``repro.staticcheck``, OP001–OP005).
 
 It is the one engine behind ``vector`` mode, in two layers:
 
-* **Compiled stepping** — :meth:`CompiledEngine.run_to` imports the data
-  registers into a ``{register-index: Phit}`` dict, applies the move map
-  of each cycle's phase (link traversal, crossbar forwarding with
-  multicast fan-out, NI injection pipeline, arrivals with parity check,
-  credit return), fires traffic generators at their self-scheduled
-  cycles and drains sinks, then materializes every register, counter and
-  statistic back — bit-exactly — before returning.
+* **Stepping** — :meth:`CompiledEngine.run_to` puts the phits it finds
+  in the data registers back on their trajectories and then runs an
+  event loop over per-cycle buckets.  In a cycle: link entries
+  (injection recorded) and arrivals (parity check, delivery, ejection
+  recorded, credit return) in the activity kernel's order; the slot
+  owners — NI channels — that are *armed*, i.e. may have a word or
+  credits to send in the phase they own, each launching at most one
+  phit as two bucket entries (its link entry, its arrival; one arrival
+  per leaf of a multicast tree); the generators due; the sinks whose
+  queue holds words.  An owner is armed by a generator firing into its
+  channel, by credits arriving for it and by a sink drain leaving
+  credits for it to return, and stays armed while it can send; an idle
+  network handles no events.  Link and router counters are paid per
+  launch, whole trajectories at a time, and settled at every *barrier*
+  — each exit, normal or exceptional, and each replay boundary — where
+  phits still in flight take back the steps they have not executed and
+  are written to the registers they occupy, so registers, counters and
+  statistics are bit-exactly those of stepped execution.
 * **Epoch replay** — once every generator is in its steady rhythm the
   whole network state repeats with period ``P = lcm(wheel, generator and
   sink periods)``.  The engine probes state *signatures* at absolute
@@ -52,28 +69,35 @@ transparently falls back to the activity mode for those cycles.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
-from dataclasses import dataclass
+from collections import OrderedDict
+from heapq import heapify, heappop, heapreplace
 from math import lcm
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..errors import SimulationError
 from .flit import Phit, Word
-from .kernel import CompileRefusal, Kernel, Register
+from .kernel import CompileRefusal, Kernel
+from .lowering import (
+    LoweredArtifacts,
+    _Leaf,
+    _Lowered,
+    _lower_schedule,
+    _OwnerPlan,
+    _Trajectory,
+    render_artifacts,
+)
 from .stats import FAULT_DETECTED
-
-# Move-map operation tags (op[0]).
-_OP_MOVE = 0  # NI injection stage -> NI output register
-_OP_SEND = 1  # router crossbar register -> outgoing data link
-_OP_INJECT = 2  # NI output register -> NI-router link (records injection)
-_OP_FORWARD = 3  # router input link -> crossbar registers (multicast fans)
-_OP_ARRIVE = 4  # NI input link -> destination channel queue
 
 # Replay event tags: event[0] of the ``(tag, cycle, connection id,
 # sequence, ...)`` int tuples one epoch is recorded as.
 _EV_INJECT = 0
 _EV_EJECT = 1
 _EV_SINK = 2
+
+#: Rank of a pending ``(order, leaf, word, credit bits)`` event within
+#: its cycle.
+_EVENT_ORDER = itemgetter(0)
 
 _PAYLOAD_MASK = 0xFFFF_FFFF
 _NEVER = 1 << 62
@@ -88,52 +112,6 @@ MAX_REPLAY_PERIOD = 1 << 16
 #: lookup when a regime returns (covers realistic use-case rosters; one
 #: entry per distinct programmed schedule).
 LOWER_CACHE_CAPACITY = 16
-
-#: Stable string names of the move-map op tags.  The introspection API
-#: (:meth:`CompiledEngine.lowered_artifacts`) speaks these so external
-#: verifiers never depend on the private integer encoding.
-OP_NAMES = {
-    _OP_MOVE: "move",
-    _OP_SEND: "send",
-    _OP_INJECT: "inject",
-    _OP_FORWARD: "forward",
-    _OP_ARRIVE: "arrive",
-}
-
-
-@dataclass(frozen=True)
-class LoweredOp:
-    """One phase-table op in the stable introspection form.
-
-    ``src`` is the register column the op consumes this phase; ``dsts``
-    are the columns it drives entering the next wheel phase (empty for
-    ``"arrive"``, which terminates the schedule walk); ``site`` names
-    the link/router/NI the op belongs to, for diagnostics only.
-    """
-
-    kind: str
-    src: int
-    dsts: Tuple[int, ...]
-    site: str
-
-
-@dataclass(frozen=True)
-class LoweredArtifacts:
-    """The compile products that staticcheck's op-table prover consumes.
-
-    This is the provability contract for data-plane substrates (see
-    DESIGN.md §12): a substrate is checkable by the OP rules iff it can
-    render its lowering as per-phase op tuples, the injection ``seeds``
-    — ``(register, phase)`` pairs driven from outside the table walk —
-    and the claimed ``occupancy`` bitmasks (bit ``p`` set iff the
-    column may hold a phit entering wheel phase ``p``).
-    """
-
-    wheel: int
-    register_names: Tuple[str, ...]
-    phase_ops: Tuple[Tuple[LoweredOp, ...], ...]
-    seeds: Tuple[Tuple[int, int], ...]
-    occupancy: Tuple[int, ...]
 
 
 def install_compile_provider(network: Any) -> None:
@@ -219,7 +197,7 @@ def _schedule_image(network: Any) -> tuple:
     pure function of: the slot wheel geometry and, per router/NI, the
     programmed forward/injection/arrival tables plus the static link
     attachment.  Two configurations with equal images lower to the same
-    move maps, occupancy and refusals, which is what makes both the
+    op tables, trajectories and refusals, which is what makes both the
     lowering cache and the piecewise-periodic regime cache sound across
     use-case switches that revisit a schedule.
     """
@@ -438,155 +416,25 @@ def _classify_components(network: Any) -> Any:
     return gens, sinks
 
 
-def _lower_schedule(network: Any) -> Any:
-    """Build the schedule-dependent compile products, or refuse.
+class _Owner:
+    """One run's live view of an :class:`_OwnerPlan`: the source channel
+    it injects from, the paired destination whose credits it returns,
+    and whether a visit is scheduled (``armed``)."""
 
-    Returns ``(regs, move_map, inj_ops, occupancy)``: everything that
-    is a pure function of the structural schedule image (and the fixed
-    network wiring) — which is exactly what the lowering cache may
-    memoize.  The traffic roster, steady period and replay eligibility
-    are *not* here: they depend on live components and are recomputed
-    on every compile.
-    """
-    params = network.params
-    table = params.slot_table_size
-    wps = params.words_per_slot
-    wheel = table * wps
+    __slots__ = ("source", "dest", "slots", "first", "armed")
 
-    regs: List[Register] = []
-    index: Dict[int, int] = {}
+    source: Any
+    dest: Any
+    slots: List[Any]
+    first: List[int]
+    armed: bool
 
-    def rid_of(register: Register) -> int:
-        key = id(register)
-        rid = index.get(key)
-        if rid is None:
-            rid = len(regs)
-            index[key] = rid
-            regs.append(register)
-        return rid
-
-    for link in network.links.values():
-        rid_of(link.register)
-
-    static_ops: Dict[int, tuple] = {}
-    phase_ops: List[Dict[int, tuple]] = [{} for _ in range(wheel)]
-    inj_ops: List[List[tuple]] = [[] for _ in range(wheel)]
-    seeds: List[Tuple[int, int]] = []
-
-    for router in network.routers.values():
-        xbar_rids = [rid_of(reg) for reg in router._xbar_regs]
-        for output, xbar_rid in enumerate(xbar_rids):
-            out_link = router.out_links[output]
-            if out_link is not None:
-                static_ops[xbar_rid] = (
-                    _OP_SEND,
-                    rid_of(out_link.register),
-                    out_link,
-                )
-        for phase in range(wheel):
-            lagged = ((phase - 1) % wheel) // wps
-            forwards = router.slot_table.forwards(lagged)
-            if not forwards:
-                continue
-            by_input: Dict[int, List[int]] = {}
-            for output, input_port in forwards:
-                by_input.setdefault(input_port, []).append(
-                    xbar_rids[output]
-                )
-            for input_port, dsts in by_input.items():
-                in_link = router.in_links[input_port]
-                if in_link is None:
-                    continue
-                phase_ops[phase][rid_of(in_link.register)] = (
-                    _OP_FORWARD,
-                    tuple(dsts),
-                    router,
-                )
-
-    for ni in network.nis.values():
-        stage_rid = rid_of(ni._stage_reg)
-        out_rid = rid_of(ni._out_reg)
-        static_ops[stage_rid] = (_OP_MOVE, out_rid)
-        if ni.injection_table.occupied():
-            if ni.out_link is None:
-                return CompileRefusal(
-                    CompileRefusal.INCONSISTENT_SCHEDULE,
-                    f"{ni.name} holds injection slots but has no "
-                    f"outgoing link",
-                )
-            static_ops[out_rid] = (
-                _OP_INJECT,
-                rid_of(ni.out_link.register),
-                ni.out_link,
-            )
-        for phase in range(wheel):
-            channel = ni.injection_table.channel(phase // wps)
-            if channel is not None:
-                inj_ops[phase].append(
-                    (ni, channel, stage_rid, phase % wps == 0)
-                )
-                seeds.append((stage_rid, (phase + 1) % wheel))
-            if ni.in_link is not None:
-                arrival = ni.arrival_table.channel(
-                    ((phase - 1) % wheel) // wps
-                )
-                if arrival is not None:
-                    phase_ops[phase][rid_of(ni.in_link.register)] = (
-                        _OP_ARRIVE,
-                        ni,
-                        arrival,
-                    )
-
-    move_map: List[Dict[int, tuple]] = []
-    for phase in range(wheel):
-        merged = dict(static_ops)
-        merged.update(phase_ops[phase])
-        move_map.append(merged)
-
-    # Static occupancy walk: every (register, phase) a phit can reach
-    # must have exactly one consumer.  A missing consumer means the
-    # schedule would drop the word (the stepped kernels' runtime checks
-    # handle that); a doubly-reached (register, phase) means two writers
-    # could collide.  Either way: refuse, fall back.
-    occupancy = [0] * len(regs)
-    work: deque = deque()
-
-    def occupy(rid: int, phase: int) -> bool:
-        bit = 1 << phase
-        if occupancy[rid] & bit:
-            return False
-        occupancy[rid] |= bit
-        work.append((rid, phase))
-        return True
-
-    for rid, phase in seeds:
-        occupy(rid, phase)
-    while work:
-        rid, phase = work.popleft()
-        op = move_map[phase].get(rid)
-        if op is None:
-            return CompileRefusal(
-                CompileRefusal.INCONSISTENT_SCHEDULE,
-                f"a phit reaching {regs[rid].name!r} in wheel phase "
-                f"{phase} has no consumer (the schedule would drop it)",
-            )
-        tag = op[0]
-        if tag == _OP_ARRIVE:
-            continue
-        nxt = (phase + 1) % wheel
-        dsts = op[1] if tag == _OP_FORWARD else (op[1],)
-        for dst in dsts:
-            if not occupy(dst, nxt):
-                # A second writer can reach this (register, phase):
-                # phits from two schedule walks would collide exactly
-                # where the stepped kernels raise a double-drive error.
-                return CompileRefusal(
-                    CompileRefusal.INCONSISTENT_SCHEDULE,
-                    f"two phits may collide in {regs[dst].name!r} at "
-                    f"wheel phase {nxt}",
-                )
-
-    return regs, move_map, inj_ops, occupancy
+    def __init__(self, plan: _OwnerPlan, source: Any, dest: Any) -> None:
+        self.source = source
+        self.dest = dest
+        self.slots = plan.slots
+        self.first = plan.first
+        self.armed = False
 
 
 def compile_network(network: Any, token: int) -> Any:
@@ -629,8 +477,6 @@ def compile_network(network: Any, token: int) -> Any:
         kernel.lowering_cache_misses += 1
     if isinstance(lowered, CompileRefusal):
         return lowered
-    regs, move_map, inj_ops, occupancy = lowered
-
     params = network.params
     wheel = params.slot_table_size * params.words_per_slot
 
@@ -677,10 +523,7 @@ def compile_network(network: Any, token: int) -> Any:
         network=network,
         token=token,
         wheel=wheel,
-        regs=regs,
-        move_map=move_map,
-        inj_ops=inj_ops,
-        occupancy=occupancy,
+        lowered=lowered,
         gens=gens,
         trace_gens=trace_gens,
         sinks=sinks,
@@ -707,10 +550,7 @@ class CompiledEngine:
         network: Any,
         token: int,
         wheel: int,
-        regs: List[Register],
-        move_map: List[Dict[int, tuple]],
-        inj_ops: List[List[tuple]],
-        occupancy: List[int],
+        lowered: _Lowered,
         gens: List[Any],
         trace_gens: List[Any],
         sinks: List[tuple],
@@ -724,11 +564,22 @@ class CompiledEngine:
         self.stats = network.stats
         self.token = token
         self.wheel = wheel
+        self._lowered = lowered
+        regs = lowered.regs
         self.regs = regs
         self.idles = [reg.idle for reg in regs]
-        self.move_map = move_map
-        self.inj_ops = inj_ops
-        self.occupancy = occupancy
+        #: The op table: the proof artifact the trajectories were
+        #: walked from (:meth:`lowered_artifacts`); nothing reads it
+        #: per cycle.
+        self.move_map = lowered.move_map
+        self.occupancy = lowered.occupancy
+        #: What runs: one trajectory per injection seed, and the
+        #: inverse ``index[phase][register] -> (trajectory id, step)``
+        #: that puts a register-resident phit back on its trajectory.
+        self.trajectories = lowered.trajectories
+        self.index = lowered.index
+        self.owner_plans = lowered.owners
+        self.dest_keys = lowered.dest_keys
         self.gens = gens
         self.trace_gens = trace_gens
         self.sinks = sinks
@@ -772,6 +623,23 @@ class CompiledEngine:
         self.counter_getters = getters
         self.counter_setters = setters
         self._cur: Dict[int, Phit] = {}
+        #: Pending link entries and arrivals, by ``cycle & _mask``:
+        #: ``(order, leaf or None, word, credit bits)`` — a phit in
+        #: flight is not an object.  Empty between runs.
+        self._mask = lowered.ring_size - 1
+        self._ring: List[List[tuple]] = [
+            [] for _ in range(lowered.ring_size)
+        ]
+        #: Launches per trajectory since the last barrier (phits, and
+        #: those of them carrying a word), and which have any.
+        self._launched_phits = [0] * len(lowered.trajectories)
+        self._launched_words = [0] * len(lowered.trajectories)
+        self._launched: List[_Trajectory] = []
+        #: Events handled by :meth:`run_to` over the engine's life:
+        #: link entries, arrivals, slot-owner visits, generator firings
+        #: and sink visits.  A deterministic cost figure — it does not
+        #: depend on how many hops a word crosses.
+        self.events_handled = 0
         # Imported here so numpy loads with the first engine, not with
         # the package: the naive and activity kernels never need it.
         from .replay import EpochReplay, roster_key
@@ -808,50 +676,10 @@ class CompiledEngine:
         """Export the compile products in the stable introspection form.
 
         External verifiers (``repro.staticcheck --prove``) consume this
-        instead of the private ``move_map``/``inj_ops`` encoding; the
-        shape is documented on :class:`LoweredArtifacts`.
+        instead of the private ``move_map``/``trajectories`` encoding;
+        the shape is documented on :class:`LoweredArtifacts`.
         """
-        phases: List[Tuple[LoweredOp, ...]] = []
-        for phase in range(self.wheel):
-            ops: List[LoweredOp] = []
-            for rid, op in sorted(self.move_map[phase].items()):
-                tag = op[0]
-                if tag == _OP_ARRIVE:
-                    ops.append(
-                        LoweredOp(
-                            "arrive", rid, (), f"{op[1].name}.ch{op[2]}"
-                        )
-                    )
-                elif tag == _OP_FORWARD:
-                    ops.append(
-                        LoweredOp(
-                            "forward", rid, tuple(op[1]), op[2].name
-                        )
-                    )
-                elif tag == _OP_MOVE:
-                    ops.append(
-                        LoweredOp(
-                            "move", rid, (op[1],), self.regs[op[1]].name
-                        )
-                    )
-                else:  # send / inject carry their link at op[2]
-                    ops.append(
-                        LoweredOp(
-                            OP_NAMES[tag], rid, (op[1],), op[2].name
-                        )
-                    )
-            phases.append(tuple(ops))
-        seeds: List[Tuple[int, int]] = []
-        for phase, inj in enumerate(self.inj_ops):
-            for _ni, _channel, stage_rid, _collect in inj:
-                seeds.append((stage_rid, (phase + 1) % self.wheel))
-        return LoweredArtifacts(
-            wheel=self.wheel,
-            register_names=tuple(reg.name for reg in self.regs),
-            phase_ops=tuple(phases),
-            seeds=tuple(seeds),
-            occupancy=tuple(self.occupancy),
-        )
+        return render_artifacts(self._lowered, self.wheel)
 
     # -- register import / export ----------------------------------------------
 
@@ -864,6 +692,7 @@ class CompiledEngine:
             )
         phase = cycle % self.wheel
         occupancy = self.occupancy
+        index = self.index[phase]
         cur: Dict[int, Phit] = {}
         for rid, reg in enumerate(self.regs):
             q = reg.q
@@ -880,6 +709,11 @@ class CompiledEngine:
                     CompileRefusal.DATAPATH_BUSY,
                     f"in-flight phit in {reg.name!r} is off the "
                     f"compiled schedule",
+                )
+            if rid not in index:
+                raise SimulationError(
+                    f"compiled engine lost track of a phit in "
+                    f"{reg.name!r} at cycle {cycle}"
                 )
             cur[rid] = q
         for reg in self.other_regs:
@@ -899,7 +733,139 @@ class CompiledEngine:
             value = cur.get(rid)
             reg.q = idles[rid] if value is None else value
 
+    # -- trajectories <-> registers: the barrier ---------------------------------
+
+    @staticmethod
+    def _account(leaf: _Leaf, has_word: bool, step: int, sign: int) -> None:
+        """Add (``sign`` +1) or take back (-1) the link and router
+        counter effects of ``leaf``'s ops from ``step`` on — the part of
+        its trajectory a phit there has not executed yet."""
+        for at, link in zip(leaf.link_steps, leaf.links):
+            if at >= step:
+                link.phits_carried += sign
+                if has_word:
+                    link.words_carried += sign
+        if has_word:
+            for at, router, fanout in zip(
+                leaf.router_steps, leaf.routers, leaf.fanouts
+            ):
+                if at >= step:
+                    router.forwarded_words += sign * fanout
+
+    def _load(self, cycle: int) -> None:
+        """Put the register-resident phits of ``_cur`` (the state
+        entering ``cycle``) on their trajectories: one pending arrival
+        per leaf below each, the link entry if still ahead, and their
+        remaining counter effects paid up front like a launch's."""
+        ring = self._ring
+        mask = self._mask
+        index = self.index[cycle % self.wheel]
+        for rid, phit in self._cur.items():
+            tid, step = index[rid]
+            trajectory = self.trajectories[tid]
+            word = phit.word
+            for leaf in trajectory.leaves:
+                # The leaves below this register: on a multicast tree
+                # the branches that do not pass through it hold (or
+                # held) their own copy.
+                if leaf.step < step or leaf.path[step] != rid:
+                    continue
+                ring[(cycle + leaf.step - step) & mask].append(
+                    (leaf.order, leaf, word, phit.credit_bits)
+                )
+                self._account(leaf, word is not None, step, 1)
+            entry = trajectory.entry_delay
+            if step < entry and word is not None:
+                ring[(cycle + entry - 1 - step) & mask].append(
+                    (trajectory.entry_order, None, word, None)
+                )
+
+    def _unload(self, cycle: int) -> None:
+        """The barrier: leave ``_cur`` holding the state entering
+        ``cycle`` and every link / router counter exact.
+
+        Launches since the last barrier are applied to the counters as
+        whole trajectories; each phit still in flight then takes back
+        the steps it has not executed and is written to the registers
+        its pending arrivals say it holds.  The cost is the launches
+        plus the phits in flight, not the size of the schedule."""
+        phits = self._launched_phits
+        words = self._launched_words
+        for trajectory in self._launched:
+            tid = trajectory.tid
+            for leaf in trajectory.leaves:
+                for link in leaf.links:
+                    link.phits_carried += phits[tid]
+                    link.words_carried += words[tid]
+                for router, fanout in zip(leaf.routers, leaf.fanouts):
+                    router.forwarded_words += words[tid] * fanout
+            phits[tid] = words[tid] = 0
+        self._launched.clear()
+        ring = self._ring
+        mask = self._mask
+        cur: Dict[int, Phit] = {}
+        for ahead in range(mask + 1):
+            bucket = ring[(cycle + ahead) & mask]
+            for _order, leaf, word, credit_bits in bucket:
+                if leaf is not None:
+                    # A launch of this very cycle (an exit between
+                    # injection and the end of the cycle) sits one step
+                    # before its seed register: write it there.
+                    step = max(leaf.step - ahead, 0)
+                    cur[leaf.path[step]] = Phit(
+                        word=word, credit_bits=credit_bits
+                    )
+                    self._account(leaf, word is not None, step, -1)
+            bucket.clear()
+        self._cur = cur
+
     # -- execution ---------------------------------------------------------------
+
+    def _resolve_run(self) -> tuple:
+        """The live endpoints behind the lowered plans.
+
+        The compiled configuration is frozen for the duration of a run
+        (config traffic raises a refusal long before this point), so
+        channel membership cannot change mid-run.  Returns one
+        :class:`_Owner` per owner plan (``None`` where the source
+        channel does not exist), the owner each generator feeds, one
+        ``(sink, destination, period, owners returning its credits)``
+        per sink, and the sink indices on each arrival channel.
+        """
+        owners: List[Optional[_Owner]] = []
+        feeding: Dict[Tuple[int, int], _Owner] = {}
+        crediting: Dict[int, List[_Owner]] = {}
+        for plan in self.owner_plans:
+            ni = plan.ni
+            source = ni.source_channels.get(plan.channel)
+            if source is None:
+                owners.append(None)
+                continue
+            dest = None
+            if source.paired_arrival is not None:
+                dest = ni.dest_channels.get(source.paired_arrival)
+            owner = _Owner(plan, source, dest)
+            owners.append(owner)
+            feeding[(id(ni), plan.channel)] = owner
+            if dest is not None:
+                crediting.setdefault(id(dest), []).append(owner)
+        gen_owners = [
+            feeding.get((id(gen.inject.ni), gen.inject.channel))
+            for gen in self.gens
+        ]
+        sink_runs = []
+        sinks_on: List[List[int]] = [[] for _ in self.dest_keys]
+        for sink_index, (sink, ni, channel, period, _checking) in enumerate(
+            self.sinks
+        ):
+            dest = ni.dest_channels.get(channel)
+            sink_runs.append(
+                (sink, dest, period, crediting.get(id(dest), ()))
+            )
+            dest_id = self.dest_keys.get((ni.name, channel))
+            if dest is not None and dest_id is not None:
+                sinks_on[dest_id].append(sink_index)
+        return owners, gen_owners, sink_runs, sinks_on
 
     def run_to(self, end: int) -> Optional[CompileRefusal]:
         """Advance the network to ``end``; ``None`` on success.
@@ -908,7 +874,9 @@ class CompiledEngine:
         detected at import time) and the caller should fall back to the
         activity kernel.  Exceptions raised mid-flight (flow-control or
         statistics integrity violations — the same ones stepped
-        execution raises) propagate after state is materialized.
+        execution raises) propagate after state is materialized: an
+        arrival is then either applied and gone from the registers or
+        not applied and still in them.
         """
         kernel = self.kernel
         cycle = kernel.cycle
@@ -922,49 +890,79 @@ class CompiledEngine:
             self._note_replay_refusal(self.replay_refusal)
 
         stats = self.stats
-        move_map = self.move_map
         wheel = self.wheel
         credit_cap = self.credit_cap
         gens = self.gens
-        cur = self._cur
         replay = self.replay
         intern = replay.intern
+        ring = self._ring
+        mask = self._mask
+        launched = self._launched
+        launched_phits = self._launched_phits
+        launched_words = self._launched_words
 
-        # Resolve loop-invariant channel lookups once per run: the
-        # compiled configuration is frozen for the duration of a run
-        # (config traffic raises a refusal long before this point), so
-        # source/dest channel membership cannot change mid-run.
-        inj_res: List[List[tuple]] = []
-        for ops in self.inj_ops:
-            res = []
-            for ni, channel, stage_rid, collect in ops:
-                source = ni.source_channels.get(channel)
-                if source is None:
-                    continue
-                dest = None
-                if collect and source.paired_arrival is not None:
-                    dest = ni.dest_channels.get(source.paired_arrival)
-                res.append((source, stage_rid, dest))
-            inj_res.append(res)
-        sink_res = [
-            (sink, ni.dest_channels.get(channel), sink_period, sink_index)
-            for sink_index, (
-                sink,
-                ni,
-                channel,
-                sink_period,
-                _checking,
-            ) in enumerate(self.sinks)
-        ]
+        owners, gen_owners, sink_runs, sinks_on = self._resolve_run()
+        # Armed owners by the cycle of their next owned phase (same
+        # ring geometry as the arrivals), sinks by the cycle of their
+        # next drain, generators by the cycle of their next firing.
+        owner_ring: List[List[_Owner]] = [[] for _ in range(mask + 1)]
+        sink_due: Dict[int, List[int]] = {}
+        sink_waiting = [False] * len(sink_runs)
+        gen_heap: List[Tuple[int, int]] = []
+        dests: List[Any] = [None] * len(sinks_on)
 
-        gen_next: List[int] = []
-        gen_due = _NEVER
-        for gen in gens:
-            nxt = gen.next_evaluation(cycle)
-            fire = _NEVER if nxt is None else nxt
-            gen_next.append(fire)
-            if fire < gen_due:
-                gen_due = fire
+        def arm(owner: _Owner, start: int) -> None:
+            """Visit ``owner`` at its first owned phase from ``start``."""
+            if not owner.armed:
+                owner.armed = True
+                owner_ring[
+                    (start + owner.first[start % wheel]) & mask
+                ].append(owner)
+
+        def wake(sink_index: int, start: int) -> None:
+            """Visit the sink at its first drain cycle from ``start``."""
+            if not sink_waiting[sink_index]:
+                sink_waiting[sink_index] = True
+                sink_run = sink_runs[sink_index]
+                if start < sink_run[0].start_cycle:
+                    start = sink_run[0].start_cycle
+                if sink_run[2]:
+                    start += -start % sink_run[2]
+                due = sink_due.get(start)
+                if due is None:
+                    sink_due[start] = [sink_index]
+                else:
+                    due.append(sink_index)
+
+        def arm_all(start: int) -> int:
+            """(Re)derive every schedule from state entering ``start``;
+            returns the first generator firing."""
+            for bucket in owner_ring:
+                bucket.clear()
+            sink_due.clear()
+            for owner in owners:
+                if owner is not None:
+                    owner.armed = False
+                    dest = owner.dest
+                    if owner.source.queue or (
+                        dest is not None and dest.pending_credits
+                    ):
+                        arm(owner, start)
+            for sink_index, sink_run in enumerate(sink_runs):
+                sink_waiting[sink_index] = False
+                if sink_run[1] is not None and sink_run[1].queue:
+                    wake(sink_index, start)
+            gen_heap.clear()
+            for gen_index, gen in enumerate(gens):
+                fire = gen.next_evaluation(start)
+                if fire is not None:
+                    gen_heap.append((fire, gen_index))
+            heapify(gen_heap)
+            return gen_heap[0][0] if gen_heap else _NEVER
+
+        self._load(cycle)
+        loaded = True
+        gen_due = arm_all(cycle)
 
         period = self.period
         events: Optional[List[tuple]] = [] if replay_ok else None
@@ -986,10 +984,14 @@ class CompiledEngine:
             and probe[3] == next_boundary - period
         ):
             prev_sig, prev_snap, events = probe[:3]
-        stepped = 0
+        entered_at = cycle
+        handled = 0
         replayed_epochs = 0
         replayed_cycles = 0
         clean_exit = False
+        # The link entry or arrival being applied, until its first
+        # side effect; then what is left of it to apply, if anything.
+        current: Optional[tuple] = None
 
         try:
             while cycle < end:
@@ -1001,7 +1003,13 @@ class CompiledEngine:
                         prev_sig = None
                         prev_snap = None
                     else:
-                        sig = self._signature(cycle, cur)
+                        # Barrier: the signature, the snapshot and the
+                        # in-flight rewrite all read registers and
+                        # counters.
+                        self._unload(cycle)
+                        loaded = False
+                        boundary = cycle
+                        sig = self._signature(cycle, self._cur)
                         snap = self._snapshot(cycle)
                         candidate: Any = None
                         if prev_sig is not None and sig == prev_sig:
@@ -1023,6 +1031,8 @@ class CompiledEngine:
                             candidate = replay.load(
                                 sig, snap, cycle, self._sig_anchors()
                             )
+                        prev_sig = sig
+                        prev_snap = snap
                         if candidate is not None:
                             before, epoch_events = candidate
                             epochs = min(
@@ -1042,54 +1052,34 @@ class CompiledEngine:
                                 # proved), so stay armed: re-snapshot
                                 # here and the next boundary can replay
                                 # again without re-probing a full epoch.
-                                prev_sig = sig
                                 prev_snap = self._snapshot(cycle)
-                                events.clear()
-                                next_boundary = cycle + period
-                                # The clock jumped: re-anchor every
-                                # generator's next firing.
-                                gen_due = _NEVER
-                                for i, gen in enumerate(gens):
-                                    nxt = gen.next_evaluation(cycle)
-                                    fire = (
-                                        _NEVER if nxt is None else nxt
-                                    )
-                                    gen_next[i] = fire
-                                    if fire < gen_due:
-                                        gen_due = fire
-                                continue
-                        prev_sig = sig
-                        prev_snap = snap
+                        self._load(cycle)
+                        loaded = True
+                        if cycle != boundary:
+                            # The clock jumped: every schedule is
+                            # re-derived from the landing state.
+                            gen_due = arm_all(cycle)
                     events.clear()
                     next_boundary = cycle + period
+                    continue  # a landing may have reached ``end``
 
-                phase = cycle % wheel
-                ops = move_map[phase]
-                new: Dict[int, Phit] = {}
-                for rid, phit in cur.items():
-                    op = ops.get(rid)
-                    if op is None:
-                        raise SimulationError(
-                            f"compiled engine lost track of a phit in "
-                            f"{self.regs[rid].name!r} at cycle {cycle}"
-                        )
-                    tag = op[0]
-                    if tag == _OP_MOVE:
-                        new[op[1]] = phit
-                    elif tag == _OP_SEND:
-                        new[op[1]] = phit
-                        link = op[2]
-                        link.phits_carried += 1
-                        if phit.word is not None:
-                            link.words_carried += 1
-                    elif tag == _OP_INJECT:
-                        new[op[1]] = phit
-                        link = op[2]
-                        link.phits_carried += 1
-                        word = phit.word
-                        if word is not None:
-                            link.words_carried += 1
+                at = cycle & mask
+                bucket = ring[at]
+                if bucket:
+                    # Arrivals and link entries, in the activity
+                    # kernel's order; popped before they are applied, so
+                    # whatever an exception leaves in the bucket has not
+                    # happened.
+                    handled += len(bucket)
+                    if len(bucket) > 1:
+                        bucket.sort(key=_EVENT_ORDER, reverse=True)
+                    while bucket:
+                        current = bucket.pop()
+                        leaf = current[1]
+                        word = current[2]
+                        if leaf is None:
                             stats.record_injection(word, cycle)
+                            current = None
                             if events is not None:
                                 events.append(
                                     (
@@ -1099,19 +1089,26 @@ class CompiledEngine:
                                         word.sequence,
                                     )
                                 )
-                    elif tag == _OP_FORWARD:
-                        dsts = op[1]
-                        for dst in dsts:
-                            new[dst] = phit
-                        if phit.word is not None:
-                            op[2].forwarded_words += len(dsts)
-                    else:  # _OP_ARRIVE
-                        ni = op[1]
-                        dest = ni.dest_channel(op[2])
-                        word = phit.word
+                            continue
+                        ni = leaf.ni
+                        dest_id = leaf.dest_id
+                        dest = dests[dest_id]
+                        if dest is None:
+                            dest = dests[dest_id] = ni.dest_channel(
+                                leaf.channel
+                            )
+                        credit_bits = current[3]
                         if word is not None:
+                            # Once the word is dealt with only the
+                            # credits, if any, are left to apply.
+                            rest = (
+                                (current[0], leaf, None, credit_bits)
+                                if credit_bits
+                                else None
+                            )
                             if word.parity_ok:
                                 dest.deliver(word)
+                                current = rest
                                 stats.record_ejection(
                                     word, cycle, destination=ni.name
                                 )
@@ -1125,72 +1122,130 @@ class CompiledEngine:
                                             ni.name,
                                         )
                                     )
+                                for sink_index in sinks_on[dest_id]:
+                                    wake(sink_index, cycle)
                             else:
                                 ni.dropped_words += 1
+                                current = rest
                                 stats.record_fault(
                                     cycle,
                                     FAULT_DETECTED,
                                     "parity_error",
                                     ni.name,
-                                    f"ch{op[2]}: {word!r}",
+                                    f"ch{leaf.channel}: {word!r}",
                                 )
-                        if phit.credit_bits:
-                            ni._credit_paired_source(
-                                dest, phit.credit_bits
+                        if credit_bits:
+                            ni._credit_paired_source(dest, credit_bits)
+                            # Credits arrive before this cycle's
+                            # injection: the source may use them now.
+                            owner_index = leaf.ni_owners.get(
+                                dest.paired_source
                             )
+                            if owner_index is not None:
+                                owner = owners[owner_index]
+                                if owner is not None and owner.source.queue:
+                                    arm(owner, cycle)
+                        current = None
 
-                for source, stage_rid, dest in inj_res[phase]:
-                    word = (
-                        source.take_word() if source.can_send() else None
-                    )
-                    credits = None
-                    if dest is not None and dest.pending_credits:
-                        credits = (
-                            dest.take_pending_credits(credit_cap) or None
+                bucket = owner_ring[at]
+                if bucket:
+                    handled += len(bucket)
+                    phase = cycle % wheel
+                    for owner in bucket:
+                        source = owner.source
+                        dest = owner.dest
+                        slot = owner.slots[phase]
+                        word = (
+                            source.take_word()
+                            if source.can_send()
+                            else None
                         )
-                    if word is not None or credits:
-                        new[stage_rid] = Phit(
-                            word=word, credit_bits=credits
-                        )
-
-                cur = new
-                self._cur = cur
+                        credits = None
+                        if (
+                            slot.collect
+                            and dest is not None
+                            and dest.pending_credits
+                        ):
+                            credits = (
+                                dest.take_pending_credits(credit_cap)
+                                or None
+                            )
+                        if word is not None or credits:
+                            trajectory = slot.trajectory
+                            tid = trajectory.tid
+                            count = launched_phits[tid]
+                            if not count:
+                                launched.append(trajectory)
+                            launched_phits[tid] = count + 1
+                            if word is not None:
+                                launched_words[tid] += 1
+                                ring[
+                                    (cycle + trajectory.entry_delay) & mask
+                                ].append(
+                                    (trajectory.entry_order, None, word, None)
+                                )
+                            for delay, order, leaf in trajectory.launch:
+                                ring[(cycle + delay) & mask].append(
+                                    (order, leaf, word, credits)
+                                )
+                        # Stay armed while there is something to send.
+                        if (source.queue and source.can_send()) or (
+                            dest is not None and dest.pending_credits
+                        ):
+                            owner_ring[(cycle + slot.gap) & mask].append(
+                                owner
+                            )
+                        else:
+                            owner.armed = False
+                    bucket.clear()
 
                 if cycle == gen_due:
-                    gen_due = _NEVER
-                    for i, gen in enumerate(gens):
-                        fire = gen_next[i]
-                        if fire == cycle:
-                            gen.evaluate(cycle)
-                            nxt = gen.next_evaluation(cycle + 1)
-                            fire = _NEVER if nxt is None else nxt
-                            gen_next[i] = fire
-                        if fire < gen_due:
-                            gen_due = fire
+                    while gen_heap and gen_heap[0][0] == cycle:
+                        handled += 1
+                        gen_index = gen_heap[0][1]
+                        gen = gens[gen_index]
+                        gen.evaluate(cycle)
+                        fire = gen.next_evaluation(cycle + 1)
+                        if fire is None:
+                            heappop(gen_heap)
+                        else:
+                            heapreplace(gen_heap, (fire, gen_index))
+                        owner = gen_owners[gen_index]
+                        if owner is not None:
+                            arm(owner, cycle + 1)
+                    gen_due = gen_heap[0][0] if gen_heap else _NEVER
 
-                for sink, dest, sink_period, sink_index in sink_res:
-                    if dest is None or not dest.queue:
-                        continue
-                    if cycle < sink.start_cycle:
-                        continue
-                    if sink_period and cycle % sink_period:
-                        continue
-                    for word in dest.drain(sink.words_per_cycle):
-                        sink.consume(cycle, word)
-                        if events is not None:
-                            events.append(
-                                (
-                                    _EV_SINK,
-                                    cycle,
-                                    intern(word.connection),
-                                    word.sequence,
-                                    word.payload,
-                                    sink_index,
-                                )
-                            )
+                if sink_due:
+                    due = sink_due.pop(cycle, None)
+                    if due is not None:
+                        handled += len(due)
+                        if len(due) > 1:
+                            due.sort()
+                        for sink_index in due:
+                            sink_waiting[sink_index] = False
+                            sink, dest, _period, credited = sink_runs[
+                                sink_index
+                            ]
+                            for word in dest.drain(sink.words_per_cycle):
+                                sink.consume(cycle, word)
+                                if events is not None:
+                                    events.append(
+                                        (
+                                            _EV_SINK,
+                                            cycle,
+                                            intern(word.connection),
+                                            word.sequence,
+                                            word.payload,
+                                            sink_index,
+                                        )
+                                    )
+                            if dest.pending_credits:
+                                for owner in credited:
+                                    arm(owner, cycle + 1)
+                            if dest.queue:
+                                wake(sink_index, cycle + 1)
 
                 cycle += 1
-                stepped += 1
             clean_exit = True
         finally:
             if clean_exit and prev_sig is not None:
@@ -1201,9 +1256,14 @@ class CompiledEngine:
                     next_boundary - period,
                     cycle,
                 )
+            if loaded:
+                if current is not None:
+                    ring[cycle & mask].append(current)
+                self._unload(cycle)
             self._export_registers()
+            self.events_handled += handled
             kernel.cycle = cycle
-            kernel.compiled_cycles += stepped + replayed_cycles
+            kernel.compiled_cycles += cycle - entered_at
             kernel.replayed_epochs += replayed_epochs
             kernel.replayed_cycles += replayed_cycles
             kernel._watchers = None

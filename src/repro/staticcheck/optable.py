@@ -2,10 +2,10 @@
 
 The compiled kernel's occupancy walk *refuses* schedules it cannot
 prove drop- and collision-free; this module is the independent referee.
-It consumes :class:`~repro.sim.compiled.LoweredArtifacts` — the stable
-introspection form of the per-phase op tables, injection seeds, and
-claimed occupancy — and re-derives every invariant the engines rely on,
-from scratch, with its own walk:
+It consumes :class:`~repro.sim.lowering.LoweredArtifacts` — the stable
+introspection form of the per-phase op tables, injection seeds, claimed
+occupancy and claimed trajectories — and re-derives every invariant the
+engines rely on, from scratch, with its own walk:
 
 ``OP001`` double drive — two reachable writers (ops or injection
 seeds) land on one ``(register, phase)``; a phit collision the
@@ -23,6 +23,12 @@ the compiled schedule).
 to a declared classification nor maps to a typed
 :class:`~repro.sim.kernel.CompileRefusal` with a kind from the
 declared taxonomy.
+``OP005`` trajectory mismatch — the artifact's claimed trajectories
+(what the executor actually runs: registers per step, the link-entry
+step, the arrivals, the counter effects) disagree with what the
+prover's own walk of the op table from the same seeds derives.  Judged
+only over tables OP001–OP003 found sound: a trajectory through a
+colliding or leaking table is not defined.
 
 These rules run against live compile products (like the SC schedule
 rules run against live networks), so they appear in ``--list-rules``
@@ -85,6 +91,18 @@ OP_RULES: Tuple[Rule, ...] = (
         severity=Severity.ERROR,
         kind="prove",
     ),
+    Rule(
+        rule_id="OP005",
+        title="trajectory-mismatch",
+        description=(
+            "a claimed trajectory (registers per step, link-entry "
+            "step, arrivals, counter effects) differs from the walk "
+            "of the op table from its seed — the executor would not "
+            "run what the table proves"
+        ),
+        severity=Severity.ERROR,
+        kind="prove",
+    ),
 )
 
 for _op in OP_RULES:
@@ -101,7 +119,7 @@ def _reg_name(artifacts: Any, rid: int) -> str:
 def verify_op_tables(
     artifacts: Any, origin: str = ARTIFACTS_FILE
 ) -> List[Finding]:
-    """Prove OP001–OP003 over one engine's lowered artifacts.
+    """Prove OP001–OP003 and OP005 over one engine's lowered artifacts.
 
     Re-runs the occupancy walk from the injection seeds over the
     claimed op tables, independently of the compiler that produced
@@ -109,7 +127,8 @@ def verify_op_tables(
     walk does not stop at the first one, unlike the compiler's
     refusal).  An empty return is a proof: every reachable
     ``(register, phase)`` has exactly one writer and exactly one
-    consumer, and the claimed occupancy is exactly the reachable set.
+    consumer, the claimed occupancy is exactly the reachable set, and
+    the trajectories the executor runs are what the table prescribes.
     """
     findings: List[Finding] = []
     wheel = artifacts.wheel
@@ -234,7 +253,75 @@ def verify_op_tables(
                     f"drop the word",
                     "recompute the occupancy masks from the seeds",
                 )
+    if not findings:
+        _verify_trajectories(artifacts, consumers, bad)
     return sort_findings(findings)
+
+
+def _verify_trajectories(
+    artifacts: Any, consumers: List[Dict[int, List[Any]]], bad: Any
+) -> None:
+    """OP005 over a table already proven single-writer/-consumer: walk
+    each seed step by step and compare with the claimed trajectory."""
+    wheel = artifacts.wheel
+    claimed = {
+        trajectory.seed: trajectory
+        for trajectory in artifacts.trajectories
+    }
+    if len(claimed) != len(artifacts.trajectories) or set(claimed) != set(
+        artifacts.seeds
+    ):
+        bad(
+            "OP005",
+            f"{len(artifacts.trajectories)} trajectories are claimed "
+            f"for {len(artifacts.seeds)} seeds, or for other seeds — "
+            f"each seed runs exactly one",
+            "lower one trajectory per injection seed",
+        )
+        return
+    for seed in artifacts.seeds:
+        rid, phase = seed
+        frontier = [rid]
+        steps = []
+        effects = []
+        arrivals = []
+        inject_step = None
+        while frontier:
+            steps.append(tuple(sorted(frontier)))
+            bumps = []
+            reached = []
+            for rid in frontier:
+                (op,) = consumers[phase][rid]
+                if op.kind == "arrive":
+                    arrivals.append((len(steps) - 1, op.site))
+                    continue
+                if op.kind == "inject":
+                    inject_step = len(steps) - 1
+                if op.kind in ("inject", "send"):
+                    bumps.append((op.site, 1))
+                elif op.kind == "forward":
+                    bumps.append((op.site, len(op.dsts)))
+                reached.extend(op.dsts)
+            effects.append(tuple(sorted(bumps)))
+            frontier = reached
+            phase = (phase + 1) % wheel
+        derived = {
+            "steps": tuple(steps),
+            "inject_step": inject_step,
+            "arrivals": tuple(sorted(arrivals)),
+            "effects": tuple(effects),
+        }
+        for field, value in derived.items():
+            stated = getattr(claimed[seed], field)
+            if stated != value:
+                bad(
+                    "OP005",
+                    f"the trajectory from seed "
+                    f"{_reg_name(artifacts, seed[0])} in wheel phase "
+                    f"{seed[1]} claims {field} {stated!r} but the op "
+                    f"table walks to {value!r}",
+                    "re-derive the trajectory from the op table",
+                )
 
 
 def verify_refusal(refusal: Any, origin: str = ARTIFACTS_FILE) -> List[Finding]:

@@ -1,7 +1,7 @@
 """``--prove``: build representative networks and prove them clean.
 
 The OP rules (:mod:`repro.staticcheck.optable`) verify *live compile
-products* — the :class:`~repro.sim.compiled.LoweredArtifacts`
+products* — the :class:`~repro.sim.lowering.LoweredArtifacts`
 introspection form the engines publish.  This module supplies the
 driver: it builds a representative matrix of networks (daelite meshes
 at 3x3 / 8x8 / 16x16, plus aelite meshes whose data plane *refuses* to

@@ -14,7 +14,7 @@ import pytest
 from repro.alloc import ConnectionRequest, SlotAllocator
 from repro.core import DaeliteNetwork
 from repro.core.online import OnlineConnectionManager
-from repro.errors import SimulationError
+from repro.errors import FlowControlError, SimulationError
 from repro.faults import FaultInjector, FaultPlan, TransientBitFlip
 from repro.params import daelite_parameters
 from repro.sim.flit import Phit, Word
@@ -332,12 +332,39 @@ def test_live_untracked_register_defers_as_config_active():
 
 
 def test_phit_without_an_op_raises_instead_of_vanishing():
+    """A register-resident phit the ``(register, phase) -> (trajectory,
+    step)`` index cannot place stops the engine when it resumes — before
+    it touched anything — instead of dropping the word silently."""
     net, _, _ = connected_compiled_net()
-    net.run(200)
-    for ops in net.kernel._engine.move_map:
-        ops.clear()
+    net.run(203)
+    engine = net.kernel._engine
+    registers = [reg.q for reg in net.kernel.all_registers()]
+    assert any(isinstance(q, Phit) and q.word is not None for q in registers)
+    ledger = stats_image(net)
+    handled = engine.events_handled
+    stopped_at = net.kernel.cycle
+    for entries in engine.index:
+        entries.clear()
     with pytest.raises(SimulationError, match="lost track of a phit"):
         net.run(200)
+    assert net.kernel.cycle == stopped_at
+    assert [reg.q for reg in net.kernel.all_registers()] == registers
+    assert stats_image(net) == ledger
+    assert engine.events_handled == handled
+
+
+def stats_image(net):
+    return (
+        {
+            label: (s.injected, s.ejected, tuple(s.latencies))
+            for label, s in net.stats.connections.items()
+        },
+        net.stats.word_times(),
+        {
+            key: (link.phits_carried, link.words_carried)
+            for key, link in net.links.items()
+        },
+    )
 
 
 def test_parity_is_checked_at_arrival_and_taints_the_epoch():
@@ -396,3 +423,94 @@ def test_parity_is_checked_at_arrival_and_taints_the_epoch():
     assert net.stats.connections["flow"].latencies == (
         reference.stats.connections["flow"].latencies
     )
+
+
+def test_words_are_conserved_across_an_exceptional_exit():
+    """An exception raised in the middle of a cycle's arrivals leaves
+    every arrival either applied and gone from the registers or not
+    applied and still in them: retrying the run re-raises at the same
+    cycle without delivering any word a second time."""
+    params = daelite_parameters(slot_table_size=8)
+    mesh = build_mesh(3, 3)
+    allocator = SlotAllocator(topology=mesh, params=params)
+    flows = [
+        ("a", "NI00", "NI22"),
+        ("b", "NI20", "NI02"),
+        ("c", "NI01", "NI21"),
+    ]
+    net = DaeliteNetwork(mesh, params, kernel_mode=VECTOR_MODE)
+    ends = {}
+    for label, src, dst in flows:
+        handle = net.configure(
+            allocator.allocate_connection(
+                ConnectionRequest(
+                    label, src, dst, forward_slots=2, reverse_slots=1
+                )
+            )
+        )
+        net.run_until_configured(handle)
+        source_ni, dest_ni = net.ni(src), net.ni(dst)
+        net.kernel.add(
+            CbrGenerator(
+                f"gen_{label}",
+                inject=source_ni.injector(handle.forward.src_channel, label),
+                period=3,
+            )
+        )
+        # Flow "a" is never drained: its queue fills to capacity.
+        net.kernel.add(
+            CheckingSink(
+                f"sink_{label}",
+                receive=dest_ni.receiver(handle.forward.dst_channel),
+                start_cycle=10**9 if label == "a" else 0,
+                stats=net.stats,
+            )
+        )
+        ends[label] = (
+            source_ni,
+            handle.forward.src_channel,
+            dest_ni.dest_channel(handle.forward.dst_channel),
+        )
+    net.run(50)
+    assert net.kernel.kernel_stats()["compiled_cycles"] > 0
+    # Fabricated credits: the source of "a" overruns its destination.
+    source_ni, channel, _ = ends["a"]
+    source = source_ni.source_channels[channel]
+    source.credit_counter = source.max_credit
+
+    def in_registers(label):
+        return len(
+            {
+                id(reg.q)
+                for reg in net.kernel.all_registers()
+                if isinstance(reg.q, Phit)
+                and reg.q.word is not None
+                and reg.q.word.connection == label
+            }
+        )
+
+    def image():
+        return {
+            label: (
+                source_ni._sequence_counters[channel],
+                dest.words_received,
+                in_registers(label),
+                len(source_ni.source_channels[channel].queue),
+                tuple(dest.queue),
+            )
+            for label, (source_ni, channel, dest) in ends.items()
+        }
+
+    images = []
+    for _attempt in range(3):
+        with pytest.raises(FlowControlError, match="overflowed"):
+            net.run(400)
+        images.append((net.kernel.cycle, image()))
+    for label, (submitted, delivered, flying, queued, _) in images[0][
+        1
+    ].items():
+        assert submitted == delivered + flying + queued, label
+    # Another flow's word was delivered in the failing cycle, before
+    # the overflow: it must not come back out of the registers.
+    assert any(images[0][1][label][4] for label in ("b", "c"))
+    assert images[1] == images[0] and images[2] == images[0]

@@ -12,8 +12,10 @@ skipped latch cannot hide.
 Covered workloads: a fully idle network, a single periodic connection
 (traffic separated by quiescent gaps), a configuration-tree burst
 fired into the middle of a long idle period, and a network with idle
-sinks attached.  The last class pins the scheduler's own work — how
-often it asks ``next_evaluation`` — by exact count.
+sinks attached.  The last two classes pin the executors' own work by
+exact count: how often the activity scheduler asks ``next_evaluation``,
+and how many events the compiled engine handles per delivered word —
+the same on a 2-router and on a 23-router path.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from repro.alloc import ConnectionRequest, SlotAllocator
 from repro.core import DaeliteNetwork, OnlineConnectionManager
 from repro.errors import SimulationError
 from repro.params import daelite_parameters
-from repro.sim.kernel import ACTIVITY_MODE, NAIVE_MODE, Kernel
-from repro.topology import build_mesh
+from repro.sim.kernel import ACTIVITY_MODE, NAIVE_MODE, VECTOR_MODE, Kernel
+from repro.topology import build_mesh, ni_name
 from repro.traffic import (
     CbrGenerator,
     CheckingSink,
@@ -335,3 +337,82 @@ class TestSchedulerWork:
             stats["schedule_polls"] * 3
             < stats["active_cycles"] * len(kernel.components)
         )
+
+
+class TestEngineWork:
+    #: Per delivered word: the generator firing, the source's slot, the
+    #: link entry, the arrival, the sink's drain, the destination's slot
+    #: returning the credit, and that credit's arrival.
+    EVENTS_PER_WORD = 7
+    WORDS = 40
+
+    def run_one_flow(self, width, height):
+        """One flow-controlled CBR flow corner to corner, stepped by the
+        engine until every word is delivered and every credit is home;
+        returns ``(net, engine, words delivered)``."""
+        params = daelite_parameters(
+            slot_table_size=16, config_word_bits=10
+        )
+        mesh = build_mesh(width, height)
+        src, dst = "NI00", ni_name(width - 1, height - 1)
+        connection = SlotAllocator(
+            topology=mesh, params=params
+        ).allocate_connection(
+            ConnectionRequest(
+                "c", src, dst, forward_slots=1, reverse_slots=1
+            )
+        )
+        net = DaeliteNetwork(mesh, params, kernel_mode=VECTOR_MODE)
+        net.kernel.strict_registers = False  # the subject is the engine
+        handle = net.configure(connection)
+        net.run_until_configured(handle)
+        # The prime period keeps lcm(wheel, period) past the replay
+        # probe budget: every word is stepped, none replayed.
+        period = 2053
+        net.kernel.add(
+            CbrGenerator(
+                "gen",
+                net.ni(src).injector(handle.forward.src_channel, "c"),
+                period=period,
+                total_words=self.WORDS,
+                start_cycle=net.kernel.cycle + 10,
+            )
+        )
+        net.kernel.add(
+            CheckingSink(
+                "sink",
+                net.ni(dst).receiver(handle.forward.dst_channel),
+                stats=net.stats,
+            )
+        )
+        net.run(self.WORDS * period + 500)
+        stats = net.kernel.kernel_stats()
+        assert stats["compile_fallbacks"] == {}
+        assert stats["replayed_epochs"] == 0
+        assert stats["compiled_cycles"] >= self.WORDS * period
+        return net, net.kernel._engine, net.stats.delivered_words("c")
+
+    def test_events_per_word_do_not_depend_on_path_length(self):
+        """The engine touches a word at injection and at arrival, not
+        once per hop: a 2-router path and a 23-router path cost the
+        same number of events per delivered word."""
+        _, near, near_words = self.run_one_flow(2, 1)
+        _, far, far_words = self.run_one_flow(12, 12)
+        assert near_words == far_words == self.WORDS
+        assert len(far.trajectories[0].leaves[0].path) > 20 + len(
+            near.trajectories[0].leaves[0].path
+        )
+        assert (
+            near.events_handled
+            == far.events_handled
+            == self.EVENTS_PER_WORD * self.WORDS
+        )
+
+    def test_idle_configured_fabric_handles_no_events(self):
+        net, engine, _ = self.run_one_flow(12, 12)
+        before = engine.events_handled
+        compiled = net.kernel.compiled_cycles
+        net.run(10_000)
+        assert net.kernel._engine is engine
+        assert net.kernel.compiled_cycles == compiled + 10_000
+        assert engine.events_handled == before

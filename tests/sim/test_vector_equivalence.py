@@ -839,3 +839,56 @@ class TestPlantedEngineMutantsAreKilled:
         assert not mutant_survives(
             test_regime_revisit_campaign_replays_from_cache
         )
+
+    def test_trajectory_arrival_one_cycle_late(self):
+        """The lowering is data the engine trusts: one trajectory whose
+        arrival is scheduled a cycle after the op table delivers it."""
+
+        def delay_arrival(index, net):
+            if index == 1 and net.kernel.mode == VECTOR_MODE:
+                trajectory = net.kernel._engine.trajectories[0]
+                trajectory.launch = tuple(
+                    (delay + 1, order, leaf)
+                    for delay, order, leaf in trajectory.launch
+                )
+
+        assert not mutant_survives(
+            lambda: run_chunked_differential(
+                steady_scenario(), delay_arrival
+            )
+        )
+
+    def test_slot_owner_not_rearmed_when_credits_arrive(self):
+        """A flow-controlled source that ran out of credits sleeps until
+        the credit arrival arms it; without that it stays stalled until
+        its generator next fires.  The credit theft starves it."""
+
+        def deafen_then_steal(index, net):
+            if index == 1 and net.kernel.mode == VECTOR_MODE:
+                for trajectory in net.kernel._engine.trajectories:
+                    for leaf in trajectory.leaves:
+                        leaf.ni_owners = {}
+            steal_credits(index, net)
+
+        assert not mutant_survives(
+            lambda: run_chunked_differential(
+                steady_scenario(), deafen_then_steal
+            )
+        )
+
+    def test_barrier_skipping_the_in_flight_subtraction(self, monkeypatch):
+        """Launches pay a trajectory's counters up front; at a barrier
+        the phits still in flight take back the steps they have not
+        executed.  Without that, link ``words_carried`` drifts at every
+        chunk boundary."""
+        account = CompiledEngine._account
+
+        def pay_only(leaf, has_word, step, sign):
+            if sign > 0:
+                account(leaf, has_word, step, sign)
+
+        monkeypatch.setattr(
+            CompiledEngine, "_account", staticmethod(pay_only)
+        )
+        assert not mutant_survives(test_vector_epoch_replay_is_bit_exact)
+        assert not mutant_survives(test_replay_matches_activity_3x3)

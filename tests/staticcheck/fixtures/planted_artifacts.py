@@ -1,7 +1,7 @@
 """Planted-violation corpus for the data-plane provers.
 
 Each ``plant_*`` builder returns ``(artifact, expected_codes)`` — a
-hand-crafted :class:`repro.sim.compiled.LoweredArtifacts` carrying
+hand-crafted :class:`repro.sim.lowering.LoweredArtifacts` carrying
 exactly one class of defect, plus the *exact* set of rule codes the prover must report for
 it.  ``clean_*`` builders return provably clean artifacts (expected
 codes: the empty set) so the corpus also pins the no-false-positive
@@ -16,7 +16,11 @@ from __future__ import annotations
 
 from typing import Any, FrozenSet, Tuple
 
-from repro.sim.compiled import LoweredArtifacts, LoweredOp
+from repro.sim.lowering import (
+    LoweredArtifacts,
+    LoweredOp,
+    LoweredTrajectory,
+)
 from repro.sim.kernel import CompileRefusal
 
 # -- op-table corpus (OP rules) ------------------------------------------------
@@ -30,9 +34,10 @@ def _arrive(src: int) -> LoweredOp:
     return LoweredOp("arrive", src, (), "sink.ch0")
 
 
-def clean_pipeline() -> Tuple[LoweredArtifacts, FrozenSet[str]]:
-    """Seed (r0, phase 0) -> move -> (r1, 1) -> move -> (r2, 2) -> arrive."""
-    artifact = LoweredArtifacts(
+def _pipeline(arrival_step: int) -> LoweredArtifacts:
+    """Seed (r0, phase 0) -> move -> (r1, 1) -> move -> (r2, 2) -> arrive,
+    with a trajectory claiming the arrival at ``arrival_step``."""
+    return LoweredArtifacts(
         wheel=4,
         register_names=("r0", "r1", "r2"),
         phase_ops=(
@@ -43,8 +48,28 @@ def clean_pipeline() -> Tuple[LoweredArtifacts, FrozenSet[str]]:
         ),
         seeds=((0, 0),),
         occupancy=(0b0001, 0b0010, 0b0100),
+        trajectories=(
+            LoweredTrajectory(
+                seed=(0, 0),
+                steps=((0,), (1,), (2,)),
+                inject_step=None,
+                arrivals=((arrival_step, "sink.ch0"),),
+                effects=((), (), ()),
+            ),
+        ),
     )
-    return artifact, frozenset()
+
+
+def clean_pipeline() -> Tuple[LoweredArtifacts, FrozenSet[str]]:
+    """The three-step pipeline with the trajectory its table walks to."""
+    return _pipeline(arrival_step=2), frozenset()
+
+
+def plant_trajectory_mismatch() -> Tuple[LoweredArtifacts, FrozenSet[str]]:
+    """A sound table whose trajectory delivers a cycle early — the
+    executor would not run what the table proves: OP005, and only
+    OP005 (writers, consumers and occupancy are all in order)."""
+    return _pipeline(arrival_step=1), frozenset({"OP005"})
 
 
 def plant_double_drive() -> Tuple[LoweredArtifacts, FrozenSet[str]]:
@@ -180,6 +205,7 @@ OP_CORPUS = (
     ("occupancy_overclaim", plant_occupancy_overclaim),
     ("occupancy_underclaim", plant_occupancy_underclaim),
     ("ghost_source", plant_ghost_source),
+    ("trajectory_mismatch", plant_trajectory_mismatch),
 )
 
 REFUSAL_CORPUS = (

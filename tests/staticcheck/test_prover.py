@@ -109,6 +109,24 @@ def test_mutated_live_artifacts_are_flagged():
     assert "OP003" in codes(verify_op_tables(mutated))
 
 
+def test_mutated_live_trajectory_is_flagged():
+    """Dropping one real trajectory's link-entry step leaves the table
+    sound but the executor's claim wrong: OP005, and nothing else."""
+    network = build_daelite_case(3, slot_table_size=8)
+    network.kernel.strict_registers = False  # as above
+    artifacts = lower_network(network).lowered_artifacts()
+    victim = artifacts.trajectories[0]
+    assert victim.inject_step == 1 and victim.arrivals
+    mutated = dataclasses.replace(
+        artifacts,
+        trajectories=(
+            dataclasses.replace(victim, inject_step=None),
+        )
+        + artifacts.trajectories[1:],
+    )
+    assert codes(verify_op_tables(mutated)) == {"OP005"}
+
+
 def test_vector_network_publishes_artifacts():
     """The introspection API is reachable without private attributes:
     a vector-mode network lowers and publishes its op tables."""
@@ -121,6 +139,7 @@ def test_vector_network_publishes_artifacts():
     assert len(lowered.phase_ops) == lowered.wheel
     assert len(lowered.occupancy) == len(lowered.register_names)
     assert any(lowered.phase_ops)
+    assert [t.seed for t in lowered.trajectories] == list(lowered.seeds)
 
 
 # -- CLI leg -------------------------------------------------------------------
