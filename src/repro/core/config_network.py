@@ -63,8 +63,13 @@ from .config_protocol import ConfigPacket, Opcode
 REFUSED_STRICT_REGISTERS = CompileRefusal.STRICT_REGISTERS
 #: An event tracer is attached.
 REFUSED_TRACER_ACTIVE = CompileRefusal.TRACER_ACTIVE
-#: A fault hook sits on a config link: words may be dropped or corrupted
-#: in flight, per element, which no single deposit can express.
+#: A fault hook on a config link can act inside this packet's flight
+#: window: words may be dropped or corrupted in flight, per element,
+#: which no single deposit can express.  A hook that declares the cycles
+#: it can act on (``hook.cycles``, as :class:`~repro.faults.FaultInjector`
+#: hooks do) refuses only the packets whose window
+#: ``[started_at, _flight_end]`` holds one of them; a hook that declares
+#: nothing refuses every packet while it is installed.
 REFUSED_FAULT_HOOKS_ARMED = CompileRefusal.FAULT_HOOKS_ARMED
 #: The packet expects response words, which travel the reverse tree.
 REFUSED_EXPECTS_RESPONSE = "expects_response"
@@ -175,7 +180,8 @@ class ConfigModule(Component):
         #: network builder) — where elided packets are deposited.
         self.ports: Dict[int, ConfigPort] = {}
         #: Every narrow link of the tree (the network's ``config_links``);
-        #: a fault hook on any of them keeps packets on the stepped tree.
+        #: a fault hook on any of them keeps the packets it can touch on
+        #: the stepped tree.
         self.config_links: Dict[str, NarrowLink] = {}
         #: Optional event tracer (set by the network builder).
         self.tracer: Tracer = NULL_TRACER
@@ -308,7 +314,7 @@ class ConfigModule(Component):
         kernel = self._kernel
         assert kernel is not None  # only an attached module is evaluated
         if kernel.mode == VECTOR_MODE:
-            refusal = self._elision_refusal(request, kernel)
+            refusal = self._elision_refusal(request, kernel, cycle)
             if refusal is None:
                 self._deposit_packet(request, cycle)
                 kernel.config_packets_elided += 1
@@ -320,10 +326,11 @@ class ConfigModule(Component):
         self._word_queue.extend(request.packet.words)
 
     def _elision_refusal(
-        self, request: ConfigRequest, kernel: Kernel
+        self, request: ConfigRequest, kernel: Kernel, cycle: int
     ) -> Optional[str]:
-        """Why this request must step the word-level tree (``None``:
-        addressed-only delivery represents it exactly)."""
+        """Why this request, activated at ``cycle``, must step the
+        word-level tree (``None``: addressed-only delivery represents it
+        exactly)."""
         if kernel.strict_registers:
             return REFUSED_STRICT_REGISTERS
         if self.tracer.enabled:
@@ -335,12 +342,28 @@ class ConfigModule(Component):
             return REFUSED_NO_ADDRESSEE_RECORD
         if any(element_id not in self.ports for element_id in addressees):
             return REFUSED_UNKNOWN_ADDRESSEE
-        if any(
-            link.fault_hook is not None
-            for link in self.config_links.values()
-        ):
-            return REFUSED_FAULT_HOOKS_ARMED
+        window_end = self._flight_end(cycle, len(request.packet.words))
+        for link in self.config_links.values():
+            hook = link.fault_hook
+            if hook is None:
+                continue
+            cycles = getattr(hook, "cycles", None)
+            if cycles is None or any(
+                cycle <= fault <= window_end for fault in cycles
+            ):
+                return REFUSED_FAULT_HOOKS_ARMED
         return None
+
+    def _flight_end(self, started_at: int, length: int) -> int:
+        """Cycle the module is free again after a ``length``-word packet
+        started at ``started_at`` — no word of it rides any link, at any
+        depth, after this."""
+        return (
+            started_at
+            + length
+            + self.commit_latency
+            + self.params.cooldown_cycles
+        )
 
     def _due_cycle(self, started_at: int, length: int, depth: int) -> int:
         """Cycle at which an element ``depth`` hops below the root sees
@@ -361,12 +384,7 @@ class ConfigModule(Component):
                 words, self._due_cycle(cycle, len(words), port.depth)
             )
             self._deposited.append(port)
-        self._busy_until = (
-            cycle
-            + len(words)
-            + self.commit_latency
-            + self.params.cooldown_cycles
-        )
+        self._busy_until = self._flight_end(cycle, len(words))
         self._deadline = None
 
     def _timed_out(self, cycle: int) -> bool:

@@ -6,7 +6,12 @@
 * data-link faults become a :attr:`~repro.sim.link.Link.fault_hook`
   closure per targeted link,
 * config-tree faults become a
-  :attr:`~repro.sim.link.NarrowLink.fault_hook` per narrow link,
+  :attr:`~repro.sim.link.NarrowLink.fault_hook` per narrow link; the
+  hook declares, as a ``cycles`` frozenset on the callable, every cycle
+  it can drop or corrupt a word at — part of its contract: it is a no-op
+  at any other cycle, so in ``vector`` mode a config packet whose flight
+  window holds none of them is still delivered to its addressees only
+  (see :mod:`repro.core.config_network`),
 * slot-table upsets become :meth:`~repro.sim.kernel.Kernel.at`
   callbacks (start-of-cycle stimuli, which both kernel modes run before
   any component evaluates and which count as activity — so a fault in
@@ -301,6 +306,8 @@ class FaultInjector:
         return hook
 
     def _make_cfg_hook(self, specs: tuple):
+        """Build the per-link hook composing every config fault on it,
+        declaring the cycles it can act on as ``hook.cycles``."""
         network = self.network
         stats = network.stats
         drops = tuple(
@@ -338,6 +345,11 @@ class FaultInjector:
                     word = flipped
             return word
 
+        # The hook's contract with ``ConfigModule._elision_refusal``: at
+        # every cycle not declared here it returns the word untouched.
+        hook.cycles = frozenset(  # type: ignore[attr-defined]
+            spec.cycle for spec in drops + corrupts
+        )
         return hook
 
     def _make_table_callback(self, spec: SlotTableUpset):

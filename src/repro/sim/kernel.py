@@ -19,8 +19,8 @@ Evaluation modes
 ----------------
 
 The kernel supports three modes, selected per instance or through the
-``REPRO_KERNEL_MODE`` environment variable (``activity``, the default,
-``naive`` or ``vector``):
+``REPRO_KERNEL_MODE`` environment variable (``vector``, the default —
+:data:`DEFAULT_KERNEL_MODE` — ``activity`` or ``naive``):
 
 * ``naive`` — the reference semantics above, literally: every component is
   evaluated and every register latched on every cycle.
@@ -96,7 +96,14 @@ runs its own decoder at that cycle (see
 set-up times are those of the stepped tree; the work is proportional to
 addressed elements instead of tree size.  ``naive`` and ``activity``
 always step the word-level tree, which is also the path for whatever
-the elision cannot represent.  The kernel only keeps the books:
+the elision cannot represent.  A fault hook on a config link is such a
+case only for the packets it can touch — the flight-window rule: a hook
+that declares the cycles it can act on (``hook.cycles``, as every
+:class:`~repro.faults.FaultInjector` config hook does) refuses a packet
+only if one of them lies in ``[started_at, started_at + len(words) +
+commit_latency + cooldown_cycles]``, the span no word of the packet
+outlives on any link at any depth; a hook that declares nothing refuses
+every packet while installed.  The kernel only keeps the books:
 :attr:`Kernel.config_packets_elided`,
 :attr:`Kernel.config_packets_stepped` and, by refusal kind,
 :attr:`Kernel.config_elision_refusals` — all in :meth:`Kernel.kernel_stats`.
@@ -181,6 +188,11 @@ NAIVE_MODE = "naive"
 #: :mod:`repro.sim.compiled` and :mod:`repro.sim.replay`).
 VECTOR_MODE = "vector"
 
+#: The mode an unset ``REPRO_KERNEL_MODE`` resolves to.  ``activity`` and
+#: ``naive`` are the selectable reference semantics: they always step the
+#: word-level config tree and the component data plane.
+DEFAULT_KERNEL_MODE = VECTOR_MODE
+
 _MODES = (ACTIVITY_MODE, NAIVE_MODE, VECTOR_MODE)
 
 
@@ -243,12 +255,14 @@ class CompileRefusal:
 
 
 def default_kernel_mode() -> str:
-    """Kernel mode from ``REPRO_KERNEL_MODE`` (``activity`` when unset).
+    """Kernel mode from ``REPRO_KERNEL_MODE``
+    (:data:`DEFAULT_KERNEL_MODE` when unset).
 
     Raises:
         SimulationError: if the variable holds an unknown mode.
     """
-    mode = os.environ.get(KERNEL_MODE_ENV, ACTIVITY_MODE).strip().lower()
+    mode = os.environ.get(KERNEL_MODE_ENV, DEFAULT_KERNEL_MODE)
+    mode = mode.strip().lower()
     if mode not in _MODES:
         raise SimulationError(
             f"{KERNEL_MODE_ENV}={mode!r} is not one of {_MODES}"

@@ -17,7 +17,7 @@ from repro.alloc import (
 )
 from repro.core import DaeliteNetwork
 from repro.params import aelite_parameters, daelite_parameters
-from repro.sim.kernel import ACTIVITY_MODE, KERNEL_MODE_ENV, Kernel
+from repro.sim.kernel import DEFAULT_KERNEL_MODE, KERNEL_MODE_ENV, Kernel
 from repro.topology import build_mesh
 
 # The --no-fast-path plumbing is shared with the benchmark harness.
@@ -40,10 +40,11 @@ def pytest_configure(config):
 
 @pytest.fixture(scope="session", autouse=True)
 def _kernel_mode_honors_environment():
-    """CI runs the whole suite in both modes by exporting
+    """CI runs the whole suite in every mode by exporting
     ``REPRO_KERNEL_MODE``; guarantee the plumbing actually works — a
-    default-constructed kernel must resolve to the requested mode."""
-    expected = os.environ.get(KERNEL_MODE_ENV, ACTIVITY_MODE)
+    default-constructed kernel must resolve to the requested mode
+    (``DEFAULT_KERNEL_MODE`` when unset)."""
+    expected = os.environ.get(KERNEL_MODE_ENV, DEFAULT_KERNEL_MODE)
     assert Kernel().mode == expected, (
         f"kernel mode plumbing broken: {KERNEL_MODE_ENV}="
         f"{os.environ.get(KERNEL_MODE_ENV)!r} but Kernel() resolved to "

@@ -598,6 +598,34 @@ def root_words(net):
     return net.config_links[f"cfg.module->{root}"].words_carried
 
 
+def fault_log(net):
+    return [event.format() for event in net.stats.faults]
+
+
+def drive_under_leaf_drop(fault_cycle):
+    """Set up NI00 -> NI11 with a :class:`ConfigWordDrop` armed on the
+    deepest leaf link for ``fault_cycle``.  The six packets' flight
+    windows tile cycles 0..141; the third (NI11's CHANNEL_CONFIG,
+    started at 54) has its words on that link at cycles 62..68."""
+
+    def drive(net):
+        injector = FaultInjector(
+            net,
+            FaultPlan(
+                seed=0,
+                specs=(ConfigWordDrop("cfg.R11->NI11", fault_cycle),),
+            ),
+        )
+        injector.arm()
+        handle = net.configure(
+            connection(allocator_for(net), "f", "NI00", "NI11")
+        )
+        injector.disarm()
+        return [handle], []
+
+    return drive
+
+
 def stepped_and_counted(net, kind, packets):
     stats = net.kernel.kernel_stats()
     assert stats["config_elision_refusals"].get(kind) == packets
@@ -622,19 +650,57 @@ class TestRefusals:
 
     @pytest.mark.parametrize("mode", ENGINE_MODES)
     def test_fault_hook_on_a_config_link(self, mode):
-        """The hook sits on a *leaf* link and never fires; the packets
-        still ride the tree, so a hook that did fire would land."""
-        net = engine_net(mode)
-        plan = FaultPlan(
-            seed=0, specs=(ConfigWordDrop("cfg.R11->NI11", 90_000),)
+        """A drop planned on a *leaf* link inside the third packet's
+        flight window: that packet rides the tree and the fault lands
+        exactly as on ``naive``; the other five are elided."""
+        naive, net_n = observe(NAIVE_MODE, 2, 2, drive_under_leaf_drop(64))
+        engine, net = observe(
+            mode, 2, 2, drive_under_leaf_drop(64), strict=False
         )
-        injector = FaultInjector(net, plan)
-        injector.arm()
-        net.configure(connection(allocator_for(net), "f", "NI00", "NI11"))
-        injector.disarm()
-        stepped_and_counted(net, REFUSED_FAULT_HOOKS_ARMED, 6)
+        assert [e.kind for e in net_n.stats.faults] == [
+            "config_drop",
+            "protocol_error",
+            "protocol_error",
+        ]
+        assert fault_log(net) == fault_log(net_n)
+        assert_agree(naive, engine, mode)
+        stepped_and_counted(net, REFUSED_FAULT_HOOKS_ARMED, 1)
+        stats = net.kernel.kernel_stats()
+        assert stats["config_packets_stepped"] == 1
+        assert stats["config_packets_elided"] == 5
+        # Disarmed, nothing refuses.
         net.configure(connection(allocator_for(net), "g", "NI01", "NI10"))
-        assert net.kernel.kernel_stats()["config_packets_elided"] == 6
+        assert net.kernel.kernel_stats()["config_packets_elided"] == 11
+
+    @pytest.mark.parametrize("mode", ENGINE_MODES)
+    def test_fault_hook_planned_outside_every_flight_window(self, mode):
+        """The same hook, armed over the whole set-up, planned for a
+        cycle no packet is in flight at: it can touch nothing, so
+        nothing steps."""
+        naive, net_n = observe(
+            NAIVE_MODE, 2, 2, drive_under_leaf_drop(90_000)
+        )
+        engine, net = observe(
+            mode, 2, 2, drive_under_leaf_drop(90_000), strict=False
+        )
+        assert fault_log(net) == fault_log(net_n) == []
+        assert_agree(naive, engine, mode)
+        stats = net.kernel.kernel_stats()
+        assert stats["config_elision_refusals"] == {}
+        assert stats["config_packets_elided"] == 6
+        assert root_words(net) == 0
+
+    @pytest.mark.parametrize("mode", ENGINE_MODES)
+    def test_hand_installed_hook_declares_nothing(self, mode):
+        """A bare callable says nothing about when it acts: every packet
+        steps the tree while it is installed."""
+        net = engine_net(mode)
+        net.config_links["cfg.R11->NI11"].fault_hook = (
+            lambda link, word: word
+        )
+        net.configure(connection(allocator_for(net), "f", "NI00", "NI11"))
+        stepped_and_counted(net, REFUSED_FAULT_HOOKS_ARMED, 6)
+        assert net.kernel.kernel_stats()["config_packets_elided"] == 0
 
     @pytest.mark.parametrize("mode", ENGINE_MODES)
     def test_packet_expecting_response_words(self, mode):
@@ -756,8 +822,10 @@ class TestDepositSafety:
             connection(allocator_for(net), "x", "NI00", "NI11")
         )
         net.run(3)
+        # Cycle 206 is inside the flight window of the *second* set-up's
+        # third packet (142 + 54 .. 142 + 74).
         cfg_plan = FaultPlan(
-            seed=0, specs=(ConfigWordDrop("cfg.R11->NI11", 90_000),)
+            seed=0, specs=(ConfigWordDrop("cfg.R11->NI11", 206),)
         )
         with pytest.raises(FaultInjectionError, match="in flight"):
             FaultInjector(net, cfg_plan).arm()
@@ -772,14 +840,19 @@ class TestDepositSafety:
         injector.arm()
         net.run_until_configured(handle)
         injector.disarm()
-        # Between packets the config plan arms, and the tree steps again.
+        # Between packets the config plan arms, and the one packet it
+        # can touch steps the tree again: the fault lands.
         injector = FaultInjector(net, cfg_plan)
         injector.arm()
         net.configure(connection(allocator_for(net), "y", "NI01", "NI10"))
         injector.disarm()
         assert net.kernel.kernel_stats()["config_elision_refusals"] == {
-            REFUSED_FAULT_HOOKS_ARMED: 6
+            REFUSED_FAULT_HOOKS_ARMED: 1
         }
+        assert [(e.cycle, e.kind) for e in net.stats.faults][0] == (
+            206,
+            "config_drop",
+        )
 
     @pytest.mark.parametrize("mode", ENGINE_MODES)
     def test_decoder_errors_take_the_monitor_path(self, mode):
@@ -812,9 +885,6 @@ class TestDepositSafety:
             )
             injector.disarm()
             return [request, handle], []
-
-        def fault_log(net):
-            return [event.format() for event in net.stats.faults]
 
         reference, net_a = observe(ACTIVITY_MODE, 2, 2, drive)
         candidate, net = observe(mode, 2, 2, drive, strict=False)
