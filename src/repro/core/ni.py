@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..errors import FlowControlError, SimulationError
 from ..params import NetworkParameters
-from ..sim.flit import Phit, Word
+from ..sim.flit import Phit, Word, parity_of
 from ..sim.kernel import Component, Register
 from ..sim.link import Link
 from ..sim.stats import FAULT_DETECTED, StatsCollector
@@ -196,7 +196,7 @@ class NetworkInterface(Component):
             payload=payload,
             connection=connection or f"{self.name}.ch{channel}",
             sequence=sequence,
-            parity=bin(payload).count("1") & 1,
+            parity=parity_of(payload),
         )
         self.source_channel(channel).queue.append(word)
         self.touch()  # a backlog makes the next granted slot due

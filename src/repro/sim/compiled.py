@@ -25,7 +25,17 @@ It is the one engine behind ``vector`` mode, in two layers:
   credits to send in the phase they own, each launching at most one
   phit as two bucket entries (its link entry, its arrival; one arrival
   per leaf of a multicast tree); the generators due; the sinks whose
-  queue holds words.  An owner is armed by a generator firing into its
+  queue holds words.  At each of these per-word sites the loop tests
+  the success precondition of the model method it stands in for —
+  ``take_word``, ``StatsCollector._inject`` / ``_eject``, ``deliver``,
+  ``_credit_paired_source``, ``drain`` / ``consume``, a periodic
+  generator's ``evaluate`` → ``submit`` — on plain attributes and
+  applies the method's effect inline, on the attributes the method
+  mutates; in every other case it calls the method itself with state
+  untouched, so every exception, fault event and ledger pad is written
+  once, in the model, and the engine shares the model's state instead
+  of shadowing it (``model_calls`` counts those calls; DESIGN.md §10.2
+  has the table).  An owner is armed by a generator firing into its
   channel, by credits arriving for it and by a sink drain leaving
   credits for it to return, and stays armed while it can send; an idle
   network handles no events.  Link and router counters are paid per
@@ -76,7 +86,7 @@ from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..errors import SimulationError
-from .flit import Phit, Word
+from .flit import Phit, Word, parity_of
 from .kernel import CompileRefusal, Kernel
 from .lowering import (
     LoweredArtifacts,
@@ -94,6 +104,12 @@ from .stats import FAULT_DETECTED
 _EV_INJECT = 0
 _EV_EJECT = 1
 _EV_SINK = 2
+
+# How a generator's firing is applied (``_resolve_run``): through its
+# own ``evaluate``, or inline for the two periodic kinds.
+_FIRE_MODEL = 0
+_FIRE_CBR = 1
+_FIRE_BURST = 2
 
 #: Rank of a pending ``(order, leaf, word, credit bits)`` event within
 #: its cycle.
@@ -418,12 +434,24 @@ def _classify_components(network: Any) -> Any:
 
 class _Owner:
     """One run's live view of an :class:`_OwnerPlan`: the source channel
-    it injects from, the paired destination whose credits it returns,
-    and whether a visit is scheduled (``armed``)."""
+    it injects from with its two flag bits decoded (channel registers
+    are frozen for a run: config traffic refuses the engine, callbacks
+    are barriers), the paired destination whose credits it returns, and
+    whether a visit is scheduled (``armed``)."""
 
-    __slots__ = ("source", "dest", "slots", "first", "armed")
+    __slots__ = (
+        "source",
+        "enabled",
+        "flow_controlled",
+        "dest",
+        "slots",
+        "first",
+        "armed",
+    )
 
     source: Any
+    enabled: bool
+    flow_controlled: bool
     dest: Any
     slots: List[Any]
     first: List[int]
@@ -431,6 +459,8 @@ class _Owner:
 
     def __init__(self, plan: _OwnerPlan, source: Any, dest: Any) -> None:
         self.source = source
+        self.enabled = source.enabled
+        self.flow_controlled = source.flow_controlled
         self.dest = dest
         self.slots = plan.slots
         self.first = plan.first
@@ -640,6 +670,12 @@ class CompiledEngine:
         #: and sink visits.  A deterministic cost figure — it does not
         #: depend on how many hops a word crosses.
         self.events_handled = 0
+        #: Times :meth:`run_to` left a per-word fast path for the model
+        #: method it mirrors (DESIGN.md §10.2): the first word of a
+        #: ledger column, the first delivery of a stream, and every
+        #: failing or unusual case.  Does not grow with the word count
+        #: of a healthy flow.
+        self.model_calls = 0
         # Imported here so numpy loads with the first engine, not with
         # the package: the naive and activity kernels never need it.
         from .replay import EpochReplay, roster_key
@@ -828,10 +864,13 @@ class CompiledEngine:
         (config traffic raises a refusal long before this point), so
         channel membership cannot change mid-run.  Returns one
         :class:`_Owner` per owner plan (``None`` where the source
-        channel does not exist), the owner each generator feeds, one
-        ``(sink, destination, period, owners returning its credits)``
-        per sink, and the sink indices on each arrival channel.
+        channel does not exist), one ``(generator, owner it feeds, how
+        it fires)`` per generator, one ``(sink, destination, period,
+        owners returning its credits, whether it checks)`` per sink,
+        and the sink indices on each arrival channel.
         """
+        from ..traffic.generators import BurstGenerator, CbrGenerator
+
         owners: List[Optional[_Owner]] = []
         feeding: Dict[Tuple[int, int], _Owner] = {}
         crediting: Dict[int, List[_Owner]] = {}
@@ -849,23 +888,32 @@ class CompiledEngine:
             feeding[(id(ni), plan.channel)] = owner
             if dest is not None:
                 crediting.setdefault(id(dest), []).append(owner)
-        gen_owners = [
-            feeding.get((id(gen.inject.ni), gen.inject.channel))
-            for gen in self.gens
-        ]
+        gen_runs = []
+        for gen in self.gens:
+            owner = feeding.get((id(gen.inject.ni), gen.inject.channel))
+            # A periodic generator's heap entry is its firing, applied
+            # straight onto the owner's source queue; a trace generator
+            # (or a channel without an owner) fires through the model.
+            firing = _FIRE_MODEL
+            if owner is not None:
+                if type(gen) is CbrGenerator:
+                    firing = _FIRE_CBR
+                elif type(gen) is BurstGenerator:
+                    firing = _FIRE_BURST
+            gen_runs.append((gen, owner, firing))
         sink_runs = []
         sinks_on: List[List[int]] = [[] for _ in self.dest_keys]
-        for sink_index, (sink, ni, channel, period, _checking) in enumerate(
+        for sink_index, (sink, ni, channel, period, checking) in enumerate(
             self.sinks
         ):
             dest = ni.dest_channels.get(channel)
             sink_runs.append(
-                (sink, dest, period, crediting.get(id(dest), ()))
+                (sink, dest, period, crediting.get(id(dest), ()), checking)
             )
             dest_id = self.dest_keys.get((ni.name, channel))
             if dest is not None and dest_id is not None:
                 sinks_on[dest_id].append(sink_index)
-        return owners, gen_owners, sink_runs, sinks_on
+        return owners, gen_runs, sink_runs, sinks_on
 
     def run_to(self, end: int) -> Optional[CompileRefusal]:
         """Advance the network to ``end``; ``None`` on success.
@@ -876,8 +924,13 @@ class CompiledEngine:
         statistics integrity violations — the same ones stepped
         execution raises) propagate after state is materialized: an
         arrival is then either applied and gone from the registers or
-        not applied and still in them.
+        not applied and still in them.  They come from the model
+        methods the per-word fast paths fall through to (module
+        docstring, "Stepping"), called with state untouched.
         """
+        # Imported here: ``repro.core`` imports this module.
+        from ..core.config_protocol import FLAG_FLOW_CONTROLLED
+
         kernel = self.kernel
         cycle = kernel.cycle
         if cycle >= end:
@@ -890,9 +943,10 @@ class CompiledEngine:
             self._note_replay_refusal(self.replay_refusal)
 
         stats = self.stats
+        connections = stats.connections
+        last_ejected = stats._last_ejected
         wheel = self.wheel
         credit_cap = self.credit_cap
-        gens = self.gens
         replay = self.replay
         intern = replay.intern
         ring = self._ring
@@ -901,7 +955,7 @@ class CompiledEngine:
         launched_phits = self._launched_phits
         launched_words = self._launched_words
 
-        owners, gen_owners, sink_runs, sinks_on = self._resolve_run()
+        owners, gen_runs, sink_runs, sinks_on = self._resolve_run()
         # Armed owners by the cycle of their next owned phase (same
         # ring geometry as the arrivals), sinks by the cycle of their
         # next drain, generators by the cycle of their next firing.
@@ -953,8 +1007,8 @@ class CompiledEngine:
                 if sink_run[1] is not None and sink_run[1].queue:
                     wake(sink_index, start)
             gen_heap.clear()
-            for gen_index, gen in enumerate(gens):
-                fire = gen.next_evaluation(start)
+            for gen_index, gen_run in enumerate(gen_runs):
+                fire = gen_run[0].next_evaluation(start)
                 if fire is not None:
                     gen_heap.append((fire, gen_index))
             heapify(gen_heap)
@@ -986,6 +1040,7 @@ class CompiledEngine:
             prev_sig, prev_snap, events = probe[:3]
         entered_at = cycle
         handled = 0
+        model_calls = 0
         replayed_epochs = 0
         replayed_cycles = 0
         clean_exit = False
@@ -1078,7 +1133,24 @@ class CompiledEngine:
                         leaf = current[1]
                         word = current[2]
                         if leaf is None:
-                            stats.record_injection(word, cycle)
+                            # ``StatsCollector._inject``: the next word
+                            # of a non-empty column.
+                            ledger = connections.get(word.connection)
+                            if (
+                                ledger is not None
+                                and (column := ledger.injected_at)
+                                and word.sequence - ledger.first_sequence
+                                == len(column)
+                            ):
+                                column.append(cycle)
+                                ledger.ejected_at.append(-1)
+                                ledger.injected += 1
+                                stats._undelivered += 1
+                            else:
+                                model_calls += 1
+                                stats._inject(
+                                    word.connection, word.sequence, cycle
+                                )
                             current = None
                             if events is not None:
                                 events.append(
@@ -1106,12 +1178,50 @@ class CompiledEngine:
                                 if credit_bits
                                 else None
                             )
-                            if word.parity_ok:
-                                dest.deliver(word)
+                            parity = word.parity
+                            if parity is None or parity == parity_of(
+                                word.payload
+                            ):
+                                # ``DestChannel.deliver``: room in the
+                                # queue, or nobody counting.
+                                queue = dest.queue
+                                if (
+                                    dest.flags & FLAG_FLOW_CONTROLLED
+                                    and len(queue) >= dest.capacity
+                                ):
+                                    model_calls += 1
+                                    dest.deliver(word)
+                                else:
+                                    queue.append(word)
+                                    dest.words_received += 1
                                 current = rest
-                                stats.record_ejection(
-                                    word, cycle, destination=ni.name
-                                )
+                                # ``StatsCollector._eject``: an injected
+                                # word, the next this destination
+                                # expects of its connection.
+                                connection = word.connection
+                                sequence = word.sequence
+                                flow = (connection, ni.name)
+                                ledger = connections.get(connection)
+                                if (
+                                    ledger is not None
+                                    and last_ejected.get(flow) == sequence - 1
+                                    and 0
+                                    <= (index := sequence - ledger.first_sequence)
+                                    < len(column := ledger.injected_at)
+                                    and (injected := column[index]) >= 0
+                                ):
+                                    last_ejected[flow] = sequence
+                                    column = ledger.ejected_at
+                                    if column[index] < 0:
+                                        column[index] = cycle
+                                        stats._undelivered -= 1
+                                    ledger.ejected += 1
+                                    ledger.latencies.append(cycle - injected)
+                                else:
+                                    model_calls += 1
+                                    stats._eject(
+                                        connection, ni.name, sequence, cycle
+                                    )
                                 if events is not None:
                                     events.append(
                                         (
@@ -1135,12 +1245,27 @@ class CompiledEngine:
                                     f"ch{leaf.channel}: {word!r}",
                                 )
                         if credit_bits:
-                            ni._credit_paired_source(dest, credit_bits)
+                            # ``_credit_paired_source``: a paired source
+                            # whose counter has the room.
+                            paired = dest.paired_source
+                            source = (
+                                None
+                                if paired is None
+                                else ni.source_channels.get(paired)
+                            )
+                            if (
+                                source is not None
+                                and 0
+                                < credit_bits
+                                <= source.max_credit - source.credit_counter
+                            ):
+                                source.credit_counter += credit_bits
+                            else:
+                                model_calls += 1
+                                ni._credit_paired_source(dest, credit_bits)
                             # Credits arrive before this cycle's
                             # injection: the source may use them now.
-                            owner_index = leaf.ni_owners.get(
-                                dest.paired_source
-                            )
+                            owner_index = leaf.ni_owners.get(paired)
                             if owner_index is not None:
                                 owner = owners[owner_index]
                                 if owner is not None and owner.source.queue:
@@ -1155,21 +1280,32 @@ class CompiledEngine:
                         source = owner.source
                         dest = owner.dest
                         slot = owner.slots[phase]
-                        word = (
-                            source.take_word()
-                            if source.can_send()
-                            else None
-                        )
+                        # ``take_word()`` if ``can_send()``, asked once.
+                        word = None
+                        queue = source.queue
+                        if (
+                            queue
+                            and owner.enabled
+                            and (
+                                not owner.flow_controlled
+                                or source.credit_counter > 0
+                            )
+                        ):
+                            if owner.flow_controlled:
+                                source.credit_counter -= 1
+                            source.words_sent += 1
+                            word = queue.popleft()
+                        # ``take_pending_credits``, in a slot's first
+                        # phase: what the credit wires can carry.
                         credits = None
                         if (
                             slot.collect
                             and dest is not None
-                            and dest.pending_credits
+                            and (pending := dest.pending_credits)
                         ):
-                            credits = (
-                                dest.take_pending_credits(credit_cap)
-                                or None
-                            )
+                            granted = min(pending, credit_cap)
+                            dest.pending_credits = pending - granted
+                            credits = granted or None
                         if word is not None or credits:
                             trajectory = slot.trajectory
                             tid = trajectory.tid
@@ -1189,9 +1325,14 @@ class CompiledEngine:
                                     (order, leaf, word, credits)
                                 )
                         # Stay armed while there is something to send.
-                        if (source.queue and source.can_send()) or (
-                            dest is not None and dest.pending_credits
-                        ):
+                        if (
+                            queue
+                            and owner.enabled
+                            and (
+                                not owner.flow_controlled
+                                or source.credit_counter > 0
+                            )
+                        ) or (dest is not None and dest.pending_credits):
                             owner_ring[(cycle + slot.gap) & mask].append(
                                 owner
                             )
@@ -1203,14 +1344,50 @@ class CompiledEngine:
                     while gen_heap and gen_heap[0][0] == cycle:
                         handled += 1
                         gen_index = gen_heap[0][1]
-                        gen = gens[gen_index]
-                        gen.evaluate(cycle)
-                        fire = gen.next_evaluation(cycle + 1)
+                        gen, owner, firing = gen_runs[gen_index]
+                        if firing == _FIRE_MODEL:
+                            model_calls += 1
+                            gen.evaluate(cycle)
+                            fire = gen.next_evaluation(cycle + 1)
+                        else:
+                            # The heap entry is the firing (``evaluate``
+                            # would re-derive it): the words go on the
+                            # source queue as ``ni.submit`` stamps them.
+                            # The NI is not touched — every exit rebuilds
+                            # the scheduler that touch would wake.
+                            inject = gen.inject
+                            ni = inject.ni
+                            channel = inject.channel
+                            label = (
+                                inject.connection
+                                or f"{ni.name}.ch{channel}"
+                            )
+                            queue = owner.source.queue
+                            generated = gen.words_generated
+                            sequence = ni._sequence_counters.get(channel, 0)
+                            burst = firing == _FIRE_BURST
+                            for _ in range(gen.burst_words if burst else 1):
+                                payload = generated & _PAYLOAD_MASK
+                                queue.append(
+                                    Word(
+                                        payload,
+                                        label,
+                                        sequence,
+                                        -1,
+                                        parity_of(payload),
+                                    )
+                                )
+                                generated += 1
+                                sequence += 1
+                            ni._sequence_counters[channel] = sequence
+                            gen.words_generated = generated
+                            if burst:
+                                gen.bursts_generated += 1
+                            fire = None if gen.done else cycle + gen.period
                         if fire is None:
                             heappop(gen_heap)
                         else:
                             heapreplace(gen_heap, (fire, gen_index))
-                        owner = gen_owners[gen_index]
                         if owner is not None:
                             arm(owner, cycle + 1)
                     gen_due = gen_heap[0][0] if gen_heap else _NEVER
@@ -1223,11 +1400,40 @@ class CompiledEngine:
                             due.sort()
                         for sink_index in due:
                             sink_waiting[sink_index] = False
-                            sink, dest, _period, credited = sink_runs[
-                                sink_index
-                            ]
-                            for word in dest.drain(sink.words_per_cycle):
-                                sink.consume(cycle, word)
+                            sink, dest, _period, credited, checking = (
+                                sink_runs[sink_index]
+                            )
+                            # ``dest.drain(sink.words_per_cycle)``; the
+                            # words are popped as they are consumed,
+                            # nothing in between can raise.
+                            queue = dest.queue
+                            count = min(len(queue), sink.words_per_cycle)
+                            if dest.flags & FLAG_FLOW_CONTROLLED:
+                                dest.pending_credits += count
+                            for _ in range(count):
+                                word = queue.popleft()
+                                # ``consume``: a drain sink keeps the
+                                # word; a checking sink also wants good
+                                # parity and its connection's next
+                                # sequence number.
+                                if not checking or (
+                                    (connection := word.connection)
+                                    and (sequence := word.sequence) >= 0
+                                    and sink._last_seq.get(connection)
+                                    == sequence - 1
+                                    and (
+                                        (parity := word.parity) is None
+                                        or parity == parity_of(word.payload)
+                                    )
+                                ):
+                                    sink.received.append(
+                                        (cycle, word.payload)
+                                    )
+                                    if checking:
+                                        sink._last_seq[connection] = sequence
+                                else:
+                                    model_calls += 1
+                                    sink.consume(cycle, word)
                                 if events is not None:
                                     events.append(
                                         (
@@ -1262,6 +1468,7 @@ class CompiledEngine:
                 self._unload(cycle)
             self._export_registers()
             self.events_handled += handled
+            self.model_calls += model_calls
             kernel.cycle = cycle
             kernel.compiled_cycles += cycle - entered_at
             kernel.replayed_epochs += replayed_epochs
@@ -1618,5 +1825,5 @@ def _shifted(word: Word, offset: int) -> Word:
         connection=word.connection,
         sequence=word.sequence + offset,
         injected_at=word.injected_at,
-        parity=bin(payload).count("1") & 1,
+        parity=parity_of(payload),
     )

@@ -18,6 +18,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 
+def parity_of(payload: int) -> int:
+    """Even parity over the payload bits: what the source NI drives on
+    the parity wire and every checker recomputes."""
+    return payload.bit_count() & 1
+
+
 @dataclass(frozen=True, slots=True)
 class Word:
     """One data word travelling through the network.
@@ -49,7 +55,7 @@ class Word:
             connection=self.connection,
             sequence=self.sequence,
             injected_at=self.injected_at,
-            parity=bin(self.payload).count("1") & 1,
+            parity=parity_of(self.payload),
         )
 
     @property
@@ -57,7 +63,7 @@ class Word:
         """True unless the parity wire contradicts the payload."""
         if self.parity is None:
             return True
-        return (bin(self.payload).count("1") & 1) == self.parity
+        return parity_of(self.payload) == self.parity
 
     def __repr__(self) -> str:  # compact traces
         return (

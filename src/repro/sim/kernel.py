@@ -1037,7 +1037,13 @@ class Kernel:
         return result
 
     def kernel_stats(self) -> Dict[str, Any]:
-        """Instrumentation snapshot, including compiled-engine telemetry."""
+        """Instrumentation snapshot, including compiled-engine telemetry.
+
+        ``touches`` counts wakes of the stepped kernels' scheduler: the
+        compiled engine queues a generator's words without
+        ``touch()``-ing the NI (every engine exit rebuilds that
+        scheduler), so cycles it executes add none.
+        """
         refusal = self._last_refusal
         return {
             "mode": self._mode,

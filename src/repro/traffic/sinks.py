@@ -77,8 +77,9 @@ class DrainSink(Component):
 
     def consume(self, cycle: int, word: Word) -> None:
         """Take one drained word.  The compiled engine drains the queue
-        itself and hands each word here, so what a sink does with a
-        word is written once."""
+        itself; it keeps an unremarkable word inline (this body, and
+        :class:`CheckingSink`'s when the word checks out) and hands
+        every other word here, so what a sink *finds* is written once."""
         self.received.append((cycle, word.payload))
 
 

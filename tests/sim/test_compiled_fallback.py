@@ -14,7 +14,11 @@ import pytest
 from repro.alloc import ConnectionRequest, SlotAllocator
 from repro.core import DaeliteNetwork
 from repro.core.online import OnlineConnectionManager
-from repro.errors import FlowControlError, SimulationError
+from repro.errors import (
+    FlowControlError,
+    SimulationError,
+    StatsIntegrityError,
+)
 from repro.faults import FaultInjector, FaultPlan, TransientBitFlip
 from repro.params import daelite_parameters
 from repro.sim.flit import Phit, Word
@@ -426,10 +430,24 @@ def test_parity_is_checked_at_arrival_and_taints_the_epoch():
 
 
 def test_words_are_conserved_across_an_exceptional_exit():
-    """An exception raised in the middle of a cycle's arrivals leaves
-    every arrival either applied and gone from the registers or not
-    applied and still in them: retrying the run re-raises at the same
-    cycle without delivering any word a second time."""
+    """An exception raised in the middle of a cycle's arrivals and link
+    entries leaves each of them either applied and gone from the
+    registers or not applied and still in them: retrying the run
+    re-raises at the same cycle without delivering any word a second
+    time.  Two causes, both raised by a model method the engine calls
+    with state untouched: a destination queue overflowing at an arrival
+    (fabricated credits), and a ledger column refusing a link entry (a
+    pre-seeded duplicate injection)."""
+    overflowed = conserved_across("overflow")
+    # Another flow's word was delivered in the failing cycle, before
+    # the overflow: it must not come back out of the registers.
+    assert any(overflowed[label][4] for label in ("b", "c"))
+    conserved_across("duplicate")
+
+
+def conserved_across(cause):
+    """Three crossing flows on a 3x3 mesh run into ``cause`` on flow
+    "a", three times over; returns the (repeating) per-flow image."""
     params = daelite_parameters(slot_table_size=8)
     mesh = build_mesh(3, 3)
     allocator = SlotAllocator(topology=mesh, params=params)
@@ -457,12 +475,13 @@ def test_words_are_conserved_across_an_exceptional_exit():
                 period=3,
             )
         )
-        # Flow "a" is never drained: its queue fills to capacity.
+        # Overflow: flow "a" is never drained, its queue fills up.
+        undrained = cause == "overflow" and label == "a"
         net.kernel.add(
             CheckingSink(
                 f"sink_{label}",
                 receive=dest_ni.receiver(handle.forward.dst_channel),
-                start_cycle=10**9 if label == "a" else 0,
+                start_cycle=10**9 if undrained else 0,
                 stats=net.stats,
             )
         )
@@ -473,10 +492,16 @@ def test_words_are_conserved_across_an_exceptional_exit():
         )
     net.run(50)
     assert net.kernel.kernel_stats()["compiled_cycles"] > 0
-    # Fabricated credits: the source of "a" overruns its destination.
     source_ni, channel, _ = ends["a"]
-    source = source_ni.source_channels[channel]
-    source.credit_counter = source.max_credit
+    if cause == "overflow":
+        # Fabricated credits: the source overruns its destination.
+        source = source_ni.source_channels[channel]
+        source.credit_counter = source.max_credit
+        error, message = FlowControlError, "overflowed"
+    else:
+        # The ledger already holds a word "a" is yet to submit.
+        net.stats._inject("a", source_ni._sequence_counters[channel] + 3, 0)
+        error, message = StatsIntegrityError, "injected twice"
 
     def in_registers(label):
         return len(
@@ -503,14 +528,12 @@ def test_words_are_conserved_across_an_exceptional_exit():
 
     images = []
     for _attempt in range(3):
-        with pytest.raises(FlowControlError, match="overflowed"):
+        with pytest.raises(error, match=message):
             net.run(400)
         images.append((net.kernel.cycle, image()))
     for label, (submitted, delivered, flying, queued, _) in images[0][
         1
     ].items():
         assert submitted == delivered + flying + queued, label
-    # Another flow's word was delivered in the failing cycle, before
-    # the overflow: it must not come back out of the registers.
-    assert any(images[0][1][label][4] for label in ("b", "c"))
     assert images[1] == images[0] and images[2] == images[0]
+    return images[0][1]

@@ -345,8 +345,17 @@ class TestEngineWork:
     #: returning the credit, and that credit's arrival.
     EVENTS_PER_WORD = 7
     WORDS = 40
+    #: Model methods the engine reaches per connection plus destination,
+    #: whatever the word count: ``StatsCollector._inject`` for the first
+    #: word of a connection's ledger column, and for the first delivery
+    #: of a stream ``StatsCollector._eject`` at its destination and
+    #: ``CheckingSink.consume`` at its sink.  Every other word takes the
+    #: inline fast paths.
+    MODEL_CALLS_PER_ENDPOINT = 2
+    #: ``run_one_flow``: one connection, one destination.
+    BOUND = MODEL_CALLS_PER_ENDPOINT * (1 + 1)
 
-    def run_one_flow(self, width, height):
+    def run_one_flow(self, width, height, words=WORDS):
         """One flow-controlled CBR flow corner to corner, stepped by the
         engine until every word is delivered and every credit is home;
         returns ``(net, engine, words delivered)``."""
@@ -374,7 +383,7 @@ class TestEngineWork:
                 "gen",
                 net.ni(src).injector(handle.forward.src_channel, "c"),
                 period=period,
-                total_words=self.WORDS,
+                total_words=words,
                 start_cycle=net.kernel.cycle + 10,
             )
         )
@@ -385,11 +394,11 @@ class TestEngineWork:
                 stats=net.stats,
             )
         )
-        net.run(self.WORDS * period + 500)
+        net.run(words * period + 500)
         stats = net.kernel.kernel_stats()
         assert stats["compile_fallbacks"] == {}
         assert stats["replayed_epochs"] == 0
-        assert stats["compiled_cycles"] >= self.WORDS * period
+        assert stats["compiled_cycles"] >= words * period
         return net, net.kernel._engine, net.stats.delivered_words("c")
 
     def test_events_per_word_do_not_depend_on_path_length(self):
@@ -407,6 +416,17 @@ class TestEngineWork:
             == far.events_handled
             == self.EVENTS_PER_WORD * self.WORDS
         )
+        assert 0 < near.model_calls == far.model_calls <= self.BOUND
+
+    def test_model_calls_do_not_depend_on_word_count(self):
+        """The cost model as an inequality: per word the engine calls no
+        model method at all — what it calls is bounded by the
+        connections and destinations, for 40 words and for 120."""
+        _, short, short_words = self.run_one_flow(2, 1)
+        _, longer, longer_words = self.run_one_flow(2, 1, 3 * self.WORDS)
+        assert (short_words, longer_words) == (self.WORDS, 3 * self.WORDS)
+        assert longer.events_handled == self.EVENTS_PER_WORD * longer_words
+        assert 0 < short.model_calls == longer.model_calls <= self.BOUND
 
     def test_idle_configured_fabric_handles_no_events(self):
         net, engine, _ = self.run_one_flow(12, 12)

@@ -14,13 +14,20 @@ Epoch replay is covered two ways: the Hypothesis scenarios include
 steady periodic traffic long enough for replay to engage on many
 examples, and deterministic tests pin workloads where replay *must*
 engage — in one regime, across a use-case switch, and on re-entering a
-cached regime — and still assert bitwise equality afterwards.  The last
-section plants engine mutants and requires the same differential
-assertions to kill each one.
+cached regime — and still assert bitwise equality afterwards.
+
+The engine applies the success branch of each per-word model method
+inline and calls the method for everything else (DESIGN.md §10.2); one
+section drives every such precondition false inside an engine run and
+compares what the method then does — the exception, or the fault log and
+ledger — with the activity kernel's.  The last section plants engine
+mutants, one per inlined site among them, and requires the same
+differential assertions to kill each one.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -29,12 +36,19 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.aelite import AeliteNetwork
-from repro.alloc import ConnectionRequest, SlotAllocator
+from repro.alloc import ConnectionRequest, MulticastRequest, SlotAllocator
 from repro.alloc.usecase import UseCase, UseCaseManager
 from repro.core import DaeliteNetwork
-from repro.errors import AllocationError, ReproError
+from repro.errors import (
+    AllocationError,
+    FlowControlError,
+    ReproError,
+    StatsIntegrityError,
+)
 from repro.params import aelite_parameters, daelite_parameters
+from repro.sim import compiled
 from repro.sim.compiled import CompiledEngine
+from repro.sim.flit import Phit, Word
 from repro.sim.kernel import ACTIVITY_MODE, VECTOR_MODE, CompileRefusal
 from repro.sim.replay import EpochReplay
 from repro.topology import build_mesh, ni_name
@@ -256,11 +270,40 @@ def full_snapshot(net, gens, sinks):
     }
 
 
-def run_in_lockstep(build, chunks, tamper=None):
+def endpoint_image(net):
+    """The channel-endpoint state the engine's fast paths mutate in
+    place of ``take_word`` / ``deliver`` / ``drain`` / ``add_credits`` /
+    ``submit``."""
+    return {
+        ni.name: (
+            {
+                channel: (
+                    source.words_sent,
+                    source.credit_counter,
+                    tuple(source.queue),
+                )
+                for channel, source in sorted(ni.source_channels.items())
+            },
+            {
+                channel: (
+                    dest.words_received,
+                    dest.pending_credits,
+                    tuple(dest.queue),
+                )
+                for channel, dest in sorted(ni.dest_channels.items())
+            },
+            dict(ni._sequence_counters),
+        )
+        for ni in net.nis.values()
+    }
+
+
+def run_in_lockstep(build, chunks, tamper=None, endpoints=False):
     """``build(mode) -> (net, gens, sinks)`` on the vector and on the
     activity kernel, stepped through ``chunks`` and compared in full
-    after each.  ``tamper(index, net)`` is applied to each build before
-    chunk ``index`` (the mutant campaigns' way in)."""
+    after each (``endpoints``: the channel endpoints too).
+    ``tamper(index, net)`` is applied to each build before chunk
+    ``index`` (the mutant campaigns' way in)."""
     net_v, gens_v, sinks_v = build(VECTOR_MODE)
     net_a, gens_a, sinks_a = build(ACTIVITY_MODE)
     assert net_v.kernel.cycle == net_a.kernel.cycle
@@ -276,6 +319,8 @@ def run_in_lockstep(build, chunks, tamper=None):
         assert full_snapshot(net_v, gens_v, sinks_v) == full_snapshot(
             net_a, gens_a, sinks_a
         )
+        if endpoints:
+            assert endpoint_image(net_v) == endpoint_image(net_a)
     return net_v
 
 
@@ -298,22 +343,33 @@ def configured_net(mode: str, requests, side=2, params=None):
     return net, allocated, handle
 
 
-def attach_cbr_flow(net, handle, request, period, total_words=None):
-    """A CBR generator and a CheckingSink on one configured connection."""
-    label = request.label
+def attach_cbr_flow(
+    net,
+    handle,
+    request,
+    period,
+    total_words=None,
+    label=None,
+    sink_stats=True,
+    sink_start=0,
+):
+    """A CBR generator and a CheckingSink on one configured connection
+    (words labelled ``request.label`` unless ``label`` says otherwise)."""
+    name = request.label
     gen = CbrGenerator(
-        f"gen_{label}",
+        f"gen_{name}",
         inject=net.ni(request.src_ni).injector(
-            handle.forward.src_channel, label
+            handle.forward.src_channel, name if label is None else label
         ),
         period=period,
         total_words=total_words,
     )
     sink = CheckingSink(
-        f"sink_{label}",
+        f"sink_{name}",
         receive=net.ni(request.dst_ni).receiver(handle.forward.dst_channel),
         words_per_cycle=2,
-        stats=net.stats,
+        start_cycle=sink_start,
+        stats=net.stats if sink_stats else None,
     )
     net.kernel.add(gen)
     net.kernel.add(sink)
@@ -748,18 +804,456 @@ def test_shared_channel_records_aperiodic_replay_refusal():
     assert net.stats.delivered_words("dup") > 0
 
 
+# -- every slow branch is reached and compared ---------------------------------
+#
+# One connection on a 2x2 mesh unless a scenario needs more; outside
+# state is changed between two chunks, identically in both builds (the
+# builds agree on every register and counter there), so that the next
+# engine run finds a fast path's precondition false.
+
+
+def one_flow(mode, period=5, **flow):
+    """REQUEST_A configured, with :func:`attach_cbr_flow` on it."""
+    net, _, handle = configured_net(mode, [REQUEST_A])
+    gen, sink = attach_cbr_flow(net, handle, REQUEST_A, period, **flow)
+    return net, [gen], [sink]
+
+
+def flow_ends(net):
+    """``(source NI, source channel index, source channel, destination
+    channel)`` of the first generator and the first sink on ``net``."""
+    gen = next(
+        c for c in net.kernel.components if isinstance(c, CbrGenerator)
+    )
+    sink = next(c for c in net.kernel.components if isinstance(c, DrainSink))
+    ni, channel = gen.inject.ni, gen.inject.channel
+    return (
+        ni,
+        channel,
+        ni.source_channel(channel),
+        sink.receive.ni.dest_channel(sink.receive.channel),
+    )
+
+
+def replace_word_in_flight(net, make):
+    """Swap the word of the first register-resident data phit for
+    ``make(word)``: the same register in both builds, and still on the
+    compiled schedule."""
+    reg = next(
+        reg
+        for reg in net.kernel.all_registers()
+        if isinstance(reg.q, Phit) and reg.q.word is not None
+    )
+    reg.q = Phit(word=make(reg.q.word), credit_bits=reg.q.credit_bits)
+
+
+def before_chunk(when, change):
+    """A ``tamper`` applying ``change(net)`` before chunk ``when``."""
+
+    def tamper(index, net):
+        if index == when:
+            change(net)
+
+    return tamper
+
+
+def assert_engine_never_stood_down(net):
+    """Every cycle since set-up was the engine's: what the run shows is
+    the engine's doing, not an activity-kernel fallback's."""
+    stats = net.kernel.kernel_stats()
+    assert stats["compile_fallbacks"] == stats["compile_deferrals"] == {}
+
+
+def raises_in_lockstep(build, chunks, tamper, error, match):
+    """Both builds agree through ``chunks[:-1]``; the last chunk then
+    raises ``error`` in both — same message, same ``kernel.cycle``, same
+    ledger and fault log, same sinks, generators and destination queues
+    (the arrivals before the failing one are applied, nothing after it
+    is).  Source-side state is left out: in its failing cycle the
+    activity kernel has already let the NIs registered before the
+    failing one inject.  The vector build must have raised from inside
+    an engine run that left a fast path (``model_calls``)."""
+    built = {}
+
+    def keep(mode):
+        built[mode] = build(mode)
+        return built[mode]
+
+    run_in_lockstep(keep, chunks[:-1], tamper, endpoints=True)
+    outcomes = []
+    for mode in (VECTOR_MODE, ACTIVITY_MODE):
+        net, gens, sinks = built[mode]
+        tamper(len(chunks) - 1, net)
+        engine = net.kernel._engine
+        calls = engine.model_calls if mode == VECTOR_MODE else 0
+        with pytest.raises(error, match=match) as caught:
+            net.run(chunks[-1])
+        if mode == VECTOR_MODE:
+            assert net.kernel._engine is engine
+            assert engine.model_calls > calls > 0
+        outcomes.append(
+            (
+                type(caught.value),
+                str(caught.value),
+                net.kernel.cycle,
+                stats_snapshot(net.stats),
+                [list(sink.received) for sink in sinks],
+                [list(getattr(sink, "findings", ())) for sink in sinks],
+                [gen.words_generated for gen in gens],
+                {
+                    name: dests
+                    for name, (_, dests, _) in endpoint_image(net).items()
+                },
+            )
+        )
+    assert outcomes[0] == outcomes[1]
+    assert_engine_never_stood_down(built[VECTOR_MODE][0])
+
+
+class TestEverySlowBranchIsReachedAndCompared:
+    def test_credit_counter_overflow(self):
+        """``add_credits`` past ``max_credit``: a fabricated credit
+        returns to a source whose counter is full."""
+
+        def fabricate(net):
+            _, _, source, dest = flow_ends(net)
+            source.credit_counter = source.max_credit
+            dest.pending_credits += 1
+
+        raises_in_lockstep(
+            lambda mode: one_flow(mode, period=7, total_words=6),
+            (120, 60),
+            before_chunk(1, fabricate),
+            FlowControlError,
+            "would overflow",
+        )
+
+    def test_credits_without_a_paired_source(self):
+        def unpair(net):
+            ni, channel, _, _ = flow_ends(net)
+            for dest in ni.dest_channels.values():
+                if dest.paired_source == channel:
+                    dest.paired_source = None
+
+        raises_in_lockstep(
+            one_flow,
+            (203, 60),
+            before_chunk(1, unpair),
+            FlowControlError,
+            "no paired source channel",
+        )
+
+    def test_duplicate_injection_into_a_preseeded_column(self):
+        """The words before the pre-seeded one fill absent entries of a
+        padded column (``_inject``, not the append); the pre-seeded one
+        is refused."""
+
+        def preseed(net):
+            ni, channel, _, _ = flow_ends(net)
+            net.stats._inject("a", ni._sequence_counters[channel] + 3, 0)
+
+        raises_in_lockstep(
+            one_flow,
+            (203, 60),
+            before_chunk(1, preseed),
+            StatsIntegrityError,
+            "injected twice",
+        )
+
+    def test_never_injected_word_in_a_padded_column(self):
+        """A fabricated word whose ledger entry exists but is absent,
+        arriving as the very sequence number its destination expects —
+        everything the eject fast path tests except ``injected_at``."""
+
+        def fabricate(net):
+            net.stats._inject("ghost", 0, 0)
+            net.stats._inject("ghost", 2, 0)
+            net.stats._eject("ghost", "NI11", 0, 1)
+            replace_word_in_flight(
+                net,
+                lambda word: Word(
+                    payload=word.payload,
+                    connection="ghost",
+                    sequence=1,
+                    parity=word.parity,
+                ),
+            )
+
+        raises_in_lockstep(
+            one_flow,
+            (203, 40),
+            before_chunk(1, fabricate),
+            StatsIntegrityError,
+            "never injected",
+        )
+
+    def test_out_of_order_delivery(self):
+        def repeat_previous(net):
+            replace_word_in_flight(
+                net,
+                lambda word: Word(
+                    payload=word.payload,
+                    connection=word.connection,
+                    sequence=word.sequence - 1,
+                    parity=word.parity,
+                ),
+            )
+
+        raises_in_lockstep(
+            one_flow,
+            (203, 40),
+            before_chunk(1, repeat_previous),
+            StatsIntegrityError,
+            "out-of-order delivery",
+        )
+
+    def test_destination_queue_overflow(self):
+        """``deliver`` into a full flow-controlled queue: the sink never
+        drains and the source is handed credits it does not own."""
+
+        def fabricate(net):
+            _, _, source, _ = flow_ends(net)
+            source.credit_counter = source.max_credit
+
+        raises_in_lockstep(
+            lambda mode: one_flow(mode, period=3, sink_start=10**9),
+            (50, 400),
+            before_chunk(1, fabricate),
+            FlowControlError,
+            "overflowed",
+        )
+
+    def test_sparse_sequences_pad_the_column(self):
+        """A first sequence number above zero and a later jump: the
+        ledger pads, the collector and the sink report the gaps."""
+
+        def build(mode):
+            net, gens, sinks = one_flow(mode, period=7)
+            ni, channel, _, _ = flow_ends(net)
+            ni._sequence_counters[channel] = 7
+            return net, gens, sinks
+
+        def jump(net):
+            ni, channel, _, _ = flow_ends(net)
+            ni._sequence_counters[channel] += 5
+
+        net = run_in_lockstep(
+            build, (60, 45, 60), before_chunk(1, jump), endpoints=True
+        )
+        ledger = net.stats.connections["a"]
+        assert ledger.first_sequence == 7
+        assert len(ledger.injected_at) > ledger.injected
+        assert net.stats.fault_counts() == {"sequence_gap": 2, "e2e_gap": 2}
+        assert_engine_never_stood_down(net)
+
+    def test_earlier_sequence_prepends_the_column(self):
+        """The ledger already holds word 50 when word 0 is injected:
+        a prepend, then nine absent entries filled in."""
+
+        def build(mode):
+            net, gens, sinks = one_flow(mode, period=7, total_words=10)
+            net.stats._inject("a", 50, 0)
+            return net, gens, sinks
+
+        net = run_in_lockstep(build, (40, 80), endpoints=True)
+        ledger = net.stats.connections["a"]
+        assert (ledger.first_sequence, ledger.ejected) == (0, 10)
+        assert net.stats.undelivered() == [("a", 50)]
+        assert_engine_never_stood_down(net)
+
+    def test_parity_drop_then_the_gap_it_leaves(self):
+        def corrupt(net):
+            replace_word_in_flight(
+                net,
+                lambda word: Word(
+                    payload=word.payload ^ 1,
+                    connection=word.connection,
+                    sequence=word.sequence,
+                    parity=word.parity,
+                ),
+            )
+
+        net = run_in_lockstep(
+            one_flow, (203, 40, 300), before_chunk(1, corrupt), endpoints=True
+        )
+        assert net.stats.fault_counts() == {
+            "parity_error": 1,
+            "sequence_gap": 1,
+            "e2e_gap": 1,
+        }
+        assert_engine_never_stood_down(net)
+
+    @pytest.mark.parametrize("sink_stats", [True, False])
+    def test_sink_findings(self, sink_stats):
+        """A word slipped into the destination queue behind the NI's
+        back — stale parity wire, a sequence number the sink has seen —
+        and the gap the sink then sees at the next real word; with and
+        without a collector behind the sink."""
+
+        def slip_in(net):
+            _, _, _, dest = flow_ends(net)
+            dest.queue.append(
+                Word(payload=1, connection="a", sequence=0, parity=0)
+            )
+
+        net = run_in_lockstep(
+            lambda mode: one_flow(mode, sink_stats=sink_stats),
+            (203, 60),
+            before_chunk(1, slip_in),
+            endpoints=True,
+        )
+        sink = next(
+            c for c in net.kernel.components if isinstance(c, CheckingSink)
+        )
+        assert [finding.split()[1] for finding in sink.findings] == [
+            "sink_parity_error:",
+            "e2e_out_of_order:",
+            "e2e_gap:",
+        ]
+        assert len(net.stats.faults) == (3 if sink_stats else 0)
+        assert_engine_never_stood_down(net)
+
+    def test_unlabelled_words_and_negative_sequences(self):
+        """No connection label: the NI's default.  Sequence numbers
+        below zero: recorded by the ledger, not checked by the sink."""
+
+        def build(mode):
+            net, gens, sinks = one_flow(mode, period=7, label="")
+            ni, channel, _, _ = flow_ends(net)
+            ni._sequence_counters[channel] = -2
+            return net, gens, sinks
+
+        net = run_in_lockstep(build, (30, 90), endpoints=True)
+        ni, channel, _, _ = flow_ends(net)
+        ledger = net.stats.connections[f"{ni.name}.ch{channel}"]
+        assert ledger.first_sequence == -2 and ledger.ejected > 10
+        assert net.stats.faults == []
+        assert_engine_never_stood_down(net)
+
+    def test_multicast_tree(self):
+        """One connection, two destinations: each word is ejected twice
+        (only the first delivery lands in the ledger column), the
+        channels are not flow controlled, and the ``latencies`` of the
+        two leaves interleave in the NIs' order."""
+        params = daelite_parameters(slot_table_size=8)
+        leaves = ("NI11", "NI01")
+
+        def build(mode):
+            mesh = build_mesh(2, 2)
+            tree = SlotAllocator(
+                topology=mesh, params=params
+            ).allocate_multicast(
+                MulticastRequest("tree", "NI00", leaves, slots=2)
+            )
+            net = DaeliteNetwork(mesh, params, kernel_mode=mode)
+            handle = net.configure_multicast(tree)
+            gen = CbrGenerator(
+                "gen",
+                inject=net.ni("NI00").injector(handle.src_channel, "tree"),
+                period=7,
+                total_words=30,
+            )
+            net.kernel.add(gen)
+            sinks = []
+            for leaf in leaves:
+                sinks.append(
+                    CheckingSink(
+                        f"sink_{leaf}",
+                        receive=net.ni(leaf).receiver(
+                            handle.dst_channels[leaf]
+                        ),
+                        stats=net.stats,
+                    )
+                )
+                net.kernel.add(sinks[-1])
+            return net, [gen], sinks
+
+        net = run_in_lockstep(build, (9, 100, 200), endpoints=True)
+        ledger = net.stats.connections["tree"]
+        assert (ledger.injected, ledger.ejected) == (30, 60)
+        assert_engine_never_stood_down(net)
+
+    def test_generator_and_sink_roster(self):
+        """A burst generator and a CBR generator whose budgets end
+        mid-run, a trace generator, a CBR generator on a channel nobody
+        owns (all four fire differently), a two-words-per-drain
+        throttled sink, a drain sink and a checking sink."""
+        scenario = Scenario(
+            width=3,
+            height=3,
+            connections=(
+                ("NI00", "NI22", 2),
+                ("NI20", "NI02", 1),
+                ("NI01", "NI21", 1),
+            ),
+            generators=(
+                ("burst", 20, 8, 5, 3),
+                # Absolute trace cycles: set-up ends at cycle 514.
+                ("trace", 10, 530, 6, 1),
+                ("cbr", 5, 0, 12, 1),
+            ),
+            sinks=(("throttled", 2, 4), ("drain", 1, 4), ("checking", 2, 4)),
+            chunks=(7, 33, 50, 200),
+        )
+
+        def build(mode):
+            net, gens, sinks = build_daelite(scenario, mode)
+            stray = CbrGenerator(
+                "stray",
+                inject=net.ni("NI10").injector(6, "stray"),
+                period=9,
+                total_words=4,
+            )
+            net.kernel.add(stray)
+            return net, gens + [stray], sinks
+
+        net = run_in_lockstep(build, scenario.chunks, endpoints=True)
+        assert [
+            net.stats.delivered_words(label) for label in ("c0", "c1", "c2")
+        ] == [15, 6, 12]
+        assert len(net.ni("NI10").source_channels[6].queue) == 4
+        assert_engine_never_stood_down(net)
+
+
 # -- the differential bites: planted engine mutants ----------------------------
 
 
 def mutant_survives(run) -> bool:
     """Whether a differential run above still passes.  A kill is one of
-    its assertions failing, or the statistics collector's integrity
-    checks refusing the words a mutant fabricated."""
+    its assertions failing (or an exception it expects not coming), or
+    the statistics collector's integrity checks refusing the words a
+    mutant fabricated."""
     try:
         run()
-    except (AssertionError, ReproError):
+    except (AssertionError, ReproError, pytest.fail.Exception):
         return False
     return True
+
+
+def plant(monkeypatch, original: str, mutant: str) -> None:
+    """Run every engine on ``run_to`` with the one source fragment
+    ``original`` (a fast path is inline code: there is no method to
+    patch) rewritten to ``mutant``."""
+    source = inspect.getsource(compiled)
+    assert source.count(original) == 1, original
+    namespace = {
+        "__name__": compiled.__name__,
+        "__package__": compiled.__package__,
+    }
+    exec(
+        compile(
+            source.replace(original, mutant), compiled.__file__, "exec"
+        ),
+        namespace,
+    )
+    monkeypatch.setattr(
+        CompiledEngine, "run_to", namespace["CompiledEngine"].run_to
+    )
+
+
+def slow_branch(name: str):
+    """A bound test of :class:`TestEverySlowBranchIsReachedAndCompared`."""
+    return getattr(TestEverySlowBranchIsReachedAndCompared(), name)
 
 
 def steal_credits(index, net):
@@ -784,15 +1278,76 @@ class TestPlantedEngineMutantsAreKilled:
         net_v = run_credit_theft_differential()
         assert net_v.kernel.kernel_stats()["replayed_epochs"] >= 10
 
-    def test_credit_return_dropped_at_arrive(self):
-        def drop_credits(index, net):
-            if index == 0 and net.kernel.mode == VECTOR_MODE:
-                for ni in net.nis.values():
-                    ni._credit_paired_source = lambda dest, credits: None
+    def test_credit_return_dropped_at_arrive(self, monkeypatch):
+        plant(monkeypatch, "source.credit_counter += credit_bits", "pass")
+        assert not mutant_survives(test_vector_epoch_replay_is_bit_exact)
 
-        assert not mutant_survives(
-            lambda: run_chunked_differential(steady_scenario(), drop_credits)
+    # One mutant per inlined site of ``run_to`` (DESIGN.md §10.2).
+
+    def test_credit_not_decremented_at_launch(self, monkeypatch):
+        """Owner visit.  The counter only ever grows, until a returning
+        credit overflows it."""
+        plant(monkeypatch, "source.credit_counter -= 1", "pass")
+        assert not mutant_survives(test_vector_epoch_replay_is_bit_exact)
+
+    def test_pending_credits_kept_when_collected(self, monkeypatch):
+        """Owner visit.  The same credits are returned slot after slot."""
+        plant(
+            monkeypatch, "dest.pending_credits = pending - granted", "pass"
         )
+        assert not mutant_survives(test_vector_epoch_replay_is_bit_exact)
+
+    def test_injection_not_counted_at_link_entry(self, monkeypatch):
+        plant(monkeypatch, "ledger.injected += 1", "pass")
+        assert not mutant_survives(test_vector_epoch_replay_is_bit_exact)
+
+    def test_words_received_not_bumped(self, monkeypatch):
+        """Arrival.  No statistic reads the endpoint counter; the
+        endpoint comparison of the slow-branch suite does."""
+        plant(monkeypatch, "dest.words_received += 1", "pass")
+        assert mutant_survives(test_vector_epoch_replay_is_bit_exact)
+        assert not mutant_survives(slow_branch("test_multicast_tree"))
+
+    def test_overflow_test_off_by_one(self, monkeypatch):
+        """Arrival.  The queue takes one word more than it holds."""
+        plant(
+            monkeypatch,
+            "and len(queue) >= dest.capacity",
+            "and len(queue) > dest.capacity",
+        )
+        assert not mutant_survives(
+            slow_branch("test_destination_queue_overflow")
+        )
+
+    def test_eject_fast_path_taken_for_a_never_injected_word(
+        self, monkeypatch
+    ):
+        plant(
+            monkeypatch,
+            "and (injected := column[index]) >= 0",
+            "and (injected := column[index]) >= -1",
+        )
+        assert not mutant_survives(
+            slow_branch("test_never_injected_word_in_a_padded_column")
+        )
+
+    def test_last_seq_not_advanced_in_the_sink(self, monkeypatch):
+        plant(monkeypatch, "sink._last_seq[connection] = sequence", "pass")
+        assert not mutant_survives(test_vector_epoch_replay_is_bit_exact)
+
+    def test_sequence_counter_not_advanced_at_a_firing(self, monkeypatch):
+        plant(
+            monkeypatch, "ni._sequence_counters[channel] = sequence", "pass"
+        )
+        assert not mutant_survives(test_vector_epoch_replay_is_bit_exact)
+
+    def test_burst_generator_fires_one_word_short(self, monkeypatch):
+        plant(
+            monkeypatch,
+            "range(gen.burst_words if burst",
+            "range(gen.burst_words - 1 if burst",
+        )
+        assert not mutant_survives(test_vector_epoch_replay_is_bit_exact)
 
     def test_in_flight_words_not_shifted_after_a_landing(self, monkeypatch):
         monkeypatch.setattr(
