@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from ..errors import (
     ConfigTimeoutError,
@@ -187,6 +187,9 @@ class ConfigModule(Component):
         self.tracer: Tracer = NULL_TRACER
         #: Ports holding a deposit of the active request.
         self._deposited: List[ConfigPort] = []
+        #: Whether the active request streams its words through the
+        #: word-level tree (it was not elided).
+        self._active_on_tree = False
 
     # -- host-facing API -------------------------------------------------------
 
@@ -231,11 +234,6 @@ class ConfigModule(Component):
         return request
 
     @property
-    def busy(self) -> bool:
-        """True while a request is being transmitted or cooling down."""
-        return self._active is not None or bool(self._pending)
-
-    @property
     def commit_latency(self) -> int:
         """Cycles after the last word until the farthest element has seen
         the end-of-packet gap and committed its updates."""
@@ -246,6 +244,76 @@ class ConfigModule(Component):
         """True while an elided packet's deposits may still be waiting
         in element ports (nothing is visible on the tree's links)."""
         return bool(self._deposited)
+
+    def awaits_responses(self, requests: Iterable[ConfigRequest]) -> bool:
+        """Whether a request that expects response words is active or
+        queued no later than the last unfinished one of ``requests`` —
+        the one case in which :meth:`earliest_finish` bounds their
+        finish instead of stating it."""
+        waiting = {id(request) for request in requests if not request.done}
+        for request in (self._active, *self._pending):
+            if not waiting:
+                break
+            if request is None:
+                continue
+            if request.expected_responses:
+                return True
+            waiting.discard(id(request))
+        return False
+
+    @property
+    def on_tree(self) -> bool:
+        """True from the activation of a packet streamed through the
+        word-level tree until its request finishes."""
+        return self._active is not None and self._active_on_tree
+
+    def timeline(self, cycle: int) -> List[Tuple[ConfigRequest, int, int]]:
+        """``(request, start, finish)`` of the active request and of each
+        queued one, in order, for a module that has not evaluated
+        ``cycle`` yet (an active request's ``start`` is its
+        ``started_at``).
+
+        ``finish`` is exact for a response-free request and a lower
+        bound otherwise (responses and retries only delay it): a
+        request finishes ``len + commit_latency + cooldown_cycles``
+        cycles after it starts — the same on the word-level tree and
+        elided — and the next starts one cycle after that.
+        """
+        plan: List[Tuple[ConfigRequest, int, int]] = []
+        free = max(cycle, self._busy_until)
+        active = self._active
+        if active is not None:
+            if self._word_queue:
+                free = self._flight_end(cycle, len(self._word_queue))
+            plan.append((active, active.started_at, free))
+            free += 1
+        for request in self._pending:
+            start = max(cycle, free)
+            free = self._flight_end(start, len(request.packet.words))
+            plan.append((request, start, free))
+            free += 1
+        return plan
+
+    def earliest_finish(self, requests: Iterable[ConfigRequest]) -> int:
+        """A lower bound on the cycle by which every one of ``requests``
+        has finished (see :meth:`timeline`): exact when none of them
+        expects responses.  Finished requests count with their
+        ``finished_at``, one this module does not hold with the current
+        cycle, and no request at all as ``-1``."""
+        kernel = self._kernel
+        assert kernel is not None  # only an attached module is waited on
+        cycle = kernel.cycle
+        finish = {
+            id(request): end for request, _start, end in self.timeline(cycle)
+        }
+        bound = -1
+        for request in requests:
+            if request.done:
+                end = request.finished_at
+            else:
+                end = finish.get(id(request), cycle)
+            bound = max(bound, end)
+        return bound
 
     # -- cycle behaviour ---------------------------------------------------------
 
@@ -313,6 +381,7 @@ class ConfigModule(Component):
         """Queue the packet's words for the tree, or elide the tree."""
         kernel = self._kernel
         assert kernel is not None  # only an attached module is evaluated
+        self._active_on_tree = False
         if kernel.mode == VECTOR_MODE:
             refusal = self._elision_refusal(request, kernel, cycle)
             if refusal is None:
@@ -322,8 +391,22 @@ class ConfigModule(Component):
             kernel.config_elision_refusals[refusal] = (
                 kernel.config_elision_refusals.get(refusal, 0) + 1
             )
+        self._active_on_tree = True
         kernel.config_packets_stepped += 1
         self._word_queue.extend(request.packet.words)
+
+    def packet_refusal(self, request: ConfigRequest) -> Optional[str]:
+        """The part of :meth:`_elision_refusal` that depends on the
+        request alone (the rest — strict registers, a tracer, config
+        fault hooks — on the kernel and the tree)."""
+        if request.expected_responses:
+            return REFUSED_EXPECTS_RESPONSE
+        addressees = request.packet.addressees
+        if addressees is None:
+            return REFUSED_NO_ADDRESSEE_RECORD
+        if any(element_id not in self.ports for element_id in addressees):
+            return REFUSED_UNKNOWN_ADDRESSEE
+        return None
 
     def _elision_refusal(
         self, request: ConfigRequest, kernel: Kernel, cycle: int
@@ -335,13 +418,9 @@ class ConfigModule(Component):
             return REFUSED_STRICT_REGISTERS
         if self.tracer.enabled:
             return REFUSED_TRACER_ACTIVE
-        if request.expected_responses:
-            return REFUSED_EXPECTS_RESPONSE
-        addressees = request.packet.addressees
-        if addressees is None:
-            return REFUSED_NO_ADDRESSEE_RECORD
-        if any(element_id not in self.ports for element_id in addressees):
-            return REFUSED_UNKNOWN_ADDRESSEE
+        refusal = self.packet_refusal(request)
+        if refusal is not None:
+            return refusal
         window_end = self._flight_end(cycle, len(request.packet.words))
         for link in self.config_links.values():
             hook = link.fault_hook

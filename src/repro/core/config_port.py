@@ -207,9 +207,10 @@ class ConfigPort:
         # an error is reported with that cycle and the decoder resumes
         # on the next word, as it would on the stepped tree.
         actions: List[Action] = []
+        feed = self.decoder.feed
         for index, item in enumerate((*words, None)):
             try:
-                actions = self.decoder.feed(item)
+                actions = feed(item)
             except ReproError as error:
                 actions = self._recover(cycle - len(words) + index, error)
         return actions

@@ -74,6 +74,12 @@ class Direction(IntEnum):
     ARRIVE = 1
 
 
+# Decoding tables: an enum constructed from its value costs a call per
+# word the decoders read.
+_DIRECTIONS = (Direction.INJECT, Direction.ARRIVE)
+_OPCODES = {opcode.value: opcode for opcode in Opcode}
+_FIELDS = {field.value: field for field in ChannelField}
+
 #: FLAGS register bit: channel enabled.
 FLAG_ENABLED = 0b01
 #: FLAGS register bit: end-to-end flow control active (cleared for
@@ -137,7 +143,7 @@ def ni_channel_word(direction: Direction, channel: int) -> int:
 
 def decode_ni_channel_word(word: int) -> tuple:
     """Decode an NI channel word into (direction, channel)."""
-    return (Direction((word >> 6) & 1), word & 0b11_1111)
+    return (_DIRECTIONS[(word >> 6) & 1], word & 0b11_1111)
 
 
 @dataclass(frozen=True)
@@ -409,6 +415,13 @@ class _State(Enum):
     BUS_PAYLOAD = "bus_payload"
 
 
+# Module-level aliases of the states the per-word path tests: an enum
+# member read through its class costs a descriptor call per word.
+_IDLE = _State.IDLE
+_PAIR_ID = _State.PAIR_ID
+_PAIR_DATA = _State.PAIR_DATA
+
+
 class ConfigDecoder:
     """Per-element configuration FSM.
 
@@ -435,13 +448,17 @@ class ConfigDecoder:
         self._mask_word_count = (
             slot_table_size + word_bits - 1
         ) // word_bits
+        self._word_limit = 1 << word_bits
         self._reset_packet()
 
     def _reset_packet(self) -> None:
-        self._state = _State.IDLE
+        self._state = _IDLE
         self._opcode: Optional[Opcode] = None
         self._mask_words: List[int] = []
         self._mask: Optional[SlotMask] = None
+        #: Rotations owed to ``_mask`` since it was last read (one per
+        #: pair addressed to another element), applied when it is read.
+        self._rotation = 0
         self._pending_payload: Optional[int] = None
         self._matched = False
         self._channel_ref: Optional[tuple] = None
@@ -463,7 +480,7 @@ class ConfigDecoder:
     @property
     def busy(self) -> bool:
         """True while a packet is being received."""
-        return self._state is not _State.IDLE
+        return self._state is not _IDLE
 
     def feed(self, word: Optional[int]) -> List[Action]:
         """Consume one cycle's configuration word (or a gap).
@@ -477,12 +494,12 @@ class ConfigDecoder:
                 input from a healthy serializer).
         """
         if word is None:
-            if self._state is _State.IDLE:
+            if self._state is _IDLE:
                 return []
             actions = self._finish_packet()
             self._reset_packet()
             return actions
-        if not 0 <= word < (1 << self.word_bits):
+        if not 0 <= word < self._word_limit:
             raise ProtocolError(
                 f"config word {word:#x} outside the "
                 f"{self.word_bits}-bit range"
@@ -493,8 +510,21 @@ class ConfigDecoder:
     # -- internals ------------------------------------------------------------
 
     def _consume(self, word: int) -> None:
+        # The per-pair states come first: they take most of the words
+        # of a path packet.
         state = self._state
-        if state is _State.IDLE:
+        if state is _PAIR_ID:
+            self._pending_payload = None
+            self._matched = word == self.element_id
+            self._pairs_seen += 1
+            self._state = _PAIR_DATA
+        elif state is _PAIR_DATA:
+            if self._matched:
+                self._record_path_action(word)
+            else:
+                self._rotation += 1
+            self._state = _PAIR_ID
+        elif state is _IDLE:
             self._start_packet(word)
         elif state is _State.MASK:
             self._mask_words.append(word)
@@ -512,18 +542,6 @@ class ConfigDecoder:
                         f"malformed slot mask: {error}"
                     ) from error
                 self._state = _State.PAIR_ID
-        elif state is _State.PAIR_ID:
-            self._pending_payload = None
-            self._matched = word == self.element_id
-            self._pairs_seen += 1
-            self._state = _State.PAIR_DATA
-        elif state is _State.PAIR_DATA:
-            if self._matched:
-                self._record_path_action(word)
-            else:
-                assert self._mask is not None
-                self._mask = self._mask.rotate()
-            self._state = _State.PAIR_ID
         elif state is _State.CH_ELEMENT:
             self._matched = word == self.element_id
             self._state = _State.CH_CHANNEL
@@ -541,12 +559,10 @@ class ConfigDecoder:
                 raise ProtocolError(
                     "CHANNEL_READ packet carries more than one field word"
                 )
-            try:
-                self._field = ChannelField(word)
-            except ValueError:
-                raise ProtocolError(
-                    f"unknown channel field code {word}"
-                ) from None
+            field = _FIELDS.get(word)
+            if field is None:
+                raise ProtocolError(f"unknown channel field code {word}")
+            self._field = field
             self._fields_seen += 1
             if self._opcode is Opcode.CHANNEL_READ:
                 self._record_read_action()
@@ -566,12 +582,10 @@ class ConfigDecoder:
             raise ProtocolError(f"decoder in impossible state {state}")
 
     def _start_packet(self, word: int) -> None:
-        try:
-            self._opcode = Opcode(word & 0b111)
-        except ValueError:
-            raise ProtocolError(
-                f"unknown opcode in header word {word:#x}"
-            ) from None
+        opcode = _OPCODES.get(word & 0b111)
+        if opcode is None:
+            raise ProtocolError(f"unknown opcode in header word {word:#x}")
+        self._opcode = opcode
         if self._opcode in (Opcode.PATH_SETUP, Opcode.PATH_TEARDOWN):
             self._state = _State.MASK
         elif self._opcode in (
@@ -584,6 +598,9 @@ class ConfigDecoder:
 
     def _record_path_action(self, word: int) -> None:
         assert self._mask is not None and self._opcode is not None
+        if self._rotation:
+            self._mask = self._mask.rotate(self._rotation)
+            self._rotation = 0
         teardown = self._opcode is Opcode.PATH_TEARDOWN
         if self.kind is ElementKind.ROUTER:
             ports = decode_router_port_word(word)

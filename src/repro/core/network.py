@@ -13,7 +13,7 @@ they do can equally be driven cycle by cycle through the public parts.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from ..alloc.spec import AllocatedConnection, AllocatedMulticast
 from ..errors import ConfigurationError, TopologyError
@@ -29,7 +29,7 @@ from ..topology import (
     Topology,
     build_config_tree,
 )
-from .config_network import ConfigModule
+from .config_network import ConfigModule, ConfigRequest
 from .host import ConnectionHandle, Host, MulticastHandle, SetupHandle
 from .ni import NetworkInterface
 from .router import Router
@@ -215,12 +215,43 @@ class DaeliteNetwork:
     def run_until_configured(
         self, handle: SetupHandle, max_cycles: int = 200_000
     ) -> int:
-        """Run until every request of ``handle`` has completed.
+        """Run until every request of ``handle`` has completed (see
+        :meth:`wait_configured`).
 
         Returns the measured set-up time in cycles.
         """
-        self.kernel.run_until(lambda: handle.done, max_cycles=max_cycles)
+        self.wait_configured(handle.requests, max_cycles)
         return handle.setup_cycles
+
+    def wait_configured(
+        self, requests: Sequence[ConfigRequest], max_cycles: int = 200_000
+    ) -> int:
+        """Run until every one of ``requests`` has completed; return the
+        current cycle.
+
+        The wait is closed-form where it can be: unless a request that
+        expects response words is queued ahead of (or among) them,
+        :meth:`ConfigModule.earliest_finish` is exact, so the kernel
+        steps straight past it — in ``vector`` mode the whole wait runs
+        on the engine — and ``done`` holds by the time it is polled.
+        Otherwise ``done`` is polled from the start.  Cycles, exceptions
+        and the state left on a ``max_cycles`` expiry are those of
+        polling from the start.
+
+        Raises:
+            SimulationError: if the requests are not done within
+                ``max_cycles`` cycles.
+        """
+        kernel = self.kernel
+        module = self.config_module
+        start = kernel.cycle
+        ahead = module.earliest_finish(requests) + 1 - start
+        if 0 < ahead <= max_cycles and not module.awaits_responses(requests):
+            kernel.step(ahead)
+        return kernel.run_until(
+            lambda: all(request.done for request in requests),
+            max_cycles=start + max_cycles - kernel.cycle,
+        )
 
     def configure(
         self, connection: AllocatedConnection

@@ -246,9 +246,9 @@ class OnlineConnectionManager:
                 handles.append(
                     self.network.host.setup_connection(allocation)
                 )
-            self.network.kernel.run_until(
-                lambda: all(handle.done for handle in handles),
-                max_cycles=self.max_op_cycles,
+            self.network.wait_configured(
+                [request for handle in handles for request in handle.requests],
+                self.max_op_cycles,
             )
         except ReproError:
             for _, allocation in staged:
@@ -571,6 +571,9 @@ class OnlineConnectionManager:
 
         Raises:
             ConfigurationError: if the label is not open.
+            SimulationError: if the reads do not complete within
+                :attr:`max_op_cycles` (a response lost with no timeout
+                budget to retry it).
         """
         record = self.connections.get(label)
         if record is None:
@@ -581,8 +584,8 @@ class OnlineConnectionManager:
             timeout_cycles=timeout_cycles,
             max_retries=max_retries,
         )
-        self.network.kernel.run_until(
-            lambda: all(request.done for request, _ in reads)
+        self.network.wait_configured(
+            [request for request, _ in reads], self.max_op_cycles
         )
         clean = True
         for request, expected in reads:

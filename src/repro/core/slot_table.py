@@ -87,8 +87,10 @@ class SlotMask:
             raise ParameterError(
                 f"mask bits {bits:#x} exceed table size {size}"
             )
-        return SlotMask.of(
-            size, (i for i in range(size) if bits & (1 << i))
+        # In range by the check above: no per-slot validation needed.
+        return SlotMask(
+            size=size,
+            slots=frozenset(i for i in range(size) if bits >> i & 1),
         )
 
     def to_words(self, word_bits: int) -> List[int]:

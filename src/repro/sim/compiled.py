@@ -14,7 +14,7 @@ hops: the engine touches a word when it is injected and when it
 arrives.  The op table stays as the proof artifact the trajectories are
 checked against (``repro.staticcheck``, OP001–OP005).
 
-It is the one engine behind ``vector`` mode, in two layers:
+It is the one engine behind ``vector`` mode, in three layers:
 
 * **Stepping** — :meth:`CompiledEngine.run_to` puts the phits it finds
   in the data registers back on their trajectories and then runs an
@@ -44,6 +44,21 @@ It is the one engine behind ``vector`` mode, in two layers:
   phits still in flight take back the steps they have not executed and
   are written to the registers they occupy, so registers, counters and
   statistics are bit-exactly those of stepped execution.
+* **The config plane of elided packets** (DESIGN.md §14.6) — a set-up
+  wait is engine time.  Two more event kinds run in the loop, each
+  through the model's own methods: a deposit falling due (the element's
+  ``ConfigPort._decode_deposit`` and ``apply_guarded`` with its
+  ``_apply``, in element order, after the cycle's slot owners) and a
+  turn of the ``ConfigModule`` (its ``evaluate``, after every element).
+  The contention-free schedule is what lets the engine keep its
+  lowering across them: a set-up claims only free slots, so an apply
+  that writes no schedule cell a *live* trajectory reads (the live set:
+  the channels that can act in the run, fixed at entry), no live
+  channel's registers, and leaves its element no work outside the live
+  set cannot change what the run executes — the engine adopts the new
+  validity token and rides on.  Any other apply ends the run at the
+  cycle boundary and the kernel recompiles.  A packet the module will
+  stream through the word-level tree is a barrier like a callback.
 * **Epoch replay** — once every generator is in its steady rhythm the
   whole network state repeats with period ``P = lcm(wheel, generator and
   sink periods)``.  The engine probes state *signatures* at absolute
@@ -65,24 +80,30 @@ credit dynamics are payload-independent.  Signature equality therefore
 implies the next epoch repeats the recorded one shifted, by induction
 for all ``K``; ``K`` is clamped so no finite generator runs past its
 word budget, and any event the signature cannot extrapolate (an armed
-fault hook, config traffic, a not-yet-exhausted trace generator, a
-fault or drop during the probe epoch) disables or defers replay.  An
-epoch whose values would leave numpy's int64 range is stepped instead
-of replayed, with a typed ``replay_refusals`` entry.
+fault hook, a config event, a not-yet-exhausted trace generator, a
+fault or drop during the probe epoch) disables or defers replay: no
+replayed span and no template epoch holds a config event, and one
+resets the probe.  An epoch whose values would leave numpy's int64
+range is stepped instead of replayed, with a typed ``replay_refusals``
+entry.  A run without generators never probes, so numpy is imported
+with the first probe of a run that has traffic.
 
 Whenever the network is *not* compilable — strict-registers, a tracer,
-config traffic in flight, armed fault hooks, an unknown component, a
-phit parked off the compiled schedule — the provider or the engine
-returns a typed :class:`~repro.sim.kernel.CompileRefusal` and the kernel
-transparently falls back to the activity mode for those cycles.
+a config packet on the word-level tree, armed fault hooks, an unknown
+component, a phit parked off the compiled schedule — the provider or
+the engine returns a typed :class:`~repro.sim.kernel.CompileRefusal` and
+the kernel transparently falls back to the activity mode for those
+cycles.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from functools import lru_cache
 from heapq import heapify, heappop, heapreplace
 from math import lcm
 from operator import itemgetter
+from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..errors import SimulationError
@@ -130,12 +151,60 @@ MAX_REPLAY_PERIOD = 1 << 16
 LOWER_CACHE_CAPACITY = 16
 
 
+@lru_cache(maxsize=None)
+def _model() -> Any:
+    """The model classes the engine recognises, resolved once: they are
+    not imported at the top only because ``repro.core`` imports this
+    module."""
+    from ..core.config_network import ConfigModule
+    from ..core.config_protocol import (
+        FLAG_FLOW_CONTROLLED,
+        BusConfigAction,
+        ChannelField,
+        ChannelWriteAction,
+        Direction,
+        NiPathAction,
+        RouterPathAction,
+    )
+    from ..core.ni import ChannelInjector, ChannelReceiver
+    from ..traffic.generators import (
+        BurstGenerator,
+        CbrGenerator,
+        TraceGenerator,
+    )
+    from ..traffic.sinks import CheckingSink, DrainSink, ThrottledSink
+
+    return SimpleNamespace(
+        ConfigModule=ConfigModule,
+        FLAG_FLOW_CONTROLLED=FLAG_FLOW_CONTROLLED,
+        INJECT=Direction.INJECT,
+        PAIRED=ChannelField.PAIRED,
+        BusConfigAction=BusConfigAction,
+        ChannelWriteAction=ChannelWriteAction,
+        NiPathAction=NiPathAction,
+        RouterPathAction=RouterPathAction,
+        ChannelInjector=ChannelInjector,
+        ChannelReceiver=ChannelReceiver,
+        BurstGenerator=BurstGenerator,
+        CbrGenerator=CbrGenerator,
+        TraceGenerator=TraceGenerator,
+        generators=(CbrGenerator, BurstGenerator, TraceGenerator),
+        sinks=(DrainSink, ThrottledSink, CheckingSink),
+        ThrottledSink=ThrottledSink,
+        CheckingSink=CheckingSink,
+    )
+
+
 def install_compile_provider(network: Any) -> None:
     """Install a compile provider for a :class:`DaeliteNetwork` kernel.
 
     The provider re-checks cheap eligibility on every acquisition and
     reuses the previous engine as long as the schedule token (slot-table
-    versions + applied config actions) is unchanged.
+    versions + applied config actions) is unchanged or moved only by
+    applies the engine rode through (an engine that finds, on entry,
+    something live those applies were not checked against declines the
+    run and drops its token, so the kernel's next acquisition
+    recompiles).
     """
 
     def provider(
@@ -190,18 +259,26 @@ def _schedule_token(network: Any) -> int:
 
     Slot-table versions cover (re)programming of the forwarding and
     injection/arrival schedules; ``config_applied`` counters cover
-    channel-register writes arriving through the config tree.
+    channel-register writes arriving through the config tree.  It is a
+    sum over elements (:func:`_element_token`), so an engine that rides
+    through an apply adopts the new token by adding that element's
+    change.
     """
-    token = 0
-    for router in network.routers.values():
-        token += router.slot_table.version + router.config_applied
-    for ni in network.nis.values():
-        token += (
-            ni.injection_table.version
-            + ni.arrival_table.version
-            + ni.config_applied
-        )
-    return token
+    return sum(map(_element_token, network.routers.values())) + sum(
+        map(_element_token, network.nis.values())
+    )
+
+
+def _element_token(element: Any) -> int:
+    """One router's or NI's share of :func:`_schedule_token`."""
+    table = getattr(element, "slot_table", None)
+    if table is not None:
+        return table.version + element.config_applied
+    return (
+        element.injection_table.version
+        + element.arrival_table.version
+        + element.config_applied
+    )
 
 
 def _schedule_image(network: Any) -> tuple:
@@ -253,7 +330,12 @@ def _schedule_image(network: Any) -> tuple:
 
 
 def _check_eligibility(network: Any) -> Optional[CompileRefusal]:
-    """Cheap per-acquisition checks that need no recompilation."""
+    """Cheap per-acquisition checks that need no recompilation.
+
+    The component roster is classified when an engine is compiled
+    (:func:`compile_network`); a reused engine's roster is the kernel's,
+    since adding a component retires the engine.
+    """
     kernel = network.kernel
     if kernel.strict_registers:
         return CompileRefusal(
@@ -266,10 +348,10 @@ def _check_eligibility(network: Any) -> Optional[CompileRefusal]:
             CompileRefusal.TRACER_ACTIVE,
             "per-hop trace events are only emitted by stepped execution",
         )
-    if network.config_module.busy:
+    if network.config_module.on_tree:
         return CompileRefusal(
             CompileRefusal.CONFIG_ACTIVE,
-            "configuration requests are in flight on the config tree",
+            "a configuration packet is in flight on the word-level tree",
         )
     for link in network.links.values():
         if link.fault_hook is not None:
@@ -325,9 +407,6 @@ def _check_eligibility(network: Any) -> Optional[CompileRefusal]:
                 CompileRefusal.UNSUPPORTED_COMPONENT,
                 f"NI {ni.name!r} reports to a foreign collector",
             )
-    classified = _classify_components(network)
-    if isinstance(classified, CompileRefusal):
-        return classified
     return None
 
 
@@ -356,45 +435,37 @@ def classify_component(
     anything unloweable must refuse with a declared kind rather than
     raise or silently degrade.
     """
-    from ..core.config_network import ConfigModule
-    from ..core.ni import ChannelInjector, ChannelReceiver
-    from ..traffic.generators import (
-        BurstGenerator,
-        CbrGenerator,
-        TraceGenerator,
-    )
-    from ..traffic.sinks import CheckingSink, DrainSink, ThrottledSink
-
+    model = _model()
     native = _native if _native is not None else _native_ids(network)
     if id(component) in native:
         return "native", None
     kind = type(component)
-    if kind in (CbrGenerator, BurstGenerator, TraceGenerator):
+    if kind in model.generators:
         inject = component.inject
-        if not isinstance(inject, ChannelInjector):
+        if not isinstance(inject, model.ChannelInjector):
             return CompileRefusal(
                 CompileRefusal.UNSUPPORTED_COMPONENT,
                 f"generator {component.name!r} does not inject "
                 f"through a ChannelInjector",
             )
         return "generator", component
-    if kind in (DrainSink, ThrottledSink, CheckingSink):
+    if kind in model.sinks:
         receive = component.receive
-        if not isinstance(receive, ChannelReceiver):
+        if not isinstance(receive, model.ChannelReceiver):
             return CompileRefusal(
                 CompileRefusal.UNSUPPORTED_COMPONENT,
                 f"sink {component.name!r} does not drain through "
                 f"a ChannelReceiver",
             )
-        period = component.period if kind is ThrottledSink else 0
+        period = component.period if kind is model.ThrottledSink else 0
         return "sink", (
             component,
             receive.ni,
             receive.channel,
             period,
-            kind is CheckingSink,
+            kind is model.CheckingSink,
         )
-    if isinstance(component, ConfigModule):
+    if isinstance(component, model.ConfigModule):
         # A second config module would belong to another network.
         return CompileRefusal(
             CompileRefusal.UNSUPPORTED_COMPONENT,
@@ -433,13 +504,15 @@ def _classify_components(network: Any) -> Any:
 
 
 class _Owner:
-    """One run's live view of an :class:`_OwnerPlan`: the source channel
-    it injects from with its two flag bits decoded (channel registers
-    are frozen for a run: config traffic refuses the engine, callbacks
-    are barriers), the paired destination whose credits it returns, and
+    """One run's live view of an :class:`_OwnerPlan` (``index`` in the
+    lowering): the source channel it injects from with its two flag
+    bits decoded (the registers of every channel that can act are
+    frozen for a run: an apply that writes one ends it, callbacks are
+    barriers), the paired destination whose credits it returns, and
     whether a visit is scheduled (``armed``)."""
 
     __slots__ = (
+        "index",
         "source",
         "enabled",
         "flow_controlled",
@@ -449,6 +522,7 @@ class _Owner:
         "armed",
     )
 
+    index: int
     source: Any
     enabled: bool
     flow_controlled: bool
@@ -457,7 +531,10 @@ class _Owner:
     first: List[int]
     armed: bool
 
-    def __init__(self, plan: _OwnerPlan, source: Any, dest: Any) -> None:
+    def __init__(
+        self, index: int, plan: _OwnerPlan, source: Any, dest: Any
+    ) -> None:
+        self.index = index
         self.source = source
         self.enabled = source.enabled
         self.flow_controlled = source.flow_controlled
@@ -480,8 +557,6 @@ def compile_network(network: Any, token: int) -> Any:
     as a dict lookup; the traffic roster, steady period and replay
     eligibility are recomputed fresh every time.
     """
-    from ..traffic.generators import TraceGenerator
-
     classified = _classify_components(network)
     if isinstance(classified, CompileRefusal):
         return classified
@@ -517,7 +592,7 @@ def compile_network(network: Any, token: int) -> Any:
     conn_meta: Dict[str, tuple] = {}
     fed_channels: Set[Tuple[int, int]] = set()
     for gen in gens:
-        if isinstance(gen, TraceGenerator):
+        if isinstance(gen, _model().TraceGenerator):
             trace_gens.append(gen)
             continue
         period = lcm(period, gen.period)
@@ -592,7 +667,9 @@ class CompiledEngine:
         self.network = network
         self.kernel: Kernel = network.kernel
         self.stats = network.stats
-        self.token = token
+        #: The schedule token the lowering is valid for (``None``: it is
+        #: valid for none any more and the next acquisition recompiles).
+        self.token: Optional[int] = token
         self.wheel = wheel
         self._lowered = lowered
         regs = lowered.regs
@@ -653,6 +730,8 @@ class CompiledEngine:
         self.counter_getters = getters
         self.counter_setters = setters
         self._cur: Dict[int, Phit] = {}
+        #: The registers that held a phit when the current run began.
+        self._imported: List[int] = []
         #: Pending link entries and arrivals, by ``cycle & _mask``:
         #: ``(order, leaf or None, word, credit bits)`` — a phit in
         #: flight is not an object.  Empty between runs.
@@ -676,20 +755,52 @@ class CompiledEngine:
         #: failing or unusual case.  Does not grow with the word count
         #: of a healthy flow.
         self.model_calls = 0
-        # Imported here so numpy loads with the first engine, not with
-        # the package: the naive and activity kernels never need it.
-        from .replay import EpochReplay, roster_key
-
+        #: Config events :meth:`run_to` executed: deposits decoded and
+        #: applied, and turns of the configuration module.  Not part of
+        #: ``events_handled``, which stays a per-word figure.
+        self.config_events = 0
         #: Regime templates, the connection-id table the epoch events
-        #: are recorded against, and the numpy bulk materializer.  The
-        #: structural schedule image is the content-based key the
-        #: lowering and regime caches share.
-        self.replay = EpochReplay(
-            network,
-            (schedule_image, roster_key(gens, sinks, period)),
-            period,
-            sinks,
-        )
+        #: are recorded against, and the numpy bulk materializer —
+        #: created at the first period-boundary probe of a run with
+        #: traffic, so numpy loads with replay, not with the engine (a
+        #: traffic-free shard never needs it).  The structural schedule
+        #: image is the content-based key the lowering and regime caches
+        #: share.
+        self.replay: Any = None
+        self.schedule_image = schedule_image
+        #: Source channel keys ``(id(ni), channel)`` live at every apply
+        #: this engine rode through (``None``: it rode through none, so
+        #: its lowering is the schedule's own).  A run that finds
+        #: another one live declines (:meth:`run_to`).
+        self._valid_for: Optional[frozenset] = None
+        #: The lowering's owner plan behind each trajectory, and every
+        #: component's rank in the kernel's order (deposits due in one
+        #: cycle apply in it).
+        self._plan_of = [0] * len(lowered.trajectories)
+        for plan_index, plan in enumerate(lowered.owners):
+            for slot in plan.slots:
+                if slot is not None:
+                    self._plan_of[slot.trajectory.tid] = plan_index
+        self._rank = {
+            id(component): rank
+            for rank, component in enumerate(self.kernel.components)
+        }
+        #: Per owner plan, the destinations its trajectories deliver
+        #: into.
+        self._plan_dests: List[tuple] = []
+        for plan in lowered.owners:
+            self._plan_dests.append(
+                tuple(
+                    {
+                        (id(leaf.ni), leaf.channel)
+                        for slot in plan.slots
+                        if slot is not None
+                        for leaf in slot.trajectory.leaves
+                    }
+                )
+            )
+        #: Cell -> owner plans reading it (:meth:`_cell_readers`).
+        self._readers: Optional[Dict[tuple, List[int]]] = None
         self._refusals_noted: Set[str] = set()
         #: True while epoch replay is engaged in the current steady
         #: regime; a boundary signature mismatch closes the regime, so
@@ -716,6 +827,238 @@ class CompiledEngine:
         the shape is documented on :class:`LoweredArtifacts`.
         """
         return render_artifacts(self._lowered, self.wheel)
+
+    # -- the config plane: barriers, the live set, visibility --------------------
+
+    def next_stepped_cycle(self) -> Optional[int]:
+        """The first cycle the engine must leave to the stepped kernels
+        (``None``: none is scheduled): the activation of a queued packet
+        the configuration module will stream through the word-level
+        tree, or the finish of a request whose ``on_complete`` hook may
+        do anything a ``kernel.at`` callback may.  Both are read off the
+        module's closed-form :meth:`~ConfigModule.timeline`, exact for
+        the response-free requests an engine can be running beside.
+        Only the packet's own elision refusal is asked: what else can
+        refuse (strict registers, a tracer, a config fault hook) refuses
+        the engine first (:func:`_check_eligibility`)."""
+        module = self.network.config_module
+        for request, start, finish in module.timeline(self.kernel.cycle):
+            if request is not module._active and (
+                module.packet_refusal(request) is not None
+            ):
+                return start
+            if request.on_complete is not None:
+                return finish
+        return None
+
+    def _live(
+        self,
+        in_flight: Any,
+        owners: List[Optional[_Owner]],
+        gen_runs: List[tuple],
+        sink_runs: List[tuple],
+    ) -> Tuple[Set[int], Set[Tuple[int, int]], Set[Tuple[int, int]]]:
+        """What can act during a run: ``(owner plan indices, source
+        keys, destination keys)``, keys being ``(id(ni), channel)``.
+
+        Live are the channels with queued words, pending credits to
+        return or a generator that is not done, the owners of the
+        register-resident phits ``in_flight`` (register ids, in the
+        entry cycle's phase), and the destinations holding words for a
+        sink — closed under credit pairing: every destination a live
+        owner's trajectories deliver into, and every owner returning a
+        live destination's credits.  Nothing else can be armed in the
+        run (DESIGN.md §14.6).
+        """
+        plans = self.owner_plans
+        index = self.index[self.kernel.cycle % self.wheel]
+        crediting: Dict[Tuple[int, int], List[int]] = {}
+        live: Set[int] = set()
+        work: List[int] = []
+        live_src: Set[Tuple[int, int]] = set()
+        live_dst: Set[Tuple[int, int]] = set()
+
+        def add(plan_index: int) -> None:
+            if plan_index not in live:
+                live.add(plan_index)
+                work.append(plan_index)
+
+        def add_dest(key: Tuple[int, int]) -> None:
+            if key not in live_dst:
+                live_dst.add(key)
+                for plan_index in crediting.get(key, ()):
+                    add(plan_index)
+
+        for owner in owners:
+            if owner is None:
+                continue
+            dest = owner.dest
+            if dest is not None:
+                crediting.setdefault(
+                    (id(plans[owner.index].ni), dest.channel), []
+                ).append(owner.index)
+            if owner.source.queue or (dest is not None and dest.pending_credits):
+                add(owner.index)
+        for gen, owner, _firing in gen_runs:
+            if not gen.done:
+                live_src.add((id(gen.inject.ni), gen.inject.channel))
+                if owner is not None:
+                    add(owner.index)
+        for rid in in_flight:
+            add(self._plan_of[index[rid][0]])
+        for ni in self.nis_list:
+            for channel, source in ni.source_channels.items():
+                if source.queue:
+                    live_src.add((id(ni), channel))
+        for (_sink, ni, channel, _p, _c), sink_run in zip(
+            self.sinks, sink_runs
+        ):
+            if sink_run[1] is not None and sink_run[1].queue:
+                add_dest((id(ni), channel))
+        while work:
+            plan_index = work.pop()
+            plan = plans[plan_index]
+            live_src.add((id(plan.ni), plan.channel))
+            owner = owners[plan_index]
+            if owner is not None and owner.dest is not None:
+                add_dest((id(plan.ni), owner.dest.channel))
+            for key in self._plan_dests[plan_index]:
+                add_dest(key)
+        return live, live_src, live_dst
+
+    def _cell_readers(self) -> Dict[tuple, List[int]]:
+        """Which owner plans' trajectories read each schedule cell: per
+        router ``(id, lagged slot, input port, 0)`` and ``(id, lagged
+        slot, output port, 1)`` of every crossing, per NI ``(id, slot,
+        2)`` of every injection slot and ``(id, lagged slot, 3)`` of
+        every arrival.  A function of the lowering, built at the
+        engine's first apply."""
+        wheel = self.wheel
+        wps = self.network.params.words_per_slot
+        rid_of = {id(reg): rid for rid, reg in enumerate(self.regs)}
+        xbar_of: Dict[int, Tuple[Any, int]] = {}
+        input_of: Dict[int, int] = {}
+        for router in self.network.routers.values():
+            for port, reg in enumerate(router._xbar_regs):
+                xbar_of[rid_of[id(reg)]] = (router, port)
+            for port, link in enumerate(router.in_links):
+                if link is not None:
+                    input_of[rid_of[id(link.register)]] = port
+        readers: Dict[tuple, List[int]] = {}
+
+        def read(cell: tuple, plan_index: int) -> None:
+            planned = readers.setdefault(cell, [])
+            if plan_index not in planned:
+                planned.append(plan_index)
+
+        for plan_index, plan in enumerate(self.owner_plans):
+            ni_id = id(plan.ni)
+            for phase, slot in enumerate(plan.slots):
+                if slot is None:
+                    continue
+                read((ni_id, phase // wps, 2), plan_index)
+                seed_phase = slot.trajectory.seed[1]
+                for leaf in slot.trajectory.leaves:
+                    path = leaf.path
+                    for step in range(1, len(path)):
+                        crossing = xbar_of.get(path[step])
+                        if crossing is None:
+                            continue
+                        router, output = crossing
+                        # The FORWARD op ran one step earlier, in the
+                        # slot the router's lagged counter names.
+                        lagged = ((seed_phase + step - 2) % wheel) // wps
+                        read((id(router), lagged, output, 1), plan_index)
+                        read(
+                            (id(router), lagged, input_of[path[step - 1]], 0),
+                            plan_index,
+                        )
+                    arrival = seed_phase + leaf.step
+                    read(
+                        (id(leaf.ni), ((arrival - 1) % wheel) // wps, 3),
+                        plan_index,
+                    )
+        return readers
+
+    def _visible(
+        self,
+        element: Any,
+        actions: List[Any],
+        live: Set[int],
+        live_src: Set[Tuple[int, int]],
+        live_dst: Set[Tuple[int, int]],
+    ) -> bool:
+        """Whether ``actions``, just applied by ``element``, can change
+        what this run executes.
+
+        Invisible is an apply that writes no cell a live owner's
+        trajectories read (a set-up's router entry also reads its input
+        cell, and an injection slot granted to a live channel adds to
+        what it sends), writes no live channel's registers nor pairs a
+        source with a live destination, and leaves the element no
+        channel with work outside the live set.  This is the per-action
+        form of the contention-free argument: a set-up claims only free
+        slots.  Action kinds with no rule (a read) are visible.
+        """
+        model = _model()
+        if self._readers is None:
+            self._readers = self._cell_readers()
+        readers = self._readers
+        key = id(element)
+
+        def read(cell: tuple) -> bool:
+            return any(plan in live for plan in readers.get(cell, ()))
+
+        for action in actions:
+            kind = type(action)
+            if kind is model.RouterPathAction:
+                outputs = (
+                    range(element.ports)
+                    if action.output is None
+                    else (action.output,)
+                )
+                for slot in action.mask.slots:
+                    for output in outputs:
+                        if read((key, slot, output, 1)):
+                            return True
+                    if not action.teardown and read(
+                        (key, slot, action.input_port, 0)
+                    ):
+                        return True
+            elif kind is model.NiPathAction:
+                inject = action.direction is model.INJECT
+                tag = 2 if inject else 3
+                for slot in action.mask.slots:
+                    if read((key, slot, tag)):
+                        return True
+                if inject and not action.teardown and (
+                    (key, action.channel) in live_src
+                ):
+                    return True
+            elif kind is model.ChannelWriteAction:
+                if action.direction is model.INJECT:
+                    if (key, action.channel) in live_src or (
+                        action.register is model.PAIRED
+                        and (key, action.value) in live_dst
+                    ):
+                        return True
+                elif (key, action.channel) in live_dst:
+                    return True
+            elif kind is not model.BusConfigAction:
+                return True
+        # Work outside the live set: a source that now has credits of
+        # its paired destination to return.  (Queued words make their
+        # channel live at entry, and only live channels gain any.)
+        sources = getattr(element, "source_channels", None)
+        if sources is None:
+            return False  # a router holds no channel
+        dests = element.dest_channels
+        for channel, source in sources.items():
+            if (key, channel) not in live_src:
+                paired = dests.get(source.paired_arrival)
+                if paired is not None and paired.pending_credits:
+                    return True
+        return False
 
     # -- register import / export ----------------------------------------------
 
@@ -760,14 +1103,19 @@ class CompiledEngine:
                     f"untracked register {reg.name!r} is not idle",
                 )
         self._cur = cur
+        self._imported = list(cur)
         return None
 
     def _export_registers(self) -> None:
+        """Write ``_cur`` back; a register that held a phit at import
+        and holds none now goes idle (nothing else wrote any)."""
         cur = self._cur
-        idles = self.idles
-        for rid, reg in enumerate(self.regs):
-            value = cur.get(rid)
-            reg.q = idles[rid] if value is None else value
+        regs = self.regs
+        for rid in self._imported:
+            if rid not in cur:
+                regs[rid].q = self.idles[rid]
+        for rid, value in cur.items():
+            regs[rid].q = value
 
     # -- trajectories <-> registers: the barrier ---------------------------------
 
@@ -860,21 +1208,20 @@ class CompiledEngine:
     def _resolve_run(self) -> tuple:
         """The live endpoints behind the lowered plans.
 
-        The compiled configuration is frozen for the duration of a run
-        (config traffic raises a refusal long before this point), so
-        channel membership cannot change mid-run.  Returns one
+        Channel membership cannot change mid-run for anything that can
+        act in it: a channel a run's config events create or rewrite
+        either has no work in the run or ends it.  Returns one
         :class:`_Owner` per owner plan (``None`` where the source
         channel does not exist), one ``(generator, owner it feeds, how
         it fires)`` per generator, one ``(sink, destination, period,
         owners returning its credits, whether it checks)`` per sink,
         and the sink indices on each arrival channel.
         """
-        from ..traffic.generators import BurstGenerator, CbrGenerator
-
+        model = _model()
         owners: List[Optional[_Owner]] = []
         feeding: Dict[Tuple[int, int], _Owner] = {}
         crediting: Dict[int, List[_Owner]] = {}
-        for plan in self.owner_plans:
+        for index, plan in enumerate(self.owner_plans):
             ni = plan.ni
             source = ni.source_channels.get(plan.channel)
             if source is None:
@@ -883,7 +1230,7 @@ class CompiledEngine:
             dest = None
             if source.paired_arrival is not None:
                 dest = ni.dest_channels.get(source.paired_arrival)
-            owner = _Owner(plan, source, dest)
+            owner = _Owner(index, plan, source, dest)
             owners.append(owner)
             feeding[(id(ni), plan.channel)] = owner
             if dest is not None:
@@ -896,9 +1243,9 @@ class CompiledEngine:
             # (or a channel without an owner) fires through the model.
             firing = _FIRE_MODEL
             if owner is not None:
-                if type(gen) is CbrGenerator:
+                if type(gen) is model.CbrGenerator:
                     firing = _FIRE_CBR
-                elif type(gen) is BurstGenerator:
+                elif type(gen) is model.BurstGenerator:
                     firing = _FIRE_BURST
             gen_runs.append((gen, owner, firing))
         sink_runs = []
@@ -916,30 +1263,47 @@ class CompiledEngine:
         return owners, gen_runs, sink_runs, sinks_on
 
     def run_to(self, end: int) -> Optional[CompileRefusal]:
-        """Advance the network to ``end``; ``None`` on success.
+        """Advance the network towards ``end``; ``None`` on success.
 
         A returned refusal means *nothing was executed* (the refusal is
         detected at import time) and the caller should fall back to the
-        activity kernel.  Exceptions raised mid-flight (flow-control or
-        statistics integrity violations — the same ones stepped
-        execution raises) propagate after state is materialized: an
-        arrival is then either applied and gone from the registers or
-        not applied and still in them.  They come from the model
-        methods the per-word fast paths fall through to (module
-        docstring, "Stepping"), called with state untouched.
+        activity kernel.  A run that returns before ``end`` stopped at
+        the boundary of a cycle that changed what it executes — a
+        visible config apply (DESIGN.md §14.6) — or declined to start
+        because such a change happened earlier; either way it has given
+        up its token and the caller re-acquires.  Exceptions raised
+        mid-flight (flow-control or statistics integrity violations —
+        the same ones stepped execution raises) propagate after state
+        is materialized: an arrival is then either applied and gone
+        from the registers or not applied and still in them.  They come
+        from the model methods the per-word fast paths and the config
+        events fall through to (module docstring), called with state
+        untouched.
         """
-        # Imported here: ``repro.core`` imports this module.
-        from ..core.config_protocol import FLAG_FLOW_CONTROLLED
-
+        FLAG_FLOW_CONTROLLED = _model().FLAG_FLOW_CONTROLLED
         kernel = self.kernel
         cycle = kernel.cycle
         if cycle >= end:
             return None
         refusal = self._import_registers(cycle)
+        owners, gen_runs, sink_runs, sinks_on = self._resolve_run()
+        if refusal is None:
+            live, live_src, live_dst = self._live(
+                self._cur, owners, gen_runs, sink_runs
+            )
+        if self._valid_for is not None and (
+            refusal is not None or not live_src <= self._valid_for
+        ):
+            # The applies this engine rode through left its lowering
+            # exact only for what was live at them: decline, and the
+            # kernel's next acquisition recompiles.
+            self.token = None
+            return None
         if refusal is not None:
             return refusal
-        replay_ok = self.replay_refusal is None
-        if not replay_ok:
+        # Replay needs traffic: a run without generators never probes.
+        replay_ok = self.replay_refusal is None and bool(self.gens)
+        if self.replay_refusal is not None:
             self._note_replay_refusal(self.replay_refusal)
 
         stats = self.stats
@@ -948,14 +1312,13 @@ class CompiledEngine:
         wheel = self.wheel
         credit_cap = self.credit_cap
         replay = self.replay
-        intern = replay.intern
+        intern = None if replay is None else replay.intern
         ring = self._ring
         mask = self._mask
         launched = self._launched
         launched_phits = self._launched_phits
         launched_words = self._launched_words
 
-        owners, gen_runs, sink_runs, sinks_on = self._resolve_run()
         # Armed owners by the cycle of their next owned phase (same
         # ring geometry as the arrivals), sinks by the cycle of their
         # next drain, generators by the cycle of their next firing.
@@ -1014,12 +1377,45 @@ class CompiledEngine:
             heapify(gen_heap)
             return gen_heap[0][0] if gen_heap else _NEVER
 
+        # The config plane (DESIGN.md §14.6): deposits due, by cycle,
+        # and the module's next turn.  What can act in the run is fixed
+        # at entry (``live``); applies are checked against the cells it
+        # reads.
+        module = self.network.config_module
+        deposits: Dict[int, List[Any]] = {}
+
+        def expect(ports: List[Any], start: int) -> None:
+            """Schedule each port's deposit where the port says it is
+            due (one already late is decoded at once, which raises)."""
+            for port in ports:
+                due = port.next_evaluation(start)
+                if due is not None:
+                    deposits.setdefault(due, []).append(port)
+
+        expect(module._deposited, cycle)
+        module_due = module.next_evaluation(cycle)
+        if module_due is None:
+            module_due = _NEVER
+        cfg_next = min(module_due, min(deposits, default=_NEVER))
+        adopted = 0  # token moves of the applies ridden through
+        halt = False  # an apply changed what this run executes
+
         self._load(cycle)
         loaded = True
         gen_due = arm_all(cycle)
+        # Nothing on the data plane can happen in this run: jump from
+        # config event to config event.
+        quiet = (
+            not self.gens
+            and not self._cur
+            and not sink_due
+            and not any(owner is not None and owner.armed for owner in owners)
+        )
 
         period = self.period
-        events: Optional[List[tuple]] = [] if replay_ok else None
+        events: Optional[List[tuple]] = (
+            [] if replay_ok and replay is not None else None
+        )
         prev_sig: Any = None
         prev_snap: Any = None
         next_boundary = (
@@ -1041,6 +1437,8 @@ class CompiledEngine:
         entered_at = cycle
         handled = 0
         model_calls = 0
+        config_events = 0
+        rank = self._rank
         replayed_epochs = 0
         replayed_cycles = 0
         clean_exit = False
@@ -1050,14 +1448,38 @@ class CompiledEngine:
 
         try:
             while cycle < end:
+                if quiet and cycle != cfg_next:
+                    cycle = min(end, cfg_next)
+                    continue
                 if cycle == next_boundary:
-                    assert events is not None
-                    if any(not gen.done for gen in self.trace_gens):
-                        # A live trace generator's future firings are
-                        # not captured by any state signature: defer.
+                    if cfg_next < cycle + period or any(
+                        not gen.done for gen in self.trace_gens
+                    ):
+                        # No epoch replays across a config event, so
+                        # none is probed that holds one; and a live
+                        # trace generator's future firings are not
+                        # captured by any state signature: defer.
                         prev_sig = None
                         prev_snap = None
                     else:
+                        if replay is None:
+                            # Imported here so numpy loads with the first
+                            # probe, not with the package or the engine.
+                            from .replay import EpochReplay, roster_key
+
+                            replay = self.replay = EpochReplay(
+                                self.network,
+                                (
+                                    self.schedule_image,
+                                    roster_key(
+                                        self.gens, self.sinks, self.period
+                                    ),
+                                ),
+                                period,
+                                self.sinks,
+                            )
+                            intern = replay.intern
+                            events = []
                         # Barrier: the signature, the snapshot and the
                         # in-flight rewrite all read registers and
                         # counters.
@@ -1091,7 +1513,7 @@ class CompiledEngine:
                         if candidate is not None:
                             before, epoch_events = candidate
                             epochs = min(
-                                (end - cycle) // period,
+                                (min(end, cfg_next) - cycle) // period,
                                 self._replay_horizon(before, snap),
                             )
                             if epochs >= 1 and self._replay(
@@ -1114,7 +1536,8 @@ class CompiledEngine:
                             # The clock jumped: every schedule is
                             # re-derived from the landing state.
                             gen_due = arm_all(cycle)
-                    events.clear()
+                    if events is not None:
+                        events.clear()
                     next_boundary = cycle + period
                     continue  # a landing may have reached ``end``
 
@@ -1340,6 +1763,50 @@ class CompiledEngine:
                             owner.armed = False
                     bucket.clear()
 
+                if cycle == cfg_next:
+                    # Config events, where the activity kernel has them:
+                    # each element applies a deposit after its data-plane
+                    # stages (element order), the module takes its turn
+                    # after every element.  No epoch probe spans one,
+                    # and a replay after one opens a new segment.  The
+                    # model code they run reads the clock.
+                    kernel.cycle = cycle
+                    prev_sig = None
+                    self._regime_open = False
+                    due_ports = deposits.pop(cycle, ())
+                    if len(due_ports) > 1:
+                        due_ports.sort(key=lambda port: rank[id(port.owner)])
+                    for port in due_ports:
+                        config_events += 1
+                        element = port.owner
+                        before = _element_token(element)
+                        actions = port._decode_deposit(cycle, None)
+                        if not actions:
+                            continue
+                        port.apply_guarded(cycle, actions, element._apply)
+                        if halt or self._visible(
+                            element, actions, live, live_src, live_dst
+                        ):
+                            halt = True
+                        else:
+                            adopted += _element_token(element) - before
+                    if cycle == module_due:
+                        config_events += 1
+                        module.evaluate(cycle)
+                        if module.on_tree:
+                            raise SimulationError(
+                                f"compiled engine activated a packet the "
+                                f"word-level tree must carry at cycle "
+                                f"{cycle} (next_stepped_cycle missed it)"
+                            )
+                        active = module._active
+                        if active is not None and active.started_at == cycle:
+                            expect(module._deposited, cycle + 1)
+                        module_due = module.next_evaluation(cycle + 1)
+                        if module_due is None:
+                            module_due = _NEVER
+                    cfg_next = min(module_due, min(deposits, default=_NEVER))
+
                 if cycle == gen_due:
                     while gen_heap and gen_heap[0][0] == cycle:
                         handled += 1
@@ -1452,8 +1919,21 @@ class CompiledEngine:
                                 wake(sink_index, cycle + 1)
 
                 cycle += 1
+                if halt:
+                    # An apply changed what this run executes: end at
+                    # the cycle boundary; the kernel re-acquires.
+                    break
             clean_exit = True
         finally:
+            if halt:
+                self.token = None
+            elif adopted and self.token is not None:
+                self.token += adopted
+                self._valid_for = (
+                    frozenset(live_src)
+                    if self._valid_for is None
+                    else self._valid_for & live_src
+                )
             if clean_exit and prev_sig is not None:
                 self._probe = (
                     prev_sig,
@@ -1469,6 +1949,7 @@ class CompiledEngine:
             self._export_registers()
             self.events_handled += handled
             self.model_calls += model_calls
+            self.config_events += config_events
             kernel.cycle = cycle
             kernel.compiled_cycles += cycle - entered_at
             kernel.replayed_epochs += replayed_epochs
@@ -1663,11 +2144,10 @@ class CompiledEngine:
 
     def _replay_horizon(self, before: dict, after: dict) -> int:
         """Largest K for which every finite generator stays in budget."""
-        from ..traffic.generators import BurstGenerator, CbrGenerator
-
+        model = _model()
         horizon = _NEVER
         for i, gen in enumerate(self.gens):
-            if isinstance(gen, CbrGenerator):
+            if isinstance(gen, model.CbrGenerator):
                 if gen.total_words is None:
                     continue
                 fired = after["gen_words"][i] - before["gen_words"][i]
@@ -1677,7 +2157,7 @@ class CompiledEngine:
                         (gen.total_words - after["gen_words"][i])
                         // fired,
                     )
-            elif isinstance(gen, BurstGenerator):
+            elif isinstance(gen, model.BurstGenerator):
                 if gen.total_bursts is None:
                     continue
                 fired = after["gen_bursts"][i] - before["gen_bursts"][i]

@@ -71,11 +71,11 @@ The kernel supports three modes, selected per instance or through the
   events in bulk (see :mod:`repro.sim.replay` — the bulk replay is what
   the mode is named for).  A network opts in by installing a
   ``compile_provider`` on the kernel.  Whenever compilation is not
-  possible — no provider, config traffic in flight, armed fault hooks,
-  strict-registers, a tracer, an unknown component, words mid-flight —
-  the kernel *transparently falls back* to the activity mode for the
-  affected cycles and records a typed :class:`CompileRefusal`
-  (``Kernel.kernel_stats()["compile_fallbacks"]``).  Registers and stats
+  possible — no provider, a config packet on the word-level tree, armed
+  fault hooks, strict-registers, a tracer, an unknown component, words
+  mid-flight — the kernel *transparently falls back* to the activity
+  mode for the affected cycles and records a typed
+  :class:`CompileRefusal` (``Kernel.kernel_stats()["compile_fallbacks"]``).  Registers and stats
   are re-materialized bit-exactly at every exit from compiled execution,
   so callbacks, ``run_until`` predicates and external code always
   observe the same state as stepped execution.
@@ -83,15 +83,13 @@ The kernel supports three modes, selected per instance or through the
 Config plane in vector mode
 ---------------------------
 
-The engine only ever runs the *data* plane; while configuration traffic
-is in flight it defers to the activity kernel.  What ``vector`` mode
-changes about the config plane is how much of the broadcast tree that
-kernel has to step.  The tree is a pure delay line — every element sees
-every word, ``CONFIG_HOP_CYCLES`` per hop later, and only the addressed
-elements act — so in this mode the configuration module hands a
-response-free packet straight to the elements it addresses, stamped
-with the cycle each would have seen the end-of-packet gap, and each
-runs its own decoder at that cycle (see
+What ``vector`` mode changes about the config plane is, first, how
+much of the broadcast tree has to be stepped at all.  The tree is a
+pure delay line — every element sees every word, ``CONFIG_HOP_CYCLES``
+per hop later, and only the addressed elements act — so in this mode
+the configuration module hands a response-free packet straight to the
+elements it addresses, stamped with the cycle each would have seen the
+end-of-packet gap, and each runs its own decoder at that cycle (see
 :mod:`repro.core.config_network`).  Apply cycles, element state and
 set-up times are those of the stepped tree; the work is proportional to
 addressed elements instead of tree size.  ``naive`` and ``activity``
@@ -107,6 +105,14 @@ every packet while installed.  The kernel only keeps the books:
 :attr:`Kernel.config_packets_elided`,
 :attr:`Kernel.config_packets_stepped` and, by refusal kind,
 :attr:`Kernel.config_elision_refusals` — all in :meth:`Kernel.kernel_stats`.
+
+Second, who runs what is left.  The elided packets' deposits and the
+module's turns are events of the engine's own loop, so a set-up wait
+beside running traffic is engine time: the engine rides through every
+apply that writes nothing its live flows read and stops at the end of
+the cycle of one that does (see :mod:`repro.sim.compiled`).  Only a
+packet on the word-level tree refuses the engine (``config_active``),
+and its activation is a barrier like a :meth:`Kernel.at` callback.
 
 The activity invariant: a component may be skipped in a cycle only if its
 ``evaluate`` would have been a pure no-op, and a register may skip the
@@ -209,7 +215,8 @@ class CompileRefusal:
 
     #: No network installed a compile provider on this kernel.
     NO_PROVIDER = "no_provider"
-    #: Configuration traffic is in flight on the config tree.
+    #: A configuration packet is in flight on the word-level tree (or
+    #: words are still on the tree's links or in a decoder).
     CONFIG_ACTIVE = "config_active"
     #: A FaultInjector armed fault hooks on data or config links.
     FAULT_HOOKS_ARMED = "fault_hooks_armed"
@@ -237,8 +244,9 @@ class CompileRefusal:
     APERIODIC = "aperiodic_segment"
 
     #: Kinds that are *transient* obstructions of an otherwise
-    #: compilable network: config words draining off the tree, phits
-    #: draining out of pipeline registers after a reconfiguration.
+    #: compilable network: a stepped config packet draining off the
+    #: tree, phits draining out of pipeline registers after a
+    #: reconfiguration.
     #: The kernel treats these as deferrals — it steps a bounded window
     #: on the activity kernel and re-probes — instead of falling back
     #: for the remainder of the call, so piecewise-periodic workloads
@@ -580,9 +588,9 @@ class Kernel:
         self.replayed_cycles = 0
         #: refusal kind -> number of fallbacks to the activity kernel.
         self.compile_fallbacks: Dict[str, int] = {}
-        #: refusal kind -> number of *deferrals*: transient refusals
-        #: (config traffic, draining datapath) stepped through on the
-        #: activity kernel before successfully re-acquiring an engine.
+        #: refusal kind -> number of *deferrals*: transient refusals (a
+        #: stepped config packet, a draining datapath) stepped through
+        #: on the activity kernel before re-acquiring an engine.
         self.compile_deferrals: Dict[str, int] = {}
         self._last_refusal: Optional[CompileRefusal] = None
         #: Distinct steady-state regimes in which epoch replay engaged
@@ -1087,17 +1095,22 @@ class Kernel:
         engine runs up to the earliest scheduled callback (leaving
         registers, counters and statistics materialized) and the
         callback's cycle executes under the activity kernel;
-        eligibility is then re-checked.
+        eligibility is then re-checked.  The engine names one more kind
+        of barrier (``next_stepped_cycle``): a cycle whose work only the
+        stepped kernels model, such as the activation of a config
+        packet that must stream through the word-level tree.  An engine
+        run that returns before its barrier stopped after a cycle that
+        changed what it runs; the kernel re-acquires.
 
         Refusals split two ways.  *Transient* kinds
-        (:attr:`CompileRefusal.DEFERRABLE`: config traffic in flight,
-        phits draining off the compiled schedule) are deferrals — the
-        kernel steps a bounded, exponentially growing activity window
-        and re-probes, so a use-case switch re-enters compiled
-        execution (and re-arms steady-state probing) once the tree is
-        quiet.  Every other kind falls back to the activity kernel for
-        the remainder of this call — re-probing a permanently refusing
-        configuration every window would only burn eligibility scans.
+        (:attr:`CompileRefusal.DEFERRABLE`: a config packet on the
+        word-level tree, phits draining off the compiled schedule) are
+        deferrals — the kernel steps a bounded, exponentially growing
+        activity window and re-probes, so the engine returns once the
+        tree is quiet.  Every other kind falls back to the activity
+        kernel for the remainder of this call — re-probing a permanently
+        refusing configuration every window would only burn eligibility
+        scans.
         """
         end = self.cycle + cycles
         defer_window = self.DEFER_WINDOW_MIN
@@ -1116,10 +1129,13 @@ class Kernel:
                     continue
                 self._step_activity(end - self.cycle)
                 return
-            scheduled = self._next_callback_cycle()
-            barrier = (
-                end if scheduled is None else min(scheduled, end)
-            )
+            barrier = end
+            for scheduled in (
+                self._next_callback_cycle(),
+                engine.next_stepped_cycle(),
+            ):
+                if scheduled is not None and scheduled < barrier:
+                    barrier = scheduled
             if barrier > self.cycle:
                 refusal = engine.run_to(barrier)
                 if refusal is not None:
@@ -1140,8 +1156,13 @@ class Kernel:
                     self._step_activity(end - self.cycle)
                     return
                 defer_window = self.DEFER_WINDOW_MIN
+                if self.cycle < barrier:
+                    # The engine stopped after a cycle that reconfigured
+                    # what it runs: re-acquire (which recompiles).
+                    continue
             if self.cycle < end:
-                # A callback is due at the current cycle; run it stepped.
+                # A callback (or a packet only the word-level tree can
+                # carry) is due at the current cycle; run it stepped.
                 self._retire_engine()
                 self._step_activity(1)
 
@@ -1207,17 +1228,24 @@ class Kernel:
     ) -> int:
         """Step until ``predicate()`` is true; return the current cycle.
 
-        In activity mode the predicate is re-checked after every cycle in
-        which any component ran or register latched; fully quiescent
-        stretches — during which no state the predicate could observe can
-        change — are fast-forwarded.  (A predicate that watches
-        ``kernel.cycle`` itself rather than simulation state should use
-        :meth:`step` directly.)
+        A predicate that already holds returns at once, stepping nothing
+        and leaving a vector-mode engine in place.  Otherwise the
+        predicate is polled between cycles, so vector mode steps on the
+        activity kernel here; in activity mode it is re-checked after
+        every cycle in which any component ran or register latched, and
+        fully quiescent stretches — during which no state the predicate
+        could observe can change — are fast-forwarded.  (A predicate
+        that watches ``kernel.cycle`` itself rather than simulation
+        state should use :meth:`step` directly; a wait whose end is
+        known in closed form steps there first — see
+        ``DaeliteNetwork.wait_configured``.)
 
         Raises:
             SimulationError: if the predicate stays false for
                 ``max_cycles`` cycles.
         """
+        if predicate():
+            return self.cycle
         start = self.cycle
         limit = start + max_cycles
         # run_until polls arbitrary state between cycles — inherently

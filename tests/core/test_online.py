@@ -6,7 +6,11 @@ import pytest
 
 from repro.alloc import ConnectionRequest, MulticastRequest
 from repro.core import DaeliteNetwork, OnlineConnectionManager
-from repro.errors import AllocationError, ConfigurationError
+from repro.errors import (
+    AllocationError,
+    ConfigurationError,
+    SimulationError,
+)
 from repro.params import daelite_parameters
 from repro.topology import build_mesh
 
@@ -174,3 +178,27 @@ class TestStatistics:
                 break
         assert received == list(range(words))
         assert net.total_dropped_words == 0
+
+
+class TestBlockingBudget:
+    def test_verify_with_a_lost_response_times_out_in_budget(self):
+        """``verify_connection`` blocks like every other manager call: a
+        read whose response never arrives (no timeout budget to retry
+        it) raises after ``max_op_cycles``, not the kernel's default
+        million."""
+        topology = build_mesh(2, 2)
+        network = DaeliteNetwork(
+            topology, daelite_parameters(slot_table_size=8)
+        )
+        manager = OnlineConnectionManager(network, max_op_cycles=3_000)
+        manager.open_connection(
+            ConnectionRequest("c", "NI00", "NI11", forward_slots=1)
+        )
+        root = network.config_tree.root
+        network.config_links[f"rsp.{root}->module"].fault_hook = (
+            lambda link, word: None
+        )
+        start = network.kernel.cycle
+        with pytest.raises(SimulationError, match="within 3000 cycles"):
+            manager.verify_connection("c")
+        assert network.kernel.cycle == start + 3_000

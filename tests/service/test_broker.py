@@ -320,22 +320,30 @@ class TestStats:
 
     def test_churn_hits_the_lowering_cache(self):
         """Open/release churn cycles a shard through a small set of
-        schedule images; with channel-index recycling, re-opening the
-        same endpoints reproduces an image the compiler has already
-        lowered, so the lowering cache must convert recompiles into
-        lookups — the telemetry the availability harness watches."""
+        schedule images.  A connection nobody sends on costs no
+        recompile (the engine rides through its set-up); one that
+        carries words makes the engine recompile for it, and with
+        channel-index recycling re-opening the same endpoints reproduces
+        an image the compiler has already lowered, so the lowering cache
+        must convert those recompiles into lookups — the telemetry the
+        availability harness watches."""
         config = ServiceConfig(shards=1)
         broker = ConnectionBroker(
             build_mesh_fleet(1, kernel_mode="vector"),
             config=config,
             seed=1,
         )
-        for _ in range(3):
+        shard = broker.shards[0]
+        for lap in range(3):
             outcome = broker.open(ask("tenantA", "c1"))
             assert outcome.ok
-            broker.shards[0].network.run(600)
+            handle = shard.manager.connections["c1"].handle
+            shard.network.ni("NI01").submit_words(
+                handle.forward.src_channel, [1, 2, 3], f"c1.{lap}"
+            )
+            shard.network.run(600)
             assert broker.release("c1").status == "released"
-            broker.shards[0].network.run(600)
+            shard.network.run(600)
         telemetry = broker.cache_telemetry()
         assert telemetry["lowering_cache_misses"] >= 1
         assert telemetry["lowering_cache_hits"] >= 1, telemetry

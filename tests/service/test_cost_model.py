@@ -11,6 +11,11 @@ are counts, not wall clocks — they hold on any host.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.service import (
@@ -24,6 +29,8 @@ from repro.sim.kernel import (
     KERNEL_MODE_ENV,
     STRICT_REGISTERS_ENV,
 )
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 #: Evaluations the churn may spend beyond two per packet (the module's
 #: activation and finish) and one per addressed element.
@@ -85,3 +92,39 @@ def test_a_fault_wave_steps_only_the_packets_it_can_touch(default_fleet):
     assert any(
         event.kind == "config_corrupt" for event in network.stats.faults
     )
+
+
+def test_default_churn_runs_on_the_engine_without_numpy():
+    """A default fleet's set-up waits run on the compiled engine, and a
+    traffic-free shard never probes for epoch replay — so numpy, which
+    only replay needs, is never imported.  A fresh interpreter, since
+    this suite's own process may have loaded it."""
+    script = (
+        "import sys\n"
+        "from repro.service import ChurnEngine, ConnectionBroker, "
+        "ServiceConfig\n"
+        "broker = ConnectionBroker.mesh_fleet(\n"
+        "    config=ServiceConfig(shards=2), seed=3)\n"
+        "ChurnEngine(broker, seed=3, tenants=4, max_live=4).run(120)\n"
+        "stats = [shard.network.kernel.kernel_stats()\n"
+        "         for shard in broker.shards]\n"
+        "print(sum(s['compiled_cycles'] for s in stats),\n"
+        "      sum(s['cycle'] for s in stats), 'numpy' in sys.modules)\n"
+    )
+    env = {
+        key: value
+        for key, value in os.environ.items()
+        if key not in (KERNEL_MODE_ENV, STRICT_REGISTERS_ENV)
+    }
+    env["PYTHONPATH"] = str(SRC)
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    compiled, cycles, numpy_loaded = result.stdout.split()
+    assert int(compiled) == int(cycles) > 0
+    assert numpy_loaded == "False"

@@ -9,10 +9,18 @@ the obstruction clears.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.alloc import ConnectionRequest, SlotAllocator
 from repro.core import DaeliteNetwork
+from repro.core.config_protocol import (
+    FLAG_ENABLED,
+    FLAG_FLOW_CONTROLLED,
+    ChannelField,
+    Direction,
+)
 from repro.core.online import OnlineConnectionManager
 from repro.errors import (
     FlowControlError,
@@ -110,14 +118,29 @@ def test_armed_fault_injector_forces_fallback_and_reengages():
     assert net.stats.delivered_words("flow") > 0
 
 
+def engine_ran(before, after):
+    """Every cycle between two ``kernel_stats()`` snapshots was the
+    engine's: none fell back to the activity kernel."""
+    return (
+        after["compiled_cycles"] - before["compiled_cycles"]
+        == after["cycle"] - before["cycle"]
+        > 0
+        and after["active_cycles"] == before["active_cycles"]
+    )
+
+
 def test_config_traffic_forces_fallback_then_recompiles():
+    """An elided set-up under traffic is engine time: the wait runs on
+    the engine, which rides through applies that miss the live flow.
+    A packet only the word-level tree can carry — a read-back, whose
+    response rides the reverse tree — still refuses it with
+    CONFIG_ACTIVE, and once the tree is quiet the engine recompiles
+    against the new schedule."""
     net, _, _ = connected_compiled_net(topology=build_mesh(2, 2))
     net.run(200)
-    base = net.kernel.kernel_stats()["compiled_cycles"]
+    base = net.kernel.kernel_stats()
 
     manager = OnlineConnectionManager(net)
-    # Non-blocking set-up: step while configuration words are in flight
-    # on the tree — the engine must refuse with CONFIG_ACTIVE.
     allocation = manager.allocator.allocate_connection(
         ConnectionRequest(
             "late", "NI10", "NI01", forward_slots=1, reverse_slots=1
@@ -125,16 +148,30 @@ def test_config_traffic_forces_fallback_then_recompiles():
     )
     handle = net.host.setup_connection(allocation)
     net.run(5)
+    net.run_until_configured(handle)
+    configured = net.kernel.kernel_stats()
+    assert engine_ran(base, configured)
+    assert configured["compile_fallbacks"] == {}
+    assert configured["lowering_cache_misses"] == base["lowering_cache_misses"]
+
+    read = net.host.read_channel_register(
+        "NI01", Direction.ARRIVE, handle.forward.dst_channel, ChannelField.FLAGS
+    )
+    net.run(5)
     stats = net.kernel.kernel_stats()
     assert stats["compile_fallbacks"][CompileRefusal.CONFIG_ACTIVE] > 0
     assert stats["last_refusal"] == CompileRefusal.CONFIG_ACTIVE
+    assert stats["active_cycles"] > configured["active_cycles"]
 
-    net.run_until_configured(handle)
+    net.wait_configured([read])
+    assert read.responses == [FLAG_ENABLED | FLAG_FLOW_CONTROLLED]
     net.run(200)
     after = net.kernel.kernel_stats()
-    # Quiet tree again: the engine recompiled against the *new* schedule
-    # (the validity token covers the reprogrammed slot tables).
-    assert after["compiled_cycles"] > base
+    # Quiet tree again: the read's apply moved the validity token, so
+    # the engine recompiled — against the schedule the set-up it rode
+    # through programmed, lowered for the first time.
+    assert after["compiled_cycles"] > stats["compiled_cycles"]
+    assert after["lowering_cache_misses"] > stats["lowering_cache_misses"]
     net.ni("NI10").submit_words(
         handle.forward.src_channel, [1, 2, 3], "late"
     )
@@ -144,6 +181,12 @@ def test_config_traffic_forces_fallback_then_recompiles():
 
 
 def test_usecase_switch_falls_back_then_recompiles():
+    """A use-case switch is engine time: tearing down an idle "a" and
+    setting up "b" ride on the engine with the lowering kept; words
+    submitted on "b" afterwards make a channel live that the ridden
+    applies were never checked against, so the engine recompiles before
+    running them.  A hand-built packet (no addressee record) is
+    streamed through the word-level tree and refuses the engine."""
     from repro.alloc.usecase import UseCase, UseCaseManager
 
     params = daelite_parameters(slot_table_size=8)
@@ -194,19 +237,31 @@ def test_usecase_switch_falls_back_then_recompiles():
     assert boot_stats["compiled_cycles"] > 0
     assert net.stats.delivered_words("a") == 20
 
-    # Execute the switch: tear down "a", set up "b", stepping while the
-    # tree is busy — CONFIG_ACTIVE fallback, then a clean recompile.
+    # The switch: "a" has delivered its words, so nothing it tears down
+    # is read by anything live.
     allocation_a = manager.allocation("boot", "a")
     teardown = net.host.teardown_connection(handle_a, allocation_a)
     net.run(5)
-    assert (
-        fallbacks(net).get(CompileRefusal.CONFIG_ACTIVE, 0) > 0
-        or net.kernel.kernel_stats()["last_refusal"]
-        == CompileRefusal.CONFIG_ACTIVE
-    )
     net.run_until_configured(teardown)
     handle_b = net.configure(manager.allocation("run", "b"))
-    net.run_until_configured(handle_b)
+    switched = net.kernel.kernel_stats()
+    assert engine_ran(boot_stats, switched)
+    assert switched["compile_fallbacks"] == {}
+    assert (
+        switched["lowering_cache_misses"] + switched["lowering_cache_hits"]
+        == boot_stats["lowering_cache_misses"]
+        + boot_stats["lowering_cache_hits"]
+    )
+
+    enable = handle_b.requests[-1].packet
+    resent = net.config_module.submit(
+        replace(enable, addressees=None), net.kernel.cycle
+    )
+    net.run(5)
+    stepped = net.kernel.kernel_stats()
+    assert stepped["config_elision_refusals"] == {"no_addressee_record": 1}
+    assert stepped["compile_fallbacks"][CompileRefusal.CONFIG_ACTIVE] > 0
+    net.wait_configured([resent])
 
     net.ni("NI10").submit_words(
         handle_b.forward.src_channel, [7, 8, 9], "b"
@@ -215,18 +270,23 @@ def test_usecase_switch_falls_back_then_recompiles():
     net.ni("NI01").receive(handle_b.forward.dst_channel)
     net.run(50)
     after = net.kernel.kernel_stats()
-    assert after["compiled_cycles"] > boot_stats["compiled_cycles"]
+    assert after["compiled_cycles"] > stepped["compiled_cycles"]
+    assert (
+        after["lowering_cache_misses"] + after["lowering_cache_hits"]
+        > stepped["lowering_cache_misses"] + stepped["lowering_cache_hits"]
+    )
     assert net.stats.delivered_words("b") == 3
     assert sink.clean
 
 
 def test_strict_registers_refusal():
     net, _, _ = connected_compiled_net()
+    before = net.kernel.kernel_stats()["compiled_cycles"]
     net.kernel.strict_registers = True
     net.run(50)
     stats = net.kernel.kernel_stats()
     assert stats["compile_fallbacks"][CompileRefusal.STRICT_REGISTERS] > 0
-    assert stats["compiled_cycles"] == 0
+    assert stats["compiled_cycles"] == before
 
 
 def test_tracer_refusal():

@@ -24,6 +24,8 @@ import pytest
 
 from repro.alloc import ConnectionRequest, SlotAllocator
 from repro.core import DaeliteNetwork, OnlineConnectionManager
+from repro.core.config_network import ConfigModule
+from repro.core.config_port import ConfigPort
 from repro.errors import SimulationError
 from repro.params import daelite_parameters
 from repro.sim.kernel import ACTIVITY_MODE, NAIVE_MODE, VECTOR_MODE, Kernel
@@ -436,3 +438,89 @@ class TestEngineWork:
         assert net.kernel._engine is engine
         assert net.kernel.compiled_cycles == compiled + 10_000
         assert engine.events_handled == before
+
+    def test_setup_waits_are_engine_time(self, monkeypatch):
+        """An 8x8 mesh with 16 live CBR flows switches use cases — 4
+        closes and 4 opens through ``OnlineConnectionManager`` — in
+        vector mode.  The set-up waits are engine time: no cycle falls
+        back to the activity kernel, no component is evaluated, no
+        deferral is stepped and nothing is lowered again (the switch
+        writes no cell a live flow reads), and the engine's own config
+        work is one event per deposit decoded plus one per module turn."""
+        counted = {"deposits": 0, "turns": 0}
+        for owner, method, key in (
+            (ConfigPort, "_decode_deposit", "deposits"),
+            (ConfigModule, "evaluate", "turns"),
+        ):
+            original = getattr(owner, method)
+
+            def counting(self, *args, _original=original, _key=key):
+                counted[_key] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(owner, method, counting)
+        params = daelite_parameters(slot_table_size=16, config_word_bits=9)
+        mesh = build_mesh(8, 8)
+        net = DaeliteNetwork(mesh, params, kernel_mode=VECTOR_MODE)
+        net.kernel.strict_registers = False  # the subject is the engine
+        manager = OnlineConnectionManager(net)
+        nis = [element.name for element in mesh.nis if element.name != "NI00"]
+        requests = random_traffic_pattern(
+            nis, 24, seed=2026, slots_min=1, slots_max=2
+        )
+        live, use_a, use_b = requests[:16], requests[16:20], requests[20:]
+        for request in live + use_a:
+            handle = manager.open_connection(request).handle
+            if request in live:
+                net.kernel.add(
+                    CbrGenerator(
+                        f"gen.{request.label}",
+                        net.ni(request.src_ni).injector(
+                            handle.forward.src_channel, request.label
+                        ),
+                        period=64,
+                    )
+                )
+                net.kernel.add(
+                    CheckingSink(
+                        f"sink.{request.label}",
+                        net.ni(request.dst_ni).receiver(
+                            handle.forward.dst_channel
+                        ),
+                        words_per_cycle=2,
+                        stats=net.stats,
+                    )
+                )
+        net.run(1000)
+        engine = net.kernel._engine
+        before = net.kernel.kernel_stats()
+        config_events = engine.config_events
+        counted.update(deposits=0, turns=0)
+        for request in use_a:
+            manager.close_connection(request.label)
+        for request in use_b:
+            manager.open_connection(request)
+        after = net.kernel.kernel_stats()
+        assert net.kernel._engine is engine
+        for key in (
+            "active_cycles",
+            "evaluations",
+            "lowering_cache_misses",
+            "lowering_cache_hits",
+        ):
+            assert after[key] == before[key], key
+        assert after["compile_deferrals"] == before["compile_deferrals"] == {}
+        assert after["compile_fallbacks"] == {}
+        assert (
+            after["compiled_cycles"] - before["compiled_cycles"]
+            == after["cycle"] - before["cycle"]
+        )
+        assert counted["deposits"] > 0 and counted["turns"] > 0
+        assert (
+            engine.config_events - config_events
+            == counted["deposits"] + counted["turns"]
+        )
+        assert all(
+            net.stats.connections[request.label].ejected > 0
+            for request in live
+        )

@@ -633,9 +633,12 @@ def run_switch_campaign(mode: str):
     """Boot use-case -> steady traffic -> switch to run use-case ->
     steady traffic again, with checkpointed snapshots throughout.
 
-    Exercises the piecewise-periodic machinery: the engine defers
-    (CONFIG_ACTIVE / DATAPATH_BUSY) across the switch instead of
-    abandoning the run, then re-probes and replays in the new regime.
+    Exercises the piecewise-periodic machinery across a switch that the
+    engine cannot ride through blind: "a" is torn down while its
+    generator still fires and its sink is attached, so the tear-down
+    writes what a live flow reads.  Returns the net, the checkpoints and
+    ``kernel_stats()`` before the switch, after the tear-down and after
+    the set-up of "b".
     """
     params = daelite_parameters(slot_table_size=8)
     mesh = build_mesh(2, 2)
@@ -647,25 +650,28 @@ def run_switch_campaign(mode: str):
 
     handle_a = net.configure(manager.allocation("boot", "a"))
     net.run_until_configured(handle_a)
+    # 60 words, one per 20 cycles: still flowing at the switch.
     gen_a, sink_a = attach_cbr_flow(
-        net, handle_a, REQUEST_A, period=5, total_words=60
+        net, handle_a, REQUEST_A, period=20, total_words=60
     )
     gens, sinks = [gen_a], [sink_a]
     for chunk in (7, 600, 393):
         net.run(chunk)
         checkpoints.append(full_snapshot(net, gens, sinks))
-    pre_switch = net.kernel.kernel_stats()
+    stats = [net.kernel.kernel_stats()]
 
     # The switch: tear down "a", set up "b", stepping while config
-    # words are in flight on the tree.
+    # words are in flight.
     teardown = net.host.teardown_connection(
         handle_a, manager.allocation("boot", "a")
     )
     net.run(5)
     checkpoints.append(full_snapshot(net, gens, sinks))
     net.run_until_configured(teardown)
+    stats.append(net.kernel.kernel_stats())
     handle_b = net.configure(manager.allocation("run", "b"))
-    net.run_until_configured(handle_b)
+    stats.append(net.kernel.kernel_stats())
+    checkpoints.append(full_snapshot(net, gens, sinks))
     # Two forward slots of an 8-slot wheel carry one word per 8 cycles;
     # period 10 keeps the flow below capacity so the post-switch steady
     # state is exactly periodic (an overloaded queue grows every epoch
@@ -677,27 +683,40 @@ def run_switch_campaign(mode: str):
         net.run(chunk)
         checkpoints.append(full_snapshot(net, gens, sinks))
     assert sink_a.clean and sink_b.clean
-    return net, checkpoints, pre_switch
+    return net, checkpoints, stats
 
 
 def test_usecase_switch_campaign_is_bit_exact():
-    """The vector engine rides through a use-case switch — deferring
-    while the tree reconfigures, then replaying the *new* steady state —
-    with every checkpoint identical to the activity reference."""
-    net_v, chk_v, pre_switch = run_switch_campaign(VECTOR_MODE)
+    """The vector engine rides through a use-case switch — the set-up
+    of "b" is engine time, the tear-down of a still-flowing "a" is
+    caught as visible and recompiled — then replays the *new* steady
+    state, with every checkpoint identical to the activity
+    reference."""
+    net_v, chk_v, (boot, torn, switched) = run_switch_campaign(VECTOR_MODE)
     net_a, chk_a, _ = run_switch_campaign(ACTIVITY_MODE)
     assert len(chk_v) == len(chk_a)
     for index, (snap_v, snap_a) in enumerate(zip(chk_v, chk_a)):
         assert snap_v == snap_a, f"checkpoint {index} diverged"
+    # The visible path fired: tearing down what "a" reads recompiled.
+    assert torn["lowering_cache_misses"] > boot["lowering_cache_misses"]
+    # The set-up of "b" read nothing live: the engine ran the wait and
+    # kept its lowering.
+    assert (
+        switched["compiled_cycles"] - torn["compiled_cycles"]
+        == switched["cycle"] - torn["cycle"]
+        > 0
+    )
+    assert switched["active_cycles"] == torn["active_cycles"]
+    assert (
+        switched["lowering_cache_misses"] + switched["lowering_cache_hits"]
+        == torn["lowering_cache_misses"] + torn["lowering_cache_hits"]
+    )
+    assert switched["compile_deferrals"] == torn["compile_deferrals"]
+    # ... and epoch replay re-engaged in the *new* regime.
     stats = net_v.kernel.kernel_stats()
-    # The switch produced typed deferrals, not a permanent fallback ...
-    assert sum(stats["compile_deferrals"].values()) > 0
-    # ... and both engine execution and epoch replay re-engaged in the
-    # *new* regime, after the reconfiguration.
-    assert stats["compiled_cycles"] > pre_switch["compiled_cycles"]
-    assert stats["replayed_epochs"] > pre_switch["replayed_epochs"]
-    assert stats["replayed_cycles"] > pre_switch["replayed_cycles"]
-    assert net_v.stats.delivered_words("a") == 60
+    assert stats["compiled_cycles"] > switched["compiled_cycles"]
+    assert stats["replayed_epochs"] > switched["replayed_epochs"]
+    assert 0 < net_v.stats.delivered_words("a") < 60
     assert net_v.stats.delivered_words("b") > 0
 
 
@@ -758,7 +777,8 @@ def test_regime_revisit_campaign_replays_from_cache():
     the vector engine replays in *every* revisited regime,
     bit-identical to the activity reference, and the revisits are
     served from the regime cache (immediate replay, no two-epoch
-    probe) and the lowering cache (no re-lowering)."""
+    probe).  The switches configure only the idle "b", so one engine
+    rides through all three: nothing is lowered again."""
     net_v, chk_v, seg_v = run_regime_revisit_campaign(VECTOR_MODE)
     net_a, chk_a, _ = run_regime_revisit_campaign(ACTIVITY_MODE)
     assert len(chk_v) == len(chk_a)
@@ -772,8 +792,9 @@ def test_regime_revisit_campaign_replays_from_cache():
     # ... which was populated by the first visits ...
     assert stats["regime_cache_stores"] >= 2, stats
     assert stats["regimes_detected"] >= 4, stats
-    # ... and re-entering a known schedule image skipped re-lowering.
-    assert stats["lowering_cache_hits"] >= 2, stats
+    # ... and no switch re-lowered, nor left the engine.
+    assert stats["lowering_cache_hits"] == 0, stats
+    assert stats["active_cycles"] == 0, stats
     assert net_v.stats.delivered_words("a") > 0
 
 
