@@ -8,10 +8,6 @@ cost curve a system architect would look at.
 
 from __future__ import annotations
 
-import pytest
-
-from _helpers import write_bench_json
-
 from repro.alloc import (
     ConnectionRequest,
     PlatformSpec,
@@ -69,23 +65,6 @@ def test_platform_cost_vs_demand(benchmark):
             f"{streams:>8} {slots:>6} {mesh:>6} {wheel:>4} "
             f"{area:>9.3f}"
         )
-    write_bench_json(
-        "dimensioning",
-        {
-            "sweep": [
-                {
-                    "streams": streams,
-                    "slots_per_stream": slots,
-                    "mesh": mesh,
-                    "slot_table_size": wheel,
-                    "area_mm2_65nm": area,
-                }
-                for streams, slots, mesh, wheel, area in rows
-            ],
-        },
-        # Dimensioning is closed-form arithmetic — no kernel runs.
-        kernel_mode="not-applicable",
-    )
     areas = [row[4] for row in rows]
     assert areas == sorted(areas)  # more demand -> bigger platform
     assert areas[0] < 0.2  # a single stream fits a tiny platform

@@ -8,13 +8,9 @@ the full detect-free-reroute-replay cycle on the simulator for growing
 path lengths (2-row meshes, so a detour always exists) and compares
 against the analytic aelite baseline, where the same repair is a long
 serialized sequence of MMIO accesses over the degraded NoC itself.
-
-Emits ``BENCH_recovery.json`` for CI.
 """
 
 from __future__ import annotations
-
-from _helpers import write_bench_json
 
 from repro.aelite import AeliteConfigModel
 from repro.alloc import ConnectionRequest
@@ -87,15 +83,7 @@ def test_recovery_scales_with_path_length(benchmark):
         return rows
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    path = write_bench_json(
-        "recovery",
-        {
-            "slot_table_size": SLOT_TABLE_SIZE,
-            "forward_slots": 2,
-            "rows": rows,
-        },
-    )
-    print(f"\nRECOVERY COST vs PATH LENGTH (T={SLOT_TABLE_SIZE}) -> {path}")
+    print(f"\nRECOVERY COST vs PATH LENGTH (T={SLOT_TABLE_SIZE}, 2 slots)")
     print(
         f"{'mesh':>5} {'hops':>5} {'teardown':>9} {'setup':>6} "
         f"{'total':>6} {'aelite':>7} {'speedup':>8}"

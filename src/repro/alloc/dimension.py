@@ -13,8 +13,6 @@ logical names to NI names when the caller wants control.
 
 from __future__ import annotations
 
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -114,19 +112,6 @@ def _fits(
     return True
 
 
-def _evaluate_candidate(payload) -> bool:
-    """Feasibility of one (mesh, T, placement) point.
-
-    Module-level (and argument-packed) so a ``ProcessPoolExecutor`` can
-    pickle it; each worker rebuilds its own mesh, which keeps candidate
-    evaluations fully independent.
-    """
-    width, height, params, spec, placement, engine = payload
-    return _fits(
-        build_mesh(width, height), params, spec, placement, engine
-    )
-
-
 def _platform_cost(
     width: int, height: int, params: NetworkParameters
 ) -> float:
@@ -214,7 +199,6 @@ def dimension_platform(
     slot_table_sizes: Sequence[int] = (8, 16, 32),
     placement: Optional[Dict[str, str]] = None,
     base_params: Optional[NetworkParameters] = None,
-    max_workers: Optional[int] = None,
     engine: Optional[str] = None,
 ) -> DimensioningResult:
     """Find the cheapest (mesh, T) combination that fits ``spec``.
@@ -223,11 +207,6 @@ def dimension_platform(
     one whose every use case allocates wins.  With ``placement`` the
     caller pins IPs to NIs; otherwise IPs are placed in raster order.
 
-    ``max_workers > 1`` evaluates candidates on a process pool: a
-    sliding window of the next-cheapest points runs concurrently while
-    results are consumed strictly in cost order, so the answer is
-    identical to the serial search and the pool short-circuits (pending
-    evaluations are cancelled) at the cheapest feasible point.
     ``engine`` pins the allocator's ledger engine for every evaluation.
 
     Raises:
@@ -237,17 +216,6 @@ def dimension_platform(
     points = _search_points(
         spec, max_side, slot_table_sizes, placement, base
     )
-    no_fit = AllocationError(
-        f"no mesh up to {max_side}x{max_side} with T in "
-        f"{tuple(slot_table_sizes)} fits the platform spec"
-    )
-    if max_workers is not None and max_workers > 1 and len(points) > 1:
-        try:
-            return _search_parallel(
-                spec, points, engine, max_workers, no_fit
-            )
-        except (OSError, PermissionError):
-            pass  # no process support here; fall through to serial
     for cost, width, height, params, chosen in points:
         if _fits(
             build_mesh(width, height), params, spec, chosen, engine
@@ -259,64 +227,7 @@ def dimension_platform(
                 placement=chosen,
                 area_ge=cost,
             )
-    raise no_fit
-
-
-def _search_parallel(
-    spec: PlatformSpec,
-    points: Sequence[
-        Tuple[float, int, int, NetworkParameters, Dict[str, str]]
-    ],
-    engine: Optional[str],
-    max_workers: int,
-    no_fit: AllocationError,
-) -> DimensioningResult:
-    """Cost-ordered candidate evaluation over a process pool."""
-    with ProcessPoolExecutor(max_workers=max_workers) as pool:
-        window: deque = deque()
-        pending = iter(points)
-        exhausted = False
-
-        def top_up() -> None:
-            nonlocal exhausted
-            while not exhausted and len(window) < 2 * max_workers:
-                try:
-                    point = next(pending)
-                except StopIteration:
-                    exhausted = True
-                    return
-                cost, width, height, params, chosen = point
-                window.append(
-                    (
-                        point,
-                        pool.submit(
-                            _evaluate_candidate,
-                            (
-                                width,
-                                height,
-                                params,
-                                spec,
-                                chosen,
-                                engine,
-                            ),
-                        ),
-                    )
-                )
-
-        top_up()
-        while window:
-            point, future = window.popleft()
-            feasible = future.result()
-            if feasible:
-                for _, queued in window:
-                    queued.cancel()
-                cost, width, height, params, chosen = point
-                return DimensioningResult(
-                    width=width,
-                    height=height,
-                    params=params,
-                    placement=chosen,
-                    area_ge=cost,
-                )
-            top_up()
-    raise no_fit
+    raise AllocationError(
+        f"no mesh up to {max_side}x{max_side} with T in "
+        f"{tuple(slot_table_sizes)} fits the platform spec"
+    )

@@ -270,8 +270,8 @@ class AdmissionOracle:
     The oracle wraps a live :class:`~repro.alloc.SlotAllocator` (the
     same instance the control plane allocates from), so its probes see
     the current residual schedule.  Verdicts are computed in
-    microseconds; the benchmark (``benchmarks/bench_admission_oracle``)
-    shows three-plus orders of magnitude over simulate-to-decide.
+    microseconds; the benchmark harness's ``plan_admission`` workload
+    times them (``analysis.oracle_s`` over ``analysis.oracle_calls``).
 
     Attributes:
         allocator: The wrapped allocator.

@@ -86,7 +86,7 @@ class AvailabilityReport:
         }
 
     def payload(self) -> Dict[str, object]:
-        """A JSON-serialisable view for ``BENCH_availability.json``."""
+        """A JSON-serialisable view of the report."""
         return {
             "ops": self.ops,
             "requests": self.requests,

@@ -836,9 +836,11 @@ class ConnectionBroker:
         benchmark harness map them one-to-one); the per-shard numbers
         stay available via ``kernel_stats()``.  A shard carries
         configuration traffic only — no generator, no sink, no data word
-        — so nothing is ever lowered or replayed and all five read 0
-        under churn; they move only if a caller drives data through a
-        shard's network.
+        — so nothing is ever replayed and the three regime counters read
+        0 under churn.  The lowering counters do move: a shard's set-up
+        waits run on the compiled engine, which lowers the traffic-free
+        network (the harness's ``service_churn`` run reads lowering hits
+        / misses 1 / 7).
         """
         merged = {
             "lowering_cache_hits": 0,

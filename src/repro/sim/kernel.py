@@ -244,14 +244,15 @@ class CompileRefusal:
     APERIODIC = "aperiodic_segment"
 
     #: Kinds that are *transient* obstructions of an otherwise
-    #: compilable network: a stepped config packet draining off the
-    #: tree, phits draining out of pipeline registers after a
-    #: reconfiguration.
+    #: compilable network: a config packet on the word-level tree (a
+    #: read-back, a hand-built packet, one a fault hook refuses to
+    #: elide), phits parked in pipeline registers off the compiled
+    #: schedule.
     #: The kernel treats these as deferrals — it steps a bounded window
     #: on the activity kernel and re-probes — instead of falling back
-    #: for the remainder of the call, so piecewise-periodic workloads
-    #: (use-case switches) re-enter compiled execution and re-arm
-    #: steady-state probing in the *new* regime.
+    #: for the remainder of the call, so the engine returns once the
+    #: packet or the phits have drained.  Use-case switches never
+    #: refuse the engine: elided set-up runs as engine events.
     DEFERRABLE = frozenset((CONFIG_ACTIVE, DATAPATH_BUSY))
 
     def __init__(self, kind: str, detail: str = "") -> None:
@@ -1104,7 +1105,7 @@ class Kernel:
 
         Refusals split two ways.  *Transient* kinds
         (:attr:`CompileRefusal.DEFERRABLE`: a config packet on the
-        word-level tree, phits draining off the compiled schedule) are
+        word-level tree, phits parked off the compiled schedule) are
         deferrals — the kernel steps a bounded, exponentially growing
         activity window and re-probes, so the engine returns once the
         tree is quiet.  Every other kind falls back to the activity

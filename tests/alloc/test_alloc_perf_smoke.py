@@ -1,11 +1,11 @@
 """Perf-regression smoke test for the bitmask allocation engine.
 
 Bounds the bitmask engine's advantage over the reference ledger on the
-benchmark workload (8x8 mesh, T=32, 220 fleet connections).  The full
-benchmark (``benchmarks/bench_alloc_engine.py``) demands the real >= 5x
-target under best-of-N timing; this smoke test uses a single round and a
-deliberately loose 2x bound so it stays robust on noisy shared CI
-runners while still catching a change that destroys the optimization.
+fleet workload (8x8 mesh, T=32, 220 fleet connections).  It uses a
+single round and a deliberately loose 2x bound so it stays robust on
+noisy shared CI runners while still catching a change that destroys the
+optimization.  The allocator's host cost itself is measured by the
+benchmark harness's ``plan_admission`` workload (``alloc.allocate_s``).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from repro.errors import AllocationError
 from repro.params import daelite_parameters
 from repro.topology import build_mesh, ni_name
 
-#: Loose CI bound; the benchmark enforces the real 5x target.
+#: Loose CI bound against the reference ledger.
 MIN_SPEEDUP = 2.0
 CONNECTIONS = 220
 ROUNDS = 3
@@ -82,5 +82,5 @@ def test_bitmask_engine_beats_reference_on_fleet_allocation():
     speedup = min(walls[REFERENCE_ENGINE]) / min(walls[BITMASK_ENGINE])
     assert speedup >= MIN_SPEEDUP, (
         f"bitmask engine only {speedup:.2f}x faster than the reference "
-        f"ledger (smoke bound {MIN_SPEEDUP}x; benchmark target 5x)"
+        f"ledger (smoke bound {MIN_SPEEDUP}x)"
     )

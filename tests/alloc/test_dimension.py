@@ -132,27 +132,6 @@ class TestDimensioning:
         with pytest.raises(ParameterError, match="cover"):
             dimension_platform(spec, placement={"cpu": "NI00"})
 
-    def test_parallel_search_matches_serial(self):
-        """The process-pool search consumes results in strict cost
-        order, so it must pick exactly the platform the serial search
-        picks — including the placement."""
-        connections = [
-            ConnectionRequest(
-                f"c{i}", "cpu", "mem", forward_slots=3, reverse_slots=1
-            )
-            for i in range(4)
-        ]
-        spec = spec_with(connections, ips=("cpu", "mem"))
-        serial = dimension_platform(spec)
-        parallel = dimension_platform(spec, max_workers=2)
-        assert (parallel.width, parallel.height) == (
-            serial.width,
-            serial.height,
-        )
-        assert parallel.slot_table_size == serial.slot_table_size
-        assert parallel.placement == serial.placement
-        assert parallel.area_ge == serial.area_ge
-
     def test_parallel_search_reports_no_fit(self):
         connections = [
             ConnectionRequest(f"c{i}", "cpu", "mem", forward_slots=30)
@@ -160,7 +139,7 @@ class TestDimensioning:
         ]
         spec = spec_with(connections, ips=("cpu", "mem"))
         with pytest.raises(AllocationError, match="fits"):
-            dimension_platform(spec, max_workers=2)
+            dimension_platform(spec)
 
     def test_engine_pins_every_evaluation(self):
         spec = spec_with(

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import os
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -19,23 +17,6 @@ from repro.core import DaeliteNetwork
 from repro.params import aelite_parameters, daelite_parameters
 from repro.sim.kernel import DEFAULT_KERNEL_MODE, KERNEL_MODE_ENV, Kernel
 from repro.topology import build_mesh
-
-# The --no-fast-path plumbing is shared with the benchmark harness.
-sys.path.insert(
-    0, str(Path(__file__).resolve().parent.parent / "benchmarks")
-)
-from _helpers import (  # noqa: E402
-    add_no_fast_path_option,
-    apply_no_fast_path,
-)
-
-
-def pytest_addoption(parser):
-    add_no_fast_path_option(parser)
-
-
-def pytest_configure(config):
-    apply_no_fast_path(config)
 
 
 @pytest.fixture(scope="session", autouse=True)
