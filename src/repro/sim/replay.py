@@ -13,7 +13,8 @@ cycle and holds no data-plane state:
   a captured epoch ``K`` times with numpy broadcasting (``k``-major,
   chronological within each epoch) as consecutive-sequence runs
   through the stats collector's ``record_injections`` /
-  ``record_ejections``.
+  ``record_ejections``, and each multicast tree's interleaved
+  deliveries as one ``record_fanout`` run.
 * **Piecewise-periodic regime cache** — a proven-steady epoch is stored
   fully rebased (event cycles relative to the epoch start, sequences
   and payloads relative to the per-connection anchors, counters as
@@ -354,13 +355,17 @@ class EpochReplay:
         ``deltas`` are the per-connection sequence advances of one
         epoch.  Event streams are re-recorded k-major (all epochs of
         one connection at once) as runs through the stats collector's
-        ``record_injections`` / ``record_ejections``; within each
-        per-connection (and per-sink) stream this reproduces exactly
-        the order an epoch-by-epoch walk would produce, and across
-        streams only dict iteration order differs — which no comparable
-        state (per-connection latency lists, the word ledger, received
-        streams) can observe.  Injections land before ejections so
-        every replayed ejection finds its word injected.
+        ``record_injections`` / ``record_ejections``.  A multicast
+        tree's destinations interleave inside each epoch, so its
+        ejections go k-major as one ``record_fanout`` run, each
+        delivery with its destination, in the order stepping delivers
+        them.  Within each per-connection (and per-sink) stream this
+        reproduces exactly the order an epoch-by-epoch walk would
+        produce, and across streams only dict iteration order differs —
+        which no comparable state (per-connection latency lists, the
+        word ledger, received streams) can observe.  Injections land
+        before ejections so every replayed ejection finds its word
+        injected.
         """
         period = self.period
         stats = self.stats
@@ -397,22 +402,18 @@ class EpochReplay:
         for cid, evs in ej_by_cid.items():
             delta = int(dvec[cid])
             conn = names[cid]
-            if len({e[2] for e in evs}) == 1:
-                dest = evs[0][2]
+            dests = [e[2] for e in evs]
+            if len(set(dests)) == 1:
                 for first, cycles in self._runs(evs, delta, ks):
-                    stats.record_ejections(conn, dest, first, cycles)
+                    stats.record_ejections(conn, dests[0], first, cycles)
             else:
-                # Multicast: per-destination streams interleave inside
-                # one epoch; keep the exact chronological epoch-by-epoch
-                # order so the connection's latency list interleaves as
-                # stepped execution produces it.
-                for k in range(1, epochs + 1):
-                    off_s = k * delta
-                    off_c = k * period
-                    for cyc_e, seq_e, dest in evs:
-                        stats.record_ejections(
-                            conn, dest, seq_e + off_s, (cyc_e + off_c,)
-                        )
+                # Multicast: the destinations' streams interleave inside
+                # each epoch, so the whole tree lands as one fan-out run
+                # in delivery order.
+                all_seq, all_cyc = self._columns(evs, delta, ks)
+                stats.record_fanout(
+                    conn, dests * epochs, all_seq.tolist(), all_cyc.tolist()
+                )
 
         for idx, evs in sink_by_idx.items():
             sink, _ni, _ch, _p, checking = self.sinks[idx]
@@ -432,6 +433,14 @@ class EpochReplay:
             if checking:
                 self._replay_checking(sink, evs, dvec, epochs)
 
+    def _columns(self, evs: List[tuple], delta: int, ks: Any) -> Any:
+        """One stream's epochs, k-major: its ``(sequences, cycles)``."""
+        cyc = np.asarray([e[0] for e in evs], dtype=np.int64)
+        seq = np.asarray([e[1] for e in evs], dtype=np.int64)
+        all_seq = (seq[None, :] + (ks * delta)[:, None]).ravel()
+        all_cyc = (cyc[None, :] + (ks * self.period)[:, None]).ravel()
+        return all_seq, all_cyc
+
     def _runs(self, evs: List[tuple], delta: int, ks: Any) -> Any:
         """One stream's epochs, k-major, as ``(first sequence, cycles)``
         runs: cut wherever the next sequence is not the previous + 1.
@@ -439,10 +448,7 @@ class EpochReplay:
         A steady stream that chains across epochs (first + delta ==
         last + 1) is a single run however many epochs are replayed.
         """
-        cyc = np.asarray([e[0] for e in evs], dtype=np.int64)
-        seq = np.asarray([e[1] for e in evs], dtype=np.int64)
-        all_seq = (seq[None, :] + (ks * delta)[:, None]).ravel()
-        all_cyc = (cyc[None, :] + (ks * self.period)[:, None]).ravel()
+        all_seq, all_cyc = self._columns(evs, delta, ks)
         cycles = all_cyc.tolist()
         cuts = np.flatnonzero(all_seq[1:] - all_seq[:-1] != 1) + 1
         lows = [0, *cuts.tolist()]

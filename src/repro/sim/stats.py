@@ -330,6 +330,84 @@ class StatsCollector:
         for sequence, cycle in enumerate(cycles, first_sequence):
             self._eject(connection, destination, sequence, cycle)
 
+    def record_fanout(
+        self,
+        connection: str,
+        destinations: Sequence[str],
+        sequences: Sequence[int],
+        cycles: Sequence[int],
+    ) -> None:
+        """Record a multicast tree's deliveries, interleaved.
+
+        Delivery ``i`` is word ``sequences[i]`` at ``destinations[i]``
+        at ``cycles[i]``.  Defined as exactly :meth:`record_ejection`
+        for each delivery, in order — same unknown-word and out-of-order
+        errors, same sequence-gap fault events, same latency order
+        across destinations.  A run in which every destination's
+        deliveries start at its expected next word and are consecutive,
+        and which covers only injected words, can raise nothing and
+        record no gap, so it is written in one pass: a word's first
+        delivery sets its column entry unless an earlier one already
+        did.
+        """
+        if not cycles:
+            return
+        stats = self.connections.get(connection)
+        nexts = self._consecutive_per_destination(
+            connection, destinations, sequences
+        )
+        if stats is not None and nexts is not None:
+            first = stats.first_sequence
+            column = stats.injected_at
+            if (
+                0 <= min(sequences) - first
+                and max(sequences) - first < len(column)
+            ):
+                injected = [column[s - first] for s in sequences]
+                if min(injected) >= 0:
+                    column = stats.ejected_at
+                    delivered = 0
+                    # Reversed, the earliest delivery of a word wins.
+                    for sequence, cycle in dict(
+                        zip(reversed(sequences), reversed(cycles))
+                    ).items():
+                        if column[sequence - first] < 0:
+                            column[sequence - first] = cycle
+                            delivered += 1
+                    self._undelivered -= delivered
+                    stats.ejected += len(cycles)
+                    stats.latencies.extend(map(sub, cycles, injected))
+                    for destination, expected in nexts.items():
+                        self._last_ejected[(connection, destination)] = (
+                            expected - 1
+                        )
+                    return
+        for destination, sequence, cycle in zip(
+            destinations, sequences, cycles
+        ):
+            self._eject(connection, destination, sequence, cycle)
+
+    def _consecutive_per_destination(
+        self,
+        connection: str,
+        destinations: Sequence[str],
+        sequences: Sequence[int],
+    ) -> Optional[Dict[str, int]]:
+        """Each destination's next expected word after the deliveries,
+        in first-appearance order — or ``None`` unless every
+        destination's deliveries start at its expected next word and
+        are consecutive."""
+        nexts: Dict[str, int] = {}
+        for destination, sequence in zip(destinations, sequences):
+            expected = nexts.get(destination)
+            if expected is None:
+                last = self._last_ejected.get((connection, destination))
+                expected = 0 if last is None else last + 1
+            if sequence != expected:
+                return None
+            nexts[destination] = sequence + 1
+        return nexts
+
     # -- queries --------------------------------------------------------------
 
     def word_times(self) -> Dict[tuple, Tuple[int, Optional[int]]]:

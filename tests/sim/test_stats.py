@@ -4,6 +4,8 @@ in order."""
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -201,7 +203,7 @@ class TestWordLedger:
 # -- runs are the scalar calls, in order ---------------------------------------
 
 CONNECTIONS = ("a", "b")
-DESTINATIONS = ("d1", "d2")
+DESTINATIONS = ("d1", "d2", "d3")
 
 
 def observe(stats):
@@ -209,7 +211,7 @@ def observe(stats):
         stats.word_times(),
         {label: list(s.latencies) for label, s in stats.connections.items()},
         {label: (s.injected, s.ejected) for label, s in stats.connections.items()},
-        dict(stats._last_ejected),
+        list(stats._last_ejected.items()),
         stats.fault_log(),
         stats.undelivered(),
         stats.all_delivered,
@@ -217,13 +219,21 @@ def observe(stats):
 
 
 def apply_as_run(stats, op):
-    if op[0] == "inject":
-        stats.record_injections(*op[1:])
+    tag, *args = op
+    if tag == "inject":
+        stats.record_injections(*args)
+    elif tag == "eject":
+        stats.record_ejections(*args)
     else:
-        stats.record_ejections(*op[1:])
+        stats.record_fanout(*args)
 
 
 def apply_word_by_word(stats, op):
+    if op[0] == "fanout":
+        _, conn, destinations, sequences, cycles = op
+        for dest, seq, cycle in zip(destinations, sequences, cycles):
+            stats.record_ejection(w(seq, conn), cycle, dest)
+        return
     tag, conn, *dest, first, cycles = op
     for seq, cycle in enumerate(cycles, first):
         if tag == "inject":
@@ -256,13 +266,33 @@ def assert_runs_match_scalar_calls(ops):
 TWEAKS = ("keep",) * 6 + ("drop", "twice", "early", "late")
 
 
+def fanout(draw, conn, dests, first, cycles):
+    """``cycles``' run delivered at each of ``dests`` as one fan-out op:
+    every destination gets the words in order, and a drawn merge
+    interleaves the destinations (a destination listed twice is two
+    streams, hence out-of-order deliveries)."""
+    streams = [[dest, 0] for dest in dests]
+    destinations, sequences, delivered = [], [], []
+    while streams:
+        stream = streams[draw(st.integers(0, len(streams) - 1))]
+        dest, index = stream
+        destinations.append(dest)
+        sequences.append(first + index)
+        delivered.append(cycles[index] + 1 + DESTINATIONS.index(dest))
+        stream[1] += 1
+        if stream[1] == len(cycles):
+            streams.remove(stream)
+    return ("fanout", conn, destinations, sequences, delivered)
+
+
 @st.composite
 def run_ops(draw):
     """A well-formed stream per connection — runs injected densely from
     a first sequence of 0, 7 or 2**62, each delivered at some of the
-    destinations — with four in ten of the ops then dropped, doubled
-    or moved by one word, which is where gaps, duplicates, unknown words
-    and runs off the expected word come from."""
+    destinations, one by one or as one interleaved fan-out — with four
+    in ten of the ops then dropped, doubled or moved by one word, which
+    is where gaps, duplicates, unknown words and runs off the expected
+    word come from."""
     ops = []
     for conn in CONNECTIONS:
         first = draw(st.sampled_from((0, 7, 2**62)))
@@ -270,14 +300,19 @@ def run_ops(draw):
             cycles = draw(
                 st.lists(st.integers(0, 10**6), min_size=1, max_size=4)
             )
-            dests = draw(st.lists(st.sampled_from(DESTINATIONS), max_size=2))
-            for op in [("inject", conn)] + [
-                ("eject", conn, dest) for dest in dests
-            ]:
+            dests = draw(st.lists(st.sampled_from(DESTINATIONS), max_size=3))
+            tree = dests and draw(st.booleans())
+            for op in [("inject", conn)] + (
+                [None] if tree else [("eject", conn, dest) for dest in dests]
+            ):
                 tweak = draw(st.sampled_from(TWEAKS))
                 copies = {"drop": 0, "twice": 2}.get(tweak, 1)
                 shift = {"early": -1, "late": 1}.get(tweak, 0)
-                ops += [op + (first + shift, cycles)] * copies
+                if op is None:
+                    op = fanout(draw, conn, dests, first + shift, cycles)
+                else:
+                    op += (first + shift, cycles)
+                ops += [op] * copies
             first += len(cycles)
     return ops
 
@@ -290,6 +325,31 @@ def test_runs_match_scalar_calls(ops):
 
 
 HUGE = 2**62
+
+#: One epoch of a 3-leaf tree carrying two words: ``(destination,
+#: sequence, cycle)`` in delivery order, the leaves interleaved.
+TREE_EPOCH = (
+    ("d1", 0, 10),
+    ("d2", 0, 11),
+    ("d1", 1, 12),
+    ("d3", 0, 13),
+    ("d2", 1, 14),
+    ("d3", 1, 15),
+)
+
+
+def k_major(conn, epoch, epochs, delta=2, period=10):
+    """``epoch`` repeated for each ``k`` in ``epochs`` as one fan-out op,
+    flattened k-major the way epoch replay builds it (sequences shifted
+    by ``k * delta``, cycles by ``k * period``)."""
+    return (
+        "fanout",
+        conn,
+        [dest for _ in epochs for dest, _, _ in epoch],
+        [seq + k * delta for k in epochs for _, seq, _ in epoch],
+        [cycle + k * period for k in epochs for _, _, cycle in epoch],
+    )
+
 
 #: One stream per situation the run entry points must get right.
 NAMED_STREAMS = {
@@ -350,6 +410,51 @@ NAMED_STREAMS = {
     "empty-runs": [
         ("inject", "a", 0, []),
         ("eject", "a", "d1", 0, []),
+        ("fanout", "a", [], [], []),
+    ],
+    # Fan-out runs: one multicast tree's deliveries, interleaved.
+    "fanout-steady-tree": [
+        ("inject", "a", 0, [1, 2, 3, 4, 5, 6, 7, 8]),
+        k_major("a", TREE_EPOCH, epochs=range(0, 2)),
+        k_major("a", TREE_EPOCH, epochs=range(2, 4)),
+    ],
+    "fanout-leaf-off-its-expected-word": [
+        ("inject", "a", 0, [1, 2, 3]),
+        # gap fault at d2's first delivery: expected 0
+        ("fanout", "a", ["d1", "d2", "d1", "d2"], [0, 1, 1, 2], [8, 9, 10, 11]),
+    ],
+    "fanout-never-injected-word": [
+        ("inject", "a", 0, [1, 2]),
+        ("inject", "a", 3, [4]),
+        # the first four deliveries land, word 2 at d1 raises
+        (
+            "fanout",
+            "a",
+            ["d1", "d2", "d1", "d2", "d1", "d2"],
+            [0, 0, 1, 1, 2, 2],
+            [8, 9, 10, 11, 12, 13],
+        ),
+    ],
+    "fanout-past-the-column": [
+        ("inject", "a", 0, [1, 2]),
+        ("fanout", "a", ["d1", "d2", "d1", "d1"], [0, 0, 1, 2], [8, 9, 10, 11]),
+    ],
+    "fanout-words-already-delivered": [
+        ("inject", "a", 0, [1, 2, 3, 4]),
+        ("eject", "a", "d1", 0, [5, 6]),
+        # words 0 and 1 keep their first delivery at d1
+        (
+            "fanout",
+            "a",
+            ["d2", "d1", "d2", "d2", "d1", "d2"],
+            [0, 2, 1, 2, 3, 3],
+            [20, 21, 22, 23, 24, 25],
+        ),
+    ],
+    "fanout-destination-repeated": [
+        ("inject", "a", 0, [1, 2]),
+        # out of order at the third delivery
+        ("fanout", "a", ["d1", "d2", "d1", "d2"], [0, 0, 0, 1], [8, 9, 10, 11]),
     ],
 }
 
@@ -369,31 +474,116 @@ def test_the_named_streams_reach_the_slice_paths():
     assert stats.connections["a"].latencies == [7, 7, 7, 7]
 
 
+def test_a_steady_tree_lands_without_a_scalar_call(monkeypatch):
+    """The steady tree's two fan-out runs take the slice path: no
+    ``_eject`` call, every word delivered, the leaves' latencies
+    interleaved in delivery order."""
+    stats = StatsCollector()
+
+    def refuse(*args):
+        raise AssertionError(f"scalar walk: {args}")
+
+    monkeypatch.setattr(StatsCollector, "_eject", refuse)
+    for op in NAMED_STREAMS["fanout-steady-tree"]:
+        apply_as_run(stats, op)
+    ledger = stats.connections["a"]
+    assert stats.all_delivered and not stats.faults
+    assert ledger.ejected == 24
+    assert list(ledger.ejected_at) == [10, 12, 20, 22, 30, 32, 40, 42]
+    assert ledger.latencies[:6] == [9, 10, 10, 12, 12, 13]
+    assert list(stats._last_ejected.items()) == [
+        (("a", "d1"), 7),
+        (("a", "d2"), 7),
+        (("a", "d3"), 7),
+    ]
+
+
+def plant(monkeypatch, original, mutant):
+    """Run the fan-out methods with the one source fragment ``original``
+    of ``stats.py`` rewritten to ``mutant``."""
+    source = inspect.getsource(stats_module)
+    assert source.count(original) == 1, original
+    namespace = {
+        "__name__": stats_module.__name__,
+        "__package__": stats_module.__package__,
+    }
+    exec(
+        compile(
+            source.replace(original, mutant), stats_module.__file__, "exec"
+        ),
+        namespace,
+    )
+    for method in ("record_fanout", "_consecutive_per_destination"):
+        monkeypatch.setattr(
+            StatsCollector, method, getattr(namespace["StatsCollector"], method)
+        )
+
+
 class TestPlantedLedgerMutantsAreKilled:
     """Each slice path is guarded by one condition per way the scalar
     walk could behave differently; drop one and a named stream diverges.
-    The guards are the ``min`` / ``max`` over the run's column slices,
-    so shadowing that builtin in the module's namespace removes exactly
-    the guard."""
+    The run paths' guards are the ``min`` / ``max`` over the run's
+    columns, so shadowing that builtin in the module's namespace removes
+    exactly the guard; the fan-out path's own rules are planted as
+    source mutants."""
 
     @staticmethod
     def survives(name):
+        """A kill is the differential diverging, or crashing where the
+        scalar calls did not."""
         try:
             assert_runs_match_scalar_calls(NAMED_STREAMS[name])
-        except AssertionError:
+        except Exception:
             return False
         return True
 
     def test_skipping_the_all_injected_check(self, monkeypatch):
         assert self.survives("unknown-word-inside-a-run")
+        assert self.survives("fanout-never-injected-word")
         monkeypatch.setattr(
             stats_module, "min", lambda column: 0, raising=False
         )
         assert not self.survives("unknown-word-inside-a-run")
+        assert not self.survives("fanout-never-injected-word")
 
     def test_skipping_the_not_yet_delivered_check(self, monkeypatch):
         assert self.survives("second-multicast-destination")
+        assert self.survives("fanout-past-the-column")
         monkeypatch.setattr(
             stats_module, "max", lambda column: -1, raising=False
         )
         assert not self.survives("second-multicast-destination")
+        assert not self.survives("fanout-past-the-column")
+
+    def test_first_delivery_taken_from_the_last_occurrence(
+        self, monkeypatch
+    ):
+        assert self.survives("fanout-steady-tree")
+        plant(
+            monkeypatch,
+            "zip(reversed(sequences), reversed(cycles))",
+            "zip(sequences, cycles)",
+        )
+        assert not self.survives("fanout-steady-tree")
+        assert not self.survives("fanout-words-already-delivered")
+
+    def test_per_destination_consecutiveness_dropped(self, monkeypatch):
+        assert self.survives("fanout-leaf-off-its-expected-word")
+        assert self.survives("fanout-destination-repeated")
+        plant(monkeypatch, "if sequence != expected:", "if False:")
+        assert not self.survives("fanout-leaf-off-its-expected-word")
+        assert not self.survives("fanout-destination-repeated")
+
+    def test_fanout_injected_check_dropped(self, monkeypatch):
+        plant(monkeypatch, "if min(injected) >= 0:", "if True:")
+        assert not self.survives("fanout-never-injected-word")
+        # The run paths keep their own guard.
+        assert self.survives("unknown-word-inside-a-run")
+
+    def test_undelivered_decremented_per_delivery(self, monkeypatch):
+        plant(
+            monkeypatch,
+            "self._undelivered -= delivered",
+            "self._undelivered -= len(cycles)",
+        )
+        assert not self.survives("fanout-steady-tree")

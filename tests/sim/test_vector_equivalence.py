@@ -51,6 +51,7 @@ from repro.sim.compiled import CompiledEngine
 from repro.sim.flit import Phit, Word
 from repro.sim.kernel import ACTIVITY_MODE, VECTOR_MODE, CompileRefusal
 from repro.sim.replay import EpochReplay
+from repro.sim.stats import StatsCollector
 from repro.topology import build_mesh, ni_name
 from repro.traffic.generators import (
     BurstGenerator,
@@ -492,6 +493,101 @@ def test_16x16_matches_activity():
     net = run_in_lockstep(build, (4_000,))
     assert net.kernel.kernel_stats()["replayed_epochs"] > 0
     assert net.stats.delivered_words("far") > 0
+
+
+#: Two 3-leaf trees and a unicast flow on a 3x3 mesh.
+TREES = (
+    MulticastRequest("t0", "NI00", ("NI11", "NI22", "NI02"), slots=2),
+    MulticastRequest("t1", "NI20", ("NI01", "NI12", "NI21"), slots=1),
+)
+UNICAST = ConnectionRequest(
+    "u", "NI10", "NI22", forward_slots=1, reverse_slots=1
+)
+
+
+def build_trees(mode):
+    """:data:`TREES` and :data:`UNICAST`, each fed by a period-8 CBR
+    generator, every leaf drained by a checking sink."""
+    params = daelite_parameters(slot_table_size=8)
+    mesh = build_mesh(3, 3)
+    allocator = SlotAllocator(topology=mesh, params=params)
+    trees = [allocator.allocate_multicast(request) for request in TREES]
+    unicast = allocator.allocate_connection(UNICAST)
+    net = DaeliteNetwork(mesh, params, kernel_mode=mode)
+    handle = net.configure(unicast)
+    net.run_until_configured(handle)
+    gen, sink = attach_cbr_flow(net, handle, UNICAST, period=8)
+    gens, sinks = [gen], [sink]
+    for request, tree in zip(TREES, trees):
+        handle = net.configure_multicast(tree)
+        net.run_until_configured(handle)
+        gens.append(
+            CbrGenerator(
+                f"gen_{request.label}",
+                inject=net.ni(request.src_ni).injector(
+                    handle.src_channel, request.label
+                ),
+                period=8,
+            )
+        )
+        net.kernel.add(gens[-1])
+        for leaf in request.dst_nis:
+            sinks.append(
+                CheckingSink(
+                    f"sink_{request.label}_{leaf}",
+                    receive=net.ni(leaf).receiver(handle.dst_channels[leaf]),
+                    stats=net.stats,
+                )
+            )
+            net.kernel.add(sinks[-1])
+    return net, gens, sinks
+
+
+def test_multicast_trees_replay_as_fanout_runs(monkeypatch):
+    """Replayed epochs of two 3-leaf trees land bit-identically — the
+    leaves' ``latencies`` interleaved as stepping interleaves them — as
+    one fan-out run per tree and replay, with no scalar ``_eject``
+    call inside the replay (only stepped deliveries make those)."""
+    calls = {"materialize": 0, "record_fanout": 0, "_eject": 0}
+    inside = []
+    materialize = EpochReplay.materialize
+    record_fanout = StatsCollector.record_fanout
+    eject = StatsCollector._eject
+
+    def replaying(self, *args):
+        calls["materialize"] += 1
+        inside.append(self)
+        try:
+            materialize(self, *args)
+        finally:
+            inside.pop()
+
+    def fanning_out(self, *args):
+        calls["record_fanout"] += 1
+        record_fanout(self, *args)
+
+    def ejecting(self, *args):
+        calls["_eject"] += len(inside)
+        eject(self, *args)
+
+    monkeypatch.setattr(EpochReplay, "materialize", replaying)
+    monkeypatch.setattr(StatsCollector, "record_fanout", fanning_out)
+    monkeypatch.setattr(StatsCollector, "_eject", ejecting)
+    replayed_before = []
+
+    def note_replayed(index, net):
+        if index == 1 and net.kernel.mode == VECTOR_MODE:
+            replayed_before.append(net.kernel.kernel_stats()["replayed_cycles"])
+
+    net = run_in_lockstep(build_trees, (200, 4_000), note_replayed)
+    replayed = net.kernel.kernel_stats()["replayed_cycles"]
+    assert (replayed - replayed_before[0]) / 4_000 >= 0.9
+    for request in TREES:
+        ledger = net.stats.connections[request.label]
+        assert ledger.ejected > 2 * ledger.injected
+    assert calls["materialize"] > 0
+    assert calls["record_fanout"] == len(TREES) * calls["materialize"]
+    assert calls["_eject"] == 0
 
 
 # -- the int64 budget of the numpy replay ---------------------------------------
