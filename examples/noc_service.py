@@ -2,10 +2,10 @@
 
 A :class:`ConnectionBroker` fronts a fleet of TDM meshes.  Tenants ask
 for connections and get *leases* — admission is decided by the
-closed-form oracle before any config-tree cycle is spent, set-ups are
-batched onto the tree, a circuit breaker sheds load from a misbehaving
-region, and faults injected mid-churn are scrubbed and replayed
-without a single raw exception reaching the caller.
+closed-form oracle before any config-tree cycle is spent, each set-up
+streams through the config tree, a circuit breaker sheds load from a
+misbehaving region, and faults injected mid-churn are scrubbed and
+replayed without a single raw exception reaching the caller.
 
 Run:  python examples/noc_service.py
 """
@@ -54,19 +54,23 @@ def main() -> None:
         f"@{shard.leases.get('video.stream').expires_at}"
     )
 
-    # A batch of set-ups shares one blocking pass on the config tree.
-    batch = broker.open_batch(
-        [
+    # The config module sends set-up packets one at a time, so opening
+    # several connections is a loop: queuing them would start none sooner.
+    more = [
+        broker.open(
             TenantRequest(
                 tenant="video",
                 request=ConnectionRequest(
                     f"video.aux{index}", "NI11", "NI10"
                 ),
             )
-            for index in range(2)
-        ]
+        )
+        for index in range(2)
+    ]
+    print(
+        f"more  : {[item.status for item in more]} in "
+        f"{[item.op_cycles for item in more]} cycles"
     )
-    print(f"batch : {[item.status for item in batch]}")
 
     # -- a seeded churn campaign with faults armed -----------------------------
     churn = ChurnEngine(broker, seed=42, tenants=6, max_live=5)

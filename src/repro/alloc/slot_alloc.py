@@ -55,8 +55,8 @@ from .spec import (
 
 #: Environment variable selecting the default ledger engine.
 ALLOC_ENGINE_ENV = "REPRO_ALLOC_ENGINE"
-#: Bitmask occupancy engine (rotate-and-OR admissibility, batched
-#: per-link claims, journalled snapshot/rollback).
+#: Bitmask occupancy engine (rotate-and-OR admissibility, one mask
+#: operation per link claimed or released, journalled snapshot/rollback).
 BITMASK_ENGINE = "bitmask"
 #: Reference engine: per-slot dict probes, the semantic baseline.
 REFERENCE_ENGINE = "reference"
@@ -97,9 +97,12 @@ class LinkSlotLedger:
     """Book-keeping of which connection owns each (link, slot) pair.
 
     This is the *reference* engine: every query walks the per-edge slot
-    dict.  The batched mask operations and the journalled
-    snapshot/rollback machinery are engine-agnostic (they decompose into
-    the per-slot primitives), so subclasses only override the hot paths.
+    dict.  A channel or tree is claimed only through
+    :meth:`probe_rotations` → :meth:`claim_prepared` and released only
+    through :meth:`release_rotations`; besides those, the write surface
+    is the per-slot :meth:`claim` / :meth:`release` and the journalled
+    snapshot/rollback.  Here the channel operations decompose into the
+    per-slot primitives, so subclasses only override the hot paths.
     """
 
     engine = REFERENCE_ENGINE
@@ -176,103 +179,22 @@ class LinkSlotLedger:
             self._journal.append((_OP_RELEASE_SLOT, edge, slot, label))
         self._clear(edge, slot, label)
 
-    def claim_edge_mask(
-        self, edge: Tuple[str, str], mask: int, label: str
-    ) -> None:
-        """Claim every slot in the bitmask ``mask`` on one link.
-
-        Atomic per edge: the mask is validated in full (lowest
-        conflicting slot reported) before any slot is claimed, matching
-        the bitmask engine's all-or-nothing behaviour.
-
-        Raises:
-            SlotConflictError: as :meth:`claim`.
-        """
-        for slot in iter_mask_slots(mask):
-            owner = self.owner(edge, slot)
-            if owner is not None and owner != label:
-                raise SlotConflictError(
-                    f"link {edge} slot {slot} owned by {owner!r}; "
-                    f"cannot claim for {label!r}"
-                )
-        for slot in iter_mask_slots(mask):
-            self.claim(edge, slot, label)
-
-    def release_edge_mask(
-        self, edge: Tuple[str, str], mask: int, label: str
-    ) -> None:
-        """Release every slot in the bitmask ``mask`` on one link.
-
-        Atomic per edge, like :meth:`claim_edge_mask`.
-
-        Raises:
-            SlotConflictError: as :meth:`release`.
-        """
-        for slot in iter_mask_slots(mask):
-            owner = self.owner(edge, slot)
-            if owner != label:
-                raise SlotConflictError(
-                    f"link {edge} slot {slot} owned by {owner!r}, not "
-                    f"{label!r}; cannot release"
-                )
-        for slot in iter_mask_slots(mask):
-            self.release(edge, slot, label)
-
-    def claim_rotations(
+    def _rotated(
         self,
         diagonal: Sequence[Tuple[Tuple[str, str], int]],
         base_mask: int,
-        label: str,
-    ) -> None:
-        """Claim a whole channel: ``base_mask`` rotated along ``diagonal``.
-
-        For every ``(edge, offset)`` pair, the base-slot bitmask rotated
-        left by ``offset`` is claimed on ``edge`` — exactly the claims
+    ) -> Iterator[Tuple[Tuple[str, str], int]]:
+        """``(edge, slot mask)`` per pair of ``diagonal``: ``base_mask``
+        rotated left by the pair's offset — exactly the claims
         :meth:`~repro.alloc.spec.AllocatedChannel.link_claims`
-        enumerates, applied atomically: on conflict everything already
-        claimed here is rolled back before the error propagates.
-
-        Raises:
-            SlotConflictError: as :meth:`claim`.
-        """
-        size = self.slot_table_size
-        full = (1 << size) - 1
-        token = self.snapshot()
-        try:
-            for edge, offset in diagonal:
-                shift = offset % size
-                self.claim_edge_mask(
-                    edge,
-                    ((base_mask << shift) | (base_mask >> (size - shift)))
-                    & full,
-                    label,
-                )
-        except SlotConflictError:
-            self.rollback(token)
-            raise
-        self.commit(token)
-
-    def release_rotations(
-        self,
-        diagonal: Sequence[Tuple[Tuple[str, str], int]],
-        base_mask: int,
-        label: str,
-    ) -> None:
-        """Release a whole channel claimed via :meth:`claim_rotations`.
-
-        Raises:
-            SlotConflictError: as :meth:`release`.
-        """
+        enumerates, grouped per edge."""
         size = self.slot_table_size
         full = (1 << size) - 1
         for edge, offset in diagonal:
             shift = offset % size
-            self.release_edge_mask(
-                edge,
-                ((base_mask << shift) | (base_mask >> (size - shift)))
-                & full,
-                label,
-            )
+            yield edge, (
+                (base_mask << shift) | (base_mask >> (size - shift))
+            ) & full
 
     def probe_rotations(
         self, diagonal: Sequence[Tuple[Tuple[str, str], int]]
@@ -288,12 +210,58 @@ class LinkSlotLedger:
         return self.admissible_base_mask(diagonal), diagonal
 
     def claim_prepared(self, context, base_mask: int, label: str) -> None:
-        """Claim a channel using a context from :meth:`probe_rotations`.
+        """Claim a whole channel: ``base_mask`` rotated along the claim
+        diagonal of a context from :meth:`probe_rotations`.
+
+        Atomic: each edge's mask is validated in full (lowest
+        conflicting slot reported) before any of its slots is claimed,
+        and on conflict everything already claimed here is rolled back
+        before the error propagates.
 
         Raises:
             SlotConflictError: as :meth:`claim`.
         """
-        self.claim_rotations(context, base_mask, label)
+        token = self.snapshot()
+        try:
+            for edge, mask in self._rotated(context, base_mask):
+                for slot in iter_mask_slots(mask):
+                    owner = self.owner(edge, slot)
+                    if owner is not None and owner != label:
+                        raise SlotConflictError(
+                            f"link {edge} slot {slot} owned by "
+                            f"{owner!r}; cannot claim for {label!r}"
+                        )
+                for slot in iter_mask_slots(mask):
+                    self.claim(edge, slot, label)
+        except SlotConflictError:
+            self.rollback(token)
+            raise
+        self.commit(token)
+
+    def release_rotations(
+        self,
+        diagonal: Sequence[Tuple[Tuple[str, str], int]],
+        base_mask: int,
+        label: str,
+    ) -> None:
+        """Release a whole channel claimed via :meth:`claim_prepared`.
+
+        Atomic per edge: each edge's mask is validated in full (lowest
+        slot not held reported) before any of its slots is released.
+
+        Raises:
+            SlotConflictError: as :meth:`release`.
+        """
+        for edge, mask in self._rotated(diagonal, base_mask):
+            for slot in iter_mask_slots(mask):
+                owner = self.owner(edge, slot)
+                if owner != label:
+                    raise SlotConflictError(
+                        f"link {edge} slot {slot} owned by {owner!r}, "
+                        f"not {label!r}; cannot release"
+                    )
+            for slot in iter_mask_slots(mask):
+                self.release(edge, slot, label)
 
     # -- speculative allocation ------------------------------------------------
 
@@ -415,11 +383,6 @@ class BitmaskLinkSlotLedger(LinkSlotLedger):
             entry[0] >> (slot % self.slot_table_size)
         ) & 1
 
-    def occupancy_mask(self, edge: Tuple[str, str]) -> int:
-        """The raw slot-occupancy bitmask of one directed link."""
-        entry = self._links.get(edge)
-        return 0 if entry is None else entry[0]
-
     def _set(self, edge: Tuple[str, str], slot: int, label: str) -> None:
         bit = 1 << slot
         entry = self._links.get(edge)
@@ -461,116 +424,6 @@ class BitmaskLinkSlotLedger(LinkSlotLedger):
         if self._snapshots:
             self._journal.append((_OP_CLAIM_SLOT, edge, slot, label))
         self._set(edge, slot, label)
-
-    def claim_edge_mask(
-        self, edge: Tuple[str, str], mask: int, label: str
-    ) -> None:
-        entry = self._links.get(edge)
-        if entry is None:
-            if not mask:
-                return
-            if self._snapshots:
-                self._journal.append((_OP_CLAIM_MASK, edge, mask, label))
-            self._links[edge] = [mask, {label: mask}]
-            return
-        occupied = entry[0]
-        conflict = occupied & mask
-        if conflict:
-            labels = entry[1]
-            foreign = conflict & ~labels.get(label, 0)
-            if foreign:
-                slot = (foreign & -foreign).bit_length() - 1
-                owner = self.owner(edge, slot)
-                raise SlotConflictError(
-                    f"link {edge} slot {slot} owned by {owner!r}; "
-                    f"cannot claim for {label!r}"
-                )
-        fresh = mask & ~occupied
-        if not fresh:
-            return
-        if self._snapshots:
-            self._journal.append((_OP_CLAIM_MASK, edge, fresh, label))
-        entry[0] = occupied | fresh
-        labels = entry[1]
-        labels[label] = labels.get(label, 0) | fresh
-
-    def release_edge_mask(
-        self, edge: Tuple[str, str], mask: int, label: str
-    ) -> None:
-        entry = self._links.get(edge)
-        held = 0 if entry is None else entry[1].get(label, 0)
-        missing = mask & ~held
-        if missing:
-            slot = (missing & -missing).bit_length() - 1
-            owner = self.owner(edge, slot)
-            raise SlotConflictError(
-                f"link {edge} slot {slot} owned by {owner!r}, not "
-                f"{label!r}; cannot release"
-            )
-        if not mask:
-            return
-        if self._snapshots:
-            self._journal.append((_OP_RELEASE_MASK, edge, mask, label))
-        remaining = entry[0] & ~mask
-        if not remaining:
-            del self._links[edge]
-            return
-        entry[0] = remaining
-        kept = held & ~mask
-        if kept:
-            entry[1][label] = kept
-        else:
-            del entry[1][label]
-
-    def claim_rotations(
-        self,
-        diagonal: Sequence[Tuple[Tuple[str, str], int]],
-        base_mask: int,
-        label: str,
-    ) -> None:
-        # The allocation hot path: one loop iteration per path link,
-        # everything inlined (claim_edge_mask per edge would double the
-        # Python frames per channel), one edge hash per link, and an
-        # inlined snapshot()/commit() bracketing the whole channel so a
-        # mid-path conflict unwinds cleanly.
-        size = self.slot_table_size
-        full = self._full_mask
-        links = self._links
-        journal = self._journal
-        self._snapshots += 1
-        token = len(journal)
-        for edge, offset in diagonal:
-            shift = offset % size
-            mask = (
-                (base_mask << shift) | (base_mask >> (size - shift))
-            ) & full
-            entry = links.get(edge)
-            if entry is None:
-                journal.append((_OP_CLAIM_MASK, edge, mask, label))
-                links[edge] = [mask, {label: mask}]
-                continue
-            occupied = entry[0]
-            conflict = occupied & mask
-            if conflict:
-                labels = entry[1]
-                foreign = conflict & ~labels.get(label, 0)
-                if foreign:
-                    slot = (foreign & -foreign).bit_length() - 1
-                    owner = self.owner(edge, slot)
-                    self.rollback(token)
-                    raise SlotConflictError(
-                        f"link {edge} slot {slot} owned by {owner!r}; "
-                        f"cannot claim for {label!r}"
-                    )
-            fresh = mask & ~occupied
-            if fresh:
-                journal.append((_OP_CLAIM_MASK, edge, fresh, label))
-                entry[0] = occupied | fresh
-                labels = entry[1]
-                labels[label] = labels.get(label, 0) | fresh
-        self._snapshots -= 1
-        if self._snapshots == 0:
-            journal.clear()
 
     def probe_rotations(
         self, diagonal: Sequence[Tuple[Tuple[str, str], int]]
@@ -637,6 +490,47 @@ class BitmaskLinkSlotLedger(LinkSlotLedger):
         if self._snapshots == 0:
             journal.clear()
 
+    def release_rotations(
+        self,
+        diagonal: Sequence[Tuple[Tuple[str, str], int]],
+        base_mask: int,
+        label: str,
+    ) -> None:
+        # One loop iteration per path link, everything inlined: an edge
+        # is checked in full, then released with one mask operation.
+        size = self.slot_table_size
+        full = self._full_mask
+        links = self._links
+        for edge, offset in diagonal:
+            shift = offset % size
+            mask = (
+                (base_mask << shift) | (base_mask >> (size - shift))
+            ) & full
+            entry = links.get(edge)
+            held = 0 if entry is None else entry[1].get(label, 0)
+            missing = mask & ~held
+            if missing:
+                slot = (missing & -missing).bit_length() - 1
+                owner = self.owner(edge, slot)
+                raise SlotConflictError(
+                    f"link {edge} slot {slot} owned by {owner!r}, not "
+                    f"{label!r}; cannot release"
+                )
+            if not mask:
+                continue
+            if self._snapshots:
+                self._journal.append((_OP_RELEASE_MASK, edge, mask, label))
+            remaining = entry[0] & ~mask
+            if not remaining:
+                del links[edge]
+                continue
+            entry[0] = remaining
+            kept = held & ~mask
+            if kept:
+                entry[1][label] = kept
+            else:
+                del entry[1][label]
+
     def rollback(self, token: int) -> None:
         links = self._links
         while len(self._journal) > token:
@@ -647,7 +541,7 @@ class BitmaskLinkSlotLedger(LinkSlotLedger):
                 self._set(edge, value, label)
             elif op == _OP_CLAIM_MASK:
                 # Reverse of the fresh-bit application in
-                # claim_edge_mask / claim_rotations.
+                # claim_prepared.
                 entry = links[edge]
                 remaining = entry[0] & ~value
                 if not remaining:
@@ -700,12 +594,14 @@ class BitmaskLinkSlotLedger(LinkSlotLedger):
         return full & ~blocked
 
     def link_utilization(self, edge: Tuple[str, str]) -> float:
-        return self.occupancy_mask(edge).bit_count() / self.slot_table_size
+        entry = self._links.get(edge)
+        claimed = 0 if entry is None else entry[0].bit_count()
+        return claimed / self.slot_table_size
 
     def free_slot_count(self, edge: Tuple[str, str]) -> int:
-        return self.slot_table_size - (
-            self.occupancy_mask(edge).bit_count()
-        )
+        entry = self._links.get(edge)
+        claimed = 0 if entry is None else entry[0].bit_count()
+        return self.slot_table_size - claimed
 
     def total_claims(self) -> int:
         return sum(
@@ -775,6 +671,19 @@ def _spread_pick(candidates: Sequence[int], count: int, size: int) -> List[int]:
         picked.append(best)
         available.remove(best)
     return sorted(picked)
+
+
+def _tree_diagonal(
+    branches: Sequence[Sequence[str]],
+) -> List[Tuple[Tuple[str, str], int]]:
+    """One ``(edge, slot offset)`` pair per distinct edge of a
+    multicast tree, in first-appearance order: an edge *k* links deep
+    is entered *k + 1* slots after injection, on every branch."""
+    depths: Dict[Tuple[str, str], int] = {}
+    for branch in branches:
+        for k in range(len(branch) - 1):
+            depths.setdefault((branch[k], branch[k + 1]), k)
+    return [(edge, k + 1) for edge, k in depths.items()]
 
 
 def _slot_mask(slots) -> int:
@@ -890,11 +799,6 @@ class SlotAllocator:
             self._claim_diagonal(path, link_delays)
         )
         return list(iter_mask_slots(mask))
-
-    def _pick_slots(self, candidates: List[int], count: int) -> List[int]:
-        if self.policy == "first":
-            return sorted(candidates)[:count]
-        return _spread_pick(candidates, count, self.params.slot_table_size)
 
     def _pick_from_mask(self, mask: int, count: int) -> List[int]:
         """Pick ``count`` base slots straight from an admissibility mask.
@@ -1081,18 +985,12 @@ class SlotAllocator:
                     branch[position], branch[: position + 1]
                 )
         size = self.params.slot_table_size
-        edge_positions: Dict[Tuple[str, str], int] = {}
-        for branch in branches:
-            for k in range(len(branch) - 1):
-                edge_positions.setdefault((branch[k], branch[k + 1]), k)
-        tree_diagonal = [
-            (edge, k + 1) for edge, k in edge_positions.items()
-        ]
+        tree_diagonal = _tree_diagonal(branches)
         mask, context = self.ledger.probe_rotations(tree_diagonal)
         if mask.bit_count() < request.slots:
             raise AllocationError(
                 f"multicast {request.label!r}: needs {request.slots} "
-                f"slots over {len(edge_positions)} tree links, only "
+                f"slots over {len(tree_diagonal)} tree links, only "
                 f"{mask.bit_count()} admissible"
             )
         slots = frozenset(self._pick_from_mask(mask, request.slots))
@@ -1114,8 +1012,9 @@ class SlotAllocator:
         return tree
 
     def release_multicast(self, tree: AllocatedMulticast) -> None:
-        masks: Dict[Tuple[str, str], int] = {}
-        for edge, slot in tree.link_claims():
-            masks[edge] = masks.get(edge, 0) | (1 << slot)
-        for edge, mask in masks.items():
-            self.ledger.release_edge_mask(edge, mask, tree.label)
+        """Return a tree's claims to the free pool."""
+        self.ledger.release_rotations(
+            _tree_diagonal([branch.path for branch in tree.paths]),
+            _slot_mask(tree.slots),
+            tree.label,
+        )

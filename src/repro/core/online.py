@@ -16,7 +16,7 @@ established traffic (contention freedom is maintained by the ledger).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..alloc.pathfind import shortest_path
 from ..alloc.slot_alloc import SlotAllocator
@@ -198,75 +198,6 @@ class OnlineConnectionManager:
         self.connections[request.label] = record
         self.setup_history.append(setup_cycles)
         return record
-
-    def open_connections_batched(
-        self, requests: Sequence[ConnectionRequest]
-    ) -> List[OpenConnection]:
-        """Open several connections in one configuration-tree batch.
-
-        All set-up packets are staged on the config module's queue
-        before the simulator runs, so the tree streams them
-        back-to-back instead of paying a full round-trip per
-        connection — the service broker's bulk-admission path.
-        Per-connection set-up times still measure each handle's own
-        first-submission-to-last-completion span.
-
-        Allocation is all-or-nothing: if any request cannot be
-        allocated, every allocation already made for this batch is
-        released and the error propagates — no packet has been
-        submitted yet at that point.
-
-        Raises:
-            AllocationError: if a label is already open, a duplicate
-                appears within the batch, or slots run out.
-        """
-        seen: set[str] = set()
-        for request in requests:
-            if request.label in self.connections or (
-                request.label in seen
-            ):
-                raise AllocationError(
-                    f"connection {request.label!r} already open"
-                )
-            seen.add(request.label)
-        staged: List[Tuple[ConnectionRequest, AllocatedConnection]] = []
-        try:
-            for request in requests:
-                staged.append(
-                    (request, self.allocator.allocate_connection(request))
-                )
-        except AllocationError:
-            for _, allocation in staged:
-                self.allocator.release_connection(allocation)
-            raise
-        opened_at = self.network.kernel.cycle
-        handles: List[ConnectionHandle] = []
-        try:
-            for _, allocation in staged:
-                handles.append(
-                    self.network.host.setup_connection(allocation)
-                )
-            self.network.wait_configured(
-                [request for handle in handles for request in handle.requests],
-                self.max_op_cycles,
-            )
-        except ReproError:
-            for _, allocation in staged:
-                self.allocator.release_connection(allocation)
-            raise
-        records: List[OpenConnection] = []
-        for (request, allocation), handle in zip(staged, handles):
-            record = OpenConnection(
-                request=request,
-                allocation=allocation,
-                handle=handle,
-                opened_at=opened_at,
-                setup_cycles=handle.setup_cycles,
-            )
-            self.connections[request.label] = record
-            self.setup_history.append(handle.setup_cycles)
-            records.append(record)
-        return records
 
     def close_connection(self, label: str) -> int:
         """Tear down a connection and release its slots.

@@ -481,94 +481,6 @@ class ConnectionBroker:
                 reason=degraded_reason,
             )
 
-    def open_batch(
-        self, asks: Sequence[TenantRequest]
-    ) -> List[ServiceOutcome]:
-        """Admit a same-shard batch in one config-tree pass.
-
-        Every ask must map to the same shard (one config tree to
-        batch on).  Oracle-rejected asks get individual ``rejected``
-        outcomes; the remainder is set up via
-        :meth:`~repro.core.online.OnlineConnectionManager.
-        open_connections_batched`, falling back to per-request opens
-        (with their full retry machinery) if the batch itself fails.
-
-        Raises:
-            ServiceError: if the batch is empty or spans shards.
-        """
-        if not asks:
-            raise ServiceError("empty batch")
-        shard = self.shard_for(asks[0].tenant)
-        for ask in asks[1:]:
-            if self.shard_for(ask.tenant) is not shard:
-                raise ServiceError(
-                    "batch spans shards; split it per region"
-                )
-        outcomes: List[ServiceOutcome] = []
-        admitted: List[TenantRequest] = []
-        if not shard.breaker.allow(shard.now):
-            for ask in asks:
-                outcome = ServiceOutcome(
-                    status="admit_deferred",
-                    label=ask.request.label,
-                    tenant=ask.tenant,
-                    region=shard.region,
-                    cycle=shard.now,
-                    reason=f"{shard.region} circuit breaker is open",
-                )
-                self.stats.record(outcome)
-                outcomes.append(outcome)
-            return outcomes
-        for ask in asks:
-            verdict = shard.oracle.admit(ask.request)
-            if verdict.admitted:
-                admitted.append(ask)
-            else:
-                outcome = ServiceOutcome(
-                    status="rejected",
-                    label=ask.request.label,
-                    tenant=ask.tenant,
-                    region=shard.region,
-                    cycle=shard.now,
-                    reason=verdict.reason,
-                )
-                self.stats.record(outcome)
-                outcomes.append(outcome)
-        if not admitted:
-            return outcomes
-        try:
-            records = shard.manager.open_connections_batched(
-                [ask.request for ask in admitted]
-            )
-        except ReproError:
-            # Batch path failed as a unit; fall back to the per-request
-            # path, which owns retry/backoff and typed refusals.
-            outcomes.extend(self.open(ask) for ask in admitted)
-            return outcomes
-        shard.breaker.record_success(shard.now)
-        for ask, record in zip(admitted, records):
-            duration = (
-                ask.lease_cycles
-                if ask.lease_cycles is not None
-                else self.config.lease_cycles
-            )
-            shard.leases.grant(
-                record.request.label, ask.tenant, shard.now, duration
-            )
-            self._label_shard[record.request.label] = shard
-            self._label_tenant[record.request.label] = ask.tenant
-            outcome = ServiceOutcome(
-                status="admitted",
-                label=record.request.label,
-                tenant=ask.tenant,
-                region=shard.region,
-                cycle=shard.now,
-                op_cycles=record.setup_cycles,
-            )
-            self.stats.record(outcome)
-            outcomes.append(outcome)
-        return outcomes
-
     # -- lease lifecycle ---------------------------------------------------------
 
     def renew(self, label: str) -> ServiceOutcome:

@@ -178,7 +178,7 @@ from typing import (
     Tuple,
 )
 
-from ..errors import ContractViolationError, SimulationError
+from ..errors import ContractViolationError, ReproError, SimulationError
 
 #: Environment variable selecting the default kernel mode.
 KERNEL_MODE_ENV = "REPRO_KERNEL_MODE"
@@ -768,6 +768,19 @@ class Kernel:
                     f"free-standing link registers."
                 )
 
+    def _abort_cycle(self) -> None:
+        """Drop the drives of a cycle an error escaped from.
+
+        Every register driven in it goes back to its idle input and the
+        clock stays put, so a caller that handles the error can step
+        again: the cycle is re-run (its callbacks, already run, are
+        not).
+        """
+        for register in self._dirty:
+            register._d = register.idle
+            register._driven = False
+        self._dirty.clear()
+
     # -- activity bookkeeping -------------------------------------------------
 
     def _finalize(self) -> None:
@@ -960,6 +973,9 @@ class Kernel:
                     component.evaluate(cycle)
                 evaluated += 1
                 stale.add(component)
+        except ReproError:
+            self._abort_cycle()
+            raise
         finally:
             self._agenda = None
         self.evaluations += evaluated
@@ -1192,11 +1208,15 @@ class Kernel:
         for _ in range(cycles):
             for callback in self._callbacks.pop(self.cycle, ()):  # stimuli
                 callback(self.cycle)
-            for component in self.components:
-                if strict:
-                    self._evaluate_checked(component, self.cycle)
-                else:
-                    component.evaluate(self.cycle)
+            try:
+                for component in self.components:
+                    if strict:
+                        self._evaluate_checked(component, self.cycle)
+                    else:
+                        component.evaluate(self.cycle)
+            except ReproError:
+                self._abort_cycle()
+                raise
             for component in self.components:
                 for register in component.registers:
                     register.latch()

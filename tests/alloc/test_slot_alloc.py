@@ -112,6 +112,53 @@ class TestEngineSelection:
         assert allocator.ledger.engine == REFERENCE_ENGINE
 
 
+def claim_mask(ledger, edge, mask, label):
+    """Claim ``mask`` on one edge through the only claim path."""
+    _, context = ledger.probe_rotations([(edge, 0)])
+    ledger.claim_prepared(context, mask, label)
+
+
+def release_mask(ledger, edge, mask, label):
+    """Release ``mask`` on one edge through the only release path."""
+    ledger.release_rotations([(edge, 0)], mask, label)
+
+
+def public_methods(cls):
+    return {
+        name
+        for name in dir(cls)
+        if not name.startswith("_") and callable(getattr(cls, name))
+    }
+
+
+def test_both_engines_expose_one_surface():
+    """Neither engine grows an entry point the other lacks, and each
+    step of a request has one: probe, claim, release."""
+    assert public_methods(LinkSlotLedger) == public_methods(
+        BitmaskLinkSlotLedger
+    )
+    writes = {
+        "claim",
+        "release",
+        "probe_rotations",
+        "claim_prepared",
+        "release_rotations",
+        "snapshot",
+        "rollback",
+        "commit",
+    }
+    reads = {
+        "owner",
+        "is_free",
+        "admissible_base_mask",
+        "link_utilization",
+        "free_slot_count",
+        "total_claims",
+        "claimed_edges",
+    }
+    assert public_methods(LinkSlotLedger) == writes | reads
+
+
 @pytest.mark.parametrize("engine", BOTH_ENGINES)
 class TestLedgerEngines:
     """Engine-parametrized ledger behaviour (both must agree)."""
@@ -139,16 +186,34 @@ class TestLedgerEngines:
         assert backing == {}
 
     def test_edge_mask_claim_and_release(self, engine):
+        """Per-edge atomicity: a mask is checked in full, the lowest
+        conflicting (or missing) slot is reported, and the edge is
+        left unchanged when the claim or release raises."""
         ledger = make_ledger(8, engine)
-        ledger.claim_edge_mask(("a", "b"), 0b1011, "c1")
+        claim_mask(ledger, ("a", "b"), 0b1011, "c1")
         assert ledger.total_claims() == 3
         assert ledger.owner(("a", "b"), 3) == "c1"
-        with pytest.raises(SlotConflictError):
-            ledger.claim_edge_mask(("a", "b"), 0b0010, "c2")
-        with pytest.raises(SlotConflictError):
-            ledger.release_edge_mask(("a", "b"), 0b0110, "c1")
-        ledger.release_edge_mask(("a", "b"), 0b1011, "c1")
+        with pytest.raises(SlotConflictError, match="slot 1 owned by 'c1'"):
+            claim_mask(ledger, ("a", "b"), 0b1110, "c2")
+        assert ledger.owner(("a", "b"), 2) is None
+        with pytest.raises(SlotConflictError, match="slot 2 owned by None"):
+            release_mask(ledger, ("a", "b"), 0b0110, "c1")
+        assert ledger.owner(("a", "b"), 1) == "c1"
+        release_mask(ledger, ("a", "b"), 0b1011, "c1")
         assert ledger.total_claims() == 0
+
+    def test_release_rotations_stops_at_the_failing_edge(self, engine):
+        """Atomic per edge, not per diagonal: edges before the failing
+        one are released, the failing one keeps every slot."""
+        ledger = make_ledger(8, engine)
+        diagonal = [(("a", "b"), 1), (("b", "c"), 2)]
+        _, context = ledger.probe_rotations(diagonal)
+        ledger.claim_prepared(context, 0b0011, "mine")
+        ledger.release(("b", "c"), 3, "mine")
+        with pytest.raises(SlotConflictError, match="slot 3 owned by None"):
+            ledger.release_rotations(diagonal, 0b0011, "mine")
+        assert ledger.claimed_edges() == [("b", "c")]
+        assert ledger.owner(("b", "c"), 2) == "mine"
 
     def test_snapshot_rollback_restores_slots(self, engine):
         ledger = make_ledger(8, engine)
@@ -175,7 +240,7 @@ class TestLedgerEngines:
         ledger.claim(("a", "b"), 0, "outer")
         inner = ledger.snapshot()
         ledger.claim(("a", "b"), 1, "inner")
-        ledger.claim_edge_mask(("c", "d"), 0b1100, "inner")
+        claim_mask(ledger, ("c", "d"), 0b1100, "inner")
         ledger.rollback(inner)
         assert ledger.owner(("a", "b"), 0) == "outer"
         assert ledger.is_free(("a", "b"), 1)
@@ -185,9 +250,9 @@ class TestLedgerEngines:
 
     def test_rollback_of_mask_release_restores_claims(self, engine):
         ledger = make_ledger(8, engine)
-        ledger.claim_edge_mask(("a", "b"), 0b0110, "c1")
+        claim_mask(ledger, ("a", "b"), 0b0110, "c1")
         token = ledger.snapshot()
-        ledger.release_edge_mask(("a", "b"), 0b0110, "c1")
+        release_mask(ledger, ("a", "b"), 0b0110, "c1")
         assert ledger.claimed_edges() == []
         ledger.rollback(token)
         assert ledger.owner(("a", "b"), 1) == "c1"
@@ -198,14 +263,15 @@ class TestLedgerEngines:
         with pytest.raises(AllocationError, match="underflow"):
             ledger.rollback(0)
 
-    def test_claim_rotations_is_atomic(self, engine):
+    def test_claim_prepared_is_atomic(self, engine):
         ledger = make_ledger(8, engine)
+        diagonal = [(("a", "b"), 1), (("b", "c"), 2)]
+        _, context = ledger.probe_rotations(diagonal)
         # Block slot 2 on the second link: base 0 fits link 1 (slot 1)
         # but conflicts on link 2, so the whole claim must unwind.
         ledger.claim(("b", "c"), 2, "other")
-        diagonal = [(("a", "b"), 1), (("b", "c"), 2)]
-        with pytest.raises(SlotConflictError):
-            ledger.claim_rotations(diagonal, 0b0001, "mine")
+        with pytest.raises(SlotConflictError, match="slot 2 owned by"):
+            ledger.claim_prepared(context, 0b0001, "mine")
         assert ledger.total_claims() == 1
         assert ledger.claimed_edges() == [("b", "c")]
 

@@ -12,6 +12,7 @@ from repro.errors import (
     SimulationError,
 )
 from repro.params import daelite_parameters
+from repro.sim.kernel import ACTIVITY_MODE, NAIVE_MODE, VECTOR_MODE
 from repro.topology import build_mesh
 
 
@@ -178,6 +179,37 @@ class TestStatistics:
                 break
         assert received == list(range(words))
         assert net.total_dropped_words == 0
+
+
+class TestSequentialOpens:
+    @pytest.mark.parametrize(
+        "mode", [NAIVE_MODE, ACTIVITY_MODE, VECTOR_MODE]
+    )
+    def test_back_to_back_opens_never_idle_the_tree(self, mode):
+        """N opens take exactly ``sum(setup_cycles) + N`` cycles: each
+        wait returns one cycle after its set-up lands and the next
+        set-up starts there.  The config module sends one set-up at a
+        time, so queuing all N before one wait could start none of
+        them sooner."""
+        network = DaeliteNetwork(
+            build_mesh(4, 4),
+            daelite_parameters(slot_table_size=16),
+            kernel_mode=mode,
+        )
+        manager = OnlineConnectionManager(network)
+        nis = [element.name for element in network.topology.nis]
+        start = network.kernel.cycle
+        records = [
+            manager.open_connection(
+                ConnectionRequest(f"c{index}", nis[index], nis[-1 - index])
+            )
+            for index in range(6)
+        ]
+        elapsed = network.kernel.cycle - start
+        assert elapsed == sum(r.setup_cycles for r in records) + 6
+        assert [r.opened_at for r in records[1:]] == [
+            r.opened_at + r.setup_cycles + 1 for r in records[:-1]
+        ]
 
 
 class TestBlockingBudget:

@@ -9,6 +9,7 @@ same randomized scenarios and compare everything observable.
 
 from __future__ import annotations
 
+import inspect
 import random
 
 import pytest
@@ -26,6 +27,7 @@ from repro.alloc import (
     UseCaseManager,
     allocate_multipath,
 )
+from repro.alloc import slot_alloc
 from repro.errors import AllocationError
 from repro.params import daelite_parameters
 from repro.topology import build_mesh
@@ -43,6 +45,34 @@ def _ledger_dump(ledger, slot_table_size):
         )
         for edge in ledger.claimed_edges()
     }
+
+
+def _claims_of(live):
+    """The ledger dump the live allocations alone account for."""
+    owners = {}
+    for kind, allocation in live:
+        channels = (
+            (allocation.forward, allocation.reverse)
+            if kind == "conn"
+            else (allocation,)
+        )
+        for channel in channels:
+            for edge, slot in channel.link_claims():
+                owners[(edge, slot)] = channel.label
+    return owners
+
+
+def _assert_ledger_holds(ledger, live, slot_table_size):
+    """Every claim is a live allocation's, and every live claim is
+    held: a release that misses (or over-reaches) a slot shows here."""
+    expected = _claims_of(live)
+    held = {
+        (edge, slot): ledger.owner(edge, slot)
+        for edge in ledger.claimed_edges()
+        for slot in range(slot_table_size)
+        if ledger.owner(edge, slot) is not None
+    }
+    assert held == expected
 
 
 @st.composite
@@ -124,8 +154,10 @@ def _run_mixed_scenario(engine, scenario):
             if kind == "conn":
                 allocator.release_connection(allocation)
             else:
+                # Through release_rotations over the tree's diagonal.
                 allocator.release_multicast(allocation)
             outcomes.append(("release", allocation.label))
+            _assert_ledger_holds(allocator.ledger, live, slot_table_size)
     outcomes.append(("total", allocator.ledger.total_claims()))
     return outcomes, _ledger_dump(allocator.ledger, slot_table_size)
 
@@ -283,6 +315,48 @@ class TestEngineEquivalence:
                 },
             )
         assert plans[BITMASK_ENGINE] == plans[REFERENCE_ENGINE]
+
+
+#: Fixed scenarios that open and release multicast trees.
+TREE_RELEASE_SCENARIOS = [(3, 2, 8, seed) for seed in range(6)]
+
+
+def test_tree_release_scenarios_release_trees():
+    for scenario in TREE_RELEASE_SCENARIOS:
+        outcomes, _ = _run_mixed_scenario(REFERENCE_ENGINE, scenario)
+        trees = {entry[1] for entry in outcomes if entry[0] == "tree"}
+        released = {entry[1] for entry in outcomes if entry[0] == "release"}
+        if trees & released:
+            return
+    pytest.fail("no fixed scenario releases a multicast tree")
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_planted_tree_release_offset_is_killed(monkeypatch, engine):
+    """Release a tree's edge *k* links deep at offset *k* instead of
+    *k + 1*: the mixed scenarios must catch it on both engines."""
+    original = "_tree_diagonal([branch.path for branch in tree.paths])"
+    mutant = f"[(edge, k - 1) for edge, k in {original}]"
+    source = inspect.getsource(slot_alloc)
+    assert source.count(original) == 1
+    namespace = {
+        "__name__": slot_alloc.__name__,
+        "__package__": slot_alloc.__package__,
+    }
+    exec(
+        compile(
+            source.replace(original, mutant), slot_alloc.__file__, "exec"
+        ),
+        namespace,
+    )
+    monkeypatch.setattr(
+        SlotAllocator,
+        "release_multicast",
+        namespace["SlotAllocator"].release_multicast,
+    )
+    with pytest.raises((AssertionError, AllocationError)):
+        for scenario in TREE_RELEASE_SCENARIOS:
+            _run_mixed_scenario(engine, scenario)
 
 
 class TestLinkDelayEquivalence:

@@ -157,68 +157,32 @@ class TestLeaseLifecycle:
         assert "LeaseError" in outcome.reason
 
 
-class TestBatchedSetup:
-    def test_batch_opens_in_one_pass(self):
+class TestSequentialOpens:
+    def test_back_to_back_opens_never_idle_the_tree(self):
+        """Each ``open`` costs its set-up plus the one cycle its wait
+        returns after, and the next starts there: N opens take
+        ``sum(setup_cycles) + N`` shard cycles, the least any order of
+        set-ups through the one-at-a-time config module can take."""
         broker = make_broker()
-        asks = [
-            ask("tenantA", "b0", src="NI01", dst="NI11"),
-            ask("tenantA", "b1", src="NI11", dst="NI10"),
-            ask("tenantA", "b2", src="NI10", dst="NI01"),
-        ]
-        outcomes = broker.open_batch(asks)
-        assert [outcome.status for outcome in outcomes] == [
-            "admitted"
-        ] * 3
-        assert broker.live_labels() == ["b0", "b1", "b2"]
         shard = broker.shards[0]
-        verify_network_state(
-            shard.network, shard.manager.live_handles
-        )
-
-    def test_batch_never_costs_more_than_sequential(self):
-        """The batch stages every set-up before blocking once, so it
-        completes in no more shard cycles than one-by-one opens."""
-        seq = make_broker()
-        start = seq.shards[0].now
-        for index in range(3):
-            seq.open(ask("tenantA", f"s{index}"))
-        sequential_cycles = seq.shards[0].now - start
-
-        bat = make_broker()
-        start = bat.shards[0].now
-        outcomes = bat.open_batch(
-            [ask("tenantA", f"s{index}") for index in range(3)]
-        )
-        batch_cycles = bat.shards[0].now - start
-        assert batch_cycles <= sequential_cycles
-        assert all(outcome.op_cycles > 0 for outcome in outcomes)
-
-    def test_batch_rejects_are_individual(self):
-        broker = make_broker()
+        start = shard.now
         asks = [
-            ask("tenantA", "ok0"),
-            ask("tenantA", "nope", slots=9, floor=9),
+            ask("tenantA", "s0", src="NI01", dst="NI11"),
+            ask("tenantA", "s1", src="NI11", dst="NI10"),
+            ask("tenantA", "s2", src="NI10", dst="NI01"),
+            ask("tenantA", "s3", src="NI00", dst="NI11"),
         ]
-        outcomes = broker.open_batch(asks)
-        by_label = {
-            outcome.label: outcome.status for outcome in outcomes
-        }
-        assert by_label["ok0"] == "admitted"
-        assert by_label["nope"] == "rejected"
-
-    def test_batch_across_shards_raises(self):
-        broker = make_broker(shards=2)
-        tenants = ["t0", "t1", "t2", "t3", "t4"]
-        shard0 = broker.shard_for(tenants[0])
-        other = next(
-            tenant
-            for tenant in tenants
-            if broker.shard_for(tenant) is not shard0
-        )
-        with pytest.raises(ServiceError):
-            broker.open_batch(
-                [ask(tenants[0], "x0"), ask(other, "x1")]
-            )
+        outcomes = [broker.open(item) for item in asks]
+        assert [o.status for o in outcomes] == ["admitted"] * 4
+        setups = [
+            shard.manager.connections[o.label].setup_cycles
+            for o in outcomes
+        ]
+        assert [o.op_cycles for o in outcomes] == [
+            cycles + 1 for cycles in setups
+        ]
+        assert shard.now - start == sum(setups) + len(asks)
+        verify_network_state(shard.network, shard.manager.live_handles)
 
 
 class TestCircuitBreaker:
