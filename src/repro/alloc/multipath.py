@@ -16,11 +16,11 @@ one :class:`~repro.alloc.spec.AllocatedChannel` per used path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..errors import AllocationError
 from .pathfind import cached_k_shortest_paths
-from .slot_alloc import SlotAllocator
+from .slot_alloc import SlotAllocator, _slot_mask
 from .spec import AllocatedChannel, ChannelRequest
 
 
@@ -55,7 +55,8 @@ def allocate_multipath(
     """Allocate ``request`` over up to ``max_paths`` simple paths.
 
     Slots are taken greedily: as many as possible on the shortest path,
-    the remainder on the next path, and so on.  The whole attempt runs
+    the remainder on the next path, and so on — each path probed once,
+    by the allocator's own channel probe.  The whole attempt runs
     inside one ledger snapshot, so partial claims are rolled back in a
     single operation if the request cannot be met in full.
 
@@ -67,37 +68,38 @@ def allocate_multipath(
     )
     remaining = request.slots
     parts: List[AllocatedChannel] = []
-    token = allocator.ledger.snapshot()
-    try:
-        for index, path in enumerate(paths):
-            if remaining == 0:
-                break
-            candidates = allocator.admissible_base_slots(path)
-            if not candidates:
-                continue
-            take = min(remaining, len(candidates))
-            part = allocator.allocate_channel(
-                ChannelRequest(
-                    label=f"{request.label}#p{index}",
-                    src_ni=request.src_ni,
-                    dst_ni=request.dst_ni,
-                    slots=take,
-                ),
-                path=path,
-            )
-            parts.append(part)
-            remaining -= take
-    except AllocationError:
-        # A concurrent claim raced us between the candidate check and
-        # the allocation; roll back and report failure below.
-        pass
+    ledger = allocator.ledger
+    token = ledger.snapshot()
+    for index, path in enumerate(paths):
+        if remaining == 0:
+            break
+        mask, context = ledger.probe_rotations(
+            allocator._claim_diagonal(path, None)
+        )
+        take = min(remaining, mask.bit_count())
+        if not take:
+            continue
+        part = allocator._picked_channel(
+            ChannelRequest(
+                label=f"{request.label}#p{index}",
+                src_ni=request.src_ni,
+                dst_ni=request.dst_ni,
+                slots=take,
+            ),
+            path,
+            None,
+            mask,
+        )
+        ledger.claim_prepared(context, _slot_mask(part.slots), part.label)
+        parts.append(part)
+        remaining -= take
     if remaining > 0:
-        allocator.ledger.rollback(token)
+        ledger.rollback(token)
         raise AllocationError(
             f"multipath channel {request.label!r}: {remaining} of "
             f"{request.slots} slots unplaceable over {len(paths)} paths"
         )
-    allocator.ledger.commit(token)
+    ledger.commit(token)
     return MultipathAllocation(label=request.label, parts=tuple(parts))
 
 

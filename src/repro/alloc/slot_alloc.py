@@ -35,12 +35,11 @@ minimizes the worst scheduling wait, see :mod:`repro.analysis.bounds`).
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..errors import AllocationError, SlotConflictError
+from ..errors import AllocationError, SlotConflictError, env_choice
 from ..params import NetworkParameters
 from ..topology import Topology
 from .pathfind import cached_route, path_via_tree
@@ -76,13 +75,9 @@ def default_alloc_engine() -> str:
     Raises:
         AllocationError: if the variable holds an unknown engine.
     """
-    engine = os.environ.get(ALLOC_ENGINE_ENV, BITMASK_ENGINE)
-    engine = engine.strip().lower()
-    if engine not in _ENGINES:
-        raise AllocationError(
-            f"{ALLOC_ENGINE_ENV}={engine!r} is not one of {_ENGINES}"
-        )
-    return engine
+    return env_choice(
+        ALLOC_ENGINE_ENV, BITMASK_ENGINE, _ENGINES, AllocationError
+    )
 
 
 def iter_mask_slots(mask: int) -> Iterator[int]:
@@ -199,15 +194,25 @@ class LinkSlotLedger:
     def probe_rotations(
         self, diagonal: Sequence[Tuple[Tuple[str, str], int]]
     ):
-        """Admissibility probe returning a reusable claim context.
+        """The ledger's one admissibility read, with a claim context.
 
-        Returns ``(admissible mask, context)`` where the context passed
-        to :meth:`claim_prepared` lets an engine reuse work done during
-        the probe (the bitmask engine reuses its per-link entry
+        ``diagonal`` holds one ``(edge, offset)`` pair per path link:
+        base slot *b* is admissible iff slot ``(b + offset) mod T`` is
+        free on every edge.  Returns ``(admissible mask, context)``: bit
+        *b* of the mask is set iff *b* is admissible, and the context
+        passed to :meth:`claim_prepared` lets an engine reuse work done
+        during the probe (the bitmask engine reuses its per-link entry
         lookups).  The context is only valid until the next ledger
         mutation: probe, pick, claim — nothing in between.
         """
-        return self.admissible_base_mask(diagonal), diagonal
+        mask = 0
+        for base in range(self.slot_table_size):
+            if all(
+                self.is_free(edge, base + offset)
+                for edge, offset in diagonal
+            ):
+                mask |= 1 << base
+        return mask, diagonal
 
     def claim_prepared(self, context, base_mask: int, label: str) -> None:
         """Claim a whole channel: ``base_mask`` rotated along the claim
@@ -310,24 +315,6 @@ class LinkSlotLedger:
 
     # -- queries ---------------------------------------------------------------
 
-    def admissible_base_mask(
-        self, diagonal: Sequence[Tuple[Tuple[str, str], int]]
-    ) -> int:
-        """Bitmask of base slots free across the whole claim ``diagonal``.
-
-        ``diagonal`` holds one ``(edge, offset)`` pair per path link: base
-        slot *b* is admissible iff slot ``(b + offset) mod T`` is free on
-        every edge.  Bit *b* of the result is set iff *b* is admissible.
-        """
-        mask = 0
-        for base in range(self.slot_table_size):
-            if all(
-                self.is_free(edge, base + offset)
-                for edge, offset in diagonal
-            ):
-                mask |= 1 << base
-        return mask
-
     def link_utilization(self, edge: Tuple[str, str]) -> float:
         """Fraction of slots claimed on one directed link."""
         return len(self._claims.get(edge, {})) / self.slot_table_size
@@ -428,9 +415,14 @@ class BitmaskLinkSlotLedger(LinkSlotLedger):
     def probe_rotations(
         self, diagonal: Sequence[Tuple[Tuple[str, str], int]]
     ):
-        # One pass computes the admissible mask AND captures each
-        # link's [occupancy, labels] entry, so claim_prepared never
-        # hashes the edge tuples again.
+        # Rotate-and-OR: base *b* collides on a link with offset *o*
+        # iff bit (b + o) mod T of its occupancy is set, i.e. iff bit
+        # *b* of the occupancy rotated right by *o* is.  The same pass
+        # captures each link's [occupancy, labels] entry, so
+        # claim_prepared never hashes the edge tuples again.  Once
+        # every base is blocked the probe stops: nothing claims a zero
+        # mask (a request asks for at least one slot), so the context
+        # may stay partial.
         size = self.slot_table_size
         full = self._full_mask
         links = self._links
@@ -441,11 +433,13 @@ class BitmaskLinkSlotLedger(LinkSlotLedger):
             shift = offset % size
             entry = links.get(edge)
             append((edge, shift, entry))
-            if entry is not None and blocked != full:
+            if entry is not None:
                 occupied = entry[0]
                 blocked |= (
                     (occupied >> shift) | (occupied << (size - shift))
                 ) & full
+                if blocked == full:
+                    return 0, prepared
         return full & ~blocked, prepared
 
     def claim_prepared(self, context, base_mask: int, label: str) -> None:
@@ -565,33 +559,6 @@ class BitmaskLinkSlotLedger(LinkSlotLedger):
             else:  # pragma: no cover - internal invariant
                 raise AllocationError(f"corrupt journal op {op!r}")
         self._close_scope()
-
-    def admissible_base_mask(
-        self, diagonal: Sequence[Tuple[Tuple[str, str], int]]
-    ) -> int:
-        """Rotate-and-OR over the path's claim diagonal.
-
-        Base *b* collides on a link with offset *o* iff bit
-        ``(b + o) mod T`` of that link's occupancy is set — i.e. iff bit
-        *b* of the occupancy rotated right by *o* is set.  OR-ing the
-        rotated masks of every link gives all inadmissible bases at
-        once.
-        """
-        size = self.slot_table_size
-        full = self._full_mask
-        links = self._links
-        blocked = 0
-        for edge, offset in diagonal:
-            entry = links.get(edge)
-            if entry is not None:
-                occupied = entry[0]
-                shift = offset % size
-                blocked |= (
-                    (occupied >> shift) | (occupied << (size - shift))
-                ) & full
-                if blocked == full:
-                    break
-        return full & ~blocked
 
     def link_utilization(self, edge: Tuple[str, str]) -> float:
         entry = self._links.get(edge)
@@ -730,46 +697,21 @@ class SlotAllocator:
 
     def route(self, src_ni: str, dst_ni: str) -> Tuple[str, ...]:
         """The path this allocator's routing policy would choose —
-        public so the admission oracle can evaluate a request on the
-        exact route an allocation would take, without claiming."""
+        public so the admission oracle can plan on it, and report it
+        when it rejects the request."""
         return self._route(src_ni, dst_ni)
-
-    def plan_slots(
-        self,
-        path: Sequence[str],
-        count: int,
-        link_delays: Optional[Sequence[int]] = None,
-    ) -> List[int]:
-        """The base slots :meth:`allocate_channel` would pick on
-        ``path`` right now, *without claiming anything*.
-
-        This is the slot-phase probe of the analytical admission
-        oracle (:mod:`repro.analysis.model`): because it shares the
-        admissibility mask and the picking policy with the real
-        allocation, a verdict computed from the plan is exact — an
-        immediately following ``allocate_channel`` on the same path
-        returns precisely these slots.
-
-        Raises:
-            AllocationError: if fewer than ``count`` base slots are
-                admissible along ``path``.
-        """
-        mask = self.ledger.admissible_base_mask(
-            self._claim_diagonal(path, link_delays)
-        )
-        if mask.bit_count() < count:
-            raise AllocationError(
-                f"path {tuple(path)}: needs {count} slots, only "
-                f"{mask.bit_count()} admissible"
-            )
-        return self._pick_from_mask(mask, count)
 
     def _claim_diagonal(
         self,
         path: Sequence[str],
         link_delays: Optional[Sequence[int]],
     ) -> List[Tuple[Tuple[str, str], int]]:
-        """One ``(edge, slot offset)`` pair per link of ``path``."""
+        """One ``(edge, slot offset)`` pair per link of ``path``.
+
+        ``link_delays`` (extra slots per link, for pipelined links)
+        shifts the diagonal exactly as
+        :meth:`~repro.alloc.spec.AllocatedChannel.link_claims` does.
+        """
         if not link_delays:
             return [
                 ((path[k], path[k + 1]), k + 1)
@@ -783,22 +725,6 @@ class SlotAllocator:
             )
             accumulated += link_delays[k]
         return diagonal
-
-    def admissible_base_slots(
-        self,
-        path: Sequence[str],
-        link_delays: Optional[Sequence[int]] = None,
-    ) -> List[int]:
-        """Base slots whose full claim diagonal is free along ``path``.
-
-        ``link_delays`` (extra slots per link, for pipelined links)
-        shifts the diagonal exactly as
-        :meth:`~repro.alloc.spec.AllocatedChannel.link_claims` does.
-        """
-        mask = self.ledger.admissible_base_mask(
-            self._claim_diagonal(path, link_delays)
-        )
-        return list(iter_mask_slots(mask))
 
     def _pick_from_mask(self, mask: int, count: int) -> List[int]:
         """Pick ``count`` base slots straight from an admissibility mask.
@@ -855,16 +781,49 @@ class SlotAllocator:
 
     # -- channel allocation --------------------------------------------------------
 
-    def allocate_channel(
+    def _picked_channel(
+        self,
+        request: ChannelRequest,
+        path: Tuple[str, ...],
+        link_delays: Optional[Sequence[int]],
+        mask: int,
+    ) -> AllocatedChannel:
+        """``request`` slotted on ``path`` from the admissible ``mask``
+        of its one probe.
+
+        Raises:
+            AllocationError: if fewer than ``request.slots`` base slots
+                are admissible.
+        """
+        if mask.bit_count() < request.slots:
+            raise AllocationError(
+                f"channel {request.label!r}: needs {request.slots} "
+                f"slots on path {path}, only "
+                f"{mask.bit_count()} admissible"
+            )
+        return AllocatedChannel(
+            label=request.label,
+            path=path,
+            slots=frozenset(self._pick_from_mask(mask, request.slots)),
+            slot_table_size=self.params.slot_table_size,
+            link_delays=tuple(link_delays) if link_delays else (),
+        )
+
+    def plan_channel(
         self,
         request: ChannelRequest,
         path: Optional[Sequence[str]] = None,
         link_delays: Optional[Sequence[int]] = None,
-    ) -> AllocatedChannel:
-        """Route and slot one unidirectional channel.
+    ) -> Tuple[AllocatedChannel, object]:
+        """Route, probe and pick one channel *without claiming it*.
 
-        ``link_delays`` passes extra per-link pipeline slots through to
-        the allocated channel (pipelined-link extension).
+        Returns ``(channel, context)``: the channel
+        :meth:`allocate_channel` would claim right now, and the probe
+        context that claims it (valid until the next ledger write).
+        This is the only channel planner — the allocator claims what it
+        returns and the admission oracle (:mod:`repro.analysis.model`)
+        reports it, so the two cannot disagree except through the
+        ledger state itself.
 
         Raises:
             AllocationError: if too few admissible base slots remain on
@@ -873,34 +832,28 @@ class SlotAllocator:
         chosen_path = tuple(path) if path is not None else self._route(
             request.src_ni, request.dst_ni
         )
-        # Inlined _claim_diagonal/_slot_mask: this is the hot path and
-        # the helper frames are measurable at fleet-allocation scale.
-        if link_delays:
-            diagonal = self._claim_diagonal(chosen_path, link_delays)
-        else:
-            diagonal = [
-                ((chosen_path[k], chosen_path[k + 1]), k + 1)
-                for k in range(len(chosen_path) - 1)
-            ]
-        mask, context = self.ledger.probe_rotations(diagonal)
-        if mask.bit_count() < request.slots:
-            raise AllocationError(
-                f"channel {request.label!r}: needs {request.slots} "
-                f"slots on path {chosen_path}, only "
-                f"{mask.bit_count()} admissible"
-            )
-        slots = self._pick_from_mask(mask, request.slots)
-        channel = AllocatedChannel(
-            label=request.label,
-            path=chosen_path,
-            slots=frozenset(slots),
-            slot_table_size=self.params.slot_table_size,
-            link_delays=tuple(link_delays) if link_delays else (),
+        mask, context = self.ledger.probe_rotations(
+            self._claim_diagonal(chosen_path, link_delays)
         )
-        base_mask = 0
-        for slot in slots:
-            base_mask |= 1 << slot
-        self.ledger.claim_prepared(context, base_mask, channel.label)
+        return (
+            self._picked_channel(request, chosen_path, link_delays, mask),
+            context,
+        )
+
+    def allocate_channel(
+        self,
+        request: ChannelRequest,
+        path: Optional[Sequence[str]] = None,
+        link_delays: Optional[Sequence[int]] = None,
+    ) -> AllocatedChannel:
+        """Route and slot one unidirectional channel: the
+        :meth:`plan_channel` plan, claimed.  ``link_delays`` passes
+        extra per-link pipeline slots (pipelined-link extension).
+        """
+        channel, context = self.plan_channel(request, path, link_delays)
+        self.ledger.claim_prepared(
+            context, _slot_mask(channel.slots), channel.label
+        )
         return channel
 
     def release_channel(self, channel: AllocatedChannel) -> None:
@@ -951,15 +904,16 @@ class SlotAllocator:
 
     # -- multicast ---------------------------------------------------------------------
 
-    def allocate_multicast(
+    def plan_multicast(
         self, request: MulticastRequest
-    ) -> AllocatedMulticast:
-        """Build a multicast tree and slot it.
+    ) -> Tuple[AllocatedMulticast, object]:
+        """Build and slot a multicast tree *without claiming it*.
 
         Destinations are grafted one by one onto the growing tree at
         their cheapest graft point; the base slots must then be free on
         *every* tree edge simultaneously (all branches share the
-        injection slots).
+        injection slots).  Returns ``(tree, context)`` as
+        :meth:`plan_channel` does.
 
         Raises:
             AllocationError: if no slot set satisfies the whole tree.
@@ -1006,8 +960,16 @@ class SlotAllocator:
                 for branch in branches
             ),
         )
+        return tree, context
+
+    def allocate_multicast(
+        self, request: MulticastRequest
+    ) -> AllocatedMulticast:
+        """Build a multicast tree and slot it: the
+        :meth:`plan_multicast` plan, claimed."""
+        tree, context = self.plan_multicast(request)
         self.ledger.claim_prepared(
-            context, _slot_mask(slots), request.label
+            context, _slot_mask(tree.slots), tree.label
         )
         return tree
 

@@ -26,11 +26,12 @@ Latency decomposition of one word (submit to delivery):
 
 :class:`AdmissionOracle` answers "will this connection meet its
 deadline / what rate does it get / does the fleet have room" from those
-formulas plus a ledger *probe* (no claim, no simulation, no kernel):
-:meth:`SlotAllocator.plan_slots` shares the admissibility mask and the
-slot-picking policy with the real allocator, so the oracle's planned
-slots — and therefore its latency/bandwidth verdict — coincide exactly
-with what an immediately following allocation would materialize.
+formulas plus a *plan* (no claim, no simulation, no kernel):
+:meth:`SlotAllocator.plan_channel` and
+:meth:`SlotAllocator.plan_multicast` are the allocator's own route →
+probe → pick, which an allocation then claims, so the oracle's planned
+slots — and therefore its latency/bandwidth verdict — are exactly what
+an immediately following allocation materializes.
 """
 
 from __future__ import annotations
@@ -408,17 +409,6 @@ class AdmissionOracle:
             f"cannot admit a {type(request).__name__}"
         )
 
-    def _planned_channel(
-        self, label: str, path: Tuple[str, ...], count: int
-    ) -> AllocatedChannel:
-        slots = self.allocator.plan_slots(path, count)
-        return AllocatedChannel(
-            label=label,
-            path=path,
-            slots=frozenset(slots),
-            slot_table_size=self.params.slot_table_size,
-        )
-
     def _check_constraints(
         self,
         label: str,
@@ -430,40 +420,21 @@ class AdmissionOracle:
     ) -> AdmissionVerdict:
         bound = model.worst_case_latency_cycles
         bandwidth = model.guaranteed_bandwidth_words_per_cycle
+        reason = "ok"
         if deadline_cycles is not None and bound > deadline_cycles:
-            return AdmissionVerdict(
-                label=label,
-                admitted=False,
-                reason=(
-                    f"worst-case latency {bound} cycles exceeds the "
-                    f"{deadline_cycles}-cycle deadline"
-                ),
-                worst_case_latency_cycles=bound,
-                guaranteed_bandwidth_words_per_cycle=bandwidth,
-                planned_slots=planned,
-                path=path,
-                model=model,
-                deadline_cycles=deadline_cycles,
+            reason = (
+                f"worst-case latency {bound} cycles exceeds the "
+                f"{deadline_cycles}-cycle deadline"
             )
-        if min_bandwidth is not None and bandwidth < min_bandwidth:
-            return AdmissionVerdict(
-                label=label,
-                admitted=False,
-                reason=(
-                    f"guaranteed bandwidth {bandwidth:.4f} words/cycle "
-                    f"below the required {min_bandwidth:.4f}"
-                ),
-                worst_case_latency_cycles=bound,
-                guaranteed_bandwidth_words_per_cycle=bandwidth,
-                planned_slots=planned,
-                path=path,
-                model=model,
-                deadline_cycles=deadline_cycles,
+        elif min_bandwidth is not None and bandwidth < min_bandwidth:
+            reason = (
+                f"guaranteed bandwidth {bandwidth:.4f} words/cycle "
+                f"below the required {min_bandwidth:.4f}"
             )
         return AdmissionVerdict(
             label=label,
-            admitted=True,
-            reason="ok",
+            admitted=reason == "ok",
+            reason=reason,
             worst_case_latency_cycles=bound,
             guaranteed_bandwidth_words_per_cycle=bandwidth,
             planned_slots=planned,
@@ -481,9 +452,7 @@ class AdmissionOracle:
         """Admission verdict for one unidirectional channel."""
         path = self.allocator.route(request.src_ni, request.dst_ni)
         try:
-            channel = self._planned_channel(
-                request.label, path, request.slots
-            )
+            channel, _ = self.allocator.plan_channel(request, path)
         except AllocationError as error:
             return AdmissionVerdict(
                 label=request.label,
@@ -510,19 +479,15 @@ class AdmissionOracle:
         """Admission verdict for a bidirectional connection.
 
         Forward and reverse traverse opposite *directed* links, so the
-        two probes are independent and the combined plan is exactly
-        what :meth:`SlotAllocator.allocate_connection` would claim.
+        two plans are independent and together exactly what
+        :meth:`SlotAllocator.allocate_connection` would claim.
         """
-        path = self.allocator.route(request.src_ni, request.dst_ni)
-        reverse_path = tuple(reversed(path))
+        allocator = self.allocator
+        path = allocator.route(request.src_ni, request.dst_ni)
         try:
-            forward = self._planned_channel(
-                f"{request.label}.fwd", path, request.forward_slots
-            )
-            reverse = self._planned_channel(
-                f"{request.label}.rev",
-                reverse_path,
-                request.reverse_slots,
+            forward, _ = allocator.plan_channel(request.forward, path)
+            reverse, _ = allocator.plan_channel(
+                request.reverse, tuple(reversed(path))
             )
         except AllocationError as error:
             return AdmissionVerdict(
@@ -565,24 +530,19 @@ class AdmissionOracle:
     ) -> AdmissionVerdict:
         """Admission verdict for a multicast tree.
 
-        Tree grafting is a search, not a formula, so the oracle runs
-        the allocator's own tree construction *speculatively* — one
-        journalled snapshot, rolled back before returning — which keeps
-        the verdict exact while still never simulating a cycle.
+        Tree grafting is a search, not a formula; the oracle plans the
+        tree with the allocator's own :meth:`SlotAllocator.plan_multicast`
+        and claims nothing.
         """
-        ledger = self.allocator.ledger
-        token = ledger.snapshot()
         try:
-            tree = self.allocator.allocate_multicast(request)
+            tree, _ = self.allocator.plan_multicast(request)
         except AllocationError as error:
-            ledger.rollback(token)
             return AdmissionVerdict(
                 label=request.label,
                 admitted=False,
                 reason=str(error),
                 deadline_cycles=deadline_cycles,
             )
-        ledger.rollback(token)
         model = self.multicast_model(tree)
         return self._check_constraints(
             request.label,

@@ -160,7 +160,6 @@ pay for it.
 
 from __future__ import annotations
 
-import os
 from abc import ABC, abstractmethod
 from bisect import insort
 from contextlib import contextmanager
@@ -178,7 +177,12 @@ from typing import (
     Tuple,
 )
 
-from ..errors import ContractViolationError, ReproError, SimulationError
+from ..errors import (
+    ContractViolationError,
+    ReproError,
+    SimulationError,
+    env_choice,
+)
 
 #: Environment variable selecting the default kernel mode.
 KERNEL_MODE_ENV = "REPRO_KERNEL_MODE"
@@ -200,6 +204,9 @@ VECTOR_MODE = "vector"
 DEFAULT_KERNEL_MODE = VECTOR_MODE
 
 _MODES = (ACTIVITY_MODE, NAIVE_MODE, VECTOR_MODE)
+
+_STRICT_OFF = ("", "0", "false", "no", "off")
+_STRICT_ON = ("1", "true", "yes", "on")
 
 
 class CompileRefusal:
@@ -270,19 +277,22 @@ def default_kernel_mode() -> str:
     Raises:
         SimulationError: if the variable holds an unknown mode.
     """
-    mode = os.environ.get(KERNEL_MODE_ENV, DEFAULT_KERNEL_MODE)
-    mode = mode.strip().lower()
-    if mode not in _MODES:
-        raise SimulationError(
-            f"{KERNEL_MODE_ENV}={mode!r} is not one of {_MODES}"
-        )
-    return mode
+    return env_choice(
+        KERNEL_MODE_ENV, DEFAULT_KERNEL_MODE, _MODES, SimulationError
+    )
 
 
 def default_strict_registers() -> bool:
-    """Strict-registers default from ``REPRO_STRICT_REGISTERS``."""
-    value = os.environ.get(STRICT_REGISTERS_ENV, "").strip().lower()
-    return value in ("1", "true", "yes", "on")
+    """Strict-registers default from ``REPRO_STRICT_REGISTERS``: on for
+    ``1/true/yes/on``, off when unset, empty or ``0/false/no/off``.
+
+    Raises:
+        SimulationError: if the variable holds any other value.
+    """
+    value = env_choice(
+        STRICT_REGISTERS_ENV, "", _STRICT_OFF + _STRICT_ON, SimulationError
+    )
+    return value in _STRICT_ON
 
 
 class Register:

@@ -141,10 +141,12 @@ class TestAeliteConfigReservation:
             topology=topology, params=params, policy="first"
         )
         reserve_config_slots(allocator.ledger, topology)
-        admissible = allocator.admissible_base_slots(
-            ("NI00", "R00", "R01", "R11", "NI11")
+        admissible, _ = allocator.ledger.probe_rotations(
+            allocator._claim_diagonal(
+                ("NI00", "R00", "R01", "R11", "NI11"), None
+            )
         )
         # The reserved config slot on the source NI link and on the
         # destination NI link each exclude one base slot of the path
         # (they only coincide for path lengths that wrap the wheel).
-        assert len(admissible) == params.slot_table_size - 2
+        assert admissible.bit_count() == params.slot_table_size - 2

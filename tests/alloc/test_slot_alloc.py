@@ -150,7 +150,6 @@ def test_both_engines_expose_one_surface():
     reads = {
         "owner",
         "is_free",
-        "admissible_base_mask",
         "link_utilization",
         "free_slot_count",
         "total_claims",
@@ -302,13 +301,26 @@ class TestLedgerEngines:
         assert ledger.owner(("a", "b"), 3) == "loop"
         assert ledger.total_claims() == 3
 
-    def test_admissible_base_mask_sees_all_links(self, engine):
+    def test_probe_rotations_sees_all_links(self, engine):
         ledger = make_ledger(8, engine)
         ledger.claim(("a", "b"), 1, "x")  # blocks base 0 via offset 1
         ledger.claim(("b", "c"), 5, "y")  # blocks base 3 via offset 2
         diagonal = [(("a", "b"), 1), (("b", "c"), 2)]
-        mask = ledger.admissible_base_mask(diagonal)
+        mask, _ = ledger.probe_rotations(diagonal)
         assert sorted(iter_mask_slots(mask)) == [1, 2, 4, 5, 6, 7]
+
+    def test_probe_rotations_of_a_blocked_diagonal_is_zero(self, engine):
+        """Every base blocked part-way along the diagonal: the mask is
+        0 however many links follow (the bitmask engine stops there)."""
+        ledger = make_ledger(4, engine)
+        for slot in range(4):
+            ledger.claim(("b", "c"), slot, "full")
+        diagonal = [(("a", "b"), 1), (("b", "c"), 2), (("c", "d"), 3)]
+        mask, _ = ledger.probe_rotations(diagonal)
+        assert mask == 0
+        ledger.release(("b", "c"), 1, "full")
+        mask, _ = ledger.probe_rotations(diagonal)
+        assert list(iter_mask_slots(mask)) == [3]
 
 
 class TestSpreadPick:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.alloc import (
+    BITMASK_ENGINE,
+    REFERENCE_ENGINE,
     ChannelRequest,
     ConnectionRequest,
     MulticastRequest,
@@ -83,24 +85,99 @@ class TestChannelModel:
             oracle.channel_model(channel)
 
 
+def background_load(allocator):
+    """Claims the planned requests below have to pick around."""
+    allocator.allocate_connection(
+        ConnectionRequest("bg0", "NI00", "NI22", forward_slots=3)
+    )
+    allocator.allocate_channel(ChannelRequest("bg1", "NI01", "NI21", slots=2))
+    allocator.allocate_multicast(
+        MulticastRequest("bg2", "NI10", ("NI02", "NI22"), slots=2)
+    )
+
+
+#: One admissible request of each flavour, after background_load.
+PLANNED = (
+    ConnectionRequest("c", "NI00", "NI22", forward_slots=2),
+    ChannelRequest("ch", "NI01", "NI20", slots=2),
+    MulticastRequest("m", "NI00", ("NI11", "NI21"), slots=2),
+)
+
+#: One request of each flavour the residual schedule cannot hold.
+UNPLACEABLE = (
+    ConnectionRequest("cx", "NI00", "NI22", forward_slots=8),
+    ChannelRequest("chx", "NI01", "NI21", slots=8),
+    MulticastRequest("mx", "NI10", ("NI02", "NI22"), slots=8),
+)
+
+#: Every method that changes a ledger's state or its journal.
+LEDGER_WRITES = (
+    "claim",
+    "claim_prepared",
+    "release",
+    "release_rotations",
+    "snapshot",
+    "rollback",
+    "commit",
+)
+
+
 class TestAdmissionVerdicts:
     def test_plan_matches_subsequent_allocation(self, setup):
+        """On a loaded fabric, each flavour's verdict reports exactly
+        the slots, path and bound of the allocation that follows it."""
         _, _, allocator = setup
+        background_load(allocator)
         oracle = AdmissionOracle(allocator)
-        request = ConnectionRequest(
-            "c", "NI00", "NI22", forward_slots=2
+        for request in PLANNED:
+            verdict = oracle.admit(request)
+            assert verdict.admitted and verdict.reason == "ok"
+            if isinstance(request, ConnectionRequest):
+                connection = allocator.allocate_connection(request)
+                channel = connection.forward
+                model = oracle.connection_model(connection)
+            elif isinstance(request, MulticastRequest):
+                tree = allocator.allocate_multicast(request)
+                channel = tree.paths[0]
+                model = oracle.multicast_model(tree)
+            else:
+                channel = allocator.allocate_channel(request)
+                model = oracle.channel_model(channel)
+            assert verdict.planned_slots == tuple(sorted(channel.slots))
+            assert verdict.path == channel.path
+            assert verdict.model == model
+            assert verdict.worst_case_latency_cycles == (
+                model.worst_case_latency_cycles
+            )
+
+    @pytest.mark.parametrize("engine", (BITMASK_ENGINE, REFERENCE_ENGINE))
+    def test_admit_never_writes_the_ledger(self, monkeypatch, engine):
+        """Admission plans and claims nothing: no flavour, admitted or
+        not, calls a ledger write method — not even a snapshot."""
+        allocator = SlotAllocator(
+            topology=build_mesh(3, 3),
+            params=daelite_parameters(slot_table_size=8),
+            engine=engine,
         )
-        verdict = oracle.admit(request)
-        assert verdict.admitted and verdict.reason == "ok"
-        connection = allocator.allocate_connection(request)
-        assert verdict.planned_slots == tuple(
-            sorted(connection.forward.slots)
+        background_load(allocator)
+        ledger = allocator.ledger
+        writes = []
+        for name in LEDGER_WRITES:
+            def counted(*args, _name=name, _write=getattr(ledger, name)):
+                writes.append(_name)
+                return _write(*args)
+
+            monkeypatch.setattr(ledger, name, counted)
+        oracle = AdmissionOracle(allocator)
+        verdicts = [oracle.admit(request) for request in PLANNED]
+        verdicts += [oracle.admit(request) for request in UNPLACEABLE]
+        verdicts.append(oracle.admit(PLANNED[0], deadline_cycles=1))
+        assert [verdict.admitted for verdict in verdicts] == (
+            [True] * 3 + [False] * 4
         )
-        assert verdict.path == connection.forward.path
-        model = oracle.connection_model(connection)
-        assert verdict.worst_case_latency_cycles == (
-            model.worst_case_latency_cycles
-        )
+        assert writes == []
+        allocator.allocate_multicast(PLANNED[2])  # the counters count
+        assert writes[0] == "claim_prepared"
 
     def test_probe_does_not_claim(self, setup):
         _, _, allocator = setup

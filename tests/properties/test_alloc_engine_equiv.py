@@ -331,12 +331,9 @@ def test_tree_release_scenarios_release_trees():
     pytest.fail("no fixed scenario releases a multicast tree")
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_planted_tree_release_offset_is_killed(monkeypatch, engine):
-    """Release a tree's edge *k* links deep at offset *k* instead of
-    *k + 1*: the mixed scenarios must catch it on both engines."""
-    original = "_tree_diagonal([branch.path for branch in tree.paths])"
-    mutant = f"[(edge, k - 1) for edge, k in {original}]"
+def _planted(original, mutant):
+    """The namespace of ``slot_alloc`` re-executed with its one
+    occurrence of ``original`` replaced by ``mutant``."""
     source = inspect.getsource(slot_alloc)
     assert source.count(original) == 1
     namespace = {
@@ -349,14 +346,74 @@ def test_planted_tree_release_offset_is_killed(monkeypatch, engine):
         ),
         namespace,
     )
+    return namespace
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_planted_tree_release_offset_is_killed(monkeypatch, engine):
+    """Release a tree's edge *k* links deep at offset *k* instead of
+    *k + 1*: the mixed scenarios must catch it on both engines."""
+    original = "_tree_diagonal([branch.path for branch in tree.paths])"
+    mutant = f"[(edge, k - 1) for edge, k in {original}]"
     monkeypatch.setattr(
         SlotAllocator,
         "release_multicast",
-        namespace["SlotAllocator"].release_multicast,
+        _planted(original, mutant)["SlotAllocator"].release_multicast,
     )
     with pytest.raises((AssertionError, AllocationError)):
         for scenario in TREE_RELEASE_SCENARIOS:
             _run_mixed_scenario(engine, scenario)
+
+
+def _check_probe_against_link_claims(side, seed, delays):
+    """On a randomly loaded mesh, a base slot is admissible in *both*
+    engines' one probe iff every claim ``AllocatedChannel.link_claims``
+    would make for it is free."""
+    params = daelite_parameters(slot_table_size=16)
+    admissible = {}
+    for engine in ENGINES:
+        topology = build_mesh(side, side)
+        allocator = SlotAllocator(
+            topology=topology, params=params, engine=engine
+        )
+        nis = sorted(element.name for element in topology.nis)
+        pair_rng = random.Random(seed)
+        for step in range(pair_rng.randint(1, 6)):
+            try:
+                allocator.allocate_channel(
+                    ChannelRequest(
+                        f"bg{step}",
+                        *pair_rng.sample(nis, 2),
+                        slots=pair_rng.randint(1, 3),
+                    )
+                )
+            except AllocationError:
+                pass
+        src, dst = pair_rng.sample(nis, 2)
+        path = allocator._route(src, dst)
+        link_delays = tuple(
+            delays[k % len(delays)] for k in range(len(path) - 1)
+        )
+        mask, _ = allocator.ledger.probe_rotations(
+            allocator._claim_diagonal(
+                path, link_delays if any(link_delays) else None
+            )
+        )
+        slots = list(slot_alloc.iter_mask_slots(mask))
+        admissible[engine] = slots
+        for base in range(params.slot_table_size):
+            channel = AllocatedChannelProbe(
+                path, base, params.slot_table_size, link_delays
+            )
+            free = all(
+                allocator.ledger.is_free(edge, slot)
+                for edge, slot in channel.link_claims()
+            )
+            assert (base in slots) == free, (
+                f"engine {engine}: base {base} admissibility "
+                f"disagrees with link_claims (delays {link_delays})"
+            )
+    assert admissible[BITMASK_ENGINE] == admissible[REFERENCE_ENGINE]
 
 
 class TestLinkDelayEquivalence:
@@ -370,54 +427,53 @@ class TestLinkDelayEquivalence:
             max_size=8,
         ),
     )
-    def test_admissible_base_slots_match_link_claims(
-        self, side, seed, delays
+    def test_probe_matches_link_claims(self, side, seed, delays):
+        """With or without ``link_delays``, the claim diagonal, the
+        probe's rotations and the allocated channel must use the same
+        arithmetic."""
+        _check_probe_against_link_claims(side, seed, delays)
+
+    @pytest.mark.parametrize(
+        "owner, method, original, mutant, delays",
+        [
+            # The bitmask probe gives up on the first blocked base
+            # instead of once every base is blocked.
+            (
+                slot_alloc.BitmaskLinkSlotLedger,
+                "probe_rotations",
+                "if blocked == full:",
+                "if blocked:",
+                [0, 1, 2],
+            ),
+            # The claim diagonal enters a path's k-th link k slots after
+            # injection instead of k + 1, without and with link delays.
+            (
+                SlotAllocator,
+                "_claim_diagonal",
+                "((path[k], path[k + 1]), k + 1)",
+                "((path[k], path[k + 1]), k)",
+                [0],
+            ),
+            (
+                SlotAllocator,
+                "_claim_diagonal",
+                "((path[k], path[k + 1]), k + 1 + accumulated)",
+                "((path[k], path[k + 1]), k + accumulated)",
+                [0, 1, 2],
+            ),
+        ],
+        ids=["probe-exits-early", "offset-k", "delayed-offset-k"],
+    )
+    def test_planted_probe_mutants_are_killed(
+        self, monkeypatch, owner, method, original, mutant, delays
     ):
-        """With non-zero ``link_delays``, a base slot is admissible in
-        *both* engines iff every claim ``AllocatedChannel.link_claims``
-        would make for it is free — the delayed diagonal and the
-        allocated channel must use the same arithmetic."""
-        params = daelite_parameters(slot_table_size=16)
-        rng = random.Random(seed)
-        admissible = {}
-        for engine in ENGINES:
-            topology = build_mesh(side, side)
-            allocator = SlotAllocator(
-                topology=topology, params=params, engine=engine
-            )
-            nis = sorted(element.name for element in topology.nis)
-            pair_rng = random.Random(seed)
-            for step in range(pair_rng.randint(1, 6)):
-                try:
-                    allocator.allocate_channel(
-                        ChannelRequest(
-                            f"bg{step}",
-                            *pair_rng.sample(nis, 2),
-                            slots=pair_rng.randint(1, 3),
-                        )
-                    )
-                except AllocationError:
-                    pass
-            src, dst = pair_rng.sample(nis, 2)
-            path = allocator._route(src, dst)
-            link_delays = tuple(
-                delays[k % len(delays)] for k in range(len(path) - 1)
-            )
-            slots = allocator.admissible_base_slots(path, link_delays)
-            admissible[engine] = slots
-            for base in range(params.slot_table_size):
-                channel = AllocatedChannelProbe(
-                    path, base, params.slot_table_size, link_delays
-                )
-                free = all(
-                    allocator.ledger.is_free(edge, slot)
-                    for edge, slot in channel.link_claims()
-                )
-                assert (base in slots) == free, (
-                    f"engine {engine}: base {base} admissibility "
-                    f"disagrees with link_claims (delays {link_delays})"
-                )
-        assert admissible[BITMASK_ENGINE] == admissible[REFERENCE_ENGINE]
+        """With one planner the oracle cannot disagree with the
+        allocator, so the link_claims property is what must bite."""
+        planted = _planted(original, mutant)[owner.__name__]
+        monkeypatch.setattr(owner, method, getattr(planted, method))
+        with pytest.raises(AssertionError):
+            for seed in range(20):
+                _check_probe_against_link_claims(3, seed, delays)
 
 
 def AllocatedChannelProbe(path, base, slot_table_size, link_delays):

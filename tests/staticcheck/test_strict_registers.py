@@ -5,7 +5,7 @@ import pytest
 
 from repro.alloc import ConnectionRequest, SlotAllocator
 from repro.core.network import DaeliteNetwork
-from repro.errors import ContractViolationError
+from repro.errors import ContractViolationError, SimulationError
 from repro.sim.kernel import (
     Component,
     Kernel,
@@ -259,3 +259,13 @@ def test_env_default(monkeypatch):
     assert kernel.strict_registers is False
     monkeypatch.setenv(STRICT_REGISTERS_ENV, "yes")
     assert Kernel().strict_registers is True
+    monkeypatch.setenv(STRICT_REGISTERS_ENV, " No ")
+    assert default_strict_registers() is False
+    monkeypatch.setenv(STRICT_REGISTERS_ENV, "")
+    assert default_strict_registers() is False
+    # A typo must not silently run without the contract checks.
+    monkeypatch.setenv(STRICT_REGISTERS_ENV, "ture")
+    with pytest.raises(SimulationError, match="REPRO_STRICT_REGISTERS='ture'"):
+        default_strict_registers()
+    with pytest.raises(SimulationError, match="'1', 'true', 'yes', 'on'"):
+        Kernel()
