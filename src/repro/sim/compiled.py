@@ -65,11 +65,12 @@ It is the one engine behind ``vector`` mode, in three layers:
   multiples of ``P``; when two consecutive signatures are equal (in a
   form made shift-invariant by expressing sequence numbers and payloads
   relative to the per-connection counters), the next ``K`` epochs are
-  applied arithmetically: the one recorded epoch's injection / ejection /
-  sink events are re-recorded shifted by ``k*P`` cycles and ``k*D``
-  sequence numbers — in bulk, by :mod:`repro.sim.replay`, the only
-  numpy in the simulator — cumulative counters are scaled by ``K``, and
-  the in-flight words are rewritten.  Re-entry into stepping is
+  applied arithmetically: the one recorded epoch's injection / ejection
+  events are re-recorded shifted by ``k*P`` cycles and ``k*D`` sequence
+  numbers — in bulk, by :mod:`repro.sim.replay`, the only numpy in the
+  simulator — each sink counts its epoch's words ``K`` times,
+  cumulative counters are scaled by ``K``, and the in-flight words are
+  rewritten.  Re-entry into stepping is
   bit-exact.
 
 Soundness of the replay (DESIGN.md §10 gives the full argument): the
@@ -172,7 +173,7 @@ def _model() -> Any:
         CbrGenerator,
         TraceGenerator,
     )
-    from ..traffic.sinks import CheckingSink, DrainSink, ThrottledSink
+    from ..traffic.sinks import CheckingSink, ThrottledSink
 
     return SimpleNamespace(
         ConfigModule=ConfigModule,
@@ -189,9 +190,8 @@ def _model() -> Any:
         CbrGenerator=CbrGenerator,
         TraceGenerator=TraceGenerator,
         generators=(CbrGenerator, BurstGenerator, TraceGenerator),
-        sinks=(DrainSink, ThrottledSink, CheckingSink),
+        sinks=(CheckingSink, ThrottledSink),
         ThrottledSink=ThrottledSink,
-        CheckingSink=CheckingSink,
     )
 
 
@@ -458,13 +458,7 @@ def classify_component(
                 f"a ChannelReceiver",
             )
         period = component.period if kind is model.ThrottledSink else 0
-        return "sink", (
-            component,
-            receive.ni,
-            receive.channel,
-            period,
-            kind is model.CheckingSink,
-        )
+        return "sink", (component, receive.ni, receive.channel, period)
     if isinstance(component, model.ConfigModule):
         # A second config module would belong to another network.
         return CompileRefusal(
@@ -490,7 +484,7 @@ def _classify_components(network: Any) -> Any:
     """
     native = _native_ids(network)
     gens: List[Any] = []
-    sinks: List[Tuple[Any, Any, int, int, bool]] = []
+    sinks: List[Tuple[Any, Any, int, int]] = []
     for component in network.kernel.components:
         classified = classify_component(network, component, native)
         if isinstance(classified, CompileRefusal):
@@ -614,7 +608,7 @@ def compile_network(network: Any, token: int) -> Any:
                 )
         conn_meta[conn] = (inject.ni, inject.channel, gen)
         fed_channels.add(chan_key)
-    for sink, _ni, _channel, sink_period, _checking in sinks:
+    for _sink, _ni, _channel, sink_period in sinks:
         if sink_period:
             period = lcm(period, sink_period)
     if period > MAX_REPLAY_PERIOD:
@@ -910,7 +904,7 @@ class CompiledEngine:
             for channel, source in ni.source_channels.items():
                 if source.queue:
                     live_src.add((id(ni), channel))
-        for (_sink, ni, channel, _p, _c), sink_run in zip(
+        for (_sink, ni, channel, _p), sink_run in zip(
             self.sinks, sink_runs
         ):
             if sink_run[1] is not None and sink_run[1].queue:
@@ -1214,8 +1208,8 @@ class CompiledEngine:
         :class:`_Owner` per owner plan (``None`` where the source
         channel does not exist), one ``(generator, owner it feeds, how
         it fires)`` per generator, one ``(sink, destination, period,
-        owners returning its credits, whether it checks)`` per sink,
-        and the sink indices on each arrival channel.
+        owners returning its credits)`` per sink, and the sink indices
+        on each arrival channel.
         """
         model = _model()
         owners: List[Optional[_Owner]] = []
@@ -1250,13 +1244,9 @@ class CompiledEngine:
             gen_runs.append((gen, owner, firing))
         sink_runs = []
         sinks_on: List[List[int]] = [[] for _ in self.dest_keys]
-        for sink_index, (sink, ni, channel, period, checking) in enumerate(
-            self.sinks
-        ):
+        for sink_index, (sink, ni, channel, period) in enumerate(self.sinks):
             dest = ni.dest_channels.get(channel)
-            sink_runs.append(
-                (sink, dest, period, crediting.get(id(dest), ()), checking)
-            )
+            sink_runs.append((sink, dest, period, crediting.get(id(dest), ())))
             dest_id = self.dest_keys.get((ni.name, channel))
             if dest is not None and dest_id is not None:
                 sinks_on[dest_id].append(sink_index)
@@ -1867,7 +1857,7 @@ class CompiledEngine:
                             due.sort()
                         for sink_index in due:
                             sink_waiting[sink_index] = False
-                            sink, dest, _period, credited, checking = (
+                            sink, dest, _period, credited = (
                                 sink_runs[sink_index]
                             )
                             # ``dest.drain(sink.words_per_cycle)``; the
@@ -1879,11 +1869,10 @@ class CompiledEngine:
                                 dest.pending_credits += count
                             for _ in range(count):
                                 word = queue.popleft()
-                                # ``consume``: a drain sink keeps the
-                                # word; a checking sink also wants good
-                                # parity and its connection's next
-                                # sequence number.
-                                if not checking or (
+                                # ``consume``: the sink counts a word
+                                # with good parity that is its
+                                # connection's next sequence number.
+                                if (
                                     (connection := word.connection)
                                     and (sequence := word.sequence) >= 0
                                     and sink._last_seq.get(connection)
@@ -1893,11 +1882,8 @@ class CompiledEngine:
                                         or parity == parity_of(word.payload)
                                     )
                                 ):
-                                    sink.received.append(
-                                        (cycle, word.payload)
-                                    )
-                                    if checking:
-                                        sink._last_seq[connection] = sequence
+                                    sink.words_received += 1
+                                    sink._last_seq[connection] = sequence
                                 else:
                                     model_calls += 1
                                     sink.consume(cycle, word)
@@ -1908,7 +1894,6 @@ class CompiledEngine:
                                             cycle,
                                             intern(word.connection),
                                             word.sequence,
-                                            word.payload,
                                             sink_index,
                                         )
                                     )
@@ -2062,21 +2047,17 @@ class CompiledEngine:
             for gen in self.gens
         )
         sinks_part = []
-        for sink, _ni, _channel, _period, checking in self.sinks:
-            last_rel: tuple = ()
-            if checking:
-                last_rel = tuple(
-                    sorted(
-                        (
-                            conn,
-                            (last - base[conn][0])
-                            if conn in base
-                            else last,
-                            conn in base,
-                        )
-                        for conn, last in sink._last_seq.items()
+        for sink, _ni, _channel, _period in self.sinks:
+            last_rel = tuple(
+                sorted(
+                    (
+                        conn,
+                        (last - base[conn][0]) if conn in base else last,
+                        conn in base,
                     )
+                    for conn, last in sink._last_seq.items()
                 )
+            )
             sinks_part.append(
                 (max(0, sink.start_cycle - cycle), last_rel)
             )
@@ -2125,11 +2106,7 @@ class CompiledEngine:
             ],
             "faults": len(self.stats.faults),
             "dropped": dropped,
-            "findings": tuple(
-                len(sink.findings)
-                for sink, _n, _c, _p, checking in self.sinks
-                if checking
-            ),
+            "findings": tuple(len(sink[0].findings) for sink in self.sinks),
         }
 
     def _deltas_clean(self, before: dict, after: dict) -> bool:

@@ -17,14 +17,14 @@ cycle and holds no data-plane state:
   deliveries as one ``record_fanout`` run.
 * **Piecewise-periodic regime cache** — a proven-steady epoch is stored
   fully rebased (event cycles relative to the epoch start, sequences
-  and payloads relative to the per-connection anchors, counters as
-  per-epoch deltas) in a per-network LRU keyed (schedule image, traffic
+  relative to the per-connection anchors, counters as per-epoch
+  deltas) in a per-network LRU keyed (schedule image, traffic
   roster, signature), so re-entering a seen regime replays at the
   *first* boundary instead of re-probing two epochs.
 * **The int64 guard** — numpy integers wrap where Python integers
   grow, so :meth:`EpochReplay.budget_reason` vets every value about to
-  be fed to an array (captured sequences and payloads, per-epoch
-  deltas scaled by ``K``, the landing cycle).  It sits here, at the
+  be fed to an array (captured sequences, per-epoch deltas scaled by
+  ``K``, the landing cycle).  It sits here, at the
   only place numpy is fed, and a failing epoch is simply not replayed:
   the engine records a typed ``replay_refusals["unsupported_params"]``
   and keeps stepping with Python integers.
@@ -39,7 +39,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .compiled import _EV_EJECT, _EV_INJECT, _EV_SINK, _PAYLOAD_MASK
+from .compiled import _EV_EJECT, _EV_INJECT
 
 #: Capacity (regimes) of the per-network regime cache: one entry per
 #: distinct steady regime; use-case campaigns rarely cycle through more
@@ -82,10 +82,9 @@ def roster_key(
             ni.name,
             channel,
             sink_period,
-            checking,
             sink.words_per_cycle,
         )
-        for sink, ni, channel, sink_period, checking in sinks
+        for sink, ni, channel, sink_period in sinks
     ]
     return (tuple(gens_key), tuple(sinks_key), period)
 
@@ -139,9 +138,9 @@ class EpochReplay:
         """Why replaying ``epochs`` epochs would leave the int64 budget.
 
         ``None`` when every array :meth:`materialize` is about to build
-        — event sequences and sink payloads, each shifted by up to
-        ``epochs`` per-epoch deltas, and event cycles up to the landing
-        cycle — provably fits: a value and its shift both below
+        — event sequences, each shifted by up to ``epochs`` per-epoch
+        deltas, and event cycles up to the landing cycle — provably
+        fits: a value and its shift both below
         ``2**62`` in magnitude sum to less than ``2**63``.
         """
         limit = _VALUE_LIMIT
@@ -163,12 +162,6 @@ class EpochReplay:
                     f"{self.conn_names[event[2]]!r} is outside the "
                     f"int64 budget"
                 )
-            if event[0] == _EV_SINK and not 0 <= event[4] < limit:
-                return (
-                    f"captured payload {event[4]!r} of "
-                    f"{self.conn_names[event[2]]!r} is outside the "
-                    f"int64 budget"
-                )
         return None
 
     # -- the piecewise-periodic regime cache --------------------------------------
@@ -185,7 +178,7 @@ class EpochReplay:
         """Record one proven-steady epoch as a reusable regime template.
 
         The template is fully rebased: event cycles relative to the
-        epoch start, sequences/payloads relative to the per-connection
+        epoch start, sequences relative to the per-connection
         ``anchors`` at the closing boundary, counter values as
         per-epoch deltas.  Loading re-anchors against whatever absolute
         state the matching boundary presents, so a template recorded
@@ -200,28 +193,14 @@ class EpochReplay:
         names = self.conn_names
         start = cycle - self.period
         rebased: List[tuple] = []
-        for event in events:
-            tag = event[0]
-            rcyc = event[1] - start
-            conn = names[event[2]]
+        for tag, cyc, cid, seq, *rest in events:
+            conn = names[cid]
             anchor = anchors.get(conn)
-            anch = anchor is not None
-            if tag == _EV_INJECT:
-                seq = event[3] - anchor[0] if anch else event[3]
-                rebased.append((tag, rcyc, conn, seq, anch))
-            elif tag == _EV_EJECT:
-                seq = event[3] - anchor[0] if anch else event[3]
-                rebased.append((tag, rcyc, conn, seq, anch, event[4]))
-            else:  # _EV_SINK
-                seq = event[3] - anchor[0] if anch else event[3]
-                pay = (
-                    (event[4] - anchor[1]) & _PAYLOAD_MASK
-                    if anch
-                    else event[4]
-                )
-                rebased.append(
-                    (tag, rcyc, conn, seq, pay, anch, event[5])
-                )
+            if anchor is not None:
+                seq -= anchor[0]
+            rebased.append(
+                (tag, cyc - start, conn, seq, anchor is not None, *rest)
+            )
         cache[key] = {
             "chan_keys": after["chan_keys"],
             "fixed_delta": [
@@ -278,36 +257,13 @@ class EpochReplay:
         intern = self.intern
         start = cycle - self.period
         events: List[tuple] = []
-        for ev in entry["events"]:
-            tag = ev[0]
-            cyc = ev[1] + start
-            conn = ev[2]
-            anchor = anchors.get(conn)
-            if tag == _EV_INJECT:
-                seq = ev[3]
-                if ev[4]:
-                    if anchor is None:
-                        return None
-                    seq += anchor[0]
-                events.append((tag, cyc, intern(conn), seq))
-            elif tag == _EV_EJECT:
-                seq = ev[3]
-                if ev[4]:
-                    if anchor is None:
-                        return None
-                    seq += anchor[0]
-                events.append((tag, cyc, intern(conn), seq, ev[5]))
-            else:  # _EV_SINK
-                seq = ev[3]
-                pay = ev[4]
-                if ev[5]:
-                    if anchor is None:
-                        return None
-                    seq += anchor[0]
-                    pay = (pay + anchor[1]) & _PAYLOAD_MASK
-                events.append(
-                    (tag, cyc, intern(conn), seq, pay, ev[6])
-                )
+        for tag, cyc, conn, seq, anchored, *rest in entry["events"]:
+            if anchored:
+                anchor = anchors.get(conn)
+                if anchor is None:
+                    return None
+                seq += anchor[0]
+            events.append((tag, cyc + start, intern(conn), seq, *rest))
         before = {
             "fixed": [
                 now - d
@@ -359,15 +315,15 @@ class EpochReplay:
         tree's destinations interleave inside each epoch, so its
         ejections go k-major as one ``record_fanout`` run, each
         delivery with its destination, in the order stepping delivers
-        them.  Within each per-connection (and per-sink) stream this
-        reproduces exactly the order an epoch-by-epoch walk would
-        produce, and across streams only dict iteration order differs —
-        which no comparable state (per-connection latency lists, the
-        word ledger, received streams) can observe.  Injections land
-        before ejections so every replayed ejection finds its word
-        injected.
+        them.  Within each per-connection stream this reproduces exactly
+        the order an epoch-by-epoch walk would produce, and across
+        streams only dict iteration order differs — which no comparable
+        state (per-connection latency lists, the word ledger) can
+        observe.  Injections land before ejections so every replayed
+        ejection finds its word injected.  Each sink is credited its
+        epoch's word count ``epochs`` times and replays its sequence
+        checks.
         """
-        period = self.period
         stats = self.stats
         names = self.conn_names
         dvec = np.zeros(len(names), dtype=np.int64)
@@ -376,7 +332,6 @@ class EpochReplay:
             if cid is not None:
                 dvec[cid] = delta
         ks = np.arange(1, epochs + 1, dtype=np.int64)
-        kcyc = ks * period  # per-epoch cycle offsets
 
         inj_by_cid: Dict[int, List[tuple]] = {}
         ej_by_cid: Dict[int, List[tuple]] = {}
@@ -390,10 +345,8 @@ class EpochReplay:
                 _t, cyc, cid, seq, dest = event
                 ej_by_cid.setdefault(cid, []).append((cyc, seq, dest))
             else:
-                _t, cyc, cid, seq, pay, idx = event
-                sink_by_idx.setdefault(idx, []).append(
-                    (cyc, pay, cid, seq)
-                )
+                _t, cyc, cid, seq, idx = event
+                sink_by_idx.setdefault(idx, []).append((cyc, cid, seq))
 
         for cid, evs in inj_by_cid.items():
             for first, cycles in self._runs(evs, int(dvec[cid]), ks):
@@ -416,22 +369,9 @@ class EpochReplay:
                 )
 
         for idx, evs in sink_by_idx.items():
-            sink, _ni, _ch, _p, checking = self.sinks[idx]
-            cyc = np.asarray([e[0] for e in evs], dtype=np.int64)
-            pay = np.asarray([e[1] for e in evs], dtype=np.int64)
-            cids = np.asarray([e[2] for e in evs], dtype=np.intp)
-            de = dvec[cids]
-            all_cyc = (cyc[None, :] + kcyc[:, None]).ravel()
-            shifted = pay[None, :] + ks[:, None] * de[None, :]
-            # Stepped semantics: payloads are wrapped only when shifted.
-            all_pay = np.where(
-                de[None, :] != 0, shifted & _PAYLOAD_MASK, shifted
-            ).ravel()
-            sink.received.extend(
-                zip(all_cyc.tolist(), all_pay.tolist())
-            )
-            if checking:
-                self._replay_checking(sink, evs, dvec, epochs)
+            sink = self.sinks[idx][0]
+            sink.words_received += len(evs) * epochs
+            self._replay_checking(sink, evs, dvec, epochs)
 
     def _columns(self, evs: List[tuple], delta: int, ks: Any) -> Any:
         """One stream's epochs, k-major: its ``(sequences, cycles)``."""
@@ -465,7 +405,7 @@ class EpochReplay:
         dvec: Any,
         epochs: int,
     ) -> None:
-        """Replay a CheckingSink's sequence bookkeeping.
+        """Replay a sink's sequence bookkeeping.
 
         Fast path: every connection's epoch stream is consecutive,
         matches the sink's last-seen counter, and the per-epoch shift
@@ -477,7 +417,7 @@ class EpochReplay:
         """
         names = self.conn_names
         streams: Dict[int, List[int]] = {}
-        for _cyc, _pay, cid, seq in evs:
+        for _cyc, cid, seq in evs:
             if cid and seq >= 0:
                 streams.setdefault(cid, []).append(seq)
         fast = True
@@ -503,7 +443,7 @@ class EpochReplay:
             return
         period = self.period
         for k in range(1, epochs + 1):
-            for cyc, _pay, cid, seq in evs:
+            for cyc, cid, seq in evs:
                 if cid and seq >= 0:
                     sink._check_sequence(
                         cyc + k * period,

@@ -7,7 +7,7 @@ from .generators import (
     RandomGenerator,
     TraceGenerator,
 )
-from .sinks import CheckingSink, DrainSink, ThrottledSink
+from .sinks import CheckingSink, ThrottledSink
 from .workloads import (
     CacheMissTraffic,
     SyncBroadcast,
@@ -22,7 +22,6 @@ __all__ = [
     "RandomGenerator",
     "TraceGenerator",
     "CheckingSink",
-    "DrainSink",
     "ThrottledSink",
     "CacheMissTraffic",
     "SyncBroadcast",

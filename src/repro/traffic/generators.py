@@ -198,15 +198,20 @@ class TraceGenerator(Component):
     def done(self) -> bool:
         return self._index >= len(self.trace)
 
+    def _skip_past(self, cycle: int) -> None:
+        """Step over the entries before ``cycle``: a generator added
+        after an entry's cycle never fires it, and fires the later ones
+        at their cycles."""
+        trace = self.trace
+        while self._index < len(trace) and trace[self._index][0] < cycle:
+            self._index += 1
+
     def next_evaluation(self, cycle: int) -> Optional[int]:
-        if self.done:
-            return None
-        # Entries in the past never fire (evaluate matches ``== cycle``),
-        # exactly as if the naive loop had stepped over them.
-        scheduled = self.trace[self._index][0]
-        return scheduled if scheduled >= cycle else None
+        self._skip_past(cycle)
+        return None if self.done else self.trace[self._index][0]
 
     def evaluate(self, cycle: int) -> None:
+        self._skip_past(cycle)
         while not self.done and self.trace[self._index][0] == cycle:
             self.inject(self.trace[self._index][1])
             self.words_generated += 1

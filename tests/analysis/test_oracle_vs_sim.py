@@ -46,7 +46,7 @@ from repro.traffic.generators import (
     CbrGenerator,
     RandomGenerator,
 )
-from repro.traffic.sinks import DrainSink
+from repro.traffic.sinks import CheckingSink
 
 pytestmark = pytest.mark.differential
 
@@ -199,7 +199,7 @@ def build_scenario(scenario, kernel_mode):
             spec,
             network.ni(src).injector(handle.forward.src_channel, label),
         )
-        sink = DrainSink(
+        sink = CheckingSink(
             f"sink.{label}",
             receive=network.ni(dst).receiver(handle.forward.dst_channel),
             words_per_cycle=4,
@@ -348,7 +348,7 @@ class TestMulticastOracleVsSimulator:
         network.kernel.add(gen)
         for dst in dsts:
             network.kernel.add(
-                DrainSink(
+                CheckingSink(
                     f"sink.{dst}",
                     receive=network.ni(dst).receiver(
                         handle.dst_channels[dst]

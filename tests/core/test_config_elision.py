@@ -156,7 +156,10 @@ class Probe:
                 for r in net.config_module.completed
             ],
             "deliveries": net.stats.word_times(),
-            "received": [list(sink.received) for sink in sinks],
+            "sinks": [
+                (sink.words_received, dict(sink._last_seq), sink.findings)
+                for sink in sinks
+            ],
             "dropped": net.total_dropped_words,
             "cycle": net.kernel.cycle,
             "final": element_state(net),

@@ -8,6 +8,7 @@ from repro.alloc import ConnectionRequest
 from repro.core import DaeliteNetwork, OnlineConnectionManager
 from repro.params import daelite_parameters
 from repro.topology import build_mesh
+from repro.traffic import CheckingSink
 
 
 @pytest.fixture
@@ -32,3 +33,19 @@ def forward_edge(record, hop: int = 1):
     """The ``hop``-th link of the open connection's forward path."""
     path = record.allocation.forward.path
     return (path[hop], path[hop + 1])
+
+
+class RecordingSink(CheckingSink):
+    """A checking sink that also keeps ``(cycle, payload)`` per word it
+    consumes: the fault campaigns judge delivery by payload.  The
+    engine admits only the library's sinks, so a network carrying one
+    steps on the activity kernel; the campaigns drain through bare
+    callables, which keep them there anyway (``compiled_cycles`` 0)."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.received: list = []
+
+    def consume(self, cycle: int, word) -> None:
+        super().consume(cycle, word)
+        self.received.append((cycle, word.payload))

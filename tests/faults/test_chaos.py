@@ -26,7 +26,8 @@ from repro.faults import FaultInjector, random_fault_plan
 from repro.params import daelite_parameters
 from repro.staticcheck import verify_network_state
 from repro.topology import build_mesh
-from repro.traffic import CheckingSink
+
+from .conftest import RecordingSink
 
 pytestmark = pytest.mark.chaos
 
@@ -48,7 +49,7 @@ def _connection_sink(network, manager, label):
             record.handle.forward.dst_channel, count
         )
 
-    sink = CheckingSink(f"sink.{label}", receive, stats=network.stats)
+    sink = RecordingSink(f"sink.{label}", receive, stats=network.stats)
     network.kernel.add(sink)
     return sink
 
@@ -62,7 +63,7 @@ def _multicast_sink(network, manager, label, dst):
             record.handle.dst_channels[dst], count
         )
 
-    sink = CheckingSink(
+    sink = RecordingSink(
         f"sink.{label}.{dst}", receive, stats=network.stats
     )
     network.kernel.add(sink)
@@ -101,6 +102,8 @@ def run_chaos(seed: int, fail_a_link: bool) -> None:
         dst: _multicast_sink(network, manager, "sync", dst)
         for dst in ("NI00", "NI22")
     }
+    # The sinks drain through bare callables: no engine cycle from here.
+    engine_cycles = network.kernel.kernel_stats()["compiled_cycles"]
 
     plan = random_fault_plan(
         seed,
@@ -185,6 +188,7 @@ def run_chaos(seed: int, fail_a_link: bool) -> None:
         assert len(_fresh(sink, base, 5)) == 5, (
             f"multicast to {dst} (seed {seed})"
         )
+    assert network.kernel.kernel_stats()["compiled_cycles"] == engine_cycles
 
 
 class TestChaos:

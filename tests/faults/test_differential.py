@@ -18,7 +18,8 @@ from repro.core import DaeliteNetwork, OnlineConnectionManager
 from repro.faults import FaultInjector, random_fault_plan
 from repro.params import daelite_parameters
 from repro.topology import build_mesh
-from repro.traffic import CheckingSink
+
+from .conftest import RecordingSink
 
 pytestmark = pytest.mark.differential
 
@@ -56,7 +57,7 @@ def run_campaign(mode: str, seed: int):
     network.ni("NI11").submit_words(
         sync.handle.src_channel, [7] * 10, "m.e1"
     )
-    sink = CheckingSink(
+    sink = RecordingSink(
         "sink",
         lambda n: network.ni("NI22").receive(
             stream.handle.forward.dst_channel, n

@@ -23,7 +23,7 @@ from repro.core import DaeliteNetwork
 from repro.params import daelite_parameters
 from repro.staticcheck import verify_network_state
 from repro.topology import build_mesh
-from repro.traffic import CbrGenerator, DrainSink, ThrottledSink
+from repro.traffic import CbrGenerator, CheckingSink, ThrottledSink
 
 
 @pytest.fixture
@@ -69,14 +69,14 @@ class TestMixedWorkload:
             period=8,
             total_words=100,
         )
-        video_sink = DrainSink(
+        video_sink = CheckingSink(
             "video_sink",
             lambda n: net.ni("NI22").receive(
                 video_handle.forward.dst_channel, n
             ),
         )
         sync_sinks = [
-            DrainSink(
+            CheckingSink(
                 f"sync_sink_{dst}",
                 (
                     lambda dst_name, ch: lambda n: net.ni(
@@ -103,9 +103,11 @@ class TestMixedWorkload:
             and net.stats.delivered_words("cache") >= 2,
             max_cycles=30_000,
         )
-        assert video_sink.payloads() == list(range(100))
+        assert video_sink.clean and video_sink.words_received == 100
+        assert video_sink._last_seq == {"video": 99}
         for sink in sync_sinks:
-            assert sink.payloads() == list(range(20))
+            assert sink.clean and sink.words_received == 20
+            assert sink._last_seq == {"sync": 19}
         assert net.total_dropped_words == 0
 
     def test_guarantees_hold_under_interference(self, params):
@@ -131,13 +133,13 @@ class TestMixedWorkload:
             heavy_src.submit(
                 heavy_handle.forward.src_channel, payload, "heavy"
             )
-        heavy_sink = DrainSink(
+        heavy_sink = CheckingSink(
             "heavy_sink",
             lambda n: net.ni("NI22").receive(
                 heavy_handle.forward.dst_channel, n
             ),
         )
-        light_sink = DrainSink(
+        light_sink = CheckingSink(
             "light_sink",
             lambda n: net.ni("NI02").receive(
                 light_handle.forward.dst_channel, n
@@ -182,7 +184,8 @@ class TestMixedWorkload:
         net.kernel.run_until(
             lambda: sink.words_received >= count, max_cycles=60_000
         )
-        assert sink.payloads() == list(range(count))
+        assert sink.clean and sink.words_received == count
+        assert sink._last_seq == {"slow": count - 1}
         assert net.total_dropped_words == 0
 
 

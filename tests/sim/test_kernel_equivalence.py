@@ -52,7 +52,6 @@ from repro.traffic import (
     BurstGenerator,
     CbrGenerator,
     CheckingSink,
-    DrainSink,
     ThrottledSink,
 )
 
@@ -367,7 +366,8 @@ class LiveScenario:
     flows: Tuple[Tuple[str, str, int], ...]
     #: ("cbr" | "burst", period, burst words) per flow.
     generators: Tuple[Tuple[str, int, int], ...]
-    #: ("drain" | "throttled" | "checking", words per drain, period).
+    #: ("drain" | "throttled" | "checking", words per drain, period);
+    #: a "drain" sink checks without a collector behind it.
     sinks: Tuple[Tuple[str, int, int], ...]
     #: (src NI, dst NI) of the shell pair's connection.
     shell: Tuple[str, str]
@@ -473,7 +473,7 @@ def make_live_generator(index, spec, inject):
 def make_live_sink(index, spec, receive, stats):
     kind, words, period = spec
     if kind == "drain":
-        return DrainSink(f"sink{index}", receive, words_per_cycle=words)
+        return CheckingSink(f"sink{index}", receive, words_per_cycle=words)
     if kind == "throttled":
         return ThrottledSink(
             f"sink{index}", receive, period=period, words_per_drain=words
@@ -497,8 +497,9 @@ def live_outcome(net, probe, gens, sinks, memory, results):
         "cycle": net.kernel.cycle,
         "stats": stats_snapshot(net.stats),
         "generated": [gen.words_generated for gen in gens],
-        "received": [list(sink.received) for sink in sinks],
-        "findings": [list(getattr(s, "findings", ())) for s in sinks],
+        "words_received": [sink.words_received for sink in sinks],
+        "findings": [list(sink.findings) for sink in sinks],
+        "last_seq": [dict(sink._last_seq) for sink in sinks],
         "memory": (dict(memory._words), memory.writes_served),
         "reads": [
             (result.completed_at, tuple(result.data))
@@ -713,7 +714,7 @@ def run_recycled_index(mode: str):
     first = manager.open_connection(
         ConnectionRequest("first", "NI00", "NI11", forward_slots=1)
     ).handle
-    sink = DrainSink(
+    sink = CheckingSink(
         "sink", net.ni("NI11").receiver(first.forward.dst_channel)
     )
     gen = CbrGenerator(
@@ -739,14 +740,17 @@ def run_recycled_index(mode: str):
     )
     net.kernel.add(later)
     net.run(200)
-    return probe, (list(sink.received), stats_snapshot(net.stats))
+    return probe, (
+        (sink.words_received, dict(sink._last_seq), list(sink.findings)),
+        stats_snapshot(net.stats),
+    )
 
 
 def test_sink_on_a_recycled_channel_index_is_not_stranded():
     probe_a, outcome_a = run_recycled_index(ACTIVITY_MODE)
     probe_n, outcome_n = run_recycled_index(NAIVE_MODE)
-    received, _ = outcome_n
-    assert [payload for _, payload in received] == [*range(6), *range(8)]
+    sink_state, _ = outcome_n
+    assert sink_state == (14, {"first": 5, "second": 7}, [])
     assert outcome_a == outcome_n
     # The probe predates ``gen.second`` (which owns no register), so the
     # frames still cover every register of both builds.

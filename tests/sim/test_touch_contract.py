@@ -79,6 +79,11 @@ def latencies(net):
     }
 
 
+def sink_state(sink):
+    """What a sink keeps: its word count and checker state."""
+    return sink.words_received, dict(sink._last_seq), list(sink.findings)
+
+
 def daelite_flow(mode: str, strict: bool):
     """A flow-controlled CBR flow into a slow, sleeping sink: the
     generator wakes the source NI (``submit``), the destination NI wakes
@@ -107,7 +112,7 @@ def daelite_flow(mode: str, strict: bool):
     )
     net.kernel.add_all([gen, sink])
     net.run(1500)
-    return handle.setup_cycles, list(sink.received), latencies(net)
+    return handle.setup_cycles, sink_state(sink), latencies(net)
 
 
 class LateRequester(Component):
@@ -170,7 +175,7 @@ def aelite_flow(mode: str, strict: bool):
     )
     net.kernel.add_all([gen, sink])
     net.run(1500)
-    return list(sink.received), latencies(net)
+    return sink_state(sink), latencies(net)
 
 
 def detection(scenario: Callable, fast_mode: str) -> Optional[str]:

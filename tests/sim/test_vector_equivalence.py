@@ -7,7 +7,7 @@ through an identical sequence of ``step`` chunks.  At every chunk
 boundary the engine materializes its flat state back into the Register
 objects, so all register outputs must be bit-identical, and so must the
 full statistics (per-word lifecycles, latency distributions, fault
-logs), every sink's received stream and checker state, and every
+logs), every sink's word count and checker state, and every
 link/router counter.
 
 Epoch replay is covered two ways: the Hypothesis scenarios include
@@ -28,6 +28,7 @@ differential assertions to kill each one.
 from __future__ import annotations
 
 import inspect
+from collections.abc import Sized
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -49,7 +50,12 @@ from repro.params import aelite_parameters, daelite_parameters
 from repro.sim import compiled
 from repro.sim.compiled import CompiledEngine
 from repro.sim.flit import Phit, Word
-from repro.sim.kernel import ACTIVITY_MODE, VECTOR_MODE, CompileRefusal
+from repro.sim.kernel import (
+    ACTIVITY_MODE,
+    NAIVE_MODE,
+    VECTOR_MODE,
+    CompileRefusal,
+)
 from repro.sim.replay import EpochReplay
 from repro.sim.stats import StatsCollector
 from repro.topology import build_mesh, ni_name
@@ -58,7 +64,7 @@ from repro.traffic.generators import (
     CbrGenerator,
     TraceGenerator,
 )
-from repro.traffic.sinks import CheckingSink, DrainSink, ThrottledSink
+from repro.traffic.sinks import CheckingSink, ThrottledSink
 
 pytestmark = pytest.mark.differential
 
@@ -75,7 +81,8 @@ class Scenario:
     connections: Tuple[Tuple[str, str, int], ...]
     #: Per connection: (kind, period, start_cycle, total, burst_words).
     generators: Tuple[Tuple[str, int, int, int, int], ...]
-    #: Per connection: (kind, words_per_cycle, period).
+    #: Per connection: (kind, words_per_cycle, period); a "drain" sink
+    #: checks without a collector behind it.
     sinks: Tuple[Tuple[str, int, int], ...]
     #: step() chunk sizes driven against both builds.
     chunks: Tuple[int, ...]
@@ -183,7 +190,7 @@ def make_generator(index, spec, inject):
 def make_sink(index, spec, receive, stats):
     kind, words_per_cycle, period = spec
     if kind == "drain":
-        return DrainSink(
+        return CheckingSink(
             f"sink{index}", receive=receive, words_per_cycle=words_per_cycle
         )
     if kind == "throttled":
@@ -250,13 +257,9 @@ def full_snapshot(net, gens, sinks):
     """Everything the engine is obligated to reproduce."""
     return {
         "stats": stats_snapshot(net.stats),
-        "received": [list(sink.received) for sink in sinks],
-        "findings": [
-            list(getattr(sink, "findings", ())) for sink in sinks
-        ],
-        "last_seq": [
-            dict(getattr(sink, "_last_seq", {})) for sink in sinks
-        ],
+        "words_received": [sink.words_received for sink in sinks],
+        "findings": [list(sink.findings) for sink in sinks],
+        "last_seq": [dict(sink._last_seq) for sink in sinks],
         "gen_words": [gen.words_generated for gen in gens],
         "gen_done": [gen.done for gen in gens],
         "dropped": net.total_dropped_words,
@@ -612,7 +615,7 @@ def run_big_value_differential(trace=None, first_sequence=0):
                 inject=inject,
                 trace=[(base + at, payload) for at, payload in trace],
             )
-        sink = DrainSink(
+        sink = CheckingSink(
             "sink",
             receive=net.ni("NI11").receiver(handle.forward.dst_channel),
             words_per_cycle=2,
@@ -647,6 +650,79 @@ def test_out_of_budget_sequence_is_stepped_not_replayed():
     assert stats["replayed_epochs"] == 0
     assert stats["replay_refusals"] == {CompileRefusal.UNSUPPORTED_PARAMS: 1}
     assert net.stats.delivered_words("big") > 100
+
+
+# -- sinks count; a trace generator may join late ------------------------------
+
+
+def late_trace(mode):
+    """REQUEST_A configured, a sink that leaves its words queued, and
+    50 cycles later a trace generator whose first entry is already
+    past.  Returns the cycles (relative to set-up) at which the
+    generator fired, the queued payloads, whether it is done, and the
+    statistics."""
+    net, _, handle = configured_net(mode, [REQUEST_A])
+    base = net.kernel.cycle
+    sink = CheckingSink(
+        "sink",
+        receive=net.ni("NI11").receiver(handle.forward.dst_channel),
+        start_cycle=base + 10_000,
+    )
+    net.kernel.add(sink)
+    net.run(50)
+    gen = TraceGenerator(
+        "late",
+        inject=net.ni("NI00").injector(handle.forward.src_channel, "late"),
+        trace=[(base + 5, 1), (base + 100, 2), (base + 120, 3)],
+    )
+    net.kernel.add(gen)
+    fired = []
+    for _ in range(110):
+        generated = gen.words_generated
+        net.run(1)
+        if gen.words_generated > generated:
+            fired.append(net.kernel.cycle - 1 - base)
+    dest = net.ni("NI11").dest_channel(handle.forward.dst_channel)
+    return (
+        fired,
+        [word.payload for word in dest.queue],
+        gen.done,
+        stats_snapshot(net.stats),
+    )
+
+
+def test_trace_generator_added_after_its_first_entry():
+    """The entry before the cycle the generator joins never fires; the
+    later ones fire at their cycles, in every mode."""
+    naive = late_trace(NAIVE_MODE)
+    assert naive[:3] == ([100, 120], [2, 3], True)
+    assert late_trace(ACTIVITY_MODE) == naive
+    assert late_trace(VECTOR_MODE) == naive
+
+
+@pytest.mark.parametrize("mode", [NAIVE_MODE, ACTIVITY_MODE, VECTOR_MODE])
+def test_sinks_hold_no_per_word_state(mode):
+    """A sink's containers do not grow with the words it consumes: after
+    four times the run, every one has the length it had, while the word
+    count has grown."""
+    net, _, sinks = one_flow(mode)
+    sink = sinks[0]
+
+    def lengths():
+        return {
+            name: len(value)
+            for name, value in vars(sink).items()
+            if isinstance(value, Sized) and not isinstance(value, str)
+        }
+
+    net.run(400)
+    words, before = sink.words_received, lengths()
+    net.run(1200)
+    assert sink.words_received > 3 * words > 0
+    assert lengths() == before
+    assert sink.clean
+    if mode == VECTOR_MODE:
+        assert net.kernel.kernel_stats()["replayed_epochs"] > 0
 
 
 # -- aelite --------------------------------------------------------------------
@@ -942,7 +1018,9 @@ def flow_ends(net):
     gen = next(
         c for c in net.kernel.components if isinstance(c, CbrGenerator)
     )
-    sink = next(c for c in net.kernel.components if isinstance(c, DrainSink))
+    sink = next(
+        c for c in net.kernel.components if isinstance(c, CheckingSink)
+    )
     ni, channel = gen.inject.ni, gen.inject.channel
     return (
         ni,
@@ -1014,8 +1092,9 @@ def raises_in_lockstep(build, chunks, tamper, error, match):
                 str(caught.value),
                 net.kernel.cycle,
                 stats_snapshot(net.stats),
-                [list(sink.received) for sink in sinks],
-                [list(getattr(sink, "findings", ())) for sink in sinks],
+                [sink.words_received for sink in sinks],
+                [list(sink.findings) for sink in sinks],
+                [dict(sink._last_seq) for sink in sinks],
                 [gen.words_generated for gen in gens],
                 {
                     name: dests
@@ -1347,24 +1426,30 @@ def mutant_survives(run) -> bool:
     return True
 
 
-def plant(monkeypatch, original: str, mutant: str) -> None:
-    """Run every engine on ``run_to`` with the one source fragment
-    ``original`` (a fast path is inline code: there is no method to
-    patch) rewritten to ``mutant``."""
-    source = inspect.getsource(compiled)
+def plant(
+    monkeypatch,
+    original: str,
+    mutant: str,
+    owner: type = CompiledEngine,
+    method: str = "run_to",
+) -> None:
+    """Run every engine on ``owner.method`` (by default ``run_to``)
+    with the one source fragment ``original`` of its module (a fast
+    path is inline code: there is no method to patch) rewritten to
+    ``mutant``."""
+    module = inspect.getmodule(owner)
+    source = inspect.getsource(module)
     assert source.count(original) == 1, original
     namespace = {
-        "__name__": compiled.__name__,
-        "__package__": compiled.__package__,
+        "__name__": module.__name__,
+        "__package__": module.__package__,
     }
     exec(
-        compile(
-            source.replace(original, mutant), compiled.__file__, "exec"
-        ),
+        compile(source.replace(original, mutant), module.__file__, "exec"),
         namespace,
     )
     monkeypatch.setattr(
-        CompiledEngine, "run_to", namespace["CompiledEngine"].run_to
+        owner, method, getattr(namespace[owner.__name__], method)
     )
 
 
@@ -1449,7 +1534,31 @@ class TestPlantedEngineMutantsAreKilled:
         )
 
     def test_last_seq_not_advanced_in_the_sink(self, monkeypatch):
+        """Sink visit.  The inline drain counts the word but does not
+        advance the connection's last sequence number."""
         plant(monkeypatch, "sink._last_seq[connection] = sequence", "pass")
+        assert not mutant_survives(test_vector_epoch_replay_is_bit_exact)
+
+    def test_replay_credits_a_sink_one_epoch_short(self, monkeypatch):
+        """Replay.  Only the sink's word count is wrong: its sequence
+        bookkeeping and the ledger are replayed apart from it."""
+        plant(
+            monkeypatch,
+            "len(evs) * epochs",
+            "len(evs) * (epochs - 1)",
+            owner=EpochReplay,
+            method="materialize",
+        )
+        assert not mutant_survives(test_vector_epoch_replay_is_bit_exact)
+
+    def test_throttled_sink_drained_one_period_late(self, monkeypatch):
+        """Sink wake-up.  A throttled sink's visit lands a period after
+        the first drain cycle its queue allows."""
+        plant(
+            monkeypatch,
+            "start += -start % sink_run[2]",
+            "start += -start % sink_run[2] + sink_run[2]",
+        )
         assert not mutant_survives(test_vector_epoch_replay_is_bit_exact)
 
     def test_sequence_counter_not_advanced_at_a_firing(self, monkeypatch):

@@ -6,10 +6,11 @@ import pytest
 
 from repro.errors import TrafficError
 from repro.sim import Kernel, Word
+from repro.sim.kernel import ACTIVITY_MODE, NAIVE_MODE
 from repro.traffic import (
     BurstGenerator,
     CbrGenerator,
-    DrainSink,
+    CheckingSink,
     Lcg,
     RandomGenerator,
     ThrottledSink,
@@ -126,6 +127,23 @@ class TestTrace:
         kernel.step(2)
         assert generator.done
 
+    @pytest.mark.parametrize("mode", [NAIVE_MODE, ACTIVITY_MODE])
+    def test_added_after_its_first_entry(self, mode):
+        """An entry before the cycle the generator joins never fires;
+        the later ones still fire at their cycles."""
+        fired = []
+        kernel = Kernel(mode=mode)
+        generator = TraceGenerator(
+            "g",
+            lambda payload: fired.append((kernel.cycle, payload)),
+            [(5, 1), (100, 2), (120, 3)],
+        )
+        kernel.step(50)
+        kernel.add(generator)
+        kernel.step(100)
+        assert fired == [(100, 2), (120, 3)]
+        assert generator.done
+
 
 class TestLcg:
     def test_bounded(self):
@@ -146,7 +164,10 @@ class TestLcg:
 
 class TestSinks:
     def make_queue(self, payloads):
-        words = [Word(payload=p) for p in payloads]
+        words = [
+            Word(payload=p, connection="c", sequence=i)
+            for i, p in enumerate(payloads)
+        ]
 
         def receive(max_words):
             taken, words[:] = (
@@ -157,14 +178,15 @@ class TestSinks:
 
         return receive
 
-    def test_drain_sink_collects(self):
+    def test_sink_counts_and_checks(self):
         receive = self.make_queue([1, 2, 3])
-        sink = DrainSink("s", receive, words_per_cycle=2)
+        sink = CheckingSink("s", receive, words_per_cycle=2)
         kernel = Kernel()
         kernel.add(sink)
         kernel.step(2)
-        assert sink.payloads() == [1, 2, 3]
         assert sink.words_received == 3
+        assert sink.clean
+        assert sink._last_seq == {"c": 2}
 
     def test_throttled_sink_slower(self):
         receive = self.make_queue(list(range(10)))
@@ -176,6 +198,6 @@ class TestSinks:
 
     def test_rate_validation(self):
         with pytest.raises(TrafficError):
-            DrainSink("s", lambda n: [], words_per_cycle=0)
+            CheckingSink("s", lambda n: [], words_per_cycle=0)
         with pytest.raises(TrafficError):
             ThrottledSink("s", lambda n: [], period=0)
