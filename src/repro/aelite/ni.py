@@ -213,13 +213,10 @@ class AeliteNetworkInterface(Component):
     def _drive_pipeline(self, cycle: int) -> None:
         last = self._pipeline[-1].q
         if last is not None and self.out_link is not None:
+            # Stamped before the link sees it (see the daelite NI).
+            if isinstance(last.word, Word) and self.stats is not None:
+                self.stats.record_injection(last.word, cycle)
             self.out_link.send(last)
-            word = last.word
-            if (
-                isinstance(word, Word)
-                and self.stats is not None
-            ):
-                self.stats.record_injection(word, cycle)
         for index in range(len(self._pipeline) - 1, 0, -1):
             previous = self._pipeline[index - 1].q
             if previous is not None:

@@ -692,14 +692,11 @@ class SlotAllocator:
 
     # -- path & base-slot machinery ---------------------------------------------
 
-    def _route(self, src_ni: str, dst_ni: str) -> Tuple[str, ...]:
-        return cached_route(self.topology, self.routing, src_ni, dst_ni)
-
     def route(self, src_ni: str, dst_ni: str) -> Tuple[str, ...]:
         """The path this allocator's routing policy would choose —
         public so the admission oracle can plan on it, and report it
         when it rejects the request."""
-        return self._route(src_ni, dst_ni)
+        return cached_route(self.topology, self.routing, src_ni, dst_ni)
 
     def _claim_diagonal(
         self,
@@ -829,7 +826,7 @@ class SlotAllocator:
             AllocationError: if too few admissible base slots remain on
                 the chosen path.
         """
-        chosen_path = tuple(path) if path is not None else self._route(
+        chosen_path = tuple(path) if path is not None else self.route(
             request.src_ni, request.dst_ni
         )
         mask, context = self.ledger.probe_rotations(

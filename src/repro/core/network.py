@@ -19,6 +19,7 @@ from ..alloc.spec import AllocatedConnection, AllocatedMulticast
 from ..errors import ConfigurationError, TopologyError
 from ..params import NetworkParameters, daelite_parameters
 from ..sim.compiled import install_compile_provider
+from ..sim.flit import Phit
 from ..sim.kernel import Kernel
 from ..sim.link import Link, NarrowLink
 from ..sim.stats import StatsCollector
@@ -280,21 +281,29 @@ class DaeliteNetwork:
         return teardown
 
     def drain(self, max_cycles: int = 100_000) -> None:
-        """Run until every queued word has been injected and delivered.
+        """Run until every queued word has been injected and delivered
+        to every destination: no source queue and no register holds a
+        word, and the ledger has nothing in flight.
 
         Raises:
             SimulationError: if words fail to drain in ``max_cycles`` —
                 e.g. a source channel was left disabled or starved of
                 credits.
         """
+        registers = self.kernel.all_registers()
 
         def idle() -> bool:
             if not self.stats.all_delivered:
                 return False
-            return all(
-                not source.queue
+            if any(
+                source.queue
                 for ni in self.nis.values()
                 for source in ni.source_channels.values()
+            ):
+                return False
+            return not any(
+                isinstance(register.q, Phit) and register.q.word is not None
+                for register in registers
             )
 
         self.kernel.run_until(idle, max_cycles=max_cycles)

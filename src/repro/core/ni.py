@@ -389,17 +389,18 @@ class NetworkInterface(Component):
         if staged is not None and not staged.is_idle and (
             self.out_link is not None
         ):
+            # Stamped before the link sees it: a fault hook that swaps
+            # the word for a corrupted copy copies the stamp.
+            if staged.word is not None and self.stats is not None:
+                self.stats.record_injection(staged.word, cycle)
             self.out_link.send(staged)
-            if staged.word is not None:
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        cycle,
-                        self.name,
-                        "inject",
-                        f"{staged.word!r}",
-                    )
-                if self.stats is not None:
-                    self.stats.record_injection(staged.word, cycle)
+            if staged.word is not None and self.tracer.enabled:
+                self.tracer.emit(
+                    cycle,
+                    self.name,
+                    "inject",
+                    f"{staged.word!r}",
+                )
         # Middle stage: move the staged decision towards the output.
         pending: Optional[Phit] = self._stage_reg.q
         if pending is not None and not pending.is_idle:

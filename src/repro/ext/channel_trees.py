@@ -23,12 +23,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Tuple
 
 from ..core.network import DaeliteNetwork
 from ..core.host import ConnectionHandle
 from ..errors import TrafficError
 from ..sim.kernel import Component
+from ..sim.stats import LatencyHistogram
 
 #: Bits reserved in each payload word for the flow tag.
 FLOW_TAG_BITS = 4
@@ -55,22 +56,13 @@ def untag_payload(word: int) -> Tuple[int, int]:
 
 
 @dataclass
-class FlowStats:
-    """Per-flow accounting of a shared channel."""
+class FlowStats(LatencyHistogram):
+    """Per-flow accounting of a shared channel: counts and a
+    ``{latency: count}`` histogram, as the statistics ledger keeps."""
 
     submitted: int = 0
     delivered: int = 0
-    latencies: List[int] = field(default_factory=list)
-
-    @property
-    def max_latency(self) -> Optional[int]:
-        return max(self.latencies) if self.latencies else None
-
-    @property
-    def mean_latency(self) -> Optional[float]:
-        if not self.latencies:
-            return None
-        return sum(self.latencies) / len(self.latencies)
+    latency_histogram: Dict[int, int] = field(default_factory=dict)
 
 
 class SharedChannel(Component):
@@ -165,5 +157,5 @@ class SharedChannel(Component):
                 word.sequence
             )
             self.stats[flow].delivered += 1
-            self.stats[flow].latencies.append(cycle - submitted_at)
+            self.stats[flow].count_latency(cycle - submitted_at)
             self.delivered[flow].append(payload)

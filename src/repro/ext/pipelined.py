@@ -186,7 +186,7 @@ class PipelinedDaeliteNetwork(DaeliteNetwork):
     ) -> AllocatedConnection:
         """Allocate a connection whose channels carry this network's
         link delays (forward path chosen by the allocator's routing)."""
-        path = allocator._route(request.src_ni, request.dst_ni)
+        path = allocator.route(request.src_ni, request.dst_ni)
         reverse_path = tuple(reversed(path))
         token = allocator.ledger.snapshot()
         try:

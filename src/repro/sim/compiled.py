@@ -27,7 +27,8 @@ It is the one engine behind ``vector`` mode, in three layers:
   per leaf of a multicast tree); the generators due; the sinks whose
   queue holds words.  At each of these per-word sites the loop tests
   the success precondition of the model method it stands in for —
-  ``take_word``, ``StatsCollector._inject`` / ``_eject``, ``deliver``,
+  ``take_word``, ``StatsCollector.record_injection`` /
+  ``record_ejection``, ``deliver``,
   ``_credit_paired_source``, ``drain`` / ``consume``, a periodic
   generator's ``evaluate`` → ``submit`` — on plain attributes and
   applies the method's effect inline, on the attributes the method
@@ -65,13 +66,14 @@ It is the one engine behind ``vector`` mode, in three layers:
   multiples of ``P``; when two consecutive signatures are equal (in a
   form made shift-invariant by expressing sequence numbers and payloads
   relative to the per-connection counters), the next ``K`` epochs are
-  applied arithmetically: the one recorded epoch's injection / ejection
-  events are re-recorded shifted by ``k*P`` cycles and ``k*D`` sequence
-  numbers — in bulk, by :mod:`repro.sim.replay`, the only numpy in the
-  simulator — each sink counts its epoch's words ``K`` times,
-  cumulative counters are scaled by ``K``, and the in-flight words are
-  rewritten.  Re-entry into stepping is
-  bit-exact.
+  applied arithmetically: the statistics ledger is credited ``K`` times
+  the epoch's counter deltas (counts, latency histogram, last injected
+  sequence, per-flow cursors), each sink counts its epoch's words ``K``
+  times (:mod:`repro.sim.replay`, the only numpy in the simulator),
+  cumulative counters are scaled by ``K``, and the in-flight
+  words — their sequence numbers, payloads and injection stamps — and
+  the ledger's undelivered entries for them are rewritten.  Re-entry
+  into stepping is bit-exact.
 
 Soundness of the replay (DESIGN.md §10 gives the full argument): the
 cycle transition function commutes with the per-connection shift —
@@ -108,7 +110,7 @@ from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..errors import SimulationError
-from .flit import Phit, Word, parity_of
+from .flit import Phit, Word, parity_of, stamp_injected
 from .kernel import CompileRefusal, Kernel
 from .lowering import (
     LoweredArtifacts,
@@ -119,13 +121,7 @@ from .lowering import (
     _Trajectory,
     render_artifacts,
 )
-from .stats import FAULT_DETECTED
-
-# Replay event tags: event[0] of the ``(tag, cycle, connection id,
-# sequence, ...)`` int tuples one epoch is recorded as.
-_EV_INJECT = 0
-_EV_EJECT = 1
-_EV_SINK = 2
+from .stats import FAULT_DETECTED, counter_deltas
 
 # How a generator's firing is applied (``_resolve_run``): through its
 # own ``evaluate``, or inline for the two periodic kinds.
@@ -745,7 +741,7 @@ class CompiledEngine:
         self.events_handled = 0
         #: Times :meth:`run_to` left a per-word fast path for the model
         #: method it mirrors (DESIGN.md §10.2): the first word of a
-        #: ledger column, the first delivery of a stream, and every
+        #: connection, the first delivery of a stream, and every
         #: failing or unusual case.  Does not grow with the word count
         #: of a healthy flow.
         self.model_calls = 0
@@ -753,8 +749,8 @@ class CompiledEngine:
         #: applied, and turns of the configuration module.  Not part of
         #: ``events_handled``, which stays a per-word figure.
         self.config_events = 0
-        #: Regime templates, the connection-id table the epoch events
-        #: are recorded against, and the numpy bulk materializer —
+        #: Regime templates, the connection-id table the epoch's sink
+        #: events are recorded against, and the bulk materializer —
         #: created at the first period-boundary probe of a run with
         #: traffic, so numpy loads with replay, not with the engine (a
         #: traffic-free shard never needs it).  The structural schedule
@@ -1546,34 +1542,24 @@ class CompiledEngine:
                         leaf = current[1]
                         word = current[2]
                         if leaf is None:
-                            # ``StatsCollector._inject``: the next word
-                            # of a non-empty column.
+                            # ``StatsCollector.record_injection``: an
+                            # unstamped word of a known connection, past
+                            # its last injected sequence.
                             ledger = connections.get(word.connection)
+                            sequence = word.sequence
                             if (
                                 ledger is not None
-                                and (column := ledger.injected_at)
-                                and word.sequence - ledger.first_sequence
-                                == len(column)
+                                and word.injected_at < 0
+                                and sequence > ledger.last_sequence
                             ):
-                                column.append(cycle)
-                                ledger.ejected_at.append(-1)
+                                stamp_injected(word, cycle)
                                 ledger.injected += 1
-                                stats._undelivered += 1
+                                ledger.last_sequence = sequence
+                                ledger.undelivered.add(sequence)
                             else:
                                 model_calls += 1
-                                stats._inject(
-                                    word.connection, word.sequence, cycle
-                                )
+                                stats.record_injection(word, cycle)
                             current = None
-                            if events is not None:
-                                events.append(
-                                    (
-                                        _EV_INJECT,
-                                        cycle,
-                                        intern(word.connection),
-                                        word.sequence,
-                                    )
-                                )
                             continue
                         ni = leaf.ni
                         dest_id = leaf.dest_id
@@ -1608,43 +1594,28 @@ class CompiledEngine:
                                     queue.append(word)
                                     dest.words_received += 1
                                 current = rest
-                                # ``StatsCollector._eject``: an injected
-                                # word, the next this destination
+                                # ``StatsCollector.record_ejection``: a
+                                # stamped word, the next this destination
                                 # expects of its connection.
-                                connection = word.connection
                                 sequence = word.sequence
-                                flow = (connection, ni.name)
-                                ledger = connections.get(connection)
+                                flow = (word.connection, ni.name)
+                                ledger = connections.get(word.connection)
                                 if (
                                     ledger is not None
                                     and last_ejected.get(flow) == sequence - 1
-                                    and 0
-                                    <= (index := sequence - ledger.first_sequence)
-                                    < len(column := ledger.injected_at)
-                                    and (injected := column[index]) >= 0
+                                    and (injected := word.injected_at) >= 0
                                 ):
                                     last_ejected[flow] = sequence
-                                    column = ledger.ejected_at
-                                    if column[index] < 0:
-                                        column[index] = cycle
-                                        stats._undelivered -= 1
+                                    ledger.undelivered.discard(sequence)
                                     ledger.ejected += 1
-                                    ledger.latencies.append(cycle - injected)
+                                    histogram = ledger.latency_histogram
+                                    latency = cycle - injected
+                                    histogram[latency] = (
+                                        histogram.get(latency, 0) + 1
+                                    )
                                 else:
                                     model_calls += 1
-                                    stats._eject(
-                                        connection, ni.name, sequence, cycle
-                                    )
-                                if events is not None:
-                                    events.append(
-                                        (
-                                            _EV_EJECT,
-                                            cycle,
-                                            intern(word.connection),
-                                            word.sequence,
-                                            ni.name,
-                                        )
-                                    )
+                                    stats.record_ejection(word, cycle, ni.name)
                                 for sink_index in sinks_on[dest_id]:
                                     wake(sink_index, cycle)
                             else:
@@ -1890,7 +1861,6 @@ class CompiledEngine:
                                 if events is not None:
                                     events.append(
                                         (
-                                            _EV_SINK,
                                             cycle,
                                             intern(word.connection),
                                             word.sequence,
@@ -2104,6 +2074,7 @@ class CompiledEngine:
             "gen_bursts": [
                 getattr(gen, "bursts_generated", 0) for gen in self.gens
             ],
+            "ledger": self.stats.counters(),
             "faults": len(self.stats.faults),
             "dropped": dropped,
             "findings": tuple(len(sink[0].findings) for sink in self.sinks),
@@ -2117,6 +2088,8 @@ class CompiledEngine:
             and before["dropped"] == after["dropped"]
             and before["findings"] == after["findings"]
             and before["chan_keys"] == after["chan_keys"]
+            and counter_deltas(before["ledger"], after["ledger"])
+            is not None
         )
 
     def _replay_horizon(self, before: dict, after: dict) -> int:
@@ -2156,14 +2129,13 @@ class CompiledEngine:
     ) -> bool:
         """Apply ``epochs`` steady epochs arithmetically, from ``cycle``.
 
-        Re-records the captured epoch's injection/ejection/sink events
-        shifted by ``k * period`` cycles and ``k * D[connection]``
-        sequence numbers (k = 1..epochs) through the numpy bulk
-        materializer, scales every cumulative counter, and rewrites
-        in-flight words and queue contents to their post-replay
-        identities.  Returns ``False`` — having changed nothing — when
-        a value would leave numpy's int64 range: the caller keeps
-        stepping and the refusal is recorded, typed, once.
+        Credits the ledger (``StatsCollector.credit``) and the sinks
+        (:meth:`EpochReplay.materialize`) ``epochs`` times the captured
+        epoch's deltas, scales every cumulative counter, and rewrites in-flight words and queue
+        contents to their post-replay identities.  Returns ``False`` —
+        having changed nothing — when a value would leave numpy's int64
+        range: the caller keeps stepping and the refusal is recorded,
+        typed, once.
         """
         deltas = {
             conn: after["seqs"][conn] - before["seqs"][conn]
@@ -2178,6 +2150,11 @@ class CompiledEngine:
         if not self._regime_open:
             self._regime_open = True
             self.kernel.regimes_detected += 1
+        self.stats.credit(
+            epochs,
+            after["ledger"],
+            counter_deltas(before["ledger"], after["ledger"]),
+        )
         self.replay.materialize(epochs, deltas, events)
         self._scale_counters(epochs, before, after)
         self._shift_inflight(deltas, epochs)
@@ -2233,8 +2210,13 @@ class CompiledEngine:
                 index += 1
 
     def _shift_inflight(self, deltas: Dict[str, int], epochs: int) -> None:
-        """Rewrite in-flight words to their post-replay identities."""
+        """Rewrite in-flight words to their post-replay identities, and
+        move the ledger's undelivered entries for them along.  A stamped
+        word in a register is in flight; an undelivered word in none was
+        lost to a fault, and stays where it is."""
         cur = self._cur
+        cycles = epochs * self.period
+        stamped: Dict[str, Set[int]] = {}
         for rid, phit in list(cur.items()):
             word = phit.word
             if word is None:
@@ -2242,23 +2224,34 @@ class CompiledEngine:
             delta = deltas.get(word.connection, 0)
             if delta:
                 cur[rid] = Phit(
-                    word=_shifted(word, epochs * delta),
+                    word=_shifted(word, epochs * delta, cycles),
                     credit_bits=phit.credit_bits,
                 )
+                if word.injected_at >= 0:
+                    stamped.setdefault(word.connection, set()).add(
+                        word.sequence
+                    )
+        for conn, sequences in stamped.items():
+            ledger = self.stats.connections[conn]
+            moved = sequences & ledger.undelivered
+            offset = epochs * deltas[conn]
+            ledger.undelivered -= moved
+            ledger.undelivered.update(sequence + offset for sequence in moved)
 
     def _shift_queues(
         self, deltas: Dict[str, int], epochs: int
     ) -> None:
         """Rewrite queued words to their post-replay identities."""
+        cycles = epochs * self.period
         for ni in self.nis_list:
             for source in ni.source_channels.values():
-                self._shift_queue(source.queue, deltas, epochs)
+                self._shift_queue(source.queue, deltas, epochs, cycles)
             for dest in ni.dest_channels.values():
-                self._shift_queue(dest.queue, deltas, epochs)
+                self._shift_queue(dest.queue, deltas, epochs, cycles)
 
     @staticmethod
     def _shift_queue(
-        queue: Any, deltas: Dict[str, int], epochs: int
+        queue: Any, deltas: Dict[str, int], epochs: int, cycles: int
     ) -> None:
         if not queue or not any(
             deltas.get(word.connection) for word in queue
@@ -2268,19 +2261,21 @@ class CompiledEngine:
         for word in queue:
             delta = deltas.get(word.connection, 0)
             if delta:
-                word = _shifted(word, epochs * delta)
+                word = _shifted(word, epochs * delta, cycles)
             moved.append(word)
         queue.clear()
         queue.extend(moved)
 
 
-def _shifted(word: Word, offset: int) -> Word:
-    """``word`` advanced ``offset`` positions along its connection."""
+def _shifted(word: Word, offset: int, cycles: int) -> Word:
+    """``word`` advanced ``offset`` positions along its connection and,
+    if it is stamped, injected ``cycles`` cycles later."""
     payload = (word.payload + offset) & _PAYLOAD_MASK
+    injected_at = word.injected_at
     return Word(
         payload=payload,
         connection=word.connection,
         sequence=word.sequence + offset,
-        injected_at=word.injected_at,
+        injected_at=injected_at + cycles if injected_at >= 0 else -1,
         parity=parity_of(payload),
     )

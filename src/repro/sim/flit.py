@@ -14,8 +14,8 @@ lets tests and statistics track every word end to end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 
 def parity_of(payload: int) -> int:
@@ -34,7 +34,12 @@ class Word:
             (bookkeeping only; daelite words carry no header).
         sequence: Per-connection sequence number (bookkeeping only).
         injected_at: Cycle at which the source NI drove the word onto its
-            link (bookkeeping only).
+            link, ``-1`` until then (bookkeeping only).  Stamped once,
+            at injection, by :meth:`StatsCollector.record_injection`
+            (or the engine's inline copy of it) through
+            :data:`stamp_injected`; an ejection's latency is the
+            ejection cycle minus this stamp.  Not part of equality: a
+            word is the same word before and after it is stamped.
         parity: Even parity over the payload bits, stamped by the source
             NI; ``None`` when the source does not protect the word.
             Models a parity wire riding alongside the data wires — a
@@ -45,7 +50,7 @@ class Word:
     payload: int
     connection: str = ""
     sequence: int = -1
-    injected_at: int = -1
+    injected_at: int = field(default=-1, compare=False)
     parity: Optional[int] = None
 
     def with_parity(self) -> "Word":
@@ -93,6 +98,12 @@ class Phit:
     def __repr__(self) -> str:
         return f"Phit(word={self.word!r}, credits={self.credit_bits!r})"
 
+
+#: ``stamp_injected(word, cycle)`` sets ``word.injected_at`` past the
+#: frozen guard: the one write a word's injection stamp ever gets.
+stamp_injected: Callable[[Word, int], None] = Word.__dict__[
+    "injected_at"
+].__set__
 
 #: Convenience constant for an idle wire bundle.
 IDLE_PHIT = Phit()

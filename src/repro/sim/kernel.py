@@ -67,9 +67,9 @@ The kernel supports three modes, selected per instance or through the
   event schedules (see :mod:`repro.sim.compiled`) and advanced in one
   tight loop with no component dispatch and no :class:`Register` traffic
   on the fast path; exactly periodic steady states are replayed
-  arithmetically, epoch by epoch, with numpy re-recording the epoch's
-  events in bulk (see :mod:`repro.sim.replay` — the bulk replay is what
-  the mode is named for).  A network opts in by installing a
+  arithmetically, the statistics and sinks credited by one epoch's
+  deltas (see :mod:`repro.sim.replay` — the bulk replay is what the
+  mode is named for).  A network opts in by installing a
   ``compile_provider`` on the kernel.  Whenever compilation is not
   possible — no provider, a config packet on the word-level tree, armed
   fault hooks, strict-registers, a tracer, an unknown component, words
@@ -193,7 +193,7 @@ ACTIVITY_MODE = "activity"
 #: Reference evaluation: everything, every cycle.
 NAIVE_MODE = "naive"
 #: Flat-schedule compiled evaluation with steady-state epoch replay,
-#: materialized in bulk with numpy (falls back to the activity kernel
+#: credited in bulk (falls back to the activity kernel
 #: whenever the network is not compilable — see
 #: :mod:`repro.sim.compiled` and :mod:`repro.sim.replay`).
 VECTOR_MODE = "vector"

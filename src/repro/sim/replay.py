@@ -1,24 +1,23 @@
-"""Numpy bulk replay of proven-steady epochs (what ``vector`` mode adds).
+"""Bulk replay of proven-steady epochs (what ``vector`` mode adds).
 
 The engine in :mod:`repro.sim.compiled` steps the flattened schedule
 and, at period boundaries, proves that the network state repeats.  This
 module is everything that happens *after* that proof — it never steps a
 cycle and holds no data-plane state:
 
-* **Event templates** — the engine records one epoch's injection /
-  ejection / sink events as int tuples ``(tag, cycle, connection id,
-  sequence, ...)`` against the connection-name interning table kept
-  here (id 0 is reserved for the empty label).
-* **Bulk materialization** — :meth:`EpochReplay.materialize` re-records
-  a captured epoch ``K`` times with numpy broadcasting (``k``-major,
-  chronological within each epoch) as consecutive-sequence runs
-  through the stats collector's ``record_injections`` /
-  ``record_ejections``, and each multicast tree's interleaved
-  deliveries as one ``record_fanout`` run.
+* **Sink templates** — the engine records one epoch's sink events as int
+  tuples ``(cycle, connection id, sequence, sink index)`` against the
+  connection-name interning table kept here (id 0 is reserved for the
+  empty label).
+* **Sink crediting** — :meth:`EpochReplay.materialize` credits each
+  sink ``K`` times its epoch's words and replays the sink's sequence
+  checks.  (The statistics ledger needs no template: a word carries its
+  own injection cycle and the ledger keeps counts, which the engine
+  credits by the epoch's deltas, ``StatsCollector.credit``.)
 * **Piecewise-periodic regime cache** — a proven-steady epoch is stored
-  fully rebased (event cycles relative to the epoch start, sequences
-  relative to the per-connection anchors, counters as per-epoch
-  deltas) in a per-network LRU keyed (schedule image, traffic
+  fully rebased (sink event cycles relative to the epoch start,
+  sequences relative to the per-connection anchors, counters as
+  per-epoch deltas) in a per-network LRU keyed (schedule image, traffic
   roster, signature), so re-entering a seen regime replays at the
   *first* boundary instead of re-probing two epochs.
 * **The int64 guard** — numpy integers wrap where Python integers
@@ -39,7 +38,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .compiled import _EV_EJECT, _EV_INJECT
+from .stats import counter_deltas
 
 #: Capacity (regimes) of the per-network regime cache: one entry per
 #: distinct steady regime; use-case campaigns rarely cycle through more
@@ -155,11 +154,11 @@ class EpochReplay:
                     f"{epochs} epochs of sequence delta {delta} on "
                     f"{conn!r} are outside the int64 budget"
                 )
-        for event in events:
-            if not -limit < event[3] < limit:
+        for _cycle, cid, sequence, _sink in events:
+            if not -limit < sequence < limit:
                 return (
-                    f"captured sequence {event[3]!r} of "
-                    f"{self.conn_names[event[2]]!r} is outside the "
+                    f"captured sequence {sequence!r} of "
+                    f"{self.conn_names[cid]!r} is outside the "
                     f"int64 budget"
                 )
         return None
@@ -177,13 +176,13 @@ class EpochReplay:
     ) -> None:
         """Record one proven-steady epoch as a reusable regime template.
 
-        The template is fully rebased: event cycles relative to the
+        The template is fully rebased: sink event cycles relative to the
         epoch start, sequences relative to the per-connection
-        ``anchors`` at the closing boundary, counter values as
-        per-epoch deltas.  Loading re-anchors against whatever absolute
-        state the matching boundary presents, so a template recorded
-        before a use-case switch replays bit-exactly after switching
-        back.
+        ``anchors`` at the closing boundary, counter values (the
+        ledger's among them) as per-epoch deltas.  Loading re-anchors
+        against whatever absolute state the matching boundary presents,
+        so a template recorded before a use-case switch replays
+        bit-exactly after switching back.
         """
         cache = self.cache
         key = self.key + (sig,)
@@ -193,13 +192,13 @@ class EpochReplay:
         names = self.conn_names
         start = cycle - self.period
         rebased: List[tuple] = []
-        for tag, cyc, cid, seq, *rest in events:
+        for cyc, cid, seq, sink_index in events:
             conn = names[cid]
             anchor = anchors.get(conn)
             if anchor is not None:
                 seq -= anchor[0]
             rebased.append(
-                (tag, cyc - start, conn, seq, anchor is not None, *rest)
+                (cyc - start, conn, seq, anchor is not None, sink_index)
             )
         cache[key] = {
             "chan_keys": after["chan_keys"],
@@ -224,6 +223,9 @@ class EpochReplay:
                     after["gen_bursts"], before["gen_bursts"]
                 )
             ],
+            "ledger_delta": counter_deltas(
+                before["ledger"], after["ledger"]
+            ),
             "events": tuple(rebased),
         }
         cache.move_to_end(key)
@@ -251,19 +253,26 @@ class EpochReplay:
         cache = self.cache
         key = self.key + (sig,)
         entry = cache.get(key)
-        if entry is None or entry["chan_keys"] != snap["chan_keys"]:
+        if (
+            entry is None
+            or entry["chan_keys"] != snap["chan_keys"]
+            or not entry["ledger_delta"].keys() <= snap["ledger"].keys()
+        ):
+            # A count the template moves that the live ledger lacks
+            # (a connection, flow or latency not seen yet) has no
+            # boundary value to credit.
             return None
         cache.move_to_end(key)
         intern = self.intern
         start = cycle - self.period
         events: List[tuple] = []
-        for tag, cyc, conn, seq, anchored, *rest in entry["events"]:
+        for cyc, conn, seq, anchored, sink_index in entry["events"]:
             if anchored:
                 anchor = anchors.get(conn)
                 if anchor is None:
                     return None
                 seq += anchor[0]
-            events.append((tag, cyc + start, intern(conn), seq, *rest))
+            events.append((cyc + start, intern(conn), seq, sink_index))
         before = {
             "fixed": [
                 now - d
@@ -291,6 +300,10 @@ class EpochReplay:
                     snap["gen_bursts"], entry["gb_delta"]
                 )
             ],
+            "ledger": {
+                key: now - entry["ledger_delta"].get(key, 0)
+                for key, now in snap["ledger"].items()
+            },
             "faults": snap["faults"],
             "dropped": snap["dropped"],
             "findings": snap["findings"],
@@ -306,97 +319,25 @@ class EpochReplay:
         deltas: Dict[str, int],
         events: List[tuple],
     ) -> None:
-        """Re-record ``epochs`` steady epochs with numpy broadcasting.
+        """Credit ``epochs`` steady epochs to the sinks.
 
         ``deltas`` are the per-connection sequence advances of one
-        epoch.  Event streams are re-recorded k-major (all epochs of
-        one connection at once) as runs through the stats collector's
-        ``record_injections`` / ``record_ejections``.  A multicast
-        tree's destinations interleave inside each epoch, so its
-        ejections go k-major as one ``record_fanout`` run, each
-        delivery with its destination, in the order stepping delivers
-        them.  Within each per-connection stream this reproduces exactly
-        the order an epoch-by-epoch walk would produce, and across
-        streams only dict iteration order differs — which no comparable
-        state (per-connection latency lists, the word ledger) can
-        observe.  Injections land before ejections so every replayed
-        ejection finds its word injected.  Each sink is credited its
-        epoch's word count ``epochs`` times and replays its sequence
-        checks.
+        epoch.  Each sink is credited its epoch's word count ``epochs``
+        times and replays its sequence checks.
         """
-        stats = self.stats
         names = self.conn_names
         dvec = np.zeros(len(names), dtype=np.int64)
         for conn, delta in deltas.items():
             cid = self.conn_ids.get(conn)
             if cid is not None:
                 dvec[cid] = delta
-        ks = np.arange(1, epochs + 1, dtype=np.int64)
-
-        inj_by_cid: Dict[int, List[tuple]] = {}
-        ej_by_cid: Dict[int, List[tuple]] = {}
         sink_by_idx: Dict[int, List[tuple]] = {}
-        for event in events:
-            tag = event[0]
-            if tag == _EV_INJECT:
-                _t, cyc, cid, seq = event
-                inj_by_cid.setdefault(cid, []).append((cyc, seq))
-            elif tag == _EV_EJECT:
-                _t, cyc, cid, seq, dest = event
-                ej_by_cid.setdefault(cid, []).append((cyc, seq, dest))
-            else:
-                _t, cyc, cid, seq, idx = event
-                sink_by_idx.setdefault(idx, []).append((cyc, cid, seq))
-
-        for cid, evs in inj_by_cid.items():
-            for first, cycles in self._runs(evs, int(dvec[cid]), ks):
-                stats.record_injections(names[cid], first, cycles)
-
-        for cid, evs in ej_by_cid.items():
-            delta = int(dvec[cid])
-            conn = names[cid]
-            dests = [e[2] for e in evs]
-            if len(set(dests)) == 1:
-                for first, cycles in self._runs(evs, delta, ks):
-                    stats.record_ejections(conn, dests[0], first, cycles)
-            else:
-                # Multicast: the destinations' streams interleave inside
-                # each epoch, so the whole tree lands as one fan-out run
-                # in delivery order.
-                all_seq, all_cyc = self._columns(evs, delta, ks)
-                stats.record_fanout(
-                    conn, dests * epochs, all_seq.tolist(), all_cyc.tolist()
-                )
-
+        for cyc, cid, seq, idx in events:
+            sink_by_idx.setdefault(idx, []).append((cyc, cid, seq))
         for idx, evs in sink_by_idx.items():
             sink = self.sinks[idx][0]
             sink.words_received += len(evs) * epochs
             self._replay_checking(sink, evs, dvec, epochs)
-
-    def _columns(self, evs: List[tuple], delta: int, ks: Any) -> Any:
-        """One stream's epochs, k-major: its ``(sequences, cycles)``."""
-        cyc = np.asarray([e[0] for e in evs], dtype=np.int64)
-        seq = np.asarray([e[1] for e in evs], dtype=np.int64)
-        all_seq = (seq[None, :] + (ks * delta)[:, None]).ravel()
-        all_cyc = (cyc[None, :] + (ks * self.period)[:, None]).ravel()
-        return all_seq, all_cyc
-
-    def _runs(self, evs: List[tuple], delta: int, ks: Any) -> Any:
-        """One stream's epochs, k-major, as ``(first sequence, cycles)``
-        runs: cut wherever the next sequence is not the previous + 1.
-
-        A steady stream that chains across epochs (first + delta ==
-        last + 1) is a single run however many epochs are replayed.
-        """
-        all_seq, all_cyc = self._columns(evs, delta, ks)
-        cycles = all_cyc.tolist()
-        cuts = np.flatnonzero(all_seq[1:] - all_seq[:-1] != 1) + 1
-        lows = [0, *cuts.tolist()]
-        firsts = all_seq[lows].tolist()
-        for first, low, high in zip(
-            firsts, lows, [*lows[1:], len(cycles)]
-        ):
-            yield first, cycles[low:high]
 
     def _replay_checking(
         self,

@@ -1,36 +1,27 @@
 """End-to-end statistics collection.
 
 The statistics collector is fed by the network interfaces: injection events
-when a word is driven onto the source link, ejection events when the word is
-deposited into the destination channel queue.  From those it derives the
-latency distribution and delivered bandwidth per connection — the quantities
-behind the paper's latency (33 % reduction) and bandwidth (header overhead,
-config-slot loss) claims.
+when a word is driven onto the source link (the word is stamped with the
+cycle), ejection events when the word is deposited into the destination
+channel queue.  From those it counts the latency histogram and delivered
+bandwidth per connection — the quantities behind the paper's latency (33 %
+reduction) and bandwidth (header overhead, config-slot loss) claims — and
+keeps no per-word history: only the words still in flight are listed.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
-from operator import sub
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Set
 
 from ..errors import SimulationError, StatsIntegrityError
-from .flit import Word
+from .flit import Word, stamp_injected
 
 
 #: FaultEvent.category for a fault being *applied* by an injector.
 FAULT_INJECTED = "inject"
 #: FaultEvent.category for a fault being *observed* by a detector.
 FAULT_DETECTED = "detect"
-
-#: One absent ledger entry; ``_ABSENT * n`` pads ``n`` of them.
-_ABSENT = array("q", (-1,))
-
-
-def _column() -> array[int]:
-    return array("q")
-
 
 @dataclass(frozen=True, slots=True)
 class FaultEvent:
@@ -68,53 +59,84 @@ class FaultEvent:
         ).rstrip()
 
 
-@dataclass(slots=True)
-class ConnectionStats:
-    """Aggregated per-connection statistics and the connection's ledger.
+class LatencyHistogram:
+    """``min_/max_/mean_latency`` of a ``{latency: count}`` histogram.
 
-    The ledger is two parallel ``array('q')`` columns indexed by
-    ``sequence - first_sequence``: the cycle each word was injected and
-    the cycle of its *first* delivery, ``-1`` meaning absent (kernel
-    time starts at 0).  A contention-free schedule delivers a
-    connection's words densely and in order, so a word costs two
-    integers and no object; a sparse or out-of-order sequence pads or
-    prepends the columns.
+    Contention-free TDM gives a connection a handful of fixed
+    latencies, so the histogram stays a few entries long however many
+    words are counted.  Mixed into :class:`ConnectionStats` and
+    :class:`repro.ext.channel_trees.FlowStats`, each of which keeps its
+    histogram in ``latency_histogram``.
+    """
+
+    __slots__ = ()
+    latency_histogram: Dict[int, int]
+
+    def count_latency(self, latency: int) -> None:
+        histogram = self.latency_histogram
+        histogram[latency] = histogram.get(latency, 0) + 1
+
+    @property
+    def min_latency(self) -> Optional[int]:
+        return min(self.latency_histogram, default=None)
+
+    @property
+    def max_latency(self) -> Optional[int]:
+        return max(self.latency_histogram, default=None)
+
+    @property
+    def mean_latency(self) -> Optional[float]:
+        histogram = self.latency_histogram
+        if not histogram:
+            return None
+        return sum(
+            latency * count for latency, count in histogram.items()
+        ) / sum(histogram.values())
+
+
+@dataclass(slots=True)
+class ConnectionStats(LatencyHistogram):
+    """Aggregated per-connection statistics: counts, not history.
+
+    A word carries its own injection cycle (``Word.injected_at``), so
+    the ledger keeps no per-word record of a delivered word: counts, the
+    latency histogram, the last injected sequence number, and the
+    sequence numbers injected but not yet delivered anywhere (the words
+    in flight, plus any a fault lost).
     """
 
     connection: str
     injected: int = 0
     ejected: int = 0
-    latencies: List[int] = field(default_factory=list)
-    first_sequence: int = 0
-    injected_at: array[int] = field(default_factory=_column, repr=False)
-    ejected_at: array[int] = field(default_factory=_column, repr=False)
+    latency_histogram: Dict[int, int] = field(default_factory=dict)
+    #: Sequence number of the last injected word (``-1`` until the first).
+    last_sequence: int = -1
+    #: Sequence numbers injected and not yet delivered to any destination.
+    undelivered: Set[int] = field(default_factory=set)
 
     @property
     def in_flight(self) -> int:
         """Words injected but not yet delivered."""
         return self.injected - self.ejected
 
-    @property
-    def min_latency(self) -> Optional[int]:
-        return min(self.latencies) if self.latencies else None
 
-    @property
-    def max_latency(self) -> Optional[int]:
-        return max(self.latencies) if self.latencies else None
-
-    @property
-    def mean_latency(self) -> Optional[float]:
-        if not self.latencies:
-            return None
-        return sum(self.latencies) / len(self.latencies)
-
-    def _words(self) -> Iterator[Tuple[int, int, int]]:
-        """(sequence, injected_at, first ejected_at or -1) per word."""
-        for sequence, (injected, ejected) in enumerate(
-            zip(self.injected_at, self.ejected_at), self.first_sequence
-        ):
-            if injected >= 0:
-                yield sequence, injected, ejected
+def counter_deltas(
+    before: Dict[tuple, int], after: Dict[tuple, int]
+) -> Optional[Dict[tuple, int]]:
+    """The non-zero changes from one :meth:`StatsCollector.counters` to a
+    later one — or ``None`` when a connection or a flow opened in
+    between: a count with no earlier value to extrapolate from.  (A
+    latency first seen in between counts from zero.)"""
+    deltas: Dict[tuple, int] = {}
+    for key, value in after.items():
+        old = before.get(key)
+        if old is None:
+            if key[0] != "latency":
+                return None
+            old = 0
+        if value != old:
+            deltas[key] = value - old
+    return deltas
 
 
 class StatsCollector:
@@ -128,8 +150,8 @@ class StatsCollector:
 
     def __init__(self) -> None:
         self.connections: Dict[str, ConnectionStats] = {}
+        #: (connection, destination) -> last sequence delivered there.
         self._last_ejected: Dict[tuple, int] = {}
-        self._undelivered = 0
         #: Injected and detected faults, in recording order.
         self.faults: List[FaultEvent] = []
 
@@ -165,19 +187,35 @@ class StatsCollector:
             counts[event.kind] = counts.get(event.kind, 0) + 1
         return counts
 
-    # -- the word ledger --------------------------------------------------------
+    # -- the ledger -------------------------------------------------------------
 
-    def _stats_for(self, connection: str) -> ConnectionStats:
+    def record_injection(self, word: Word, cycle: int) -> None:
+        """Stamp ``word`` as driven onto its source link at ``cycle``.
+
+        Raises:
+            StatsIntegrityError: if the word is injected twice — it is
+                already stamped, or its sequence number is not above the
+                last one its connection injected.  The collector state
+                and the word are not modified when this is raised.
+        """
+        connection = word.connection
+        sequence = word.sequence
         stats = self.connections.get(connection)
+        last = None if stats is None else stats.last_sequence
+        if word.injected_at >= 0 or (last is not None and sequence <= last):
+            raise StatsIntegrityError(
+                f"word {(connection, sequence)} injected twice (at cycle "
+                f"{cycle}; stamped {word.injected_at}, last injected "
+                f"sequence {last})"
+            )
         if stats is None:
             stats = self.connections[connection] = ConnectionStats(
                 connection
             )
-        return stats
-
-    def record_injection(self, word: Word, cycle: int) -> None:
-        """Note that ``word`` was driven onto its source link at ``cycle``."""
-        self._inject(word.connection, word.sequence, cycle)
+        stamp_injected(word, cycle)
+        stats.injected += 1
+        stats.last_sequence = sequence
+        stats.undelivered.add(sequence)
 
     def record_ejection(
         self, word: Word, cycle: int, destination: str = ""
@@ -185,49 +223,17 @@ class StatsCollector:
         """Note delivery of ``word`` at ``destination`` at ``cycle``.
 
         Raises:
-            StatsIntegrityError: on duplicate, unknown, or out-of-order
-                delivery — all impossible in a contention-free schedule.
-                The collector state is not modified when this is raised,
-                so a misdelivered word can never masquerade as (or
-                overwrite) a legitimate record.
+            StatsIntegrityError: on an unstamped (never injected) word or
+                an out-of-order delivery — both impossible in a
+                contention-free schedule.  The collector state is not
+                modified when this is raised, so a misdelivered word can
+                never masquerade as (or overwrite) a legitimate record.
         """
-        self._eject(word.connection, destination, word.sequence, cycle)
-
-    def _inject(self, connection: str, sequence: int, cycle: int) -> None:
-        stats = self._stats_for(connection)
-        column = stats.injected_at
-        if not column:
-            stats.first_sequence = sequence
-        index = sequence - stats.first_sequence
-        if index < 0:  # before the first word seen so far: prepend
-            pad = _ABSENT * -index
-            column[:0] = pad
-            stats.ejected_at[:0] = pad
-            stats.first_sequence = sequence
-            index = 0
-        elif index >= len(column):  # the next word, or a gap to pad
-            pad = _ABSENT * (index + 1 - len(column))
-            column.extend(pad)
-            stats.ejected_at.extend(pad)
-        elif column[index] >= 0:
-            raise StatsIntegrityError(
-                f"word {(connection, sequence)} injected twice "
-                f"(cycles {column[index]} and {cycle})"
-            )
-        column[index] = cycle
-        stats.injected += 1
-        self._undelivered += 1
-
-    def _eject(
-        self, connection: str, destination: str, sequence: int, cycle: int
-    ) -> None:
+        connection = word.connection
+        sequence = word.sequence
         stats = self.connections.get(connection)
-        injected = -1
-        if stats is not None:
-            index = sequence - stats.first_sequence
-            if 0 <= index < len(stats.injected_at):
-                injected = stats.injected_at[index]
-        if injected < 0:
+        injected = word.injected_at
+        if stats is None or injected < 0:
             known = sorted(self.connections)
             raise StatsIntegrityError(
                 f"word {(connection, sequence)} ejected at "
@@ -255,180 +261,49 @@ class StatsCollector:
                 f"{connection}: expected seq {expected}, got {sequence}",
             )
         self._last_ejected[flow] = sequence
-        if stats.ejected_at[index] < 0:
-            stats.ejected_at[index] = cycle
-            self._undelivered -= 1
+        stats.undelivered.discard(sequence)
         stats.ejected += 1
-        stats.latencies.append(cycle - injected)
+        stats.count_latency(cycle - injected)
 
-    # -- runs (epoch replay) ------------------------------------------------------
+    def counters(self) -> Dict[tuple, int]:
+        """Every ledger count, flat: ``("injected" | "ejected" |
+        "last_sequence", connection)``, ``("latency", connection,
+        latency)`` (histogram counts) and ``("cursor", connection,
+        destination)`` (the per-flow last delivered sequence).  What epoch
+        replay snapshots at a boundary and credits by per-epoch deltas."""
+        counters: Dict[tuple, int] = {}
+        for label, stats in self.connections.items():
+            counters["injected", label] = stats.injected
+            counters["ejected", label] = stats.ejected
+            counters["last_sequence", label] = stats.last_sequence
+            for latency, count in stats.latency_histogram.items():
+                counters["latency", label, latency] = count
+        for (label, destination), sequence in self._last_ejected.items():
+            counters["cursor", label, destination] = sequence
+        return counters
 
-    def record_injections(
-        self, connection: str, first_sequence: int, cycles: Sequence[int]
-    ) -> None:
-        """Record the run ``first_sequence, first_sequence + 1, ...``.
-
-        Defined as exactly :meth:`record_injection` for each word of the
-        run at its cycle, in order — same duplicate-injection error,
-        raised after the words before the duplicate were recorded.  A
-        run that continues the connection's column is one slice
-        extension.
-        """
-        if not cycles:
-            return
-        stats = self._stats_for(connection)
-        column = stats.injected_at
-        if not column:
-            stats.first_sequence = first_sequence
-        if first_sequence - stats.first_sequence == len(column):
-            column.extend(cycles)
-            stats.ejected_at.extend(_ABSENT * len(cycles))
-            stats.injected += len(cycles)
-            self._undelivered += len(cycles)
-            return
-        for sequence, cycle in enumerate(cycles, first_sequence):
-            self._inject(connection, sequence, cycle)
-
-    def record_ejections(
+    def credit(
         self,
-        connection: str,
-        destination: str,
-        first_sequence: int,
-        cycles: Sequence[int],
+        epochs: int,
+        counters: Dict[tuple, int],
+        deltas: Dict[tuple, int],
     ) -> None:
-        """Record deliveries of a run at one destination.
-
-        Defined as exactly :meth:`record_ejection` for each word of the
-        run at its cycle, in order — same unknown-word and out-of-order
-        errors, same sequence-gap fault events, same latency order.  A
-        run that starts at the stream's expected next word and covers
-        only injected words no destination has received yet can raise
-        nothing and record no gap, so it is written as one slice.
-        """
-        if not cycles:
-            return
-        stats = self.connections.get(connection)
-        flow = (connection, destination)
-        last = self._last_ejected.get(flow)
-        if stats is not None and first_sequence == (
-            0 if last is None else last + 1
-        ):
-            low = first_sequence - stats.first_sequence
-            high = low + len(cycles)
-            if 0 <= low and high <= len(stats.injected_at):
-                injected = stats.injected_at[low:high]
-                if (
-                    min(injected) >= 0
-                    and max(stats.ejected_at[low:high]) < 0
-                ):
-                    stats.ejected_at[low:high] = array("q", cycles)
-                    stats.latencies.extend(map(sub, cycles, injected))
-                    stats.ejected += len(cycles)
-                    self._undelivered -= len(cycles)
-                    self._last_ejected[flow] = first_sequence + len(cycles) - 1
-                    return
-        for sequence, cycle in enumerate(cycles, first_sequence):
-            self._eject(connection, destination, sequence, cycle)
-
-    def record_fanout(
-        self,
-        connection: str,
-        destinations: Sequence[str],
-        sequences: Sequence[int],
-        cycles: Sequence[int],
-    ) -> None:
-        """Record a multicast tree's deliveries, interleaved.
-
-        Delivery ``i`` is word ``sequences[i]`` at ``destinations[i]``
-        at ``cycles[i]``.  Defined as exactly :meth:`record_ejection`
-        for each delivery, in order — same unknown-word and out-of-order
-        errors, same sequence-gap fault events, same latency order
-        across destinations.  A run in which every destination's
-        deliveries start at its expected next word and are consecutive,
-        and which covers only injected words, can raise nothing and
-        record no gap, so it is written in one pass: a word's first
-        delivery sets its column entry unless an earlier one already
-        did.
-        """
-        if not cycles:
-            return
-        stats = self.connections.get(connection)
-        nexts = self._consecutive_per_destination(
-            connection, destinations, sequences
-        )
-        if stats is not None and nexts is not None:
-            first = stats.first_sequence
-            column = stats.injected_at
-            if (
-                0 <= min(sequences) - first
-                and max(sequences) - first < len(column)
-            ):
-                injected = [column[s - first] for s in sequences]
-                if min(injected) >= 0:
-                    column = stats.ejected_at
-                    delivered = 0
-                    # Reversed, the earliest delivery of a word wins.
-                    for sequence, cycle in dict(
-                        zip(reversed(sequences), reversed(cycles))
-                    ).items():
-                        if column[sequence - first] < 0:
-                            column[sequence - first] = cycle
-                            delivered += 1
-                    self._undelivered -= delivered
-                    stats.ejected += len(cycles)
-                    stats.latencies.extend(map(sub, cycles, injected))
-                    for destination, expected in nexts.items():
-                        self._last_ejected[(connection, destination)] = (
-                            expected - 1
-                        )
-                    return
-        for destination, sequence, cycle in zip(
-            destinations, sequences, cycles
-        ):
-            self._eject(connection, destination, sequence, cycle)
-
-    def _consecutive_per_destination(
-        self,
-        connection: str,
-        destinations: Sequence[str],
-        sequences: Sequence[int],
-    ) -> Optional[Dict[str, int]]:
-        """Each destination's next expected word after the deliveries,
-        in first-appearance order — or ``None`` unless every
-        destination's deliveries start at its expected next word and
-        are consecutive."""
-        nexts: Dict[str, int] = {}
-        for destination, sequence in zip(destinations, sequences):
-            expected = nexts.get(destination)
-            if expected is None:
-                last = self._last_ejected.get((connection, destination))
-                expected = 0 if last is None else last + 1
-            if sequence != expected:
-                return None
-            nexts[destination] = sequence + 1
-        return nexts
+        """Land ``epochs`` more epochs of a steady run: each count in
+        ``deltas`` (one epoch's :func:`counter_deltas`) at its value in
+        ``counters`` plus ``epochs`` times its delta.  The undelivered
+        sets are the caller's: only it knows which words are in flight."""
+        connections = self.connections
+        for key, delta in deltas.items():
+            value = counters[key] + epochs * delta
+            kind, label, *rest = key
+            if kind == "cursor":
+                self._last_ejected[label, rest[0]] = value
+            elif kind == "latency":
+                connections[label].latency_histogram[rest[0]] = value
+            else:
+                setattr(connections[label], kind, value)
 
     # -- queries --------------------------------------------------------------
-
-    def word_times(self) -> Dict[tuple, Tuple[int, Optional[int]]]:
-        """``{(connection, sequence): (injected_at, first ejected_at)}``
-        for every recorded word; ``None`` while undelivered."""
-        return {
-            (label, sequence): (injected, None if ejected < 0 else ejected)
-            for label, stats in self.connections.items()
-            for sequence, injected, ejected in stats._words()
-        }
-
-    def latency(self, connection: str, sequence: int) -> Optional[int]:
-        """First-delivery latency of one word, ``None`` if undelivered."""
-        stats = self.connections.get(connection)
-        if stats is None:
-            return None
-        index = sequence - stats.first_sequence
-        if not 0 <= index < len(stats.ejected_at):
-            return None
-        ejected = stats.ejected_at[index]
-        return None if ejected < 0 else ejected - stats.injected_at[index]
 
     def delivered_words(self, connection: str) -> int:
         """Total delivery events for a connection (per destination)."""
@@ -442,15 +317,16 @@ class StatsCollector:
     @property
     def all_delivered(self) -> bool:
         """True when every injected word has reached a destination."""
-        return not self._undelivered
+        return not any(
+            stats.undelivered for stats in self.connections.values()
+        )
 
     def undelivered(self) -> List[tuple]:
         """Keys of words still in flight (should drain to empty)."""
         return [
             (label, sequence)
             for label, stats in self.connections.items()
-            for sequence, _injected, ejected in stats._words()
-            if ejected < 0
+            for sequence in sorted(stats.undelivered)
         ]
 
     def throughput_words_per_cycle(

@@ -172,7 +172,7 @@ class TestLatencyFixturesGolden:
                 break
         stats = network.stats.connections["c"]
         assert stats.ejected == 20
-        assert set(stats.latencies) == {11}
+        assert set(stats.latency_histogram) == {11}
 
     def test_aelite_2x2_neighbour(self):
         """NI00 -> NI11 on a 2x2 mesh: 3 hops at 3 cycles each plus the
@@ -202,4 +202,4 @@ class TestLatencyFixturesGolden:
                 break
         stats = network.stats.connections["c"]
         assert received == 10
-        assert set(stats.latencies) == {10}
+        assert set(stats.latency_histogram) == {10}

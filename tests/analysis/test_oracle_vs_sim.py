@@ -290,11 +290,11 @@ class TestOracleVsSimulator:
         for label, _, model, _ in flows:
             stats = network.stats.connections[label]
             exact = model.forward.in_network_latency_cycles
-            assert stats.latencies, f"{label}: nothing delivered"
+            assert stats.latency_histogram, f"{label}: nothing delivered"
             assert all(
-                latency == exact for latency in stats.latencies
+                latency == exact for latency in stats.latency_histogram
             ), (
-                f"{label}: latencies {sorted(set(stats.latencies))} "
+                f"{label}: latencies {sorted(set(stats.latency_histogram))} "
                 f"!= analytical {exact}"
             )
             # Zero measured jitter — the model's jitter is all
@@ -369,7 +369,7 @@ class TestMulticastOracleVsSimulator:
             branch.in_network_latency_cycles
             for branch in model.branches
         }
-        assert set(stats.latencies) == exact_per_branch
+        assert set(stats.latency_histogram) == exact_per_branch
         assert stats.max_latency == max(exact_per_branch)
         assert stats.max_latency <= model.worst_case_latency_cycles
 
@@ -455,8 +455,8 @@ class TestUseCaseSwitchOracleVsSimulator:
                 manager.allocation("A", label)
             )
             stats = network.stats.connections.get(label)
-            if stats and stats.latencies:
-                assert set(stats.latencies) == {
+            if stats and stats.latency_histogram:
+                assert set(stats.latency_histogram) == {
                     model.forward.in_network_latency_cycles
                 }
         for label in switch.torn_down:
@@ -476,7 +476,7 @@ class TestUseCaseSwitchOracleVsSimulator:
             manager.allocation("B", "record")
         )
         stats = network.stats.connections["record"]
-        assert set(stats.latencies) == {
+        assert set(stats.latency_histogram) == {
             record_model.forward.in_network_latency_cycles
         }
         assert stats.max_latency <= (
@@ -542,5 +542,5 @@ class TestAeliteOracleVsSimulator:
         assert delivered == words
         stats = network.stats.connections["a"]
         exact = model.forward.in_network_latency_cycles
-        assert set(stats.latencies) == {exact}
+        assert set(stats.latency_histogram) == {exact}
         assert stats.max_latency <= model.worst_case_latency_cycles

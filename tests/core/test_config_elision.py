@@ -155,7 +155,11 @@ class Probe:
                 (r.submitted_at, r.started_at, r.finished_at, r.responses)
                 for r in net.config_module.completed
             ],
-            "deliveries": net.stats.word_times(),
+            "deliveries": (
+                net.stats.counters(),
+                net.stats.undelivered(),
+                net.stats.fault_log(),
+            ),
             "sinks": [
                 (sink.words_received, dict(sink._last_seq), sink.findings)
                 for sink in sinks

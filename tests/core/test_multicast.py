@@ -145,3 +145,25 @@ class TestMulticastStreaming:
         )
         assert len(queue.queue) == 30
         assert len(queue.queue) > params.channel_buffer_words
+
+
+@pytest.mark.parametrize("mode", ["naive", "activity", "vector"])
+def test_drain_waits_for_every_leaf(mode):
+    """``drain()`` returns only once no register holds a word: a word
+    still in the NI's injection stages is in no queue and not in the
+    ledger, and a tree word that reached one leaf counts as delivered
+    while it is still on its way to the others."""
+    params = daelite_parameters(slot_table_size=8)
+    mesh = build_mesh(4, 4)
+    tree = SlotAllocator(topology=mesh, params=params).allocate_multicast(
+        MulticastRequest("tree", "NI00", ("NI10", "NI33"), slots=1)
+    )
+    net = DaeliteNetwork(mesh, params, kernel_mode=mode)
+    handle = net.configure_multicast(tree)
+    net.run_until_configured(handle)
+    net.ni("NI00").submit_words(handle.src_channel, [1, 2, 3], "tree")
+    net.drain()
+    for leaf in tree.dst_nis:
+        dest = net.ni(leaf).dest_channel(handle.dst_channels[leaf])
+        assert [word.payload for word in dest.queue] == [1, 2, 3], leaf
+    assert net.stats.delivered_words("tree") == 6

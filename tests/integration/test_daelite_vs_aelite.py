@@ -114,7 +114,7 @@ class TestBandwidthComparison:
         aelite_net, aelite_conn, aelite_stats = run_aelite(
             8, words, forward_slots=4
         )
-        daelite_cycles = max(daelite_stats.latencies) + 1
+        daelite_cycles = daelite_stats.max_latency + 1
         # Compare delivery completion: daelite finishes the same
         # payload in fewer cycles per word on a saturated allocation.
         daelite_rate = daelite_stats.ejected / daelite_net.kernel.cycle

@@ -390,7 +390,7 @@ def _check_probe_against_link_claims(side, seed, delays):
             except AllocationError:
                 pass
         src, dst = pair_rng.sample(nis, 2)
-        path = allocator._route(src, dst)
+        path = allocator.route(src, dst)
         link_delays = tuple(
             delays[k % len(delays)] for k in range(len(path) - 1)
         )

@@ -419,11 +419,9 @@ def test_phit_without_an_op_raises_instead_of_vanishing():
 
 def stats_image(net):
     return (
-        {
-            label: (s.injected, s.ejected, tuple(s.latencies))
-            for label, s in net.stats.connections.items()
-        },
-        net.stats.word_times(),
+        net.stats.counters(),
+        net.stats.undelivered(),
+        net.stats.fault_log(),
         {
             key: (link.phits_carried, link.words_carried)
             for key, link in net.links.items()
@@ -484,9 +482,8 @@ def test_parity_is_checked_at_arrival_and_taints_the_epoch():
     assert net.stats.delivered_words("flow") == (
         reference.stats.delivered_words("flow")
     )
-    assert net.stats.connections["flow"].latencies == (
-        reference.stats.connections["flow"].latencies
-    )
+    assert net.stats.counters() == reference.stats.counters()
+    assert net.stats.undelivered() == reference.stats.undelivered()
 
 
 def test_words_are_conserved_across_an_exceptional_exit():
@@ -560,7 +557,14 @@ def conserved_across(cause):
         error, message = FlowControlError, "overflowed"
     else:
         # The ledger already holds a word "a" is yet to submit.
-        net.stats._inject("a", source_ni._sequence_counters[channel] + 3, 0)
+        net.stats.record_injection(
+            Word(
+                payload=0,
+                connection="a",
+                sequence=source_ni._sequence_counters[channel] + 3,
+            ),
+            0,
+        )
         error, message = StatsIntegrityError, "injected twice"
 
     def in_registers(label):

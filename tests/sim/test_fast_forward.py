@@ -135,10 +135,10 @@ class TestPeriodicConnection:
         assert needed > 0  # the workload did drive registers
         assert activity.kernel.fast_forwarded_cycles > 0  # and gaps exist
         assert {
-            label: stats.latencies
+            label: stats.latency_histogram
             for label, stats in activity.stats.connections.items()
         } == {
-            label: stats.latencies
+            label: stats.latency_histogram
             for label, stats in naive.stats.connections.items()
         }
 

@@ -164,12 +164,11 @@ def run_lockstep(net_activity, net_naive, cycles: int) -> None:
 
 
 def stats_snapshot(stats):
-    connections = {
-        label: (s.injected, s.ejected, tuple(s.latencies))
-        for label, s in stats.connections.items()
-    }
-    records = stats.word_times()
-    return connections, records
+    """The whole ledger: counts, latency histograms, last injected
+    sequences and per-flow cursors (``counters``), the undelivered
+    words, and the fault log."""
+    faults = tuple(event.format() for event in stats.faults)
+    return stats.counters(), stats.undelivered(), faults
 
 
 # -- daelite -------------------------------------------------------------------

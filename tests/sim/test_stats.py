@@ -1,34 +1,59 @@
 """Unit tests for the statistics collector's delivery invariants, and
-the differential that defines its run entry points as the scalar calls
-in order."""
+the differential that holds its counts to a per-word reference ledger
+kept here, in the tests (the collector keeps no per-word history)."""
 
 from __future__ import annotations
 
 import inspect
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError, StatsIntegrityError
-from repro.sim import StatsCollector, Word
+from repro.sim import ConnectionStats, StatsCollector, Word
 from repro.sim import stats as stats_module
+from repro.sim.stats import counter_deltas
 
 
 def w(seq, conn="c"):
     return Word(payload=seq, connection=conn, sequence=seq)
 
 
+def injected(stats, seq, cycle, conn="c"):
+    """A fresh word of ``conn`` recorded as injected at ``cycle``: the
+    stamped word, which its ejections must carry."""
+    word = w(seq, conn)
+    stats.record_injection(word, cycle)
+    return word
+
+
 class TestStatsCollector:
     def test_latency_recorded(self):
         stats = StatsCollector()
-        stats.record_injection(w(0), cycle=10)
-        stats.record_ejection(w(0), cycle=17, destination="NI1")
-        assert stats.latency("c", 0) == 7
+        word = injected(stats, 0, 10)
+        assert word.injected_at == 10
+        stats.record_ejection(word, cycle=17, destination="NI1")
+        assert stats.connections["c"].latency_histogram == {7: 1}
+
+    def test_stamp_is_set_once_and_not_part_of_equality(self):
+        stats = StatsCollector()
+        word = w(0)
+        assert word.injected_at == -1
+        stats.record_injection(word, 4)
+        assert word == w(0) and hash(word) == hash(w(0))
+        with pytest.raises(StatsIntegrityError, match="injected twice"):
+            stats.record_injection(word, 5)
+        with pytest.raises(FrozenInstanceError):
+            word.injected_at = 6
+        assert word.injected_at == 4
 
     def test_double_injection_rejected(self):
         stats = StatsCollector()
-        stats.record_injection(w(0), 1)
+        word = injected(stats, 0, 1)
+        with pytest.raises(SimulationError, match="injected twice"):
+            stats.record_injection(word, 2)
         with pytest.raises(SimulationError, match="injected twice"):
             stats.record_injection(w(0), 2)
 
@@ -39,32 +64,32 @@ class TestStatsCollector:
 
     def test_out_of_order_delivery_rejected(self):
         stats = StatsCollector()
-        stats.record_injection(w(0), 0)
-        stats.record_injection(w(1), 1)
-        stats.record_ejection(w(1), 8, destination="NI1")
+        first = injected(stats, 0, 0)
+        second = injected(stats, 1, 1)
+        stats.record_ejection(second, 8, destination="NI1")
         with pytest.raises(SimulationError, match="out-of-order"):
-            stats.record_ejection(w(0), 9, destination="NI1")
+            stats.record_ejection(first, 9, destination="NI1")
 
     def test_multicast_counts_each_destination(self):
         stats = StatsCollector()
-        stats.record_injection(w(0), 0)
-        stats.record_ejection(w(0), 7, destination="NI1")
-        stats.record_ejection(w(0), 9, destination="NI2")
+        word = injected(stats, 0, 0)
+        stats.record_ejection(word, 7, destination="NI1")
+        stats.record_ejection(word, 9, destination="NI2")
         assert stats.delivered_words("c") == 2
-        assert stats.connections["c"].latencies == [7, 9]
+        assert stats.connections["c"].latency_histogram == {7: 1, 9: 1}
 
     def test_undelivered_tracking(self):
         stats = StatsCollector()
-        stats.record_injection(w(0), 0)
-        stats.record_injection(w(1), 2)
-        stats.record_ejection(w(0), 7, destination="NI1")
+        word = injected(stats, 0, 0)
+        injected(stats, 1, 2)
+        stats.record_ejection(word, 7, destination="NI1")
         assert stats.undelivered() == [("c", 1)]
 
     def test_connection_aggregates(self):
         stats = StatsCollector()
         for seq in range(3):
-            stats.record_injection(w(seq), seq)
-            stats.record_ejection(w(seq), seq + 5 + seq, destination="d")
+            word = injected(stats, seq, seq)
+            stats.record_ejection(word, seq + 5 + seq, destination="d")
         info = stats.connections["c"]
         assert info.injected == 3
         assert info.ejected == 3
@@ -75,8 +100,7 @@ class TestStatsCollector:
 
     def test_throughput(self):
         stats = StatsCollector()
-        stats.record_injection(w(0), 0)
-        stats.record_ejection(w(0), 4, destination="d")
+        stats.record_ejection(injected(stats, 0, 0), 4, destination="d")
         assert stats.throughput_words_per_cycle("c", 8) == pytest.approx(
             0.125
         )
@@ -90,25 +114,56 @@ class TestStatsCollector:
         stats = StatsCollector()
         assert stats.delivered_words("missing") == 0
         assert stats.injected_words("missing") == 0
-        assert stats.latency("missing", 0) is None
+        empty = ConnectionStats("missing")
+        assert empty.min_latency is None and empty.mean_latency is None
+
+
+def ledger_state(stats):
+    """Everything the collector keeps, for before/after comparisons."""
+    return stats.counters(), stats.undelivered(), stats.fault_log()
 
 
 class TestIntegrityViolations:
     """Impossible word lifecycles raise the dedicated error type and
     leave the collector state untouched — a misdelivered word must never
-    overwrite or fabricate a record."""
+    overwrite or fabricate a record.  One test per check."""
 
     def test_violations_raise_the_dedicated_error_type(self):
         stats = StatsCollector()
         with pytest.raises(StatsIntegrityError):
             stats.record_ejection(w(0), 5, destination="NI1")
-        stats.record_injection(w(0), 1)
+        word = injected(stats, 0, 1)
         with pytest.raises(StatsIntegrityError):
-            stats.record_injection(w(0), 2)
+            stats.record_injection(word, 2)
+
+    @pytest.mark.parametrize(
+        "again",
+        [
+            pytest.param(lambda word: word, id="already-stamped"),
+            pytest.param(lambda word: w(word.sequence), id="same-sequence"),
+            pytest.param(lambda word: w(word.sequence - 1), id="below-last"),
+            pytest.param(
+                lambda word: Word(payload=0, connection="new", injected_at=3),
+                id="stamped-elsewhere",
+            ),
+        ],
+    )
+    def test_injected_twice_leaves_state_unchanged(self, again):
+        stats = StatsCollector()
+        stats.record_ejection(injected(stats, 4, 0), 6, destination="NI1")
+        word = injected(stats, 5, 7)
+        before = ledger_state(stats)
+        repeat = again(word)
+        stamp = repeat.injected_at
+        with pytest.raises(StatsIntegrityError, match="injected twice"):
+            stats.record_injection(repeat, 9)
+        assert ledger_state(stats) == before
+        assert repeat.injected_at == stamp
+        assert "new" not in stats.connections
 
     def test_never_injected_ejection_message_is_actionable(self):
         stats = StatsCollector()
-        stats.record_injection(w(0, conn="live"), 0)
+        injected(stats, 0, 0, conn="live")
         with pytest.raises(
             StatsIntegrityError,
             match=r"never injected.*known connections.*live",
@@ -118,40 +173,38 @@ class TestIntegrityViolations:
             )
 
     def test_never_injected_ejection_leaves_state_unchanged(self):
+        """An unstamped word of a known connection, the very sequence
+        number its destination expects next."""
         stats = StatsCollector()
-        stats.record_injection(w(0), 0)
-        stats.record_ejection(w(0), 6, destination="NI1")
-        before = (
-            stats.word_times(),
-            dict(stats._last_ejected),
-            {
-                label: (s.injected, s.ejected, list(s.latencies))
-                for label, s in stats.connections.items()
-            },
-        )
-        with pytest.raises(StatsIntegrityError):
-            stats.record_ejection(w(7), 9, destination="NI1")
-        after = (
-            stats.word_times(),
-            dict(stats._last_ejected),
-            {
-                label: (s.injected, s.ejected, list(s.latencies))
-                for label, s in stats.connections.items()
-            },
-        )
-        assert before == after
+        stats.record_ejection(injected(stats, 0, 0), 6, destination="NI1")
+        injected(stats, 1, 1)
+        before = ledger_state(stats)
+        with pytest.raises(StatsIntegrityError, match="never injected"):
+            stats.record_ejection(w(1), 9, destination="NI1")
+        assert ledger_state(stats) == before
         # The legitimate record survives intact.
-        assert stats.latency("c", 0) == 6
+        assert stats.connections["c"].latency_histogram == {6: 1}
 
     def test_out_of_order_rejection_leaves_order_marker_unchanged(self):
         stats = StatsCollector()
-        stats.record_injection(w(0), 0)
-        stats.record_injection(w(1), 1)
-        stats.record_ejection(w(1), 8, destination="NI1")
-        with pytest.raises(StatsIntegrityError):
-            stats.record_ejection(w(0), 9, destination="NI1")
+        first = injected(stats, 0, 0)
+        second = injected(stats, 1, 1)
+        stats.record_ejection(second, 8, destination="NI1")
+        before = ledger_state(stats)
+        with pytest.raises(StatsIntegrityError, match="out-of-order"):
+            stats.record_ejection(first, 9, destination="NI1")
+        assert ledger_state(stats) == before
         assert stats._last_ejected[("c", "NI1")] == 1
         assert stats.connections["c"].ejected == 1
+
+    def test_sequence_gap_is_a_fault_not_an_error(self):
+        stats = StatsCollector()
+        injected(stats, 0, 0)
+        word = injected(stats, 1, 1)
+        stats.record_ejection(word, 8, destination="NI1")
+        assert stats.fault_counts() == {"sequence_gap": 1}
+        assert stats.faults[0].detail == "c: expected seq 0, got 1"
+        assert stats.undelivered() == [("c", 0)]
 
     def test_integrity_error_is_a_simulation_error(self):
         # Existing except-clauses catching SimulationError keep working.
@@ -159,108 +212,220 @@ class TestIntegrityViolations:
 
 
 class TestWordLedger:
-    """The per-connection columns behind ``word_times()``."""
+    """What the ledger keeps per connection: counts, not words."""
 
-    def test_sparse_and_out_of_order_injections_pad_and_prepend(self):
+    def test_sparse_injections_and_an_earlier_one_refused(self):
         stats = StatsCollector()
-        for seq, cycle in ((5, 50), (8, 80), (3, 30)):
-            stats.record_injection(w(seq), cycle)
-        assert stats.word_times() == {
-            ("c", 3): (30, None),
-            ("c", 5): (50, None),
-            ("c", 8): (80, None),
-        }
-        assert stats.connections["c"].injected == 3
-        # The padded positions are absent, not words.
+        for seq, cycle in ((5, 50), (8, 80)):
+            injected(stats, seq, cycle)
+        assert stats.undelivered() == [("c", 5), ("c", 8)]
+        assert stats.connections["c"].injected == 2
+        assert stats.connections["c"].last_sequence == 8
+        # The skipped sequence numbers are absent, not words.
         with pytest.raises(StatsIntegrityError, match="never injected"):
-            stats.record_ejection(w(4), 90, destination="d")
-        stats.record_injection(w(4), 40)
+            stats.record_ejection(w(6), 90, destination="d")
+        # Below the last injected word: refused.
         with pytest.raises(StatsIntegrityError, match="injected twice"):
-            stats.record_injection(w(4), 41)
+            stats.record_injection(w(3), 30)
 
-    def test_word_times_keeps_the_first_delivery(self):
+    def test_first_delivery_takes_the_word_out_of_flight(self):
         stats = StatsCollector()
-        stats.record_injection(w(0), 1)
-        stats.record_ejection(w(0), 7, destination="NI1")
-        stats.record_ejection(w(0), 9, destination="NI2")
-        assert stats.word_times() == {("c", 0): (1, 7)}
-        assert stats.latency("c", 0) == 6
+        word = injected(stats, 0, 1)
+        stats.record_ejection(word, 7, destination="NI1")
+        assert stats.undelivered() == [] and stats.all_delivered
+        stats.record_ejection(word, 9, destination="NI2")
+        assert stats.connections["c"].latency_histogram == {6: 1, 8: 1}
 
     def test_all_delivered_counts_first_deliveries_only(self):
         stats = StatsCollector()
         assert stats.all_delivered
-        stats.record_injections("c", 0, [0, 1])
+        words = [injected(stats, seq, seq) for seq in (0, 1)]
         assert not stats.all_delivered
-        stats.record_ejections("c", "NI1", 0, [5, 6])
+        for cycle, word in enumerate(words, 5):
+            stats.record_ejection(word, cycle, "NI1")
         assert stats.all_delivered and stats.undelivered() == []
-        stats.record_ejections("c", "NI2", 0, [7, 8])
+        for cycle, word in enumerate(words, 7):
+            stats.record_ejection(word, cycle, "NI2")
         assert stats.all_delivered
-        stats.record_injection(w(2), 9)
+        injected(stats, 2, 9)
         assert not stats.all_delivered
         assert stats.undelivered() == [("c", 2)]
 
+    def test_counts_do_not_grow_with_the_words(self):
+        stats = StatsCollector()
+        for seq in range(1_000):
+            word = injected(stats, seq, 3 * seq)
+            stats.record_ejection(word, 3 * seq + 11, destination="d")
+        ledger = stats.connections["c"]
+        assert ledger.latency_histogram == {11: 1_000}
+        assert ledger.undelivered == set()
+        assert len(stats.counters()) == 5
 
-# -- runs are the scalar calls, in order ---------------------------------------
+
+# -- the counts are the per-word ledger's, summed ------------------------------
 
 CONNECTIONS = ("a", "b")
 DESTINATIONS = ("d1", "d2", "d3")
 
 
+class Refused(Exception):
+    """The reference ledger's integrity error."""
+
+
+class PerWordLedger:
+    """The oracle: a ledger that keeps every word — its injection cycle
+    and first delivery — and every latency in delivery order, with the
+    collector's rules (an injection must be above its connection's last
+    one; a delivery must be of an injected word, in order per
+    destination; a gap is a fault).  What the collector counts has to be
+    what this one keeps, summed."""
+
+    def __init__(self):
+        self.words = {}  # (conn, seq) -> [injected at, first delivery]
+        self.latencies = {}  # conn -> [latency, ...]
+        self.last_injected = {}
+        self.cursors = {}
+        self.faults = []
+
+    def inject(self, conn, seq, cycle):
+        last = self.last_injected.get(conn)
+        if last is not None and seq <= last:
+            raise Refused("injected twice")
+        self.words[conn, seq] = [cycle, None]
+        self.last_injected[conn] = seq
+        self.latencies.setdefault(conn, [])
+
+    def eject(self, conn, dest, seq, cycle):
+        record = self.words.get((conn, seq))
+        if record is None:
+            raise Refused("never injected")
+        last = self.cursors.get((conn, dest))
+        if last is not None and seq <= last:
+            raise Refused("out-of-order")
+        expected = 0 if last is None else last + 1
+        if seq > expected:
+            self.faults.append(
+                (cycle, "sequence_gap", dest,
+                 f"{conn}: expected seq {expected}, got {seq}")
+            )
+        self.cursors[conn, dest] = seq
+        if record[1] is None:
+            record[1] = cycle
+        self.latencies[conn].append(cycle - record[0])
+
+
+class Wire:
+    """Drives one op stream word by word into a collector and into the
+    reference.  An ejection carries the word object its injection
+    stamped, or a fresh (unstamped) one if it never was injected."""
+
+    def __init__(self):
+        self.stats = StatsCollector()
+        self.reference = PerWordLedger()
+        self.sent = {}
+
+    def inject(self, conn, seq, cycle):
+        word = w(seq, conn)
+        self.stats.record_injection(word, cycle)
+        self.sent[conn, seq] = word
+
+    def eject(self, conn, dest, seq, cycle):
+        word = self.sent.get((conn, seq), w(seq, conn))
+        self.stats.record_ejection(word, cycle, dest)
+
+    def apply(self, op):
+        """Apply ``op`` to both; the check each refused it with."""
+        outcomes = []
+        for target in (self, self.reference):
+            try:
+                apply_word_by_word(target, op)
+            except (StatsIntegrityError, Refused) as exc:
+                outcomes.append(
+                    next(
+                        check
+                        for check in (
+                            "injected twice", "never injected", "out-of-order"
+                        )
+                        if check in str(exc)
+                    )
+                )
+            else:
+                outcomes.append(None)
+        return outcomes
+
+
 def observe(stats):
     return (
-        stats.word_times(),
-        {label: list(s.latencies) for label, s in stats.connections.items()},
-        {label: (s.injected, s.ejected) for label, s in stats.connections.items()},
-        list(stats._last_ejected.items()),
-        stats.fault_log(),
-        stats.undelivered(),
+        {
+            label: (
+                s.injected,
+                s.ejected,
+                s.last_sequence,
+                dict(sorted(s.latency_histogram.items())),
+            )
+            for label, s in stats.connections.items()
+        },
+        dict(stats._last_ejected),
+        [(e.cycle, e.kind, e.site, e.detail) for e in stats.faults],
+        sorted(stats.undelivered()),
         stats.all_delivered,
     )
 
 
-def apply_as_run(stats, op):
-    tag, *args = op
-    if tag == "inject":
-        stats.record_injections(*args)
-    elif tag == "eject":
-        stats.record_ejections(*args)
-    else:
-        stats.record_fanout(*args)
+def observe_reference(reference):
+    histograms = {}
+    for conn, latencies in reference.latencies.items():
+        histogram = {}
+        for latency in latencies:
+            histogram[latency] = histogram.get(latency, 0) + 1
+        histograms[conn] = dict(sorted(histogram.items()))
+    undelivered = sorted(
+        key for key, (_, first) in reference.words.items() if first is None
+    )
+    return (
+        {
+            conn: (
+                sum(1 for c, _ in reference.words if c == conn),
+                len(latencies),
+                reference.last_injected[conn],
+                histograms[conn],
+            )
+            for conn, latencies in reference.latencies.items()
+        },
+        dict(reference.cursors),
+        reference.faults,
+        undelivered,
+        not undelivered,
+    )
 
 
-def apply_word_by_word(stats, op):
+def apply_word_by_word(target, op):
+    """``op`` is a run — ``("inject", conn, first, cycles)`` or
+    ``("eject", conn, dest, first, cycles)`` — or a multicast tree's
+    interleaved deliveries ``("fanout", conn, dests, seqs, cycles)``."""
     if op[0] == "fanout":
         _, conn, destinations, sequences, cycles = op
         for dest, seq, cycle in zip(destinations, sequences, cycles):
-            stats.record_ejection(w(seq, conn), cycle, dest)
+            target.eject(conn, dest, seq, cycle)
         return
     tag, conn, *dest, first, cycles = op
     for seq, cycle in enumerate(cycles, first):
         if tag == "inject":
-            stats.record_injection(w(seq, conn), cycle)
+            target.inject(conn, seq, cycle)
         else:
-            stats.record_ejection(w(seq, conn), cycle, *dest)
+            target.eject(conn, *dest, seq, cycle)
 
 
-def integrity_error(apply, stats, op):
-    try:
-        apply(stats, op)
-    except StatsIntegrityError as exc:
-        return str(exc)
-    return None
-
-
-def assert_runs_match_scalar_calls(ops):
-    """Drive ``ops`` through the run entry points on one collector and
-    word by word through the scalar ones on another; after every op the
-    two must agree on every observable and on what was raised."""
-    by_run, by_word = StatsCollector(), StatsCollector()
+def assert_matches_the_per_word_ledger(ops):
+    """Drive ``ops`` word by word into a collector and into
+    :class:`PerWordLedger`; after every op the two must agree on every
+    count and on which check, if any, refused a word."""
+    wire = Wire()
     for op in ops:
-        assert integrity_error(apply_as_run, by_run, op) == integrity_error(
-            apply_word_by_word, by_word, op
-        ), op
-        assert observe(by_run) == observe(by_word), op
-    return by_run
+        refused, expected = wire.apply(op)
+        assert refused == expected, op
+        assert observe(wire.stats) == observe_reference(wire.reference), op
+    return wire.stats
 
 
 TWEAKS = ("keep",) * 6 + ("drop", "twice", "early", "late")
@@ -321,7 +486,9 @@ def run_ops(draw):
 @settings(max_examples=300, deadline=None)
 @given(ops=run_ops())
 def test_runs_match_scalar_calls(ops):
-    assert_runs_match_scalar_calls(ops)
+    """Runs applied as scalar calls: the collector's counts are the
+    per-word reference's, summed."""
+    assert_matches_the_per_word_ledger(ops)
 
 
 HUGE = 2**62
@@ -371,13 +538,13 @@ NAMED_STREAMS = {
     "gaps": [
         ("inject", "a", 0, [1, 2]),
         ("inject", "a", 4, [5, 6]),
-        ("inject", "a", 2, [3]),
-        ("eject", "a", "d1", 0, [8, 9, 10]),
-        ("eject", "a", "d1", 4, [12, 13]),  # gap fault: 3 was skipped
+        ("inject", "a", 2, [3]),  # below the last: injected twice
+        ("eject", "a", "d1", 0, [8, 9, 10]),  # 0 and 1 land, 2 raises
+        ("eject", "a", "d1", 4, [12, 13]),  # gap fault: 2 and 3 skipped
     ],
     "prepend": [
         ("inject", "a", 5, [50, 60]),
-        ("inject", "a", 2, [20, 30, 40]),
+        ("inject", "a", 2, [20, 30, 40]),  # below the last: injected twice
         ("eject", "a", "d1", 2, [70, 71, 72, 73, 74]),
     ],
     "second-multicast-destination": [
@@ -393,7 +560,7 @@ NAMED_STREAMS = {
     ],
     "duplicate-inside-a-run": [
         ("inject", "a", 2, [1]),
-        ("inject", "a", 0, [5, 6, 7, 8]),  # 0 and 1 land, 2 raises
+        ("inject", "a", 0, [5, 6, 7, 8]),  # 0 is below 2: raises
         ("inject", "a", 3, [9]),
     ],
     "unknown-word-inside-a-run": [
@@ -462,45 +629,73 @@ NAMED_STREAMS = {
 @pytest.mark.differential
 @pytest.mark.parametrize("name", sorted(NAMED_STREAMS))
 def test_named_streams_match_scalar_calls(name):
-    assert_runs_match_scalar_calls(NAMED_STREAMS[name])
-
-
-def test_the_named_streams_reach_the_slice_paths():
-    """The comparison above is only worth something if the run side took
-    its slice path where one applies: a dense stream ends with every
-    word delivered and no fault, through three calls."""
-    stats = assert_runs_match_scalar_calls(NAMED_STREAMS["dense"])
-    assert stats.all_delivered and not stats.faults
-    assert stats.connections["a"].latencies == [7, 7, 7, 7]
+    assert_matches_the_per_word_ledger(NAMED_STREAMS[name])
 
 
 def test_a_steady_tree_lands_without_a_scalar_call(monkeypatch):
-    """The steady tree's two fan-out runs take the slice path: no
-    ``_eject`` call, every word delivered, the leaves' latencies
-    interleaved in delivery order."""
-    stats = StatsCollector()
+    """Epoch replay's arithmetic on the steady tree: two epochs recorded
+    word by word, then two more credited from the second one's counter
+    deltas with no ``record_*`` call, land exactly where four epochs of
+    scalar calls do."""
+
+    def epoch(wire, k):
+        """Epoch ``k``: the tree's two words injected, then delivered."""
+        apply_word_by_word(wire, ("inject", "a", 2 * k, [10 * k + 1, 10 * k + 2]))
+        apply_word_by_word(wire, k_major("a", TREE_EPOCH, epochs=[k]))
+
+    stepped = Wire()
+    for k in range(4):
+        epoch(stepped, k)
+
+    wire = Wire()
+    epoch(wire, 0)
+    before = wire.stats.counters()
+    epoch(wire, 1)
+    after = wire.stats.counters()
 
     def refuse(*args):
-        raise AssertionError(f"scalar walk: {args}")
+        raise AssertionError(f"scalar call: {args}")
 
-    monkeypatch.setattr(StatsCollector, "_eject", refuse)
-    for op in NAMED_STREAMS["fanout-steady-tree"]:
-        apply_as_run(stats, op)
-    ledger = stats.connections["a"]
-    assert stats.all_delivered and not stats.faults
+    monkeypatch.setattr(StatsCollector, "record_ejection", refuse)
+    monkeypatch.setattr(StatsCollector, "record_injection", refuse)
+    wire.stats.credit(2, after, counter_deltas(before, after))
+    # The undelivered sets are replay's to move (only it knows which
+    # words are in flight); every word of this tree has landed.
+    assert wire.stats.all_delivered
+    assert observe(wire.stats) == observe(stepped.stats)
+    ledger = wire.stats.connections["a"]
     assert ledger.ejected == 24
-    assert list(ledger.ejected_at) == [10, 12, 20, 22, 30, 32, 40, 42]
-    assert ledger.latencies[:6] == [9, 10, 10, 12, 12, 13]
-    assert list(stats._last_ejected.items()) == [
+    assert ledger.latency_histogram == {9: 4, 10: 8, 12: 8, 13: 4}
+    assert list(wire.stats._last_ejected.items()) == [
         (("a", "d1"), 7),
         (("a", "d2"), 7),
         (("a", "d3"), 7),
     ]
 
 
-def plant(monkeypatch, original, mutant):
-    """Run the fan-out methods with the one source fragment ``original``
-    of ``stats.py`` rewritten to ``mutant``."""
+def test_a_connection_opened_in_the_epoch_is_not_extrapolated():
+    """``counter_deltas`` refuses an epoch that opened a connection or a
+    flow (nothing to extrapolate from) and counts a first-seen latency
+    from zero."""
+    wire = Wire()
+    apply_word_by_word(wire, ("inject", "a", 0, [1, 2]))
+    before = wire.stats.counters()
+    apply_word_by_word(wire, ("eject", "a", "d1", 0, [5]))
+    assert counter_deltas(before, wire.stats.counters()) is None
+    before = wire.stats.counters()
+    apply_word_by_word(wire, ("eject", "a", "d1", 1, [9]))
+    assert counter_deltas(before, wire.stats.counters()) == {
+        ("ejected", "a"): 1,
+        ("latency", "a", 7): 1,
+        ("cursor", "a", "d1"): 1,
+    }
+    apply_word_by_word(wire, ("inject", "b", 0, [3]))
+    assert counter_deltas(before, wire.stats.counters()) is None
+
+
+def plant(monkeypatch, original, mutant, methods):
+    """Run the collector's ``methods`` with the one source fragment
+    ``original`` of ``stats.py`` rewritten to ``mutant``."""
     source = inspect.getsource(stats_module)
     assert source.count(original) == 1, original
     namespace = {
@@ -513,26 +708,22 @@ def plant(monkeypatch, original, mutant):
         ),
         namespace,
     )
-    for method in ("record_fanout", "_consecutive_per_destination"):
+    for method in methods:
         monkeypatch.setattr(
             StatsCollector, method, getattr(namespace["StatsCollector"], method)
         )
 
 
 class TestPlantedLedgerMutantsAreKilled:
-    """Each slice path is guarded by one condition per way the scalar
-    walk could behave differently; drop one and a named stream diverges.
-    The run paths' guards are the ``min`` / ``max`` over the run's
-    columns, so shadowing that builtin in the module's namespace removes
-    exactly the guard; the fan-out path's own rules are planted as
-    source mutants."""
+    """Each check of the collector, dropped, makes a named stream
+    diverge from the per-word reference."""
 
     @staticmethod
     def survives(name):
         """A kill is the differential diverging, or crashing where the
-        scalar calls did not."""
+        reference did not."""
         try:
-            assert_runs_match_scalar_calls(NAMED_STREAMS[name])
+            assert_matches_the_per_word_ledger(NAMED_STREAMS[name])
         except Exception:
             return False
         return True
@@ -540,50 +731,57 @@ class TestPlantedLedgerMutantsAreKilled:
     def test_skipping_the_all_injected_check(self, monkeypatch):
         assert self.survives("unknown-word-inside-a-run")
         assert self.survives("fanout-never-injected-word")
-        monkeypatch.setattr(
-            stats_module, "min", lambda column: 0, raising=False
+        plant(
+            monkeypatch,
+            "if stats is None or injected < 0:",
+            "if stats is None:",
+            ["record_ejection"],
         )
         assert not self.survives("unknown-word-inside-a-run")
         assert not self.survives("fanout-never-injected-word")
 
-    def test_skipping_the_not_yet_delivered_check(self, monkeypatch):
-        assert self.survives("second-multicast-destination")
-        assert self.survives("fanout-past-the-column")
-        monkeypatch.setattr(
-            stats_module, "max", lambda column: -1, raising=False
-        )
-        assert not self.survives("second-multicast-destination")
-        assert not self.survives("fanout-past-the-column")
-
-    def test_first_delivery_taken_from_the_last_occurrence(
-        self, monkeypatch
-    ):
-        assert self.survives("fanout-steady-tree")
-        plant(
-            monkeypatch,
-            "zip(reversed(sequences), reversed(cycles))",
-            "zip(sequences, cycles)",
-        )
-        assert not self.survives("fanout-steady-tree")
-        assert not self.survives("fanout-words-already-delivered")
-
     def test_per_destination_consecutiveness_dropped(self, monkeypatch):
         assert self.survives("fanout-leaf-off-its-expected-word")
         assert self.survives("fanout-destination-repeated")
-        plant(monkeypatch, "if sequence != expected:", "if False:")
+        plant(
+            monkeypatch,
+            "last = self._last_ejected.get(flow)",
+            "last = None",
+            ["record_ejection"],
+        )
         assert not self.survives("fanout-leaf-off-its-expected-word")
         assert not self.survives("fanout-destination-repeated")
 
-    def test_fanout_injected_check_dropped(self, monkeypatch):
-        plant(monkeypatch, "if min(injected) >= 0:", "if True:")
-        assert not self.survives("fanout-never-injected-word")
-        # The run paths keep their own guard.
-        assert self.survives("unknown-word-inside-a-run")
-
-    def test_undelivered_decremented_per_delivery(self, monkeypatch):
+    def test_injection_at_or_below_the_last_accepted(self, monkeypatch):
+        assert self.survives("duplicate-inside-a-run")
         plant(
             monkeypatch,
-            "self._undelivered -= delivered",
-            "self._undelivered -= len(cycles)",
+            "or (last is not None and sequence <= last)",
+            "",
+            ["record_injection"],
+        )
+        assert not self.survives("duplicate-inside-a-run")
+        assert not self.survives("prepend")
+
+    def test_skipping_the_not_yet_delivered_check(self, monkeypatch):
+        """The not-yet-delivered set: a word's first delivery, at any
+        destination, has to take it out."""
+        plant(
+            monkeypatch,
+            "stats.undelivered.discard(sequence)",
+            "pass",
+            ["record_ejection"],
+        )
+        assert not self.survives("dense")
+        assert not self.survives("second-multicast-destination")
+
+    def test_latency_counted_from_the_ejection_cycle_only(
+        self, monkeypatch
+    ):
+        plant(
+            monkeypatch,
+            "stats.count_latency(cycle - injected)",
+            "stats.count_latency(cycle)",
+            ["record_ejection"],
         )
         assert not self.survives("fanout-steady-tree")

@@ -74,7 +74,7 @@ def knock_out(monkeypatch, owner: type, method: str) -> None:
 
 def latencies(net):
     return {
-        label: tuple(stats.latencies)
+        label: dict(stats.latency_histogram)
         for label, stats in net.stats.connections.items()
     }
 

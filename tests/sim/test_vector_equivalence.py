@@ -6,8 +6,8 @@ proven cycle-accurate against the naive reference in
 through an identical sequence of ``step`` chunks.  At every chunk
 boundary the engine materializes its flat state back into the Register
 objects, so all register outputs must be bit-identical, and so must the
-full statistics (per-word lifecycles, latency distributions, fault
-logs), every sink's word count and checker state, and every
+full statistics (counts, latency histograms, per-flow cursors,
+undelivered words, fault logs), every sink's word count and checker state, and every
 link/router counter.
 
 Epoch replay is covered two ways: the Hypothesis scenarios include
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import inspect
 from collections.abc import Sized
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Tuple
 
 import pytest
@@ -244,13 +244,11 @@ def assert_same_registers(kernel_a, kernel_b, cycle_label: str) -> None:
 
 
 def stats_snapshot(stats):
-    connections = {
-        label: (s.injected, s.ejected, tuple(s.latencies))
-        for label, s in stats.connections.items()
-    }
-    records = stats.word_times()
+    """The whole ledger: per connection its counts, latency histogram
+    and last injected sequence, each flow's cursor (``counters``), the
+    undelivered words, and the fault log."""
     faults = tuple(event.format() for event in stats.faults)
-    return connections, records, faults
+    return stats.counters(), stats.undelivered(), faults
 
 
 def full_snapshot(net, gens, sinks):
@@ -546,36 +544,31 @@ def build_trees(mode):
     return net, gens, sinks
 
 
-def test_multicast_trees_replay_as_fanout_runs(monkeypatch):
+def test_multicast_trees_replay_by_ledger_deltas(monkeypatch):
     """Replayed epochs of two 3-leaf trees land bit-identically — the
-    leaves' ``latencies`` interleaved as stepping interleaves them — as
-    one fan-out run per tree and replay, with no scalar ``_eject``
-    call inside the replay (only stepped deliveries make those)."""
-    calls = {"materialize": 0, "record_fanout": 0, "_eject": 0}
+    leaves' latency histograms, cursors and undelivered words included —
+    credited from the template epoch's counter deltas, with no
+    ``record_ejection`` call inside the replay (only stepped deliveries
+    make those)."""
+    calls = {"replay": 0, "record_ejection": 0}
     inside = []
-    materialize = EpochReplay.materialize
-    record_fanout = StatsCollector.record_fanout
-    eject = StatsCollector._eject
+    replay = CompiledEngine._replay
+    record_ejection = StatsCollector.record_ejection
 
     def replaying(self, *args):
-        calls["materialize"] += 1
+        calls["replay"] += 1
         inside.append(self)
         try:
-            materialize(self, *args)
+            return replay(self, *args)
         finally:
             inside.pop()
 
-    def fanning_out(self, *args):
-        calls["record_fanout"] += 1
-        record_fanout(self, *args)
+    def ejecting(self, *args, **kwargs):
+        calls["record_ejection"] += len(inside)
+        record_ejection(self, *args, **kwargs)
 
-    def ejecting(self, *args):
-        calls["_eject"] += len(inside)
-        eject(self, *args)
-
-    monkeypatch.setattr(EpochReplay, "materialize", replaying)
-    monkeypatch.setattr(StatsCollector, "record_fanout", fanning_out)
-    monkeypatch.setattr(StatsCollector, "_eject", ejecting)
+    monkeypatch.setattr(CompiledEngine, "_replay", replaying)
+    monkeypatch.setattr(StatsCollector, "record_ejection", ejecting)
     replayed_before = []
 
     def note_replayed(index, net):
@@ -588,9 +581,9 @@ def test_multicast_trees_replay_as_fanout_runs(monkeypatch):
     for request in TREES:
         ledger = net.stats.connections[request.label]
         assert ledger.ejected > 2 * ledger.injected
-    assert calls["materialize"] > 0
-    assert calls["record_fanout"] == len(TREES) * calls["materialize"]
-    assert calls["_eject"] == 0
+        assert len(ledger.latency_histogram) <= 3
+    assert calls["replay"] > 0
+    assert calls["record_ejection"] == 0
 
 
 # -- the int64 budget of the numpy replay ---------------------------------------
@@ -723,6 +716,33 @@ def test_sinks_hold_no_per_word_state(mode):
     assert sink.clean
     if mode == VECTOR_MODE:
         assert net.kernel.kernel_stats()["replayed_epochs"] > 0
+
+
+def ledger_entries(stats):
+    """Entries the ledger retains: histogram keys, undelivered sequence
+    numbers, per-flow cursors — and the length of any other container a
+    connection's record holds."""
+    entries = len(stats._last_ejected)
+    for ledger in stats.connections.values():
+        for field in fields(ledger):
+            value = getattr(ledger, field.name)
+            if isinstance(value, Sized) and not isinstance(value, str):
+                entries += len(value)
+    return entries
+
+
+@pytest.mark.parametrize("mode", [NAIVE_MODE, ACTIVITY_MODE, VECTOR_MODE])
+def test_ledger_holds_no_per_word_state(mode):
+    """One flow carrying N and then 10N words leaves the ledger holding
+    as many entries either way: counts, not history."""
+
+    def run(words):
+        net, _, _ = one_flow(mode, total_words=words)
+        net.run(5 * words + 200)
+        assert net.stats.delivered_words("a") == words
+        return ledger_entries(net.stats)
+
+    assert 0 < run(400) <= run(40)
 
 
 # -- aelite --------------------------------------------------------------------
@@ -1140,13 +1160,20 @@ class TestEverySlowBranchIsReachedAndCompared:
         )
 
     def test_duplicate_injection_into_a_preseeded_column(self):
-        """The words before the pre-seeded one fill absent entries of a
-        padded column (``_inject``, not the append); the pre-seeded one
-        is refused."""
+        """The ledger is pre-seeded with a word three sequence numbers
+        ahead of the NI's counter: the next real word is below the
+        connection's last injected one, and refused."""
 
         def preseed(net):
             ni, channel, _, _ = flow_ends(net)
-            net.stats._inject("a", ni._sequence_counters[channel] + 3, 0)
+            net.stats.record_injection(
+                Word(
+                    payload=0,
+                    connection="a",
+                    sequence=ni._sequence_counters[channel] + 3,
+                ),
+                0,
+            )
 
         raises_in_lockstep(
             one_flow,
@@ -1157,14 +1184,17 @@ class TestEverySlowBranchIsReachedAndCompared:
         )
 
     def test_never_injected_word_in_a_padded_column(self):
-        """A fabricated word whose ledger entry exists but is absent,
-        arriving as the very sequence number its destination expects —
-        everything the eject fast path tests except ``injected_at``."""
+        """A fabricated, unstamped word of a connection the ledger knows
+        (words 0 and 2 injected, 0 delivered), arriving as the very
+        sequence number its destination expects — everything the eject
+        fast path tests except the stamp."""
 
         def fabricate(net):
-            net.stats._inject("ghost", 0, 0)
-            net.stats._inject("ghost", 2, 0)
-            net.stats._eject("ghost", "NI11", 0, 1)
+            for sequence in (0, 2):
+                word = Word(payload=0, connection="ghost", sequence=sequence)
+                net.stats.record_injection(word, 0)
+                if sequence == 0:
+                    net.stats.record_ejection(word, 1, "NI11")
             replace_word_in_flight(
                 net,
                 lambda word: Word(
@@ -1191,6 +1221,7 @@ class TestEverySlowBranchIsReachedAndCompared:
                     payload=word.payload,
                     connection=word.connection,
                     sequence=word.sequence - 1,
+                    injected_at=word.injected_at,
                     parity=word.parity,
                 ),
             )
@@ -1221,7 +1252,8 @@ class TestEverySlowBranchIsReachedAndCompared:
 
     def test_sparse_sequences_pad_the_column(self):
         """A first sequence number above zero and a later jump: the
-        ledger pads, the collector and the sink report the gaps."""
+        ledger counts the injected words only, the collector and the
+        sink report the gaps."""
 
         def build(mode):
             net, gens, sinks = one_flow(mode, period=7)
@@ -1237,25 +1269,34 @@ class TestEverySlowBranchIsReachedAndCompared:
             build, (60, 45, 60), before_chunk(1, jump), endpoints=True
         )
         ledger = net.stats.connections["a"]
-        assert ledger.first_sequence == 7
-        assert len(ledger.injected_at) > ledger.injected
+        assert ledger.last_sequence - 7 + 1 > ledger.injected
         assert net.stats.fault_counts() == {"sequence_gap": 2, "e2e_gap": 2}
         assert_engine_never_stood_down(net)
 
-    def test_earlier_sequence_prepends_the_column(self):
-        """The ledger already holds word 50 when word 0 is injected:
-        a prepend, then nine absent entries filled in."""
-
-        def build(mode):
-            net, gens, sinks = one_flow(mode, period=7, total_words=10)
-            net.stats._inject("a", 50, 0)
-            return net, gens, sinks
-
-        net = run_in_lockstep(build, (40, 80), endpoints=True)
-        ledger = net.stats.connections["a"]
-        assert (ledger.first_sequence, ledger.ejected) == (0, 10)
-        assert net.stats.undelivered() == [("a", 50)]
-        assert_engine_never_stood_down(net)
+    def test_earlier_sequence_preceding_the_last_is_refused(self):
+        """The ledger already holds word 50 when the flow's word 0 is
+        injected: below the connection's last sequence, so refused —
+        where the per-word column used to prepend it — in the same
+        cycle, with the same message and an unchanged ledger in both
+        kernels."""
+        outcomes = []
+        for mode in (VECTOR_MODE, ACTIVITY_MODE):
+            net, _, _ = one_flow(mode, period=7, total_words=10)
+            net.stats.record_injection(
+                Word(payload=0, connection="a", sequence=50), 0
+            )
+            with pytest.raises(
+                StatsIntegrityError, match="injected twice"
+            ) as caught:
+                net.run(60)
+            ledger = net.stats.connections["a"]
+            assert (ledger.injected, ledger.ejected) == (1, 0)
+            assert ledger.last_sequence == 50
+            assert net.stats.undelivered() == [("a", 50)]
+            outcomes.append(
+                (str(caught.value), net.kernel.cycle, stats_snapshot(net.stats))
+            )
+        assert outcomes[0] == outcomes[1]
 
     def test_parity_drop_then_the_gap_it_leaves(self):
         def corrupt(net):
@@ -1265,6 +1306,7 @@ class TestEverySlowBranchIsReachedAndCompared:
                     payload=word.payload ^ 1,
                     connection=word.connection,
                     sequence=word.sequence,
+                    injected_at=word.injected_at,
                     parity=word.parity,
                 ),
             )
@@ -1322,15 +1364,16 @@ class TestEverySlowBranchIsReachedAndCompared:
         net = run_in_lockstep(build, (30, 90), endpoints=True)
         ni, channel, _, _ = flow_ends(net)
         ledger = net.stats.connections[f"{ni.name}.ch{channel}"]
-        assert ledger.first_sequence == -2 and ledger.ejected > 10
+        assert ledger.last_sequence > 10 and ledger.ejected > 10
+        assert min(ledger.latency_histogram) > 0
         assert net.stats.faults == []
         assert_engine_never_stood_down(net)
 
     def test_multicast_tree(self):
         """One connection, two destinations: each word is ejected twice
-        (only the first delivery lands in the ledger column), the
-        channels are not flow controlled, and the ``latencies`` of the
-        two leaves interleave in the NIs' order."""
+        (only the first delivery takes it out of the undelivered set),
+        the channels are not flow controlled, and both leaves' latencies
+        land in one histogram."""
         params = daelite_parameters(slot_table_size=8)
         leaves = ("NI11", "NI01")
 
@@ -1473,6 +1516,17 @@ def run_credit_theft_differential():
     return run_chunked_differential(steady_scenario(), steal_credits)
 
 
+def run_credit_theft_at_a_boundary():
+    """The credit theft landing exactly on a period boundary (set-up
+    ends at cycle 284, the period is 80): the carried-over probe is
+    compared there before any word has felt the theft."""
+    scenario = steady_scenario()
+    return run_chunked_differential(
+        replace(scenario, chunks=(7, 429) + scenario.chunks[2:]),
+        steal_credits,
+    )
+
+
 class TestPlantedEngineMutantsAreKilled:
     def test_unmutated_engine_survives_the_credit_theft(self):
         """The one campaign here no test above runs: the throttled
@@ -1503,6 +1557,11 @@ class TestPlantedEngineMutantsAreKilled:
         plant(monkeypatch, "ledger.injected += 1", "pass")
         assert not mutant_survives(test_vector_epoch_replay_is_bit_exact)
 
+    def test_injection_not_stamped_at_link_entry(self, monkeypatch):
+        """Link entry.  The word arrives unstamped: never injected."""
+        plant(monkeypatch, "stamp_injected(word, cycle)", "pass")
+        assert not mutant_survives(test_vector_epoch_replay_is_bit_exact)
+
     def test_words_received_not_bumped(self, monkeypatch):
         """Arrival.  No statistic reads the endpoint counter; the
         endpoint comparison of the slow-branch suite does."""
@@ -1526,8 +1585,8 @@ class TestPlantedEngineMutantsAreKilled:
     ):
         plant(
             monkeypatch,
-            "and (injected := column[index]) >= 0",
-            "and (injected := column[index]) >= -1",
+            "and (injected := word.injected_at) >= 0",
+            "and (injected := word.injected_at) >= -1",
         )
         assert not mutant_survives(
             slow_branch("test_never_injected_word_in_a_padded_column")
@@ -1548,6 +1607,45 @@ class TestPlantedEngineMutantsAreKilled:
             "len(evs) * (epochs - 1)",
             owner=EpochReplay,
             method="materialize",
+        )
+        assert not mutant_survives(test_vector_epoch_replay_is_bit_exact)
+
+    def test_replay_credits_the_histogram_one_epoch_short(
+        self, monkeypatch
+    ):
+        """Replay.  Every latency count lands one epoch's worth low;
+        nothing else in the ledger moves."""
+        plant(
+            monkeypatch,
+            "connections[label].latency_histogram[rest[0]] = value",
+            "connections[label].latency_histogram[rest[0]] = value - delta",
+            owner=StatsCollector,
+            method="credit",
+        )
+        assert not mutant_survives(test_vector_epoch_replay_is_bit_exact)
+
+    def test_replay_leaves_the_undelivered_sets_unshifted(
+        self, monkeypatch
+    ):
+        """Landing.  The words in flight are rewritten, but the ledger
+        still lists them under their pre-replay sequence numbers."""
+        plant(
+            monkeypatch,
+            "moved = sequences & ledger.undelivered",
+            "moved = set()",
+            method="_shift_inflight",
+        )
+        assert not mutant_survives(test_vector_epoch_replay_is_bit_exact)
+
+    def test_shifted_word_keeps_its_old_injection_stamp(self, monkeypatch):
+        """Landing.  A word in flight is moved ``epochs`` periods on but
+        keeps the stamp of the word it replaces: its latency comes out
+        ``epochs`` periods long."""
+        plant(
+            monkeypatch,
+            "injected_at=injected_at + cycles if injected_at >= 0 else -1",
+            "injected_at=injected_at",
+            method="_shift_inflight",
         )
         assert not mutant_survives(test_vector_epoch_replay_is_bit_exact)
 
@@ -1590,7 +1688,11 @@ class TestPlantedEngineMutantsAreKilled:
         pending credits are all in the signature), so this mutant
         *survives* every steady scenario above.  It is the carried-over
         probe and the regime cache — comparisons across an outside
-        mutation — that need the counter, and the credit theft kills it."""
+        mutation — that need the counter.  A theft mid-epoch only delays
+        injections by a cycle inside the replayed span, at unchanged
+        latencies and landing state, which a ledger of counts cannot
+        see; a theft on the boundary itself starves the flows the
+        replayed template does not, and kills it."""
         signature = CompiledEngine._signature
 
         def blind(self, cycle, cur):
@@ -1601,9 +1703,11 @@ class TestPlantedEngineMutantsAreKilled:
             )
             return regs, chans, gens, sinks
 
+        assert mutant_survives(run_credit_theft_at_a_boundary)
         monkeypatch.setattr(CompiledEngine, "_signature", blind)
         assert mutant_survives(test_vector_epoch_replay_is_bit_exact)
-        assert not mutant_survives(run_credit_theft_differential)
+        assert mutant_survives(run_credit_theft_differential)
+        assert not mutant_survives(run_credit_theft_at_a_boundary)
 
     def test_regime_template_loaded_against_a_stale_anchor(
         self, monkeypatch
