@@ -450,8 +450,10 @@ class AdmissionOracle:
         min_bandwidth_words_per_cycle: Optional[float] = None,
     ) -> AdmissionVerdict:
         """Admission verdict for one unidirectional channel."""
-        path = self.allocator.route(request.src_ni, request.dst_ni)
+        # An unroutable pair (RoutingError) is refused with path ().
+        path: Tuple[str, ...] = ()
         try:
+            path = self.allocator.route(request.src_ni, request.dst_ni)
             channel, _ = self.allocator.plan_channel(request, path)
         except AllocationError as error:
             return AdmissionVerdict(
@@ -483,8 +485,10 @@ class AdmissionOracle:
         :meth:`SlotAllocator.allocate_connection` would claim.
         """
         allocator = self.allocator
-        path = allocator.route(request.src_ni, request.dst_ni)
+        # An unroutable pair (RoutingError) is refused with path ().
+        path: Tuple[str, ...] = ()
         try:
+            path = allocator.route(request.src_ni, request.dst_ni)
             forward, _ = allocator.plan_channel(request.forward, path)
             reverse, _ = allocator.plan_channel(
                 request.reverse, tuple(reversed(path))

@@ -66,6 +66,56 @@ class Element:
             ) from None
 
 
+#: ``(version, names, index, neighbours)``: element ``names`` in
+#: adjacency order, ``index[name]`` its position there, and
+#: ``neighbours[i]`` the indices adjacent to element *i*, in adjacency
+#: order too.
+Snapshot = Tuple[int, List[str], Dict[str, int], List[Tuple[int, ...]]]
+
+
+def _meet(
+    neighbours: List[Tuple[int, ...]], source: int, target: int
+) -> Optional[Tuple[List[int], List[int], int]]:
+    """Bidirectional breadth-first search from ``source`` and ``target``.
+
+    A port of networkx's ``_bidirectional_pred_succ``, tie-breaks
+    included: the forward fringe expands while it is no longer than the
+    reverse one, and the search stops at the first neighbour the other
+    side has already seen.  Returns ``(pred, succ, meet)`` — the chain
+    from ``meet`` back to ``source`` and on to ``target``, ended by -1,
+    with -2 marking an element that side has not seen — or None when
+    the two are disconnected.
+    """
+    pred = [-2] * len(neighbours)
+    succ = pred[:]
+    pred[source] = -1
+    succ[target] = -1
+    forward = [source]
+    reverse = [target]
+    while forward and reverse:
+        if len(forward) <= len(reverse):
+            level = forward
+            forward = []
+            for v in level:
+                for w in neighbours[v]:
+                    if pred[w] == -2:
+                        forward.append(w)
+                        pred[w] = v
+                    if succ[w] != -2:
+                        return pred, succ, w
+        else:
+            level = reverse
+            reverse = []
+            for v in level:
+                for w in neighbours[v]:
+                    if succ[w] == -2:
+                        succ[w] = v
+                        reverse.append(w)
+                    if pred[w] != -2:
+                        return pred, succ, w
+    return None
+
+
 class Topology:
     """A network of routers and NIs with numbered, symmetric ports."""
 
@@ -84,6 +134,9 @@ class Topology:
         #: link is just unusable — so element ``neighbors`` keep their
         #: entries and only the routable graph loses the edge.
         self.failed_links: set = set()
+        #: Integer-indexed copy of :attr:`graph`'s adjacency, rebuilt by
+        #: :meth:`_adjacency` when :attr:`version` has moved.
+        self._snapshot: Optional[Snapshot] = None
 
     # -- construction ---------------------------------------------------------
 
@@ -230,18 +283,58 @@ class Topology:
             raise TopologyError(f"NI {ni_name!r} is not connected")
         return element.neighbors[0]
 
+    def _adjacency(self) -> Snapshot:
+        """The integer-indexed adjacency snapshot of the current version.
+
+        It keeps :attr:`graph`'s iteration order: :meth:`restore_link`
+        re-adds an edge at the end of both endpoints' adjacency, and the
+        search's tie-breaks must see that order as networkx would.
+        """
+        snapshot = self._snapshot
+        if snapshot is None or snapshot[0] != self.version:
+            adjacency = self.graph.adj
+            names = list(adjacency)
+            index = {name: i for i, name in enumerate(names)}
+            neighbours = [
+                tuple(index[w] for w in adjacency[name]) for name in names
+            ]
+            snapshot = self._snapshot = (
+                self.version, names, index, neighbours
+            )
+        return snapshot
+
     def shortest_path(self, src: str, dst: str) -> List[str]:
         """Hop-minimal element path from ``src`` to ``dst`` inclusive.
 
+        The path is the one ``networkx.shortest_path`` would return on
+        :attr:`graph`, found by the same bidirectional search over
+        integer indices (DESIGN.md §6).
+
         Raises:
-            TopologyError: if no path exists.
+            TopologyError: if either element is unknown or no path exists.
         """
         self.element(src)
         self.element(dst)
-        try:
-            return nx.shortest_path(self.graph, src, dst)
-        except nx.NetworkXNoPath:
-            raise TopologyError(f"no path {src!r} -> {dst!r}") from None
+        _, names, index, neighbours = self._adjacency()
+        source = index[src]
+        target = index[dst]
+        if source == target:
+            return [src]
+        found = _meet(neighbours, source, target)
+        if found is None:
+            raise TopologyError(f"no path {src!r} -> {dst!r}")
+        pred, succ, meet = found
+        path: List[str] = []
+        w = meet
+        while w >= 0:
+            path.append(names[w])
+            w = pred[w]
+        path.reverse()
+        w = succ[meet]
+        while w >= 0:
+            path.append(names[w])
+            w = succ[w]
+        return path
 
     def validate(self, max_elements: int = 64, max_arity: int = 7) -> None:
         """Check the configuration-protocol addressing limits.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import networkx as nx
 import pytest
 
 from repro.alloc import (
@@ -125,6 +126,27 @@ class TestRouteCache:
         mesh.connect("RX", "R22")
         after = cached_route(mesh, "shortest", "NI00", "NI22")
         assert len(after) < len(before)
+
+    def test_link_failure_invalidates(self, mesh):
+        before = cached_route(mesh, "shortest", "NI00", "NI22")
+        assert ("R12", "R22") in zip(before, before[1:])
+        mesh.fail_link("R12", "R22")
+        after = cached_route(mesh, "shortest", "NI00", "NI22")
+        assert len(after) == len(before)
+        assert not any(
+            mesh.link_is_failed(u, v) for u, v in zip(after, after[1:])
+        )
+
+    def test_link_restore_invalidates(self, mesh):
+        before = cached_route(mesh, "shortest", "NI00", "NI22")
+        mesh.fail_link("R12", "R22")
+        cached_route(mesh, "shortest", "NI00", "NI22")
+        mesh.restore_link("R12", "R22")
+        restored = cached_route(mesh, "shortest", "NI00", "NI22")
+        # The restored link rejoins the adjacency at the end, so the
+        # tie-break now picks another hop-minimal route.
+        assert restored == tuple(nx.shortest_path(mesh.graph, "NI00", "NI22"))
+        assert restored != before and len(restored) == len(before)
 
     def test_clear_route_cache(self, mesh):
         first = cached_route(mesh, "xy", "NI00", "NI22")

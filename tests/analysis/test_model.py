@@ -21,7 +21,7 @@ from repro.analysis import (
     scheduling_jitter_cycles,
     worst_case_latency_cycles,
 )
-from repro.errors import ParameterError
+from repro.errors import ParameterError, TopologyError
 from repro.params import aelite_parameters, daelite_parameters
 from repro.topology import build_mesh
 
@@ -226,6 +226,25 @@ class TestAdmissionVerdicts:
         )
         assert not verdict.admitted
         assert verdict.reason
+
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            ConnectionRequest("c", "NI00", "NI22"),
+            ChannelRequest("ch", "NI00", "NI22"),
+        ],
+        ids=["connection", "channel"],
+    )
+    def test_unroutable_pair_rejected(self, setup, request_):
+        mesh, _, allocator = setup
+        mesh.fail_link("NI22", "R22")
+        verdict = admit(allocator, request_)
+        assert not verdict.admitted
+        assert verdict.reason == "no path 'NI00' -> 'NI22'"
+        assert verdict.path == ()
+        # An unknown element is the caller's error, not a refusal.
+        with pytest.raises(TopologyError, match="unknown element"):
+            admit(allocator, type(request_)("x", "NI00", "NI99"))
 
     def test_channel_request_dispatch(self, setup):
         _, _, allocator = setup

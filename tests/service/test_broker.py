@@ -88,6 +88,16 @@ class TestAdmission:
         ]
         assert record.request.forward_slots == 1
 
+    def test_unroutable_pair_rejected_typed(self):
+        broker = ConnectionBroker.mesh_fleet(ServiceConfig(shards=1))
+        broker.shards[0].network.topology.fail_link("NI11", "R11")
+        outcome = broker.open(ask("tenantA", "c1", src="NI00"))
+        assert outcome.status == "rejected"
+        assert outcome.reason == "no path 'NI00' -> 'NI11'"
+        assert broker.stats.requests == 1
+        assert broker.stats.by_status == {"rejected": 1}
+        assert broker.live_labels() == []
+
     def test_duplicate_label_rejected_typed(self):
         broker = make_broker()
         assert broker.open(ask("tenantA", "dup")).status == "admitted"
