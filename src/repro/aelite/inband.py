@@ -33,7 +33,7 @@ Register map of one aelite NI (word addresses, local to that NI):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..alloc.slot_alloc import SlotAllocator
@@ -41,7 +41,6 @@ from ..alloc.spec import AllocatedChannel, AllocatedConnection
 from ..core.config_protocol import FLAG_ENABLED, FLAG_FLOW_CONTROLLED
 from ..errors import ConfigurationError, TrafficError
 from ..shells import (
-    ChannelPorts,
     InitiatorShell,
     TargetShell,
     aelite_ports,
@@ -90,10 +89,6 @@ class ConfigSlave:
     # -- MemorySlave-compatible interface --------------------------------------
 
     def write(self, address: int, data: List[int]) -> None:
-        # No ``ni.touch()`` although a granted slot can make a
-        # backlogged NI due earlier: the target shell that calls this
-        # has, in the same evaluate, just drained the request out of
-        # this NI's queue — ``receive`` touched it.
         for offset, value in enumerate(data):
             self._write_word(address + 4 * offset, value)
 

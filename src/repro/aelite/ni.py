@@ -143,7 +143,6 @@ class AeliteNetworkInterface(Component):
             sequence=sequence,
         )
         source.queue.append(word)
-        self.touch()  # a backlog makes the next granted slot due
         return word
 
     def submit_words(
@@ -157,10 +156,7 @@ class AeliteNetworkInterface(Component):
         self, queue: int, max_words: Optional[int] = None
     ) -> List[Word]:
         """Drain a destination queue (generates credits)."""
-        drained = self.queue_endpoint(queue).drain(max_words)
-        if drained:
-            self.touch()  # pending credits make the paired slot due
-        return drained
+        return self.queue_endpoint(queue).drain(max_words)
 
     # -- cycle behaviour ------------------------------------------------------------
 

@@ -151,14 +151,6 @@ class ConnectionModel:
             self.effective_bandwidth_words_per_cycle,
         )
 
-    @property
-    def round_trip_latency_cycles(self) -> int:
-        """Request out, response back — both worst case."""
-        return (
-            self.forward.worst_case_latency_cycles
-            + self.reverse.worst_case_latency_cycles
-        )
-
 
 @dataclass(frozen=True)
 class MulticastModel:

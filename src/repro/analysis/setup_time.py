@@ -17,9 +17,8 @@ simulated daelite measurements with the aelite configuration model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
-from ..alloc.spec import AllocatedChannel, AllocatedConnection
 from ..params import NetworkParameters
 from ..topology import CONFIG_HOP_CYCLES, ConfigTree
 
@@ -67,13 +66,6 @@ class SetupTimeRow:
     slots: int
     cycles: int
     flavor: str  # "ideal" (analytic) or "measured" (simulated/modelled)
-
-
-def daelite_rows(
-    measured: List[SetupTimeRow],
-) -> List[SetupTimeRow]:
-    """Pass-through helper kept for symmetry with :func:`aelite_rows`."""
-    return list(measured)
 
 
 def setup_speedup(

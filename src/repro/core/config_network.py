@@ -29,6 +29,13 @@ element runs its own decoder over the words at the stamped cycle and
 applies the actions as always.  Whatever this cannot represent steps the
 word-level tree exactly as in ``naive`` / ``activity``, with the reason
 counted in ``kernel_stats()["config_elision_refusals"]``.
+
+:meth:`ConfigModule._elision_refusal` is the one predicate for that
+decision: the module asks it at activation, and the compiled engine asks
+it ahead of time for every queued packet, to stop at the activation of
+the first one that will stream through the tree.  A fault hook on a
+config link therefore keeps off the engine only the packets whose flight
+window holds one of the cycles it declares.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ from ..sim.kernel import (
     Component,
     Kernel,
 )
-from ..sim.link import NarrowLink
+from ..sim.link import NarrowFaultHook, NarrowLink
 from ..sim.stats import FAULT_DETECTED, StatsCollector
 from ..sim.trace import NULL_TRACER, Tracer
 from ..topology import CONFIG_HOP_CYCLES, ConfigTree
@@ -172,10 +179,6 @@ class ConfigModule(Component):
         #: Optional stats collector (set by the network builder);
         #: timeouts and retries are recorded there as detected faults.
         self.stats: Optional[StatsCollector] = None
-        #: Default timeout/retry budget applied by :meth:`submit` when
-        #: the caller does not specify one (set by the fault injector).
-        self.default_timeout_cycles: Optional[int] = None
-        self.default_max_retries: int = 0
         #: Config port of every element by element ID (wired by the
         #: network builder) — where elided packets are deposited.
         self.ports: Dict[int, ConfigPort] = {}
@@ -200,14 +203,14 @@ class ConfigModule(Component):
         expected_responses: Optional[int] = None,
         on_complete: Optional[Callable[[ConfigRequest], None]] = None,
         timeout_cycles: Optional[int] = None,
-        max_retries: Optional[int] = None,
+        max_retries: int = 0,
     ) -> ConfigRequest:
         """Queue a configuration packet for transmission.
 
         ``expected_responses`` defaults to 1 for CHANNEL_READ packets and
-        0 otherwise.  ``timeout_cycles``/``max_retries`` default to the
-        module-wide :attr:`default_timeout_cycles` /
-        :attr:`default_max_retries` budget.
+        0 otherwise.  ``timeout_cycles`` (``None``: wait forever) and
+        ``max_retries`` set the request's response budget (see
+        :class:`ConfigRequest`).
         """
         if expected_responses is None:
             expected_responses = (
@@ -218,19 +221,10 @@ class ConfigModule(Component):
             expected_responses=expected_responses,
             submitted_at=cycle,
             on_complete=on_complete,
-            timeout_cycles=(
-                timeout_cycles
-                if timeout_cycles is not None
-                else self.default_timeout_cycles
-            ),
-            max_retries=(
-                max_retries
-                if max_retries is not None
-                else self.default_max_retries
-            ),
+            timeout_cycles=timeout_cycles,
+            max_retries=max_retries,
         )
         self._pending.append(request)
-        self.touch()  # an idle module sleeps until something is queued
         return request
 
     @property
@@ -395,10 +389,32 @@ class ConfigModule(Component):
         kernel.config_packets_stepped += 1
         self._word_queue.extend(request.packet.words)
 
-    def packet_refusal(self, request: ConfigRequest) -> Optional[str]:
-        """The part of :meth:`_elision_refusal` that depends on the
-        request alone (the rest — strict registers, a tracer, config
-        fault hooks — on the kernel and the tree)."""
+    def config_fault_hooks(self) -> List[NarrowFaultHook]:
+        """The fault hooks installed on the tree's links, in link
+        order."""
+        return [
+            link.fault_hook
+            for link in self.config_links.values()
+            if link.fault_hook is not None
+        ]
+
+    def _elision_refusal(
+        self,
+        request: ConfigRequest,
+        kernel: Kernel,
+        cycle: int,
+        hooks: Optional[List[NarrowFaultHook]] = None,
+    ) -> Optional[str]:
+        """Why this request, activated at ``cycle``, must step the
+        word-level tree (``None``: addressed-only delivery represents it
+        exactly).  The one elision predicate: the module asks it at
+        activation, the compiled engine ahead of time for every queued
+        packet (passing :meth:`config_fault_hooks` once for all of
+        them)."""
+        if kernel.strict_registers:
+            return REFUSED_STRICT_REGISTERS
+        if self.tracer.enabled:
+            return REFUSED_TRACER_ACTIVE
         if request.expected_responses:
             return REFUSED_EXPECTS_RESPONSE
         addressees = request.packet.addressees
@@ -406,26 +422,10 @@ class ConfigModule(Component):
             return REFUSED_NO_ADDRESSEE_RECORD
         if any(element_id not in self.ports for element_id in addressees):
             return REFUSED_UNKNOWN_ADDRESSEE
-        return None
-
-    def _elision_refusal(
-        self, request: ConfigRequest, kernel: Kernel, cycle: int
-    ) -> Optional[str]:
-        """Why this request, activated at ``cycle``, must step the
-        word-level tree (``None``: addressed-only delivery represents it
-        exactly)."""
-        if kernel.strict_registers:
-            return REFUSED_STRICT_REGISTERS
-        if self.tracer.enabled:
-            return REFUSED_TRACER_ACTIVE
-        refusal = self.packet_refusal(request)
-        if refusal is not None:
-            return refusal
+        if hooks is None:
+            hooks = self.config_fault_hooks()
         window_end = self._flight_end(cycle, len(request.packet.words))
-        for link in self.config_links.values():
-            hook = link.fault_hook
-            if hook is None:
-                continue
+        for hook in hooks:
             cycles = getattr(hook, "cycles", None)
             if cycles is None or any(
                 cycle <= fault <= window_end for fault in cycles

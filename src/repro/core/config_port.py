@@ -23,7 +23,11 @@ of the packet (``ConfigDecoder.decode_addressed``: the mask rotated by
 that position, plus its own pair or fields) once the whole packet is
 checked to decode cleanly; any other packet runs through the word-level
 decoder, word by word, as on the tree — the one place errors, monitor
-cycles and recovery live.  One apply path either way.
+cycles and recovery live.  One apply path either way, and the compiled
+engine runs a due deposit through it too (:meth:`ConfigPort._decode_deposit`,
+:meth:`ConfigPort.apply_guarded`), so an installed :attr:`fault_monitor`
+sees the same errors at the same cycles whoever steps the element, and
+does not keep the engine off.
 """
 
 from __future__ import annotations
@@ -124,7 +128,6 @@ class ConfigPort:
                 f"collides with one due at {self._deposit[1]}"
             )
         self._deposit = (words, due, position)
-        self.owner.touch()  # nothing on the tree will wake it at ``due``
 
     def discard_deposit(self) -> None:
         """Drop a waiting deposit (reset: the elided counterpart of

@@ -629,13 +629,13 @@ class Host:
         channel: int,
         register: ChannelField,
         timeout_cycles: Optional[int] = None,
-        max_retries: Optional[int] = None,
+        max_retries: int = 0,
     ) -> ConfigRequest:
         """Read back one NI channel register over the response path.
 
         ``timeout_cycles``/``max_retries`` bound the wait for the
         response word (see :class:`ConfigRequest`); by default the
-        module-wide budget applies.
+        read waits forever and is never re-sent.
         """
         packet = build_channel_read_packet(
             element_id=self.topology.element(ni).element_id,
@@ -657,7 +657,7 @@ class Host:
         handle: ConnectionHandle,
         connection: AllocatedConnection,
         timeout_cycles: Optional[int] = None,
-        max_retries: Optional[int] = None,
+        max_retries: int = 0,
     ) -> List[Tuple[ConfigRequest, int]]:
         """Read back the FLAGS register of all four channel endpoints.
 

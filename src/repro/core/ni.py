@@ -90,13 +90,6 @@ class ChannelReceiver:
         dest = self.ni.dest_channels.get(self.channel)
         return dest is not None and bool(dest.queue)
 
-    def wake_on_delivery(self, component: Component) -> None:
-        """Have the NI ``touch()`` ``component`` whenever a word lands
-        in this channel's queue."""
-        self.ni.delivery_listeners.setdefault(self.channel, []).append(
-            component
-        )
-
 
 class NetworkInterface(Component):
     """A daelite NI: slot tables, channel queues, credits, config port.
@@ -149,12 +142,6 @@ class NetworkInterface(Component):
         self.tracer: Tracer = NULL_TRACER
         self.dropped_words = 0
         self._sequence_counters: Dict[int, int] = {}
-        #: Components to wake when a word is delivered, by destination
-        #: channel *index*: the index outlives the ``DestChannel``
-        #: object, so a sink sleeping on an index that
-        #: :meth:`quiesce_channel` recycles wakes for the next
-        #: connection's words too.
-        self.delivery_listeners: Dict[int, List[Component]] = {}
         #: Config actions applied; part of the compiled-engine validity
         #: token (covers channel writes slot-table versions cannot see).
         self.config_applied = 0
@@ -199,7 +186,6 @@ class NetworkInterface(Component):
             parity=parity_of(payload),
         )
         self.source_channel(channel).queue.append(word)
-        self.touch()  # a backlog makes the next granted slot due
         return word
 
     def submit_words(
@@ -221,10 +207,7 @@ class NetworkInterface(Component):
 
         Draining is what generates credits back to the source.
         """
-        drained = self.dest_channel(channel).drain(max_words)
-        if drained:
-            self.touch()  # pending credits make the paired slot due
-        return drained
+        return self.dest_channel(channel).drain(max_words)
 
     def injector(
         self, channel: int, connection: str = ""
@@ -357,8 +340,6 @@ class NetworkInterface(Component):
             return
         if phit.word is not None:
             dest.deliver(phit.word)
-            for listener in self.delivery_listeners.get(channel, ()):
-                listener.touch()
             if self.tracer.enabled:
                 self.tracer.emit(
                     cycle,

@@ -492,7 +492,7 @@ class OnlineConnectionManager:
         self,
         label: str,
         timeout_cycles: Optional[int] = None,
-        max_retries: Optional[int] = None,
+        max_retries: int = 0,
     ) -> bool:
         """Read back the endpoint FLAGS of an open connection.
 

@@ -14,7 +14,7 @@ The defaults follow the values used in the paper's experiments:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .errors import ParameterError
 
@@ -89,11 +89,6 @@ class NetworkParameters:
         )
 
     # -- derived quantities -------------------------------------------------
-
-    @property
-    def cycles_per_slot(self) -> int:
-        """Cycles spanned by one TDM slot (equals words_per_slot)."""
-        return self.words_per_slot
 
     @property
     def wheel_cycles(self) -> int:

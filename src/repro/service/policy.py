@@ -21,7 +21,7 @@ clock (staticcheck rule DT002 applies to this module).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 from ..errors import ServiceConfigError
@@ -185,13 +185,3 @@ class CircuitBreaker:
             self._probe_outstanding = False
             self._consecutive_failures = 0
             self.stats.opened += 1
-
-
-@dataclass
-class PolicySet:
-    """The per-region policy bundle the broker instantiates."""
-
-    retry: RetryPolicy
-    breaker: CircuitBreaker
-    timeout_cycles: int
-    history: List[str] = field(default_factory=list)

@@ -59,7 +59,11 @@ It is the one engine behind ``vector`` mode, in three layers:
   set cannot change what the run executes — the engine adopts the new
   validity token and rides on.  Any other apply ends the run at the
   cycle boundary and the kernel recompiles.  A packet the module will
-  stream through the word-level tree is a barrier like a callback.
+  stream through the word-level tree — by its own elision predicate,
+  asked ahead of time — is a barrier like a callback; so a config-link
+  fault hook keeps off the engine only the packets it can touch, and
+  the decoder fault monitors keep off nothing (deposits are decoded
+  through the port code that consults them).
 * **Epoch replay** — once every generator is in its steady rhythm the
   whole network state repeats with period ``P = lcm(wheel, generator and
   sink periods)``.  The engine probes state *signatures* at absolute
@@ -92,7 +96,7 @@ entry.  A run without generators never probes, so numpy is imported
 with the first probe of a run that has traffic.
 
 Whenever the network is *not* compilable — strict-registers, a tracer,
-a config packet on the word-level tree, armed fault hooks, an unknown
+a config packet on the word-level tree, data-link fault hooks, an unknown
 component, a phit parked off the compiled schedule — the provider or
 the engine returns a typed :class:`~repro.sim.kernel.CompileRefusal` and
 the kernel transparently falls back to the activity mode for those
@@ -330,7 +334,12 @@ def _check_eligibility(network: Any) -> Optional[CompileRefusal]:
 
     The component roster is classified when an engine is compiled
     (:func:`compile_network`); a reused engine's roster is the kernel's,
-    since adding a component retires the engine.
+    since adding a component retires the engine.  Config-link fault
+    hooks and decoder fault monitors refuse nothing here: the
+    configuration module keeps a packet a hook can touch on the
+    word-level tree (:meth:`CompiledEngine.next_stepped_cycle` makes
+    its activation a barrier), and the engine decodes and applies
+    deposits through the port code that consults the monitor.
     """
     kernel = network.kernel
     if kernel.strict_registers:
@@ -355,12 +364,6 @@ def _check_eligibility(network: Any) -> Optional[CompileRefusal]:
                 CompileRefusal.FAULT_HOOKS_ARMED,
                 f"fault hook armed on data link {link.name!r}",
             )
-    for narrow in network.config_links.values():
-        if narrow.fault_hook is not None:
-            return CompileRefusal(
-                CompileRefusal.FAULT_HOOKS_ARMED,
-                f"fault hook armed on config link {narrow.name!r}",
-            )
     for router in network.routers.values():
         if router.tracer.enabled:
             return CompileRefusal(
@@ -371,11 +374,6 @@ def _check_eligibility(network: Any) -> Optional[CompileRefusal]:
             return CompileRefusal(
                 CompileRefusal.CONFIG_ACTIVE,
                 f"config decoder of {router.name!r} has pending work",
-            )
-        if router.config.fault_monitor is not None:
-            return CompileRefusal(
-                CompileRefusal.FAULT_HOOKS_ARMED,
-                f"fault monitor armed on {router.name!r}",
             )
         if router.stats is not network.stats:
             return CompileRefusal(
@@ -392,11 +390,6 @@ def _check_eligibility(network: Any) -> Optional[CompileRefusal]:
             return CompileRefusal(
                 CompileRefusal.CONFIG_ACTIVE,
                 f"config decoder of {ni.name!r} has pending work",
-            )
-        if ni.config.fault_monitor is not None:
-            return CompileRefusal(
-                CompileRefusal.FAULT_HOOKS_ARMED,
-                f"fault monitor armed on {ni.name!r}",
             )
         if ni.stats is not network.stats:
             return CompileRefusal(
@@ -828,13 +821,16 @@ class CompiledEngine:
         do anything a ``kernel.at`` callback may.  Both are read off the
         module's closed-form :meth:`~ConfigModule.timeline`, exact for
         the response-free requests an engine can be running beside.
-        Only the packet's own elision refusal is asked: what else can
-        refuse (strict registers, a tracer, a config fault hook) refuses
-        the engine first (:func:`_check_eligibility`)."""
+        Each queued packet is asked the module's own elision predicate
+        at its start, so a config-link fault hook stops the engine only
+        at the packets whose flight window holds one of its cycles."""
+        kernel = self.kernel
         module = self.network.config_module
-        for request, start, finish in module.timeline(self.kernel.cycle):
+        hooks = module.config_fault_hooks()
+        for request, start, finish in module.timeline(kernel.cycle):
             if request is not module._active and (
-                module.packet_refusal(request) is not None
+                module._elision_refusal(request, kernel, start, hooks)
+                is not None
             ):
                 return start
             if request.on_complete is not None:
@@ -1781,8 +1777,6 @@ class CompiledEngine:
                             # The heap entry is the firing (``evaluate``
                             # would re-derive it): the words go on the
                             # source queue as ``ni.submit`` stamps them.
-                            # The NI is not touched — every exit rebuilds
-                            # the scheduler that touch would wake.
                             inject = gen.inject
                             ni = inject.ni
                             channel = inject.channel

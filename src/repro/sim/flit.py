@@ -53,16 +53,6 @@ class Word:
     injected_at: int = field(default=-1, compare=False)
     parity: Optional[int] = None
 
-    def with_parity(self) -> "Word":
-        """A copy of this word with the parity wire driven."""
-        return Word(
-            payload=self.payload,
-            connection=self.connection,
-            sequence=self.sequence,
-            injected_at=self.injected_at,
-            parity=parity_of(self.payload),
-        )
-
     @property
     def parity_ok(self) -> bool:
         """True unless the parity wire contradicts the payload."""

@@ -38,27 +38,18 @@ The kernel supports three modes, selected per instance or through the
     was latched non-idle at the previous edge, or when it *self-schedules*
     through :meth:`Component.next_evaluation` (pending slot-table work,
     queued words, a traffic generator's next firing, ...).
-  - **cached self-schedules** — the kernel does not ask every component
-    "when are you next due?" on every cycle.  It keeps each answer, in a
-    heap ordered by due cycle, and asks again only when the answer can
-    have moved *earlier*: (a) after the component itself was evaluated
-    (at its next turn, and not even then if a register wakes it again —
-    it simply runs), (b) after somebody called :meth:`Component.touch`
-    on it, (c) for everyone after a :meth:`Kernel.at` callback ran, and
-    (d) for everyone on entry to :meth:`Kernel.step` /
-    :meth:`Kernel.run_until` and whenever the activity state is rebuilt
-    (a mode switch, an engine run, a new component) — external code may
-    have done anything.  A cached answer that is too *early* is always sound (a
-    spurious ``evaluate`` is a no-op), so nobody has to announce work
-    that went away.  Components still run in ``Kernel.components``
-    order, and one touched by a component earlier in that order is
-    asked at its own turn of the same cycle — exactly the effect the
-    naive order has.  A component that is neither woken by a register,
-    nor touched, nor due costs nothing.
-  - **fast-forward** — when no register is active, the clock jumps
-    straight to the head of that heap or the earliest callback
-    (:meth:`Kernel.at` cycles sit in a heap of their own), whichever is
-    first.  No state can change in between — skipped cycles are
+  - **polled self-schedules** — a component that no register woke is
+    asked :meth:`Component.next_evaluation` at its own turn of every
+    executed cycle, in ``Kernel.components`` order, and runs if the
+    answer is the current cycle.  Work a component earlier in that
+    order queued for it this cycle is therefore seen in the same cycle
+    and work a later one queued in the next — exactly the effect the
+    naive order has.  Nothing is cached, so nobody has to announce the
+    work it queues for somebody else.
+  - **fast-forward** — when no register is active, every component is
+    asked afresh and the clock jumps straight to the earliest answer or
+    the earliest callback (:meth:`Kernel.at` cycles sit in a heap),
+    whichever is first.  No state can change in between — skipped cycles are
     bit-for-bit identical to stepping through them — so the jump is
     sound; the static TDM schedule makes the next-work computation O(1)
     per component.
@@ -71,9 +62,9 @@ The kernel supports three modes, selected per instance or through the
   deltas (see :mod:`repro.sim.replay` — the bulk replay is what the
   mode is named for).  A network opts in by installing a
   ``compile_provider`` on the kernel.  Whenever compilation is not
-  possible — no provider, a config packet on the word-level tree, armed
-  fault hooks, strict-registers, a tracer, an unknown component, words
-  mid-flight — the kernel *transparently falls back* to the activity
+  possible — no provider, a config packet on the word-level tree,
+  fault hooks on data links, strict-registers, a tracer, an unknown
+  component, words mid-flight — the kernel *transparently falls back* to the activity
   mode for the affected cycles and records a typed
   :class:`CompileRefusal` (``Kernel.kernel_stats()["compile_fallbacks"]``).  Registers and stats
   are re-materialized bit-exactly at every exit from compiled execution,
@@ -112,7 +103,10 @@ beside running traffic is engine time: the engine rides through every
 apply that writes nothing its live flows read and stops at the end of
 the cycle of one that does (see :mod:`repro.sim.compiled`).  Only a
 packet on the word-level tree refuses the engine (``config_active``),
-and its activation is a barrier like a :meth:`Kernel.at` callback.
+and its activation is a barrier like a :meth:`Kernel.at` callback: the
+engine asks the module's own elision predicate of every queued packet,
+so a config-link fault hook or a decoder fault monitor keeps no engine
+off — only the packets the hook can touch leave it.
 
 The activity invariant: a component may be skipped in a cycle only if its
 ``evaluate`` would have been a pure no-op, and a register may skip the
@@ -121,36 +115,17 @@ checks the two modes produce bit-identical per-cycle register traces on
 randomized networks and workloads, including traffic moved by components
 while connections are set up and torn down.
 
-Who must call ``touch()``
--------------------------
-
-Whatever changes state that a component's ``next_evaluation`` reads, from
-outside that component's own ``evaluate`` and outside the cases (c)/(d)
-above — in practice another component's ``evaluate``.  The shipped sites
-are the narrow funnels work enters through: ``NetworkInterface.submit``
-and ``.receive`` (a backlog or pending credits make a granted slot due),
-the NI's delivery into a destination queue (wakes the sinks sleeping on
-that channel), ``ConfigPort.deposit`` (wakes the owning element),
-``ConfigModule.submit``, and the aelite NI's ``submit`` / ``receive``.
-``tests/sim/test_touch_contract.py`` disables each in turn and requires
-the run to be caught.  A third-party component that overrides
-``next_evaluation`` over state foreign code mutates owes the same call;
-one that keeps the every-cycle default owes nothing.
-
 Strict-registers instrumentation
 --------------------------------
 
 The wake rules above are a *contract*: a component must declare every
 register its ``evaluate`` reads (own registers implicitly, foreign ones
-via :meth:`Component.external_inputs`), must only drive registers it
-owns or free-standing (link) registers, and must be ``touch()``-ed by
-whoever queues work for it.  ``Kernel(strict_registers=True)``
+via :meth:`Component.external_inputs`) and must only drive registers it
+owns or free-standing (link) registers.  ``Kernel(strict_registers=True)``
 — or ``REPRO_STRICT_REGISTERS=1`` — verifies the contract dynamically:
 while a component evaluates, every ``Register.q`` read is checked against
-its declared read set and every drive against its write set; and every
-component the activity kernel *skips* — at its turn of an executed cycle,
-and before every fast-forward — is asked ``next_evaluation`` afresh, the
-answer compared with the cached one.  The first breach raises
+its declared read set and every drive against its write set.  The first
+breach raises
 :class:`~repro.errors.ContractViolationError`.  This
 is the runtime twin of the static auditor in :mod:`repro.staticcheck`;
 the instrumentation swaps ``Register.q`` for a checking property only
@@ -161,7 +136,6 @@ pay for it.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from bisect import insort
 from contextlib import contextmanager
 from heapq import heappop, heappush
 from typing import (
@@ -225,7 +199,7 @@ class CompileRefusal:
     #: A configuration packet is in flight on the word-level tree (or
     #: words are still on the tree's links or in a decoder).
     CONFIG_ACTIVE = "config_active"
-    #: A FaultInjector armed fault hooks on data or config links.
+    #: A FaultInjector armed fault hooks on data links.
     FAULT_HOOKS_ARMED = "fault_hooks_armed"
     #: The kernel verifies the strict register contract, which only the
     #: stepped kernels exercise.
@@ -252,8 +226,8 @@ class CompileRefusal:
 
     #: Kinds that are *transient* obstructions of an otherwise
     #: compilable network: a config packet on the word-level tree (a
-    #: read-back, a hand-built packet, one a fault hook refuses to
-    #: elide), phits parked in pipeline registers off the compiled
+    #: read-back, a hand-built packet, one a config-link fault hook can
+    #: touch), phits parked in pipeline registers off the compiled
     #: schedule.
     #: The kernel treats these as deferrals — it steps a bounded window
     #: on the activity kernel and re-probes — instead of falling back
@@ -364,43 +338,17 @@ class Component(ABC):
 
     * a component is always evaluated in a cycle in which one of its own
       registers or one of :meth:`external_inputs` holds a non-idle output;
-    * otherwise it is evaluated only when :meth:`next_evaluation` says the
-      current cycle may hold work.  The default — "every cycle" — is the
-      safe choice for components the kernel knows nothing about; it simply
-      reproduces naive-mode behaviour for them;
-    * the kernel *caches* that answer and asks again only after the
-      component was evaluated, after a :meth:`touch`, after a
-      ``Kernel.at`` callback, and on entry to ``Kernel.step`` /
-      ``Kernel.run_until``.  So code that, from another component's
-      ``evaluate``, changes state an overridden :meth:`next_evaluation`
-      reads — in the direction that makes the answer *earlier* — must
-      call :meth:`touch` on this component.  ``strict_registers`` checks
-      it.
+    * otherwise it is evaluated only when :meth:`next_evaluation`, asked
+      at its own turn of the cycle, says the current cycle may hold
+      work.  The default — "every cycle" — is the safe choice for
+      components the kernel knows nothing about; it simply reproduces
+      naive-mode behaviour for them.
     """
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.registers: List[Register] = []
         self._kernel: Optional["Kernel"] = None
-        #: Position in the owning kernel's evaluation order.
-        self._order = -1
-
-    def touch(self) -> None:
-        """Tell the kernel this component's :meth:`next_evaluation`
-        answer may have moved *earlier* — to be called by whatever code
-        just queued work for it outside its own :meth:`evaluate` (see
-        the activity contract above).  Free-standing components ignore
-        it."""
-        kernel = self._kernel
-        if kernel is None:
-            return
-        kernel.touches += 1
-        kernel._stale.add(self)
-        # If its turn in the cycle being executed is still to come, it
-        # is asked at that turn.
-        agenda = kernel._agenda
-        if agenda is not None and self._order > kernel._turn:
-            insort(agenda, self._order)
 
     def make_register(self, suffix: str, idle: Any = None) -> Register:
         """Create a register owned (and latched) with this component."""
@@ -430,7 +378,8 @@ class Component(ABC):
         on the naive every-cycle schedule.
 
         Must be a pure function of ``cycle`` and the component's state:
-        the kernel caches the answer (see :meth:`touch`).
+        the activity kernel asks it at every turn it does not know the
+        component must run, and before every fast-forward.
         """
         return cycle
 
@@ -520,8 +469,8 @@ class Kernel:
         cycle: The current simulation cycle.
         active_cycles: Cycles in which at least one component was
             evaluated or register latched (instrumentation).
-        fast_forwarded_cycles: Quiescent cycles skipped in O(1) by the
-            activity mode (instrumentation).
+        fast_forwarded_cycles: Quiescent cycles skipped in one jump by
+            the activity mode (instrumentation).
         evaluations: Total component evaluations performed.
     """
 
@@ -561,28 +510,11 @@ class Kernel:
         self._wake: Set[Component] = set()
         #: register -> components watching it; None marks "needs rebuild".
         self._watchers: Optional[Dict[Register, tuple]] = None
-        #: Cached ``next_evaluation`` answer per component index.
-        self._due: List[Optional[int]] = []
-        #: Min-heap of ``(due, component index)``.  An entry is live
-        #: while it equals the component's ``_due``; superseded entries
-        #: are dropped when they surface.
-        self._schedule: List[Tuple[int, int]] = []
-        #: Components whose cached answer may be too late: evaluated or
-        #: touched since they were last asked.
-        self._stale: Set[Component] = set()
-        #: Every cached answer may be too late (external code ran).
-        self._stale_all = True
-        #: Sorted indices visited in the cycle being executed (``None``
-        #: between cycles) and the index being visited.
-        self._agenda: Optional[List[int]] = None
-        self._turn = -1
         self.active_cycles = 0
         self.fast_forwarded_cycles = 0
         self.evaluations = 0
         #: Calls to ``Component.next_evaluation`` made by the scheduler.
         self.schedule_polls = 0
-        #: Calls to :meth:`Component.touch` received.
-        self.touches = 0
         #: Installed by a network that knows how to flatten its data
         #: plane: ``provider(kernel, previous_engine)`` returns a fresh
         #: (or revalidated) engine object, or a :class:`CompileRefusal`.
@@ -794,12 +726,10 @@ class Kernel:
     # -- activity bookkeeping -------------------------------------------------
 
     def _finalize(self) -> None:
-        """(Re)build the register->watchers map, the activity sets and
-        the component schedule."""
+        """(Re)build the register->watchers map and the activity sets."""
         watchers: Dict[Register, list] = {}
-        for index, component in enumerate(self.components):
+        for component in self.components:
             component._kernel = self
-            component._order = index
             for register in component.registers:
                 register._sink = self._dirty
                 watchers.setdefault(register, []).append(component)
@@ -825,63 +755,11 @@ class Kernel:
                 wake.update(self._watchers[register])
         self._carry = carry
         self._wake = wake
-        # Whatever made the rebuild necessary (a mode switch, an engine
-        # run, a new component) may have moved any answer: ask afresh.
-        self._due = [None] * len(self.components)
-        self._schedule.clear()
-        self._stale.clear()
-        self._stale_all = True
-
-    def _set_due(self, index: int, due: Optional[int]) -> None:
-        """Cache a fresh ``next_evaluation`` answer and schedule it."""
-        if due != self._due[index]:
-            self._due[index] = due
-            if due is not None:
-                heappush(self._schedule, (due, index))
-
-    def _refresh(self, cycle: int) -> None:
-        """Re-ask every component whose cached answer may be too late."""
-        if self._stale_all:
-            self._stale_all = False
-            stale: Iterable[Component] = self.components
-            self.schedule_polls += len(self.components)
-        else:
-            stale = self._stale
-            self.schedule_polls += len(self._stale)
-        for component in stale:
-            self._set_due(
-                component._order, component.next_evaluation(cycle)
-            )
-        self._stale.clear()
-
-    def _check_wake_contract(
-        self, component: Component, cycle: int, horizon: Optional[int]
-    ) -> None:
-        """Strict mode: ``component`` is about to be skipped from
-        ``cycle`` up to ``horizon`` (``None``: indefinitely) on the
-        strength of its cached answer — a fresh one must agree.
-
-        Raises:
-            ContractViolationError: if the fresh answer is earlier,
-                i.e. its state was changed without a ``touch()``.
-        """
-        self.schedule_polls += 1
-        fresh = component.next_evaluation(cycle)
-        if fresh is not None and (horizon is None or fresh < horizon):
-            cached = self._due[component._order]
-            raise ContractViolationError(
-                f"component {component.name!r} asked at cycle {cycle} "
-                f"is next due at cycle {fresh}, but the kernel's cached "
-                f"answer says "
-                f"{'never' if cached is None else f'cycle {cached}'} — "
-                f"something queued work for it without waking it.  Fix: "
-                f"call {type(component).__name__}.touch() wherever code "
-                f"outside its own evaluate() changes state its "
-                f"next_evaluation() reads."
-            )
 
     def _next_active_cycle(self) -> Optional[int]:
-        """Earliest cycle >= now at which anything may happen.
+        """Earliest cycle >= now at which anything may happen: now while
+        a register is active, else the earliest callback or
+        ``next_evaluation`` answer, every component asked afresh.
 
         Returns ``None`` when no register is active, no callback is
         scheduled and every component self-schedules "never".
@@ -889,29 +767,25 @@ class Kernel:
         cycle = self.cycle
         if self._wake or self._carry or self._dirty:
             return cycle
-        if self._stale_all or self._stale:
-            self._refresh(cycle)
         best = self._next_callback_cycle()
-        schedule = self._schedule
-        due = self._due
-        while schedule:
-            when, index = schedule[0]
-            if due[index] != when:
-                heappop(schedule)  # superseded
-                continue
-            if best is None or when < best:
-                best = when
-            break
         if best is not None and best <= cycle:
             return cycle
-        if self.strict_registers:
-            for component in self.components:
-                self._check_wake_contract(component, cycle, best)
+        polls = 0
+        for component in self.components:
+            polls += 1
+            due = component.next_evaluation(cycle)
+            if due is not None and (best is None or due < best):
+                if due <= cycle:
+                    best = cycle
+                    break
+                best = due
+        self.schedule_polls += polls
         return best
 
     def _run_active_cycle(self) -> None:
-        """Execute one cycle: callbacks, due and woken components in
-        ``self.components`` order, dirty latch."""
+        """Execute one cycle: callbacks, then in ``self.components``
+        order every component a register woke or that is due when asked
+        at its turn, then the dirty latch."""
         cycle = self.cycle
         self.active_cycles += 1
         callbacks = self._callbacks.pop(cycle, None)
@@ -920,74 +794,30 @@ class Kernel:
                 callback(cycle)
             if self._watchers is None:  # one of them attached a component
                 self._finalize()
-            self._stale_all = True  # they may have mutated anything
-        if self._stale_all:
-            self._refresh(cycle)
         wake = self._wake
-        stale = self._stale
-        due = self._due
-        schedule = self._schedule
-        components = self.components
         strict = self.strict_registers
-        # Whoever ran or was touched last cycle gets a turn: a register
-        # wakes it again, or it is asked there (never both — a woken
-        # component is evaluated whatever it would answer).
-        agenda = [
-            component._order
-            for component in (wake | stale if stale else wake)
-        ]
-        due_now: Set[int] = set()
-        while schedule and schedule[0][0] <= cycle:
-            when, index = heappop(schedule)
-            if due[index] == when:
-                # Consumed: the answer asked after the evaluation
-                # schedules the component again.
-                due[index] = None
-                due_now.add(index)
-                agenda.append(index)
-        if strict:
-            # Give every component a turn so the skipped ones can be
-            # checked against a fresh answer.
-            agenda = list(range(len(components)))
-        else:
-            agenda.sort()
-        self._agenda = agenda
-        self._turn = turn = -1
         evaluated = 0
+        polls = 0
         try:
-            for index in agenda:  # touch() inserts later turns meanwhile
-                if index == turn:
-                    continue
-                self._turn = turn = index
-                component = components[index]
+            for component in self.components:
                 if component not in wake:
-                    if component in stale:
-                        # Asked at its own turn, so work a component
-                        # earlier in the order queued for it this cycle
-                        # has the same effect as in naive order.
-                        stale.discard(component)
-                        self.schedule_polls += 1
-                        nxt = component.next_evaluation(cycle)
-                        if nxt is None or nxt > cycle:
-                            self._set_due(index, nxt)
-                            continue
-                    elif index not in due_now:
-                        if strict:
-                            self._check_wake_contract(
-                                component, cycle, cycle + 1
-                            )
+                    # Asked at its own turn, so work a component earlier
+                    # in the order queued for it this cycle has the same
+                    # effect as in naive order.
+                    polls += 1
+                    due = component.next_evaluation(cycle)
+                    if due is None or due > cycle:
                         continue
                 if strict:
                     self._evaluate_checked(component, cycle)
                 else:
                     component.evaluate(cycle)
                 evaluated += 1
-                stale.add(component)
         except ReproError:
             self._abort_cycle()
             raise
         finally:
-            self._agenda = None
+            self.schedule_polls += polls
         self.evaluations += evaluated
         # Dirty latch: only registers driven this cycle or still holding
         # a non-idle output can change at this edge.
@@ -1074,10 +904,9 @@ class Kernel:
     def kernel_stats(self) -> Dict[str, Any]:
         """Instrumentation snapshot, including compiled-engine telemetry.
 
-        ``touches`` counts wakes of the stepped kernels' scheduler: the
-        compiled engine queues a generator's words without
-        ``touch()``-ing the NI (every engine exit rebuilds that
-        scheduler), so cycles it executes add none.
+        ``schedule_polls`` counts the activity kernel's
+        ``next_evaluation`` calls; cycles the compiled engine executes
+        add none.
         """
         refusal = self._last_refusal
         return {
@@ -1087,7 +916,6 @@ class Kernel:
             "evaluations": self.evaluations,
             "fast_forwarded_cycles": self.fast_forwarded_cycles,
             "schedule_polls": self.schedule_polls,
-            "touches": self.touches,
             "compiled_cycles": self.compiled_cycles,
             "replayed_epochs": self.replayed_epochs,
             "replayed_cycles": self.replayed_cycles,
@@ -1204,7 +1032,6 @@ class Kernel:
 
     def step(self, cycles: int = 1) -> None:
         """Advance the simulation by ``cycles`` clock cycles."""
-        self._stale_all = True  # the caller may have mutated anything
         with self._strict_stepping():
             if self._mode == NAIVE_MODE:
                 self._step_naive(cycles)
@@ -1283,7 +1110,6 @@ class Kernel:
         # stepped execution, so vector mode defers to the activity
         # kernel here (after materializing any engine state).
         self._retire_engine()
-        self._stale_all = True  # the caller may have mutated anything
         with self._strict_stepping():
             while not predicate():
                 if self.cycle >= limit:
@@ -1317,4 +1143,4 @@ class Kernel:
         for register in self._extra_registers:
             register.reset()
         self._dirty.clear()
-        self._watchers = None  # rebuild activity state and the schedule
+        self._watchers = None  # rebuild the activity state

@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence
+from typing import Dict, FrozenSet, Iterable, List, Sequence
 
 
 class Severity(enum.IntEnum):
@@ -154,11 +154,3 @@ class SuppressionIndex:
             for finding in findings
             if not self.suppressed(finding.line, finding.rule)
         ]
-
-
-def load_suppressions(path: str, source: Optional[str] = None) -> SuppressionIndex:
-    """Parse the suppression comments of one file."""
-    if source is None:
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
-    return SuppressionIndex.parse(source)

@@ -28,8 +28,8 @@ class CheckingSink(Component):
 
     A sink whose ``receive`` is a
     :class:`~repro.core.ni.ChannelReceiver` sleeps while its queue is
-    empty and is woken by the NI on delivery; behind any other callable
-    the queue is opaque, so the sink stays on the every-cycle schedule.
+    empty; behind any other callable the queue is opaque, so the sink
+    stays on the every-cycle schedule.
 
     Two checks, mirroring the fault model (DESIGN.md §9):
 
@@ -71,8 +71,6 @@ class CheckingSink(Component):
         #: Human-readable check failures, in detection order.
         self.findings: List[str] = []
         self._last_seq: dict = {}
-        if isinstance(receive, ChannelReceiver):
-            receive.wake_on_delivery(self)
 
     def next_evaluation(self, cycle: int) -> Optional[int]:
         receive = self.receive

@@ -337,7 +337,7 @@ class TestPlantedWindowMutantsAreKilled:
         refusal = ConfigModule._elision_refusal
         flight_end = ConfigModule._flight_end
 
-        def short_window(self, request, kernel, cycle):
+        def short_window(self, request, kernel, cycle, hooks=None):
             with monkeypatch.context() as patch:
                 patch.setattr(
                     ConfigModule,
@@ -347,7 +347,7 @@ class TestPlantedWindowMutantsAreKilled:
                     )
                     - self.commit_latency,
                 )
-                return refusal(self, request, kernel, cycle)
+                return refusal(self, request, kernel, cycle, hooks)
 
         monkeypatch.setattr(ConfigModule, "_elision_refusal", short_window)
         assert not sweep_agrees(ConfigWordDrop, "leaf")
@@ -360,8 +360,8 @@ class TestPlantedWindowMutantsAreKilled:
         monkeypatch.setattr(
             ConfigModule,
             "_elision_refusal",
-            lambda self, request, kernel, cycle: refusal(
-                self, request, kernel, cycle + 1
+            lambda self, request, kernel, cycle, hooks=None: refusal(
+                self, request, kernel, cycle + 1, hooks
             ),
         )
         assert not sweep_agrees(ConfigWordDrop, "root")

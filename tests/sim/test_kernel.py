@@ -159,7 +159,6 @@ class Mailbox(Component):
 
     def post(self, item):
         self.inbox.append(item)
-        self.touch()
 
     def next_evaluation(self, cycle):
         return cycle if self.inbox else None
@@ -218,8 +217,9 @@ class TestCallbackSchedule:
 
 
 class TestEventDrivenSchedule:
-    """The activity kernel asks ``next_evaluation`` only when the answer
-    can have moved earlier; ``touch()`` is how a peer says so."""
+    """The activity kernel asks a component no register woke for
+    ``next_evaluation`` at its own turn, so work a peer queued for it is
+    seen exactly when the naive order sees it."""
 
     def build(self, poster_first, cycles=(10, 200)):
         # Not strict: its checks ask too, and polls are counted below.
@@ -254,22 +254,10 @@ class TestEventDrivenSchedule:
         reference.step(300)
         assert mailbox.opened == expected.opened
 
-    def test_sleeping_components_cost_no_polls(self):
-        kernel, mailbox = self.build(poster_first=True)
-        sleepers = [Mailbox(f"sleeper{i}") for i in range(50)]
-        kernel.add_all(sleepers)
-        kernel.step(300)
-        stats = kernel.kernel_stats()
-        assert stats["touches"] == 2
-        assert stats["evaluations"] == 4  # two posts, two openings
-        assert stats["active_cycles"] == 2
-        # One full poll on entry, then one per evaluation or touch.
-        assert stats["schedule_polls"] <= len(kernel.components) + 4 + 2
-
     def test_external_mutation_between_steps_needs_no_touch(self):
         kernel, mailbox = self.build(poster_first=True, cycles=())
         kernel.step(100)
-        mailbox.inbox.append("by hand")  # no touch(): step() re-asks
+        mailbox.inbox.append("by hand")  # asked afresh before the jump
         kernel.step(100)
         assert mailbox.opened == [(100, "by hand")]
 
@@ -278,9 +266,6 @@ class TestEventDrivenSchedule:
         kernel.at(40, lambda cycle: mailbox.inbox.append("cb"))
         kernel.step(100)
         assert mailbox.opened == [(40, "cb")]
-
-    def test_touch_on_a_free_standing_component_is_ignored(self):
-        Mailbox().post("nobody listens")
 
     def test_component_attached_from_a_callback(self):
         kernel, mailbox = self.build(poster_first=True, cycles=())

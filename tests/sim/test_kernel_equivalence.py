@@ -14,15 +14,14 @@ fast-forward skipped that was not actually quiescent — shows up as the
 first differing register, with its name and cycle.
 
 The second half ("live reconfiguration") covers what the first cannot.
-The activity kernel *caches* each component's ``next_evaluation`` and
-re-asks only after the component ran, after a ``touch()``, after a
-``kernel.at`` callback, and on entry to ``step`` / ``run_until``.
 Stepping one cycle per ``run(1)`` and injecting through callbacks — as
-the scenarios above do — re-asks everybody every cycle and would hide a
-missing ``touch()``.  There, generators, sinks and shells (components)
-move the traffic while a connection is opened and closed in single
-``run_until`` calls, and a :class:`RegisterProbe` — itself a component —
-records every register after every edge from inside those calls.
+the scenarios above do — never lets one component queue work for
+another inside the kernel's own loop, where the activity kernel asks
+a sleeping component for ``next_evaluation`` at its turn.  There,
+generators, sinks and shells (components) move the traffic while a
+connection is opened and closed in single ``run_until`` calls, and a
+:class:`RegisterProbe` — itself a component — records every register
+after every edge from inside those calls.
 """
 
 from __future__ import annotations
