@@ -89,7 +89,7 @@ class AeliteNetwork:
         install_refusing_provider(
             self,
             "aelite's source-routed data plane has no compiled model; "
-            "vector mode steps it through the activity kernel",
+            "vector mode steps it naively",
         )
 
     def _build(self, strict: bool) -> None:

@@ -166,39 +166,6 @@ class AeliteNetworkInterface(Component):
             return [self.in_link.register]
         return []
 
-    def next_evaluation(self, cycle: int) -> Optional[int]:
-        """Self-scheduled work: draining the emission queue (any cycle),
-        and the slot decision at slot boundaries — which also *resets*
-        the in-flight packet tracking, so committed packet state keeps
-        the NI awake until the next boundary."""
-        if self._emit_queue:
-            return cycle
-        words_per_slot = self.params.words_per_slot
-        offset = cycle % words_per_slot
-        boundary = cycle if offset == 0 else cycle + words_per_slot - offset
-        if self._packet_slots_left or self._packet_connection is not None:
-            return boundary
-        backlog = any(source.queue for source in self.sources.values())
-        if not backlog and not any(
-            queue.has_pending_credits for queue in self.queues.values()
-        ):
-            return None
-        occupied = self.injection_table.occupied()
-        if not occupied:
-            return None
-        size = self.params.slot_table_size
-        base = cycle - offset
-        current = (base // words_per_slot) % size
-        best = None
-        for slot in occupied:
-            delta = (slot - current) % size
-            candidate = base + delta * words_per_slot
-            if candidate < cycle:  # this slot's boundary already passed
-                candidate += size * words_per_slot
-            if best is None or candidate < best:
-                best = candidate
-        return best
-
     def evaluate(self, cycle: int) -> None:
         self._handle_arrival(cycle)
         self._drive_pipeline(cycle)

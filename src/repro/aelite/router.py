@@ -77,11 +77,6 @@ class AeliteRouter(Component):
             link.register for link in self.in_links if link is not None
         ]
 
-    def next_evaluation(self, cycle: int) -> Optional[int]:
-        """Purely reactive: per-input packet state (``_input_state``)
-        only changes when a word arrives on a link register."""
-        return None
-
     def evaluate(self, cycle: int) -> None:
         # Pipeline stages advance back to front, reading each register
         # before anything drives it this cycle (the two-phase

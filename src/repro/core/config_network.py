@@ -27,7 +27,7 @@ builder recorded as addressed, stamped with that gap cycle, and keeps its
 own ``_busy_until`` / ``finished_at`` timeline in closed form.  The
 element runs its own decoder over the words at the stamped cycle and
 applies the actions as always.  Whatever this cannot represent steps the
-word-level tree exactly as in ``naive`` / ``activity``, with the reason
+word-level tree exactly as in ``naive``, with the reason
 counted in ``kernel_stats()["config_elision_refusals"]``.
 
 :meth:`ConfigModule._elision_refusal` is the one predicate for that
@@ -318,9 +318,10 @@ class ConfigModule(Component):
         return ()
 
     def next_evaluation(self, cycle: int) -> Optional[int]:
-        """Streaming words happens every cycle; between the last word and
-        the cool-down deadline (or the next pending activation) the
-        module sleeps, except that awaited responses keep it polling."""
+        """Earliest cycle ``>= cycle`` the module has work (the compiled
+        engine schedules its turns by it): every cycle while it streams
+        words or awaits responses, else the cool-down deadline of the
+        active or the next pending request, else never."""
         if self._active is not None:
             if self._word_queue:
                 return cycle

@@ -101,7 +101,7 @@ class ConfigPort:
     def pending(self) -> bool:
         """Work not visible in any register: queued responses, or a
         decoder mid-packet (whose actions fire on the gap cycle, when the
-        input link is *idle* — so the owner must stay awake for it)."""
+        input link is *idle*)."""
         return bool(self.response_queue) or self.decoder.busy
 
     @property

@@ -62,13 +62,6 @@ class SourceChannel:
     def flow_controlled(self) -> bool:
         return bool(self.flags & FLAG_FLOW_CONTROLLED)
 
-    @property
-    def has_backlog(self) -> bool:
-        """Words are queued for injection (regardless of credits) — used
-        by the NI's activity scheduling: a stalled flow-controlled source
-        must keep its NI awake so arriving credits are spent promptly."""
-        return bool(self.queue)
-
     def can_send(self) -> bool:
         """Whether a word may be injected this cycle."""
         if not self.enabled or not self.queue:
@@ -141,12 +134,6 @@ class DestChannel:
     @property
     def flow_controlled(self) -> bool:
         return bool(self.flags & FLAG_FLOW_CONTROLLED)
-
-    @property
-    def has_pending_credits(self) -> bool:
-        """Drained words not yet reported to the source — keeps the NI
-        awake until the credits have been shipped."""
-        return self.pending_credits > 0
 
     def deliver(self, word: Word) -> None:
         """Deposit a word arriving from the network.

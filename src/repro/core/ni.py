@@ -71,9 +71,7 @@ class ChannelInjector:
 class ChannelReceiver:
     """Callable bound to one NI destination channel (see
     :class:`ChannelInjector`); sinks hold one as their ``receive``
-    function.  Unlike a bare callable it can say whether words are
-    waiting and have the NI wake a component when one arrives, which is
-    what lets a sink sleep on an empty queue."""
+    function, and the compiled engine lowers a sink holding one."""
 
     __slots__ = ("ni", "channel")
 
@@ -83,12 +81,6 @@ class ChannelReceiver:
 
     def __call__(self, max_words: Optional[int] = None) -> List[Word]:
         return self.ni.receive(self.channel, max_words)
-
-    @property
-    def words_waiting(self) -> bool:
-        """Whether the destination queue holds delivered words."""
-        dest = self.ni.dest_channels.get(self.channel)
-        return dest is not None and bool(dest.queue)
 
 
 class NetworkInterface(Component):
@@ -205,9 +197,13 @@ class NetworkInterface(Component):
     ) -> List[Word]:
         """Drain delivered words from a destination queue (IP side).
 
-        Draining is what generates credits back to the source.
+        Draining is what generates credits back to the source.  A
+        channel with no endpoint has nothing to drain: the receive
+        returns ``[]`` and creates none, so polling a torn-down channel
+        does not bring back the endpoint ``quiesce_channel`` dropped.
         """
-        return self.dest_channel(channel).drain(max_words)
+        dest = self.dest_channels.get(channel)
+        return [] if dest is None else dest.drain(max_words)
 
     def injector(
         self, channel: int, connection: str = ""
@@ -246,48 +242,6 @@ class NetworkInterface(Component):
             registers.append(self.in_link.register)
         registers.extend(self.config.external_inputs())
         return registers
-
-    def next_evaluation(self, cycle: int) -> Optional[int]:
-        """Arrivals and pipeline movement are register-driven; the only
-        self-scheduled work is the injection decision (queued words or
-        credits to return, possible only in granted slots) and the config
-        submodule's (decoder gap cycle, due cycle of an elided packet)."""
-        config_due = self.config.next_evaluation(cycle)
-        if config_due is not None and config_due <= cycle:
-            return cycle
-        backlog = any(
-            source.has_backlog for source in self.source_channels.values()
-        )
-        if not backlog and not any(
-            dest.has_pending_credits
-            for dest in self.dest_channels.values()
-        ):
-            return config_due
-        inject = self._next_injection_opportunity(cycle)
-        if config_due is None or (
-            inject is not None and inject < config_due
-        ):
-            return inject
-        return config_due
-
-    def _next_injection_opportunity(self, cycle: int) -> Optional[int]:
-        """First cycle >= ``cycle`` whose injection slot is granted to
-        any channel (``None`` when the table is empty — with no granted
-        slot the decision stage is a guaranteed no-op)."""
-        occupied = self.injection_table.occupied()
-        if not occupied:
-            return None
-        words_per_slot = self.params.words_per_slot
-        size = self.params.slot_table_size
-        current = (cycle // words_per_slot) % size
-        best = None
-        for slot in occupied:
-            delta = (slot - current) % size
-            if delta == 0:
-                return cycle
-            if best is None or delta < best:
-                best = delta
-        return cycle - (cycle % words_per_slot) + best * words_per_slot
 
     def evaluate(self, cycle: int) -> None:
         self._handle_arrival(cycle)

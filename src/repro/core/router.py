@@ -97,13 +97,6 @@ class Router(Component):
         registers.extend(self.config.external_inputs())
         return registers
 
-    def next_evaluation(self, cycle: int) -> Optional[int]:
-        """Routers are purely reactive: everything they do is triggered
-        by an incoming (data or config) register, except the config
-        submodule's own work — the decoder's gap-cycle action emission
-        and the due cycle of an elided packet."""
-        return self.config.next_evaluation(cycle)
-
     def evaluate(self, cycle: int) -> None:
         slot = self.params.lagged_slot_of_cycle(cycle)
         # Output stage first: read the crossbar registers (previous

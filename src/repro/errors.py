@@ -70,9 +70,9 @@ class SimulationError(ReproError):
 
 
 class ContractViolationError(SimulationError):
-    """A component broke the kernel's activity contract at run time:
+    """A component broke the kernel's register contract at run time:
     it read a register it neither owns nor declares via
-    ``external_inputs()`` (a fast-forward staleness race), or drove a
+    ``external_inputs()`` (an undeclared input), or drove a
     register owned by another component (a double-drive hazard).  Raised
     only under the ``strict_registers`` instrumentation mode; the message
     names the component, the register, and the declaration to add."""

@@ -83,11 +83,6 @@ class LinkRelay(Component):
         """The upstream link register is the relay's only stimulus."""
         return [self.upstream.register]
 
-    def next_evaluation(self, cycle: int) -> Optional[int]:
-        """Purely reactive: idle stages plus an idle upstream register
-        mean the relay has nothing to move."""
-        return None
-
     def evaluate(self, cycle: int) -> None:
         tail = self._stages[-1].q
         if tail is not None:

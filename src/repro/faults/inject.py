@@ -14,12 +14,12 @@
   (see :mod:`repro.core.config_network`),
 * slot-table upsets become :meth:`~repro.sim.kernel.Kernel.at`
   callbacks (start-of-cycle stimuli, which both kernel modes run before
-  any component evaluates and which count as activity — so a fault in
-  an otherwise quiescent stretch is never fast-forwarded past).
+  any component evaluates; the compiled engine stops at each as a
+  barrier, so a fault in a compiled stretch is never skipped).
 
 Every hook decides purely from ``(link name, kernel.cycle, plan)``, and
 the surrounding simulator guarantees identical ``send`` call sequences
-in activity and naive mode; injected faults and the events they record
+on every stepped cycle; injected faults and the events they record
 are therefore byte-identical across kernels — the differential test in
 ``tests/faults`` holds the subsystem to that.
 

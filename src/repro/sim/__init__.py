@@ -2,7 +2,6 @@
 
 from .flit import IDLE_PHIT, Phit, Word
 from .kernel import (
-    ACTIVITY_MODE,
     KERNEL_MODE_ENV,
     NAIVE_MODE,
     VECTOR_MODE,
@@ -19,7 +18,6 @@ __all__ = [
     "IDLE_PHIT",
     "Phit",
     "Word",
-    "ACTIVITY_MODE",
     "KERNEL_MODE_ENV",
     "NAIVE_MODE",
     "VECTOR_MODE",

@@ -20,7 +20,7 @@ It is the one engine behind ``vector`` mode, in three layers:
   in the data registers back on their trajectories and then runs an
   event loop over per-cycle buckets.  In a cycle: link entries
   (injection recorded) and arrivals (parity check, delivery, ejection
-  recorded, credit return) in the activity kernel's order; the slot
+  recorded, credit return) in naive stepping's order; the slot
   owners — NI channels — that are *armed*, i.e. may have a word or
   credits to send in the phase they own, each launching at most one
   phit as two bucket entries (its link entry, its arrival; one arrival
@@ -99,7 +99,7 @@ Whenever the network is *not* compilable — strict-registers, a tracer,
 a config packet on the word-level tree, data-link fault hooks, an unknown
 component, a phit parked off the compiled schedule — the provider or
 the engine returns a typed :class:`~repro.sim.kernel.CompileRefusal` and
-the kernel transparently falls back to the activity mode for those
+the kernel transparently falls back to naive stepping for those
 cycles.
 """
 
@@ -226,7 +226,7 @@ def install_refusing_provider(network: Any, detail: str) -> None:
 
     Used by network families whose data plane has no compiled engine yet
     (aelite's source-routed plane): ``vector`` mode then runs as a
-    transparent, telemetry-visible fallback to the activity kernel.
+    transparent, telemetry-visible fallback to naive stepping.
     """
 
     def provider(kernel: Kernel, previous: Any) -> CompileRefusal:
@@ -1248,8 +1248,8 @@ class CompiledEngine:
         """Advance the network towards ``end``; ``None`` on success.
 
         A returned refusal means *nothing was executed* (the refusal is
-        detected at import time) and the caller should fall back to the
-        activity kernel.  A run that returns before ``end`` stopped at
+        detected at import time) and the caller should fall back to
+        naive stepping.  A run that returns before ``end`` stopped at
         the boundary of a cycle that changed what it executes — a
         visible config apply (DESIGN.md §14.6) — or declined to start
         because such a change happened earlier; either way it has given
@@ -1526,8 +1526,8 @@ class CompiledEngine:
                 at = cycle & mask
                 bucket = ring[at]
                 if bucket:
-                    # Arrivals and link entries, in the activity
-                    # kernel's order; popped before they are applied, so
+                    # Arrivals and link entries, in naive stepping's
+                    # order; popped before they are applied, so
                     # whatever an exception leaves in the bucket has not
                     # happened.
                     handled += len(bucket)
@@ -1721,7 +1721,7 @@ class CompiledEngine:
                     bucket.clear()
 
                 if cycle == cfg_next:
-                    # Config events, where the activity kernel has them:
+                    # Config events, where naive stepping has them:
                     # each element applies a deposit after its data-plane
                     # stages (element order), the module takes its turn
                     # after every element.  No epoch probe spans one,
@@ -1903,7 +1903,6 @@ class CompiledEngine:
             kernel.compiled_cycles += cycle - entered_at
             kernel.replayed_epochs += replayed_epochs
             kernel.replayed_cycles += replayed_cycles
-            kernel._watchers = None
         return None
 
     # -- steady-state signatures and replay --------------------------------------

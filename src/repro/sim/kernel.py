@@ -1,4 +1,4 @@
-"""Two-phase cycle-driven simulation kernel with an activity-driven mode.
+"""Two-phase cycle-driven simulation kernel.
 
 Every piece of state that crosses a clock edge lives in a :class:`Register`.
 Each cycle the kernel runs two phases:
@@ -18,42 +18,13 @@ so it raises :class:`~repro.errors.SimulationError`.
 Evaluation modes
 ----------------
 
-The kernel supports three modes, selected per instance or through the
+The kernel supports two modes, selected per instance or through the
 ``REPRO_KERNEL_MODE`` environment variable (``vector``, the default —
-:data:`DEFAULT_KERNEL_MODE` — ``activity`` or ``naive``):
+:data:`DEFAULT_KERNEL_MODE` — or ``naive``):
 
 * ``naive`` — the reference semantics above, literally: every component is
-  evaluated and every register latched on every cycle.
-* ``activity`` — the same observable behaviour, computed lazily.  A TDM
-  NoC is mostly idle (most slots on most links carry nothing), so the
-  kernel tracks *activity* instead of brute-forcing every cycle:
-
-  - **dirty latch** — :meth:`Register.drive` records the register in the
-    kernel's dirty set, and the latch phase touches only registers that
-    were driven this cycle or still hold a non-idle output (which must
-    decay back to idle, exactly as a full latch would).
-  - **wake sets** — components declare the registers they read
-    (:attr:`Component.registers` implicitly, :meth:`Component.external_inputs`
-    explicitly); a component is evaluated only when one of those registers
-    was latched non-idle at the previous edge, or when it *self-schedules*
-    through :meth:`Component.next_evaluation` (pending slot-table work,
-    queued words, a traffic generator's next firing, ...).
-  - **polled self-schedules** — a component that no register woke is
-    asked :meth:`Component.next_evaluation` at its own turn of every
-    executed cycle, in ``Kernel.components`` order, and runs if the
-    answer is the current cycle.  Work a component earlier in that
-    order queued for it this cycle is therefore seen in the same cycle
-    and work a later one queued in the next — exactly the effect the
-    naive order has.  Nothing is cached, so nobody has to announce the
-    work it queues for somebody else.
-  - **fast-forward** — when no register is active, every component is
-    asked afresh and the clock jumps straight to the earliest answer or
-    the earliest callback (:meth:`Kernel.at` cycles sit in a heap),
-    whichever is first.  No state can change in between — skipped cycles are
-    bit-for-bit identical to stepping through them — so the jump is
-    sound; the static TDM schedule makes the next-work computation O(1)
-    per component.
-
+  evaluated and every register latched on every cycle.  It is the one
+  behaviour spec; every kernel differential compares against it.
 * ``vector`` — the configured GS data plane is flattened into integer
   event schedules (see :mod:`repro.sim.compiled`) and advanced in one
   tight loop with no component dispatch and no :class:`Register` traffic
@@ -64,8 +35,8 @@ The kernel supports three modes, selected per instance or through the
   ``compile_provider`` on the kernel.  Whenever compilation is not
   possible — no provider, a config packet on the word-level tree,
   fault hooks on data links, strict-registers, a tracer, an unknown
-  component, words mid-flight — the kernel *transparently falls back* to the activity
-  mode for the affected cycles and records a typed
+  component, words mid-flight — the kernel *transparently falls back* to
+  ``naive`` stepping for the affected cycles and records a typed
   :class:`CompileRefusal` (``Kernel.kernel_stats()["compile_fallbacks"]``).  Registers and stats
   are re-materialized bit-exactly at every exit from compiled execution,
   so callbacks, ``run_until`` predicates and external code always
@@ -83,8 +54,8 @@ elements it addresses, stamped with the cycle each would have seen the
 end-of-packet gap, and each runs its own decoder at that cycle (see
 :mod:`repro.core.config_network`).  Apply cycles, element state and
 set-up times are those of the stepped tree; the work is proportional to
-addressed elements instead of tree size.  ``naive`` and ``activity``
-always step the word-level tree, which is also the path for whatever
+addressed elements instead of tree size.  ``naive`` always steps the
+word-level tree, which is also the path for whatever
 the elision cannot represent.  A fault hook on a config link is such a
 case only for the packets it can touch — the flight-window rule: a hook
 that declares the cycles it can act on (``hook.cycles``, as every
@@ -108,19 +79,12 @@ engine asks the module's own elision predicate of every queued packet,
 so a config-link fault hook or a decoder fault monitor keeps no engine
 off — only the packets the hook can touch leave it.
 
-The activity invariant: a component may be skipped in a cycle only if its
-``evaluate`` would have been a pure no-op, and a register may skip the
-latch only if latching would not change it.  ``tests/sim/test_kernel_equivalence.py``
-checks the two modes produce bit-identical per-cycle register traces on
-randomized networks and workloads, including traffic moved by components
-while connections are set up and torn down.
-
 Strict-registers instrumentation
 --------------------------------
 
-The wake rules above are a *contract*: a component must declare every
+Components follow a register *contract*: a component declares every
 register its ``evaluate`` reads (own registers implicitly, foreign ones
-via :meth:`Component.external_inputs`) and must only drive registers it
+via :meth:`Component.external_inputs`) and drives only registers it
 owns or free-standing (link) registers.  ``Kernel(strict_registers=True)``
 — or ``REPRO_STRICT_REGISTERS=1`` — verifies the contract dynamically:
 while a component evaluates, every ``Register.q`` read is checked against
@@ -147,7 +111,6 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Set,
     Tuple,
 )
 
@@ -162,22 +125,20 @@ from ..errors import (
 KERNEL_MODE_ENV = "REPRO_KERNEL_MODE"
 #: Environment variable enabling strict register-contract checking.
 STRICT_REGISTERS_ENV = "REPRO_STRICT_REGISTERS"
-#: Activity-driven evaluation (wake sets, dirty latch, fast-forward).
-ACTIVITY_MODE = "activity"
 #: Reference evaluation: everything, every cycle.
 NAIVE_MODE = "naive"
 #: Flat-schedule compiled evaluation with steady-state epoch replay,
-#: credited in bulk (falls back to the activity kernel
-#: whenever the network is not compilable — see
-#: :mod:`repro.sim.compiled` and :mod:`repro.sim.replay`).
+#: credited in bulk (falls back to naive stepping whenever the network
+#: is not compilable — see :mod:`repro.sim.compiled` and
+#: :mod:`repro.sim.replay`).
 VECTOR_MODE = "vector"
 
-#: The mode an unset ``REPRO_KERNEL_MODE`` resolves to.  ``activity`` and
-#: ``naive`` are the selectable reference semantics: they always step the
-#: word-level config tree and the component data plane.
+#: The mode an unset ``REPRO_KERNEL_MODE`` resolves to.  ``naive`` is the
+#: selectable reference semantics: it always steps the word-level config
+#: tree and the component data plane.
 DEFAULT_KERNEL_MODE = VECTOR_MODE
 
-_MODES = (ACTIVITY_MODE, NAIVE_MODE, VECTOR_MODE)
+_MODES = (NAIVE_MODE, VECTOR_MODE)
 
 _STRICT_OFF = ("", "0", "false", "no", "off")
 _STRICT_ON = ("1", "true", "yes", "on")
@@ -188,7 +149,7 @@ class CompileRefusal:
 
     Returned by a kernel's compile provider (and queryable through
     :meth:`Kernel.kernel_stats`) whenever ``vector`` mode has to fall
-    back to the activity kernel.  ``kind`` is a stable machine-readable
+    back to naive stepping.  ``kind`` is a stable machine-readable
     tag; ``detail`` is free-form diagnostics.
     """
 
@@ -229,8 +190,8 @@ class CompileRefusal:
     #: read-back, a hand-built packet, one a config-link fault hook can
     #: touch), phits parked in pipeline registers off the compiled
     #: schedule.
-    #: The kernel treats these as deferrals — it steps a bounded window
-    #: on the activity kernel and re-probes — instead of falling back
+    #: The kernel treats these as deferrals — it steps a bounded naive
+    #: window and re-probes — instead of falling back
     #: for the remainder of the call, so the engine returns once the
     #: packet or the phits have drained.  Use-case switches never
     #: refuse the engine: elided set-up runs as engine events.
@@ -333,16 +294,6 @@ class Component(ABC):
     calling ``.drive`` on register inputs.  Registers created through
     :meth:`make_register` are automatically latched by the kernel the
     component is attached to.
-
-    Activity contract (used by the kernel's ``activity`` mode):
-
-    * a component is always evaluated in a cycle in which one of its own
-      registers or one of :meth:`external_inputs` holds a non-idle output;
-    * otherwise it is evaluated only when :meth:`next_evaluation`, asked
-      at its own turn of the cycle, says the current cycle may hold
-      work.  The default — "every cycle" — is the safe choice for
-      components the kernel knows nothing about; it simply reproduces
-      naive-mode behaviour for them.
     """
 
     def __init__(self, name: str) -> None:
@@ -361,27 +312,11 @@ class Component(ABC):
     def external_inputs(self) -> Iterable[Register]:
         """Registers this component reads but does not own.
 
-        Typically the pipeline registers of incoming links.  The kernel
-        re-evaluates the component whenever one of them is active.
+        Typically the pipeline registers of incoming links.  Strict mode
+        (and the static rule ``KC001``) allow ``evaluate`` to read only
+        these and the component's own registers.
         """
         return ()
-
-    def next_evaluation(self, cycle: int) -> Optional[int]:
-        """Earliest cycle ``>= cycle`` at which :meth:`evaluate` may do
-        observable work, assuming no watched register becomes active and
-        no external code mutates this component before then.
-
-        ``None`` means "never (until something wakes me)".  Returning a
-        conservative (too early) cycle is always sound — evaluating an
-        idle component is a no-op — but returning a too-late cycle breaks
-        cycle accuracy.  The default, ``cycle``, keeps unknown components
-        on the naive every-cycle schedule.
-
-        Must be a pure function of ``cycle`` and the component's state:
-        the activity kernel asks it at every turn it does not know the
-        component must run, and before every fast-forward.
-        """
-        return cycle
 
     @abstractmethod
     def evaluate(self, cycle: int) -> None:
@@ -427,7 +362,7 @@ def _checked_q_get(register: Register) -> Any:
         raise ContractViolationError(
             f"component {ctx.component.name!r} read register "
             f"{register.name!r} which it neither owns nor declares — an "
-            f"undeclared input is a fast-forward staleness race.  Fix: "
+            f"undeclared input breaks the read contract.  Fix: "
             f"return it from {type(ctx.component).__name__}."
             f"external_inputs(), or create it with make_register() if "
             f"the component owns it."
@@ -467,10 +402,8 @@ class Kernel:
 
     Attributes:
         cycle: The current simulation cycle.
-        active_cycles: Cycles in which at least one component was
-            evaluated or register latched (instrumentation).
-        fast_forwarded_cycles: Quiescent cycles skipped in one jump by
-            the activity mode (instrumentation).
+        active_cycles: Cycles stepped component by component
+            (instrumentation; the compiled engine's cycles add none).
         evaluations: Total component evaluations performed.
     """
 
@@ -504,17 +437,8 @@ class Kernel:
         ] = {}
         #: Registers driven during the current cycle (filled by drive()).
         self._dirty: List[Register] = []
-        #: Registers whose q was latched non-idle at the previous edge.
-        self._carry: Set[Register] = set()
-        #: Components woken for the current cycle by register activity.
-        self._wake: Set[Component] = set()
-        #: register -> components watching it; None marks "needs rebuild".
-        self._watchers: Optional[Dict[Register, tuple]] = None
         self.active_cycles = 0
-        self.fast_forwarded_cycles = 0
         self.evaluations = 0
-        #: Calls to ``Component.next_evaluation`` made by the scheduler.
-        self.schedule_polls = 0
         #: Installed by a network that knows how to flatten its data
         #: plane: ``provider(kernel, previous_engine)`` returns a fresh
         #: (or revalidated) engine object, or a :class:`CompileRefusal`.
@@ -529,11 +453,11 @@ class Kernel:
         self.replayed_epochs = 0
         #: Cycles covered by replayed epochs (subset of compiled_cycles).
         self.replayed_cycles = 0
-        #: refusal kind -> number of fallbacks to the activity kernel.
+        #: refusal kind -> number of fallbacks to naive stepping.
         self.compile_fallbacks: Dict[str, int] = {}
         #: refusal kind -> number of *deferrals*: transient refusals (a
         #: stepped config packet, a draining datapath) stepped through
-        #: on the activity kernel before re-acquiring an engine.
+        #: naively before re-acquiring an engine.
         self.compile_deferrals: Dict[str, int] = {}
         self._last_refusal: Optional[CompileRefusal] = None
         #: Distinct steady-state regimes in which epoch replay engaged
@@ -568,7 +492,7 @@ class Kernel:
 
     @property
     def mode(self) -> str:
-        """``"activity"``, ``"naive"`` or ``"vector"``."""
+        """``"naive"`` or ``"vector"``."""
         return self._mode
 
     def set_mode(self, mode: str) -> None:
@@ -584,7 +508,6 @@ class Kernel:
         if mode != self._mode:
             self._retire_engine()
             self._mode = mode
-            self._watchers = None  # rebuild activity state on next step
             self._strict_sets.clear()
 
     # -- construction --------------------------------------------------------
@@ -596,7 +519,6 @@ class Kernel:
         component._kernel = self
         for register in component.registers:
             register._sink = self._dirty
-        self._watchers = None
         self._strict_sets.clear()
         return component
 
@@ -610,7 +532,6 @@ class Kernel:
         self._retire_engine()
         self._extra_registers.append(register)
         register._sink = self._dirty
-        self._watchers = None
         self._strict_sets.clear()
         return register
 
@@ -618,7 +539,6 @@ class Kernel:
         """Hook a register created after its component was added."""
         self._retire_engine()
         register._sink = self._dirty
-        self._watchers = None
         self._strict_sets.clear()
 
     def all_registers(self) -> List[Register]:
@@ -723,123 +643,6 @@ class Kernel:
             register._driven = False
         self._dirty.clear()
 
-    # -- activity bookkeeping -------------------------------------------------
-
-    def _finalize(self) -> None:
-        """(Re)build the register->watchers map and the activity sets."""
-        watchers: Dict[Register, list] = {}
-        for component in self.components:
-            component._kernel = self
-            for register in component.registers:
-                register._sink = self._dirty
-                watchers.setdefault(register, []).append(component)
-            for register in component.external_inputs():
-                entry = watchers.setdefault(register, [])
-                if component not in entry:
-                    entry.append(component)
-        for register in self._extra_registers:
-            register._sink = self._dirty
-            watchers.setdefault(register, [])
-        self._watchers = {
-            register: tuple(components)
-            for register, components in watchers.items()
-        }
-        # Rebuild the active sets from the registers' current outputs so
-        # a mode switch (or late component addition) starts consistent.
-        carry: Set[Register] = set()
-        wake: Set[Component] = set()
-        for register in self._watchers:
-            q = register.q
-            if q is not register.idle and q != register.idle:
-                carry.add(register)
-                wake.update(self._watchers[register])
-        self._carry = carry
-        self._wake = wake
-
-    def _next_active_cycle(self) -> Optional[int]:
-        """Earliest cycle >= now at which anything may happen: now while
-        a register is active, else the earliest callback or
-        ``next_evaluation`` answer, every component asked afresh.
-
-        Returns ``None`` when no register is active, no callback is
-        scheduled and every component self-schedules "never".
-        """
-        cycle = self.cycle
-        if self._wake or self._carry or self._dirty:
-            return cycle
-        best = self._next_callback_cycle()
-        if best is not None and best <= cycle:
-            return cycle
-        polls = 0
-        for component in self.components:
-            polls += 1
-            due = component.next_evaluation(cycle)
-            if due is not None and (best is None or due < best):
-                if due <= cycle:
-                    best = cycle
-                    break
-                best = due
-        self.schedule_polls += polls
-        return best
-
-    def _run_active_cycle(self) -> None:
-        """Execute one cycle: callbacks, then in ``self.components``
-        order every component a register woke or that is due when asked
-        at its turn, then the dirty latch."""
-        cycle = self.cycle
-        self.active_cycles += 1
-        callbacks = self._callbacks.pop(cycle, None)
-        if callbacks:
-            for callback in callbacks:  # stimuli, in registration order
-                callback(cycle)
-            if self._watchers is None:  # one of them attached a component
-                self._finalize()
-        wake = self._wake
-        strict = self.strict_registers
-        evaluated = 0
-        polls = 0
-        try:
-            for component in self.components:
-                if component not in wake:
-                    # Asked at its own turn, so work a component earlier
-                    # in the order queued for it this cycle has the same
-                    # effect as in naive order.
-                    polls += 1
-                    due = component.next_evaluation(cycle)
-                    if due is None or due > cycle:
-                        continue
-                if strict:
-                    self._evaluate_checked(component, cycle)
-                else:
-                    component.evaluate(cycle)
-                evaluated += 1
-        except ReproError:
-            self._abort_cycle()
-            raise
-        finally:
-            self.schedule_polls += polls
-        self.evaluations += evaluated
-        # Dirty latch: only registers driven this cycle or still holding
-        # a non-idle output can change at this edge.
-        pending = self._carry
-        pending.update(self._dirty)
-        self._dirty.clear()
-        watchers = self._watchers
-        assert watchers is not None
-        carry: Set[Register] = set()
-        wake = set()
-        for register in pending:
-            register.latch()
-            q = register.q
-            if q is not register.idle and q != register.idle:
-                carry.add(register)
-                watching = watchers.get(register)
-                if watching:
-                    wake.update(watching)
-        self._carry = carry
-        self._wake = wake
-        self.cycle = cycle + 1
-
     # -- compiled-engine lifecycle --------------------------------------------
 
     def _note_refusal(self, refusal: CompileRefusal) -> None:
@@ -863,13 +666,10 @@ class Kernel:
         """Drop the compiled engine.
 
         The engine materializes registers, counters and statistics at
-        every ``run_to`` exit, so there is nothing to write back: the
-        stepped kernels (and external observers) already see bit-exact
-        state.
+        every ``run_to`` exit, so there is nothing to write back: naive
+        stepping (and external observers) already see bit-exact state.
         """
-        if self._engine is not None:
-            self._engine = None
-            self._watchers = None  # rebuild activity carry/wake from registers
+        self._engine = None
 
     def _acquire_engine(self) -> Any:
         """Return a valid compiled engine, or fall back (``None``).
@@ -902,20 +702,15 @@ class Kernel:
         return result
 
     def kernel_stats(self) -> Dict[str, Any]:
-        """Instrumentation snapshot, including compiled-engine telemetry.
-
-        ``schedule_polls`` counts the activity kernel's
-        ``next_evaluation`` calls; cycles the compiled engine executes
-        add none.
-        """
+        """Instrumentation snapshot, including compiled-engine telemetry."""
         refusal = self._last_refusal
         return {
             "mode": self._mode,
             "cycle": self.cycle,
             "active_cycles": self.active_cycles,
             "evaluations": self.evaluations,
-            "fast_forwarded_cycles": self.fast_forwarded_cycles,
-            "schedule_polls": self.schedule_polls,
+            # Read by the benchmark harness as sim.fast_forwarded_cycles.
+            "fast_forwarded_cycles": 0,
             "compiled_cycles": self.compiled_cycles,
             "replayed_epochs": self.replayed_epochs,
             "replayed_cycles": self.replayed_cycles,
@@ -936,8 +731,8 @@ class Kernel:
             ),
         }
 
-    #: First deferral window (cycles stepped on the activity kernel
-    #: before re-probing engine eligibility after a transient refusal).
+    #: First deferral window (cycles stepped naively before re-probing
+    #: engine eligibility after a transient refusal).
     DEFER_WINDOW_MIN = 64
     #: Deferral windows back off exponentially up to this cap, so a
     #: long-lived obstruction costs O(log) probes, not one per window.
@@ -949,10 +744,10 @@ class Kernel:
         Callbacks are barriers: they may mutate arbitrary state, so the
         engine runs up to the earliest scheduled callback (leaving
         registers, counters and statistics materialized) and the
-        callback's cycle executes under the activity kernel;
-        eligibility is then re-checked.  The engine names one more kind
-        of barrier (``next_stepped_cycle``): a cycle whose work only the
-        stepped kernels model, such as the activation of a config
+        callback's cycle is stepped naively; eligibility is then
+        re-checked.  The engine names one more kind
+        of barrier (``next_stepped_cycle``): a cycle whose work only
+        naive stepping models, such as the activation of a config
         packet that must stream through the word-level tree.  An engine
         run that returns before its barrier stopped after a cycle that
         changed what it runs; the kernel re-acquires.
@@ -961,9 +756,9 @@ class Kernel:
         (:attr:`CompileRefusal.DEFERRABLE`: a config packet on the
         word-level tree, phits parked off the compiled schedule) are
         deferrals — the kernel steps a bounded, exponentially growing
-        activity window and re-probes, so the engine returns once the
-        tree is quiet.  Every other kind falls back to the activity
-        kernel for the remainder of this call — re-probing a permanently
+        naive window and re-probes, so the engine returns once the
+        tree is quiet.  Every other kind falls back to naive stepping
+        for the remainder of this call — re-probing a permanently
         refusing configuration every window would only burn eligibility
         scans.
         """
@@ -982,7 +777,7 @@ class Kernel:
                         defer_window * 2, self.DEFER_WINDOW_MAX
                     )
                     continue
-                self._step_activity(end - self.cycle)
+                self._step_naive(end - self.cycle)
                 return
             barrier = end
             for scheduled in (
@@ -1008,7 +803,7 @@ class Kernel:
                         )
                         continue
                     self._retire_engine()
-                    self._step_activity(end - self.cycle)
+                    self._step_naive(end - self.cycle)
                     return
                 defer_window = self.DEFER_WINDOW_MIN
                 if self.cycle < barrier:
@@ -1019,26 +814,24 @@ class Kernel:
                 # A callback (or a packet only the word-level tree can
                 # carry) is due at the current cycle; run it stepped.
                 self._retire_engine()
-                self._step_activity(1)
+                self._step_naive(1)
 
     def _defer(self, refusal: CompileRefusal, window: int) -> None:
-        """Step a bounded activity window through a transient refusal."""
+        """Step a bounded naive window through a transient refusal."""
         self.compile_deferrals[refusal.kind] = (
             self.compile_deferrals.get(refusal.kind, 0) + 1
         )
-        self._step_activity(max(1, window))
+        self._step_naive(max(1, window))
 
     # -- execution -----------------------------------------------------------
 
     def step(self, cycles: int = 1) -> None:
         """Advance the simulation by ``cycles`` clock cycles."""
         with self._strict_stepping():
-            if self._mode == NAIVE_MODE:
-                self._step_naive(cycles)
-            elif self._mode == VECTOR_MODE:
+            if self._mode == VECTOR_MODE:
                 self._step_compiled(cycles)
             else:
-                self._step_activity(cycles)
+                self._step_naive(cycles)
 
     def _step_naive(self, cycles: int) -> None:
         strict = self.strict_registers
@@ -1064,21 +857,6 @@ class Kernel:
             self.active_cycles += 1
             self.cycle += 1
 
-    def _step_activity(self, cycles: int) -> None:
-        end = self.cycle + cycles
-        while self.cycle < end:
-            if self._watchers is None:
-                self._finalize()
-            nxt = self._next_active_cycle()
-            if nxt is None or nxt >= end:
-                self.fast_forwarded_cycles += end - self.cycle
-                self.cycle = end
-                return
-            if nxt > self.cycle:
-                self.fast_forwarded_cycles += nxt - self.cycle
-                self.cycle = nxt
-            self._run_active_cycle()
-
     def run_until(
         self,
         predicate: Callable[[], bool],
@@ -1088,13 +866,10 @@ class Kernel:
 
         A predicate that already holds returns at once, stepping nothing
         and leaving a vector-mode engine in place.  Otherwise the
-        predicate is polled between cycles, so vector mode steps on the
-        activity kernel here; in activity mode it is re-checked after
-        every cycle in which any component ran or register latched, and
-        fully quiescent stretches — during which no state the predicate
-        could observe can change — are fast-forwarded.  (A predicate
-        that watches ``kernel.cycle`` itself rather than simulation
-        state should use :meth:`step` directly; a wait whose end is
+        predicate is polled after every cycle, so both modes step
+        naively here.  (A predicate that watches ``kernel.cycle``
+        itself rather than simulation state should use :meth:`step`
+        directly; a wait whose end is
         known in closed form steps there first — see
         ``DaeliteNetwork.wait_configured``.)
 
@@ -1107,8 +882,8 @@ class Kernel:
         start = self.cycle
         limit = start + max_cycles
         # run_until polls arbitrary state between cycles — inherently
-        # stepped execution, so vector mode defers to the activity
-        # kernel here (after materializing any engine state).
+        # stepped execution, so vector mode steps naively here (the
+        # engine left every register and counter materialized).
         self._retire_engine()
         with self._strict_stepping():
             while not predicate():
@@ -1116,20 +891,7 @@ class Kernel:
                     raise SimulationError(
                         f"condition not reached within {max_cycles} cycles"
                     )
-                if self._mode == NAIVE_MODE:
-                    self._step_naive(1)
-                else:
-                    if self._watchers is None:
-                        self._finalize()
-                    nxt = self._next_active_cycle()
-                    if nxt is None or nxt >= limit:
-                        self.fast_forwarded_cycles += limit - self.cycle
-                        self.cycle = limit
-                        continue
-                    if nxt > self.cycle:
-                        self.fast_forwarded_cycles += nxt - self.cycle
-                        self.cycle = nxt
-                    self._run_active_cycle()
+                self._step_naive(1)
         return self.cycle
 
     def reset(self) -> None:
@@ -1143,4 +905,3 @@ class Kernel:
         for register in self._extra_registers:
             register.reset()
         self._dirty.clear()
-        self._watchers = None  # rebuild the activity state

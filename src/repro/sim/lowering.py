@@ -113,7 +113,7 @@ class _Leaf:
     ``step`` is the trajectory step of the ``ARRIVE`` op, ``path`` the
     register the phit holds at each step on the way there.  ``order`` is
     the arrival's rank among one cycle's events (NI registration order,
-    an NI's arrival before its link entry — the activity kernel's
+    an NI's arrival before its link entry — naive stepping's
     order).  ``links`` (driven at ``link_steps``) and ``routers``
     (crossed at ``router_steps`` with ``fanouts``) are the counter
     effects this leaf accounts for: every op of the tree belongs to

@@ -5,9 +5,9 @@ on convention:
 
 * the **kernel-contract auditor** (:mod:`repro.staticcheck.contract`) —
   AST analysis proving every ``Component`` subclass declares the
-  registers its ``evaluate()`` actually reads and writes, so the
-  activity-driven kernel's fast-forward can never sleep through an
-  input change (rules ``KC...``), plus determinism (``DT...``) and
+  registers its ``evaluate()`` actually reads and writes — the read
+  and write contract strict-registers mode checks at run time (rules
+  ``KC...``), plus determinism (``DT...``) and
   error-hygiene (``ER...``) rules;
 * the **schedule model-checker** (:mod:`repro.staticcheck.schedule`) —
   re-derives, hop by hop, the slot-table state a configured network

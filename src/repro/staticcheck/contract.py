@@ -1,11 +1,13 @@
 """The kernel-contract auditor: AST analysis of ``Component`` subclasses.
 
-The activity-driven kernel (:mod:`repro.sim.kernel`) is only
-cycle-accurate if every component declares *all* the registers its
-``evaluate()`` reads — an undeclared read is a silent staleness race: the
-component sleeps through a fast-forward while its input changes.  This
-module re-derives each component's actual register footprint from source
-and cross-checks it against the declared contract.
+The kernel's read contract (:mod:`repro.sim.kernel`): every component
+declares *all* the registers its ``evaluate()`` reads — its own ones
+created with ``make_register()``, foreign ones returned by
+``external_inputs()``.  Strict-registers mode checks that contract at run
+time, read by read; this module is its static twin.  It re-derives each
+component's actual register footprint from source and cross-checks it
+against the declared contract, so an undeclared read is caught without
+running the code path that makes it.
 
 Kernel-contract rules (project-wide — they need the full class table to
 resolve inheritance, so they do not run through the per-file registry):
@@ -503,7 +505,7 @@ KC_RULES: Tuple[Rule, ...] = (
         description=(
             "evaluate() reads a register that is neither owned "
             "(make_register) nor declared via external_inputs() — a "
-            "fast-forward staleness race in activity mode"
+            "breach of the read contract strict-registers mode checks"
         ),
         severity=Severity.ERROR,
         kind="project",
@@ -605,8 +607,8 @@ def audit_component(
                         f"component {info.name!r} reads {what} "
                         f"{event.path!r} but {root!r} is neither "
                         f"created with make_register() nor returned "
-                        f"by external_inputs() — the kernel will not "
-                        f"wake it when this input changes"
+                        f"by external_inputs() — strict-registers mode "
+                        f"rejects this read"
                     ),
                     hint=(
                         f"return the register under self.{root} from "

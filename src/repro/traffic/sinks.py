@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from ..core.ni import ChannelReceiver
 from ..errors import TrafficError
 from ..sim.flit import Word
 from ..sim.kernel import Component
@@ -25,11 +24,6 @@ ReceiveWords = Callable[[int], List[Word]]
 class CheckingSink(Component):
     """Drains a destination queue at a fixed rate and verifies every word
     end to end as it consumes it.
-
-    A sink whose ``receive`` is a
-    :class:`~repro.core.ni.ChannelReceiver` sleeps while its queue is
-    empty; behind any other callable the queue is opaque, so the sink
-    stays on the every-cycle schedule.
 
     Two checks, mirroring the fault model (DESIGN.md §9):
 
@@ -71,18 +65,6 @@ class CheckingSink(Component):
         #: Human-readable check failures, in detection order.
         self.findings: List[str] = []
         self._last_seq: dict = {}
-
-    def next_evaluation(self, cycle: int) -> Optional[int]:
-        receive = self.receive
-        if not isinstance(receive, ChannelReceiver):
-            return cycle
-        if not receive.words_waiting:
-            return None
-        return self._next_drain(max(cycle, self.start_cycle))
-
-    def _next_drain(self, cycle: int) -> int:
-        """First cycle >= ``cycle`` at which :meth:`evaluate` drains."""
-        return cycle
 
     @property
     def clean(self) -> bool:
@@ -146,9 +128,6 @@ class ThrottledSink(CheckingSink):
         if period < 1:
             raise TrafficError("period must be >= 1")
         self.period = period
-
-    def _next_drain(self, cycle: int) -> int:
-        return cycle + -cycle % self.period
 
     def evaluate(self, cycle: int) -> None:
         if cycle % self.period == 0:

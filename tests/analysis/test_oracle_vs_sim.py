@@ -2,7 +2,7 @@
 
 The contract of :mod:`repro.analysis.model` on a contention-free TDM
 schedule, checked on random topologies, workloads, policies, and
-use-case switches, on both the activity and vector kernels:
+use-case switches, on both the naive and vector kernels:
 
 * **soundness** — the worst-case submit-to-delivery bound is never
   below any latency the simulator measures, for *any* workload,
@@ -18,7 +18,7 @@ use-case switches, on both the activity and vector kernels:
   ``tests/properties/test_e2e_props.py`` already pins).
 
 Multicast trees are covered per destination; the whole suite runs
-under both ``REPRO_KERNEL_MODE=activity`` and ``vector`` via explicit
+under both ``REPRO_KERNEL_MODE=naive`` and ``vector`` via explicit
 kernel-mode parametrization (CI additionally runs the full suite under
 each mode's environment default).
 """
@@ -39,7 +39,7 @@ from repro.analysis import AdmissionOracle
 from repro.core import DaeliteNetwork
 from repro.errors import AllocationError
 from repro.params import aelite_parameters, daelite_parameters
-from repro.sim.kernel import ACTIVITY_MODE, VECTOR_MODE
+from repro.sim.kernel import NAIVE_MODE, VECTOR_MODE
 from repro.topology import build_mesh, build_ring, build_torus
 from repro.traffic.generators import (
     BurstGenerator,
@@ -50,7 +50,7 @@ from repro.traffic.sinks import CheckingSink
 
 pytestmark = pytest.mark.differential
 
-KERNEL_MODES = (ACTIVITY_MODE, VECTOR_MODE)
+KERNEL_MODES = (NAIVE_MODE, VECTOR_MODE)
 
 #: Cap on simulated cycles per example — every scenario is sized to
 #: finish (all generators done, all words delivered) well inside it.
@@ -501,7 +501,7 @@ class TestAeliteOracleVsSimulator:
         self, size, slots, endpoints
     ):
         """The same model covers aelite (3-cycle hops, header-aware
-        bandwidth); its data plane always runs the activity kernel."""
+        bandwidth); its data plane always steps naively."""
         from repro.aelite import AeliteNetwork
 
         topology = build_mesh(2, 2)

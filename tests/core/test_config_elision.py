@@ -7,10 +7,10 @@ action)`` stream at ``_apply``, element state after every packet, every
 request's timeline, set-up times, word delivery cycles at the sinks and
 ``kernel.cycle`` — equal those of the stepped tree.  (Registers of the
 config links are *not* part of it: the elided words never ride them.
-``naive`` and ``activity`` stay register-exact; ``tests/sim`` holds them
-to that.)
+``tests/sim`` holds ``vector`` register-exact to ``naive`` wherever the
+tree is stepped.)
 
-Every scenario here runs on ``activity`` (word-level tree) and on
+Every scenario here runs on ``naive`` (word-level tree) and on
 ``vector``.  Under ``REPRO_STRICT_REGISTERS=1`` vector mode must refuse
 the elision with a typed reason and still agree — the file passes there
 by refusal, not by skipping.
@@ -56,7 +56,6 @@ from repro.faults import FaultInjector
 from repro.faults.spec import ConfigWordDrop, FaultPlan, TransientBitFlip
 from repro.params import daelite_parameters
 from repro.sim.kernel import (
-    ACTIVITY_MODE,
     NAIVE_MODE,
     VECTOR_MODE,
     default_strict_registers,
@@ -73,7 +72,7 @@ pytestmark = pytest.mark.differential
 ENGINE_MODES = (VECTOR_MODE,)
 
 #: The CI strict-registers step runs this file too; there every engine
-#: mode refuses the elision (typed) and must still agree with activity.
+#: mode refuses the elision (typed) and must still agree with naive.
 STRICT_ENV = default_strict_registers()
 
 
@@ -197,11 +196,11 @@ def assert_agree(reference, candidate, mode):
         )
 
 
-def assert_engine_modes_match_activity(
+def assert_engine_modes_match_naive(
     width, height, drive, params=None, host_ni=None
 ):
     reference, net_a = observe(
-        ACTIVITY_MODE, width, height, drive, params, host_ni
+        NAIVE_MODE, width, height, drive, params, host_ni
     )
     stats_a = net_a.kernel.kernel_stats()
     packets = len(net_a.config_module.completed)
@@ -209,7 +208,7 @@ def assert_engine_modes_match_activity(
     assert stats_a["config_packets_stepped"] == packets
     assert stats_a["config_packets_elided"] == 0
     assert stats_a["config_elision_refusals"] == {}
-    nets = {ACTIVITY_MODE: net_a}
+    nets = {NAIVE_MODE: net_a}
     for mode in ENGINE_MODES:
         candidate, net = observe(mode, width, height, drive, params, host_ni)
         assert_agree(reference, candidate, mode)
@@ -369,7 +368,7 @@ def drive_usecase_switch_under_traffic(net):
     ],
 )
 def test_scenario_matches_the_stepped_tree(drive):
-    nets = assert_engine_modes_match_activity(3, 3, drive, host_ni="NI11")
+    nets = assert_engine_modes_match_naive(3, 3, drive, host_ni="NI11")
     for mode in ENGINE_MODES:
         assert_all_elided(nets[mode])
 
@@ -377,7 +376,7 @@ def test_scenario_matches_the_stepped_tree(drive):
 def test_channel_config_packets_are_delivered_to_one_ni():
     """A connection's four CHANNEL_CONFIG packets each wake exactly the
     NI they address; the work is proportional to addressees."""
-    _, stepped = observe(ACTIVITY_MODE, 3, 3, drive_unicast)
+    _, stepped = observe(NAIVE_MODE, 3, 3, drive_unicast)
     _, net = observe(VECTOR_MODE, 3, 3, drive_unicast, strict=False)
     opcodes = [r.packet.opcode for r in net.config_module.completed]
     assert opcodes.count(Opcode.CHANNEL_CONFIG) == 4
@@ -398,7 +397,7 @@ def test_zero_cooldown_and_wide_words_on_a_deep_tree():
         teardown = net.teardown(handle, conn)
         return [handle, teardown], []
 
-    nets = assert_engine_modes_match_activity(
+    nets = assert_engine_modes_match_naive(
         4, 4, drive, params=params, host_ni="NI00"
     )
     for mode in ENGINE_MODES:
@@ -530,7 +529,7 @@ def test_random_op_sequences_match_the_stepped_tree(script):
     width, height = script["dims"]
     drive = drive_script(script)
     reference, net_a = observe(
-        ACTIVITY_MODE, width, height, drive, params, script["host"]
+        NAIVE_MODE, width, height, drive, params, script["host"]
     )
     assume(net_a.config_module.completed)
     for mode in ENGINE_MODES:
@@ -545,10 +544,10 @@ def test_random_op_sequences_match_the_stepped_tree(script):
 
 
 class TestConfigBurstMidIdleEngineModes:
-    """Sibling of ``tests/sim/test_fast_forward.py::TestConfigBurstMidIdle``
-    (activity vs naive, register lockstep).  Vector mode promises
-    less and says so: not the config-link registers, but every apply
-    cycle, the element state and ``setup_cycles`` of the naive kernel."""
+    """A config burst fired into a long idle period.  Vector mode
+    promises less than register lockstep and says so: not the
+    config-link registers, but every apply cycle, the element state and
+    ``setup_cycles`` of the naive kernel."""
 
     @pytest.mark.parametrize("mode", ENGINE_MODES)
     def test_burst_fired_into_idle_period_applies_on_naive_cycles(
@@ -577,8 +576,8 @@ class TestConfigBurstMidIdleEngineModes:
         assert engine["setup_cycles"] == naive["setup_cycles"]
         assert engine["timeline"] == naive["timeline"]
         assert engine["final"] == naive["final"]
-        # The whole tree stayed asleep: only the module and the
-        # addressed elements ever woke for the six packets.
+        # The tree's words never moved: the engine delivered the six
+        # packets, and only the callback's cycle was stepped.
         assert net.kernel.kernel_stats()["config_packets_elided"] == 6
         assert net.kernel.evaluations < 40
         assert root_words(net) == 0
@@ -643,7 +642,7 @@ def stepped_and_counted(net, kind, packets):
 class TestRefusals:
     @pytest.mark.parametrize("mode", ENGINE_MODES)
     def test_strict_registers(self, mode):
-        reference, _ = observe(ACTIVITY_MODE, 3, 3, drive_unicast)
+        reference, _ = observe(NAIVE_MODE, 3, 3, drive_unicast)
         candidate, net = observe(mode, 3, 3, drive_unicast, strict=True)
         assert_agree(reference, candidate, mode)
         stepped_and_counted(net, REFUSED_STRICT_REGISTERS, 6)
@@ -753,7 +752,7 @@ class TestRefusals:
             net.kernel.run_until(lambda: request.done, max_cycles=10_000)
             return [request], []
 
-        reference, _ = observe(ACTIVITY_MODE, 2, 2, drive)
+        reference, _ = observe(NAIVE_MODE, 2, 2, drive)
         assert reference["applies"] == []
         candidate, net = observe(mode, 2, 2, drive, strict=False)
         assert_agree(reference, candidate, mode)
@@ -893,7 +892,7 @@ class TestDepositSafety:
             injector.disarm()
             return [request, handle], []
 
-        reference, net_a = observe(ACTIVITY_MODE, 2, 2, drive)
+        reference, net_a = observe(NAIVE_MODE, 2, 2, drive)
         candidate, net = observe(mode, 2, 2, drive, strict=False)
         assert_agree(reference, candidate, mode)
         assert len(fault_log(net_a)) == 1
@@ -908,7 +907,7 @@ class TestDepositSafety:
 def mutant_survives(drive, width=3, height=3):
     """Whether the vector mode still agrees with the stepped tree."""
     reference, _ = observe(
-        ACTIVITY_MODE, width, height, drive, host_ni="NI11"
+        NAIVE_MODE, width, height, drive, host_ni="NI11"
     )
     try:
         candidate, _ = observe(

@@ -126,6 +126,25 @@ class TestArrival:
         words = ni.receive(3)
         assert [word.payload for word in words] == [0xBB]
 
+    def test_receive_on_a_channel_without_endpoint_creates_none(self):
+        """A polled sink on a torn-down channel must not bring back the
+        endpoint ``quiesce_channel`` dropped."""
+        _, ni, _, _ = isolated_ni()
+        ni.dest_channel(3)
+        ni.quiesce_channel(3)
+        assert ni.receive(3) == []
+        assert ni.receiver(3)(4) == []
+        assert 3 not in ni.dest_channels
+
+    def test_receive_on_a_live_channel_returns_its_words(self):
+        kernel, ni, _, in_link = isolated_ni()
+        ni.arrival_table.set_slot(0, 3)
+        in_link.send_word(Word(payload=0xCC, connection="c"))
+        kernel.step(2)
+        assert [word.payload for word in ni.receiver(3)(4)] == [0xCC]
+        assert ni.receive(3) == []
+        assert 3 in ni.dest_channels
+
     def test_unmapped_slot_drops(self):
         kernel, ni, _, in_link = isolated_ni()
         in_link.send_word(Word(payload=1))

@@ -12,7 +12,7 @@ from repro.errors import (
     SimulationError,
 )
 from repro.params import daelite_parameters
-from repro.sim.kernel import ACTIVITY_MODE, NAIVE_MODE, VECTOR_MODE
+from repro.sim.kernel import NAIVE_MODE, VECTOR_MODE
 from repro.topology import build_mesh
 
 
@@ -182,9 +182,7 @@ class TestStatistics:
 
 
 class TestSequentialOpens:
-    @pytest.mark.parametrize(
-        "mode", [NAIVE_MODE, ACTIVITY_MODE, VECTOR_MODE]
-    )
+    @pytest.mark.parametrize("mode", [NAIVE_MODE, VECTOR_MODE])
     def test_back_to_back_opens_never_idle_the_tree(self, mode):
         """N opens take exactly ``sum(setup_cycles) + N`` cycles: each
         wait returns one cycle after its set-up lands and the next

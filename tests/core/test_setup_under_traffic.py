@@ -1,11 +1,11 @@
-"""Set-up waits under live traffic: the engine against the activity kernel.
+"""Set-up waits under live traffic: the engine against the naive kernel.
 
 In ``vector`` mode a set-up wait is engine time (DESIGN.md §14.6): the
 engine decodes and applies the elided packets' deposits and takes the
 configuration module's turns itself, rides through every apply that
 misses what its live flows read, and stops at the end of the cycle of
 an apply that does not.  Every scenario here is built twice — on the
-vector and on the activity kernel — driven through the same operations
+vector and on the naive kernel — driven through the same operations
 of an :class:`~repro.core.online.OnlineConnectionManager` beside
 persistent flows, and compared in full at every wait boundary and after
 chunked runs: data-plane registers, statistics, sinks, link and router
@@ -16,7 +16,7 @@ The named cases drive each visibility rule of
 :meth:`~repro.sim.compiled.CompiledEngine._visible` true (the engine must
 stop and recompile) and false (it must ride through), and the reuse rule
 of an engine that rode through applies.  ``earliest_finish`` is held to
-the measured finish, in all three modes.  Planted mutants of the rules
+the measured finish, in both modes.  Planted mutants of the rules
 must each be killed.
 """
 
@@ -53,7 +53,7 @@ from repro.faults import FaultInjector, FaultPlan, TransientBitFlip
 from repro.params import daelite_parameters
 from repro.sim import compiled
 from repro.sim.compiled import CompiledEngine
-from repro.sim.kernel import ACTIVITY_MODE, NAIVE_MODE, VECTOR_MODE
+from repro.sim.kernel import NAIVE_MODE, VECTOR_MODE
 from repro.sim.replay import EpochReplay
 from repro.topology import build_mesh, ni_name
 from repro.traffic.generators import BurstGenerator, CbrGenerator
@@ -210,15 +210,15 @@ class Bench:
 
 
 def lockstep(drive: Callable[[Bench], Any], **bench) -> Bench:
-    """``drive`` on a vector and on an activity bench; every checkpoint
+    """``drive`` on a vector and on a naive bench; every checkpoint
     must agree.  Returns the vector bench."""
     benches = {}
-    for mode in (VECTOR_MODE, ACTIVITY_MODE):
+    for mode in (VECTOR_MODE, NAIVE_MODE):
         benches[mode] = Bench(mode, **bench)
         drive(benches[mode])
-    vector, activity = benches[VECTOR_MODE], benches[ACTIVITY_MODE]
-    assert len(vector.checkpoints) == len(activity.checkpoints)
-    for got, want in zip(vector.checkpoints, activity.checkpoints):
+    vector, naive = benches[VECTOR_MODE], benches[NAIVE_MODE]
+    assert len(vector.checkpoints) == len(naive.checkpoints)
+    for got, want in zip(vector.checkpoints, naive.checkpoints):
         assert got == want, f"diverged at {want[0]!r}"
     return vector
 
@@ -347,7 +347,7 @@ def drive_campaign(campaign):
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(campaign=campaigns())
-def test_manager_campaign_under_traffic_matches_activity(campaign):
+def test_manager_campaign_under_traffic_matches_naive(campaign):
     side, flows, _pool, _ops = campaign
     params = daelite_parameters(slot_table_size=8)
     allocator = SlotAllocator(topology=build_mesh(*side), params=params)
@@ -770,7 +770,7 @@ class TestBarriers:
             bench.check("after")
 
         vector = lockstep(drive)
-        assert seen[VECTOR_MODE] == seen[ACTIVITY_MODE]
+        assert seen[VECTOR_MODE] == seen[NAIVE_MODE]
         assert stats(vector)["active_cycles"] > 0
 
     def test_a_packet_only_the_tree_can_carry_is_stepped(self):
@@ -852,7 +852,7 @@ class TestBarriers:
 
 # -- the closed-form wait ----------------------------------------------------------
 
-ALL_MODES = (NAIVE_MODE, ACTIVITY_MODE, VECTOR_MODE)
+ALL_MODES = (NAIVE_MODE, VECTOR_MODE)
 
 
 def queue_response_free(bench: Bench) -> List[Any]:

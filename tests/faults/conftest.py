@@ -39,7 +39,7 @@ class RecordingSink(CheckingSink):
     """A checking sink that also keeps ``(cycle, payload)`` per word it
     consumes: the fault campaigns judge delivery by payload.  The
     engine admits only the library's sinks, so a network carrying one
-    steps on the activity kernel; the campaigns drain through bare
+    steps naively; the campaigns drain through bare
     callables, which keep them there anyway (``compiled_cycles`` 0)."""
 
     def __init__(self, *args, **kwargs) -> None:

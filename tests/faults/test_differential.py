@@ -2,10 +2,10 @@
 
 The acceptance bar: the same seed and fault plan must produce
 byte-identical fault-event logs and identical final network state on
-both the activity-driven and the naive every-cycle kernel.  Fault hooks
+``vector`` mode and the naive every-cycle kernel.  Fault hooks
 fire inside ``Link.send`` (whose call sequence the kernel-equivalence
 suite already pins down) and scheduled faults ride on start-of-cycle
-callbacks, which both kernels run before any component evaluates — so
+callbacks, which both modes run before any component evaluates — so
 nothing here may depend on the kernel mode.
 """
 
@@ -89,14 +89,14 @@ def run_campaign(mode: str, seed: int):
 
 @pytest.mark.parametrize("seed", [11, 41, 97])
 def test_fault_campaign_identical_across_kernels(seed):
-    activity = run_campaign("activity", seed)
+    vector = run_campaign("vector", seed)
     naive = run_campaign("naive", seed)
-    assert activity["plan"] == naive["plan"]
-    assert activity["fault_log"] == naive["fault_log"]
-    assert activity["received"] == naive["received"]
-    assert activity["findings"] == naive["findings"]
-    assert activity["tables"] == naive["tables"]
-    assert activity["dropped"] == naive["dropped"]
+    assert vector["plan"] == naive["plan"]
+    assert vector["fault_log"] == naive["fault_log"]
+    assert vector["received"] == naive["received"]
+    assert vector["findings"] == naive["findings"]
+    assert vector["tables"] == naive["tables"]
+    assert vector["dropped"] == naive["dropped"]
 
 
 def test_recovery_identical_across_kernels():
@@ -124,4 +124,4 @@ def test_recovery_identical_across_kernels():
             network.kernel.cycle,
         )
 
-    assert recover("activity") == recover("naive")
+    assert recover("vector") == recover("naive")

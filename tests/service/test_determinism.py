@@ -3,7 +3,7 @@
 The contract: a full churn campaign — opens, releases, renewals,
 repairs, sweeps, backoff delays, retry counts — is byte-identical
 across two fresh processes with the same seed, and across the
-``activity`` and ``vector`` kernels.  Idempotent replay must also
+``naive`` and ``vector`` kernels.  Idempotent replay must also
 survive racing a concurrent teardown.
 """
 
@@ -36,14 +36,14 @@ def run_campaign(kernel_mode, seed=7, ops=120):
 
 class TestChurnDeterminism:
     def test_two_fresh_runs_byte_identical(self):
-        assert run_campaign("activity") == run_campaign("activity")
+        assert run_campaign("vector") == run_campaign("vector")
 
     def test_identical_across_kernel_modes(self):
-        assert run_campaign("activity") == run_campaign("vector")
+        assert run_campaign("naive") == run_campaign("vector")
 
     def test_different_seed_diverges(self):
-        assert run_campaign("activity", seed=7) != run_campaign(
-            "activity", seed=8
+        assert run_campaign("vector", seed=7) != run_campaign(
+            "vector", seed=8
         )
 
 
@@ -79,13 +79,13 @@ class TestFaultCampaignDeterminism:
         return churn.digest(), report.payload()
 
     def test_fault_waves_byte_identical(self):
-        digest_a, payload_a = self.run_faulted("activity")
-        digest_b, payload_b = self.run_faulted("activity")
+        digest_a, payload_a = self.run_faulted("vector")
+        digest_b, payload_b = self.run_faulted("vector")
         assert digest_a == digest_b
         assert payload_a == payload_b
 
     def test_fault_waves_identical_across_kernels(self):
-        digest_a, payload_a = self.run_faulted("activity")
+        digest_a, payload_a = self.run_faulted("naive")
         digest_b, payload_b = self.run_faulted("vector")
         assert digest_a == digest_b
         assert payload_a == payload_b

@@ -20,7 +20,6 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.kernel import (
-    ACTIVITY_MODE,
     NAIVE_MODE,
     VECTOR_MODE,
     Component,
@@ -82,7 +81,7 @@ def build(mode: str, armed: bool):
     return kernel, driver, recorder
 
 
-@pytest.mark.parametrize("mode", [NAIVE_MODE, ACTIVITY_MODE, VECTOR_MODE])
+@pytest.mark.parametrize("mode", [NAIVE_MODE, VECTOR_MODE])
 def test_resume_after_an_aborted_cycle_matches_an_unaborted_run(mode):
     kernel, driver, recorder = build(mode, armed=True)
     with pytest.raises(SimulationError, match="boom"):

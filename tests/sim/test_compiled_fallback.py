@@ -1,8 +1,8 @@
 """The compiled engine refuses / is retired exactly when it must.
 
 Every non-compilable situation has a *typed* refusal reason, queryable
-from :meth:`Kernel.kernel_stats`, and always degrades to the activity
-kernel — never to wrong answers.  These tests pin each refusal kind to
+from :meth:`Kernel.kernel_stats`, and always degrades to naive
+stepping — never to wrong answers.  These tests pin each refusal kind to
 the situation that produces it, and verify the engine re-engages once
 the obstruction clears.
 """
@@ -31,7 +31,8 @@ from repro.faults import FaultInjector, FaultPlan, TransientBitFlip
 from repro.params import daelite_parameters
 from repro.sim.flit import Phit, Word
 from repro.sim.kernel import (
-    ACTIVITY_MODE,
+    KERNEL_MODE_ENV,
+    NAIVE_MODE,
     VECTOR_MODE,
     Component,
     CompileRefusal,
@@ -120,7 +121,7 @@ def test_armed_fault_injector_forces_fallback_and_reengages():
 
 def engine_ran(before, after):
     """Every cycle between two ``kernel_stats()`` snapshots was the
-    engine's: none fell back to the activity kernel."""
+    engine's: none fell back to naive stepping."""
     return (
         after["compiled_cycles"] - before["compiled_cycles"]
         == after["cycle"] - before["cycle"]
@@ -297,6 +298,60 @@ def test_tracer_refusal():
     assert stats["compiled_cycles"] == 0
 
 
+def test_fallback_steps_naively():
+    """A permanent refusal hands the cycles to naive stepping: every
+    component is evaluated on every fallback cycle, idle or not."""
+    net, _, _ = connected_compiled_net(tracer=Tracer())
+    kernel = net.kernel
+    refused = fallbacks(net)[CompileRefusal.TRACER_ACTIVE]
+    for cycles in (1, 37, 200):
+        evaluations, active = kernel.evaluations, kernel.active_cycles
+        net.run(cycles)
+        assert kernel.evaluations - evaluations == cycles * len(
+            kernel.components
+        )
+        assert kernel.active_cycles - active == cycles
+    assert fallbacks(net)[CompileRefusal.TRACER_ACTIVE] == refused + 3
+    assert kernel.compiled_cycles == 0
+
+
+def test_mode_switch_mid_flight_preserves_state():
+    """``set_mode`` at any cycle boundary, words in flight: vector →
+    naive → vector keeps every register and the ledger equal to a run
+    that stayed naive."""
+    switched, _, _ = connected_compiled_net()
+    reference, _, _ = connected_compiled_net(mode=NAIVE_MODE)
+    for mode, cycles in ((VECTOR_MODE, 17), (NAIVE_MODE, 100), (VECTOR_MODE, 300)):
+        switched.kernel.set_mode(mode)
+        switched.run(cycles)
+        reference.run(cycles)
+        for got, want in zip(
+            switched.kernel.all_registers(), reference.kernel.all_registers()
+        ):
+            assert got.q == want.q, got.name
+        assert switched.stats.counters() == reference.stats.counters()
+    assert switched.kernel.compiled_cycles > 0
+
+
+@pytest.mark.parametrize(
+    "select",
+    [
+        lambda monkeypatch: Kernel(mode="activity"),
+        lambda monkeypatch: Kernel(mode=NAIVE_MODE).set_mode("activity"),
+        lambda monkeypatch: (
+            monkeypatch.setenv(KERNEL_MODE_ENV, "activity"),
+            Kernel(),
+        ),
+    ],
+    ids=["constructor", "set_mode", "environment"],
+)
+def test_removed_activity_mode_is_a_typed_error(select, monkeypatch):
+    with pytest.raises(
+        SimulationError, match=r"'activity'.*\('naive', 'vector'\)"
+    ):
+        select(monkeypatch)
+
+
 def test_unsupported_component_refusal():
     net, handle, _ = connected_compiled_net()
     net.run(100)
@@ -343,9 +398,6 @@ def test_no_provider_refusal():
         def evaluate(self, cycle):
             pass
 
-        def next_evaluation(self, cycle):
-            return None
-
     kernel = Kernel(mode=VECTOR_MODE)
     kernel.add(Idle("idle"))
     kernel.step(25)
@@ -360,8 +412,8 @@ def test_no_provider_refusal():
 
 def test_off_schedule_phit_defers_as_datapath_busy():
     """A phit parked where the occupancy walk says none can be is
-    refused at import (typed, deferrable); the activity kernel drains
-    it and the engine re-engages."""
+    refused at import (typed, deferrable); naive stepping drains it
+    and the engine re-engages."""
     net, _, _ = connected_compiled_net()
     net.run(200)
     engine = net.kernel._engine
@@ -433,7 +485,7 @@ def test_parity_is_checked_at_arrival_and_taints_the_epoch():
     """A word corrupted in flight is dropped by the engine's ARRIVE
     with a ``parity_error`` fault, exactly as the stepped NI drops it,
     and the epoch it happened in is no replay template
-    (``_deltas_clean``): the statistics stay those of the activity
+    (``_deltas_clean``): the statistics stay those of the naive
     kernel through the replayed epochs that follow."""
 
     def corrupted_run(mode):
@@ -472,7 +524,7 @@ def test_parity_is_checked_at_arrival_and_taints_the_epoch():
     assert engine._deltas_clean(clean, clean)
     assert not engine._deltas_clean(clean, tainted)
 
-    reference, _ = corrupted_run(ACTIVITY_MODE)
+    reference, _ = corrupted_run(NAIVE_MODE)
     reference.run(2_040)
     net.run(2_000)
     stats = net.kernel.kernel_stats()

@@ -150,7 +150,7 @@ class TestKernel:
 
 
 class Mailbox(Component):
-    """Sleeps until something is in its inbox (state, not a register)."""
+    """Opens whatever is in its inbox (state, not a register)."""
 
     def __init__(self, name="mailbox"):
         super().__init__(name)
@@ -159,9 +159,6 @@ class Mailbox(Component):
 
     def post(self, item):
         self.inbox.append(item)
-
-    def next_evaluation(self, cycle):
-        return cycle if self.inbox else None
 
     def evaluate(self, cycle):
         while self.inbox:
@@ -176,16 +173,12 @@ class Poster(Component):
         self.mailbox = mailbox
         self.cycles = sorted(cycles)
 
-    def next_evaluation(self, cycle):
-        later = [at for at in self.cycles if at >= cycle]
-        return later[0] if later else None
-
     def evaluate(self, cycle):
         if cycle in self.cycles:
             self.mailbox.post(cycle)
 
 
-@pytest.mark.parametrize("mode", ["naive", "activity", "vector"])
+@pytest.mark.parametrize("mode", ["naive", "vector"])
 class TestCallbackSchedule:
     def test_same_cycle_callbacks_keep_registration_order(self, mode):
         kernel = Kernel(mode=mode)
@@ -217,13 +210,13 @@ class TestCallbackSchedule:
 
 
 class TestEventDrivenSchedule:
-    """The activity kernel asks a component no register woke for
-    ``next_evaluation`` at its own turn, so work a peer queued for it is
-    seen exactly when the naive order sees it."""
+    """Work one component queues for another outside the registers is
+    seen in component order.  These kernels have no compile provider, so
+    ``vector`` mode runs them on its fallback, which must be the naive
+    order exactly."""
 
     def build(self, poster_first, cycles=(10, 200)):
-        # Not strict: its checks ask too, and polls are counted below.
-        kernel = Kernel(mode="activity", strict_registers=False)
+        kernel = Kernel(mode="vector")
         mailbox = Mailbox()
         poster = Poster("poster", mailbox, cycles)
         for component in (
@@ -257,7 +250,7 @@ class TestEventDrivenSchedule:
     def test_external_mutation_between_steps_needs_no_touch(self):
         kernel, mailbox = self.build(poster_first=True, cycles=())
         kernel.step(100)
-        mailbox.inbox.append("by hand")  # asked afresh before the jump
+        mailbox.inbox.append("by hand")
         kernel.step(100)
         assert mailbox.opened == [(100, "by hand")]
 

@@ -1,27 +1,29 @@
-"""Differential proof that the activity-driven kernel is cycle-accurate.
+"""Differential proof that ``vector`` mode is cycle-accurate, cycle by
+cycle.
 
 Every scenario is built twice — once on the naive every-cycle kernel
-(the reference semantics) and once on the activity-driven kernel — and
-run in lockstep.  After *every* cycle, every register output of both
-networks must be bit-identical; afterwards, the per-connection
-statistics (counts and full latency distributions) and per-word
-lifecycles must match exactly.
+(the reference semantics) and once in ``vector`` mode — and run in
+lockstep.  After *every* cycle, every register output of both networks
+must be bit-identical; afterwards, the per-connection statistics
+(counts and full latency distributions) must match exactly.
 
 Hypothesis drives random topologies, random allocated connections, and
-random traffic through both builds.  Any divergence — a component the
-activity kernel failed to wake, a register it failed to latch, a cycle
-fast-forward skipped that was not actually quiescent — shows up as the
-first differing register, with its name and cycle.
+random traffic through both builds.  Any divergence — an engine run
+that left a register unmaterialized, a barrier it crossed — shows up
+as the first differing register, with its name and cycle.  aelite has
+no compiled model, so its scenarios pin the fallback: ``vector`` mode
+steps them naively and must be indistinguishable from ``naive``.
 
 The second half ("live reconfiguration") covers what the first cannot.
 Stepping one cycle per ``run(1)`` and injecting through callbacks — as
 the scenarios above do — never lets one component queue work for
-another inside the kernel's own loop, where the activity kernel asks
-a sleeping component for ``next_evaluation`` at its turn.  There,
-generators, sinks and shells (components) move the traffic while a
-connection is opened and closed in single ``run_until`` calls, and a
-:class:`RegisterProbe` — itself a component — records every register
-after every edge from inside those calls.
+another inside the kernel's own loop.  There, generators, sinks and
+shells (components) move the traffic while a connection is opened and
+closed in single ``run_until`` calls, and a :class:`RegisterProbe` —
+itself a component — records every register outside the config tree
+after every edge from inside those calls.  Shells and the probe are components the engine
+does not lower, so these runs take the fallback, entering and leaving
+it across every set-up and tear-down.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from repro.shells import (
     aelite_ports,
     daelite_ports,
 )
-from repro.sim.kernel import ACTIVITY_MODE, NAIVE_MODE, Component
+from repro.sim.kernel import NAIVE_MODE, VECTOR_MODE, Component
 from repro.topology import build_mesh, ni_name
 from repro.traffic import (
     BurstGenerator,
@@ -143,20 +145,20 @@ def assert_same_registers(kernel_a, kernel_b, cycle_label: str) -> None:
         assert reg_a.name == reg_b.name
         assert reg_a.q == reg_b.q, (
             f"{cycle_label}: register {reg_a.name} diverged — "
-            f"naive={reg_b.q!r}, activity={reg_a.q!r}"
+            f"naive={reg_b.q!r}, vector={reg_a.q!r}"
         )
     assert len(regs_a) == len(regs_b)
 
 
-def run_lockstep(net_activity, net_naive, cycles: int) -> None:
+def run_lockstep(net_vector, net_naive, cycles: int) -> None:
     """Advance both networks one cycle at a time, comparing every
     register output after every clock edge."""
-    assert net_activity.kernel.cycle == net_naive.kernel.cycle
+    assert net_vector.kernel.cycle == net_naive.kernel.cycle
     for _ in range(cycles):
-        net_activity.run(1)
+        net_vector.run(1)
         net_naive.run(1)
         assert_same_registers(
-            net_activity.kernel,
+            net_vector.kernel,
             net_naive.kernel,
             f"cycle {net_naive.kernel.cycle}",
         )
@@ -209,20 +211,20 @@ def build_daelite(scenario: Scenario, mode: str):
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(scenario=scenarios())
-def test_daelite_activity_kernel_matches_naive(scenario: Scenario):
+def test_daelite_vector_kernel_matches_naive_cycle_by_cycle(scenario: Scenario):
     params = daelite_parameters(slot_table_size=8)
     try:
         allocate(scenario, params)
     except AllocationError:
         assume(False)
-    net_activity = build_daelite(scenario, ACTIVITY_MODE)
+    net_vector = build_daelite(scenario, VECTOR_MODE)
     net_naive = build_daelite(scenario, NAIVE_MODE)
-    run_lockstep(net_activity, net_naive, scenario.run_cycles)
-    assert stats_snapshot(net_activity.stats) == stats_snapshot(
+    run_lockstep(net_vector, net_naive, scenario.run_cycles)
+    assert stats_snapshot(net_vector.stats) == stats_snapshot(
         net_naive.stats
     )
     assert (
-        net_activity.total_dropped_words == net_naive.total_dropped_words
+        net_vector.total_dropped_words == net_naive.total_dropped_words
     )
 
 
@@ -264,20 +266,20 @@ def build_aelite(scenario: Scenario, mode: str):
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(scenario=scenarios())
-def test_aelite_activity_kernel_matches_naive(scenario: Scenario):
+def test_aelite_vector_kernel_matches_naive_cycle_by_cycle(scenario: Scenario):
     params = aelite_parameters(slot_table_size=8)
     try:
         allocate(scenario, params)
     except AllocationError:
         assume(False)
-    net_activity = build_aelite(scenario, ACTIVITY_MODE)
+    net_vector = build_aelite(scenario, VECTOR_MODE)
     net_naive = build_aelite(scenario, NAIVE_MODE)
-    run_lockstep(net_activity, net_naive, scenario.run_cycles)
-    assert stats_snapshot(net_activity.stats) == stats_snapshot(
+    run_lockstep(net_vector, net_naive, scenario.run_cycles)
+    assert stats_snapshot(net_vector.stats) == stats_snapshot(
         net_naive.stats
     )
     assert (
-        net_activity.total_dropped_words == net_naive.total_dropped_words
+        net_vector.total_dropped_words == net_naive.total_dropped_words
     )
 
 
@@ -286,8 +288,7 @@ def test_aelite_activity_kernel_matches_naive(scenario: Scenario):
 
 def test_configuration_reaches_same_cycle_in_both_modes():
     """Blocking configuration (run_until on handle.done) must complete
-    at the same cycle in both modes — the predicate only observes
-    simulation state, which fast-forward provably cannot change."""
+    at the same cycle in both modes."""
     scenario = Scenario(
         width=2,
         height=2,
@@ -299,7 +300,7 @@ def test_configuration_reaches_same_cycle_in_both_modes():
     params = daelite_parameters(slot_table_size=8)
     mesh, allocated = allocate(scenario, params)
     cycles = []
-    for mode in (ACTIVITY_MODE, NAIVE_MODE):
+    for mode in (VECTOR_MODE, NAIVE_MODE):
         net = DaeliteNetwork(mesh, params, kernel_mode=mode)
         for connection in allocated:
             net.configure(connection)
@@ -312,12 +313,20 @@ def test_configuration_reaches_same_cycle_in_both_modes():
 
 class RegisterProbe(Component):
     """Records every register output after every clock edge, from inside
-    the run (see the module docstring).  Declares every register as an
+    the run (see the module docstring), save the config tree's: those
+    carry words only when a packet is stepped through the tree, and
+    ``vector`` mode delivers response-free packets to their addressees
+    only (DESIGN.md §14.2).  Declares every register it reads as an
     input, so it also runs clean under strict-registers."""
 
     def __init__(self, kernel) -> None:
         super().__init__("probe")
-        self._watched = kernel.all_registers()
+        self._watched = [
+            register
+            for register in kernel.all_registers()
+            if not register.name.startswith("cfglink.")
+            and not register.name.endswith((".cfg_fwd", ".cfg_resp"))
+        ]
         self.frames: List[Tuple[int, tuple]] = []
 
     def external_inputs(self):
@@ -335,11 +344,11 @@ def attach_probe(net) -> RegisterProbe:
     return probe
 
 
-def assert_same_frames(probe_activity, probe_naive) -> None:
+def assert_same_frames(probe_vector, probe_naive) -> None:
     names = [register.name for register in probe_naive._watched]
-    assert names == [r.name for r in probe_activity._watched]
+    assert names == [r.name for r in probe_vector._watched]
     for (cycle_a, frame_a), (cycle_n, frame_n) in zip(
-        probe_activity.frames, probe_naive.frames
+        probe_vector.frames, probe_naive.frames
     ):
         assert cycle_a == cycle_n
         if frame_a != frame_n:
@@ -348,9 +357,9 @@ def assert_same_frames(probe_activity, probe_naive) -> None:
             )
             raise AssertionError(
                 f"cycle {cycle_n}: register {names[index]} diverged — "
-                f"naive={frame_n[index]!r}, activity={frame_a[index]!r}"
+                f"naive={frame_n[index]!r}, vector={frame_a[index]!r}"
             )
-    assert len(probe_activity.frames) == len(probe_naive.frames)
+    assert len(probe_vector.frames) == len(probe_naive.frames)
 
 
 @dataclass(frozen=True)
@@ -590,7 +599,7 @@ def live_daelite_allocatable(scenario: LiveScenario) -> bool:
 @given(scenario=live_scenarios())
 def test_daelite_live_reconfiguration_matches_naive(scenario: LiveScenario):
     assume(live_daelite_allocatable(scenario))
-    probe_a, outcome_a = run_live_daelite(scenario, ACTIVITY_MODE)
+    probe_a, outcome_a = run_live_daelite(scenario, VECTOR_MODE)
     probe_n, outcome_n = run_live_daelite(scenario, NAIVE_MODE)
     assert_same_frames(probe_a, probe_n)
     assert outcome_a == outcome_n
@@ -694,7 +703,7 @@ def run_live_aelite(scenario: LiveScenario, mode: str):
 @given(scenario=live_scenarios(nis=AELITE_REMOTES, dims=((2, 2),)))
 def test_aelite_live_reconfiguration_matches_naive(scenario: LiveScenario):
     try:
-        probe_a, outcome_a = run_live_aelite(scenario, ACTIVITY_MODE)
+        probe_a, outcome_a = run_live_aelite(scenario, VECTOR_MODE)
     except AllocationError:
         assume(False)
     probe_n, outcome_n = run_live_aelite(scenario, NAIVE_MODE)
@@ -723,7 +732,7 @@ def run_recycled_index(mode: str):
     )
     net.kernel.add_all([gen, sink])
     probe = attach_probe(net)
-    net.run(150)  # drained; the sink is asleep on an empty queue
+    net.run(150)  # drained; the sink polls an empty queue
     manager.close_connection("first")
     second = manager.open_connection(
         ConnectionRequest("second", "NI10", "NI11", forward_slots=2)
@@ -745,7 +754,7 @@ def run_recycled_index(mode: str):
 
 
 def test_sink_on_a_recycled_channel_index_is_not_stranded():
-    probe_a, outcome_a = run_recycled_index(ACTIVITY_MODE)
+    probe_a, outcome_a = run_recycled_index(VECTOR_MODE)
     probe_n, outcome_n = run_recycled_index(NAIVE_MODE)
     sink_state, _ = outcome_n
     assert sink_state == (14, {"first": 5, "second": 7}, [])
@@ -753,3 +762,133 @@ def test_sink_on_a_recycled_channel_index_is_not_stranded():
     # The probe predates ``gen.second`` (which owns no register), so the
     # frames still cover every register of both builds.
     assert_same_frames(probe_a, probe_n)
+
+
+# -- work queued between components inside one long run ----------------------
+#
+# Nothing here steps cycle by cycle or uses ``kernel.at``: work has to
+# cross between components inside the kernel's own loop — a generator
+# into its source NI, an NI into a sink's queue, a sink's drain into the
+# NI's credits, a component into the configuration module, the module
+# into the elided packets' ports.
+
+
+def latencies(net):
+    return {
+        label: dict(stats.latency_histogram)
+        for label, stats in net.stats.connections.items()
+    }
+
+
+def sink_state(sink):
+    """What a sink keeps: its word count and checker state."""
+    return sink.words_received, dict(sink._last_seq), list(sink.findings)
+
+
+def daelite_flow(mode: str, strict: bool):
+    """A flow-controlled CBR flow into a slow sink: the
+    generator queues words at the source NI (``submit``), the
+    destination NI fills the sink's queue (delivery), and the sink's
+    drain — long after the arrival that last ran the destination NI —
+    leaves that NI credits to return (``receive``).  40 words through
+    an 8-word queue need all three."""
+    params = daelite_parameters(slot_table_size=8)
+    mesh = build_mesh(2, 2)
+    connection = SlotAllocator(mesh, params).allocate_connection(
+        ConnectionRequest("c", "NI00", "NI11", forward_slots=2)
+    )
+    net = DaeliteNetwork(mesh, params, kernel_mode=mode)
+    net.kernel.strict_registers = strict
+    handle = net.configure(connection)
+    gen = CbrGenerator(
+        "gen",
+        net.ni("NI00").injector(handle.forward.src_channel, "c"),
+        period=7,
+        total_words=40,
+    )
+    sink = ThrottledSink(
+        "sink",
+        net.ni("NI11").receiver(handle.forward.dst_channel),
+        period=25,
+        words_per_drain=4,
+    )
+    net.kernel.add_all([gen, sink])
+    net.run(1500)
+    return handle.setup_cycles, sink_state(sink), latencies(net)
+
+
+class LateRequester(Component):
+    """Asks the host for a connection from inside its own evaluate, so
+    the configuration module's work is queued mid-run."""
+
+    def __init__(self, net, connection, fire: int) -> None:
+        super().__init__("requester")
+        self.net = net
+        self.connection = connection
+        self.fire = fire
+        self.handle = None
+
+    def evaluate(self, cycle: int) -> None:
+        if cycle == self.fire:
+            self.handle = self.net.host.setup_connection(self.connection)
+
+
+def daelite_late_setup(mode: str, strict: bool):
+    params = daelite_parameters(slot_table_size=8)
+    mesh = build_mesh(2, 2)
+    connection = SlotAllocator(mesh, params).allocate_connection(
+        ConnectionRequest("late", "NI01", "NI10", forward_slots=1)
+    )
+    net = DaeliteNetwork(mesh, params, kernel_mode=mode)
+    net.kernel.strict_registers = strict
+    requester = LateRequester(net, connection, fire=50)
+    net.kernel.add(requester)
+    net.run(1000)
+    handle = requester.handle
+    return handle.done, handle.done and handle.finished_at
+
+
+def aelite_flow(mode: str, strict: bool):
+    """The aelite twin of :func:`daelite_flow` (credits ride in packet
+    headers; the sink is behind a bare callable)."""
+    params = aelite_parameters(slot_table_size=8)
+    mesh = build_mesh(2, 2)
+    connection = SlotAllocator(mesh, params).allocate_connection(
+        ConnectionRequest("c", "NI00", "NI11", forward_slots=2)
+    )
+    net = AeliteNetwork(mesh, params, kernel_mode=mode)
+    net.kernel.strict_registers = strict
+    handle = net.install_connection(connection)
+    src, dst = net.ni("NI00"), net.ni("NI11")
+    gen = CbrGenerator(
+        "gen",
+        lambda payload: src.submit(handle.forward.src_connection, payload),
+        period=7,
+        total_words=40,
+    )
+    sink = ThrottledSink(
+        "sink",
+        lambda limit: dst.receive(handle.forward.dst_queue, limit),
+        period=25,
+        words_per_drain=4,
+    )
+    net.kernel.add_all([gen, sink])
+    net.run(1500)
+    return sink_state(sink), latencies(net)
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    # aelite steps on the fallback; the daelite flow runs its set-up
+    # wait and its traffic on the engine; the requester is a component
+    # the engine cannot lower, so the elided packets' deposits are
+    # stepped naively.
+    [aelite_flow, daelite_flow, daelite_late_setup],
+    ids=lambda value: value.__name__,
+)
+def test_work_queued_between_components_matches_naive(scenario):
+    # Strict first: the stepped cycles keep the register contract.
+    scenario(VECTOR_MODE, strict=True)
+    assert scenario(VECTOR_MODE, strict=False) == scenario(
+        NAIVE_MODE, strict=False
+    )

@@ -1,8 +1,7 @@
 """Differential proof that the compiled engine (``vector`` mode) is bit-exact.
 
-Every scenario is built twice — once on the activity kernel (already
-proven cycle-accurate against the naive reference in
-``test_kernel_equivalence``) and once on the vector kernel — and run
+Every scenario is built twice — once on the naive reference kernel and
+once on the vector kernel — and run
 through an identical sequence of ``step`` chunks.  At every chunk
 boundary the engine materializes its flat state back into the Register
 objects, so all register outputs must be bit-identical, and so must the
@@ -20,7 +19,7 @@ The engine applies the success branch of each per-word model method
 inline and calls the method for everything else (DESIGN.md §10.2); one
 section drives every such precondition false inside an engine run and
 compares what the method then does — the exception, or the fault log and
-ledger — with the activity kernel's.  The last section plants engine
+ledger — with the naive kernel's.  The last section plants engine
 mutants, one per inlined site among them, and requires the same
 differential assertions to kill each one.
 """
@@ -51,7 +50,6 @@ from repro.sim import compiled
 from repro.sim.compiled import CompiledEngine
 from repro.sim.flit import Phit, Word
 from repro.sim.kernel import (
-    ACTIVITY_MODE,
     NAIVE_MODE,
     VECTOR_MODE,
     CompileRefusal,
@@ -238,7 +236,7 @@ def assert_same_registers(kernel_a, kernel_b, cycle_label: str) -> None:
         assert reg_a.name == reg_b.name
         assert reg_a.q == reg_b.q, (
             f"{cycle_label}: register {reg_a.name} diverged — "
-            f"activity={reg_b.q!r}, vector={reg_a.q!r}"
+            f"naive={reg_b.q!r}, vector={reg_a.q!r}"
         )
     assert len(regs_a) == len(regs_b)
 
@@ -302,12 +300,12 @@ def endpoint_image(net):
 
 def run_in_lockstep(build, chunks, tamper=None, endpoints=False):
     """``build(mode) -> (net, gens, sinks)`` on the vector and on the
-    activity kernel, stepped through ``chunks`` and compared in full
+    naive kernel, stepped through ``chunks`` and compared in full
     after each (``endpoints``: the channel endpoints too).
     ``tamper(index, net)`` is applied to each build before chunk
     ``index`` (the mutant campaigns' way in)."""
     net_v, gens_v, sinks_v = build(VECTOR_MODE)
-    net_a, gens_a, sinks_a = build(ACTIVITY_MODE)
+    net_a, gens_a, sinks_a = build(NAIVE_MODE)
     assert net_v.kernel.cycle == net_a.kernel.cycle
     for index, chunk in enumerate(chunks):
         if tamper is not None:
@@ -399,7 +397,7 @@ def steady_scenario() -> Scenario:
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(scenario=scenarios())
-def test_daelite_vector_kernel_matches_activity(scenario: Scenario):
+def test_daelite_vector_kernel_matches_naive(scenario: Scenario):
     params = daelite_parameters(slot_table_size=8)
     try:
         allocate(scenario, params)
@@ -460,9 +458,9 @@ def crossing_scenario() -> Scenario:
     )
 
 
-def test_replay_matches_activity_3x3():
+def test_replay_matches_naive_3x3():
     """The multi-flow 3x3 scenario replays and stays bit-identical to
-    the activity reference."""
+    the naive reference."""
     net = run_chunked_differential(crossing_scenario())
     kernel_stats = net.kernel.kernel_stats()
     assert kernel_stats["compiled_cycles"] > 0
@@ -471,10 +469,10 @@ def test_replay_matches_activity_3x3():
     )
 
 
-def test_16x16_matches_activity():
+def test_16x16_matches_naive():
     """A 16x16 fabric (512 elements) delivers the same word stream,
     statistics and landing registers through replayed epochs as the
-    activity reference does by stepping."""
+    naive reference does by stepping."""
     request = ConnectionRequest(
         "far", "NI00", ni_name(15, 15), forward_slots=2
     )
@@ -689,11 +687,10 @@ def test_trace_generator_added_after_its_first_entry():
     later ones fire at their cycles, in every mode."""
     naive = late_trace(NAIVE_MODE)
     assert naive[:3] == ([100, 120], [2, 3], True)
-    assert late_trace(ACTIVITY_MODE) == naive
     assert late_trace(VECTOR_MODE) == naive
 
 
-@pytest.mark.parametrize("mode", [NAIVE_MODE, ACTIVITY_MODE, VECTOR_MODE])
+@pytest.mark.parametrize("mode", [NAIVE_MODE, VECTOR_MODE])
 def test_sinks_hold_no_per_word_state(mode):
     """A sink's containers do not grow with the words it consumes: after
     four times the run, every one has the length it had, while the word
@@ -731,7 +728,7 @@ def ledger_entries(stats):
     return entries
 
 
-@pytest.mark.parametrize("mode", [NAIVE_MODE, ACTIVITY_MODE, VECTOR_MODE])
+@pytest.mark.parametrize("mode", [NAIVE_MODE, VECTOR_MODE])
 def test_ledger_holds_no_per_word_state(mode):
     """One flow carrying N and then 10N words leaves the ledger holding
     as many entries either way: counts, not history."""
@@ -786,16 +783,16 @@ def build_aelite(scenario: Scenario, mode: str):
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(scenario=scenarios())
-def test_aelite_vector_mode_matches_activity(scenario: Scenario):
+def test_aelite_vector_mode_matches_naive(scenario: Scenario):
     """aelite has no compiled data-plane model; vector mode must fall
-    back transparently and still be bit-identical to activity."""
+    back transparently and still be bit-identical to naive."""
     params = aelite_parameters(slot_table_size=8)
     try:
         allocate(scenario, params)
     except AllocationError:
         assume(False)
     net_v = build_aelite(scenario, VECTOR_MODE)
-    net_a = build_aelite(scenario, ACTIVITY_MODE)
+    net_a = build_aelite(scenario, NAIVE_MODE)
     for chunk in scenario.chunks:
         net_v.run(chunk)
         net_a.run(chunk)
@@ -882,10 +879,10 @@ def test_usecase_switch_campaign_is_bit_exact():
     """The vector engine rides through a use-case switch — the set-up
     of "b" is engine time, the tear-down of a still-flowing "a" is
     caught as visible and recompiled — then replays the *new* steady
-    state, with every checkpoint identical to the activity
+    state, with every checkpoint identical to the naive
     reference."""
     net_v, chk_v, (boot, torn, switched) = run_switch_campaign(VECTOR_MODE)
-    net_a, chk_a, _ = run_switch_campaign(ACTIVITY_MODE)
+    net_a, chk_a, _ = run_switch_campaign(NAIVE_MODE)
     assert len(chk_v) == len(chk_a)
     for index, (snap_v, snap_a) in enumerate(zip(chk_v, chk_a)):
         assert snap_v == snap_a, f"checkpoint {index} diverged"
@@ -967,12 +964,12 @@ def run_regime_revisit_campaign(mode: str):
 def test_regime_revisit_campaign_replays_from_cache():
     """Three use-case switches, two of them revisiting a prior regime:
     the vector engine replays in *every* revisited regime,
-    bit-identical to the activity reference, and the revisits are
+    bit-identical to the naive reference, and the revisits are
     served from the regime cache (immediate replay, no two-epoch
     probe).  The switches configure only the idle "b", so one engine
     rides through all three: nothing is lowered again."""
     net_v, chk_v, seg_v = run_regime_revisit_campaign(VECTOR_MODE)
-    net_a, chk_a, _ = run_regime_revisit_campaign(ACTIVITY_MODE)
+    net_a, chk_a, _ = run_regime_revisit_campaign(NAIVE_MODE)
     assert len(chk_v) == len(chk_a)
     for index, (snap_v, snap_a) in enumerate(zip(chk_v, chk_a)):
         assert snap_v == snap_a, f"checkpoint {index} diverged"
@@ -1074,7 +1071,7 @@ def before_chunk(when, change):
 
 def assert_engine_never_stood_down(net):
     """Every cycle since set-up was the engine's: what the run shows is
-    the engine's doing, not an activity-kernel fallback's."""
+    the engine's doing, not a naive fallback's."""
     stats = net.kernel.kernel_stats()
     assert stats["compile_fallbacks"] == stats["compile_deferrals"] == {}
 
@@ -1085,7 +1082,7 @@ def raises_in_lockstep(build, chunks, tamper, error, match):
     ledger and fault log, same sinks, generators and destination queues
     (the arrivals before the failing one are applied, nothing after it
     is).  Source-side state is left out: in its failing cycle the
-    activity kernel has already let the NIs registered before the
+    naive kernel has already let the NIs registered before the
     failing one inject.  The vector build must have raised from inside
     an engine run that left a fast path (``model_calls``)."""
     built = {}
@@ -1096,7 +1093,7 @@ def raises_in_lockstep(build, chunks, tamper, error, match):
 
     run_in_lockstep(keep, chunks[:-1], tamper, endpoints=True)
     outcomes = []
-    for mode in (VECTOR_MODE, ACTIVITY_MODE):
+    for mode in (VECTOR_MODE, NAIVE_MODE):
         net, gens, sinks = built[mode]
         tamper(len(chunks) - 1, net)
         engine = net.kernel._engine
@@ -1280,7 +1277,7 @@ class TestEverySlowBranchIsReachedAndCompared:
         cycle, with the same message and an unchanged ledger in both
         kernels."""
         outcomes = []
-        for mode in (VECTOR_MODE, ACTIVITY_MODE):
+        for mode in (VECTOR_MODE, NAIVE_MODE):
             net, _, _ = one_flow(mode, period=7, total_words=10)
             net.stats.record_injection(
                 Word(payload=0, connection="a", sequence=50), 0
@@ -1680,7 +1677,7 @@ class TestPlantedEngineMutantsAreKilled:
             lambda self, deltas, epochs: None,
         )
         assert not mutant_survives(test_vector_epoch_replay_is_bit_exact)
-        assert not mutant_survives(test_replay_matches_activity_3x3)
+        assert not mutant_survives(test_replay_matches_naive_3x3)
 
     def test_boundary_signature_ignoring_credit_counter(self, monkeypatch):
         """Finding: between two boundaries of one undisturbed run the
@@ -1776,4 +1773,4 @@ class TestPlantedEngineMutantsAreKilled:
             CompiledEngine, "_account", staticmethod(pay_only)
         )
         assert not mutant_survives(test_vector_epoch_replay_is_bit_exact)
-        assert not mutant_survives(test_replay_matches_activity_3x3)
+        assert not mutant_survives(test_replay_matches_naive_3x3)

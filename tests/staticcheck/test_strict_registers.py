@@ -26,8 +26,6 @@ class Victim(Component):
     def evaluate(self, cycle):
         self.reg.drive(cycle)
 
-    def next_evaluation(self, cycle):
-        return cycle
 
 
 class Spy(Component):
@@ -41,8 +39,6 @@ class Spy(Component):
     def evaluate(self, cycle):
         self.seen = self.victim.reg.q
 
-    def next_evaluation(self, cycle):
-        return cycle
 
 
 class HonestSpy(Spy):
@@ -62,8 +58,6 @@ class PassiveOwner(Component):
     def evaluate(self, cycle):
         pass
 
-    def next_evaluation(self, cycle):
-        return None
 
 
 class ForeignWriter(Component):
@@ -84,11 +78,9 @@ class ForeignWriter(Component):
     def evaluate(self, cycle):
         self.victim.reg.drive(99)
 
-    def next_evaluation(self, cycle):
-        return cycle
 
 
-@pytest.mark.parametrize("mode", ["activity", "naive"])
+@pytest.mark.parametrize("mode", ["naive", "vector"])
 def test_undeclared_read_raises(mode):
     kernel = Kernel(mode=mode, strict_registers=True)
     victim = Victim()
@@ -102,7 +94,7 @@ def test_undeclared_read_raises(mode):
     assert "victim.r" in message
 
 
-@pytest.mark.parametrize("mode", ["activity", "naive"])
+@pytest.mark.parametrize("mode", ["naive", "vector"])
 def test_declared_read_is_clean(mode):
     kernel = Kernel(mode=mode, strict_registers=True)
     victim = Victim()
@@ -170,43 +162,28 @@ class Poster(Component):
     """Queues work into a peer at ``fire`` from its own evaluate; the
     peer's own registers never say so."""
 
-    def __init__(self, mailbox, fire, until):
+    def __init__(self, mailbox, fire):
         super().__init__("poster")
         self.mailbox = mailbox
         self.fire = fire
-        self.until = until
-
-    def next_evaluation(self, cycle):
-        # Keeps the kernel executing cycles up to ``until``.
-        return cycle if cycle <= self.until else None
 
     def evaluate(self, cycle):
         if cycle == self.fire:
-            self.post(cycle)
-
-    def post(self, cycle):
-        self.mailbox.inbox.append(cycle)
-
-
-def wake_contract_kernel(poster_first, until):
-    kernel = Kernel(mode="activity", strict_registers=True)
-    mailbox = Mailbox()
-    poster = Poster(mailbox, fire=20, until=until)
-    kernel.add_all((poster, mailbox) if poster_first else (mailbox, poster))
-    return kernel, mailbox
+            self.mailbox.inbox.append(cycle)
 
 
 @pytest.mark.parametrize("poster_first", [True, False])
 def test_touch_keeps_the_contract(poster_first):
-    """Work a peer queues needs no wake call: the mailbox is asked at
-    its turn — in the posting cycle when the poster runs first, one
-    cycle later otherwise — under strict checking, and also when the
-    poster goes quiet right after posting, so that the next cycle is
-    reached by a fast-forward."""
-    for until in (40, 20):
-        kernel, mailbox = wake_contract_kernel(poster_first, until)
-        kernel.step(100)
-        assert mailbox.opened == [(20 if poster_first else 21, 20)]
+    """Work a peer queues outside the registers keeps the contract: the
+    mailbox opens it in the posting cycle when the poster runs first,
+    one cycle later otherwise, under strict checking (``vector`` mode
+    steps a strict kernel on its naive fallback)."""
+    kernel = Kernel(mode="vector", strict_registers=True)
+    mailbox = Mailbox()
+    poster = Poster(mailbox, fire=20)
+    kernel.add_all((poster, mailbox) if poster_first else (mailbox, poster))
+    kernel.step(100)
+    assert mailbox.opened == [(20 if poster_first else 21, 20)]
 
 
 def test_env_default(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import TrafficError
 from repro.sim import Kernel, Word
-from repro.sim.kernel import ACTIVITY_MODE, NAIVE_MODE
+from repro.sim.kernel import NAIVE_MODE, VECTOR_MODE
 from repro.traffic import (
     BurstGenerator,
     CbrGenerator,
@@ -127,7 +127,7 @@ class TestTrace:
         kernel.step(2)
         assert generator.done
 
-    @pytest.mark.parametrize("mode", [NAIVE_MODE, ACTIVITY_MODE])
+    @pytest.mark.parametrize("mode", [NAIVE_MODE, VECTOR_MODE])
     def test_added_after_its_first_entry(self, mode):
         """An entry before the cycle the generator joins never fires;
         the later ones still fire at their cycles."""
