@@ -18,14 +18,18 @@ It is the one engine behind ``vector`` mode, in three layers:
 
 * **Stepping** — :meth:`CompiledEngine.run_to` puts the phits it finds
   in the data registers back on their trajectories and then runs an
-  event loop over per-cycle buckets.  In a cycle: link entries
-  (injection recorded) and arrivals (parity check, delivery, ejection
-  recorded, credit return) in naive stepping's order; the slot
-  owners — NI channels — that are *armed*, i.e. may have a word or
-  credits to send in the phase they own, each launching at most one
-  phit as two bucket entries (its link entry, its arrival; one arrival
-  per leaf of a multicast tree); the generators due; the sinks whose
-  queue holds words.  At each of these per-word sites the loop tests
+  event loop over per-cycle buckets.  In a cycle: arrivals (parity
+  check, delivery, ejection recorded, credit return) and the link
+  entries whose injection was not recorded at launch, in naive
+  stepping's order; the slot owners — NI channels — that are *armed*,
+  i.e. may have a word or credits to send in the phase they own, each
+  launching at most one phit as one bucket entry per leaf of its
+  trajectory (one arrival, or one per leaf of a multicast tree) and
+  recording its word's injection at the link entry the trajectory
+  fixes; the generators due; the sinks whose queue holds words, each
+  drain also making the visit of a reverse channel that has nothing
+  but those credits to send.  Both are taken back at a barrier that
+  comes before them.  At each of these per-word sites the loop tests
   the success precondition of the model method it stands in for —
   ``take_word``, ``StatsCollector.record_injection`` /
   ``record_ejection``, ``deliver``,
@@ -38,9 +42,10 @@ It is the one engine behind ``vector`` mode, in three layers:
   of shadowing it (``model_calls`` counts those calls; DESIGN.md §10.2
   has the table).  An owner is armed by a generator firing into its
   channel, by credits arriving for it and by a sink drain leaving
-  credits for it to return, and stays armed while it can send; an idle
-  network handles no events.  Link and router counters are paid per
-  launch, whole trajectories at a time, and settled at every *barrier*
+  credits for it to return that it cannot send alone, and stays armed
+  while it can send; an idle network handles no events.  Link and
+  router counters are paid per launch, whole trajectories at a time,
+  and settled at every *barrier*
   — each exit, normal or exceptional, and each replay boundary — where
   phits still in flight take back the steps they have not executed and
   are written to the registers they occupy, so registers, counters and
@@ -114,7 +119,7 @@ from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..errors import SimulationError
-from .flit import Phit, Word, parity_of, stamp_injected
+from .flit import Phit, Word, new_word, parity_of, stamp_injected
 from .kernel import CompileRefusal, Kernel
 from .lowering import (
     LoweredArtifacts,
@@ -491,8 +496,12 @@ class _Owner:
     lowering): the source channel it injects from with its two flag
     bits decoded (the registers of every channel that can act are
     frozen for a run: an apply that writes one ends it, callbacks are
-    barriers), the paired destination whose credits it returns, and
-    whether a visit is scheduled (``armed``)."""
+    barriers), the paired destination whose credits it returns,
+    whether a visit is scheduled (``armed``), the connection only it
+    launches words of in the run (``label``: its words' injections are
+    recorded at launch), and the cycle of its next visit when a sink
+    drain made that visit in its place (``fold_at``, -1 without one:
+    see :meth:`CompiledEngine._unfold`)."""
 
     __slots__ = (
         "index",
@@ -503,6 +512,8 @@ class _Owner:
         "slots",
         "first",
         "armed",
+        "label",
+        "fold_at",
     )
 
     index: int
@@ -513,6 +524,8 @@ class _Owner:
     slots: List[Any]
     first: List[int]
     armed: bool
+    label: Optional[str]
+    fold_at: int
 
     def __init__(
         self, index: int, plan: _OwnerPlan, source: Any, dest: Any
@@ -525,6 +538,8 @@ class _Owner:
         self.slots = plan.slots
         self.first = plan.first
         self.armed = False
+        self.label = None
+        self.fold_at = -1
 
 
 def compile_network(network: Any, token: int) -> Any:
@@ -722,14 +737,19 @@ class CompiledEngine:
         self._ring: List[List[tuple]] = [
             [] for _ in range(lowered.ring_size)
         ]
+        #: The owners given a folded visit since the last barrier (at
+        #: least those whose ``fold_at`` is set).
+        self._folded: List[_Owner] = []
         #: Launches per trajectory since the last barrier (phits, and
         #: those of them carrying a word), and which have any.
         self._launched_phits = [0] * len(lowered.trajectories)
         self._launched_words = [0] * len(lowered.trajectories)
         self._launched: List[_Trajectory] = []
         #: Events handled by :meth:`run_to` over the engine's life:
-        #: link entries, arrivals, slot-owner visits, generator firings
-        #: and sink visits.  A deterministic cost figure — it does not
+        #: arrivals, link entries not recorded at launch, slot-owner
+        #: visits, generator firings and sink visits — the ones applied:
+        #: those an exception leaves behind are counted by the run that
+        #: applies them.  A deterministic cost figure — it does not
         #: depend on how many hops a word crosses.
         self.events_handled = 0
         #: Times :meth:`run_to` left a per-word fast path for the model
@@ -885,7 +905,7 @@ class CompiledEngine:
                 ).append(owner.index)
             if owner.source.queue or (dest is not None and dest.pending_credits):
                 add(owner.index)
-        for gen, owner, _firing in gen_runs:
+        for gen, owner, _firing, _label in gen_runs:
             if not gen.done:
                 live_src.add((id(gen.inject.ni), gen.inject.channel))
                 if owner is not None:
@@ -1150,15 +1170,48 @@ class CompiledEngine:
                     (trajectory.entry_order, None, word, None)
                 )
 
-    def _unload(self, cycle: int) -> None:
+    def _unfold(self, owner: _Owner) -> None:
+        """Take back ``owner``'s folded credit-only visit: its phit
+        leaves the ring and the launch counts, its credits are pending
+        again."""
+        at = owner.fold_at
+        trajectory = owner.slots[at % self.wheel].trajectory
+        ring = self._ring
+        mask = self._mask
+        for delay, _order, leaf in trajectory.launch:
+            bucket = ring[(at + delay) & mask]
+            phit = next(entry for entry in bucket if entry[1] is leaf)
+            bucket.remove(phit)
+        self._launched_phits[trajectory.tid] -= 1
+        owner.dest.pending_credits += phit[3]
+        owner.fold_at = -1
+
+    def _unload(self, cycle: int, reached: int = -1) -> List[_Owner]:
         """The barrier: leave ``_cur`` holding the state entering
         ``cycle`` and every link / router counter exact.
 
-        Launches since the last barrier are applied to the counters as
-        whole trajectories; each phit still in flight then takes back
-        the steps it has not executed and is written to the registers
-        its pending arrivals say it holds.  The cost is the launches
-        plus the phits in flight, not the size of the schedule."""
+        What the run applied ahead of its cycle is taken back first: a
+        credit-only launch folded into a sink drain whose collecting
+        cycle is not reached (returned: those owners have credits to
+        send again), and an injection recorded at launch whose link
+        entry is not.  In ``cycle`` itself ``reached`` says how far the
+        run got: -1 nowhere, ``_NEVER`` past every event and slot
+        owner, else to the event of that rank an exception interrupted.
+        Launches since the last barrier are then applied to the
+        counters as whole trajectories; each phit still in flight takes
+        back the steps it has not executed and is written to the
+        registers its pending arrivals say it holds.  The cost is the
+        launches plus the phits in flight, not the size of the
+        schedule."""
+        undone: List[_Owner] = []
+        for owner in self._folded:
+            if owner.fold_at > cycle or (
+                owner.fold_at == cycle and reached < _NEVER
+            ):
+                self._unfold(owner)
+                undone.append(owner)
+            owner.fold_at = -1
+        self._folded.clear()
         phits = self._launched_phits
         words = self._launched_words
         for trajectory in self._launched:
@@ -1171,6 +1224,10 @@ class CompiledEngine:
                     router.forwarded_words += words[tid] * fanout
             phits[tid] = words[tid] = 0
         self._launched.clear()
+        connections = self.stats.connections
+        # Per connection, the first sequence number taken back: the
+        # ledger's last injected one is the sequence before it.
+        rolled: Dict[str, int] = {}
         ring = self._ring
         mask = self._mask
         cur: Dict[int, Phit] = {}
@@ -1178,6 +1235,21 @@ class CompiledEngine:
             bucket = ring[(cycle + ahead) & mask]
             for _order, leaf, word, credit_bits in bucket:
                 if leaf is not None:
+                    if (
+                        word is not None
+                        and (stamp := word.injected_at) >= cycle
+                        and (stamp > cycle or leaf.entry_order > reached)
+                    ):
+                        # Once per word: a multicast word, taken back at
+                        # its first leaf, is unstamped at the others.
+                        label = word.connection
+                        sequence = word.sequence
+                        ledger = connections[label]
+                        stamp_injected(word, -1)
+                        ledger.injected -= 1
+                        ledger.undelivered.discard(sequence)
+                        if sequence < rolled.get(label, _NEVER):
+                            rolled[label] = sequence
                     # A launch of this very cycle (an exit between
                     # injection and the end of the cycle) sits one step
                     # before its seed register: write it there.
@@ -1187,7 +1259,10 @@ class CompiledEngine:
                     )
                     self._account(leaf, word is not None, step, -1)
             bucket.clear()
+        for label, sequence in rolled.items():
+            connections[label].last_sequence = sequence - 1
         self._cur = cur
+        return undone
 
     # -- execution ---------------------------------------------------------------
 
@@ -1199,9 +1274,9 @@ class CompiledEngine:
         either has no work in the run or ends it.  Returns one
         :class:`_Owner` per owner plan (``None`` where the source
         channel does not exist), one ``(generator, owner it feeds, how
-        it fires)`` per generator, one ``(sink, destination, period,
-        owners returning its credits)`` per sink, and the sink indices
-        on each arrival channel.
+        it fires, connection label of its words)`` per generator, one
+        ``(sink, destination, period, owners returning its credits)``
+        per sink, and the sink indices on each arrival channel.
         """
         model = _model()
         owners: List[Optional[_Owner]] = []
@@ -1233,7 +1308,15 @@ class CompiledEngine:
                     firing = _FIRE_CBR
                 elif type(gen) is model.BurstGenerator:
                     firing = _FIRE_BURST
-            gen_runs.append((gen, owner, firing))
+            inject = gen.inject
+            gen_runs.append(
+                (
+                    gen,
+                    owner,
+                    firing,
+                    inject.connection or f"{inject.ni.name}.ch{inject.channel}",
+                )
+            )
         sink_runs = []
         sinks_on: List[List[int]] = [[] for _ in self.dest_keys]
         for sink_index, (sink, ni, channel, period) in enumerate(self.sinks):
@@ -1243,6 +1326,42 @@ class CompiledEngine:
             if dest is not None and dest_id is not None:
                 sinks_on[dest_id].append(sink_index)
         return owners, gen_runs, sink_runs, sinks_on
+
+    def _claim_labels(
+        self, owners: List[Optional[_Owner]], gen_runs: List[tuple]
+    ) -> None:
+        """Give each owner the ``label`` of a connection whose words only
+        it can launch in the run — fired by a generator into it, queued
+        on its source, or in flight from it in a register.  Its
+        launches are then its only link entries for that connection and
+        follow them in order, so each injection can be recorded at its
+        launch (:meth:`run_to`)."""
+        index = self.index[self.kernel.cycle % self.wheel]
+        plan_of = self._plan_of
+        claimed: List[Tuple[str, Optional[_Owner]]] = [
+            (label, owner)
+            for _gen, owner, _firing, label in gen_runs
+            if owner is not None
+        ]
+        claimed += [
+            (word.connection, owner)
+            for owner in owners
+            if owner is not None
+            for word in owner.source.queue
+        ]
+        claimed += [
+            (phit.word.connection, owners[plan_of[index[rid][0]]])
+            for rid, phit in self._cur.items()
+            if phit.word is not None
+        ]
+        claims: Dict[str, Optional[_Owner]] = {}
+        for label, owner in claimed:
+            claims[label] = (
+                owner if claims.get(label, owner) is owner else None
+            )
+        for label, owner in claims.items():
+            if owner is not None and owner.label is None:
+                owner.label = label
 
     def run_to(self, end: int) -> Optional[CompileRefusal]:
         """Advance the network towards ``end``; ``None`` on success.
@@ -1283,6 +1402,7 @@ class CompiledEngine:
             return None
         if refusal is not None:
             return refusal
+        self._claim_labels(owners, gen_runs)
         # Replay needs traffic: a run without generators never probes.
         replay_ok = self.replay_refusal is None and bool(self.gens)
         if self.replay_refusal is not None:
@@ -1292,6 +1412,7 @@ class CompiledEngine:
         connections = stats.connections
         last_ejected = stats._last_ejected
         wheel = self.wheel
+        wps = self.network.params.words_per_slot
         credit_cap = self.credit_cap
         replay = self.replay
         intern = None if replay is None else replay.intern
@@ -1300,6 +1421,7 @@ class CompiledEngine:
         launched = self._launched
         launched_phits = self._launched_phits
         launched_words = self._launched_words
+        folded = self._folded
 
         # Armed owners by the cycle of their next owned phase (same
         # ring geometry as the arrivals), sinks by the cycle of their
@@ -1311,27 +1433,60 @@ class CompiledEngine:
         dests: List[Any] = [None] * len(sinks_on)
 
         def arm(owner: _Owner, start: int) -> None:
-            """Visit ``owner`` at its first owned phase from ``start``."""
-            if not owner.armed:
-                owner.armed = True
-                owner_ring[
-                    (start + owner.first[start % wheel]) & mask
-                ].append(owner)
+            """Visit ``owner``, which is not armed, at its first owned
+            phase from ``start``.  A folded visit that this one comes
+            before is taken back."""
+            if owner.fold_at >= start:
+                self._unfold(owner)
+            owner.armed = True
+            owner_ring[(start + owner.first[start % wheel]) & mask].append(
+                owner
+            )
+
+        def fold_credits(owner: _Owner, dest: Any, start: int) -> None:
+            """Make now the next visit from ``start`` of ``owner``,
+            which is not armed and has no word queued: at its first
+            credit-collecting phase it launches ``dest``'s pending
+            credits, all of them, alone (see ``_unfold``) — unless a
+            config event comes first, whose model code reads (and an
+            apply may write) those credits: then the owner is armed."""
+            at = start + owner.first[start % wheel]
+            if at % wps:
+                # Mid-slot: the slot's collecting phase, its first, is
+                # behind; the next owned slot's is the next one.
+                at += wps - at % wps
+                at += owner.first[at % wheel]
+            if at > cfg_next:
+                arm(owner, start)
+                return
+            trajectory = owner.slots[at % wheel].trajectory
+            credits = dest.pending_credits
+            dest.pending_credits = 0
+            tid = trajectory.tid
+            count = launched_phits[tid]
+            if not count:
+                launched.append(trajectory)
+            launched_phits[tid] = count + 1
+            for delay, order, leaf in trajectory.launch:
+                ring[(at + delay) & mask].append((order, leaf, None, credits))
+            if owner.fold_at < 0:
+                folded.append(owner)
+            owner.fold_at = at
 
         def wake(sink_index: int, start: int) -> None:
-            """Visit the sink at its first drain cycle from ``start``."""
-            if not sink_waiting[sink_index]:
-                sink_waiting[sink_index] = True
-                sink_run = sink_runs[sink_index]
-                if start < sink_run[0].start_cycle:
-                    start = sink_run[0].start_cycle
-                if sink_run[2]:
-                    start += -start % sink_run[2]
-                due = sink_due.get(start)
-                if due is None:
-                    sink_due[start] = [sink_index]
-                else:
-                    due.append(sink_index)
+            """Visit the sink, which is not waiting, at its first drain
+            cycle from ``start``."""
+            sink_waiting[sink_index] = True
+            sink_run = sink_runs[sink_index]
+            if start < sink_run[0].start_cycle:
+                start = sink_run[0].start_cycle
+            if sink_run[2]:
+                start += -start % sink_run[2]
+            due = sink_due.get(start)
+            if due is None:
+                sink_due[start] = [sink_index]
+            else:
+                due.append(sink_index)
 
         def arm_all(start: int) -> int:
             """(Re)derive every schedule from state entering ``start``;
@@ -1427,6 +1582,11 @@ class CompiledEngine:
         # The link entry or arrival being applied, until its first
         # side effect; then what is left of it to apply, if anything.
         current: Optional[tuple] = None
+        # How far into ``cycle`` the run got, for ``_unload``: -1 before
+        # its events, ``None`` inside them (the one interrupted, if an
+        # exception comes, is ``current`` or ``leaf``), ``_NEVER`` past.
+        reached: Optional[int] = -1
+        leaf: Any = None
 
         try:
             while cycle < end:
@@ -1465,7 +1625,7 @@ class CompiledEngine:
                         # Barrier: the signature, the snapshot and the
                         # in-flight rewrite all read registers and
                         # counters.
-                        self._unload(cycle)
+                        undone = self._unload(cycle)
                         loaded = False
                         boundary = cycle
                         sig = self._signature(cycle, self._cur)
@@ -1518,6 +1678,11 @@ class CompiledEngine:
                             # The clock jumped: every schedule is
                             # re-derived from the landing state.
                             gen_due = arm_all(cycle)
+                        else:
+                            # The credits of launches taken back are
+                            # collected by visits again.
+                            for owner in undone:
+                                arm(owner, cycle)
                     if events is not None:
                         events.clear()
                     next_boundary = cycle + period
@@ -1529,7 +1694,8 @@ class CompiledEngine:
                     # Arrivals and link entries, in naive stepping's
                     # order; popped before they are applied, so
                     # whatever an exception leaves in the bucket has not
-                    # happened.
+                    # happened (and is not counted).
+                    reached = None
                     handled += len(bucket)
                     if len(bucket) > 1:
                         bucket.sort(key=_EVENT_ORDER, reverse=True)
@@ -1538,23 +1704,12 @@ class CompiledEngine:
                         leaf = current[1]
                         word = current[2]
                         if leaf is None:
-                            # ``StatsCollector.record_injection``: an
-                            # unstamped word of a known connection, past
-                            # its last injected sequence.
-                            ledger = connections.get(word.connection)
-                            sequence = word.sequence
-                            if (
-                                ledger is not None
-                                and word.injected_at < 0
-                                and sequence > ledger.last_sequence
-                            ):
-                                stamp_injected(word, cycle)
-                                ledger.injected += 1
-                                ledger.last_sequence = sequence
-                                ledger.undelivered.add(sequence)
-                            else:
-                                model_calls += 1
-                                stats.record_injection(word, cycle)
+                            # A link entry whose injection was not
+                            # recorded at launch: the connection's first
+                            # word, one a barrier put back in a register,
+                            # and every unusual case.
+                            model_calls += 1
+                            stats.record_injection(word, cycle)
                             current = None
                             continue
                         ni = leaf.ni
@@ -1574,8 +1729,9 @@ class CompiledEngine:
                                 else None
                             )
                             parity = word.parity
-                            if parity is None or parity == parity_of(
-                                word.payload
+                            if (
+                                parity is None
+                                or parity == word.payload.bit_count() & 1
                             ):
                                 # ``DestChannel.deliver``: room in the
                                 # queue, or nobody counting.
@@ -1613,7 +1769,8 @@ class CompiledEngine:
                                     model_calls += 1
                                     stats.record_ejection(word, cycle, ni.name)
                                 for sink_index in sinks_on[dest_id]:
-                                    wake(sink_index, cycle)
+                                    if not sink_waiting[sink_index]:
+                                        wake(sink_index, cycle)
                             else:
                                 ni.dropped_words += 1
                                 current = rest
@@ -1648,9 +1805,16 @@ class CompiledEngine:
                             owner_index = leaf.ni_owners.get(paired)
                             if owner_index is not None:
                                 owner = owners[owner_index]
-                                if owner is not None and owner.source.queue:
+                                if (
+                                    owner is not None
+                                    and not owner.armed
+                                    and owner.source.queue
+                                ):
                                     arm(owner, cycle)
                         current = None
+                # Every event of the cycle is applied; an exception from
+                # here on leaves its link entries and launches done.
+                reached = _NEVER
 
                 bucket = owner_ring[at]
                 if bucket:
@@ -1695,11 +1859,37 @@ class CompiledEngine:
                             launched_phits[tid] = count + 1
                             if word is not None:
                                 launched_words[tid] += 1
-                                ring[
-                                    (cycle + trajectory.entry_delay) & mask
-                                ].append(
-                                    (trajectory.entry_order, None, word, None)
-                                )
+                                # ``StatsCollector.record_injection`` at
+                                # the link entry, done at launch: an
+                                # unstamped word of a connection only
+                                # this owner launches, the next after
+                                # its last injected one (so every
+                                # earlier injection is recorded).  A
+                                # barrier before the entry takes it
+                                # back (``_unload``).
+                                sequence = word.sequence
+                                if (
+                                    word.connection == owner.label
+                                    and word.injected_at < 0
+                                    and (
+                                        ledger := connections.get(
+                                            word.connection
+                                        )
+                                    )
+                                    is not None
+                                    and sequence == ledger.last_sequence + 1
+                                ):
+                                    entry = cycle + trajectory.entry_delay
+                                    stamp_injected(word, entry)
+                                    ledger.injected += 1
+                                    ledger.last_sequence = sequence
+                                    ledger.undelivered.add(sequence)
+                                else:
+                                    ring[
+                                        (cycle + trajectory.entry_delay) & mask
+                                    ].append(
+                                        (trajectory.entry_order, None, word, None)
+                                    )
                             for delay, order, leaf in trajectory.launch:
                                 ring[(cycle + delay) & mask].append(
                                     (order, leaf, word, credits)
@@ -1768,7 +1958,7 @@ class CompiledEngine:
                     while gen_heap and gen_heap[0][0] == cycle:
                         handled += 1
                         gen_index = gen_heap[0][1]
-                        gen, owner, firing = gen_runs[gen_index]
+                        gen, owner, firing, label = gen_runs[gen_index]
                         if firing == _FIRE_MODEL:
                             model_calls += 1
                             gen.evaluate(cycle)
@@ -1780,10 +1970,6 @@ class CompiledEngine:
                             inject = gen.inject
                             ni = inject.ni
                             channel = inject.channel
-                            label = (
-                                inject.connection
-                                or f"{ni.name}.ch{channel}"
-                            )
                             queue = owner.source.queue
                             generated = gen.words_generated
                             sequence = ni._sequence_counters.get(channel, 0)
@@ -1791,12 +1977,11 @@ class CompiledEngine:
                             for _ in range(gen.burst_words if burst else 1):
                                 payload = generated & _PAYLOAD_MASK
                                 queue.append(
-                                    Word(
+                                    new_word(
                                         payload,
                                         label,
                                         sequence,
-                                        -1,
-                                        parity_of(payload),
+                                        payload.bit_count() & 1,
                                     )
                                 )
                                 generated += 1
@@ -1810,7 +1995,7 @@ class CompiledEngine:
                             heappop(gen_heap)
                         else:
                             heapreplace(gen_heap, (fire, gen_index))
-                        if owner is not None:
+                        if owner is not None and not owner.armed:
                             arm(owner, cycle + 1)
                     gen_due = gen_heap[0][0] if gen_heap else _NEVER
 
@@ -1829,7 +2014,9 @@ class CompiledEngine:
                             # words are popped as they are consumed,
                             # nothing in between can raise.
                             queue = dest.queue
-                            count = min(len(queue), sink.words_per_cycle)
+                            count = len(queue)
+                            if count > sink.words_per_cycle:
+                                count = sink.words_per_cycle
                             if dest.flags & FLAG_FLOW_CONTROLLED:
                                 dest.pending_credits += count
                             for _ in range(count):
@@ -1844,7 +2031,8 @@ class CompiledEngine:
                                     == sequence - 1
                                     and (
                                         (parity := word.parity) is None
-                                        or parity == parity_of(word.payload)
+                                        or parity
+                                        == word.payload.bit_count() & 1
                                     )
                                 ):
                                     sink.words_received += 1
@@ -1862,12 +2050,29 @@ class CompiledEngine:
                                         )
                                     )
                             if dest.pending_credits:
+                                # The owner returning them visits only
+                                # to do so when it has no word queued:
+                                # that visit is folded into this drain.
                                 for owner in credited:
-                                    arm(owner, cycle + 1)
+                                    if owner.armed:
+                                        continue
+                                    if owner.fold_at > cycle:
+                                        # Folded credits not yet sent
+                                        # are sent with these.
+                                        self._unfold(owner)
+                                    if (
+                                        len(credited) == 1
+                                        and not owner.source.queue
+                                        and dest.pending_credits <= credit_cap
+                                    ):
+                                        fold_credits(owner, dest, cycle + 1)
+                                    else:
+                                        arm(owner, cycle + 1)
                             if dest.queue:
                                 wake(sink_index, cycle + 1)
 
                 cycle += 1
+                reached = -1
                 if halt:
                     # An apply changed what this run executes: end at
                     # the cycle boundary; the kernel re-acquires.
@@ -1892,9 +2097,15 @@ class CompiledEngine:
                     cycle,
                 )
             if loaded:
+                if clean_exit:
+                    reached = -1
+                elif reached is None:
+                    # What the exception left in the bucket never ran.
+                    handled -= len(ring[cycle & mask])
+                    reached = leaf.order if current is None else current[0]
                 if current is not None:
                     ring[cycle & mask].append(current)
-                self._unload(cycle)
+                self._unload(cycle, reached)
             self._export_registers()
             self.events_handled += handled
             self.model_calls += model_calls

@@ -114,8 +114,9 @@ class _Leaf:
     register the phit holds at each step on the way there.  ``order`` is
     the arrival's rank among one cycle's events (NI registration order,
     an NI's arrival before its link entry — naive stepping's
-    order).  ``links`` (driven at ``link_steps``) and ``routers``
-    (crossed at ``router_steps`` with ``fanouts``) are the counter
+    order), ``entry_order`` that of its trajectory's link entry.
+    ``links`` (driven at ``link_steps``) and ``routers`` (crossed at
+    ``router_steps`` with ``fanouts``) are the counter
     effects this leaf accounts for: every op of the tree belongs to
     exactly one leaf whose path crosses it, so the effects of a phit's
     unexecuted steps are the sum over its pending leaves.
@@ -125,6 +126,7 @@ class _Leaf:
         "ni",
         "channel",
         "order",
+        "entry_order",
         "dest_id",
         "ni_owners",
         "step",
@@ -139,6 +141,7 @@ class _Leaf:
     ni: Any
     channel: int
     order: int
+    entry_order: int
     #: Dense id of the ``(NI, channel)`` the leaf delivers into.
     dest_id: int
     #: Owner-plan index by source channel, for the leaf's NI.
@@ -406,8 +409,10 @@ def _lower_schedule(network: Any) -> Any:
     lowered.owners = owners
     lowered.dest_keys = dest_keys
     # Every event is scheduled fewer than ``ring_size`` cycles ahead:
-    # an arrival at most ``longest + 1``, an owner at most ``wheel``.
-    lowered.ring_size = 1 << max(wheel, longest + 2).bit_length()
+    # an arrival at most ``longest + 1``, an owner at most ``wheel``, a
+    # credit-only launch folded into a sink drain (at most ``wheel``
+    # cycles before it launches) at most ``wheel + longest + 1``.
+    lowered.ring_size = 1 << (wheel + longest + 2).bit_length()
     return lowered
 
 
@@ -489,6 +494,7 @@ def _walk_seed(
         leaf.ni = ni
         leaf.channel = channel
         leaf.order = 2 * ni_index
+        leaf.entry_order = entry_order
         leaf.dest_id = dest_keys.setdefault(
             (ni.name, channel), len(dest_keys)
         )

@@ -1,14 +1,18 @@
 """The compiled engine's own work, counted.
 
 How many events the engine handles per delivered word — the same on a
-2-router and on a 23-router path — how many model methods it calls
-whatever the word count, that an idle configured fabric costs it no
-events, and that a use-case switch beside live traffic is engine time.
+2-router and on a 23-router path, and fewer still on the benchmark's
+12x12 fabric — which events come back when a fold's precondition is
+false, how many model methods it calls whatever the word count, that an
+idle configured fabric costs it no events, and that a use-case switch
+beside live traffic is engine time.
 """
 
 from __future__ import annotations
 
-from repro.alloc import ConnectionRequest, SlotAllocator
+import random
+
+from repro.alloc import ConnectionRequest, MulticastRequest, SlotAllocator
 from repro.core import DaeliteNetwork, OnlineConnectionManager
 from repro.core.config_network import ConfigModule
 from repro.core.config_port import ConfigPort
@@ -20,10 +24,14 @@ from repro.traffic import CbrGenerator, CheckingSink, random_traffic_pattern
 
 
 class TestEngineWork:
-    #: Per delivered word: the generator firing, the source's slot, the
-    #: link entry, the arrival, the sink's drain, the destination's slot
-    #: returning the credit, and that credit's arrival.
-    EVENTS_PER_WORD = 7
+    #: Per delivered word: the generator firing, the source's slot (the
+    #: word's link entry is recorded at its launch), the arrival, the
+    #: sink's drain (the credit-only visit of the idle reverse channel
+    #: is folded into it), and that credit's arrival.
+    EVENTS_PER_WORD = 5
+    #: Per connection: the link entry of its first word, which opens
+    #: the connection's ledger column.
+    EVENTS_PER_CONNECTION = 1
     WORDS = 40
     #: Model methods the engine reaches per connection plus destination,
     #: whatever the word count: ``StatsCollector._inject`` for the first
@@ -35,10 +43,12 @@ class TestEngineWork:
     #: ``run_one_flow``: one connection, one destination.
     BOUND = MODEL_CALLS_PER_ENDPOINT * (1 + 1)
 
-    def run_one_flow(self, width, height, words=WORDS):
+    def run_one_flow(self, width, height, words=WORDS, backlog=0):
         """One flow-controlled CBR flow corner to corner, stepped by the
         engine until every word is delivered and every credit is home;
-        returns ``(net, engine, words delivered)``."""
+        returns ``(net, engine, words delivered)``.  ``backlog`` words
+        queued on the reverse channel outlast its credits, so its source
+        always has a word queued when the sink drains."""
         params = daelite_parameters(
             slot_table_size=16, config_word_bits=10
         )
@@ -55,6 +65,8 @@ class TestEngineWork:
         net.kernel.strict_registers = False  # the subject is the engine
         handle = net.configure(connection)
         net.run_until_configured(handle)
+        for payload in range(backlog):
+            net.ni(dst).submit(handle.reverse.src_channel, payload, "back")
         # The prime period keeps lcm(wheel, period) past the replay
         # probe budget: every word is stepped, none replayed.
         period = 2053
@@ -94,7 +106,7 @@ class TestEngineWork:
         assert (
             near.events_handled
             == far.events_handled
-            == self.EVENTS_PER_WORD * self.WORDS
+            == self.EVENTS_PER_WORD * self.WORDS + self.EVENTS_PER_CONNECTION
         )
         assert 0 < near.model_calls == far.model_calls <= self.BOUND
 
@@ -105,8 +117,136 @@ class TestEngineWork:
         _, short, short_words = self.run_one_flow(2, 1)
         _, longer, longer_words = self.run_one_flow(2, 1, 3 * self.WORDS)
         assert (short_words, longer_words) == (self.WORDS, 3 * self.WORDS)
-        assert longer.events_handled == self.EVENTS_PER_WORD * longer_words
+        assert (
+            longer.events_handled
+            == self.EVENTS_PER_WORD * longer_words + self.EVENTS_PER_CONNECTION
+        )
         assert 0 < short.model_calls == longer.model_calls <= self.BOUND
+
+    def test_first_word_keeps_its_link_entry_event(self):
+        """The entry fold's precondition driven false: a connection's
+        first word has no ledger column to record into at its launch,
+        so its link entry is an event (and ``record_injection`` opens
+        the column); the words after it have none."""
+        _, one, one_word = self.run_one_flow(2, 1, 1)
+        _, two, two_words = self.run_one_flow(2, 1, 2)
+        assert (one_word, two_words) == (1, 2)
+        assert one.events_handled == self.EVENTS_PER_WORD + 1
+        assert two.events_handled - one.events_handled == self.EVENTS_PER_WORD
+
+    def test_queued_reverse_words_keep_the_credit_visit(self):
+        """The credit fold's precondition driven false: the reverse
+        channel's source always has a word queued, so each drain arms
+        its slot owner, which visits to return the credit — one event
+        more per word than the folded launch."""
+        backlog = 3 * self.WORDS
+        _, short, short_words = self.run_one_flow(2, 1, backlog=backlog)
+        _, longer, longer_words = self.run_one_flow(
+            2, 1, 2 * self.WORDS, backlog=backlog
+        )
+        assert (short_words, longer_words) == (self.WORDS, 2 * self.WORDS)
+        assert longer.events_handled - short.events_handled == (
+            self.EVENTS_PER_WORD + 1
+        ) * self.WORDS
+
+    #: ``events_handled / words delivered`` on the benchmark's fabric
+    #: (6.18 before the link entry and the credit-only slot visit were
+    #: folded into the launches that fix them).
+    FABRIC_EVENTS_PER_WORD = 4.6
+
+    def test_benchmark_fabric_events_and_model_calls(self):
+        """The benchmark's fabric shape, built through the library: a
+        12x12 mesh, 48 flow-controlled connections and 4 three-leaf
+        multicast trees fed at the coprime periods 61/67/71/73/79, so
+        every cycle is stepped.  A multicast word is one firing, slot
+        and launch for three deliveries; a unicast word pays for its
+        credit's arrival.  Model calls stay within two per connection
+        plus destination."""
+        mesh = build_mesh(12, 12)
+        params = daelite_parameters(slot_table_size=32, config_word_bits=10)
+        nis = [element.name for element in mesh.nis if element.name != "NI00"]
+        allocator = SlotAllocator(topology=mesh, params=params)
+        connections = [
+            allocator.allocate_connection(request)
+            for request in random_traffic_pattern(
+                nis, 48, seed=2026, slots_min=1, slots_max=2
+            )
+        ]
+        rng = random.Random(2026)
+        trees = []
+        for index in range(4):
+            src, *leaves = rng.sample(nis, 4)
+            trees.append(
+                allocator.allocate_multicast(
+                    MulticastRequest(f"tree{index}", src, tuple(leaves), slots=2)
+                )
+            )
+        net = DaeliteNetwork(
+            mesh, params, host_ni="NI00", kernel_mode=VECTOR_MODE
+        )
+        net.kernel.strict_registers = False  # the subject is the engine
+        streams = []
+        for connection in connections:
+            handle = net.configure(connection)
+            forward = connection.forward
+            streams.append(
+                (
+                    connection.label,
+                    forward.src_ni,
+                    handle.forward.src_channel,
+                    [(forward.dst_ni, handle.forward.dst_channel)],
+                )
+            )
+        for tree in trees:
+            handle = net.configure_multicast(tree)
+            streams.append(
+                (
+                    tree.label,
+                    tree.src_ni,
+                    handle.src_channel,
+                    [(leaf, handle.dst_channels[leaf]) for leaf in tree.dst_nis],
+                )
+            )
+        periods = (61, 67, 71, 73, 79)
+        for index, (label, src, channel, leaves) in enumerate(streams):
+            net.kernel.add(
+                CbrGenerator(
+                    f"gen.{label}",
+                    net.ni(src).injector(channel, label),
+                    period=periods[index % len(periods)],
+                )
+            )
+            for dst, dst_channel in leaves:
+                net.kernel.add(
+                    CheckingSink(
+                        f"sink.{label}.{dst}",
+                        net.ni(dst).receiver(dst_channel),
+                        words_per_cycle=2,
+                        stats=net.stats,
+                    )
+                )
+        net.run(1000)
+        engine = net.kernel._engine
+
+        def delivered():
+            return sum(
+                ledger.ejected for ledger in net.stats.connections.values()
+            )
+
+        events, words = engine.events_handled, delivered()
+        net.run(4000)
+        assert net.kernel._engine is engine
+        stats = net.kernel.kernel_stats()
+        assert stats["compile_fallbacks"] == {}
+        assert stats["replayed_epochs"] == 0
+        words = delivered() - words
+        assert words > 3000
+        assert (
+            engine.events_handled - events
+            <= self.FABRIC_EVENTS_PER_WORD * words
+        )
+        destinations = sum(len(leaves) for *_, leaves in streams)
+        assert engine.model_calls <= 2 * (len(streams) + destinations)
 
     def test_idle_configured_fabric_handles_no_events(self):
         net, engine, _ = self.run_one_flow(12, 12)

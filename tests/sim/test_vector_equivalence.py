@@ -53,6 +53,7 @@ from repro.sim.kernel import (
     NAIVE_MODE,
     VECTOR_MODE,
     CompileRefusal,
+    default_strict_registers,
 )
 from repro.sim.replay import EpochReplay
 from repro.sim.stats import StatsCollector
@@ -65,6 +66,11 @@ from repro.traffic.generators import (
 from repro.traffic.sinks import CheckingSink, ThrottledSink
 
 pytestmark = pytest.mark.differential
+
+#: The CI strict-registers step runs the slow-branch and mutant suites
+#: too; there strict naive stepping takes over the vector build from the
+#: registers the engine left (``run_in_lockstep``).
+STRICT_ENV = default_strict_registers()
 
 # -- scenario description ------------------------------------------------------
 
@@ -298,12 +304,17 @@ def endpoint_image(net):
     }
 
 
-def run_in_lockstep(build, chunks, tamper=None, endpoints=False):
+def run_in_lockstep(
+    build, chunks, tamper=None, endpoints=False, strict_tail=True
+):
     """``build(mode) -> (net, gens, sinks)`` on the vector and on the
     naive kernel, stepped through ``chunks`` and compared in full
     after each (``endpoints``: the channel endpoints too).
     ``tamper(index, net)`` is applied to each build before chunk
-    ``index`` (the mutant campaigns' way in)."""
+    ``index`` (the mutant campaigns' way in).  On the strict-registers
+    leg the vector build runs the engine, and (``strict_tail``) strict
+    naive stepping runs its last chunk from the registers the engine's
+    last barrier wrote."""
     net_v, gens_v, sinks_v = build(VECTOR_MODE)
     net_a, gens_a, sinks_a = build(NAIVE_MODE)
     assert net_v.kernel.cycle == net_a.kernel.cycle
@@ -311,6 +322,10 @@ def run_in_lockstep(build, chunks, tamper=None, endpoints=False):
         if tamper is not None:
             tamper(index, net_v)
             tamper(index, net_a)
+        if STRICT_ENV:
+            net_v.kernel.strict_registers = (
+                strict_tail and index == len(chunks) - 1
+            )
         net_v.run(chunk)
         net_a.run(chunk)
         assert_same_registers(
@@ -1070,10 +1085,14 @@ def before_chunk(when, change):
 
 
 def assert_engine_never_stood_down(net):
-    """Every cycle since set-up was the engine's: what the run shows is
-    the engine's doing, not a naive fallback's."""
+    """Every cycle since set-up was the engine's (but the strict chunk
+    of the strict-registers leg): what the run shows is the engine's
+    doing, not a naive fallback's."""
     stats = net.kernel.kernel_stats()
-    assert stats["compile_fallbacks"] == stats["compile_deferrals"] == {}
+    fallbacks = dict(stats["compile_fallbacks"])
+    if STRICT_ENV:
+        fallbacks.pop(CompileRefusal.STRICT_REGISTERS, None)
+    assert fallbacks == stats["compile_deferrals"] == {}
 
 
 def raises_in_lockstep(build, chunks, tamper, error, match):
@@ -1091,7 +1110,9 @@ def raises_in_lockstep(build, chunks, tamper, error, match):
         built[mode] = build(mode)
         return built[mode]
 
-    run_in_lockstep(keep, chunks[:-1], tamper, endpoints=True)
+    run_in_lockstep(
+        keep, chunks[:-1], tamper, endpoints=True, strict_tail=False
+    )
     outcomes = []
     for mode in (VECTOR_MODE, NAIVE_MODE):
         net, gens, sinks = built[mode]
@@ -1121,6 +1142,43 @@ def raises_in_lockstep(build, chunks, tamper, error, match):
         )
     assert outcomes[0] == outcomes[1]
     assert_engine_never_stood_down(built[VECTOR_MODE][0])
+    return {mode: net for mode, (net, _, _) in built.items()}
+
+
+#: REQUEST_A the other way round: its words arrive at NI00, which steps
+#: before NI11, where they enter their first link.
+REQUEST_A_BACK = ConnectionRequest(
+    "a", "NI11", "NI00", forward_slots=2, reverse_slots=1
+)
+
+
+def one_flow_back(mode):
+    """REQUEST_A_BACK configured, with :func:`attach_cbr_flow` on it."""
+    net, _, handle = configured_net(mode, [REQUEST_A_BACK])
+    gen, sink = attach_cbr_flow(net, handle, REQUEST_A_BACK, 5)
+    return net, [gen], [sink]
+
+
+def repeat_previous(net):
+    """Make the first word in flight a repeat of the one before it:
+    its delivery is out of order."""
+    replace_word_in_flight(
+        net,
+        lambda word: Word(
+            payload=word.payload,
+            connection=word.connection,
+            sequence=word.sequence - 1,
+            injected_at=word.injected_at,
+            parity=word.parity,
+        ),
+    )
+
+
+def entering_word(net, ni):
+    """The word entering ``ni``'s outgoing link in the current cycle."""
+    phit = net.ni(ni)._out_reg.q
+    assert isinstance(phit, Phit) and phit.word is not None
+    return phit.word
 
 
 class TestEverySlowBranchIsReachedAndCompared:
@@ -1211,24 +1269,79 @@ class TestEverySlowBranchIsReachedAndCompared:
         )
 
     def test_out_of_order_delivery(self):
-        def repeat_previous(net):
-            replace_word_in_flight(
-                net,
-                lambda word: Word(
-                    payload=word.payload,
-                    connection=word.connection,
-                    sequence=word.sequence - 1,
-                    injected_at=word.injected_at,
-                    parity=word.parity,
-                ),
-            )
-
         raises_in_lockstep(
             one_flow,
             (203, 40),
             before_chunk(1, repeat_previous),
             StatsIntegrityError,
             "out-of-order delivery",
+        )
+
+    def test_raise_after_a_folded_link_entry_of_its_cycle(self):
+        """The delivery at NI11 raises in the cycle a word of the same
+        flow enters NI00's link.  The engine recorded that injection at
+        the launch; NI00 steps first, so it stays recorded."""
+        nets = raises_in_lockstep(
+            one_flow,
+            (203, 40),
+            before_chunk(1, repeat_previous),
+            StatsIntegrityError,
+            "out-of-order delivery",
+        )
+        for net in nets.values():
+            assert entering_word(net, "NI00").injected_at == net.kernel.cycle
+
+    def test_raise_before_a_folded_link_entry_of_its_cycle(self):
+        """The delivery at NI00 raises in the cycle a word of the same
+        flow enters NI11's link.  The engine recorded that injection at
+        the launch; NI11 steps after NI00, so it is taken back."""
+        nets = raises_in_lockstep(
+            one_flow_back,
+            (203, 40),
+            before_chunk(1, repeat_previous),
+            StatsIntegrityError,
+            "out-of-order delivery",
+        )
+        for net in nets.values():
+            assert entering_word(net, "NI11").injected_at == -1
+
+    def test_raise_while_a_folded_credit_launch_is_pending(self):
+        """The delivery raises while the credits of the words drained
+        before it wait for the reverse channel's next credit-collecting
+        slot: the engine launched them at the drain, and takes that
+        launch back."""
+        nets = raises_in_lockstep(
+            one_flow,
+            (215, 40),
+            before_chunk(1, repeat_previous),
+            StatsIntegrityError,
+            "out-of-order delivery",
+        )
+        for net in nets.values():
+            _, _, _, dest = flow_ends(net)
+            assert dest.pending_credits > 0
+
+    def test_exception_counts_only_the_events_applied(self):
+        """``events_handled`` after a raise in the middle of a cycle's
+        events: the raising arrival, first of its cycle, counts; the
+        events behind it, not applied (and counted again by the run that
+        applies them), do not."""
+
+        def build():
+            net, _, _ = one_flow_back(VECTOR_MODE)
+            net.kernel.strict_registers = False  # the subject is the engine
+            net.run(203)
+            repeat_previous(net)
+            return net
+
+        raising = build()
+        with pytest.raises(StatsIntegrityError, match="out-of-order"):
+            raising.run(40)
+        stopped = build()
+        stopped.run(raising.kernel.cycle - stopped.kernel.cycle)
+        assert (
+            raising.kernel._engine.events_handled
+            == stopped.kernel._engine.events_handled + 1
         )
 
     def test_destination_queue_overflow(self):
@@ -1509,6 +1622,36 @@ def steal_credits(index, net):
                     source.credit_counter = min(source.credit_counter, 1)
 
 
+def run_burst_at_every_offset():
+    """Three-word bursts on REQUEST_A's two slots, with a barrier every
+    three cycles at each offset in turn: some barrier falls after the
+    launches of two words of a burst in one run and before their link
+    entries."""
+    return run_in_lockstep(
+        one_flow_bursts, (40,) + ((3,) * 12 + (1,)) * 3
+    )
+
+
+def one_flow_bursts(mode):
+    """REQUEST_A configured, fed three-word bursts every 16 cycles."""
+    net, _, handle = configured_net(mode, [REQUEST_A])
+    gen = BurstGenerator(
+        "burst",
+        inject=net.ni("NI00").injector(handle.forward.src_channel, "a"),
+        burst_words=3,
+        period=16,
+    )
+    sink = CheckingSink(
+        "sink",
+        receive=net.ni("NI11").receiver(handle.forward.dst_channel),
+        words_per_cycle=2,
+        stats=net.stats,
+    )
+    net.kernel.add(gen)
+    net.kernel.add(sink)
+    return net, [gen], [sink]
+
+
 def run_credit_theft_differential():
     return run_chunked_differential(steady_scenario(), steal_credits)
 
@@ -1550,14 +1693,49 @@ class TestPlantedEngineMutantsAreKilled:
         )
         assert not mutant_survives(test_vector_epoch_replay_is_bit_exact)
 
-    def test_injection_not_counted_at_link_entry(self, monkeypatch):
+    def test_injection_not_counted_at_launch(self, monkeypatch):
         plant(monkeypatch, "ledger.injected += 1", "pass")
         assert not mutant_survives(test_vector_epoch_replay_is_bit_exact)
 
-    def test_injection_not_stamped_at_link_entry(self, monkeypatch):
-        """Link entry.  The word arrives unstamped: never injected."""
-        plant(monkeypatch, "stamp_injected(word, cycle)", "pass")
+    def test_injection_not_stamped_at_launch(self, monkeypatch):
+        """Launch.  The word arrives unstamped: never injected."""
+        plant(monkeypatch, "stamp_injected(word, entry)", "pass")
         assert not mutant_survives(test_vector_epoch_replay_is_bit_exact)
+
+    def test_injection_stamped_with_the_launch_cycle(self, monkeypatch):
+        """Launch.  The injection recorded at the launch is stamped with
+        the launch cycle, not the link entry's: every latency comes out
+        long."""
+        plant(
+            monkeypatch,
+            "stamp_injected(word, entry)",
+            "stamp_injected(word, cycle)",
+        )
+        assert not mutant_survives(test_vector_epoch_replay_is_bit_exact)
+
+    def test_rollback_restores_the_last_sequence_of_each_word(
+        self, monkeypatch
+    ):
+        """Barrier.  Two injections of one flow recorded at launch, both
+        link entries still ahead: taking them back must restore the
+        sequence before the first, not before whichever comes last."""
+        plant(
+            monkeypatch,
+            "if sequence < rolled.get(label, _NEVER):",
+            "if True:",
+            method="_unload",
+        )
+        assert not mutant_survives(run_burst_at_every_offset)
+
+    def test_folded_credit_collected_a_slot_late(self, monkeypatch):
+        """Sink drain.  A credit drained just before its reverse
+        channel's collecting phase is sent from the next one."""
+        plant(
+            monkeypatch,
+            "at = start + owner.first[start % wheel]",
+            "at = start + wps + owner.first[(start + wps) % wheel]",
+        )
+        assert not mutant_survives(test_replay_matches_naive_3x3)
 
     def test_words_received_not_bumped(self, monkeypatch):
         """Arrival.  No statistic reads the endpoint counter; the
