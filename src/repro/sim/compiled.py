@@ -78,11 +78,10 @@ It is the one engine behind ``vector`` mode, in three layers:
   applied arithmetically: the statistics ledger is credited ``K`` times
   the epoch's counter deltas (counts, latency histogram, last injected
   sequence, per-flow cursors), each sink counts its epoch's words ``K``
-  times (:mod:`repro.sim.replay`, the only numpy in the simulator),
-  cumulative counters are scaled by ``K``, and the in-flight
-  words — their sequence numbers, payloads and injection stamps — and
-  the ledger's undelivered entries for them are rewritten.  Re-entry
-  into stepping is bit-exact.
+  times (:mod:`repro.sim.replay`), cumulative counters are scaled by
+  ``K``, and the in-flight words — their sequence numbers, payloads and
+  injection stamps — and the ledger's undelivered entries for them are
+  rewritten.  Re-entry into stepping is bit-exact.
 
 Soundness of the replay (DESIGN.md §10 gives the full argument): the
 cycle transition function commutes with the per-connection shift —
@@ -95,10 +94,8 @@ word budget, and any event the signature cannot extrapolate (an armed
 fault hook, a config event, a not-yet-exhausted trace generator, a
 fault or drop during the probe epoch) disables or defers replay: no
 replayed span and no template epoch holds a config event, and one
-resets the probe.  An epoch whose values would leave numpy's int64
-range is stepped instead of replayed, with a typed ``replay_refusals``
-entry.  A run without generators never probes, so numpy is imported
-with the first probe of a run that has traffic.
+resets the probe.  Replay arithmetic is in Python integers, so no
+sequence number, payload or cycle count is too large to replay.
 
 Whenever the network is *not* compilable — strict-registers, a tracer,
 a config packet on the word-level tree, data-link fault hooks, an unknown
@@ -130,6 +127,7 @@ from .lowering import (
     _Trajectory,
     render_artifacts,
 )
+from .replay import EpochReplay, roster_key
 from .stats import FAULT_DETECTED, counter_deltas
 
 # How a generator's firing is applied (``_resolve_run``): through its
@@ -765,10 +763,9 @@ class CompiledEngine:
         #: Regime templates, the connection-id table the epoch's sink
         #: events are recorded against, and the bulk materializer —
         #: created at the first period-boundary probe of a run with
-        #: traffic, so numpy loads with replay, not with the engine (a
-        #: traffic-free shard never needs it).  The structural schedule
-        #: image is the content-based key the lowering and regime caches
-        #: share.
+        #: traffic (a traffic-free shard never needs it).  The structural
+        #: schedule image is the content-based key the lowering and regime
+        #: caches share.
         self.replay: Any = None
         self.schedule_image = schedule_image
         #: Source channel keys ``(id(ni), channel)`` live at every apply
@@ -1605,10 +1602,6 @@ class CompiledEngine:
                         prev_snap = None
                     else:
                         if replay is None:
-                            # Imported here so numpy loads with the first
-                            # probe, not with the package or the engine.
-                            from .replay import EpochReplay, roster_key
-
                             replay = self.replay = EpochReplay(
                                 self.network,
                                 (
@@ -1658,9 +1651,10 @@ class CompiledEngine:
                                 (min(end, cfg_next) - cycle) // period,
                                 self._replay_horizon(before, snap),
                             )
-                            if epochs >= 1 and self._replay(
-                                epochs, before, snap, epoch_events, cycle
-                            ):
+                            if epochs >= 1:
+                                self._replay(
+                                    epochs, before, snap, epoch_events, cycle
+                                )
                                 cycle += epochs * period
                                 replayed_epochs += epochs
                                 replayed_cycles += epochs * period
@@ -2330,27 +2324,18 @@ class CompiledEngine:
         after: dict,
         events: List[tuple],
         cycle: int,
-    ) -> bool:
+    ) -> None:
         """Apply ``epochs`` steady epochs arithmetically, from ``cycle``.
 
         Credits the ledger (``StatsCollector.credit``) and the sinks
         (:meth:`EpochReplay.materialize`) ``epochs`` times the captured
         epoch's deltas, scales every cumulative counter, and rewrites in-flight words and queue
-        contents to their post-replay identities.  Returns ``False`` —
-        having changed nothing — when a value would leave numpy's int64
-        range: the caller keeps stepping and the refusal is recorded,
-        typed, once.
+        contents to their post-replay identities.
         """
         deltas = {
             conn: after["seqs"][conn] - before["seqs"][conn]
             for conn in after["seqs"]
         }
-        reason = self.replay.budget_reason(epochs, deltas, events, cycle)
-        if reason is not None:
-            self._note_replay_refusal(
-                CompileRefusal(CompileRefusal.UNSUPPORTED_PARAMS, reason)
-            )
-            return False
         if not self._regime_open:
             self._regime_open = True
             self.kernel.regimes_detected += 1
@@ -2363,7 +2348,6 @@ class CompiledEngine:
         self._scale_counters(epochs, before, after)
         self._shift_inflight(deltas, epochs)
         self._shift_queues(deltas, epochs)
-        return True
 
     def _scale_counters(
         self, epochs: int, before: dict, after: dict

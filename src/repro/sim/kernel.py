@@ -174,10 +174,6 @@ class CompileRefusal:
     #: Words are mid-flight in pipeline registers; the engine only
     #: starts from a quiescent data plane.
     DATAPATH_BUSY = "datapath_busy"
-    #: An epoch's values are outside the int64 budget of the numpy bulk
-    #: replay.  Like :attr:`APERIODIC` the engine still *runs*: the
-    #: epoch is stepped instead of replayed.
-    UNSUPPORTED_PARAMS = "unsupported_params"
     #: The current timeline segment is genuinely aperiodic — steady-state
     #: epoch replay cannot engage (ambiguous generator labels, a replay
     #: period beyond the probe budget, or trace-driven traffic that never
@@ -475,10 +471,8 @@ class Kernel:
         #: Full compiles that populated the lowering cache.
         self.lowering_cache_misses = 0
         #: refusal kind -> count of *replay* refusals: the engine ran,
-        #: but epoch replay was withheld — the timeline segment was
-        #: aperiodic (:attr:`CompileRefusal.APERIODIC`) or an epoch's
-        #: values left numpy's int64 range
-        #: (:attr:`CompileRefusal.UNSUPPORTED_PARAMS`).
+        #: but epoch replay was withheld because the timeline segment
+        #: was aperiodic (:attr:`CompileRefusal.APERIODIC`).
         self.replay_refusals: Dict[str, int] = {}
         #: Config packets the configuration module delivered to their
         #: addressees only (vector mode; see the module docstring).

@@ -20,23 +20,12 @@ cycle and holds no data-plane state:
   per-epoch deltas) in a per-network LRU keyed (schedule image, traffic
   roster, signature), so re-entering a seen regime replays at the
   *first* boundary instead of re-probing two epochs.
-* **The int64 guard** — numpy integers wrap where Python integers
-  grow, so :meth:`EpochReplay.budget_reason` vets every value about to
-  be fed to an array (captured sequences, per-epoch deltas scaled by
-  ``K``, the landing cycle).  It sits here, at the
-  only place numpy is fed, and a failing epoch is simply not replayed:
-  the engine records a typed ``replay_refusals["unsupported_params"]``
-  and keeps stepping with Python integers.
 """
 
 from __future__ import annotations
 
-# staticcheck: numpy-hot-path -- int64-closed event arrays; see NP rules
-
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .stats import counter_deltas
 
@@ -44,10 +33,6 @@ from .stats import counter_deltas
 #: distinct steady regime; use-case campaigns rarely cycle through more
 #: than a handful.
 REGIME_CACHE_CAPACITY = 8
-
-#: Every captured value, and every shift the replay adds to it, must
-#: stay strictly below this in magnitude, so each sum fits in int64.
-_VALUE_LIMIT = 1 << 62
 
 
 def roster_key(
@@ -124,44 +109,6 @@ class EpochReplay:
             self.conn_ids[connection] = cid
             self.conn_names.append(connection)
         return cid
-
-    # -- the int64 guard ---------------------------------------------------------
-
-    def budget_reason(
-        self,
-        epochs: int,
-        deltas: Dict[str, int],
-        events: List[tuple],
-        cycle: int,
-    ) -> Optional[str]:
-        """Why replaying ``epochs`` epochs would leave the int64 budget.
-
-        ``None`` when every array :meth:`materialize` is about to build
-        — event sequences, each shifted by up to ``epochs`` per-epoch
-        deltas, and event cycles up to the landing cycle — provably
-        fits: a value and its shift both below
-        ``2**62`` in magnitude sum to less than ``2**63``.
-        """
-        limit = _VALUE_LIMIT
-        if cycle + epochs * self.period >= limit:
-            return (
-                f"landing cycle {cycle + epochs * self.period} is "
-                f"outside the int64 budget"
-            )
-        for conn, delta in deltas.items():
-            if abs(delta) * epochs >= limit:
-                return (
-                    f"{epochs} epochs of sequence delta {delta} on "
-                    f"{conn!r} are outside the int64 budget"
-                )
-        for _cycle, cid, sequence, _sink in events:
-            if not -limit < sequence < limit:
-                return (
-                    f"captured sequence {sequence!r} of "
-                    f"{self.conn_names[cid]!r} is outside the "
-                    f"int64 budget"
-                )
-        return None
 
     # -- the piecewise-periodic regime cache --------------------------------------
 
@@ -325,25 +272,19 @@ class EpochReplay:
         epoch.  Each sink is credited its epoch's word count ``epochs``
         times and replays its sequence checks.
         """
-        names = self.conn_names
-        dvec = np.zeros(len(names), dtype=np.int64)
-        for conn, delta in deltas.items():
-            cid = self.conn_ids.get(conn)
-            if cid is not None:
-                dvec[cid] = delta
         sink_by_idx: Dict[int, List[tuple]] = {}
         for cyc, cid, seq, idx in events:
             sink_by_idx.setdefault(idx, []).append((cyc, cid, seq))
         for idx, evs in sink_by_idx.items():
             sink = self.sinks[idx][0]
             sink.words_received += len(evs) * epochs
-            self._replay_checking(sink, evs, dvec, epochs)
+            self._replay_checking(sink, evs, deltas, epochs)
 
     def _replay_checking(
         self,
         sink: Any,
         evs: List[tuple],
-        dvec: Any,
+        deltas: Dict[str, int],
         epochs: int,
     ) -> None:
         """Replay a sink's sequence bookkeeping.
@@ -363,7 +304,7 @@ class EpochReplay:
                 streams.setdefault(cid, []).append(seq)
         fast = True
         for cid, seqs in streams.items():
-            delta = int(dvec[cid])
+            delta = deltas.get(names[cid], 0)
             first, last = seqs[0], seqs[-1]
             consecutive = all(
                 b == a + 1 for a, b in zip(seqs, seqs[1:])
@@ -377,7 +318,7 @@ class EpochReplay:
                 break
         if fast:
             for cid, seqs in streams.items():
-                delta = int(dvec[cid])
+                delta = deltas.get(names[cid], 0)
                 sink._last_seq[names[cid]] = (
                     seqs[-1] + epochs * delta
                 )
@@ -389,5 +330,5 @@ class EpochReplay:
                     sink._check_sequence(
                         cyc + k * period,
                         names[cid],
-                        seq + k * int(dvec[cid]),
+                        seq + k * deltas.get(names[cid], 0),
                     )

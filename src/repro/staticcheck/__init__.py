@@ -1,6 +1,6 @@
 """Static analysis for the repro code base.
 
-Two analyzer families guard the two fast paths whose correctness rests
+Three analyzer families guard the fast paths whose correctness rests
 on convention:
 
 * the **kernel-contract auditor** (:mod:`repro.staticcheck.contract`) —
@@ -18,10 +18,7 @@ on convention:
   compiled kernel's lowered artifacts from the injection seeds and
   proves single-writer / single-consumer / occupancy-exact / typed
   refusal.  ``python -m repro.staticcheck --prove`` runs it over a
-  representative network matrix (:mod:`repro.staticcheck.prove`);
-* the **numpy hot-path lints** (:mod:`repro.staticcheck.numpy_rules`,
-  rules ``NP...``) — int64-domain discipline for files opting in with
-  ``# staticcheck: numpy-hot-path``.
+  representative network matrix (:mod:`repro.staticcheck.prove`).
 
 Run the file rules with ``python -m repro.staticcheck [paths]``; call
 :func:`verify_network_state` from tests and examples after configuring
@@ -38,7 +35,6 @@ from .findings import (
     SuppressionIndex,
     sort_findings,
 )
-from .numpy_rules import HOT_PATH_MARKER
 from .optable import (
     ARTIFACTS_FILE,
     verify_components,
@@ -65,7 +61,6 @@ __all__ = [
     "ClassTable",
     "FileContext",
     "Finding",
-    "HOT_PATH_MARKER",
     "ProveCase",
     "Rule",
     "Severity",

@@ -21,10 +21,8 @@ from .contract import audit_contracts
 from .findings import Finding, sort_findings
 from .registry import FileContext, all_rules, run_file_rules
 
-# Imported for their registration side effects: the numpy hot-path
-# rules (NP...) run as file rules, the op-table (OP...) prover runs
-# from --prove; all appear in --list-rules.
-from . import numpy_rules as _numpy_rules  # noqa: F401
+# Imported for its registration side effect: the op-table (OP...)
+# prover runs from --prove and appears in --list-rules.
 from . import optable as _optable  # noqa: F401
 
 

@@ -967,10 +967,8 @@ def run_probe_across_a_config_event(monkeypatch):
         return original_store(self, sig, before, after, events, cycle, anchors)
 
     def replay(self, epochs, before, after, events, cycle):
-        done = original_replay(self, epochs, before, after, events, cycle)
-        if done:
-            spans.append((cycle, cycle + epochs * self.period))
-        return done
+        original_replay(self, epochs, before, after, events, cycle)
+        spans.append((cycle, cycle + epochs * self.period))
 
     monkeypatch.setattr(ConfigPort, "_decode_deposit", decode)
     monkeypatch.setattr(ConfigModule, "evaluate", turn)

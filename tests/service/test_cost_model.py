@@ -130,22 +130,41 @@ def test_a_fault_wave_steps_only_the_packets_it_can_touch(
     )
 
 
-def test_default_churn_runs_on_the_engine_without_numpy():
-    """A default fleet's set-up waits run on the compiled engine, and a
-    traffic-free shard never probes for epoch replay — so numpy, which
-    only replay needs, is never imported.  A fresh interpreter, since
-    this suite's own process may have loaded it."""
+def test_churn_and_replay_run_without_numpy():
+    """A default fleet's set-up waits run on the compiled engine, a
+    steady 2x2 CBR flow replays epochs, and neither imports numpy: the
+    simulator has no numpy.  A fresh interpreter, since this suite's own
+    process may have loaded it."""
     script = (
         "import sys\n"
+        "from repro.alloc import ConnectionRequest, SlotAllocator\n"
+        "from repro.core import DaeliteNetwork\n"
+        "from repro.params import daelite_parameters\n"
         "from repro.service import ChurnEngine, ConnectionBroker, "
         "ServiceConfig\n"
+        "from repro.topology import build_mesh\n"
+        "from repro.traffic import CbrGenerator, CheckingSink\n"
         "broker = ConnectionBroker.mesh_fleet(\n"
         "    config=ServiceConfig(shards=2), seed=3)\n"
         "ChurnEngine(broker, seed=3, tenants=4, max_live=4).run(120)\n"
         "stats = [shard.network.kernel.kernel_stats()\n"
         "         for shard in broker.shards]\n"
+        "mesh, params = build_mesh(2, 2), daelite_parameters()\n"
+        "conn = SlotAllocator(topology=mesh, params=params)"
+        ".allocate_connection(\n"
+        "    ConnectionRequest('cbr', 'NI00', 'NI11', forward_slots=2))\n"
+        "net = DaeliteNetwork(mesh, params)\n"
+        "handle = net.configure(conn)\n"
+        "net.run_until_configured(handle)\n"
+        "net.kernel.add(CbrGenerator('gen', period=10, inject=net.ni('NI00')"
+        ".injector(handle.forward.src_channel, 'cbr')))\n"
+        "net.kernel.add(CheckingSink('sink', receive=net.ni('NI11')"
+        ".receiver(handle.forward.dst_channel)))\n"
+        "net.run(2000)\n"
         "print(sum(s['compiled_cycles'] for s in stats),\n"
-        "      sum(s['cycle'] for s in stats), 'numpy' in sys.modules)\n"
+        "      sum(s['cycle'] for s in stats),\n"
+        "      net.kernel.kernel_stats()['replayed_epochs'],\n"
+        "      'numpy' in sys.modules)\n"
     )
     env = {
         key: value
@@ -161,6 +180,7 @@ def test_default_churn_runs_on_the_engine_without_numpy():
         timeout=300,
     )
     assert result.returncode == 0, result.stderr
-    compiled, cycles, numpy_loaded = result.stdout.split()
+    compiled, cycles, replayed, numpy_loaded = result.stdout.split()
     assert int(compiled) == int(cycles) > 0
+    assert int(replayed) > 0
     assert numpy_loaded == "False"

@@ -56,6 +56,8 @@ from repro.traffic import (
     ThrottledSink,
 )
 
+from .test_vector_equivalence import assert_same_registers
+
 pytestmark = pytest.mark.differential
 
 # -- scenario description ------------------------------------------------------
@@ -136,18 +138,6 @@ def allocate(scenario: Scenario, params):
             )
         )
     return mesh, allocated
-
-
-def assert_same_registers(kernel_a, kernel_b, cycle_label: str) -> None:
-    regs_a = kernel_a.all_registers()
-    regs_b = kernel_b.all_registers()
-    for reg_a, reg_b in zip(regs_a, regs_b):
-        assert reg_a.name == reg_b.name
-        assert reg_a.q == reg_b.q, (
-            f"{cycle_label}: register {reg_a.name} diverged — "
-            f"naive={reg_b.q!r}, vector={reg_a.q!r}"
-        )
-    assert len(regs_a) == len(regs_b)
 
 
 def run_lockstep(net_vector, net_naive, cycles: int) -> None:

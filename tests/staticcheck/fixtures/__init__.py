@@ -1,5 +1,5 @@
 """Fixture corpus for the staticcheck tests.
 
-``bad_components.py`` and ``numpy_hot_path_bad.py`` are parsed, never
-imported; ``planted_artifacts.py`` is imported by the prover tests.
+``bad_components.py`` is parsed, never imported;
+``planted_artifacts.py`` is imported by the prover tests.
 """
