@@ -671,10 +671,6 @@ class CompiledEngine:
         regs = lowered.regs
         self.regs = regs
         self.idles = [reg.idle for reg in regs]
-        #: The op table: the proof artifact the trajectories were
-        #: walked from (:meth:`lowered_artifacts`); nothing reads it
-        #: per cycle.
-        self.move_map = lowered.move_map
         self.occupancy = lowered.occupancy
         #: What runs: one trajectory per injection seed, and the
         #: inverse ``index[phase][register] -> (trajectory id, step)``
@@ -823,8 +819,9 @@ class CompiledEngine:
         """Export the compile products in the stable introspection form.
 
         External verifiers (``repro.staticcheck --prove``) consume this
-        instead of the private ``move_map``/``trajectories`` encoding;
-        the shape is documented on :class:`LoweredArtifacts`.
+        instead of the private op-table (``static_ops`` /
+        ``phase_ops``) and trajectory encoding; the shape is documented
+        on :class:`LoweredArtifacts`.
         """
         return render_artifacts(self._lowered, self.wheel)
 

@@ -5,9 +5,10 @@ Everything here is a pure function of the structural schedule image
 :func:`repro.sim.compiled.compile_network` memoizes per network and what
 a further substrate would supply in place of an executor:
 
-* the per-phase **op table** over integer-named registers — the proof
-  artifact (``repro.staticcheck`` OP001–OP005 consume its stable form,
-  :class:`LoweredArtifacts`);
+* the **op table** over integer-named registers — the proof artifact
+  (``repro.staticcheck`` OP001–OP005 consume its stable form,
+  :class:`LoweredArtifacts`), held as the phase-independent pipeline
+  ops once and, per wheel phase, only the ops the slot tables decide;
 * one **trajectory** per injection seed, found by walking the table:
   the register a launched phit holds at each step, the step it enters
   the link, one leaf per arrival, the link / router counter effects —
@@ -214,7 +215,8 @@ class _Lowered:
 
     __slots__ = (
         "regs",
-        "move_map",
+        "static_ops",
+        "phase_ops",
         "occupancy",
         "trajectories",
         "index",
@@ -224,7 +226,13 @@ class _Lowered:
     )
 
     regs: List[Register]
-    move_map: List[Dict[int, tuple]]
+    #: ``register -> op`` of every wheel phase: the NI stage ``MOVE``,
+    #: the NI output ``INJECT`` and the router crossbar ``SEND``.
+    static_ops: Dict[int, tuple]
+    #: ``phase_ops[phase]``: ``register -> op`` of that phase only, the
+    #: ``FORWARD`` / ``ARRIVE`` ops the slot tables decide.  Its
+    #: registers are links, so no key is also in ``static_ops``.
+    phase_ops: List[Dict[int, tuple]]
     occupancy: List[int]
     trajectories: List[_Trajectory]
     #: ``index[phase][register] -> (trajectory id, step)``.
@@ -359,12 +367,6 @@ def _lower_schedule(network: Any) -> Any:
             if slot is not None:
                 slot.gap = 1 + first[(phase + 1) % wheel]
 
-    move_map: List[Dict[int, tuple]] = []
-    for phase in range(wheel):
-        merged = dict(static_ops)
-        merged.update(phase_ops[phase])
-        move_map.append(merged)
-
     # Static occupancy walk, one seed at a time: every (register,
     # phase) a phit can reach must have exactly one consumer.  A
     # missing consumer means the schedule would drop the word (the
@@ -384,7 +386,8 @@ def _lower_schedule(network: Any) -> Any:
                 continue
             walked = _walk_seed(
                 regs,
-                move_map,
+                static_ops,
+                phase_ops,
                 occupancy,
                 index,
                 dest_keys,
@@ -402,7 +405,8 @@ def _lower_schedule(network: Any) -> Any:
 
     lowered = _Lowered()
     lowered.regs = regs
-    lowered.move_map = move_map
+    lowered.static_ops = static_ops
+    lowered.phase_ops = phase_ops
     lowered.occupancy = occupancy
     lowered.trajectories = trajectories
     lowered.index = index
@@ -418,7 +422,8 @@ def _lower_schedule(network: Any) -> Any:
 
 def _walk_seed(
     regs: List[Register],
-    move_map: List[Dict[int, tuple]],
+    static_ops: Dict[int, tuple],
+    phase_ops: List[Dict[int, tuple]],
     occupancy: List[int],
     index: List[Dict[int, tuple]],
     dest_keys: Dict[Tuple[str, int], int],
@@ -431,7 +436,7 @@ def _walk_seed(
     cells in ``occupancy``, enter them in ``index`` and return the
     seed's :class:`_Trajectory` — or the refusal of a schedule that
     would drop or collide the phit."""
-    wheel = len(move_map)
+    wheel = len(phase_ops)
     rid, phase = seed
     if occupancy[rid] >> phase & 1:
         return _collision(regs, rid, phase)
@@ -449,11 +454,13 @@ def _walk_seed(
     entry_step: Optional[int] = None
     while frontier:
         nxt_phase = (phase + 1) % wheel
-        table = move_map[phase]
+        table = phase_ops[phase]
         reached: List[int] = []
         for node in frontier:
             rid = node_rid[node]
             op = table.get(rid)
+            if op is None:
+                op = static_ops.get(rid)
             if op is None:
                 return CompileRefusal(
                     CompileRefusal.INCONSISTENT_SCHEDULE,
@@ -590,32 +597,40 @@ def _render_trajectory(trajectory: _Trajectory) -> LoweredTrajectory:
     )
 
 
+def _render_op(rid: int, op: tuple, regs: List[Register]) -> LoweredOp:
+    """One op-table entry in the stable introspection form."""
+    tag = op[0]
+    if tag == _OP_ARRIVE:
+        return LoweredOp("arrive", rid, (), f"{op[1].name}.ch{op[2]}")
+    if tag == _OP_FORWARD:
+        return LoweredOp("forward", rid, tuple(op[1]), op[2].name)
+    if tag == _OP_MOVE:
+        return LoweredOp("move", rid, (op[1],), regs[op[1]].name)
+    # send / inject carry their link at op[2]
+    return LoweredOp(OP_NAMES[tag], rid, (op[1],), op[2].name)
+
+
 def render_artifacts(lowered: _Lowered, wheel: int) -> LoweredArtifacts:
     """The compile products in the stable introspection form (see
-    :class:`LoweredArtifacts`)."""
+    :class:`LoweredArtifacts`).
+
+    A static op is rendered once and the same object stands in every
+    phase's tuple; each phase's own ops are rendered per phase.
+    """
     regs = lowered.regs
+    static = {
+        rid: _render_op(rid, op, regs)
+        for rid, op in lowered.static_ops.items()
+    }
+    static_rids = sorted(static)
     phases: List[Tuple[LoweredOp, ...]] = []
-    for phase in range(wheel):
-        ops: List[LoweredOp] = []
-        for rid, op in sorted(lowered.move_map[phase].items()):
-            tag = op[0]
-            if tag == _OP_ARRIVE:
-                ops.append(
-                    LoweredOp("arrive", rid, (), f"{op[1].name}.ch{op[2]}")
-                )
-            elif tag == _OP_FORWARD:
-                ops.append(
-                    LoweredOp("forward", rid, tuple(op[1]), op[2].name)
-                )
-            elif tag == _OP_MOVE:
-                ops.append(
-                    LoweredOp("move", rid, (op[1],), regs[op[1]].name)
-                )
-            else:  # send / inject carry their link at op[2]
-                ops.append(
-                    LoweredOp(OP_NAMES[tag], rid, (op[1],), op[2].name)
-                )
-        phases.append(tuple(ops))
+    for own in lowered.phase_ops:
+        ops = dict(static)
+        for rid, op in own.items():
+            ops[rid] = _render_op(rid, op, regs)
+        # Two sorted runs: the sort merges them in one pass.
+        order = sorted(static_rids + sorted(own))
+        phases.append(tuple([ops[rid] for rid in order]))
     return LoweredArtifacts(
         wheel=wheel,
         register_names=tuple(reg.name for reg in regs),

@@ -94,18 +94,32 @@ def _default_paths() -> List[str]:
 def _parse_prove_sizes(
     values: Optional[Sequence[str]],
 ) -> Optional[List[int]]:
-    """``["3", "8x8"]`` -> ``[3, 8]``; ``None`` means every size."""
+    """``["3", "8x8"]`` -> ``[3, 8]``; ``None`` means every size.
+
+    Raises:
+        StaticCheckError: for a value that is not ``N`` or ``NxN`` with
+            ``N`` a shipped mesh side — a filter that matches no case
+            would prove nothing and still exit clean.
+    """
+    from .prove import PROVE_SIZES
+
     if not values:
         return None
+    shipped = [side for side, _, _ in PROVE_SIZES]
     sizes: List[int] = []
     for value in values:
-        side = value.strip().lower().split("x")[0]
-        try:
+        side, cross, other = value.strip().lower().partition("x")
+        if (
+            side.isdecimal()
+            and int(side) in shipped
+            and (not cross or other.isdecimal() and int(other) == int(side))
+        ):
             sizes.append(int(side))
-        except ValueError:
-            raise StaticCheckError(
-                f"invalid --prove-size: {value!r} (want N or NxN)"
-            )
+            continue
+        raise StaticCheckError(
+            f"invalid --prove-size: {value!r} (want N or NxN, N one of "
+            f"the shipped sides {' / '.join(map(str, shipped))})"
+        )
     return sizes
 
 
@@ -148,8 +162,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--prove-size",
         action="append",
         metavar="N",
-        help="restrict --prove to meshes of side N (NxN also "
-        "accepted; repeatable)",
+        help="restrict --prove to meshes of side N, one of the shipped "
+        "sides 3 / 8 / 16 (NxN also accepted; repeatable)",
     )
     options = parser.parse_args(argv)
 

@@ -109,6 +109,13 @@ for _op in OP_RULES:
     register(_op)
 
 
+def _writer_name(op: Any) -> str:
+    """Who drives a column: an op, or an injection seed (``None``)."""
+    if op is None:
+        return "an injection seed"
+    return f"a {op.kind!r} op from {op.src}"
+
+
 def _reg_name(artifacts: Any, rid: int) -> str:
     names = artifacts.register_names
     if 0 <= rid < len(names):
@@ -146,34 +153,43 @@ def verify_op_tables(
             )
         )
 
-    # Index the op tables: consumers per (phase, src).  Artifacts are
-    # flat tuples, so a planted table *can* hold two consumers of one
-    # column — the engines' dict encoding cannot, but a third substrate
-    # might.
-    consumers: List[Dict[int, List[Any]]] = [{} for _ in range(wheel)]
+    # Index the op tables: the consumer per (phase, src).  Artifacts
+    # are flat tuples, so a planted table *can* hold two consumers of
+    # one column — the engines' dict encoding cannot, but a third
+    # substrate might; ``duplicated`` lists every consumer of such a
+    # column, in table order.
+    consumers: List[Dict[int, Any]] = [{} for _ in range(wheel)]
+    duplicated: Dict[Tuple[int, int], List[Any]] = {}
     for phase, ops in enumerate(artifacts.phase_ops):
+        table = consumers[phase % wheel]
         for op in ops:
-            if not (0 <= op.src < n_regs):
+            src = op.src
+            if not (0 <= src < n_regs):
                 bad(
                     "OP003",
                     f"op {op.kind!r} in phase {phase} reads column "
-                    f"{op.src}, outside the {n_regs} registers",
+                    f"{src}, outside the {n_regs} registers",
                     "fix the lowering's register interning",
                 )
                 continue
-            consumers[phase % wheel].setdefault(op.src, []).append(op)
+            first = table.setdefault(src, op)
+            if first is not op:
+                duplicated.setdefault(
+                    (src, phase % wheel), [first]
+                ).append(op)
 
     # Walk reachability from the seeds, checking single-writer and
-    # single-consumer at every step.
+    # single-consumer at every step.  A writer is the op that drives
+    # the column, ``None`` for an injection seed.
     derived = [0] * n_regs
-    writer: Dict[Tuple[int, int], str] = {}
+    writer: Dict[Tuple[int, int], Any] = {}
     work: deque = deque()
 
-    def drive(rid: int, phase: int, who: str) -> None:
+    def drive(rid: int, phase: int, op: Any) -> None:
         if not (0 <= rid < n_regs):
             bad(
                 "OP003",
-                f"{who} drives column {rid}, outside the "
+                f"{_writer_name(op)} drives column {rid}, outside the "
                 f"{n_regs} registers",
                 "fix the lowering's register interning",
             )
@@ -184,21 +200,23 @@ def verify_op_tables(
             bad(
                 "OP001",
                 f"{_reg_name(artifacts, rid)} is driven twice in "
-                f"wheel phase {phase}: by {writer[key]} and by {who}",
+                f"wheel phase {phase}: by {_writer_name(writer[key])} "
+                f"and by {_writer_name(op)}",
                 "make the schedule slot-disjoint so every register "
                 "has one writer per phase",
             )
             return
         derived[rid] |= bit
-        writer[key] = who
+        writer[key] = op
         work.append(key)
 
     for rid, phase in artifacts.seeds:
-        drive(rid, phase, "an injection seed")
+        drive(rid, phase, None)
     while work:
-        rid, phase = work.popleft()
-        ops = consumers[phase].get(rid, [])
-        if not ops:
+        key = work.popleft()
+        rid, phase = key
+        op = consumers[phase].get(rid)
+        if op is None:
             bad(
                 "OP002",
                 f"{_reg_name(artifacts, rid)} is occupied in wheel "
@@ -207,7 +225,8 @@ def verify_op_tables(
                 "add the consuming op or stop driving the column",
             )
             continue
-        if len(ops) > 1:
+        ops = duplicated.get(key)
+        if ops is not None:
             kinds = ", ".join(op.kind for op in ops)
             bad(
                 "OP002",
@@ -218,12 +237,11 @@ def verify_op_tables(
             )
             # Continue the walk through the first consumer only, so
             # downstream diagnostics stay deterministic.
-        op = ops[0]
         if op.kind == "arrive":
             continue
         nxt = (phase + 1) % wheel
         for dst in op.dsts:
-            drive(dst, nxt, f"a {op.kind!r} op from {op.src}")
+            drive(dst, nxt, op)
 
     # Claimed occupancy must equal the derived reachable set, in both
     # directions (OP003).
@@ -259,7 +277,7 @@ def verify_op_tables(
 
 
 def _verify_trajectories(
-    artifacts: Any, consumers: List[Dict[int, List[Any]]], bad: Any
+    artifacts: Any, consumers: List[Dict[int, Any]], bad: Any
 ) -> None:
     """OP005 over a table already proven single-writer/-consumer: walk
     each seed step by step and compare with the claimed trajectory."""
@@ -291,7 +309,7 @@ def _verify_trajectories(
             bumps = []
             reached = []
             for rid in frontier:
-                (op,) = consumers[phase][rid]
+                op = consumers[phase][rid]
                 if op.kind == "arrive":
                     arrivals.append((len(steps) - 1, op.site))
                     continue
@@ -367,13 +385,14 @@ def verify_components(
     exists to catch: an unlowerable component escaping the typed
     degradation chain.
     """
-    from ..sim.compiled import classify_component
+    from ..sim.compiled import _native_ids, classify_component
     from ..sim.kernel import CompileRefusal
 
     findings: List[Finding] = []
+    native = _native_ids(network)
     for component in network.kernel.components:
         try:
-            classified = classify_component(network, component)
+            classified = classify_component(network, component, native)
         except Exception as exc:  # the contract is: never raise
             findings.append(
                 Finding(

@@ -81,11 +81,12 @@ def build_daelite_case(
 
     Corner-to-corner CBR traffic (two crossing flows on the smallest
     mesh) exercises injection, forwarding, arrival and sink
-    classification; the connections are fully configured — the config
-    plane is quiet — but no payload has run, which is all lowering
-    needs.
+    classification, and one three-leaf multicast tree a router fan-out
+    and a trajectory with arrivals at three depths;
+    the connections are fully configured — the config plane is quiet —
+    but no payload has run, which is all lowering needs.
     """
-    from ..alloc import ConnectionRequest, SlotAllocator
+    from ..alloc import ConnectionRequest, MulticastRequest, SlotAllocator
     from ..core import DaeliteNetwork
     from ..params import daelite_parameters
     from ..sim.kernel import VECTOR_MODE
@@ -111,6 +112,18 @@ def build_daelite_case(
         )
         for index, (src, dst) in enumerate(flows)
     ]
+    tree = allocator.allocate_multicast(
+        MulticastRequest(
+            "tree",
+            ni_name(0, side - 1),
+            (
+                ni_name(side - 1, side - 1),
+                ni_name(side - 1, 0),
+                ni_name(side // 2, 0),
+            ),
+            slots=2,
+        )
+    )
     network = DaeliteNetwork(mesh, params, kernel_mode=VECTOR_MODE)
     hops = 2 * (side - 1)
     for index, connection in enumerate(connections):
@@ -131,6 +144,27 @@ def build_daelite_case(
         )
         network.kernel.add(generator)
         network.kernel.add(sink)
+    handle = network.configure_multicast(tree)
+    network.kernel.add(
+        CbrGenerator(
+            "gen.tree",
+            inject=network.ni(tree.src_ni).injector(
+                handle.src_channel, "tree"
+            ),
+            period=max(40, 2 * hops),
+        )
+    )
+    for leaf in tree.dst_nis:
+        network.kernel.add(
+            CheckingSink(
+                f"sink.tree.{leaf}",
+                receive=network.ni(leaf).receiver(
+                    handle.dst_channels[leaf]
+                ),
+                words_per_cycle=2,
+                stats=network.stats,
+            )
+        )
     return network
 
 

@@ -5,12 +5,15 @@ How many events the engine handles per delivered word — the same on a
 12x12 fabric — which events come back when a fold's precondition is
 false, how many model methods it calls whatever the word count, that an
 idle configured fabric costs it no events, and that a use-case switch
-beside live traffic is engine time.
+beside live traffic is engine time.  And how many ops its proof
+artifact holds on that fabric: each phase-independent op once.
 """
 
 from __future__ import annotations
 
 import random
+
+import pytest
 
 from repro.alloc import ConnectionRequest, MulticastRequest, SlotAllocator
 from repro.core import DaeliteNetwork, OnlineConnectionManager
@@ -18,9 +21,94 @@ from repro.core.config_network import ConfigModule
 from repro.core.config_port import ConfigPort
 from repro.core.config_protocol import ConfigDecoder
 from repro.params import daelite_parameters
+from repro.sim import lowering
+from repro.sim.compiled import lower_network
 from repro.sim.kernel import VECTOR_MODE
+from repro.sim.lowering import (
+    OP_NAMES,
+    LoweredArtifacts,
+    LoweredOp,
+    _render_trajectory,
+)
+from repro.staticcheck import prove_network
 from repro.topology import build_mesh, ni_name
 from repro.traffic import CbrGenerator, CheckingSink, random_traffic_pattern
+
+from .test_vector_equivalence import plant
+
+
+def benchmark_fabric():
+    """The benchmark's fabric shape, built through the library: a 12x12
+    mesh, 48 flow-controlled connections and 4 three-leaf multicast
+    trees, each stream fed by a CBR generator at one of the coprime
+    periods 61/67/71/73/79 and drained by a sink per destination.
+    Returns the network and its streams, ``(label, source NI, source
+    channel, [(destination NI, channel), ...])``."""
+    mesh = build_mesh(12, 12)
+    params = daelite_parameters(slot_table_size=32, config_word_bits=10)
+    nis = [element.name for element in mesh.nis if element.name != "NI00"]
+    allocator = SlotAllocator(topology=mesh, params=params)
+    connections = [
+        allocator.allocate_connection(request)
+        for request in random_traffic_pattern(
+            nis, 48, seed=2026, slots_min=1, slots_max=2
+        )
+    ]
+    rng = random.Random(2026)
+    trees = []
+    for index in range(4):
+        src, *leaves = rng.sample(nis, 4)
+        trees.append(
+            allocator.allocate_multicast(
+                MulticastRequest(f"tree{index}", src, tuple(leaves), slots=2)
+            )
+        )
+    net = DaeliteNetwork(
+        mesh, params, host_ni="NI00", kernel_mode=VECTOR_MODE
+    )
+    # The subjects are the engine and its lowering.
+    net.kernel.strict_registers = False
+    streams = []
+    for connection in connections:
+        handle = net.configure(connection)
+        forward = connection.forward
+        streams.append(
+            (
+                connection.label,
+                forward.src_ni,
+                handle.forward.src_channel,
+                [(forward.dst_ni, handle.forward.dst_channel)],
+            )
+        )
+    for tree in trees:
+        handle = net.configure_multicast(tree)
+        streams.append(
+            (
+                tree.label,
+                tree.src_ni,
+                handle.src_channel,
+                [(leaf, handle.dst_channels[leaf]) for leaf in tree.dst_nis],
+            )
+        )
+    periods = (61, 67, 71, 73, 79)
+    for index, (label, src, channel, leaves) in enumerate(streams):
+        net.kernel.add(
+            CbrGenerator(
+                f"gen.{label}",
+                net.ni(src).injector(channel, label),
+                period=periods[index % len(periods)],
+            )
+        )
+        for dst, dst_channel in leaves:
+            net.kernel.add(
+                CheckingSink(
+                    f"sink.{label}.{dst}",
+                    net.ni(dst).receiver(dst_channel),
+                    words_per_cycle=2,
+                    stats=net.stats,
+                )
+            )
+    return net, streams
 
 
 class TestEngineWork:
@@ -155,76 +243,12 @@ class TestEngineWork:
     FABRIC_EVENTS_PER_WORD = 4.6
 
     def test_benchmark_fabric_events_and_model_calls(self):
-        """The benchmark's fabric shape, built through the library: a
-        12x12 mesh, 48 flow-controlled connections and 4 three-leaf
-        multicast trees fed at the coprime periods 61/67/71/73/79, so
-        every cycle is stepped.  A multicast word is one firing, slot
-        and launch for three deliveries; a unicast word pays for its
-        credit's arrival.  Model calls stay within two per connection
-        plus destination."""
-        mesh = build_mesh(12, 12)
-        params = daelite_parameters(slot_table_size=32, config_word_bits=10)
-        nis = [element.name for element in mesh.nis if element.name != "NI00"]
-        allocator = SlotAllocator(topology=mesh, params=params)
-        connections = [
-            allocator.allocate_connection(request)
-            for request in random_traffic_pattern(
-                nis, 48, seed=2026, slots_min=1, slots_max=2
-            )
-        ]
-        rng = random.Random(2026)
-        trees = []
-        for index in range(4):
-            src, *leaves = rng.sample(nis, 4)
-            trees.append(
-                allocator.allocate_multicast(
-                    MulticastRequest(f"tree{index}", src, tuple(leaves), slots=2)
-                )
-            )
-        net = DaeliteNetwork(
-            mesh, params, host_ni="NI00", kernel_mode=VECTOR_MODE
-        )
-        net.kernel.strict_registers = False  # the subject is the engine
-        streams = []
-        for connection in connections:
-            handle = net.configure(connection)
-            forward = connection.forward
-            streams.append(
-                (
-                    connection.label,
-                    forward.src_ni,
-                    handle.forward.src_channel,
-                    [(forward.dst_ni, handle.forward.dst_channel)],
-                )
-            )
-        for tree in trees:
-            handle = net.configure_multicast(tree)
-            streams.append(
-                (
-                    tree.label,
-                    tree.src_ni,
-                    handle.src_channel,
-                    [(leaf, handle.dst_channels[leaf]) for leaf in tree.dst_nis],
-                )
-            )
-        periods = (61, 67, 71, 73, 79)
-        for index, (label, src, channel, leaves) in enumerate(streams):
-            net.kernel.add(
-                CbrGenerator(
-                    f"gen.{label}",
-                    net.ni(src).injector(channel, label),
-                    period=periods[index % len(periods)],
-                )
-            )
-            for dst, dst_channel in leaves:
-                net.kernel.add(
-                    CheckingSink(
-                        f"sink.{label}.{dst}",
-                        net.ni(dst).receiver(dst_channel),
-                        words_per_cycle=2,
-                        stats=net.stats,
-                    )
-                )
+        """The benchmark's fabric shape (:func:`benchmark_fabric`) fed at
+        the coprime periods 61/67/71/73/79, so every cycle is stepped.
+        A multicast word is one firing, slot and launch for three
+        deliveries; a unicast word pays for its credit's arrival.  Model
+        calls stay within two per connection plus destination."""
+        net, streams = benchmark_fabric()
         net.run(1000)
         engine = net.kernel._engine
 
@@ -346,3 +370,109 @@ class TestEngineWork:
             net.stats.connections[request.label].ejected > 0
             for request in live
         )
+
+
+def per_entry_rendering(lowered, wheel):
+    """The lowering in the stable form with one :class:`LoweredOp`
+    built for each ``(phase, register)`` entry, the form that rendered
+    every static op once per wheel phase: the oracle the shared
+    rendering must equal."""
+    regs = lowered.regs
+
+    def render(rid, op):
+        kind = OP_NAMES[op[0]]
+        if kind == "arrive":
+            return LoweredOp(kind, rid, (), f"{op[1].name}.ch{op[2]}")
+        if kind == "forward":
+            return LoweredOp(kind, rid, tuple(op[1]), op[2].name)
+        if kind == "move":
+            return LoweredOp(kind, rid, (op[1],), regs[op[1]].name)
+        return LoweredOp(kind, rid, (op[1],), op[2].name)
+
+    phases = []
+    for own in lowered.phase_ops:
+        assert not own.keys() & lowered.static_ops.keys()
+        table = {**lowered.static_ops, **own}
+        phases.append(
+            tuple(render(rid, table[rid]) for rid in sorted(table))
+        )
+    assert len(phases) == wheel
+    return LoweredArtifacts(
+        wheel=wheel,
+        register_names=tuple(reg.name for reg in regs),
+        phase_ops=tuple(phases),
+        seeds=tuple(trajectory.seed for trajectory in lowered.trajectories),
+        occupancy=tuple(lowered.occupancy),
+        trajectories=tuple(
+            _render_trajectory(trajectory)
+            for trajectory in lowered.trajectories
+        ),
+    )
+
+
+class TestProverWork:
+    """What the benchmark's fabric costs to prove, as counts: the op
+    table's phase-independent ops are rendered once, not once per wheel
+    phase."""
+
+    WHEEL = 64
+    #: Op entries over the wheel's phases: 889 static ops (NI stage
+    #: moves, NI output injects, crossbar sends) in every phase, and
+    #: 2 728 forwards and arrivals, each in its own phase.
+    ENTRIES = 64 * 889 + 2728
+    DISTINCT = 889 + 2728
+
+    @pytest.fixture(scope="class")
+    def engine(self):
+        net, _ = benchmark_fabric()
+        assert prove_network(net) == []
+        return lower_network(net)
+
+    def test_static_ops_are_rendered_once(self, engine):
+        artifacts = engine.lowered_artifacts()
+        entries = [op for ops in artifacts.phase_ops for op in ops]
+        assert (len(artifacts.phase_ops), len(entries)) == (
+            self.WHEEL,
+            self.ENTRIES,
+        )
+        assert len({id(op) for op in entries}) <= self.DISTINCT
+        assert artifacts == per_entry_rendering(
+            engine._lowered, engine.wheel
+        )
+
+    def test_forward_shared_by_site_is_killed(self, engine, monkeypatch):
+        """A render that shares a router's forward op across phases by
+        the router (its site) rather than by the register it consumes
+        differs from the oracle.  The planted module defines its own
+        dataclasses, so the renderings compare by ``repr``; an
+        unmutated plant compares equal."""
+        expected = repr(per_entry_rendering(engine._lowered, engine.wheel))
+        original = (
+            "    for own in lowered.phase_ops:\n"
+            "        ops = dict(static)\n"
+            "        for rid, op in own.items():\n"
+            "            ops[rid] = _render_op(rid, op, regs)\n"
+        )
+        mutant = (
+            "    by_site: dict = {}\n"
+            "    for own in lowered.phase_ops:\n"
+            "        ops = dict(static)\n"
+            "        for rid, op in own.items():\n"
+            "            ops[rid] = _render_op(rid, op, regs)\n"
+            "            if op[0] == _OP_FORWARD:\n"
+            "                ops[rid] = by_site.setdefault(\n"
+            "                    op[2].name, ops[rid]\n"
+            "                )\n"
+        )
+        for fragment, same in ((original, True), (mutant, False)):
+            plant(
+                monkeypatch,
+                original,
+                fragment,
+                owner=lowering,
+                method="render_artifacts",
+            )
+            rendered = lowering.render_artifacts(
+                engine._lowered, engine.wheel
+            )
+            assert (repr(rendered) == expected) is same

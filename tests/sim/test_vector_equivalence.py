@@ -1587,8 +1587,9 @@ def plant(
     """Run every engine on ``owner.method`` (by default ``run_to``)
     with the one source fragment ``original`` of its module (a fast
     path is inline code: there is no method to patch) rewritten to
-    ``mutant``."""
-    module = inspect.getmodule(owner)
+    ``mutant``.  ``owner`` may be a module: ``method`` is then one of
+    its functions."""
+    module = owner if inspect.ismodule(owner) else inspect.getmodule(owner)
     source = inspect.getsource(module)
     assert source.count(original) == 1, original
     namespace = {
@@ -1599,9 +1600,11 @@ def plant(
         compile(source.replace(original, mutant), module.__file__, "exec"),
         namespace,
     )
-    monkeypatch.setattr(
-        owner, method, getattr(namespace[owner.__name__], method)
-    )
+    if owner is module:
+        planted = namespace[method]
+    else:
+        planted = getattr(namespace[owner.__name__], method)
+    monkeypatch.setattr(owner, method, planted)
 
 
 def slow_branch(name: str):

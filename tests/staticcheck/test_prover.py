@@ -9,7 +9,8 @@ Three obligations:
   aelite typed refusal prove clean through the public introspection
   API, and a mutation planted into real artifacts is flagged;
 * **the CLI leg** — ``--prove`` drives the matrix and exits 0 on the
-  shipped tree, 2 on malformed size filters.
+  shipped tree, 2 on a size filter that is malformed or matches no
+  shipped case.
 """
 
 from __future__ import annotations
@@ -127,6 +128,32 @@ def test_mutated_live_trajectory_is_flagged():
     assert codes(verify_op_tables(mutated)) == {"OP005"}
 
 
+def test_mutated_live_tree_trajectory_is_flagged():
+    """The daelite case's multicast tree fans out and arrives at three
+    leaves; dropping one leaf's arrival from its trajectory leaves the
+    table sound but the claim wrong: OP005, and nothing else."""
+    network = build_daelite_case(3, slot_table_size=8)
+    network.kernel.strict_registers = False  # as above
+    artifacts = lower_network(network).lowered_artifacts()
+    assert any(
+        op.kind == "forward" and len(op.dsts) > 1
+        for ops in artifacts.phase_ops
+        for op in ops
+    )
+    index, victim = next(
+        (index, trajectory)
+        for index, trajectory in enumerate(artifacts.trajectories)
+        if len(trajectory.arrivals) == 3
+    )
+    mutated = dataclasses.replace(
+        artifacts,
+        trajectories=artifacts.trajectories[:index]
+        + (dataclasses.replace(victim, arrivals=victim.arrivals[1:]),)
+        + artifacts.trajectories[index + 1 :],
+    )
+    assert codes(verify_op_tables(mutated)) == {"OP005"}
+
+
 def test_vector_network_publishes_artifacts():
     """The introspection API is reachable without private attributes:
     a vector-mode network lowers and publishes its op tables."""
@@ -158,6 +185,12 @@ def test_cli_prove_accepts_nxn_filter(capsys):
     assert "daelite-3x3: proved clean" in capsys.readouterr().err
 
 
-def test_cli_prove_rejects_malformed_size(capsys):
-    assert main(["--prove", "--prove-size", "huge"]) == 2
-    assert "invalid --prove-size" in capsys.readouterr().err
+@pytest.mark.parametrize("size", ["huge", "5", "0", "3x4", "3xfoo"])
+def test_cli_prove_rejects_malformed_size(capsys, size):
+    """A size that is malformed, not square or matches no shipped case
+    is a usage error: a filter that proves nothing must not exit
+    clean."""
+    assert main(["--prove", "--prove-size", size]) == 2
+    err = capsys.readouterr().err
+    assert "invalid --prove-size" in err
+    assert "3 / 8 / 16" in err
