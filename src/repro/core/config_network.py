@@ -60,6 +60,7 @@ from ..sim.link import NarrowFaultHook, NarrowLink
 from ..sim.stats import FAULT_DETECTED, StatsCollector
 from ..sim.trace import NULL_TRACER, Tracer
 from ..topology import CONFIG_HOP_CYCLES, ConfigTree
+from .changes import ChangeRecord
 from .config_port import ConfigPort
 from .config_protocol import ConfigPacket, Opcode
 
@@ -164,6 +165,7 @@ class ConfigModule(Component):
         name: str,
         params: NetworkParameters,
         tree: ConfigTree,
+        changes: Optional[ChangeRecord] = None,
     ) -> None:
         super().__init__(name)
         self.params = params
@@ -186,6 +188,10 @@ class ConfigModule(Component):
         #: a fault hook on any of them keeps the packets it can touch on
         #: the stepped tree.
         self.config_links: Dict[str, NarrowLink] = {}
+        #: The network's change record (``repro.core.changes``; one of
+        #: the module's own when built alone): its
+        #: ``hooked_config_links`` lists the tree's hooked links.
+        self.changes = changes if changes is not None else ChangeRecord()
         #: Optional event tracer (set by the network builder).
         self.tracer: Tracer = NULL_TRACER
         #: Ports holding a deposit of the active request.
@@ -391,12 +397,11 @@ class ConfigModule(Component):
         self._word_queue.extend(request.packet.words)
 
     def config_fault_hooks(self) -> List[NarrowFaultHook]:
-        """The fault hooks installed on the tree's links, in link
-        order."""
+        """The fault hooks installed on the tree's links, in the order
+        they were installed: read off the change record, so no tree
+        link without one is visited."""
         return [
-            link.fault_hook
-            for link in self.config_links.values()
-            if link.fault_hook is not None
+            link.fault_hook for link in self.changes.hooked_config_links
         ]
 
     def _elision_refusal(
@@ -458,12 +463,20 @@ class ConfigModule(Component):
         words = request.packet.words
         addressees = request.packet.addressees
         assert addressees is not None  # _elision_refusal checked
+        # The whole packet is checked once, by any addressee's decoder;
+        # each then decodes only its own part.
+        layout = (
+            self.ports[addressees[0]].decoder.addressed_layout(words)
+            if addressees
+            else None
+        )
         for position, element_id in enumerate(addressees):
             port = self.ports[element_id]
             port.deposit(
                 words,
                 self._due_cycle(cycle, len(words), port.depth),
                 position,
+                layout,
             )
             self._deposited.append(port)
         self._busy_until = self._flight_end(cycle, len(words))

@@ -33,7 +33,7 @@ does not keep the engine off.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from ..errors import ReproError, SimulationError
 from ..sim.kernel import Component, Register
@@ -65,6 +65,7 @@ class ConfigPort:
         kind: ElementKind,
         slot_table_size: int,
         word_bits: int = 7,
+        changes: Any = None,
     ) -> None:
         self.owner = owner
         self.in_link: Optional[NarrowLink] = None
@@ -79,6 +80,10 @@ class ConfigPort:
             slot_table_size=slot_table_size,
             word_bits=word_bits,
         )
+        # A packet the decoder starts notes the owner in the owner's
+        # network change record (``repro.core.changes``), if it has one.
+        self.decoder.owner = owner
+        self.decoder.changes = changes
         #: Response words queued by the owning element (read results).
         self.response_queue: Deque[int] = deque()
         #: Optional fault monitor.  When ``None`` (the default) protocol
@@ -96,6 +101,10 @@ class ConfigPort:
         #: position)``.  At most one, because the module serializes
         #: packets and a packet names an element at most once.
         self._deposit: Optional[Tuple[tuple, int, Optional[int]]] = None
+        #: The waiting deposit's packet layout, checked once for all
+        #: its addressees (``ConfigDecoder.addressed_layout``; ``None``:
+        #: the decoder derives it).
+        self._layout: Optional[tuple] = None
 
     @property
     def pending(self) -> bool:
@@ -110,12 +119,18 @@ class ConfigPort:
         return self._deposit is not None
 
     def deposit(
-        self, words: tuple, due: int, position: Optional[int] = None
+        self,
+        words: tuple,
+        due: int,
+        position: Optional[int] = None,
+        layout: Optional[tuple] = None,
     ) -> None:
         """Accept an elided packet to decode at cycle ``due``.
 
         ``position`` is this element's index in the packet's addressee
         record; ``None`` (no record) decodes every word at ``due``.
+        ``layout`` is the packet's ``addressed_layout``, when the module
+        has it.
 
         Raises:
             SimulationError: if an earlier deposit is still waiting —
@@ -128,11 +143,12 @@ class ConfigPort:
                 f"collides with one due at {self._deposit[1]}"
             )
         self._deposit = (words, due, position)
+        self._layout = layout
 
     def discard_deposit(self) -> None:
         """Drop a waiting deposit (reset: the elided counterpart of
         clearing words in flight out of the tree's registers)."""
-        self._deposit = None
+        self._deposit = self._layout = None
 
     def next_evaluation(self, cycle: int) -> Optional[int]:
         """Earliest cycle ``>= cycle`` the submodule has work that no
@@ -209,7 +225,8 @@ class ConfigPort:
         """
         assert self._deposit is not None
         words, due, position = self._deposit
-        self._deposit = None
+        layout = self._layout
+        self._deposit = self._layout = None
         if cycle != due or word is not None or self.decoder.busy:
             raise SimulationError(
                 f"{self.owner.name}: config deposit due at cycle {due} "
@@ -219,7 +236,7 @@ class ConfigPort:
                 f"{'mid-packet' if self.decoder.busy else 'idle'}"
             )
         if position is not None:
-            own = self.decoder.decode_addressed(words, position)
+            own = self.decoder.decode_addressed(words, position, layout)
             if own is not None:
                 return own
         # Word ``index`` reached this element at ``due - len + index``:

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import Any, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from ..errors import ParameterError, ProtocolError
 from ..topology import ElementKind
@@ -460,6 +460,13 @@ class ConfigDecoder:
     copy, applies it on an ID match, and rotates it on a mismatch.
     """
 
+    #: The element whose config port holds the decoder, and its
+    #: network's change record (:mod:`repro.core.changes`), whose
+    #: ``suspects`` starting a packet enters that element in; both
+    #: unset for a free-standing decoder.
+    owner: Any = None
+    changes: Any = None
+
     def __init__(
         self,
         element_id: int,
@@ -533,14 +540,46 @@ class ConfigDecoder:
         self._consume(word)
         return []
 
+    def addressed_layout(self, words: tuple) -> Optional[tuple]:
+        """The whole-packet half of :meth:`decode_addressed`, done once
+        per packet whatever its addressee count: ``words`` checked to
+        be in range and laid out as a PATH_SETUP, PATH_TEARDOWN or
+        CHANNEL_CONFIG packet — ``(opcode, first ID index, ID column,
+        count of each ID)`` for a path packet, ``(opcode, fields)`` for
+        a channel packet — or ``None`` for any other tuple.  Every
+        decoder of one network has the same slot-table size and word
+        width, so any of them gives the packet's layout."""
+        if not words or min(words) < 0 or max(words) >= self._word_limit:
+            return None
+        opcode = _OPCODES.get(words[0] & 0b111)
+        if opcode is Opcode.PATH_SETUP or opcode is Opcode.PATH_TEARDOWN:
+            start = 1 + self._mask_word_count
+            if len(words) < start + 2 or (len(words) - start) % 2:
+                return None
+            ids = words[start::2]
+            counts: Dict[int, int] = {}
+            for element_id in ids:
+                counts[element_id] = counts.get(element_id, 0) + 1
+            return (opcode, start, ids, counts)
+        if opcode is Opcode.CHANNEL_CONFIG:
+            if len(words) < 3 or len(words) % 2 == 0:
+                return None
+            fields = [_FIELDS.get(word) for word in words[3::2]]
+            if None in fields:
+                return None
+            return (opcode, fields)
+        return None
+
     def decode_addressed(
-        self, words: tuple, position: int
+        self, words: tuple, position: int, layout: Optional[tuple] = None
     ) -> Optional[List[Action]]:
         """Decode only this element's part of a whole PATH_SETUP,
         PATH_TEARDOWN or CHANNEL_CONFIG packet that names it as addressee
         ``position`` (its pair index in a path packet, 0 in a channel
         packet): the mask once, rotated by ``position``, plus its own pair
-        or fields.
+        or fields.  ``layout`` is the packet's :meth:`addressed_layout`
+        (``None``: derive it here), so the per-addressee work is O(1)
+        beyond the element's own words.
 
         Returns what :meth:`feed` would return on the gap after feeding
         every word of ``words`` to an idle decoder, or ``None`` — with the
@@ -550,18 +589,17 @@ class ConfigDecoder:
         field, another opcode).  A ``None`` leaves the packet to
         :meth:`feed`, the one place errors are raised.
         """
-        if not words or min(words) < 0 or max(words) >= self._word_limit:
-            return None
-        opcode = _OPCODES.get(words[0] & 0b111)
-        if opcode is Opcode.PATH_SETUP or opcode is Opcode.PATH_TEARDOWN:
-            start = 1 + self._mask_word_count
-            ids = words[start::2]
+        if layout is None:
+            layout = self.addressed_layout(words)
+            if layout is None:
+                return None
+        opcode = layout[0]
+        if opcode is not Opcode.CHANNEL_CONFIG:
+            _opcode, start, ids, counts = layout
             if (
-                len(words) < start + 2
-                or (len(words) - start) % 2
-                or position >= len(ids)
+                position >= len(ids)
                 or ids[position] != self.element_id
-                or ids.count(self.element_id) != 1
+                or counts[self.element_id] != 1
             ):
                 return None
             payload = words[start + 2 * position + 1]
@@ -584,24 +622,14 @@ class ConfigDecoder:
                 return None
             self._opcode = opcode
             self._record_path_action(payload)
-        elif opcode is Opcode.CHANNEL_CONFIG:
-            if (
-                position
-                or len(words) < 3
-                or len(words) % 2 == 0
-                or words[1] != self.element_id
-            ):
-                return None
-            fields = [_FIELDS.get(word) for word in words[3::2]]
-            if None in fields:
+        else:
+            if position or words[1] != self.element_id:
                 return None
             self._matched = True
             self._channel_ref = decode_ni_channel_word(words[2])
-            for field, value in zip(fields, words[4::2]):
+            for field, value in zip(layout[1], words[4::2]):
                 self._field = field
                 self._record_write_action(value)
-        else:
-            return None
         actions = self._actions
         self._reset_packet()
         return actions
@@ -681,6 +709,8 @@ class ConfigDecoder:
             raise ProtocolError(f"decoder in impossible state {state}")
 
     def _start_packet(self, word: int) -> None:
+        if self.changes is not None:
+            self.changes.suspects[self.owner] = None
         opcode = _OPCODES.get(word & 0b111)
         if opcode is None:
             raise ProtocolError(f"unknown opcode in header word {word:#x}")

@@ -30,6 +30,7 @@ from ..topology import (
     Topology,
     build_config_tree,
 )
+from .changes import ChangeRecord
 from .config_network import ConfigModule, ConfigRequest
 from .host import ConnectionHandle, Host, MulticastHandle, SetupHandle
 from .ni import NetworkInterface
@@ -76,6 +77,9 @@ class DaeliteNetwork:
         self.routers: Dict[str, Router] = {}
         self.nis: Dict[str, NetworkInterface] = {}
         self.links: Dict[tuple, Link] = {}
+        #: What can make the compiled engine stale, noted by every
+        #: element, table and link built here as it happens.
+        self.changes = ChangeRecord()
         #: Narrow links of the config tree by name (``cfg.*`` forward,
         #: ``rsp.*`` response) — the fault injector's config targets.
         self.config_links: Dict[str, NarrowLink] = {}
@@ -85,7 +89,7 @@ class DaeliteNetwork:
             topology, self.host_element
         )
         self.config_module = ConfigModule(
-            "config_module", self.params, self.config_tree
+            "config_module", self.params, self.config_tree, self.changes
         )
         self.kernel.add(self.config_module)
         self._wire_config_tree()
@@ -103,21 +107,27 @@ class DaeliteNetwork:
     def _build_elements(self, strict: bool) -> None:
         for element in self.topology.elements.values():
             if element.kind is ElementKind.ROUTER:
-                router = Router(element, self.params, strict=strict)
+                router = Router(
+                    element, self.params, strict=strict, changes=self.changes
+                )
                 router.tracer = self.tracer
                 router.stats = self.stats
                 self.routers[element.name] = router
                 self.kernel.add(router)
             else:
                 ni = NetworkInterface(
-                    element, self.params, stats=self.stats, strict=strict
+                    element,
+                    self.params,
+                    stats=self.stats,
+                    strict=strict,
+                    changes=self.changes,
                 )
                 ni.tracer = self.tracer
                 self.nis[element.name] = ni
                 self.kernel.add(ni)
 
     def _attach_link(self, src: str, dst: str) -> None:
-        link = Link(f"{src}->{dst}")
+        link = Link(f"{src}->{dst}", self.changes)
         self.links[(src, dst)] = link
         self.kernel.add_register(link.register)
         src_element = self.topology.element(src)
@@ -150,13 +160,14 @@ class DaeliteNetwork:
             port = self._config_port_of(name)
             port.depth = depth
             self.config_module.ports[port.decoder.element_id] = port
-        root_port = self._config_port_of(self.config_tree.root)
-        root_fwd = NarrowLink(f"cfg.module->{self.config_tree.root}", width)
+        root = self.config_tree.root
+        root_port = self._config_port_of(root)
+        root_fwd = NarrowLink(f"cfg.module->{root}", width, self.changes)
         self.kernel.add_register(root_fwd.register)
         self.config_links[root_fwd.name] = root_fwd
         self.config_module.root_link = root_fwd
         root_port.in_link = root_fwd
-        root_rsp = NarrowLink(f"rsp.{self.config_tree.root}->module", width)
+        root_rsp = NarrowLink(f"rsp.{root}->module", width, self.changes)
         self.kernel.add_register(root_rsp.register)
         self.config_links[root_rsp.name] = root_rsp
         root_port.resp_out_link = root_rsp
@@ -165,12 +176,12 @@ class DaeliteNetwork:
             parent_port = self._config_port_of(parent)
             for child in self.config_tree.children[parent]:
                 child_port = self._config_port_of(child)
-                fwd = NarrowLink(f"cfg.{parent}->{child}", width)
+                fwd = NarrowLink(f"cfg.{parent}->{child}", width, self.changes)
                 self.kernel.add_register(fwd.register)
                 self.config_links[fwd.name] = fwd
                 parent_port.child_links.append(fwd)
                 child_port.in_link = fwd
-                rsp = NarrowLink(f"rsp.{child}->{parent}", width)
+                rsp = NarrowLink(f"rsp.{child}->{parent}", width, self.changes)
                 self.kernel.add_register(rsp.register)
                 self.config_links[rsp.name] = rsp
                 child_port.resp_out_link = rsp

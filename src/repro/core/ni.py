@@ -27,8 +27,9 @@ from ..sim.flit import Phit, Word, parity_of
 from ..sim.kernel import Component, Register
 from ..sim.link import Link
 from ..sim.stats import FAULT_DETECTED, StatsCollector
-from ..sim.trace import NULL_TRACER, Tracer
+from ..sim.trace import NULL_TRACER
 from ..topology import Element, ElementKind
+from .changes import ChangeRecord, ReportingElement
 from .config_port import ConfigPort
 from .config_protocol import (
     Action,
@@ -83,7 +84,7 @@ class ChannelReceiver:
         return self.ni.receive(self.channel, max_words)
 
 
-class NetworkInterface(Component):
+class NetworkInterface(Component, ReportingElement):
     """A daelite NI: slot tables, channel queues, credits, config port.
 
     Attributes:
@@ -92,6 +93,10 @@ class NetworkInterface(Component):
         source_channels: Sending channel endpoints, by channel index.
         dest_channels: Receiving channel endpoints, by channel index.
         bus_config_words: Raw 7-bit words received via BUS_CONFIG packets.
+        changes: The network's change record (one of its own when
+            built alone): the tables count writes there, and a set
+            tracer or collector, a decoded packet or a first source
+            channel notes the NI there.
     """
 
     def __init__(
@@ -100,16 +105,22 @@ class NetworkInterface(Component):
         params: NetworkParameters,
         stats: Optional[StatsCollector] = None,
         strict: bool = False,
+        changes: Optional[ChangeRecord] = None,
     ) -> None:
         super().__init__(element.name)
         if element.kind is not ElementKind.NI:
             raise SimulationError(f"{element.name!r} is not an NI")
+        self.changes = changes if changes is not None else ChangeRecord()
         self.element = element
         self.params = params
         self.stats = stats
         self.strict = strict
-        self.injection_table = NiInjectionTable(params.slot_table_size)
-        self.arrival_table = NiArrivalTable(params.slot_table_size)
+        self.injection_table = NiInjectionTable(
+            params.slot_table_size, self.changes
+        )
+        self.arrival_table = NiArrivalTable(
+            params.slot_table_size, self.changes
+        )
         self.source_channels: Dict[int, SourceChannel] = {}
         self.dest_channels: Dict[int, DestChannel] = {}
         #: Link towards the router (wired by the network builder).
@@ -128,14 +139,14 @@ class NetworkInterface(Component):
             kind=ElementKind.NI,
             slot_table_size=params.slot_table_size,
             word_bits=params.config_word_bits,
+            changes=self.changes,
         )
         self.bus_config_words: List[int] = []
         #: Optional event tracer (set by the network builder).
-        self.tracer: Tracer = NULL_TRACER
+        self.tracer = NULL_TRACER
         self.dropped_words = 0
         self._sequence_counters: Dict[int, int] = {}
-        #: Config actions applied; part of the compiled-engine validity
-        #: token (covers channel writes slot-table versions cannot see).
+        #: Config actions applied.
         self.config_applied = 0
 
     # -- channel access (used by shells, traffic generators, the host) -------
@@ -143,6 +154,7 @@ class NetworkInterface(Component):
     def source_channel(self, channel: int) -> SourceChannel:
         """Get (creating lazily) a source channel endpoint."""
         if channel not in self.source_channels:
+            self.changes.sourcing[self] = None
             self.source_channels[channel] = SourceChannel(
                 channel=channel,
                 max_credit=self.params.max_credit_value,
@@ -378,6 +390,7 @@ class NetworkInterface(Component):
 
     def _apply(self, action: Action) -> None:
         self.config_applied += 1
+        self.changes.writes += 1
         if isinstance(action, NiPathAction):
             self._apply_path(action)
         elif isinstance(action, ChannelWriteAction):

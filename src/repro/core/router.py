@@ -27,15 +27,16 @@ from ..params import NetworkParameters
 from ..sim.flit import Phit
 from ..sim.kernel import Component, Register
 from ..sim.link import Link
-from ..sim.stats import FAULT_DETECTED, StatsCollector
-from ..sim.trace import NULL_TRACER, Tracer
+from ..sim.stats import FAULT_DETECTED
+from ..sim.trace import NULL_TRACER
 from ..topology import Element, ElementKind
+from .changes import ChangeRecord, ReportingElement
 from .config_port import ConfigPort
 from .config_protocol import Action, RouterPathAction
 from .slot_table import RouterSlotTable
 
 
-class Router(Component):
+class Router(Component, ReportingElement):
     """A daelite router with per-output slot tables and a config port.
 
     Attributes:
@@ -51,15 +52,22 @@ class Router(Component):
         element: Element,
         params: NetworkParameters,
         strict: bool = False,
+        changes: Optional[ChangeRecord] = None,
     ) -> None:
         super().__init__(element.name)
         if element.kind is not ElementKind.ROUTER:
             raise SimulationError(f"{element.name!r} is not a router")
+        #: The network's change record (one of its own when built
+        #: alone): its slot table counts writes there, and a set tracer
+        #: or collector or a decoded packet notes the router there.
+        self.changes = changes if changes is not None else ChangeRecord()
         self.element = element
         self.params = params
         self.strict = strict
         ports = element.arity
-        self.slot_table = RouterSlotTable(ports, params.slot_table_size)
+        self.slot_table = RouterSlotTable(
+            ports, params.slot_table_size, self.changes
+        )
         #: Incoming links, indexed by port (wired by the network builder).
         self.in_links: List[Optional[Link]] = [None] * ports
         #: Outgoing links, indexed by port.
@@ -73,17 +81,17 @@ class Router(Component):
             kind=ElementKind.ROUTER,
             slot_table_size=params.slot_table_size,
             word_bits=params.config_word_bits,
+            changes=self.changes,
         )
         self.dropped_words = 0
         self.forwarded_words = 0
-        #: Config actions applied; part of the compiled-engine validity
-        #: token (covers mutations slot-table versions cannot see).
+        #: Config actions applied.
         self.config_applied = 0
         #: Optional event tracer (set by the network builder).
-        self.tracer: Tracer = NULL_TRACER
+        self.tracer = NULL_TRACER
         #: Optional stats collector (set by the network builder); drops
         #: are recorded there as detected faults.
-        self.stats: Optional[StatsCollector] = None
+        self.stats = None
 
     @property
     def ports(self) -> int:
@@ -166,6 +174,7 @@ class Router(Component):
 
     def _apply(self, action: Action) -> None:
         self.config_applied += 1
+        self.changes.writes += 1
         if not isinstance(action, RouterPathAction):
             raise SimulationError(
                 f"{self.name}: router received non-router config action "

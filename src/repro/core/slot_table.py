@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
 
 from ..errors import ParameterError, ScheduleError
+from .changes import ChangeRecord
 
 
 @dataclass(frozen=True)
@@ -156,7 +157,12 @@ class RouterSlotTable:
     when the output is idle in that slot.
     """
 
-    def __init__(self, ports: int, slot_table_size: int) -> None:
+    def __init__(
+        self,
+        ports: int,
+        slot_table_size: int,
+        changes: Optional[ChangeRecord] = None,
+    ) -> None:
         if ports < 1:
             raise ParameterError("router needs at least one port")
         if slot_table_size < 1:
@@ -170,9 +176,11 @@ class RouterSlotTable:
         # and invalidated by set/clear.  The router hot path hits this
         # instead of walking every output port each cycle.
         self._forwards: List[Optional[tuple]] = [None] * slot_table_size
-        #: Bumped on every set/clear; the compiled engine's validity
-        #: token sums these to detect reprogramming without diffing.
-        self.version = 0
+        #: Where every set/clear is counted (``writes``): the compiled
+        #: engine's validity token detects reprogramming without
+        #: diffing.  The owning element's network record, or one of
+        #: the table's own.
+        self.changes = changes if changes is not None else ChangeRecord()
 
     def entry(self, output: int, slot: int) -> Optional[int]:
         """Input port feeding ``output`` during ``slot`` (or ``None``).
@@ -205,14 +213,19 @@ class RouterSlotTable:
             )
         self._table[output][slot] = input_port
         self._forwards[slot] = None
-        self.version += 1
+        self.changes.writes += 1
 
     def clear_entry(self, output: int, slot: int) -> None:
         """Tear-down: stop forwarding on ``output`` during ``slot``."""
         self._check_output(output)
         self._table[output][slot % self.size] = None
         self._forwards[slot % self.size] = None
-        self.version += 1
+        self.changes.writes += 1
+
+    def image(self) -> tuple:
+        """The whole table as a value: per output, the input feeding it
+        in each slot (``None``: idle).  Equal images, equal tables."""
+        return tuple(map(tuple, self._table))
 
     def forwards(self, slot: int) -> tuple:
         """Cached ``(output, input)`` pairs active during ``slot``.
@@ -278,7 +291,9 @@ class RouterSlotTable:
 class NiInjectionTable:
     """Which channel may insert a word during each TDM slot."""
 
-    def __init__(self, slot_table_size: int) -> None:
+    def __init__(
+        self, slot_table_size: int, changes: Optional[ChangeRecord] = None
+    ) -> None:
         if slot_table_size < 1:
             raise ParameterError("slot table size must be >= 1")
         self.size = slot_table_size
@@ -286,12 +301,16 @@ class NiInjectionTable:
         # Sorted tuple of granted slots, computed lazily; lets the NI
         # jump straight to its next injection opportunity.
         self._occupied: Optional[tuple] = None
-        #: Bumped on every set/clear (see RouterSlotTable.version).
-        self.version = 0
+        #: Counts every set/clear (see RouterSlotTable.changes).
+        self.changes = changes if changes is not None else ChangeRecord()
 
     def channel(self, slot: int) -> Optional[int]:
         """Channel allowed to inject during ``slot`` (or ``None``)."""
         return self._table[slot % self.size]
+
+    def image(self) -> tuple:
+        """The whole table as a value: the channel of each slot."""
+        return tuple(self._table)
 
     def occupied(self) -> tuple:
         """Cached sorted tuple of all granted slot indices."""
@@ -321,12 +340,12 @@ class NiInjectionTable:
             )
         self._table[slot] = channel
         self._occupied = None
-        self.version += 1
+        self.changes.writes += 1
 
     def clear_slot(self, slot: int) -> None:
         self._table[slot % self.size] = None
         self._occupied = None
-        self.version += 1
+        self.changes.writes += 1
 
     def slots_of(self, channel: int) -> Set[int]:
         """All slots granted to ``channel``."""

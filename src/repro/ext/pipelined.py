@@ -138,8 +138,8 @@ class PipelinedDaeliteNetwork(DaeliteNetwork):
         # number of slots: stages = extra*W, minus the one cycle the
         # second link register adds beyond a plain link.
         stages = extra * self.params.words_per_slot - 1
-        upstream = Link(f"{src}->{dst}.head")
-        downstream = Link(f"{src}->{dst}")
+        upstream = Link(f"{src}->{dst}.head", self.changes)
+        downstream = Link(f"{src}->{dst}", self.changes)
         self.kernel.add_register(upstream.register)
         self.kernel.add_register(downstream.register)
         if stages == 0:

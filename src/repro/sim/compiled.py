@@ -110,8 +110,9 @@ from __future__ import annotations
 from collections import OrderedDict
 from functools import lru_cache
 from heapq import heapify, heappop, heapreplace
+from itertools import chain, compress, count
 from math import lcm
-from operator import itemgetter
+from operator import attrgetter, is_not, itemgetter
 from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
@@ -139,6 +140,12 @@ _FIRE_BURST = 2
 #: Rank of a pending ``(order, leaf, word, credit bits)`` event within
 #: its cycle.
 _EVENT_ORDER = itemgetter(0)
+
+#: A register's output, read in bulk at import; the cumulative link and
+#: router counters replay scales, read in bulk at a snapshot.
+_Q = attrgetter("q")
+_LINK_COUNTERS = attrgetter("phits_carried", "words_carried")
+_FORWARDED = attrgetter("forwarded_words")
 
 _PAYLOAD_MASK = 0xFFFF_FFFF
 _NEVER = 1 << 62
@@ -201,14 +208,18 @@ def _model() -> Any:
 def install_compile_provider(network: Any) -> None:
     """Install a compile provider for a :class:`DaeliteNetwork` kernel.
 
-    The provider re-checks cheap eligibility on every acquisition and
-    reuses the previous engine as long as the schedule token (slot-table
-    versions + applied config actions) is unchanged or moved only by
-    applies the engine rode through (an engine that finds, on entry,
-    something live those applies were not checked against declines the
-    run and drops its token, so the kernel's next acquisition
-    recompiles).
+    The provider re-checks eligibility on every acquisition and reuses
+    the previous engine as long as the schedule token (the network's
+    count of schedule writes) is unchanged or moved only by applies the
+    engine rode through (an engine that finds, on entry, something live
+    those applies were not checked against declines the run and drops
+    its token, so the kernel's next acquisition recompiles).  Its
+    ``lower`` attribute gives the same verdict and the lowering behind
+    it without building an engine (:func:`lower_network`).
     """
+
+    def lower() -> Any:
+        return _check_eligibility(network) or _lower(network)
 
     def provider(
         kernel: Kernel, previous: Optional["CompiledEngine"]
@@ -216,11 +227,15 @@ def install_compile_provider(network: Any) -> None:
         refusal = _check_eligibility(network)
         if refusal is not None:
             return refusal
-        token = _schedule_token(network)
+        token = network.changes.writes
         if previous is not None and previous.token == token:
             return previous
-        return compile_network(network, token)
+        lowering = _lower(network)
+        if isinstance(lowering, CompileRefusal):
+            return lowering
+        return CompiledEngine(lowering, token)
 
+    provider.lower = lower  # type: ignore[attr-defined]
     network.kernel.compile_provider = provider
 
 
@@ -235,18 +250,21 @@ def install_refusing_provider(network: Any, detail: str) -> None:
     def provider(kernel: Kernel, previous: Any) -> CompileRefusal:
         return CompileRefusal(CompileRefusal.UNSUPPORTED_COMPONENT, detail)
 
+    provider.lower = lambda: provider(network.kernel, None)  # type: ignore
     network.kernel.compile_provider = provider
 
 
 def lower_network(network: Any) -> Any:
-    """Compile exactly what the kernel's provider would run, offline.
+    """Lower exactly what the kernel's provider would run, offline.
 
     This is the entry point ``python -m repro.staticcheck --prove``
-    uses: the network's installed provider is consulted (so every
-    eligibility gate applies) and the result — an
-    engine exposing :meth:`CompiledEngine.lowered_artifacts`, or a
-    typed :class:`~repro.sim.kernel.CompileRefusal` — is returned
-    without being installed on the kernel.
+    uses: the network's installed provider gives its verdict (so every
+    eligibility gate applies) and the result — a :class:`Lowering`
+    exposing :meth:`Lowering.lowered_artifacts`, or a typed
+    :class:`~repro.sim.kernel.CompileRefusal` — is returned without
+    building or installing an engine.  The lowering comes through the
+    network's lowering cache, so the kernel's next compile of the same
+    schedule finds it there.
     """
     provider = network.kernel.compile_provider
     if provider is None:
@@ -254,40 +272,13 @@ def lower_network(network: Any) -> Any:
             CompileRefusal.NO_PROVIDER,
             "the network installed no compile provider",
         )
-    return provider(network.kernel, None)
-
-
-def _schedule_token(network: Any) -> int:
-    """Cheap validity token covering every compiled-in decision.
-
-    Slot-table versions cover (re)programming of the forwarding and
-    injection/arrival schedules; ``config_applied`` counters cover
-    channel-register writes arriving through the config tree.  It is a
-    sum over elements (:func:`_element_token`), so an engine that rides
-    through an apply adopts the new token by adding that element's
-    change.
-    """
-    return sum(map(_element_token, network.routers.values())) + sum(
-        map(_element_token, network.nis.values())
-    )
-
-
-def _element_token(element: Any) -> int:
-    """One router's or NI's share of :func:`_schedule_token`."""
-    table = getattr(element, "slot_table", None)
-    if table is not None:
-        return table.version + element.config_applied
-    return (
-        element.injection_table.version
-        + element.arrival_table.version
-        + element.config_applied
-    )
+    return provider.lower()
 
 
 def _schedule_image(network: Any) -> tuple:
     """Structural image of the programmed schedule (content, not version).
 
-    Unlike :func:`_schedule_token` — which bumps on every applied config
+    Unlike the schedule token — which moves on every applied config
     action even when the resulting tables are identical — this captures
     the schedule *content* every schedule-dependent compile product is a
     pure function of: the slot wheel geometry and, per router/NI, the
@@ -295,23 +286,12 @@ def _schedule_image(network: Any) -> tuple:
     attachment.  Two configurations with equal images lower to the same
     op tables, trajectories and refusals, which is what makes both the
     lowering cache and the piecewise-periodic regime cache sound across
-    use-case switches that revisit a schedule.
+    use-case switches that revisit a schedule.  Each table gives its
+    image whole (``image()``), not slot by slot.
     """
     params = network.params
-    table = params.slot_table_size
     routers = tuple(
-        (
-            name,
-            tuple(
-                tuple(
-                    (output, input_port)
-                    for output, input_port in router.slot_table.forwards(
-                        slot
-                    )
-                )
-                for slot in range(table)
-            ),
-        )
+        (name, router.slot_table.image())
         for name, router in sorted(network.routers.items())
     )
     nis = tuple(
@@ -319,30 +299,33 @@ def _schedule_image(network: Any) -> tuple:
             name,
             ni.out_link is not None,
             ni.in_link is not None,
-            tuple(
-                ni.injection_table.channel(slot)
-                for slot in range(table)
-            ),
-            tuple(
-                ni.arrival_table.channel(slot) for slot in range(table)
-            ),
+            ni.injection_table.image(),
+            ni.arrival_table.image(),
         )
         for name, ni in sorted(network.nis.items())
     )
-    return (table, params.words_per_slot, routers, nis)
+    return (params.slot_table_size, params.words_per_slot, routers, nis)
 
 
 def _check_eligibility(network: Any) -> Optional[CompileRefusal]:
-    """Cheap per-acquisition checks that need no recompilation.
+    """Per-acquisition checks that need no recompilation.
 
-    The component roster is classified when an engine is compiled
-    (:func:`compile_network`); a reused engine's roster is the kernel's,
-    since adding a component retires the engine.  Config-link fault
-    hooks and decoder fault monitors refuse nothing here: the
-    configuration module keeps a packet a hook can touch on the
-    word-level tree (:meth:`CompiledEngine.next_stepped_cycle` makes
-    its activation a barrier), and the engine decodes and applies
-    deposits through the port code that consults the monitor.
+    Each costs what may have changed, not the mesh: they read the
+    network's change record (:mod:`repro.core.changes`).  A data-link
+    fault hook is found in its hooked links, and a tracer, a foreign
+    collector or a config decoder with pending work among its
+    *suspects* — the routers and NIs built, given a tracer or collector,
+    or whose decoder started a packet (the only way a response gets
+    queued) since they were last found clean.
+
+    The component roster is classified when a lowering is made
+    (:func:`_lower`); a reused engine's roster is the kernel's, since
+    adding a component retires the engine.  Config-link fault hooks and
+    decoder fault monitors refuse nothing here: the configuration module
+    keeps a packet a hook can touch on the word-level tree
+    (:meth:`CompiledEngine.next_stepped_cycle` makes its activation a
+    barrier), and the engine decodes and applies deposits through the
+    port code that consults the monitor.
     """
     kernel = network.kernel
     if kernel.strict_registers:
@@ -361,45 +344,37 @@ def _check_eligibility(network: Any) -> Optional[CompileRefusal]:
             CompileRefusal.CONFIG_ACTIVE,
             "a configuration packet is in flight on the word-level tree",
         )
-    for link in network.links.values():
-        if link.fault_hook is not None:
-            return CompileRefusal(
-                CompileRefusal.FAULT_HOOKS_ARMED,
-                f"fault hook armed on data link {link.name!r}",
-            )
-    for router in network.routers.values():
-        if router.tracer.enabled:
-            return CompileRefusal(
-                CompileRefusal.TRACER_ACTIVE,
-                f"tracer attached to router {router.name!r}",
-            )
-        if router.config.pending:
-            return CompileRefusal(
-                CompileRefusal.CONFIG_ACTIVE,
-                f"config decoder of {router.name!r} has pending work",
-            )
-        if router.stats is not network.stats:
-            return CompileRefusal(
-                CompileRefusal.UNSUPPORTED_COMPONENT,
-                f"router {router.name!r} reports to a foreign collector",
-            )
-    for ni in network.nis.values():
-        if ni.tracer.enabled:
+    changes = network.changes
+    for link in changes.hooked_links:
+        return CompileRefusal(
+            CompileRefusal.FAULT_HOOKS_ARMED,
+            f"fault hook armed on data link {link.name!r}",
+        )
+    suspects = changes.suspects
+    for element in list(suspects):
+        if element.tracer.enabled:
             return CompileRefusal(
                 CompileRefusal.TRACER_ACTIVE,
-                f"tracer attached to NI {ni.name!r}",
+                f"tracer attached to {_kind(element)} {element.name!r}",
             )
-        if ni.config.pending:
+        if element.config.pending:
             return CompileRefusal(
                 CompileRefusal.CONFIG_ACTIVE,
-                f"config decoder of {ni.name!r} has pending work",
+                f"config decoder of {element.name!r} has pending work",
             )
-        if ni.stats is not network.stats:
+        if element.stats is not network.stats:
             return CompileRefusal(
                 CompileRefusal.UNSUPPORTED_COMPONENT,
-                f"NI {ni.name!r} reports to a foreign collector",
+                f"{_kind(element)} {element.name!r} reports to a foreign "
+                f"collector",
             )
+        suspects.pop(element, None)
     return None
+
+
+def _kind(element: Any) -> str:
+    """``"NI"`` or ``"router"``, as refusal details name an element."""
+    return "NI" if hasattr(element, "injection_table") else "router"
 
 
 def _native_ids(network: Any) -> Set[int]:
@@ -465,28 +440,24 @@ def classify_component(
 
 
 def _classify_components(network: Any) -> Any:
-    """Split the kernel roster into (generators, sink metadata).
+    """Classify the kernel roster: ``(component, (kind, payload))`` per
+    component, in kernel order (:func:`classify_component`).
 
-    Returns ``(gens, sinks)`` or a :class:`CompileRefusal` naming the
-    first component the compiler cannot flatten.  Generators must inject
+    Returns the list or a :class:`CompileRefusal` naming the first
+    component the compiler cannot flatten.  Generators must inject
     through :class:`~repro.core.ni.ChannelInjector` and sinks must drain
     through :class:`~repro.core.ni.ChannelReceiver` so the engine knows
     which channel endpoint they touch; anything else (a shell, a random
     generator, a plain lambda) keeps the network on the stepped kernels.
     """
     native = _native_ids(network)
-    gens: List[Any] = []
-    sinks: List[Tuple[Any, Any, int, int]] = []
+    roster: List[Tuple[Any, Any]] = []
     for component in network.kernel.components:
         classified = classify_component(network, component, native)
         if isinstance(classified, CompileRefusal):
             return classified
-        kind, payload = classified
-        if kind == "generator":
-            gens.append(payload)
-        elif kind == "sink":
-            sinks.append(payload)
-    return gens, sinks
+        roster.append((component, classified))
+    return roster
 
 
 class _Owner:
@@ -540,24 +511,22 @@ class _Owner:
         self.fold_at = -1
 
 
-def compile_network(network: Any, token: int) -> Any:
-    """Flatten the configured data plane into a :class:`CompiledEngine`.
-
-    Returns the engine, or a :class:`CompileRefusal` when the programmed
-    schedule cannot be proven drop- and collision-free (the stepped
-    kernels handle such schedules with their runtime checks instead).
+def _lower(network: Any) -> Any:
+    """The compile products of ``network`` before any engine: a
+    :class:`Lowering`, or a :class:`CompileRefusal` when a component
+    has no compiled model or the programmed schedule cannot be proven
+    drop- and collision-free (the stepped kernels handle such schedules
+    with their runtime checks instead).
 
     The schedule-dependent products (:func:`_lower_schedule`) are
     memoized per network on the structural schedule image, so a
-    use-case switch back to a previously programmed schedule recompiles
-    as a dict lookup; the traffic roster, steady period and replay
-    eligibility are recomputed fresh every time.
+    use-case switch back to a previously programmed schedule — and an
+    engine compiled after the prover lowered the same schedule — finds
+    them as a dict lookup; the roster is classified fresh every time.
     """
-    classified = _classify_components(network)
-    if isinstance(classified, CompileRefusal):
-        return classified
-    gens, sinks = classified
-
+    roster = _classify_components(network)
+    if isinstance(roster, CompileRefusal):
+        return roster
     image = _schedule_image(network)
     kernel = network.kernel
     cache = getattr(network, "_lowering_cache", None)
@@ -578,10 +547,47 @@ def compile_network(network: Any, token: int) -> Any:
         kernel.lowering_cache_misses += 1
     if isinstance(lowered, CompileRefusal):
         return lowered
-    params = network.params
-    wheel = params.slot_table_size * params.words_per_slot
+    return Lowering(network, lowered, image, roster)
 
-    # Steady-state period and replay eligibility.
+
+class Lowering:
+    """What the provider compiles for one network, before an engine is
+    built on it: the schedule's lowering (shared through the lowering
+    cache), the structural schedule image it is cached under, and the
+    classified kernel roster (``(component, (kind, payload))`` in kernel
+    order, all of them native, generator or sink).  The prover renders
+    it (:meth:`lowered_artifacts`) without an engine;
+    :class:`CompiledEngine` runs it."""
+
+    def __init__(
+        self,
+        network: Any,
+        lowered: _Lowered,
+        image: tuple,
+        roster: List[Tuple[Any, Any]],
+    ) -> None:
+        self.network = network
+        self._lowered = lowered
+        self.schedule_image = image
+        self.roster = roster
+        params = network.params
+        self.wheel = params.slot_table_size * params.words_per_slot
+
+    def lowered_artifacts(self) -> LoweredArtifacts:
+        """Export the compile products in the stable introspection form.
+
+        External verifiers (``repro.staticcheck --prove``) consume this
+        instead of the private op-table (``static_ops`` /
+        ``phase_ops``) and trajectory encoding; the shape is documented
+        on :class:`LoweredArtifacts`.
+        """
+        return render_artifacts(self._lowered, self.wheel)
+
+
+def _replay_plan(gens: List[Any], sinks: List[tuple], wheel: int) -> tuple:
+    """Steady-state period and replay eligibility of a traffic roster:
+    ``(period, trace generators, {connection: (ni, channel, generator)},
+    replay refusal or None)``."""
     period = wheel
     replay_refusal: Optional[CompileRefusal] = None
     trace_gens = []
@@ -619,20 +625,7 @@ def compile_network(network: Any, token: int) -> Any:
             f"steady-state period {period} exceeds the probe budget "
             f"{MAX_REPLAY_PERIOD}",
         )
-
-    return CompiledEngine(
-        network=network,
-        token=token,
-        wheel=wheel,
-        lowered=lowered,
-        gens=gens,
-        trace_gens=trace_gens,
-        sinks=sinks,
-        conn_meta=conn_meta,
-        period=period,
-        replay_refusal=replay_refusal,
-        schedule_image=image,
-    )
+    return period, trace_gens, conn_meta, replay_refusal
 
 
 class CompiledEngine:
@@ -646,31 +639,29 @@ class CompiledEngine:
     always observes bit-exact stepped-equivalent state.
     """
 
-    def __init__(
-        self,
-        network: Any,
-        token: int,
-        wheel: int,
-        lowered: _Lowered,
-        gens: List[Any],
-        trace_gens: List[Any],
-        sinks: List[tuple],
-        conn_meta: Dict[str, tuple],
-        period: int,
-        replay_refusal: Optional[CompileRefusal],
-        schedule_image: tuple,
-    ) -> None:
+    def __init__(self, lowering: Lowering, token: int) -> None:
+        network = lowering.network
         self.network = network
         self.kernel: Kernel = network.kernel
         self.stats = network.stats
         #: The schedule token the lowering is valid for (``None``: it is
         #: valid for none any more and the next acquisition recompiles).
         self.token: Optional[int] = token
-        self.wheel = wheel
-        self._lowered = lowered
+        self.wheel = wheel = lowering.wheel
+        self._lowered = lowered = lowering._lowered
         regs = lowered.regs
         self.regs = regs
         self.idles = [reg.idle for reg in regs]
+        #: The kernel's registers outside the lowering (config tree,
+        #: free-standing) and their idle values: each must be idle when
+        #: a run begins.
+        tracked = {id(reg) for reg in regs}
+        self.other_regs = [
+            reg
+            for reg in self.kernel.all_registers()
+            if id(reg) not in tracked
+        ]
+        self.other_idles = [reg.idle for reg in self.other_regs]
         self.occupancy = lowered.occupancy
         #: What runs: one trajectory per injection seed, and the
         #: inverse ``index[phase][register] -> (trajectory id, step)``
@@ -679,48 +670,34 @@ class CompiledEngine:
         self.index = lowered.index
         self.owner_plans = lowered.owners
         self.dest_keys = lowered.dest_keys
+        gens = [
+            payload
+            for _component, (kind, payload) in lowering.roster
+            if kind == "generator"
+        ]
+        sinks = [
+            payload
+            for _component, (kind, payload) in lowering.roster
+            if kind == "sink"
+        ]
         self.gens = gens
-        self.trace_gens = trace_gens
         self.sinks = sinks
-        self.conn_meta = conn_meta
-        self.period = period
-        #: Typed diagnosis when the current timeline segment is
-        #: genuinely aperiodic (see :attr:`CompileRefusal.APERIODIC`).
-        #: Telemetry only — the engine still executes, it just never
-        #: fast-forwards.
-        self.replay_refusal = replay_refusal
+        (
+            self.period,
+            self.trace_gens,
+            self.conn_meta,
+            #: Typed diagnosis when the current timeline segment is
+            #: genuinely aperiodic (see :attr:`CompileRefusal.APERIODIC`).
+            #: Telemetry only — the engine still executes, it just never
+            #: fast-forwards.
+            self.replay_refusal,
+        ) = _replay_plan(gens, sinks, wheel)
         self.nis_list = list(network.nis.values())
         params = network.params
         self.credit_cap = min(
             (1 << params.credit_bits_per_slot) - 1,
             params.max_credit_value,
         )
-        tracked = {id(reg) for reg in regs}
-        self.other_regs = [
-            reg
-            for reg in self.kernel.all_registers()
-            if id(reg) not in tracked
-        ]
-        # Cumulative counters scaled during replay (beyond the channel
-        # and sequence counters, which are enumerated dynamically).
-        getters: List[Callable[[], int]] = []
-        setters: List[Callable[[int], None]] = []
-        for link in network.links.values():
-            getters.append(lambda l=link: l.phits_carried)
-            setters.append(
-                lambda v, l=link: setattr(l, "phits_carried", v)
-            )
-            getters.append(lambda l=link: l.words_carried)
-            setters.append(
-                lambda v, l=link: setattr(l, "words_carried", v)
-            )
-        for router in network.routers.values():
-            getters.append(lambda r=router: r.forwarded_words)
-            setters.append(
-                lambda v, r=router: setattr(r, "forwarded_words", v)
-            )
-        self.counter_getters = getters
-        self.counter_setters = setters
         self._cur: Dict[int, Phit] = {}
         #: The registers that held a phit when the current run began.
         self._imported: List[int] = []
@@ -729,6 +706,11 @@ class CompiledEngine:
         #: flight is not an object.  Empty between runs.
         self._mask = lowered.ring_size - 1
         self._ring: List[List[tuple]] = [
+            [] for _ in range(lowered.ring_size)
+        ]
+        #: Armed owners by the cycle of their next owned phase, in the
+        #: same geometry (re-derived at the start of every run).
+        self._owner_ring: List[List[_Owner]] = [
             [] for _ in range(lowered.ring_size)
         ]
         #: The owners given a folded visit since the last barrier (at
@@ -763,7 +745,7 @@ class CompiledEngine:
         #: schedule image is the content-based key the lowering and regime
         #: caches share.
         self.replay: Any = None
-        self.schedule_image = schedule_image
+        self.schedule_image = lowering.schedule_image
         #: Source channel keys ``(id(ni), channel)`` live at every apply
         #: this engine rode through (``None``: it rode through none, so
         #: its lowering is the schedule's own).  A run that finds
@@ -812,18 +794,6 @@ class CompiledEngine:
         if refusal.kind not in self._refusals_noted:
             self._refusals_noted.add(refusal.kind)
             self.kernel._note_replay_refusal(refusal)
-
-    # -- introspection -----------------------------------------------------------
-
-    def lowered_artifacts(self) -> LoweredArtifacts:
-        """Export the compile products in the stable introspection form.
-
-        External verifiers (``repro.staticcheck --prove``) consume this
-        instead of the private op-table (``static_ops`` /
-        ``phase_ops``) and trajectory encoding; the shape is documented
-        on :class:`LoweredArtifacts`.
-        """
-        return render_artifacts(self._lowered, self.wheel)
 
     # -- the config plane: barriers, the live set, visibility --------------------
 
@@ -906,7 +876,7 @@ class CompiledEngine:
                     add(owner.index)
         for rid in in_flight:
             add(self._plan_of[index[rid][0]])
-        for ni in self.nis_list:
+        for ni in self.network.changes.sourcing:
             for channel, source in ni.source_channels.items():
                 if source.queue:
                     live_src.add((id(ni), channel))
@@ -1001,7 +971,7 @@ class CompiledEngine:
         slots.  Action kinds with no rule (a read) are visible.
         """
         model = _model()
-        if self._readers is None:
+        if live and self._readers is None:
             self._readers = self._cell_readers()
         readers = self._readers
         key = id(element)
@@ -1012,6 +982,8 @@ class CompiledEngine:
         for action in actions:
             kind = type(action)
             if kind is model.RouterPathAction:
+                if not live:
+                    continue  # no live trajectory reads any cell
                 outputs = (
                     range(element.ports)
                     if action.output is None
@@ -1028,7 +1000,7 @@ class CompiledEngine:
             elif kind is model.NiPathAction:
                 inject = action.direction is model.INJECT
                 tag = 2 if inject else 3
-                for slot in action.mask.slots:
+                for slot in action.mask.slots if live else ():
                     if read((key, slot, tag)):
                         return True
                 if inject and not action.teardown and (
@@ -1063,6 +1035,13 @@ class CompiledEngine:
     # -- register import / export ----------------------------------------------
 
     def _import_registers(self, cycle: int) -> Optional[CompileRefusal]:
+        """Read the phits the run starts from into ``_cur``, or refuse.
+
+        Every register is read, in one C-level pass per list: the
+        lowered ones hold the data plane the engine takes over, and the
+        kernel's other registers (config tree, free-standing) must be
+        idle — code between runs may have written any of them (a value
+        equal to the idle one counts as idle)."""
         kernel = self.kernel
         if kernel._dirty:
             return CompileRefusal(
@@ -1072,36 +1051,46 @@ class CompiledEngine:
         phase = cycle % self.wheel
         occupancy = self.occupancy
         index = self.index[phase]
+        regs = self.regs
+        idles = self.idles
         cur: Dict[int, Phit] = {}
-        for rid, reg in enumerate(self.regs):
-            q = reg.q
-            idle = self.idles[rid]
-            if q is idle or q == idle:
-                continue
-            if not isinstance(q, Phit):
-                return CompileRefusal(
-                    CompileRefusal.DATAPATH_BUSY,
-                    f"register {reg.name!r} holds a non-phit value",
-                )
-            if not (occupancy[rid] >> phase) & 1:
-                return CompileRefusal(
-                    CompileRefusal.DATAPATH_BUSY,
-                    f"in-flight phit in {reg.name!r} is off the "
-                    f"compiled schedule",
-                )
-            if rid not in index:
-                raise SimulationError(
-                    f"compiled engine lost track of a phit in "
-                    f"{reg.name!r} at cycle {cycle}"
-                )
-            cur[rid] = q
-        for reg in self.other_regs:
-            q = reg.q
-            if q is not reg.idle and q != reg.idle:
-                return CompileRefusal(
-                    CompileRefusal.CONFIG_ACTIVE,
-                    f"untracked register {reg.name!r} is not idle",
-                )
+        # Every value in one C-level read; a list compare (identity
+        # first) tells an idle data plane at once, and only a register
+        # not holding its very idle object is looked at.
+        values = list(map(_Q, regs))
+        if values != idles:
+            for rid in compress(count(), map(is_not, values, idles)):
+                q = values[rid]
+                if q == idles[rid]:
+                    continue
+                reg = regs[rid]
+                if not isinstance(q, Phit):
+                    return CompileRefusal(
+                        CompileRefusal.DATAPATH_BUSY,
+                        f"register {reg.name!r} holds a non-phit value",
+                    )
+                if not (occupancy[rid] >> phase) & 1:
+                    return CompileRefusal(
+                        CompileRefusal.DATAPATH_BUSY,
+                        f"in-flight phit in {reg.name!r} is off the "
+                        f"compiled schedule",
+                    )
+                if rid not in index:
+                    raise SimulationError(
+                        f"compiled engine lost track of a phit in "
+                        f"{reg.name!r} at cycle {cycle}"
+                    )
+                cur[rid] = q
+        other_regs = self.other_regs
+        other_idles = self.other_idles
+        values = list(map(_Q, other_regs))
+        if values != other_idles:
+            for reg, q, idle in zip(other_regs, values, other_idles):
+                if q is not idle and q != idle:
+                    return CompileRefusal(
+                        CompileRefusal.CONFIG_ACTIVE,
+                        f"untracked register {reg.name!r} is not idle",
+                    )
         self._cur = cur
         self._imported = list(cur)
         return None
@@ -1225,8 +1214,11 @@ class CompiledEngine:
         ring = self._ring
         mask = self._mask
         cur: Dict[int, Phit] = {}
-        for ahead in range(mask + 1):
-            bucket = ring[(cycle + ahead) & mask]
+        # Only the buckets holding phits (the ring is as long as the
+        # longest trajectory, most of it empty between barriers).
+        for at in compress(range(mask + 1), ring):
+            ahead = (at - cycle) & mask
+            bucket = ring[at]
             for _order, leaf, word, credit_bits in bucket:
                 if leaf is not None:
                     if (
@@ -1382,18 +1374,20 @@ class CompiledEngine:
             return None
         refusal = self._import_registers(cycle)
         owners, gen_runs, sink_runs, sinks_on = self._resolve_run()
-        if refusal is None:
-            live, live_src, live_dst = self._live(
-                self._cur, owners, gen_runs, sink_runs
-            )
-        if self._valid_for is not None and (
-            refusal is not None or not live_src <= self._valid_for
-        ):
-            # The applies this engine rode through left its lowering
-            # exact only for what was live at them: decline, and the
-            # kernel's next acquisition recompiles.
-            self.token = None
-            return None
+        # What can act in the run (DESIGN.md §14.6), taken at entry;
+        # a run without config events needs it only to decline.
+        live: Any = None
+        if self._valid_for is not None:
+            if refusal is None:
+                live, live_src, live_dst = self._live(
+                    self._cur, owners, gen_runs, sink_runs
+                )
+            if refusal is not None or not live_src <= self._valid_for:
+                # The applies this engine rode through left its lowering
+                # exact only for what was live at them: decline, and the
+                # kernel's next acquisition recompiles.
+                self.token = None
+                return None
         if refusal is not None:
             return refusal
         self._claim_labels(owners, gen_runs)
@@ -1420,7 +1414,7 @@ class CompiledEngine:
         # Armed owners by the cycle of their next owned phase (same
         # ring geometry as the arrivals), sinks by the cycle of their
         # next drain, generators by the cycle of their next firing.
-        owner_ring: List[List[_Owner]] = [[] for _ in range(mask + 1)]
+        owner_ring = self._owner_ring
         sink_due: Dict[int, List[int]] = {}
         sink_waiting = [False] * len(sink_runs)
         gen_heap: List[Tuple[int, int]] = []
@@ -1485,8 +1479,8 @@ class CompiledEngine:
         def arm_all(start: int) -> int:
             """(Re)derive every schedule from state entering ``start``;
             returns the first generator firing."""
-            for bucket in owner_ring:
-                bucket.clear()
+            for at in compress(range(mask + 1), owner_ring):
+                owner_ring[at].clear()
             sink_due.clear()
             for owner in owners:
                 if owner is not None:
@@ -1528,7 +1522,12 @@ class CompiledEngine:
         if module_due is None:
             module_due = _NEVER
         cfg_next = min(module_due, min(deposits, default=_NEVER))
+        if live is None and cfg_next < end:
+            live, live_src, live_dst = self._live(
+                self._cur, owners, gen_runs, sink_runs
+            )
         adopted = 0  # token moves of the applies ridden through
+        changes = self.network.changes
         halt = False  # an apply changed what this run executes
 
         self._load(cycle)
@@ -1917,7 +1916,7 @@ class CompiledEngine:
                     for port in due_ports:
                         config_events += 1
                         element = port.owner
-                        before = _element_token(element)
+                        before = changes.writes
                         actions = port._decode_deposit(cycle, None)
                         if not actions:
                             continue
@@ -1927,7 +1926,7 @@ class CompiledEngine:
                         ):
                             halt = True
                         else:
-                            adopted += _element_token(element) - before
+                            adopted += changes.writes - before
                     if cycle == module_due:
                         config_events += 1
                         module.evaluate(cycle)
@@ -2258,7 +2257,14 @@ class CompiledEngine:
             for router in network.routers.values()
         ) + sum(ni.dropped_words for ni in self.nis_list)
         return {
-            "fixed": [get() for get in self.counter_getters],
+            # Per link its phit and word counts, then per router its
+            # forwarded words.
+            "fixed": [
+                *chain.from_iterable(
+                    map(_LINK_COUNTERS, network.links.values())
+                ),
+                *map(_FORWARDED, network.routers.values()),
+            ],
             "chan_keys": tuple(chan_keys),
             "chan_vals": chan_vals,
             "seqs": {
@@ -2352,11 +2358,20 @@ class CompiledEngine:
         """Scale every cumulative counter by ``epochs`` steady deltas
         (links, routers, generators, channel endpoints, sequence
         counters)."""
-        for setter, old, now in zip(
-            self.counter_setters, before["fixed"], after["fixed"]
-        ):
+        network = self.network
+        olds = iter(before["fixed"])
+        nows = iter(after["fixed"])
+        for link in network.links.values():
+            old, now = next(olds), next(nows)
             if now != old:
-                setter(now + epochs * (now - old))
+                link.phits_carried = now + epochs * (now - old)
+            old, now = next(olds), next(nows)
+            if now != old:
+                link.words_carried = now + epochs * (now - old)
+        for router in network.routers.values():
+            old, now = next(olds), next(nows)
+            if now != old:
+                router.forwarded_words = now + epochs * (now - old)
         for i, gen in enumerate(self.gens):
             delta = after["gen_words"][i] - before["gen_words"][i]
             if delta:

@@ -437,7 +437,9 @@ class Kernel:
         self.evaluations = 0
         #: Installed by a network that knows how to flatten its data
         #: plane: ``provider(kernel, previous_engine)`` returns a fresh
-        #: (or revalidated) engine object, or a :class:`CompileRefusal`.
+        #: (or revalidated) engine object, or a :class:`CompileRefusal`;
+        #: ``provider.lower()`` gives the same verdict without building
+        #: an engine (``repro.sim.compiled.lower_network``).
         self.compile_provider: Optional[
             Callable[["Kernel", Any], Any]
         ] = None
@@ -669,7 +671,7 @@ class Kernel:
         """Return a valid compiled engine, or fall back (``None``).
 
         The provider revalidates a previous engine cheaply (config-tree
-        quiescence, schedule version token) and recompiles only when the
+        quiescence, the schedule-write token) and recompiles only when the
         programmed schedule actually changed.  A refusal that cannot
         clear by itself drops the old engine.
         """

@@ -12,7 +12,7 @@ it transports small integers (configuration words) plus a valid flag.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Any, Callable, Dict, Optional
 
 from ..errors import SimulationError
 from .flit import IDLE_PHIT, Phit, Word
@@ -25,6 +25,17 @@ FaultHook = Callable[["Link", Phit], Optional[Phit]]
 #: A config-link fault hook: called with (link, word); returns the
 #: (possibly corrupted) word, or ``None`` to drop it.
 NarrowFaultHook = Callable[["NarrowLink", int], Optional[int]]
+
+
+def _keep(hooked: Dict[Any, None], link: Any, hook: Any) -> None:
+    """Keep ``hooked`` — a network's record of its links with a fault
+    hook, insertion-ordered — in step with ``link`` getting ``hook``
+    (``None``: removed), so asking whether any link of a network is
+    hooked costs nothing per link."""
+    if hook is None:
+        hooked.pop(link, None)
+    else:
+        hooked[link] = None
 
 
 class Link:
@@ -41,6 +52,10 @@ class Link:
             utilisation counters see the *post-fault* traffic — what the
             wires actually carried.  ``None`` (the default) keeps the
             hot path to a single attribute check.
+        changes: The change record of the network this link belongs to
+            (``repro.core.changes.ChangeRecord``; ``None`` for a
+            free-standing link), whose ``hooked_links``
+            :attr:`fault_hook`'s setter keeps.
     """
 
     __slots__ = (
@@ -48,22 +63,34 @@ class Link:
         "register",
         "phits_carried",
         "words_carried",
-        "fault_hook",
+        "_fault_hook",
+        "changes",
     )
 
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str, changes: Any = None) -> None:
         self.name = name
         self.register = Register(f"link.{name}", idle=IDLE_PHIT)
         #: Cumulative count of non-idle phits, for utilisation statistics.
         self.phits_carried = 0
         #: Cumulative count of data words, for bandwidth statistics.
         self.words_carried = 0
-        self.fault_hook: Optional[FaultHook] = None
+        self._fault_hook: Optional[FaultHook] = None
+        self.changes = changes
+
+    @property
+    def fault_hook(self) -> Optional[FaultHook]:
+        return self._fault_hook
+
+    @fault_hook.setter
+    def fault_hook(self, hook: Optional[FaultHook]) -> None:
+        self._fault_hook = hook
+        if self.changes is not None:
+            _keep(self.changes.hooked_links, self, hook)
 
     def send(self, phit: Phit) -> None:
         """Drive a phit onto the link for this cycle."""
-        if self.fault_hook is not None:
-            faulted = self.fault_hook(self, phit)
+        if self._fault_hook is not None:
+            faulted = self._fault_hook(self, phit)
             if faulted is None:
                 return
             phit = faulted
@@ -104,10 +131,13 @@ class NarrowLink:
         "width_bits",
         "register",
         "words_carried",
-        "fault_hook",
+        "_fault_hook",
+        "changes",
     )
 
-    def __init__(self, name: str, width_bits: int = 7) -> None:
+    def __init__(
+        self, name: str, width_bits: int = 7, changes: Any = None
+    ) -> None:
         if width_bits < 1:
             raise SimulationError("config link width must be >= 1 bit")
         self.name = name
@@ -117,7 +147,19 @@ class NarrowLink:
         #: Optional fault-injection point, as on :class:`Link`.  A
         #: substituted word is masked to the link width by the injector;
         #: ``None`` from the hook models the valid line staying low.
-        self.fault_hook: Optional[NarrowFaultHook] = None
+        self._fault_hook: Optional[NarrowFaultHook] = None
+        #: As on :class:`Link`; the setter keeps ``hooked_config_links``.
+        self.changes = changes
+
+    @property
+    def fault_hook(self) -> Optional[NarrowFaultHook]:
+        return self._fault_hook
+
+    @fault_hook.setter
+    def fault_hook(self, hook: Optional[NarrowFaultHook]) -> None:
+        self._fault_hook = hook
+        if self.changes is not None:
+            _keep(self.changes.hooked_config_links, self, hook)
 
     def send(self, word: int) -> None:
         """Drive one configuration word for this cycle.
@@ -130,8 +172,8 @@ class NarrowLink:
                 f"config word {word:#x} exceeds {self.width_bits}-bit link "
                 f"{self.name!r}"
             )
-        if self.fault_hook is not None:
-            faulted = self.fault_hook(self, word)
+        if self._fault_hook is not None:
+            faulted = self._fault_hook(self, word)
             if faulted is None:
                 return
             word = faulted

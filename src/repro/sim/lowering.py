@@ -2,7 +2,7 @@
 
 Everything here is a pure function of the structural schedule image
 (slot tables, NI channel maps, the fixed wiring) — what
-:func:`repro.sim.compiled.compile_network` memoizes per network and what
+:func:`repro.sim.compiled._lower` memoizes per network and what
 a further substrate would supply in place of an executor:
 
 * the **op table** over integer-named registers — the proof artifact
@@ -285,25 +285,33 @@ def _lower_schedule(network: Any) -> Any:
                     rid_of(out_link.register),
                     out_link,
                 )
-        for phase in range(wheel):
-            lagged = ((phase - 1) % wheel) // wps
-            forwards = router.slot_table.forwards(lagged)
-            if not forwards:
-                continue
+        # The outputs that forward in any slot, with their columns: an
+        # idle router (most of them, early in a set-up) costs nothing.
+        columns = [
+            (xbar_rids[output], column)
+            for output, column in enumerate(router.slot_table.image())
+            if column.count(None) != table
+        ]
+        for lagged in range(table if columns else 0):
             by_input: Dict[int, List[int]] = {}
-            for output, input_port in forwards:
-                by_input.setdefault(input_port, []).append(
-                    xbar_rids[output]
-                )
-            for input_port, dsts in by_input.items():
-                in_link = router.in_links[input_port]
-                if in_link is None:
-                    continue
-                phase_ops[phase][rid_of(in_link.register)] = (
-                    _OP_FORWARD,
-                    tuple(dsts),
-                    router,
-                )
+            for xbar_rid, column in columns:
+                input_port = column[lagged]
+                if input_port is not None:
+                    by_input.setdefault(input_port, []).append(xbar_rid)
+            if not by_input:
+                continue
+            # The phases whose lagged slot this is: the slot's own
+            # phases, one later.
+            for phase in _lagged_phases(lagged, wps, wheel):
+                for input_port, dsts in by_input.items():
+                    in_link = router.in_links[input_port]
+                    if in_link is None:
+                        continue
+                    phase_ops[phase][rid_of(in_link.register)] = (
+                        _OP_FORWARD,
+                        tuple(dsts),
+                        router,
+                    )
 
     # Per NI: the static pipeline ops, the arrival ops, and one owner
     # plan per channel holding injection slots (its seeds).
@@ -327,9 +335,10 @@ def _lower_schedule(network: Any) -> Any:
             )
         by_channel: Dict[int, int] = {}
         ni_owners.append(by_channel)
-        for phase in range(wheel):
-            channel = ni.injection_table.channel(phase // wps)
-            if channel is not None:
+        # Only the granted slots are visited: an idle NI costs nothing.
+        for granted in ni.injection_table.occupied():
+            channel = ni.injection_table.channel(granted)
+            for phase in range(granted * wps, (granted + 1) * wps):
                 owner_index = by_channel.get(channel)
                 if owner_index is None:
                     owner_index = by_channel[channel] = len(owners)
@@ -342,12 +351,12 @@ def _lower_schedule(network: Any) -> Any:
                 slot = _Slot()
                 slot.collect = phase % wps == 0
                 owners[owner_index].slots[phase] = slot
-            if ni.in_link is not None:
-                arrival = ni.arrival_table.channel(
-                    ((phase - 1) % wheel) // wps
-                )
-                if arrival is not None:
-                    phase_ops[phase][rid_of(ni.in_link.register)] = (
+        if ni.in_link is not None:
+            in_rid = rid_of(ni.in_link.register)
+            for lagged in ni.arrival_table.occupied():
+                arrival = ni.arrival_table.channel(lagged)
+                for phase in _lagged_phases(lagged, wps, wheel):
+                    phase_ops[phase][in_rid] = (
                         _OP_ARRIVE,
                         ni,
                         arrival,
@@ -418,6 +427,16 @@ def _lower_schedule(network: Any) -> Any:
     # cycles before it launches) at most ``wheel + longest + 1``.
     lowered.ring_size = 1 << (wheel + longest + 2).bit_length()
     return lowered
+
+
+def _lagged_phases(slot: int, wps: int, wheel: int) -> List[int]:
+    """The wheel phases ``p`` whose lagged slot ``((p - 1) % wheel) //
+    wps`` is ``slot``: the slot's own phases, one later (the last
+    slot's last one wraps to phase 0)."""
+    return [
+        (phase + 1) % wheel
+        for phase in range(slot * wps, (slot + 1) * wps)
+    ]
 
 
 def _walk_seed(

@@ -34,7 +34,7 @@ queue) disagrees with the allocation (path, queue index, enable flag).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from ..alloc.spec import AllocatedChannel
 from ..core.host import (
@@ -222,8 +222,7 @@ def _compare_ni_table(
     expected: Dict[int, Tuple[int, str]],
     size: int,
 ) -> None:
-    for slot in range(size):
-        actual: Optional[int] = table.channel(slot)
+    for slot, actual in enumerate(table.image()[:size]):
         want = expected.get(slot)
         if want is None:
             if actual is not None:
@@ -346,10 +345,10 @@ def check_daelite_state(
         )
     for name, router in network.routers.items():
         cells = expected.router.get(name, {})
-        table = router.slot_table
-        for output in range(table.ports):
-            for slot in range(size):
-                actual = table.entry(output, slot)
+        for output, column in enumerate(router.slot_table.image()):
+            if not cells and column.count(None) == len(column):
+                continue  # an idle output no allocation names
+            for slot, actual in enumerate(column[:size]):
                 want = cells.get((output, slot))
                 if want is None:
                     if actual is not None:

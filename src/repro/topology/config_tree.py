@@ -36,12 +36,16 @@ class ConfigTree:
         parent: Parent element per node (root maps to ``None``).
         children: Child list per node, in deterministic BFS order.
         depth: Tree depth per node (root = 0).
+        max_depth: Depth of the farthest element from the host, set
+            once by :func:`build_config_tree` (the tree does not change
+            after it is built; no constructor argument can set it).
     """
 
     root: str
     parent: Dict[str, Optional[str]] = field(default_factory=dict)
     children: Dict[str, List[str]] = field(default_factory=dict)
     depth: Dict[str, int] = field(default_factory=dict)
+    max_depth: int = field(init=False, default=0)
 
     @property
     def nodes(self) -> List[str]:
@@ -53,11 +57,6 @@ class ConfigTree:
             order.append(node)
             queue.extend(self.children[node])
         return order
-
-    @property
-    def max_depth(self) -> int:
-        """Depth of the farthest element from the host."""
-        return max(self.depth.values())
 
     def forward_latency(self, element: str) -> int:
         """Cycles for a config word to reach ``element`` from the root.
@@ -127,4 +126,5 @@ def build_config_tree(topology: Topology, host: str) -> ConfigTree:
         raise TopologyError(
             f"configuration tree cannot reach: {sorted(missing)}"
         )
+    tree.max_depth = max(tree.depth.values())
     return tree

@@ -416,39 +416,47 @@ def test_a_declined_deposit_is_recovered_word_by_word():
 
 # -- planted mutants --------------------------------------------------------------
 
-#: (name, source fragment of ``decode_addressed``, its mutant).
+#: (name, method of ``ConfigDecoder``, source fragment of it, its
+#: mutant): the per-addressee decode and the whole-packet layout it
+#: reads.
 MUTANTS = (
-    ("rotation by position + 1", "position,", "position + 1,"),
-    ("rotation by position - 1", "position,", "position - 1,"),
+    ("rotation by position + 1", "decode_addressed", "position,", "position + 1,"),
+    ("rotation by position - 1", "decode_addressed", "position,", "position - 1,"),
     (
         "pair index off by one",
+        "decode_addressed",
         "payload = words[start + 2 * position + 1]",
         "payload = words[start + 2 * position - 1]",
     ),
     (
         "own ID at no other pair unchecked",
-        "or ids.count(self.element_id) != 1",
+        "decode_addressed",
+        "or counts[self.element_id] != 1",
         "or False",
     ),
     (
         "range check dropped",
+        "addressed_layout",
         "if not words or min(words) < 0 or max(words) >= self._word_limit:",
         "if not words:",
     ),
     (
         "field lookup dropped",
+        "addressed_layout",
         "fields = [_FIELDS.get(word) for word in words[3::2]]",
         "fields = list(words[3::2])",
     ),
 )
 
 
-def plant(monkeypatch, original: str, mutant: str) -> None:
-    """Replace ``ConfigDecoder.decode_addressed`` by its source with the
-    one fragment ``original`` rewritten to ``mutant``, compiled against
-    the module's own globals (so its actions are the real classes)."""
+def plant(
+    monkeypatch, original: str, mutant: str, method: str = "decode_addressed"
+) -> None:
+    """Replace ``ConfigDecoder.<method>`` by its source with the one
+    fragment ``original`` rewritten to ``mutant``, compiled against the
+    module's own globals (so its actions are the real classes)."""
     source = textwrap.dedent(
-        inspect.getsource(ConfigDecoder.decode_addressed)
+        inspect.getsource(getattr(ConfigDecoder, method))
     )
     assert source.count(original) == 1, original
     namespace = dict(vars(config_protocol))
@@ -458,9 +466,7 @@ def plant(monkeypatch, original: str, mutant: str) -> None:
         ),
         namespace,
     )
-    monkeypatch.setattr(
-        ConfigDecoder, "decode_addressed", namespace["decode_addressed"]
-    )
+    monkeypatch.setattr(ConfigDecoder, method, namespace[method])
 
 
 def all_disagreements() -> List[str]:
@@ -485,12 +491,12 @@ def test_the_sweep_finds_nothing_on_the_real_decoder():
 
 
 @pytest.mark.parametrize(
-    "original, mutant",
+    "method, original, mutant",
     [mutant[1:] for mutant in MUTANTS],
     ids=[mutant[0] for mutant in MUTANTS],
 )
-def test_planted_mutant_is_killed(monkeypatch, original, mutant):
-    plant(monkeypatch, original, mutant)
+def test_planted_mutant_is_killed(monkeypatch, method, original, mutant):
+    plant(monkeypatch, original, mutant, method)
     assert all_disagreements() != []
 
 

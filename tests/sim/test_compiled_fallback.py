@@ -20,6 +20,7 @@ from repro.core.config_protocol import (
     FLAG_FLOW_CONTROLLED,
     ChannelField,
     Direction,
+    build_channel_config_packet,
 )
 from repro.core.online import OnlineConnectionManager
 from repro.errors import (
@@ -39,6 +40,7 @@ from repro.sim.kernel import (
     Kernel,
     Register,
 )
+from repro.sim.stats import StatsCollector
 from repro.sim.trace import Tracer
 from repro.topology import build_mesh
 from repro.traffic.generators import CbrGenerator, RandomGenerator
@@ -653,3 +655,177 @@ def conserved_across(cause):
         assert submitted == delivered + flying + queued, label
     assert images[1] == images[0] and images[2] == images[0]
     return images[0][1]
+
+
+# -- every refusal the engine's entry checks, armed one at a time ---------------
+
+
+class IdleLookalike:
+    """A register value the stepped elements read as an idle phit but
+    that is not a :class:`Phit`: the next clock edge overwrites it."""
+
+    word = None
+    credit_bits = None
+    is_idle = True
+
+
+def other_element_packet(net):
+    """Every word of a CHANNEL_CONFIG packet for an element the network
+    does not have, without the closing gap: fed to a decoder, it leaves
+    it mid-packet until a stepped cycle delivers the gap, on which it
+    decodes to nothing."""
+    bits = net.params.config_word_bits
+    return build_channel_config_packet(
+        (1 << (bits - 1)) - 1,
+        Direction.INJECT,
+        3,
+        [(ChannelField.CREDIT, 1)],
+        bits,
+    ).words
+
+
+def off_schedule_link(net):
+    """A link register no trajectory occupies in the current phase."""
+    engine = net.kernel._engine
+    phase = net.kernel.cycle % engine.wheel
+    return next(
+        reg
+        for reg, mask in zip(engine.regs, engine.occupancy)
+        if not (mask >> phase) & 1 and reg.name.startswith("link")
+    )
+
+
+def arm_tracer(element):
+    def arm(net):
+        target = element(net)
+        target.tracer = Tracer()
+        return lambda: setattr(target, "tracer", net.tracer)
+
+    return arm
+
+
+def arm_decoder(element):
+    def arm(net):
+        decoder = element(net).config.decoder
+        for word in other_element_packet(net):
+            decoder.feed(word)
+        return None  # the next stepped cycle's gap ends the packet
+
+    return arm
+
+
+def arm_foreign_stats(net):
+    ni = net.ni("NI11")
+    ni.stats = StatsCollector()
+    return lambda: setattr(ni, "stats", net.stats)
+
+
+def arm_link_hook(net):
+    link = net.link("R00", "R10")
+    link.fault_hook = lambda hooked, phit: phit
+    return lambda: setattr(link, "fault_hook", None)
+
+
+def arm_non_phit(net):
+    off_schedule_link(net).q = IdleLookalike()
+
+
+def arm_off_schedule(net):
+    off_schedule_link(net).q = Phit(credit_bits=1)
+
+
+def arm_untracked(net):
+    net.kernel.add_register(Register("stray")).q = 1
+
+
+def arm_config_link(net):
+    """A response word written straight into the tree's root response
+    link between two runs of the same engine (no register added, so the
+    engine is not retired); with no request active the module drops it
+    on the next stepped cycle."""
+    net.config_links["rsp.NI00->module"].register.q = 1
+
+
+#: (arm, refusal kind, its detail): ``arm(net)`` returns what clears the
+#: condition, or ``None`` when naive stepping clears it by itself.
+ENTRY_REFUSALS = {
+    "router_tracer": (
+        arm_tracer(lambda net: net.router("R01")),
+        CompileRefusal.TRACER_ACTIVE,
+        "tracer attached to router 'R01'",
+    ),
+    "ni_tracer": (
+        arm_tracer(lambda net: net.ni("NI10")),
+        CompileRefusal.TRACER_ACTIVE,
+        "tracer attached to NI 'NI10'",
+    ),
+    "router_decoder": (
+        arm_decoder(lambda net: net.router("R10")),
+        CompileRefusal.CONFIG_ACTIVE,
+        "config decoder of 'R10' has pending work",
+    ),
+    "ni_decoder": (
+        arm_decoder(lambda net: net.ni("NI01")),
+        CompileRefusal.CONFIG_ACTIVE,
+        "config decoder of 'NI01' has pending work",
+    ),
+    "foreign_stats": (
+        arm_foreign_stats,
+        CompileRefusal.UNSUPPORTED_COMPONENT,
+        "NI 'NI11' reports to a foreign collector",
+    ),
+    "data_link_hook": (
+        arm_link_hook,
+        CompileRefusal.FAULT_HOOKS_ARMED,
+        "fault hook armed on data link 'R00->R10'",
+    ),
+    "non_phit_register": (
+        arm_non_phit,
+        CompileRefusal.DATAPATH_BUSY,
+        "holds a non-phit value",
+    ),
+    "off_schedule_phit": (
+        arm_off_schedule,
+        CompileRefusal.DATAPATH_BUSY,
+        "is off the compiled schedule",
+    ),
+    "untracked_register": (
+        arm_untracked,
+        CompileRefusal.CONFIG_ACTIVE,
+        "untracked register 'stray' is not idle",
+    ),
+    "config_link_register": (
+        arm_config_link,
+        CompileRefusal.CONFIG_ACTIVE,
+        "untracked register 'cfglink.rsp.NI00->module' is not idle",
+    ),
+}
+
+
+@pytest.mark.parametrize("condition", sorted(ENTRY_REFUSALS))
+def test_entry_refuses_each_condition_and_reengages(condition):
+    """Each condition the engine's per-run entry checks is armed alone
+    on a configured mesh the engine is running: the refusal has its
+    kind and its detail, no engine cycle runs beside it, and the engine
+    re-engages once the condition clears (by itself, in the stepped
+    cycles a deferral takes, or by undoing it)."""
+    arm, kind, detail = ENTRY_REFUSALS[condition]
+    net, _, _ = connected_compiled_net()
+    net.run(200)
+    engaged = net.kernel.kernel_stats()
+    assert engaged["compile_fallbacks"] == {}
+    clear = arm(net)
+    net.run(1)
+    refused = net.kernel.kernel_stats()
+    assert (refused["last_refusal"], refused["compile_fallbacks"]) == (
+        kind,
+        {kind: 1},
+    )
+    assert detail in refused["last_refusal_detail"]
+    assert refused["compiled_cycles"] == engaged["compiled_cycles"]
+    if clear is not None:
+        clear()
+    net.run(200)
+    cleared = net.kernel.kernel_stats()
+    assert cleared["compiled_cycles"] > refused["compiled_cycles"]
+    assert cleared["compile_fallbacks"] == {kind: 1}

@@ -6,24 +6,28 @@ How many events the engine handles per delivered word — the same on a
 false, how many model methods it calls whatever the word count, that an
 idle configured fabric costs it no events, and that a use-case switch
 beside live traffic is engine time.  And how many ops its proof
-artifact holds on that fabric: each phase-independent op once.
+artifact holds on that fabric: each phase-independent op once.  And
+what setting that fabric up, proving it and running it once cost in
+schedule images, lowerings and engines built: the prover builds none.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
 from repro.alloc import ConnectionRequest, MulticastRequest, SlotAllocator
 from repro.core import DaeliteNetwork, OnlineConnectionManager
+from repro.core import network as network_module
 from repro.core.config_network import ConfigModule
 from repro.core.config_port import ConfigPort
 from repro.core.config_protocol import ConfigDecoder
 from repro.params import daelite_parameters
-from repro.sim import lowering
+from repro.sim import compiled, lowering
 from repro.sim.compiled import lower_network
-from repro.sim.kernel import VECTOR_MODE
+from repro.sim.kernel import VECTOR_MODE, CompileRefusal
 from repro.sim.lowering import (
     OP_NAMES,
     LoweredArtifacts,
@@ -31,7 +35,7 @@ from repro.sim.lowering import (
     _render_trajectory,
 )
 from repro.staticcheck import prove_network
-from repro.topology import build_mesh, ni_name
+from repro.topology import ConfigTree, build_mesh, ni_name
 from repro.traffic import CbrGenerator, CheckingSink, random_traffic_pattern
 
 from .test_vector_equivalence import plant
@@ -476,3 +480,109 @@ class TestProverWork:
                 engine._lowered, engine.wheel
             )
             assert (repr(rendered) == expected) is same
+
+
+class DepthReads(dict):
+    """A config tree's depth map that counts whole-tree scans."""
+
+    def __init__(self, depth, counts):
+        super().__init__(depth)
+        self.counts = counts
+
+    def values(self):
+        self.counts["depth scans"] += 1
+        return super().values()
+
+
+def count_setup_work(monkeypatch):
+    """``benchmark_fabric()``, ``prove_network`` on it and its first
+    engine run, with per stage how often the schedule image was taken,
+    a schedule lowered, a :class:`CompiledEngine` built and the config
+    tree's depths scanned (stages doing none of one leave it out)."""
+    counts = Counter()
+
+    def count(owner, name, key):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(compiled, "_schedule_image", "images")
+    count(compiled, "_lower_schedule", "lowerings")
+    count(compiled.CompiledEngine, "__init__", "engines")
+    build_tree = network_module.build_config_tree
+
+    def counted_tree(topology, host):
+        tree = build_tree(topology, host)
+        tree.depth = DepthReads(tree.depth, counts)
+        return tree
+
+    monkeypatch.setattr(network_module, "build_config_tree", counted_tree)
+    stages = {}
+    net, _ = benchmark_fabric()
+    stages["setup"] = dict(counts)
+    counts.clear()
+    assert prove_network(net) == []
+    stages["prove"] = dict(counts)
+    counts.clear()
+    net.run(1)
+    stages["first run"] = dict(counts)
+    return stages
+
+
+class TestSetupWork:
+    """What setting the benchmark's fabric up costs, as counts.  The
+    set-up waits compile once, on the empty schedule, and then ride
+    through every apply; the prover lowers the programmed schedule once
+    and builds no engine; the first run after the traffic is attached
+    finds that lowering in the cache.  No stage scans the config tree's
+    depths: its height is taken once, when the tree is built."""
+
+    EXPECTED = {
+        "setup": {"images": 1, "lowerings": 1, "engines": 1},
+        "prove": {"images": 1, "lowerings": 1},
+        "first run": {"images": 1, "engines": 1},
+    }
+
+    @pytest.fixture(scope="class")
+    def stages(self):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            return count_setup_work(monkeypatch)
+
+    def test_set_up_prove_and_first_run(self, stages):
+        assert stages == self.EXPECTED
+
+    def test_per_read_tree_height_is_killed(self, monkeypatch):
+        """A tree height recomputed on every read scans the depths on
+        every packet's flight window."""
+        monkeypatch.setattr(
+            ConfigTree,
+            "max_depth",
+            property(
+                lambda tree: max(tree.depth.values()),
+                lambda tree, value: None,
+            ),
+        )
+        stages = count_setup_work(monkeypatch)
+        assert stages["setup"]["depth scans"] > 0
+        assert stages != self.EXPECTED
+
+    def test_engine_building_prover_is_killed(self, monkeypatch):
+        """A prover that builds an engine to render the lowering."""
+        lower = compiled.lower_network
+
+        def building(network):
+            outcome = lower(network)
+            if not isinstance(outcome, CompileRefusal):
+                compiled.CompiledEngine(
+                    outcome, network.changes.writes
+                )
+            return outcome
+
+        monkeypatch.setattr(compiled, "lower_network", building)
+        stages = count_setup_work(monkeypatch)
+        assert stages["prove"]["engines"] == 1
+        assert stages != self.EXPECTED
