@@ -64,7 +64,6 @@ class AeliteRouter(Component):
         self._input_state: List[_InputState] = [
             _InputState() for _ in range(ports)
         ]
-        self.forwarded_words = 0
         self.dropped_words = 0
 
     @property
@@ -118,10 +117,8 @@ class AeliteRouter(Component):
                 )
             state.output = output
             state.remaining_words = word.length_words - 1
-            self.forwarded_words += 1
             self._stage1[output].drive(Phit(word=remaining_header))
             return
         assert state.output is not None
         state.remaining_words -= 1
-        self.forwarded_words += 1
         self._stage1[state.output].drive(phit)

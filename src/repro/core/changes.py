@@ -38,6 +38,9 @@ class ChangeRecord:
             the order they got one.
         sourcing: NIs that created a source channel — the only ones
             that can hold a queued word.
+        endpoints: NIs that created or dropped a channel endpoint, or
+            re-paired a source channel, since the compiled engine last
+            resolved their endpoints; the engine empties it.
     """
 
     __slots__ = (
@@ -46,6 +49,7 @@ class ChangeRecord:
         "hooked_links",
         "hooked_config_links",
         "sourcing",
+        "endpoints",
     )
 
     def __init__(self) -> None:
@@ -54,6 +58,7 @@ class ChangeRecord:
         self.hooked_links: Dict[Any, None] = {}
         self.hooked_config_links: Dict[Any, None] = {}
         self.sourcing: Dict[Any, None] = {}
+        self.endpoints: Dict[Any, None] = {}
 
 
 class ReportingElement:

@@ -95,8 +95,9 @@ class NetworkInterface(Component, ReportingElement):
         bus_config_words: Raw 7-bit words received via BUS_CONFIG packets.
         changes: The network's change record (one of its own when
             built alone): the tables count writes there, and a set
-            tracer or collector, a decoded packet or a first source
-            channel notes the NI there.
+            tracer or collector, a decoded packet, a first source
+            channel and a channel endpoint created, dropped or
+            re-paired note the NI there.
     """
 
     def __init__(
@@ -155,6 +156,7 @@ class NetworkInterface(Component, ReportingElement):
         """Get (creating lazily) a source channel endpoint."""
         if channel not in self.source_channels:
             self.changes.sourcing[self] = None
+            self.changes.endpoints[self] = None
             self.source_channels[channel] = SourceChannel(
                 channel=channel,
                 max_credit=self.params.max_credit_value,
@@ -164,6 +166,7 @@ class NetworkInterface(Component, ReportingElement):
     def dest_channel(self, channel: int) -> DestChannel:
         """Get (creating lazily) a destination channel endpoint."""
         if channel not in self.dest_channels:
+            self.changes.endpoints[self] = None
             self.dest_channels[channel] = DestChannel(
                 channel=channel,
                 capacity=self.params.channel_buffer_words,
@@ -241,6 +244,7 @@ class NetworkInterface(Component, ReportingElement):
         injection sequence counter — so a later connection reusing the
         recycled index starts from a clean slate (sequence numbering
         restarts at 0, exactly as if the index were fresh)."""
+        self.changes.endpoints[self] = None
         self.source_channels.pop(channel, None)
         self.dest_channels.pop(channel, None)
         self._sequence_counters.pop(channel, None)
@@ -423,6 +427,7 @@ class NetworkInterface(Component, ReportingElement):
                 source.flags = action.value
             else:
                 source.paired_arrival = action.value
+                self.changes.endpoints[self] = None
         else:
             dest = self.dest_channel(action.channel)
             if action.register is ChannelField.CREDIT:

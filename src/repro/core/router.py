@@ -84,7 +84,6 @@ class Router(Component, ReportingElement):
             changes=self.changes,
         )
         self.dropped_words = 0
-        self.forwarded_words = 0
         #: Config actions applied.
         self.config_applied = 0
         #: Optional event tracer (set by the network builder).
@@ -126,16 +125,14 @@ class Router(Component, ReportingElement):
             if not phit.is_idle:
                 consumed.add(input_port)
                 self._xbar_regs[output].drive(phit)
-                if phit.word is not None:
-                    self.forwarded_words += 1
-                    if self.tracer.enabled:
-                        self.tracer.emit(
-                            cycle,
-                            self.name,
-                            "route",
-                            f"slot {slot}: in{input_port} -> "
-                            f"out{output} {phit.word!r}",
-                        )
+                if phit.word is not None and self.tracer.enabled:
+                    self.tracer.emit(
+                        cycle,
+                        self.name,
+                        "route",
+                        f"slot {slot}: in{input_port} -> "
+                        f"out{output} {phit.word!r}",
+                    )
         for input_port in range(self.ports):
             in_link = self.in_links[input_port]
             if in_link is None or input_port in consumed:

@@ -8,8 +8,8 @@ flattens that function, once per (re)configuration, into a per-phase op
 table and walks the table from every injection seed — an NI stage
 register in a wheel phase its channel owns — into the seed's
 *trajectory* (the registers a phit launched there holds at each step,
-the step it enters the link, the steps it arrives, the link and router
-counters it bumps on the way).  This module executes trajectories, not
+the step it enters the link, the steps it arrives, the links it
+crosses).  This module executes trajectories, not
 hops: the engine touches a word when it is injected and when it
 arrives.  The op table stays as the proof artifact the trajectories are
 checked against (``repro.staticcheck``, OP001–OP005).
@@ -43,13 +43,15 @@ It is the one engine behind ``vector`` mode, in three layers:
   has the table).  An owner is armed by a generator firing into its
   channel, by credits arriving for it and by a sink drain leaving
   credits for it to return that it cannot send alone, and stays armed
-  while it can send; an idle network handles no events.  Link and
-  router counters are paid per launch, whole trajectories at a time,
-  and settled at every *barrier*
-  — each exit, normal or exceptional, and each replay boundary — where
-  phits still in flight take back the steps they have not executed and
-  are written to the registers they occupy, so registers, counters and
-  statistics are bit-exactly those of stepped execution.
+  while it can send; an idle network handles no events.  A link's
+  ``words_carried`` is paid at every *barrier* — each exit, normal or
+  exceptional, and each replay boundary: whole trajectories for the
+  words launched since the last one and, for each word in flight, the
+  links it crossed since it was launched or put back, once.  There the
+  phits in flight are written to the registers they occupy, so
+  registers, counters and statistics are bit-exactly those of stepped
+  execution.  A run's entry and exit cost what changed since the
+  engine's last exit (DESIGN.md §14.7).
 * **The config plane of elided packets** (DESIGN.md §14.6) — a set-up
   wait is engine time.  Two more event kinds run in the loop, each
   through the model's own methods: a deposit falling due (the element's
@@ -110,7 +112,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from functools import lru_cache
 from heapq import heapify, heappop, heapreplace
-from itertools import chain, compress, count
+from itertools import compress, count
 from math import lcm
 from operator import attrgetter, is_not, itemgetter
 from types import SimpleNamespace
@@ -131,7 +133,7 @@ from .lowering import (
 from .replay import EpochReplay, roster_key
 from .stats import FAULT_DETECTED, counter_deltas
 
-# How a generator's firing is applied (``_resolve_run``): through its
+# How a generator's firing is applied (``_resolve_ni``): through its
 # own ``evaluate``, or inline for the two periodic kinds.
 _FIRE_MODEL = 0
 _FIRE_CBR = 1
@@ -141,11 +143,10 @@ _FIRE_BURST = 2
 #: its cycle.
 _EVENT_ORDER = itemgetter(0)
 
-#: A register's output, read in bulk at import; the cumulative link and
-#: router counters replay scales, read in bulk at a snapshot.
+#: A register's output, read in bulk at import; the cumulative link
+#: counter replay scales, read in bulk at a snapshot.
 _Q = attrgetter("q")
-_LINK_COUNTERS = attrgetter("phits_carried", "words_carried")
-_FORWARDED = attrgetter("forwarded_words")
+_WORDS_CARRIED = attrgetter("words_carried")
 
 _PAYLOAD_MASK = 0xFFFF_FFFF
 _NEVER = 1 << 62
@@ -169,6 +170,7 @@ def _model() -> Any:
     module."""
     from ..core.config_network import ConfigModule
     from ..core.config_protocol import (
+        FLAG_ENABLED,
         FLAG_FLOW_CONTROLLED,
         BusConfigAction,
         ChannelField,
@@ -187,6 +189,7 @@ def _model() -> Any:
 
     return SimpleNamespace(
         ConfigModule=ConfigModule,
+        FLAG_ENABLED=FLAG_ENABLED,
         FLAG_FLOW_CONTROLLED=FLAG_FLOW_CONTROLLED,
         INJECT=Direction.INJECT,
         PAIRED=ChannelField.PAIRED,
@@ -461,22 +464,19 @@ def _classify_components(network: Any) -> Any:
 
 
 class _Owner:
-    """One run's live view of an :class:`_OwnerPlan` (``index`` in the
-    lowering): the source channel it injects from with its two flag
-    bits decoded (the registers of every channel that can act are
-    frozen for a run: an apply that writes one ends it, callbacks are
-    barriers), the paired destination whose credits it returns,
+    """The live view of an :class:`_OwnerPlan` (``index`` in the
+    lowering), kept by the engine until its NI's endpoints change: the
+    source channel it injects from (its flags are read at each visit),
+    the paired destination whose credits it returns, and per run
     whether a visit is scheduled (``armed``), the connection only it
-    launches words of in the run (``label``: its words' injections are
-    recorded at launch), and the cycle of its next visit when a sink
-    drain made that visit in its place (``fold_at``, -1 without one:
-    see :meth:`CompiledEngine._unfold`)."""
+    launches words of (``label``: its words' injections are recorded
+    at launch), and the cycle of its next visit when a sink drain made
+    that visit in its place (``fold_at``, -1 without one: see
+    :meth:`CompiledEngine._unfold`)."""
 
     __slots__ = (
         "index",
         "source",
-        "enabled",
-        "flow_controlled",
         "dest",
         "slots",
         "first",
@@ -487,8 +487,6 @@ class _Owner:
 
     index: int
     source: Any
-    enabled: bool
-    flow_controlled: bool
     dest: Any
     slots: List[Any]
     first: List[int]
@@ -501,8 +499,6 @@ class _Owner:
     ) -> None:
         self.index = index
         self.source = source
-        self.enabled = source.enabled
-        self.flow_controlled = source.flow_controlled
         self.dest = dest
         self.slots = plan.slots
         self.first = plan.first
@@ -652,14 +648,15 @@ class CompiledEngine:
         regs = lowered.regs
         self.regs = regs
         self.idles = [reg.idle for reg in regs]
+        #: ``id(register) -> rid`` of the lowered registers.
+        self._rid_of = {id(reg): rid for rid, reg in enumerate(regs)}
         #: The kernel's registers outside the lowering (config tree,
         #: free-standing) and their idle values: each must be idle when
         #: a run begins.
-        tracked = {id(reg) for reg in regs}
         self.other_regs = [
             reg
             for reg in self.kernel.all_registers()
-            if id(reg) not in tracked
+            if id(reg) not in self._rid_of
         ]
         self.other_idles = [reg.idle for reg in self.other_regs]
         self.occupancy = lowered.occupancy
@@ -701,8 +698,13 @@ class CompiledEngine:
         self._cur: Dict[int, Phit] = {}
         #: The registers that held a phit when the current run began.
         self._imported: List[int] = []
+        #: ``kernel.active_cycles`` when a run last exited (-1: none
+        #: did, or an entry refused since): while it holds, the
+        #: registers are ``_cur`` but for those the kernel's door wrote.
+        self._exited_at = -1
         #: Pending link entries and arrivals, by ``cycle & _mask``:
-        #: ``(order, leaf or None, word, credit bits)`` — a phit in
+        #: ``(order, leaf or None, word, credit bits)``, plus the step
+        #: for a word a barrier put back (``_loaded``) — a phit in
         #: flight is not an object.  Empty between runs.
         self._mask = lowered.ring_size - 1
         self._ring: List[List[tuple]] = [
@@ -716,11 +718,23 @@ class CompiledEngine:
         #: The owners given a folded visit since the last barrier (at
         #: least those whose ``fold_at`` is set).
         self._folded: List[_Owner] = []
-        #: Launches per trajectory since the last barrier (phits, and
-        #: those of them carrying a word), and which have any.
-        self._launched_phits = [0] * len(lowered.trajectories)
+        #: Words launched per trajectory since the last barrier, and
+        #: the trajectories that have any.
         self._launched_words = [0] * len(lowered.trajectories)
         self._launched: List[_Trajectory] = []
+        #: The pending arrivals of the words the last barrier put back
+        #: on their trajectories, each ``(order, leaf, word, credit
+        #: bits, step at the barrier)`` (:meth:`_load`).
+        self._loaded: List[tuple] = []
+        #: The live endpoints, kept across runs (:meth:`_resolve_ni`
+        #: describes them).
+        self._owners: List[Optional[_Owner]] = [None] * len(lowered.owners)
+        self._gen_runs: List[tuple] = [()] * len(gens)
+        self._sink_runs: List[tuple] = [()] * len(sinks)
+        self._sinks_on: List[List[int]] = [[] for _ in lowered.dest_keys]
+        self._crediting: Dict[Tuple[int, int], List[int]] = {}
+        #: The owners the current run gave a ``label``.
+        self._labelled: List[_Owner] = []
         #: Events handled by :meth:`run_to` over the engine's life:
         #: arrivals, link entries not recorded at launch, slot-owner
         #: visits, generator firings and sink visits — the ones applied:
@@ -763,20 +777,23 @@ class CompiledEngine:
             id(component): rank
             for rank, component in enumerate(self.kernel.components)
         }
-        #: Per owner plan, the destinations its trajectories deliver
-        #: into.
-        self._plan_dests: List[tuple] = []
-        for plan in lowered.owners:
-            self._plan_dests.append(
-                tuple(
-                    {
-                        (id(leaf.ni), leaf.channel)
-                        for slot in plan.slots
-                        if slot is not None
-                        for leaf in slot.trajectory.leaves
-                    }
-                )
+        #: Per owner plan its source key and the destinations its
+        #: trajectories deliver into (``_plan_out`` adds its owner's
+        #: paired one); the plan of each source key.
+        self._plan_keys = [(id(plan.ni), plan.channel) for plan in lowered.owners]
+        self._plan_dests: List[tuple] = [
+            tuple(
+                {
+                    (id(leaf.ni), leaf.channel)
+                    for slot in plan.slots
+                    if slot is not None
+                    for leaf in slot.trajectory.leaves
+                }
             )
+            for plan in lowered.owners
+        ]
+        self._plan_out = list(self._plan_dests)
+        self._plan_at = {key: i for i, key in enumerate(self._plan_keys)}
         #: Cell -> owner plans reading it (:meth:`_cell_readers`).
         self._readers: Optional[Dict[tuple, List[int]]] = None
         self._refusals_noted: Set[str] = set()
@@ -788,6 +805,21 @@ class CompiledEngine:
         #: Probe carried across run_to calls (see run_to): ``(signature,
         #: snapshot, events so far, boundary cycle, cycle the run ended)``.
         self._probe: Optional[tuple] = None
+        #: ``id(ni) -> (ni, owner plans, generators, sinks)`` of every
+        #: NI the lowering or the roster touches, all resolved now.
+        self._on_ni: Dict[int, tuple] = {}
+        for part, nis in (
+            (1, [plan.ni for plan in lowered.owners]),
+            (2, [gen.inject.ni for gen in gens]),
+            (3, [ni for _sink, ni, _channel, _period in sinks]),
+        ):
+            for position, ni in enumerate(nis):
+                self._on_ni.setdefault(id(ni), (ni, [], [], []))[
+                    part
+                ].append(position)
+        for entry in self._on_ni.values():
+            self._resolve_ni(*entry)
+        network.changes.endpoints.clear()
 
     def _note_replay_refusal(self, refusal: CompileRefusal) -> None:
         """Record why replay is withheld, once per kind per engine."""
@@ -840,60 +872,54 @@ class CompiledEngine:
         live destination's credits.  Nothing else can be armed in the
         run (DESIGN.md §14.6).
         """
-        plans = self.owner_plans
         index = self.index[self.kernel.cycle % self.wheel]
-        crediting: Dict[Tuple[int, int], List[int]] = {}
-        live: Set[int] = set()
-        work: List[int] = []
+        plan_of = self._plan_of
+        live = {
+            owner.index
+            for owner in owners
+            if owner is not None
+            and (
+                owner.source.queue
+                or (owner.dest is not None and owner.dest.pending_credits)
+            )
+        }
+        live.update(plan_of[index[rid][0]] for rid in in_flight)
         live_src: Set[Tuple[int, int]] = set()
-        live_dst: Set[Tuple[int, int]] = set()
-
-        def add(plan_index: int) -> None:
-            if plan_index not in live:
-                live.add(plan_index)
-                work.append(plan_index)
-
-        def add_dest(key: Tuple[int, int]) -> None:
-            if key not in live_dst:
-                live_dst.add(key)
-                for plan_index in crediting.get(key, ()):
-                    add(plan_index)
-
-        for owner in owners:
-            if owner is None:
-                continue
-            dest = owner.dest
-            if dest is not None:
-                crediting.setdefault(
-                    (id(plans[owner.index].ni), dest.channel), []
-                ).append(owner.index)
-            if owner.source.queue or (dest is not None and dest.pending_credits):
-                add(owner.index)
         for gen, owner, _firing, _label in gen_runs:
             if not gen.done:
                 live_src.add((id(gen.inject.ni), gen.inject.channel))
                 if owner is not None:
-                    add(owner.index)
-        for rid in in_flight:
-            add(self._plan_of[index[rid][0]])
+                    live.add(owner.index)
         for ni in self.network.changes.sourcing:
             for channel, source in ni.source_channels.items():
                 if source.queue:
                     live_src.add((id(ni), channel))
-        for (_sink, ni, channel, _p), sink_run in zip(
-            self.sinks, sink_runs
-        ):
-            if sink_run[1] is not None and sink_run[1].queue:
-                add_dest((id(ni), channel))
+        live_dst = {
+            (id(ni), channel)
+            for (_sink, ni, channel, _p), run in zip(self.sinks, sink_runs)
+            if run[1] is not None and run[1].queue
+        }
+        # The closure: a live destination's crediting owners, a live
+        # owner's source and the destinations it delivers into.
+        crediting = self._crediting
+        work = list(live)
+        for key in live_dst:
+            for plan_index in crediting.get(key, ()):
+                if plan_index not in live:
+                    live.add(plan_index)
+                    work.append(plan_index)
+        plan_keys = self._plan_keys
+        plan_out = self._plan_out
         while work:
             plan_index = work.pop()
-            plan = plans[plan_index]
-            live_src.add((id(plan.ni), plan.channel))
-            owner = owners[plan_index]
-            if owner is not None and owner.dest is not None:
-                add_dest((id(plan.ni), owner.dest.channel))
-            for key in self._plan_dests[plan_index]:
-                add_dest(key)
+            live_src.add(plan_keys[plan_index])
+            for key in plan_out[plan_index]:
+                if key not in live_dst:
+                    live_dst.add(key)
+                    for other in crediting.get(key, ()):
+                        if other not in live:
+                            live.add(other)
+                            work.append(other)
         return live, live_src, live_dst
 
     def _cell_readers(self) -> Dict[tuple, List[int]]:
@@ -905,7 +931,7 @@ class CompiledEngine:
         engine's first apply."""
         wheel = self.wheel
         wps = self.network.params.words_per_slot
-        rid_of = {id(reg): rid for rid, reg in enumerate(self.regs)}
+        rid_of = self._rid_of
         xbar_of: Dict[int, Tuple[Any, int]] = {}
         input_of: Dict[int, int] = {}
         for router in self.network.routers.values():
@@ -1035,64 +1061,95 @@ class CompiledEngine:
     # -- register import / export ----------------------------------------------
 
     def _import_registers(self, cycle: int) -> Optional[CompileRefusal]:
-        """Read the phits the run starts from into ``_cur``, or refuse.
+        """Bring ``_cur`` to the phits the run starts from, or refuse.
 
-        Every register is read, in one C-level pass per list: the
-        lowered ones hold the data plane the engine takes over, and the
-        kernel's other registers (config tree, free-standing) must be
-        idle — code between runs may have written any of them (a value
-        equal to the idle one counts as idle)."""
+        After this engine's own exit, with no cycle stepped since, the
+        registers hold ``_cur`` but for those written through the
+        kernel's door (:meth:`Kernel.write_register`), and only those
+        are read.  Otherwise — a first run, or the stepped kernels ran
+        — every register is: the lowered ones hold the data plane the
+        engine takes over, and the kernel's other registers (config
+        tree, free-standing) must be idle.  A value equal to a
+        register's idle one counts as idle."""
         kernel = self.kernel
         if kernel._dirty:
-            return CompileRefusal(
+            refusal: Optional[CompileRefusal] = CompileRefusal(
                 CompileRefusal.DATAPATH_BUSY,
                 "registers were driven outside a completed cycle",
             )
+        elif self._exited_at == kernel.active_cycles:
+            refusal = self._read(cycle, kernel.written)
+        else:
+            refusal = self._read(cycle, None)
+        kernel.written.clear()
+        if refusal is None:
+            self._imported = list(self._cur)
+        else:
+            self._exited_at = -1
+        return refusal
+
+    def _read(
+        self, cycle: int, written: Optional[Dict[Any, None]]
+    ) -> Optional[CompileRefusal]:
+        """Update ``_cur`` from the ``written`` registers, or rebuild it
+        from every register (``None``); each read is one ``_Q``."""
+        regs = self.regs
+        idles = self.idles
+        lowered: Any = []
+        other: Any = []
+        if written is None:
+            cur: Dict[int, Phit] = {}
+            # Every value in one C-level pass per list; only a register
+            # not holding its very idle object is looked at.
+            values = list(map(_Q, regs))
+            lowered = [
+                (rid, values[rid])
+                for rid in compress(count(), map(is_not, values, idles))
+            ]
+            values = list(map(_Q, self.other_regs))
+            if values != self.other_idles:
+                other = zip(self.other_regs, values)
+        else:
+            cur = self._cur
+            for reg in written:
+                rid = self._rid_of.get(id(reg))
+                if rid is None:
+                    other.append((reg, _Q(reg)))
+                else:
+                    lowered.append((rid, _Q(reg)))
         phase = cycle % self.wheel
         occupancy = self.occupancy
         index = self.index[phase]
-        regs = self.regs
-        idles = self.idles
-        cur: Dict[int, Phit] = {}
-        # Every value in one C-level read; a list compare (identity
-        # first) tells an idle data plane at once, and only a register
-        # not holding its very idle object is looked at.
-        values = list(map(_Q, regs))
-        if values != idles:
-            for rid in compress(count(), map(is_not, values, idles)):
-                q = values[rid]
-                if q == idles[rid]:
-                    continue
-                reg = regs[rid]
-                if not isinstance(q, Phit):
-                    return CompileRefusal(
-                        CompileRefusal.DATAPATH_BUSY,
-                        f"register {reg.name!r} holds a non-phit value",
-                    )
-                if not (occupancy[rid] >> phase) & 1:
-                    return CompileRefusal(
-                        CompileRefusal.DATAPATH_BUSY,
-                        f"in-flight phit in {reg.name!r} is off the "
-                        f"compiled schedule",
-                    )
-                if rid not in index:
-                    raise SimulationError(
-                        f"compiled engine lost track of a phit in "
-                        f"{reg.name!r} at cycle {cycle}"
-                    )
-                cur[rid] = q
-        other_regs = self.other_regs
-        other_idles = self.other_idles
-        values = list(map(_Q, other_regs))
-        if values != other_idles:
-            for reg, q, idle in zip(other_regs, values, other_idles):
-                if q is not idle and q != idle:
-                    return CompileRefusal(
-                        CompileRefusal.CONFIG_ACTIVE,
-                        f"untracked register {reg.name!r} is not idle",
-                    )
+        for rid, q in lowered:
+            if q is idles[rid] or q == idles[rid]:
+                cur.pop(rid, None)
+                continue
+            reg = regs[rid]
+            if not isinstance(q, Phit):
+                return CompileRefusal(
+                    CompileRefusal.DATAPATH_BUSY,
+                    f"register {reg.name!r} holds a non-phit value",
+                )
+            if not (occupancy[rid] >> phase) & 1:
+                return CompileRefusal(
+                    CompileRefusal.DATAPATH_BUSY,
+                    f"in-flight phit in {reg.name!r} is off the "
+                    f"compiled schedule",
+                )
+            cur[rid] = q
+        for reg, q in other:
+            if q is not reg.idle and q != reg.idle:
+                return CompileRefusal(
+                    CompileRefusal.CONFIG_ACTIVE,
+                    f"untracked register {reg.name!r} is not idle",
+                )
+        for rid in cur:
+            if rid not in index:
+                raise SimulationError(
+                    f"compiled engine lost track of a phit in "
+                    f"{regs[rid].name!r} at cycle {cycle}"
+                )
         self._cur = cur
-        self._imported = list(cur)
         return None
 
     def _export_registers(self) -> None:
@@ -1109,29 +1166,22 @@ class CompiledEngine:
     # -- trajectories <-> registers: the barrier ---------------------------------
 
     @staticmethod
-    def _account(leaf: _Leaf, has_word: bool, step: int, sign: int) -> None:
-        """Add (``sign`` +1) or take back (-1) the link and router
-        counter effects of ``leaf``'s ops from ``step`` on — the part of
-        its trajectory a phit there has not executed yet."""
+    def _carry(leaf: _Leaf, start: int, stop: int, sign: int) -> None:
+        """Add ``sign`` to ``words_carried`` of each link ``leaf`` drives
+        at a trajectory step in ``[start, stop)``."""
         for at, link in zip(leaf.link_steps, leaf.links):
-            if at >= step:
-                link.phits_carried += sign
-                if has_word:
-                    link.words_carried += sign
-        if has_word:
-            for at, router, fanout in zip(
-                leaf.router_steps, leaf.routers, leaf.fanouts
-            ):
-                if at >= step:
-                    router.forwarded_words += sign * fanout
+            if start <= at < stop:
+                link.words_carried += sign
 
     def _load(self, cycle: int) -> None:
         """Put the register-resident phits of ``_cur`` (the state
         entering ``cycle``) on their trajectories: one pending arrival
-        per leaf below each, the link entry if still ahead, and their
-        remaining counter effects paid up front like a launch's."""
+        per leaf below each, and the link entry if still ahead.  A
+        word's arrivals carry the step it is put back at, and are kept
+        in ``_loaded``: the next barrier pays the links it crossed."""
         ring = self._ring
         mask = self._mask
+        loaded = self._loaded
         index = self.index[cycle % self.wheel]
         for rid, phit in self._cur.items():
             tid, step = index[rid]
@@ -1143,10 +1193,16 @@ class CompiledEngine:
                 # held) their own copy.
                 if leaf.step < step or leaf.path[step] != rid:
                     continue
-                ring[(cycle + leaf.step - step) & mask].append(
-                    (leaf.order, leaf, word, phit.credit_bits)
-                )
-                self._account(leaf, word is not None, step, 1)
+                if word is None:
+                    pending: tuple = (
+                        leaf.order, leaf, None, phit.credit_bits
+                    )
+                else:
+                    pending = (
+                        leaf.order, leaf, word, phit.credit_bits, step
+                    )
+                    loaded.append(pending)
+                ring[(cycle + leaf.step - step) & mask].append(pending)
             entry = trajectory.entry_delay
             if step < entry and word is not None:
                 ring[(cycle + entry - 1 - step) & mask].append(
@@ -1155,8 +1211,7 @@ class CompiledEngine:
 
     def _unfold(self, owner: _Owner) -> None:
         """Take back ``owner``'s folded credit-only visit: its phit
-        leaves the ring and the launch counts, its credits are pending
-        again."""
+        leaves the ring, its credits are pending again."""
         at = owner.fold_at
         trajectory = owner.slots[at % self.wheel].trajectory
         ring = self._ring
@@ -1165,13 +1220,12 @@ class CompiledEngine:
             bucket = ring[(at + delay) & mask]
             phit = next(entry for entry in bucket if entry[1] is leaf)
             bucket.remove(phit)
-        self._launched_phits[trajectory.tid] -= 1
         owner.dest.pending_credits += phit[3]
         owner.fold_at = -1
 
     def _unload(self, cycle: int, reached: int = -1) -> List[_Owner]:
         """The barrier: leave ``_cur`` holding the state entering
-        ``cycle`` and every link / router counter exact.
+        ``cycle`` and every link's ``words_carried`` exact.
 
         What the run applied ahead of its cycle is taken back first: a
         credit-only launch folded into a sink drain whose collecting
@@ -1180,12 +1234,14 @@ class CompiledEngine:
         entry is not.  In ``cycle`` itself ``reached`` says how far the
         run got: -1 nowhere, ``_NEVER`` past every event and slot
         owner, else to the event of that rank an exception interrupted.
-        Launches since the last barrier are then applied to the
-        counters as whole trajectories; each phit still in flight takes
-        back the steps it has not executed and is written to the
-        registers its pending arrivals say it holds.  The cost is the
-        launches plus the phits in flight, not the size of the
-        schedule."""
+        The words launched since the last barrier are paid as whole
+        trajectories, and each phit still in flight is written to the
+        registers its pending arrivals say it holds.  A word in flight
+        pays its links once: one launched since takes back the links
+        it has not crossed, one the last barrier put back (``_loaded``)
+        pays the links it crossed since — all of its remaining ones if
+        it arrived.  The cost is the launched trajectories plus the
+        words in flight, not the size of the schedule."""
         undone: List[_Owner] = []
         for owner in self._folded:
             if owner.fold_at > cycle or (
@@ -1195,18 +1251,15 @@ class CompiledEngine:
                 undone.append(owner)
             owner.fold_at = -1
         self._folded.clear()
-        phits = self._launched_phits
         words = self._launched_words
         for trajectory in self._launched:
-            tid = trajectory.tid
+            launched = words[trajectory.tid]
+            words[trajectory.tid] = 0
             for leaf in trajectory.leaves:
                 for link in leaf.links:
-                    link.phits_carried += phits[tid]
-                    link.words_carried += words[tid]
-                for router, fanout in zip(leaf.routers, leaf.fanouts):
-                    router.forwarded_words += words[tid] * fanout
-            phits[tid] = words[tid] = 0
+                    link.words_carried += launched
         self._launched.clear()
+        carry = self._carry
         connections = self.stats.connections
         # Per connection, the first sequence number taken back: the
         # ledger's last injected one is the sequence before it.
@@ -1214,37 +1267,48 @@ class CompiledEngine:
         ring = self._ring
         mask = self._mask
         cur: Dict[int, Phit] = {}
+        still: Set[int] = set()
         # Only the buckets holding phits (the ring is as long as the
         # longest trajectory, most of it empty between barriers).
         for at in compress(range(mask + 1), ring):
             ahead = (at - cycle) & mask
             bucket = ring[at]
-            for _order, leaf, word, credit_bits in bucket:
-                if leaf is not None:
-                    if (
-                        word is not None
-                        and (stamp := word.injected_at) >= cycle
-                        and (stamp > cycle or leaf.entry_order > reached)
-                    ):
-                        # Once per word: a multicast word, taken back at
-                        # its first leaf, is unstamped at the others.
-                        label = word.connection
-                        sequence = word.sequence
-                        ledger = connections[label]
-                        stamp_injected(word, -1)
-                        ledger.injected -= 1
-                        ledger.undelivered.discard(sequence)
-                        if sequence < rolled.get(label, _NEVER):
-                            rolled[label] = sequence
-                    # A launch of this very cycle (an exit between
-                    # injection and the end of the cycle) sits one step
-                    # before its seed register: write it there.
-                    step = max(leaf.step - ahead, 0)
-                    cur[leaf.path[step]] = Phit(
-                        word=word, credit_bits=credit_bits
-                    )
-                    self._account(leaf, word is not None, step, -1)
+            for pending in bucket:
+                leaf = pending[1]
+                if leaf is None:
+                    continue
+                word = pending[2]
+                if (
+                    word is not None
+                    and (stamp := word.injected_at) >= cycle
+                    and (stamp > cycle or leaf.entry_order > reached)
+                ):
+                    # Once per word: a multicast word, taken back at
+                    # its first leaf, is unstamped at the others.
+                    label = word.connection
+                    sequence = word.sequence
+                    ledger = connections[label]
+                    stamp_injected(word, -1)
+                    ledger.injected -= 1
+                    ledger.undelivered.discard(sequence)
+                    if sequence < rolled.get(label, _NEVER):
+                        rolled[label] = sequence
+                # A launch of this very cycle (an exit between
+                # injection and the end of the cycle) sits one step
+                # before its seed register: write it there.
+                step = max(leaf.step - ahead, 0)
+                cur[leaf.path[step]] = Phit(word=word, credit_bits=pending[3])
+                if word is not None:
+                    if len(pending) > 4:
+                        still.add(id(pending))
+                        carry(leaf, pending[4], step, 1)
+                    else:
+                        carry(leaf, step, _NEVER, -1)
             bucket.clear()
+        for pending in self._loaded:
+            if id(pending) not in still:
+                carry(pending[1], pending[4], _NEVER, 1)
+        self._loaded.clear()
         for label, sequence in rolled.items():
             connections[label].last_sequence = sequence - 1
         self._cur = cur
@@ -1252,66 +1316,90 @@ class CompiledEngine:
 
     # -- execution ---------------------------------------------------------------
 
-    def _resolve_run(self) -> tuple:
-        """The live endpoints behind the lowered plans.
+    def _resolve(self) -> None:
+        """Re-resolve the live endpoints (``_owners``, ``_gen_runs``,
+        ``_sink_runs``, ``_sinks_on``, ``_crediting``) of the NIs the
+        change record names in ``endpoints`` (a channel endpoint created
+        or dropped, a source re-paired) since the last run.  Channel
+        membership cannot change mid-run for anything that can act in
+        it: a channel a run's config events create or rewrite either
+        has no work in the run or ends it."""
+        noted = self.network.changes.endpoints
+        for ni in noted:
+            entry = self._on_ni.get(id(ni))
+            if entry is not None:
+                self._resolve_ni(*entry)
+        noted.clear()
 
-        Channel membership cannot change mid-run for anything that can
-        act in it: a channel a run's config events create or rewrite
-        either has no work in the run or ends it.  Returns one
-        :class:`_Owner` per owner plan (``None`` where the source
-        channel does not exist), one ``(generator, owner it feeds, how
-        it fires, connection label of its words)`` per generator, one
+    def _resolve_ni(
+        self, ni: Any, plans: List[int], gens: List[int], sinks: List[int]
+    ) -> None:
+        """Resolve ``ni``'s endpoints: per owner plan its :class:`_Owner`
+        (``None`` without a source channel) and the owner plans
+        returning each destination's credits (``_crediting``, by
+        ``(id(ni), channel)``); per generator ``(generator, owner it
+        feeds, how it fires, connection label of its words)``; per sink
         ``(sink, destination, period, owners returning its credits)``
-        per sink, and the sink indices on each arrival channel.
-        """
+        and the sinks on each arrival channel (``_sinks_on``)."""
         model = _model()
-        owners: List[Optional[_Owner]] = []
-        feeding: Dict[Tuple[int, int], _Owner] = {}
-        crediting: Dict[int, List[_Owner]] = {}
-        for index, plan in enumerate(self.owner_plans):
-            ni = plan.ni
+        key = id(ni)
+        owners = self._owners
+        crediting = self._crediting
+        for plan_index in plans:
+            old = owners[plan_index]
+            if old is not None and old.dest is not None:
+                crediting.pop((key, old.dest.channel), None)
+        for plan_index in plans:
+            plan = self.owner_plans[plan_index]
             source = ni.source_channels.get(plan.channel)
-            if source is None:
-                owners.append(None)
-                continue
-            dest = None
-            if source.paired_arrival is not None:
+            owner = None
+            out = self._plan_dests[plan_index]
+            if source is not None:
                 dest = ni.dest_channels.get(source.paired_arrival)
-            owner = _Owner(index, plan, source, dest)
-            owners.append(owner)
-            feeding[(id(ni), plan.channel)] = owner
-            if dest is not None:
-                crediting.setdefault(id(dest), []).append(owner)
-        gen_runs = []
-        for gen in self.gens:
-            owner = feeding.get((id(gen.inject.ni), gen.inject.channel))
+                owner = _Owner(plan_index, plan, source, dest)
+                if dest is not None:
+                    crediting.setdefault((key, dest.channel), []).append(
+                        plan_index
+                    )
+                    out += ((key, dest.channel),)
+            owners[plan_index] = owner
+            self._plan_out[plan_index] = out
+        for gen_index in gens:
+            gen = self.gens[gen_index]
+            inject = gen.inject
+            plan_index = self._plan_at.get((key, inject.channel))
+            owner = None if plan_index is None else owners[plan_index]
             # A periodic generator's heap entry is its firing, applied
             # straight onto the owner's source queue; a trace generator
             # (or a channel without an owner) fires through the model.
             firing = _FIRE_MODEL
-            if owner is not None:
-                if type(gen) is model.CbrGenerator:
-                    firing = _FIRE_CBR
-                elif type(gen) is model.BurstGenerator:
-                    firing = _FIRE_BURST
-            inject = gen.inject
-            gen_runs.append(
-                (
-                    gen,
-                    owner,
-                    firing,
-                    inject.connection or f"{inject.ni.name}.ch{inject.channel}",
-                )
+            if owner is not None and type(gen) is model.CbrGenerator:
+                firing = _FIRE_CBR
+            elif owner is not None and type(gen) is model.BurstGenerator:
+                firing = _FIRE_BURST
+            self._gen_runs[gen_index] = (
+                gen,
+                owner,
+                firing,
+                inject.connection or f"{ni.name}.ch{inject.channel}",
             )
-        sink_runs = []
-        sinks_on: List[List[int]] = [[] for _ in self.dest_keys]
-        for sink_index, (sink, ni, channel, period) in enumerate(self.sinks):
+        for sink_index in sinks:
+            sink, _ni, channel, period = self.sinks[sink_index]
             dest = ni.dest_channels.get(channel)
-            sink_runs.append((sink, dest, period, crediting.get(id(dest), ())))
+            credited = crediting.get((key, channel), ())
+            self._sink_runs[sink_index] = (
+                sink,
+                dest,
+                period,
+                [owners[i] for i in credited],
+            )
             dest_id = self.dest_keys.get((ni.name, channel))
-            if dest is not None and dest_id is not None:
-                sinks_on[dest_id].append(sink_index)
-        return owners, gen_runs, sink_runs, sinks_on
+            if dest_id is not None:
+                on_dest = self._sinks_on[dest_id]
+                if sink_index in on_dest:
+                    on_dest.remove(sink_index)
+                if dest is not None:
+                    on_dest.append(sink_index)
 
     def _claim_labels(
         self, owners: List[Optional[_Owner]], gen_runs: List[tuple]
@@ -1322,6 +1410,10 @@ class CompiledEngine:
         launches are then its only link entries for that connection and
         follow them in order, so each injection can be recorded at its
         launch (:meth:`run_to`)."""
+        labelled = self._labelled
+        for owner in labelled:
+            owner.label = None
+        labelled.clear()
         index = self.index[self.kernel.cycle % self.wheel]
         plan_of = self._plan_of
         claimed: List[Tuple[str, Optional[_Owner]]] = [
@@ -1348,6 +1440,7 @@ class CompiledEngine:
         for label, owner in claims.items():
             if owner is not None and owner.label is None:
                 owner.label = label
+                labelled.append(owner)
 
     def run_to(self, end: int) -> Optional[CompileRefusal]:
         """Advance the network towards ``end``; ``None`` on success.
@@ -1368,12 +1461,17 @@ class CompiledEngine:
         untouched.
         """
         FLAG_FLOW_CONTROLLED = _model().FLAG_FLOW_CONTROLLED
+        FLAG_ENABLED = _model().FLAG_ENABLED
         kernel = self.kernel
         cycle = kernel.cycle
         if cycle >= end:
             return None
         refusal = self._import_registers(cycle)
-        owners, gen_runs, sink_runs, sinks_on = self._resolve_run()
+        self._resolve()
+        owners = self._owners
+        gen_runs = self._gen_runs
+        sink_runs = self._sink_runs
+        sinks_on = self._sinks_on
         # What can act in the run (DESIGN.md §14.6), taken at entry;
         # a run without config events needs it only to decline.
         live: Any = None
@@ -1407,7 +1505,6 @@ class CompiledEngine:
         ring = self._ring
         mask = self._mask
         launched = self._launched
-        launched_phits = self._launched_phits
         launched_words = self._launched_words
         folded = self._folded
 
@@ -1450,11 +1547,6 @@ class CompiledEngine:
             trajectory = owner.slots[at % wheel].trajectory
             credits = dest.pending_credits
             dest.pending_credits = 0
-            tid = trajectory.tid
-            count = launched_phits[tid]
-            if not count:
-                launched.append(trajectory)
-            launched_phits[tid] = count + 1
             for delay, order, leaf in trajectory.launch:
                 ring[(at + delay) & mask].append((order, leaf, None, credits))
             if owner.fold_at < 0:
@@ -1480,16 +1572,16 @@ class CompiledEngine:
             """(Re)derive every schedule from state entering ``start``;
             returns the first generator firing."""
             for at in compress(range(mask + 1), owner_ring):
+                for owner in owner_ring[at]:
+                    owner.armed = False
                 owner_ring[at].clear()
             sink_due.clear()
             for owner in owners:
-                if owner is not None:
-                    owner.armed = False
-                    dest = owner.dest
-                    if owner.source.queue or (
-                        dest is not None and dest.pending_credits
-                    ):
-                        arm(owner, start)
+                if owner is not None and (
+                    owner.source.queue
+                    or (owner.dest is not None and owner.dest.pending_credits)
+                ):
+                    arm(owner, start)
             for sink_index, sink_run in enumerate(sink_runs):
                 sink_waiting[sink_index] = False
                 if sink_run[1] is not None and sink_run[1].queue:
@@ -1539,7 +1631,7 @@ class CompiledEngine:
             not self.gens
             and not self._cur
             and not sink_due
-            and not any(owner is not None and owner.armed for owner in owners)
+            and not any(owner_ring)
         )
 
         period = self.period
@@ -1817,15 +1909,16 @@ class CompiledEngine:
                         # ``take_word()`` if ``can_send()``, asked once.
                         word = None
                         queue = source.queue
+                        flags = source.flags
                         if (
                             queue
-                            and owner.enabled
+                            and flags & FLAG_ENABLED
                             and (
-                                not owner.flow_controlled
+                                not flags & FLAG_FLOW_CONTROLLED
                                 or source.credit_counter > 0
                             )
                         ):
-                            if owner.flow_controlled:
+                            if flags & FLAG_FLOW_CONTROLLED:
                                 source.credit_counter -= 1
                             source.words_sent += 1
                             word = queue.popleft()
@@ -1842,13 +1935,12 @@ class CompiledEngine:
                             credits = granted or None
                         if word is not None or credits:
                             trajectory = slot.trajectory
-                            tid = trajectory.tid
-                            count = launched_phits[tid]
-                            if not count:
-                                launched.append(trajectory)
-                            launched_phits[tid] = count + 1
                             if word is not None:
-                                launched_words[tid] += 1
+                                tid = trajectory.tid
+                                count = launched_words[tid]
+                                if not count:
+                                    launched.append(trajectory)
+                                launched_words[tid] = count + 1
                                 # ``StatsCollector.record_injection`` at
                                 # the link entry, done at launch: an
                                 # unstamped word of a connection only
@@ -1887,9 +1979,9 @@ class CompiledEngine:
                         # Stay armed while there is something to send.
                         if (
                             queue
-                            and owner.enabled
+                            and flags & FLAG_ENABLED
                             and (
-                                not owner.flow_controlled
+                                not flags & FLAG_FLOW_CONTROLLED
                                 or source.credit_counter > 0
                             )
                         ) or (dest is not None and dest.pending_credits):
@@ -2097,6 +2189,7 @@ class CompiledEngine:
                     ring[cycle & mask].append(current)
                 self._unload(cycle, reached)
             self._export_registers()
+            self._exited_at = kernel.active_cycles
             self.events_handled += handled
             self.model_calls += model_calls
             self.config_events += config_events
@@ -2257,14 +2350,8 @@ class CompiledEngine:
             for router in network.routers.values()
         ) + sum(ni.dropped_words for ni in self.nis_list)
         return {
-            # Per link its phit and word counts, then per router its
-            # forwarded words.
-            "fixed": [
-                *chain.from_iterable(
-                    map(_LINK_COUNTERS, network.links.values())
-                ),
-                *map(_FORWARDED, network.routers.values()),
-            ],
+            # Per link its word count.
+            "fixed": list(map(_WORDS_CARRIED, network.links.values())),
             "chan_keys": tuple(chan_keys),
             "chan_vals": chan_vals,
             "seqs": {
@@ -2356,22 +2443,12 @@ class CompiledEngine:
         self, epochs: int, before: dict, after: dict
     ) -> None:
         """Scale every cumulative counter by ``epochs`` steady deltas
-        (links, routers, generators, channel endpoints, sequence
-        counters)."""
-        network = self.network
-        olds = iter(before["fixed"])
-        nows = iter(after["fixed"])
-        for link in network.links.values():
-            old, now = next(olds), next(nows)
-            if now != old:
-                link.phits_carried = now + epochs * (now - old)
-            old, now = next(olds), next(nows)
+        (links, generators, channel endpoints, sequence counters)."""
+        for link, old, now in zip(
+            self.network.links.values(), before["fixed"], after["fixed"]
+        ):
             if now != old:
                 link.words_carried = now + epochs * (now - old)
-        for router in network.routers.values():
-            old, now = next(olds), next(nows)
-            if now != old:
-                router.forwarded_words = now + epochs * (now - old)
         for i, gen in enumerate(self.gens):
             delta = after["gen_words"][i] - before["gen_words"][i]
             if delta:

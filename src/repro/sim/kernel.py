@@ -79,6 +79,15 @@ engine asks the module's own elision predicate of every queued packet,
 so a config-link fault hook or a decoder fault monitor keeps no engine
 off — only the packets the hook can touch leave it.
 
+Register writes between cycles
+------------------------------
+
+Outside a clock edge a register's output is written through one door,
+:meth:`Kernel.write_register`, which notes the register in
+:attr:`Kernel.written`: the compiled engine's next entry reads the
+noted registers and nothing else, unless the stepped kernels ran a
+cycle since its last exit.
+
 Strict-registers instrumentation
 --------------------------------
 
@@ -433,6 +442,10 @@ class Kernel:
         ] = {}
         #: Registers driven during the current cycle (filled by drive()).
         self._dirty: List[Register] = []
+        #: Registers whose output :meth:`write_register` set since the
+        #: compiled engine last entered, in write order: all an engine
+        #: run that follows its own exit reads at entry.
+        self.written: Dict[Register, None] = {}
         self.active_cycles = 0
         self.evaluations = 0
         #: Installed by a network that knows how to flatten its data
@@ -530,6 +543,14 @@ class Kernel:
         register._sink = self._dirty
         self._strict_sets.clear()
         return register
+
+    def write_register(self, register: Register, value: Any) -> None:
+        """Set ``register``'s output between cycles and note it in
+        :attr:`written` (the static rule ``KC004`` flags any other write
+        outside :mod:`repro.sim`).  It goes through ``Register.q`` as
+        installed, so a strict kernel's checking property sees it."""
+        register.q = value
+        self.written[register] = None
 
     def _adopt_register(self, register: Register) -> None:
         """Hook a register created after its component was added."""
@@ -901,3 +922,4 @@ class Kernel:
         for register in self._extra_registers:
             register.reset()
         self._dirty.clear()
+        self.written.clear()

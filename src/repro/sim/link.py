@@ -48,10 +48,10 @@ class Link:
         fault_hook: Optional fault-injection point (see
             :mod:`repro.faults`), consulted before the phit is driven.
             The hook may pass the phit through, substitute a corrupted
-            one, or return ``None`` to model the wires going dead.  The
-            utilisation counters see the *post-fault* traffic — what the
-            wires actually carried.  ``None`` (the default) keeps the
-            hot path to a single attribute check.
+            one, or return ``None`` to model the wires going dead.
+            :attr:`words_carried` sees the *post-fault* traffic — what
+            the wires actually carried.  ``None`` (the default) keeps
+            the hot path to a single attribute check.
         changes: The change record of the network this link belongs to
             (``repro.core.changes.ChangeRecord``; ``None`` for a
             free-standing link), whose ``hooked_links``
@@ -61,7 +61,6 @@ class Link:
     __slots__ = (
         "name",
         "register",
-        "phits_carried",
         "words_carried",
         "_fault_hook",
         "changes",
@@ -70,8 +69,6 @@ class Link:
     def __init__(self, name: str, changes: Any = None) -> None:
         self.name = name
         self.register = Register(f"link.{name}", idle=IDLE_PHIT)
-        #: Cumulative count of non-idle phits, for utilisation statistics.
-        self.phits_carried = 0
         #: Cumulative count of data words, for bandwidth statistics.
         self.words_carried = 0
         self._fault_hook: Optional[FaultHook] = None
@@ -94,10 +91,8 @@ class Link:
             if faulted is None:
                 return
             phit = faulted
-        if not phit.is_idle:
-            self.phits_carried += 1
-            if phit.word is not None:
-                self.words_carried += 1
+        if phit.word is not None:
+            self.words_carried += 1
         self.register.drive(phit)
 
     def send_word(

@@ -11,7 +11,7 @@ a further substrate would supply in place of an executor:
   ops once and, per wheel phase, only the ops the slot tables decide;
 * one **trajectory** per injection seed, found by walking the table:
   the register a launched phit holds at each step, the step it enters
-  the link, one leaf per arrival, the link / router counter effects —
+  the link, one leaf per arrival, the links each leaf's words cross —
   what the engine executes instead of moving phits hop by hop;
 * the inverse ``(register, phase) -> (trajectory, step)`` index and the
   per-channel **owner plans** (owned phases, credit-collecting phases,
@@ -76,8 +76,8 @@ class LoweredTrajectory:
     step whose op is ``"inject"`` (where the injection is recorded),
     ``arrivals`` the ``(step, site)`` of every ``"arrive"`` and
     ``effects[k]`` the ``(site, amount)`` counter bumps of the ops
-    executed at step ``k``: 1 per link driven, the fan-out per router
-    crossed.  Every tuple is sorted.
+    executed at step ``k``: 1 per link driven (its ``words_carried``).
+    Every tuple is sorted.
     """
 
     seed: Tuple[int, int]
@@ -116,11 +116,10 @@ class _Leaf:
     the arrival's rank among one cycle's events (NI registration order,
     an NI's arrival before its link entry — naive stepping's
     order), ``entry_order`` that of its trajectory's link entry.
-    ``links`` (driven at ``link_steps``) and ``routers`` (crossed at
-    ``router_steps`` with ``fanouts``) are the counter
-    effects this leaf accounts for: every op of the tree belongs to
-    exactly one leaf whose path crosses it, so the effects of a phit's
-    unexecuted steps are the sum over its pending leaves.
+    ``links`` (driven at ``link_steps``) are the ``words_carried``
+    this leaf accounts for: every link op of the tree belongs to
+    exactly one leaf whose path crosses it, so the links a phit has
+    not crossed are those of its pending leaves.
     """
 
     __slots__ = (
@@ -134,9 +133,6 @@ class _Leaf:
         "path",
         "link_steps",
         "links",
-        "router_steps",
-        "routers",
-        "fanouts",
     )
 
     ni: Any
@@ -151,9 +147,6 @@ class _Leaf:
     path: Tuple[int, ...]
     link_steps: List[int]
     links: List[Any]
-    router_steps: List[int]
-    routers: List[Any]
-    fanouts: List[int]
 
 
 class _Trajectory:
@@ -510,8 +503,8 @@ def _walk_seed(
         phase = nxt_phase
         step += 1
 
-    # One leaf per arrival, each with its register path; a counter
-    # effect is booked on the first leaf whose path crosses its node.
+    # One leaf per arrival, each with its register path; a link is
+    # booked on the first leaf whose path crosses its node.
     leaves: List[_Leaf] = []
     booked = [False] * len(node_rid)
     for node in arrivals:
@@ -528,23 +521,14 @@ def _walk_seed(
         leaf.step = node_step[node]
         leaf.link_steps = []
         leaf.links = []
-        leaf.router_steps = []
-        leaf.routers = []
-        leaf.fanouts = []
         path = []
         while node >= 0:
             path.append(node_rid[node])
-            if not booked[node]:
+            op = ops[node]
+            if not booked[node] and op[0] in (_OP_SEND, _OP_INJECT):
                 booked[node] = True
-                op = ops[node]
-                tag = op[0]
-                if tag == _OP_SEND or tag == _OP_INJECT:
-                    leaf.link_steps.append(node_step[node])
-                    leaf.links.append(op[2])
-                elif tag == _OP_FORWARD:
-                    leaf.router_steps.append(node_step[node])
-                    leaf.routers.append(op[2])
-                    leaf.fanouts.append(len(op[1]))
+                leaf.link_steps.append(node_step[node])
+                leaf.links.append(op[2])
             node = node_parent[node]
         path.reverse()
         leaf.path = tuple(path)
@@ -598,10 +582,6 @@ def _render_trajectory(trajectory: _Trajectory) -> LoweredTrajectory:
     for leaf in leaves:
         for step, link in zip(leaf.link_steps, leaf.links):
             effects[step].append((link.name, 1))
-        for step, router, fanout in zip(
-            leaf.router_steps, leaf.routers, leaf.fanouts
-        ):
-            effects[step].append((router.name, fanout))
     return LoweredTrajectory(
         seed=trajectory.seed,
         steps=steps,

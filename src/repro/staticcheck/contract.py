@@ -27,6 +27,11 @@ resolve inheritance, so they do not run through the per-file registry):
     cycle's value, so the ordering usually signals an intent to observe
     the freshly driven value.  Warning severity: the code is legal, just
     misleading — reorder to read-before-drive.
+``KC004``
+    A ``.q = ...`` or ``setattr(..., "q", ...)`` outside
+    :mod:`repro.sim` (a per-file rule): between cycles a register's
+    output is written through ``Kernel.write_register``, which notes it
+    for the compiled engine's next entry.
 
 Per-file determinism / error-hygiene rules (registered with the rule
 registry): ``DT001`` (module-global ``random``), ``DT002`` (wall-clock
@@ -43,6 +48,7 @@ patterns it must catch.
 from __future__ import annotations
 
 import ast
+import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -646,6 +652,45 @@ def audit_contracts(
                     continue
             findings.append(finding)
     return sort_findings(findings)
+
+
+@rule(
+    "KC004",
+    "register-write-outside-the-door",
+    "writes a register's output (.q) outside repro.sim — write it "
+    "through Kernel.write_register, which notes it for the compiled "
+    "engine's next entry",
+)
+def check_register_writes(context: FileContext) -> Iterable[Finding]:
+    if "repro/sim/" in os.path.normpath(context.path).replace(os.sep, "/"):
+        return
+    for node in ast.walk(context.tree):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            written = any(
+                isinstance(target, ast.Attribute)
+                and target.attr == "q"
+                and isinstance(target.ctx, ast.Store)
+                for outer in targets
+                for target in ast.walk(outer)
+            )
+        else:
+            written = (
+                isinstance(node, ast.Call)
+                and _dotted(node.func) == "setattr"
+                and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant)
+                and node.args[1].value == "q"
+            )
+        if written:
+            yield Finding(
+                rule="KC004",
+                severity=Severity.ERROR,
+                file=context.path,
+                line=node.lineno,
+                message="writes a register's output .q outside repro.sim",
+                hint="write it through kernel.write_register(register, value)",
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -317,8 +317,6 @@ def _verify_trajectories(
                     inject_step = len(steps) - 1
                 if op.kind in ("inject", "send"):
                     bumps.append((op.site, 1))
-                elif op.kind == "forward":
-                    bumps.append((op.site, len(op.dsts)))
                 reached.extend(op.dsts)
             effects.append(tuple(sorted(bumps)))
             frontier = reached

@@ -67,9 +67,9 @@ class TestSourceRouting:
         kernel, router, ins, outs = isolated_router()
         header = AeliteHeader(path=(2,), queue=0, length_words=3)
         drive_packet(kernel, ins[0], header, [10, 11])
-        kernel.step(4)
+        kernel.step(6)
         # All three words emerged on output 2 (header then payload).
-        assert router.forwarded_words == 3
+        assert [out.words_carried for out in outs] == [0, 0, 3]
 
     def test_next_packet_may_turn_elsewhere(self):
         kernel, router, ins, outs = isolated_router()
@@ -77,8 +77,8 @@ class TestSourceRouting:
         second = AeliteHeader(path=(2,), queue=0, length_words=2)
         drive_packet(kernel, ins[0], first, [1])
         drive_packet(kernel, ins[0], second, [2])
-        kernel.step(5)
-        assert router.forwarded_words == 4
+        kernel.step(7)
+        assert [out.words_carried for out in outs] == [0, 2, 2]
         assert router.dropped_words == 0
 
     def test_stray_payload_dropped(self):
@@ -114,8 +114,8 @@ class TestSourceRouting:
             AeliteHeader(path=(0,), queue=1, length_words=2),
             [2],
         )
-        kernel.step(5)
-        assert router.forwarded_words == 4
+        kernel.step(7)
+        assert [out.words_carried for out in outs] == [2, 2, 0]
         assert router.dropped_words == 0
 
     def test_wrong_kind_rejected(self):

@@ -56,7 +56,8 @@ class TestRouterForwarding:
         ins[0].send_word(Word(payload=1))
         kernel.step(4)
         assert router.dropped_words == 1
-        assert router.forwarded_words == 0
+        kernel.step(2)
+        assert all(out.words_carried == 0 for out in outs if out is not None)
 
     def test_multicast_duplicates_phit(self):
         kernel, router, ins, outs = isolated_router()

@@ -8,8 +8,8 @@ an apply that does not.  Every scenario here is built twice — on the
 vector and on the naive kernel — driven through the same operations
 of an :class:`~repro.core.online.OnlineConnectionManager` beside
 persistent flows, and compared in full at every wait boundary and after
-chunked runs: data-plane registers, statistics, sinks, link and router
-counters, channel endpoints, set-up and tear-down cycles,
+chunked runs: data-plane registers, statistics, sinks, link word counts,
+router drops, channel endpoints, set-up and tear-down cycles,
 ``kernel.cycle``, and any exception.
 
 The named cases drive each visibility rule of

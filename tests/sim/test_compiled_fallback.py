@@ -60,6 +60,8 @@ def connected_compiled_net(topology=None, tracer=None, mode=VECTOR_MODE):
     net = DaeliteNetwork(
         mesh, params, kernel_mode=mode, tracer=tracer
     )
+    # The subject is the engine, under any REPRO_STRICT_REGISTERS.
+    net.kernel.strict_registers = False
     handle = net.configure(connection)
     net.run_until_configured(handle)
     gen = CbrGenerator(
@@ -426,7 +428,7 @@ def test_off_schedule_phit_defers_as_datapath_busy():
         if not (mask >> phase) & 1
         and engine.regs[rid].name.startswith("link")
     )
-    engine.regs[rid].q = Phit(credit_bits=1)
+    net.kernel.write_register(engine.regs[rid], Phit(credit_bits=1))
     before = net.kernel.kernel_stats()["compiled_cycles"]
     net.run(200)
     stats = net.kernel.kernel_stats()
@@ -440,7 +442,7 @@ def test_live_untracked_register_defers_as_config_active():
     something the engine does not model is in flight."""
     net, _, _ = connected_compiled_net()
     stray = net.kernel.add_register(Register("stray"))
-    stray.q = 1
+    net.kernel.write_register(stray, 1)
     net.run(200)
     stats = net.kernel.kernel_stats()
     assert stats["compile_deferrals"][CompileRefusal.CONFIG_ACTIVE] > 0
@@ -476,10 +478,7 @@ def stats_image(net):
         net.stats.counters(),
         net.stats.undelivered(),
         net.stats.fault_log(),
-        {
-            key: (link.phits_carried, link.words_carried)
-            for key, link in net.links.items()
-        },
+        {key: link.words_carried for key, link in net.links.items()},
     )
 
 
@@ -499,14 +498,17 @@ def test_parity_is_checked_at_arrival_and_taints_the_epoch():
             if isinstance(reg.q, Phit) and reg.q.word is not None
         )
         word = reg.q.word
-        reg.q = Phit(
-            word=Word(
-                payload=word.payload ^ 1,
-                connection=word.connection,
-                sequence=word.sequence,
-                parity=word.parity,
+        net.kernel.write_register(
+            reg,
+            Phit(
+                word=Word(
+                    payload=word.payload ^ 1,
+                    connection=word.connection,
+                    sequence=word.sequence,
+                    parity=word.parity,
+                ),
+                credit_bits=reg.q.credit_bits,
             ),
-            credit_bits=reg.q.credit_bits,
         )
         return net, sink
 
@@ -727,23 +729,26 @@ def arm_link_hook(net):
 
 
 def arm_non_phit(net):
-    off_schedule_link(net).q = IdleLookalike()
+    net.kernel.write_register(off_schedule_link(net), IdleLookalike())
 
 
 def arm_off_schedule(net):
-    off_schedule_link(net).q = Phit(credit_bits=1)
+    net.kernel.write_register(off_schedule_link(net), Phit(credit_bits=1))
 
 
 def arm_untracked(net):
-    net.kernel.add_register(Register("stray")).q = 1
+    net.kernel.write_register(net.kernel.add_register(Register("stray")), 1)
 
 
 def arm_config_link(net):
-    """A response word written straight into the tree's root response
-    link between two runs of the same engine (no register added, so the
-    engine is not retired); with no request active the module drops it
-    on the next stepped cycle."""
-    net.config_links["rsp.NI00->module"].register.q = 1
+    """A response word written through the kernel's door into the
+    tree's root response link between two runs of the same engine (no
+    register added, so the engine is not retired, and no cycle stepped,
+    so its entry reads only what the door noted); with no request
+    active the module drops it on the next stepped cycle."""
+    net.kernel.write_register(
+        net.config_links["rsp.NI00->module"].register, 1
+    )
 
 
 #: (arm, refusal kind, its detail): ``arm(net)`` returns what clears the
@@ -829,3 +834,25 @@ def test_entry_refuses_each_condition_and_reengages(condition):
     cleared = net.kernel.kernel_stats()
     assert cleared["compiled_cycles"] > refused["compiled_cycles"]
     assert cleared["compile_fallbacks"] == {kind: 1}
+
+
+def test_door_write_of_an_idle_value_is_not_refused():
+    """The false case of the door: values equal to a register's idle
+    one — the very idle object into a tree link, an equal but distinct
+    idle phit into a data link — written between two runs of one
+    engine refuse nothing, and the engine runs on."""
+    net, _, _ = connected_compiled_net()
+    net.run(200)
+    engine = net.kernel._engine
+    engaged = net.kernel.kernel_stats()
+    tree = net.config_links["rsp.NI00->module"].register
+    net.kernel.write_register(tree, tree.idle)
+    link = off_schedule_link(net)
+    assert Phit() == link.idle and Phit() is not link.idle
+    net.kernel.write_register(link, Phit())
+    net.run(200)
+    after = net.kernel.kernel_stats()
+    assert net.kernel._engine is engine
+    assert after["compile_fallbacks"] == {}
+    assert after["compile_deferrals"] == engaged["compile_deferrals"]
+    assert after["compiled_cycles"] == engaged["compiled_cycles"] + 200

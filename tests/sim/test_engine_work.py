@@ -27,7 +27,7 @@ from repro.core.config_protocol import ConfigDecoder
 from repro.params import daelite_parameters
 from repro.sim import compiled, lowering
 from repro.sim.compiled import lower_network
-from repro.sim.kernel import VECTOR_MODE, CompileRefusal
+from repro.sim.kernel import VECTOR_MODE, CompileRefusal, Kernel
 from repro.sim.lowering import (
     OP_NAMES,
     LoweredArtifacts,
@@ -38,6 +38,7 @@ from repro.staticcheck import prove_network
 from repro.topology import ConfigTree, build_mesh, ni_name
 from repro.traffic import CbrGenerator, CheckingSink, random_traffic_pattern
 
+from .test_compiled_fallback import other_element_packet
 from .test_vector_equivalence import plant
 
 
@@ -374,6 +375,130 @@ class TestEngineWork:
             net.stats.connections[request.label].ejected > 0
             for request in live
         )
+
+
+class TestRunBoundaryWork:
+    """What an engine run's entry costs on the benchmark fabric with its
+    flows, as counts: the registers it reads and the owners it builds.
+    A run that follows the same engine's exit reads only the registers
+    the kernel's door (``Kernel.write_register``) noted since; a cycle
+    the stepped kernels ran in between makes it read every one; an
+    owner is built only for an NI whose channel endpoints changed."""
+
+    @pytest.fixture
+    def net(self):
+        net, _ = benchmark_fabric()
+        net.run(200)
+        return net
+
+    @staticmethod
+    def entry_work(monkeypatch, net, between=None):
+        """``(registers read, owners built)`` by the ``net.run(1)`` that
+        follows ``between(net)``; the engine is the one already
+        running."""
+        engine = net.kernel._engine
+        counts = Counter()
+
+        def read(register):
+            counts["reads"] += 1
+            return register.q
+
+        class Owner(compiled._Owner):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                counts["owners"] += 1
+                super().__init__(*args)
+
+        monkeypatch.setattr(compiled, "_Q", read)
+        monkeypatch.setattr(compiled, "_Owner", Owner)
+        if between is not None:
+            between(net)
+        counts.clear()
+        net.run(1)
+        assert net.kernel._engine is engine
+        return counts["reads"], counts["owners"]
+
+    @staticmethod
+    def write_a_phit_back(net):
+        """The door, writing a register that holds a phit its own value."""
+        engine = net.kernel._engine
+        rid = next(iter(engine._cur))
+        net.kernel.write_register(engine.regs[rid], engine.regs[rid].q)
+
+    @staticmethod
+    def step_one_cycle(net):
+        """One cycle the stepped kernel runs while the engine stays
+        cached: a decoder mid-packet defers the engine (deferrable, so
+        it is kept), and the stepped cycle's gap ends the packet."""
+        decoder = net.router("R10").config.decoder
+        for word in other_element_packet(net):
+            decoder.feed(word)
+        stepped = net.kernel.active_cycles
+        net.run(1)
+        assert net.kernel.active_cycles == stepped + 1
+
+    def test_second_run_reads_nothing_and_builds_no_owner(
+        self, net, monkeypatch
+    ):
+        assert self.entry_work(monkeypatch, net) == (0, 0)
+
+    def test_one_door_write_is_one_read(self, net, monkeypatch):
+        assert self.entry_work(monkeypatch, net, self.write_a_phit_back) == (
+            1,
+            0,
+        )
+
+    def test_a_stepped_cycle_reads_every_register(self, net, monkeypatch):
+        engine = net.kernel._engine
+        every = len(engine.regs) + len(engine.other_regs)
+        assert every > 2000
+        assert self.entry_work(monkeypatch, net, self.step_one_cycle) == (
+            every,
+            0,
+        )
+
+    def test_a_channel_change_rebuilds_its_nis_owners_only(
+        self, net, monkeypatch
+    ):
+        engine = net.kernel._engine
+        plan = engine.owner_plans[0]
+        ni = plan.ni
+        spare = max(ni.source_channels) + 1
+        owned = sum(
+            1
+            for other in engine.owner_plans
+            if other.ni is ni and other.channel in ni.source_channels
+        )
+        assert owned >= 1
+        assert self.entry_work(
+            monkeypatch, net, lambda net: ni.source_channel(spare)
+        ) == (0, owned)
+
+    def test_forgetful_door_is_killed(self, net, monkeypatch):
+        """A door that writes without noting: the entry misses the
+        write (and would run past whatever it put in the register)."""
+        plant(
+            monkeypatch,
+            "        self.written[register] = None\n",
+            "",
+            owner=Kernel,
+            method="write_register",
+        )
+        reads, _ = self.entry_work(monkeypatch, net, self.write_a_phit_back)
+        assert reads == 0
+
+    def test_entry_ignoring_stepped_cycles_is_killed(self, net, monkeypatch):
+        """An entry that trusts its own exit however many cycles the
+        stepped kernel ran since reads only what the door noted."""
+        plant(
+            monkeypatch,
+            "self._exited_at == kernel.active_cycles",
+            "self._exited_at >= 0",
+            method="_import_registers",
+        )
+        reads, _ = self.entry_work(monkeypatch, net, self.step_one_cycle)
+        assert reads == 0
 
 
 def per_entry_rendering(lowered, wheel):

@@ -27,14 +27,13 @@ class TestLink:
         kernel.step(2)
         assert link.incoming.is_idle
 
-    def test_counts_words_and_phits(self):
+    def test_counts_words_not_credit_only_phits(self):
         link = Link("a->b")
         link.send_word(Word(payload=1))
         link.register.latch()
         link.send(Phit(credit_bits=3))
         link.register.latch()
         assert link.words_carried == 1
-        assert link.phits_carried == 2
 
     def test_double_send_collides(self):
         link = Link("a->b")
@@ -45,7 +44,7 @@ class TestLink:
     def test_idle_phit_not_counted(self):
         link = Link("a->b")
         link.send(IDLE_PHIT)
-        assert link.phits_carried == 0
+        assert link.words_carried == 0
 
 
 class TestLinkFaultHook:
@@ -83,7 +82,6 @@ class TestLinkFaultHook:
         kernel.step(1)
         # The wires stayed idle: nothing was driven, nothing counted.
         assert link.incoming.is_idle
-        assert link.phits_carried == 0
         assert link.words_carried == 0
 
     def test_counters_see_post_fault_traffic(self):
@@ -94,7 +92,6 @@ class TestLinkFaultHook:
         link.register.latch()
         link.send_word(Word(payload=2))  # substituted
         link.register.latch()
-        assert link.phits_carried == 1
         assert link.words_carried == 1
 
     def test_hook_receives_the_link_itself(self):

@@ -264,13 +264,9 @@ def full_snapshot(net, gens, sinks):
         "gen_words": [gen.words_generated for gen in gens],
         "gen_done": [gen.done for gen in gens],
         "dropped": net.total_dropped_words,
-        "links": {
-            key: (link.phits_carried, link.words_carried)
-            for key, link in net.links.items()
-        },
+        "links": {key: link.words_carried for key, link in net.links.items()},
         "routers": {
-            name: (router.forwarded_words, router.dropped_words)
-            for name, router in net.routers.items()
+            name: router.dropped_words for name, router in net.routers.items()
         },
     }
 
@@ -1069,7 +1065,9 @@ def replace_word_in_flight(net, make):
         for reg in net.kernel.all_registers()
         if isinstance(reg.q, Phit) and reg.q.word is not None
     )
-    reg.q = Phit(word=make(reg.q.word), credit_bits=reg.q.credit_bits)
+    net.kernel.write_register(
+        reg, Phit(word=make(reg.q.word), credit_bits=reg.q.credit_bits)
+    )
 
 
 def before_chunk(when, change):
@@ -1938,18 +1936,35 @@ class TestPlantedEngineMutantsAreKilled:
         )
 
     def test_barrier_skipping_the_in_flight_subtraction(self, monkeypatch):
-        """Launches pay a trajectory's counters up front; at a barrier
-        the phits still in flight take back the steps they have not
-        executed.  Without that, link ``words_carried`` drifts at every
-        chunk boundary."""
-        account = CompiledEngine._account
+        """A barrier pays the words launched since the last one as whole
+        trajectories; those still in flight take back the links they
+        have not crossed.  Without that, link ``words_carried`` drifts
+        at every chunk boundary."""
+        carry = CompiledEngine._carry
 
-        def pay_only(leaf, has_word, step, sign):
+        def pay_only(leaf, start, stop, sign):
             if sign > 0:
-                account(leaf, has_word, step, sign)
+                carry(leaf, start, stop, sign)
 
         monkeypatch.setattr(
-            CompiledEngine, "_account", staticmethod(pay_only)
+            CompiledEngine, "_carry", staticmethod(pay_only)
+        )
+        assert not mutant_survives(test_vector_epoch_replay_is_bit_exact)
+        assert not mutant_survives(test_replay_matches_naive_3x3)
+
+    def test_barrier_not_paying_the_words_it_put_back(self, monkeypatch):
+        """A word a barrier put back on its trajectory pays, at the next
+        one, the links it crossed in between — all its remaining ones
+        if it arrived.  Without that, link ``words_carried`` falls
+        behind at every chunk boundary."""
+        carry = CompiledEngine._carry
+
+        def take_back_only(leaf, start, stop, sign):
+            if sign < 0:
+                carry(leaf, start, stop, sign)
+
+        monkeypatch.setattr(
+            CompiledEngine, "_carry", staticmethod(take_back_only)
         )
         assert not mutant_survives(test_vector_epoch_replay_is_bit_exact)
         assert not mutant_survives(test_replay_matches_naive_3x3)

@@ -65,6 +65,7 @@ def test_list_rules(capsys):
         "KC001",
         "KC002",
         "KC003",
+        "KC004",
         "DT001",
         "DT002",
         "ER001",

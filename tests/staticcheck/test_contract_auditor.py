@@ -109,6 +109,31 @@ def test_real_tree_passes_clean():
     assert findings == [], [f.render() for f in findings]
 
 
+def test_register_writes_around_the_door_are_caught():
+    """``KC004``: each planted ``.q`` write (an assignment, a tuple
+    target, a ``setattr``) is a finding and nothing else in the file is
+    — not the door, another attribute or a read."""
+    writes = os.path.join(
+        os.path.dirname(__file__), "fixtures", "register_writes.py"
+    )
+    findings = check_paths([writes])
+    assert {f.rule for f in findings} == {"KC004"}
+    assert {f.line for f in findings} == set(plant_lines(writes).values())
+
+
+def test_register_writes_inside_the_simulator_are_not_flagged():
+    """The kernel and the compiled engine write ``.q`` themselves."""
+    sim = os.path.join(REPRO_ROOT, "sim")
+    assert check_paths([sim], only=["KC004"]) == []
+    source = "def latch(register):\n    register.q = None\n"
+    inside = FileContext.parse(os.path.join(sim, "extra.py"), source)
+    outside = FileContext.parse(os.path.join(REPRO_ROOT, "extra.py"), source)
+    assert run_file_rules(inside, only=["KC004"]) == []
+    assert [f.rule for f in run_file_rules(outside, only=["KC004"])] == [
+        "KC004"
+    ]
+
+
 def test_auditor_sees_inherited_contracts():
     """A subclass chaining to super().evaluate() inherits the base's
     declarations — no phantom KC001 on CleanChild."""

@@ -127,6 +127,28 @@ def test_patch_unwinds_after_stepping():
     assert not isinstance(Register.q, property)
 
 
+def test_door_writes_through_the_ownership_descriptor():
+    """A ``Kernel.write_register`` made while a strict kernel steps —
+    from a ``kernel.at`` callback, with ``Register.q`` swapped for the
+    checking property — goes through that property, lands, and is
+    noted for the compiled engine."""
+    kernel = Kernel(strict_registers=True)
+    victim = Victim()
+    kernel.add(victim)
+    seen = []
+
+    def poke(cycle):
+        seen.append(isinstance(Register.__dict__["q"], property))
+        kernel.write_register(victim.reg, 41)
+        seen.append(victim.reg.q)
+
+    kernel.at(1, poke)
+    kernel.step(1)
+    kernel.step(1)
+    assert seen == [True, 41]
+    assert victim.reg in kernel.written
+
+
 def test_non_strict_kernel_is_unaffected():
     kernel = Kernel(strict_registers=False)
     victim = Victim()
