@@ -57,7 +57,6 @@ class AeliteSourceConnection:
     paired_arrival: Optional[int] = None
     label: str = ""
     queue: Deque[Word] = field(default_factory=deque)
-    words_sent: int = 0
 
     def sendable_words(self) -> int:
         """Payload words that could be sent right now."""
@@ -247,7 +246,6 @@ class AeliteNetworkInterface(Component):
         for _ in range(payload):
             if source.flow_controlled:
                 source.credit_counter -= 1
-            source.words_sent += 1
             self._emit_queue.append(source.queue.popleft())
         self._packet_connection = connection
         self._packet_slots_left = packet_slots - 1

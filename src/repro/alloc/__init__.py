@@ -13,7 +13,6 @@ from .multipath import (
 from .pathfind import (
     cached_k_shortest_paths,
     cached_route,
-    clear_route_cache,
     k_shortest_paths,
     path_via_tree,
     shortest_path,
@@ -60,7 +59,6 @@ __all__ = [
     "release_multipath",
     "cached_k_shortest_paths",
     "cached_route",
-    "clear_route_cache",
     "k_shortest_paths",
     "path_via_tree",
     "shortest_path",

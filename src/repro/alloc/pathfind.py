@@ -10,10 +10,7 @@ simple paths for the multipath allocator.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Dict, Iterator, List, Optional, Tuple
-from weakref import WeakKeyDictionary
-
-import networkx as nx
+from typing import List, Tuple
 
 from ..errors import RoutingError, TopologyError
 from ..topology import ElementKind, Topology
@@ -87,7 +84,7 @@ def xy_path(
     # routers it must check explicitly that no hop crosses a failed (or
     # otherwise absent) link.
     for u, v in zip(deduped, deduped[1:]):
-        if not topology.graph.has_edge(u, v):
+        if not topology.has_link(u, v):
             raise RoutingError(
                 f"XY route {u!r} -> {v!r} crosses a failed or missing "
                 f"link"
@@ -106,45 +103,18 @@ def k_shortest_paths(
     _check_endpoints(topology, src_ni, dst_ni)
     if k < 1:
         raise RoutingError("k must be >= 1")
+    paths = topology.shortest_simple_paths(src_ni, dst_ni)
     try:
-        generator: Iterator = nx.shortest_simple_paths(
-            topology.graph, src_ni, dst_ni
-        )
-        return [tuple(path) for path in islice(generator, k)]
-    except nx.NetworkXNoPath:
-        raise RoutingError(f"no path {src_ni!r} -> {dst_ni!r}") from None
+        return [tuple(path) for path in islice(paths, k)]
+    except TopologyError as error:
+        raise RoutingError(str(error)) from error
 
 
 # -- route caching -------------------------------------------------------------
 #
-# Routing is a pure function of the (immutable-once-built) topology and
-# the endpoint pair, yet the allocator historically recomputed it per
-# request — on big meshes that BFS dominated connection set-up.  Routes
-# are memoized per topology object (weakly referenced, so caches die
-# with their topology) and validated against the topology's structural
-# ``version``, which every ``add_*``/``connect`` bumps.
-
-_ROUTE_CACHES: "WeakKeyDictionary[Topology, Tuple[int, Dict]]" = (
-    WeakKeyDictionary()
-)
-
-
-def _route_cache(topology: Topology) -> Dict:
-    """The (version-checked) route memo of one topology."""
-    version = getattr(topology, "version", None)
-    cached = _ROUTE_CACHES.get(topology)
-    if cached is None or cached[0] != version:
-        cached = (version, {})
-        _ROUTE_CACHES[topology] = cached
-    return cached[1]
-
-
-def clear_route_cache(topology: Optional[Topology] = None) -> None:
-    """Drop memoized routes for ``topology`` (or for every topology)."""
-    if topology is None:
-        _ROUTE_CACHES.clear()
-    else:
-        _ROUTE_CACHES.pop(topology, None)
+# Routing is a pure function of the topology's structure and the
+# endpoint pair, so routes are memoized in the topology's own memo,
+# which every structural change (``version``) empties.
 
 
 def cached_route(
@@ -156,7 +126,7 @@ def cached_route(
         RoutingError: on an unknown routing policy, or whatever the
             underlying router raises (failures are not cached).
     """
-    routes = _route_cache(topology)
+    routes = topology.route_memo()
     key = (routing, src_ni, dst_ni)
     path = routes.get(key)
     if path is None:
@@ -174,7 +144,7 @@ def cached_k_shortest_paths(
     topology: Topology, src_ni: str, dst_ni: str, k: int
 ) -> List[Tuple[str, ...]]:
     """Memoized :func:`k_shortest_paths` (keyed also on ``k``)."""
-    routes = _route_cache(topology)
+    routes = topology.route_memo()
     key = ("ksp", src_ni, dst_ni, k)
     paths = routes.get(key)
     if paths is None:
@@ -203,13 +173,11 @@ def path_via_tree(
         raise RoutingError(f"{dst_ni!r} is not an NI")
     try:
         # The sources go in as given (the tree's insertion order), never
-        # as a set: among equal-cost graft points dijkstra keeps the
+        # as a set: among equal-cost graft points the search keeps the
         # first it was handed, and a set of strings iterates in hash
         # order — the allocated tree would follow PYTHONHASHSEED.
-        _, extension = nx.multi_source_dijkstra(
-            topology.graph, tree_nodes, dst_ni
-        )
-    except nx.NetworkXNoPath:
+        extension = topology.path_from_nearest(tree_nodes, dst_ni)
+    except TopologyError:
         raise RoutingError(
             f"multicast destination {dst_ni!r} unreachable"
         ) from None

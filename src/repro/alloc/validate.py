@@ -45,7 +45,7 @@ def check_path(topology: Topology, path: Sequence[str]) -> None:
                 f"a {expected.value}"
             )
     for a, b in zip(path, path[1:]):
-        if not topology.graph.has_edge(a, b):
+        if not topology.has_link(a, b):
             raise ScheduleError(f"path uses missing link {a!r} -> {b!r}")
 
 

@@ -492,7 +492,6 @@ class ConfigDecoder:
         #: Rotations owed to ``_mask`` since it was last read (one per
         #: pair addressed to another element), applied when it is read.
         self._rotation = 0
-        self._pending_payload: Optional[int] = None
         self._matched = False
         self._channel_ref: Optional[tuple] = None
         self._field: Optional[ChannelField] = None
@@ -641,7 +640,6 @@ class ConfigDecoder:
         # of a path packet.
         state = self._state
         if state is _PAIR_ID:
-            self._pending_payload = None
             self._matched = word == self.element_id
             self._pairs_seen += 1
             self._state = _PAIR_DATA

@@ -51,8 +51,6 @@ class SourceChannel:
     flags: int = 0
     paired_arrival: Optional[int] = None
     queue: Deque[Word] = field(default_factory=deque)
-    #: Total words ever injected from this channel (statistics).
-    words_sent: int = 0
 
     @property
     def enabled(self) -> bool:
@@ -82,7 +80,6 @@ class SourceChannel:
             )
         if self.flow_controlled:
             self.credit_counter -= 1
-        self.words_sent += 1
         return self.queue.popleft()
 
     def add_credits(self, amount: int) -> None:
@@ -124,8 +121,6 @@ class DestChannel:
     paired_source: Optional[int] = None
     queue: Deque[Word] = field(default_factory=deque)
     pending_credits: int = 0
-    #: Total words ever delivered into this queue (statistics).
-    words_received: int = 0
 
     @property
     def enabled(self) -> bool:
@@ -153,7 +148,6 @@ class DestChannel:
                 f"(capacity {self.capacity}) despite flow control"
             )
         self.queue.append(word)
-        self.words_received += 1
 
     def drain(self, max_words: Optional[int] = None) -> list:
         """Pop up to ``max_words`` words (all, if ``None``) for the IP.

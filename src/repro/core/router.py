@@ -84,8 +84,6 @@ class Router(Component, ReportingElement):
             changes=self.changes,
         )
         self.dropped_words = 0
-        #: Config actions applied.
-        self.config_applied = 0
         #: Optional event tracer (set by the network builder).
         self.tracer = NULL_TRACER
         #: Optional stats collector (set by the network builder); drops
@@ -170,7 +168,6 @@ class Router(Component, ReportingElement):
         self.config.discard_deposit()
 
     def _apply(self, action: Action) -> None:
-        self.config_applied += 1
         self.changes.writes += 1
         if not isinstance(action, RouterPathAction):
             raise SimulationError(

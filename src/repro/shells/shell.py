@@ -78,7 +78,6 @@ class InitiatorShell(Component):
         self._pending_reads: Dict[int, ReadResult] = {}
         self._response_state: Optional[ReadResult] = None
         self._response_remaining = 0
-        self.transactions_issued = 0
 
     # -- IP-facing API -----------------------------------------------------------
 
@@ -90,7 +89,6 @@ class InitiatorShell(Component):
             data=tuple(data),
         )
         self._outgoing.extend(encode_request(transaction))
-        self.transactions_issued += 1
         return transaction
 
     def read(self, address: int, length: int) -> ReadResult:
@@ -109,7 +107,6 @@ class InitiatorShell(Component):
         result = ReadResult(tag=tag, length=length)
         self._pending_reads[tag] = result
         self._outgoing.extend(encode_request(transaction))
-        self.transactions_issued += 1
         return result
 
     def _allocate_tag(self) -> int:
@@ -180,7 +177,6 @@ class TargetShell(Component):
         self._tag = 0
         self._address: Optional[int] = None
         self._data: List[int] = []
-        self.transactions_served = 0
 
     def evaluate(self, cycle: int) -> None:
         for word in self.ports.receive(self.width):
@@ -202,12 +198,10 @@ class TargetShell(Component):
         self._data.append(payload)
         if len(self._data) == self._length:
             self.memory.write(self._address, self._data)
-            self.transactions_served += 1
             self._kind = None
 
     def _serve_read(self) -> None:
         assert self._address is not None
         data = self.memory.read(self._address, self._length)
         self._outgoing.extend(encode_response(self._tag, data))
-        self.transactions_served += 1
         self._kind = None

@@ -1826,7 +1826,6 @@ class CompiledEngine:
                                     dest.deliver(word)
                                 else:
                                     queue.append(word)
-                                    dest.words_received += 1
                                 current = rest
                                 # ``StatsCollector.record_ejection``: a
                                 # stamped word, the next this destination
@@ -1920,7 +1919,6 @@ class CompiledEngine:
                         ):
                             if flags & FLAG_FLOW_CONTROLLED:
                                 source.credit_counter -= 1
-                            source.words_sent += 1
                             word = queue.popleft()
                         # ``take_pending_credits``, in a slot's first
                         # phase: what the credit wires can carry.
@@ -2333,14 +2331,8 @@ class CompiledEngine:
         for ni in self.nis_list:
             for channel in sorted(ni.source_channels):
                 chan_keys.append((ni.name, 0, channel))
-                chan_vals.append(
-                    ni.source_channels[channel].words_sent
-                )
             for channel in sorted(ni.dest_channels):
                 chan_keys.append((ni.name, 1, channel))
-                chan_vals.append(
-                    ni.dest_channels[channel].words_received
-                )
             for channel in sorted(ni._sequence_counters):
                 chan_keys.append((ni.name, 2, channel))
                 chan_vals.append(ni._sequence_counters[channel])
@@ -2443,7 +2435,7 @@ class CompiledEngine:
         self, epochs: int, before: dict, after: dict
     ) -> None:
         """Scale every cumulative counter by ``epochs`` steady deltas
-        (links, generators, channel endpoints, sequence counters)."""
+        (links, generators, sequence counters)."""
         for link, old, now in zip(
             self.network.links.values(), before["fixed"], after["fixed"]
         ):
@@ -2464,20 +2456,6 @@ class CompiledEngine:
         chan_before = before["chan_vals"]
         chan_after = after["chan_vals"]
         for ni in self.nis_list:
-            for channel in sorted(ni.source_channels):
-                delta = chan_after[index] - chan_before[index]
-                if delta:
-                    ni.source_channels[channel].words_sent = (
-                        chan_after[index] + epochs * delta
-                    )
-                index += 1
-            for channel in sorted(ni.dest_channels):
-                delta = chan_after[index] - chan_before[index]
-                if delta:
-                    ni.dest_channels[channel].words_received = (
-                        chan_after[index] + epochs * delta
-                    )
-                index += 1
             for channel in sorted(ni._sequence_counters):
                 delta = chan_after[index] - chan_before[index]
                 if delta:

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Tuple
-
-import networkx as nx
+from heapq import heappop, heappush
+from itertools import count
+from typing import AbstractSet, Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..errors import TopologyError
 
@@ -66,30 +66,49 @@ class Element:
             ) from None
 
 
-#: ``(version, names, index, neighbours)``: element ``names`` in
-#: adjacency order, ``index[name]`` its position there, and
+#: ``(version, names, index, neighbours, routes)``: element ``names`` in
+#: adjacency order, ``index[name]`` its position there,
 #: ``neighbours[i]`` the indices adjacent to element *i*, in adjacency
-#: order too.
-Snapshot = Tuple[int, List[str], Dict[str, int], List[Tuple[int, ...]]]
+#: order too, and ``routes`` the route memo of that version.
+Snapshot = Tuple[
+    int, List[str], Dict[str, int], List[Tuple[int, ...]], Dict[tuple, Any]
+]
 
 
 def _meet(
-    neighbours: List[Tuple[int, ...]], source: int, target: int
+    neighbours: List[Tuple[int, ...]],
+    source: int,
+    target: int,
+    banned_nodes: AbstractSet[int] = frozenset(),
+    banned_edges: AbstractSet[Tuple[int, int]] = frozenset(),
 ) -> Optional[Tuple[List[int], List[int], int]]:
     """Bidirectional breadth-first search from ``source`` and ``target``.
 
-    A port of networkx's ``_bidirectional_pred_succ``, tie-breaks
-    included: the forward fringe expands while it is no longer than the
-    reverse one, and the search stops at the first neighbour the other
-    side has already seen.  Returns ``(pred, succ, meet)`` — the chain
-    from ``meet`` back to ``source`` and on to ``target``, ended by -1,
-    with -2 marking an element that side has not seen — or None when
-    the two are disconnected.
+    A port of the reference graph library's search (DESIGN.md §6),
+    tie-breaks included: the forward fringe expands while it is no
+    longer than the reverse one, and the search stops at the first
+    neighbour the other side has already seen.  It avoids the banned
+    elements and links, a link in both directions.  Returns ``(pred,
+    succ, meet)`` — the chain from ``meet`` back to ``source`` and on to
+    ``target``, ended by -1, with -2 marking an element that side has
+    not seen — or None when the two are disconnected.
     """
+    if banned_nodes or banned_edges:
+        if source in banned_nodes or target in banned_nodes:
+            return None
+        neighbours = neighbours[:]
+        for v in banned_nodes:
+            for w in neighbours[v]:
+                neighbours[w] = tuple(x for x in neighbours[w] if x != v)
+        for v, w in banned_edges:
+            neighbours[v] = tuple(x for x in neighbours[v] if x != w)
+            neighbours[w] = tuple(x for x in neighbours[w] if x != v)
     pred = [-2] * len(neighbours)
     succ = pred[:]
     pred[source] = -1
     succ[target] = -1
+    if source == target:
+        return pred, succ, source
     forward = [source]
     reverse = [target]
     while forward and reverse:
@@ -116,17 +135,59 @@ def _meet(
     return None
 
 
+def _chain(found: Tuple[List[int], List[int], int]) -> List[int]:
+    """The path :func:`_meet` found: the ``pred`` chain to the meeting
+    element, then the ``succ`` chain on from it."""
+    pred, succ, meet = found
+    path: List[int] = []
+    w = meet
+    while w >= 0:
+        path.append(w)
+        w = pred[w]
+    path.reverse()
+    w = succ[meet]
+    while w >= 0:
+        path.append(w)
+        w = succ[w]
+    return path
+
+
+def _spread(
+    neighbours: List[Tuple[int, ...]], sources: Iterable[int], target: int
+) -> List[int]:
+    """Breadth-first search from all ``sources``, seeded in the order
+    given, until ``target`` is reached: ``pred`` of each element, -1 for
+    a source and -2 for one not reached.  An element keeps the first
+    predecessor that reaches it, so the first of equally near sources
+    wins, as in a unit-weight multi-source Dijkstra search."""
+    pred = [-2] * len(neighbours)
+    fringe: List[int] = []
+    for v in sources:
+        if pred[v] == -2:
+            pred[v] = -1
+            fringe.append(v)
+    for v in fringe:
+        if v == target:
+            break
+        for w in neighbours[v]:
+            if pred[w] == -2:
+                pred[w] = v
+                fringe.append(w)
+    return pred
+
+
 class Topology:
     """A network of routers and NIs with numbered, symmetric ports."""
 
     def __init__(self, name: str = "network") -> None:
         self.name = name
         self.elements: Dict[str, Element] = {}
-        #: Undirected element graph; each edge is a bidirectional link pair.
-        self.graph = nx.Graph()
+        #: The routable graph: each element's neighbours across links not
+        #: failed, in the order the links were added or restored.
+        self.graph: Dict[str, Dict[str, None]] = {}
         #: Structural version, bumped on every element/link mutation.
-        #: Derived caches (e.g. the allocator's route memo) key on it so
-        #: they never serve paths from a stale structure.
+        #: Derived caches (the adjacency snapshot and the route memo)
+        #: key on it so they never serve paths from a stale structure.
         self.version = 0
         #: Links currently masked out by :meth:`fail_link`, as
         #: canonically ordered (min, max) name pairs.  Port numbering is
@@ -134,8 +195,8 @@ class Topology:
         #: link is just unusable — so element ``neighbors`` keep their
         #: entries and only the routable graph loses the edge.
         self.failed_links: set = set()
-        #: Integer-indexed copy of :attr:`graph`'s adjacency, rebuilt by
-        #: :meth:`_adjacency` when :attr:`version` has moved.
+        #: Integer-indexed copy of :attr:`graph` and route memo, rebuilt
+        #: by :meth:`_adjacency` when :attr:`version` has moved.
         self._snapshot: Optional[Snapshot] = None
 
     # -- construction ---------------------------------------------------------
@@ -147,7 +208,7 @@ class Topology:
             name=name, kind=kind, element_id=len(self.elements)
         )
         self.elements[name] = element
-        self.graph.add_node(name, kind=kind)
+        self.graph[name] = {}
         self.version += 1
         return element
 
@@ -171,7 +232,8 @@ class Topology:
         for name in (a, b):
             if name not in self.elements:
                 raise TopologyError(f"unknown element {name!r}")
-        if self.graph.has_edge(a, b):
+        # The wiring, not the routable graph: a failed link keeps its ports.
+        if b in self.elements[a].neighbors:
             raise TopologyError(f"duplicate link {a!r}<->{b!r}")
         for name in (a, b):
             element = self.elements[name]
@@ -181,7 +243,8 @@ class Topology:
                 )
         self.elements[a].neighbors.append(b)
         self.elements[b].neighbors.append(a)
-        self.graph.add_edge(a, b)
+        self.graph[a][b] = None
+        self.graph[b][a] = None
         self.version += 1
 
     # -- link failure ---------------------------------------------------------
@@ -203,9 +266,10 @@ class Topology:
         key = (min(a, b), max(a, b))
         if key in self.failed_links:
             raise TopologyError(f"link {a!r}<->{b!r} already failed")
-        if not self.graph.has_edge(a, b):
+        if not self.has_link(a, b):
             raise TopologyError(f"no link {a!r}<->{b!r}")
-        self.graph.remove_edge(a, b)
+        del self.graph[a][b]
+        del self.graph[b][a]
         self.failed_links.add(key)
         self.version += 1
 
@@ -219,12 +283,17 @@ class Topology:
         if key not in self.failed_links:
             raise TopologyError(f"link {a!r}<->{b!r} is not failed")
         self.failed_links.discard(key)
-        self.graph.add_edge(a, b)
+        self.graph[a][b] = None
+        self.graph[b][a] = None
         self.version += 1
 
     def link_is_failed(self, a: str, b: str) -> bool:
         """True if the ``a <-> b`` pair is currently masked as failed."""
         return (min(a, b), max(a, b)) in self.failed_links
+
+    def has_link(self, a: str, b: str) -> bool:
+        """True if ``a <-> b`` is a routable (wired, not failed) link."""
+        return b in self.graph.get(a, ())
 
     # -- queries --------------------------------------------------------------
 
@@ -263,11 +332,16 @@ class Topology:
         ]
 
     def links(self) -> List[Tuple[str, str]]:
-        """All directed links, both directions of every pair."""
+        """All directed links, both directions of every routable pair:
+        each element in turn, with its neighbours not listed before it."""
         directed: List[Tuple[str, str]] = []
-        for a, b in self.graph.edges:
-            directed.append((a, b))
-            directed.append((b, a))
+        listed: Set[str] = set()
+        for a, adjacent in self.graph.items():
+            for b in adjacent:
+                if b not in listed:
+                    directed.append((a, b))
+                    directed.append((b, a))
+            listed.add(a)
         return directed
 
     def ni_router(self, ni_name: str) -> str:
@@ -288,53 +362,114 @@ class Topology:
 
         It keeps :attr:`graph`'s iteration order: :meth:`restore_link`
         re-adds an edge at the end of both endpoints' adjacency, and the
-        search's tie-breaks must see that order as networkx would.
+        search's tie-breaks must see that live order.
         """
         snapshot = self._snapshot
         if snapshot is None or snapshot[0] != self.version:
-            adjacency = self.graph.adj
+            adjacency = self.graph
             names = list(adjacency)
             index = {name: i for i, name in enumerate(names)}
             neighbours = [
                 tuple(index[w] for w in adjacency[name]) for name in names
             ]
             snapshot = self._snapshot = (
-                self.version, names, index, neighbours
+                self.version, names, index, neighbours, {}
             )
         return snapshot
 
     def shortest_path(self, src: str, dst: str) -> List[str]:
         """Hop-minimal element path from ``src`` to ``dst`` inclusive.
 
-        The path is the one ``networkx.shortest_path`` would return on
-        :attr:`graph`, found by the same bidirectional search over
-        integer indices (DESIGN.md §6).
+        Found by :func:`_meet` over integer indices; routes pick the
+        links whose slots a request claims, so its tie-breaks are
+        pinned (DESIGN.md §6).
 
         Raises:
             TopologyError: if either element is unknown or no path exists.
         """
         self.element(src)
         self.element(dst)
-        _, names, index, neighbours = self._adjacency()
-        source = index[src]
-        target = index[dst]
-        if source == target:
-            return [src]
-        found = _meet(neighbours, source, target)
+        _, names, index, neighbours, _ = self._adjacency()
+        found = _meet(neighbours, index[src], index[dst])
         if found is None:
             raise TopologyError(f"no path {src!r} -> {dst!r}")
-        pred, succ, meet = found
+        return [names[w] for w in _chain(found)]
+
+    def shortest_simple_paths(
+        self, src: str, dst: str
+    ) -> Iterator[List[str]]:
+        """Every simple path from ``src`` to ``dst``, shortest first, by
+        Yen's algorithm: each spur is a :func:`_meet` search banning the
+        root's elements and the next link of each listed path with the
+        same root.  Found paths wait in a heap of ``(length, counter,
+        path)`` holding each path once, so equal lengths leave in the
+        order found.
+
+        Raises:
+            TopologyError: if either element is unknown or no path exists.
+        """
+        self.element(src)
+        self.element(dst)
+        _, names, index, neighbours, _ = self._adjacency()
+        target = index[dst]
+        found = _meet(neighbours, index[src], target)
+        if found is None:
+            raise TopologyError(f"no path {src!r} -> {dst!r}")
+        first = _chain(found)
+        counter = count()
+        heap = [(len(first), next(counter), first)]
+        queued = {tuple(first)}
+        listed: List[List[int]] = []
+        while heap:
+            _, _, path = heappop(heap)
+            queued.remove(tuple(path))
+            yield [names[w] for w in path]
+            listed.append(path)
+            banned_nodes: Set[int] = set()
+            banned_edges: Set[Tuple[int, int]] = set()
+            for i in range(1, len(path)):
+                root = path[:i]
+                for other in listed:
+                    if other[:i] == root:
+                        banned_edges.add((other[i - 1], other[i]))
+                found = _meet(
+                    neighbours, root[-1], target, banned_nodes, banned_edges
+                )
+                if found is not None:
+                    spurred = root[:-1] + _chain(found)
+                    if tuple(spurred) not in queued:
+                        queued.add(tuple(spurred))
+                        heappush(
+                            heap, (len(spurred), next(counter), spurred)
+                        )
+                banned_nodes.add(root[-1])
+
+    def path_from_nearest(
+        self, sources: Iterable[str], dst: str
+    ) -> List[str]:
+        """Hop-minimal path to ``dst`` from the nearest of ``sources``; of
+        equally near ones, the first given (:func:`_spread`).
+
+        Raises:
+            TopologyError: if ``dst`` is unknown or no source reaches it.
+        """
+        self.element(dst)
+        _, names, index, neighbours, _ = self._adjacency()
+        target = index[dst]
+        pred = _spread(neighbours, (index[name] for name in sources), target)
+        if pred[target] == -2:
+            raise TopologyError(f"no path to {dst!r}")
         path: List[str] = []
-        w = meet
+        w = target
         while w >= 0:
             path.append(names[w])
             w = pred[w]
         path.reverse()
-        w = succ[meet]
-        while w >= 0:
-            path.append(names[w])
-            w = succ[w]
         return path
+
+    def route_memo(self) -> Dict[tuple, Any]:
+        """The routes :mod:`repro.alloc.pathfind` found on this version."""
+        return self._adjacency()[4]
 
     def validate(self, max_elements: int = 64, max_arity: int = 7) -> None:
         """Check the configuration-protocol addressing limits.
@@ -356,11 +491,11 @@ class Topology:
                     f"router {element.name!r} arity {element.arity} "
                     f"exceeds {max_arity}"
                 )
-        if self.elements and not nx.is_connected(self.graph):
+        if self.elements and -2 in _spread(self._adjacency()[3], [0], -1):
             raise TopologyError("topology is not connected")
 
     def __repr__(self) -> str:
         return (
             f"Topology({self.name!r}, routers={len(self.routers)}, "
-            f"nis={len(self.nis)}, links={self.graph.number_of_edges()})"
+            f"nis={len(self.nis)}, links={len(self.links()) // 2})"
         )

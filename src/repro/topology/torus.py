@@ -35,9 +35,9 @@ def build_torus(
             east = router_name((x + 1) % width, y)
             north = router_name(x, (y + 1) % height)
             here = router_name(x, y)
-            if east != here and not topology.graph.has_edge(here, east):
+            if east != here and not topology.has_link(here, east):
                 topology.connect(here, east)
-            if north != here and not topology.graph.has_edge(here, north):
+            if north != here and not topology.has_link(here, north):
                 topology.connect(here, north)
     for x in range(width):
         for y in range(height):

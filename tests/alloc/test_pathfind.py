@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import networkx as nx
 import pytest
 
 from repro.alloc import (
     cached_k_shortest_paths,
     cached_route,
-    clear_route_cache,
     k_shortest_paths,
     shortest_path,
     xy_path,
@@ -145,14 +143,10 @@ class TestRouteCache:
         restored = cached_route(mesh, "shortest", "NI00", "NI22")
         # The restored link rejoins the adjacency at the end, so the
         # tie-break now picks another hop-minimal route.
-        assert restored == tuple(nx.shortest_path(mesh.graph, "NI00", "NI22"))
+        assert restored == (
+            "NI00", "R00", "R10", "R11", "R21", "R22", "NI22"
+        )
         assert restored != before and len(restored) == len(before)
-
-    def test_clear_route_cache(self, mesh):
-        first = cached_route(mesh, "xy", "NI00", "NI22")
-        clear_route_cache(mesh)
-        assert cached_route(mesh, "xy", "NI00", "NI22") is not first
-        clear_route_cache()  # clearing everything is also legal
 
     def test_cached_k_shortest_matches_and_copies(self, mesh):
         direct = k_shortest_paths(mesh, "NI00", "NI22", 3)

@@ -44,7 +44,7 @@ def random_topologies(draw):
     for a, b in extra_edges:
         if a == b:
             continue
-        if topology.graph.has_edge(f"R{a}", f"R{b}"):
+        if topology.has_link(f"R{a}", f"R{b}"):
             continue
         if (
             topology.element(f"R{a}").arity >= 5

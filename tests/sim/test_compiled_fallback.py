@@ -638,7 +638,7 @@ def conserved_across(cause):
         return {
             label: (
                 source_ni._sequence_counters[channel],
-                dest.words_received,
+                net.stats.connections[label].ejected,
                 in_registers(label),
                 len(source_ni.source_channels[channel].queue),
                 tuple(dest.queue),

@@ -279,7 +279,6 @@ def endpoint_image(net):
         ni.name: (
             {
                 channel: (
-                    source.words_sent,
                     source.credit_counter,
                     tuple(source.queue),
                 )
@@ -287,7 +286,6 @@ def endpoint_image(net):
             },
             {
                 channel: (
-                    dest.words_received,
                     dest.pending_credits,
                     tuple(dest.queue),
                 )
@@ -1735,13 +1733,6 @@ class TestPlantedEngineMutantsAreKilled:
             "at = start + wps + owner.first[(start + wps) % wheel]",
         )
         assert not mutant_survives(test_replay_matches_naive_3x3)
-
-    def test_words_received_not_bumped(self, monkeypatch):
-        """Arrival.  No statistic reads the endpoint counter; the
-        endpoint comparison of the slow-branch suite does."""
-        plant(monkeypatch, "dest.words_received += 1", "pass")
-        assert mutant_survives(test_vector_epoch_replay_is_bit_exact)
-        assert not mutant_survives(slow_branch("test_multicast_tree"))
 
     def test_overflow_test_off_by_one(self, monkeypatch):
         """Arrival.  The queue takes one word more than it holds."""

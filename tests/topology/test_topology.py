@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import TopologyError
-from repro.topology import ElementKind, Topology
+from repro.topology import ElementKind, Topology, build_mesh
 
 
 def tiny():
@@ -40,6 +40,22 @@ class TestConstruction:
         topology = tiny()
         with pytest.raises(TopologyError, match="duplicate link"):
             topology.connect("R0", "R1")
+
+    def test_failed_link_is_still_wired(self):
+        """A failed pair keeps its ports: connecting it again would
+        wire a second port to the same neighbour."""
+        mesh = build_mesh(2, 2)
+        mesh.fail_link("R00", "R10")
+        with pytest.raises(TopologyError, match="duplicate link"):
+            mesh.connect("R00", "R10")
+        assert mesh.element("R00").neighbors == ["R10", "R01", "NI00"]
+        assert not mesh.has_link("R00", "R10")
+
+    def test_fresh_pair_connects(self):
+        mesh = build_mesh(2, 2)
+        mesh.connect("R00", "R11")
+        assert mesh.element("R00").neighbors[-1] == "R11"
+        assert mesh.has_link("R00", "R11") and mesh.has_link("R11", "R00")
 
     def test_ni_single_port(self):
         topology = tiny()
