@@ -159,12 +159,6 @@ class AeliteNetworkInterface(Component):
 
     # -- cycle behaviour ------------------------------------------------------------
 
-    def external_inputs(self) -> List[Register]:
-        """The incoming data link feeds the arrival state machine."""
-        if self.in_link is not None:
-            return [self.in_link.register]
-        return []
-
     def evaluate(self, cycle: int) -> None:
         self._handle_arrival(cycle)
         self._drive_pipeline(cycle)

@@ -70,12 +70,6 @@ class AeliteRouter(Component):
     def ports(self) -> int:
         return self.element.arity
 
-    def external_inputs(self) -> List[Register]:
-        """Incoming data links (aelite has no config tree to watch)."""
-        return [
-            link.register for link in self.in_links if link is not None
-        ]
-
     def evaluate(self, cycle: int) -> None:
         # Pipeline stages advance back to front, reading each register
         # before anything drives it this cycle (the two-phase

@@ -50,12 +50,7 @@ from ..errors import (
     SimulationError,
 )
 from ..params import NetworkParameters
-from ..sim.kernel import (
-    VECTOR_MODE,
-    CompileRefusal,
-    Component,
-    Kernel,
-)
+from ..sim.kernel import VECTOR_MODE, CompileRefusal, Component
 from ..sim.link import NarrowFaultHook, NarrowLink
 from ..sim.stats import FAULT_DETECTED, StatsCollector
 from ..sim.trace import NULL_TRACER, Tracer
@@ -66,9 +61,7 @@ from .config_protocol import ConfigPacket, Opcode
 
 # Why vector mode stepped a packet through the word-level tree anyway
 # (keys of ``kernel_stats()["config_elision_refusals"]``).  The first
-# three are the data plane's reasons too, so they share its vocabulary.
-#: The strict register contract is only exercised by stepping the tree.
-REFUSED_STRICT_REGISTERS = CompileRefusal.STRICT_REGISTERS
+# two are the data plane's reasons too, so they share its vocabulary.
 #: An event tracer is attached.
 REFUSED_TRACER_ACTIVE = CompileRefusal.TRACER_ACTIVE
 #: A fault hook on a config link can act inside this packet's flight
@@ -317,12 +310,6 @@ class ConfigModule(Component):
 
     # -- cycle behaviour ---------------------------------------------------------
 
-    def external_inputs(self):
-        """The response link, read while a request is active."""
-        if self.response_link is not None:
-            return (self.response_link.register,)
-        return ()
-
     def next_evaluation(self, cycle: int) -> Optional[int]:
         """Earliest cycle ``>= cycle`` the module has work (the compiled
         engine schedules its turns by it): every cycle while it streams
@@ -384,7 +371,7 @@ class ConfigModule(Component):
         assert kernel is not None  # only an attached module is evaluated
         self._active_on_tree = False
         if kernel.mode == VECTOR_MODE:
-            refusal = self._elision_refusal(request, kernel, cycle)
+            refusal = self._elision_refusal(request, cycle)
             if refusal is None:
                 self._deposit_packet(request, cycle)
                 kernel.config_packets_elided += 1
@@ -407,7 +394,6 @@ class ConfigModule(Component):
     def _elision_refusal(
         self,
         request: ConfigRequest,
-        kernel: Kernel,
         cycle: int,
         hooks: Optional[List[NarrowFaultHook]] = None,
     ) -> Optional[str]:
@@ -417,8 +403,6 @@ class ConfigModule(Component):
         activation, the compiled engine ahead of time for every queued
         packet (passing :meth:`config_fault_hooks` once for all of
         them)."""
-        if kernel.strict_registers:
-            return REFUSED_STRICT_REGISTERS
         if self.tracer.enabled:
             return REFUSED_TRACER_ACTIVE
         if request.expected_responses:

@@ -160,14 +160,6 @@ class ConfigPort:
             return None
         return max(cycle, self._deposit[1])
 
-    def external_inputs(self) -> List[Register]:
-        """Registers of the narrow links this port reads each cycle."""
-        registers = []
-        if self.in_link is not None:
-            registers.append(self.in_link.register)
-        registers.extend(link.register for link in self.resp_child_links)
-        return registers
-
     def evaluate(self, cycle: int) -> List[Action]:
         """One cycle of the config submodule; returns decoded actions.
 

@@ -251,14 +251,6 @@ class NetworkInterface(Component, ReportingElement):
 
     # -- cycle behaviour -------------------------------------------------------
 
-    def external_inputs(self) -> List[Register]:
-        """The incoming data link plus the config tree's incoming links."""
-        registers = []
-        if self.in_link is not None:
-            registers.append(self.in_link.register)
-        registers.extend(self.config.external_inputs())
-        return registers
-
     def evaluate(self, cycle: int) -> None:
         self._handle_arrival(cycle)
         self._handle_injection(cycle)

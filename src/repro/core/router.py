@@ -94,14 +94,6 @@ class Router(Component, ReportingElement):
     def ports(self) -> int:
         return self.element.arity
 
-    def external_inputs(self) -> List[Register]:
-        """Incoming data links plus the config tree's incoming links."""
-        registers = [
-            link.register for link in self.in_links if link is not None
-        ]
-        registers.extend(self.config.external_inputs())
-        return registers
-
     def evaluate(self, cycle: int) -> None:
         slot = self.params.lagged_slot_of_cycle(cycle)
         # Output stage first: read the crossbar registers (previous

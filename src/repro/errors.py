@@ -69,15 +69,6 @@ class SimulationError(ReproError):
     """The cycle simulator detected an inconsistency (e.g. word collision)."""
 
 
-class ContractViolationError(SimulationError):
-    """A component broke the kernel's register contract at run time:
-    it read a register it neither owns nor declares via
-    ``external_inputs()`` (an undeclared input), or drove a
-    register owned by another component (a double-drive hazard).  Raised
-    only under the ``strict_registers`` instrumentation mode; the message
-    names the component, the register, and the declaration to add."""
-
-
 class StaticCheckError(ReproError):
     """The static-analysis driver itself was misused (unknown rule id,
     unreadable path, malformed suppression) — distinct from the findings

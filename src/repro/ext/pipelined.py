@@ -79,10 +79,6 @@ class LinkRelay(Component):
             self.make_register(f"stage{index}") for index in range(stages)
         ]
 
-    def external_inputs(self) -> List[Register]:
-        """The upstream link register is the relay's only stimulus."""
-        return [self.upstream.register]
-
     def evaluate(self, cycle: int) -> None:
         tail = self._stages[-1].q
         if tail is not None:

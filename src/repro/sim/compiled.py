@@ -99,10 +99,10 @@ replayed span and no template epoch holds a config event, and one
 resets the probe.  Replay arithmetic is in Python integers, so no
 sequence number, payload or cycle count is too large to replay.
 
-Whenever the network is *not* compilable — strict-registers, a tracer,
-a config packet on the word-level tree, data-link fault hooks, an unknown
-component, a phit parked off the compiled schedule — the provider or
-the engine returns a typed :class:`~repro.sim.kernel.CompileRefusal` and
+Whenever the network is *not* compilable — a tracer, a config packet
+on the word-level tree, data-link fault hooks, an unknown component, a
+phit parked off the compiled schedule — the provider or the engine
+returns a typed :class:`~repro.sim.kernel.CompileRefusal` and
 the kernel transparently falls back to naive stepping for those
 cycles.
 """
@@ -331,12 +331,6 @@ def _check_eligibility(network: Any) -> Optional[CompileRefusal]:
     port code that consults the monitor.
     """
     kernel = network.kernel
-    if kernel.strict_registers:
-        return CompileRefusal(
-            CompileRefusal.STRICT_REGISTERS,
-            "strict register-contract checking requires stepped "
-            "evaluation",
-        )
     if network.tracer.enabled:
         return CompileRefusal(
             CompileRefusal.TRACER_ACTIVE,
@@ -845,7 +839,7 @@ class CompiledEngine:
         hooks = module.config_fault_hooks()
         for request, start, finish in module.timeline(kernel.cycle):
             if request is not module._active and (
-                module._elision_refusal(request, kernel, start, hooks)
+                module._elision_refusal(request, start, hooks)
                 is not None
             ):
                 return start

@@ -13,7 +13,11 @@ Each cycle the kernel runs two phases:
 
 A register refuses to be driven twice in one cycle; a double drive is a
 word collision, which the contention-free schedule must make impossible,
-so it raises :class:`~repro.errors.SimulationError`.
+so it raises :class:`~repro.errors.SimulationError`.  A component drives
+only the registers it made with :meth:`Component.make_register` and,
+through ``Link.send``, its outgoing links' registers.  The static rules
+``KC002`` (foreign drive) and ``KC003`` (drive, then read) of
+:mod:`repro.staticcheck` check that discipline.
 
 Evaluation modes
 ----------------
@@ -34,8 +38,8 @@ The kernel supports two modes, selected per instance or through the
   mode is named for).  A network opts in by installing a
   ``compile_provider`` on the kernel.  Whenever compilation is not
   possible — no provider, a config packet on the word-level tree,
-  fault hooks on data links, strict-registers, a tracer, an unknown
-  component, words mid-flight — the kernel *transparently falls back* to
+  fault hooks on data links, a tracer, an unknown component, words
+  mid-flight — the kernel *transparently falls back* to
   ``naive`` stepping for the affected cycles and records a typed
   :class:`CompileRefusal` (``Kernel.kernel_stats()["compile_fallbacks"]``).  Registers and stats
   are re-materialized bit-exactly at every exit from compiled execution,
@@ -87,53 +91,18 @@ Outside a clock edge a register's output is written through one door,
 :attr:`Kernel.written`: the compiled engine's next entry reads the
 noted registers and nothing else, unless the stepped kernels ran a
 cycle since its last exit.
-
-Strict-registers instrumentation
---------------------------------
-
-Components follow a register *contract*: a component declares every
-register its ``evaluate`` reads (own registers implicitly, foreign ones
-via :meth:`Component.external_inputs`) and drives only registers it
-owns or free-standing (link) registers.  ``Kernel(strict_registers=True)``
-— or ``REPRO_STRICT_REGISTERS=1`` — verifies the contract dynamically:
-while a component evaluates, every ``Register.q`` read is checked against
-its declared read set and every drive against its write set.  The first
-breach raises
-:class:`~repro.errors.ContractViolationError`.  This
-is the runtime twin of the static auditor in :mod:`repro.staticcheck`;
-the instrumentation swaps ``Register.q`` for a checking property only
-while a strict kernel is actually stepping, so non-strict kernels never
-pay for it.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from contextlib import contextmanager
 from heapq import heappop, heappush
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    FrozenSet,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Tuple,
-)
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
-from ..errors import (
-    ContractViolationError,
-    ReproError,
-    SimulationError,
-    env_choice,
-)
+from ..errors import ReproError, SimulationError, env_choice
 
 #: Environment variable selecting the default kernel mode.
 KERNEL_MODE_ENV = "REPRO_KERNEL_MODE"
-#: Environment variable enabling strict register-contract checking.
-STRICT_REGISTERS_ENV = "REPRO_STRICT_REGISTERS"
 #: Reference evaluation: everything, every cycle.
 NAIVE_MODE = "naive"
 #: Flat-schedule compiled evaluation with steady-state epoch replay,
@@ -148,9 +117,6 @@ VECTOR_MODE = "vector"
 DEFAULT_KERNEL_MODE = VECTOR_MODE
 
 _MODES = (NAIVE_MODE, VECTOR_MODE)
-
-_STRICT_OFF = ("", "0", "false", "no", "off")
-_STRICT_ON = ("1", "true", "yes", "on")
 
 
 class CompileRefusal:
@@ -171,9 +137,6 @@ class CompileRefusal:
     CONFIG_ACTIVE = "config_active"
     #: A FaultInjector armed fault hooks on data links.
     FAULT_HOOKS_ARMED = "fault_hooks_armed"
-    #: The kernel verifies the strict register contract, which only the
-    #: stepped kernels exercise.
-    STRICT_REGISTERS = "strict_registers"
     #: An event tracer is attached (per-hop events are not compiled).
     TRACER_ACTIVE = "tracer_active"
     #: A component the compiler does not know how to flatten.
@@ -220,19 +183,6 @@ def default_kernel_mode() -> str:
     return env_choice(
         KERNEL_MODE_ENV, DEFAULT_KERNEL_MODE, _MODES, SimulationError
     )
-
-
-def default_strict_registers() -> bool:
-    """Strict-registers default from ``REPRO_STRICT_REGISTERS``: on for
-    ``1/true/yes/on``, off when unset, empty or ``0/false/no/off``.
-
-    Raises:
-        SimulationError: if the variable holds any other value.
-    """
-    value = env_choice(
-        STRICT_REGISTERS_ENV, "", _STRICT_OFF + _STRICT_ON, SimulationError
-    )
-    return value in _STRICT_ON
 
 
 class Register:
@@ -314,15 +264,6 @@ class Component(ABC):
             self._kernel._adopt_register(register)
         return register
 
-    def external_inputs(self) -> Iterable[Register]:
-        """Registers this component reads but does not own.
-
-        Typically the pipeline registers of incoming links.  Strict mode
-        (and the static rule ``KC001``) allow ``evaluate`` to read only
-        these and the component's own registers.
-        """
-        return ()
-
     @abstractmethod
     def evaluate(self, cycle: int) -> None:
         """Combinational phase for ``cycle``; drive register inputs."""
@@ -334,68 +275,6 @@ class Component(ABC):
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"
-
-
-# -- strict-registers instrumentation --------------------------------------
-#
-# While a strict kernel steps, ``Register.q`` is swapped for a property
-# that consults the module-level observation context.  The context is set
-# only around ``component.evaluate`` calls, so reads from test code, the
-# host, or the kernel's own bookkeeping are never restricted.
-
-
-class _StrictContext:
-    """The component currently evaluating and its declared read set."""
-
-    __slots__ = ("component", "allowed_reads")
-
-    def __init__(
-        self, component: "Component", allowed_reads: FrozenSet[Register]
-    ) -> None:
-        self.component = component
-        self.allowed_reads = allowed_reads
-
-
-_STRICT_CTX: Optional[_StrictContext] = None
-_PATCH_DEPTH = 0
-_Q_MEMBER: Any = None  # saved slot descriptor while the patch is active
-
-
-def _checked_q_get(register: Register) -> Any:
-    ctx = _STRICT_CTX
-    if ctx is not None and register not in ctx.allowed_reads:
-        raise ContractViolationError(
-            f"component {ctx.component.name!r} read register "
-            f"{register.name!r} which it neither owns nor declares — an "
-            f"undeclared input breaks the read contract.  Fix: "
-            f"return it from {type(ctx.component).__name__}."
-            f"external_inputs(), or create it with make_register() if "
-            f"the component owns it."
-        )
-    return _Q_MEMBER.__get__(register, Register)
-
-
-def _checked_q_set(register: Register, value: Any) -> None:
-    _Q_MEMBER.__set__(register, value)
-
-
-def _push_strict_patch() -> None:
-    global _PATCH_DEPTH, _Q_MEMBER
-    if _PATCH_DEPTH == 0:
-        _Q_MEMBER = Register.q
-        Register.q = property(  # type: ignore[assignment]
-            _checked_q_get, _checked_q_set
-        )
-    _PATCH_DEPTH += 1
-
-
-def _pop_strict_patch() -> None:
-    global _PATCH_DEPTH, _STRICT_CTX, _Q_MEMBER
-    _PATCH_DEPTH -= 1
-    if _PATCH_DEPTH == 0:
-        Register.q = _Q_MEMBER  # type: ignore[assignment]
-        _Q_MEMBER = None
-        _STRICT_CTX = None
 
 
 class Kernel:
@@ -412,11 +291,7 @@ class Kernel:
         evaluations: Total component evaluations performed.
     """
 
-    def __init__(
-        self,
-        mode: Optional[str] = None,
-        strict_registers: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, mode: Optional[str] = None) -> None:
         self.cycle = 0
         self.components: List[Component] = []
         self._extra_registers: List[Register] = []
@@ -431,15 +306,6 @@ class Kernel:
                 f"unknown kernel mode {mode!r}; expected one of {_MODES}"
             )
         self._mode = mode
-        if strict_registers is None:
-            strict_registers = default_strict_registers()
-        #: Verify the read/write contract of every evaluation (slow;
-        #: meant for tests — see the module docstring).
-        self.strict_registers = strict_registers
-        #: component -> (allowed reads, allowed writes); rebuilt lazily.
-        self._strict_sets: Dict[
-            Component, Tuple[FrozenSet[Register], FrozenSet[Register]]
-        ] = {}
         #: Registers driven during the current cycle (filled by drive()).
         self._dirty: List[Register] = []
         #: Registers whose output :meth:`write_register` set since the
@@ -517,7 +383,6 @@ class Kernel:
         if mode != self._mode:
             self._retire_engine()
             self._mode = mode
-            self._strict_sets.clear()
 
     # -- construction --------------------------------------------------------
 
@@ -528,7 +393,6 @@ class Kernel:
         component._kernel = self
         for register in component.registers:
             register._sink = self._dirty
-        self._strict_sets.clear()
         return component
 
     def add_all(self, components: Iterable[Component]) -> None:
@@ -541,14 +405,12 @@ class Kernel:
         self._retire_engine()
         self._extra_registers.append(register)
         register._sink = self._dirty
-        self._strict_sets.clear()
         return register
 
     def write_register(self, register: Register, value: Any) -> None:
         """Set ``register``'s output between cycles and note it in
         :attr:`written` (the static rule ``KC004`` flags any other write
-        outside :mod:`repro.sim`).  It goes through ``Register.q`` as
-        installed, so a strict kernel's checking property sees it."""
+        outside :mod:`repro.sim`)."""
         register.q = value
         self.written[register] = None
 
@@ -556,7 +418,6 @@ class Kernel:
         """Hook a register created after its component was added."""
         self._retire_engine()
         register._sink = self._dirty
-        self._strict_sets.clear()
 
     def all_registers(self) -> List[Register]:
         """Every register latched by this kernel (components + extras)."""
@@ -590,62 +451,6 @@ class Kernel:
         ):
             heappop(cycles)
         return cycles[0] if cycles else None
-
-    # -- strict-registers contract checking -----------------------------------
-
-    @contextmanager
-    def _strict_stepping(self) -> Iterator[None]:
-        """Install the ``Register.q`` observation patch while stepping."""
-        if not self.strict_registers:
-            yield
-            return
-        _push_strict_patch()
-        try:
-            yield
-        finally:
-            _pop_strict_patch()
-
-    def _strict_allowed(
-        self, component: Component
-    ) -> Tuple[FrozenSet[Register], FrozenSet[Register]]:
-        """(allowed reads, allowed writes) of one component, cached."""
-        sets = self._strict_sets.get(component)
-        if sets is None:
-            own = frozenset(component.registers)
-            reads = own | frozenset(component.external_inputs())
-            writes = own | frozenset(self._extra_registers)
-            sets = (reads, writes)
-            self._strict_sets[component] = sets
-        return sets
-
-    def _evaluate_checked(self, component: Component, cycle: int) -> None:
-        """Evaluate one component under read/write observation.
-
-        Raises:
-            ContractViolationError: on an undeclared register read (via
-                the ``Register.q`` patch) or a drive of a register owned
-                by another component (checked against the dirty list the
-                evaluation appended to).
-        """
-        global _STRICT_CTX
-        reads, writes = self._strict_allowed(component)
-        before = len(self._dirty)
-        _STRICT_CTX = _StrictContext(component, reads)
-        try:
-            component.evaluate(cycle)
-        finally:
-            _STRICT_CTX = None
-        for register in self._dirty[before:]:
-            if register not in writes:
-                raise ContractViolationError(
-                    f"component {component.name!r} drove register "
-                    f"{register.name!r} which belongs to another "
-                    f"component — a double-drive hazard the runtime "
-                    f"collision check only catches when both drivers "
-                    f"fire in the same cycle.  Fix: drive only "
-                    f"registers created with make_register() or "
-                    f"free-standing link registers."
-                )
 
     def _abort_cycle(self) -> None:
         """Drop the drives of a cycle an error escaped from.
@@ -844,23 +649,18 @@ class Kernel:
 
     def step(self, cycles: int = 1) -> None:
         """Advance the simulation by ``cycles`` clock cycles."""
-        with self._strict_stepping():
-            if self._mode == VECTOR_MODE:
-                self._step_compiled(cycles)
-            else:
-                self._step_naive(cycles)
+        if self._mode == VECTOR_MODE:
+            self._step_compiled(cycles)
+        else:
+            self._step_naive(cycles)
 
     def _step_naive(self, cycles: int) -> None:
-        strict = self.strict_registers
         for _ in range(cycles):
             for callback in self._callbacks.pop(self.cycle, ()):  # stimuli
                 callback(self.cycle)
             try:
                 for component in self.components:
-                    if strict:
-                        self._evaluate_checked(component, self.cycle)
-                    else:
-                        component.evaluate(self.cycle)
+                    component.evaluate(self.cycle)
             except ReproError:
                 self._abort_cycle()
                 raise
@@ -902,13 +702,12 @@ class Kernel:
         # stepped execution, so vector mode steps naively here (the
         # engine left every register and counter materialized).
         self._retire_engine()
-        with self._strict_stepping():
-            while not predicate():
-                if self.cycle >= limit:
-                    raise SimulationError(
-                        f"condition not reached within {max_cycles} cycles"
-                    )
-                self._step_naive(1)
+        while not predicate():
+            if self.cycle >= limit:
+                raise SimulationError(
+                    f"condition not reached within {max_cycles} cycles"
+                )
+            self._step_naive(1)
         return self.cycle
 
     def reset(self) -> None:

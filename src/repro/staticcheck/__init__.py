@@ -4,11 +4,11 @@ Three analyzer families guard the fast paths whose correctness rests
 on convention:
 
 * the **kernel-contract auditor** (:mod:`repro.staticcheck.contract`) —
-  AST analysis proving every ``Component`` subclass declares the
-  registers its ``evaluate()`` actually reads and writes — the read
-  and write contract strict-registers mode checks at run time (rules
-  ``KC...``), plus determinism (``DT...``) and
-  error-hygiene (``ER...``) rules;
+  AST analysis of every ``Component`` subclass's ``evaluate()``: it
+  drives only registers it owns and reads none it drove in the same
+  call, and no code outside :mod:`repro.sim` writes a register's
+  output around ``Kernel.write_register`` (rules ``KC...``), plus
+  determinism (``DT...``) and error-hygiene (``ER...``) rules;
 * the **schedule model-checker** (:mod:`repro.staticcheck.schedule`) —
   re-derives, hop by hop, the slot-table state a configured network
   must hold from its live allocation handles and compares cell by cell
@@ -22,8 +22,7 @@ on convention:
 
 Run the file rules with ``python -m repro.staticcheck [paths]``; call
 :func:`verify_network_state` from tests and examples after configuring
-a network.  The dynamic counterpart is the kernel's
-``strict_registers`` mode (:class:`repro.sim.kernel.Kernel`).
+a network.
 """
 
 from .cli import check_paths, iter_source_files, main

@@ -1,21 +1,15 @@
 """The kernel-contract auditor: AST analysis of ``Component`` subclasses.
 
-The kernel's read contract (:mod:`repro.sim.kernel`): every component
-declares *all* the registers its ``evaluate()`` reads — its own ones
-created with ``make_register()``, foreign ones returned by
-``external_inputs()``.  Strict-registers mode checks that contract at run
-time, read by read; this module is its static twin.  It re-derives each
-component's actual register footprint from source and cross-checks it
-against the declared contract, so an undeclared read is caught without
-running the code path that makes it.
+The kernel's two-phase discipline (:mod:`repro.sim.kernel`): a
+component drives only the registers it created with
+``make_register()`` and reads each register's ``.q`` before it drives
+it.  The auditor re-derives each component's register accesses from
+the source of ``evaluate()`` (and the helpers it calls, one level deep),
+so a breach is caught without running the code path that makes it.
 
 Kernel-contract rules (project-wide — they need the full class table to
 resolve inheritance, so they do not run through the per-file registry):
 
-``KC001``
-    ``evaluate()`` (or a helper it calls, one level deep) reads ``.q`` /
-    ``.incoming`` of an attribute that is neither created with
-    ``make_register()`` nor reachable from ``external_inputs()``.
 ``KC002``
     ``evaluate()`` calls ``.drive()`` on a register the component does
     not own — a double-drive hazard the runtime check only catches when
@@ -55,8 +49,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from .findings import Finding, Severity, sort_findings
 from .registry import FileContext, Rule, register, rule
 
-#: Attribute names whose read constitutes observing a register.
-_READ_ATTRS = ("q", "incoming")
+#: Attribute whose read observes a register's output.
+_READ_ATTR = "q"
 
 #: Methods treated as register writes.
 _DRIVE_METHOD = "drive"
@@ -81,10 +75,6 @@ class ClassInfo:
     methods: Dict[str, ast.FunctionDef] = field(default_factory=dict)
     #: ``self.<root>`` attributes assigned from ``make_register(...)``.
     owned_roots: Set[str] = field(default_factory=set)
-    #: ``self.<root>`` attributes referenced inside ``external_inputs``.
-    extern_roots: Set[str] = field(default_factory=set)
-    #: Whether its ``external_inputs`` chains to ``super()``.
-    extern_calls_super: bool = False
     is_component: bool = False
 
 
@@ -107,31 +97,6 @@ def _contains_make_register(expr: ast.expr) -> bool:
         ):
             return True
     return False
-
-
-def _self_roots(body: Sequence[ast.stmt]) -> Tuple[Set[str], bool]:
-    """``self.<root>`` attribute roots referenced in ``body``, plus
-    whether the body calls ``super().external_inputs()``."""
-    roots: Set[str] = set()
-    calls_super = False
-    for stmt in body:
-        for node in ast.walk(stmt):
-            if (
-                isinstance(node, ast.Attribute)
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "self"
-            ):
-                roots.add(node.attr)
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "external_inputs"
-                and isinstance(node.func.value, ast.Call)
-                and isinstance(node.func.value.func, ast.Name)
-                and node.func.value.func.id == "super"
-            ):
-                calls_super = True
-    return roots, calls_super
 
 
 def _scan_class(context: FileContext, node: ast.ClassDef) -> ClassInfo:
@@ -165,11 +130,6 @@ def _scan_class(context: FileContext, node: ast.ClassDef) -> ClassInfo:
                 and _contains_make_register(value)
             ):
                 info.owned_roots.add(target.attr)
-    extern = info.methods.get("external_inputs")
-    if extern is not None:
-        info.extern_roots, info.extern_calls_super = _self_roots(
-            extern.body
-        )
     return info
 
 
@@ -233,19 +193,6 @@ class ClassTable:
             roots |= ancestor.owned_roots
         return roots
 
-    def extern_roots(self, info: ClassInfo) -> Set[str]:
-        """Declared input roots, honouring overrides: the nearest
-        ``external_inputs`` in the MRO wins, chaining upward only when
-        it calls ``super().external_inputs()``."""
-        roots: Set[str] = set()
-        for ancestor in self.mro(info):
-            if "external_inputs" not in ancestor.methods:
-                continue
-            roots |= ancestor.extern_roots
-            if not ancestor.extern_calls_super:
-                break
-        return roots
-
     def find_method(
         self, info: ClassInfo, name: str, start: int = 0
     ) -> Optional[Tuple[ClassInfo, ast.FunctionDef]]:
@@ -267,7 +214,7 @@ class ClassTable:
 class RegisterEvent:
     """One register access inside (the closure of) ``evaluate()``.
 
-    ``kind`` is ``"read"`` (``.q`` / ``.incoming``) or ``"drive"``;
+    ``kind`` is ``"read"`` (``.q``) or ``"drive"``;
     ``path`` is normalized (``self.…``, subscripts as ``[*]``);
     ``context``/``line`` locate the access lexically, which may be in a
     base-class file when the event comes from an inlined ``super()``
@@ -276,7 +223,6 @@ class RegisterEvent:
 
     kind: str
     path: str
-    attr: str
     context: FileContext
     line: int
 
@@ -400,7 +346,7 @@ class _EventWalker:
                 self._handle_call(node, aliases, owner, depth)
             elif (
                 isinstance(node, ast.Attribute)
-                and node.attr in _READ_ATTRS
+                and node.attr == _READ_ATTR
                 and isinstance(node.ctx, ast.Load)
             ):
                 path = self._resolve(node.value, aliases)
@@ -409,7 +355,6 @@ class _EventWalker:
                         RegisterEvent(
                             kind="read",
                             path=path,
-                            attr=node.attr,
                             context=owner.context,
                             line=node.lineno,
                         )
@@ -432,7 +377,6 @@ class _EventWalker:
                     RegisterEvent(
                         kind="drive",
                         path=path,
-                        attr=func.attr,
                         context=owner.context,
                         line=node.lineno,
                     )
@@ -506,17 +450,6 @@ def _root_of(path: str) -> str:
 
 KC_RULES: Tuple[Rule, ...] = (
     Rule(
-        rule_id="KC001",
-        title="undeclared-input-read",
-        description=(
-            "evaluate() reads a register that is neither owned "
-            "(make_register) nor declared via external_inputs() — a "
-            "breach of the read contract strict-registers mode checks"
-        ),
-        severity=Severity.ERROR,
-        kind="project",
-    ),
-    Rule(
         rule_id="KC002",
         title="undeclared-register-write",
         description=(
@@ -551,14 +484,12 @@ def audit_component(
     if not events:
         return []
     owned = table.owned_roots(info)
-    declared = owned | table.extern_roots(info)
     findings: List[Finding] = []
     driven: Set[str] = set()
     for event in events:
-        root = _root_of(event.path)
         if event.kind == "drive":
             driven.add(event.path)
-            if root not in owned:
+            if _root_of(event.path) not in owned:
                 findings.append(
                     Finding(
                         rule="KC002",
@@ -579,7 +510,7 @@ def audit_component(
                 )
             continue
         # read
-        if event.attr == "q" and event.path in driven:
+        if event.path in driven:
             findings.append(
                 Finding(
                     rule="KC003",
@@ -596,30 +527,6 @@ def audit_component(
                     hint=(
                         "read .q before calling drive() so the "
                         "two-phase intent is explicit"
-                    ),
-                )
-            )
-        if root not in declared:
-            what = (
-                "link input" if event.attr == "incoming" else "register"
-            )
-            findings.append(
-                Finding(
-                    rule="KC001",
-                    severity=Severity.ERROR,
-                    file=event.context.path,
-                    line=event.line,
-                    message=(
-                        f"component {info.name!r} reads {what} "
-                        f"{event.path!r} but {root!r} is neither "
-                        f"created with make_register() nor returned "
-                        f"by external_inputs() — strict-registers mode "
-                        f"rejects this read"
-                    ),
-                    hint=(
-                        f"return the register under self.{root} from "
-                        f"external_inputs() (or own it via "
-                        f"make_register)"
                     ),
                 )
             )

@@ -11,7 +11,7 @@ Suppression syntax
 A finding is suppressed by a comment on its line (or on the line directly
 above, for statements that are hard to annotate inline)::
 
-    phit = self.mystery.q  # staticcheck: ignore[KC001] -- justification
+    self.mystery.drive(phit)  # staticcheck: ignore[KC002] -- justification
     # staticcheck: ignore[DT001,DT002] -- seeded upstream
     value = roll()
 
@@ -43,7 +43,7 @@ class Finding:
     """One rule violation.
 
     Attributes:
-        rule: Rule identifier, e.g. ``"KC001"``.
+        rule: Rule identifier, e.g. ``"KC002"``.
         severity: How bad it is; all findings gate the CLI exit code.
         file: Path of the offending file, or a pseudo-path such as
             ``"<network>"`` for runtime (schedule) findings.

@@ -71,7 +71,7 @@ class Rule:
     """Catalog entry of one rule.
 
     Attributes:
-        rule_id: Stable identifier (``KC001``, ``SC003``, ...).
+        rule_id: Stable identifier (``KC002``, ``SC003``, ...).
         title: Short name shown by ``--list-rules``.
         description: What the rule checks and why it matters.
         severity: Default severity of its findings.

@@ -183,18 +183,14 @@ class Topology:
         self.name = name
         self.elements: Dict[str, Element] = {}
         #: The routable graph: each element's neighbours across links not
-        #: failed, in the order the links were added or restored.
+        #: failed, in the order the links were added or restored.  A
+        #: failed link keeps its ports (element ``neighbors``) and leaves
+        #: only this graph: a wired pair absent from it is failed.
         self.graph: Dict[str, Dict[str, None]] = {}
         #: Structural version, bumped on every element/link mutation.
         #: Derived caches (the adjacency snapshot and the route memo)
         #: key on it so they never serve paths from a stale structure.
         self.version = 0
-        #: Links currently masked out by :meth:`fail_link`, as
-        #: canonically ordered (min, max) name pairs.  Port numbering is
-        #: untouched by a failure — the hardware is still wired, the
-        #: link is just unusable — so element ``neighbors`` keep their
-        #: entries and only the routable graph loses the edge.
-        self.failed_links: set = set()
         #: Integer-indexed copy of :attr:`graph` and route memo, rebuilt
         #: by :meth:`_adjacency` when :attr:`version` has moved.
         self._snapshot: Optional[Snapshot] = None
@@ -263,14 +259,12 @@ class Topology:
         """
         self.element(a)
         self.element(b)
-        key = (min(a, b), max(a, b))
-        if key in self.failed_links:
+        if self.link_is_failed(a, b):
             raise TopologyError(f"link {a!r}<->{b!r} already failed")
         if not self.has_link(a, b):
             raise TopologyError(f"no link {a!r}<->{b!r}")
         del self.graph[a][b]
         del self.graph[b][a]
-        self.failed_links.add(key)
         self.version += 1
 
     def restore_link(self, a: str, b: str) -> None:
@@ -279,17 +273,20 @@ class Topology:
         Raises:
             TopologyError: if the link is not currently failed.
         """
-        key = (min(a, b), max(a, b))
-        if key not in self.failed_links:
+        if not self.link_is_failed(a, b):
             raise TopologyError(f"link {a!r}<->{b!r} is not failed")
-        self.failed_links.discard(key)
         self.graph[a][b] = None
         self.graph[b][a] = None
         self.version += 1
 
     def link_is_failed(self, a: str, b: str) -> bool:
-        """True if the ``a <-> b`` pair is currently masked as failed."""
-        return (min(a, b), max(a, b)) in self.failed_links
+        """True if ``a <-> b`` is wired but out of the routable graph."""
+        element = self.elements.get(a)
+        return (
+            element is not None
+            and b in element.neighbors
+            and not self.has_link(a, b)
+        )
 
     def has_link(self, a: str, b: str) -> bool:
         """True if ``a <-> b`` is a routable (wired, not failed) link."""

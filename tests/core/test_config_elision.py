@@ -11,9 +11,7 @@ config links are *not* part of it: the elided words never ride them.
 tree is stepped.)
 
 Every scenario here runs on ``naive`` (word-level tree) and on
-``vector``.  Under ``REPRO_STRICT_REGISTERS=1`` vector mode must refuse
-the elision with a typed reason and still agree — the file passes there
-by refusal, not by skipping.
+``vector``.
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ from repro.core.config_network import (
     REFUSED_EXPECTS_RESPONSE,
     REFUSED_FAULT_HOOKS_ARMED,
     REFUSED_NO_ADDRESSEE_RECORD,
-    REFUSED_STRICT_REGISTERS,
     REFUSED_TRACER_ACTIVE,
     REFUSED_UNKNOWN_ADDRESSEE,
     ConfigModule,
@@ -55,11 +52,7 @@ from repro.errors import (
 from repro.faults import FaultInjector
 from repro.faults.spec import ConfigWordDrop, FaultPlan, TransientBitFlip
 from repro.params import daelite_parameters
-from repro.sim.kernel import (
-    NAIVE_MODE,
-    VECTOR_MODE,
-    default_strict_registers,
-)
+from repro.sim.kernel import NAIVE_MODE, VECTOR_MODE
 from repro.sim.trace import Tracer
 from repro.topology import build_mesh, ni_name
 from repro.traffic.generators import CbrGenerator
@@ -70,10 +63,6 @@ pytestmark = pytest.mark.differential
 #: The kernel modes that elide the tree (one today; the parametrized
 #: tests keep their ``[vector]`` ids).
 ENGINE_MODES = (VECTOR_MODE,)
-
-#: The CI strict-registers step runs this file too; there every engine
-#: mode refuses the elision (typed) and must still agree with naive.
-STRICT_ENV = default_strict_registers()
 
 
 # -- observation ---------------------------------------------------------------
@@ -169,21 +158,15 @@ class Probe:
         }
 
 
-def observe(
-    mode, width, height, drive, params=None, host_ni=None, strict=None
-):
+def observe(mode, width, height, drive, params=None, host_ni=None):
     """Build a network on ``mode``, drive it, return (observables, net).
 
-    ``drive(net)`` returns ``(handles, sinks)``.  ``strict`` pins the
-    kernel's strict-registers flag (default: the environment's), for
-    tests whose subject is the elision itself or its strict refusal.
+    ``drive(net)`` returns ``(handles, sinks)``.
     """
     params = params or daelite_parameters(slot_table_size=8)
     net = DaeliteNetwork(
         build_mesh(width, height), params, host_ni=host_ni, kernel_mode=mode
     )
-    if strict is not None:
-        net.kernel.strict_registers = strict
     probe = Probe(net)
     handles, sinks = drive(net)
     return probe.observables(handles, sinks), net
@@ -217,8 +200,7 @@ def assert_engine_modes_match_naive(
 
 
 def assert_all_elided(net, except_kinds=()):
-    """Every packet skipped the tree, save the named refusal kinds —
-    or, on the strict-registers CI leg, every packet was refused."""
+    """Every packet skipped the tree, save the named refusal kinds."""
     stats = net.kernel.kernel_stats()
     packets = len(net.config_module.completed)
     refusals = stats["config_elision_refusals"]
@@ -226,11 +208,8 @@ def assert_all_elided(net, except_kinds=()):
         "config_packets_stepped"
     ] == packets
     assert stats["config_packets_stepped"] == sum(refusals.values())
-    if STRICT_ENV:
-        assert refusals == {REFUSED_STRICT_REGISTERS: packets}
-    else:
-        assert set(refusals) == set(except_kinds)
-        assert stats["config_packets_elided"] > 0
+    assert set(refusals) == set(except_kinds)
+    assert stats["config_packets_elided"] > 0
 
 
 # -- seeded scenarios ----------------------------------------------------------
@@ -377,7 +356,7 @@ def test_channel_config_packets_are_delivered_to_one_ni():
     """A connection's four CHANNEL_CONFIG packets each wake exactly the
     NI they address; the work is proportional to addressees."""
     _, stepped = observe(NAIVE_MODE, 3, 3, drive_unicast)
-    _, net = observe(VECTOR_MODE, 3, 3, drive_unicast, strict=False)
+    _, net = observe(VECTOR_MODE, 3, 3, drive_unicast)
     opcodes = [r.packet.opcode for r in net.config_module.completed]
     assert opcodes.count(Opcode.CHANNEL_CONFIG) == 4
     assert opcodes.count(Opcode.PATH_SETUP) == 2
@@ -569,7 +548,7 @@ class TestConfigBurstMidIdleEngineModes:
             return drive
 
         naive, _ = observe(NAIVE_MODE, 2, 2, drive_for("naive"))
-        engine, net = observe(mode, 2, 2, drive_for(mode), strict=False)
+        engine, net = observe(mode, 2, 2, drive_for(mode))
         assert handles["naive"].done and handles[mode].done
         assert naive["applies"] and naive["applies"][0][0] > 1200
         assert engine["applies"] == naive["applies"]
@@ -587,15 +566,14 @@ class TestConfigBurstMidIdleEngineModes:
 
 
 def engine_net(mode, tracer=None):
-    """A 2x2 network in vector mode with the strict flag pinned off,
-    for tests whose subject is one refusal kind or the deposit itself."""
+    """A 2x2 network in ``mode``, for tests whose subject is one
+    refusal kind or the deposit itself."""
     net = DaeliteNetwork(
         build_mesh(2, 2),
         daelite_parameters(slot_table_size=8),
         tracer=tracer,
         kernel_mode=mode,
     )
-    net.kernel.strict_registers = False
     return net
 
 
@@ -641,14 +619,6 @@ def stepped_and_counted(net, kind, packets):
 
 class TestRefusals:
     @pytest.mark.parametrize("mode", ENGINE_MODES)
-    def test_strict_registers(self, mode):
-        reference, _ = observe(NAIVE_MODE, 3, 3, drive_unicast)
-        candidate, net = observe(mode, 3, 3, drive_unicast, strict=True)
-        assert_agree(reference, candidate, mode)
-        stepped_and_counted(net, REFUSED_STRICT_REGISTERS, 6)
-        assert net.kernel.kernel_stats()["config_packets_elided"] == 0
-
-    @pytest.mark.parametrize("mode", ENGINE_MODES)
     def test_enabled_tracer(self, mode):
         net = engine_net(mode, tracer=Tracer())
         net.configure(connection(allocator_for(net), "t", "NI00", "NI11"))
@@ -660,9 +630,7 @@ class TestRefusals:
         flight window: that packet rides the tree and the fault lands
         exactly as on ``naive``; the other five are elided."""
         naive, net_n = observe(NAIVE_MODE, 2, 2, drive_under_leaf_drop(64))
-        engine, net = observe(
-            mode, 2, 2, drive_under_leaf_drop(64), strict=False
-        )
+        engine, net = observe(mode, 2, 2, drive_under_leaf_drop(64))
         assert [e.kind for e in net_n.stats.faults] == [
             "config_drop",
             "protocol_error",
@@ -686,9 +654,7 @@ class TestRefusals:
         naive, net_n = observe(
             NAIVE_MODE, 2, 2, drive_under_leaf_drop(90_000)
         )
-        engine, net = observe(
-            mode, 2, 2, drive_under_leaf_drop(90_000), strict=False
-        )
+        engine, net = observe(mode, 2, 2, drive_under_leaf_drop(90_000))
         assert fault_log(net) == fault_log(net_n) == []
         assert_agree(naive, engine, mode)
         stats = net.kernel.kernel_stats()
@@ -754,7 +720,7 @@ class TestRefusals:
 
         reference, _ = observe(NAIVE_MODE, 2, 2, drive)
         assert reference["applies"] == []
-        candidate, net = observe(mode, 2, 2, drive, strict=False)
+        candidate, net = observe(mode, 2, 2, drive)
         assert_agree(reference, candidate, mode)
         stepped_and_counted(net, REFUSED_UNKNOWN_ADDRESSEE, 1)
 
@@ -893,7 +859,7 @@ class TestDepositSafety:
             return [request, handle], []
 
         reference, net_a = observe(NAIVE_MODE, 2, 2, drive)
-        candidate, net = observe(mode, 2, 2, drive, strict=False)
+        candidate, net = observe(mode, 2, 2, drive)
         assert_agree(reference, candidate, mode)
         assert len(fault_log(net_a)) == 1
         assert "ProtocolError" in fault_log(net_a)[0]
@@ -911,7 +877,7 @@ def mutant_survives(drive, width=3, height=3):
     )
     try:
         candidate, _ = observe(
-            VECTOR_MODE, width, height, drive, host_ni="NI11", strict=False
+            VECTOR_MODE, width, height, drive, host_ni="NI11"
         )
     except SimulationError:
         return False

@@ -64,7 +64,6 @@ def run_script(mode, dims, host, cooldown, ops, specs, sends=None):
         host_ni=host,
         kernel_mode=mode,
     )
-    net.kernel.strict_registers = False
     if sends is not None:
         for name, link in net.config_links.items():
 
@@ -337,7 +336,7 @@ class TestPlantedWindowMutantsAreKilled:
         refusal = ConfigModule._elision_refusal
         flight_end = ConfigModule._flight_end
 
-        def short_window(self, request, kernel, cycle, hooks=None):
+        def short_window(self, request, cycle, hooks=None):
             with monkeypatch.context() as patch:
                 patch.setattr(
                     ConfigModule,
@@ -347,7 +346,7 @@ class TestPlantedWindowMutantsAreKilled:
                     )
                     - self.commit_latency,
                 )
-                return refusal(self, request, kernel, cycle, hooks)
+                return refusal(self, request, cycle, hooks)
 
         monkeypatch.setattr(ConfigModule, "_elision_refusal", short_window)
         assert not sweep_agrees(ConfigWordDrop, "leaf")
@@ -360,8 +359,8 @@ class TestPlantedWindowMutantsAreKilled:
         monkeypatch.setattr(
             ConfigModule,
             "_elision_refusal",
-            lambda self, request, kernel, cycle, hooks=None: refusal(
-                self, request, kernel, cycle + 1, hooks
+            lambda self, request, cycle, hooks=None: refusal(
+                self, request, cycle + 1, hooks
             ),
         )
         assert not sweep_agrees(ConfigWordDrop, "root")

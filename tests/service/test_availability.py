@@ -76,8 +76,16 @@ class TestCampaignSlos:
         report = harness.report()
         assert len(report.link_failures) >= 1
         # Each failed link was restored afterwards: no edge stays dead.
+        for event in report.link_failures:
+            topology = broker.shards[event.shard_index].network.topology
+            assert not topology.link_is_failed(*event.edge)
         for shard in broker.shards:
-            assert shard.network.topology.failed_links == set()
+            topology = shard.network.topology
+            assert not any(
+                topology.link_is_failed(element.name, neighbour)
+                for element in topology.elements.values()
+                for neighbour in element.neighbors
+            )
 
     def test_payload_is_json_ready(self):
         import json

@@ -28,11 +28,7 @@ from repro.service import (
     ConnectionBroker,
     ServiceConfig,
 )
-from repro.sim.kernel import (
-    DEFAULT_KERNEL_MODE,
-    KERNEL_MODE_ENV,
-    STRICT_REGISTERS_ENV,
-)
+from repro.sim.kernel import DEFAULT_KERNEL_MODE, KERNEL_MODE_ENV
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -72,7 +68,6 @@ def default_fleet(monkeypatch):
     """One shard built the way a caller who sets nothing gets it —
     whatever mode this CI leg exports for everybody else."""
     monkeypatch.delenv(KERNEL_MODE_ENV, raising=False)
-    monkeypatch.delenv(STRICT_REGISTERS_ENV, raising=False)
     broker = ConnectionBroker.mesh_fleet(
         config=ServiceConfig(shards=1), seed=11
     )
@@ -169,7 +164,7 @@ def test_churn_and_replay_run_without_numpy():
     env = {
         key: value
         for key, value in os.environ.items()
-        if key not in (KERNEL_MODE_ENV, STRICT_REGISTERS_ENV)
+        if key != KERNEL_MODE_ENV
     }
     env["PYTHONPATH"] = str(SRC)
     result = subprocess.run(

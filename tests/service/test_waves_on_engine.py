@@ -100,8 +100,8 @@ def test_planted_mutant_barrier_blind_to_config_hooks_is_killed(
     inside the engine loop."""
     plant(
         monkeypatch,
-        "module._elision_refusal(request, kernel, start, hooks)",
-        "module._elision_refusal(request, kernel, start, [])",
+        "module._elision_refusal(request, start, hooks)",
+        "module._elision_refusal(request, start, [])",
         owner=CompiledEngine,
         method="next_stepped_cycle",
     )

@@ -7,9 +7,6 @@ would otherwise hit a spurious "driven twice in one cycle".  The aborted
 cycle's drives are dropped, the clock stays at the aborted cycle, and
 resuming re-runs it — so the register trace after resume equals a run
 in which the error never happened.
-
-Run under ``REPRO_STRICT_REGISTERS=1`` too: strict mode evaluates
-through its own checked path.
 """
 
 from __future__ import annotations
@@ -64,9 +61,6 @@ class Recorder(Component):
         self.out = out
         self.link = link
         self.trace: List[Tuple[int, int, int]] = []
-
-    def external_inputs(self):
-        return (self.out, self.link)
 
     def evaluate(self, cycle: int) -> None:
         self.trace.append((cycle, self.out.q, self.link.q))

@@ -60,8 +60,6 @@ def connected_compiled_net(topology=None, tracer=None, mode=VECTOR_MODE):
     net = DaeliteNetwork(
         mesh, params, kernel_mode=mode, tracer=tracer
     )
-    # The subject is the engine, under any REPRO_STRICT_REGISTERS.
-    net.kernel.strict_registers = False
     handle = net.configure(connection)
     net.run_until_configured(handle)
     gen = CbrGenerator(
@@ -282,16 +280,6 @@ def test_usecase_switch_falls_back_then_recompiles():
     )
     assert net.stats.delivered_words("b") == 3
     assert sink.clean
-
-
-def test_strict_registers_refusal():
-    net, _, _ = connected_compiled_net()
-    before = net.kernel.kernel_stats()["compiled_cycles"]
-    net.kernel.strict_registers = True
-    net.run(50)
-    stats = net.kernel.kernel_stats()
-    assert stats["compile_fallbacks"][CompileRefusal.STRICT_REGISTERS] > 0
-    assert stats["compiled_cycles"] == before
 
 
 def test_tracer_refusal():

@@ -71,8 +71,6 @@ def benchmark_fabric():
     net = DaeliteNetwork(
         mesh, params, host_ni="NI00", kernel_mode=VECTOR_MODE
     )
-    # The subjects are the engine and its lowering.
-    net.kernel.strict_registers = False
     streams = []
     for connection in connections:
         handle = net.configure(connection)
@@ -155,7 +153,6 @@ class TestEngineWork:
             )
         )
         net = DaeliteNetwork(mesh, params, kernel_mode=VECTOR_MODE)
-        net.kernel.strict_registers = False  # the subject is the engine
         handle = net.configure(connection)
         net.run_until_configured(handle)
         for payload in range(backlog):
@@ -312,7 +309,6 @@ class TestEngineWork:
         params = daelite_parameters(slot_table_size=16, config_word_bits=9)
         mesh = build_mesh(8, 8)
         net = DaeliteNetwork(mesh, params, kernel_mode=VECTOR_MODE)
-        net.kernel.strict_registers = False  # the subject is the engine
         manager = OnlineConnectionManager(net)
         nis = [element.name for element in mesh.nis if element.name != "NI00"]
         requests = random_traffic_pattern(

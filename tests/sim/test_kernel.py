@@ -148,6 +148,17 @@ class TestKernel:
         kernel.step(1)
         assert register.q == "x"
 
+    def test_write_register_from_a_callback_lands_and_is_noted(self):
+        """A ``Kernel.write_register`` from a ``kernel.at`` callback sets
+        the output the components read in that cycle, and notes the
+        register for the compiled engine's next entry."""
+        kernel = Kernel()
+        counter = kernel.add(Counter())
+        kernel.at(1, lambda cycle: kernel.write_register(counter.value, 40))
+        kernel.step(2)
+        assert counter.value.q == 41
+        assert counter.value in kernel.written
+
 
 class Mailbox(Component):
     """Opens whatever is in its inbox (state, not a register)."""

@@ -306,8 +306,7 @@ class RegisterProbe(Component):
     the run (see the module docstring), save the config tree's: those
     carry words only when a packet is stepped through the tree, and
     ``vector`` mode delivers response-free packets to their addressees
-    only (DESIGN.md §14.2).  Declares every register it reads as an
-    input, so it also runs clean under strict-registers."""
+    only (DESIGN.md §14.2)."""
 
     def __init__(self, kernel) -> None:
         super().__init__("probe")
@@ -318,9 +317,6 @@ class RegisterProbe(Component):
             and not register.name.endswith((".cfg_fwd", ".cfg_resp"))
         ]
         self.frames: List[Tuple[int, tuple]] = []
-
-    def external_inputs(self):
-        return self._watched
 
     def evaluate(self, cycle: int) -> None:
         self.frames.append(
@@ -775,7 +771,7 @@ def sink_state(sink):
     return sink.words_received, dict(sink._last_seq), list(sink.findings)
 
 
-def daelite_flow(mode: str, strict: bool):
+def daelite_flow(mode: str):
     """A flow-controlled CBR flow into a slow sink: the
     generator queues words at the source NI (``submit``), the
     destination NI fills the sink's queue (delivery), and the sink's
@@ -788,7 +784,6 @@ def daelite_flow(mode: str, strict: bool):
         ConnectionRequest("c", "NI00", "NI11", forward_slots=2)
     )
     net = DaeliteNetwork(mesh, params, kernel_mode=mode)
-    net.kernel.strict_registers = strict
     handle = net.configure(connection)
     gen = CbrGenerator(
         "gen",
@@ -823,14 +818,13 @@ class LateRequester(Component):
             self.handle = self.net.host.setup_connection(self.connection)
 
 
-def daelite_late_setup(mode: str, strict: bool):
+def daelite_late_setup(mode: str):
     params = daelite_parameters(slot_table_size=8)
     mesh = build_mesh(2, 2)
     connection = SlotAllocator(mesh, params).allocate_connection(
         ConnectionRequest("late", "NI01", "NI10", forward_slots=1)
     )
     net = DaeliteNetwork(mesh, params, kernel_mode=mode)
-    net.kernel.strict_registers = strict
     requester = LateRequester(net, connection, fire=50)
     net.kernel.add(requester)
     net.run(1000)
@@ -838,7 +832,7 @@ def daelite_late_setup(mode: str, strict: bool):
     return handle.done, handle.done and handle.finished_at
 
 
-def aelite_flow(mode: str, strict: bool):
+def aelite_flow(mode: str):
     """The aelite twin of :func:`daelite_flow` (credits ride in packet
     headers; the sink is behind a bare callable)."""
     params = aelite_parameters(slot_table_size=8)
@@ -847,7 +841,6 @@ def aelite_flow(mode: str, strict: bool):
         ConnectionRequest("c", "NI00", "NI11", forward_slots=2)
     )
     net = AeliteNetwork(mesh, params, kernel_mode=mode)
-    net.kernel.strict_registers = strict
     handle = net.install_connection(connection)
     src, dst = net.ni("NI00"), net.ni("NI11")
     gen = CbrGenerator(
@@ -877,8 +870,4 @@ def aelite_flow(mode: str, strict: bool):
     ids=lambda value: value.__name__,
 )
 def test_work_queued_between_components_matches_naive(scenario):
-    # Strict first: the stepped cycles keep the register contract.
-    scenario(VECTOR_MODE, strict=True)
-    assert scenario(VECTOR_MODE, strict=False) == scenario(
-        NAIVE_MODE, strict=False
-    )
+    assert scenario(VECTOR_MODE) == scenario(NAIVE_MODE)

@@ -48,12 +48,7 @@ from repro.errors import (
 from repro.params import aelite_parameters, daelite_parameters
 from repro.sim.compiled import CompiledEngine
 from repro.sim.flit import Phit, Word
-from repro.sim.kernel import (
-    NAIVE_MODE,
-    VECTOR_MODE,
-    CompileRefusal,
-    default_strict_registers,
-)
+from repro.sim.kernel import NAIVE_MODE, VECTOR_MODE, CompileRefusal
 from repro.sim.replay import EpochReplay
 from repro.sim.stats import StatsCollector
 from repro.topology import build_mesh, ni_name
@@ -65,11 +60,6 @@ from repro.traffic.generators import (
 from repro.traffic.sinks import CheckingSink, ThrottledSink
 
 pytestmark = pytest.mark.differential
-
-#: The CI strict-registers step runs the slow-branch and mutant suites
-#: too; there strict naive stepping takes over the vector build from the
-#: registers the engine left (``run_in_lockstep``).
-STRICT_ENV = default_strict_registers()
 
 # -- scenario description ------------------------------------------------------
 
@@ -297,17 +287,12 @@ def endpoint_image(net):
     }
 
 
-def run_in_lockstep(
-    build, chunks, tamper=None, endpoints=False, strict_tail=True
-):
+def run_in_lockstep(build, chunks, tamper=None, endpoints=False):
     """``build(mode) -> (net, gens, sinks)`` on the vector and on the
     naive kernel, stepped through ``chunks`` and compared in full
     after each (``endpoints``: the channel endpoints too).
     ``tamper(index, net)`` is applied to each build before chunk
-    ``index`` (the mutant campaigns' way in).  On the strict-registers
-    leg the vector build runs the engine, and (``strict_tail``) strict
-    naive stepping runs its last chunk from the registers the engine's
-    last barrier wrote."""
+    ``index`` (the mutant campaigns' way in)."""
     net_v, gens_v, sinks_v = build(VECTOR_MODE)
     net_a, gens_a, sinks_a = build(NAIVE_MODE)
     assert net_v.kernel.cycle == net_a.kernel.cycle
@@ -315,10 +300,6 @@ def run_in_lockstep(
         if tamper is not None:
             tamper(index, net_v)
             tamper(index, net_a)
-        if STRICT_ENV:
-            net_v.kernel.strict_registers = (
-                strict_tail and index == len(chunks) - 1
-            )
         net_v.run(chunk)
         net_a.run(chunk)
         assert_same_registers(
@@ -1079,14 +1060,10 @@ def before_chunk(when, change):
 
 
 def assert_engine_never_stood_down(net):
-    """Every cycle since set-up was the engine's (but the strict chunk
-    of the strict-registers leg): what the run shows is the engine's
-    doing, not a naive fallback's."""
+    """Every cycle since set-up was the engine's: what the run shows is
+    the engine's doing, not a naive fallback's."""
     stats = net.kernel.kernel_stats()
-    fallbacks = dict(stats["compile_fallbacks"])
-    if STRICT_ENV:
-        fallbacks.pop(CompileRefusal.STRICT_REGISTERS, None)
-    assert fallbacks == stats["compile_deferrals"] == {}
+    assert stats["compile_fallbacks"] == stats["compile_deferrals"] == {}
 
 
 def raises_in_lockstep(build, chunks, tamper, error, match):
@@ -1104,9 +1081,7 @@ def raises_in_lockstep(build, chunks, tamper, error, match):
         built[mode] = build(mode)
         return built[mode]
 
-    run_in_lockstep(
-        keep, chunks[:-1], tamper, endpoints=True, strict_tail=False
-    )
+    run_in_lockstep(keep, chunks[:-1], tamper, endpoints=True)
     outcomes = []
     for mode in (VECTOR_MODE, NAIVE_MODE):
         net, gens, sinks = built[mode]
@@ -1323,7 +1298,6 @@ class TestEverySlowBranchIsReachedAndCompared:
 
         def build():
             net, _, _ = one_flow_back(VECTOR_MODE)
-            net.kernel.strict_registers = False  # the subject is the engine
             net.run(203)
             repeat_previous(net)
             return net

@@ -13,48 +13,29 @@ import time
 from repro.sim.kernel import Component
 
 
-class StaleReader(Component):
-    """Reads a register it neither owns nor declares."""
-
-    def __init__(self, name, other):
-        super().__init__(name)
-        self.mystery = other
-
-    def evaluate(self, cycle):
-        value = self.mystery.q  # PLANT:KC001-direct
-        if value is not None:
-            self.count += 1
-
-
-class HelperStaleReader(Component):
-    """Hides the undeclared read one helper level below evaluate()."""
-
-    def __init__(self, name, link):
-        super().__init__(name)
-        self.peer_link = link
-        self.seen = 0
-
-    def evaluate(self, cycle):
-        self._pump(cycle)
-
-    def _pump(self, cycle):
-        word = self.peer_link.incoming  # PLANT:KC001-helper
-        if word is not None:
-            self.seen += 1
-
-
 class ForeignDriver(Component):
-    """Declares its input honestly but drives a register it does not own."""
+    """Drives a register it does not own."""
 
     def __init__(self, name, victim):
         super().__init__(name)
         self.victim = victim
 
-    def external_inputs(self):
-        return [self.victim]
-
     def evaluate(self, cycle):
         self.victim.drive(cycle)  # PLANT:KC002
+
+
+class HelperForeignDriver(Component):
+    """Hides the foreign drive one helper level below evaluate()."""
+
+    def __init__(self, name, link):
+        super().__init__(name)
+        self.peer_link = link
+
+    def evaluate(self, cycle):
+        self._pump(cycle)
+
+    def _pump(self, cycle):
+        self.peer_link.register.drive(cycle)  # PLANT:KC002-helper
 
 
 class DriveThenRead(Component):
@@ -84,17 +65,17 @@ def check_positive(value):
     return value
 
 
-class SuppressedReader(Component):
-    """Same race as StaleReader, but with an inline justification."""
+class SuppressedDriver(Component):
+    """Same hazard as ForeignDriver, but with an inline justification."""
 
     def __init__(self, name, other):
         super().__init__(name)
         self.debug_probe = other
 
     def evaluate(self, cycle):
-        # The marker below must hide the KC001 unless suppressions are
-        # disabled.  PLANT:SUPPRESSED-KC001
-        return self.debug_probe.q  # staticcheck: ignore[KC001] -- debug probe, absent from shipped builds
+        # The marker below must hide the KC002 unless suppressions are
+        # disabled.  PLANT:SUPPRESSED-KC002
+        self.debug_probe.drive(cycle)  # staticcheck: ignore[KC002] -- debug probe, absent from shipped builds
 
 
 class CleanRelay(Component):
@@ -104,9 +85,6 @@ class CleanRelay(Component):
         super().__init__(name)
         self.upstream = upstream
         self._regs = [self.make_register(f"r{i}") for i in range(2)]
-
-    def external_inputs(self):
-        return [self.upstream.register]
 
     def evaluate(self, cycle):
         head = self._regs[0].q
@@ -119,7 +97,7 @@ class CleanRelay(Component):
 
 
 class CleanChild(CleanRelay):
-    """Finding-free: inherits its contract and chains to super()."""
+    """Finding-free: inherits its registers and chains to super()."""
 
     def evaluate(self, cycle):
         super().evaluate(cycle)

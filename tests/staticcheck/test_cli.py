@@ -15,8 +15,8 @@ def test_findings_exit_nonzero(capsys):
     code = main([FIXTURE])
     captured = capsys.readouterr()
     assert code == 1
-    assert "KC001" in captured.out
     assert "KC002" in captured.out
+    assert "KC003" in captured.out
     assert "finding(s)" in captured.err
 
 
@@ -32,7 +32,7 @@ def test_rule_selection(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "DT002" in captured.out
-    assert "KC001" not in captured.out
+    assert "KC002" not in captured.out
 
 
 def test_unknown_rule_is_a_usage_error(capsys):
@@ -51,9 +51,9 @@ def test_missing_path_is_a_usage_error(capsys):
 
 def test_no_suppressions_reveals_the_justified_finding(capsys):
     main([FIXTURE])
-    baseline = capsys.readouterr().out.count("KC001")
+    baseline = capsys.readouterr().out.count("KC002")
     main([FIXTURE, "--no-suppressions"])
-    unsuppressed = capsys.readouterr().out.count("KC001")
+    unsuppressed = capsys.readouterr().out.count("KC002")
     assert unsuppressed == baseline + 1
 
 
@@ -62,7 +62,6 @@ def test_list_rules(capsys):
     captured = capsys.readouterr()
     assert code == 0
     for rule_id in (
-        "KC001",
         "KC002",
         "KC003",
         "KC004",

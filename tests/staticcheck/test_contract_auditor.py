@@ -44,9 +44,8 @@ def markers():
 def test_every_planted_violation_is_caught(fixture_findings, markers):
     caught = {(f.rule, f.line) for f in fixture_findings}
     expected = {
-        ("KC001", markers["KC001-direct"]),
-        ("KC001", markers["KC001-helper"]),
         ("KC002", markers["KC002"]),
+        ("KC002", markers["KC002-helper"]),
         ("KC003", markers["KC003"]),
         ("DT001", markers["DT001"]),
         ("DT002", markers["DT002"]),
@@ -58,7 +57,7 @@ def test_every_planted_violation_is_caught(fixture_findings, markers):
 def test_clean_classes_produce_no_findings(fixture_findings, markers):
     planted = set(markers.values())
     # The suppressed read sits one line below its marker comment.
-    planted.add(markers["SUPPRESSED-KC001"] + 1)
+    planted.add(markers["SUPPRESSED-KC002"] + 1)
     stray = [f for f in fixture_findings if f.line not in planted]
     assert stray == [], [f.render() for f in stray]
 
@@ -66,13 +65,13 @@ def test_clean_classes_produce_no_findings(fixture_findings, markers):
 def test_suppression_hides_the_justified_finding(
     fixture_findings, markers
 ):
-    suppressed_line = markers["SUPPRESSED-KC001"] + 1
+    suppressed_line = markers["SUPPRESSED-KC002"] + 1
     assert not any(
         f.line == suppressed_line for f in fixture_findings
     )
     unsuppressed = check_paths([FIXTURE], respect_suppressions=False)
     assert any(
-        f.rule == "KC001" and f.line == suppressed_line
+        f.rule == "KC002" and f.line == suppressed_line
         for f in unsuppressed
     )
 
@@ -91,7 +90,10 @@ def test_findings_carry_actionable_messages(fixture_findings):
 def test_rule_filter_restricts_output(markers):
     only_kc002 = check_paths([FIXTURE], only=["KC002"])
     assert {f.rule for f in only_kc002} == {"KC002"}
-    assert {f.line for f in only_kc002} == {markers["KC002"]}
+    assert {f.line for f in only_kc002} == {
+        markers["KC002"],
+        markers["KC002-helper"],
+    }
 
 
 def test_unknown_rule_id_is_rejected():
@@ -136,7 +138,7 @@ def test_register_writes_inside_the_simulator_are_not_flagged():
 
 def test_auditor_sees_inherited_contracts():
     """A subclass chaining to super().evaluate() inherits the base's
-    declarations — no phantom KC001 on CleanChild."""
+    registers — no phantom KC002 on CleanChild."""
     context = FileContext.parse(FIXTURE)
     findings = audit_contracts([context])
     assert not any("CleanChild" in f.message for f in findings)

@@ -92,9 +92,6 @@ def test_lower_network_without_provider_refuses_typed():
 def test_mutated_live_artifacts_are_flagged():
     """Flipping one real occupancy bit breaks the proof (OP003)."""
     network = build_daelite_case(3, slot_table_size=8)
-    # The subject is the lowering, which strict kernels refuse by design
-    # (the CI strict-registers step runs this directory too).
-    network.kernel.strict_registers = False
     engine = lower_network(network)
     assert not isinstance(engine, CompileRefusal)
     artifacts = engine.lowered_artifacts()
@@ -114,7 +111,6 @@ def test_mutated_live_trajectory_is_flagged():
     """Dropping one real trajectory's link-entry step leaves the table
     sound but the executor's claim wrong: OP005, and nothing else."""
     network = build_daelite_case(3, slot_table_size=8)
-    network.kernel.strict_registers = False  # as above
     artifacts = lower_network(network).lowered_artifacts()
     victim = artifacts.trajectories[0]
     assert victim.inject_step == 1 and victim.arrivals
@@ -133,7 +129,6 @@ def test_mutated_live_tree_trajectory_is_flagged():
     leaves; dropping one leaf's arrival from its trajectory leaves the
     table sound but the claim wrong: OP005, and nothing else."""
     network = build_daelite_case(3, slot_table_size=8)
-    network.kernel.strict_registers = False  # as above
     artifacts = lower_network(network).lowered_artifacts()
     assert any(
         op.kind == "forward" and len(op.dsts) > 1
@@ -159,7 +154,6 @@ def test_vector_network_publishes_artifacts():
     a vector-mode network lowers and publishes its op tables."""
     network = build_daelite_case(3, slot_table_size=8)
     assert network.kernel.mode == VECTOR_MODE
-    network.kernel.strict_registers = False  # as above
     engine = lower_network(network)
     assert not isinstance(engine, CompileRefusal)
     lowered = engine.lowered_artifacts()

@@ -51,6 +51,15 @@ class TestConstruction:
         assert mesh.element("R00").neighbors == ["R10", "R01", "NI00"]
         assert not mesh.has_link("R00", "R10")
 
+    def test_unwired_pair_is_not_failed(self):
+        """Failed means wired but out of the routable graph: a pair
+        never wired is not failed, and restoring it adds no edge."""
+        mesh = build_mesh(2, 2)
+        assert not mesh.link_is_failed("R00", "R11")
+        with pytest.raises(TopologyError, match="is not failed"):
+            mesh.restore_link("R00", "R11")
+        assert not mesh.has_link("R00", "R11")
+
     def test_fresh_pair_connects(self):
         mesh = build_mesh(2, 2)
         mesh.connect("R00", "R11")
