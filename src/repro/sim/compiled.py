@@ -850,15 +850,15 @@ class CompiledEngine:
     def _live(
         self,
         in_flight: Any,
-        owners: List[Optional[_Owner]],
+        working: List[_Owner],
         gen_runs: List[tuple],
         sink_runs: List[tuple],
     ) -> Tuple[Set[int], Set[Tuple[int, int]], Set[Tuple[int, int]]]:
         """What can act during a run: ``(owner plan indices, source
         keys, destination keys)``, keys being ``(id(ni), channel)``.
 
-        Live are the channels with queued words, pending credits to
-        return or a generator that is not done, the owners of the
+        Live are the ``working`` owners (:func:`_with_work`), the channels
+        with queued words or a generator not done, the owners of the
         register-resident phits ``in_flight`` (register ids, in the
         entry cycle's phase), and the destinations holding words for a
         sink — closed under credit pairing: every destination a live
@@ -868,15 +868,7 @@ class CompiledEngine:
         """
         index = self.index[self.kernel.cycle % self.wheel]
         plan_of = self._plan_of
-        live = {
-            owner.index
-            for owner in owners
-            if owner is not None
-            and (
-                owner.source.queue
-                or (owner.dest is not None and owner.dest.pending_credits)
-            )
-        }
+        live = {owner.index for owner in working}
         live.update(plan_of[index[rid][0]] for rid in in_flight)
         live_src: Set[Tuple[int, int]] = set()
         for gen, owner, _firing, _label in gen_runs:
@@ -1396,7 +1388,7 @@ class CompiledEngine:
                     on_dest.append(sink_index)
 
     def _claim_labels(
-        self, owners: List[Optional[_Owner]], gen_runs: List[tuple]
+        self, working: List[_Owner], gen_runs: List[tuple]
     ) -> None:
         """Give each owner the ``label`` of a connection whose words only
         it can launch in the run — fired by a generator into it, queued
@@ -1410,6 +1402,7 @@ class CompiledEngine:
         labelled.clear()
         index = self.index[self.kernel.cycle % self.wheel]
         plan_of = self._plan_of
+        owners = self._owners
         claimed: List[Tuple[str, Optional[_Owner]]] = [
             (label, owner)
             for _gen, owner, _firing, label in gen_runs
@@ -1417,8 +1410,7 @@ class CompiledEngine:
         ]
         claimed += [
             (word.connection, owner)
-            for owner in owners
-            if owner is not None
+            for owner in working
             for word in owner.source.queue
         ]
         claimed += [
@@ -1466,13 +1458,14 @@ class CompiledEngine:
         gen_runs = self._gen_runs
         sink_runs = self._sink_runs
         sinks_on = self._sinks_on
+        working = _with_work(owners)  # the entry's one owner scan
         # What can act in the run (DESIGN.md §14.6), taken at entry;
         # a run without config events needs it only to decline.
         live: Any = None
         if self._valid_for is not None:
             if refusal is None:
                 live, live_src, live_dst = self._live(
-                    self._cur, owners, gen_runs, sink_runs
+                    self._cur, working, gen_runs, sink_runs
                 )
             if refusal is not None or not live_src <= self._valid_for:
                 # The applies this engine rode through left its lowering
@@ -1482,7 +1475,7 @@ class CompiledEngine:
                 return None
         if refusal is not None:
             return refusal
-        self._claim_labels(owners, gen_runs)
+        self._claim_labels(working, gen_runs)
         # Replay needs traffic: a run without generators never probes.
         replay_ok = self.replay_refusal is None and bool(self.gens)
         if self.replay_refusal is not None:
@@ -1562,20 +1555,16 @@ class CompiledEngine:
             else:
                 due.append(sink_index)
 
-        def arm_all(start: int) -> int:
-            """(Re)derive every schedule from state entering ``start``;
-            returns the first generator firing."""
+        def arm_all(start: int, working: List[_Owner]) -> int:
+            """(Re)derive every schedule from state entering ``start``
+            (``working``: its owners to arm); returns the first firing."""
             for at in compress(range(mask + 1), owner_ring):
                 for owner in owner_ring[at]:
                     owner.armed = False
                 owner_ring[at].clear()
             sink_due.clear()
-            for owner in owners:
-                if owner is not None and (
-                    owner.source.queue
-                    or (owner.dest is not None and owner.dest.pending_credits)
-                ):
-                    arm(owner, start)
+            for owner in working:
+                arm(owner, start)
             for sink_index, sink_run in enumerate(sink_runs):
                 sink_waiting[sink_index] = False
                 if sink_run[1] is not None and sink_run[1].queue:
@@ -1610,7 +1599,7 @@ class CompiledEngine:
         cfg_next = min(module_due, min(deposits, default=_NEVER))
         if live is None and cfg_next < end:
             live, live_src, live_dst = self._live(
-                self._cur, owners, gen_runs, sink_runs
+                self._cur, working, gen_runs, sink_runs
             )
         adopted = 0  # token moves of the applies ridden through
         changes = self.network.changes
@@ -1618,7 +1607,7 @@ class CompiledEngine:
 
         self._load(cycle)
         loaded = True
-        gen_due = arm_all(cycle)
+        gen_due = arm_all(cycle, working)
         # Nothing on the data plane can happen in this run: jump from
         # config event to config event.
         quiet = (
@@ -1753,7 +1742,7 @@ class CompiledEngine:
                         if cycle != boundary:
                             # The clock jumped: every schedule is
                             # re-derived from the landing state.
-                            gen_due = arm_all(cycle)
+                            gen_due = arm_all(cycle, _with_work(owners))
                         else:
                             # The credits of launches taken back are
                             # collected by visits again.
@@ -2514,6 +2503,16 @@ class CompiledEngine:
             moved.append(word)
         queue.clear()
         queue.extend(moved)
+
+
+def _with_work(owners: List[Optional[_Owner]]) -> List[_Owner]:
+    """The owners with a word queued or credits to return, in order."""
+    return [
+        owner
+        for owner in owners
+        if owner is not None
+        and (owner.source.queue or owner.dest and owner.dest.pending_credits)
+    ]
 
 
 def _shifted(word: Word, offset: int, cycles: int) -> Word:

@@ -17,16 +17,13 @@ irregular tuple.
 
 from __future__ import annotations
 
-import inspect
 import random
-import textwrap
 from itertools import product
 from typing import Dict, List, Optional, Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import config_protocol
 from repro.core.config_port import ConfigPort
 from repro.core.config_protocol import (
     DISCONNECT_PORT_WORD,
@@ -47,6 +44,8 @@ from repro.core.slot_table import SlotMask
 from repro.errors import ProtocolError
 from repro.sim.kernel import Component
 from repro.topology import ElementKind
+
+from ..differential import plant
 
 pytestmark = pytest.mark.differential
 
@@ -449,26 +448,6 @@ MUTANTS = (
 )
 
 
-def plant(
-    monkeypatch, original: str, mutant: str, method: str = "decode_addressed"
-) -> None:
-    """Replace ``ConfigDecoder.<method>`` by its source with the one
-    fragment ``original`` rewritten to ``mutant``, compiled against the
-    module's own globals (so its actions are the real classes)."""
-    source = textwrap.dedent(
-        inspect.getsource(getattr(ConfigDecoder, method))
-    )
-    assert source.count(original) == 1, original
-    namespace = dict(vars(config_protocol))
-    exec(
-        compile(
-            source.replace(original, mutant), config_protocol.__file__, "exec"
-        ),
-        namespace,
-    )
-    monkeypatch.setattr(ConfigDecoder, method, namespace[method])
-
-
 def all_disagreements() -> List[str]:
     """A seeded sweep of builder packets plus every irregular family."""
     found = []
@@ -496,13 +475,19 @@ def test_the_sweep_finds_nothing_on_the_real_decoder():
     ids=[mutant[0] for mutant in MUTANTS],
 )
 def test_planted_mutant_is_killed(monkeypatch, method, original, mutant):
-    plant(monkeypatch, original, mutant, method)
+    plant(monkeypatch, original, mutant, owner=ConfigDecoder, method=method)
     assert all_disagreements() != []
 
 
 def test_planting_an_identity_mutant_kills_nothing(monkeypatch):
     """The harness itself does not make the decode disagree."""
-    plant(monkeypatch, "position,", "position,")
+    plant(
+        monkeypatch,
+        "position,",
+        "position,",
+        owner=ConfigDecoder,
+        method="decode_addressed",
+    )
     assert all_disagreements() == []
 
 

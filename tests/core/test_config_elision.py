@@ -58,6 +58,8 @@ from repro.topology import build_mesh, ni_name
 from repro.traffic.generators import CbrGenerator
 from repro.traffic.sinks import CheckingSink
 
+from ..differential import element_state, fault_log, mutant_survives, network_image
+
 pytestmark = pytest.mark.differential
 
 #: The kernel modes that elide the tree (one today; the parametrized
@@ -66,43 +68,6 @@ ENGINE_MODES = (VECTOR_MODE,)
 
 
 # -- observation ---------------------------------------------------------------
-
-
-def element_state(net):
-    """Everything a configuration packet can change, per element."""
-    table = net.params.slot_table_size
-    routers = {
-        name: tuple(
-            tuple(
-                router.slot_table.entry(output, slot)
-                for slot in range(table)
-            )
-            for output in range(router.ports)
-        )
-        for name, router in net.routers.items()
-    }
-    nis = {
-        name: (
-            tuple(ni.injection_table.channel(s) for s in range(table)),
-            tuple(ni.arrival_table.channel(s) for s in range(table)),
-            {
-                index: (
-                    source.credit_counter,
-                    source.flags,
-                    source.paired_arrival,
-                )
-                for index, source in ni.source_channels.items()
-            },
-            {
-                index: (dest.pending_credits, dest.flags, dest.paired_source)
-                for index, dest in ni.dest_channels.items()
-            },
-            tuple(ni.bus_config_words),
-            ni.config_applied,
-        )
-        for name, ni in net.nis.items()
-    }
-    return routers, nis
 
 
 class Probe:
@@ -143,18 +108,7 @@ class Probe:
                 (r.submitted_at, r.started_at, r.finished_at, r.responses)
                 for r in net.config_module.completed
             ],
-            "deliveries": (
-                net.stats.counters(),
-                net.stats.undelivered(),
-                net.stats.fault_log(),
-            ),
-            "sinks": [
-                (sink.words_received, dict(sink._last_seq), sink.findings)
-                for sink in sinks
-            ],
-            "dropped": net.total_dropped_words,
-            "cycle": net.kernel.cycle,
-            "final": element_state(net),
+            "image": network_image(net, sinks=sinks),
         }
 
 
@@ -554,7 +508,7 @@ class TestConfigBurstMidIdleEngineModes:
         assert engine["applies"] == naive["applies"]
         assert engine["setup_cycles"] == naive["setup_cycles"]
         assert engine["timeline"] == naive["timeline"]
-        assert engine["final"] == naive["final"]
+        assert engine["image"] == naive["image"]
         # The tree's words never moved: the engine delivered the six
         # packets, and only the callback's cycle was stepped.
         assert net.kernel.kernel_stats()["config_packets_elided"] == 6
@@ -580,10 +534,6 @@ def engine_net(mode, tracer=None):
 def root_words(net):
     root = net.config_tree.root
     return net.config_links[f"cfg.module->{root}"].words_carried
-
-
-def fault_log(net):
-    return [event.format() for event in net.stats.faults]
 
 
 def drive_under_leaf_drop(fault_cycle):
@@ -870,24 +820,16 @@ class TestDepositSafety:
 # -- the differential bites: planted engine mutants ----------------------------
 
 
-def mutant_survives(drive, width=3, height=3):
-    """Whether the vector mode still agrees with the stepped tree."""
-    reference, _ = observe(
-        NAIVE_MODE, width, height, drive, host_ni="NI11"
-    )
-    try:
-        candidate, _ = observe(
-            VECTOR_MODE, width, height, drive, host_ni="NI11"
-        )
-    except SimulationError:
-        return False
-    return all(candidate[key] == reference[key] for key in reference)
+def matches_naive(drive):
+    """A 3x3 run of ``drive`` with the host at NI11, in ``vector`` mode
+    against the stepped tree (a kill also when it raises)."""
+    return lambda: assert_engine_modes_match_naive(3, 3, drive, host_ni="NI11")
 
 
 class TestPlantedMutantsAreKilled:
     def test_unmutated_engine_survives(self):
-        assert mutant_survives(drive_unicast)
-        assert mutant_survives(drive_multicast)
+        assert mutant_survives(matches_naive(drive_unicast))
+        assert mutant_survives(matches_naive(drive_multicast))
 
     def test_due_cycle_off_by_one(self, monkeypatch):
         due = ConfigModule._due_cycle
@@ -899,8 +841,8 @@ class TestPlantedMutantsAreKilled:
             )
             + 1,
         )
-        assert not mutant_survives(drive_unicast)
-        assert not mutant_survives(drive_multicast)
+        assert not mutant_survives(matches_naive(drive_unicast))
+        assert not mutant_survives(matches_naive(drive_multicast))
 
     def test_last_addressed_element_dropped(self, monkeypatch):
         deposit_packet = ConfigModule._deposit_packet
@@ -919,8 +861,8 @@ class TestPlantedMutantsAreKilled:
             )
 
         monkeypatch.setattr(ConfigModule, "_deposit_packet", drop_last)
-        assert not mutant_survives(drive_unicast)
-        assert not mutant_survives(drive_multicast)
+        assert not mutant_survives(matches_naive(drive_unicast))
+        assert not mutant_survives(matches_naive(drive_multicast))
 
     def test_deposit_for_depth_d_uses_d_minus_one(self, monkeypatch):
         due = ConfigModule._due_cycle
@@ -931,5 +873,5 @@ class TestPlantedMutantsAreKilled:
                 self, started_at, length, max(0, depth - 1)
             ),
         )
-        assert not mutant_survives(drive_unicast)
-        assert not mutant_survives(drive_multicast)
+        assert not mutant_survives(matches_naive(drive_unicast))
+        assert not mutant_survives(matches_naive(drive_multicast))

@@ -43,7 +43,7 @@ from repro.params import daelite_parameters
 from repro.sim.kernel import NAIVE_MODE, VECTOR_MODE
 from repro.topology import CONFIG_HOP_CYCLES, build_mesh, ni_name
 
-from .test_config_elision import element_state, fault_log
+from ..differential import network_image
 
 pytestmark = pytest.mark.differential
 
@@ -104,17 +104,11 @@ def run_script(mode, dims, host, cooldown, ops, specs, sends=None):
     finally:
         injector.disarm()
     observables = {
-        "faults": fault_log(net),
-        "state": element_state(net),
+        "image": network_image(net),
         "setup_history": list(manager.setup_history),
         "teardown_history": list(manager.teardown_history),
         "recovery_history": list(manager.recovery_history),
-        "timeline": [
-            (r.submitted_at, r.started_at, r.finished_at)
-            for r in net.config_module.completed
-        ],
         "errors": errors,
-        "cycle": net.kernel.cycle,
     }
     return observables, net
 

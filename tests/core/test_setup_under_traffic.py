@@ -8,9 +8,8 @@ an apply that does not.  Every scenario here is built twice — on the
 vector and on the naive kernel — driven through the same operations
 of an :class:`~repro.core.online.OnlineConnectionManager` beside
 persistent flows, and compared in full at every wait boundary and after
-chunked runs: data-plane registers, statistics, sinks, link word counts,
-router drops, channel endpoints, set-up and tear-down cycles,
-``kernel.cycle``, and any exception.
+chunked runs: the network image of :mod:`tests.differential`, set-up,
+tear-down and repair cycles, and any exception.
 
 The named cases drive each visibility rule of
 :meth:`~repro.sim.compiled.CompiledEngine._visible` true (the engine must
@@ -59,29 +58,12 @@ from repro.topology import build_mesh, ni_name
 from repro.traffic.generators import BurstGenerator, CbrGenerator
 from repro.traffic.sinks import CheckingSink
 
-from ..sim.test_vector_equivalence import (
-    endpoint_image,
-    full_snapshot,
-    mutant_survives,
-    plant,
-)
+from ..differential import lockstep, mutant_survives, network_image, plant
 
 pytestmark = pytest.mark.differential
 
 
 # -- the bench: one network, its manager, its persistent flows -----------------
-
-
-def data_registers(kernel) -> List[Tuple[str, Any]]:
-    """The registers both kernels hold alike at every cycle boundary: the
-    config tree's links and buffers carry words only when a packet is
-    stepped through it (DESIGN.md §14.2)."""
-    return [
-        (reg.name, reg.q)
-        for reg in kernel.all_registers()
-        if not reg.name.startswith("cfglink.")
-        and not reg.name.endswith((".cfg_fwd", ".cfg_resp"))
-    ]
 
 
 class Bench:
@@ -144,23 +126,20 @@ class Bench:
 
     def check(self, note: str = "") -> None:
         """Checkpoint everything the two kernels must agree on."""
-        module = self.net.config_module
         self.checkpoints.append(
             (
                 note,
-                self.kernel.cycle,
-                data_registers(self.kernel),
-                full_snapshot(self.net, self.gens, self.sinks),
-                endpoint_image(self.net),
+                network_image(self.net, self.gens, self.sinks),
                 list(self.manager.setup_history),
                 list(self.manager.teardown_history),
                 list(self.manager.recovery_history),
-                [
-                    (r.submitted_at, r.started_at, r.finished_at)
-                    for r in module.completed
-                ],
             )
         )
+
+    def __iter__(self):
+        """A bench unpacks as a lockstep build: its network, generators,
+        sinks and checkpoints."""
+        return iter((self.net, self.gens, self.sinks, self.checkpoints))
 
     def open_queued(self, requests) -> None:
         """Open several connections with their set-ups queued on the
@@ -209,21 +188,8 @@ class Bench:
         self.check(f"{note}: {outcome}")
 
 
-def lockstep(drive: Callable[[Bench], Any], **bench) -> Bench:
-    """``drive`` on a vector and on a naive bench; every checkpoint
-    must agree.  Returns the vector bench."""
-    benches = {}
-    for mode in (VECTOR_MODE, NAIVE_MODE):
-        benches[mode] = Bench(mode, **bench)
-        drive(benches[mode])
-    vector, naive = benches[VECTOR_MODE], benches[NAIVE_MODE]
-    assert len(vector.checkpoints) == len(naive.checkpoints)
-    for got, want in zip(vector.checkpoints, naive.checkpoints):
-        assert got == want, f"diverged at {want[0]!r}"
-    return vector
-
-
-def stats(bench: Bench) -> dict:
+def stats(bench) -> dict:
+    """``kernel_stats()`` of a bench or a network."""
     return bench.kernel.kernel_stats()
 
 
@@ -358,7 +324,9 @@ def test_manager_campaign_under_traffic_matches_naive(campaign):
             )
     except AllocationError:
         assume(False)
-    vector = lockstep(drive_campaign(campaign), side=side)
+    vector = lockstep(
+        lambda mode: Bench(mode, side=side), [drive_campaign(campaign)]
+    )
     assert stats(vector)["compiled_cycles"] > 0
 
 
@@ -403,7 +371,7 @@ class TestRidingThrough:
             bench.net.run(300)
             bench.check("after")
 
-        lockstep(drive)
+        lockstep(Bench, [drive])
         before, after = marks[VECTOR_MODE]
         assert rode(before, after)
         assert after["compile_deferrals"] == {}
@@ -420,7 +388,7 @@ class TestRidingThrough:
             assert bench.kernel.cycle == handle.finished_at + 1
             bench.check("configured")
 
-        lockstep(drive)
+        lockstep(Bench, [drive])
 
 
 class TestStoppingAtAVisibleApply:
@@ -443,7 +411,7 @@ class TestStoppingAtAVisibleApply:
             bench.net.run(300)
             bench.check("after")
 
-        vector = lockstep(drive)
+        vector = lockstep(Bench, [drive])
         before, after = marks[VECTOR_MODE]
         assert stopped(before, after)
         resumed = stats(vector)["compiled_cycles"] > after["compiled_cycles"]
@@ -666,7 +634,7 @@ class TestStoppingAtAVisibleApply:
             # No sink drains the grafted leaf: what it received waits.
             assert ni.dest_channels[leaves[grafted]].queue
 
-        lockstep(drive)
+        lockstep(Bench, [drive])
 
 
 def test_a_read_applied_without_a_response_budget():
@@ -693,9 +661,9 @@ def test_a_read_applied_without_a_response_budget():
         )
         bus = net.host.configure_bus("NI12", [1])
         bench.attempt("reads", net.wait_configured, [stray, bus])
+        assert "unexpected response word" in bench.checkpoints[-1][0]
 
-    vector = lockstep(drive)
-    assert "unexpected response word" in vector.checkpoints[-1][0]
+    vector = lockstep(Bench, [drive])
     assert stats(vector)["config_packets_elided"] > 0
 
 
@@ -722,7 +690,7 @@ class TestReuseAfterRidingThrough:
             bench.check("drained")
             assert bench.net.stats.delivered_words("idle") == 3
 
-        lockstep(drive)
+        lockstep(Bench, [drive])
         before, after = marks[VECTOR_MODE]
         assert stopped(before, after)
         assert after["active_cycles"] == before["active_cycles"]
@@ -742,7 +710,7 @@ class TestReuseAfterRidingThrough:
                 bench.check("lap")
             marks[bench.kernel.mode].append(stats(bench))
 
-        lockstep(drive)
+        lockstep(Bench, [drive])
         before, after = marks[VECTOR_MODE]
         assert rode(before, after)
 
@@ -770,7 +738,7 @@ class TestBarriers:
             bench.net.run(200)
             bench.check("after")
 
-        vector = lockstep(drive)
+        vector = lockstep(Bench, [drive])
         assert seen[VECTOR_MODE] == seen[NAIVE_MODE]
         assert stats(vector)["active_cycles"] > 0
 
@@ -795,7 +763,7 @@ class TestBarriers:
             assert handle.done and read.responses
             bench.check("after")
 
-        vector = lockstep(drive)
+        vector = lockstep(Bench, [drive])
         kernel = stats(vector)
         assert kernel["config_elision_refusals"] == {"expects_response": 1}
         assert kernel["compile_fallbacks"]["config_active"] > 0
@@ -832,7 +800,7 @@ class TestBarriers:
             net.run(200)
             bench.check("after")
 
-        vector = lockstep(drive)
+        vector = lockstep(Bench, [drive])
         kernel = stats(vector)
         assert kernel["compile_fallbacks"]["fault_hooks_armed"] > 0
 
@@ -846,9 +814,9 @@ class TestBarriers:
             bench.attempt("open", bench.manager.open_connection, IDLE)
             bench.net.run(300)
             bench.check("after")
+            assert "within 37 cycles" in bench.checkpoints[1][0]
 
-        vector = lockstep(drive)
-        assert "within 37 cycles" in vector.checkpoints[1][0]
+        lockstep(Bench, [drive])
 
 
 # -- the closed-form wait ----------------------------------------------------------
@@ -1000,7 +968,7 @@ def run_probe_across_a_config_event(monkeypatch):
         net.run(3000)
         bench.check("after")
 
-    bench = lockstep(drive)
+    bench = lockstep(Bench, [drive])
     return bench, config_cycles, spans
 
 

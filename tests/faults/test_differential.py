@@ -19,6 +19,7 @@ from repro.faults import FaultInjector, random_fault_plan
 from repro.params import daelite_parameters
 from repro.topology import build_mesh
 
+from ..differential import network_image
 from .conftest import RecordingSink
 
 pytestmark = pytest.mark.differential
@@ -67,36 +68,16 @@ def run_campaign(mode: str, seed: int):
     network.kernel.add(sink)
     network.run(900)
     injector.disarm()
-    tables = tuple(
-        (
-            name,
-            tuple(
-                tuple(column)
-                for column in network.routers[name].slot_table._table
-            ),
-        )
-        for name in sorted(network.routers)
+    return (
+        plan.describe(),
+        tuple(sink.received),
+        network_image(network, sinks=[sink]),
     )
-    return {
-        "plan": plan.describe(),
-        "fault_log": network.stats.fault_log(),
-        "received": tuple(sink.received),
-        "findings": tuple(sink.findings),
-        "tables": tables,
-        "dropped": network.total_dropped_words,
-    }
 
 
 @pytest.mark.parametrize("seed", [11, 41, 97])
 def test_fault_campaign_identical_across_kernels(seed):
-    vector = run_campaign("vector", seed)
-    naive = run_campaign("naive", seed)
-    assert vector["plan"] == naive["plan"]
-    assert vector["fault_log"] == naive["fault_log"]
-    assert vector["received"] == naive["received"]
-    assert vector["findings"] == naive["findings"]
-    assert vector["tables"] == naive["tables"]
-    assert vector["dropped"] == naive["dropped"]
+    assert run_campaign("vector", seed) == run_campaign("naive", seed)
 
 
 def test_recovery_identical_across_kernels():
@@ -121,7 +102,7 @@ def test_recovery_identical_across_kernels():
                 for o in report.outcomes
             ),
             new_path,
-            network.kernel.cycle,
+            network_image(network),
         )
 
     assert recover("vector") == recover("naive")

@@ -7,59 +7,14 @@ allocation, configuration, and delivery all hold.
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.alloc import ConnectionRequest, SlotAllocator, validate_schedule
 from repro.core import DaeliteNetwork
 from repro.errors import AllocationError
 from repro.params import daelite_parameters
-from repro.topology import Topology
 
-
-@st.composite
-def random_topologies(draw):
-    """A random connected topology: a router tree plus extra edges,
-    with one NI per router (arity limits respected)."""
-    router_count = draw(st.integers(min_value=2, max_value=8))
-    # Random tree: each router i > 0 attaches to an earlier router.
-    parents = [
-        draw(st.integers(min_value=0, max_value=i - 1))
-        for i in range(1, router_count)
-    ]
-    extra_edges = draw(
-        st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=router_count - 1),
-                st.integers(min_value=0, max_value=router_count - 1),
-            ),
-            max_size=3,
-        )
-    )
-    topology = Topology("random")
-    for i in range(router_count):
-        topology.add_router(f"R{i}")
-    for i, parent in enumerate(parents, start=1):
-        topology.connect(f"R{i}", f"R{parent}")
-    for a, b in extra_edges:
-        if a == b:
-            continue
-        if topology.has_link(f"R{a}", f"R{b}"):
-            continue
-        if (
-            topology.element(f"R{a}").arity >= 5
-            or topology.element(f"R{b}").arity >= 5
-        ):
-            continue
-        topology.connect(f"R{a}", f"R{b}")
-    for i in range(router_count):
-        if topology.element(f"R{i}").arity >= 7:
-            continue
-        topology.add_ni(f"NI{i}")
-        topology.connect(f"NI{i}", f"R{i}")
-    assume(len(topology.nis) >= 2)
-    topology.validate()
-    return topology
+from ..conftest import random_topologies
 
 
 class TestRandomTopologies:

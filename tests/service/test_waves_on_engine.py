@@ -24,7 +24,7 @@ from repro.service import (
 from repro.sim.compiled import CompiledEngine
 from repro.sim.kernel import NAIVE_MODE, VECTOR_MODE, CompileRefusal
 
-from ..sim.test_vector_equivalence import plant
+from ..differential import plant
 
 pytestmark = pytest.mark.differential
 

@@ -20,7 +20,6 @@ from repro.core.config_protocol import (
     FLAG_FLOW_CONTROLLED,
     ChannelField,
     Direction,
-    build_channel_config_packet,
 )
 from repro.core.online import OnlineConnectionManager
 from repro.errors import (
@@ -45,6 +44,9 @@ from repro.sim.trace import Tracer
 from repro.topology import build_mesh
 from repro.traffic.generators import CbrGenerator, RandomGenerator
 from repro.traffic.sinks import CheckingSink
+
+from ..conftest import other_element_packet
+from ..differential import network_image
 
 
 def connected_compiled_net(topology=None, tracer=None, mode=VECTOR_MODE):
@@ -311,17 +313,15 @@ def test_mode_switch_mid_flight_preserves_state():
     """``set_mode`` at any cycle boundary, words in flight: vector →
     naive → vector keeps every register and the ledger equal to a run
     that stayed naive."""
-    switched, _, _ = connected_compiled_net()
-    reference, _, _ = connected_compiled_net(mode=NAIVE_MODE)
+    switched, _, sink = connected_compiled_net()
+    reference, _, reference_sink = connected_compiled_net(mode=NAIVE_MODE)
     for mode, cycles in ((VECTOR_MODE, 17), (NAIVE_MODE, 100), (VECTOR_MODE, 300)):
         switched.kernel.set_mode(mode)
         switched.run(cycles)
         reference.run(cycles)
-        for got, want in zip(
-            switched.kernel.all_registers(), reference.kernel.all_registers()
-        ):
-            assert got.q == want.q, got.name
-        assert switched.stats.counters() == reference.stats.counters()
+        assert network_image(switched, sinks=[sink]) == network_image(
+            reference, sinks=[reference_sink]
+        )
     assert switched.kernel.compiled_cycles > 0
 
 
@@ -443,31 +443,21 @@ def test_phit_without_an_op_raises_instead_of_vanishing():
     """A register-resident phit the ``(register, phase) -> (trajectory,
     step)`` index cannot place stops the engine when it resumes — before
     it touched anything — instead of dropping the word silently."""
-    net, _, _ = connected_compiled_net()
+    net, _, sink = connected_compiled_net()
     net.run(203)
     engine = net.kernel._engine
-    registers = [reg.q for reg in net.kernel.all_registers()]
-    assert any(isinstance(q, Phit) and q.word is not None for q in registers)
-    ledger = stats_image(net)
+    assert any(
+        isinstance(reg.q, Phit) and reg.q.word is not None
+        for reg in net.kernel.all_registers()
+    )
+    image = network_image(net, sinks=[sink])
     handled = engine.events_handled
-    stopped_at = net.kernel.cycle
     for entries in engine.index:
         entries.clear()
     with pytest.raises(SimulationError, match="lost track of a phit"):
         net.run(200)
-    assert net.kernel.cycle == stopped_at
-    assert [reg.q for reg in net.kernel.all_registers()] == registers
-    assert stats_image(net) == ledger
+    assert network_image(net, sinks=[sink]) == image
     assert engine.events_handled == handled
-
-
-def stats_image(net):
-    return (
-        net.stats.counters(),
-        net.stats.undelivered(),
-        net.stats.fault_log(),
-        {key: link.words_carried for key, link in net.links.items()},
-    )
 
 
 def test_parity_is_checked_at_arrival_and_taints_the_epoch():
@@ -516,18 +506,15 @@ def test_parity_is_checked_at_arrival_and_taints_the_epoch():
     assert engine._deltas_clean(clean, clean)
     assert not engine._deltas_clean(clean, tainted)
 
-    reference, _ = corrupted_run(NAIVE_MODE)
+    reference, reference_sink = corrupted_run(NAIVE_MODE)
     reference.run(2_040)
     net.run(2_000)
     stats = net.kernel.kernel_stats()
     assert stats["compile_fallbacks"] == {}
     assert stats["replayed_epochs"] > 0
-    assert net.stats.fault_counts() == reference.stats.fault_counts()
-    assert net.stats.delivered_words("flow") == (
-        reference.stats.delivered_words("flow")
+    assert network_image(net, sinks=[sink]) == network_image(
+        reference, sinks=[reference_sink]
     )
-    assert net.stats.counters() == reference.stats.counters()
-    assert net.stats.undelivered() == reference.stats.undelivered()
 
 
 def test_words_are_conserved_across_an_exceptional_exit():
@@ -657,21 +644,6 @@ class IdleLookalike:
     word = None
     credit_bits = None
     is_idle = True
-
-
-def other_element_packet(net):
-    """Every word of a CHANNEL_CONFIG packet for an element the network
-    does not have, without the closing gap: fed to a decoder, it leaves
-    it mid-packet until a stepped cycle delivers the gap, on which it
-    decodes to nothing."""
-    bits = net.params.config_word_bits
-    return build_channel_config_packet(
-        (1 << (bits - 1)) - 1,
-        Direction.INJECT,
-        3,
-        [(ChannelField.CREDIT, 1)],
-        bits,
-    ).words
 
 
 def off_schedule_link(net):

@@ -38,8 +38,8 @@ from repro.staticcheck import prove_network
 from repro.topology import ConfigTree, build_mesh, ni_name
 from repro.traffic import CbrGenerator, CheckingSink, random_traffic_pattern
 
-from .test_compiled_fallback import other_element_packet
-from .test_vector_equivalence import plant
+from ..conftest import other_element_packet
+from ..differential import plant
 
 
 def benchmark_fabric():
@@ -568,9 +568,7 @@ class TestProverWork:
     def test_forward_shared_by_site_is_killed(self, engine, monkeypatch):
         """A render that shares a router's forward op across phases by
         the router (its site) rather than by the register it consumes
-        differs from the oracle.  The planted module defines its own
-        dataclasses, so the renderings compare by ``repr``; an
-        unmutated plant compares equal."""
+        differs from the oracle; an unmutated plant renders equal."""
         expected = repr(per_entry_rendering(engine._lowered, engine.wheel))
         original = (
             "    for own in lowered.phase_ops:\n"

@@ -189,6 +189,20 @@ class Poster(Component):
             self.mailbox.post(cycle)
 
 
+@pytest.mark.parametrize("poster_first", [True, False])
+def test_touch_keeps_the_contract(poster_first):
+    """Work a component queues into a peer outside the registers keeps
+    the write and two-phase rules on the ``vector`` kernel: the mailbox
+    opens it in the posting cycle when the poster runs first, one cycle
+    later otherwise, as the naive order would."""
+    kernel = Kernel(mode="vector")
+    mailbox = Mailbox()
+    poster = Poster("poster", mailbox, [20])
+    kernel.add_all((poster, mailbox) if poster_first else (mailbox, poster))
+    kernel.step(100)
+    assert mailbox.opened == [(20 if poster_first else 21, 20)]
+
+
 @pytest.mark.parametrize("mode", ["naive", "vector"])
 class TestCallbackSchedule:
     def test_same_cycle_callbacks_keep_registration_order(self, mode):

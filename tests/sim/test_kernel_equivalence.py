@@ -3,9 +3,10 @@ cycle.
 
 Every scenario is built twice — once on the naive every-cycle kernel
 (the reference semantics) and once in ``vector`` mode — and run in
-lockstep.  After *every* cycle, every register output of both networks
-must be bit-identical; afterwards, the per-connection statistics
-(counts and full latency distributions) must match exactly.
+lockstep (:func:`tests.differential.lockstep`).  After *every* cycle,
+every register output of both networks must be bit-identical;
+afterwards, so must the whole network image — statistics, channel
+endpoints, element tables, link word counts and drops.
 
 Hypothesis drives random topologies, random allocated connections, and
 random traffic through both builds.  Any divergence — an engine run
@@ -20,8 +21,9 @@ the scenarios above do — never lets one component queue work for
 another inside the kernel's own loop.  There, generators, sinks and
 shells (components) move the traffic while a connection is opened and
 closed in single ``run_until`` calls, and a :class:`RegisterProbe` —
-itself a component — records every register outside the config tree
-after every edge from inside those calls.  Shells and the probe are components the engine
+itself a component — records every register (the config tree's only
+while no packet is in flight) after every edge from inside those
+calls.  Shells and the probe are components the engine
 does not lower, so these runs take the fallback, entering and leaving
 it across every set-up and tear-down.
 """
@@ -38,6 +40,7 @@ from hypothesis import strategies as st
 from repro.aelite import AeliteNetwork, InBandConfigurator
 from repro.alloc import ConnectionRequest, SlotAllocator
 from repro.core import DaeliteNetwork, OnlineConnectionManager
+from repro.core.router import Router
 from repro.errors import AllocationError
 from repro.params import aelite_parameters, daelite_parameters
 from repro.shells import (
@@ -56,7 +59,15 @@ from repro.traffic import (
     ThrottledSink,
 )
 
-from .test_vector_equivalence import assert_same_registers
+from ..differential import (
+    allocate,
+    assert_same,
+    lockstep,
+    mutant_survives,
+    network_image,
+    plant,
+    register_image,
+)
 
 pytestmark = pytest.mark.differential
 
@@ -118,48 +129,14 @@ def scenarios(draw) -> Scenario:
     )
 
 
-def allocate(scenario: Scenario, params):
-    """Deterministic allocation — identical for both builds."""
-    mesh = build_mesh(scenario.width, scenario.height)
-    allocator = SlotAllocator(topology=mesh, params=params)
-    allocated = []
-    for index, (src, dst, forward_slots) in enumerate(
-        scenario.connections
-    ):
-        allocated.append(
-            allocator.allocate_connection(
-                ConnectionRequest(
-                    f"c{index}",
-                    src,
-                    dst,
-                    forward_slots=forward_slots,
-                    reverse_slots=1,
-                )
-            )
-        )
-    return mesh, allocated
-
-
-def run_lockstep(net_vector, net_naive, cycles: int) -> None:
-    """Advance both networks one cycle at a time, comparing every
-    register output after every clock edge."""
-    assert net_vector.kernel.cycle == net_naive.kernel.cycle
-    for _ in range(cycles):
-        net_vector.run(1)
-        net_naive.run(1)
-        assert_same_registers(
-            net_vector.kernel,
-            net_naive.kernel,
-            f"cycle {net_naive.kernel.cycle}",
-        )
-
-
-def stats_snapshot(stats):
-    """The whole ledger: counts, latency histograms, last injected
-    sequences and per-flow cursors (``counters``), the undelivered
-    words, and the fault log."""
-    faults = tuple(event.format() for event in stats.faults)
-    return stats.counters(), stats.undelivered(), faults
+def run_cycle_by_cycle(build, scenario: Scenario) -> None:
+    """``build(scenario, mode)`` on both kernels, every register
+    compared after every cycle and the whole image at the end."""
+    lockstep(
+        lambda mode: (build(scenario, mode), [], []),
+        (scenario.run_cycles,),
+        per_cycle=True,
+    )
 
 
 # -- daelite -------------------------------------------------------------------
@@ -207,14 +184,33 @@ def test_daelite_vector_kernel_matches_naive_cycle_by_cycle(scenario: Scenario):
         allocate(scenario, params)
     except AllocationError:
         assume(False)
-    net_vector = build_daelite(scenario, VECTOR_MODE)
-    net_naive = build_daelite(scenario, NAIVE_MODE)
-    run_lockstep(net_vector, net_naive, scenario.run_cycles)
-    assert stats_snapshot(net_vector.stats) == stats_snapshot(
-        net_naive.stats
+    run_cycle_by_cycle(build_daelite, scenario)
+
+
+#: Two flows through the 2x2 mesh's routers, one with a burst.
+TWO_FLOWS = Scenario(
+    width=2,
+    height=2,
+    connections=(("NI00", "NI11", 2), ("NI10", "NI01", 1)),
+    bursts=((0, 5, 4),),
+    drain_period=10,
+    run_cycles=100,
+)
+
+
+def test_a_router_driving_its_link_register_directly_is_killed(monkeypatch):
+    """A router that drives its out-link register instead of sending
+    through the link skips the link's fault hook and word count: the
+    engine, which carries the words itself, counts them."""
+    plant(
+        monkeypatch,
+        "out_link.send(staged)",
+        "out_link.register.drive(staged)",
+        owner=Router,
+        method="evaluate",
     )
-    assert (
-        net_vector.total_dropped_words == net_naive.total_dropped_words
+    assert not mutant_survives(
+        lambda: run_cycle_by_cycle(build_daelite, TWO_FLOWS)
     )
 
 
@@ -262,15 +258,7 @@ def test_aelite_vector_kernel_matches_naive_cycle_by_cycle(scenario: Scenario):
         allocate(scenario, params)
     except AllocationError:
         assume(False)
-    net_vector = build_aelite(scenario, VECTOR_MODE)
-    net_naive = build_aelite(scenario, NAIVE_MODE)
-    run_lockstep(net_vector, net_naive, scenario.run_cycles)
-    assert stats_snapshot(net_vector.stats) == stats_snapshot(
-        net_naive.stats
-    )
-    assert (
-        net_vector.total_dropped_words == net_naive.total_dropped_words
-    )
+    run_cycle_by_cycle(build_aelite, scenario)
 
 
 # -- determinism guard ---------------------------------------------------------
@@ -279,16 +267,8 @@ def test_aelite_vector_kernel_matches_naive_cycle_by_cycle(scenario: Scenario):
 def test_configuration_reaches_same_cycle_in_both_modes():
     """Blocking configuration (run_until on handle.done) must complete
     at the same cycle in both modes."""
-    scenario = Scenario(
-        width=2,
-        height=2,
-        connections=(("NI00", "NI11", 2), ("NI10", "NI01", 1)),
-        bursts=((0, 5, 4),),
-        drain_period=10,
-        run_cycles=100,
-    )
     params = daelite_parameters(slot_table_size=8)
-    mesh, allocated = allocate(scenario, params)
+    mesh, allocated = allocate(TWO_FLOWS, params)
     cycles = []
     for mode in (VECTOR_MODE, NAIVE_MODE):
         net = DaeliteNetwork(mesh, params, kernel_mode=mode)
@@ -302,50 +282,23 @@ def test_configuration_reaches_same_cycle_in_both_modes():
 
 
 class RegisterProbe(Component):
-    """Records every register output after every clock edge, from inside
-    the run (see the module docstring), save the config tree's: those
-    carry words only when a packet is stepped through the tree, and
-    ``vector`` mode delivers response-free packets to their addressees
-    only (DESIGN.md §14.2)."""
+    """Records the register image (:func:`tests.differential.register_image`)
+    after every clock edge, from inside the run (see the module
+    docstring)."""
 
-    def __init__(self, kernel) -> None:
+    def __init__(self, net) -> None:
         super().__init__("probe")
-        self._watched = [
-            register
-            for register in kernel.all_registers()
-            if not register.name.startswith("cfglink.")
-            and not register.name.endswith((".cfg_fwd", ".cfg_resp"))
-        ]
-        self.frames: List[Tuple[int, tuple]] = []
+        self.net = net
+        self.frames: List[Tuple[int, dict]] = []
 
     def evaluate(self, cycle: int) -> None:
-        self.frames.append(
-            (cycle, tuple(register.q for register in self._watched))
-        )
+        self.frames.append((cycle, register_image(self.net)))
 
 
 def attach_probe(net) -> RegisterProbe:
-    probe = RegisterProbe(net.kernel)
+    probe = RegisterProbe(net)
     net.kernel.add(probe)
     return probe
-
-
-def assert_same_frames(probe_vector, probe_naive) -> None:
-    names = [register.name for register in probe_naive._watched]
-    assert names == [r.name for r in probe_vector._watched]
-    for (cycle_a, frame_a), (cycle_n, frame_n) in zip(
-        probe_vector.frames, probe_naive.frames
-    ):
-        assert cycle_a == cycle_n
-        if frame_a != frame_n:
-            index = next(
-                i for i, (a, n) in enumerate(zip(frame_a, frame_n)) if a != n
-            )
-            raise AssertionError(
-                f"cycle {cycle_n}: register {names[index]} diverged — "
-                f"naive={frame_n[index]!r}, vector={frame_a[index]!r}"
-            )
-    assert len(probe_vector.frames) == len(probe_naive.frames)
 
 
 @dataclass(frozen=True)
@@ -487,19 +440,13 @@ def issue_transactions(initiator, scenario: LiveScenario):
 
 def live_outcome(net, probe, gens, sinks, memory, results):
     return {
-        "cycle": net.kernel.cycle,
-        "stats": stats_snapshot(net.stats),
-        "generated": [gen.words_generated for gen in gens],
-        "words_received": [sink.words_received for sink in sinks],
-        "findings": [list(sink.findings) for sink in sinks],
-        "last_seq": [dict(sink._last_seq) for sink in sinks],
+        "image": network_image(net, gens, sinks),
         "memory": (dict(memory._words), memory.writes_served),
         "reads": [
             (result.completed_at, tuple(result.data))
             for result in results
             if hasattr(result, "completed_at")
         ],
-        "dropped": net.total_dropped_words,
         "frames": len(probe.frames),
     }
 
@@ -587,7 +534,7 @@ def test_daelite_live_reconfiguration_matches_naive(scenario: LiveScenario):
     assume(live_daelite_allocatable(scenario))
     probe_a, outcome_a = run_live_daelite(scenario, VECTOR_MODE)
     probe_n, outcome_n = run_live_daelite(scenario, NAIVE_MODE)
-    assert_same_frames(probe_a, probe_n)
+    assert_same(probe_a.frames, probe_n.frames, "frames")
     assert outcome_a == outcome_n
 
 
@@ -693,7 +640,7 @@ def test_aelite_live_reconfiguration_matches_naive(scenario: LiveScenario):
     except AllocationError:
         assume(False)
     probe_n, outcome_n = run_live_aelite(scenario, NAIVE_MODE)
-    assert_same_frames(probe_a, probe_n)
+    assert_same(probe_a.frames, probe_n.frames, "frames")
     assert outcome_a == outcome_n
 
 
@@ -733,21 +680,15 @@ def run_recycled_index(mode: str):
     )
     net.kernel.add(later)
     net.run(200)
-    return probe, (
-        (sink.words_received, dict(sink._last_seq), list(sink.findings)),
-        stats_snapshot(net.stats),
-    )
+    return probe, network_image(net, [gen, later], [sink])
 
 
 def test_sink_on_a_recycled_channel_index_is_not_stranded():
     probe_a, outcome_a = run_recycled_index(VECTOR_MODE)
     probe_n, outcome_n = run_recycled_index(NAIVE_MODE)
-    sink_state, _ = outcome_n
-    assert sink_state == (14, {"first": 5, "second": 7}, [])
+    assert outcome_n["sinks"] == [(14, [], {"first": 5, "second": 7})]
     assert outcome_a == outcome_n
-    # The probe predates ``gen.second`` (which owns no register), so the
-    # frames still cover every register of both builds.
-    assert_same_frames(probe_a, probe_n)
+    assert_same(probe_a.frames, probe_n.frames, "frames")
 
 
 # -- work queued between components inside one long run ----------------------
@@ -757,18 +698,6 @@ def test_sink_on_a_recycled_channel_index_is_not_stranded():
 # into its source NI, an NI into a sink's queue, a sink's drain into the
 # NI's credits, a component into the configuration module, the module
 # into the elided packets' ports.
-
-
-def latencies(net):
-    return {
-        label: dict(stats.latency_histogram)
-        for label, stats in net.stats.connections.items()
-    }
-
-
-def sink_state(sink):
-    """What a sink keeps: its word count and checker state."""
-    return sink.words_received, dict(sink._last_seq), list(sink.findings)
 
 
 def daelite_flow(mode: str):
@@ -799,7 +728,7 @@ def daelite_flow(mode: str):
     )
     net.kernel.add_all([gen, sink])
     net.run(1500)
-    return handle.setup_cycles, sink_state(sink), latencies(net)
+    return handle.setup_cycles, network_image(net, [gen], [sink])
 
 
 class LateRequester(Component):
@@ -829,7 +758,7 @@ def daelite_late_setup(mode: str):
     net.kernel.add(requester)
     net.run(1000)
     handle = requester.handle
-    return handle.done, handle.done and handle.finished_at
+    return handle.done, handle.done and handle.finished_at, network_image(net)
 
 
 def aelite_flow(mode: str):
@@ -857,7 +786,7 @@ def aelite_flow(mode: str):
     )
     net.kernel.add_all([gen, sink])
     net.run(1500)
-    return sink_state(sink), latencies(net)
+    return network_image(net, [gen], [sink])
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,6 @@ kept here, in the tests (the collector keeps no per-word history)."""
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -13,8 +12,9 @@ from hypothesis import strategies as st
 
 from repro.errors import SimulationError, StatsIntegrityError
 from repro.sim import ConnectionStats, StatsCollector, Word
-from repro.sim import stats as stats_module
 from repro.sim.stats import counter_deltas
+
+from ..differential import plant
 
 
 def w(seq, conn="c"):
@@ -693,27 +693,6 @@ def test_a_connection_opened_in_the_epoch_is_not_extrapolated():
     assert counter_deltas(before, wire.stats.counters()) is None
 
 
-def plant(monkeypatch, original, mutant, methods):
-    """Run the collector's ``methods`` with the one source fragment
-    ``original`` of ``stats.py`` rewritten to ``mutant``."""
-    source = inspect.getsource(stats_module)
-    assert source.count(original) == 1, original
-    namespace = {
-        "__name__": stats_module.__name__,
-        "__package__": stats_module.__package__,
-    }
-    exec(
-        compile(
-            source.replace(original, mutant), stats_module.__file__, "exec"
-        ),
-        namespace,
-    )
-    for method in methods:
-        monkeypatch.setattr(
-            StatsCollector, method, getattr(namespace["StatsCollector"], method)
-        )
-
-
 class TestPlantedLedgerMutantsAreKilled:
     """Each check of the collector, dropped, makes a named stream
     diverge from the per-word reference."""
@@ -735,7 +714,8 @@ class TestPlantedLedgerMutantsAreKilled:
             monkeypatch,
             "if stats is None or injected < 0:",
             "if stats is None:",
-            ["record_ejection"],
+            owner=StatsCollector,
+            method="record_ejection",
         )
         assert not self.survives("unknown-word-inside-a-run")
         assert not self.survives("fanout-never-injected-word")
@@ -747,7 +727,8 @@ class TestPlantedLedgerMutantsAreKilled:
             monkeypatch,
             "last = self._last_ejected.get(flow)",
             "last = None",
-            ["record_ejection"],
+            owner=StatsCollector,
+            method="record_ejection",
         )
         assert not self.survives("fanout-leaf-off-its-expected-word")
         assert not self.survives("fanout-destination-repeated")
@@ -758,7 +739,8 @@ class TestPlantedLedgerMutantsAreKilled:
             monkeypatch,
             "or (last is not None and sequence <= last)",
             "",
-            ["record_injection"],
+            owner=StatsCollector,
+            method="record_injection",
         )
         assert not self.survives("duplicate-inside-a-run")
         assert not self.survives("prepend")
@@ -770,7 +752,8 @@ class TestPlantedLedgerMutantsAreKilled:
             monkeypatch,
             "stats.undelivered.discard(sequence)",
             "pass",
-            ["record_ejection"],
+            owner=StatsCollector,
+            method="record_ejection",
         )
         assert not self.survives("dense")
         assert not self.survives("second-multicast-destination")
@@ -782,6 +765,7 @@ class TestPlantedLedgerMutantsAreKilled:
             monkeypatch,
             "stats.count_latency(cycle - injected)",
             "stats.count_latency(cycle)",
-            ["record_ejection"],
+            owner=StatsCollector,
+            method="record_ejection",
         )
         assert not self.survives("fanout-steady-tree")

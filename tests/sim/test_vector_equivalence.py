@@ -1,13 +1,12 @@
 """Differential proof that the compiled engine (``vector`` mode) is bit-exact.
 
 Every scenario is built twice — once on the naive reference kernel and
-once on the vector kernel — and run
-through an identical sequence of ``step`` chunks.  At every chunk
+once on the vector kernel — and run through an identical sequence of
+``step`` chunks by :func:`tests.differential.lockstep`.  At every chunk
 boundary the engine materializes its flat state back into the Register
-objects, so all register outputs must be bit-identical, and so must the
-full statistics (counts, latency histograms, per-flow cursors,
-undelivered words, fault logs), every sink's word count and checker state, and every
-link/router counter.
+objects, so the whole network image must be bit-identical: registers,
+statistics, sinks, generators, channel endpoints, element tables, link
+and drop counters.
 
 Epoch replay is covered two ways: the Hypothesis scenarios include
 steady periodic traffic long enough for replay to engage on many
@@ -26,7 +25,6 @@ differential assertions to kill each one.
 
 from __future__ import annotations
 
-import inspect
 from collections.abc import Sized
 from dataclasses import dataclass, fields, replace
 from typing import Tuple
@@ -42,10 +40,10 @@ from repro.core import DaeliteNetwork
 from repro.errors import (
     AllocationError,
     FlowControlError,
-    ReproError,
     StatsIntegrityError,
 )
 from repro.params import aelite_parameters, daelite_parameters
+from repro.sim import compiled
 from repro.sim.compiled import CompiledEngine
 from repro.sim.flit import Phit, Word
 from repro.sim.kernel import NAIVE_MODE, VECTOR_MODE, CompileRefusal
@@ -58,6 +56,15 @@ from repro.traffic.generators import (
     TraceGenerator,
 )
 from repro.traffic.sinks import CheckingSink, ThrottledSink
+
+from ..differential import (
+    allocate,
+    assert_same,
+    lockstep,
+    mutant_survives,
+    network_image,
+    plant,
+)
 
 pytestmark = pytest.mark.differential
 
@@ -134,27 +141,6 @@ def scenarios(draw) -> Scenario:
     )
 
 
-def allocate(scenario: Scenario, params):
-    mesh = build_mesh(scenario.width, scenario.height)
-    allocator = SlotAllocator(topology=mesh, params=params)
-    allocated = []
-    for index, (src, dst, forward_slots) in enumerate(
-        scenario.connections
-    ):
-        allocated.append(
-            allocator.allocate_connection(
-                ConnectionRequest(
-                    f"c{index}",
-                    src,
-                    dst,
-                    forward_slots=forward_slots,
-                    reverse_slots=1,
-                )
-            )
-        )
-    return mesh, allocated
-
-
 def make_generator(index, spec, inject):
     kind, period, start, total, burst_words = spec
     if kind == "cbr":
@@ -224,97 +210,8 @@ def build_daelite(scenario: Scenario, mode: str):
     return net, gens, sinks
 
 
-def assert_same_registers(kernel_a, kernel_b, cycle_label: str) -> None:
-    regs_a = kernel_a.all_registers()
-    regs_b = kernel_b.all_registers()
-    for reg_a, reg_b in zip(regs_a, regs_b):
-        assert reg_a.name == reg_b.name
-        assert reg_a.q == reg_b.q, (
-            f"{cycle_label}: register {reg_a.name} diverged — "
-            f"naive={reg_b.q!r}, vector={reg_a.q!r}"
-        )
-    assert len(regs_a) == len(regs_b)
-
-
-def stats_snapshot(stats):
-    """The whole ledger: per connection its counts, latency histogram
-    and last injected sequence, each flow's cursor (``counters``), the
-    undelivered words, and the fault log."""
-    faults = tuple(event.format() for event in stats.faults)
-    return stats.counters(), stats.undelivered(), faults
-
-
-def full_snapshot(net, gens, sinks):
-    """Everything the engine is obligated to reproduce."""
-    return {
-        "stats": stats_snapshot(net.stats),
-        "words_received": [sink.words_received for sink in sinks],
-        "findings": [list(sink.findings) for sink in sinks],
-        "last_seq": [dict(sink._last_seq) for sink in sinks],
-        "gen_words": [gen.words_generated for gen in gens],
-        "gen_done": [gen.done for gen in gens],
-        "dropped": net.total_dropped_words,
-        "links": {key: link.words_carried for key, link in net.links.items()},
-        "routers": {
-            name: router.dropped_words for name, router in net.routers.items()
-        },
-    }
-
-
-def endpoint_image(net):
-    """The channel-endpoint state the engine's fast paths mutate in
-    place of ``take_word`` / ``deliver`` / ``drain`` / ``add_credits`` /
-    ``submit``."""
-    return {
-        ni.name: (
-            {
-                channel: (
-                    source.credit_counter,
-                    tuple(source.queue),
-                )
-                for channel, source in sorted(ni.source_channels.items())
-            },
-            {
-                channel: (
-                    dest.pending_credits,
-                    tuple(dest.queue),
-                )
-                for channel, dest in sorted(ni.dest_channels.items())
-            },
-            dict(ni._sequence_counters),
-        )
-        for ni in net.nis.values()
-    }
-
-
-def run_in_lockstep(build, chunks, tamper=None, endpoints=False):
-    """``build(mode) -> (net, gens, sinks)`` on the vector and on the
-    naive kernel, stepped through ``chunks`` and compared in full
-    after each (``endpoints``: the channel endpoints too).
-    ``tamper(index, net)`` is applied to each build before chunk
-    ``index`` (the mutant campaigns' way in)."""
-    net_v, gens_v, sinks_v = build(VECTOR_MODE)
-    net_a, gens_a, sinks_a = build(NAIVE_MODE)
-    assert net_v.kernel.cycle == net_a.kernel.cycle
-    for index, chunk in enumerate(chunks):
-        if tamper is not None:
-            tamper(index, net_v)
-            tamper(index, net_a)
-        net_v.run(chunk)
-        net_a.run(chunk)
-        assert_same_registers(
-            net_v.kernel, net_a.kernel, f"cycle {net_a.kernel.cycle}"
-        )
-        assert full_snapshot(net_v, gens_v, sinks_v) == full_snapshot(
-            net_a, gens_a, sinks_a
-        )
-        if endpoints:
-            assert endpoint_image(net_v) == endpoint_image(net_a)
-    return net_v
-
-
 def run_chunked_differential(scenario: Scenario, tamper=None):
-    return run_in_lockstep(
+    return lockstep(
         lambda mode: build_daelite(scenario, mode), scenario.chunks, tamper
     )
 
@@ -478,7 +375,7 @@ def test_16x16_matches_naive():
         gen, sink = attach_cbr_flow(net, handle, request, period=40)
         return net, [gen], [sink]
 
-    net = run_in_lockstep(build, (4_000,))
+    net = lockstep(build, (4_000,))
     assert net.kernel.kernel_stats()["replayed_epochs"] > 0
     assert net.stats.delivered_words("far") > 0
 
@@ -562,7 +459,7 @@ def test_multicast_trees_replay_by_ledger_deltas(monkeypatch):
         if index == 1 and net.kernel.mode == VECTOR_MODE:
             replayed_before.append(net.kernel.kernel_stats()["replayed_cycles"])
 
-    net = run_in_lockstep(build_trees, (200, 4_000), note_replayed)
+    net = lockstep(build_trees, (200, 4_000), note_replayed)
     replayed = net.kernel.kernel_stats()["replayed_cycles"]
     assert (replayed - replayed_before[0]) / 4_000 >= 0.9
     for request in TREES:
@@ -604,7 +501,7 @@ def run_big_value_differential(trace=None, first_sequence=0):
         net.kernel.add(sink)
         return net, [gen], [sink]
 
-    net = run_in_lockstep(build, (7, 400, 1593))
+    net = lockstep(build, (7, 400, 1593))
     stats = net.kernel.kernel_stats()
     assert stats["compiled_cycles"] > 0
     return net, stats
@@ -666,7 +563,7 @@ def late_trace(mode):
         fired,
         [word.payload for word in dest.queue],
         gen.done,
-        stats_snapshot(net.stats),
+        network_image(net, [gen], [sink]),
     )
 
 
@@ -779,15 +676,9 @@ def test_aelite_vector_mode_matches_naive(scenario: Scenario):
         allocate(scenario, params)
     except AllocationError:
         assume(False)
-    net_v = build_aelite(scenario, VECTOR_MODE)
-    net_a = build_aelite(scenario, NAIVE_MODE)
-    for chunk in scenario.chunks:
-        net_v.run(chunk)
-        net_a.run(chunk)
-        assert_same_registers(
-            net_v.kernel, net_a.kernel, f"cycle {net_a.kernel.cycle}"
-        )
-    assert stats_snapshot(net_v.stats) == stats_snapshot(net_a.stats)
+    net_v = lockstep(
+        lambda mode: (build_aelite(scenario, mode), [], []), scenario.chunks
+    )
     kernel_stats = net_v.kernel.kernel_stats()
     assert kernel_stats["compiled_cycles"] == 0
     assert (
@@ -834,7 +725,7 @@ def run_switch_campaign(mode: str):
     gens, sinks = [gen_a], [sink_a]
     for chunk in (7, 600, 393):
         net.run(chunk)
-        checkpoints.append(full_snapshot(net, gens, sinks))
+        checkpoints.append(network_image(net, gens, sinks))
     stats = [net.kernel.kernel_stats()]
 
     # The switch: tear down "a", set up "b", stepping while config
@@ -843,12 +734,12 @@ def run_switch_campaign(mode: str):
         handle_a, manager.allocation("boot", "a")
     )
     net.run(5)
-    checkpoints.append(full_snapshot(net, gens, sinks))
+    checkpoints.append(network_image(net, gens, sinks))
     net.run_until_configured(teardown)
     stats.append(net.kernel.kernel_stats())
     handle_b = net.configure(manager.allocation("run", "b"))
     stats.append(net.kernel.kernel_stats())
-    checkpoints.append(full_snapshot(net, gens, sinks))
+    checkpoints.append(network_image(net, gens, sinks))
     # Two forward slots of an 8-slot wheel carry one word per 8 cycles;
     # period 10 keeps the flow below capacity so the post-switch steady
     # state is exactly periodic (an overloaded queue grows every epoch
@@ -858,7 +749,7 @@ def run_switch_campaign(mode: str):
     sinks.append(sink_b)
     for chunk in (3, 2000, 997):
         net.run(chunk)
-        checkpoints.append(full_snapshot(net, gens, sinks))
+        checkpoints.append(network_image(net, gens, sinks))
     assert sink_a.clean and sink_b.clean
     return net, checkpoints, stats
 
@@ -871,9 +762,7 @@ def test_usecase_switch_campaign_is_bit_exact():
     reference."""
     net_v, chk_v, (boot, torn, switched) = run_switch_campaign(VECTOR_MODE)
     net_a, chk_a, _ = run_switch_campaign(NAIVE_MODE)
-    assert len(chk_v) == len(chk_a)
-    for index, (snap_v, snap_a) in enumerate(zip(chk_v, chk_a)):
-        assert snap_v == snap_a, f"checkpoint {index} diverged"
+    assert_same(chk_v, chk_a, "checkpoints")
     # The visible path fired: tearing down what "a" reads recompiled.
     assert torn["lowering_cache_misses"] > boot["lowering_cache_misses"]
     # The set-up of "b" read nothing live: the engine ran the wait and
@@ -924,7 +813,7 @@ def run_regime_revisit_campaign(mode: str):
         start = net.kernel.kernel_stats()["replayed_epochs"]
         for chunk in (5, 700, 595):
             net.run(chunk)
-            checkpoints.append(full_snapshot(net, gens, sinks))
+            checkpoints.append(network_image(net, gens, sinks))
         delta = net.kernel.kernel_stats()["replayed_epochs"] - start
         segments.append((label, delta))
 
@@ -958,9 +847,7 @@ def test_regime_revisit_campaign_replays_from_cache():
     rides through all three: nothing is lowered again."""
     net_v, chk_v, seg_v = run_regime_revisit_campaign(VECTOR_MODE)
     net_a, chk_a, _ = run_regime_revisit_campaign(NAIVE_MODE)
-    assert len(chk_v) == len(chk_a)
-    for index, (snap_v, snap_a) in enumerate(zip(chk_v, chk_a)):
-        assert snap_v == snap_a, f"checkpoint {index} diverged"
+    assert_same(chk_v, chk_a, "checkpoints")
     for label, delta in seg_v:
         assert delta > 0, f"segment {label!r} never replayed: {seg_v}"
     stats = net_v.kernel.kernel_stats()
@@ -993,7 +880,7 @@ def test_shared_channel_records_aperiodic_replay_refusal():
         net.kernel.add(twin)
         return net, [gen, twin], [sink]
 
-    net = run_in_lockstep(build, (5, 700, 595))
+    net = lockstep(build, (5, 700, 595))
     stats = net.kernel.kernel_stats()
     assert stats["compiled_cycles"] > 0
     assert stats["replayed_epochs"] == 0
@@ -1066,14 +953,25 @@ def assert_engine_never_stood_down(net):
     assert stats["compile_fallbacks"] == stats["compile_deferrals"] == {}
 
 
+def after_a_raise(net, gens=(), sinks=()):
+    """The image of a build whose last run raised, less what the source
+    side drives — registers, link counts, the element tables' and the
+    endpoints' source state: in its failing cycle the naive kernel has
+    already let the NIs registered before the failing one inject."""
+    image = network_image(net, gens, sinks)
+    kept = ("cycle", "ledger", "sinks", "gens", "drops", "config")
+    return (
+        {key: image[key] for key in kept},
+        {name: dests for name, (_, dests, _) in image["endpoints"].items()},
+    )
+
+
 def raises_in_lockstep(build, chunks, tamper, error, match):
     """Both builds agree through ``chunks[:-1]``; the last chunk then
     raises ``error`` in both — same message, same ``kernel.cycle``, same
     ledger and fault log, same sinks, generators and destination queues
     (the arrivals before the failing one are applied, nothing after it
-    is).  Source-side state is left out: in its failing cycle the
-    naive kernel has already let the NIs registered before the
-    failing one inject.  The vector build must have raised from inside
+    is; see :func:`after_a_raise`).  The vector build must have raised from inside
     an engine run that left a fast path (``model_calls``)."""
     built = {}
 
@@ -1081,7 +979,7 @@ def raises_in_lockstep(build, chunks, tamper, error, match):
         built[mode] = build(mode)
         return built[mode]
 
-    run_in_lockstep(keep, chunks[:-1], tamper, endpoints=True)
+    lockstep(keep, chunks[:-1], tamper)
     outcomes = []
     for mode in (VECTOR_MODE, NAIVE_MODE):
         net, gens, sinks = built[mode]
@@ -1094,20 +992,7 @@ def raises_in_lockstep(build, chunks, tamper, error, match):
             assert net.kernel._engine is engine
             assert engine.model_calls > calls > 0
         outcomes.append(
-            (
-                type(caught.value),
-                str(caught.value),
-                net.kernel.cycle,
-                stats_snapshot(net.stats),
-                [sink.words_received for sink in sinks],
-                [list(sink.findings) for sink in sinks],
-                [dict(sink._last_seq) for sink in sinks],
-                [gen.words_generated for gen in gens],
-                {
-                    name: dests
-                    for name, (_, dests, _) in endpoint_image(net).items()
-                },
-            )
+            (type(caught.value), str(caught.value), after_a_raise(net, gens, sinks))
         )
     assert outcomes[0] == outcomes[1]
     assert_engine_never_stood_down(built[VECTOR_MODE][0])
@@ -1343,8 +1228,8 @@ class TestEverySlowBranchIsReachedAndCompared:
             ni, channel, _, _ = flow_ends(net)
             ni._sequence_counters[channel] += 5
 
-        net = run_in_lockstep(
-            build, (60, 45, 60), before_chunk(1, jump), endpoints=True
+        net = lockstep(
+            build, (60, 45, 60), before_chunk(1, jump)
         )
         ledger = net.stats.connections["a"]
         assert ledger.last_sequence - 7 + 1 > ledger.injected
@@ -1371,9 +1256,7 @@ class TestEverySlowBranchIsReachedAndCompared:
             assert (ledger.injected, ledger.ejected) == (1, 0)
             assert ledger.last_sequence == 50
             assert net.stats.undelivered() == [("a", 50)]
-            outcomes.append(
-                (str(caught.value), net.kernel.cycle, stats_snapshot(net.stats))
-            )
+            outcomes.append((str(caught.value), after_a_raise(net)))
         assert outcomes[0] == outcomes[1]
 
     def test_parity_drop_then_the_gap_it_leaves(self):
@@ -1389,8 +1272,8 @@ class TestEverySlowBranchIsReachedAndCompared:
                 ),
             )
 
-        net = run_in_lockstep(
-            one_flow, (203, 40, 300), before_chunk(1, corrupt), endpoints=True
+        net = lockstep(
+            one_flow, (203, 40, 300), before_chunk(1, corrupt)
         )
         assert net.stats.fault_counts() == {
             "parity_error": 1,
@@ -1412,11 +1295,10 @@ class TestEverySlowBranchIsReachedAndCompared:
                 Word(payload=1, connection="a", sequence=0, parity=0)
             )
 
-        net = run_in_lockstep(
+        net = lockstep(
             lambda mode: one_flow(mode, sink_stats=sink_stats),
             (203, 60),
             before_chunk(1, slip_in),
-            endpoints=True,
         )
         sink = next(
             c for c in net.kernel.components if isinstance(c, CheckingSink)
@@ -1439,7 +1321,7 @@ class TestEverySlowBranchIsReachedAndCompared:
             ni._sequence_counters[channel] = -2
             return net, gens, sinks
 
-        net = run_in_lockstep(build, (30, 90), endpoints=True)
+        net = lockstep(build, (30, 90))
         ni, channel, _, _ = flow_ends(net)
         ledger = net.stats.connections[f"{ni.name}.ch{channel}"]
         assert ledger.last_sequence > 10 and ledger.ejected > 10
@@ -1485,7 +1367,7 @@ class TestEverySlowBranchIsReachedAndCompared:
                 net.kernel.add(sinks[-1])
             return net, [gen], sinks
 
-        net = run_in_lockstep(build, (9, 100, 200), endpoints=True)
+        net = lockstep(build, (9, 100, 200))
         ledger = net.stats.connections["tree"]
         assert (ledger.injected, ledger.ejected) == (30, 60)
         assert_engine_never_stood_down(net)
@@ -1524,7 +1406,7 @@ class TestEverySlowBranchIsReachedAndCompared:
             net.kernel.add(stray)
             return net, gens + [stray], sinks
 
-        net = run_in_lockstep(build, scenario.chunks, endpoints=True)
+        net = lockstep(build, scenario.chunks)
         assert [
             net.stats.delivered_words(label) for label in ("c0", "c1", "c2")
         ] == [15, 6, 12]
@@ -1533,48 +1415,6 @@ class TestEverySlowBranchIsReachedAndCompared:
 
 
 # -- the differential bites: planted engine mutants ----------------------------
-
-
-def mutant_survives(run) -> bool:
-    """Whether a differential run above still passes.  A kill is one of
-    its assertions failing (or an exception it expects not coming), or
-    the statistics collector's integrity checks refusing the words a
-    mutant fabricated."""
-    try:
-        run()
-    except (AssertionError, ReproError, pytest.fail.Exception):
-        return False
-    return True
-
-
-def plant(
-    monkeypatch,
-    original: str,
-    mutant: str,
-    owner: type = CompiledEngine,
-    method: str = "run_to",
-) -> None:
-    """Run every engine on ``owner.method`` (by default ``run_to``)
-    with the one source fragment ``original`` of its module (a fast
-    path is inline code: there is no method to patch) rewritten to
-    ``mutant``.  ``owner`` may be a module: ``method`` is then one of
-    its functions."""
-    module = owner if inspect.ismodule(owner) else inspect.getmodule(owner)
-    source = inspect.getsource(module)
-    assert source.count(original) == 1, original
-    namespace = {
-        "__name__": module.__name__,
-        "__package__": module.__package__,
-    }
-    exec(
-        compile(source.replace(original, mutant), module.__file__, "exec"),
-        namespace,
-    )
-    if owner is module:
-        planted = namespace[method]
-    else:
-        planted = getattr(namespace[owner.__name__], method)
-    monkeypatch.setattr(owner, method, planted)
 
 
 def slow_branch(name: str):
@@ -1598,7 +1438,7 @@ def run_burst_at_every_offset():
     three cycles at each offset in turn: some barrier falls after the
     launches of two words of a burst in one run and before their link
     entries."""
-    return run_in_lockstep(
+    return lockstep(
         one_flow_bursts, (40,) + ((3,) * 12 + (1,)) * 3
     )
 
@@ -1784,7 +1624,8 @@ class TestPlantedEngineMutantsAreKilled:
             monkeypatch,
             "injected_at=injected_at + cycles if injected_at >= 0 else -1",
             "injected_at=injected_at",
-            method="_shift_inflight",
+            owner=compiled,
+            method="_shifted",
         )
         assert not mutant_survives(test_vector_epoch_replay_is_bit_exact)
 

@@ -29,9 +29,10 @@ from hypothesis import given, settings, strategies as st
 from repro.alloc import k_shortest_paths, pathfind
 from repro.errors import RoutingError, TopologyError
 from repro.topology import Topology, build_mesh, build_ring, build_torus
+from repro.topology import topology as topology_module
 
-from ..properties.test_random_topology_props import random_topologies
-from ..sim.test_vector_equivalence import plant
+from ..conftest import random_topologies
+from ..differential import plant
 
 
 def _mirroring(method, apply):
@@ -300,8 +301,8 @@ class TestPlantedSearchMutantsAreKilled:
             monkeypatch,
             "if len(forward) <= len(reverse):",
             "if forward:",
-            owner=Topology,
-            method="shortest_path",
+            owner=topology_module,
+            method="_meet",
         )
         assert not survives_identity()
 
@@ -331,8 +332,8 @@ class TestPlantedSearchMutantsAreKilled:
             "neighbours[v] = tuple(x for x in neighbours[v] if x != w)\n"
             "            neighbours[w] = tuple(x for x in neighbours[w] if x != v)",
             "neighbours[v] = tuple(x for x in neighbours[v] if x != w)",
-            owner=Topology,
-            method="shortest_simple_paths",
+            owner=topology_module,
+            method="_meet",
         )
         assert not survives_identity()
 
