@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import AllocationError, SlotConflictError, env_choice
 from ..params import NetworkParameters
@@ -110,6 +110,8 @@ class LinkSlotLedger:
         # label) and record exactly the state delta to reverse.
         self._journal: List[Tuple[str, Tuple[str, str], int, str]] = []
         self._snapshots = 0
+        #: Bumped by every write: what a connection plan is stamped with.
+        self.version = 0
 
     def owner(self, edge: Tuple[str, str], slot: int) -> Optional[str]:
         """Label owning ``slot`` on ``edge``, or ``None``."""
@@ -122,10 +124,12 @@ class LinkSlotLedger:
 
     def _set(self, edge: Tuple[str, str], slot: int, label: str) -> None:
         """Record ``label``'s ownership of a (known-compatible) slot."""
+        self.version += 1
         self._claims.setdefault(edge, {})[slot] = label
 
     def _clear(self, edge: Tuple[str, str], slot: int, label: str) -> None:
         """Forget ``label``'s (known-held) claim of one slot."""
+        self.version += 1
         slots = self._claims[edge]
         del slots[slot]
         if not slots:
@@ -371,6 +375,7 @@ class BitmaskLinkSlotLedger(LinkSlotLedger):
         ) & 1
 
     def _set(self, edge: Tuple[str, str], slot: int, label: str) -> None:
+        self.version += 1
         bit = 1 << slot
         entry = self._links.get(edge)
         if entry is None:
@@ -381,6 +386,7 @@ class BitmaskLinkSlotLedger(LinkSlotLedger):
         labels[label] = labels.get(label, 0) | bit
 
     def _clear(self, edge: Tuple[str, str], slot: int, label: str) -> None:
+        self.version += 1
         bit = 1 << slot
         entry = self._links[edge]
         remaining = entry[0] & ~bit
@@ -394,23 +400,6 @@ class BitmaskLinkSlotLedger(LinkSlotLedger):
             labels[label] = kept
         else:
             del labels[label]
-
-    def claim(
-        self, edge: Tuple[str, str], slot: int, label: str
-    ) -> None:
-        slot %= self.slot_table_size
-        entry = self._links.get(edge)
-        if entry is not None and (entry[0] >> slot) & 1:
-            owner = self.owner(edge, slot)
-            if owner != label:
-                raise SlotConflictError(
-                    f"link {edge} slot {slot} owned by {owner!r}; "
-                    f"cannot claim for {label!r}"
-                )
-            return  # re-claim by the same label: no state change
-        if self._snapshots:
-            self._journal.append((_OP_CLAIM_SLOT, edge, slot, label))
-        self._set(edge, slot, label)
 
     def probe_rotations(
         self, diagonal: Sequence[Tuple[Tuple[str, str], int]]
@@ -447,6 +436,7 @@ class BitmaskLinkSlotLedger(LinkSlotLedger):
         full = self._full_mask
         links = self._links
         journal = self._journal
+        self.version += 1
         self._snapshots += 1
         token = len(journal)
         for edge, shift, entry in context:
@@ -495,6 +485,7 @@ class BitmaskLinkSlotLedger(LinkSlotLedger):
         size = self.slot_table_size
         full = self._full_mask
         links = self._links
+        self.version += 1
         for edge, offset in diagonal:
             shift = offset % size
             mask = (
@@ -527,6 +518,7 @@ class BitmaskLinkSlotLedger(LinkSlotLedger):
 
     def rollback(self, token: int) -> None:
         links = self._links
+        self.version += 1
         while len(self._journal) > token:
             op, edge, value, label = self._journal.pop()
             if op == _OP_CLAIM_SLOT:
@@ -660,6 +652,17 @@ def _slot_mask(slots) -> int:
     return mask
 
 
+class ConnectionPlan(NamedTuple):
+    """A connection planned, not claimed: a refusal keeps its ``(error
+    class, message)``, not the exception and its traceback."""
+
+    stamp: Tuple[object, ...]
+    path: Tuple[str, ...]
+    #: ``(channel, probe context)`` for forward, then reverse.
+    channels: Tuple[Tuple[AllocatedChannel, object], ...] = ()
+    error: Optional[Tuple[type, str]] = None
+
+
 @dataclass
 class SlotAllocator:
     """Allocates channels, connections, and multicast trees.
@@ -689,6 +692,7 @@ class SlotAllocator:
             self.params.slot_table_size, self.engine
         )
         self.engine = self.ledger.engine
+        self._plan: Optional[ConnectionPlan] = None
 
     # -- path & base-slot machinery ---------------------------------------------
 
@@ -819,8 +823,9 @@ class SlotAllocator:
         context that claims it (valid until the next ledger write).
         This is the only channel planner — the allocator claims what it
         returns and the admission oracle (:mod:`repro.analysis.model`)
-        reports it, so the two cannot disagree except through the
-        ledger state itself.
+        reports it; a connection's plans pass from one to the other
+        under a version stamp (:meth:`plan_connection`), so the two
+        cannot disagree.
 
         Raises:
             AllocationError: if too few admissible base slots remain on
@@ -865,12 +870,48 @@ class SlotAllocator:
 
     # -- connections ------------------------------------------------------------------
 
+    def _stamp(
+        self, request: ConnectionRequest, path: Optional[Sequence[str]]
+    ) -> Tuple[object, ...]:
+        """What a connection plan reads that can change under it."""
+        path = None if path is None else tuple(path)
+        return request, path, self.ledger.version, self.topology.version
+
+    def plan_connection(
+        self,
+        request: ConnectionRequest,
+        path: Optional[Sequence[str]] = None,
+    ) -> ConnectionPlan:
+        """Route once, then plan the forward channel on the route and
+        the reverse one on the reversed route, claiming nothing.
+
+        The plan is the allocator's one outstanding plan: the next
+        :meth:`allocate_connection` claims it if its stamp (request,
+        ``path``, ledger and topology versions) still matches, and drops
+        it either way — a handover, not a cache.
+        """
+        chosen: Tuple[str, ...] = ()
+        stamp = self._stamp(request, path)
+        try:
+            chosen = tuple(path) if path is not None else self.route(
+                request.src_ni, request.dst_ni
+            )
+            forward = self.plan_channel(request.forward, chosen)
+            reverse = self.plan_channel(request.reverse, chosen[::-1])
+        except AllocationError as error:
+            plan = ConnectionPlan(stamp, chosen, error=(type(error), str(error)))
+        else:
+            plan = ConnectionPlan(stamp, chosen, (forward, reverse))
+        self._plan = plan
+        return plan
+
     def allocate_connection(
         self,
         request: ConnectionRequest,
         path: Optional[Sequence[str]] = None,
     ) -> AllocatedConnection:
-        """Allocate the forward and reverse channels of a connection.
+        """Claim a connection's :meth:`plan_connection` plan: the
+        outstanding one if its stamp matches, else a fresh one.
 
         The reverse channel uses the reversed forward path, so both
         directions traverse the same physical route (as daelite's paired
@@ -881,16 +922,23 @@ class SlotAllocator:
         forward channel's speculative claims are rolled back in one
         ledger operation.
         """
+        plan = self._plan
+        if plan is None or plan.stamp != self._stamp(request, path):
+            plan = self.plan_connection(request, path)
+        self._plan = None
+        if plan.error is not None:
+            raise plan.error[0](plan.error[1])
         token = self.ledger.snapshot()
         try:
-            forward = self.allocate_channel(request.forward, path=path)
-            reverse = self.allocate_channel(
-                request.reverse, path=tuple(reversed(forward.path))
-            )
+            for channel, context in plan.channels:
+                self.ledger.claim_prepared(
+                    context, _slot_mask(channel.slots), channel.label
+                )
         except AllocationError:
             self.ledger.rollback(token)
             raise
         self.ledger.commit(token)
+        (forward, _), (reverse, _) = plan.channels
         return AllocatedConnection(
             label=request.label, forward=forward, reverse=reverse
         )

@@ -27,16 +27,17 @@ Latency decomposition of one word (submit to delivery):
 :class:`AdmissionOracle` answers "will this connection meet its
 deadline / what rate does it get / does the fleet have room" from those
 formulas plus a *plan* (no claim, no simulation, no kernel):
-:meth:`SlotAllocator.plan_channel` and
-:meth:`SlotAllocator.plan_multicast` are the allocator's own route →
-probe → pick, which an allocation then claims, so the oracle's planned
-slots — and therefore its latency/bandwidth verdict — are exactly what
-an immediately following allocation materializes.
+:meth:`SlotAllocator.plan_channel`, ``plan_connection`` and
+``plan_multicast`` are the allocator's own route → probe → pick, which
+an allocation then claims (a connection's plan is handed over, not
+made again), so the oracle's planned slots — and therefore its
+latency/bandwidth verdict — are exactly what an immediately following
+allocation materializes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..alloc.slot_alloc import SlotAllocator
@@ -435,6 +436,24 @@ class AdmissionOracle:
             deadline_cycles=deadline_cycles,
         )
 
+    @staticmethod
+    def _refused(
+        label: str,
+        reason: str,
+        deadline_cycles: Optional[int],
+        path: Tuple[str, ...] = (),
+        planned: Tuple[int, ...] = (),
+    ) -> AdmissionVerdict:
+        """The verdict of a request with no plan (or no model) to check."""
+        return AdmissionVerdict(
+            label=label,
+            admitted=False,
+            reason=reason,
+            planned_slots=planned,
+            path=path,
+            deadline_cycles=deadline_cycles,
+        )
+
     def admit_channel(
         self,
         request: ChannelRequest,
@@ -448,12 +467,8 @@ class AdmissionOracle:
             path = self.allocator.route(request.src_ni, request.dst_ni)
             channel, _ = self.allocator.plan_channel(request, path)
         except AllocationError as error:
-            return AdmissionVerdict(
-                label=request.label,
-                admitted=False,
-                reason=str(error),
-                path=path,
-                deadline_cycles=deadline_cycles,
+            return self._refused(
+                request.label, str(error), deadline_cycles, path
             )
         return self._check_constraints(
             request.label,
@@ -470,29 +485,19 @@ class AdmissionOracle:
         deadline_cycles: Optional[int] = None,
         min_bandwidth_words_per_cycle: Optional[float] = None,
     ) -> AdmissionVerdict:
-        """Admission verdict for a bidirectional connection.
-
-        Forward and reverse traverse opposite *directed* links, so the
-        two plans are independent and together exactly what
-        :meth:`SlotAllocator.allocate_connection` would claim.
+        """Admission verdict for a bidirectional connection: the
+        allocator's :meth:`SlotAllocator.plan_connection`, which the
+        next :meth:`SlotAllocator.allocate_connection` of this request
+        claims unless a ledger or topology write came between them.
+        An unroutable pair (RoutingError) is refused with path ().
         """
-        allocator = self.allocator
-        # An unroutable pair (RoutingError) is refused with path ().
-        path: Tuple[str, ...] = ()
-        try:
-            path = allocator.route(request.src_ni, request.dst_ni)
-            forward, _ = allocator.plan_channel(request.forward, path)
-            reverse, _ = allocator.plan_channel(
-                request.reverse, tuple(reversed(path))
+        plan = self.allocator.plan_connection(request)
+        if plan.error is not None:
+            return self._refused(
+                request.label, plan.error[1], deadline_cycles, plan.path
             )
-        except AllocationError as error:
-            return AdmissionVerdict(
-                label=request.label,
-                admitted=False,
-                reason=str(error),
-                path=path,
-                deadline_cycles=deadline_cycles,
-            )
+        (forward, _), (reverse, _) = plan.channels
+        planned = tuple(sorted(forward.slots))
         connection = AllocatedConnection(
             label=request.label, forward=forward, reverse=reverse
         )
@@ -501,21 +506,16 @@ class AdmissionOracle:
         except ParameterError as error:
             # The buffer bound does not fit the credit counter — the
             # connection could be claimed but never sustain its rate.
-            return AdmissionVerdict(
-                label=request.label,
-                admitted=False,
-                reason=str(error),
-                planned_slots=tuple(sorted(forward.slots)),
-                path=path,
-                deadline_cycles=deadline_cycles,
+            return self._refused(
+                request.label, str(error), deadline_cycles, plan.path, planned
             )
         return self._check_constraints(
             request.label,
             model,
             deadline_cycles,
             min_bandwidth_words_per_cycle,
-            tuple(sorted(forward.slots)),
-            path,
+            planned,
+            plan.path,
         )
 
     def admit_multicast(
@@ -533,12 +533,7 @@ class AdmissionOracle:
         try:
             tree, _ = self.allocator.plan_multicast(request)
         except AllocationError as error:
-            return AdmissionVerdict(
-                label=request.label,
-                admitted=False,
-                reason=str(error),
-                deadline_cycles=deadline_cycles,
-            )
+            return self._refused(request.label, str(error), deadline_cycles)
         model = self.multicast_model(tree)
         return self._check_constraints(
             request.label,
@@ -582,13 +577,7 @@ class AdmissionOracle:
         admitted = 0
         try:
             while True:
-                copy = ConnectionRequest(
-                    label=f"{request.label}#{admitted}",
-                    src_ni=request.src_ni,
-                    dst_ni=request.dst_ni,
-                    forward_slots=request.forward_slots,
-                    reverse_slots=request.reverse_slots,
-                )
+                copy = replace(request, label=f"{request.label}#{admitted}")
                 try:
                     self.allocator.allocate_connection(copy)
                 except AllocationError:

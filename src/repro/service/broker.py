@@ -426,9 +426,10 @@ class ConnectionBroker:
             try:
                 record = shard.manager.open_connection(request)
             except AllocationError as error:
-                # The oracle probes the same allocator, so capacity
-                # cannot have changed under us within one op — this is
-                # a genuine refusal, not a transient.
+                # The allocate claims the plan the oracle's admit just
+                # made, unless the plan's stamp (ledger and topology
+                # versions) says something moved in between — so this
+                # is a genuine refusal, not a transient.
                 shard.breaker.record_failure(shard.now)
                 return ServiceOutcome(
                     status="rejected",

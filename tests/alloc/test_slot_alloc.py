@@ -20,7 +20,9 @@ from repro.alloc import (
     make_ledger,
     validate_schedule,
 )
+from repro.alloc import slot_alloc
 from repro.alloc.slot_alloc import _spread_pick, iter_mask_slots
+from repro.analysis import AdmissionOracle
 from repro.errors import AllocationError, SlotConflictError
 from repro.params import daelite_parameters
 from repro.topology import build_mesh
@@ -550,3 +552,57 @@ class TestMulticastAllocation:
             allocator.allocate_multicast(
                 MulticastRequest("m", "NI00", ("NI01", "NI02"), slots=1)
             )
+
+
+class TestPlanHandoff:
+    @pytest.mark.parametrize("engine", BOTH_ENGINES)
+    def test_allocate_after_admit_plans_nothing(self, monkeypatch, engine):
+        """An allocate that follows its admit claims the plan the admit
+        made, admitted or rejected alike: no probe and no route of its
+        own, so a request costs one route and at most two probes."""
+        allocator = SlotAllocator(
+            topology=build_mesh(3, 3),
+            params=daelite_parameters(slot_table_size=8),
+            engine=engine,
+        )
+        oracle = AdmissionOracle(allocator)
+        calls = {"probe": 0, "route": 0}
+
+        def counted(name, original):
+            def call(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return call
+
+        ledger = allocator.ledger
+        monkeypatch.setattr(
+            ledger, "probe_rotations", counted("probe", ledger.probe_rotations)
+        )
+        monkeypatch.setattr(
+            slot_alloc, "cached_route", counted("route", slot_alloc.cached_route)
+        )
+        rng = random.Random(46)
+        nis = sorted(element.name for element in allocator.topology.nis)
+        live = []
+        admitted = []
+        for index in range(200):
+            request = ConnectionRequest(
+                f"c{index}",
+                *rng.sample(nis, 2),
+                forward_slots=rng.randint(1, 4),
+            )
+            before = dict(calls)
+            verdict = oracle.admit_connection(request)
+            planned = dict(calls)
+            try:
+                live.append(allocator.allocate_connection(request))
+            except AllocationError:
+                assert not verdict.admitted
+            assert calls == planned
+            assert calls["route"] - before["route"] == 1
+            assert calls["probe"] - before["probe"] <= 2
+            admitted.append(verdict.admitted)
+            if len(live) > 8:
+                allocator.release_connection(live.pop(rng.randrange(len(live))))
+        assert 0 < sum(admitted) < len(admitted)

@@ -28,9 +28,12 @@ from repro.alloc import (
     allocate_multipath,
 )
 from repro.alloc import slot_alloc
+from repro.analysis import AdmissionOracle
 from repro.errors import AllocationError
 from repro.params import daelite_parameters
 from repro.topology import build_mesh
+
+from ..differential import plant
 
 pytestmark = pytest.mark.differential
 
@@ -84,12 +87,62 @@ def mixed_scenarios(draw):
     return width, height, slot_table_size, seed
 
 
-def _run_mixed_scenario(engine, scenario):
+#: What the handoff runs may put between an admit and its allocate:
+#: nothing (twice as likely), a release, a multicast claim,
+#: ``admissible_connection_count``'s claims and rollback, a link failure.
+HANDOFF_WRITES = (None, None, "release", "tree", "count", "fail")
+
+
+def _interpose(write, extras, allocator, oracle, request, live, outcomes):
+    """Make one of :data:`HANDOFF_WRITES`, logging what it did."""
+    nis = sorted(element.name for element in allocator.topology.nis)
+    if write == "release" and live:
+        kind, allocation = live.pop(extras.randrange(len(live)))
+        if kind == "conn":
+            allocator.release_connection(allocation)
+        else:
+            allocator.release_multicast(allocation)
+        outcomes.append(("release", allocation.label))
+    elif write == "tree":
+        src = extras.choice(nis)
+        others = [name for name in nis if name != src]
+        dsts = tuple(extras.sample(others, min(2, len(others))))
+        tree_request = MulticastRequest(f"{request.label}.m", src, dsts)
+        try:
+            tree = allocator.allocate_multicast(tree_request)
+        except AllocationError as error:
+            outcomes.append(("tree-fail", tree_request.label, str(error)))
+        else:
+            live.append(("tree", tree))
+            outcomes.append(("tree", tree.label, tuple(sorted(tree.slots))))
+    elif write == "count":
+        outcomes.append(
+            ("count", oracle.admissible_connection_count(request))
+        )
+    elif write == "fail":
+        try:
+            path = allocator.route(request.src_ni, request.dst_ni)
+        except AllocationError:
+            return
+        if len(path) > 3:  # fail a router-to-router link of the route
+            k = extras.randrange(1, len(path) - 2)
+            allocator.topology.fail_link(path[k], path[k + 1])
+            outcomes.append(("fail", path[k], path[k + 1]))
+
+
+def _run_mixed_scenario(engine, scenario, handoff=None):
     """A scripted mix of connection/multicast/release steps.
 
     Every decision comes from the scenario's own RNG, never from the
     engine, so both engines replay the identical request stream; the
     returned outcome log and ledger dump capture everything observable.
+
+    With ``handoff`` set (``"admit"`` or ``"plain"``) a second seeded
+    stream picks a subset of the connection allocates and, for each,
+    one of :data:`HANDOFF_WRITES` to make just before it; an ``"admit"``
+    run also asks the oracle first, so that allocate claims the plan
+    handed over unless the write moved the ledger or the topology.  The
+    two runs must log the same outcomes and end in the same ledger.
     """
     width, height, slot_table_size, seed = scenario
     topology = build_mesh(width, height)
@@ -98,7 +151,9 @@ def _run_mixed_scenario(engine, scenario):
         topology=topology, params=params, engine=engine
     )
     assert allocator.ledger.engine == engine
+    oracle = AdmissionOracle(allocator)
     rng = random.Random(seed)
+    extras = random.Random(~seed)
     nis = sorted(element.name for element in topology.nis)
     outcomes = []
     live = []
@@ -113,11 +168,24 @@ def _run_mixed_scenario(engine, scenario):
                 forward_slots=rng.randint(1, 4),
                 reverse_slots=rng.randint(1, 2),
             )
+            verdict = write = None
+            if handoff and extras.random() < 0.6:
+                write = extras.choice(HANDOFF_WRITES)
+                if handoff == "admit":
+                    verdict = oracle.admit(request)
+                _interpose(
+                    write, extras, allocator, oracle, request, live, outcomes
+                )
             try:
                 connection = allocator.allocate_connection(request)
             except AllocationError as error:
+                assert write or not verdict or not verdict.admitted
                 outcomes.append(("conn-fail", request.label, str(error)))
             else:
+                if verdict and verdict.admitted and not write:
+                    assert verdict.planned_slots == tuple(
+                        sorted(connection.forward.slots)
+                    )
                 live.append(("conn", connection))
                 outcomes.append(
                     (
@@ -315,6 +383,69 @@ class TestEngineEquivalence:
                 },
             )
         assert plans[BITMASK_ENGINE] == plans[REFERENCE_ENGINE]
+
+
+class TestPlanHandoff:
+    @settings(max_examples=40, deadline=None)
+    @given(mixed_scenarios())
+    def test_handoff_matches_oracle_free_run(self, scenario):
+        """An allocate that claims the plan its admit handed over — or
+        re-plans because a write came between them — logs and leaves
+        exactly what the same script without the oracle does, on both
+        engines."""
+        baseline = _run_mixed_scenario(REFERENCE_ENGINE, scenario, "plain")
+        for engine in ENGINES:
+            for handoff in ("admit", "plain"):
+                run = _run_mixed_scenario(engine, scenario, handoff)
+                assert run == baseline, (engine, handoff)
+
+    def test_fixed_scenarios_agree_and_make_every_write(self):
+        """The mutants' scenarios pass unmutated and put each kind of
+        write between an admit and its allocate."""
+        kinds = set()
+        for scenario in HANDOFF_SCENARIOS:
+            for engine in ENGINES:
+                admitted = _run_mixed_scenario(engine, scenario, "admit")
+                assert admitted == _run_mixed_scenario(
+                    engine, scenario, "plain"
+                )
+                kinds.update(entry[0] for entry in admitted[0])
+        assert {"release", "tree", "count", "fail"} <= kinds
+
+    @pytest.mark.parametrize(
+        "owner, method, original, mutant",
+        [
+            (SlotAllocator, "_stamp", "self.ledger.version", "0"),
+            (
+                slot_alloc.BitmaskLinkSlotLedger,
+                "release_rotations",
+                "self.version += 1",
+                "pass",
+            ),
+            (SlotAllocator, "_stamp", "self.topology.version", "0"),
+        ],
+        ids=[
+            "stamp-ignores-ledger",
+            "release-rotations-keeps-version",
+            "stamp-ignores-topology",
+        ],
+    )
+    def test_planted_handoff_mutants_are_killed(
+        self, monkeypatch, owner, method, original, mutant
+    ):
+        """A stale plan claimed after a release, a tree claim or a link
+        failure must show as a difference from the oracle-free run."""
+        plant(monkeypatch, original, mutant, owner=owner, method=method)
+        with pytest.raises((AssertionError, AllocationError)):
+            for scenario in HANDOFF_SCENARIOS:
+                for engine in ENGINES:
+                    assert _run_mixed_scenario(
+                        engine, scenario, "admit"
+                    ) == _run_mixed_scenario(engine, scenario, "plain")
+
+
+#: Fixed scenarios for the handoff mutants.
+HANDOFF_SCENARIOS = [(3, 3, 16, seed) for seed in range(10)]
 
 
 #: Fixed scenarios that open and release multicast trees.
