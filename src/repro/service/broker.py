@@ -752,8 +752,7 @@ class ConnectionBroker:
         — so nothing is ever replayed and the three regime counters read
         0 under churn.  The lowering counters do move: a shard's set-up
         waits run on the compiled engine, which lowers the traffic-free
-        network (the harness's ``service_churn`` run reads lowering hits
-        / misses 1 / 7).
+        network.
         """
         merged = {
             "lowering_cache_hits": 0,

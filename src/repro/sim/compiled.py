@@ -114,7 +114,7 @@ from functools import lru_cache
 from heapq import heapify, heappop, heapreplace
 from itertools import compress, count
 from math import lcm
-from operator import attrgetter, is_not, itemgetter
+from operator import attrgetter, is_not, itemgetter, sub
 from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
@@ -684,6 +684,18 @@ class CompiledEngine:
             self.replay_refusal,
         ) = _replay_plan(gens, sinks, wheel)
         self.nis_list = list(network.nis.values())
+        #: The channel list the signature and the queue rewrite walk:
+        #: per NI its source, then its destination endpoints, each in
+        #: channel order (``_refresh_chans``); the NIs whose entries a
+        #: probed boundary re-reads first (at first, all of them); and
+        #: the NIs whose sequence counters a generator can create or
+        #: move.
+        self._ni_chans: Dict[int, List[tuple]] = {}
+        self._chans: List[tuple] = []
+        self._stale_chans: Dict[Any, None] = dict.fromkeys(self.nis_list)
+        self._gen_nis = list(
+            {id(gen.inject.ni): gen.inject.ni for gen in gens}.values()
+        )
         params = network.params
         self.credit_cap = min(
             (1 << params.credit_bits_per_slot) - 1,
@@ -1315,7 +1327,25 @@ class CompiledEngine:
             entry = self._on_ni.get(id(ni))
             if entry is not None:
                 self._resolve_ni(*entry)
+        self._stale_chans.update(noted)
         noted.clear()
+
+    def _refresh_chans(self, nis: Any) -> None:
+        """Re-read the channel list's entries of ``nis`` (``(kind,
+        NI name, channel, endpoint)``, kind 0 a source and 1 a
+        destination), keeping the list in ``nis_list`` order."""
+        for ni in nis:
+            self._ni_chans[id(ni)] = [
+                (0, ni.name, channel, source)
+                for channel, source in sorted(ni.source_channels.items())
+            ] + [
+                (1, ni.name, channel, dest)
+                for channel, dest in sorted(ni.dest_channels.items())
+            ]
+        chans_of = self._ni_chans
+        self._chans = [
+            chan for ni in self.nis_list for chan in chans_of.get(id(ni), ())
+        ]
 
     def _resolve_ni(
         self, ni: Any, plans: List[int], gens: List[int], sinks: List[int]
@@ -1692,16 +1722,24 @@ class CompiledEngine:
                         undone = self._unload(cycle)
                         loaded = False
                         boundary = cycle
+                        # Re-read the NIs whose endpoints changed since
+                        # the channel list was: those noted at an entry,
+                        # and those a config apply of this run noted.
+                        stale = self._stale_chans
+                        stale.update(changes.endpoints)
+                        if stale:
+                            self._refresh_chans(stale)
+                            stale.clear()
                         sig = self._signature(cycle, self._cur)
                         snap = self._snapshot(cycle)
                         candidate: Any = None
                         if prev_sig is not None and sig == prev_sig:
-                            if self._deltas_clean(prev_snap, snap):
-                                candidate = (prev_snap, events)
+                            delta = self._epoch_delta(prev_snap, snap)
+                            if delta is not None:
+                                candidate = (delta, events)
                                 replay.store(
                                     sig,
-                                    prev_snap,
-                                    snap,
+                                    delta,
                                     events,
                                     cycle,
                                     self._sig_anchors(),
@@ -1717,14 +1755,14 @@ class CompiledEngine:
                         prev_sig = sig
                         prev_snap = snap
                         if candidate is not None:
-                            before, epoch_events = candidate
+                            delta, epoch_events = candidate
                             epochs = min(
                                 (min(end, cfg_next) - cycle) // period,
-                                self._replay_horizon(before, snap),
+                                self._replay_horizon(delta, snap),
                             )
                             if epochs >= 1:
                                 self._replay(
-                                    epochs, before, snap, epoch_events, cycle
+                                    epochs, delta, snap, epoch_events, cycle
                                 )
                                 cycle += epochs * period
                                 replayed_epochs += epochs
@@ -1733,10 +1771,11 @@ class CompiledEngine:
                                 # shifted by `epochs` periods, and the
                                 # signature is shift-invariant (that is
                                 # what matching across one period just
-                                # proved), so stay armed: re-snapshot
-                                # here and the next boundary can replay
-                                # again without re-probing a full epoch.
-                                prev_snap = self._snapshot(cycle)
+                                # proved), so stay armed: the landing's
+                                # snapshot is this one plus `epochs`
+                                # deltas, and the next boundary can
+                                # replay again without re-probing.
+                                prev_snap = self._landed(snap, delta, epochs)
                         self._load(cycle)
                         loaded = True
                         if cycle != boundary:
@@ -2241,34 +2280,28 @@ class CompiledEngine:
                 for rid, phit in cur.items()
             )
         )
-        chans: List[tuple] = []
-        for ni in self.nis_list:
-            for channel in sorted(ni.source_channels):
-                source = ni.source_channels[channel]
-                chans.append(
-                    (
-                        0,
-                        ni.name,
-                        channel,
-                        tuple(rel(w) for w in source.queue),
-                        source.credit_counter,
-                        source.flags,
-                        source.paired_arrival,
-                    )
-                )
-            for channel in sorted(ni.dest_channels):
-                dest = ni.dest_channels[channel]
-                chans.append(
-                    (
-                        1,
-                        ni.name,
-                        channel,
-                        tuple(rel(w) for w in dest.queue),
-                        dest.pending_credits,
-                        dest.flags,
-                        dest.paired_source,
-                    )
-                )
+        chans = tuple(
+            (
+                0,
+                name,
+                channel,
+                tuple(map(rel, end.queue)),
+                end.credit_counter,
+                end.flags,
+                end.paired_arrival,
+            )
+            if kind == 0
+            else (
+                1,
+                name,
+                channel,
+                tuple(map(rel, end.queue)),
+                end.pending_credits,
+                end.flags,
+                end.paired_source,
+            )
+            for kind, name, channel, end in self._chans
+        )
         # The next-firing offset pins the generator's phase relative to
         # the boundary.  Across same-regime boundaries (one period P
         # apart, every generator period dividing P) it is constant, so
@@ -2299,7 +2332,7 @@ class CompiledEngine:
             sinks_part.append(
                 (max(0, sink.start_cycle - cycle), last_rel)
             )
-        return (regs_part, tuple(chans), gens_part, tuple(sinks_part))
+        return (regs_part, chans, gens_part, tuple(sinks_part))
 
     @staticmethod
     def _gen_phase(gen: Any, cycle: int) -> int:
@@ -2308,27 +2341,22 @@ class CompiledEngine:
         return -1 if nxt is None else nxt - cycle
 
     def _snapshot(self, cycle: int) -> dict:
-        """Absolute counter values backing the replay arithmetic."""
-        chan_keys: List[tuple] = []
-        chan_vals: List[int] = []
-        for ni in self.nis_list:
-            for channel in sorted(ni.source_channels):
-                chan_keys.append((ni.name, 0, channel))
-            for channel in sorted(ni.dest_channels):
-                chan_keys.append((ni.name, 1, channel))
-            for channel in sorted(ni._sequence_counters):
-                chan_keys.append((ni.name, 2, channel))
-                chan_vals.append(ni._sequence_counters[channel])
+        """Absolute counter values backing the replay arithmetic: per
+        link its word count, the generator NIs' sequence counters, per
+        connection its counter, per generator its words and bursts, the
+        ledger, and the fault, drop and finding counts."""
         network = self.network
         dropped = sum(
             router.dropped_words
             for router in network.routers.values()
         ) + sum(ni.dropped_words for ni in self.nis_list)
         return {
-            # Per link its word count.
             "fixed": list(map(_WORDS_CARRIED, network.links.values())),
-            "chan_keys": tuple(chan_keys),
-            "chan_vals": chan_vals,
+            "counters": {
+                (ni.name, channel): value
+                for ni in self._gen_nis
+                for channel, value in ni._sequence_counters.items()
+            },
             "seqs": {
                 conn: ni._sequence_counters.get(channel, 0)
                 for conn, (ni, channel, _gen) in self.conn_meta.items()
@@ -2343,49 +2371,65 @@ class CompiledEngine:
             "findings": tuple(len(sink[0].findings) for sink in self.sinks),
         }
 
-    def _deltas_clean(self, before: dict, after: dict) -> bool:
-        """Replay is only sound for epochs free of anomalies and with a
-        stable channel-counter structure."""
-        return (
-            before["faults"] == after["faults"]
-            and before["dropped"] == after["dropped"]
-            and before["findings"] == after["findings"]
-            and before["chan_keys"] == after["chan_keys"]
-            and counter_deltas(before["ledger"], after["ledger"])
-            is not None
-        )
+    def _epoch_delta(self, before: dict, after: dict) -> Optional[dict]:
+        """One proven epoch's deltas, computed once, as what moved:
+        ``links`` (``(link index, delta)``), ``counters``, ``seqs`` (every
+        connection), ``gen_words`` / ``gen_bursts`` (every generator)
+        and ``ledger`` (:func:`counter_deltas`) — or ``None`` when the
+        epoch is no template: a fault, drop or finding in it, or a
+        sequence counter, connection or flow opened."""
+        if (
+            before["faults"] != after["faults"]
+            or before["dropped"] != after["dropped"]
+            or before["findings"] != after["findings"]
+        ):
+            return None
+        ledger = counter_deltas(before["ledger"], after["ledger"])
+        counters = counter_deltas(before["counters"], after["counters"])
+        if ledger is None or counters is None:
+            return None
+        seqs = before["seqs"]
+        return {
+            "links": [
+                (index, now - old)
+                for index, old, now in zip(
+                    count(), before["fixed"], after["fixed"]
+                )
+                if now != old
+            ],
+            "counters": counters,
+            "seqs": {
+                conn: now - seqs[conn] for conn, now in after["seqs"].items()
+            },
+            "gen_words": list(
+                map(sub, after["gen_words"], before["gen_words"])
+            ),
+            "gen_bursts": list(
+                map(sub, after["gen_bursts"], before["gen_bursts"])
+            ),
+            "ledger": ledger,
+        }
 
-    def _replay_horizon(self, before: dict, after: dict) -> int:
+    def _replay_horizon(self, delta: dict, after: dict) -> int:
         """Largest K for which every finite generator stays in budget."""
         model = _model()
         horizon = _NEVER
         for i, gen in enumerate(self.gens):
             if isinstance(gen, model.CbrGenerator):
-                if gen.total_words is None:
-                    continue
-                fired = after["gen_words"][i] - before["gen_words"][i]
-                if fired > 0:
-                    horizon = min(
-                        horizon,
-                        (gen.total_words - after["gen_words"][i])
-                        // fired,
-                    )
+                budget, key = gen.total_words, "gen_words"
             elif isinstance(gen, model.BurstGenerator):
-                if gen.total_bursts is None:
-                    continue
-                fired = after["gen_bursts"][i] - before["gen_bursts"][i]
-                if fired > 0:
-                    horizon = min(
-                        horizon,
-                        (gen.total_bursts - after["gen_bursts"][i])
-                        // fired,
-                    )
+                budget, key = gen.total_bursts, "gen_bursts"
+            else:
+                continue
+            fired = delta[key][i]
+            if budget is not None and fired > 0:
+                horizon = min(horizon, (budget - after[key][i]) // fired)
         return horizon
 
     def _replay(
         self,
         epochs: int,
-        before: dict,
+        delta: dict,
         after: dict,
         events: List[tuple],
         cycle: int,
@@ -2393,59 +2437,62 @@ class CompiledEngine:
         """Apply ``epochs`` steady epochs arithmetically, from ``cycle``.
 
         Credits the ledger (``StatsCollector.credit``) and the sinks
-        (:meth:`EpochReplay.materialize`) ``epochs`` times the captured
-        epoch's deltas, scales every cumulative counter, and rewrites in-flight words and queue
-        contents to their post-replay identities.
+        (:meth:`EpochReplay.materialize`) ``epochs`` times the epoch's
+        ``delta`` (:meth:`_epoch_delta`), scales the cumulative counters
+        that moved, and rewrites in-flight words and queue contents to
+        their post-replay identities.
         """
-        deltas = {
-            conn: after["seqs"][conn] - before["seqs"][conn]
-            for conn in after["seqs"]
-        }
         if not self._regime_open:
             self._regime_open = True
             self.kernel.regimes_detected += 1
-        self.stats.credit(
-            epochs,
-            after["ledger"],
-            counter_deltas(before["ledger"], after["ledger"]),
-        )
+        deltas = delta["seqs"]
+        self.stats.credit(epochs, after["ledger"], delta["ledger"])
         self.replay.materialize(epochs, deltas, events)
-        self._scale_counters(epochs, before, after)
+        self._scale_counters(epochs, delta)
         self._shift_inflight(deltas, epochs)
         self._shift_queues(deltas, epochs)
 
-    def _scale_counters(
-        self, epochs: int, before: dict, after: dict
-    ) -> None:
-        """Scale every cumulative counter by ``epochs`` steady deltas
-        (links, generators, sequence counters)."""
-        for link, old, now in zip(
-            self.network.links.values(), before["fixed"], after["fixed"]
+    def _scale_counters(self, epochs: int, delta: dict) -> None:
+        """Add ``epochs`` epochs' deltas to every cumulative counter that
+        moved in the epoch (links, generators, sequence counters)."""
+        links = list(self.network.links.values())
+        for index, moved in delta["links"]:
+            links[index].words_carried += epochs * moved
+        for gen, words, bursts in zip(
+            self.gens, delta["gen_words"], delta["gen_bursts"]
         ):
-            if now != old:
-                link.words_carried = now + epochs * (now - old)
-        for i, gen in enumerate(self.gens):
-            delta = after["gen_words"][i] - before["gen_words"][i]
-            if delta:
-                gen.words_generated = (
-                    after["gen_words"][i] + epochs * delta
-                )
-            delta = after["gen_bursts"][i] - before["gen_bursts"][i]
-            if delta:
-                gen.bursts_generated = (
-                    after["gen_bursts"][i] + epochs * delta
-                )
-        index = 0
-        chan_before = before["chan_vals"]
-        chan_after = after["chan_vals"]
-        for ni in self.nis_list:
-            for channel in sorted(ni._sequence_counters):
-                delta = chan_after[index] - chan_before[index]
-                if delta:
-                    ni._sequence_counters[channel] = (
-                        chan_after[index] + epochs * delta
-                    )
-                index += 1
+            if words:
+                gen.words_generated += epochs * words
+            if bursts:
+                gen.bursts_generated += epochs * bursts
+        nis = self.network.nis
+        for (name, channel), moved in delta["counters"].items():
+            nis[name]._sequence_counters[channel] += epochs * moved
+
+    def _landed(self, snap: dict, delta: dict, epochs: int) -> dict:
+        """The snapshot after ``epochs`` epochs replayed from ``snap``:
+        ``snap`` plus ``epochs`` deltas, read again only where a sink's
+        replayed sequence checks can write (findings, the fault log)."""
+        fixed = list(snap["fixed"])
+        for index, moved in delta["links"]:
+            fixed[index] += epochs * moved
+        return {
+            "fixed": fixed,
+            "counters": _plus(snap["counters"], delta["counters"], epochs),
+            "seqs": _plus(snap["seqs"], delta["seqs"], epochs),
+            "gen_words": [
+                now + epochs * d
+                for now, d in zip(snap["gen_words"], delta["gen_words"])
+            ],
+            "gen_bursts": [
+                now + epochs * d
+                for now, d in zip(snap["gen_bursts"], delta["gen_bursts"])
+            ],
+            "ledger": _plus(snap["ledger"], delta["ledger"], epochs),
+            "faults": len(self.stats.faults),
+            "dropped": snap["dropped"],
+            "findings": tuple(len(sink[0].findings) for sink in self.sinks),
+        }
 
     def _shift_inflight(self, deltas: Dict[str, int], epochs: int) -> None:
         """Rewrite in-flight words to their post-replay identities, and
@@ -2481,11 +2528,8 @@ class CompiledEngine:
     ) -> None:
         """Rewrite queued words to their post-replay identities."""
         cycles = epochs * self.period
-        for ni in self.nis_list:
-            for source in ni.source_channels.values():
-                self._shift_queue(source.queue, deltas, epochs, cycles)
-            for dest in ni.dest_channels.values():
-                self._shift_queue(dest.queue, deltas, epochs, cycles)
+        for _kind, _name, _channel, end in self._chans:
+            self._shift_queue(end.queue, deltas, epochs, cycles)
 
     @staticmethod
     def _shift_queue(
@@ -2513,6 +2557,14 @@ def _with_work(owners: List[Optional[_Owner]]) -> List[_Owner]:
         if owner is not None
         and (owner.source.queue or owner.dest and owner.dest.pending_credits)
     ]
+
+
+def _plus(values: Dict[Any, int], deltas: Dict[Any, int], k: int) -> dict:
+    """``values`` with ``k`` times each of ``deltas`` added."""
+    values = dict(values)
+    for key, delta in deltas.items():
+        values[key] += k * delta
+    return values
 
 
 def _shifted(word: Word, offset: int, cycles: int) -> Word:

@@ -18,16 +18,15 @@ cycle and holds no data-plane state:
   fully rebased (sink event cycles relative to the epoch start,
   sequences relative to the per-connection anchors, counters as
   per-epoch deltas) in a per-network LRU keyed (schedule image, traffic
-  roster, signature), so re-entering a seen regime replays at the
-  *first* boundary instead of re-probing two epochs.
+  roster, signature) — the first two hashed once per engine, into one
+  prefix the network shares — so re-entering a seen regime replays at
+  the *first* boundary instead of re-probing two epochs.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
-
-from .stats import counter_deltas
 
 #: Capacity (regimes) of the per-network regime cache: one entry per
 #: distinct steady regime; use-case campaigns rarely cycle through more
@@ -77,9 +76,13 @@ class EpochReplay:
     """Regime templates and bulk materialization for one engine.
 
     ``key`` is the ``(schedule image, roster key)`` prefix of this
-    engine's regime-cache entries.  The cache itself hangs off the
-    network, so it outlives the engines that use-case switches retire;
-    its hit and store counters are kept on the kernel.
+    engine's regime-cache entries.  It is hashed once, here: the
+    network maps each prefix it has seen to one ``prefix`` object, so
+    the entries are keyed ``(prefix, signature)`` and an engine built
+    for a schedule seen before shares the templates stored under it.
+    The cache itself hangs off the network, so it outlives the engines
+    that use-case switches retire; its hit and store counters are kept
+    on the kernel.
     """
 
     def __init__(
@@ -91,7 +94,6 @@ class EpochReplay:
     ) -> None:
         self.stats = network.stats
         self.kernel = network.kernel
-        self.key = key
         self.period = period
         self.sinks = sinks
         self.conn_ids: Dict[str, int] = {"": 0}  # id 0 <=> "no label"
@@ -100,7 +102,10 @@ class EpochReplay:
         if cache is None:
             cache = OrderedDict()
             network._regime_cache = cache
+            network._regime_prefixes = {}
         self.cache: OrderedDict = cache
+        self.prefixes: Dict[tuple, object] = network._regime_prefixes
+        self.prefix = self.prefixes.setdefault(key, object())
 
     def intern(self, connection: str) -> int:
         cid = self.conn_ids.get(connection)
@@ -115,8 +120,7 @@ class EpochReplay:
     def store(
         self,
         sig: tuple,
-        before: dict,
-        after: dict,
+        delta: dict,
         events: List[tuple],
         cycle: int,
         anchors: Dict[str, Tuple[int, int]],
@@ -125,17 +129,20 @@ class EpochReplay:
 
         The template is fully rebased: sink event cycles relative to the
         epoch start, sequences relative to the per-connection
-        ``anchors`` at the closing boundary, counter values (the
-        ledger's among them) as per-epoch deltas.  Loading re-anchors
-        against whatever absolute state the matching boundary presents,
-        so a template recorded before a use-case switch replays
-        bit-exactly after switching back.
+        ``anchors`` at the closing boundary, counters as the epoch's
+        ``delta`` (``CompiledEngine._epoch_delta``: keyed by link
+        position, NI and channel, connection or ledger key, never by
+        engine).  Loading re-anchors against whatever absolute state the
+        matching boundary presents, so a template recorded before a
+        use-case switch replays bit-exactly after switching back.
         """
         cache = self.cache
-        key = self.key + (sig,)
-        if key in cache:
+        key = (self.prefix, sig)
+        try:
             cache.move_to_end(key)
             return
+        except KeyError:
+            pass
         names = self.conn_names
         start = cycle - self.period
         rebased: List[tuple] = []
@@ -147,37 +154,14 @@ class EpochReplay:
             rebased.append(
                 (cyc - start, conn, seq, anchor is not None, sink_index)
             )
-        cache[key] = {
-            "chan_keys": after["chan_keys"],
-            "fixed_delta": [
-                a - b for a, b in zip(after["fixed"], before["fixed"])
-            ],
-            "chan_delta": [
-                a - b
-                for a, b in zip(after["chan_vals"], before["chan_vals"])
-            ],
-            "seq_delta": {
-                conn: after["seqs"][conn] - before["seqs"].get(conn, 0)
-                for conn in after["seqs"]
-            },
-            "gw_delta": [
-                a - b
-                for a, b in zip(after["gen_words"], before["gen_words"])
-            ],
-            "gb_delta": [
-                a - b
-                for a, b in zip(
-                    after["gen_bursts"], before["gen_bursts"]
-                )
-            ],
-            "ledger_delta": counter_deltas(
-                before["ledger"], after["ledger"]
-            ),
-            "events": tuple(rebased),
-        }
-        cache.move_to_end(key)
-        while len(cache) > REGIME_CACHE_CAPACITY:
+        cache[key] = (delta, tuple(rebased))
+        if len(cache) > REGIME_CACHE_CAPACITY:
             cache.popitem(last=False)
+            # A prefix no entry is stored under any more is forgotten.
+            kept = {prefix for prefix, _sig in cache}
+            prefixes = self.prefixes
+            for seen in [k for k, p in prefixes.items() if p not in kept]:
+                del prefixes[seen]
         self.kernel.regime_cache_stores += 1
 
     def load(
@@ -189,74 +173,38 @@ class EpochReplay:
     ) -> Optional[Tuple[dict, List[tuple]]]:
         """Rehydrate a cached regime template at a matching boundary.
 
-        Returns ``(before, events)`` shaped exactly like a live
-        two-probe capture: ``before`` is the current snapshot minus the
-        stored per-epoch deltas (so the engine's clean-deltas check
-        holds by construction and its horizon and counter scaling apply
-        unchanged), and ``events`` are the template's events
-        re-anchored to the live ``anchors`` and re-timed into the epoch
-        ending at ``cycle``.
+        Returns ``(delta, events)`` shaped exactly like a live
+        two-probe capture: the stored epoch deltas, and the template's
+        events re-anchored to the live ``anchors`` and re-timed into the
+        epoch ending at ``cycle``.
         """
         cache = self.cache
-        key = self.key + (sig,)
+        key = (self.prefix, sig)
         entry = cache.get(key)
-        if (
-            entry is None
-            or entry["chan_keys"] != snap["chan_keys"]
-            or not entry["ledger_delta"].keys() <= snap["ledger"].keys()
+        if entry is None:
+            return None
+        delta, template = entry
+        if not (
+            delta["ledger"].keys() <= snap["ledger"].keys()
+            and delta["counters"].keys() <= snap["counters"].keys()
         ):
-            # A count the template moves that the live ledger lacks
-            # (a connection, flow or latency not seen yet) has no
-            # boundary value to credit.
+            # A count the template moves that the live ledger or NI
+            # lacks (a connection, flow, latency or sequence counter not
+            # seen yet) has no boundary value to credit.
             return None
         cache.move_to_end(key)
         intern = self.intern
         start = cycle - self.period
         events: List[tuple] = []
-        for cyc, conn, seq, anchored, sink_index in entry["events"]:
+        for cyc, conn, seq, anchored, sink_index in template:
             if anchored:
                 anchor = anchors.get(conn)
                 if anchor is None:
                     return None
                 seq += anchor[0]
             events.append((cyc + start, intern(conn), seq, sink_index))
-        before = {
-            "fixed": [
-                now - d
-                for now, d in zip(snap["fixed"], entry["fixed_delta"])
-            ],
-            "chan_keys": snap["chan_keys"],
-            "chan_vals": [
-                now - d
-                for now, d in zip(
-                    snap["chan_vals"], entry["chan_delta"]
-                )
-            ],
-            "seqs": {
-                conn: snap["seqs"][conn]
-                - entry["seq_delta"].get(conn, 0)
-                for conn in snap["seqs"]
-            },
-            "gen_words": [
-                now - d
-                for now, d in zip(snap["gen_words"], entry["gw_delta"])
-            ],
-            "gen_bursts": [
-                now - d
-                for now, d in zip(
-                    snap["gen_bursts"], entry["gb_delta"]
-                )
-            ],
-            "ledger": {
-                key: now - entry["ledger_delta"].get(key, 0)
-                for key, now in snap["ledger"].items()
-            },
-            "faults": snap["faults"],
-            "dropped": snap["dropped"],
-            "findings": snap["findings"],
-        }
         self.kernel.regime_cache_hits += 1
-        return before, events
+        return delta, events
 
     # -- bulk epoch replay -------------------------------------------------------
 

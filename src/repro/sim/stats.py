@@ -123,10 +123,11 @@ class ConnectionStats(LatencyHistogram):
 def counter_deltas(
     before: Dict[tuple, int], after: Dict[tuple, int]
 ) -> Optional[Dict[tuple, int]]:
-    """The non-zero changes from one :meth:`StatsCollector.counters` to a
-    later one — or ``None`` when a connection or a flow opened in
-    between: a count with no earlier value to extrapolate from.  (A
-    latency first seen in between counts from zero.)"""
+    """The non-zero changes from one set of counts (such as
+    :meth:`StatsCollector.counters`) to a later one — or ``None`` when a
+    count opened in between (a connection, a flow, a sequence counter):
+    it has no earlier value to extrapolate from.  (A latency first seen
+    in between counts from zero.)"""
     deltas: Dict[tuple, int] = {}
     for key, value in after.items():
         old = before.get(key)

@@ -931,12 +931,12 @@ def run_probe_across_a_config_event(monkeypatch):
             config_cycles.append(cycle)
         return original_turn(self, cycle)
 
-    def store(self, sig, before, after, events, cycle, anchors):
+    def store(self, sig, delta, events, cycle, anchors):
         spans.append((cycle - self.period, cycle))
-        return original_store(self, sig, before, after, events, cycle, anchors)
+        return original_store(self, sig, delta, events, cycle, anchors)
 
-    def replay(self, epochs, before, after, events, cycle):
-        original_replay(self, epochs, before, after, events, cycle)
+    def replay(self, epochs, delta, after, events, cycle):
+        original_replay(self, epochs, delta, after, events, cycle)
         spans.append((cycle, cycle + epochs * self.period))
 
     monkeypatch.setattr(ConfigPort, "_decode_deposit", decode)

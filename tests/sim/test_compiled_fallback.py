@@ -464,7 +464,7 @@ def test_parity_is_checked_at_arrival_and_taints_the_epoch():
     """A word corrupted in flight is dropped by the engine's ARRIVE
     with a ``parity_error`` fault, exactly as the stepped NI drops it,
     and the epoch it happened in is no replay template
-    (``_deltas_clean``): the statistics stay those of the naive
+    (``_epoch_delta``): the statistics stay those of the naive
     kernel through the replayed epochs that follow."""
 
     def corrupted_run(mode):
@@ -503,8 +503,8 @@ def test_parity_is_checked_at_arrival_and_taints_the_epoch():
     }
     assert net.total_dropped_words == 1 and not sink.clean
     tainted = engine._snapshot(net.kernel.cycle)
-    assert engine._deltas_clean(clean, clean)
-    assert not engine._deltas_clean(clean, tainted)
+    assert engine._epoch_delta(clean, clean) is not None
+    assert engine._epoch_delta(clean, tainted) is None
 
     reference, reference_sink = corrupted_run(NAIVE_MODE)
     reference.run(2_040)

@@ -34,6 +34,7 @@ from repro.sim.lowering import (
     LoweredOp,
     _render_trajectory,
 )
+from repro.sim.replay import EpochReplay
 from repro.staticcheck import prove_network
 from repro.topology import ConfigTree, build_mesh, ni_name
 from repro.traffic import CbrGenerator, CheckingSink, random_traffic_pattern
@@ -42,11 +43,12 @@ from ..conftest import other_element_packet
 from ..differential import plant
 
 
-def benchmark_fabric():
+def benchmark_fabric(periods=(61, 67, 71, 73, 79)):
     """The benchmark's fabric shape, built through the library: a 12x12
     mesh, 48 flow-controlled connections and 4 three-leaf multicast
-    trees, each stream fed by a CBR generator at one of the coprime
-    periods 61/67/71/73/79 and drained by a sink per destination.
+    trees, each stream fed by a CBR generator at one of ``periods``
+    (by default the coprime 61/67/71/73/79, which never repeat) and
+    drained by a sink per destination.
     Returns the network and its streams, ``(label, source NI, source
     channel, [(destination NI, channel), ...])``."""
     mesh = build_mesh(12, 12)
@@ -93,7 +95,6 @@ def benchmark_fabric():
                 [(leaf, handle.dst_channels[leaf]) for leaf in tree.dst_nis],
             )
         )
-    periods = (61, 67, 71, 73, 79)
     for index, (label, src, channel, leaves) in enumerate(streams):
         net.kernel.add(
             CbrGenerator(
@@ -495,6 +496,86 @@ class TestRunBoundaryWork:
         )
         reads, _ = self.entry_work(monkeypatch, net, self.step_one_cycle)
         assert reads == 0
+
+
+class TestReplayBoundaryWork:
+    """What a replay boundary costs on the benchmark fabric run at one
+    generator period (the ``fabric_replay`` workload's shape), as
+    counts over slices that each cross one boundary and replay from
+    it: the mesh-wide snapshots taken and the times the schedule image
+    is hashed.  A boundary snapshots the mesh once — the landing's
+    snapshot is the probe's plus the replayed epochs' deltas — and the
+    regime cache's ``(schedule image, roster)`` key prefix is hashed
+    once per engine, not at every store or load."""
+
+    SLICES = 8
+    SLICE = 100_000
+
+    @staticmethod
+    def boundary_work(monkeypatch):
+        """``(counts, kernel stats before, kernel stats after)`` over
+        :attr:`SLICES` slices of the replaying fabric, once its engine
+        stored its template; counts are of ``_signature`` calls (the
+        boundaries probed), ``_snapshot`` calls and schedule-image
+        hashes."""
+        counts = Counter()
+
+        class Image(tuple):
+            def __hash__(self):
+                counts["image hashes"] += 1
+                return super().__hash__()
+
+        image = compiled._schedule_image
+        monkeypatch.setattr(
+            compiled, "_schedule_image", lambda network: Image(image(network))
+        )
+        for name, key in (("_signature", "boundaries"), ("_snapshot", "snapshots")):
+            original = getattr(compiled.CompiledEngine, name)
+
+            def counted(*args, _original=original, _key=key):
+                counts[_key] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(compiled.CompiledEngine, name, counted)
+        net, _ = benchmark_fabric(periods=(64,))
+        net.run(4096)
+        before = net.kernel.kernel_stats()
+        assert before["regime_cache_stores"] == 1
+        counts.clear()
+        for _ in range(TestReplayBoundaryWork.SLICES):
+            net.run(TestReplayBoundaryWork.SLICE)
+        return counts, before, net.kernel.kernel_stats()
+
+    def test_one_snapshot_per_boundary_and_no_image_hash(self, monkeypatch):
+        counts, before, after = self.boundary_work(monkeypatch)
+        replayed = after["replayed_cycles"] - before["replayed_cycles"]
+        assert replayed >= self.SLICES * (self.SLICE - 2 * 64)
+        assert after["replay_refusals"] == {}
+        assert counts["boundaries"] == self.SLICES
+        assert counts["snapshots"] <= counts["boundaries"]
+        assert counts["image hashes"] == 0
+
+    def test_a_landing_that_snapshots_the_mesh_is_killed(self, monkeypatch):
+        plant(
+            monkeypatch,
+            "prev_snap = self._landed(snap, delta, epochs)",
+            "prev_snap = self._snapshot(cycle)",
+        )
+        counts, _, _ = self.boundary_work(monkeypatch)
+        assert counts["snapshots"] == 2 * counts["boundaries"]
+
+    def test_a_prefix_hashed_at_every_store_is_killed(self, monkeypatch):
+        """The raw ``(schedule image, roster)`` key as the prefix: sound,
+        and sharing, but the image is hashed at every boundary."""
+        plant(
+            monkeypatch,
+            "self.prefix = self.prefixes.setdefault(key, object())",
+            "self.prefix = key",
+            owner=EpochReplay,
+            method="__init__",
+        )
+        counts, _, _ = self.boundary_work(monkeypatch)
+        assert counts["image hashes"] >= counts["boundaries"]
 
 
 def per_entry_rendering(lowered, wheel):
