@@ -9,8 +9,9 @@ wheel size of 16 this is a 6.25% loss of data bandwidth."
 This module provides:
 
 * :func:`reserve_config_slots` — claims the reserved slot on every NI
-  link in a :class:`~repro.alloc.slot_alloc.LinkSlotLedger`, so data
-  allocation sees the reduced capacity (the C3 bandwidth experiment);
+  link in the allocator's :class:`~repro.alloc.slot_alloc.LinkSlotLedger`
+  (the one ledger), so data allocation sees the reduced capacity (the C3
+  bandwidth experiment);
 * :class:`AeliteConfigModel` — a cycle-count model of connection set-up
   and tear-down over those reserved slots.  Each register access waits
   for the next reserved-slot occurrence (up to a full TDM wheel), plus
@@ -45,7 +46,9 @@ def reserve_config_slots(
     topology: Topology,
     slot: int = 0,
 ) -> int:
-    """Claim the reserved config slot on every NI-router link pair.
+    """Claim the reserved config slot on every NI-router link pair,
+    one per-slot :meth:`~repro.alloc.slot_alloc.LinkSlotLedger.claim`
+    per direction, under :data:`CONFIG_LABEL`.
 
     Returns the number of (link, slot) pairs claimed.
     """

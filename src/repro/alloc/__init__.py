@@ -24,16 +24,7 @@ from .serialize import (
     schedule_from_json,
     schedule_to_json,
 )
-from .slot_alloc import (
-    ALLOC_ENGINE_ENV,
-    BITMASK_ENGINE,
-    REFERENCE_ENGINE,
-    BitmaskLinkSlotLedger,
-    LinkSlotLedger,
-    SlotAllocator,
-    default_alloc_engine,
-    make_ledger,
-)
+from .slot_alloc import LinkSlotLedger, SlotAllocator
 from .spec import (
     AllocatedChannel,
     broadcast_request,
@@ -67,14 +58,8 @@ __all__ = [
     "allocation_to_dict",
     "schedule_from_json",
     "schedule_to_json",
-    "ALLOC_ENGINE_ENV",
-    "BITMASK_ENGINE",
-    "REFERENCE_ENGINE",
-    "BitmaskLinkSlotLedger",
     "LinkSlotLedger",
     "SlotAllocator",
-    "default_alloc_engine",
-    "make_ledger",
     "AllocatedChannel",
     "broadcast_request",
     "AllocatedConnection",

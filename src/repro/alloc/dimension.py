@@ -98,12 +98,9 @@ def _fits(
     params: NetworkParameters,
     spec: PlatformSpec,
     placement: Dict[str, str],
-    engine: Optional[str] = None,
 ) -> bool:
     for usecase in spec.usecases:
-        allocator = SlotAllocator(
-            topology=topology, params=params, engine=engine
-        )
+        allocator = SlotAllocator(topology=topology, params=params)
         try:
             for request in _bind(usecase, placement).connections:
                 allocator.allocate_connection(request)
@@ -199,15 +196,12 @@ def dimension_platform(
     slot_table_sizes: Sequence[int] = (8, 16, 32),
     placement: Optional[Dict[str, str]] = None,
     base_params: Optional[NetworkParameters] = None,
-    engine: Optional[str] = None,
 ) -> DimensioningResult:
     """Find the cheapest (mesh, T) combination that fits ``spec``.
 
     Candidates are tried in increasing estimated-area order; the first
     one whose every use case allocates wins.  With ``placement`` the
     caller pins IPs to NIs; otherwise IPs are placed in raster order.
-
-    ``engine`` pins the allocator's ledger engine for every evaluation.
 
     Raises:
         AllocationError: if nothing within the search space fits.
@@ -217,9 +211,7 @@ def dimension_platform(
         spec, max_side, slot_table_sizes, placement, base
     )
     for cost, width, height, params, chosen in points:
-        if _fits(
-            build_mesh(width, height), params, spec, chosen, engine
-        ):
+        if _fits(build_mesh(width, height), params, spec, chosen):
             return DimensioningResult(
                 width=width,
                 height=height,

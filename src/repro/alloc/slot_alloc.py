@@ -9,24 +9,15 @@ the *k*-th link of its path, so a base slot is admissible only if that
 whole diagonal of claims is free — the classical slot-alignment constraint
 of contention-free routing.
 
-Two ledger *engines* implement that book-keeping:
-
-* ``reference`` — :class:`LinkSlotLedger`, a dict-of-dicts probed slot by
-  slot.  Simple, obviously correct, kept as the semantic baseline
-  (mirroring the simulator's naive kernel mode).
-* ``bitmask`` — :class:`BitmaskLinkSlotLedger`, which keeps each directed
-  link's occupancy as a single integer.  The admissible-set computation
-  becomes one cyclic rotation and OR per link of the path (O(path
-  length) word operations instead of O(T x path length) dict probes),
-  claiming a whole channel is one rotated-mask OR per link, and
-  speculative allocation uses an O(1) snapshot with journalled rollback
-  instead of claim-then-unwind.
-
-The engine is chosen per :class:`SlotAllocator` (``engine=...``) or
-globally via the ``REPRO_ALLOC_ENGINE`` environment variable; both
-engines allocate *identically* (same admissible sets, same picked slots,
-same errors), which the differential property tests in
-``tests/properties/test_alloc_engine_equiv.py`` enforce.
+:class:`LinkSlotLedger` keeps each directed link's occupancy as a single
+integer.  The admissible-set computation is one cyclic rotation and OR
+per link of the path (O(path length) word operations, not O(T x path
+length) per-slot probes), claiming a whole channel is one rotated-mask
+OR per link, and speculative allocation uses an O(1) snapshot with
+journalled rollback instead of claim-then-unwind.  The test suite keeps
+a dict-of-dicts model of the same book, probed slot by slot, and
+``tests/properties/test_alloc_engine_equiv.py`` drives both through the
+same workloads: same admissible sets, same picked slots, same errors.
 
 Two slot-picking policies are offered: ``first`` (lowest admissible
 slots — compact) and ``spread`` (maximize spacing over the wheel — it
@@ -39,7 +30,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..errors import AllocationError, SlotConflictError, env_choice
+from ..errors import AllocationError, SlotConflictError
 from ..params import NetworkParameters
 from ..topology import Topology
 from .pathfind import cached_route, path_via_tree
@@ -52,32 +43,9 @@ from .spec import (
     MulticastRequest,
 )
 
-#: Environment variable selecting the default ledger engine.
-ALLOC_ENGINE_ENV = "REPRO_ALLOC_ENGINE"
-#: Bitmask occupancy engine (rotate-and-OR admissibility, one mask
-#: operation per link claimed or released, journalled snapshot/rollback).
-BITMASK_ENGINE = "bitmask"
-#: Reference engine: per-slot dict probes, the semantic baseline.
-REFERENCE_ENGINE = "reference"
-
-_ENGINES = (BITMASK_ENGINE, REFERENCE_ENGINE)
-
 # Journal operation tags (see LinkSlotLedger.snapshot).
-_OP_CLAIM_SLOT = "slot+"
-_OP_RELEASE_SLOT = "slot-"
 _OP_CLAIM_MASK = "mask+"
 _OP_RELEASE_MASK = "mask-"
-
-
-def default_alloc_engine() -> str:
-    """Ledger engine from ``REPRO_ALLOC_ENGINE`` (``bitmask`` when unset).
-
-    Raises:
-        AllocationError: if the variable holds an unknown engine.
-    """
-    return env_choice(
-        ALLOC_ENGINE_ENV, BITMASK_ENGINE, _ENGINES, AllocationError
-    )
 
 
 def iter_mask_slots(mask: int) -> Iterator[int]:
@@ -91,254 +59,6 @@ def iter_mask_slots(mask: int) -> Iterator[int]:
 class LinkSlotLedger:
     """Book-keeping of which connection owns each (link, slot) pair.
 
-    This is the *reference* engine: every query walks the per-edge slot
-    dict.  A channel or tree is claimed only through
-    :meth:`probe_rotations` → :meth:`claim_prepared` and released only
-    through :meth:`release_rotations`; besides those, the write surface
-    is the per-slot :meth:`claim` / :meth:`release` and the journalled
-    snapshot/rollback.  Here the channel operations decompose into the
-    per-slot primitives, so subclasses only override the hot paths.
-    """
-
-    engine = REFERENCE_ENGINE
-
-    def __init__(self, slot_table_size: int) -> None:
-        self.slot_table_size = slot_table_size
-        self._claims: Dict[Tuple[str, str], Dict[int, str]] = {}
-        # Undo journal for speculative allocation, appended only while a
-        # snapshot is outstanding; entries are (op, edge, slot-or-mask,
-        # label) and record exactly the state delta to reverse.
-        self._journal: List[Tuple[str, Tuple[str, str], int, str]] = []
-        self._snapshots = 0
-        #: Bumped by every write: what a connection plan is stamped with.
-        self.version = 0
-
-    def owner(self, edge: Tuple[str, str], slot: int) -> Optional[str]:
-        """Label owning ``slot`` on ``edge``, or ``None``."""
-        return self._claims.get(edge, {}).get(slot % self.slot_table_size)
-
-    def is_free(self, edge: Tuple[str, str], slot: int) -> bool:
-        return self.owner(edge, slot) is None
-
-    # -- write hooks (subclasses keep auxiliary state in sync here) ------------
-
-    def _set(self, edge: Tuple[str, str], slot: int, label: str) -> None:
-        """Record ``label``'s ownership of a (known-compatible) slot."""
-        self.version += 1
-        self._claims.setdefault(edge, {})[slot] = label
-
-    def _clear(self, edge: Tuple[str, str], slot: int, label: str) -> None:
-        """Forget ``label``'s (known-held) claim of one slot."""
-        self.version += 1
-        slots = self._claims[edge]
-        del slots[slot]
-        if not slots:
-            # Drop the edge key with its last slot; otherwise empty
-            # per-edge dicts accumulate without bound across use-case
-            # switches and pollute any iteration over claimed edges.
-            del self._claims[edge]
-
-    # -- claims ----------------------------------------------------------------
-
-    def claim(
-        self, edge: Tuple[str, str], slot: int, label: str
-    ) -> None:
-        """Claim one (link, slot) pair.
-
-        Raises:
-            SlotConflictError: if already owned by a different label.
-        """
-        slot %= self.slot_table_size
-        owner = self.owner(edge, slot)
-        if owner is not None:
-            if owner != label:
-                raise SlotConflictError(
-                    f"link {edge} slot {slot} owned by {owner!r}; "
-                    f"cannot claim for {label!r}"
-                )
-            return  # re-claim by the same label: no state change
-        if self._snapshots:
-            self._journal.append((_OP_CLAIM_SLOT, edge, slot, label))
-        self._set(edge, slot, label)
-
-    def release(self, edge: Tuple[str, str], slot: int, label: str) -> None:
-        """Release one claim.
-
-        Raises:
-            SlotConflictError: if the claim is not owned by ``label``.
-        """
-        slot %= self.slot_table_size
-        owner = self.owner(edge, slot)
-        if owner != label:
-            raise SlotConflictError(
-                f"link {edge} slot {slot} owned by {owner!r}, not "
-                f"{label!r}; cannot release"
-            )
-        if self._snapshots:
-            self._journal.append((_OP_RELEASE_SLOT, edge, slot, label))
-        self._clear(edge, slot, label)
-
-    def _rotated(
-        self,
-        diagonal: Sequence[Tuple[Tuple[str, str], int]],
-        base_mask: int,
-    ) -> Iterator[Tuple[Tuple[str, str], int]]:
-        """``(edge, slot mask)`` per pair of ``diagonal``: ``base_mask``
-        rotated left by the pair's offset — exactly the claims
-        :meth:`~repro.alloc.spec.AllocatedChannel.link_claims`
-        enumerates, grouped per edge."""
-        size = self.slot_table_size
-        full = (1 << size) - 1
-        for edge, offset in diagonal:
-            shift = offset % size
-            yield edge, (
-                (base_mask << shift) | (base_mask >> (size - shift))
-            ) & full
-
-    def probe_rotations(
-        self, diagonal: Sequence[Tuple[Tuple[str, str], int]]
-    ):
-        """The ledger's one admissibility read, with a claim context.
-
-        ``diagonal`` holds one ``(edge, offset)`` pair per path link:
-        base slot *b* is admissible iff slot ``(b + offset) mod T`` is
-        free on every edge.  Returns ``(admissible mask, context)``: bit
-        *b* of the mask is set iff *b* is admissible, and the context
-        passed to :meth:`claim_prepared` lets an engine reuse work done
-        during the probe (the bitmask engine reuses its per-link entry
-        lookups).  The context is only valid until the next ledger
-        mutation: probe, pick, claim — nothing in between.
-        """
-        mask = 0
-        for base in range(self.slot_table_size):
-            if all(
-                self.is_free(edge, base + offset)
-                for edge, offset in diagonal
-            ):
-                mask |= 1 << base
-        return mask, diagonal
-
-    def claim_prepared(self, context, base_mask: int, label: str) -> None:
-        """Claim a whole channel: ``base_mask`` rotated along the claim
-        diagonal of a context from :meth:`probe_rotations`.
-
-        Atomic: each edge's mask is validated in full (lowest
-        conflicting slot reported) before any of its slots is claimed,
-        and on conflict everything already claimed here is rolled back
-        before the error propagates.
-
-        Raises:
-            SlotConflictError: as :meth:`claim`.
-        """
-        token = self.snapshot()
-        try:
-            for edge, mask in self._rotated(context, base_mask):
-                for slot in iter_mask_slots(mask):
-                    owner = self.owner(edge, slot)
-                    if owner is not None and owner != label:
-                        raise SlotConflictError(
-                            f"link {edge} slot {slot} owned by "
-                            f"{owner!r}; cannot claim for {label!r}"
-                        )
-                for slot in iter_mask_slots(mask):
-                    self.claim(edge, slot, label)
-        except SlotConflictError:
-            self.rollback(token)
-            raise
-        self.commit(token)
-
-    def release_rotations(
-        self,
-        diagonal: Sequence[Tuple[Tuple[str, str], int]],
-        base_mask: int,
-        label: str,
-    ) -> None:
-        """Release a whole channel claimed via :meth:`claim_prepared`.
-
-        Atomic per edge: each edge's mask is validated in full (lowest
-        slot not held reported) before any of its slots is released.
-
-        Raises:
-            SlotConflictError: as :meth:`release`.
-        """
-        for edge, mask in self._rotated(diagonal, base_mask):
-            for slot in iter_mask_slots(mask):
-                owner = self.owner(edge, slot)
-                if owner != label:
-                    raise SlotConflictError(
-                        f"link {edge} slot {slot} owned by {owner!r}, "
-                        f"not {label!r}; cannot release"
-                    )
-            for slot in iter_mask_slots(mask):
-                self.release(edge, slot, label)
-
-    # -- speculative allocation ------------------------------------------------
-
-    def snapshot(self) -> int:
-        """Open a speculation scope; O(1).
-
-        Every ``claim``/``release`` until the matching :meth:`rollback`
-        or :meth:`commit` is journalled.  Scopes nest: an inner rollback
-        undoes only the inner scope's writes.
-        """
-        self._snapshots += 1
-        return len(self._journal)
-
-    def rollback(self, token: int) -> None:
-        """Undo every write since ``snapshot`` returned ``token``."""
-        while len(self._journal) > token:
-            op, edge, value, label = self._journal.pop()
-            if op == _OP_CLAIM_SLOT:
-                self._clear(edge, value, label)
-            elif op == _OP_RELEASE_SLOT:
-                self._set(edge, value, label)
-            elif op == _OP_CLAIM_MASK:
-                for slot in iter_mask_slots(value):
-                    self._clear(edge, slot, label)
-            elif op == _OP_RELEASE_MASK:
-                for slot in iter_mask_slots(value):
-                    self._set(edge, slot, label)
-            else:  # pragma: no cover - internal invariant
-                raise AllocationError(f"corrupt journal op {op!r}")
-        self._close_scope()
-
-    def commit(self, token: int) -> None:
-        """Keep every write since ``snapshot`` returned ``token``."""
-        del token
-        self._close_scope()
-
-    def _close_scope(self) -> None:
-        if self._snapshots <= 0:
-            raise AllocationError(
-                "ledger snapshot underflow: rollback/commit without "
-                "a matching snapshot"
-            )
-        self._snapshots -= 1
-        if self._snapshots == 0:
-            self._journal.clear()
-
-    # -- queries ---------------------------------------------------------------
-
-    def link_utilization(self, edge: Tuple[str, str]) -> float:
-        """Fraction of slots claimed on one directed link."""
-        return len(self._claims.get(edge, {})) / self.slot_table_size
-
-    def free_slot_count(self, edge: Tuple[str, str]) -> int:
-        """Unclaimed slots remaining on one directed link — the
-        residual-capacity input of the admission oracle."""
-        return self.slot_table_size - len(self._claims.get(edge, {}))
-
-    def total_claims(self) -> int:
-        return sum(len(slots) for slots in self._claims.values())
-
-    def claimed_edges(self) -> List[Tuple[str, str]]:
-        """Directed links currently carrying at least one claim."""
-        return sorted(self._claims)
-
-
-class BitmaskLinkSlotLedger(LinkSlotLedger):
-    """Bitmask engine: per-link occupancy as a single integer.
-
     ``_links[edge]`` is a two-element list ``[occupancy, labels]``: bit
     *s* of ``occupancy`` is set iff slot *s* is claimed on ``edge``, and
     ``labels`` maps each owning label to its bitmask of slots (ownership
@@ -346,17 +66,28 @@ class BitmaskLinkSlotLedger(LinkSlotLedger):
     entry so the hot paths hash each edge tuple exactly once.
     Admissibility is a rotate-and-OR per path link, and claiming or
     releasing a channel's slots on one link is a single mask operation.
+
+    A channel or tree is claimed only through :meth:`probe_rotations`
+    → :meth:`claim_prepared` and released only through
+    :meth:`release_rotations`; besides those, the write surface is the
+    per-slot :meth:`claim` (a one-edge :meth:`claim_prepared`) and the
+    journalled snapshot/rollback.
     """
 
-    engine = BITMASK_ENGINE
-
     def __init__(self, slot_table_size: int) -> None:
-        super().__init__(slot_table_size)
+        self.slot_table_size = slot_table_size
         self._links: Dict[Tuple[str, str], List] = {}
         self._full_mask = (1 << slot_table_size) - 1
-        del self._claims  # the reference structure is never maintained
+        # Undo journal for speculative allocation, appended only while a
+        # snapshot is outstanding; entries are (op, edge, mask, label)
+        # and record exactly the state delta to reverse.
+        self._journal: List[Tuple[str, Tuple[str, str], int, str]] = []
+        self._snapshots = 0
+        #: Bumped by every write: what a connection plan is stamped with.
+        self.version = 0
 
     def owner(self, edge: Tuple[str, str], slot: int) -> Optional[str]:
+        """Label owning ``slot`` on ``edge``, or ``None``."""
         entry = self._links.get(edge)
         if entry is None:
             return None
@@ -374,36 +105,36 @@ class BitmaskLinkSlotLedger(LinkSlotLedger):
             entry[0] >> (slot % self.slot_table_size)
         ) & 1
 
-    def _set(self, edge: Tuple[str, str], slot: int, label: str) -> None:
-        self.version += 1
-        bit = 1 << slot
-        entry = self._links.get(edge)
-        if entry is None:
-            self._links[edge] = [bit, {label: bit}]
-            return
-        entry[0] |= bit
-        labels = entry[1]
-        labels[label] = labels.get(label, 0) | bit
+    # -- claims ----------------------------------------------------------------
 
-    def _clear(self, edge: Tuple[str, str], slot: int, label: str) -> None:
-        self.version += 1
-        bit = 1 << slot
-        entry = self._links[edge]
-        remaining = entry[0] & ~bit
-        if not remaining:
-            del self._links[edge]
-            return
-        entry[0] = remaining
-        labels = entry[1]
-        kept = labels[label] & ~bit
-        if kept:
-            labels[label] = kept
-        else:
-            del labels[label]
+    def claim(
+        self, edge: Tuple[str, str], slot: int, label: str
+    ) -> None:
+        """Claim one (link, slot) pair; a re-claim by the owner is a
+        no-op.
+
+        Raises:
+            SlotConflictError: if already owned by a different label.
+        """
+        self.claim_prepared(
+            ((edge, 0, self._links.get(edge)),),
+            1 << (slot % self.slot_table_size),
+            label,
+        )
 
     def probe_rotations(
         self, diagonal: Sequence[Tuple[Tuple[str, str], int]]
     ):
+        """The ledger's one admissibility read, with a claim context.
+
+        ``diagonal`` holds one ``(edge, offset)`` pair per path link:
+        base slot *b* is admissible iff slot ``(b + offset) mod T`` is
+        free on every edge.  Returns ``(admissible mask, context)``: bit
+        *b* of the mask is set iff *b* is admissible, and the context
+        passed to :meth:`claim_prepared` holds the per-link entries the
+        probe looked up.  The context is only valid until the next
+        ledger mutation: probe, pick, claim — nothing in between.
+        """
         # Rotate-and-OR: base *b* collides on a link with offset *o*
         # iff bit (b + o) mod T of its occupancy is set, i.e. iff bit
         # *b* of the occupancy rotated right by *o* is.  The same pass
@@ -432,6 +163,17 @@ class BitmaskLinkSlotLedger(LinkSlotLedger):
         return full & ~blocked, prepared
 
     def claim_prepared(self, context, base_mask: int, label: str) -> None:
+        """Claim a whole channel: ``base_mask`` rotated along the claim
+        diagonal of a context from :meth:`probe_rotations`.
+
+        Atomic: each edge's mask is validated in full (lowest
+        conflicting slot reported) before any of its slots is claimed,
+        and on conflict everything already claimed here is rolled back
+        before the error propagates.
+
+        Raises:
+            SlotConflictError: if a slot is owned by a different label.
+        """
         size = self.slot_table_size
         full = self._full_mask
         links = self._links
@@ -480,6 +222,14 @@ class BitmaskLinkSlotLedger(LinkSlotLedger):
         base_mask: int,
         label: str,
     ) -> None:
+        """Release a whole channel claimed via :meth:`claim_prepared`.
+
+        Atomic per edge: each edge's mask is validated in full (lowest
+        slot not held reported) before any of its slots is released.
+
+        Raises:
+            SlotConflictError: if a slot is not owned by ``label``.
+        """
         # One loop iteration per path link, everything inlined: an edge
         # is checked in full, then released with one mask operation.
         size = self.slot_table_size
@@ -516,16 +266,25 @@ class BitmaskLinkSlotLedger(LinkSlotLedger):
             else:
                 del entry[1][label]
 
+    # -- speculative allocation ------------------------------------------------
+
+    def snapshot(self) -> int:
+        """Open a speculation scope; O(1).
+
+        Every write until the matching :meth:`rollback` or
+        :meth:`commit` is journalled.  Scopes nest: an inner rollback
+        undoes only the inner scope's writes.
+        """
+        self._snapshots += 1
+        return len(self._journal)
+
     def rollback(self, token: int) -> None:
+        """Undo every write since ``snapshot`` returned ``token``."""
         links = self._links
         self.version += 1
         while len(self._journal) > token:
             op, edge, value, label = self._journal.pop()
-            if op == _OP_CLAIM_SLOT:
-                self._clear(edge, value, label)
-            elif op == _OP_RELEASE_SLOT:
-                self._set(edge, value, label)
-            elif op == _OP_CLAIM_MASK:
+            if op == _OP_CLAIM_MASK:
                 # Reverse of the fresh-bit application in
                 # claim_prepared.
                 entry = links[edge]
@@ -552,12 +311,31 @@ class BitmaskLinkSlotLedger(LinkSlotLedger):
                 raise AllocationError(f"corrupt journal op {op!r}")
         self._close_scope()
 
+    def commit(self, token: int) -> None:
+        """Keep every write since ``snapshot`` returned ``token``."""
+        del token
+        self._close_scope()
+
+    def _close_scope(self) -> None:
+        if self._snapshots <= 0:
+            raise AllocationError(
+                "ledger snapshot underflow: rollback/commit without "
+                "a matching snapshot"
+            )
+        self._snapshots -= 1
+        if self._snapshots == 0:
+            self._journal.clear()
+
+    # -- queries ---------------------------------------------------------------
+
     def link_utilization(self, edge: Tuple[str, str]) -> float:
-        entry = self._links.get(edge)
-        claimed = 0 if entry is None else entry[0].bit_count()
-        return claimed / self.slot_table_size
+        """Fraction of slots claimed on one directed link."""
+        size = self.slot_table_size
+        return (size - self.free_slot_count(edge)) / size
 
     def free_slot_count(self, edge: Tuple[str, str]) -> int:
+        """Unclaimed slots remaining on one directed link — the
+        residual-capacity input of the admission oracle."""
         entry = self._links.get(edge)
         claimed = 0 if entry is None else entry[0].bit_count()
         return self.slot_table_size - claimed
@@ -568,25 +346,8 @@ class BitmaskLinkSlotLedger(LinkSlotLedger):
         )
 
     def claimed_edges(self) -> List[Tuple[str, str]]:
+        """Directed links currently carrying at least one claim."""
         return sorted(self._links)
-
-
-def make_ledger(
-    slot_table_size: int, engine: Optional[str] = None
-) -> LinkSlotLedger:
-    """Build a ledger of the requested (or environment-default) engine.
-
-    Raises:
-        AllocationError: on an unknown engine name.
-    """
-    resolved = (engine or default_alloc_engine()).strip().lower()
-    if resolved == REFERENCE_ENGINE:
-        return LinkSlotLedger(slot_table_size)
-    if resolved == BITMASK_ENGINE:
-        return BitmaskLinkSlotLedger(slot_table_size)
-    raise AllocationError(
-        f"unknown ledger engine {resolved!r}; expected one of {_ENGINES}"
-    )
 
 
 def _spread_pick(candidates: Sequence[int], count: int, size: int) -> List[int]:
@@ -672,15 +433,12 @@ class SlotAllocator:
         params: Network parameters (for the wheel size T).
         routing: ``"xy"`` (meshes) or ``"shortest"``.
         policy: Slot-picking policy, ``"first"`` or ``"spread"``.
-        engine: Ledger engine, ``"bitmask"`` or ``"reference"``
-            (``None`` = the ``REPRO_ALLOC_ENGINE`` default).
     """
 
     topology: Topology
     params: NetworkParameters
     routing: str = "shortest"
     policy: str = "spread"
-    engine: Optional[str] = None
     ledger: LinkSlotLedger = field(init=False)
 
     def __post_init__(self) -> None:
@@ -688,10 +446,7 @@ class SlotAllocator:
             raise AllocationError(f"unknown routing {self.routing!r}")
         if self.policy not in ("first", "spread"):
             raise AllocationError(f"unknown policy {self.policy!r}")
-        self.ledger = make_ledger(
-            self.params.slot_table_size, self.engine
-        )
-        self.engine = self.ledger.engine
+        self.ledger = LinkSlotLedger(self.params.slot_table_size)
         self._plan: Optional[ConnectionPlan] = None
 
     # -- path & base-slot machinery ---------------------------------------------

@@ -13,7 +13,7 @@ of the system".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..errors import AllocationError
 from ..params import NetworkParameters
@@ -69,13 +69,11 @@ class UseCaseManager:
         params: NetworkParameters,
         routing: str = "shortest",
         policy: str = "spread",
-        engine: Optional[str] = None,
     ) -> None:
         self.topology = topology
         self.params = params
         self.routing = routing
         self.policy = policy
-        self.engine = engine
         self.usecases: Dict[str, UseCase] = {}
         self.allocations: Dict[str, Dict[str, AllocatedConnection]] = {}
 
@@ -97,7 +95,6 @@ class UseCaseManager:
             params=self.params,
             routing=self.routing,
             policy=self.policy,
-            engine=self.engine,
         )
         allocated: Dict[str, AllocatedConnection] = {}
         for request in usecase.connections:

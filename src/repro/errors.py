@@ -2,16 +2,10 @@
 
 All library-specific errors derive from :class:`ReproError` so callers can
 catch any failure of the toolflow or the simulator with a single clause
-while still being able to discriminate the precise cause.  The one
-parser of the ``REPRO_*`` environment variables, :func:`env_choice`,
-lives here too, so every malformed value fails through the same typed
-path.
+while still being able to discriminate the precise cause.
 """
 
 from __future__ import annotations
-
-import os
-from typing import Sequence, Type
 
 
 class ReproError(Exception):
@@ -114,21 +108,3 @@ class ServiceConfigError(ServiceError):
     non-positive shard count, a float where cycles are counted, a
     backoff cap below its base, a churn mix that sums to zero)."""
 
-
-def env_choice(
-    name: str,
-    default: str,
-    choices: Sequence[str],
-    error: Type[ReproError],
-) -> str:
-    """The environment variable ``name`` (``default`` when unset),
-    stripped and lower-cased.
-
-    Raises:
-        ReproError: ``error``, naming the variable and ``choices``, if
-            the value is not one of them.
-    """
-    value = os.environ.get(name, default).strip().lower()
-    if value not in choices:
-        raise error(f"{name}={value!r} is not one of {tuple(choices)}")
-    return value

@@ -95,11 +95,12 @@ cycle since its last exit.
 
 from __future__ import annotations
 
+import os
 from abc import ABC, abstractmethod
 from heapq import heappop, heappush
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
-from ..errors import ReproError, SimulationError, env_choice
+from ..errors import ReproError, SimulationError
 
 #: Environment variable selecting the default kernel mode.
 KERNEL_MODE_ENV = "REPRO_KERNEL_MODE"
@@ -174,15 +175,19 @@ class CompileRefusal:
 
 
 def default_kernel_mode() -> str:
-    """Kernel mode from ``REPRO_KERNEL_MODE``
-    (:data:`DEFAULT_KERNEL_MODE` when unset).
+    """Kernel mode from ``REPRO_KERNEL_MODE`` (:data:`DEFAULT_KERNEL_MODE`
+    when unset), stripped and lower-cased.
 
     Raises:
-        SimulationError: if the variable holds an unknown mode.
+        SimulationError: naming the variable and the accepted modes, if
+            it holds anything else.
     """
-    return env_choice(
-        KERNEL_MODE_ENV, DEFAULT_KERNEL_MODE, _MODES, SimulationError
-    )
+    mode = os.environ.get(KERNEL_MODE_ENV, DEFAULT_KERNEL_MODE).strip().lower()
+    if mode not in _MODES:
+        raise SimulationError(
+            f"{KERNEL_MODE_ENV}={mode!r} is not one of {_MODES}"
+        )
+    return mode
 
 
 class Register:

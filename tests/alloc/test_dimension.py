@@ -13,6 +13,8 @@ from repro.alloc.dimension import (
 from repro.errors import AllocationError, ParameterError
 from repro.params import daelite_parameters
 
+from ..ledger_mirror import LedgerMirror, use_ledger
+
 
 def spec_with(connections, ips=("cpu", "mem", "dsp", "io")):
     return PlatformSpec(
@@ -142,11 +144,22 @@ class TestDimensioning:
             dimension_platform(spec)
 
     def test_engine_pins_every_evaluation(self):
+        """The search picks one platform on the ledger and on its test
+        mirror, which every evaluation's allocator is built on."""
         spec = spec_with(
             [ConnectionRequest("c", "cpu", "mem")], ips=("cpu", "mem")
         )
-        bitmask = dimension_platform(spec, engine="bitmask")
-        reference = dimension_platform(spec, engine="reference")
+        built = []
+
+        class Counted(LedgerMirror):
+            def __init__(self, slot_table_size):
+                built.append(slot_table_size)
+                super().__init__(slot_table_size)
+
+        bitmask = dimension_platform(spec)
+        with use_ledger(Counted):
+            reference = dimension_platform(spec)
+        assert built
         assert (bitmask.width, bitmask.height, bitmask.params) == (
             reference.width,
             reference.height,

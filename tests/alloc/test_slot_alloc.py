@@ -7,17 +7,11 @@ import random
 import pytest
 
 from repro.alloc import (
-    ALLOC_ENGINE_ENV,
-    BITMASK_ENGINE,
-    REFERENCE_ENGINE,
-    BitmaskLinkSlotLedger,
     ChannelRequest,
     ConnectionRequest,
     LinkSlotLedger,
     MulticastRequest,
     SlotAllocator,
-    default_alloc_engine,
-    make_ledger,
     validate_schedule,
 )
 from repro.alloc import slot_alloc
@@ -27,7 +21,7 @@ from repro.errors import AllocationError, SlotConflictError
 from repro.params import daelite_parameters
 from repro.topology import build_mesh
 
-BOTH_ENGINES = (REFERENCE_ENGINE, BITMASK_ENGINE)
+from ..ledger_mirror import LEDGER_IDS, LEDGERS, LedgerMirror, use_ledger
 
 
 @pytest.fixture
@@ -45,7 +39,7 @@ class TestLedger:
         ledger = LinkSlotLedger(8)
         ledger.claim(("a", "b"), 3, "c1")
         assert ledger.owner(("a", "b"), 3) == "c1"
-        ledger.release(("a", "b"), 3, "c1")
+        release_mask(ledger, ("a", "b"), 1 << 3, "c1")
         assert ledger.is_free(("a", "b"), 3)
 
     def test_conflicting_claim_rejected(self):
@@ -63,7 +57,7 @@ class TestLedger:
         ledger = LinkSlotLedger(8)
         ledger.claim(("a", "b"), 3, "c1")
         with pytest.raises(SlotConflictError):
-            ledger.release(("a", "b"), 3, "c2")
+            release_mask(ledger, ("a", "b"), 1 << 3, "c2")
 
     def test_slot_wraps(self):
         ledger = LinkSlotLedger(8)
@@ -76,42 +70,6 @@ class TestLedger:
         ledger.claim(("a", "b"), 1, "c1")
         assert ledger.link_utilization(("a", "b")) == pytest.approx(0.25)
         assert ledger.total_claims() == 2
-
-
-class TestEngineSelection:
-    def test_default_engine_is_bitmask(self, monkeypatch):
-        monkeypatch.delenv(ALLOC_ENGINE_ENV, raising=False)
-        assert default_alloc_engine() == BITMASK_ENGINE
-        assert isinstance(make_ledger(8), BitmaskLinkSlotLedger)
-
-    def test_environment_selects_reference(self, monkeypatch):
-        monkeypatch.setenv(ALLOC_ENGINE_ENV, "reference")
-        assert default_alloc_engine() == REFERENCE_ENGINE
-        assert type(make_ledger(8)) is LinkSlotLedger
-
-    def test_unknown_environment_engine_rejected(self, monkeypatch):
-        monkeypatch.setenv(ALLOC_ENGINE_ENV, "quantum")
-        with pytest.raises(AllocationError, match="quantum"):
-            default_alloc_engine()
-
-    def test_explicit_engine_overrides_environment(self, monkeypatch):
-        monkeypatch.setenv(ALLOC_ENGINE_ENV, "reference")
-        assert isinstance(
-            make_ledger(8, BITMASK_ENGINE), BitmaskLinkSlotLedger
-        )
-
-    def test_unknown_explicit_engine_rejected(self):
-        with pytest.raises(AllocationError, match="unknown"):
-            make_ledger(8, "quantum")
-
-    def test_allocator_resolves_engine_attribute(self, params):
-        allocator = SlotAllocator(
-            topology=build_mesh(2, 2),
-            params=params,
-            engine=REFERENCE_ENGINE,
-        )
-        assert allocator.engine == REFERENCE_ENGINE
-        assert allocator.ledger.engine == REFERENCE_ENGINE
 
 
 def claim_mask(ledger, edge, mask, label):
@@ -133,15 +91,13 @@ def public_methods(cls):
     }
 
 
-def test_both_engines_expose_one_surface():
-    """Neither engine grows an entry point the other lacks, and each
-    step of a request has one: probe, claim, release."""
-    assert public_methods(LinkSlotLedger) == public_methods(
-        BitmaskLinkSlotLedger
-    )
+def test_ledger_and_mirror_expose_one_surface():
+    """Neither the ledger nor its test mirror grows an entry point the
+    other lacks, and each step of a request has one: probe, claim,
+    release."""
+    assert public_methods(LinkSlotLedger) == public_methods(LedgerMirror)
     writes = {
         "claim",
-        "release",
         "probe_rotations",
         "claim_prepared",
         "release_rotations",
@@ -160,37 +116,37 @@ def test_both_engines_expose_one_surface():
     assert public_methods(LinkSlotLedger) == writes | reads
 
 
-@pytest.mark.parametrize("engine", BOTH_ENGINES)
+@pytest.mark.parametrize("ledger_class", LEDGERS, ids=LEDGER_IDS)
 class TestLedgerEngines:
-    """Engine-parametrized ledger behaviour (both must agree)."""
+    """The ledger's behaviour, pinned on it and on its test mirror."""
 
-    def test_release_drops_empty_edge(self, engine):
+    def test_release_drops_empty_edge(self, ledger_class):
         """Releasing a link's last slot forgets the edge entirely —
         empty per-edge entries must not accumulate across use-case
         churn or leak into claimed_edges()."""
-        ledger = make_ledger(8, engine)
+        ledger = ledger_class(8)
         ledger.claim(("a", "b"), 1, "c1")
         ledger.claim(("a", "b"), 5, "c1")
         ledger.claim(("b", "c"), 2, "c2")
-        ledger.release(("a", "b"), 1, "c1")
+        release_mask(ledger, ("a", "b"), 1 << 1, "c1")
         assert ledger.claimed_edges() == [("a", "b"), ("b", "c")]
-        ledger.release(("a", "b"), 5, "c1")
+        release_mask(ledger, ("a", "b"), 1 << 5, "c1")
         assert ledger.claimed_edges() == [("b", "c")]
-        ledger.release(("b", "c"), 2, "c2")
+        release_mask(ledger, ("b", "c"), 1 << 2, "c2")
         assert ledger.claimed_edges() == []
         # The backing store itself is empty, not just the view.
         backing = (
-            ledger._links
-            if engine == BITMASK_ENGINE
-            else ledger._claims
+            ledger._claims
+            if ledger_class is LedgerMirror
+            else ledger._links
         )
         assert backing == {}
 
-    def test_edge_mask_claim_and_release(self, engine):
+    def test_edge_mask_claim_and_release(self, ledger_class):
         """Per-edge atomicity: a mask is checked in full, the lowest
         conflicting (or missing) slot is reported, and the edge is
         left unchanged when the claim or release raises."""
-        ledger = make_ledger(8, engine)
+        ledger = ledger_class(8)
         claim_mask(ledger, ("a", "b"), 0b1011, "c1")
         assert ledger.total_claims() == 3
         assert ledger.owner(("a", "b"), 3) == "c1"
@@ -203,40 +159,40 @@ class TestLedgerEngines:
         release_mask(ledger, ("a", "b"), 0b1011, "c1")
         assert ledger.total_claims() == 0
 
-    def test_release_rotations_stops_at_the_failing_edge(self, engine):
+    def test_release_rotations_stops_at_the_failing_edge(self, ledger_class):
         """Atomic per edge, not per diagonal: edges before the failing
         one are released, the failing one keeps every slot."""
-        ledger = make_ledger(8, engine)
+        ledger = ledger_class(8)
         diagonal = [(("a", "b"), 1), (("b", "c"), 2)]
         _, context = ledger.probe_rotations(diagonal)
         ledger.claim_prepared(context, 0b0011, "mine")
-        ledger.release(("b", "c"), 3, "mine")
+        release_mask(ledger, ("b", "c"), 1 << 3, "mine")
         with pytest.raises(SlotConflictError, match="slot 3 owned by None"):
             ledger.release_rotations(diagonal, 0b0011, "mine")
         assert ledger.claimed_edges() == [("b", "c")]
         assert ledger.owner(("b", "c"), 2) == "mine"
 
-    def test_snapshot_rollback_restores_slots(self, engine):
-        ledger = make_ledger(8, engine)
+    def test_snapshot_rollback_restores_slots(self, ledger_class):
+        ledger = ledger_class(8)
         ledger.claim(("a", "b"), 0, "keep")
         token = ledger.snapshot()
         ledger.claim(("a", "b"), 1, "spec")
         ledger.claim(("c", "d"), 2, "spec")
-        ledger.release(("a", "b"), 0, "keep")
+        release_mask(ledger, ("a", "b"), 1 << 0, "keep")
         ledger.rollback(token)
         assert ledger.owner(("a", "b"), 0) == "keep"
         assert ledger.is_free(("a", "b"), 1)
         assert ledger.claimed_edges() == [("a", "b")]
 
-    def test_snapshot_commit_keeps_writes(self, engine):
-        ledger = make_ledger(8, engine)
+    def test_snapshot_commit_keeps_writes(self, ledger_class):
+        ledger = ledger_class(8)
         token = ledger.snapshot()
         ledger.claim(("a", "b"), 1, "c1")
         ledger.commit(token)
         assert ledger.owner(("a", "b"), 1) == "c1"
 
-    def test_nested_scopes_rollback_independently(self, engine):
-        ledger = make_ledger(8, engine)
+    def test_nested_scopes_rollback_independently(self, ledger_class):
+        ledger = ledger_class(8)
         outer = ledger.snapshot()
         ledger.claim(("a", "b"), 0, "outer")
         inner = ledger.snapshot()
@@ -249,8 +205,8 @@ class TestLedgerEngines:
         ledger.rollback(outer)
         assert ledger.total_claims() == 0
 
-    def test_rollback_of_mask_release_restores_claims(self, engine):
-        ledger = make_ledger(8, engine)
+    def test_rollback_of_mask_release_restores_claims(self, ledger_class):
+        ledger = ledger_class(8)
         claim_mask(ledger, ("a", "b"), 0b0110, "c1")
         token = ledger.snapshot()
         release_mask(ledger, ("a", "b"), 0b0110, "c1")
@@ -259,13 +215,13 @@ class TestLedgerEngines:
         assert ledger.owner(("a", "b"), 1) == "c1"
         assert ledger.owner(("a", "b"), 2) == "c1"
 
-    def test_scope_underflow_rejected(self, engine):
-        ledger = make_ledger(8, engine)
+    def test_scope_underflow_rejected(self, ledger_class):
+        ledger = ledger_class(8)
         with pytest.raises(AllocationError, match="underflow"):
             ledger.rollback(0)
 
-    def test_claim_prepared_is_atomic(self, engine):
-        ledger = make_ledger(8, engine)
+    def test_claim_prepared_is_atomic(self, ledger_class):
+        ledger = ledger_class(8)
         diagonal = [(("a", "b"), 1), (("b", "c"), 2)]
         _, context = ledger.probe_rotations(diagonal)
         # Block slot 2 on the second link: base 0 fits link 1 (slot 1)
@@ -276,8 +232,8 @@ class TestLedgerEngines:
         assert ledger.total_claims() == 1
         assert ledger.claimed_edges() == [("b", "c")]
 
-    def test_probe_then_claim_prepared(self, engine):
-        ledger = make_ledger(8, engine)
+    def test_probe_then_claim_prepared(self, ledger_class):
+        ledger = ledger_class(8)
         ledger.claim(("a", "b"), 1, "other")  # blocks base 0
         diagonal = [(("a", "b"), 1), (("b", "c"), 2)]
         mask, context = ledger.probe_rotations(diagonal)
@@ -286,10 +242,10 @@ class TestLedgerEngines:
         assert ledger.owner(("a", "b"), 2) == "mine"
         assert ledger.owner(("b", "c"), 3) == "mine"
 
-    def test_claim_prepared_with_repeated_edge(self, engine):
+    def test_claim_prepared_with_repeated_edge(self, ledger_class):
         """A diagonal may legally revisit an edge (non-simple paths);
         the second visit must see the first visit's claims."""
-        ledger = make_ledger(8, engine)
+        ledger = ledger_class(8)
         diagonal = [
             (("a", "b"), 1),
             (("b", "a"), 2),
@@ -303,24 +259,24 @@ class TestLedgerEngines:
         assert ledger.owner(("a", "b"), 3) == "loop"
         assert ledger.total_claims() == 3
 
-    def test_probe_rotations_sees_all_links(self, engine):
-        ledger = make_ledger(8, engine)
+    def test_probe_rotations_sees_all_links(self, ledger_class):
+        ledger = ledger_class(8)
         ledger.claim(("a", "b"), 1, "x")  # blocks base 0 via offset 1
         ledger.claim(("b", "c"), 5, "y")  # blocks base 3 via offset 2
         diagonal = [(("a", "b"), 1), (("b", "c"), 2)]
         mask, _ = ledger.probe_rotations(diagonal)
         assert sorted(iter_mask_slots(mask)) == [1, 2, 4, 5, 6, 7]
 
-    def test_probe_rotations_of_a_blocked_diagonal_is_zero(self, engine):
+    def test_probe_rotations_of_a_blocked_diagonal_is_zero(self, ledger_class):
         """Every base blocked part-way along the diagonal: the mask is
-        0 however many links follow (the bitmask engine stops there)."""
-        ledger = make_ledger(4, engine)
+        0 however many links follow (the ledger's probe stops there)."""
+        ledger = ledger_class(4)
         for slot in range(4):
             ledger.claim(("b", "c"), slot, "full")
         diagonal = [(("a", "b"), 1), (("b", "c"), 2), (("c", "d"), 3)]
         mask, _ = ledger.probe_rotations(diagonal)
         assert mask == 0
-        ledger.release(("b", "c"), 1, "full")
+        release_mask(ledger, ("b", "c"), 1 << 1, "full")
         mask, _ = ledger.probe_rotations(diagonal)
         assert list(iter_mask_slots(mask)) == [3]
 
@@ -555,16 +511,19 @@ class TestMulticastAllocation:
 
 
 class TestPlanHandoff:
-    @pytest.mark.parametrize("engine", BOTH_ENGINES)
-    def test_allocate_after_admit_plans_nothing(self, monkeypatch, engine):
+    @pytest.mark.parametrize("ledger_class", LEDGERS, ids=LEDGER_IDS)
+    def test_allocate_after_admit_plans_nothing(
+        self, monkeypatch, ledger_class
+    ):
         """An allocate that follows its admit claims the plan the admit
         made, admitted or rejected alike: no probe and no route of its
         own, so a request costs one route and at most two probes."""
-        allocator = SlotAllocator(
-            topology=build_mesh(3, 3),
-            params=daelite_parameters(slot_table_size=8),
-            engine=engine,
-        )
+        with use_ledger(ledger_class):
+            allocator = SlotAllocator(
+                topology=build_mesh(3, 3),
+                params=daelite_parameters(slot_table_size=8),
+            )
+        assert type(allocator.ledger) is ledger_class
         oracle = AdmissionOracle(allocator)
         calls = {"probe": 0, "route": 0}
 

@@ -5,8 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.alloc import (
-    BITMASK_ENGINE,
-    REFERENCE_ENGINE,
     ChannelRequest,
     ConnectionRequest,
     MulticastRequest,
@@ -24,6 +22,8 @@ from repro.analysis import (
 from repro.errors import ParameterError, TopologyError
 from repro.params import aelite_parameters, daelite_parameters
 from repro.topology import build_mesh
+
+from ..ledger_mirror import LEDGER_IDS, LEDGERS, use_ledger
 
 
 @pytest.fixture
@@ -114,7 +114,6 @@ UNPLACEABLE = (
 LEDGER_WRITES = (
     "claim",
     "claim_prepared",
-    "release",
     "release_rotations",
     "snapshot",
     "rollback",
@@ -150,15 +149,16 @@ class TestAdmissionVerdicts:
                 model.worst_case_latency_cycles
             )
 
-    @pytest.mark.parametrize("engine", (BITMASK_ENGINE, REFERENCE_ENGINE))
-    def test_admit_never_writes_the_ledger(self, monkeypatch, engine):
+    @pytest.mark.parametrize("ledger_class", LEDGERS, ids=LEDGER_IDS)
+    def test_admit_never_writes_the_ledger(self, monkeypatch, ledger_class):
         """Admission plans and claims nothing: no flavour, admitted or
-        not, calls a ledger write method — not even a snapshot."""
-        allocator = SlotAllocator(
-            topology=build_mesh(3, 3),
-            params=daelite_parameters(slot_table_size=8),
-            engine=engine,
-        )
+        not, calls a ledger write method — not even a snapshot — on the
+        ledger or on its test mirror."""
+        with use_ledger(ledger_class):
+            allocator = SlotAllocator(
+                topology=build_mesh(3, 3),
+                params=daelite_parameters(slot_table_size=8),
+            )
         background_load(allocator)
         ledger = allocator.ledger
         writes = []

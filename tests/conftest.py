@@ -8,13 +8,7 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from repro.alloc import (
-    ALLOC_ENGINE_ENV,
-    BITMASK_ENGINE,
-    ConnectionRequest,
-    SlotAllocator,
-    make_ledger,
-)
+from repro.alloc import ConnectionRequest, SlotAllocator
 from repro.core import DaeliteNetwork
 from repro.core.config_protocol import (
     ChannelField,
@@ -37,21 +31,6 @@ def _kernel_mode_honors_environment():
         f"kernel mode plumbing broken: {KERNEL_MODE_ENV}="
         f"{os.environ.get(KERNEL_MODE_ENV)!r} but Kernel() resolved to "
         f"{Kernel().mode!r}"
-    )
-    yield
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _alloc_engine_honors_environment():
-    """CI runs a whole-suite leg on the reference ledger by exporting
-    ``REPRO_ALLOC_ENGINE``; guarantee the plumbing actually works — a
-    default-constructed ledger must resolve to the requested engine."""
-    expected = os.environ.get(ALLOC_ENGINE_ENV, BITMASK_ENGINE)
-    resolved = make_ledger(8).engine
-    assert resolved == expected, (
-        f"alloc engine plumbing broken: {ALLOC_ENGINE_ENV}="
-        f"{os.environ.get(ALLOC_ENGINE_ENV)!r} but make_ledger() "
-        f"resolved to {resolved!r}"
     )
     yield
 

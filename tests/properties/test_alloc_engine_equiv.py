@@ -1,15 +1,16 @@
-"""Differential tests: the bitmask ledger engine vs the reference.
+"""Differential tests: the bitmask slot ledger vs its test mirror.
 
-The bitmask engine is a pure optimization — for every workload it must
-make exactly the decisions of the dict-based reference: same admissible
-sets, same picked slots, same rejections (down to the reported counts),
-same final ledger state.  These tests drive both engines through the
-same randomized scenarios and compare everything observable.
+``LinkSlotLedger`` must make exactly the decisions of the dict-based
+``LedgerMirror`` (``tests/ledger_mirror.py``) on every workload: same
+admissible sets, same picked slots, same rejections (down to the
+reported counts), same final ledger state.  These tests build the same
+randomized scenarios on both books — :func:`use_ledger` swaps the
+mirror in under every ``SlotAllocator`` — and compare everything
+observable.
 """
 
 from __future__ import annotations
 
-import inspect
 import random
 
 import pytest
@@ -17,10 +18,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.alloc import (
-    BITMASK_ENGINE,
-    REFERENCE_ENGINE,
     ChannelRequest,
     ConnectionRequest,
+    LinkSlotLedger,
     MulticastRequest,
     SlotAllocator,
     UseCase,
@@ -34,10 +34,9 @@ from repro.params import daelite_parameters
 from repro.topology import build_mesh
 
 from ..differential import plant
+from ..ledger_mirror import LEDGER_IDS, LEDGERS, LedgerMirror, use_ledger
 
 pytestmark = pytest.mark.differential
-
-ENGINES = (REFERENCE_ENGINE, BITMASK_ENGINE)
 
 
 def _ledger_dump(ledger, slot_table_size):
@@ -130,11 +129,12 @@ def _interpose(write, extras, allocator, oracle, request, live, outcomes):
             outcomes.append(("fail", path[k], path[k + 1]))
 
 
-def _run_mixed_scenario(engine, scenario, handoff=None):
-    """A scripted mix of connection/multicast/release steps.
+def _run_mixed_scenario(ledger_class, scenario, handoff=None):
+    """A scripted mix of connection/multicast/release steps, on a
+    ``ledger_class`` ledger.
 
     Every decision comes from the scenario's own RNG, never from the
-    engine, so both engines replay the identical request stream; the
+    ledger, so both books replay the identical request stream; the
     returned outcome log and ledger dump capture everything observable.
 
     With ``handoff`` set (``"admit"`` or ``"plain"``) a second seeded
@@ -147,10 +147,9 @@ def _run_mixed_scenario(engine, scenario, handoff=None):
     width, height, slot_table_size, seed = scenario
     topology = build_mesh(width, height)
     params = daelite_parameters(slot_table_size=slot_table_size)
-    allocator = SlotAllocator(
-        topology=topology, params=params, engine=engine
-    )
-    assert allocator.ledger.engine == engine
+    with use_ledger(ledger_class):
+        allocator = SlotAllocator(topology=topology, params=params)
+    assert type(allocator.ledger) is ledger_class
     oracle = AdmissionOracle(allocator)
     rng = random.Random(seed)
     extras = random.Random(~seed)
@@ -237,9 +236,8 @@ class TestEngineEquivalence:
         """Connections, multicast trees, and releases — byte-identical
         outcome logs (including error messages, which embed the
         admissible-slot counts) and final ledger state."""
-        reference = _run_mixed_scenario(REFERENCE_ENGINE, scenario)
-        bitmask = _run_mixed_scenario(BITMASK_ENGINE, scenario)
-        assert bitmask == reference
+        mirror = _run_mixed_scenario(LedgerMirror, scenario)
+        assert _run_mixed_scenario(LinkSlotLedger, scenario) == mirror
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -254,15 +252,15 @@ class TestEngineEquivalence:
         width, height, slot_table_size, seed = scenario
         params = daelite_parameters(slot_table_size=slot_table_size)
         results = {}
-        for engine in ENGINES:
+        for ledger_class in LEDGERS:
             topology = build_mesh(width, height)
-            allocator = SlotAllocator(
-                topology=topology,
-                params=params,
-                routing=routing,
-                policy=policy,
-                engine=engine,
-            )
+            with use_ledger(ledger_class):
+                allocator = SlotAllocator(
+                    topology=topology,
+                    params=params,
+                    routing=routing,
+                    policy=policy,
+                )
             nis = sorted(element.name for element in topology.nis)
             pair_rng = random.Random(seed)
             log = []
@@ -283,11 +281,11 @@ class TestEngineEquivalence:
                             tuple(sorted(channel.slots)),
                         )
                     )
-            results[engine] = (
+            results[ledger_class] = (
                 log,
                 _ledger_dump(allocator.ledger, slot_table_size),
             )
-        assert results[BITMASK_ENGINE] == results[REFERENCE_ENGINE]
+        assert results[LinkSlotLedger] == results[LedgerMirror]
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -300,11 +298,10 @@ class TestEngineEquivalence:
         """Multipath spill-over uses the same paths and slots."""
         params = daelite_parameters(slot_table_size=8)
         results = {}
-        for engine in ENGINES:
+        for ledger_class in LEDGERS:
             topology = build_mesh(width, height)
-            allocator = SlotAllocator(
-                topology=topology, params=params, engine=engine
-            )
+            with use_ledger(ledger_class):
+                allocator = SlotAllocator(topology=topology, params=params)
             nis = sorted(element.name for element in topology.nis)
             rng = random.Random(seed)
             src, dst = rng.sample(nis, 2)
@@ -326,13 +323,16 @@ class TestEngineEquivalence:
                     ChannelRequest("mp", src, dst, slots=slots),
                 )
             except AllocationError as error:
-                results[engine] = ("fail", str(error))
+                results[ledger_class] = ("fail", str(error))
             else:
-                results[engine] = tuple(
-                    (part.path, tuple(sorted(part.slots)))
-                    for part in allocation.parts
+                results[ledger_class] = (
+                    tuple(
+                        (part.path, tuple(sorted(part.slots)))
+                        for part in allocation.parts
+                    ),
+                    _ledger_dump(allocator.ledger, 8),
                 )
-        assert results[BITMASK_ENGINE] == results[REFERENCE_ENGINE]
+        assert results[LinkSlotLedger] == results[LedgerMirror]
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
@@ -362,13 +362,12 @@ class TestEngineEquivalence:
             usecase("video", rng.randint(1, 4)),
         ]
         plans = {}
-        for engine in ENGINES:
-            manager = UseCaseManager(
-                topology_for(), params, engine=engine
-            )
-            for case in usecases:
-                manager.add_usecase(case)
-            plans[engine] = (
+        for ledger_class in LEDGERS:
+            manager = UseCaseManager(topology_for(), params)
+            with use_ledger(ledger_class):
+                for case in usecases:
+                    manager.add_usecase(case)
+            plans[ledger_class] = (
                 manager.plan_switch("boot", "video"),
                 {
                     name: {
@@ -382,7 +381,49 @@ class TestEngineEquivalence:
                     for name, allocated in manager.allocations.items()
                 },
             )
-        assert plans[BITMASK_ENGINE] == plans[REFERENCE_ENGINE]
+        assert plans[LinkSlotLedger] == plans[LedgerMirror]
+
+    @pytest.mark.parametrize(
+        "method, original, mutant",
+        [
+            # Each edge's claim lands one slot past the diagonal.
+            (
+                "claim_prepared",
+                "(base_mask << shift) | (base_mask >> (size - shift))",
+                "(base_mask << shift + 1) | (base_mask >> (size - shift - 1))",
+            ),
+            # A release keeps the lowest slot of each edge's mask.
+            (
+                "release_rotations",
+                "if not mask:",
+                "mask &= mask - 1\n            if not mask:",
+            ),
+            # A rollback leaves the scope's first journal entry (one
+            # link's claim or release) in place.
+            (
+                "rollback",
+                "while len(self._journal) > token:",
+                "while len(self._journal) > token + 1:",
+            ),
+        ],
+        ids=[
+            "claim-rotation-off-by-one",
+            "release-leaves-a-bit",
+            "rollback-skips-a-link",
+        ],
+    )
+    def test_planted_ledger_mutants_are_killed(
+        self, monkeypatch, method, original, mutant
+    ):
+        """A ledger that claims, releases or rolls back other slots than
+        its mirror must show in the handoff scenarios, whose writes
+        include releases, tree claims and the oracle's rollbacks."""
+        plant(monkeypatch, original, mutant, owner=LinkSlotLedger, method=method)
+        with pytest.raises((AssertionError, AllocationError)):
+            for scenario in HANDOFF_SCENARIOS:
+                assert _run_mixed_scenario(
+                    LinkSlotLedger, scenario, "admit"
+                ) == _run_mixed_scenario(LedgerMirror, scenario, "admit")
 
 
 class TestPlanHandoff:
@@ -391,23 +432,23 @@ class TestPlanHandoff:
     def test_handoff_matches_oracle_free_run(self, scenario):
         """An allocate that claims the plan its admit handed over — or
         re-plans because a write came between them — logs and leaves
-        exactly what the same script without the oracle does, on both
-        engines."""
-        baseline = _run_mixed_scenario(REFERENCE_ENGINE, scenario, "plain")
-        for engine in ENGINES:
+        exactly what the same script without the oracle does, on the
+        ledger and on its mirror."""
+        baseline = _run_mixed_scenario(LedgerMirror, scenario, "plain")
+        for ledger_class in LEDGERS:
             for handoff in ("admit", "plain"):
-                run = _run_mixed_scenario(engine, scenario, handoff)
-                assert run == baseline, (engine, handoff)
+                run = _run_mixed_scenario(ledger_class, scenario, handoff)
+                assert run == baseline, (ledger_class.__name__, handoff)
 
     def test_fixed_scenarios_agree_and_make_every_write(self):
         """The mutants' scenarios pass unmutated and put each kind of
         write between an admit and its allocate."""
         kinds = set()
         for scenario in HANDOFF_SCENARIOS:
-            for engine in ENGINES:
-                admitted = _run_mixed_scenario(engine, scenario, "admit")
+            for ledger_class in LEDGERS:
+                admitted = _run_mixed_scenario(ledger_class, scenario, "admit")
                 assert admitted == _run_mixed_scenario(
-                    engine, scenario, "plain"
+                    ledger_class, scenario, "plain"
                 )
                 kinds.update(entry[0] for entry in admitted[0])
         assert {"release", "tree", "count", "fail"} <= kinds
@@ -417,7 +458,7 @@ class TestPlanHandoff:
         [
             (SlotAllocator, "_stamp", "self.ledger.version", "0"),
             (
-                slot_alloc.BitmaskLinkSlotLedger,
+                LinkSlotLedger,
                 "release_rotations",
                 "self.version += 1",
                 "pass",
@@ -438,10 +479,10 @@ class TestPlanHandoff:
         plant(monkeypatch, original, mutant, owner=owner, method=method)
         with pytest.raises((AssertionError, AllocationError)):
             for scenario in HANDOFF_SCENARIOS:
-                for engine in ENGINES:
+                for ledger_class in LEDGERS:
                     assert _run_mixed_scenario(
-                        engine, scenario, "admit"
-                    ) == _run_mixed_scenario(engine, scenario, "plain")
+                        ledger_class, scenario, "admit"
+                    ) == _run_mixed_scenario(ledger_class, scenario, "plain")
 
 
 #: Fixed scenarios for the handoff mutants.
@@ -454,7 +495,7 @@ TREE_RELEASE_SCENARIOS = [(3, 2, 8, seed) for seed in range(6)]
 
 def test_tree_release_scenarios_release_trees():
     for scenario in TREE_RELEASE_SCENARIOS:
-        outcomes, _ = _run_mixed_scenario(REFERENCE_ENGINE, scenario)
+        outcomes, _ = _run_mixed_scenario(LedgerMirror, scenario)
         trees = {entry[1] for entry in outcomes if entry[0] == "tree"}
         released = {entry[1] for entry in outcomes if entry[0] == "release"}
         if trees & released:
@@ -462,51 +503,31 @@ def test_tree_release_scenarios_release_trees():
     pytest.fail("no fixed scenario releases a multicast tree")
 
 
-def _planted(original, mutant):
-    """The namespace of ``slot_alloc`` re-executed with its one
-    occurrence of ``original`` replaced by ``mutant``."""
-    source = inspect.getsource(slot_alloc)
-    assert source.count(original) == 1
-    namespace = {
-        "__name__": slot_alloc.__name__,
-        "__package__": slot_alloc.__package__,
-    }
-    exec(
-        compile(
-            source.replace(original, mutant), slot_alloc.__file__, "exec"
-        ),
-        namespace,
-    )
-    return namespace
-
-
-@pytest.mark.parametrize("engine", ENGINES)
-def test_planted_tree_release_offset_is_killed(monkeypatch, engine):
+@pytest.mark.parametrize("ledger_class", LEDGERS, ids=LEDGER_IDS)
+def test_planted_tree_release_offset_is_killed(monkeypatch, ledger_class):
     """Release a tree's edge *k* links deep at offset *k* instead of
-    *k + 1*: the mixed scenarios must catch it on both engines."""
+    *k + 1*: the mixed scenarios must catch it on the ledger and on its
+    mirror."""
     original = "_tree_diagonal([branch.path for branch in tree.paths])"
     mutant = f"[(edge, k - 1) for edge, k in {original}]"
-    monkeypatch.setattr(
-        SlotAllocator,
-        "release_multicast",
-        _planted(original, mutant)["SlotAllocator"].release_multicast,
+    plant(
+        monkeypatch, original, mutant, owner=SlotAllocator, method="release_multicast"
     )
     with pytest.raises((AssertionError, AllocationError)):
         for scenario in TREE_RELEASE_SCENARIOS:
-            _run_mixed_scenario(engine, scenario)
+            _run_mixed_scenario(ledger_class, scenario)
 
 
 def _check_probe_against_link_claims(side, seed, delays):
-    """On a randomly loaded mesh, a base slot is admissible in *both*
-    engines' one probe iff every claim ``AllocatedChannel.link_claims``
-    would make for it is free."""
+    """On a randomly loaded mesh, a base slot is admissible in the
+    ledger's one probe, and in its mirror's, iff every claim
+    ``AllocatedChannel.link_claims`` would make for it is free."""
     params = daelite_parameters(slot_table_size=16)
     admissible = {}
-    for engine in ENGINES:
+    for ledger_class in LEDGERS:
         topology = build_mesh(side, side)
-        allocator = SlotAllocator(
-            topology=topology, params=params, engine=engine
-        )
+        with use_ledger(ledger_class):
+            allocator = SlotAllocator(topology=topology, params=params)
         nis = sorted(element.name for element in topology.nis)
         pair_rng = random.Random(seed)
         for step in range(pair_rng.randint(1, 6)):
@@ -531,7 +552,7 @@ def _check_probe_against_link_claims(side, seed, delays):
             )
         )
         slots = list(slot_alloc.iter_mask_slots(mask))
-        admissible[engine] = slots
+        admissible[ledger_class] = slots
         for base in range(params.slot_table_size):
             channel = AllocatedChannelProbe(
                 path, base, params.slot_table_size, link_delays
@@ -541,10 +562,10 @@ def _check_probe_against_link_claims(side, seed, delays):
                 for edge, slot in channel.link_claims()
             )
             assert (base in slots) == free, (
-                f"engine {engine}: base {base} admissibility "
+                f"{ledger_class.__name__}: base {base} admissibility "
                 f"disagrees with link_claims (delays {link_delays})"
             )
-    assert admissible[BITMASK_ENGINE] == admissible[REFERENCE_ENGINE]
+    assert admissible[LinkSlotLedger] == admissible[LedgerMirror]
 
 
 class TestLinkDelayEquivalence:
@@ -567,10 +588,10 @@ class TestLinkDelayEquivalence:
     @pytest.mark.parametrize(
         "owner, method, original, mutant, delays",
         [
-            # The bitmask probe gives up on the first blocked base
+            # The ledger's probe gives up on the first blocked base
             # instead of once every base is blocked.
             (
-                slot_alloc.BitmaskLinkSlotLedger,
+                LinkSlotLedger,
                 "probe_rotations",
                 "if blocked == full:",
                 "if blocked:",
@@ -600,8 +621,7 @@ class TestLinkDelayEquivalence:
     ):
         """With one planner the oracle cannot disagree with the
         allocator, so the link_claims property is what must bite."""
-        planted = _planted(original, mutant)[owner.__name__]
-        monkeypatch.setattr(owner, method, getattr(planted, method))
+        plant(monkeypatch, original, mutant, owner=owner, method=method)
         with pytest.raises(AssertionError):
             for seed in range(20):
                 _check_probe_against_link_claims(3, seed, delays)
