@@ -8,8 +8,6 @@ back-to-back reconfiguration (e.g. a use-case switch).
 
 from __future__ import annotations
 
-import pytest
-
 from repro.alloc import ConnectionRequest, SlotAllocator
 from repro.core import DaeliteNetwork
 from repro.params import daelite_parameters

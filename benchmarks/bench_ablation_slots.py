@@ -8,8 +8,6 @@ This sweep quantifies all three trade-offs the paper discusses.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.alloc import ConnectionRequest, SlotAllocator
 from repro.analysis import (
     daelite_router_ge,

@@ -8,8 +8,6 @@ directly shortens every set-up's commit latency.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.alloc import ConnectionRequest, SlotAllocator
 from repro.core import DaeliteNetwork
 from repro.params import daelite_parameters

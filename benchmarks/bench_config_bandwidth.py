@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.aelite import AeliteNetwork, reserve_config_slots
-from repro.alloc import ChannelRequest, ConnectionRequest, SlotAllocator
+from repro.alloc import ConnectionRequest, SlotAllocator
 from repro.analysis import config_slot_bandwidth_loss
 from repro.core import DaeliteNetwork
 from repro.params import aelite_parameters, daelite_parameters

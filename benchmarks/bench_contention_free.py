@@ -12,8 +12,6 @@ loaded 4x4 mesh, which is the practical cost of the Python substrate.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.alloc import SlotAllocator, validate_schedule
 from repro.core import DaeliteNetwork
 from repro.errors import AllocationError

@@ -11,8 +11,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.alloc import ConnectionRequest, SlotAllocator
 from repro.analysis import worst_case_latency_cycles
 from repro.core import DaeliteNetwork

@@ -13,8 +13,6 @@ percent.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.alloc import ChannelRequest, SlotAllocator, allocate_multipath
 from repro.errors import AllocationError
 from repro.params import daelite_parameters

@@ -9,8 +9,6 @@ open/close cost distribution — the system-level face of Table III.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.alloc import ConnectionRequest
 from repro.core import DaeliteNetwork, OnlineConnectionManager
 from repro.errors import AllocationError

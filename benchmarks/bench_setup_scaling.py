@@ -12,8 +12,6 @@ Three structural properties of daelite's configuration mechanism:
 
 from __future__ import annotations
 
-import pytest
-
 from repro.alloc import ConnectionRequest, SlotAllocator
 from repro.core import DaeliteNetwork
 from repro.params import daelite_parameters

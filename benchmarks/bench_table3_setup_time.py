@@ -18,8 +18,6 @@ analytic ideal of [12] (no processor time), and the ideal plus a
 
 from __future__ import annotations
 
-import pytest
-
 from repro.aelite import AeliteConfigModel
 from repro.alloc import ConnectionRequest, SlotAllocator
 from repro.analysis import ideal_setup_cycles, setup_speedup

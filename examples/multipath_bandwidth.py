@@ -19,7 +19,6 @@ from repro.alloc import (
 )
 from repro.core import DaeliteNetwork
 from repro.core.host import ChannelEndpoints
-from repro.core.multicast import channel_path_packet
 from repro.errors import AllocationError
 from repro.params import daelite_parameters
 from repro.staticcheck import verify_network_state

@@ -19,7 +19,6 @@ from repro.alloc import (
 )
 from repro.analysis import describe_allocation
 from repro.core import DaeliteNetwork, OnlineConnectionManager
-from repro.params import daelite_parameters
 from repro.staticcheck import verify_network_state
 
 

@@ -29,7 +29,7 @@ records this substitution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Tuple
 
 from ..alloc.slot_alloc import LinkSlotLedger
 from ..alloc.spec import AllocatedChannel, AllocatedConnection

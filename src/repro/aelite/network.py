@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ..alloc.spec import AllocatedChannel, AllocatedConnection
-from ..errors import ConfigurationError, TopologyError
+from ..errors import TopologyError
 from ..params import NetworkParameters, aelite_parameters
 from ..sim.compiled import install_refusing_provider
 from ..sim.kernel import Kernel
@@ -22,7 +22,7 @@ from ..sim.stats import StatsCollector
 from ..topology import ElementKind, Topology
 from ..core.config_protocol import FLAG_ENABLED, FLAG_FLOW_CONTROLLED
 from .config import AeliteConfigModel
-from .ni import AeliteNetworkInterface, AeliteSourceConnection
+from .ni import AeliteNetworkInterface
 from .router import AeliteRouter
 
 

@@ -19,10 +19,10 @@ The header also carries the destination queue id and piggybacked credits
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from ..errors import ParameterError
-from ..params import AELITE_PAYLOAD_WORDS, AELITE_WORDS_PER_SLOT
+from ..params import AELITE_WORDS_PER_SLOT
 
 #: Maximum packet length in slots before a new header is required.
 MAX_PACKET_SLOTS = 3

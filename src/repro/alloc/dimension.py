@@ -13,7 +13,7 @@ logical names to NI names when the caller wants control.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, replace as dc_replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.area import (
@@ -27,7 +27,6 @@ from ..params import NetworkParameters, daelite_parameters
 from ..topology import Topology, build_mesh
 from ..topology.mesh import ni_name as mesh_ni_name
 from .slot_alloc import SlotAllocator
-from .spec import ConnectionRequest, MulticastRequest
 from .usecase import UseCase
 
 

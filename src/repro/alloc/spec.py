@@ -15,9 +15,9 @@ from position *k* to *k+1* during slot ``(s + k + 1) mod T``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from ..errors import AllocationError, ParameterError
 

@@ -12,7 +12,7 @@ of the system".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from ..errors import AllocationError

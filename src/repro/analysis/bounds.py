@@ -9,7 +9,6 @@ bounds and every delivered bandwidth against the slot arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import FrozenSet, List
 
 from ..alloc.spec import AllocatedChannel

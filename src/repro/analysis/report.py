@@ -8,12 +8,11 @@ and CI output.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from ..alloc.spec import (
     AllocatedChannel,
     AllocatedConnection,
-    AllocatedMulticast,
 )
 from ..alloc.validate import Allocation, schedule_link_loads
 from ..params import NetworkParameters

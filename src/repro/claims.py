@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List
 
-from .aelite import AeliteNetwork, InBandConfigurator, header_overhead
+from .aelite import AeliteNetwork, InBandConfigurator
 from .alloc import (
     ConnectionRequest,
     MulticastRequest,

@@ -13,7 +13,7 @@ the multicast) down to the new destination NI.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..alloc.spec import AllocatedChannel, AllocatedMulticast
 from ..errors import AllocationError

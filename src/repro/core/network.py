@@ -13,10 +13,10 @@ they do can equally be driven cycle by cycle through the public parts.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..alloc.spec import AllocatedConnection, AllocatedMulticast
-from ..errors import ConfigurationError, TopologyError
+from ..errors import TopologyError
 from ..params import NetworkParameters, daelite_parameters
 from ..sim.compiled import install_compile_provider
 from ..sim.flit import Phit

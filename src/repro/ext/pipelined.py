@@ -41,7 +41,6 @@ from ..core.config_protocol import (
     ConfigPacket,
     Direction,
     PathHop,
-    build_path_packet,
     ni_channel_word,
 )
 from ..core.multicast import _hop_payload

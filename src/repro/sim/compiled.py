@@ -74,9 +74,14 @@ It is the one engine behind ``vector`` mode, in three layers:
 * **Epoch replay** — once every generator is in its steady rhythm the
   whole network state repeats with period ``P = lcm(wheel, generator and
   sink periods)``.  The engine probes state *signatures* at absolute
-  multiples of ``P``; when two consecutive signatures are equal (in a
-  form made shift-invariant by expressing sequence numbers and payloads
-  relative to the per-connection counters), the next ``K`` epochs are
+  multiples of ``P``; when two consecutive signatures of one run are
+  equal (in a form made shift-invariant by expressing sequence numbers
+  and payloads relative to the per-connection counters), the epoch
+  between them is proved steady and stored as a template in the
+  engine's own store, keyed by the signature (:mod:`repro.sim.replay`).
+  Every probed boundary first loads the template of its signature — so
+  after a landing, a config event or a new run the engine replays at
+  the first boundary — and from a template the next ``K`` epochs are
   applied arithmetically: the statistics ledger is credited ``K`` times
   the epoch's counter deltas (counts, latency histogram, last injected
   sequence, per-flow cursors), each sink counts its epoch's words ``K``
@@ -95,9 +100,12 @@ for all ``K``; ``K`` is clamped so no finite generator runs past its
 word budget, and any event the signature cannot extrapolate (an armed
 fault hook, a config event, a not-yet-exhausted trace generator, a
 fault or drop during the probe epoch) disables or defers replay: no
-replayed span and no template epoch holds a config event, and one
-resets the probe.  Replay arithmetic is in Python integers, so no
-sequence number, payload or cycle count is too large to replay.
+replayed span and no template epoch holds a config event (the boundary
+before one is no probe).  A template is proved only between two
+boundaries of one run, so no count written by outside code between two
+runs is taken into an epoch's deltas.  Replay arithmetic is in Python
+integers, so no sequence number, payload or cycle count is too large to
+replay.
 
 Whenever the network is *not* compilable — a tracer, a config packet
 on the word-level tree, data-link fault hooks, an unknown component, a
@@ -130,7 +138,7 @@ from .lowering import (
     _Trajectory,
     render_artifacts,
 )
-from .replay import EpochReplay, roster_key
+from .replay import EpochReplay
 from .stats import FAULT_DETECTED, counter_deltas
 
 # How a generator's firing is applied (``_resolve_ni``): through its
@@ -287,10 +295,10 @@ def _schedule_image(network: Any) -> tuple:
     pure function of: the slot wheel geometry and, per router/NI, the
     programmed forward/injection/arrival tables plus the static link
     attachment.  Two configurations with equal images lower to the same
-    op tables, trajectories and refusals, which is what makes both the
-    lowering cache and the piecewise-periodic regime cache sound across
-    use-case switches that revisit a schedule.  Each table gives its
-    image whole (``image()``), not slot by slot.
+    op tables, trajectories and refusals, which is what makes the
+    lowering cache sound across use-case switches that revisit a
+    schedule.  Each table gives its image whole (``image()``), not slot
+    by slot.
     """
     params = network.params
     routers = tuple(
@@ -537,28 +545,25 @@ def _lower(network: Any) -> Any:
         kernel.lowering_cache_misses += 1
     if isinstance(lowered, CompileRefusal):
         return lowered
-    return Lowering(network, lowered, image, roster)
+    return Lowering(network, lowered, roster)
 
 
 class Lowering:
     """What the provider compiles for one network, before an engine is
     built on it: the schedule's lowering (shared through the lowering
-    cache), the structural schedule image it is cached under, and the
-    classified kernel roster (``(component, (kind, payload))`` in kernel
-    order, all of them native, generator or sink).  The prover renders
-    it (:meth:`lowered_artifacts`) without an engine;
-    :class:`CompiledEngine` runs it."""
+    cache) and the classified kernel roster (``(component, (kind,
+    payload))`` in kernel order, all of them native, generator or
+    sink).  The prover renders it (:meth:`lowered_artifacts`) without
+    an engine; :class:`CompiledEngine` runs it."""
 
     def __init__(
         self,
         network: Any,
         lowered: _Lowered,
-        image: tuple,
         roster: List[Tuple[Any, Any]],
     ) -> None:
         self.network = network
         self._lowered = lowered
-        self.schedule_image = image
         self.roster = roster
         params = network.params
         self.wheel = params.slot_table_size * params.words_per_slot
@@ -758,14 +763,15 @@ class CompiledEngine:
         #: applied, and turns of the configuration module.  Not part of
         #: ``events_handled``, which stays a per-word figure.
         self.config_events = 0
-        #: Regime templates, the connection-id table the epoch's sink
-        #: events are recorded against, and the bulk materializer —
-        #: created at the first period-boundary probe of a run with
-        #: traffic (a traffic-free shard never needs it).  The structural
-        #: schedule image is the content-based key the lowering and regime
-        #: caches share.
-        self.replay: Any = None
-        self.schedule_image = lowering.schedule_image
+        #: This engine's regime templates, the connection-id table the
+        #: epoch's sink events are recorded against, and the bulk
+        #: materializer — ``None`` when the engine never replays: no
+        #: generator, or a replay refusal.
+        self.replay: Any = (
+            EpochReplay(self.kernel, self.period, sinks)
+            if gens and self.replay_refusal is None
+            else None
+        )
         #: Source channel keys ``(id(ni), channel)`` live at every apply
         #: this engine rode through (``None``: it rode through none, so
         #: its lowering is the schedule's own).  A run that finds
@@ -803,14 +809,10 @@ class CompiledEngine:
         #: Cell -> owner plans reading it (:meth:`_cell_readers`).
         self._readers: Optional[Dict[tuple, List[int]]] = None
         self._refusals_noted: Set[str] = set()
-        #: True while epoch replay is engaged in the current steady
-        #: regime; a boundary signature mismatch closes the regime, so
-        #: ``kernel.regimes_detected`` counts regime *segments*, not
-        #: replayed boundaries.
-        self._regime_open = False
-        #: Probe carried across run_to calls (see run_to): ``(signature,
-        #: snapshot, events so far, boundary cycle, cycle the run ended)``.
-        self._probe: Optional[tuple] = None
+        #: The template the open replay segment replays (``None``: no
+        #: segment is open).  ``Kernel.regimes_detected`` says what
+        #: opens and closes one.
+        self._segment: Optional[tuple] = None
         #: ``id(ni) -> (ni, owner plans, generators, sinks)`` of every
         #: NI the lowering or the roster touches, all resolved now.
         self._on_ni: Dict[int, tuple] = {}
@@ -1482,6 +1484,9 @@ class CompiledEngine:
         cycle = kernel.cycle
         if cycle >= end:
             return None
+        if self._exited_at != kernel.active_cycles:
+            # Not where this engine last exited: the segment closes.
+            self._segment = None
         refusal = self._import_registers(cycle)
         self._resolve()
         owners = self._owners
@@ -1506,8 +1511,6 @@ class CompiledEngine:
         if refusal is not None:
             return refusal
         self._claim_labels(working, gen_runs)
-        # Replay needs traffic: a run without generators never probes.
-        replay_ok = self.replay_refusal is None and bool(self.gens)
         if self.replay_refusal is not None:
             self._note_replay_refusal(self.replay_refusal)
 
@@ -1647,28 +1650,17 @@ class CompiledEngine:
             and not any(owner_ring)
         )
 
+        # Epoch replay (module docstring): the sink events of the epoch
+        # since the last boundary, and that boundary's signature and
+        # snapshot — this run's own, so an epoch is only proved where no
+        # outside code ran.
         period = self.period
-        events: Optional[List[tuple]] = (
-            [] if replay_ok and replay is not None else None
-        )
+        events: Optional[List[tuple]] = None if replay is None else []
         prev_sig: Any = None
         prev_snap: Any = None
         next_boundary = (
-            cycle + (-cycle) % period if replay_ok else _NEVER
+            _NEVER if replay is None else cycle + (-cycle) % period
         )
-        # Resume the probe carried over from the previous run: if that
-        # run ended mid-epoch with a boundary signature in hand and we
-        # restart at the exact cycle it stopped, keep its signature and
-        # partial event recording so the very next boundary can already
-        # replay.  Any external mutation in between changes the next
-        # boundary signature and simply fails the comparison.
-        probe, self._probe = self._probe, None
-        if (
-            probe is not None
-            and probe[4] == cycle
-            and probe[3] == next_boundary - period
-        ):
-            prev_sig, prev_snap, events = probe[:3]
         entered_at = cycle
         handled = 0
         model_calls = 0
@@ -1698,24 +1690,10 @@ class CompiledEngine:
                         # No epoch replays across a config event, so
                         # none is probed that holds one; and a live
                         # trace generator's future firings are not
-                        # captured by any state signature: defer.
+                        # captured by any state signature: this boundary
+                        # is no probe.
                         prev_sig = None
-                        prev_snap = None
                     else:
-                        if replay is None:
-                            replay = self.replay = EpochReplay(
-                                self.network,
-                                (
-                                    self.schedule_image,
-                                    roster_key(
-                                        self.gens, self.sinks, self.period
-                                    ),
-                                ),
-                                period,
-                                self.sinks,
-                            )
-                            intern = replay.intern
-                            events = []
                         # Barrier: the signature, the snapshot and the
                         # in-flight rewrite all read registers and
                         # counters.
@@ -1732,50 +1710,44 @@ class CompiledEngine:
                             stale.clear()
                         sig = self._signature(cycle, self._cur)
                         snap = self._snapshot(cycle)
-                        candidate: Any = None
-                        if prev_sig is not None and sig == prev_sig:
+                        anchors = self._sig_anchors()
+                        # The template of this signature, or the epoch
+                        # since this run's previous boundary, proved.
+                        found = replay.load(sig, snap, cycle, anchors)
+                        proved = False
+                        if found is None and sig == prev_sig:
                             delta = self._epoch_delta(prev_snap, snap)
                             if delta is not None:
-                                candidate = (delta, events)
-                                replay.store(
-                                    sig,
-                                    delta,
+                                found = (
+                                    replay.store(
+                                        sig, delta, events, cycle, anchors
+                                    ),
                                     events,
-                                    cycle,
-                                    self._sig_anchors(),
                                 )
-                        else:
-                            if prev_sig is not None:
-                                # The steady rhythm broke: whatever
-                                # replays next opens a new segment.
-                                self._regime_open = False
-                            candidate = replay.load(
-                                sig, snap, cycle, self._sig_anchors()
-                            )
+                                proved = True
                         prev_sig = sig
                         prev_snap = snap
-                        if candidate is not None:
-                            delta, epoch_events = candidate
+                        template = None if found is None else found[0]
+                        if template is not self._segment:
+                            self._segment = None
+                        if template is not None:
+                            delta = template[0]
                             epochs = min(
                                 (min(end, cfg_next) - cycle) // period,
                                 self._replay_horizon(delta, snap),
                             )
                             if epochs >= 1:
+                                if self._segment is None:
+                                    self._segment = template
+                                    kernel.regimes_detected += 1
+                                    if not proved:
+                                        kernel.regime_cache_hits += 1
                                 self._replay(
-                                    epochs, delta, snap, epoch_events, cycle
+                                    epochs, delta, snap, found[1], cycle
                                 )
                                 cycle += epochs * period
                                 replayed_epochs += epochs
                                 replayed_cycles += epochs * period
-                                # The landing state is the epoch state
-                                # shifted by `epochs` periods, and the
-                                # signature is shift-invariant (that is
-                                # what matching across one period just
-                                # proved), so stay armed: the landing's
-                                # snapshot is this one plus `epochs`
-                                # deltas, and the next boundary can
-                                # replay again without re-probing.
-                                prev_snap = self._landed(snap, delta, epochs)
                         self._load(cycle)
                         loaded = True
                         if cycle != boundary:
@@ -2016,12 +1988,12 @@ class CompiledEngine:
                     # Config events, where naive stepping has them:
                     # each element applies a deposit after its data-plane
                     # stages (element order), the module takes its turn
-                    # after every element.  No epoch probe spans one,
-                    # and a replay after one opens a new segment.  The
-                    # model code they run reads the clock.
+                    # after every element.  No epoch probe spans one
+                    # (the boundary before it is no probe), and a replay
+                    # after one opens a new segment.  The model code
+                    # they run reads the clock.
                     kernel.cycle = cycle
-                    prev_sig = None
-                    self._regime_open = False
+                    self._segment = None
                     due_ports = deposits.pop(cycle, ())
                     if len(due_ports) > 1:
                         due_ports.sort(key=lambda port: rank[id(port.owner)])
@@ -2190,14 +2162,6 @@ class CompiledEngine:
                     if self._valid_for is None
                     else self._valid_for & live_src
                 )
-            if clean_exit and prev_sig is not None:
-                self._probe = (
-                    prev_sig,
-                    prev_snap,
-                    events,
-                    next_boundary - period,
-                    cycle,
-                )
             if loaded:
                 if clean_exit:
                     reached = -1
@@ -2306,7 +2270,7 @@ class CompiledEngine:
         # the boundary.  Across same-regime boundaries (one period P
         # apart, every generator period dividing P) it is constant, so
         # the two-probe comparison is unchanged — but it is what makes
-        # signatures comparable across *regimes*: re-entering a cached
+        # signatures comparable across *regimes*: re-entering a stored
         # regime with freshly started generators matches only when they
         # fire at the same offsets the recorded epoch observed.
         gens_part = tuple(
@@ -2442,9 +2406,6 @@ class CompiledEngine:
         that moved, and rewrites in-flight words and queue contents to
         their post-replay identities.
         """
-        if not self._regime_open:
-            self._regime_open = True
-            self.kernel.regimes_detected += 1
         deltas = delta["seqs"]
         self.stats.credit(epochs, after["ledger"], delta["ledger"])
         self.replay.materialize(epochs, deltas, events)
@@ -2468,31 +2429,6 @@ class CompiledEngine:
         nis = self.network.nis
         for (name, channel), moved in delta["counters"].items():
             nis[name]._sequence_counters[channel] += epochs * moved
-
-    def _landed(self, snap: dict, delta: dict, epochs: int) -> dict:
-        """The snapshot after ``epochs`` epochs replayed from ``snap``:
-        ``snap`` plus ``epochs`` deltas, read again only where a sink's
-        replayed sequence checks can write (findings, the fault log)."""
-        fixed = list(snap["fixed"])
-        for index, moved in delta["links"]:
-            fixed[index] += epochs * moved
-        return {
-            "fixed": fixed,
-            "counters": _plus(snap["counters"], delta["counters"], epochs),
-            "seqs": _plus(snap["seqs"], delta["seqs"], epochs),
-            "gen_words": [
-                now + epochs * d
-                for now, d in zip(snap["gen_words"], delta["gen_words"])
-            ],
-            "gen_bursts": [
-                now + epochs * d
-                for now, d in zip(snap["gen_bursts"], delta["gen_bursts"])
-            ],
-            "ledger": _plus(snap["ledger"], delta["ledger"], epochs),
-            "faults": len(self.stats.faults),
-            "dropped": snap["dropped"],
-            "findings": tuple(len(sink[0].findings) for sink in self.sinks),
-        }
 
     def _shift_inflight(self, deltas: Dict[str, int], epochs: int) -> None:
         """Rewrite in-flight words to their post-replay identities, and
@@ -2557,14 +2493,6 @@ def _with_work(owners: List[Optional[_Owner]]) -> List[_Owner]:
         if owner is not None
         and (owner.source.queue or owner.dest and owner.dest.pending_credits)
     ]
-
-
-def _plus(values: Dict[Any, int], deltas: Dict[Any, int], k: int) -> dict:
-    """``values`` with ``k`` times each of ``deltas`` added."""
-    values = dict(values)
-    for key, delta in deltas.items():
-        values[key] += k * delta
-    return values
 
 
 def _shifted(word: Word, offset: int, cycles: int) -> Word:

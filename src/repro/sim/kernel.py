@@ -342,14 +342,18 @@ class Kernel:
         #: naively before re-acquiring an engine.
         self.compile_deferrals: Dict[str, int] = {}
         self._last_refusal: Optional[CompileRefusal] = None
-        #: Distinct steady-state regimes in which epoch replay engaged
-        #: (a regime opens when replay first fires after a signature
-        #: mismatch or reconfiguration, and closes on the next mismatch).
+        #: Replay *segments* opened.  A segment is opened by a replay.
+        #: It closes at a config event; at a probed boundary whose
+        #: signature has no usable template, or a template other than
+        #: the open segment's; and at any engine entry that does not
+        #: resume where that engine last exited (``active_cycles``
+        #: moved since).  A replay while a segment is open extends it.
         self.regimes_detected = 0
-        #: Boundaries where a previously cached regime replayed
-        #: immediately, skipping the two-probe settling wait.
+        #: Segments opened by loading a template stored earlier (not
+        #: the one just proved at that boundary).
         self.regime_cache_hits = 0
-        #: Regimes captured into the piecewise-periodic cache.
+        #: Templates stored: epochs proved steady inside one run, each
+        #: into its engine's own store (:mod:`repro.sim.replay`).
         self.regime_cache_stores = 0
         #: ``lower_network`` products served from the schedule-image
         #: cache instead of recompiled (use-case-switch campaigns).

@@ -14,98 +14,46 @@ cycle and holds no data-plane state:
   checks.  (The statistics ledger needs no template: a word carries its
   own injection cycle and the ledger keeps counts, which the engine
   credits by the epoch's deltas, ``StatsCollector.credit``.)
-* **Piecewise-periodic regime cache** — a proven-steady epoch is stored
-  fully rebased (sink event cycles relative to the epoch start,
-  sequences relative to the per-connection anchors, counters as
-  per-epoch deltas) in a per-network LRU keyed (schedule image, traffic
-  roster, signature) — the first two hashed once per engine, into one
-  prefix the network shares — so re-entering a seen regime replays at
-  the *first* boundary instead of re-probing two epochs.
+* **Regime templates** — a proven-steady epoch is stored fully rebased
+  (sink event cycles relative to the epoch start, sequences relative to
+  the per-connection anchors, counters as per-epoch deltas) in the
+  engine's own LRU, keyed by the boundary signature alone.  The engine
+  proves a template only inside one run (two equal signatures one
+  period apart, no outside code between them) and loads one at every
+  probed boundary, so re-entering a regime the engine has seen — after
+  a landing, a config event or a use-case switch back — replays at the
+  *first* boundary instead of probing two epochs.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-#: Capacity (regimes) of the per-network regime cache: one entry per
+#: Capacity (regimes) of an engine's template store: one entry per
 #: distinct steady regime; use-case campaigns rarely cycle through more
 #: than a handful.
 REGIME_CACHE_CAPACITY = 8
 
 
-def roster_key(
-    gens: Sequence[Any], sinks: Sequence[tuple], period: int
-) -> tuple:
-    """Hashable identity of the traffic roster driving an engine.
-
-    A cached regime is only replayable when the *same* generator and
-    sink structure (types, periods, budgets, endpoints, roster order)
-    surrounds the matching signature: the per-epoch delta vectors and
-    the event template's sink indices are positional in this roster.
-    """
-    gens_key = []
-    for gen in gens:
-        inject = getattr(gen, "inject", None)
-        gens_key.append(
-            (
-                type(gen).__name__,
-                getattr(gen, "period", 0),
-                getattr(gen, "burst_words", 0),
-                getattr(gen, "total_words", None),
-                getattr(gen, "total_bursts", None),
-                None if inject is None else inject.connection,
-                None if inject is None else inject.ni.name,
-                None if inject is None else inject.channel,
-            )
-        )
-    sinks_key = [
-        (
-            type(sink).__name__,
-            ni.name,
-            channel,
-            sink_period,
-            sink.words_per_cycle,
-        )
-        for sink, ni, channel, sink_period in sinks
-    ]
-    return (tuple(gens_key), tuple(sinks_key), period)
-
-
 class EpochReplay:
     """Regime templates and bulk materialization for one engine.
 
-    ``key`` is the ``(schedule image, roster key)`` prefix of this
-    engine's regime-cache entries.  It is hashed once, here: the
-    network maps each prefix it has seen to one ``prefix`` object, so
-    the entries are keyed ``(prefix, signature)`` and an engine built
-    for a schedule seen before shares the templates stored under it.
-    The cache itself hangs off the network, so it outlives the engines
-    that use-case switches retire; its hit and store counters are kept
-    on the kernel.
+    ``templates`` maps a boundary signature to the epoch proved under
+    it, ``(delta, rebased sink events)``, least recently used first.
+    A template never leaves its engine: the deltas and the sink indices
+    are positional in the engine's roster, and an engine is retired
+    with its lowering.  Stores are counted on the kernel
+    (``regime_cache_stores``); the engine counts the segments it opens.
     """
 
-    def __init__(
-        self,
-        network: Any,
-        key: tuple,
-        period: int,
-        sinks: List[tuple],
-    ) -> None:
-        self.stats = network.stats
-        self.kernel = network.kernel
+    def __init__(self, kernel: Any, period: int, sinks: List[tuple]) -> None:
+        self.kernel = kernel
         self.period = period
         self.sinks = sinks
         self.conn_ids: Dict[str, int] = {"": 0}  # id 0 <=> "no label"
         self.conn_names: List[str] = [""]
-        cache = getattr(network, "_regime_cache", None)
-        if cache is None:
-            cache = OrderedDict()
-            network._regime_cache = cache
-            network._regime_prefixes = {}
-        self.cache: OrderedDict = cache
-        self.prefixes: Dict[tuple, object] = network._regime_prefixes
-        self.prefix = self.prefixes.setdefault(key, object())
+        self.templates: OrderedDict = OrderedDict()
 
     def intern(self, connection: str) -> int:
         cid = self.conn_ids.get(connection)
@@ -115,7 +63,7 @@ class EpochReplay:
             self.conn_names.append(connection)
         return cid
 
-    # -- the piecewise-periodic regime cache --------------------------------------
+    # -- the template store ------------------------------------------------------
 
     def store(
         self,
@@ -124,25 +72,19 @@ class EpochReplay:
         events: List[tuple],
         cycle: int,
         anchors: Dict[str, Tuple[int, int]],
-    ) -> None:
-        """Record one proven-steady epoch as a reusable regime template.
+    ) -> tuple:
+        """Record the epoch ending at ``cycle``, just proved steady, as
+        the template of ``sig`` and return it.
 
         The template is fully rebased: sink event cycles relative to the
         epoch start, sequences relative to the per-connection
         ``anchors`` at the closing boundary, counters as the epoch's
         ``delta`` (``CompiledEngine._epoch_delta``: keyed by link
-        position, NI and channel, connection or ledger key, never by
-        engine).  Loading re-anchors against whatever absolute state the
-        matching boundary presents, so a template recorded before a
-        use-case switch replays bit-exactly after switching back.
+        position, NI and channel, connection or ledger key).  Loading
+        re-anchors against whatever absolute state the matching boundary
+        presents, so a template recorded before a config event replays
+        bit-exactly at any later boundary with the same signature.
         """
-        cache = self.cache
-        key = (self.prefix, sig)
-        try:
-            cache.move_to_end(key)
-            return
-        except KeyError:
-            pass
         names = self.conn_names
         start = cycle - self.period
         rebased: List[tuple] = []
@@ -154,15 +96,13 @@ class EpochReplay:
             rebased.append(
                 (cyc - start, conn, seq, anchor is not None, sink_index)
             )
-        cache[key] = (delta, tuple(rebased))
-        if len(cache) > REGIME_CACHE_CAPACITY:
-            cache.popitem(last=False)
-            # A prefix no entry is stored under any more is forgotten.
-            kept = {prefix for prefix, _sig in cache}
-            prefixes = self.prefixes
-            for seen in [k for k, p in prefixes.items() if p not in kept]:
-                del prefixes[seen]
+        templates = self.templates
+        template = templates[sig] = (delta, tuple(rebased))
+        templates.move_to_end(sig)
+        if len(templates) > REGIME_CACHE_CAPACITY:
+            templates.popitem(last=False)
         self.kernel.regime_cache_stores += 1
+        return template
 
     def load(
         self,
@@ -170,20 +110,15 @@ class EpochReplay:
         snap: dict,
         cycle: int,
         anchors: Dict[str, Tuple[int, int]],
-    ) -> Optional[Tuple[dict, List[tuple]]]:
-        """Rehydrate a cached regime template at a matching boundary.
-
-        Returns ``(delta, events)`` shaped exactly like a live
-        two-probe capture: the stored epoch deltas, and the template's
-        events re-anchored to the live ``anchors`` and re-timed into the
-        epoch ending at ``cycle``.
-        """
-        cache = self.cache
-        key = (self.prefix, sig)
-        entry = cache.get(key)
-        if entry is None:
+    ) -> Optional[Tuple[tuple, List[tuple]]]:
+        """The template of ``sig`` and its sink events re-anchored to the
+        live ``anchors`` and re-timed into the epoch ending at ``cycle``
+        — or ``None`` when there is none, or none usable at the boundary
+        whose counters ``snap`` holds."""
+        template = self.templates.get(sig)
+        if template is None:
             return None
-        delta, template = entry
+        delta, rebased = template
         if not (
             delta["ledger"].keys() <= snap["ledger"].keys()
             and delta["counters"].keys() <= snap["counters"].keys()
@@ -192,19 +127,18 @@ class EpochReplay:
             # lacks (a connection, flow, latency or sequence counter not
             # seen yet) has no boundary value to credit.
             return None
-        cache.move_to_end(key)
         intern = self.intern
         start = cycle - self.period
         events: List[tuple] = []
-        for cyc, conn, seq, anchored, sink_index in template:
+        for cyc, conn, seq, anchored, sink_index in rebased:
             if anchored:
                 anchor = anchors.get(conn)
                 if anchor is None:
                     return None
                 seq += anchor[0]
             events.append((cyc + start, intern(conn), seq, sink_index))
-        self.kernel.regime_cache_hits += 1
-        return delta, events
+        self.templates.move_to_end(sig)
+        return template, events
 
     # -- bulk epoch replay -------------------------------------------------------
 

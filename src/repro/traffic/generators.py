@@ -9,8 +9,7 @@ reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from ..errors import TrafficError
 from ..sim.kernel import Component

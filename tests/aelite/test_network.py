@@ -6,7 +6,6 @@ import pytest
 
 from repro.aelite import AeliteNetwork, reserve_config_slots
 from repro.alloc import ConnectionRequest, SlotAllocator
-from repro.errors import SimulationError
 from repro.params import aelite_parameters
 from repro.topology import build_mesh
 

@@ -8,7 +8,7 @@ from repro.aelite import AeliteHeader
 from repro.aelite.router import AeliteRouter
 from repro.errors import SimulationError
 from repro.params import aelite_parameters
-from repro.sim import Kernel, Link, Phit, Word
+from repro.sim import Kernel, Link, Word
 from repro.topology import Topology
 
 

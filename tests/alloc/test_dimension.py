@@ -6,12 +6,10 @@ import pytest
 
 from repro.alloc import ConnectionRequest, UseCase
 from repro.alloc.dimension import (
-    DimensioningResult,
     PlatformSpec,
     dimension_platform,
 )
 from repro.errors import AllocationError, ParameterError
-from repro.params import daelite_parameters
 
 from ..ledger_mirror import LedgerMirror, use_ledger
 

@@ -6,7 +6,6 @@ import pytest
 
 from repro.analysis import (
     NAND2_UM2,
-    aelite_router_ge,
     crossbar,
     daelite_ni_ge,
     daelite_router_ge,

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.alloc import SlotAllocator, broadcast_request
 from repro.core import DaeliteNetwork
 from repro.params import daelite_parameters

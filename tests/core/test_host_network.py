@@ -7,7 +7,6 @@ import pytest
 from repro.alloc import ConnectionRequest, SlotAllocator
 from repro.core import ChannelField, DaeliteNetwork, Direction
 from repro.errors import ConfigurationError, TopologyError
-from repro.params import daelite_parameters
 from repro.topology import build_mesh
 
 from ..conftest import make_connected_network, pump_until_delivered

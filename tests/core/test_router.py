@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import DaeliteNetwork
 from repro.core.router import Router
 from repro.errors import SimulationError
 from repro.params import daelite_parameters

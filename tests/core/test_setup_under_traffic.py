@@ -69,8 +69,10 @@ pytestmark = pytest.mark.differential
 class Bench:
     """A mesh on one kernel mode, an on-line manager, checked flows."""
 
-    def __init__(self, mode: str, side=(3, 3), slots=8, host_ni=None):
-        params = daelite_parameters(slot_table_size=slots)
+    def __init__(
+        self, mode: str, side=(3, 3), slots=8, host_ni=None, **overrides
+    ):
+        params = daelite_parameters(slot_table_size=slots, **overrides)
         self.net = DaeliteNetwork(
             build_mesh(*side), params, host_ni=host_ni, kernel_mode=mode
         )
@@ -909,12 +911,21 @@ class TestEarliestFinish:
 # -- epoch replay around config events ---------------------------------------------
 
 
+#: The replay period of a flow fed every ten cycles on the 8-slot bench,
+#: ``lcm(wheel, 10)``.
+FLOW_PERIOD = lcm(8 * daelite_parameters().words_per_slot, 10)
+
+
 def run_probe_across_a_config_event(monkeypatch):
-    """A steady flow probed mid-epoch, then a one-packet rewrite of an
-    idle channel submitted between two runs and finished well inside
-    the epoch the carried probe is measuring.  Returns the vector bench,
-    the cycles of every config event, and every replay template's epoch
-    and replayed span."""
+    """A steady flow with no template yet — every run before crosses at
+    most one boundary — and one run holding a one-packet rewrite of an
+    idle channel, submitted where the packet's deposit comes just before
+    a boundary ``B`` and, after a cool-down of two periods, the turn
+    retiring it between ``B + P`` and ``B + 2P``: ``B`` is the first
+    probe of the regime, and the boundary after it holds a config event
+    in its epoch.  Returns the vector bench, the cycles of every config
+    event, and every replay template's epoch and replayed span."""
+    period = FLOW_PERIOD
     config_cycles: List[int] = []
     spans: List[Tuple[int, int]] = []
     original_decode = ConfigPort._decode_deposit
@@ -946,39 +957,56 @@ def run_probe_across_a_config_event(monkeypatch):
 
     def drive(bench):
         net = bench.net
+        module = net.config_module
         idle = bench.manager.open_connection(IDLE).handle
-        with_flow(bench, period=10)
-        net.run(1000)
-        params = net.params
-        period = lcm(params.slot_table_size * params.words_per_slot, 10)
-        cycle = net.kernel.cycle
-        boundary = cycle + period + (-cycle) % period
-        net.run(boundary + 3 - cycle)
-        bench.check("mid-epoch")
+        bench.flow(FLOW, period=10)
+        for _ in range(12):
+            net.run(period // 2)
+        bench.check("flow steady, no template")
         channel = idle.forward.src_channel
         flags = net.ni("NI20").source_channels[channel].flags
+        element = net.topology.element("NI20").element_id
         rewrite = build_channel_config_packet(
-            element_id=net.topology.element("NI20").element_id,
+            element_id=element,
             direction=Direction.INJECT,
             channel=channel,
             fields=[(ChannelField.FLAGS, flags)],
             word_bits=net.params.config_word_bits,
         )
-        net.config_module.submit(rewrite, net.kernel.cycle)
-        net.run(3000)
+        words = len(rewrite.words)
+        depth = module.ports[element].depth
+
+        def aligned(start):
+            deposit = module._due_cycle(start, words, depth)
+            first = (deposit // period + 1) * period
+            return first + period <= module._flight_end(start, words) < (
+                first + 2 * period
+            )
+
+        now = net.kernel.cycle
+        start = next(c for c in range(now, now + period) if aligned(c))
+        net.run(start - now)
+        module.submit(rewrite, start)
+        net.run(6 * period)
         bench.check("after")
 
-    bench = lockstep(Bench, [drive])
+    bench = lockstep(
+        lambda mode: Bench(mode, cooldown_cycles=2 * period), [drive]
+    )
     return bench, config_cycles, spans
 
 
 def test_no_replay_or_template_spans_a_config_event(monkeypatch):
     bench, config_cycles, spans = run_probe_across_a_config_event(monkeypatch)
     assert stats(bench)["replayed_epochs"] > 0
-    late = [c for c in config_cycles if c > 1000]
-    assert late
+    assert stats(bench)["regime_cache_stores"] == 1
+    assert config_cycles
     for start, end in spans:
-        assert not any(start <= c < end for c in late), (start, end, late)
+        assert not any(start <= c < end for c in config_cycles), (
+            start,
+            end,
+            config_cycles,
+        )
 
 
 # -- the rules bite: planted mutants -------------------------------------------------
@@ -1050,10 +1078,13 @@ class TestPlantedMutantsAreKilled:
         )
 
     def test_probe_not_reset_at_a_config_event(self, monkeypatch):
+        """A boundary with a config event in its epoch is no probe: kept
+        as one, the boundary after the event compares with the one
+        before it."""
         plant(
             monkeypatch,
-            "kernel.cycle = cycle\n                    prev_sig = None\n",
-            "kernel.cycle = cycle\n",
+            "is no probe.\n                        prev_sig = None\n",
+            "is no probe.\n                        pass\n",
         )
         assert not mutant_survives(
             lambda: test_no_replay_or_template_spans_a_config_event(

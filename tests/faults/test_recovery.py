@@ -6,7 +6,7 @@ import pytest
 
 from repro.alloc import ConnectionRequest, MulticastRequest
 from repro.core import DaeliteNetwork, OnlineConnectionManager
-from repro.errors import ConfigurationError, TopologyError
+from repro.errors import TopologyError
 from repro.params import daelite_parameters
 from repro.staticcheck import verify_network_state
 from repro.topology import build_mesh

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.claims import ALL_CLAIMS, verify_all
 
 

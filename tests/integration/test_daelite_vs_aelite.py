@@ -14,7 +14,7 @@ from repro.alloc import ConnectionRequest, SlotAllocator
 from repro.core import DaeliteNetwork
 from repro.params import aelite_parameters, daelite_parameters
 from repro.staticcheck import verify_network_state
-from repro.topology import build_config_tree, build_mesh
+from repro.topology import build_mesh
 
 
 def run_daelite(slot_table_size, words, forward_slots=2):

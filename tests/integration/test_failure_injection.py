@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.alloc import ConnectionRequest, SlotAllocator
-from repro.alloc.spec import AllocatedChannel, AllocatedConnection
+from repro.alloc.spec import AllocatedChannel
 from repro.core import DaeliteNetwork, Opcode
 from repro.errors import (
     FlowControlError,

@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.alloc import (
     ChannelRequest,
-    ConnectionRequest,
     MulticastRequest,
     SlotAllocator,
     validate_schedule,

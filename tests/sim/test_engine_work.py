@@ -34,7 +34,6 @@ from repro.sim.lowering import (
     LoweredOp,
     _render_trajectory,
 )
-from repro.sim.replay import EpochReplay
 from repro.staticcheck import prove_network
 from repro.topology import ConfigTree, build_mesh, ni_name
 from repro.traffic import CbrGenerator, CheckingSink, random_traffic_pattern
@@ -503,10 +502,9 @@ class TestReplayBoundaryWork:
     generator period (the ``fabric_replay`` workload's shape), as
     counts over slices that each cross one boundary and replay from
     it: the mesh-wide snapshots taken and the times the schedule image
-    is hashed.  A boundary snapshots the mesh once — the landing's
-    snapshot is the probe's plus the replayed epochs' deltas — and the
-    regime cache's ``(schedule image, roster)`` key prefix is hashed
-    once per engine, not at every store or load."""
+    is hashed.  A boundary snapshots the mesh once, to load the
+    engine's template for its signature, and never takes the schedule
+    image: templates are the engine's own, keyed by signature alone."""
 
     SLICES = 8
     SLICE = 100_000
@@ -554,28 +552,6 @@ class TestReplayBoundaryWork:
         assert counts["boundaries"] == self.SLICES
         assert counts["snapshots"] <= counts["boundaries"]
         assert counts["image hashes"] == 0
-
-    def test_a_landing_that_snapshots_the_mesh_is_killed(self, monkeypatch):
-        plant(
-            monkeypatch,
-            "prev_snap = self._landed(snap, delta, epochs)",
-            "prev_snap = self._snapshot(cycle)",
-        )
-        counts, _, _ = self.boundary_work(monkeypatch)
-        assert counts["snapshots"] == 2 * counts["boundaries"]
-
-    def test_a_prefix_hashed_at_every_store_is_killed(self, monkeypatch):
-        """The raw ``(schedule image, roster)`` key as the prefix: sound,
-        and sharing, but the image is hashed at every boundary."""
-        plant(
-            monkeypatch,
-            "self.prefix = self.prefixes.setdefault(key, object())",
-            "self.prefix = key",
-            owner=EpochReplay,
-            method="__init__",
-        )
-        counts, _, _ = self.boundary_work(monkeypatch)
-        assert counts["image hashes"] >= counts["boundaries"]
 
 
 def per_entry_rendering(lowered, wheel):

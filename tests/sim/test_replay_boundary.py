@@ -1,15 +1,14 @@
 """Epoch replay across what a boundary's signature does not hold, the
 ``vector`` engine against ``naive``.
 
-A regime template is keyed ``(prefix, signature)``: the prefix stands
-for the engine's ``(schedule image, traffic roster)`` and is shared
-through the network, so two schedules whose boundaries look alike keep
-their templates apart, and a switch back to a schedule seen before
-loads the template stored under it.  The channel list the signature
-and the queue rewrite walk is kept current from the network's change
-record: an endpoint made between two runs, or by a generator's first
-firing inside one, still refuses the epoch, and so does a sequence
-counter that appears.
+Every replayed epoch comes from the engine's own template store, keyed
+by the boundary signature alone: an engine proves a template inside one
+run and loads it at any later boundary with that signature.  So a count
+written between two runs is never taken into a template, two schedules
+whose boundaries look alike each store their own, and the channel list
+the signature and the queue rewrite walk is kept current from the
+network's change record: an endpoint made between two runs, or by a
+generator's first firing inside one, still refuses the epoch.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from repro.alloc import ConnectionRequest, SlotAllocator
 from repro.core import DaeliteNetwork
 from repro.params import daelite_parameters
 from repro.sim.kernel import VECTOR_MODE
-from repro.sim.replay import EpochReplay
 from repro.topology import build_mesh
 from repro.traffic import CbrGenerator, CheckingSink
 
@@ -30,7 +28,7 @@ PARAMS = daelite_parameters(slot_table_size=8)
 #: One slot wheel: the generators' period, and so the replay period.
 WHEEL = PARAMS.slot_table_size * PARAMS.words_per_slot
 #: Ten wheels and a few cycles: the template is stored and the run ends
-#: mid-epoch, its probe carried over to the next run.
+#: mid-epoch.
 WARM = 10 * WHEEL + 3
 
 
@@ -93,7 +91,29 @@ def on_both(act):
     return lambda built: act(built[0])
 
 
-# -- the regime-cache key ------------------------------------------------------
+# -- counts written between two runs ---------------------------------------------
+
+
+def carrying_link(net):
+    """The busiest link: one the flow's words cross."""
+    return max(net.links.values(), key=lambda link: link.words_carried)
+
+
+def test_counts_written_between_two_runs_are_not_replayed():
+    """A link's word count and the ledger's ejections, raised by one
+    between two runs once the template is stored, stay raised by one:
+    the template's deltas were proved inside one run, so the write is
+    not taken into an epoch and multiplied by the replay."""
+
+    def write(net):
+        carrying_link(net).words_carried += 1
+        net.stats.connections["a"].ejected += 1
+
+    net = lockstep(flow_net, (WARM, on_both(write), 20 * WHEEL))
+    assert net.kernel.kernel_stats()["replayed_epochs"] > 0
+
+
+# -- templates are per engine --------------------------------------------------
 
 
 def dead_entry(net):
@@ -136,49 +156,19 @@ def run_schedule_switches():
 
 
 def test_schedules_alike_at_their_boundaries_keep_their_templates_apart():
-    """B's engine sees A's very signature, but stores its own template
-    instead of loading A's; the switch back to A loads A's."""
+    """Each schedule's engine sees the very same signature, and each
+    proves and stores its own template: none loads another's."""
     stats, signatures, engines = run_schedule_switches()
     a, b, a_again = stats
     assert signatures[0] == signatures[1] == signatures[2]
-    assert engines[0] is not engines[1] and engines[1] is not engines[2]
-    assert engines[0].schedule_image != engines[1].schedule_image
+    assert len({id(engine) for engine in engines}) == 3
     assert (a["regime_cache_stores"], a["regime_cache_hits"]) == (1, 0)
     assert (b["regime_cache_stores"], b["regime_cache_hits"]) == (2, 0)
     assert (a_again["regime_cache_stores"], a_again["regime_cache_hits"]) == (
-        2,
-        1,
+        3,
+        0,
     )
     assert a["replayed_epochs"] < b["replayed_epochs"] < a_again["replayed_epochs"]
-
-
-def test_a_key_on_the_signature_alone_is_killed(monkeypatch):
-    """B loads the template A stored under the same signature."""
-    for method in ("store", "load"):
-        plant(
-            monkeypatch,
-            "key = (self.prefix, sig)",
-            "key = sig",
-            owner=EpochReplay,
-            method=method,
-        )
-    assert not mutant_survives(
-        test_schedules_alike_at_their_boundaries_keep_their_templates_apart
-    )
-
-
-def test_a_prefix_kept_per_engine_is_killed(monkeypatch):
-    """The engine back on schedule A cannot find A's template."""
-    plant(
-        monkeypatch,
-        "self.prefix = self.prefixes.setdefault(key, object())",
-        "self.prefix = object()",
-        owner=EpochReplay,
-        method="__init__",
-    )
-    assert not mutant_survives(
-        test_schedules_alike_at_their_boundaries_keep_their_templates_apart
-    )
 
 
 # -- the channel list ----------------------------------------------------------
@@ -202,10 +192,10 @@ def counter_alone(net):
 
 def replayed_across_the_first_boundary(poke):
     """Epochs the vector build replays in the run after ``poke`` (applied
-    to both builds between two runs, while the vector engine carries
-    its probe): that run crosses two boundaries and ends half a wheel
+    to both builds between two runs, once the vector engine stored its
+    template): that run crosses two boundaries and ends half a wheel
     past the second, so it replays one epoch only if the first boundary
-    matches the carried probe."""
+    loads the template."""
     replayed = []
 
     def count(net):
@@ -230,11 +220,23 @@ def test_an_undisturbed_probe_replays_at_the_first_boundary():
 
 
 @pytest.mark.parametrize(
-    "poke",
-    [endpoint_without_generator, endpoint_on_the_generator_ni, counter_alone],
+    "poke, replayed",
+    [
+        pytest.param(
+            endpoint_without_generator, 0, id="endpoint_without_generator"
+        ),
+        pytest.param(
+            endpoint_on_the_generator_ni, 0, id="endpoint_on_the_generator_ni"
+        ),
+        pytest.param(counter_alone, 1, id="counter_alone"),
+    ],
 )
-def test_what_appears_between_two_runs_refuses_the_epoch(poke):
-    assert replayed_across_the_first_boundary(poke) == 0
+def test_what_appears_between_two_runs_refuses_the_epoch(poke, replayed):
+    """An endpoint is in the signature: the first boundary finds no
+    template.  A sequence counter alone is not, and the template's
+    deltas do not move it, so the first boundary replays from the
+    template (and matches ``naive``)."""
+    assert replayed_across_the_first_boundary(poke) == replayed
 
 
 def test_a_generator_first_firing_inside_a_probe_epoch():
@@ -263,7 +265,7 @@ def test_a_list_not_refreshed_at_entry_is_killed(monkeypatch):
     )
     assert not mutant_survives(
         lambda: test_what_appears_between_two_runs_refuses_the_epoch(
-            endpoint_without_generator
+            endpoint_without_generator, 0
         )
     )
 
@@ -271,6 +273,24 @@ def test_a_list_not_refreshed_at_entry_is_killed(monkeypatch):
 def test_a_list_not_refreshed_at_a_boundary_is_killed(monkeypatch):
     plant(monkeypatch, "stale.update(changes.endpoints)", "pass")
     assert not mutant_survives(test_a_generator_first_firing_inside_a_probe_epoch)
+
+
+def an_epoch_opening_a_counter_is_no_template():
+    """``_epoch_delta`` over an epoch in which a sequence counter opened
+    on the generator's NI is ``None``.  No run reaches that epoch with
+    equal signatures any more: a counter opens inside a run only at a
+    generator's first firing, whose word the signature sees, and one
+    written between two runs is never inside a proved epoch; so the
+    boundary snapshots are taken from a run and the counter added to
+    the later one."""
+    net = lockstep(flow_net, (WARM,))
+    engine = net.kernel._engine
+    before = engine._snapshot(net.kernel.cycle)
+    net.run(WHEEL)
+    after = engine._snapshot(net.kernel.cycle)
+    assert engine._epoch_delta(before, after) is not None
+    after["counters"][("NI00", 5)] = 1
+    assert engine._epoch_delta(before, after) is None
 
 
 def test_a_delta_blind_to_new_counters_is_killed(monkeypatch):
@@ -281,6 +301,4 @@ def test_a_delta_blind_to_new_counters_is_killed(monkeypatch):
         '{key: now - before["counters"].get(key, 0) for key, now in after["counters"].items()}',
         method="_epoch_delta",
     )
-    assert not mutant_survives(
-        lambda: test_what_appears_between_two_runs_refuses_the_epoch(counter_alone)
-    )
+    assert not mutant_survives(an_epoch_opening_a_counter_is_no_template)

@@ -842,8 +842,8 @@ def test_regime_revisit_campaign_replays_from_cache():
     """Three use-case switches, two of them revisiting a prior regime:
     the vector engine replays in *every* revisited regime,
     bit-identical to the naive reference, and the revisits are
-    served from the regime cache (immediate replay, no two-epoch
-    probe).  The switches configure only the idle "b", so one engine
+    served from the engine's template store (immediate replay, no
+    two-epoch probe).  The switches configure only the idle "b", so one engine
     rides through all three: nothing is lowered again."""
     net_v, chk_v, seg_v = run_regime_revisit_campaign(VECTOR_MODE)
     net_a, chk_a, _ = run_regime_revisit_campaign(NAIVE_MODE)
@@ -851,7 +851,7 @@ def test_regime_revisit_campaign_replays_from_cache():
     for label, delta in seg_v:
         assert delta > 0, f"segment {label!r} never replayed: {seg_v}"
     stats = net_v.kernel.kernel_stats()
-    # Both revisited regimes were served from the cache ...
+    # Both revisited regimes were served from stored templates ...
     assert stats["regime_cache_hits"] >= 2, stats
     # ... which was populated by the first visits ...
     assert stats["regime_cache_stores"] >= 2, stats
@@ -1666,9 +1666,9 @@ class TestPlantedEngineMutantsAreKilled:
         """Finding: between two boundaries of one undisturbed run the
         counter is implied by credit conservation (queued, in-flight and
         pending credits are all in the signature), so this mutant
-        *survives* every steady scenario above.  It is the carried-over
-        probe and the regime cache — comparisons across an outside
-        mutation — that need the counter.  A theft mid-epoch only delays
+        *survives* every steady scenario above.  It is a template loaded
+        at a later boundary — a comparison across an outside mutation —
+        that needs the counter.  A theft mid-epoch only delays
         injections by a cycle inside the replayed span, at unchanged
         latencies and landing state, which a ledger of counts cannot
         see; a theft on the boundary itself starves the flows the

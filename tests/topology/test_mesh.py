@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import TopologyError
 from repro.topology import (
-    ElementKind,
     build_mesh,
     build_ring,
     build_torus,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import TopologyError
-from repro.topology import ElementKind, Topology, build_mesh
+from repro.topology import Topology, build_mesh
 
 
 def tiny():
