@@ -41,6 +41,9 @@ class ChangeRecord:
         endpoints: NIs that created or dropped a channel endpoint, or
             re-paired a source channel, since the compiled engine last
             resolved their endpoints; the engine empties it.
+        queued: NIs a word was submitted to since the data plane was
+            last found empty; that test empties it
+            (``repro.sim.compiled.NetworkProvider.data_plane_empty``).
     """
 
     __slots__ = (
@@ -50,6 +53,7 @@ class ChangeRecord:
         "hooked_config_links",
         "sourcing",
         "endpoints",
+        "queued",
     )
 
     def __init__(self) -> None:
@@ -59,6 +63,7 @@ class ChangeRecord:
         self.hooked_config_links: Dict[Any, None] = {}
         self.sourcing: Dict[Any, None] = {}
         self.endpoints: Dict[Any, None] = {}
+        self.queued: Dict[Any, None] = {}
 
 
 class ReportingElement:

@@ -36,12 +36,22 @@ it ahead of time for every queued packet, to stop at the activation of
 the first one that will stream through the tree.  A fault hook on a
 config link therefore keeps off the engine only the packets whose flight
 window holds one of the cycles it declares.
+
+Who runs an elided packet's deposits and the module's turns in vector
+mode is :class:`ConfigEvents`: the one routine that orders them, called
+by the compiled engine beside running traffic and by the kernel's
+advance of the config plane alone when the data plane is empty (see
+:mod:`repro.sim.compiled`).  :meth:`ConfigModule.next_stepped_cycle`
+names the cycles neither may run: the activation of a packet the
+word-level tree must carry and the finish of a request with an
+``on_complete`` hook.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from ..errors import (
@@ -57,7 +67,7 @@ from ..sim.trace import NULL_TRACER, Tracer
 from ..topology import CONFIG_HOP_CYCLES, ConfigTree
 from .changes import ChangeRecord
 from .config_port import ConfigPort
-from .config_protocol import ConfigPacket, Opcode
+from .config_protocol import Action, ConfigPacket, Opcode
 
 # Why vector mode stepped a packet through the word-level tree anyway
 # (keys of ``kernel_stats()["config_elision_refusals"]``).  The first
@@ -78,6 +88,13 @@ REFUSED_EXPECTS_RESPONSE = "expects_response"
 REFUSED_NO_ADDRESSEE_RECORD = "no_addressee_record"
 #: The record names an element this network does not have.
 REFUSED_UNKNOWN_ADDRESSEE = "unknown_addressee"
+
+#: A cycle no config event falls in (:attr:`ConfigEvents.next`).
+NEVER = 1 << 62
+
+#: A port's place in the kernel's component order: a network adds its
+#: elements to the kernel in element-ID order.
+_ELEMENT_ORDER = attrgetter("decoder.element_id")
 
 
 @dataclass
@@ -308,6 +325,27 @@ class ConfigModule(Component):
             bound = max(bound, end)
         return bound
 
+    def next_stepped_cycle(self, cycle: int) -> Optional[int]:
+        """The first cycle from ``cycle`` that only a stepped kernel may
+        run (``None``: none is scheduled): the activation of a queued
+        packet this module will stream through the word-level tree, or
+        the finish of a request whose ``on_complete`` hook may do
+        anything a ``kernel.at`` callback may.  Both are read off the
+        closed-form :meth:`timeline`, exact for the response-free
+        requests :class:`ConfigEvents` can be running.  Each queued
+        packet is asked :meth:`_elision_refusal` at its start, so a
+        config-link fault hook stops the compiled kernel only at the
+        packets whose flight window holds one of its cycles."""
+        hooks = self.config_fault_hooks()
+        for request, start, finish in self.timeline(cycle):
+            if request is not self._active and (
+                self._elision_refusal(request, start, hooks) is not None
+            ):
+                return start
+            if request.on_complete is not None:
+                return finish
+        return None
+
     # -- cycle behaviour ---------------------------------------------------------
 
     def next_evaluation(self, cycle: int) -> Optional[int]:
@@ -410,10 +448,12 @@ class ConfigModule(Component):
         addressees = request.packet.addressees
         if addressees is None:
             return REFUSED_NO_ADDRESSEE_RECORD
-        if any(element_id not in self.ports for element_id in addressees):
+        if not all(map(self.ports.__contains__, addressees)):
             return REFUSED_UNKNOWN_ADDRESSEE
         if hooks is None:
             hooks = self.config_fault_hooks()
+        if not hooks:
+            return None
         window_end = self._flight_end(cycle, len(request.packet.words))
         for hook in hooks:
             cycles = getattr(hook, "cycles", None)
@@ -554,3 +594,101 @@ class ConfigModule(Component):
         if self._active.on_complete is not None:
             self._active.on_complete(self._active)
         self._active = None
+
+
+class ConfigEvents:
+    """The config plane's events from a cycle on, in naive stepping's
+    order: what vector mode runs of elided packets, whoever runs it.
+
+    Two kinds of event, each through the model's own methods.  A
+    *deposit due* is scheduled where its port says
+    (:meth:`ConfigPort.next_evaluation`) and runs the port's
+    ``_decode_deposit`` and ``apply_guarded`` with its element's
+    ``_apply``; a *module turn* runs :meth:`ConfigModule.evaluate` at
+    the module's ``next_evaluation``, and an activation schedules the
+    new deposits.  In a cycle every due deposit applies, in the
+    kernel's component order, and then the module takes its turn: in
+    naive stepping an element applies after its own data-plane stages
+    and the module evaluates after every element.
+
+    The compiled engine runs these events beside its traffic, checking
+    each apply against what its live flows read, and the kernel's
+    advance of the config plane alone runs them while the data plane
+    is empty (:mod:`repro.sim.compiled`); both call :meth:`run`.
+    Neither may reach a cycle of :meth:`ConfigModule.next_stepped_cycle`.
+    """
+
+    __slots__ = ("module", "_due", "_turn", "next")
+
+    def __init__(self, module: ConfigModule, cycle: int) -> None:
+        self.module = module
+        #: Ports whose deposit falls due, by cycle.
+        self._due: Dict[int, List[ConfigPort]] = {}
+        self._expect(cycle)
+        turn = module.next_evaluation(cycle)
+        #: The module's next turn (:data:`NEVER`: none).
+        self._turn = NEVER if turn is None else turn
+        #: The next cycle holding an event (:data:`NEVER`: none).
+        self.next = min(self._turn, min(self._due, default=NEVER))
+
+    def _expect(self, start: int) -> None:
+        """Schedule each waiting deposit where its port says it is due
+        (one already late is decoded at once, which raises)."""
+        for port in self.module._deposited:
+            due = port.next_evaluation(start)
+            if due is not None:
+                self._due.setdefault(due, []).append(port)
+
+    def run(
+        self,
+        cycle: int,
+        applied: Callable[[Component, List[Action], int], None],
+    ) -> int:
+        """Run the events of ``cycle``, the :attr:`next` one, with the
+        kernel's clock at ``cycle`` (the model code reads it); return
+        how many ran.  After each apply, ``applied(element, actions,
+        writes)`` gets the element, what it applied and the network's
+        schedule-write count before the apply.
+
+        Raises:
+            SimulationError: if the module's turn put a packet on the
+                word-level tree (a :meth:`ConfigModule.next_stepped_cycle`
+                barrier was missed).
+        """
+        module = self.module
+        module._kernel.cycle = cycle  # type: ignore[union-attr]
+        due = self._due
+        events = 0
+        ports = due.pop(cycle, None)
+        if ports is not None:
+            events = len(ports)
+            if events > 1:
+                ports.sort(key=_ELEMENT_ORDER)
+            changes = module.changes
+            for port in ports:
+                writes = changes.writes
+                actions = port._decode_deposit(cycle, None)
+                if actions:
+                    element = port.owner
+                    port.apply_guarded(cycle, actions, element._apply)  # type: ignore[attr-defined]
+                    applied(element, actions, writes)
+        turn = self._turn
+        if cycle == turn:
+            events += 1
+            module.evaluate(cycle)
+            active = module._active
+            if active is not None:
+                if module._active_on_tree:
+                    raise SimulationError(
+                        f"{module.name} activated a packet the word-level "
+                        f"tree must carry at cycle {cycle} with no stepped "
+                        f"kernel running it (next_stepped_cycle missed it)"
+                    )
+                if active.started_at == cycle:
+                    self._expect(cycle + 1)
+            turn = module.next_evaluation(cycle + 1)
+            if turn is None:
+                turn = NEVER
+            self._turn = turn
+        self.next = min(turn, min(due)) if due else turn
+        return events

@@ -245,7 +245,9 @@ class DaeliteNetwork:
         expects response words is queued ahead of (or among) them,
         :meth:`ConfigModule.earliest_finish` is exact, so the kernel
         steps straight past it — in ``vector`` mode the whole wait runs
-        on the engine — and ``done`` holds by the time it is polled.
+        on the engine beside traffic, and on the config plane alone
+        when the data plane is empty — and ``done`` holds by the time
+        it is polled.
         Otherwise ``done`` is polled from the start.  Cycles, exceptions
         and the state left on a ``max_cycles`` expiry are those of
         polling from the start.

@@ -96,8 +96,8 @@ class NetworkInterface(Component, ReportingElement):
         changes: The network's change record (one of its own when
             built alone): the tables count writes there, and a set
             tracer or collector, a decoded packet, a first source
-            channel and a channel endpoint created, dropped or
-            re-paired note the NI there.
+            channel, a channel endpoint created, dropped or re-paired
+            and a submitted word note the NI there.
     """
 
     def __init__(
@@ -193,6 +193,7 @@ class NetworkInterface(Component, ReportingElement):
             parity=parity_of(payload),
         )
         self.source_channel(channel).queue.append(word)
+        self.changes.queued[self] = None
         return word
 
     def submit_words(

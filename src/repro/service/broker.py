@@ -551,9 +551,7 @@ class ConnectionBroker:
             if status == "released":
                 shard.leases.release(label)
             elif status == "expired":
-                lease = shard.leases.get(label)
-                if lease.state == "active":
-                    lease.state = "expired"
+                shard.leases.expire(label)
         except (ReproError, LeaseError) as error:
             outcome = ServiceOutcome(
                 status="rejected",

@@ -53,11 +53,16 @@ class LeaseTable:
     Labels are never reused within one service lifetime, so the table
     doubles as the audit log: terminal leases stay queryable for the
     SLO report.  All mutating operations take ``now`` explicitly —
-    the table holds no clock of its own.
+    the table holds no clock of its own.  A lease changes state only
+    through the table, which keeps the labels of the active ones apart:
+    a sweep and :meth:`active_labels` cost the active leases, not every
+    lease ever granted.
     """
 
     def __init__(self) -> None:
         self._leases: Dict[str, Lease] = {}
+        #: Labels whose lease is ACTIVE.
+        self._active: Dict[str, None] = {}
 
     def __len__(self) -> int:
         return len(self._leases)
@@ -96,6 +101,7 @@ class LeaseTable:
             expires_at=now + duration,
         )
         self._leases[label] = lease
+        self._active[label] = None
         return lease
 
     def renew(self, label: str, now: int, duration: int) -> Lease:
@@ -132,6 +138,7 @@ class LeaseTable:
                 f"cannot release {label!r}: lease is {lease.state}"
             )
         lease.state = RELEASED
+        del self._active[label]
         return lease
 
     def revoke(self, label: str, now: int, reason: str) -> Lease:
@@ -154,6 +161,20 @@ class LeaseTable:
         else:
             lease.state = REVOKED
             lease.revoked_reason = reason
+        del self._active[label]
+        return lease
+
+    def expire(self, label: str) -> Lease:
+        """End the lease of a connection torn down as expired, whatever
+        its deadline (a terminal lease is left as it is).
+
+        Raises:
+            LeaseError: if the label was never granted a lease.
+        """
+        lease = self.get(label)
+        if lease.state == ACTIVE:
+            lease.state = EXPIRED
+            del self._active[label]
         return lease
 
     def sweep_expired(self, now: int) -> List[Lease]:
@@ -163,10 +184,11 @@ class LeaseTable:
         can tear the connections down deterministically.
         """
         swept: List[Lease] = []
-        for label in sorted(self._leases):
+        for label in sorted(self._active):
             lease = self._leases[label]
-            if lease.state == ACTIVE and now >= lease.expires_at:
+            if now >= lease.expires_at:
                 lease.state = EXPIRED
+                del self._active[label]
                 swept.append(lease)
         return swept
 
@@ -174,8 +196,8 @@ class LeaseTable:
         """Labels holding live leases, sorted."""
         return sorted(
             label
-            for label, lease in self._leases.items()
-            if lease.live(now)
+            for label in self._active
+            if now < self._leases[label].expires_at
         )
 
     def violations(self) -> List[Lease]:

@@ -53,11 +53,13 @@ It is the one engine behind ``vector`` mode, in three layers:
   execution.  A run's entry and exit cost what changed since the
   engine's last exit (DESIGN.md §14.7).
 * **The config plane of elided packets** (DESIGN.md §14.6) — a set-up
-  wait is engine time.  Two more event kinds run in the loop, each
-  through the model's own methods: a deposit falling due (the element's
+  wait beside traffic is engine time.  Two more event kinds run in the
+  loop, after the cycle's slot owners, each through the model's own
+  methods and in the order :class:`~repro.core.config_network.ConfigEvents`
+  keeps: a deposit falling due (the element's
   ``ConfigPort._decode_deposit`` and ``apply_guarded`` with its
-  ``_apply``, in element order, after the cycle's slot owners) and a
-  turn of the ``ConfigModule`` (its ``evaluate``, after every element).
+  ``_apply``, in element order) and a turn of the ``ConfigModule``
+  (its ``evaluate``, after every element).
   The contention-free schedule is what lets the engine keep its
   lowering across them: a set-up claims only free slots, so an apply
   that writes no schedule cell a *live* trajectory reads (the live set:
@@ -67,10 +69,16 @@ It is the one engine behind ``vector`` mode, in three layers:
   validity token and rides on.  Any other apply ends the run at the
   cycle boundary and the kernel recompiles.  A packet the module will
   stream through the word-level tree — by its own elision predicate,
-  asked ahead of time — is a barrier like a callback; so a config-link
-  fault hook keeps off the engine only the packets it can touch, and
-  the decoder fault monitors keep off nothing (deposits are decoded
-  through the port code that consults them).
+  asked ahead of time (``ConfigModule.next_stepped_cycle``) — is a
+  barrier like a callback; so a config-link fault hook keeps off the
+  engine only the packets it can touch, and the decoder fault monitors
+  keep off nothing (deposits are decoded through the port code that
+  consults them).  A wait with *no* data plane — no generator left
+  that is not done, no phit in a register, no word or credit in any
+  channel — needs no engine at all: :class:`NetworkProvider` runs the
+  same ``ConfigEvents`` alone up to the same barriers, builds and
+  lowers nothing, and hands over to the engine at the end of any cycle
+  that leaves the data plane work.
 * **Epoch replay** — once every generator is in its steady rhythm the
   whole network state repeats with period ``P = lcm(wheel, generator and
   sink periods)``.  The engine probes state *signatures* at absolute
@@ -128,7 +136,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..errors import SimulationError
 from .flit import Phit, Word, new_word, parity_of, stamp_injected
-from .kernel import CompileRefusal, Kernel
+from .kernel import CompileProvider, CompileRefusal, Kernel
 from .lowering import (
     LoweredArtifacts,
     _Leaf,
@@ -154,6 +162,7 @@ _EVENT_ORDER = itemgetter(0)
 #: A register's output, read in bulk at import; the cumulative link
 #: counter replay scales, read in bulk at a snapshot.
 _Q = attrgetter("q")
+_IDLE = attrgetter("idle")
 _WORDS_CARRIED = attrgetter("words_carried")
 
 _PAYLOAD_MASK = 0xFFFF_FFFF
@@ -176,7 +185,7 @@ def _model() -> Any:
     """The model classes the engine recognises, resolved once: they are
     not imported at the top only because ``repro.core`` imports this
     module."""
-    from ..core.config_network import ConfigModule
+    from ..core.config_network import ConfigEvents, ConfigModule
     from ..core.config_protocol import (
         FLAG_ENABLED,
         FLAG_FLOW_CONTROLLED,
@@ -196,11 +205,13 @@ def _model() -> Any:
     from ..traffic.sinks import CheckingSink, ThrottledSink
 
     return SimpleNamespace(
+        ConfigEvents=ConfigEvents,
         ConfigModule=ConfigModule,
         FLAG_ENABLED=FLAG_ENABLED,
         FLAG_FLOW_CONTROLLED=FLAG_FLOW_CONTROLLED,
         INJECT=Direction.INJECT,
         PAIRED=ChannelField.PAIRED,
+        CREDIT=ChannelField.CREDIT,
         BusConfigAction=BusConfigAction,
         ChannelWriteAction=ChannelWriteAction,
         NiPathAction=NiPathAction,
@@ -213,28 +224,77 @@ def _model() -> Any:
         generators=(CbrGenerator, BurstGenerator, TraceGenerator),
         sinks=(CheckingSink, ThrottledSink),
         ThrottledSink=ThrottledSink,
+        idle_actions=(RouterPathAction, NiPathAction, BusConfigAction),
     )
 
 
 def install_compile_provider(network: Any) -> None:
-    """Install a compile provider for a :class:`DaeliteNetwork` kernel.
+    """Install a :class:`NetworkProvider` on a :class:`DaeliteNetwork`'s
+    kernel."""
+    network.kernel.compile_provider = NetworkProvider(network)
 
-    The provider re-checks eligibility on every acquisition and reuses
-    the previous engine as long as the schedule token (the network's
-    count of schedule writes) is unchanged or moved only by applies the
-    engine rode through (an engine that finds, on entry, something live
-    those applies were not checked against declines the run and drops
-    its token, so the kernel's next acquisition recompiles).  Its
-    ``lower`` attribute gives the same verdict and the lowering behind
-    it without building an engine (:func:`lower_network`).
+
+def install_refusing_provider(network: Any, detail: str) -> None:
+    """Install a provider that always refuses with a typed reason.
+
+    Used by network families whose data plane has no compiled engine yet
+    (aelite's source-routed plane): ``vector`` mode then runs as a
+    transparent, telemetry-visible fallback to naive stepping.
+    """
+    network.kernel.compile_provider = _RefusingProvider(
+        CompileRefusal(CompileRefusal.UNSUPPORTED_COMPONENT, detail)
+    )
+
+
+class _RefusingProvider(CompileProvider):
+    def __init__(self, refusal: CompileRefusal) -> None:
+        self.refusal = refusal
+
+    def __call__(self, kernel: Kernel, previous: Any) -> CompileRefusal:
+        return self.refusal
+
+    def lower(self) -> CompileRefusal:
+        return self.refusal
+
+
+class NetworkProvider(CompileProvider):
+    """A daelite network's way into ``vector`` mode: its engine, and
+    its config plane run alone while its data plane is empty.
+
+    An acquisition re-checks eligibility and reuses the previous engine
+    as long as the schedule token (the network's count of schedule
+    writes) is unchanged or moved only by applies the engine rode
+    through (an engine that finds, on entry, something live those
+    applies were not checked against declines the run and drops its
+    token, so the kernel's next acquisition recompiles).
+
+    The data plane is *empty* (DESIGN.md §14.6) when every component
+    has a compiled model, no generator is left that is not done, no
+    register holds a phit and no channel holds a word or credits to
+    return.  The test reads what changed since it last held — the
+    registers :meth:`Kernel.write_register` noted, the NIs a word was
+    submitted to (``network.changes.queued``) — or, after a stepped or
+    an engine cycle, every register and channel once.
     """
 
-    def lower() -> Any:
-        return _check_eligibility(network) or _lower(network)
+    def __init__(self, network: Any) -> None:
+        self.network = network
+        #: ``(kernel.active_cycles, kernel.compiled_cycles)`` when the
+        #: data plane was last found empty and only the config plane
+        #: ran since (``None``: it was not, or something else ran).
+        self._empty_at: Optional[Tuple[int, int]] = None
+        #: Kernel components classified so far; whether one of them has
+        #: no compiled model; the generators not yet seen done (a done
+        #: generator stays done: its budget is fixed).
+        self._classified = 0
+        self._foreign = False
+        self._gens: List[Any] = []
+        self._native: Optional[Set[int]] = None
 
-    def provider(
-        kernel: Kernel, previous: Optional["CompiledEngine"]
+    def __call__(
+        self, kernel: Kernel, previous: Optional["CompiledEngine"]
     ) -> Any:
+        network = self.network
         refusal = _check_eligibility(network)
         if refusal is not None:
             return refusal
@@ -246,23 +306,113 @@ def install_compile_provider(network: Any) -> None:
             return lowering
         return CompiledEngine(lowering, token)
 
-    provider.lower = lower  # type: ignore[attr-defined]
-    network.kernel.compile_provider = provider
+    def lower(self) -> Any:
+        """The acquisition's verdict and the lowering behind it, with no
+        engine built (:func:`lower_network`)."""
+        return _check_eligibility(self.network) or _lower(self.network)
+
+    def next_stepped_cycle(self) -> Optional[int]:
+        network = self.network
+        return network.config_module.next_stepped_cycle(network.kernel.cycle)
+
+    def data_plane_empty(self) -> bool:
+        network = self.network
+        kernel = network.kernel
+        empty_at = self._empty_at
+        self._empty_at = None
+        components = kernel.components
+        if len(components) > self._classified:
+            if self._native is None:
+                self._native = _native_ids(network)
+            for component in components[self._classified :]:
+                classified = classify_component(
+                    network, component, self._native
+                )
+                if isinstance(classified, CompileRefusal):
+                    self._foreign = True
+                elif classified[0] == "generator":
+                    self._gens.append(component)
+            self._classified = len(components)
+        gens = self._gens
+        while gens and gens[-1].done:
+            gens.pop()
+        if gens or self._foreign or kernel._dirty:
+            return False
+        if _check_eligibility(network) is not None:
+            return False
+        queued = network.changes.queued
+        now = (kernel.active_cycles, kernel.compiled_cycles)
+        if empty_at == now:
+            registers: Any = kernel.written
+            nis: Any = queued
+        else:
+            registers = kernel.all_registers()
+            nis = network.nis.values()
+        if list(map(_Q, registers)) != list(map(_IDLE, registers)) or any(
+            map(_holds_work, nis)
+        ):
+            return False
+        queued.clear()
+        self._empty_at = now
+        return True
+
+    def run_config_plane(self, end: int) -> None:
+        """Run :class:`ConfigEvents` alone towards ``end``, stopping
+        after the cycle of an apply that leaves the data plane work."""
+        network = self.network
+        kernel = network.kernel
+        cycle = entered = kernel.cycle
+        self._empty_at = None
+        config = _model().ConfigEvents(network.config_module, cycle)
+        halt = False
+
+        def applied(_element: Any, actions: List[Any], _writes: int) -> None:
+            nonlocal halt
+            halt = halt or _leaves_work(actions)
+
+        try:
+            while not halt:
+                cycle = min(config.next, end)
+                if cycle == end:
+                    break
+                config.run(cycle, applied)
+                cycle += 1
+        finally:
+            kernel.cycle = cycle
+            kernel.compiled_cycles += cycle - entered
+            kernel.config_plane_cycles += cycle - entered
+        if not halt:
+            self._empty_at = (kernel.active_cycles, kernel.compiled_cycles)
 
 
-def install_refusing_provider(network: Any, detail: str) -> None:
-    """Install a provider that always refuses with a typed reason.
+def _holds_work(ni: Any) -> bool:
+    """Whether one of ``ni``'s channels holds a word, or credits a
+    destination has yet to return."""
+    return any(source.queue for source in ni.source_channels.values()) or any(
+        dest.queue or dest.pending_credits for dest in ni.dest_channels.values()
+    )
 
-    Used by network families whose data plane has no compiled engine yet
-    (aelite's source-routed plane): ``vector`` mode then runs as a
-    transparent, telemetry-visible fallback to naive stepping.
-    """
 
-    def provider(kernel: Kernel, previous: Any) -> CompileRefusal:
-        return CompileRefusal(CompileRefusal.UNSUPPORTED_COMPONENT, detail)
+def _leaves_work(actions: List[Any]) -> bool:
+    """Whether applying ``actions`` to an empty data plane left it work.
 
-    provider.lower = lambda: provider(network.kernel, None)  # type: ignore
-    network.kernel.compile_provider = provider
+    No action puts a word anywhere, so what can is credits written into
+    a destination (a returning owner then has them to send) — and any
+    action kind but a path, a channel write or a bus write, such as a
+    read, which queues a response word on the config tree."""
+    model = _model()
+    for action in actions:
+        kind = type(action)
+        if kind is model.ChannelWriteAction:
+            if (
+                action.value
+                and action.register is model.CREDIT
+                and action.direction is not model.INJECT
+            ):
+                return True
+        elif kind not in model.idle_actions:
+            return True
+    return False
 
 
 def lower_network(network: Any) -> Any:
@@ -334,7 +484,7 @@ def _check_eligibility(network: Any) -> Optional[CompileRefusal]:
     adding a component retires the engine.  Config-link fault hooks and
     decoder fault monitors refuse nothing here: the configuration module
     keeps a packet a hook can touch on the word-level tree
-    (:meth:`CompiledEngine.next_stepped_cycle` makes its activation a
+    (:meth:`ConfigModule.next_stepped_cycle` makes its activation a
     barrier), and the engine decodes and applies deposits through the
     port code that consults the monitor.
     """
@@ -777,18 +927,12 @@ class CompiledEngine:
         #: its lowering is the schedule's own).  A run that finds
         #: another one live declines (:meth:`run_to`).
         self._valid_for: Optional[frozenset] = None
-        #: The lowering's owner plan behind each trajectory, and every
-        #: component's rank in the kernel's order (deposits due in one
-        #: cycle apply in it).
+        #: The lowering's owner plan behind each trajectory.
         self._plan_of = [0] * len(lowered.trajectories)
         for plan_index, plan in enumerate(lowered.owners):
             for slot in plan.slots:
                 if slot is not None:
                     self._plan_of[slot.trajectory.tid] = plan_index
-        self._rank = {
-            id(component): rank
-            for rank, component in enumerate(self.kernel.components)
-        }
         #: Per owner plan its source key and the destinations its
         #: trajectories deliver into (``_plan_out`` adds its owner's
         #: paired one); the plan of each source key.
@@ -835,31 +979,7 @@ class CompiledEngine:
             self._refusals_noted.add(refusal.kind)
             self.kernel._note_replay_refusal(refusal)
 
-    # -- the config plane: barriers, the live set, visibility --------------------
-
-    def next_stepped_cycle(self) -> Optional[int]:
-        """The first cycle the engine must leave to the stepped kernels
-        (``None``: none is scheduled): the activation of a queued packet
-        the configuration module will stream through the word-level
-        tree, or the finish of a request whose ``on_complete`` hook may
-        do anything a ``kernel.at`` callback may.  Both are read off the
-        module's closed-form :meth:`~ConfigModule.timeline`, exact for
-        the response-free requests an engine can be running beside.
-        Each queued packet is asked the module's own elision predicate
-        at its start, so a config-link fault hook stops the engine only
-        at the packets whose flight window holds one of its cycles."""
-        kernel = self.kernel
-        module = self.network.config_module
-        hooks = module.config_fault_hooks()
-        for request, start, finish in module.timeline(kernel.cycle):
-            if request is not module._active and (
-                module._elision_refusal(request, start, hooks)
-                is not None
-            ):
-                return start
-            if request.on_complete is not None:
-                return finish
-        return None
+    # -- the config plane: the live set, visibility ------------------------------
 
     def _live(
         self,
@@ -1610,26 +1730,12 @@ class CompiledEngine:
             heapify(gen_heap)
             return gen_heap[0][0] if gen_heap else _NEVER
 
-        # The config plane (DESIGN.md §14.6): deposits due, by cycle,
-        # and the module's next turn.  What can act in the run is fixed
-        # at entry (``live``); applies are checked against the cells it
-        # reads.
-        module = self.network.config_module
-        deposits: Dict[int, List[Any]] = {}
-
-        def expect(ports: List[Any], start: int) -> None:
-            """Schedule each port's deposit where the port says it is
-            due (one already late is decoded at once, which raises)."""
-            for port in ports:
-                due = port.next_evaluation(start)
-                if due is not None:
-                    deposits.setdefault(due, []).append(port)
-
-        expect(module._deposited, cycle)
-        module_due = module.next_evaluation(cycle)
-        if module_due is None:
-            module_due = _NEVER
-        cfg_next = min(module_due, min(deposits, default=_NEVER))
+        # The config plane (DESIGN.md §14.6): its events, run in their
+        # own order, and the next cycle holding one.  What can act in
+        # the run is fixed at entry (``live``); applies are checked
+        # against the cells it reads.
+        config = _model().ConfigEvents(self.network.config_module, cycle)
+        cfg_next = config.next
         if live is None and cfg_next < end:
             live, live_src, live_dst = self._live(
                 self._cur, working, gen_runs, sink_runs
@@ -1638,17 +1744,20 @@ class CompiledEngine:
         changes = self.network.changes
         halt = False  # an apply changed what this run executes
 
+        def applied(element: Any, actions: List[Any], writes: int) -> None:
+            """Ride through an apply that cannot change what this run
+            executes; end the run after the cycle of one that can."""
+            nonlocal halt, adopted
+            if halt or self._visible(
+                element, actions, live, live_src, live_dst
+            ):
+                halt = True
+            else:
+                adopted += changes.writes - writes
+
         self._load(cycle)
         loaded = True
         gen_due = arm_all(cycle, working)
-        # Nothing on the data plane can happen in this run: jump from
-        # config event to config event.
-        quiet = (
-            not self.gens
-            and not self._cur
-            and not sink_due
-            and not any(owner_ring)
-        )
 
         # Epoch replay (module docstring): the sink events of the epoch
         # since the last boundary, and that boundary's signature and
@@ -1665,7 +1774,6 @@ class CompiledEngine:
         handled = 0
         model_calls = 0
         config_events = 0
-        rank = self._rank
         replayed_epochs = 0
         replayed_cycles = 0
         clean_exit = False
@@ -1680,9 +1788,6 @@ class CompiledEngine:
 
         try:
             while cycle < end:
-                if quiet and cycle != cfg_next:
-                    cycle = min(end, cfg_next)
-                    continue
                 if cycle == next_boundary:
                     if cfg_next < cycle + period or any(
                         not gen.done for gen in self.trace_gens
@@ -1985,48 +2090,13 @@ class CompiledEngine:
                     bucket.clear()
 
                 if cycle == cfg_next:
-                    # Config events, where naive stepping has them:
-                    # each element applies a deposit after its data-plane
-                    # stages (element order), the module takes its turn
-                    # after every element.  No epoch probe spans one
-                    # (the boundary before it is no probe), and a replay
-                    # after one opens a new segment.  The model code
-                    # they run reads the clock.
-                    kernel.cycle = cycle
+                    # Config events, after the cycle's owner visits
+                    # (``ConfigEvents`` orders them).  No epoch probe
+                    # spans one (the boundary before it is no probe),
+                    # and a replay after one opens a new segment.
                     self._segment = None
-                    due_ports = deposits.pop(cycle, ())
-                    if len(due_ports) > 1:
-                        due_ports.sort(key=lambda port: rank[id(port.owner)])
-                    for port in due_ports:
-                        config_events += 1
-                        element = port.owner
-                        before = changes.writes
-                        actions = port._decode_deposit(cycle, None)
-                        if not actions:
-                            continue
-                        port.apply_guarded(cycle, actions, element._apply)
-                        if halt or self._visible(
-                            element, actions, live, live_src, live_dst
-                        ):
-                            halt = True
-                        else:
-                            adopted += changes.writes - before
-                    if cycle == module_due:
-                        config_events += 1
-                        module.evaluate(cycle)
-                        if module.on_tree:
-                            raise SimulationError(
-                                f"compiled engine activated a packet the "
-                                f"word-level tree must carry at cycle "
-                                f"{cycle} (next_stepped_cycle missed it)"
-                            )
-                        active = module._active
-                        if active is not None and active.started_at == cycle:
-                            expect(module._deposited, cycle + 1)
-                        module_due = module.next_evaluation(cycle + 1)
-                        if module_due is None:
-                            module_due = _NEVER
-                    cfg_next = min(module_due, min(deposits, default=_NEVER))
+                    config_events += config.run(cycle, applied)
+                    cfg_next = config.next
 
                 if cycle == gen_due:
                     while gen_heap and gen_heap[0][0] == cycle:

@@ -76,12 +76,17 @@ Second, who runs what is left.  The elided packets' deposits and the
 module's turns are events of the engine's own loop, so a set-up wait
 beside running traffic is engine time: the engine rides through every
 apply that writes nothing its live flows read and stops at the end of
-the cycle of one that does (see :mod:`repro.sim.compiled`).  Only a
-packet on the word-level tree refuses the engine (``config_active``),
-and its activation is a barrier like a :meth:`Kernel.at` callback: the
-engine asks the module's own elision predicate of every queued packet,
-so a config-link fault hook or a decoder fault monitor keeps no engine
-off — only the packets the hook can touch leave it.
+the cycle of one that does (see :mod:`repro.sim.compiled`).  A wait
+with no data plane at all (:meth:`CompileProvider.data_plane_empty`)
+acquires no engine: the provider runs the config plane's events alone,
+in the same order, up to the same barriers, and the cycles count in
+:attr:`Kernel.compiled_cycles` and :attr:`Kernel.config_plane_cycles`.
+Only a packet on the word-level tree refuses the engine
+(``config_active``), and its activation is a barrier like a
+:meth:`Kernel.at` callback (the provider's ``next_stepped_cycle`` asks
+the module's own elision predicate of every queued packet), so a
+config-link fault hook or a decoder fault monitor keeps no engine off —
+only the packets the hook can touch leave it.
 
 Register writes between cycles
 ------------------------------
@@ -172,6 +177,43 @@ class CompileRefusal:
 
     def __repr__(self) -> str:
         return f"CompileRefusal({self.kind!r}, {self.detail!r})"
+
+
+class CompileProvider(ABC):
+    """What a network installs as :attr:`Kernel.compile_provider` to run
+    in ``vector`` mode (``repro.sim.compiled``).
+
+    Called as ``provider(kernel, previous_engine)`` it returns a fresh
+    (or revalidated) engine, or a :class:`CompileRefusal`; :meth:`lower`
+    gives the same verdict without building an engine.  A provider
+    whose network has a config plane of its own also names the cycles
+    only stepping may run and advances that plane alone while the data
+    plane is empty; by default it has none.
+    """
+
+    @abstractmethod
+    def __call__(self, kernel: "Kernel", previous: Any) -> Any:
+        """An engine to run, or why there is none."""
+
+    @abstractmethod
+    def lower(self) -> Any:
+        """The acquisition's verdict, without an engine."""
+
+    def next_stepped_cycle(self) -> Optional[int]:
+        """The first cycle from now that only a stepped kernel may run
+        (``None``: none is scheduled)."""
+        return None
+
+    def data_plane_empty(self) -> bool:
+        """Whether the network has nothing but its config plane to run,
+        so :meth:`run_config_plane` may advance it."""
+        return False
+
+    def run_config_plane(self, end: int) -> None:
+        """Advance the config plane alone towards ``end``, before which
+        no callback and no stepped cycle falls; return early at the end
+        of a cycle that left the data plane work."""
+        raise SimulationError("this network has no config plane to run")
 
 
 def default_kernel_mode() -> str:
@@ -320,17 +362,16 @@ class Kernel:
         self.active_cycles = 0
         self.evaluations = 0
         #: Installed by a network that knows how to flatten its data
-        #: plane: ``provider(kernel, previous_engine)`` returns a fresh
-        #: (or revalidated) engine object, or a :class:`CompileRefusal`;
-        #: ``provider.lower()`` gives the same verdict without building
-        #: an engine (``repro.sim.compiled.lower_network``).
-        self.compile_provider: Optional[
-            Callable[["Kernel", Any], Any]
-        ] = None
+        #: plane (:class:`CompileProvider`).
+        self.compile_provider: Optional[CompileProvider] = None
         #: The live compiled engine, if any (owned by VECTOR_MODE).
         self._engine: Any = None
-        #: Cycles advanced by the compiled engine's event loop.
+        #: Cycles advanced by the compiled engine's event loop, or by
+        #: the config plane alone.
         self.compiled_cycles = 0
+        #: Cycles advanced by the config plane alone, with no data plane
+        #: to run (a subset of compiled_cycles).
+        self.config_plane_cycles = 0
         #: Steady-state epochs applied arithmetically instead of stepped.
         self.replayed_epochs = 0
         #: Cycles covered by replayed epochs (subset of compiled_cycles).
@@ -543,6 +584,7 @@ class Kernel:
             # Read by the benchmark harness as sim.fast_forwarded_cycles.
             "fast_forwarded_cycles": 0,
             "compiled_cycles": self.compiled_cycles,
+            "config_plane_cycles": self.config_plane_cycles,
             "replayed_epochs": self.replayed_epochs,
             "replayed_cycles": self.replayed_cycles,
             "compile_fallbacks": dict(self.compile_fallbacks),
@@ -576,12 +618,18 @@ class Kernel:
         engine runs up to the earliest scheduled callback (leaving
         registers, counters and statistics materialized) and the
         callback's cycle is stepped naively; eligibility is then
-        re-checked.  The engine names one more kind
-        of barrier (``next_stepped_cycle``): a cycle whose work only
-        naive stepping models, such as the activation of a config
-        packet that must stream through the word-level tree.  An engine
-        run that returns before its barrier stopped after a cycle that
+        re-checked.  The provider names one more kind of barrier
+        (``next_stepped_cycle``): a cycle whose work only naive
+        stepping models, such as the activation of a config packet
+        that must stream through the word-level tree.  An engine run
+        that returns before its barrier stopped after a cycle that
         changed what it runs; the kernel re-acquires.
+
+        While the data plane is empty (``data_plane_empty``: nothing
+        but the config plane to run) no engine is acquired: the
+        provider advances the config plane alone up to the same
+        barriers, and hands back at the end of any cycle that leaves
+        the data plane work — the engine takes over from there.
 
         Refusals split two ways.  *Transient* kinds
         (:attr:`CompileRefusal.DEFERRABLE`: a config packet on the
@@ -595,7 +643,17 @@ class Kernel:
         """
         end = self.cycle + cycles
         defer_window = self.DEFER_WINDOW_MIN
+        provider = self.compile_provider
         while self.cycle < end:
+            if provider is not None and provider.data_plane_empty():
+                barrier = self._barrier(end, provider)
+                if barrier > self.cycle:
+                    provider.run_config_plane(barrier)
+                    defer_window = self.DEFER_WINDOW_MIN
+                else:
+                    self._retire_engine()
+                    self._step_naive(1)
+                continue
             engine = self._acquire_engine()
             if engine is None:
                 refusal = self._last_refusal
@@ -610,13 +668,8 @@ class Kernel:
                     continue
                 self._step_naive(end - self.cycle)
                 return
-            barrier = end
-            for scheduled in (
-                self._next_callback_cycle(),
-                engine.next_stepped_cycle(),
-            ):
-                if scheduled is not None and scheduled < barrier:
-                    barrier = scheduled
+            assert provider is not None  # it built the engine
+            barrier = self._barrier(end, provider)
             if barrier > self.cycle:
                 refusal = engine.run_to(barrier)
                 if refusal is not None:
@@ -646,6 +699,19 @@ class Kernel:
                 # carry) is due at the current cycle; run it stepped.
                 self._retire_engine()
                 self._step_naive(1)
+
+    def _barrier(self, end: int, provider: CompileProvider) -> int:
+        """The first cycle before ``end`` that only naive stepping may
+        run — a callback's, or the provider's ``next_stepped_cycle`` —
+        else ``end``."""
+        barrier = end
+        for scheduled in (
+            self._next_callback_cycle(),
+            provider.next_stepped_cycle(),
+        ):
+            if scheduled is not None and scheduled < barrier:
+                barrier = scheduled
+        return barrier
 
     def _defer(self, refusal: CompileRefusal, window: int) -> None:
         """Step a bounded naive window through a transient refusal."""

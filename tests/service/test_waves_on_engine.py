@@ -1,13 +1,14 @@
-"""Fault waves run on the compiled engine, and equal ``naive`` there.
+"""Fault waves run in vector mode, and equal ``naive`` there.
 
 An :class:`AvailabilityHarness` wave arms a config-word corruption, two
 slot-table upsets and the decoder fault monitors on a live shard.  None
-of that keeps the engine off: the configuration module steps through
-the word-level tree only the packet whose flight window holds the
-planned corruption — the engine stops at its activation and defers
-(``config_active``) until it has drained — and the engine decodes and
-applies every other packet's deposits through the port code that
-consults the monitors.  The churn digest and the fault log must equal
+of that keeps the compiled kernel off: the configuration module steps
+through the word-level tree only the packet whose flight window holds
+the planned corruption — the kernel stops at its activation and defers
+(``config_active``) until it has drained — and every other packet's
+deposits are decoded and applied through the port code that consults
+the monitors.  The shard carries no traffic, so that is the config
+plane run alone, with no engine.  The churn digest and the fault log must equal
 the ``naive`` kernel's, with the packet path driven both ways.
 """
 
@@ -15,13 +16,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.config_network import ConfigModule
 from repro.service import (
     AvailabilityHarness,
     ChurnEngine,
     ConnectionBroker,
     ServiceConfig,
 )
-from repro.sim.compiled import CompiledEngine
 from repro.sim.kernel import NAIVE_MODE, VECTOR_MODE, CompileRefusal
 
 from ..differential import plant
@@ -95,14 +96,14 @@ def test_planted_mutant_barrier_blind_to_config_hooks_is_killed(
     monkeypatch,
 ):
     """``next_stepped_cycle`` asking the elision predicate without the
-    tree's fault hooks: the engine runs into the touched packet's
-    activation, and the module streams it onto the word-level tree
-    inside the engine loop."""
+    tree's fault hooks: the config plane, run alone on the traffic-free
+    shard, runs into the touched packet's activation, and the module
+    streams it onto the word-level tree outside any stepped cycle."""
     plant(
         monkeypatch,
-        "module._elision_refusal(request, start, hooks)",
-        "module._elision_refusal(request, start, [])",
-        owner=CompiledEngine,
+        "self._elision_refusal(request, start, hooks)",
+        "self._elision_refusal(request, start, [])",
+        owner=ConfigModule,
         method="next_stepped_cycle",
     )
     digest, faults, _, _, reasons = run_wave(VECTOR_MODE, **TOUCHED)

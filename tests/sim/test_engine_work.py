@@ -8,7 +8,8 @@ idle configured fabric costs it no events, and that a use-case switch
 beside live traffic is engine time.  And how many ops its proof
 artifact holds on that fabric: each phase-independent op once.  And
 what setting that fabric up, proving it and running it once cost in
-schedule images, lowerings and engines built: the prover builds none.
+schedule images, lowerings and engines built: the prover builds none,
+and neither does a set-up wait with no traffic, which reads no register.
 """
 
 from __future__ import annotations
@@ -497,6 +498,79 @@ class TestRunBoundaryWork:
         assert reads == 0
 
 
+class TestTrafficFreeWaitWork:
+    """What a set-up wait with no traffic costs, as counts: once the
+    data plane has been found empty, each further wait builds no
+    engine, takes no schedule image, lowers nothing and reads no
+    register — the emptiness test reads what changed since it last
+    held (the door's writes, the NIs a word was submitted to), and the
+    config plane runs alone."""
+
+    WAITS = 8
+
+    def count(self, monkeypatch, mutant=None):
+        """Counts over ``WAITS`` set-ups after a first one; ``mutant``
+        is ``(original, mutant)`` planted in ``data_plane_empty``."""
+        params = daelite_parameters(slot_table_size=16, config_word_bits=9)
+        mesh = build_mesh(6, 6)
+        net = DaeliteNetwork(mesh, params, kernel_mode=VECTOR_MODE)
+        allocator = SlotAllocator(topology=mesh, params=params)
+        nis = [element.name for element in mesh.nis if element.name != "NI00"]
+        first, *rest = [
+            allocator.allocate_connection(request)
+            for request in random_traffic_pattern(
+                nis, self.WAITS + 1, seed=2026, slots_min=1, slots_max=2
+            )
+        ]
+        net.configure(first)
+        counts = Counter()
+
+        def read(register):
+            counts["reads"] += 1
+            return register.q
+
+        def count(owner, name, key):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                counts[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        monkeypatch.setattr(compiled, "_Q", read)
+        count(compiled, "_schedule_image", "images")
+        count(compiled, "_lower_schedule", "lowerings")
+        count(compiled.CompiledEngine, "__init__", "engines")
+        if mutant is not None:
+            plant(
+                monkeypatch,
+                *mutant,
+                owner=compiled.NetworkProvider,
+                method="data_plane_empty",
+            )
+        before = net.kernel.kernel_stats()
+        for connection in rest:
+            net.configure(connection)
+        after = net.kernel.kernel_stats()
+        cycles = after["cycle"] - before["cycle"]
+        assert cycles > 0
+        assert (
+            after["config_plane_cycles"] - before["config_plane_cycles"]
+            == cycles
+        )
+        return dict(counts)
+
+    def test_waits_build_lower_and_read_nothing(self, monkeypatch):
+        assert self.count(monkeypatch) == {}
+
+    def test_a_test_reading_every_register_each_wait_is_killed(
+        self, monkeypatch
+    ):
+        mutant = ("if empty_at == now:", "if False:")
+        assert self.count(monkeypatch, mutant)["reads"] > 0
+
+
 class TestReplayBoundaryWork:
     """What a replay boundary costs on the benchmark fabric run at one
     generator period (the ``fabric_replay`` workload's shape), as
@@ -711,14 +785,15 @@ def count_setup_work(monkeypatch):
 
 class TestSetupWork:
     """What setting the benchmark's fabric up costs, as counts.  The
-    set-up waits compile once, on the empty schedule, and then ride
-    through every apply; the prover lowers the programmed schedule once
-    and builds no engine; the first run after the traffic is attached
-    finds that lowering in the cache.  No stage scans the config tree's
-    depths: its height is taken once, when the tree is built."""
+    set-up waits have no traffic beside them, so they run the config
+    plane alone: no schedule image, lowering or engine; the prover
+    lowers the programmed schedule once and builds no engine; the first
+    run after the traffic is attached finds that lowering in the cache.
+    No stage scans the config tree's depths: its height is taken once,
+    when the tree is built."""
 
     EXPECTED = {
-        "setup": {"images": 1, "lowerings": 1, "engines": 1},
+        "setup": {},
         "prove": {"images": 1, "lowerings": 1},
         "first run": {"images": 1, "engines": 1},
     }

@@ -10,10 +10,8 @@ order-of-magnitude regressions.
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import time
-from typing import Optional
 
 import pytest
 
@@ -21,7 +19,7 @@ from repro.alloc import ConnectionRequest, SlotAllocator
 from repro.core import DaeliteNetwork
 from repro.core.credits import DestChannel, SourceChannel
 from repro.params import daelite_parameters
-from repro.sim.flit import Phit, Word
+from repro.sim.flit import Phit, Word, new_word
 from repro.sim.kernel import NAIVE_MODE, VECTOR_MODE, Register
 from repro.sim.link import Link, NarrowLink
 from repro.sim.stats import ConnectionStats, FaultEvent
@@ -189,40 +187,29 @@ def test_hot_path_classes_are_slotted():
         )
 
 
-@pytest.mark.slow
-def test_slotted_word_micro_bench():
-    """Before/after micro-benchmark for the ``__slots__`` change: a
-    slotted Word must not be slower to build and read than an unslotted
-    clone of itself (it is typically measurably faster)."""
+def test_new_word_skips_the_dataclass_init(monkeypatch):
+    """``flit.new_word``, the engine's per-firing word constructor,
+    writes the slots directly: it never calls the frozen dataclass
+    ``__init__`` (whose per-field ``object.__setattr__`` it saves), and
+    what it builds is the slotted ``Word`` that ``__init__`` builds."""
+    expected = Word(payload=7, connection="c", sequence=3, parity=1)
+    init = Word.__init__
+    calls = []
 
-    @dataclasses.dataclass(frozen=True)
-    class DictWord:  # the pre-change layout
-        payload: int
-        connection: str = ""
-        sequence: int = -1
-        injected_at: int = -1
-        parity: Optional[int] = None
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
 
-    def bench(cls) -> float:
-        best = float("inf")
-        for _ in range(3):
-            started = time.perf_counter()
-            total = 0
-            for i in range(20_000):
-                word = cls(payload=i, connection="c", sequence=i)
-                total += word.payload + word.sequence
-            best = min(best, time.perf_counter() - started)
-        assert total > 0
-        return best
-
-    dict_time = bench(DictWord)
-    slotted_time = bench(Word)
-    print(
-        f"\nWord build+access x20k: slotted {slotted_time * 1e3:.1f} ms, "
-        f"dict {dict_time * 1e3:.1f} ms "
-        f"({dict_time / slotted_time:.2f}x)"
+    monkeypatch.setattr(Word, "__init__", counted)
+    word = new_word(7, "c", 3, 1)
+    assert calls == []
+    assert type(word) is Word
+    assert word == expected
+    assert (word.payload, word.connection, word.sequence, word.parity) == (
+        7,
+        "c",
+        3,
+        1,
     )
-    # Generous bound: catches an accidental un-slotting (which also
-    # trips the hasattr check above) or a pathological slowdown, while
-    # staying immune to scheduler noise.
-    assert slotted_time <= dict_time * 1.5
+    assert word.injected_at == -1
+    assert not hasattr(word, "__dict__")
