@@ -73,9 +73,8 @@ def allocate_multipath(
     for index, path in enumerate(paths):
         if remaining == 0:
             break
-        mask, context = ledger.probe_rotations(
-            allocator._claim_diagonal(path, None)
-        )
+        diagonal = allocator._claim_diagonal(path, None)
+        mask, context = ledger.probe_rotations(diagonal)
         take = min(remaining, mask.bit_count())
         if not take:
             continue
@@ -89,6 +88,7 @@ def allocate_multipath(
             path,
             None,
             mask,
+            diagonal,
         )
         ledger.claim_prepared(context, _slot_mask(part.slots), part.label)
         parts.append(part)

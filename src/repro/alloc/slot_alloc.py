@@ -10,11 +10,13 @@ whole diagonal of claims is free — the classical slot-alignment constraint
 of contention-free routing.
 
 :class:`LinkSlotLedger` keeps each directed link's occupancy as a single
-integer.  The admissible-set computation is one cyclic rotation and OR
-per link of the path (O(path length) word operations, not O(T x path
-length) per-slot probes), claiming a whole channel is one rotated-mask
-OR per link, and speculative allocation uses an O(1) snapshot with
-journalled rollback instead of claim-then-unwind.  The test suite keeps
+integer cell and each live claim as one record.  The admissible-set
+computation is one cyclic rotation and OR per link of the path
+(O(path length) word operations, not O(T x path length) per-slot
+probes), claiming a whole channel is one rotated-mask OR per link and
+one record, releasing it pops the record and clears each of its cells
+with one AND, and speculative allocation uses an O(1) snapshot with a
+journal of one entry per claim or release.  The test suite keeps
 a dict-of-dicts model of the same book, probed slot by slot, and
 ``tests/properties/test_alloc_engine_equiv.py`` drives both through the
 same workloads: same admissible sets, same picked slots, same errors.
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import AllocationError, SlotConflictError
 from ..params import NetworkParameters
@@ -43,9 +45,10 @@ from .spec import (
     MulticastRequest,
 )
 
-# Journal operation tags (see LinkSlotLedger.snapshot).
-_OP_CLAIM_MASK = "mask+"
-_OP_RELEASE_MASK = "mask-"
+Edge = Tuple[str, str]
+#: A claim record: ``(key, label, base_mask, links)``, ``links`` one
+#: ``(edge, cell, mask)`` triple per link (see :class:`LinkSlotLedger`).
+Record = Tuple[object, str, Optional[int], List[Tuple[Edge, List[int], int]]]
 
 
 def iter_mask_slots(mask: int) -> Iterator[int]:
@@ -59,13 +62,26 @@ def iter_mask_slots(mask: int) -> Iterator[int]:
 class LinkSlotLedger:
     """Book-keeping of which connection owns each (link, slot) pair.
 
-    ``_links[edge]`` is a two-element list ``[occupancy, labels]``: bit
-    *s* of ``occupancy`` is set iff slot *s* is claimed on ``edge``, and
-    ``labels`` maps each owning label to its bitmask of slots (ownership
-    diagnostics are per-label scans, off the hot path).  Both live in one
-    entry so the hot paths hash each edge tuple exactly once.
-    Admissibility is a rotate-and-OR per path link, and claiming or
-    releasing a channel's slots on one link is a single mask operation.
+    The book has two parts.  ``_links[edge]`` is the link's occupancy
+    *cell*, a one-element list ``[occupancy]``: bit *s* is set iff slot
+    *s* is claimed on ``edge``, and a cell leaves ``_links`` when it
+    empties.  ``_records`` holds one *claim record* per live claim,
+    ``(key, label, base_mask, links)``: ``links`` has one ``(edge,
+    cell, mask)`` triple per link the claim took slots on, ``mask``
+    being the rotated slots it took there (never 0).  Each set bit of a
+    cell belongs to exactly one record link, so no per-link label map
+    is kept beside the records: :meth:`owner` scans them, for
+    diagnostics and error text only.
+
+    A record is keyed by the identity of the diagonal it was probed
+    with (``key``); ``base_mask`` is ``None`` once the record is not
+    that diagonal's whole rotation (a claim that re-claimed slots its
+    label held, or a record a partial release cut).  Releasing a whole
+    claim — that diagonal object, its base mask, its label — pops the
+    record and clears each cell with one AND: no edge is hashed, no
+    diagonal rebuilt, no label looked up per link.  Any other release
+    takes the general path, per edge and atomic per edge.  The undo
+    journal holds one entry per claim or release.
 
     A channel or tree is claimed only through :meth:`probe_rotations`
     → :meth:`claim_prepared` and released only through
@@ -76,40 +92,73 @@ class LinkSlotLedger:
 
     def __init__(self, slot_table_size: int) -> None:
         self.slot_table_size = slot_table_size
-        self._links: Dict[Tuple[str, str], List] = {}
+        self._links: Dict[Edge, List[int]] = {}
+        self._records: Dict[int, Record] = {}
         self._full_mask = (1 << slot_table_size) - 1
         # Undo journal for speculative allocation, appended only while a
-        # snapshot is outstanding; entries are (op, edge, mask, label)
-        # and record exactly the state delta to reverse.
-        self._journal: List[Tuple[str, Tuple[str, str], int, str]] = []
+        # snapshot is outstanding: one (records dropped, records booked)
+        # entry per claim or release (per edge on the general path).
+        self._journal: List[Tuple[Tuple[Record, ...], Tuple[Record, ...]]] = []
         self._snapshots = 0
         #: Bumped by every write: what a connection plan is stamped with.
         self.version = 0
 
-    def owner(self, edge: Tuple[str, str], slot: int) -> Optional[str]:
-        """Label owning ``slot`` on ``edge``, or ``None``."""
-        entry = self._links.get(edge)
-        if entry is None:
-            return None
+    def owner(self, edge: Edge, slot: int) -> Optional[str]:
+        """Label owning ``slot`` on ``edge``, or ``None``: a scan of the
+        claim records, for diagnostics and error text."""
+        cell = self._links.get(edge)
         bit = 1 << (slot % self.slot_table_size)
-        if not entry[0] & bit:
+        if cell is None or not cell[0] & bit:
             return None
-        for label, mask in entry[1].items():
-            if mask & bit:
-                return label
-        return None  # pragma: no cover - occupancy/labels kept in sync
+        for _, label, _, links in self._records.values():
+            for _, link_cell, mask in links:
+                if link_cell is cell and mask & bit:
+                    return label
+        return None  # pragma: no cover - cells and records kept in sync
 
-    def is_free(self, edge: Tuple[str, str], slot: int) -> bool:
-        entry = self._links.get(edge)
-        return entry is None or not (
-            entry[0] >> (slot % self.slot_table_size)
+    def is_free(self, edge: Edge, slot: int) -> bool:
+        cell = self._links.get(edge)
+        return cell is None or not (
+            cell[0] >> (slot % self.slot_table_size)
         ) & 1
+
+    def _held(self, cell: List[int], label: str) -> int:
+        """The slots of ``cell`` that ``label``'s records hold."""
+        held = 0
+        for _, owner, _, links in self._records.values():
+            if owner == label:
+                for _, link_cell, mask in links:
+                    if link_cell is cell:
+                        held |= mask
+        return held
+
+    def _book(self, record: Record) -> None:
+        """Put ``record`` and its slots into the book."""
+        self._records[id(record[0])] = record
+        links = self._links
+        for edge, cell, mask in record[3]:
+            if not cell[0]:
+                links[edge] = cell
+            cell[0] |= mask
+
+    def _unbook(self, record: Record) -> None:
+        """Take ``record`` and its slots out of the book."""
+        del self._records[id(record[0])]
+        self._clear(record[3])
+
+    def _clear(self, triples: Iterable[Tuple[Edge, List[int], int]]) -> None:
+        """Clear each ``(edge, cell, mask)``'s slots; an emptied cell
+        leaves the store."""
+        links = self._links
+        for edge, cell, mask in triples:
+            left = cell[0] & ~mask
+            cell[0] = left
+            if not left:
+                del links[edge]
 
     # -- claims ----------------------------------------------------------------
 
-    def claim(
-        self, edge: Tuple[str, str], slot: int, label: str
-    ) -> None:
+    def claim(self, edge: Edge, slot: int, label: str) -> None:
         """Claim one (link, slot) pair; a re-claim by the owner is a
         no-op.
 
@@ -117,154 +166,193 @@ class LinkSlotLedger:
             SlotConflictError: if already owned by a different label.
         """
         self.claim_prepared(
-            ((edge, 0, self._links.get(edge)),),
+            (((edge, 0),), (None,)),
             1 << (slot % self.slot_table_size),
             label,
         )
 
-    def probe_rotations(
-        self, diagonal: Sequence[Tuple[Tuple[str, str], int]]
-    ):
+    def probe_rotations(self, diagonal: Sequence[Tuple[Edge, int]]):
         """The ledger's one admissibility read, with a claim context.
 
         ``diagonal`` holds one ``(edge, offset)`` pair per path link:
         base slot *b* is admissible iff slot ``(b + offset) mod T`` is
         free on every edge.  Returns ``(admissible mask, context)``: bit
         *b* of the mask is set iff *b* is admissible, and the context
-        passed to :meth:`claim_prepared` holds the per-link entries the
-        probe looked up.  The context is only valid until the next
+        passed to :meth:`claim_prepared` is the diagonal with the cells
+        the probe looked up.  The context is only valid until the next
         ledger mutation: probe, pick, claim — nothing in between.
         """
         # Rotate-and-OR: base *b* collides on a link with offset *o*
         # iff bit (b + o) mod T of its occupancy is set, i.e. iff bit
-        # *b* of the occupancy rotated right by *o* is.  The same pass
-        # captures each link's [occupancy, labels] entry, so
-        # claim_prepared never hashes the edge tuples again.  Once
-        # every base is blocked the probe stops: nothing claims a zero
-        # mask (a request asks for at least one slot), so the context
-        # may stay partial.
+        # *b* of the occupancy rotated right by *o* is.  The cells
+        # looked up here are the context, so claim_prepared never
+        # hashes the edge tuples again.  Once every base is blocked the
+        # probe stops: nothing claims a zero mask (a request asks for
+        # at least one slot), so the context may stay partial.
         size = self.slot_table_size
         full = self._full_mask
         links = self._links
         blocked = 0
-        prepared = []
-        append = prepared.append
+        cells: List[Optional[List[int]]] = []
+        append = cells.append
         for edge, offset in diagonal:
-            shift = offset % size
-            entry = links.get(edge)
-            append((edge, shift, entry))
-            if entry is not None:
-                occupied = entry[0]
+            cell = links.get(edge)
+            append(cell)
+            if cell is not None:
+                shift = offset % size
+                occupied = cell[0]
                 blocked |= (
                     (occupied >> shift) | (occupied << (size - shift))
                 ) & full
                 if blocked == full:
-                    return 0, prepared
-        return full & ~blocked, prepared
+                    return 0, (diagonal, cells)
+        return full & ~blocked, (diagonal, cells)
 
     def claim_prepared(self, context, base_mask: int, label: str) -> None:
         """Claim a whole channel: ``base_mask`` rotated along the claim
-        diagonal of a context from :meth:`probe_rotations`.
+        diagonal of a context from :meth:`probe_rotations`, booked as
+        one claim record.
 
         Atomic: each edge's mask is validated in full (lowest
         conflicting slot reported) before any of its slots is claimed,
-        and on conflict everything already claimed here is rolled back
+        and on conflict everything already claimed here is taken back
         before the error propagates.
 
         Raises:
             SlotConflictError: if a slot is owned by a different label.
         """
+        diagonal, cells = context
         size = self.slot_table_size
         full = self._full_mask
         links = self._links
-        journal = self._journal
         self.version += 1
-        self._snapshots += 1
-        token = len(journal)
-        for edge, shift, entry in context:
+        booked: List[Tuple[Edge, List[int], int]] = []
+        append = booked.append
+        whole: Optional[int] = base_mask
+        for (edge, offset), cell in zip(diagonal, cells):
+            shift = offset % size
             mask = (
                 (base_mask << shift) | (base_mask >> (size - shift))
             ) & full
-            if entry is None:
+            if cell is None:
                 # Re-check: an earlier link of this very channel may
-                # have created the entry (a path can revisit an edge).
-                entry = links.get(edge)
-                if entry is None:
-                    journal.append((_OP_CLAIM_MASK, edge, mask, label))
-                    links[edge] = [mask, {label: mask}]
-                    continue
-            occupied = entry[0]
-            conflict = occupied & mask
-            if conflict:
-                labels = entry[1]
-                foreign = conflict & ~labels.get(label, 0)
+                # have created the cell (a path can revisit an edge).
+                cell = links.get(edge)
+                if cell is None:
+                    if not mask:
+                        continue
+                    cell = links[edge] = [0]
+            occupied = cell[0]
+            if occupied & mask:
+                whole = None
+                # Slots this claim took on an earlier visit of the edge,
+                # or that its label already holds, re-claim as no-ops.
+                foreign = mask & occupied & ~self._held(cell, label)
+                for _, link_cell, bits in booked:
+                    if link_cell is cell:
+                        foreign &= ~bits
                 if foreign:
                     slot = (foreign & -foreign).bit_length() - 1
                     owner = self.owner(edge, slot)
-                    self.rollback(token)
+                    self._clear(booked)
                     raise SlotConflictError(
                         f"link {edge} slot {slot} owned by {owner!r}; "
                         f"cannot claim for {label!r}"
                     )
-            fresh = mask & ~occupied
-            if fresh:
-                journal.append((_OP_CLAIM_MASK, edge, fresh, label))
-                entry[0] = occupied | fresh
-                labels = entry[1]
-                labels[label] = labels.get(label, 0) | fresh
-        self._snapshots -= 1
-        if self._snapshots == 0:
-            journal.clear()
+                mask &= ~occupied
+                if not mask:
+                    continue
+            cell[0] = occupied | mask
+            append((edge, cell, mask))
+        if not booked:
+            return
+        record: Record = (diagonal, label, whole, booked)
+        records = self._records
+        if records.setdefault(id(diagonal), record) is not record:
+            # The diagonal already keys a live record: key this one by a
+            # fresh object, which no release can name.
+            record = ((diagonal,), label, None, booked)
+            records[id(record[0])] = record
+        if self._snapshots:
+            self._journal.append(((), (record,)))
 
     def release_rotations(
         self,
-        diagonal: Sequence[Tuple[Tuple[str, str], int]],
+        diagonal: Sequence[Tuple[Edge, int]],
         base_mask: int,
         label: str,
     ) -> None:
         """Release a whole channel claimed via :meth:`claim_prepared`.
 
-        Atomic per edge: each edge's mask is validated in full (lowest
+        The release of a whole claim — the very diagonal object it was
+        probed with, its base mask and its label — pops the claim's
+        record and clears each of its cells with one AND: the record is
+        the validation.  Any other release takes the general path,
+        atomic per edge: each edge's mask is validated in full (lowest
         slot not held reported) before any of its slots is released.
 
         Raises:
             SlotConflictError: if a slot is not owned by ``label``.
         """
-        # One loop iteration per path link, everything inlined: an edge
-        # is checked in full, then released with one mask operation.
+        self.version += 1
+        records = self._records
+        record = records.get(id(diagonal))
+        if (
+            record is not None
+            and record[0] is diagonal
+            and record[2] == base_mask
+            and record[1] == label
+        ):
+            del records[id(diagonal)]
+            self._clear(record[3])
+            if self._snapshots:
+                self._journal.append(((record,), ()))
+            return
         size = self.slot_table_size
         full = self._full_mask
-        links = self._links
-        self.version += 1
         for edge, offset in diagonal:
             shift = offset % size
-            mask = (
-                (base_mask << shift) | (base_mask >> (size - shift))
-            ) & full
-            entry = links.get(edge)
-            held = 0 if entry is None else entry[1].get(label, 0)
-            missing = mask & ~held
-            if missing:
-                slot = (missing & -missing).bit_length() - 1
-                owner = self.owner(edge, slot)
-                raise SlotConflictError(
-                    f"link {edge} slot {slot} owned by {owner!r}, not "
-                    f"{label!r}; cannot release"
-                )
-            if not mask:
-                continue
-            if self._snapshots:
-                self._journal.append((_OP_RELEASE_MASK, edge, mask, label))
-            remaining = entry[0] & ~mask
-            if not remaining:
-                del links[edge]
-                continue
-            entry[0] = remaining
-            kept = held & ~mask
-            if kept:
-                entry[1][label] = kept
-            else:
-                del entry[1][label]
+            self._release_edge(
+                edge,
+                ((base_mask << shift) | (base_mask >> (size - shift)))
+                & full,
+                label,
+            )
+
+    def _release_edge(self, edge: Edge, mask: int, label: str) -> None:
+        """The general path's one edge: release ``mask`` on ``edge``
+        from ``label``'s records, or raise before touching any."""
+        cell = self._links.get(edge)
+        held = 0 if cell is None else self._held(cell, label)
+        missing = mask & ~held
+        if missing:
+            slot = (missing & -missing).bit_length() - 1
+            owner = self.owner(edge, slot)
+            raise SlotConflictError(
+                f"link {edge} slot {slot} owned by {owner!r}, not "
+                f"{label!r}; cannot release"
+            )
+        if not mask:
+            return
+        cut = [
+            record
+            for record in self._records.values()
+            if record[1] == label
+            and any(link[1] is cell and link[2] & mask for link in record[3])
+        ]
+        kept: List[Record] = []
+        for record in cut:
+            self._unbook(record)
+            left = [
+                (link_edge, link_cell, bits & ~mask if link_cell is cell else bits)
+                for link_edge, link_cell, bits in record[3]
+            ]
+            left = [link for link in left if link[2]]
+            if left:
+                kept.append((record[0], label, None, left))
+                self._book(kept[-1])
+        if self._snapshots:
+            self._journal.append((tuple(cut), tuple(kept)))
 
     # -- speculative allocation ------------------------------------------------
 
@@ -280,35 +368,13 @@ class LinkSlotLedger:
 
     def rollback(self, token: int) -> None:
         """Undo every write since ``snapshot`` returned ``token``."""
-        links = self._links
         self.version += 1
         while len(self._journal) > token:
-            op, edge, value, label = self._journal.pop()
-            if op == _OP_CLAIM_MASK:
-                # Reverse of the fresh-bit application in
-                # claim_prepared.
-                entry = links[edge]
-                remaining = entry[0] & ~value
-                if not remaining:
-                    del links[edge]
-                    continue
-                entry[0] = remaining
-                labels = entry[1]
-                kept = labels[label] & ~value
-                if kept:
-                    labels[label] = kept
-                else:
-                    del labels[label]
-            elif op == _OP_RELEASE_MASK:
-                entry = links.get(edge)
-                if entry is None:
-                    links[edge] = [value, {label: value}]
-                else:
-                    entry[0] |= value
-                    labels = entry[1]
-                    labels[label] = labels.get(label, 0) | value
-            else:  # pragma: no cover - internal invariant
-                raise AllocationError(f"corrupt journal op {op!r}")
+            dropped, booked = self._journal.pop()
+            for record in booked:
+                self._unbook(record)
+            for record in dropped:
+                self._book(record)
         self._close_scope()
 
     def commit(self, token: int) -> None:
@@ -336,14 +402,12 @@ class LinkSlotLedger:
     def free_slot_count(self, edge: Tuple[str, str]) -> int:
         """Unclaimed slots remaining on one directed link — the
         residual-capacity input of the admission oracle."""
-        entry = self._links.get(edge)
-        claimed = 0 if entry is None else entry[0].bit_count()
+        cell = self._links.get(edge)
+        claimed = 0 if cell is None else cell[0].bit_count()
         return self.slot_table_size - claimed
 
     def total_claims(self) -> int:
-        return sum(
-            entry[0].bit_count() for entry in self._links.values()
-        )
+        return sum(cell[0].bit_count() for cell in self._links.values())
 
     def claimed_edges(self) -> List[Tuple[str, str]]:
         """Directed links currently carrying at least one claim."""
@@ -543,9 +607,10 @@ class SlotAllocator:
         path: Tuple[str, ...],
         link_delays: Optional[Sequence[int]],
         mask: int,
+        diagonal: Sequence[Tuple[Edge, int]],
     ) -> AllocatedChannel:
         """``request`` slotted on ``path`` from the admissible ``mask``
-        of its one probe.
+        of its one probe, along ``diagonal``.
 
         Raises:
             AllocationError: if fewer than ``request.slots`` base slots
@@ -563,6 +628,7 @@ class SlotAllocator:
             slots=frozenset(self._pick_from_mask(mask, request.slots)),
             slot_table_size=self.params.slot_table_size,
             link_delays=tuple(link_delays) if link_delays else (),
+            diagonal=diagonal,
         )
 
     def plan_channel(
@@ -589,11 +655,12 @@ class SlotAllocator:
         chosen_path = tuple(path) if path is not None else self.route(
             request.src_ni, request.dst_ni
         )
-        mask, context = self.ledger.probe_rotations(
-            self._claim_diagonal(chosen_path, link_delays)
-        )
+        diagonal = self._claim_diagonal(chosen_path, link_delays)
+        mask, context = self.ledger.probe_rotations(diagonal)
         return (
-            self._picked_channel(request, chosen_path, link_delays, mask),
+            self._picked_channel(
+                request, chosen_path, link_delays, mask, diagonal
+            ),
             context,
         )
 
@@ -614,13 +681,16 @@ class SlotAllocator:
         return channel
 
     def release_channel(self, channel: AllocatedChannel) -> None:
-        """Return a channel's claims to the free pool."""
-        self.ledger.release_rotations(
-            self._claim_diagonal(
+        """Return a channel's claims to the free pool: the diagonal it
+        was planned on names its claim record; a channel built
+        elsewhere (deserialized, say) has its diagonal rebuilt."""
+        diagonal = channel.diagonal
+        if diagonal is None:
+            diagonal = self._claim_diagonal(
                 channel.path, channel.link_delays or None
-            ),
-            _slot_mask(channel.slots),
-            channel.label,
+            )
+        self.ledger.release_rotations(
+            diagonal, _slot_mask(channel.slots), channel.label
         )
 
     # -- connections ------------------------------------------------------------------
@@ -759,6 +829,7 @@ class SlotAllocator:
                 )
                 for branch in branches
             ),
+            diagonal=tree_diagonal,
         )
         return tree, context
 
@@ -774,9 +845,11 @@ class SlotAllocator:
         return tree
 
     def release_multicast(self, tree: AllocatedMulticast) -> None:
-        """Return a tree's claims to the free pool."""
+        """Return a tree's claims to the free pool, as
+        :meth:`release_channel` does a channel's."""
+        diagonal = tree.diagonal
+        if diagonal is None:
+            diagonal = _tree_diagonal([branch.path for branch in tree.paths])
         self.ledger.release_rotations(
-            _tree_diagonal([branch.path for branch in tree.paths]),
-            _slot_mask(tree.slots),
-            tree.label,
+            diagonal, _slot_mask(tree.slots), tree.label
         )

@@ -15,9 +15,9 @@ from position *k* to *k+1* during slot ``(s + k + 1) mod T``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..errors import AllocationError, ParameterError
 
@@ -156,6 +156,11 @@ class AllocatedChannel:
             extension (:mod:`repro.ext.pipelined`): a link with delay d
             shifts every downstream element's table index by d extra
             positions.
+        diagonal: The ``(edge, slot offset)`` claim diagonal the
+            allocator probed and claimed the channel on, or ``None``
+            for a channel built elsewhere.  Its identity names the
+            channel's claim record at release; it takes no part in
+            equality.
     """
 
     label: str
@@ -163,6 +168,9 @@ class AllocatedChannel:
     slots: FrozenSet[int]
     slot_table_size: int
     link_delays: Tuple[int, ...] = ()
+    diagonal: Optional[Sequence[Tuple[Tuple[str, str], int]]] = field(
+        default=None, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if len(self.path) < 2:
@@ -276,11 +284,15 @@ class AllocatedMulticast:
 
     All paths start at the same source NI and use the same injection
     slots; shared prefixes translate into shared (link, slot) claims, so
-    the tree only pays each link once.
+    the tree only pays each link once.  ``diagonal`` is the tree's
+    claim diagonal, as :attr:`AllocatedChannel.diagonal` is a channel's.
     """
 
     label: str
     paths: Tuple[AllocatedChannel, ...]
+    diagonal: Optional[Sequence[Tuple[Tuple[str, str], int]]] = field(
+        default=None, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if not self.paths:

@@ -544,8 +544,9 @@ class ConfigDecoder:
         per packet whatever its addressee count: ``words`` checked to
         be in range and laid out as a PATH_SETUP, PATH_TEARDOWN or
         CHANNEL_CONFIG packet — ``(opcode, first ID index, ID column,
-        count of each ID)`` for a path packet, ``(opcode, fields)`` for
-        a channel packet — or ``None`` for any other tuple.  Every
+        count of each ID, slot-mask bits)`` for a path packet, its mask
+        words combined and their 0-padding checked, ``(opcode, fields)``
+        for a channel packet — or ``None`` for any other tuple.  Every
         decoder of one network has the same slot-table size and word
         width, so any of them gives the packet's layout."""
         if not words or min(words) < 0 or max(words) >= self._word_limit:
@@ -555,11 +556,16 @@ class ConfigDecoder:
             start = 1 + self._mask_word_count
             if len(words) < start + 2 or (len(words) - start) % 2:
                 return None
+            bits = 0
+            for j, word in enumerate(words[1:start]):
+                bits |= word << (j * self.word_bits)
+            if bits >> self.slot_table_size:
+                return None  # bits set in the last mask word's padding
             ids = words[start::2]
             counts: Dict[int, int] = {}
             for element_id in ids:
                 counts[element_id] = counts.get(element_id, 0) + 1
-            return (opcode, start, ids, counts)
+            return (opcode, start, ids, counts, bits)
         if opcode is Opcode.CHANNEL_CONFIG:
             if len(words) < 3 or len(words) % 2 == 0:
                 return None
@@ -594,7 +600,7 @@ class ConfigDecoder:
                 return None
         opcode = layout[0]
         if opcode is not Opcode.CHANNEL_CONFIG:
-            _opcode, start, ids, counts = layout
+            _opcode, start, ids, counts, bits = layout
             if (
                 position >= len(ids)
                 or ids[position] != self.element_id
@@ -610,15 +616,11 @@ class ConfigDecoder:
                 return None
             # The ``position`` pairs before its own are foreign: one
             # rotation each, as the FSM would owe them.
-            try:
-                self._mask = SlotMask.from_words(
-                    self.slot_table_size,
-                    words[1:start],
-                    self.word_bits,
-                    position,
-                )
-            except ParameterError:
-                return None
+            self._mask = SlotMask.from_bits(
+                self.slot_table_size,
+                bits,
+                position,
+            )
             self._opcode = opcode
             self._record_path_action(payload)
         else:

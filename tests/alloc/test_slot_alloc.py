@@ -21,6 +21,7 @@ from repro.errors import AllocationError, SlotConflictError
 from repro.params import daelite_parameters
 from repro.topology import build_mesh
 
+from ..differential import plant
 from ..ledger_mirror import LEDGER_IDS, LEDGERS, LedgerMirror, use_ledger
 
 
@@ -258,6 +259,20 @@ class TestLedgerEngines:
         assert ledger.owner(("b", "a"), 2) == "loop"
         assert ledger.owner(("a", "b"), 3) == "loop"
         assert ledger.total_claims() == 3
+
+    def test_one_diagonal_claimed_twice(self, ledger_class):
+        """Two live claims through one diagonal object are two claims:
+        each releases its own slots, in either order."""
+        ledger = ledger_class(8)
+        diagonal = [(("a", "b"), 1), (("b", "c"), 2)]
+        for base, label in ((0b01, "first"), (0b10, "second")):
+            _, context = ledger.probe_rotations(diagonal)
+            ledger.claim_prepared(context, base, label)
+        ledger.release_rotations(diagonal, 0b10, "second")
+        assert ledger.owner(("b", "c"), 2) == "first"
+        assert ledger.is_free(("b", "c"), 3)
+        ledger.release_rotations(diagonal, 0b01, "first")
+        assert ledger.claimed_edges() == []
 
     def test_probe_rotations_sees_all_links(self, ledger_class):
         ledger = ledger_class(8)
@@ -565,3 +580,86 @@ class TestPlanHandoff:
             if len(live) > 8:
                 allocator.release_connection(live.pop(rng.randrange(len(live))))
         assert 0 < sum(admitted) < len(admitted)
+
+
+class CountingDict(dict):
+    """A dict that counts its lookups: ``get``, ``[]`` and ``in``."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.lookups += 1
+        return super().__contains__(key)
+
+
+def release_work_gate(requests=300, seed=51):
+    """A seeded admit -> allocate -> release churn that asserts what a
+    release costs: each planned channel builds its claim diagonal once,
+    and releasing an allocated connection builds none, looks up no link
+    in the ledger's cell store and journals one entry per channel (an
+    emptied cell leaving the store is the one store write it makes)."""
+    allocator = SlotAllocator(
+        topology=build_mesh(4, 4),
+        params=daelite_parameters(slot_table_size=16),
+    )
+    oracle = AdmissionOracle(allocator)
+    ledger = allocator.ledger
+    ledger._links = cells = CountingDict(ledger._links)
+    calls = {"plan_channel": 0, "_claim_diagonal": 0}
+    for name in calls:
+        def counted(*args, _name=name, _method=getattr(allocator, name)):
+            calls[_name] += 1
+            return _method(*args)
+
+        setattr(allocator, name, counted)
+    rng = random.Random(seed)
+    nis = sorted(element.name for element in allocator.topology.nis)
+    live = []
+    releases = 0
+    for index in range(requests):
+        request = ConnectionRequest(
+            f"c{index}", *rng.sample(nis, 2), forward_slots=rng.randint(1, 4)
+        )
+        oracle.admit_connection(request)
+        try:
+            live.append(allocator.allocate_connection(request))
+        except AllocationError:
+            pass
+        if len(live) > 12:
+            victim = live.pop(rng.randrange(len(live)))
+            lookups, diagonals = cells.lookups, calls["_claim_diagonal"]
+            token = ledger.snapshot()
+            allocator.release_connection(victim)
+            assert len(ledger._journal) == 2, "a per-link journal entry"
+            ledger.commit(token)
+            assert cells.lookups == lookups, "a release looked up a link"
+            assert calls["_claim_diagonal"] == diagonals, (
+                "a release rebuilt its diagonal"
+            )
+            releases += 1
+    assert calls["_claim_diagonal"] == calls["plan_channel"]
+    assert releases > 100 and ledger.total_claims() > 0
+
+
+class TestReleaseWork:
+    def test_release_pops_its_claim_record(self):
+        release_work_gate()
+
+    def test_a_release_that_rebuilds_the_diagonal_is_caught(self, monkeypatch):
+        plant(
+            monkeypatch,
+            "diagonal = channel.diagonal",
+            "diagonal = None",
+            owner=SlotAllocator,
+            method="release_channel",
+        )
+        with pytest.raises(AssertionError):
+            release_work_gate()

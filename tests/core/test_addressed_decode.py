@@ -445,6 +445,12 @@ MUTANTS = (
         "fields = [_FIELDS.get(word) for word in words[3::2]]",
         "fields = list(words[3::2])",
     ),
+    (
+        "mask padding dropped",
+        "addressed_layout",
+        "if bits >> self.slot_table_size:",
+        "bits &= (1 << self.slot_table_size) - 1\n            if False:",
+    ),
 )
 
 

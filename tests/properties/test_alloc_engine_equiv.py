@@ -12,6 +12,7 @@ observable.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -88,8 +89,9 @@ def mixed_scenarios(draw):
 
 #: What the handoff runs may put between an admit and its allocate:
 #: nothing (twice as likely), a release, a multicast claim,
-#: ``admissible_connection_count``'s claims and rollback, a link failure.
-HANDOFF_WRITES = (None, None, "release", "tree", "count", "fail")
+#: ``admissible_connection_count``'s claims and rollback, a link
+#: failure, a release rolled back.
+HANDOFF_WRITES = (None, None, "release", "tree", "count", "fail", "undo")
 
 
 def _interpose(write, extras, allocator, oracle, request, live, outcomes):
@@ -114,6 +116,15 @@ def _interpose(write, extras, allocator, oracle, request, live, outcomes):
         else:
             live.append(("tree", tree))
             outcomes.append(("tree", tree.label, tuple(sorted(tree.slots))))
+    elif write == "undo" and live:
+        kind, allocation = live[extras.randrange(len(live))]
+        token = allocator.ledger.snapshot()
+        if kind == "conn":
+            allocator.release_connection(allocation)
+        else:
+            allocator.release_multicast(allocation)
+        allocator.ledger.rollback(token)
+        outcomes.append(("undo", allocation.label))
     elif write == "count":
         outcomes.append(
             ("count", oracle.admissible_connection_count(request))
@@ -221,8 +232,9 @@ def _run_mixed_scenario(ledger_class, scenario, handoff=None):
             if kind == "conn":
                 allocator.release_connection(allocation)
             else:
-                # Through release_rotations over the tree's diagonal.
-                allocator.release_multicast(allocation)
+                # Without the diagonal it was claimed on, so over a
+                # rebuilt one: the ledger's general release path.
+                allocator.release_multicast(replace(allocation, diagonal=None))
             outcomes.append(("release", allocation.label))
             _assert_ledger_holds(allocator.ledger, live, slot_table_size)
     outcomes.append(("total", allocator.ledger.total_claims()))
@@ -392,24 +404,46 @@ class TestEngineEquivalence:
                 "(base_mask << shift) | (base_mask >> (size - shift))",
                 "(base_mask << shift + 1) | (base_mask >> (size - shift - 1))",
             ),
-            # A release keeps the lowest slot of each edge's mask.
+            # A record release keeps the lowest slot of each link's mask.
             (
                 "release_rotations",
-                "if not mask:",
-                "mask &= mask - 1\n            if not mask:",
+                "self._clear(record[3])",
+                "self._clear([(e, c, m & (m - 1)) for e, c, m in record[3]])",
             ),
             # A rollback leaves the scope's first journal entry (one
-            # link's claim or release) in place.
+            # claim or release) in place.
             (
                 "rollback",
                 "while len(self._journal) > token:",
                 "while len(self._journal) > token + 1:",
+            ),
+            # A record release leaves its first link's cell as it was.
+            (
+                "release_rotations",
+                "self._clear(record[3])",
+                "self._clear(record[3][1:])",
+            ),
+            # Undoing a release books the record again but not its slots.
+            (
+                "rollback",
+                "self._book(record)",
+                "self._records[id(record[0])] = record",
+            ),
+            # A claim record holds the base mask, not each link's
+            # rotation of it.
+            (
+                "claim_prepared",
+                "append((edge, cell, mask))",
+                "append((edge, cell, base_mask))",
             ),
         ],
         ids=[
             "claim-rotation-off-by-one",
             "release-leaves-a-bit",
             "rollback-skips-a-link",
+            "record-release-leaves-a-cell",
+            "rollback-restores-record-not-cells",
+            "record-holds-unrotated-mask",
         ],
     )
     def test_planted_ledger_mutants_are_killed(
@@ -417,7 +451,8 @@ class TestEngineEquivalence:
     ):
         """A ledger that claims, releases or rolls back other slots than
         its mirror must show in the handoff scenarios, whose writes
-        include releases, tree claims and the oracle's rollbacks."""
+        include releases, tree claims, the oracle's rollbacks and
+        rolled-back releases."""
         plant(monkeypatch, original, mutant, owner=LinkSlotLedger, method=method)
         with pytest.raises((AssertionError, AllocationError)):
             for scenario in HANDOFF_SCENARIOS:
@@ -451,7 +486,7 @@ class TestPlanHandoff:
                     ledger_class, scenario, "plain"
                 )
                 kinds.update(entry[0] for entry in admitted[0])
-        assert {"release", "tree", "count", "fail"} <= kinds
+        assert {"release", "tree", "count", "fail", "undo"} <= kinds
 
     @pytest.mark.parametrize(
         "owner, method, original, mutant",
@@ -506,8 +541,8 @@ def test_tree_release_scenarios_release_trees():
 @pytest.mark.parametrize("ledger_class", LEDGERS, ids=LEDGER_IDS)
 def test_planted_tree_release_offset_is_killed(monkeypatch, ledger_class):
     """Release a tree's edge *k* links deep at offset *k* instead of
-    *k + 1*: the mixed scenarios must catch it on the ledger and on its
-    mirror."""
+    *k + 1*: the mixed scenarios, which release their trees over a
+    rebuilt diagonal, must catch it on the ledger and on its mirror."""
     original = "_tree_diagonal([branch.path for branch in tree.paths])"
     mutant = f"[(edge, k - 1) for edge, k in {original}]"
     plant(
