@@ -132,7 +132,7 @@ from itertools import compress, count
 from math import lcm
 from operator import attrgetter, is_not, itemgetter, sub
 from types import SimpleNamespace
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from ..errors import SimulationError
 from .flit import Phit, Word, new_word, parity_of, stamp_injected
@@ -488,7 +488,6 @@ def _check_eligibility(network: Any) -> Optional[CompileRefusal]:
     barrier), and the engine decodes and applies deposits through the
     port code that consults the monitor.
     """
-    kernel = network.kernel
     if network.tracer.enabled:
         return CompileRefusal(
             CompileRefusal.TRACER_ACTIVE,
@@ -982,30 +981,25 @@ class CompiledEngine:
     # -- the config plane: the live set, visibility ------------------------------
 
     def _live(
-        self,
-        in_flight: Any,
-        working: List[_Owner],
-        gen_runs: List[tuple],
-        sink_runs: List[tuple],
+        self, working: List[_Owner]
     ) -> Tuple[Set[int], Set[Tuple[int, int]], Set[Tuple[int, int]]]:
         """What can act during a run: ``(owner plan indices, source
         keys, destination keys)``, keys being ``(id(ni), channel)``.
 
         Live are the ``working`` owners (:func:`_with_work`), the channels
         with queued words or a generator not done, the owners of the
-        register-resident phits ``in_flight`` (register ids, in the
-        entry cycle's phase), and the destinations holding words for a
-        sink — closed under credit pairing: every destination a live
-        owner's trajectories deliver into, and every owner returning a
-        live destination's credits.  Nothing else can be armed in the
-        run (DESIGN.md §14.6).
+        register-resident phits (``_cur``, in the entry cycle's phase),
+        and the destinations holding words for a sink — closed under
+        credit pairing: every destination a live owner's trajectories
+        deliver into, and every owner returning a live destination's
+        credits.  Nothing else can be armed in the run (DESIGN.md §14.6).
         """
         index = self.index[self.kernel.cycle % self.wheel]
         plan_of = self._plan_of
         live = {owner.index for owner in working}
-        live.update(plan_of[index[rid][0]] for rid in in_flight)
+        live.update(plan_of[index[rid][0]] for rid in self._cur)
         live_src: Set[Tuple[int, int]] = set()
-        for gen, owner, _firing, _label in gen_runs:
+        for gen, owner, _firing, _label in self._gen_runs:
             if not gen.done:
                 live_src.add((id(gen.inject.ni), gen.inject.channel))
                 if owner is not None:
@@ -1016,7 +1010,7 @@ class CompiledEngine:
                     live_src.add((id(ni), channel))
         live_dst = {
             (id(ni), channel)
-            for (_sink, ni, channel, _p), run in zip(self.sinks, sink_runs)
+            for (_sink, ni, channel, _p), run in zip(self.sinks, self._sink_runs)
             if run[1] is not None and run[1].queue
         }
         # The closure: a live destination's crediting owners, a live
@@ -1539,15 +1533,13 @@ class CompiledEngine:
                 if dest is not None:
                     on_dest.append(sink_index)
 
-    def _claim_labels(
-        self, working: List[_Owner], gen_runs: List[tuple]
-    ) -> None:
+    def _claim_labels(self, working: List[_Owner]) -> None:
         """Give each owner the ``label`` of a connection whose words only
         it can launch in the run — fired by a generator into it, queued
         on its source, or in flight from it in a register.  Its
         launches are then its only link entries for that connection and
         follow them in order, so each injection can be recorded at its
-        launch (:meth:`run_to`)."""
+        launch (:meth:`_Run.visit`)."""
         labelled = self._labelled
         for owner in labelled:
             owner.label = None
@@ -1557,7 +1549,7 @@ class CompiledEngine:
         owners = self._owners
         claimed: List[Tuple[str, Optional[_Owner]]] = [
             (label, owner)
-            for _gen, owner, _firing, label in gen_runs
+            for _gen, owner, _firing, label in self._gen_runs
             if owner is not None
         ]
         claimed += [
@@ -1597,287 +1589,49 @@ class CompiledEngine:
         from the model methods the per-word fast paths and the config
         events fall through to (module docstring), called with state
         untouched.
-        """
-        FLAG_FLOW_CONTROLLED = _model().FLAG_FLOW_CONTROLLED
-        FLAG_ENABLED = _model().FLAG_ENABLED
-        kernel = self.kernel
-        cycle = kernel.cycle
-        if cycle >= end:
-            return None
-        if self._exited_at != kernel.active_cycles:
-            # Not where this engine last exited: the segment closes.
-            self._segment = None
-        refusal = self._import_registers(cycle)
-        self._resolve()
-        owners = self._owners
-        gen_runs = self._gen_runs
-        sink_runs = self._sink_runs
-        sinks_on = self._sinks_on
-        working = _with_work(owners)  # the entry's one owner scan
-        # What can act in the run (DESIGN.md §14.6), taken at entry;
-        # a run without config events needs it only to decline.
-        live: Any = None
-        if self._valid_for is not None:
-            if refusal is None:
-                live, live_src, live_dst = self._live(
-                    self._cur, working, gen_runs, sink_runs
-                )
-            if refusal is not None or not live_src <= self._valid_for:
-                # The applies this engine rode through left its lowering
-                # exact only for what was live at them: decline, and the
-                # kernel's next acquisition recompiles.
-                self.token = None
-                return None
-        if refusal is not None:
-            return refusal
-        self._claim_labels(working, gen_runs)
-        if self.replay_refusal is not None:
-            self._note_replay_refusal(self.replay_refusal)
 
+        The loop applies a cycle's arrivals and link entries itself (the
+        event kind most cycles hold) and hands every other kind to a
+        handler of the :class:`_Run` that :meth:`_enter` returns.
+        """
+        run = self._enter(end)
+        if not isinstance(run, _Run):
+            return run
         stats = self.stats
         connections = stats.connections
         last_ejected = stats._last_ejected
-        wheel = self.wheel
-        wps = self.network.params.words_per_slot
-        credit_cap = self.credit_cap
-        replay = self.replay
-        intern = None if replay is None else replay.intern
-        ring = self._ring
-        mask = self._mask
-        launched = self._launched
-        launched_words = self._launched_words
-        folded = self._folded
-
-        # Armed owners by the cycle of their next owned phase (same
-        # ring geometry as the arrivals), sinks by the cycle of their
-        # next drain, generators by the cycle of their next firing.
-        owner_ring = self._owner_ring
-        sink_due: Dict[int, List[int]] = {}
-        sink_waiting = [False] * len(sink_runs)
-        gen_heap: List[Tuple[int, int]] = []
+        sinks_on = self._sinks_on
         dests: List[Any] = [None] * len(sinks_on)
-
-        def arm(owner: _Owner, start: int) -> None:
-            """Visit ``owner``, which is not armed, at its first owned
-            phase from ``start``.  A folded visit that this one comes
-            before is taken back."""
-            if owner.fold_at >= start:
-                self._unfold(owner)
-            owner.armed = True
-            owner_ring[(start + owner.first[start % wheel]) & mask].append(
-                owner
-            )
-
-        def fold_credits(owner: _Owner, dest: Any, start: int) -> None:
-            """Make now the next visit from ``start`` of ``owner``,
-            which is not armed and has no word queued: at its first
-            credit-collecting phase it launches ``dest``'s pending
-            credits, all of them, alone (see ``_unfold``) — unless a
-            config event comes first, whose model code reads (and an
-            apply may write) those credits: then the owner is armed."""
-            at = start + owner.first[start % wheel]
-            if at % wps:
-                # Mid-slot: the slot's collecting phase, its first, is
-                # behind; the next owned slot's is the next one.
-                at += wps - at % wps
-                at += owner.first[at % wheel]
-            if at > cfg_next:
-                arm(owner, start)
-                return
-            trajectory = owner.slots[at % wheel].trajectory
-            credits = dest.pending_credits
-            dest.pending_credits = 0
-            for delay, order, leaf in trajectory.launch:
-                ring[(at + delay) & mask].append((order, leaf, None, credits))
-            if owner.fold_at < 0:
-                folded.append(owner)
-            owner.fold_at = at
-
-        def wake(sink_index: int, start: int) -> None:
-            """Visit the sink, which is not waiting, at its first drain
-            cycle from ``start``."""
-            sink_waiting[sink_index] = True
-            sink_run = sink_runs[sink_index]
-            if start < sink_run[0].start_cycle:
-                start = sink_run[0].start_cycle
-            if sink_run[2]:
-                start += -start % sink_run[2]
-            due = sink_due.get(start)
-            if due is None:
-                sink_due[start] = [sink_index]
-            else:
-                due.append(sink_index)
-
-        def arm_all(start: int, working: List[_Owner]) -> int:
-            """(Re)derive every schedule from state entering ``start``
-            (``working``: its owners to arm); returns the first firing."""
-            for at in compress(range(mask + 1), owner_ring):
-                for owner in owner_ring[at]:
-                    owner.armed = False
-                owner_ring[at].clear()
-            sink_due.clear()
-            for owner in working:
-                arm(owner, start)
-            for sink_index, sink_run in enumerate(sink_runs):
-                sink_waiting[sink_index] = False
-                if sink_run[1] is not None and sink_run[1].queue:
-                    wake(sink_index, start)
-            gen_heap.clear()
-            for gen_index, gen_run in enumerate(gen_runs):
-                fire = gen_run[0].next_evaluation(start)
-                if fire is not None:
-                    gen_heap.append((fire, gen_index))
-            heapify(gen_heap)
-            return gen_heap[0][0] if gen_heap else _NEVER
-
-        # The config plane (DESIGN.md §14.6): its events, run in their
-        # own order, and the next cycle holding one.  What can act in
-        # the run is fixed at entry (``live``); applies are checked
-        # against the cells it reads.
-        config = _model().ConfigEvents(self.network.config_module, cycle)
-        cfg_next = config.next
-        if live is None and cfg_next < end:
-            live, live_src, live_dst = self._live(
-                self._cur, working, gen_runs, sink_runs
-            )
-        adopted = 0  # token moves of the applies ridden through
-        changes = self.network.changes
-        halt = False  # an apply changed what this run executes
-
-        def applied(element: Any, actions: List[Any], writes: int) -> None:
-            """Ride through an apply that cannot change what this run
-            executes; end the run after the cycle of one that can."""
-            nonlocal halt, adopted
-            if halt or self._visible(
-                element, actions, live, live_src, live_dst
-            ):
-                halt = True
-            else:
-                adopted += changes.writes - writes
-
-        self._load(cycle)
-        loaded = True
-        gen_due = arm_all(cycle, working)
-
-        # Epoch replay (module docstring): the sink events of the epoch
-        # since the last boundary, and that boundary's signature and
-        # snapshot — this run's own, so an epoch is only proved where no
-        # outside code ran.
-        period = self.period
-        events: Optional[List[tuple]] = None if replay is None else []
-        prev_sig: Any = None
-        prev_snap: Any = None
-        next_boundary = (
-            _NEVER if replay is None else cycle + (-cycle) % period
-        )
-        entered_at = cycle
-        handled = 0
-        model_calls = 0
-        config_events = 0
-        replayed_epochs = 0
-        replayed_cycles = 0
-        clean_exit = False
-        # The link entry or arrival being applied, until its first
-        # side effect; then what is left of it to apply, if anything.
+        sink_waiting = run.sink_waiting
+        flow_controlled = run.flow_controlled
+        owners = self._owners
+        ring = run.ring
+        owner_ring = run.owner_ring
+        mask = run.mask
+        sink_due = run.sink_due
+        cycle = run.entered_at
+        # The link entry or arrival being applied, until its first side
+        # effect; then what is left of it to apply, if anything.
         current: Optional[tuple] = None
         # How far into ``cycle`` the run got, for ``_unload``: -1 before
         # its events, ``None`` inside them (the one interrupted, if an
         # exception comes, is ``current`` or ``leaf``), ``_NEVER`` past.
         reached: Optional[int] = -1
         leaf: Any = None
-
         try:
             while cycle < end:
-                if cycle == next_boundary:
-                    if cfg_next < cycle + period or any(
-                        not gen.done for gen in self.trace_gens
-                    ):
-                        # No epoch replays across a config event, so
-                        # none is probed that holds one; and a live
-                        # trace generator's future firings are not
-                        # captured by any state signature: this boundary
-                        # is no probe.
-                        prev_sig = None
-                    else:
-                        # Barrier: the signature, the snapshot and the
-                        # in-flight rewrite all read registers and
-                        # counters.
-                        undone = self._unload(cycle)
-                        loaded = False
-                        boundary = cycle
-                        # Re-read the NIs whose endpoints changed since
-                        # the channel list was: those noted at an entry,
-                        # and those a config apply of this run noted.
-                        stale = self._stale_chans
-                        stale.update(changes.endpoints)
-                        if stale:
-                            self._refresh_chans(stale)
-                            stale.clear()
-                        sig = self._signature(cycle, self._cur)
-                        snap = self._snapshot(cycle)
-                        anchors = self._sig_anchors()
-                        # The template of this signature, or the epoch
-                        # since this run's previous boundary, proved.
-                        found = replay.load(sig, snap, cycle, anchors)
-                        proved = False
-                        if found is None and sig == prev_sig:
-                            delta = self._epoch_delta(prev_snap, snap)
-                            if delta is not None:
-                                found = (
-                                    replay.store(
-                                        sig, delta, events, cycle, anchors
-                                    ),
-                                    events,
-                                )
-                                proved = True
-                        prev_sig = sig
-                        prev_snap = snap
-                        template = None if found is None else found[0]
-                        if template is not self._segment:
-                            self._segment = None
-                        if template is not None:
-                            delta = template[0]
-                            epochs = min(
-                                (min(end, cfg_next) - cycle) // period,
-                                self._replay_horizon(delta, snap),
-                            )
-                            if epochs >= 1:
-                                if self._segment is None:
-                                    self._segment = template
-                                    kernel.regimes_detected += 1
-                                    if not proved:
-                                        kernel.regime_cache_hits += 1
-                                self._replay(
-                                    epochs, delta, snap, found[1], cycle
-                                )
-                                cycle += epochs * period
-                                replayed_epochs += epochs
-                                replayed_cycles += epochs * period
-                        self._load(cycle)
-                        loaded = True
-                        if cycle != boundary:
-                            # The clock jumped: every schedule is
-                            # re-derived from the landing state.
-                            gen_due = arm_all(cycle, _with_work(owners))
-                        else:
-                            # The credits of launches taken back are
-                            # collected by visits again.
-                            for owner in undone:
-                                arm(owner, cycle)
-                    if events is not None:
-                        events.clear()
-                    next_boundary = cycle + period
+                if cycle == run.next_boundary:
+                    cycle = run.boundary(cycle)
                     continue  # a landing may have reached ``end``
-
                 at = cycle & mask
                 bucket = ring[at]
                 if bucket:
-                    # Arrivals and link entries, in naive stepping's
-                    # order; popped before they are applied, so
-                    # whatever an exception leaves in the bucket has not
-                    # happened (and is not counted).
+                    # Arrivals and link entries, in naive stepping's order;
+                    # popped before they are applied, so whatever an
+                    # exception leaves in the bucket has not happened (and
+                    # is not counted).
                     reached = None
-                    handled += len(bucket)
+                    run.handled += len(bucket)
                     if len(bucket) > 1:
                         bucket.sort(key=_EVENT_ORDER, reverse=True)
                     while bucket:
@@ -1885,11 +1639,11 @@ class CompiledEngine:
                         leaf = current[1]
                         word = current[2]
                         if leaf is None:
-                            # A link entry whose injection was not
-                            # recorded at launch: the connection's first
-                            # word, one a barrier put back in a register,
-                            # and every unusual case.
-                            model_calls += 1
+                            # A link entry whose injection was not recorded
+                            # at launch: the connection's first word, one a
+                            # barrier put back in a register, and every
+                            # unusual case.
+                            run.model_calls += 1
                             stats.record_injection(word, cycle)
                             current = None
                             continue
@@ -1897,31 +1651,26 @@ class CompiledEngine:
                         dest_id = leaf.dest_id
                         dest = dests[dest_id]
                         if dest is None:
-                            dest = dests[dest_id] = ni.dest_channel(
-                                leaf.channel
-                            )
+                            dest = dests[dest_id] = ni.dest_channel(leaf.channel)
                         credit_bits = current[3]
                         if word is not None:
-                            # Once the word is dealt with only the
-                            # credits, if any, are left to apply.
+                            # Once the word is dealt with only the credits,
+                            # if any, are left to apply.
                             rest = (
                                 (current[0], leaf, None, credit_bits)
                                 if credit_bits
                                 else None
                             )
                             parity = word.parity
-                            if (
-                                parity is None
-                                or parity == word.payload.bit_count() & 1
-                            ):
+                            if parity is None or parity == word.payload.bit_count() & 1:
                                 # ``DestChannel.deliver``: room in the
                                 # queue, or nobody counting.
                                 queue = dest.queue
                                 if (
-                                    dest.flags & FLAG_FLOW_CONTROLLED
+                                    dest.flags & flow_controlled
                                     and len(queue) >= dest.capacity
                                 ):
-                                    model_calls += 1
+                                    run.model_calls += 1
                                     dest.deliver(word)
                                 else:
                                     queue.append(word)
@@ -1942,316 +1691,110 @@ class CompiledEngine:
                                     ledger.ejected += 1
                                     histogram = ledger.latency_histogram
                                     latency = cycle - injected
-                                    histogram[latency] = (
-                                        histogram.get(latency, 0) + 1
-                                    )
+                                    histogram[latency] = histogram.get(latency, 0) + 1
                                 else:
-                                    model_calls += 1
+                                    run.model_calls += 1
                                     stats.record_ejection(word, cycle, ni.name)
                                 for sink_index in sinks_on[dest_id]:
                                     if not sink_waiting[sink_index]:
-                                        wake(sink_index, cycle)
+                                        run.wake(sink_index, cycle)
                             else:
                                 ni.dropped_words += 1
                                 current = rest
                                 stats.record_fault(
-                                    cycle,
-                                    FAULT_DETECTED,
-                                    "parity_error",
-                                    ni.name,
+                                    cycle, FAULT_DETECTED, "parity_error", ni.name,
                                     f"ch{leaf.channel}: {word!r}",
                                 )
                         if credit_bits:
                             # ``_credit_paired_source``: a paired source
                             # whose counter has the room.
                             paired = dest.paired_source
-                            source = (
-                                None
-                                if paired is None
-                                else ni.source_channels.get(paired)
-                            )
+                            source = ni.source_channels.get(paired)
                             if (
                                 source is not None
-                                and 0
-                                < credit_bits
+                                and 0 < credit_bits
                                 <= source.max_credit - source.credit_counter
                             ):
                                 source.credit_counter += credit_bits
                             else:
-                                model_calls += 1
+                                run.model_calls += 1
                                 ni._credit_paired_source(dest, credit_bits)
-                            # Credits arrive before this cycle's
-                            # injection: the source may use them now.
+                            # Credits arrive before this cycle's injection:
+                            # the source may use them now.
                             owner_index = leaf.ni_owners.get(paired)
                             if owner_index is not None:
                                 owner = owners[owner_index]
-                                if (
-                                    owner is not None
-                                    and not owner.armed
-                                    and owner.source.queue
-                                ):
-                                    arm(owner, cycle)
+                                if owner and not owner.armed and owner.source.queue:
+                                    run.arm(owner, cycle)
                         current = None
                 # Every event of the cycle is applied; an exception from
                 # here on leaves its link entries and launches done.
                 reached = _NEVER
-
                 bucket = owner_ring[at]
                 if bucket:
-                    handled += len(bucket)
-                    phase = cycle % wheel
-                    for owner in bucket:
-                        source = owner.source
-                        dest = owner.dest
-                        slot = owner.slots[phase]
-                        # ``take_word()`` if ``can_send()``, asked once.
-                        word = None
-                        queue = source.queue
-                        flags = source.flags
-                        if (
-                            queue
-                            and flags & FLAG_ENABLED
-                            and (
-                                not flags & FLAG_FLOW_CONTROLLED
-                                or source.credit_counter > 0
-                            )
-                        ):
-                            if flags & FLAG_FLOW_CONTROLLED:
-                                source.credit_counter -= 1
-                            word = queue.popleft()
-                        # ``take_pending_credits``, in a slot's first
-                        # phase: what the credit wires can carry.
-                        credits = None
-                        if (
-                            slot.collect
-                            and dest is not None
-                            and (pending := dest.pending_credits)
-                        ):
-                            granted = min(pending, credit_cap)
-                            dest.pending_credits = pending - granted
-                            credits = granted or None
-                        if word is not None or credits:
-                            trajectory = slot.trajectory
-                            if word is not None:
-                                tid = trajectory.tid
-                                count = launched_words[tid]
-                                if not count:
-                                    launched.append(trajectory)
-                                launched_words[tid] = count + 1
-                                # ``StatsCollector.record_injection`` at
-                                # the link entry, done at launch: an
-                                # unstamped word of a connection only
-                                # this owner launches, the next after
-                                # its last injected one (so every
-                                # earlier injection is recorded).  A
-                                # barrier before the entry takes it
-                                # back (``_unload``).
-                                sequence = word.sequence
-                                if (
-                                    word.connection == owner.label
-                                    and word.injected_at < 0
-                                    and (
-                                        ledger := connections.get(
-                                            word.connection
-                                        )
-                                    )
-                                    is not None
-                                    and sequence == ledger.last_sequence + 1
-                                ):
-                                    entry = cycle + trajectory.entry_delay
-                                    stamp_injected(word, entry)
-                                    ledger.injected += 1
-                                    ledger.last_sequence = sequence
-                                    ledger.undelivered.add(sequence)
-                                else:
-                                    ring[
-                                        (cycle + trajectory.entry_delay) & mask
-                                    ].append(
-                                        (trajectory.entry_order, None, word, None)
-                                    )
-                            for delay, order, leaf in trajectory.launch:
-                                ring[(cycle + delay) & mask].append(
-                                    (order, leaf, word, credits)
-                                )
-                        # Stay armed while there is something to send.
-                        if (
-                            queue
-                            and flags & FLAG_ENABLED
-                            and (
-                                not flags & FLAG_FLOW_CONTROLLED
-                                or source.credit_counter > 0
-                            )
-                        ) or (dest is not None and dest.pending_credits):
-                            owner_ring[(cycle + slot.gap) & mask].append(
-                                owner
-                            )
-                        else:
-                            owner.armed = False
-                    bucket.clear()
-
-                if cycle == cfg_next:
-                    # Config events, after the cycle's owner visits
-                    # (``ConfigEvents`` orders them).  No epoch probe
-                    # spans one (the boundary before it is no probe),
-                    # and a replay after one opens a new segment.
-                    self._segment = None
-                    config_events += config.run(cycle, applied)
-                    cfg_next = config.next
-
-                if cycle == gen_due:
-                    while gen_heap and gen_heap[0][0] == cycle:
-                        handled += 1
-                        gen_index = gen_heap[0][1]
-                        gen, owner, firing, label = gen_runs[gen_index]
-                        if firing == _FIRE_MODEL:
-                            model_calls += 1
-                            gen.evaluate(cycle)
-                            fire = gen.next_evaluation(cycle + 1)
-                        else:
-                            # The heap entry is the firing (``evaluate``
-                            # would re-derive it): the words go on the
-                            # source queue as ``ni.submit`` stamps them.
-                            inject = gen.inject
-                            ni = inject.ni
-                            channel = inject.channel
-                            queue = owner.source.queue
-                            generated = gen.words_generated
-                            sequence = ni._sequence_counters.get(channel, 0)
-                            burst = firing == _FIRE_BURST
-                            for _ in range(gen.burst_words if burst else 1):
-                                payload = generated & _PAYLOAD_MASK
-                                queue.append(
-                                    new_word(
-                                        payload,
-                                        label,
-                                        sequence,
-                                        payload.bit_count() & 1,
-                                    )
-                                )
-                                generated += 1
-                                sequence += 1
-                            ni._sequence_counters[channel] = sequence
-                            gen.words_generated = generated
-                            if burst:
-                                gen.bursts_generated += 1
-                            fire = None if gen.done else cycle + gen.period
-                        if fire is None:
-                            heappop(gen_heap)
-                        else:
-                            heapreplace(gen_heap, (fire, gen_index))
-                        if owner is not None and not owner.armed:
-                            arm(owner, cycle + 1)
-                    gen_due = gen_heap[0][0] if gen_heap else _NEVER
-
-                if sink_due:
-                    due = sink_due.pop(cycle, None)
-                    if due is not None:
-                        handled += len(due)
-                        if len(due) > 1:
-                            due.sort()
-                        for sink_index in due:
-                            sink_waiting[sink_index] = False
-                            sink, dest, _period, credited = (
-                                sink_runs[sink_index]
-                            )
-                            # ``dest.drain(sink.words_per_cycle)``; the
-                            # words are popped as they are consumed,
-                            # nothing in between can raise.
-                            queue = dest.queue
-                            count = len(queue)
-                            if count > sink.words_per_cycle:
-                                count = sink.words_per_cycle
-                            if dest.flags & FLAG_FLOW_CONTROLLED:
-                                dest.pending_credits += count
-                            for _ in range(count):
-                                word = queue.popleft()
-                                # ``consume``: the sink counts a word
-                                # with good parity that is its
-                                # connection's next sequence number.
-                                if (
-                                    (connection := word.connection)
-                                    and (sequence := word.sequence) >= 0
-                                    and sink._last_seq.get(connection)
-                                    == sequence - 1
-                                    and (
-                                        (parity := word.parity) is None
-                                        or parity
-                                        == word.payload.bit_count() & 1
-                                    )
-                                ):
-                                    sink.words_received += 1
-                                    sink._last_seq[connection] = sequence
-                                else:
-                                    model_calls += 1
-                                    sink.consume(cycle, word)
-                                if events is not None:
-                                    events.append(
-                                        (
-                                            cycle,
-                                            intern(word.connection),
-                                            word.sequence,
-                                            sink_index,
-                                        )
-                                    )
-                            if dest.pending_credits:
-                                # The owner returning them visits only
-                                # to do so when it has no word queued:
-                                # that visit is folded into this drain.
-                                for owner in credited:
-                                    if owner.armed:
-                                        continue
-                                    if owner.fold_at > cycle:
-                                        # Folded credits not yet sent
-                                        # are sent with these.
-                                        self._unfold(owner)
-                                    if (
-                                        len(credited) == 1
-                                        and not owner.source.queue
-                                        and dest.pending_credits <= credit_cap
-                                    ):
-                                        fold_credits(owner, dest, cycle + 1)
-                                    else:
-                                        arm(owner, cycle + 1)
-                            if dest.queue:
-                                wake(sink_index, cycle + 1)
-
+                    run.visit(bucket, cycle)
+                if cycle == run.cfg_next:
+                    run.configure(cycle)
+                if cycle == run.gen_due:
+                    run.fire(cycle)
+                if sink_due and (due := sink_due.pop(cycle, None)) is not None:
+                    run.drain(due, cycle)
                 cycle += 1
                 reached = -1
-                if halt:
-                    # An apply changed what this run executes: end at
-                    # the cycle boundary; the kernel re-acquires.
+                if run.halt:
+                    # An apply changed what this run executes: end at the
+                    # cycle boundary; the kernel re-acquires.
                     break
-            clean_exit = True
+            reached = -1  # a clean exit
         finally:
-            if halt:
-                self.token = None
-            elif adopted and self.token is not None:
-                self.token += adopted
-                self._valid_for = (
-                    frozenset(live_src)
-                    if self._valid_for is None
-                    else self._valid_for & live_src
-                )
-            if loaded:
-                if clean_exit:
-                    reached = -1
-                elif reached is None:
-                    # What the exception left in the bucket never ran.
-                    handled -= len(ring[cycle & mask])
-                    reached = leaf.order if current is None else current[0]
-                if current is not None:
-                    ring[cycle & mask].append(current)
-                self._unload(cycle, reached)
-            self._export_registers()
-            self._exited_at = kernel.active_cycles
-            self.events_handled += handled
-            self.model_calls += model_calls
-            self.config_events += config_events
-            kernel.cycle = cycle
-            kernel.compiled_cycles += cycle - entered_at
-            kernel.replayed_epochs += replayed_epochs
-            kernel.replayed_cycles += replayed_cycles
+            if reached is None:
+                # What the exception left in the bucket never ran.
+                run.handled -= len(ring[cycle & mask])
+                reached = leaf.order if current is None else current[0]
+            if current is not None:
+                ring[cycle & mask].append(current)
+            run.exit(cycle, reached)
         return None
+
+    def _enter(self, end: int) -> Union[_Run, CompileRefusal, None]:
+        """A run's entry: the :class:`_Run` that advances the network
+        from the kernel's cycle towards ``end``, or what :meth:`run_to`
+        returns without one — ``None`` at ``end`` or declining, else the
+        import's refusal."""
+        kernel = self.kernel
+        cycle = kernel.cycle
+        if cycle >= end:
+            return None
+        if self._exited_at != kernel.active_cycles:
+            # Not where this engine last exited: the segment closes.
+            self._segment = None
+        refusal = self._import_registers(cycle)
+        self._resolve()
+        if refusal is not None:
+            if self._valid_for is None:
+                return refusal
+            self.token = None  # declined, as below
+            return None
+        working = _with_work(self._owners)  # the entry's one owner scan
+        # The config plane (DESIGN.md §14.6): its events, run in their
+        # own order, and the next cycle holding one.
+        config = _model().ConfigEvents(self.network.config_module, cycle)
+        # What can act in the run, fixed at entry: the applies are
+        # checked against the cells it reads.  A run without config
+        # events needs it only to decline.
+        live = None
+        if self._valid_for is not None or config.next < end:
+            live = self._live(working)
+            if self._valid_for is not None and not live[1] <= self._valid_for:
+                # The applies this engine rode through left its lowering
+                # exact only for what was live at them: decline, and the
+                # kernel's next acquisition recompiles.
+                self.token = None
+                return None
+        self._claim_labels(working)
+        if self.replay_refusal is not None:
+            self._note_replay_refusal(self.replay_refusal)
+        return _Run(self, cycle, end, working, config, live)
 
     # -- steady-state signatures and replay --------------------------------------
 
@@ -2553,6 +2096,463 @@ class CompiledEngine:
             moved.append(word)
         queue.clear()
         queue.extend(moved)
+
+
+class _Run:
+    """One :meth:`CompiledEngine.run_to` call: the state its event
+    handlers share, and the handlers (the loop applies arrivals itself).
+
+    Pending link entries and arrivals wait in ``ring`` (the engine's),
+    armed slot owners in ``owner_ring`` by the cycle of their next
+    owned phase (the same geometry), sinks in ``sink_due`` by the cycle
+    of their next drain and generators in ``gen_heap`` by their next
+    firing (``gen_due`` the first).  ``cfg_next`` is the next cycle
+    holding a config event, ``live`` what can act in the run (fixed at
+    entry, ``None`` when no config event can come), ``halt`` whether an
+    apply changed what the run executes, and ``adopted`` the token
+    moves of the applies it rode through.  ``events`` collects the sink
+    events of the epoch since the last replay boundary (``None``: the
+    engine never replays)."""
+
+    __slots__ = (
+        "engine", "wheel", "wps", "end", "ring", "mask", "owner_ring",
+        "sink_runs", "sink_due", "sink_waiting", "gen_heap", "gen_due",
+        "config", "cfg_next", "live", "changes", "halt", "adopted", "events",
+        "prev_sig", "prev_snap", "next_boundary", "entered_at", "loaded",
+        "handled", "model_calls", "config_events", "replayed_epochs",
+        "replayed_cycles", "enabled", "flow_controlled",
+    )  # fmt: skip
+
+    def __init__(
+        self,
+        engine: CompiledEngine,
+        cycle: int,
+        end: int,
+        working: List[_Owner],
+        config: Any,
+        live: Any,
+    ) -> None:
+        self.engine = engine
+        self.wheel = engine.wheel
+        self.wps = engine.network.params.words_per_slot
+        self.end = end
+        self.ring = engine._ring
+        self.mask = engine._mask
+        self.owner_ring = engine._owner_ring
+        self.sink_runs = engine._sink_runs
+        self.sink_due: Dict[int, List[int]] = {}
+        self.sink_waiting = [False] * len(engine._sink_runs)
+        self.gen_heap: List[Tuple[int, int]] = []
+        self.config = config
+        self.cfg_next = config.next
+        self.live = live
+        self.changes = engine.network.changes
+        self.halt = False
+        self.adopted = 0
+        self.enabled = _model().FLAG_ENABLED
+        self.flow_controlled = _model().FLAG_FLOW_CONTROLLED
+        engine._load(cycle)
+        self.loaded = True
+        self.arm_all(cycle, working)
+        # Epoch replay (module docstring): the previous boundary's
+        # signature and snapshot are this run's own, so an epoch is
+        # only proved where no outside code ran.
+        replays = engine.replay is not None
+        self.events: Optional[List[tuple]] = [] if replays else None
+        self.prev_sig: Any = None
+        self.prev_snap: Any = None
+        self.next_boundary = cycle + (-cycle) % engine.period if replays else _NEVER
+        self.entered_at = cycle
+        self.handled = self.model_calls = self.config_events = 0
+        self.replayed_epochs = self.replayed_cycles = 0
+
+    # -- scheduling --------------------------------------------------------------
+
+    def arm(self, owner: _Owner, start: int) -> None:
+        """Visit ``owner``, which is not armed, at its first owned
+        phase from ``start``.  A folded visit that this one comes
+        before is taken back."""
+        if owner.fold_at >= start:
+            self.engine._unfold(owner)
+        owner.armed = True
+        at = start + owner.first[start % self.wheel]
+        self.owner_ring[at & self.mask].append(owner)
+
+    def fold_credits(self, owner: _Owner, dest: Any, start: int) -> None:
+        """Make now the next visit from ``start`` of ``owner``, which is
+        not armed and has no word queued: at its first credit-collecting
+        phase it launches ``dest``'s pending credits, all of them, alone
+        (see :meth:`CompiledEngine._unfold`) — unless a config event
+        comes first, whose model code reads (and an apply may write)
+        those credits: then the owner is armed."""
+        wheel = self.wheel
+        wps = self.wps
+        at = start + owner.first[start % wheel]
+        if at % wps:
+            # Mid-slot: the slot's collecting phase, its first, is
+            # behind; the next owned slot's is the next one.
+            at += wps - at % wps
+            at += owner.first[at % wheel]
+        if at > self.cfg_next:
+            self.arm(owner, start)
+            return
+        trajectory = owner.slots[at % wheel].trajectory
+        credits = dest.pending_credits
+        dest.pending_credits = 0
+        for delay, order, leaf in trajectory.launch:
+            self.ring[(at + delay) & self.mask].append((order, leaf, None, credits))
+        if owner.fold_at < 0:
+            self.engine._folded.append(owner)
+        owner.fold_at = at
+
+    def wake(self, sink_index: int, start: int) -> None:
+        """Visit the sink, which is not waiting, at its first drain
+        cycle from ``start``."""
+        self.sink_waiting[sink_index] = True
+        sink_run = self.sink_runs[sink_index]
+        if start < sink_run[0].start_cycle:
+            start = sink_run[0].start_cycle
+        if sink_run[2]:
+            start += -start % sink_run[2]
+        due = self.sink_due.get(start)
+        if due is None:
+            self.sink_due[start] = [sink_index]
+        else:
+            due.append(sink_index)
+
+    def arm_all(self, start: int, working: List[_Owner]) -> None:
+        """(Re)derive every schedule from state entering ``start``
+        (``working``: its owners to arm), ``gen_due`` included."""
+        owner_ring = self.owner_ring
+        for at in compress(range(self.mask + 1), owner_ring):
+            for owner in owner_ring[at]:
+                owner.armed = False
+            owner_ring[at].clear()
+        self.sink_due.clear()
+        for owner in working:
+            self.arm(owner, start)
+        for sink_index, sink_run in enumerate(self.sink_runs):
+            self.sink_waiting[sink_index] = False
+            if sink_run[1] is not None and sink_run[1].queue:
+                self.wake(sink_index, start)
+        gen_heap = self.gen_heap
+        gen_heap.clear()
+        for gen_index, gen_run in enumerate(self.engine._gen_runs):
+            fire = gen_run[0].next_evaluation(start)
+            if fire is not None:
+                gen_heap.append((fire, gen_index))
+        heapify(gen_heap)
+        self.gen_due = gen_heap[0][0] if gen_heap else _NEVER
+
+    # -- the event handlers, in a cycle's order ----------------------------------
+
+    def boundary(self, cycle: int) -> int:
+        """A replay boundary (module docstring): probe the state, load
+        the template of its signature or prove the epoch since this
+        run's previous boundary, and warp on from a template; returns
+        the cycle the run goes on from."""
+        engine = self.engine
+        period = engine.period
+        if self.cfg_next < cycle + period or any(
+            not gen.done for gen in engine.trace_gens
+        ):
+            # No epoch replays across a config event, so none is probed
+            # that holds one; and a live trace generator's future
+            # firings are not captured by any state signature: this
+            # boundary is no probe.
+            self.prev_sig = None
+        else:
+            # Barrier: the signature, the snapshot and the in-flight
+            # rewrite all read registers and counters.
+            undone = engine._unload(cycle)
+            self.loaded = False
+            boundary = cycle
+            # Re-read the NIs whose endpoints changed since the channel
+            # list was: those noted at an entry, and those a config
+            # apply of this run noted.
+            stale = engine._stale_chans
+            stale.update(self.changes.endpoints)
+            if stale:
+                engine._refresh_chans(stale)
+                stale.clear()
+            sig = engine._signature(cycle, engine._cur)
+            snap = engine._snapshot(cycle)
+            anchors = engine._sig_anchors()
+            # The template of this signature, or the epoch since this
+            # run's previous boundary, proved.
+            replay = engine.replay
+            found = replay.load(sig, snap, cycle, anchors)
+            proved = False
+            if found is None and sig == self.prev_sig:
+                delta = engine._epoch_delta(self.prev_snap, snap)
+                if delta is not None:
+                    events = self.events
+                    found = (replay.store(sig, delta, events, cycle, anchors), events)
+                    proved = True
+            self.prev_sig = sig
+            self.prev_snap = snap
+            template = None if found is None else found[0]
+            if template is not engine._segment:
+                engine._segment = None
+            if template is not None:
+                delta = template[0]
+                epochs = min(
+                    (min(self.end, self.cfg_next) - cycle) // period,
+                    engine._replay_horizon(delta, snap),
+                )
+                if epochs >= 1:
+                    if engine._segment is None:
+                        engine._segment = template
+                        engine.kernel.regimes_detected += 1
+                        if not proved:
+                            engine.kernel.regime_cache_hits += 1
+                    engine._replay(epochs, delta, snap, found[1], cycle)
+                    cycle += epochs * period
+                    self.replayed_epochs += epochs
+                    self.replayed_cycles += epochs * period
+            engine._load(cycle)
+            self.loaded = True
+            if cycle != boundary:
+                # The clock jumped: every schedule is re-derived from
+                # the landing state.
+                self.arm_all(cycle, _with_work(engine._owners))
+            else:
+                # The credits of launches taken back are collected by
+                # visits again.
+                for owner in undone:
+                    self.arm(owner, cycle)
+        if self.events is not None:
+            self.events.clear()
+        self.next_boundary = cycle + period
+        return cycle
+
+    def visit(self, bucket: List[_Owner], cycle: int) -> None:
+        """The armed slot owners of the cycle's phase: each takes a word
+        (``take_word()`` if ``can_send()``), collects its destination's
+        pending credits in a slot's first phase, launches what it has as
+        one pending arrival per leaf of the slot's trajectory, and stays
+        armed while there is something to send."""
+        self.handled += len(bucket)
+        engine = self.engine
+        phase = cycle % self.wheel
+        ring = self.ring
+        mask = self.mask
+        owner_ring = self.owner_ring
+        connections = engine.stats.connections
+        credit_cap = engine.credit_cap
+        launched_words = engine._launched_words
+        enabled = self.enabled
+        flow_controlled = self.flow_controlled
+        for owner in bucket:
+            source = owner.source
+            dest = owner.dest
+            slot = owner.slots[phase]
+            # ``can_send()`` is ``sends > 0``: the words the source can
+            # send in a row, one taken per visit.
+            queue = source.queue
+            flags = source.flags
+            sends = len(queue) if flags & enabled else 0
+            if flags & flow_controlled and source.credit_counter < sends:
+                sends = source.credit_counter
+            word = None
+            if sends > 0:
+                if flags & flow_controlled:
+                    source.credit_counter -= 1
+                word = queue.popleft()
+                sends -= 1
+            # ``take_pending_credits``, in a slot's first phase: what
+            # the credit wires can carry.
+            credits = None
+            if slot.collect and dest is not None and (pending := dest.pending_credits):
+                granted = min(pending, credit_cap)
+                dest.pending_credits = pending - granted
+                credits = granted or None
+            if word is not None or credits:
+                trajectory = slot.trajectory
+                if word is not None:
+                    tid = trajectory.tid
+                    count = launched_words[tid]
+                    if not count:
+                        engine._launched.append(trajectory)
+                    launched_words[tid] = count + 1
+                    # ``StatsCollector.record_injection`` at the link
+                    # entry, done at launch: an unstamped word of a
+                    # connection only this owner launches, the next
+                    # after its last injected one (so every earlier
+                    # injection is recorded).  A barrier before the
+                    # entry takes it back (``_unload``).
+                    sequence = word.sequence
+                    if (
+                        word.connection == owner.label
+                        and word.injected_at < 0
+                        and (ledger := connections.get(word.connection)) is not None
+                        and sequence == ledger.last_sequence + 1
+                    ):
+                        entry = cycle + trajectory.entry_delay
+                        stamp_injected(word, entry)
+                        ledger.injected += 1
+                        ledger.last_sequence = sequence
+                        ledger.undelivered.add(sequence)
+                    else:
+                        ring[(cycle + trajectory.entry_delay) & mask].append(
+                            (trajectory.entry_order, None, word, None)
+                        )
+                for delay, order, leaf in trajectory.launch:
+                    ring[(cycle + delay) & mask].append((order, leaf, word, credits))
+            # Stay armed while there is something to send.
+            if sends > 0 or (dest is not None and dest.pending_credits):
+                owner_ring[(cycle + slot.gap) & mask].append(owner)
+            else:
+                owner.armed = False
+        bucket.clear()
+
+    def configure(self, cycle: int) -> None:
+        """Config events, after the cycle's owner visits
+        (``ConfigEvents`` orders them).  No epoch probe spans one (the
+        boundary before it is no probe), and a replay after one opens a
+        new segment."""
+        self.engine._segment = None
+        self.config_events += self.config.run(cycle, self.applied)
+        self.cfg_next = self.config.next
+
+    def applied(self, element: Any, actions: List[Any], writes: int) -> None:
+        """Ride through an apply that cannot change what this run
+        executes; end the run after the cycle of one that can."""
+        if self.halt or self.engine._visible(element, actions, *self.live):
+            self.halt = True
+        else:
+            self.adopted += self.changes.writes - writes
+
+    def fire(self, cycle: int) -> None:
+        """The generators due, in heap order."""
+        gen_heap = self.gen_heap
+        gen_runs = self.engine._gen_runs
+        while gen_heap and gen_heap[0][0] == cycle:
+            self.handled += 1
+            gen_index = gen_heap[0][1]
+            gen, owner, firing, label = gen_runs[gen_index]
+            if firing == _FIRE_MODEL:
+                self.model_calls += 1
+                gen.evaluate(cycle)
+                fire = gen.next_evaluation(cycle + 1)
+            else:
+                # The heap entry is the firing (``evaluate`` would
+                # re-derive it): the words go on the source queue as
+                # ``ni.submit`` stamps them.
+                inject = gen.inject
+                ni = inject.ni
+                channel = inject.channel
+                queue = owner.source.queue
+                generated = gen.words_generated
+                sequence = ni._sequence_counters.get(channel, 0)
+                burst = firing == _FIRE_BURST
+                for _ in range(gen.burst_words if burst else 1):
+                    payload = generated & _PAYLOAD_MASK
+                    queue.append(
+                        new_word(payload, label, sequence, payload.bit_count() & 1)
+                    )
+                    generated += 1
+                    sequence += 1
+                ni._sequence_counters[channel] = sequence
+                gen.words_generated = generated
+                if burst:
+                    gen.bursts_generated += 1
+                fire = None if gen.done else cycle + gen.period
+            if fire is None:
+                heappop(gen_heap)
+            else:
+                heapreplace(gen_heap, (fire, gen_index))
+            if owner is not None and not owner.armed:
+                self.arm(owner, cycle + 1)
+        self.gen_due = gen_heap[0][0] if gen_heap else _NEVER
+
+    def drain(self, due: List[int], cycle: int) -> None:
+        """The sinks due, in sink order: ``dest.drain(sink.words_per_cycle)``
+        and ``consume`` of each word, the words popped as they are
+        consumed (nothing in between can raise)."""
+        self.handled += len(due)
+        if len(due) > 1:
+            due.sort()
+        sink_runs = self.sink_runs
+        sink_waiting = self.sink_waiting
+        flow_controlled = self.flow_controlled
+        events = self.events
+        intern = None if events is None else self.engine.replay.intern
+        for sink_index in due:
+            sink_waiting[sink_index] = False
+            sink, dest, _period, credited = sink_runs[sink_index]
+            queue = dest.queue
+            count = len(queue)
+            if count > sink.words_per_cycle:
+                count = sink.words_per_cycle
+            if dest.flags & flow_controlled:
+                dest.pending_credits += count
+            for _ in range(count):
+                word = queue.popleft()
+                # ``consume``: the sink counts a word with good parity
+                # that is its connection's next sequence number.
+                if (
+                    (connection := word.connection)
+                    and (sequence := word.sequence) >= 0
+                    and sink._last_seq.get(connection) == sequence - 1
+                    and (
+                        (parity := word.parity) is None
+                        or parity == word.payload.bit_count() & 1
+                    )
+                ):
+                    sink.words_received += 1
+                    sink._last_seq[connection] = sequence
+                else:
+                    self.model_calls += 1
+                    sink.consume(cycle, word)
+                if events is not None:
+                    events.append(
+                        (cycle, intern(word.connection), word.sequence, sink_index)
+                    )
+            if dest.pending_credits:
+                # The owner returning them visits only to do so when it has
+                # no word queued: that visit is folded into this drain.
+                for owner in credited:
+                    if owner.armed:
+                        continue
+                    if owner.fold_at > cycle:
+                        # Folded credits not yet sent are sent with these.
+                        self.engine._unfold(owner)
+                    if len(credited) == 1 and not owner.source.queue and (
+                        dest.pending_credits <= self.engine.credit_cap
+                    ):
+                        self.fold_credits(owner, dest, cycle + 1)
+                    else:
+                        self.arm(owner, cycle + 1)
+            if dest.queue:
+                self.wake(sink_index, cycle + 1)
+
+    def exit(self, cycle: int, reached: int) -> None:
+        """The barrier every exit pays, normal or by an exception: the
+        token moves of the applies ridden through, state materialized at
+        ``cycle`` (``reached``: how far into it the run got, see
+        :meth:`CompiledEngine._unload`), the counters flushed."""
+        engine = self.engine
+        kernel = engine.kernel
+        if self.halt:
+            engine.token = None
+        elif self.adopted and engine.token is not None:
+            engine.token += self.adopted
+            live_src, valid = self.live[1], engine._valid_for
+            engine._valid_for = frozenset(
+                live_src if valid is None else valid & live_src
+            )
+        if self.loaded:
+            engine._unload(cycle, reached)
+        engine._export_registers()
+        engine._exited_at = kernel.active_cycles
+        engine.events_handled += self.handled
+        engine.model_calls += self.model_calls
+        engine.config_events += self.config_events
+        kernel.cycle = cycle
+        kernel.compiled_cycles += cycle - self.entered_at
+        kernel.replayed_epochs += self.replayed_epochs
+        kernel.replayed_cycles += self.replayed_cycles
 
 
 def _with_work(owners: List[Optional[_Owner]]) -> List[_Owner]:

@@ -50,8 +50,7 @@ from repro.core.slot_table import SlotMask
 from repro.errors import AllocationError, ReproError
 from repro.faults import FaultInjector, FaultPlan, TransientBitFlip
 from repro.params import daelite_parameters
-from repro.sim import compiled
-from repro.sim.compiled import CompiledEngine
+from repro.sim.compiled import CompiledEngine, _Run
 from repro.sim.kernel import NAIVE_MODE, VECTOR_MODE
 from repro.sim.replay import EpochReplay
 from repro.topology import build_mesh, ni_name
@@ -1013,12 +1012,14 @@ def test_no_replay_or_template_spans_a_config_event(monkeypatch):
 
 
 def owner_visits_after_applies() -> Tuple[str, str]:
-    """``run_to``'s owner-visit block and its config block, swapped: the
-    deposits of a cycle applied before its slot owners are visited."""
-    source = inspect.getsource(compiled)
-    start = source.index("                bucket = owner_ring[at]\n")
-    middle = source.index("                if cycle == cfg_next:\n")
-    end = source.index("                if cycle == gen_due:\n")
+    """The loop's calls of ``visit`` and ``configure`` swapped: the
+    deposits of a cycle applied before its slot owners are visited.
+    Each slice runs from a statement to the next one's indentation, so
+    the swap keeps the loop's own."""
+    source = inspect.getsource(CompiledEngine.run_to)
+    start = source.index("bucket = owner_ring[at]")
+    middle = source.index("if cycle == run.cfg_next:")
+    end = source.index("if cycle == run.gen_due:")
     assert start < middle < end
     return (
         source[start:end],
@@ -1046,8 +1047,9 @@ class TestPlantedMutantsAreKilled:
     def test_live_set_not_checked_on_reuse(self, monkeypatch):
         plant(
             monkeypatch,
-            "refusal is not None or not live_src <= self._valid_for",
-            "refusal is not None",
+            "if self._valid_for is not None and not live[1] <= self._valid_for:",
+            "if False:",
+            method="_enter",
         )
         assert not mutant_survives(
             TestReuseAfterRidingThrough()
@@ -1055,7 +1057,7 @@ class TestPlantedMutantsAreKilled:
         )
 
     def test_deposits_applied_before_the_owner_visits(self, monkeypatch):
-        plant(monkeypatch, *owner_visits_after_applies())
+        plant(monkeypatch, *owner_visits_after_applies(), method="run_to")
         assert not mutant_survives(
             TestStoppingAtAVisibleApply()
             .test_repairs_of_a_saturating_flow_across_a_wheel
@@ -1077,14 +1079,33 @@ class TestPlantedMutantsAreKilled:
             TestRidingThrough().test_wait_returns_one_cycle_after_the_finish
         )
 
+    def test_credits_folded_past_a_config_event(self, monkeypatch):
+        """``fold_credits`` without its config guard: a sink drain
+        folds its reverse channel's credit-only visit past a config
+        event whose model code reads, and whose apply may write, those
+        credits.  A CREDIT write into the flow's destination catches it."""
+        plant(
+            monkeypatch,
+            "if at > self.cfg_next:",
+            "if False:",
+            owner=_Run,
+            method="fold_credits",
+        )
+        assert not mutant_survives(
+            TestStoppingAtAVisibleApply()
+            .test_credits_written_into_the_flow_destination
+        )
+
     def test_probe_not_reset_at_a_config_event(self, monkeypatch):
         """A boundary with a config event in its epoch is no probe: kept
         as one, the boundary after the event compares with the one
         before it."""
         plant(
             monkeypatch,
-            "is no probe.\n                        prev_sig = None\n",
-            "is no probe.\n                        pass\n",
+            "self.prev_sig = None",
+            "pass",
+            owner=_Run,
+            method="boundary",
         )
         assert not mutant_survives(
             lambda: test_no_replay_or_template_spans_a_config_event(

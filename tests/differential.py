@@ -223,13 +223,18 @@ def plant(
     monkeypatch,
     original: str,
     mutant: str,
+    *,
+    method: str,
     owner=CompiledEngine,
-    method: str = "run_to",
 ) -> None:
-    """Run every call of ``owner.method`` (by default the engine's
-    ``run_to``) with the one source fragment ``original`` of it
-    rewritten to ``mutant`` (a fast path is inline code: there is no
-    method to patch).  ``owner`` is a class or a module; the mutant is
+    """Run every call of ``owner.method`` with the one source fragment
+    ``original`` of it rewritten to ``mutant`` (a fast path is inline
+    code: there is no method to patch).  Every call names the method it
+    mutates: the engine's ``run_to`` holds the loop and its arrivals,
+    ``owner=_Run`` the handlers of the other event kinds (``boundary``,
+    ``visit``, ``configure``, ``fire``, ``drain``, ``exit``) and the
+    scheduling they share (``arm``, ``fold_credits``, ``wake``,
+    ``arm_all``).  ``owner`` is a class or a module; the mutant is
     compiled against the module's own globals, so what it returns is of
     the real classes."""
     lines, first_line = inspect.getsourcelines(getattr(owner, method))

@@ -18,6 +18,7 @@ import pytest
 from repro.alloc import ConnectionRequest, SlotAllocator
 from repro.core import DaeliteNetwork
 from repro.params import daelite_parameters
+from repro.sim.compiled import _Run
 from repro.sim.kernel import VECTOR_MODE
 from repro.topology import build_mesh
 from repro.traffic import CbrGenerator, CheckingSink
@@ -271,7 +272,13 @@ def test_a_list_not_refreshed_at_entry_is_killed(monkeypatch):
 
 
 def test_a_list_not_refreshed_at_a_boundary_is_killed(monkeypatch):
-    plant(monkeypatch, "stale.update(changes.endpoints)", "pass")
+    plant(
+        monkeypatch,
+        "stale.update(self.changes.endpoints)",
+        "pass",
+        owner=_Run,
+        method="boundary",
+    )
     assert not mutant_survives(test_a_generator_first_firing_inside_a_probe_epoch)
 
 

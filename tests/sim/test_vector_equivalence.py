@@ -44,7 +44,7 @@ from repro.errors import (
 )
 from repro.params import aelite_parameters, daelite_parameters
 from repro.sim import compiled
-from repro.sim.compiled import CompiledEngine
+from repro.sim.compiled import CompiledEngine, _Run
 from repro.sim.flit import Phit, Word
 from repro.sim.kernel import NAIVE_MODE, VECTOR_MODE, CompileRefusal
 from repro.sim.replay import EpochReplay
@@ -1486,31 +1486,61 @@ class TestPlantedEngineMutantsAreKilled:
         assert net_v.kernel.kernel_stats()["replayed_epochs"] >= 10
 
     def test_credit_return_dropped_at_arrive(self, monkeypatch):
-        plant(monkeypatch, "source.credit_counter += credit_bits", "pass")
+        plant(
+            monkeypatch,
+            "source.credit_counter += credit_bits",
+            "pass",
+            method="run_to",
+        )
         assert not mutant_survives(test_vector_epoch_replay_is_bit_exact)
 
-    # One mutant per inlined site of ``run_to`` (DESIGN.md §10.2).
+    # One mutant per fast path (DESIGN.md §10.2), in each handler: the
+    # arrivals inline in ``run_to`` (credit return above, overflow test,
+    # eject fast path), ``_Run.visit`` (credit taken, credits collected,
+    # injection counted and stamped), ``_Run.fold_credits`` (the fold's
+    # slot; its config guard in tests/core/test_setup_under_traffic.py),
+    # ``_Run.drain`` (last sequence), ``_Run.wake`` (throttled sink),
+    # ``_Run.fire`` (sequence counter, burst length); ``_Run.boundary``
+    # in tests/sim/test_replay_boundary.py and, with ``_Run.configure``
+    # and ``CompiledEngine._enter``, in
+    # tests/core/test_setup_under_traffic.py.
 
     def test_credit_not_decremented_at_launch(self, monkeypatch):
         """Owner visit.  The counter only ever grows, until a returning
         credit overflows it."""
-        plant(monkeypatch, "source.credit_counter -= 1", "pass")
+        plant(
+            monkeypatch,
+            "source.credit_counter -= 1",
+            "pass",
+            owner=_Run,
+            method="visit",
+        )
         assert not mutant_survives(test_vector_epoch_replay_is_bit_exact)
 
     def test_pending_credits_kept_when_collected(self, monkeypatch):
         """Owner visit.  The same credits are returned slot after slot."""
         plant(
-            monkeypatch, "dest.pending_credits = pending - granted", "pass"
+            monkeypatch,
+            "dest.pending_credits = pending - granted",
+            "pass",
+            owner=_Run,
+            method="visit",
         )
         assert not mutant_survives(test_vector_epoch_replay_is_bit_exact)
 
     def test_injection_not_counted_at_launch(self, monkeypatch):
-        plant(monkeypatch, "ledger.injected += 1", "pass")
+        plant(monkeypatch, "ledger.injected += 1", "pass", owner=_Run, method="visit")
         assert not mutant_survives(test_vector_epoch_replay_is_bit_exact)
 
     def test_injection_not_stamped_at_launch(self, monkeypatch):
         """Launch.  The word arrives unstamped: never injected."""
-        plant(monkeypatch, "stamp_injected(word, entry)", "pass")
+        plant(
+            monkeypatch,
+            "stamp_injected(word, entry)",
+            "pass",
+            owner=_Run,
+            method="visit",
+        )
         assert not mutant_survives(test_vector_epoch_replay_is_bit_exact)
 
     def test_injection_stamped_with_the_launch_cycle(self, monkeypatch):
@@ -1521,6 +1551,8 @@ class TestPlantedEngineMutantsAreKilled:
             monkeypatch,
             "stamp_injected(word, entry)",
             "stamp_injected(word, cycle)",
+            owner=_Run,
+            method="visit",
         )
         assert not mutant_survives(test_vector_epoch_replay_is_bit_exact)
 
@@ -1545,6 +1577,8 @@ class TestPlantedEngineMutantsAreKilled:
             monkeypatch,
             "at = start + owner.first[start % wheel]",
             "at = start + wps + owner.first[(start + wps) % wheel]",
+            owner=_Run,
+            method="fold_credits",
         )
         assert not mutant_survives(test_replay_matches_naive_3x3)
 
@@ -1554,6 +1588,7 @@ class TestPlantedEngineMutantsAreKilled:
             monkeypatch,
             "and len(queue) >= dest.capacity",
             "and len(queue) > dest.capacity",
+            method="run_to",
         )
         assert not mutant_survives(
             slow_branch("test_destination_queue_overflow")
@@ -1566,6 +1601,7 @@ class TestPlantedEngineMutantsAreKilled:
             monkeypatch,
             "and (injected := word.injected_at) >= 0",
             "and (injected := word.injected_at) >= -1",
+            method="run_to",
         )
         assert not mutant_survives(
             slow_branch("test_never_injected_word_in_a_padded_column")
@@ -1574,7 +1610,13 @@ class TestPlantedEngineMutantsAreKilled:
     def test_last_seq_not_advanced_in_the_sink(self, monkeypatch):
         """Sink visit.  The inline drain counts the word but does not
         advance the connection's last sequence number."""
-        plant(monkeypatch, "sink._last_seq[connection] = sequence", "pass")
+        plant(
+            monkeypatch,
+            "sink._last_seq[connection] = sequence",
+            "pass",
+            owner=_Run,
+            method="drain",
+        )
         assert not mutant_survives(test_vector_epoch_replay_is_bit_exact)
 
     def test_replay_credits_a_sink_one_epoch_short(self, monkeypatch):
@@ -1636,12 +1678,18 @@ class TestPlantedEngineMutantsAreKilled:
             monkeypatch,
             "start += -start % sink_run[2]",
             "start += -start % sink_run[2] + sink_run[2]",
+            owner=_Run,
+            method="wake",
         )
         assert not mutant_survives(test_vector_epoch_replay_is_bit_exact)
 
     def test_sequence_counter_not_advanced_at_a_firing(self, monkeypatch):
         plant(
-            monkeypatch, "ni._sequence_counters[channel] = sequence", "pass"
+            monkeypatch,
+            "ni._sequence_counters[channel] = sequence",
+            "pass",
+            owner=_Run,
+            method="fire",
         )
         assert not mutant_survives(test_vector_epoch_replay_is_bit_exact)
 
@@ -1650,6 +1698,8 @@ class TestPlantedEngineMutantsAreKilled:
             monkeypatch,
             "range(gen.burst_words if burst",
             "range(gen.burst_words - 1 if burst",
+            owner=_Run,
+            method="fire",
         )
         assert not mutant_survives(test_vector_epoch_replay_is_bit_exact)
 
