@@ -42,9 +42,9 @@ mode is :class:`ConfigEvents`: the one routine that orders them, called
 by the compiled engine beside running traffic and by the kernel's
 advance of the config plane alone when the data plane is empty (see
 :mod:`repro.sim.compiled`).  :meth:`ConfigModule.next_stepped_cycle`
-names the cycles neither may run: the activation of a packet the
-word-level tree must carry and the finish of a request with an
-``on_complete`` hook.
+names the cycles neither may run: each cycle of a packet the
+word-level tree carries, activation to finish, and the finish of a
+request with an ``on_complete`` hook.
 """
 
 from __future__ import annotations
@@ -327,15 +327,18 @@ class ConfigModule(Component):
 
     def next_stepped_cycle(self, cycle: int) -> Optional[int]:
         """The first cycle from ``cycle`` that only a stepped kernel may
-        run (``None``: none is scheduled): the activation of a queued
-        packet this module will stream through the word-level tree, or
-        the finish of a request whose ``on_complete`` hook may do
-        anything a ``kernel.at`` callback may.  Both are read off the
-        closed-form :meth:`timeline`, exact for the response-free
+        run (``None``: none is scheduled): ``cycle`` itself while a
+        packet rides the word-level tree (:attr:`on_tree`), else the
+        activation of a queued packet this module will stream through
+        it, or the finish of a request whose ``on_complete`` hook may
+        do anything a ``kernel.at`` callback may.  Both are read off
+        the closed-form :meth:`timeline`, exact for the response-free
         requests :class:`ConfigEvents` can be running.  Each queued
         packet is asked :meth:`_elision_refusal` at its start, so a
         config-link fault hook stops the compiled kernel only at the
         packets whose flight window holds one of its cycles."""
+        if self.on_tree:
+            return cycle
         hooks = self.config_fault_hooks()
         for request, start, finish in self.timeline(cycle):
             if request is not self._active and (

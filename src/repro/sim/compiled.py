@@ -69,16 +69,16 @@ It is the one engine behind ``vector`` mode, in three layers:
   validity token and rides on.  Any other apply ends the run at the
   cycle boundary and the kernel recompiles.  A packet the module will
   stream through the word-level tree — by its own elision predicate,
-  asked ahead of time (``ConfigModule.next_stepped_cycle``) — is a
-  barrier like a callback; so a config-link fault hook keeps off the
-  engine only the packets it can touch, and the decoder fault monitors
-  keep off nothing (deposits are decoded through the port code that
-  consults them).  A wait with *no* data plane — no generator left
-  that is not done, no phit in a register, no word or credit in any
-  channel — needs no engine at all: :class:`NetworkProvider` runs the
-  same ``ConfigEvents`` alone up to the same barriers, builds and
-  lowers nothing, and hands over to the engine at the end of any cycle
-  that leaves the data plane work.
+  asked ahead of time (``ConfigModule.next_stepped_cycle``) — is
+  stepped from its activation to its request's finish; so a
+  config-link fault hook keeps off the engine only the packets it can
+  touch, and the decoder fault monitors keep off nothing (deposits are
+  decoded through the port code that consults them).  A wait with *no*
+  data plane — no generator left that is not done, no phit in a
+  register, no word or credit in any channel — needs no engine at all:
+  :class:`NetworkProvider` runs the same ``ConfigEvents`` alone up to
+  the same barriers, builds and lowers nothing, and hands over to the
+  engine at the end of any cycle that leaves the data plane work.
 * **Epoch replay** — once every generator is in its steady rhythm the
   whole network state repeats with period ``P = lcm(wheel, generator and
   sink periods)``.  The engine probes state *signatures* at absolute
@@ -115,12 +115,11 @@ runs is taken into an epoch's deltas.  Replay arithmetic is in Python
 integers, so no sequence number, payload or cycle count is too large to
 replay.
 
-Whenever the network is *not* compilable — a tracer, a config packet
-on the word-level tree, data-link fault hooks, an unknown component, a
-phit parked off the compiled schedule — the provider or the engine
-returns a typed :class:`~repro.sim.kernel.CompileRefusal` and
-the kernel transparently falls back to naive stepping for those
-cycles.
+Whenever the network is *not* compilable — a tracer, data-link fault
+hooks, an unknown component, a phit parked off the compiled schedule —
+the provider or the engine returns a typed
+:class:`~repro.sim.kernel.CompileRefusal` and the kernel transparently
+falls back to naive stepping for the rest of the call.
 """
 
 from __future__ import annotations
@@ -484,8 +483,8 @@ def _check_eligibility(network: Any) -> Optional[CompileRefusal]:
     adding a component retires the engine.  Config-link fault hooks and
     decoder fault monitors refuse nothing here: the configuration module
     keeps a packet a hook can touch on the word-level tree
-    (:meth:`ConfigModule.next_stepped_cycle` makes its activation a
-    barrier), and the engine decodes and applies deposits through the
+    (:meth:`ConfigModule.next_stepped_cycle` names each cycle of its
+    span), and the engine decodes and applies deposits through the
     port code that consults the monitor.
     """
     if network.tracer.enabled:

@@ -36,13 +36,15 @@ The kernel supports two modes, selected per instance or through the
   arithmetically, the statistics and sinks credited by one epoch's
   deltas (see :mod:`repro.sim.replay` — the bulk replay is what the
   mode is named for).  A network opts in by installing a
-  ``compile_provider`` on the kernel.  Whenever compilation is not
-  possible — no provider, a config packet on the word-level tree,
-  fault hooks on data links, a tracer, an unknown component, words
-  mid-flight — the kernel *transparently falls back* to
-  ``naive`` stepping for the affected cycles and records a typed
-  :class:`CompileRefusal` (``Kernel.kernel_stats()["compile_fallbacks"]``).  Registers and stats
-  are re-materialized bit-exactly at every exit from compiled execution,
+  ``compile_provider`` on the kernel.  It steps only the cycles the
+  provider names (``next_stepped_cycle``: a config packet's span on
+  the word-level tree).  Whenever compilation is not possible — no
+  provider, fault hooks on data links, a tracer, an unknown component,
+  a phit off the compiled schedule — the kernel *transparently falls
+  back* to ``naive`` stepping for the rest of the :meth:`Kernel.step`
+  call and records a typed :class:`CompileRefusal`
+  (``kernel_stats()["compile_fallbacks"]``).  Registers and stats are
+  re-materialized bit-exactly at every exit from compiled execution,
   so callbacks, ``run_until`` predicates and external code always
   observe the same state as stepped execution.
 
@@ -81,12 +83,13 @@ with no data plane at all (:meth:`CompileProvider.data_plane_empty`)
 acquires no engine: the provider runs the config plane's events alone,
 in the same order, up to the same barriers, and the cycles count in
 :attr:`Kernel.compiled_cycles` and :attr:`Kernel.config_plane_cycles`.
-Only a packet on the word-level tree refuses the engine
-(``config_active``), and its activation is a barrier like a
-:meth:`Kernel.at` callback (the provider's ``next_stepped_cycle`` asks
-the module's own elision predicate of every queued packet), so a
+Only a packet on the word-level tree leaves compiled execution: the
+provider's ``next_stepped_cycle`` names every cycle from its activation
+(the module's own elision predicate, asked of every queued packet) to
+its request's finish, and the kernel steps exactly those, so a
 config-link fault hook or a decoder fault monitor keeps no engine off —
-only the packets the hook can touch leave it.
+only the packets the hook can touch leave it.  A :meth:`Kernel.at`
+callback runs in place at its cycle's start and leaves nothing.
 
 Register writes between cycles
 ------------------------------
@@ -138,8 +141,9 @@ class CompileRefusal:
 
     #: No network installed a compile provider on this kernel.
     NO_PROVIDER = "no_provider"
-    #: A configuration packet is in flight on the word-level tree (or
-    #: words are still on the tree's links or in a decoder).
+    #: A configuration packet is in flight on the word-level tree, or
+    #: config words are still in a decoder or in a register the engine
+    #: does not lower.
     CONFIG_ACTIVE = "config_active"
     #: A FaultInjector armed fault hooks on data links.
     FAULT_HOOKS_ARMED = "fault_hooks_armed"
@@ -149,8 +153,10 @@ class CompileRefusal:
     UNSUPPORTED_COMPONENT = "unsupported_component"
     #: The programmed schedule would drop words (dead-end walk).
     INCONSISTENT_SCHEDULE = "inconsistent_schedule"
-    #: Words are mid-flight in pipeline registers; the engine only
-    #: starts from a quiescent data plane.
+    #: A phit sits where the compiled schedule has none, or a register
+    #: holds something other than a phit, or was driven outside a
+    #: completed cycle: the engine puts the phits it finds back on their
+    #: trajectories, and these have none.
     DATAPATH_BUSY = "datapath_busy"
     #: The current timeline segment is genuinely aperiodic — steady-state
     #: epoch replay cannot engage (ambiguous generator labels, a replay
@@ -158,18 +164,6 @@ class CompileRefusal:
     #: settles).  The engine still *runs*; only the arithmetic
     #: fast-forward is withheld for this regime.
     APERIODIC = "aperiodic_segment"
-
-    #: Kinds that are *transient* obstructions of an otherwise
-    #: compilable network: a config packet on the word-level tree (a
-    #: read-back, a hand-built packet, one a config-link fault hook can
-    #: touch), phits parked in pipeline registers off the compiled
-    #: schedule.
-    #: The kernel treats these as deferrals — it steps a bounded naive
-    #: window and re-probes — instead of falling back
-    #: for the remainder of the call, so the engine returns once the
-    #: packet or the phits have drained.  Use-case switches never
-    #: refuse the engine: elided set-up runs as engine events.
-    DEFERRABLE = frozenset((CONFIG_ACTIVE, DATAPATH_BUSY))
 
     def __init__(self, kind: str, detail: str = "") -> None:
         self.kind = kind
@@ -376,12 +370,9 @@ class Kernel:
         self.replayed_epochs = 0
         #: Cycles covered by replayed epochs (subset of compiled_cycles).
         self.replayed_cycles = 0
-        #: refusal kind -> number of fallbacks to naive stepping.
+        #: refusal kind -> number of fallbacks to naive stepping (each
+        #: for the rest of a :meth:`step` call).
         self.compile_fallbacks: Dict[str, int] = {}
-        #: refusal kind -> number of *deferrals*: transient refusals (a
-        #: stepped config packet, a draining datapath) stepped through
-        #: naively before re-acquiring an engine.
-        self.compile_deferrals: Dict[str, int] = {}
         self._last_refusal: Optional[CompileRefusal] = None
         #: Replay *segments* opened.  A segment is opened by a replay.
         #: It closes at a config event; at a probed boundary whose
@@ -478,7 +469,8 @@ class Kernel:
         return registers
 
     def at(self, cycle: int, callback: Callable[[int], None]) -> None:
-        """Schedule ``callback(cycle)`` at the start of ``cycle``.
+        """Schedule ``callback(cycle)`` at the start of ``cycle``; one
+        scheduled from a callback for that same cycle runs in it too.
 
         Raises:
             SimulationError: if ``cycle`` is already in the past.
@@ -517,12 +509,6 @@ class Kernel:
 
     # -- compiled-engine lifecycle --------------------------------------------
 
-    def _note_refusal(self, refusal: CompileRefusal) -> None:
-        self._last_refusal = refusal
-        self.compile_fallbacks[refusal.kind] = (
-            self.compile_fallbacks.get(refusal.kind, 0) + 1
-        )
-
     def _note_replay_refusal(self, refusal: CompileRefusal) -> None:
         """Record why epoch replay was withheld (not a fallback).
 
@@ -543,36 +529,6 @@ class Kernel:
         """
         self._engine = None
 
-    def _acquire_engine(self) -> Any:
-        """Return a valid compiled engine, or fall back (``None``).
-
-        The provider revalidates a previous engine cheaply (config-tree
-        quiescence, the schedule-write token) and recompiles only when the
-        programmed schedule actually changed.  A refusal that cannot
-        clear by itself drops the old engine.
-        """
-        provider = self.compile_provider
-        if provider is None:
-            self._retire_engine()
-            self._note_refusal(
-                CompileRefusal(
-                    CompileRefusal.NO_PROVIDER,
-                    "no network installed a compile provider",
-                )
-            )
-            return None
-        result = provider(self, self._engine)
-        if isinstance(result, CompileRefusal):
-            if result.kind not in CompileRefusal.DEFERRABLE:
-                self._retire_engine()
-            # Deferrable refusals keep the engine cached: it holds no
-            # state between runs, and the token check makes reuse after
-            # the obstruction clears cheap.
-            self._note_refusal(result)
-            return None
-        self._engine = result
-        return result
-
     def kernel_stats(self) -> Dict[str, Any]:
         """Instrumentation snapshot, including compiled-engine telemetry."""
         refusal = self._last_refusal
@@ -588,7 +544,9 @@ class Kernel:
             "replayed_epochs": self.replayed_epochs,
             "replayed_cycles": self.replayed_cycles,
             "compile_fallbacks": dict(self.compile_fallbacks),
-            "compile_deferrals": dict(self.compile_deferrals),
+            # Kept only because the benchmark harness reads it as
+            # sim.compile_deferrals: the kernel defers nothing.
+            "compile_deferrals": {},
             "regimes_detected": self.regimes_detected,
             "regime_cache_hits": self.regime_cache_hits,
             "regime_cache_stores": self.regime_cache_stores,
@@ -604,121 +562,90 @@ class Kernel:
             ),
         }
 
-    #: First deferral window (cycles stepped naively before re-probing
-    #: engine eligibility after a transient refusal).
-    DEFER_WINDOW_MIN = 64
-    #: Deferral windows back off exponentially up to this cap, so a
-    #: long-lived obstruction costs O(log) probes, not one per window.
-    DEFER_WINDOW_MAX = 4096
-
     def _step_compiled(self, cycles: int) -> None:
         """Advance ``cycles`` cycles, compiled where possible.
 
-        Callbacks are barriers: they may mutate arbitrary state, so the
-        engine runs up to the earliest scheduled callback (leaving
-        registers, counters and statistics materialized) and the
-        callback's cycle is stepped naively; eligibility is then
-        re-checked.  The provider names one more kind of barrier
-        (``next_stepped_cycle``): a cycle whose work only naive
-        stepping models, such as the activation of a config packet
-        that must stream through the word-level tree.  An engine run
+        A cycle leaves compiled execution for one reason: the provider
+        names it (``next_stepped_cycle``) — every cycle a config packet
+        rides the word-level tree, from its activation to its request's
+        finish, and the finish of a request with an ``on_complete``
+        hook.  Those cycles are stepped one at a time, the engine kept
+        cached; its next entry re-reads every register.  Everything
+        else runs on the engine up to the next such cycle or callback,
+        or — while the data plane is empty (``data_plane_empty``) — on
+        the provider's config plane alone, which hands back at the end
+        of any cycle that leaves the data plane work.  An engine run
         that returns before its barrier stopped after a cycle that
         changed what it runs; the kernel re-acquires.
 
-        While the data plane is empty (``data_plane_empty``: nothing
-        but the config plane to run) no engine is acquired: the
-        provider advances the config plane alone up to the same
-        barriers, and hands back at the end of any cycle that leaves
-        the data plane work — the engine takes over from there.
+        A :meth:`at` callback runs in place, at its cycle's start,
+        under the contract of code between two :meth:`step` calls:
+        registers through :meth:`write_register`, words through
+        ``submit``, schedule writes counted in ``changes.writes``.
 
-        Refusals split two ways.  *Transient* kinds
-        (:attr:`CompileRefusal.DEFERRABLE`: a config packet on the
-        word-level tree, phits parked off the compiled schedule) are
-        deferrals — the kernel steps a bounded, exponentially growing
-        naive window and re-probes, so the engine returns once the
-        tree is quiet.  Every other kind falls back to naive stepping
-        for the remainder of this call — re-probing a permanently
-        refusing configuration every window would only burn eligibility
-        scans.
+        Any refusal — of the provider or of the engine's entry — falls
+        back to naive stepping for the rest of the call; the next call
+        probes again.
         """
         end = self.cycle + cycles
-        defer_window = self.DEFER_WINDOW_MIN
         provider = self.compile_provider
+        if provider is None:
+            self._fall_back(
+                CompileRefusal(
+                    CompileRefusal.NO_PROVIDER,
+                    "no network installed a compile provider",
+                ),
+                end,
+            )
+            return
         while self.cycle < end:
-            if provider is not None and provider.data_plane_empty():
-                barrier = self._barrier(end, provider)
-                if barrier > self.cycle:
-                    provider.run_config_plane(barrier)
-                    defer_window = self.DEFER_WINDOW_MIN
-                else:
-                    self._retire_engine()
-                    self._step_naive(1)
-                continue
-            engine = self._acquire_engine()
-            if engine is None:
-                refusal = self._last_refusal
-                if (
-                    refusal is not None
-                    and refusal.kind in CompileRefusal.DEFERRABLE
-                ):
-                    self._defer(refusal, min(defer_window, end - self.cycle))
-                    defer_window = min(
-                        defer_window * 2, self.DEFER_WINDOW_MAX
-                    )
-                    continue
-                self._step_naive(end - self.cycle)
-                return
-            assert provider is not None  # it built the engine
-            barrier = self._barrier(end, provider)
-            if barrier > self.cycle:
-                refusal = engine.run_to(barrier)
-                if refusal is not None:
-                    self._note_refusal(refusal)
-                    if refusal.kind in CompileRefusal.DEFERRABLE:
-                        # Import-time refusal: nothing was executed and
-                        # the engine holds no state, so keep it cached —
-                        # the next probe revalidates by token instead of
-                        # recompiling the whole mesh.
-                        self._defer(
-                            refusal, min(defer_window, end - self.cycle)
-                        )
-                        defer_window = min(
-                            defer_window * 2, self.DEFER_WINDOW_MAX
-                        )
-                        continue
-                    self._retire_engine()
-                    self._step_naive(end - self.cycle)
-                    return
-                defer_window = self.DEFER_WINDOW_MIN
-                if self.cycle < barrier:
-                    # The engine stopped after a cycle that reconfigured
-                    # what it runs: re-acquire (which recompiles).
-                    continue
-            if self.cycle < end:
-                # A callback (or a packet only the word-level tree can
-                # carry) is due at the current cycle; run it stepped.
-                self._retire_engine()
+            self._run_callbacks()
+            stepped = provider.next_stepped_cycle()
+            if stepped == self.cycle:
                 self._step_naive(1)
+                continue
+            barrier = self._barrier(end, stepped)
+            if provider.data_plane_empty():
+                provider.run_config_plane(barrier)
+                continue
+            refusal = self._run_engine(provider, barrier)
+            if refusal is not None:
+                self._fall_back(refusal, end)
+                return
 
-    def _barrier(self, end: int, provider: CompileProvider) -> int:
-        """The first cycle before ``end`` that only naive stepping may
-        run — a callback's, or the provider's ``next_stepped_cycle`` —
-        else ``end``."""
+    def _barrier(self, end: int, stepped: Optional[int]) -> int:
+        """The first cycle before ``end`` that compiled execution may not
+        run — the next callback's, or ``stepped`` — else ``end``."""
         barrier = end
         for scheduled in (
             self._next_callback_cycle(),
-            provider.next_stepped_cycle(),
+            stepped,
         ):
             if scheduled is not None and scheduled < barrier:
                 barrier = scheduled
         return barrier
 
-    def _defer(self, refusal: CompileRefusal, window: int) -> None:
-        """Step a bounded naive window through a transient refusal."""
-        self.compile_deferrals[refusal.kind] = (
-            self.compile_deferrals.get(refusal.kind, 0) + 1
+    def _run_engine(
+        self, provider: CompileProvider, barrier: int
+    ) -> Optional[CompileRefusal]:
+        """Run the compiled engine towards ``barrier``, or say why none
+        may run (then nothing was executed).  The provider revalidates
+        the cached engine by the schedule-write token and recompiles
+        only when the programmed schedule actually changed."""
+        engine = provider(self, self._engine)
+        if isinstance(engine, CompileRefusal):
+            return engine
+        self._engine = engine
+        return engine.run_to(barrier)
+
+    def _fall_back(self, refusal: CompileRefusal, end: int) -> None:
+        """Count ``refusal`` and step naively up to ``end``."""
+        self._last_refusal = refusal
+        self.compile_fallbacks[refusal.kind] = (
+            self.compile_fallbacks.get(refusal.kind, 0) + 1
         )
-        self._step_naive(max(1, window))
+        self._retire_engine()
+        self._step_naive(end - self.cycle)
 
     # -- execution -----------------------------------------------------------
 
@@ -729,10 +656,18 @@ class Kernel:
         else:
             self._step_naive(cycles)
 
+    def _run_callbacks(self) -> None:
+        """Run the current cycle's callbacks in scheduling order, those
+        they schedule for this cycle too, until none is left."""
+        cycle = self.cycle
+        callbacks = self._callbacks.get(cycle)
+        while callbacks:
+            callbacks.pop(0)(cycle)
+        self._callbacks.pop(cycle, None)
+
     def _step_naive(self, cycles: int) -> None:
         for _ in range(cycles):
-            for callback in self._callbacks.pop(self.cycle, ()):  # stimuli
-                callback(self.cycle)
+            self._run_callbacks()
             try:
                 for component in self.components:
                     component.evaluate(self.cycle)

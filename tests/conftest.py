@@ -107,10 +107,11 @@ def pump_until_delivered(network, dst_ni, channel, expected, max_steps=3000):
 
 
 def other_element_packet(net):
-    """Every word of a CHANNEL_CONFIG packet for an element the network
-    does not have, without the closing gap: fed to a decoder, it leaves
-    it mid-packet until a stepped cycle delivers the gap, on which it
-    decodes to nothing."""
+    """A CHANNEL_CONFIG packet for an element the network does not have.
+    Its words fed to a decoder (without the closing gap) leave it
+    mid-packet until a stepped cycle delivers the gap; submitted to the
+    configuration module, it rides the word-level tree (its addressee is
+    unknown).  Either way it decodes to nothing."""
     bits = net.params.config_word_bits
     return build_channel_config_packet(
         (1 << (bits - 1)) - 1,
@@ -118,7 +119,24 @@ def other_element_packet(net):
         3,
         [(ChannelField.CREDIT, 1)],
         bits,
-    ).words
+    )
+
+
+def corrupted_span(net):
+    """Cycles from the activation to the finish of the request whose
+    flight a fault wave's config-word corruption struck: the span a
+    packet on the word-level tree is stepped for."""
+    struck = next(
+        event.cycle
+        for event in net.stats.faults
+        if event.kind == "config_corrupt"
+    )
+    request = next(
+        request
+        for request in net.config_module.completed
+        if request.started_at <= struck <= request.finished_at
+    )
+    return request.finished_at - request.started_at + 1
 
 
 @st.composite

@@ -718,7 +718,9 @@ class TestReuseAfterRidingThrough:
 
 class TestBarriers:
     def test_a_kernel_at_callback_inside_a_wait(self):
-        """The callback's cycle is stepped; the wait runs on around it."""
+        """The callback runs in place at its cycle's start, as code
+        between two runs: the wait stays on the engine and no cycle is
+        stepped."""
         seen = {}
 
         def drive(bench):
@@ -741,12 +743,15 @@ class TestBarriers:
 
         vector = lockstep(Bench, [drive])
         assert seen[VECTOR_MODE] == seen[NAIVE_MODE]
-        assert stats(vector)["active_cycles"] > 0
+        kernel = stats(vector)
+        assert kernel["active_cycles"] == 0
+        assert kernel["compile_fallbacks"] == {}
 
     def test_a_packet_only_the_tree_can_carry_is_stepped(self):
         """A read-back in the queue behind a set-up, one long run: the
-        set-up is engine time, the read's activation is a barrier and
-        the read is stepped on the word-level tree."""
+        set-up is engine time, and exactly the read's span — its
+        activation to its finish — is stepped on the word-level tree."""
+        reads = {}
 
         def drive(bench):
             with_flow(bench)
@@ -763,11 +768,14 @@ class TestBarriers:
             net.run(800)
             assert handle.done and read.responses
             bench.check("after")
+            reads[bench.kernel.mode] = read
 
         vector = lockstep(Bench, [drive])
         kernel = stats(vector)
+        read = reads[VECTOR_MODE]
         assert kernel["config_elision_refusals"] == {"expects_response": 1}
-        assert kernel["compile_fallbacks"]["config_active"] > 0
+        assert kernel["compile_fallbacks"] == {}
+        assert kernel["active_cycles"] == read.finished_at - read.started_at + 1
 
     def test_a_fault_wave_mid_campaign(self):
         """Armed fault hooks refuse the engine; disarmed, it returns."""

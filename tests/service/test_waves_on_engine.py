@@ -4,8 +4,8 @@ An :class:`AvailabilityHarness` wave arms a config-word corruption, two
 slot-table upsets and the decoder fault monitors on a live shard.  None
 of that keeps the compiled kernel off: the configuration module steps
 through the word-level tree only the packet whose flight window holds
-the planned corruption — the kernel stops at its activation and defers
-(``config_active``) until it has drained — and every other packet's
+the planned corruption — the kernel steps exactly that packet's span,
+from its activation to its request's finish — and every other packet's
 deposits are decoded and applied through the port code that consults
 the monitors.  The shard carries no traffic, so that is the config
 plane run alone, with no engine.  The churn digest and the fault log must equal
@@ -25,6 +25,7 @@ from repro.service import (
 )
 from repro.sim.kernel import NAIVE_MODE, VECTOR_MODE, CompileRefusal
 
+from ..conftest import corrupted_span
 from ..differential import plant
 
 pytestmark = pytest.mark.differential
@@ -63,11 +64,15 @@ def run_wave(mode, seed, ops, fault_every_ops, fault_horizon):
         for outcome in record.outcomes
     ]
     stats = network.kernel.kernel_stats()
-    return churn.digest(), faults, kinds, stats, reasons
+    return churn.digest(), faults, kinds, stats, reasons, network
 
 
 def test_a_touched_packet_defers_the_engine_and_matches_naive():
-    digest, faults, kinds, stats, _ = run_wave(VECTOR_MODE, **TOUCHED)
+    """The engine is put off for exactly the touched packet's span on
+    the word-level tree, with no refusal."""
+    digest, faults, kinds, stats, _, network = run_wave(
+        VECTOR_MODE, **TOUCHED
+    )
     reference, reference_faults, *_ = run_wave(NAIVE_MODE, **TOUCHED)
     assert digest == reference
     assert faults == reference_faults
@@ -75,11 +80,12 @@ def test_a_touched_packet_defers_the_engine_and_matches_naive():
     assert kinds.count("table_upset") == 2
     assert CompileRefusal.FAULT_HOOKS_ARMED not in stats["compile_fallbacks"]
     assert stats["config_elision_refusals"] == {"fault_hooks_armed": 1}
-    assert stats["compile_deferrals"] == {CompileRefusal.CONFIG_ACTIVE: 1}
+    assert stats["compile_fallbacks"] == {}
+    assert stats["active_cycles"] == corrupted_span(network)
 
 
 def test_an_untouched_wave_never_leaves_the_engine():
-    digest, faults, kinds, stats, _ = run_wave(VECTOR_MODE, **UNTOUCHED)
+    digest, faults, kinds, stats, *_ = run_wave(VECTOR_MODE, **UNTOUCHED)
     reference, reference_faults, *_ = run_wave(NAIVE_MODE, **UNTOUCHED)
     assert digest == reference
     assert faults == reference_faults
@@ -106,7 +112,7 @@ def test_planted_mutant_barrier_blind_to_config_hooks_is_killed(
         owner=ConfigModule,
         method="next_stepped_cycle",
     )
-    digest, faults, _, _, reasons = run_wave(VECTOR_MODE, **TOUCHED)
+    digest, faults, _, _, reasons, _ = run_wave(VECTOR_MODE, **TOUCHED)
     reference, reference_faults, *_ = run_wave(NAIVE_MODE, **TOUCHED)
     assert (digest, faults) != (reference, reference_faults)
     assert any("next_stepped_cycle missed it" in reason for reason in reasons)

@@ -138,9 +138,9 @@ def test_config_traffic_forces_fallback_then_recompiles():
     """An elided set-up under traffic is engine time: the wait runs on
     the engine, which rides through applies that miss the live flow.
     A packet only the word-level tree can carry — a read-back, whose
-    response rides the reverse tree — still refuses it with
-    CONFIG_ACTIVE, and once the tree is quiet the engine recompiles
-    against the new schedule."""
+    response rides the reverse tree — is stepped from its activation
+    on, with no refusal, and once the tree is quiet the engine
+    recompiles against the new schedule."""
     net, _, _ = connected_compiled_net(topology=build_mesh(2, 2))
     net.run(200)
     base = net.kernel.kernel_stats()
@@ -164,9 +164,9 @@ def test_config_traffic_forces_fallback_then_recompiles():
     )
     net.run(5)
     stats = net.kernel.kernel_stats()
-    assert stats["compile_fallbacks"][CompileRefusal.CONFIG_ACTIVE] > 0
-    assert stats["last_refusal"] == CompileRefusal.CONFIG_ACTIVE
-    assert stats["active_cycles"] > configured["active_cycles"]
+    assert stats["compile_fallbacks"] == {}
+    assert stats["active_cycles"] == configured["active_cycles"] + 5
+    assert stats["compiled_cycles"] == configured["compiled_cycles"]
 
     net.wait_configured([read])
     assert read.responses == [FLAG_ENABLED | FLAG_FLOW_CONTROLLED]
@@ -191,7 +191,8 @@ def test_usecase_switch_falls_back_then_recompiles():
     submitted on "b" afterwards make a channel live that the ridden
     applies were never checked against, so the engine recompiles before
     running them.  A hand-built packet (no addressee record) is
-    streamed through the word-level tree and refuses the engine."""
+    streamed through the word-level tree: its cycles are stepped, and
+    nothing is refused."""
     from repro.alloc.usecase import UseCase, UseCaseManager
 
     params = daelite_parameters(slot_table_size=8)
@@ -265,7 +266,8 @@ def test_usecase_switch_falls_back_then_recompiles():
     net.run(5)
     stepped = net.kernel.kernel_stats()
     assert stepped["config_elision_refusals"] == {"no_addressee_record": 1}
-    assert stepped["compile_fallbacks"][CompileRefusal.CONFIG_ACTIVE] > 0
+    assert stepped["compile_fallbacks"] == {}
+    assert stepped["active_cycles"] == switched["active_cycles"] + 5
     net.wait_configured([resent])
 
     net.ni("NI10").submit_words(
@@ -293,11 +295,12 @@ def test_tracer_refusal():
 
 
 def test_fallback_steps_naively():
-    """A permanent refusal hands the cycles to naive stepping: every
-    component is evaluated on every fallback cycle, idle or not."""
+    """A refusal hands the rest of the call to naive stepping: every
+    component is evaluated on every fallback cycle, idle or not, and
+    each call probes once."""
     net, _, _ = connected_compiled_net(tracer=Tracer())
     kernel = net.kernel
-    refused = fallbacks(net)[CompileRefusal.TRACER_ACTIVE]
+    refused = fallbacks(net).get(CompileRefusal.TRACER_ACTIVE, 0)
     for cycles in (1, 37, 200):
         evaluations, active = kernel.evaluations, kernel.active_cycles
         net.run(cycles)
@@ -402,10 +405,10 @@ def test_no_provider_refusal():
 # -- the engine's own safety checks --------------------------------------------
 
 
-def test_off_schedule_phit_defers_as_datapath_busy():
+def test_off_schedule_phit_falls_back_for_the_call():
     """A phit parked where the occupancy walk says none can be is
-    refused at import (typed, deferrable); naive stepping drains it
-    and the engine re-engages."""
+    refused at import (typed): naive stepping runs the rest of the call
+    and drains it, and the next call re-engages the engine."""
     net, _, _ = connected_compiled_net()
     net.run(200)
     engine = net.kernel._engine
@@ -417,26 +420,37 @@ def test_off_schedule_phit_defers_as_datapath_busy():
         and engine.regs[rid].name.startswith("link")
     )
     net.kernel.write_register(engine.regs[rid], Phit(credit_bits=1))
-    before = net.kernel.kernel_stats()["compiled_cycles"]
+    before = net.kernel.kernel_stats()
     net.run(200)
     stats = net.kernel.kernel_stats()
-    assert stats["compile_deferrals"][CompileRefusal.DATAPATH_BUSY] > 0
+    assert stats["compile_fallbacks"] == {CompileRefusal.DATAPATH_BUSY: 1}
     assert "off the compiled schedule" in stats["last_refusal_detail"]
-    assert stats["compiled_cycles"] > before
+    assert stats["compiled_cycles"] == before["compiled_cycles"]
+    assert stats["active_cycles"] == before["active_cycles"] + 200
+    net.run(200)
+    after = net.kernel.kernel_stats()
+    assert after["compiled_cycles"] == stats["compiled_cycles"] + 200
+    assert after["compile_fallbacks"] == stats["compile_fallbacks"]
 
 
-def test_live_untracked_register_defers_as_config_active():
+def test_live_untracked_register_falls_back_for_the_call():
     """A register outside the lowered data plane holding a value means
-    something the engine does not model is in flight."""
+    something the engine does not model is in flight: the call steps
+    naively, which latches it idle, and the next call re-engages."""
     net, _, _ = connected_compiled_net()
     stray = net.kernel.add_register(Register("stray"))
     net.kernel.write_register(stray, 1)
+    before = net.kernel.kernel_stats()
     net.run(200)
     stats = net.kernel.kernel_stats()
-    assert stats["compile_deferrals"][CompileRefusal.CONFIG_ACTIVE] > 0
+    assert stats["compile_fallbacks"] == {CompileRefusal.CONFIG_ACTIVE: 1}
     assert "untracked register 'stray'" in stats["last_refusal_detail"]
     assert stray.q is None
-    assert stats["compiled_cycles"] > 0
+    assert stats["compiled_cycles"] == before["compiled_cycles"]
+    net.run(200)
+    after = net.kernel.kernel_stats()
+    assert after["compiled_cycles"] == stats["compiled_cycles"] + 200
+    assert after["compile_fallbacks"] == stats["compile_fallbacks"]
 
 
 def test_phit_without_an_op_raises_instead_of_vanishing():
@@ -669,7 +683,7 @@ def arm_tracer(element):
 def arm_decoder(element):
     def arm(net):
         decoder = element(net).config.decoder
-        for word in other_element_packet(net):
+        for word in other_element_packet(net).words:
             decoder.feed(word)
         return None  # the next stepped cycle's gap ends the packet
 
@@ -772,8 +786,8 @@ def test_entry_refuses_each_condition_and_reengages(condition):
     """Each condition the engine's per-run entry checks is armed alone
     on a configured mesh the engine is running: the refusal has its
     kind and its detail, no engine cycle runs beside it, and the engine
-    re-engages once the condition clears (by itself, in the stepped
-    cycles a deferral takes, or by undoing it)."""
+    re-engages once the condition clears (by itself, in the naive
+    cycles of the call that fell back, or by undoing it)."""
     arm, kind, detail = ENTRY_REFUSALS[condition]
     net, _, _ = connected_compiled_net()
     net.run(200)

@@ -24,7 +24,7 @@ import pytest
 
 from repro.alloc import ConnectionRequest
 from repro.core import DaeliteNetwork, OnlineConnectionManager
-from repro.core.config_network import ConfigEvents
+from repro.core.config_network import ConfigEvents, ConfigModule
 from repro.params import daelite_parameters
 from repro.service import (
     AvailabilityHarness,
@@ -39,6 +39,7 @@ from repro.topology import build_mesh
 from repro.traffic.generators import CbrGenerator
 from repro.traffic.sinks import CheckingSink
 
+from ..conftest import corrupted_span
 from ..differential import lockstep, mutant_survives, plant
 
 pytestmark = pytest.mark.differential
@@ -156,7 +157,8 @@ def test_a_fault_wave_on_a_traffic_free_shard():
     assert kinds.count("table_upset") == 2
     assert kinds.count("config_corrupt") == 1
     assert stats["config_packets_stepped"] == 1
-    assert stats["compile_deferrals"] == {"config_active": 1}
+    assert stats["compile_fallbacks"] == {}
+    assert stats["active_cycles"] == corrupted_span(net)
     assert stats["lowering_cache_misses"] == stats["lowering_cache_hits"] == 0
     assert stats["config_plane_cycles"] > stats["cycle"] // 2
 
@@ -275,6 +277,20 @@ class TestPlantedMutantsAreKilled:
                 monkeypatch, "submit", "inside"
             )
         )
+
+    def test_a_barrier_blind_to_the_packet_on_the_tree(self, monkeypatch):
+        """``next_stepped_cycle`` without its ``on_tree`` clause: inside
+        the packet's span the kernel probes the engine, which refuses
+        (``config_active``), and falls back for the rest of the call —
+        the count gate sees the fallback and the cycles past the span."""
+        plant(
+            monkeypatch,
+            "        if self.on_tree:\n            return cycle\n",
+            "",
+            owner=ConfigModule,
+            method="next_stepped_cycle",
+        )
+        assert not mutant_survives(test_a_fault_wave_on_a_traffic_free_shard)
 
     def test_an_emptiness_test_blind_to_a_queued_word(self, monkeypatch):
         plant(

@@ -25,6 +25,7 @@ from repro.core import network as network_module
 from repro.core.config_network import ConfigModule
 from repro.core.config_port import ConfigPort
 from repro.core.config_protocol import ConfigDecoder
+from repro.errors import SimulationError
 from repro.params import daelite_parameters
 from repro.sim import compiled, lowering
 from repro.sim.compiled import lower_network
@@ -424,16 +425,19 @@ class TestRunBoundaryWork:
         net.kernel.write_register(engine.regs[rid], engine.regs[rid].q)
 
     @staticmethod
-    def step_one_cycle(net):
-        """One cycle the stepped kernel runs while the engine stays
-        cached: a decoder mid-packet defers the engine (deferrable, so
-        it is kept), and the stepped cycle's gap ends the packet."""
-        decoder = net.router("R10").config.decoder
-        for word in other_element_packet(net):
-            decoder.feed(word)
+    def step_a_packet_span(net):
+        """Cycles the stepped kernel runs while the engine stays cached:
+        a packet for an element the network does not have rides the
+        word-level tree, and exactly its span — its activation to its
+        request's finish — is stepped.  It applies nothing, so the
+        schedule token stays."""
         stepped = net.kernel.active_cycles
-        net.run(1)
-        assert net.kernel.active_cycles == stepped + 1
+        request = net.config_module.submit(
+            other_element_packet(net), net.kernel.cycle
+        )
+        net.wait_configured([request])
+        span = request.finished_at - request.started_at + 1
+        assert net.kernel.active_cycles == stepped + span > stepped + 1
 
     def test_second_run_reads_nothing_and_builds_no_owner(
         self, net, monkeypatch
@@ -450,7 +454,7 @@ class TestRunBoundaryWork:
         engine = net.kernel._engine
         every = len(engine.regs) + len(engine.other_regs)
         assert every > 2000
-        assert self.entry_work(monkeypatch, net, self.step_one_cycle) == (
+        assert self.entry_work(monkeypatch, net, self.step_a_packet_span) == (
             every,
             0,
         )
@@ -487,15 +491,17 @@ class TestRunBoundaryWork:
 
     def test_entry_ignoring_stepped_cycles_is_killed(self, net, monkeypatch):
         """An entry that trusts its own exit however many cycles the
-        stepped kernel ran since reads only what the door noted."""
+        stepped kernel ran since reads only what the door noted —
+        nothing — and resumes from the phits of its exit, which the
+        packet's span has moved off their trajectories' phase."""
         plant(
             monkeypatch,
             "self._exited_at == kernel.active_cycles",
             "self._exited_at >= 0",
             method="_import_registers",
         )
-        reads, _ = self.entry_work(monkeypatch, net, self.step_one_cycle)
-        assert reads == 0
+        with pytest.raises(SimulationError, match="lost track of a phit"):
+            self.entry_work(monkeypatch, net, self.step_a_packet_span)
 
 
 class TestTrafficFreeWaitWork:

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import DaeliteNetwork
 from repro.errors import SimulationError
+from repro.params import daelite_parameters
 from repro.sim import Component, Kernel, Register
+from repro.topology import build_mesh
 
 
 class Counter(Component):
@@ -224,6 +227,30 @@ class TestCallbackSchedule:
         )
         kernel.step(400)
         assert seen == [305]
+
+    @pytest.mark.parametrize("network", [False, True], ids=["bare", "network"])
+    def test_callback_for_its_own_cycle_from_a_callback(self, mode, network):
+        """A callback scheduled for the current cycle from inside one
+        runs in that cycle, after those scheduled before it, and nothing
+        stays scheduled — on a bare kernel and on a network's, whose
+        ``vector`` kernel runs callbacks in place beside the config
+        plane."""
+        if network:
+            params = daelite_parameters(slot_table_size=8)
+            kernel = DaeliteNetwork(build_mesh(2, 2), params, kernel_mode=mode).kernel
+        else:
+            kernel = Kernel(mode=mode)
+        seen = []
+
+        def first(now):
+            seen.append(("first", now))
+            kernel.at(now, lambda later: seen.append(("second", later)))
+
+        kernel.at(5, first)
+        kernel.at(5, lambda now: seen.append(("sibling", now)))
+        kernel.step(10)
+        assert seen == [("first", 5), ("sibling", 5), ("second", 5)]
+        assert kernel._callbacks == {}
 
     def test_reset_forgets_scheduled_callbacks(self, mode):
         kernel = Kernel(mode=mode)
